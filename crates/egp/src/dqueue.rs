@@ -234,6 +234,13 @@ impl DistributedQueue {
         self.len() == 0
     }
 
+    /// `true` when this half holds no work at all: nothing committed,
+    /// nothing staged for the fairness window, and no ADD awaiting its
+    /// ACK. [`DistributedQueue::tick`] is then a no-op at any cycle.
+    pub fn is_idle(&self) -> bool {
+        self.pending.is_empty() && self.staging.is_empty() && self.is_empty()
+    }
+
     /// Looks up a committed item.
     pub fn get(&self, aid: AbsQueueId) -> Option<&QueueEntry> {
         self.queues.get(aid.qid as usize)?.get(&aid.qseq)

@@ -321,6 +321,22 @@ impl Egp {
         self.dq.len()
     }
 
+    /// `true` when this EGP has nothing to do and nothing to wait for:
+    /// no tracked request (lingering completed ones included), no
+    /// CREATE, EXPIRE or RETRACT awaiting the peer, no move in
+    /// progress, and an idle distributed queue. [`Egp::poll`] then
+    /// returns `(None, [])` and changes no state whatever the cycle —
+    /// every timer it consults hangs off one of those collections — so
+    /// a simulator may skip the polls of a quiescent EGP outright.
+    pub fn is_quiescent(&self) -> bool {
+        self.requests.is_empty()
+            && self.pending_creates.is_empty()
+            && self.pending_expires.is_empty()
+            && self.pending_retracts.is_empty()
+            && self.pending_move.is_none()
+            && self.dq.is_idle()
+    }
+
     /// EXPIREs sent so far (robustness metric of §6.1).
     pub fn expires_sent(&self) -> u64 {
         self.expires_sent
@@ -1775,5 +1791,56 @@ mod tests {
         // Give the queue time; B's poll must yield no attempt.
         let (spec, _) = b.poll(b.cfg.min_time_cycles + 1);
         assert!(spec.is_none(), "flow control must block K attempts");
+    }
+
+    /// The property idle-link parking rests on: polling a quiescent
+    /// EGP does nothing, whatever the cycle — so a simulator may skip
+    /// any number of those polls. Checked on fresh instances and on a
+    /// pair that served a K request (move, OKs, completed-request
+    /// linger) back to quiescence, against cycles in the past, the
+    /// present, the far future and at the numeric extremes.
+    #[test]
+    fn poll_on_a_quiescent_egp_is_a_no_op_at_any_cycle() {
+        let mut h = Harness::new(SchedulerPolicy::fcfs());
+        assert!(h.egp_a.is_quiescent() && h.egp_b.is_quiescent());
+        let (_, evs) = h.egp_a.create(create_msg(2, true, 1), 0);
+        h.dispatch(evs, vec![], 0);
+        assert!(!h.egp_a.is_quiescent() && !h.egp_b.is_quiescent());
+
+        let linger = h.egp_a.cfg.completed_linger_cycles;
+        let mut cycle = 0;
+        while !(h.egp_a.is_quiescent() && h.egp_b.is_quiescent()) {
+            assert!(cycle < 2_000 + linger, "never returned to quiescence");
+            h.step(cycle);
+            if h.count_oks(true) == 2 && cycle < linger {
+                // Served, but the completed request still lingers.
+                assert!(!h.egp_a.is_quiescent());
+            }
+            cycle += 1;
+        }
+        assert_eq!(h.count_oks(true), 2);
+        assert!(cycle >= linger, "quiescent before the linger ran out");
+
+        let (mut fresh, _) = lab_pair(SchedulerPolicy::nl_strict_wfq());
+        let mut rng = DetRng::new(0x9a4c);
+        for egp in [&mut h.egp_a, &mut h.egp_b, &mut fresh] {
+            let before = format!("{egp:?}");
+            for case in 0..200u64 {
+                let c = match case {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => cycle,
+                    _ => rng.below(1 << 40) >> rng.below(40),
+                };
+                let (spec, events) = egp.poll(c);
+                assert!(spec.is_none(), "cycle {c}: quiescent poll fired {spec:?}");
+                assert!(
+                    events.is_empty(),
+                    "cycle {c}: quiescent poll emitted {events:?}"
+                );
+                assert!(egp.is_quiescent());
+            }
+            assert_eq!(before, format!("{egp:?}"), "quiescent polls changed state");
+        }
     }
 }

@@ -524,6 +524,18 @@ pub struct Network {
     pub elapsed: SimDuration,
 }
 
+/// Configures a freshly built link for life inside a [`Network`]: the
+/// network layer drains deliveries (and terminal CREATE rejections, for
+/// re-routing) at every wake, and — since [`Network::schedule_wake`]
+/// schedules nothing for a link with no next event — lets an idle link
+/// park its cycle clock until the next CREATE.
+fn embed(mut link: LinkSimulation) -> LinkSimulation {
+    link.capture_deliveries();
+    link.capture_rejections();
+    link.park_when_idle();
+    link
+}
+
 impl Network {
     /// Builds the network: one full link-layer simulation per edge
     /// (seeded from its own `LinkConfig`), one SWAP-ASAP node machine
@@ -537,14 +549,7 @@ impl Network {
         let links: Vec<LinkSimulation> = topo
             .edges()
             .iter()
-            .map(|e| {
-                let mut link = LinkSimulation::new(e.link.clone());
-                // The network layer drains deliveries (and terminal
-                // CREATE rejections, for re-routing) at every wake.
-                link.capture_deliveries();
-                link.capture_rejections();
-                link
-            })
+            .map(|e| embed(LinkSimulation::new(e.link.clone())))
             .collect();
         let nodes = (0..topo.node_count())
             .map(|_| SwapAsapNode::new())
@@ -678,14 +683,25 @@ impl Network {
     }
 
     /// Total events fired: shared-queue events plus every link's
-    /// internal events.
+    /// internal events. The MHP cycles idle links skipped
+    /// ([`Network::cycles_elided`]), and the wakes that would have
+    /// observed them, are not events and are not counted.
     pub fn events_fired(&self) -> u64 {
         self.queue.events_fired() + self.links.iter().map(|l| l.events_fired()).sum::<u64>()
     }
 
+    /// MHP cycles the links skipped while parked idle, summed over the
+    /// current link incarnations
+    /// ([`LinkSimulation::cycles_elided`]) — where the events of a
+    /// mostly idle network went. Identical under every [`ExecMode`].
+    pub fn cycles_elided(&self) -> u64 {
+        self.links.iter().map(|l| l.cycles_elided()).sum()
+    }
+
     /// Restarts the event-count statistics ([`Network::events_fired`],
-    /// the profiler's queue-depth high-water gauge) across the shared
-    /// queue and every link, without touching any simulation state —
+    /// [`Network::cycles_elided`], the profiler's queue-depth
+    /// high-water gauge) across the shared queue and every link,
+    /// without touching any simulation state —
     /// see [`qlink_des::EventQueue::reset_stats`]. The sweep driver
     /// calls this at the run boundary so a run's recorded event count
     /// never includes another phase's.
@@ -1072,10 +1088,7 @@ impl Network {
         cfg.seed = DetRng::new(cfg.seed)
             .substream(&format!("repair/{}", self.repair_count[edge]))
             .seed();
-        let mut link = LinkSimulation::new_starting_at(cfg, t);
-        link.capture_deliveries();
-        link.capture_rejections();
-        self.links[edge] = link;
+        self.links[edge] = embed(LinkSimulation::new_starting_at(cfg, t));
         // Bookkeeping into the old incarnation dies with it: queued
         // CREATEs can never be served, and dropping their keys here
         // keeps them from colliding with the rebuilt link's fresh
@@ -1633,6 +1646,7 @@ impl Network {
         let Some(started) = started else { return };
         let events = self.queue.events_fired();
         let high_water = self.queue.depth_high_water();
+        let cycles_elided = self.cycles_elided();
         let p = self
             .telemetry
             .as_deref_mut()
@@ -1641,6 +1655,7 @@ impl Network {
         p.wall_nanos += started.elapsed().as_nanos() as u64;
         p.events_handled = events;
         p.queue_depth_high_water = high_water;
+        p.cycles_elided = cycles_elided;
     }
 
     // ---- conservative-lookahead windows (see crate::par) -------------
@@ -1818,7 +1833,8 @@ impl Network {
 
     /// (Re)schedules the wake for a link's next internal event. Any
     /// previously scheduled wake becomes stale via the generation
-    /// counter.
+    /// counter. A parked link has no next event and gets no wake: the
+    /// submit that resumes it reschedules one.
     fn schedule_wake(&mut self, link: usize) {
         if let Some(t) = self.links[link].next_event_time() {
             self.wake_gen[link] += 1;

@@ -378,6 +378,13 @@ pub struct EngineProfile {
     pub events_handled: u64,
     /// Most shared-queue events ever pending at once.
     pub queue_depth_high_water: usize,
+    /// MHP cycles the links skipped while parked idle, as of the last
+    /// run loop's end ([`Network::cycles_elided`]). A simulation
+    /// count, not a wall figure: neither these cycles nor the wakes
+    /// that would have observed them are in `events_handled`.
+    ///
+    /// [`Network::cycles_elided`]: crate::network::Network::cycles_elided
+    pub cycles_elided: u64,
     /// Conservative-lookahead windows executed (sharded mode).
     pub windows: u64,
     /// Wall nanoseconds the coordinator spent in window run-ahead +
@@ -402,7 +409,7 @@ impl EngineProfile {
             .map(|n| n.to_string())
             .collect();
         format!(
-            "{{\n  \"wall_ns\": {},\n  \"events_handled\": {},\n  \"ns_per_event\": {:.1},\n  \"queue_depth_high_water\": {},\n  \"windows\": {},\n  \"window_ns\": {},\n  \"shard_busy_ns\": [{}],\n  \"coord_idle_ns\": {}\n}}\n",
+            "{{\n  \"wall_ns\": {},\n  \"events_handled\": {},\n  \"ns_per_event\": {:.1},\n  \"queue_depth_high_water\": {},\n  \"cycles_elided\": {},\n  \"windows\": {},\n  \"window_ns\": {},\n  \"shard_busy_ns\": [{}],\n  \"coord_idle_ns\": {}\n}}\n",
             self.wall_nanos,
             self.events_handled,
             if self.events_handled == 0 {
@@ -411,6 +418,7 @@ impl EngineProfile {
                 self.wall_nanos as f64 / self.events_handled as f64
             },
             self.queue_depth_high_water,
+            self.cycles_elided,
             self.windows,
             self.window_nanos,
             shards.join(", "),
@@ -783,6 +791,7 @@ mod tests {
             wall_nanos: 1000,
             events_handled: 10,
             queue_depth_high_water: 4,
+            cycles_elided: 7,
             windows: 2,
             window_nanos: 600,
             shard_busy_nanos: vec![300, 280],
@@ -790,6 +799,7 @@ mod tests {
         };
         let j = p.to_json();
         assert!(j.contains("\"ns_per_event\": 100.0"));
+        assert!(j.contains("\"cycles_elided\": 7"));
         assert!(j.contains("\"shard_busy_ns\": [300, 280]"));
     }
 }

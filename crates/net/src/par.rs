@@ -49,10 +49,23 @@
 //!   to a sequential one: same outcomes, same RNG draws, same event
 //!   counts.
 //!
+//! * **Parked links.** An idle link stops its own cycle clock
+//!   ([`LinkSimulation::park_when_idle`]) and then adds nothing to a
+//!   window: `run_ahead` finds its queue empty, and with no next event
+//!   it has no wake on the shared queue. It decides to park inside its
+//!   own `Cycle` handler, from link-internal state alone, so it parks
+//!   at the same cycle whether a worker ran it ahead or the
+//!   coordinator stepped it. Only a submit or a retraction resumes it,
+//!   and both happen in control-class event handlers — the instants
+//!   the lookahead bound already guarantees no link has computed
+//!   past. The bound itself is unchanged; with fewer wakes pending,
+//!   windows on a sparse topology are simply longer.
+//!
 //! [`Network`]: crate::network::Network
 //! [`Topology::min_control_delay`]: crate::topology::Topology::min_control_delay
 //! [`LinkSimulation`]: qlink_sim::link::LinkSimulation
 //! [`LinkSimulation::run_ahead`]: qlink_sim::link::LinkSimulation::run_ahead
+//! [`LinkSimulation::park_when_idle`]: qlink_sim::link::LinkSimulation::park_when_idle
 
 use qlink_des::SimTime;
 use qlink_sim::link::LinkSimulation;

@@ -150,8 +150,23 @@ pub struct LinkSimulation {
     replay: VecDeque<SimTime>,
     /// Metrics collected so far.
     pub metrics: LinkMetrics,
-    next_cycle_scheduled: u64,
+    /// Opt-in ([`LinkSimulation::park_when_idle`]): stop the MHP cycle
+    /// clock while the link is idle.
+    park_when_idle: bool,
+    /// `Some(c)` while the cycle clock is parked: no `Cycle` event
+    /// pends, and `c` is the first cycle that has neither fired nor
+    /// been elided.
+    parked: Option<u64>,
+    cycles_elided: u64,
 }
+
+/// MHP cycles between two `queue_length` samples. The pair-ledger
+/// retention period ([`LEDGER_RETENTION_STRIDE`]) is a multiple of it,
+/// so a parked link back-fills both by visiting only these cycles.
+const QUEUE_SAMPLE_STRIDE: u64 = 256;
+/// MHP cycles between two sweeps of stale pair-ledger entries.
+const LEDGER_RETENTION_STRIDE: u64 = 16_384;
+const _: () = assert!(LEDGER_RETENTION_STRIDE.is_multiple_of(QUEUE_SAMPLE_STRIDE));
 
 impl LinkSimulation {
     /// Builds the link from a configuration.
@@ -221,11 +236,12 @@ impl LinkSimulation {
             visible: SimTime::ZERO,
             replay: VecDeque::new(),
             metrics: LinkMetrics::new(),
-            next_cycle_scheduled: 0,
+            park_when_idle: false,
+            parked: None,
+            cycles_elided: 0,
             cfg,
         };
         sim.queue.schedule_at(SimTime::ZERO, Event::Cycle(0));
-        sim.next_cycle_scheduled = 0;
         sim
     }
 
@@ -243,7 +259,6 @@ impl LinkSimulation {
         let c0 = at.as_ps().div_ceil(sim.cfg.scenario.mhp_cycle.as_ps());
         sim.queue.clear();
         sim.queue.schedule_at(sim.cycle_start(c0), Event::Cycle(c0));
-        sim.next_cycle_scheduled = c0;
         sim
     }
 
@@ -252,16 +267,28 @@ impl LinkSimulation {
         self.queue.now()
     }
 
-    /// Total events processed (run statistics).
+    /// Total events processed (run statistics). MHP cycles a parked
+    /// link skipped ([`LinkSimulation::cycles_elided`]) are not events
+    /// and are not counted.
     pub fn events_fired(&self) -> u64 {
         self.queue.events_fired()
     }
 
+    /// MHP cycles skipped while parked
+    /// ([`LinkSimulation::park_when_idle`]), up to the observation
+    /// cursor: exactly the `Cycle` events a never-parking link would
+    /// have fired on top of [`LinkSimulation::events_fired`]. Always 0
+    /// for a link that was not opted in.
+    pub fn cycles_elided(&self) -> u64 {
+        self.cycles_elided
+    }
+
     /// Restarts the event-count statistics (see
-    /// [`EventQueue::reset_stats`]); the simulation state and clock are
-    /// untouched.
+    /// [`EventQueue::reset_stats`]) and the elided-cycle count; the
+    /// simulation state and clock are untouched.
     pub fn reset_event_stats(&mut self) {
         self.queue.reset_stats();
+        self.cycles_elided = 0;
     }
 
     /// Borrow a node's EGP (0 = A, 1 = B) for inspection.
@@ -272,6 +299,7 @@ impl LinkSimulation {
     /// Submits a CREATE directly (besides the random workload); returns
     /// the create ID.
     pub fn submit(&mut self, origin: usize, req: GeneratedRequest) -> u16 {
+        self.resume();
         let now = self.queue.now();
         let cycle = self.current_cycle();
         let msg = Self::create_msg(&req, if origin == 0 { NODE_B } else { NODE_A });
@@ -306,6 +334,7 @@ impl LinkSimulation {
     /// never run ahead of an instant something will still be
     /// submitted at).
     pub fn expire_request(&mut self, origin: usize, create_id: u16) {
+        self.resume();
         let cycle = self.current_cycle();
         self.tracking.remove(&(origin, create_id));
         let events = self.egps[origin].expire_request(create_id, cycle);
@@ -339,9 +368,12 @@ impl LinkSimulation {
 
     /// Firing time of this link's next *observable* event: the next
     /// recorded firing when the link has run ahead of its observation
-    /// cursor, the next pending internal event otherwise. (`None` only
-    /// for a drained queue, which cannot happen while the MHP cycle
-    /// clock keeps self-scheduling.)
+    /// cursor, the next pending internal event otherwise. `None` means
+    /// the link is parked ([`LinkSimulation::park_when_idle`]): nothing
+    /// will happen inside it until the next
+    /// [`LinkSimulation::submit`] / [`LinkSimulation::expire_request`].
+    /// A link that was not opted in never returns `None` — its MHP
+    /// cycle clock keeps self-scheduling.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.replay
             .front()
@@ -372,6 +404,12 @@ impl LinkSimulation {
         while let Some((et, ev)) = self.queue.pop_until(t) {
             self.handle(et, ev);
         }
+        // A parked link fires nothing: account for the cycles a ticking
+        // one would have fired by `t`. (No-op when run-ahead parked the
+        // link past `t` — the park cursor is already beyond it.)
+        if self.parked.is_some() {
+            self.elide_cycles_before(self.cycle_of(t) + 1);
+        }
     }
 
     /// Processes internal events up to and including `h` *ahead of*
@@ -386,6 +424,31 @@ impl LinkSimulation {
             self.replay.push_back(et);
             self.handle(et, ev);
         }
+    }
+
+    /// Lets the MHP cycle clock stop while the link is idle. At a
+    /// cycle where nothing pends in the link's own event queue, the
+    /// workload generator is [`WorkloadSpec::none`] and both EGPs are
+    /// quiescent ([`Egp::is_quiescent`]), the link schedules no further
+    /// `Cycle`: [`LinkSimulation::next_event_time`] returns `None` until
+    /// the next [`LinkSimulation::submit`] /
+    /// [`LinkSimulation::expire_request`] restarts the clock at the
+    /// first cycle boundary after it — the cycle a ticking link would
+    /// fire next. Every skipped cycle is one whose polls are no-ops, and
+    /// its housekeeping (the `queue_length` sample, the pair-ledger
+    /// sweep) is back-filled, so deliveries, rejections and
+    /// [`LinkMetrics`] are bit-identical to a never-parking run; only
+    /// [`LinkSimulation::events_fired`] drops, by
+    /// [`LinkSimulation::cycles_elided`].
+    ///
+    /// Off by default, like [`LinkSimulation::capture_deliveries`]: a
+    /// standalone stepper may rely on the cycle clock never stopping.
+    /// An embedding layer that already handles a `None`
+    /// `next_event_time` switches it on.
+    ///
+    /// [`WorkloadSpec::none`]: crate::workload::WorkloadSpec::none
+    pub fn park_when_idle(&mut self) {
+        self.park_when_idle = true;
     }
 
     /// Starts recording per-pair [`Delivery`] records for
@@ -448,7 +511,12 @@ impl LinkSimulation {
     }
 
     fn current_cycle(&self) -> u64 {
-        self.queue.now().as_ps() / self.cfg.scenario.mhp_cycle.as_ps()
+        self.cycle_of(self.queue.now())
+    }
+
+    /// The MHP cycle whose slot contains `t`.
+    fn cycle_of(&self, t: SimTime) -> u64 {
+        t.as_ps() / self.cfg.scenario.mhp_cycle.as_ps()
     }
 
     fn cycle_start(&self, c: u64) -> SimTime {
@@ -513,11 +581,72 @@ impl LinkSimulation {
         }
     }
 
+    /// `true` at a cycle whose polls cannot do anything, and after
+    /// which nothing can until the next external input: no internal
+    /// event pends (so no frame, photon, reply or timeout is in
+    /// flight), no workload will arrive, and neither EGP has work.
+    fn is_idle(&self) -> bool {
+        self.queue.is_empty() && self.workload.is_none() && self.egps.iter().all(Egp::is_quiescent)
+    }
+
+    /// Restarts a parked cycle clock at the first cycle boundary after
+    /// the current instant — every cycle at or before it a ticking link
+    /// has already fired. Called before an external input touches the
+    /// EGPs, so the `Cycle` keeps its place ahead of whatever the input
+    /// schedules, as in a ticking run.
+    fn resume(&mut self) {
+        if self.parked.is_none() {
+            return;
+        }
+        let next = self.current_cycle() + 1;
+        self.elide_cycles_before(next);
+        debug_assert_eq!(self.parked, Some(next), "park cursor ahead of the clock");
+        self.parked = None;
+        self.queue
+            .schedule_at(self.cycle_start(next), Event::Cycle(next));
+    }
+
+    /// While parked, skips every cycle before `end`: counts it elided
+    /// and back-fills its housekeeping, in cycle order.
+    fn elide_cycles_before(&mut self, end: u64) {
+        let Some(from) = self.parked.filter(|&from| from < end) else {
+            return; // ticking, or already past `end`
+        };
+        let mut c = from.next_multiple_of(QUEUE_SAMPLE_STRIDE);
+        while c < end {
+            self.housekeeping(c);
+            c += QUEUE_SAMPLE_STRIDE;
+        }
+        self.cycles_elided += end - from;
+        self.parked = Some(end);
+    }
+
+    /// The periodic upkeep due at cycle `c`, whether it fired or was
+    /// elided.
+    fn housekeeping(&mut self, c: u64) {
+        if c.is_multiple_of(QUEUE_SAMPLE_STRIDE) {
+            self.metrics
+                .queue_length
+                .push(self.egps[0].queue_len() as f64);
+        }
+        if c.is_multiple_of(LEDGER_RETENTION_STRIDE) && c > 0 {
+            let horizon = c.saturating_sub(200_000);
+            self.ledger.retain(|k, _| *k >= horizon);
+            self.window_alpha.retain(|k, _| *k >= horizon);
+        }
+    }
+
     fn on_cycle(&mut self, now: SimTime, c: u64) {
+        if self.park_when_idle && self.is_idle() {
+            // This cycle's polls are no-ops and so is every later
+            // one's until the next CREATE: stop the clock here.
+            self.housekeeping(c);
+            self.parked = Some(c + 1);
+            return;
+        }
         // Keep the clock ticking.
         self.queue
             .schedule_at(self.cycle_start(c + 1), Event::Cycle(c + 1));
-        self.next_cycle_scheduled = c + 1;
 
         // Workload arrivals.
         let arrivals = self.workload.sample_cycle();
@@ -561,17 +690,7 @@ impl LinkSimulation {
             self.queue.schedule_at(close_at, Event::WindowClose(c));
         }
 
-        // Periodic housekeeping.
-        if c.is_multiple_of(256) {
-            self.metrics
-                .queue_length
-                .push(self.egps[0].queue_len() as f64);
-        }
-        if c.is_multiple_of(16_384) && c > 0 {
-            let horizon = c.saturating_sub(200_000);
-            self.ledger.retain(|k, _| *k >= horizon);
-            self.window_alpha.retain(|k, _| *k >= horizon);
-        }
+        self.housekeeping(c);
     }
 
     fn on_window_close(&mut self, now: SimTime, c: u64) {

@@ -194,6 +194,13 @@ impl WorkloadGenerator {
         &self.spec
     }
 
+    /// `true` when no kind has a positive offered load
+    /// ([`WorkloadSpec::none`]): [`WorkloadGenerator::sample_cycle`]
+    /// then never yields a request and never draws randomness.
+    pub fn is_none(&self) -> bool {
+        self.active_n == 0
+    }
+
     /// Samples this cycle's arrivals (0 or more — each kind draws
     /// independently, as in the paper's per-kind issue probability).
     #[inline]

@@ -331,6 +331,50 @@ fn degraded_repair_profile_steers_planning_away() {
     assert_eq!(out.path, vec![0, 2, 3, 4]);
 }
 
+/// A repaired link comes back idle, so it parks at its first MHP cycle
+/// like any other idle link — and a CREATE re-routed onto it restarts
+/// its clock. The short arm's edge 0 fails under the request (re-route
+/// onto the long arm) and is repaired; the long arm's edge 2 then
+/// fails for good, so the second re-route can only ride the rebuilt,
+/// parked edge 0.
+#[test]
+fn repaired_link_parks_until_a_rerouted_create_resumes_it() {
+    let mut net = Network::new(clean_diamond(), 11);
+    net.set_request_timeout(Some(SimDuration::from_secs(30)));
+    net.set_retry_budget(2);
+    let at = SimDuration::from_millis;
+    net.set_fault_plan(
+        &FaultPlan::new()
+            .with_penalty(PenaltyConfig::off())
+            .with_event(at(2), FaultKind::Fail { edge: 0 })
+            .with_event(
+                at(4),
+                FaultKind::Repair {
+                    edge: 0,
+                    profile: None,
+                },
+            )
+            .with_event(at(10), FaultKind::Fail { edge: 2 }),
+    );
+    net.request_entanglement(0, 4, 0.6);
+    net.run_for(at(8));
+    assert_eq!((net.faults(), net.repairs(), net.reroutes()), (1, 1, 1));
+    let rebuilt = net.link(0);
+    assert_eq!(rebuilt.next_event_time(), None, "the repaired link parked");
+    assert_eq!(rebuilt.events_fired(), 1, "after its one aligned cycle");
+    assert!(rebuilt.cycles_elided() > 0, "and has been idle since");
+
+    let out = net
+        .run_until_outcome(SimDuration::from_secs(20))
+        .expect("the short arm delivers once it is the only route");
+    assert_eq!(net.reroutes(), 2);
+    assert_eq!(out.path, vec![0, 1, 4], "re-routed over the repaired edge");
+    assert!(
+        net.link(0).events_fired() > 1,
+        "the re-routed CREATE resumed the parked link"
+    );
+}
+
 /// Node churn: `NodeDown` fails every incident edge, `NodeUp` repairs
 /// them; a request issued while the hub of a diamond is down routes
 /// around it.

@@ -133,6 +133,16 @@ fn random_topology(rng: &mut DetRng) -> Topology {
     topo
 }
 
+/// One delivered outcome, f64 by bit pattern.
+fn outcome_row(o: &EndToEndOutcome) -> (u64, u64, u64, u64) {
+    (
+        o.request,
+        o.end_to_end_fidelity.to_bits(),
+        o.latency.as_ps(),
+        o.delivered_at.as_ps(),
+    )
+}
+
 /// Fingerprint of a full multi-request run on an explicit network —
 /// outcomes in delivery order, plus every counter the engines could
 /// skew.
@@ -148,12 +158,7 @@ fn run_network(topo: &Topology, seed: u64, exec: ExecMode) -> Vec<(u64, u64, u64
     let mut out = Vec::new();
     for _ in 0..2 {
         if let Some(o) = net.run_until_outcome(SimDuration::from_secs(8)) {
-            out.push((
-                o.request,
-                o.end_to_end_fidelity.to_bits(),
-                o.latency.as_ps(),
-                o.delivered_at.as_ps(),
-            ));
+            out.push(outcome_row(&o));
         }
     }
     net.run_for(SimDuration::from_millis(100));
@@ -258,6 +263,75 @@ fn cancel_while_parked_is_engine_equivalent() {
     }
 }
 
+/// A sparse 8×8 grid: three two-hop clients on a 112-link topology,
+/// so most links park idle at their first cycle and never wake. Each
+/// client's second request follows 60 ms after the first round — past
+/// the 5 000-cycle (50.6 ms) completed-request linger — so the links
+/// it rides have parked in between and are resumed by its CREATEs.
+/// Returns the outcomes plus every counter parking moves.
+fn run_sparse_grid(seed: u64, exec: ExecMode) -> Vec<(u64, u64, u64, u64)> {
+    let topo = Topology::grid(8, 8, |i| lab(8000 + i as u64));
+    let edges = topo.edge_count();
+    let mut net = Network::new(topo, seed);
+    net.set_exec(exec);
+    let pairs = [(0, 2), (27, 43), (63, 47)];
+    let mut out = Vec::new();
+    for round in 0..2 {
+        for (src, dst) in pairs {
+            net.request_entanglement(src, dst, 0.6);
+        }
+        for _ in pairs {
+            let o = net
+                .run_until_outcome(SimDuration::from_secs(5))
+                .expect("a two-hop Lab request delivers within 5 s");
+            out.push(outcome_row(&o));
+        }
+        net.run_for(SimDuration::from_millis(60));
+        let parked = (0..edges)
+            .filter(|&e| net.link(e).next_event_time().is_none())
+            .count();
+        assert_eq!(
+            parked, edges,
+            "round {round}: every link is idle past the linger, so every link is parked"
+        );
+    }
+    let never_woken = (0..edges)
+        .filter(|&e| net.link(e).events_fired() == 1)
+        .count();
+    assert!(
+        never_woken >= edges - 2 * pairs.len(),
+        "only the requests' own links ever leave their first park ({never_woken}/{edges})"
+    );
+    out.push((
+        net.events_fired(),
+        net.cycles_elided(),
+        never_woken as u64,
+        0,
+    ));
+    out
+}
+
+/// Idle-link parking under both engines: a link decides to park inside
+/// its own `Cycle` handler — at compute time, whether a worker thread
+/// ran it ahead or the coordinator stepped it — so `Sharded(n)` parks
+/// and resumes every link at the same cycle as `Sequential`, down to
+/// the event and elided-cycle counts.
+#[test]
+fn sparse_grid_parks_and_resumes_identically_under_both_engines() {
+    for seed in [3, 8] {
+        let seq = run_sparse_grid(seed, ExecMode::Sequential);
+        let (events, elided, ..) = *seq.last().expect("counters row");
+        assert!(
+            elided > events,
+            "a sparse grid elides more cycles than it fires events ({elided} vs {events})"
+        );
+        for n in [2, 4] {
+            let sh = run_sparse_grid(seed, ExecMode::Sharded(n));
+            assert_eq!(seq, sh, "sparse grid: Sharded({n}) diverged at seed {seed}");
+        }
+    }
+}
+
 /// A lab-grade link polled at 10 ms instead of 10.12 µs: same physics
 /// per attempt, ~1000× fewer idle MHP poll events — what makes a
 /// 160-second simulated span affordable in a test.
@@ -288,18 +362,7 @@ fn run_overflow_network(seed: u64, exec: ExecMode) -> Vec<(u64, u64, u64, u64)> 
     net.set_request_timeout(Some(SimDuration::from_secs(145)));
     net.request_entanglement(0, 2, 0.5);
     net.run_for(SimDuration::from_secs(160));
-    let mut out: Vec<(u64, u64, u64, u64)> = net
-        .take_outcomes()
-        .iter()
-        .map(|o| {
-            (
-                o.request,
-                o.end_to_end_fidelity.to_bits(),
-                o.latency.as_ps(),
-                o.delivered_at.as_ps(),
-            )
-        })
-        .collect();
+    let mut out: Vec<(u64, u64, u64, u64)> = net.take_outcomes().iter().map(outcome_row).collect();
     out.push((net.timeouts(), net.reroutes(), net.events_fired(), 0));
     out
 }

@@ -316,3 +316,203 @@ fn measurement_outcomes_unbiased_on_bell_pairs() {
     // Fair coin: the per-mille rate should sit near 500.
     assert!((400..600).contains(&(ones * 1000 / n)), "bias: {ones}/{n}");
 }
+
+// ---- idle-link parking ------------------------------------------------
+
+use qlink::des::SimTime;
+use qlink::sim::link::{LinkSimulation, Rejection};
+use qlink::sim::workload::{GeneratedRequest, WorkloadSpec};
+use qlink::sim::{LinkConfig, LinkMetrics, RequestKind};
+
+/// What a link surfaced over a stretch of time: its deliveries (f64s
+/// by bit pattern) and its rejections, in order.
+type Surfaced = (
+    Vec<(RequestKind, usize, u16, u64, SimTime, bool)>,
+    Vec<Rejection>,
+);
+
+/// Steps a link to `t` the way an embedding layer does — wake by wake
+/// through `next_event_time` / `advance_to`, draining at each — and
+/// returns what it surfaced on the way.
+fn step_to(link: &mut LinkSimulation, t: SimTime) -> Surfaced {
+    let (mut deliveries, mut rejections) = (Vec::new(), Vec::new());
+    loop {
+        let wake = link.next_event_time().filter(|&w| w <= t);
+        link.advance_to(wake.unwrap_or(t));
+        deliveries.extend(link.drain_deliveries().into_iter().map(|d| {
+            let fidelity = d.fidelity.to_bits();
+            (
+                d.kind,
+                d.origin,
+                d.create_id,
+                fidelity,
+                d.at,
+                d.request_complete,
+            )
+        }));
+        rejections.extend(link.drain_rejections());
+        if wake.is_none() {
+            return (deliveries, rejections);
+        }
+    }
+}
+
+/// Every field of a [`LinkMetrics`], in a canonical order (its maps
+/// iterate in per-instance hash order); `{:?}` of an f64 round-trips,
+/// so equal strings mean equal bits.
+fn metrics_fingerprint(m: &LinkMetrics) -> String {
+    let mut out = format!("{:?} {:?} {:?}", m.qber, m.queue_length, m.elapsed);
+    let errors: std::collections::BTreeMap<_, _> = m.errors.iter().collect();
+    out += &format!(" {errors:?} {}", m.expires_sent);
+    for kind in RequestKind::ALL {
+        for origin in 0..2 {
+            out += &format!(" {:?}", m.kind_at_origin(kind, origin));
+        }
+        out += &format!(
+            " {:?} {:?}",
+            m.ok_series.get(&kind),
+            m.latency_series.get(&kind)
+        );
+    }
+    out
+}
+
+/// Idle-link parking is invisible except in the event count: a link
+/// that parks, one that parks *and* is run ahead of its observation
+/// cursor, and one that never parks, driven through the same seeded
+/// random schedule of submits, retractions and idle gaps, surface
+/// bit-equal deliveries and rejections at every step and end with
+/// bit-equal metrics — and the cycles the parked link elided are
+/// exactly the events it did not fire.
+#[test]
+fn parked_link_is_indistinguishable_from_a_ticking_one() {
+    let root = DetRng::new(0x1d1e_11f4);
+    for case in 0..4u64 {
+        let mut rng = root.substream(&format!("parking/{case}"));
+        let cfg = LinkConfig::lab(WorkloadSpec::none(), 900 + case);
+        let cycle = cfg.scenario.mhp_cycle;
+        let embedded = |park: bool| {
+            let mut link = LinkSimulation::new(cfg.clone());
+            link.capture_deliveries();
+            link.capture_rejections();
+            if park {
+                link.park_when_idle();
+            }
+            link
+        };
+        let (mut ticking, mut parked, mut ahead) =
+            (embedded(false), embedded(true), embedded(true));
+
+        let mut t = SimTime::ZERO;
+        let mut submitted: Vec<(usize, u16)> = Vec::new();
+        let (mut delivered, mut resumes) = (0, 0);
+        for step in 0..40 {
+            // Where the next input lands: just ahead, exactly on an MHP
+            // cycle boundary, or past a long idle stretch (longer than
+            // the 5 000-cycle completed-request linger, so the link
+            // really goes quiescent and parks).
+            t = match rng.below(4) {
+                0 => t + SimDuration::from_ps(1 + rng.below(3 * cycle.as_ps())),
+                1 => SimTime::from_ps(
+                    (t.as_ps() / cycle.as_ps() + 1 + rng.below(50)) * cycle.as_ps(),
+                ),
+                2 => t + SimDuration::from_millis(1 + rng.below(40)),
+                _ => t + SimDuration::from_millis(60 + rng.below(500)),
+            };
+            // Nothing is submitted before `t`, so running ahead to it
+            // is within the lookahead contract.
+            ahead.run_ahead(t);
+            let want = step_to(&mut ticking, t);
+            for (name, link) in [("parked", &mut parked), ("run-ahead", &mut ahead)] {
+                assert_eq!(
+                    step_to(link, t),
+                    want,
+                    "case {case} step {step}: {name} link"
+                );
+                assert_eq!(
+                    link.events_fired() + link.cycles_elided(),
+                    ticking.events_fired(),
+                    "case {case} step {step}: {name} link's event ledger"
+                );
+            }
+            delivered += want.0.len();
+
+            let was_parked = parked.next_event_time().is_none();
+            let links = [&mut ticking, &mut parked, &mut ahead];
+            match rng.below(8) {
+                0 if !submitted.is_empty() => {
+                    // Retract something submitted earlier — perhaps
+                    // long served, perhaps still queued.
+                    let (origin, id) = submitted[rng.below(submitted.len() as u64) as usize];
+                    for link in links {
+                        link.expire_request(origin, id);
+                    }
+                }
+                1 => {} // an observation with no input
+                roll => {
+                    let kind =
+                        [RequestKind::Md, RequestKind::Nl, RequestKind::Ck][rng.below(3) as usize];
+                    let origin = rng.below(2) as usize;
+                    let req = GeneratedRequest {
+                        kind,
+                        pairs: 1 + rng.below(2) as u16,
+                        origin,
+                        // Now and then a floor the FEU cannot reach
+                        // (UNSUPP on the spot) or a deadline (TIMEOUT).
+                        fmin: if roll == 2 { 0.99 } else { 0.6 },
+                        tmax_us: if roll == 3 { 200_000 } else { 0 },
+                    };
+                    let ids = links.map(|l| l.submit(origin, req));
+                    assert!(ids[0] == ids[1] && ids[1] == ids[2], "create ids diverged");
+                    submitted.push((origin, ids[0]));
+                    resumes += was_parked as usize;
+                }
+            }
+        }
+        // Drain: serve what is queued, then sit idle.
+        t += SimDuration::from_secs(3);
+        ahead.run_ahead(t);
+        let want = step_to(&mut ticking, t);
+        assert_eq!(step_to(&mut parked, t), want, "case {case}: drain");
+        assert_eq!(
+            step_to(&mut ahead, t),
+            want,
+            "case {case}: drain, run ahead"
+        );
+        delivered += want.0.len();
+
+        let fp = metrics_fingerprint(&ticking.metrics);
+        assert_eq!(
+            metrics_fingerprint(&parked.metrics),
+            fp,
+            "case {case}: metrics"
+        );
+        assert_eq!(
+            metrics_fingerprint(&ahead.metrics),
+            fp,
+            "case {case}: metrics, run ahead"
+        );
+        assert_eq!(
+            ticking.cycles_elided(),
+            0,
+            "a link nobody opted in never parks"
+        );
+        assert_eq!(ticking.next_event_time().map(|w| w > t), Some(true));
+        assert_eq!(
+            parked.next_event_time(),
+            None,
+            "case {case}: idle at the end, so parked"
+        );
+        assert_eq!(parked.cycles_elided(), ahead.cycles_elided());
+        assert_eq!(
+            parked.events_fired() + parked.cycles_elided(),
+            ticking.events_fired()
+        );
+        // The schedule must actually exercise the mechanism.
+        assert!(delivered > 0, "case {case}: nothing was delivered");
+        assert!(
+            resumes > 1,
+            "case {case}: {resumes} submits found the link parked"
+        );
+    }
+}
