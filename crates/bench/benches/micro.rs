@@ -1,10 +1,12 @@
 //! Criterion micro-benchmarks for the core data structures: the event
 //! queue, dense complex matrices, the attempt model (build and
-//! sample), wire codecs, and quantum channels. These guard the
-//! performance assumptions DESIGN.md relies on (O(1) sampled attempts;
-//! cheap frame codecs on every control message).
+//! sample), wire codecs, the classical channel, and quantum channels.
+//! These guard the performance assumptions DESIGN.md relies on (O(1)
+//! sampled attempts; cheap, allocation-free frame codecs and channel
+//! decisions on every control message).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use qlink::classical::ChannelModel;
 use qlink::des::{DetRng, EventQueue, SimDuration};
 use qlink::math::CMatrix;
 use qlink::phys::attempt::AttemptModel;
@@ -65,6 +67,17 @@ fn bench_wire(c: &mut Criterion) {
     let bytes = frame.encode();
     c.bench_function("frame_decode_gen", |b| {
         b.iter(|| Frame::decode(black_box(&bytes)).unwrap())
+    });
+    // One frame through a lossy, corrupting channel: encode, the
+    // channel's in-place decision, decode of whatever arrives.
+    let mut channel = ChannelModel::fiber(25.0, 1e-3).with_corruption(1e-3);
+    let mut rng = DetRng::new(3);
+    c.bench_function("frame_gen_over_channel", |b| {
+        b.iter(|| {
+            let mut bytes = black_box(&frame).encode();
+            let fate = channel.transmit(&mut bytes, &mut rng);
+            black_box((fate, Frame::decode(&bytes).is_ok()))
+        })
     });
 }
 

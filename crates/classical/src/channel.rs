@@ -1,10 +1,11 @@
 //! Lossy, delaying classical channels.
 //!
 //! A channel is a pure decision function: given a frame and a random
-//! stream, it reports whether the frame arrives, after what delay, and
-//! with what bytes (possibly corrupted — the CRC at the receiver turns
-//! corruption into loss, as in real Ethernet). The DES schedules the
-//! delivery event; the channel holds no queue of its own.
+//! stream, it reports whether the frame arrives and after what delay,
+//! and leaves in the caller's buffer the bytes as received (possibly
+//! corrupted — the CRC at the receiver turns corruption into loss, as
+//! in real Ethernet). The DES schedules the delivery event; the
+//! channel holds no queue or buffer of its own.
 
 use qlink_des::{DetRng, SimDuration};
 
@@ -14,18 +15,17 @@ use qlink_des::{DetRng, SimDuration};
 pub const SPEED_OF_LIGHT_FIBER_KM_PER_S: f64 = 206_753.0;
 
 /// The fate of one transmitted frame.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Transmission {
-    /// The frame was lost in transit (or arrives unparseable — see
-    /// [`ChannelModel::corrupt_probability`]).
+    /// The frame was lost in transit.
     Lost,
-    /// The frame arrives after `delay` carrying `bytes`.
+    /// The frame arrives after `delay`, carrying the bytes now in the
+    /// buffer handed to [`ChannelModel::transmit`] — a corrupted frame
+    /// has one bit flipped there and will fail CRC validation at the
+    /// receiver (see [`ChannelModel::corrupt_probability`]).
     Delivered {
         /// Propagation (plus fixed processing) delay.
         delay: SimDuration,
-        /// Frame bytes as received — corrupted frames have bits flipped
-        /// and will fail CRC validation at the receiver.
-        bytes: Vec<u8>,
     },
 }
 
@@ -97,23 +97,20 @@ impl ChannelModel {
         self.stats
     }
 
-    /// Submits a frame; returns its fate.
-    pub fn transmit(&mut self, bytes: Vec<u8>, rng: &mut DetRng) -> Transmission {
+    /// Submits a frame; returns its fate. Corruption is injected in
+    /// place, so `bytes` holds the frame as received.
+    pub fn transmit(&mut self, bytes: &mut [u8], rng: &mut DetRng) -> Transmission {
         self.stats.sent += 1;
         if rng.bernoulli(self.loss_probability) {
             self.stats.lost += 1;
             return Transmission::Lost;
         }
-        let mut bytes = bytes;
         if rng.bernoulli(self.corrupt_probability) && !bytes.is_empty() {
             self.stats.corrupted += 1;
             let bit = rng.below(8 * bytes.len() as u64);
             bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
         }
-        Transmission::Delivered {
-            delay: self.delay,
-            bytes,
-        }
+        Transmission::Delivered { delay: self.delay }
     }
 }
 
@@ -143,13 +140,14 @@ mod tests {
         let mut ch = ChannelModel::perfect(SimDuration::from_micros(5));
         let mut rng = DetRng::new(1);
         for _ in 0..100 {
-            match ch.transmit(vec![1, 2, 3], &mut rng) {
-                Transmission::Delivered { delay, bytes } => {
-                    assert_eq!(delay, SimDuration::from_micros(5));
-                    assert_eq!(bytes, vec![1, 2, 3]);
+            let mut bytes = [1, 2, 3];
+            assert_eq!(
+                ch.transmit(&mut bytes, &mut rng),
+                Transmission::Delivered {
+                    delay: SimDuration::from_micros(5)
                 }
-                Transmission::Lost => panic!("perfect channel lost a frame"),
-            }
+            );
+            assert_eq!(bytes, [1, 2, 3]);
         }
         assert_eq!(ch.stats().sent, 100);
         assert_eq!(ch.stats().lost, 0);
@@ -161,7 +159,7 @@ mod tests {
         let mut rng = DetRng::new(7);
         let mut lost = 0;
         for _ in 0..10_000 {
-            if ch.transmit(vec![0], &mut rng) == Transmission::Lost {
+            if ch.transmit(&mut [0], &mut rng) == Transmission::Lost {
                 lost += 1;
             }
         }
@@ -173,18 +171,10 @@ mod tests {
     fn corruption_flips_exactly_one_bit() {
         let mut ch = ChannelModel::perfect(SimDuration::ZERO).with_corruption(1.0);
         let mut rng = DetRng::new(3);
-        let original = vec![0u8; 16];
-        match ch.transmit(original.clone(), &mut rng) {
-            Transmission::Delivered { bytes, .. } => {
-                let flipped: u32 = bytes
-                    .iter()
-                    .zip(&original)
-                    .map(|(a, b)| (a ^ b).count_ones())
-                    .sum();
-                assert_eq!(flipped, 1);
-            }
-            Transmission::Lost => panic!("should deliver"),
-        }
+        let mut bytes = [0u8; 16];
+        assert_ne!(ch.transmit(&mut bytes, &mut rng), Transmission::Lost);
+        let flipped: u32 = bytes.iter().map(|b| b.count_ones()).sum();
+        assert_eq!(flipped, 1);
         assert_eq!(ch.stats().corrupted, 1);
     }
 
@@ -199,12 +189,55 @@ mod tests {
         });
         let mut ch = ChannelModel::perfect(SimDuration::ZERO).with_corruption(1.0);
         let mut rng = DetRng::new(9);
-        match ch.transmit(frame.encode(), &mut rng) {
-            Transmission::Delivered { bytes, .. } => {
-                assert!(Frame::decode(&bytes).is_err(), "corrupt frame parsed");
-            }
-            Transmission::Lost => panic!("should deliver"),
+        let mut bytes = frame.encode();
+        assert_ne!(ch.transmit(&mut bytes, &mut rng), Transmission::Lost);
+        assert_ne!(bytes, frame.encode(), "corruption lands in the buffer");
+        assert!(Frame::decode(&bytes).is_err(), "corrupt frame parsed");
+    }
+
+    /// The in-place `transmit` draws exactly what the by-value one it
+    /// replaced drew, in the same order: loss, then corruption, then
+    /// the bit. The expected values were recorded on that
+    /// implementation over this stream; the digest folds every frame's
+    /// fate (lost / clean / which bit flipped), and the trailing draw
+    /// shows the generator ends in the same state.
+    #[test]
+    fn draw_sequence_matches_the_by_value_implementation() {
+        use qlink_wire::fields::AbsQueueId;
+        use qlink_wire::mhp::GenMsg;
+        use qlink_wire::Frame;
+        let mut ch = ChannelModel::fiber(25.0, 0.05).with_corruption(0.1);
+        let mut rng = DetRng::new(0xC4A7);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..10_000u64 {
+            let sent = Frame::Gen(GenMsg {
+                queue_id: AbsQueueId::new((i % 16) as u8, i as u16),
+                timestamp_cycle: i * 977,
+            })
+            .encode();
+            let mut bytes = sent;
+            let fate = match ch.transmit(&mut bytes, &mut rng) {
+                Transmission::Lost => u64::MAX,
+                Transmission::Delivered { .. } => {
+                    let flipped: Vec<usize> = (0..8 * sent.len())
+                        .filter(|b| (sent[b / 8] ^ bytes[b / 8]) >> (b % 8) & 1 == 1)
+                        .collect();
+                    assert!(flipped.len() <= 1);
+                    flipped.first().map_or(u64::MAX - 1, |&b| b as u64)
+                }
+            };
+            digest = (digest ^ fate).wrapping_mul(0x0000_0100_0000_01B3);
         }
+        assert_eq!(
+            ch.stats(),
+            ChannelStats {
+                sent: 10_000,
+                lost: 470,
+                corrupted: 946
+            }
+        );
+        assert_eq!(digest, 0x6486_67b9_f95b_161f);
+        assert_eq!(rng.below(1 << 32), 0x1404_cec2);
     }
 
     #[test]

@@ -15,16 +15,20 @@
 //! * [`rng`] — seedable randomness with deterministic per-component
 //!   substreams, so adding a component never perturbs another
 //!   component's random draws.
+//! * [`hash`] — a fixed-seed integer hasher ([`IntMap`]) for the
+//!   cycle-keyed tables on the per-attempt hot path.
 //! * [`trace`] — lightweight time-series and fixed-bucket histogram
 //!   recording used by the evaluation figures (latency vs time,
 //!   throughput vs time) and the telemetry layer's deterministic
 //!   percentile reports.
 
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod trace;
 
+pub use hash::IntMap;
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

@@ -189,7 +189,10 @@ pub struct DistributedQueue {
     queues: Vec<BTreeMap<u16, QueueEntry>>,
     next_qseq: Vec<u16>,
     next_cseq: u8,
-    pending: HashMap<u8, PendingAdd>,
+    /// ADDs awaiting their ACK/REJ, by `CSEQ`. Ordered, so the
+    /// retransmissions and give-ups [`DistributedQueue::tick`] emits
+    /// come out in `CSEQ` order, not hash order.
+    pending: BTreeMap<u8, PendingAdd>,
     /// Master: dedup of slave cseq → assigned aid (to re-ACK retransmits).
     slave_cseq_seen: HashMap<u8, AbsQueueId>,
     /// Master-side staging for the fairness window.
@@ -209,7 +212,7 @@ impl DistributedQueue {
             queues: vec![BTreeMap::new(); n],
             next_qseq: vec![0; n],
             next_cseq: 0,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             slave_cseq_seen: HashMap::new(),
             staging: VecDeque::new(),
             run_origin: None,
@@ -322,6 +325,8 @@ impl DistributedQueue {
             return Vec::new();
         }
         let mut events = Vec::new();
+        // In CSEQ order: the frames below draw from the channel RNG in
+        // the order they are emitted.
         let due: Vec<u8> = self
             .pending
             .iter()
@@ -825,6 +830,27 @@ mod tests {
         assert_eq!(s.len(), 1);
         // No further retransmissions pending.
         assert!(m.tick(10_000).is_empty());
+    }
+
+    /// ADDs that fall due on the same cycle are retransmitted in CSEQ
+    /// order whatever the process: the frames reach the channel RNG in
+    /// emission order, so a hash-order walk here made lossy runs
+    /// differ from process to process.
+    #[test]
+    fn adds_due_together_retransmit_in_cseq_order() {
+        let mut s = DistributedQueue::new(Role::Slave, DqueueConfig::default());
+        for create_id in 0..8 {
+            drop(s.add(payload(create_id, 2, 0), 0)); // every ADD lost
+        }
+        let retransmitted: Vec<u8> = s
+            .tick(250)
+            .into_iter()
+            .map(|e| match e {
+                DqpEvent::Send(f) if f.frame_type == DqpFrameType::Add => f.cseq,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(retransmitted, (0..8).collect::<Vec<u8>>());
     }
 
     #[test]

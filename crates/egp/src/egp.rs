@@ -39,7 +39,7 @@ use qlink_wire::fields::{
     seq_after, AbsQueueId, MhpError, MidpointOutcome, ReplyOutcome, RequestType,
 };
 use qlink_wire::Frame;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Hardware directives the EGP issues to the node's quantum device —
 /// the "pulse sequences" of §5.1, abstracted.
@@ -198,13 +198,17 @@ pub struct Egp {
     qmm: QuantumMemoryManager,
     feu: FidelityEstimator,
     qber: QberEstimator,
-    requests: HashMap<AbsQueueId, Request>,
+    /// Every tracked request by absolute queue ID. Ordered like the
+    /// distributed queue — `(QID, QSEQ)` — so the per-cycle poll walks
+    /// the two in step, and so whatever is emitted while iterating
+    /// (timeouts) comes out in queue order, not hash order.
+    requests: BTreeMap<AbsQueueId, Request>,
     /// Our CREATEs not yet committed (create_id → request template).
     pending_creates: HashMap<u16, Request>,
     next_create_id: u16,
     seq_expected: u16,
     /// Recently issued OK sequence numbers per request (for EXPIRE).
-    issued_seqs: HashMap<AbsQueueId, VecDeque<u16>>,
+    issued_seqs: BTreeMap<AbsQueueId, VecDeque<u16>>,
     /// K-attempt in flight: the cycle it was fired in.
     inflight_keep: Option<u64>,
     /// Hardware blocked until this cycle (move in progress).
@@ -212,7 +216,7 @@ pub struct Egp {
     /// Move awaiting completion.
     pending_move: Option<PendingMove>,
     /// Buffered OKs for non-consecutive requests.
-    buffered_oks: HashMap<AbsQueueId, Vec<EgpEvent>>,
+    buffered_oks: BTreeMap<AbsQueueId, Vec<EgpEvent>>,
     /// EXPIREs awaiting acknowledgment.
     pending_expires: Vec<PendingExpire>,
     /// RETRACTs awaiting acknowledgment.
@@ -224,12 +228,12 @@ pub struct Egp {
     peer_free_storage: Option<u8>,
     /// Consecutive NO_MESSAGE_OTHER counts per request (divergence
     /// detection) and resync attempts already made.
-    nmo_counts: HashMap<AbsQueueId, (u32, u32)>,
+    nmo_counts: BTreeMap<AbsQueueId, (u32, u32)>,
     /// Consecutive QUEUE_MISMATCH counts per (our aid, peer aid) pair.
     /// Mismatches for a couple of windows are normal when the two
     /// nodes' replies arrive staggered (unequal arms) around a request
     /// boundary; only persistent mismatch triggers reconciliation.
-    qm_counts: HashMap<(AbsQueueId, AbsQueueId), u32>,
+    qm_counts: BTreeMap<(AbsQueueId, AbsQueueId), u32>,
     /// Carbon re-init blackout bookkeeping (cycles, derived from NV).
     reinit_period_cycles: u64,
     reinit_duration_cycles: u64,
@@ -272,21 +276,21 @@ impl Egp {
             qmm: QuantumMemoryManager::new(cfg.storage_qubits),
             feu: FidelityEstimator::new(cfg.scenario.clone()),
             qber: QberEstimator::new(cfg.qber_window),
-            requests: HashMap::new(),
+            requests: BTreeMap::new(),
             pending_creates: HashMap::new(),
             next_create_id: 0,
             seq_expected: 0,
-            issued_seqs: HashMap::new(),
+            issued_seqs: BTreeMap::new(),
             inflight_keep: None,
             busy_until: 0,
             pending_move: None,
-            buffered_oks: HashMap::new(),
+            buffered_oks: BTreeMap::new(),
             pending_expires: Vec::new(),
             pending_retracts: Vec::new(),
             retracted_creates: std::collections::HashSet::new(),
             peer_free_storage: None,
-            nmo_counts: HashMap::new(),
-            qm_counts: HashMap::new(),
+            nmo_counts: BTreeMap::new(),
+            qm_counts: BTreeMap::new(),
             reinit_period_cycles,
             reinit_duration_cycles,
             move_cycles,
@@ -566,12 +570,16 @@ impl Egp {
         // Scheduler: pick among ready requests (identical at both
         // nodes: all inputs are synchronized queue fields). The ready
         // set streams straight into the policy — this runs every MHP
-        // cycle, so it must not allocate.
-        let requests = &self.requests;
-        let ready = self
-            .dq
-            .iter()
-            .filter(|e| requests.get(&e.aid).is_some_and(|r| r.is_ready(cycle)));
+        // cycle, so it must not allocate: the queue and the request
+        // table are both in `(QID, QSEQ)` order and are joined by
+        // walking them in step, and `select` keeps no buffer.
+        let mut requests = self.requests.iter().peekable();
+        let ready = self.dq.iter().filter(|e| {
+            while requests.next_if(|(aid, _)| **aid < e.aid).is_some() {}
+            requests
+                .peek()
+                .is_some_and(|(aid, r)| **aid == e.aid && r.is_ready(cycle))
+        });
         let Some(aid) = self.cfg.scheduler.select(ready) else {
             return (None, events);
         };
@@ -1079,21 +1087,22 @@ impl Egp {
     }
 
     fn purge_timed_out(&mut self, cycle: u64, events: &mut Vec<EgpEvent>) {
-        // Runs every MHP cycle; skip the two map walks below outright
-        // on the (common) idle cycle.
-        if self.requests.is_empty() {
+        let linger = self.cfg.completed_linger_cycles;
+        let lingered = |r: &Request| {
+            r.completed_cycle
+                .is_some_and(|c| cycle >= c.saturating_add(linger))
+        };
+        let timed_out = |r: &Request| cycle >= r.timeout_cycle && !r.is_complete();
+        // Runs every MHP cycle, and on almost every one nothing is due:
+        // one read-only scan settles that without allocating.
+        if !self.requests.values().any(|r| lingered(r) || timed_out(r)) {
             return;
         }
         // Forget completed requests once their linger period passed.
-        let linger = self.cfg.completed_linger_cycles;
         let forgotten: Vec<AbsQueueId> = self
             .requests
             .iter()
-            .filter(|(_, r)| {
-                r.completed_cycle
-                    .map(|c| cycle >= c.saturating_add(linger))
-                    .unwrap_or(false)
-            })
+            .filter(|(_, r)| lingered(r))
             .map(|(aid, _)| *aid)
             .collect();
         for aid in forgotten {
@@ -1102,11 +1111,13 @@ impl Egp {
             self.issued_seqs.remove(&aid);
             self.nmo_counts.remove(&aid);
         }
-        // Time out incomplete requests past their deadline.
+        // Time out incomplete requests past their deadline, in queue
+        // order (the ERRs below reach the channel RNG and the network
+        // layer's re-route order).
         let expired: Vec<AbsQueueId> = self
             .requests
             .iter()
-            .filter(|(_, r)| cycle >= r.timeout_cycle && !r.is_complete())
+            .filter(|(_, r)| timed_out(r))
             .map(|(aid, _)| *aid)
             .collect();
         for aid in expired {
@@ -1509,7 +1520,7 @@ mod tests {
                 .midpoint
                 .evaluate_window(cycle, &self.model, &mut self.rng);
             let bits = eval.herald.as_ref().and_then(|h| h.measured_bits);
-            for (node, reply) in eval.replies {
+            for (node, reply) in eval.replies.into_iter().flatten() {
                 if node == A && self.drop_reply_a_cycles.contains(&reply.timestamp_cycle) {
                     // Reply lost; node-side timeout cleans up later.
                     if let Some(res) = self.mhp_a.on_reply_timeout(reply.timestamp_cycle) {
@@ -1668,6 +1679,41 @@ mod tests {
             h.errors_a
         );
         assert_eq!(h.count_oks(true), 0);
+    }
+
+    /// Deadlines that fall due on the same cycle raise their TIMEOUTs
+    /// in `(QID, QSEQ)` order whatever the process: the ERRs steer the
+    /// link's rejection records and the network layer's re-route
+    /// order, so a hash-order walk here made runs differ from process
+    /// to process.
+    #[test]
+    fn timeouts_due_together_are_reported_in_queue_order() {
+        let mut h = Harness::new(SchedulerPolicy::fcfs());
+        h.model = AttemptModel::synthetic(
+            0.0,
+            0.0,
+            BellState::PsiPlus.state(),
+            BellState::PsiMinus.state(),
+            0.2,
+        );
+        // Equal deadlines, alternating queues: create order is not
+        // queue order.
+        for i in 0..8 {
+            let mut msg = create_msg(1, false, if i % 2 == 0 { 2 } else { 1 });
+            msg.max_time_us = 2_000_000; // ≈ 197 628 cycles, as above
+            let (create_id, evs) = h.egp_a.create(msg, 0);
+            assert_eq!(create_id, i);
+            h.dispatch(evs, vec![], 0);
+        }
+        h.run(198_500);
+        let timed_out: Vec<u16> = h
+            .errors_a
+            .iter()
+            .filter(|e| e.code == EgpErrorCode::Timeout)
+            .map(|e| e.create_id)
+            .collect();
+        // Queue 1 (odd create IDs) before queue 2, QSEQ order within.
+        assert_eq!(timed_out, vec![1, 3, 5, 7, 0, 2, 4, 6]);
     }
 
     #[test]

@@ -61,31 +61,37 @@ impl SchedulerPolicy {
                 })
                 .map(|e| e.aid),
             SchedulerPolicy::StrictThenWfq { strict } => {
-                let items: Vec<&QueueEntry> = ready.collect();
-                // Strict classes first, in listed order, FCFS within.
-                for &q in strict {
-                    if let Some(e) = items
-                        .iter()
-                        .filter(|e| e.aid.qid == q)
-                        .min_by_key(|e| (e.schedule_cycle, e.aid.qseq))
+                // One pass, no buffering (this runs every MHP cycle):
+                // track the best strict-class item — by position in
+                // `strict`, FCFS within a class — and the best of the
+                // rest by WFQ virtual finish time. Any strict item
+                // beats every WFQ item.
+                let mut best_strict: Option<((usize, u64, u16), AbsQueueId)> = None;
+                let mut best_wfq: Option<&QueueEntry> = None;
+                for e in ready {
+                    if let Some(class) = strict.iter().position(|&q| q == e.aid.qid) {
+                        let key = (class, e.schedule_cycle, e.aid.qseq);
+                        if best_strict.is_none_or(|(best, _)| key < best) {
+                            best_strict = Some((key, e.aid));
+                        }
+                    } else if best_strict.is_none()
+                        && best_wfq.is_none_or(|best| wfq_order(e, best).is_lt())
                     {
-                        return Some(e.aid);
+                        best_wfq = Some(e);
                     }
                 }
-                // WFQ among the rest: smallest virtual finish time.
-                items
-                    .iter()
-                    .filter(|e| !strict.contains(&e.aid.qid))
-                    .min_by(|a, b| {
-                        a.virtual_finish
-                            .partial_cmp(&b.virtual_finish)
-                            .expect("virtual finish is finite")
-                            .then((a.aid.qid, a.aid.qseq).cmp(&(b.aid.qid, b.aid.qseq)))
-                    })
-                    .map(|e| e.aid)
+                best_strict.map(|(_, aid)| aid).or(best_wfq.map(|e| e.aid))
             }
         }
     }
+}
+
+/// WFQ order: smallest virtual finish time, ties by queue ID.
+fn wfq_order(a: &QueueEntry, b: &QueueEntry) -> std::cmp::Ordering {
+    a.virtual_finish
+        .partial_cmp(&b.virtual_finish)
+        .expect("virtual finish is finite")
+        .then((a.aid.qid, a.aid.qseq).cmp(&(b.aid.qid, b.aid.qseq)))
 }
 
 #[cfg(test)]
@@ -181,6 +187,66 @@ mod tests {
         let c = SchedulerPolicy::fcfs().select(items.iter());
         let d = SchedulerPolicy::fcfs().select(items.iter());
         assert_eq!(c, d);
+    }
+
+    /// The collect-then-filter `StrictThenWfq` selection the one-pass
+    /// loop replaced, kept as its reference.
+    fn select_by_collecting(strict: &[u8], ready: &[QueueEntry]) -> Option<AbsQueueId> {
+        let items: Vec<&QueueEntry> = ready.iter().collect();
+        // Strict classes first, in listed order, FCFS within.
+        for &q in strict {
+            if let Some(e) = items
+                .iter()
+                .filter(|e| e.aid.qid == q)
+                .min_by_key(|e| (e.schedule_cycle, e.aid.qseq))
+            {
+                return Some(e.aid);
+            }
+        }
+        // WFQ among the rest: smallest virtual finish time.
+        items
+            .iter()
+            .filter(|e| !strict.contains(&e.aid.qid))
+            .min_by(|a, b| {
+                a.virtual_finish
+                    .partial_cmp(&b.virtual_finish)
+                    .expect("virtual finish is finite")
+                    .then((a.aid.qid, a.aid.qseq).cmp(&(b.aid.qid, b.aid.qseq)))
+            })
+            .map(|e| e.aid)
+    }
+
+    #[test]
+    fn one_pass_select_matches_the_collecting_reference() {
+        let mut rng = qlink_des::DetRng::new(0x5e1ec7);
+        for case in 0..20_000 {
+            // 0–3 strict classes out of 4 queues, in random order.
+            let mut strict: Vec<u8> = Vec::new();
+            for _ in 0..rng.below(4) {
+                let q = rng.below(4) as u8;
+                if !strict.contains(&q) {
+                    strict.push(q);
+                }
+            }
+            // Distinct queue IDs in random order; schedule cycles and
+            // virtual finish times from tiny ranges, so ties abound.
+            let mut ready: Vec<QueueEntry> = Vec::new();
+            for _ in 0..rng.below(9) {
+                let (qid, qseq) = (rng.below(4) as u8, rng.below(6) as u16);
+                if ready.iter().all(|e| e.aid != AbsQueueId::new(qid, qseq)) {
+                    let vf = rng.below(3) as f64 * 0.5;
+                    ready.push(entry(qid, qseq, 100 + rng.below(3), vf));
+                }
+            }
+            let policy = SchedulerPolicy::StrictThenWfq {
+                strict: strict.clone(),
+            };
+            assert_eq!(
+                policy.select(ready.iter()),
+                select_by_collecting(&strict, &ready),
+                "case {case}: strict {strict:?}, ready {ready:?}"
+            );
+        }
     }
 
     #[test]

@@ -19,13 +19,12 @@
 
 use crate::params::ScenarioParams;
 use crate::station::{herald_distribution, BeamSplitter, ClickPattern, DetectorModel};
-use qlink_des::DetRng;
+use qlink_des::{DetRng, IntMap};
 use qlink_math::bessel::phase_uncertainty_dephasing;
 use qlink_quantum::bell::{bell_fidelity, BellState};
 use qlink_quantum::channels;
 use qlink_quantum::gates;
 use qlink_quantum::{Basis, QuantumState};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Observed outcome of one attempt, as heralded by the station.
@@ -287,14 +286,14 @@ impl AttemptModel {
 /// few 16×16 matrix chains, sampling from it is O(1).
 #[derive(Debug, Default)]
 pub struct ModelCache {
-    map: HashMap<u64, Arc<AttemptModel>>,
+    map: IntMap<u64, Arc<AttemptModel>>,
 }
 
 impl ModelCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         ModelCache {
-            map: HashMap::new(),
+            map: IntMap::default(),
         }
     }
 

@@ -15,11 +15,10 @@
 //!   both nodes.
 
 use crate::attempt::{AttemptModel, AttemptOutcome};
-use qlink_des::DetRng;
+use qlink_des::{DetRng, IntMap};
 use qlink_quantum::{Basis, QuantumState};
 use qlink_wire::fields::{AbsQueueId, MhpError, MidpointOutcome, ReplyOutcome};
 use qlink_wire::mhp::{GenMsg, ReplyMsg};
-use std::collections::HashMap;
 
 /// Node identifier (the paper's two controllable nodes are A and B).
 pub type NodeId = u32;
@@ -105,7 +104,10 @@ impl MhpResult {
 #[derive(Debug)]
 pub struct NodeMhp {
     node_id: NodeId,
-    pending: HashMap<u64, AttemptSpec>,
+    /// In-flight attempts by cycle; an attempt enters and leaves every
+    /// few cycles, so the table reaches its working size once and then
+    /// never allocates.
+    pending: IntMap<u64, AttemptSpec>,
 }
 
 impl NodeMhp {
@@ -113,7 +115,7 @@ impl NodeMhp {
     pub fn new(node_id: NodeId) -> Self {
         NodeMhp {
             node_id,
-            pending: HashMap::new(),
+            pending: IntMap::default(),
         }
     }
 
@@ -204,8 +206,10 @@ pub struct Herald {
 /// Output of evaluating one detection window at the station.
 #[derive(Debug, Clone, Default)]
 pub struct WindowEvaluation {
-    /// Replies to transmit, addressed by node.
-    pub replies: Vec<(NodeId, ReplyMsg)>,
+    /// Replies to transmit, addressed by node: slot 0 is the reply for
+    /// the station's first node, slot 1 for its second; `None` where
+    /// that node gets no answer.
+    pub replies: [Option<(NodeId, ReplyMsg)>; 2],
     /// The heralded pair, if the attempt succeeded.
     pub herald: Option<Herald>,
 }
@@ -216,13 +220,15 @@ pub struct Midpoint {
     node_a: NodeId,
     node_b: NodeId,
     next_seq: u16,
-    windows: HashMap<u64, Window>,
+    windows: IntMap<u64, Window>,
 }
 
+/// What reached the station for one detection window: at most one
+/// photon and one `GEN` per node (slot 0: `node_a`, slot 1: `node_b`).
 #[derive(Debug, Default)]
 struct Window {
-    photons: Vec<PhotonSubmission>,
-    gens: Vec<(NodeId, GenMsg)>,
+    photons: [Option<PhotonSubmission>; 2],
+    gens: [Option<GenMsg>; 2],
 }
 
 impl Midpoint {
@@ -233,7 +239,7 @@ impl Midpoint {
             node_a,
             node_b,
             next_seq: 0,
-            windows: HashMap::new(),
+            windows: IntMap::default(),
         }
     }
 
@@ -247,22 +253,34 @@ impl Midpoint {
         self.windows.len()
     }
 
-    /// A photon arrived for its detection window.
-    pub fn on_photon(&mut self, photon: PhotonSubmission) {
-        self.windows
-            .entry(photon.cycle)
-            .or_default()
-            .photons
-            .push(photon);
+    /// The window slot of `node`; `None` for a node this station does
+    /// not serve.
+    fn slot(&self, node: NodeId) -> Option<usize> {
+        if node == self.node_a {
+            Some(0)
+        } else if node == self.node_b {
+            Some(1)
+        } else {
+            None
+        }
     }
 
-    /// A `GEN` control frame arrived.
+    /// A photon arrived for its detection window. The first photon per
+    /// node and window counts; anything else is ignored.
+    pub fn on_photon(&mut self, photon: PhotonSubmission) {
+        if let Some(slot) = self.slot(photon.node) {
+            let window = self.windows.entry(photon.cycle).or_default();
+            window.photons[slot].get_or_insert(photon);
+        }
+    }
+
+    /// A `GEN` control frame arrived. The first `GEN` per node and
+    /// window counts; anything else is ignored.
     pub fn on_gen(&mut self, from: NodeId, msg: GenMsg) {
-        self.windows
-            .entry(msg.timestamp_cycle)
-            .or_default()
-            .gens
-            .push((from, msg));
+        if let Some(slot) = self.slot(from) {
+            let window = self.windows.entry(msg.timestamp_cycle).or_default();
+            window.gens[slot].get_or_insert(msg);
+        }
     }
 
     /// Closes and evaluates the detection window for `cycle`
@@ -275,33 +293,14 @@ impl Midpoint {
     ) -> WindowEvaluation {
         let window = self.windows.remove(&cycle).unwrap_or_default();
         let mut eval = WindowEvaluation::default();
-
-        let gen_a = window
-            .gens
-            .iter()
-            .find(|(n, _)| *n == self.node_a)
-            .map(|(_, g)| *g);
-        let gen_b = window
-            .gens
-            .iter()
-            .find(|(n, _)| *n == self.node_b)
-            .map(|(_, g)| *g);
-        let photon_a = window
-            .photons
-            .iter()
-            .find(|p| p.node == self.node_a)
-            .copied();
-        let photon_b = window
-            .photons
-            .iter()
-            .find(|p| p.node == self.node_b)
-            .copied();
+        let [gen_a, gen_b] = window.gens;
+        let [photon_a, photon_b] = window.photons;
 
         match (gen_a, gen_b) {
             (None, None) => eval, // nothing to answer (step 2 has no case for this)
             (Some(ga), None) => {
                 // Step 2(a)(iii): GEN only from A.
-                eval.replies.push((
+                eval.replies[0] = Some((
                     self.node_a,
                     ReplyMsg {
                         outcome: ReplyOutcome::Error(MhpError::NoMessageOther),
@@ -314,7 +313,7 @@ impl Midpoint {
                 eval
             }
             (None, Some(gb)) => {
-                eval.replies.push((
+                eval.replies[1] = Some((
                     self.node_b,
                     ReplyMsg {
                         outcome: ReplyOutcome::Error(MhpError::NoMessageOther),
@@ -329,11 +328,12 @@ impl Midpoint {
             (Some(ga), Some(gb)) => {
                 if ga.queue_id != gb.queue_id {
                     // Step 2(a)(ii): queue mismatch.
-                    for (node, own, other) in [
+                    eval.replies = [
                         (self.node_a, ga.queue_id, gb.queue_id),
                         (self.node_b, gb.queue_id, ga.queue_id),
-                    ] {
-                        eval.replies.push((
+                    ]
+                    .map(|(node, own, other)| {
+                        Some((
                             node,
                             ReplyMsg {
                                 outcome: ReplyOutcome::Error(MhpError::QueueMismatch),
@@ -342,8 +342,8 @@ impl Midpoint {
                                 peer_qid: Some(other),
                                 timestamp_cycle: cycle,
                             },
-                        ));
-                    }
+                        ))
+                    });
                     return eval;
                 }
                 // Step 2(a)(iv): both photons must be in the window for
@@ -394,11 +394,12 @@ impl Midpoint {
                         alpha: model.alpha(),
                     });
                 }
-                for (node, own, other) in [
+                eval.replies = [
                     (self.node_a, ga.queue_id, gb.queue_id),
                     (self.node_b, gb.queue_id, ga.queue_id),
-                ] {
-                    eval.replies.push((
+                ]
+                .map(|(node, own, other)| {
+                    Some((
                         node,
                         ReplyMsg {
                             outcome: wire_outcome,
@@ -407,8 +408,8 @@ impl Midpoint {
                             peer_qid: Some(other),
                             timestamp_cycle: cycle,
                         },
-                    ));
-                }
+                    ))
+                });
                 eval
             }
         }
@@ -474,7 +475,7 @@ mod tests {
         let mut last_seq = None;
         for cycle in 0..100 {
             let eval = run_window(&mut mid, &mut mhp_a, &mut mhp_b, cycle, &model, &mut rng);
-            assert_eq!(eval.replies.len(), 2);
+            assert!(eval.replies.iter().all(Option::is_some));
             if let Some(h) = &eval.herald {
                 heralds += 1;
                 if let Some(prev) = last_seq {
@@ -483,7 +484,7 @@ mod tests {
                 last_seq = Some(h.seq);
             }
             // Deliver replies and check RESULTs match.
-            for (node, reply) in eval.replies {
+            for (node, reply) in eval.replies.into_iter().flatten() {
                 let res = if node == A {
                     mhp_a.on_reply(reply)
                 } else {
@@ -516,8 +517,8 @@ mod tests {
         mid.on_gen(B, act_b.gen);
         let eval = mid.evaluate_window(0, &model, &mut rng);
         assert!(eval.herald.is_none());
-        assert_eq!(eval.replies.len(), 2);
-        for (_, reply) in &eval.replies {
+        assert!(eval.replies.iter().all(Option::is_some));
+        for (_, reply) in eval.replies.iter().flatten() {
             assert_eq!(reply.outcome, ReplyOutcome::Error(MhpError::QueueMismatch));
             assert!(reply.peer_qid.is_some());
         }
@@ -536,8 +537,8 @@ mod tests {
         // B's GEN was lost in the classical channel.
         let eval = mid.evaluate_window(7, &model, &mut rng);
         assert!(eval.herald.is_none());
-        assert_eq!(eval.replies.len(), 1);
-        let (node, reply) = &eval.replies[0];
+        assert!(eval.replies[1].is_none());
+        let (node, reply) = eval.replies[0].as_ref().expect("A is answered");
         assert_eq!(*node, A);
         assert_eq!(reply.outcome, ReplyOutcome::Error(MhpError::NoMessageOther));
         assert!(reply.peer_qid.is_none());
@@ -549,7 +550,7 @@ mod tests {
         let model = hot_model();
         let mut rng = DetRng::new(4);
         let eval = mid.evaluate_window(99, &model, &mut rng);
-        assert!(eval.replies.is_empty());
+        assert_eq!(eval.replies, [None, None]);
         assert!(eval.herald.is_none());
     }
 
@@ -678,7 +679,7 @@ mod tests {
             if eval.herald.is_some() {
                 heralds += 1;
             }
-            for (node, reply) in eval.replies {
+            for (node, reply) in eval.replies.into_iter().flatten() {
                 if node == A {
                     mhp_a.on_reply(reply);
                 } else {

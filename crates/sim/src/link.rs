@@ -9,25 +9,35 @@ use crate::config::{LinkConfig, RequestKind};
 use crate::metrics::LinkMetrics;
 use crate::workload::{GeneratedRequest, WorkloadGenerator};
 use qlink_classical::channel::{ChannelModel, Transmission};
-use qlink_des::{DetRng, EventQueue, SimDuration, SimTime};
+use qlink_des::{DetRng, EventQueue, IntMap, SimDuration, SimTime};
 use qlink_egp::dqueue::Role;
 use qlink_egp::egp::{Egp, EgpConfig, EgpEvent, HwDirective};
 use qlink_egp::shared_random::SharedRandomness;
-use qlink_phys::attempt::{AttemptOutcome, ModelCache};
+use qlink_phys::attempt::{AttemptModel, AttemptOutcome, ModelCache};
 use qlink_phys::mhp::{AttemptKind, MhpResult, Midpoint, NodeMhp, PhotonSubmission};
 use qlink_phys::pair::{PairState, Side};
 use qlink_quantum::bell::BellState;
 use qlink_quantum::Basis;
 use qlink_wire::egp::{CreateMsg, EgpErrorCode, WireBasis};
 use qlink_wire::fields::{Fidelity16, RequestFlags, RequestType};
-use qlink_wire::Frame;
+use qlink_wire::mhp::MHP_FRAME_MAX;
+use qlink_wire::{Frame, FrameBytes};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Node IDs on the wire (A is the distributed-queue master).
 pub const NODE_A: u32 = 1;
 /// Node B's wire ID.
 pub const NODE_B: u32 = 2;
 
+/// The per-attempt events are flat values — MHP frames travel inline
+/// and nodes are named by their one-byte index (0 = A, 1 = B) — so
+/// scheduling one never allocates. They are also *small*: a busy
+/// link's event queue retains slot capacity in proportion to the event
+/// size (dozens of GENs, REPLYs and reply timeouts are in flight on
+/// QL2020), so the MHP frames sit in a buffer of their own maximum
+/// length, and the node-to-node frames — up to twice as long, sent
+/// only on the CREATE and recovery paths — are boxed.
 #[derive(Debug)]
 enum Event {
     /// Start of MHP cycle `c` at both nodes.
@@ -35,16 +45,23 @@ enum Event {
     /// The station closes detection window `c`.
     WindowClose(u64),
     /// A node-to-node classical frame arrives.
-    PeerFrame { to: usize, bytes: Vec<u8> },
+    PeerFrame { to: u8, bytes: Box<FrameBytes> },
     /// A GEN frame arrives at the station.
-    GenArrive { from: u32, bytes: Vec<u8> },
+    GenArrive { from: u8, bytes: MhpFrameBytes },
     /// A photon arrives at the station.
     PhotonArrive(PhotonSubmission),
     /// A station REPLY arrives at a node.
-    ReplyArrive { to: usize, bytes: Vec<u8> },
+    ReplyArrive { to: u8, bytes: MhpFrameBytes },
     /// Node-side deadline for the reply to attempt `cycle`.
-    ReplyTimeout { node: usize, cycle: u64 },
+    ReplyTimeout { node: u8, cycle: u64 },
 }
+
+type MhpFrameBytes = FrameBytes<MHP_FRAME_MAX>;
+
+const _: () = assert!(std::mem::size_of::<Event>() <= 32);
+
+/// Wire IDs by node index.
+const NODE_IDS: [u32; 2] = [NODE_A, NODE_B];
 
 #[derive(Debug)]
 struct LedgerEntry {
@@ -125,9 +142,13 @@ pub struct LinkSimulation {
     mhps: [NodeMhp; 2],
     midpoint: Midpoint,
     cache: ModelCache,
-    window_alpha: HashMap<u64, f64>,
+    /// The model the last detection window closed under, by α bits:
+    /// consecutive windows almost always serve one request at one α,
+    /// so they skip the cache lookup and its `Arc` clone.
+    model: Option<(u64, Arc<AttemptModel>)>,
+    window_alpha: IntMap<u64, f64>,
     window_active: bool,
-    ledger: HashMap<u64, LedgerEntry>,
+    ledger: IntMap<u64, LedgerEntry>,
     chan_ab: [ChannelModel; 2],
     chan_gen: [ChannelModel; 2],
     chan_reply: [ChannelModel; 2],
@@ -221,9 +242,10 @@ impl LinkSimulation {
             mhps: [NodeMhp::new(NODE_A), NodeMhp::new(NODE_B)],
             midpoint: Midpoint::new(NODE_A, NODE_B),
             cache: ModelCache::new(),
-            window_alpha: HashMap::new(),
+            model: None,
+            window_alpha: IntMap::default(),
             window_active: false,
-            ledger: HashMap::new(),
+            ledger: IntMap::default(),
             chan_ab: [mk_chan(node_to_node_km), mk_chan(node_to_node_km)],
             chan_gen: [mk_chan(scenario.arm_a_km), mk_chan(scenario.arm_b_km)],
             chan_reply: [mk_chan(scenario.arm_a_km), mk_chan(scenario.arm_b_km)],
@@ -555,6 +577,7 @@ impl LinkSimulation {
             Event::WindowClose(c) => self.on_window_close(now, c),
             Event::PeerFrame { to, bytes } => {
                 if let Ok(frame) = Frame::decode(&bytes) {
+                    let to = usize::from(to);
                     let cycle = self.current_cycle();
                     let evs = self.egps[to].on_peer_frame(frame, cycle);
                     self.route(to, evs);
@@ -562,18 +585,20 @@ impl LinkSimulation {
             }
             Event::GenArrive { from, bytes } => {
                 if let Ok(Frame::Gen(msg)) = Frame::decode(&bytes) {
-                    self.midpoint.on_gen(from, msg);
+                    self.midpoint.on_gen(NODE_IDS[usize::from(from)], msg);
                 }
             }
             Event::PhotonArrive(p) => self.midpoint.on_photon(p),
             Event::ReplyArrive { to, bytes } => {
                 if let Ok(Frame::Reply(msg)) = Frame::decode(&bytes) {
+                    let to = usize::from(to);
                     if let Some(result) = self.mhps[to].on_reply(msg) {
                         self.process_result(to, result);
                     }
                 }
             }
             Event::ReplyTimeout { node, cycle } => {
+                let node = usize::from(node);
                 if let Some(result) = self.mhps[node].on_reply_timeout(cycle) {
                     self.process_result(node, result);
                 }
@@ -656,7 +681,8 @@ impl LinkSimulation {
 
         // Poll both EGPs; trigger attempts.
         self.window_active = false;
-        for i in 0..2 {
+        for node in 0..2u8 {
+            let i = usize::from(node);
             let (spec, evs) = self.egps[i].poll(c);
             self.route(i, evs);
             let Some(spec) = spec else { continue };
@@ -669,17 +695,17 @@ impl LinkSimulation {
             self.queue
                 .schedule_at(photon_at, Event::PhotonArrive(actions.photon));
 
-            let bytes = Frame::Gen(actions.gen).encode();
-            if let Transmission::Delivered { delay, bytes } =
-                self.chan_gen[i].transmit(bytes, &mut self.rng_chan)
+            let mut bytes = Frame::Gen(actions.gen).encode();
+            if let Transmission::Delivered { delay } =
+                self.chan_gen[i].transmit(&mut bytes, &mut self.rng_chan)
             {
-                let from = if i == 0 { NODE_A } else { NODE_B };
-                self.queue
-                    .schedule_at(now + prep + delay, Event::GenArrive { from, bytes });
+                let bytes = bytes.narrow();
+                let arrive = Event::GenArrive { from: node, bytes };
+                self.queue.schedule_at(now + prep + delay, arrive);
             }
             let timeout = self.cfg.scenario.mhp_cycle * (self.reply_timeout_cycles() + 2);
             self.queue
-                .schedule_at(now + timeout, Event::ReplyTimeout { node: i, cycle: c });
+                .schedule_at(now + timeout, Event::ReplyTimeout { node, cycle: c });
         }
 
         if self.window_active {
@@ -695,8 +721,12 @@ impl LinkSimulation {
 
     fn on_window_close(&mut self, now: SimTime, c: u64) {
         let alpha = self.window_alpha.remove(&c).unwrap_or(0.1);
-        let model = self.cache.get(&self.cfg.scenario, alpha);
-        let eval = self.midpoint.evaluate_window(c, &model, &mut self.rng_phys);
+        let bits = alpha.to_bits();
+        if self.model.as_ref().is_none_or(|(last, _)| *last != bits) {
+            self.model = Some((bits, self.cache.get(&self.cfg.scenario, alpha)));
+        }
+        let model = &*self.model.as_ref().expect("set above").1;
+        let eval = self.midpoint.evaluate_window(c, model, &mut self.rng_phys);
 
         if let Some(h) = &eval.herald {
             let emission = self.cycle_start(c) + self.cfg.scenario.emission_prep;
@@ -712,14 +742,15 @@ impl LinkSimulation {
             };
             self.ledger.insert(c, entry);
         }
-        for (node, reply) in eval.replies {
-            let idx = if node == NODE_A { 0 } else { 1 };
-            let bytes = Frame::Reply(reply).encode();
-            if let Transmission::Delivered { delay, bytes } =
-                self.chan_reply[idx].transmit(bytes, &mut self.rng_chan)
+        for (node, reply) in eval.replies.into_iter().flatten() {
+            let to = u8::from(node != NODE_A);
+            let mut bytes = Frame::Reply(reply).encode();
+            if let Transmission::Delivered { delay } =
+                self.chan_reply[usize::from(to)].transmit(&mut bytes, &mut self.rng_chan)
             {
+                let bytes = bytes.narrow();
                 self.queue
-                    .schedule_at(now + delay, Event::ReplyArrive { to: idx, bytes });
+                    .schedule_at(now + delay, Event::ReplyArrive { to, bytes });
             }
         }
     }
@@ -753,81 +784,77 @@ impl LinkSimulation {
     /// Routes EGP outputs: frames into channels, OKs/errors into
     /// metrics, hardware directives into the pair ledger.
     fn route(&mut self, from: usize, events: Vec<EgpEvent>) {
-        let mut work: Vec<(usize, EgpEvent)> = events.into_iter().map(|e| (from, e)).collect();
-        while !work.is_empty() {
-            let mut next = Vec::new();
-            for (i, ev) in work {
-                match ev {
-                    EgpEvent::SendPeer(frame) => {
-                        let now = self.queue.now();
-                        let bytes = frame.encode();
-                        if let Transmission::Delivered { delay, bytes } =
-                            self.chan_ab[i].transmit(bytes, &mut self.rng_chan)
-                        {
-                            self.queue
-                                .schedule_at(now + delay, Event::PeerFrame { to: 1 - i, bytes });
-                        }
+        for ev in events {
+            match ev {
+                EgpEvent::SendPeer(frame) => {
+                    let now = self.queue.now();
+                    let mut bytes = frame.encode();
+                    if let Transmission::Delivered { delay } =
+                        self.chan_ab[from].transmit(&mut bytes, &mut self.rng_chan)
+                    {
+                        let (to, bytes) = (1 - from as u8, Box::new(bytes));
+                        self.queue
+                            .schedule_at(now + delay, Event::PeerFrame { to, bytes });
                     }
-                    EgpEvent::OkKeep(ok) => {
-                        let herald_cycle = ok.create_time_ps / self.cfg.scenario.mhp_cycle.as_ps();
-                        if ok.origin_is_local {
-                            let fidelity = self.keep_pair_fidelity(herald_cycle);
-                            self.record_ok(i, ok.create_id, fidelity);
-                        }
-                        self.release_ledger(herald_cycle, i);
-                    }
-                    EgpEvent::OkMeasure(ok) => {
-                        let herald_cycle = ok.create_time_ps / self.cfg.scenario.mhp_cycle.as_ps();
-                        if ok.origin_is_local {
-                            let fidelity = self
-                                .ledger
-                                .get(&herald_cycle)
-                                .map(|e| e.heralded_fidelity)
-                                .unwrap_or(0.0);
-                            self.tally_qber(herald_cycle, ok.basis);
-                            self.record_ok(i, ok.create_id, fidelity);
-                        }
-                        self.release_ledger(herald_cycle, i);
-                    }
-                    EgpEvent::Error(err) => {
-                        self.metrics.record_error(error_label(err.code));
-                        if err.code == EgpErrorCode::Expire && err.range_only {
-                            // Partial expiry: the affected pairs no
-                            // longer count as delivered.
-                            let span = err.seq_high.wrapping_sub(err.seq_low).min(16);
-                            if let Some(t) = self.tracking.get_mut(&(i, err.create_id)) {
-                                t.pairs_seen = t.pairs_seen.saturating_sub(span);
-                            }
-                        } else if matches!(
-                            err.code,
-                            EgpErrorCode::Timeout
-                                | EgpErrorCode::Unsupported
-                                | EgpErrorCode::Denied
-                                | EgpErrorCode::NoTime
-                                | EgpErrorCode::MemExceeded
-                                | EgpErrorCode::OutOfMem
-                        ) {
-                            self.tracking.remove(&(i, err.create_id));
-                            if let Some(rejections) = &mut self.rejections {
-                                rejections.push(Rejection {
-                                    origin: i,
-                                    create_id: err.create_id,
-                                    code: err.code,
-                                    at: self.queue.now(),
-                                });
-                            }
-                        }
-                    }
-                    EgpEvent::Hw(directive) => self.apply_hw(i, directive),
                 }
+                EgpEvent::OkKeep(ok) => {
+                    let herald_cycle = ok.create_time_ps / self.cfg.scenario.mhp_cycle.as_ps();
+                    if ok.origin_is_local {
+                        let fidelity = self.keep_pair_fidelity(herald_cycle);
+                        self.record_ok(from, ok.create_id, fidelity);
+                    }
+                    self.release_ledger(herald_cycle, from);
+                }
+                EgpEvent::OkMeasure(ok) => {
+                    let herald_cycle = ok.create_time_ps / self.cfg.scenario.mhp_cycle.as_ps();
+                    if ok.origin_is_local {
+                        let fidelity = self
+                            .ledger
+                            .get(&herald_cycle)
+                            .map(|e| e.heralded_fidelity)
+                            .unwrap_or(0.0);
+                        self.tally_qber(herald_cycle, ok.basis);
+                        self.record_ok(from, ok.create_id, fidelity);
+                    }
+                    self.release_ledger(herald_cycle, from);
+                }
+                EgpEvent::Error(err) => {
+                    self.metrics.record_error(error_label(err.code));
+                    if err.code == EgpErrorCode::Expire && err.range_only {
+                        // Partial expiry: the affected pairs no
+                        // longer count as delivered.
+                        let span = err.seq_high.wrapping_sub(err.seq_low).min(16);
+                        if let Some(t) = self.tracking.get_mut(&(from, err.create_id)) {
+                            t.pairs_seen = t.pairs_seen.saturating_sub(span);
+                        }
+                    } else if matches!(
+                        err.code,
+                        EgpErrorCode::Timeout
+                            | EgpErrorCode::Unsupported
+                            | EgpErrorCode::Denied
+                            | EgpErrorCode::NoTime
+                            | EgpErrorCode::MemExceeded
+                            | EgpErrorCode::OutOfMem
+                    ) {
+                        self.tracking.remove(&(from, err.create_id));
+                        if let Some(rejections) = &mut self.rejections {
+                            rejections.push(Rejection {
+                                origin: from,
+                                create_id: err.create_id,
+                                code: err.code,
+                                at: self.queue.now(),
+                            });
+                        }
+                    }
+                }
+                EgpEvent::Hw(directive) => self.apply_hw(from, directive),
             }
-            work = std::mem::take(&mut next);
         }
     }
 
     fn apply_hw(&mut self, node: usize, directive: HwDirective) {
         let now = self.queue.now();
-        let nv = self.cfg.scenario.nv.clone();
+        let nv = &self.cfg.scenario.nv;
         match directive {
             HwDirective::CorrectPsiMinus { cycle } => {
                 if let Some(pair) = self.ledger.get_mut(&cycle).and_then(|e| e.pair.as_mut()) {
@@ -840,9 +867,9 @@ impl LinkSimulation {
                     // Catch up electron decoherence (the wait for the
                     // midpoint reply), then apply the move.
                     if now > pair.last_update() {
-                        pair.advance_to(now, &nv);
+                        pair.advance_to(now, nv);
                     }
-                    pair.move_to_carbon(Self::side_of(node), &nv);
+                    pair.move_to_carbon(Self::side_of(node), nv);
                     pair.skip_decoupled(now + move_d);
                 }
             }
@@ -854,7 +881,7 @@ impl LinkSimulation {
 
     fn keep_pair_fidelity(&mut self, herald_cycle: u64) -> f64 {
         let now = self.queue.now();
-        let nv = self.cfg.scenario.nv.clone();
+        let nv = &self.cfg.scenario.nv;
         match self
             .ledger
             .get_mut(&herald_cycle)
@@ -862,7 +889,7 @@ impl LinkSimulation {
         {
             Some(pair) => {
                 if now > pair.last_update() {
-                    pair.advance_to(now, &nv);
+                    pair.advance_to(now, nv);
                 }
                 pair.fidelity(BellState::PsiPlus)
             }

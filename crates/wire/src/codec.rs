@@ -45,25 +45,106 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A byte writer (thin wrapper over `Vec<u8>` for symmetry with
-/// [`Reader`]).
-#[derive(Debug, Default)]
+/// Capacity of [`FrameBytes`]: the longest encoding in the stack, a DQP
+/// ADD/ACK/REJ frame (1 discriminator + 43 body + 4 CRC bytes).
+pub const FRAME_MAX: usize = 48;
+
+/// An encoded frame, held inline: `N` bytes of storage plus a length,
+/// dereferencing to the written prefix. Every control frame has a
+/// small fixed layout, so encoding, corrupting and carrying one
+/// through the event queue never touches the heap.
+///
+/// [`Frame::encode`](crate::Frame::encode) returns the full-capacity
+/// `FrameBytes` (`N` = [`FRAME_MAX`]); a holder that knows its frames
+/// are shorter — the MHP's GEN and REPLY, in flight by the dozen on
+/// every link — keeps them in a [`narrow`](FrameBytes::narrow)ed copy.
+#[derive(Clone, Copy)]
+pub struct FrameBytes<const N: usize = FRAME_MAX> {
+    buf: [u8; N],
+    len: u8,
+}
+
+impl<const N: usize> FrameBytes<N> {
+    /// The same bytes in a buffer of capacity `M`.
+    ///
+    /// # Panics
+    /// Panics if the frame is longer than `M`.
+    pub fn narrow<const M: usize>(&self) -> FrameBytes<M> {
+        let mut buf = [0; M];
+        buf[..self.len()].copy_from_slice(self);
+        FrameBytes { buf, len: self.len }
+    }
+}
+
+impl<const N: usize> std::ops::Deref for FrameBytes<N> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len as usize]
+    }
+}
+
+impl<const N: usize> std::ops::DerefMut for FrameBytes<N> {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.buf[..self.len as usize]
+    }
+}
+
+impl<const N: usize> fmt::Debug for FrameBytes<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl<const N: usize> PartialEq for FrameBytes<N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<const N: usize> Eq for FrameBytes<N> {}
+
+/// A byte writer into a [`FrameBytes`] (the counterpart of [`Reader`]).
+///
+/// # Panics
+/// Every `put_*` panics if the frame would outgrow [`FRAME_MAX`] — a
+/// message layout that does not fit is a bug in this crate, not an
+/// input condition.
+#[derive(Debug)]
 pub struct Writer {
-    buf: Vec<u8>,
+    buf: FrameBytes,
+}
+
+impl Default for Writer {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Writer {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        Writer { buf: Vec::new() }
+        Writer {
+            buf: FrameBytes {
+                buf: [0; FRAME_MAX],
+                len: 0,
+            },
+        }
     }
 
     /// Consumes the writer, returning the bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    #[inline]
+    pub fn into_bytes(self) -> FrameBytes {
         self.buf
     }
 
-    /// Bytes written so far.
+    /// The bytes written so far.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -73,27 +154,39 @@ impl Writer {
         self.buf.is_empty()
     }
 
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        let at = self.buf.len as usize;
+        self.buf.buf[at..at + bytes.len()].copy_from_slice(bytes);
+        self.buf.len += bytes.len() as u8;
+    }
+
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Appends a big-endian `u16`.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u32`.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u64`.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern (big-endian).
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
@@ -117,6 +210,7 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
@@ -130,23 +224,27 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a big-endian `u16`.
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16, WireError> {
         let s = self.take(2)?;
         Ok(u16::from_be_bytes([s[0], s[1]]))
     }
 
     /// Reads a big-endian `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
         let s = self.take(4)?;
         Ok(u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
     }
 
     /// Reads a big-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
         let s = self.take(8)?;
         let mut b = [0u8; 8];
@@ -155,11 +253,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads an `f64` from its IEEE-754 bit pattern.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Errors unless the buffer is fully consumed.
+    #[inline]
     pub fn finish(self) -> Result<(), WireError> {
         if self.remaining() == 0 {
             Ok(())
@@ -209,9 +309,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic]
+    fn writing_past_frame_max_panics() {
+        let mut w = Writer::new();
+        for _ in 0..FRAME_MAX / 8 {
+            w.put_u64(0);
+        }
+        assert_eq!(w.len(), FRAME_MAX);
+        w.put_u8(0);
+    }
+
+    #[test]
     fn big_endian_on_the_wire() {
         let mut w = Writer::new();
         w.put_u16(0x0102);
-        assert_eq!(w.into_bytes(), vec![0x01, 0x02]);
+        assert_eq!(*w.into_bytes(), [0x01, 0x02]);
     }
 }

@@ -9,15 +9,30 @@
 
 const POLY: u32 = 0xEDB8_8320; // reflected IEEE 802.3 polynomial
 
+/// One byte's worth of the shift/xor loop, precomputed: every frame is
+/// checksummed twice (encode and decode) on every MHP attempt.
+const TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (POLY & mask);
+            bit += 1;
+        }
+        table[byte] = crc;
+        byte += 1;
+    }
+    table
+};
+
 /// Computes the CRC-32 (IEEE) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
-        }
+        crc = (crc >> 8) ^ TABLE[((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -26,12 +41,49 @@ pub fn crc32(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
+    /// The bit-at-a-time definition the table is derived from.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= byte as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    /// splitmix64: a self-contained seeded byte source (this crate has
+    /// no dependencies).
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
     #[test]
     fn known_vectors() {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn table_matches_the_bitwise_definition() {
+        for v in [&b"123456789"[..], b"", b"a"] {
+            assert_eq!(crc32(v), crc32_bitwise(v));
+        }
+        let mut state = 0x5eed_c4c3_u64;
+        for len in 0..=64usize {
+            for _ in 0..64 {
+                let buf: Vec<u8> = (0..len).map(|_| next(&mut state) as u8).collect();
+                assert_eq!(crc32(&buf), crc32_bitwise(&buf), "buffer {buf:02x?}");
+            }
+        }
     }
 
     #[test]

@@ -76,6 +76,7 @@ pub struct DqpMessage {
 
 impl DqpMessage {
     /// Serialises the message body (without frame discriminator / CRC).
+    #[inline]
     pub fn encode(&self, w: &mut Writer) {
         w.put_u8(self.frame_type.to_wire());
         w.put_u8(self.cseq);
@@ -93,6 +94,7 @@ impl DqpMessage {
     }
 
     /// Parses a message body.
+    #[inline]
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let frame_type = DqpFrameType::from_wire(r.get_u8()?);
         let frame_type = frame_type?;

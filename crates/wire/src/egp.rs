@@ -34,6 +34,7 @@ pub struct CreateMsg {
 
 impl CreateMsg {
     /// Serialises the body.
+    #[inline]
     pub fn encode(&self, w: &mut Writer) {
         w.put_u32(self.remote_node_id);
         self.min_fidelity.encode(w);
@@ -45,6 +46,7 @@ impl CreateMsg {
     }
 
     /// Parses the body.
+    #[inline]
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let remote_node_id = r.get_u32()?;
         let min_fidelity = Fidelity16::decode(r)?;
@@ -91,6 +93,7 @@ pub struct ExpireMsg {
 
 impl ExpireMsg {
     /// Serialises the body.
+    #[inline]
     pub fn encode(&self, w: &mut Writer) {
         self.queue_id.encode(w);
         w.put_u32(self.origin_id);
@@ -100,6 +103,7 @@ impl ExpireMsg {
     }
 
     /// Parses the body.
+    #[inline]
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(ExpireMsg {
             queue_id: AbsQueueId::decode(r)?,
@@ -122,12 +126,14 @@ pub struct ExpireAckMsg {
 
 impl ExpireAckMsg {
     /// Serialises the body.
+    #[inline]
     pub fn encode(&self, w: &mut Writer) {
         self.queue_id.encode(w);
         w.put_u16(self.seq_expected);
     }
 
     /// Parses the body.
+    #[inline]
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(ExpireAckMsg {
             queue_id: AbsQueueId::decode(r)?,
@@ -153,6 +159,7 @@ pub struct RetractMsg {
 
 impl RetractMsg {
     /// Serialises the body.
+    #[inline]
     pub fn encode(&self, w: &mut Writer) {
         self.queue_id.encode(w);
         w.put_u32(self.origin_id);
@@ -160,6 +167,7 @@ impl RetractMsg {
     }
 
     /// Parses the body.
+    #[inline]
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(RetractMsg {
             queue_id: AbsQueueId::decode(r)?,
@@ -184,6 +192,7 @@ pub struct MemoryAdvertMsg {
 
 impl MemoryAdvertMsg {
     /// Serialises the body.
+    #[inline]
     pub fn encode(&self, w: &mut Writer) {
         w.put_u8(self.is_ack as u8);
         w.put_u8(self.comm_qubits);
@@ -191,6 +200,7 @@ impl MemoryAdvertMsg {
     }
 
     /// Parses the body.
+    #[inline]
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let is_ack = match r.get_u8()? {
             0 => false,
@@ -263,6 +273,7 @@ pub struct OkKeepMsg {
 
 impl OkKeepMsg {
     /// Serialises the body.
+    #[inline]
     pub fn encode(&self, w: &mut Writer) {
         w.put_u16(self.create_id);
         w.put_u8(self.logical_qubit_id);
@@ -276,6 +287,7 @@ impl OkKeepMsg {
     }
 
     /// Parses the body.
+    #[inline]
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(OkKeepMsg {
             create_id: r.get_u16()?,
@@ -321,6 +333,7 @@ pub struct OkMeasureMsg {
 
 impl OkMeasureMsg {
     /// Serialises the body.
+    #[inline]
     pub fn encode(&self, w: &mut Writer) {
         w.put_u16(self.create_id);
         w.put_u8(self.outcome);
@@ -334,6 +347,7 @@ impl OkMeasureMsg {
     }
 
     /// Parses the body.
+    #[inline]
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let create_id = r.get_u16()?;
         let outcome = r.get_u8()?;
@@ -432,6 +446,7 @@ pub struct ErrMsg {
 
 impl ErrMsg {
     /// Serialises the body.
+    #[inline]
     pub fn encode(&self, w: &mut Writer) {
         w.put_u8(self.code.to_wire());
         w.put_u16(self.create_id);
@@ -442,6 +457,7 @@ impl ErrMsg {
     }
 
     /// Parses the body.
+    #[inline]
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(ErrMsg {
             code: EgpErrorCode::from_wire(r.get_u8()?)?,

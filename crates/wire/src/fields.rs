@@ -27,11 +27,13 @@ impl AbsQueueId {
         AbsQueueId { qid, qseq }
     }
 
+    #[inline]
     pub(crate) fn encode(self, w: &mut Writer) {
         w.put_u8(self.qid);
         w.put_u16(self.qseq);
     }
 
+    #[inline]
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let qid = r.get_u8()?;
         if qid >= Self::MAX_QUEUES {
@@ -66,10 +68,12 @@ impl Fidelity16 {
         self.0
     }
 
+    #[inline]
     pub(crate) fn encode(self, w: &mut Writer) {
         w.put_u16(self.0);
     }
 
+    #[inline]
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Fidelity16(r.get_u16()?))
     }
@@ -124,6 +128,7 @@ impl RequestFlags {
         }
     }
 
+    #[inline]
     pub(crate) fn encode(self, w: &mut Writer) {
         let mut b = 0u8;
         if self.store {
@@ -144,6 +149,7 @@ impl RequestFlags {
         w.put_u8(b);
     }
 
+    #[inline]
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let b = r.get_u8()?;
         if b & !0b1_1111 != 0 {

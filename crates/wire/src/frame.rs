@@ -5,7 +5,7 @@
 //! the receiver, exactly as an Ethernet NIC discards a bad 802.3 frame —
 //! which is the error model of Appendix D.6.
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{FrameBytes, Reader, Writer};
 use crate::crc::crc32;
 use crate::dqp::DqpMessage;
 use crate::egp::{
@@ -78,7 +78,7 @@ impl Frame {
     }
 
     /// Serialises the frame: `[discriminator][body][crc32]`.
-    pub fn encode(&self) -> Vec<u8> {
+    pub fn encode(&self) -> FrameBytes {
         let mut w = Writer::new();
         w.put_u8(self.discriminator());
         match self {
@@ -94,10 +94,9 @@ impl Frame {
             Frame::Err(m) => m.encode(&mut w),
             Frame::Retract(m) => m.encode(&mut w),
         }
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_be_bytes());
-        bytes
+        let crc = crc32(w.as_bytes());
+        w.put_u32(crc);
+        w.into_bytes()
     }
 
     /// Parses and validates a frame, verifying the CRC trailer and that
@@ -139,6 +138,7 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::FRAME_MAX;
     use crate::fields::{AbsQueueId, Fidelity16, MidpointOutcome, ReplyOutcome, RequestFlags};
 
     fn sample_frames() -> Vec<Frame> {
@@ -191,6 +191,164 @@ mod tests {
         ]
     }
 
+    /// Every variant, every field at its largest encodable value.
+    fn max_field_frames() -> Vec<Frame> {
+        use crate::dqp::DqpFrameType;
+        use crate::egp::{EgpErrorCode, WireBasis};
+        let aid = AbsQueueId::new(AbsQueueId::MAX_QUEUES - 1, u16::MAX);
+        let flags = RequestFlags {
+            store: false,
+            atomic: true,
+            measure_directly: true,
+            master_request: true,
+            consecutive: true,
+        };
+        vec![
+            Frame::Dqp(DqpMessage {
+                frame_type: DqpFrameType::Rej,
+                cseq: u8::MAX,
+                queue_id: aid,
+                schedule_cycle: u64::MAX,
+                timeout_cycle: u64::MAX,
+                min_fidelity: Fidelity16::from_f64(1.0),
+                purpose_id: u16::MAX,
+                create_id: u16::MAX,
+                num_pairs: u16::MAX,
+                priority: 15,
+                initial_virtual_finish: f64::MAX,
+                est_cycles_per_pair: u32::MAX,
+                flags,
+            }),
+            Frame::Gen(GenMsg {
+                queue_id: aid,
+                timestamp_cycle: u64::MAX,
+            }),
+            Frame::Reply(ReplyMsg {
+                outcome: ReplyOutcome::Error(crate::fields::MhpError::NoMessageOther),
+                mhp_seq: u16::MAX,
+                receiver_qid: aid,
+                peer_qid: Some(aid),
+                timestamp_cycle: u64::MAX,
+            }),
+            Frame::Expire(ExpireMsg {
+                queue_id: aid,
+                origin_id: u32::MAX,
+                create_id: u16::MAX,
+                seq_low: u16::MAX,
+                seq_high: u16::MAX,
+            }),
+            Frame::ExpireAck(ExpireAckMsg {
+                queue_id: aid,
+                seq_expected: u16::MAX,
+            }),
+            Frame::MemoryAdvert(MemoryAdvertMsg {
+                is_ack: true,
+                comm_qubits: u8::MAX,
+                storage_qubits: u8::MAX,
+            }),
+            Frame::Create(CreateMsg {
+                remote_node_id: u32::MAX,
+                min_fidelity: Fidelity16::from_f64(1.0),
+                max_time_us: u64::MAX,
+                purpose_id: u16::MAX,
+                number: u16::MAX,
+                priority: 15,
+                flags,
+            }),
+            Frame::OkKeep(OkKeepMsg {
+                create_id: u16::MAX,
+                logical_qubit_id: u8::MAX,
+                origin_is_local: true,
+                sequence_number: u16::MAX,
+                purpose_id: u16::MAX,
+                remote_node_id: u32::MAX,
+                goodness: Fidelity16::from_f64(1.0),
+                goodness_time_ps: u64::MAX,
+                create_time_ps: u64::MAX,
+            }),
+            Frame::OkMeasure(OkMeasureMsg {
+                create_id: u16::MAX,
+                outcome: 1,
+                basis: WireBasis::Z,
+                origin_is_local: true,
+                sequence_number: u16::MAX,
+                purpose_id: u16::MAX,
+                remote_node_id: u32::MAX,
+                goodness: Fidelity16::from_f64(1.0),
+                create_time_ps: u64::MAX,
+            }),
+            Frame::Err(ErrMsg {
+                code: EgpErrorCode::Rejected,
+                create_id: u16::MAX,
+                origin_node_id: u32::MAX,
+                range_only: true,
+                seq_low: u16::MAX,
+                seq_high: u16::MAX,
+            }),
+            Frame::Retract(RetractMsg {
+                queue_id: aid,
+                origin_id: u32::MAX,
+                create_id: u16::MAX,
+            }),
+        ]
+    }
+
+    #[test]
+    fn every_variant_at_field_maxima_fits_the_inline_buffer() {
+        let frames = max_field_frames();
+        // One of each: a new variant must be added to the list above.
+        let mut discriminators: Vec<u8> = frames.iter().map(Frame::discriminator).collect();
+        discriminators.dedup();
+        assert_eq!(discriminators, (0x01..=0x0B).collect::<Vec<u8>>());
+        let mut longest = 0;
+        for f in frames {
+            // `encode` would have panicked past FRAME_MAX.
+            let bytes = f.encode();
+            longest = longest.max(bytes.len());
+            assert_eq!(Frame::decode(&bytes).unwrap(), f, "{}", f.kind());
+        }
+        assert_eq!(longest, FRAME_MAX, "FRAME_MAX is the longest frame");
+    }
+
+    #[test]
+    fn mhp_frames_fit_the_narrow_buffer_and_survive_narrowing() {
+        use crate::mhp::MHP_FRAME_MAX;
+        let mut longest = 0;
+        for f in max_field_frames() {
+            if matches!(f, Frame::Gen(_) | Frame::Reply(_)) {
+                let bytes = f.encode();
+                longest = longest.max(bytes.len());
+                let narrow = bytes.narrow::<MHP_FRAME_MAX>();
+                assert_eq!(*narrow, *bytes);
+                assert_eq!(Frame::decode(&narrow).unwrap(), f);
+            }
+        }
+        assert_eq!(longest, MHP_FRAME_MAX);
+    }
+
+    #[test]
+    #[should_panic]
+    fn narrowing_below_the_frame_length_panics() {
+        let dqp = max_field_frames().remove(0).encode();
+        dqp.narrow::<{ crate::mhp::MHP_FRAME_MAX }>();
+    }
+
+    #[test]
+    fn single_flipped_bit_in_the_inline_buffer_fails_decode() {
+        for f in max_field_frames().into_iter().chain(sample_frames()) {
+            let bytes = f.encode();
+            for bit in 0..8 * bytes.len() {
+                let mut bad = bytes;
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    Frame::decode(&bad).is_err(),
+                    "{}: flipped bit {bit} went undetected",
+                    f.kind()
+                );
+            }
+        }
+    }
+
     #[test]
     fn round_trip_every_frame_kind() {
         for f in sample_frames() {
@@ -205,7 +363,7 @@ mod tests {
         for f in sample_frames() {
             let bytes = f.encode();
             for i in 0..bytes.len() {
-                let mut bad = bytes.clone();
+                let mut bad = bytes;
                 bad[i] ^= 0x40;
                 assert!(
                     Frame::decode(&bad).is_err(),
@@ -228,9 +386,8 @@ mod tests {
     fn unknown_discriminator_rejected() {
         let mut w = Writer::new();
         w.put_u8(0x7F);
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_be_bytes());
+        w.put_u32(crc32(&[0x7F]));
+        let bytes = w.into_bytes();
         assert_eq!(
             Frame::decode(&bytes),
             Err(WireError::BadValue("frame discriminator"))

@@ -27,7 +27,11 @@
 //! * every frame carries a CRC-32 trailer; the corruption model flips
 //!   bits and the decoder rejects the frame, matching the FER-based
 //!   error model of Appendix D.6 (undetected-CRC-error probability is
-//!   ~1.4e-23 there and is ignored, as in the paper).
+//!   ~1.4e-23 there and is ignored, as in the paper);
+//! * every layout is fixed-length and at most [`FRAME_MAX`] = 48 bytes
+//!   (a DQP frame), so [`Frame::encode`] returns an inline
+//!   [`FrameBytes`] and the per-attempt GEN/REPLY traffic never
+//!   touches the heap.
 
 pub mod codec;
 pub mod crc;
@@ -37,5 +41,6 @@ pub mod fields;
 pub mod frame;
 pub mod mhp;
 
+pub use codec::{FrameBytes, FRAME_MAX};
 pub use fields::{AbsQueueId, Fidelity16, MhpError, MidpointOutcome, RequestFlags, RequestType};
 pub use frame::{Frame, WireError};

@@ -9,6 +9,11 @@
 use crate::codec::{Reader, WireError, Writer};
 use crate::fields::{AbsQueueId, ReplyOutcome};
 
+/// The longest MHP frame, a REPLY (1 discriminator + 18 body + 4 CRC
+/// bytes; a GEN frame is 16): the capacity of the buffer a GEN or
+/// REPLY in flight is held in.
+pub const MHP_FRAME_MAX: usize = 23;
+
 /// The `GEN` frame a node sends to the midpoint (Fig. 27), augmented —
 /// per §5.1.1 — with the timestamp that links it to a detection window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,12 +28,14 @@ pub struct GenMsg {
 
 impl GenMsg {
     /// Serialises the body.
+    #[inline]
     pub fn encode(&self, w: &mut Writer) {
         self.queue_id.encode(w);
         w.put_u64(self.timestamp_cycle);
     }
 
     /// Parses the body.
+    #[inline]
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(GenMsg {
             queue_id: AbsQueueId::decode(r)?,
@@ -57,6 +64,7 @@ pub struct ReplyMsg {
 
 impl ReplyMsg {
     /// Serialises the body.
+    #[inline]
     pub fn encode(&self, w: &mut Writer) {
         w.put_u8(self.outcome.to_wire());
         w.put_u16(self.mhp_seq);
@@ -75,6 +83,7 @@ impl ReplyMsg {
     }
 
     /// Parses the body.
+    #[inline]
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let outcome = ReplyOutcome::from_wire(r.get_u8()?)?;
         let mhp_seq = r.get_u16()?;
