@@ -1,19 +1,30 @@
-//! Repeater chains on the shared clock — the successor of
-//! `qlink_sim::chain::RepeaterChain`.
+//! Repeater chains on the shared clock.
 //!
-//! Same surface (build from per-hop [`LinkConfig`]s, ask for one
-//! end-to-end pair at a time), but every hop now runs on **one**
-//! shared event queue under SWAP-ASAP control: links interleave on a
-//! global `SimTime` stream, intermediate nodes swap the instant both
-//! their pairs exist, swap results travel classical control channels,
-//! and the reported generation time is the true simulated latency from
-//! CREATE to the last end learning its Pauli frame.
+//! A convenience wrapper over [`Network`]: build from per-hop
+//! [`LinkConfig`]s, ask for one end-to-end pair at a time. Every hop
+//! runs on **one** shared event queue under SWAP-ASAP control: links
+//! interleave on a global `SimTime` stream, intermediate nodes swap
+//! the instant both their pairs exist, swap results travel classical
+//! control channels, and the reported generation time is the true
+//! simulated latency from CREATE to the last end learning its Pauli
+//! frame.
 
 use crate::network::Network;
 use crate::topology::Topology;
 use qlink_des::SimDuration;
-use qlink_sim::chain::ChainOutcome;
 use qlink_sim::config::LinkConfig;
+
+/// Result of one end-to-end entanglement generation over a chain.
+#[derive(Debug, Clone)]
+pub struct ChainOutcome {
+    /// Fidelity of each link's delivered pair, in path order.
+    pub link_fidelities: Vec<f64>,
+    /// Fidelity of the end-to-end pair after all swaps.
+    pub end_to_end_fidelity: f64,
+    /// True simulated latency from CREATE submission to the instant
+    /// both ends hold a usable pair.
+    pub generation_time: SimDuration,
+}
 
 /// A repeater chain driven as one shared-clock network.
 pub struct RepeaterChain {
@@ -44,14 +55,9 @@ impl RepeaterChain {
         self.hops
     }
 
-    /// Borrow the underlying network (trace, metrics, nodes).
+    /// Borrow the underlying network (telemetry, metrics, nodes).
     pub fn network(&self) -> &Network {
         &self.net
-    }
-
-    /// Enable shared-clock trace recording on the underlying network.
-    pub fn enable_trace(&mut self) {
-        self.net.enable_trace();
     }
 
     /// Produces one end-to-end pair: reserves the full path, issues NL

@@ -29,16 +29,10 @@
 //!   current load and re-issue under a per-request retry budget
 //!   ([`Network::set_retry_budget`],
 //!   [`Network::set_request_timeout`]);
-//! * [`node`] — SWAP-ASAP state machines: repeaters swap the moment
-//!   pairs exist on both their path edges, ends collect Bell-outcome
-//!   frames; composition applies the exact simulated memory decay via
-//!   [`qlink_quantum::ops::entanglement_swap`];
-//! * [`purify`](mod@purify) — purification policies: 2→1 DEJMPS
-//!   distillation ([`qlink_quantum::purify`]) scheduled as a
-//!   first-class protocol rule, per link (two pairs per path edge
-//!   distilled before swapping) or end-to-end (two concurrent streams
-//!   merged by the path ends), with the parity bits crossing the real
-//!   classical control channels;
+//! * [`node`] — per-node SWAP-ASAP protocol state: repeaters swap the
+//!   moment pairs exist on both their path edges, ends collect
+//!   Bell-outcome frames; composition applies the exact simulated
+//!   memory decay via [`qlink_quantum::ops::entanglement_swap`];
 //! * [`obs`](mod@obs) — the deterministic telemetry layer:
 //!   request-lifecycle spans (chrome-trace / JSONL exportable),
 //!   fixed-bucket histogram metrics with percentile readout, and
@@ -54,8 +48,7 @@
 //!   barriers), bit-identical to the sequential engine
 //!   ([`ExecMode::Sharded`] on [`Network::set_exec`], or the
 //!   `QLINK_EXEC` environment variable);
-//! * [`chain`] — the repeater-chain convenience wrapper (successor of
-//!   the deprecated `qlink_sim::chain::RepeaterChain`);
+//! * [`chain`] — the repeater-chain convenience wrapper;
 //! * [`load`](mod@load) — the open-loop workload engine: deterministic
 //!   Poisson or trace-driven arrival streams over per-application user
 //!   classes (CK/MD kind, priority, fmin, latency/fidelity SLO
@@ -67,11 +60,12 @@
 //! * [`ruleset`](mod@ruleset) — the RuleSet control plane: per-node
 //!   protocol logic as data — an ordered `condition → action` table
 //!   compiled from a [`Policy`] at plan time, installed on every path
-//!   node, and interpreted deterministically on each observation;
-//!   interpreted SWAP-ASAP is bit-identical to the hard-coded
-//!   machine, and new behaviours (threshold-gated purification,
-//!   k-round entanglement pumping) ship as tables only
-//!   ([`Network::set_ruleset_policy`]);
+//!   node, and interpreted deterministically on each observation.
+//!   SWAP-ASAP, 2→1 DEJMPS distillation ([`qlink_quantum::purify`])
+//!   per link or end-to-end with the parity bits crossing the real
+//!   classical control channels, threshold-gated purification and
+//!   k-round entanglement pumping are all tables of the one
+//!   interpreter ([`Network::set_policy`]);
 //! * [`sweep`](mod@sweep) — the parallel scenario-sweep driver: a scenario × seed
 //!   matrix fanned across OS threads with deterministic merged
 //!   aggregates;
@@ -93,35 +87,33 @@ pub mod network;
 pub mod node;
 pub mod obs;
 pub mod par;
-pub mod purify;
 pub mod route;
 pub mod ruleset;
 pub mod sweep;
 pub mod topology;
 
-pub use chain::RepeaterChain;
+pub use chain::{ChainOutcome, RepeaterChain};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, Flapping, PenaltyBox, PenaltyConfig};
 pub use load::{
     AdmissionControl, ArrivalProcess, ClassLoadStats, LoadStats, SloTarget, TraceArrival,
     UserClass, Workload,
 };
-pub use network::{BackoffPolicy, EndToEndOutcome, Network, TraceEntry, TraceKind};
+pub use network::{BackoffPolicy, EndToEndOutcome, Network};
 pub use node::{NodeAction, PathRole, SwapAsapNode};
 pub use obs::{
     chrome_trace_json, spans_jsonl, EngineProfile, Metrics, SpanEvent, SpanStage, Telemetry,
     TelemetryConfig,
 };
 pub use par::ExecMode;
-pub use purify::PurifyPolicy;
 pub use route::{
     EdgeProfile, FidelityProduct, HopCount, Latency, LoadScaledLatency, PlanContext, Route,
     RouteMetric, RoutePlanner,
 };
 pub use ruleset::{
-    Action, ArmProgram, Condition, Emit, FiredRule, Obs, Policy, Rule, RuleSet, RuleState, Trigger,
+    Action, ArmProgram, Condition, FiredRule, Obs, Policy, Rule, RuleSet, RuleState, Trigger,
 };
 pub use sweep::{
-    run_one, sweep, ExecChoice, FaultChoice, LinkScenario, MetricChoice, PolicyChoice, RunRecord,
-    ScenarioSpec, ScenarioStats, SweepReport, TopologyChoice,
+    run_one, sweep, ExecChoice, FaultChoice, LinkScenario, MetricChoice, RunRecord, ScenarioSpec,
+    ScenarioStats, SweepReport, TopologyChoice,
 };
 pub use topology::{Edge, Node, Topology};

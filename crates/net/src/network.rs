@@ -40,7 +40,7 @@
 //! deadline or whose CREATE a link terminally rejects (UNSUPP)
 //! releases every reservation it holds and is re-planned against
 //! *current* load — excluding the edges that failed it — under its
-//! original id, `fmin`, and purification policy. Both knobs default
+//! original id, `fmin`, and [`Policy`]. Both knobs default
 //! to off, in which case no timeout events exist and no re-route
 //! randomness is drawn: earlier PRs' runs reproduce bit-for-bit.
 
@@ -50,7 +50,6 @@ use crate::load::{Admission, ArrivalProcess, LoadEngine, LoadStats, Workload};
 use crate::node::{NodeAction, PathRole, SwapAsapNode};
 use crate::obs::{SpanStage, Telemetry, TelemetryConfig};
 use crate::par::{ExecMode, ShardPool};
-use crate::purify::PurifyPolicy;
 use crate::route::{HopCount, PlanContext, Route, RouteMetric, RoutePlanner};
 use crate::ruleset::{ArmProgram, Policy};
 use crate::topology::Topology;
@@ -143,37 +142,6 @@ enum NetEvent {
     /// the parallel engine's safe horizon — a repair rebuilds a link,
     /// which must never happen while other links have run ahead.
     Fault { kind: FaultKind },
-}
-
-/// What kind of activity a trace entry records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A link advanced to the global clock.
-    LinkWake(usize),
-    /// A classical control message arrived at a node.
-    Control(usize),
-    /// A link delivered an NL pair on an edge.
-    Delivery(usize),
-    /// A repeater performed its Bell-state measurement.
-    Swap(usize),
-    /// Two pairs on an edge were measured for 2→1 distillation.
-    Purify(usize),
-    /// An end-to-end request completed.
-    Complete(u64),
-    /// A request's attempt failed (timeout or terminal link
-    /// rejection) and it is being re-routed onto a fresh path.
-    Reroute(u64),
-    /// A request exhausted its retry budget and was abandoned.
-    Timeout(u64),
-}
-
-/// One timestamped entry of the shared-clock activity trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Global simulated time of the activity.
-    pub at: SimTime,
-    /// What happened.
-    pub kind: TraceKind,
 }
 
 /// One delivered end-to-end entanglement.
@@ -272,8 +240,6 @@ struct PathRequest {
     ends_ready: [Option<SimTime>; 2],
     frame: (u8, u8),
     swaps: u32,
-    /// Edges distill two pairs into one before swapping.
-    link_purify: bool,
     /// Per path-edge position: a distillation has consumed this edge's
     /// pairs and its parity exchange is in flight (or succeeded —
     /// cleared only by a reject, which regenerates).
@@ -282,12 +248,10 @@ struct PathRequest {
     pair_fidelities: Vec<Vec<f64>>,
     /// Link pairs delivered for this request so far.
     pairs_consumed: u32,
-    /// Interpreted (RuleSet) attempt: the compiled per-edge pair
-    /// needs, in path-edge order. `None` for hard-coded attempts —
-    /// whose CREATE counts come from `link_purify` — and `Some` for
-    /// interpreted ones, whose regeneration is demand-driven
-    /// ([`SwapAsapNode::take_create_demand`]).
-    edge_needs: Option<Vec<u8>>,
+    /// The compiled per-edge initial pair needs, in path-edge order
+    /// (regeneration after that is demand-driven —
+    /// [`SwapAsapNode::take_create_demand`]).
+    edge_needs: Vec<u8>,
     /// Retry/identity state the attempt was issued under.
     seed: AttemptSeed,
 }
@@ -299,7 +263,6 @@ struct ParkedReroute {
     src: usize,
     dst: usize,
     fmin: f64,
-    link_purify: bool,
     seed: AttemptSeed,
     /// When the pending [`NetEvent::Reissue`] fires — the lookahead
     /// bound entry to tombstone if the request is cancelled first.
@@ -334,11 +297,11 @@ struct AttemptSeed {
     /// Attempt number, starting at 0; a [`NetEvent::RequestTimeout`]
     /// carrying an older number is stale and ignored.
     attempt: u64,
-    /// The RuleSet policy the request was issued under (`None` =
-    /// hard-coded machine) — pinned like `armed`, so re-routed
-    /// attempts recompile the same tables whatever
-    /// [`Network::set_ruleset_policy`] says by then.
-    policy: Option<Policy>,
+    /// The policy the request was issued under — pinned like `armed`,
+    /// so re-routed attempts recompile the same tables (and price
+    /// their re-plans the same way) whatever [`Network::set_policy`]
+    /// says by then.
+    policy: Policy,
 }
 
 /// One completed stream of an end-to-end distillation group, parked
@@ -368,12 +331,9 @@ struct PairGroup {
     /// Swaps and pairs across every attempt, rejected ones included.
     swaps: u32,
     pairs_consumed: u32,
-    /// Whether member streams purify their edges — pinned at group
-    /// creation so regeneration ignores later policy changes.
-    link_purify: bool,
-    /// The RuleSet policy member streams run under — pinned at group
-    /// creation like `link_purify`.
-    policy: Option<Policy>,
+    /// The policy member streams run under — pinned at group creation
+    /// so regeneration ignores later policy changes.
+    policy: Policy,
     /// Failure-detection state pinned at group creation
     /// (armed / timeout / retry budget): regenerated member streams
     /// are issued under it, not under whatever the network's knobs
@@ -455,7 +415,6 @@ pub struct Network {
     reroutes: u64,
     timed_out: u64,
     outcomes: Vec<EndToEndOutcome>,
-    trace: Option<Vec<TraceEntry>>,
     /// The telemetry layer (see [`crate::obs`]): request-lifecycle
     /// spans, histogram metrics, engine profiling. `None` (the
     /// default) records nothing; recording is passive either way —
@@ -471,11 +430,9 @@ pub struct Network {
     /// reproduce exactly.
     retract_on_cancel: bool,
     metric: Box<dyn RouteMetric + Send>,
-    purify: PurifyPolicy,
-    /// When set, new requests run under the interpreted RuleSet
-    /// control plane instead of the hard-coded machine — see
-    /// [`Network::set_ruleset_policy`].
-    ruleset: Option<Policy>,
+    /// The [`Policy`] new requests are issued under — see
+    /// [`Network::set_policy`].
+    policy: Policy,
     planner: Option<RoutePlanner>,
     edge_load: Vec<u32>,
     edge_pairs_delivered: Vec<u64>,
@@ -594,12 +551,10 @@ impl Network {
             reroutes: 0,
             timed_out: 0,
             outcomes: Vec::new(),
-            trace: None,
             telemetry,
             retract_on_cancel: false,
             metric: Box::new(HopCount),
-            purify: PurifyPolicy::Off,
-            ruleset: None,
+            policy: Policy::default(),
             planner: None,
             exec: ExecMode::from_env(),
             pool: None,
@@ -613,18 +568,6 @@ impl Network {
             net.schedule_wake(link);
         }
         net
-    }
-
-    /// Starts recording the shared-clock activity trace (off by
-    /// default — multi-second runs produce millions of entries).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The recorded trace (empty unless [`Network::enable_trace`] was
-    /// called before running).
-    pub fn trace(&self) -> &[TraceEntry] {
-        self.trace.as_deref().unwrap_or(&[])
     }
 
     /// Switches the telemetry layer (see [`crate::obs`]) on or off,
@@ -726,57 +669,33 @@ impl Network {
         self.metric.as_ref()
     }
 
-    /// Selects the purification policy for subsequent requests:
-    /// [`PurifyPolicy::LinkLevel`] makes every path edge distill two
-    /// delivered pairs into one before it may be swapped (and prices
-    /// routes with the purified edge figures);
-    /// [`PurifyPolicy::EndToEnd`] makes
+    /// Selects the [`Policy`] subsequent requests run under: at issue
+    /// time it is compiled to a [`crate::ruleset::RuleSet`] table,
+    /// installed on every path node, and interpreted on each
+    /// observation; it also prices edges in planning
+    /// ([`PlanContext::policy`]). [`Policy::LinkPurify`] makes every
+    /// path edge distill two delivered pairs into one before it may
+    /// be swapped; [`Policy::EndToEndPurify`] makes
     /// [`Network::request_entanglement`] run two concurrent streams
     /// and distill their delivered end-to-end pairs into one. The
-    /// default is [`PurifyPolicy::Off`].
+    /// default is [`Policy::SwapAsap`].
     ///
     /// In-flight requests keep the policy they were issued under.
-    pub fn set_purify_policy(&mut self, policy: PurifyPolicy) {
-        self.purify = policy;
+    pub fn set_policy(&mut self, policy: Policy) {
+        self.policy = policy;
     }
 
-    /// The purification policy applied to new requests.
-    pub fn purify_policy(&self) -> PurifyPolicy {
-        self.purify
-    }
-
-    /// Runs new requests under the interpreted RuleSet control plane:
-    /// at issue time the [`Policy`] is compiled to a
-    /// [`crate::ruleset::RuleSet`] table, installed on every path
-    /// node, and interpreted on each observation — the hard-coded
-    /// `SwapAsapNode` transition code never runs for those requests.
-    /// `Policy::SwapAsap` reproduces the hard-coded machine
-    /// bit-for-bit; `Policy::LinkPurify` reproduces
-    /// [`PurifyPolicy::LinkLevel`]; `Policy::EndToEndPurify` runs the
-    /// two-stream end-to-end group with interpreted members. `None`
-    /// (the default) restores the hard-coded machine.
-    ///
-    /// When a policy is set it also takes over edge pricing in
-    /// planning (via [`PlanContext::ruleset`]), so the network's
-    /// [`PurifyPolicy`] knob is ignored for new requests.
-    ///
-    /// In-flight requests keep the policy they were issued under.
-    pub fn set_ruleset_policy(&mut self, policy: Option<Policy>) {
-        self.ruleset = policy;
-    }
-
-    /// The RuleSet policy applied to new requests, if any.
-    pub fn ruleset_policy(&self) -> Option<Policy> {
-        self.ruleset
+    /// The policy applied to new requests.
+    pub fn policy(&self) -> Policy {
+        self.policy
     }
 
     /// The policy individual member streams are issued under:
     /// end-to-end distillation is group-level machinery (the member
-    /// streams themselves run plain SWAP-ASAP, exactly as under
-    /// [`PurifyPolicy::EndToEnd`]).
-    fn member_ruleset(&self) -> Option<Policy> {
-        match self.ruleset {
-            Some(Policy::EndToEndPurify) => Some(Policy::SwapAsap),
+    /// streams themselves run plain SWAP-ASAP).
+    fn member_policy(&self) -> Policy {
+        match self.policy {
+            Policy::EndToEndPurify => Policy::SwapAsap,
             other => other,
         }
     }
@@ -851,7 +770,7 @@ impl Network {
     /// scheduled as first-class events on the shared queue, one
     /// ahead, each resolving its user class and `(src, dst)` pair,
     /// running admission control, and issuing an entanglement request
-    /// under the network's current routing / purification / retry
+    /// under the network's current routing / policy / retry
     /// knobs. Every workload draw comes from the dedicated `net/load`
     /// substream on the coordinating thread, so the arrival stream —
     /// and everything downstream of it — is bit-identical across
@@ -1168,15 +1087,13 @@ impl Network {
         k: usize,
         exclude: &[usize],
     ) -> Vec<Route> {
-        self.plan_with_policy(src, dst, fmin, k, exclude, self.purify, self.ruleset)
+        self.plan_with_policy(src, dst, fmin, k, exclude, self.policy)
     }
 
     /// The planning primitive: current metric + live loads, explicit
-    /// exclusions, and an explicit purification policy (re-routes
-    /// price under the policy their request was *issued* with, not
-    /// the network's current one). A `ruleset` policy takes over edge
-    /// pricing from `purify` when present.
-    #[allow(clippy::too_many_arguments)]
+    /// exclusions, and an explicit policy (re-routes price under the
+    /// policy their request was *issued* with, not the network's
+    /// current one).
     fn plan_with_policy(
         &mut self,
         src: usize,
@@ -1184,8 +1101,7 @@ impl Network {
         fmin: f64,
         k: usize,
         exclude: &[usize],
-        purify: PurifyPolicy,
-        ruleset: Option<Policy>,
+        policy: Policy,
     ) -> Vec<Route> {
         if self.planner.is_none() {
             self.planner = Some(RoutePlanner::new(&self.topo));
@@ -1218,11 +1134,10 @@ impl Network {
             self.metric.as_ref(),
             fmin,
             &PlanContext {
-                purify,
+                policy,
                 loads: &self.edge_load,
                 exclude,
                 penalties: &self.penalty_snapshot,
-                ruleset,
             },
         )
     }
@@ -1279,7 +1194,7 @@ impl Network {
     /// assert!(out.end_to_end_fidelity > 0.25);
     /// ```
     pub fn request_entanglement(&mut self, src: usize, dst: usize, fmin: f64) -> u64 {
-        if self.purify == PurifyPolicy::EndToEnd || self.ruleset == Some(Policy::EndToEndPurify) {
+        if self.policy == Policy::EndToEndPurify {
             return self.request_entanglement_distilled(src, dst, fmin);
         }
         let route = self
@@ -1293,7 +1208,7 @@ impl Network {
 
     /// Requests one end-to-end pair produced by 2→1 distillation of
     /// two concurrent streams (what [`Network::request_entanglement`]
-    /// issues under [`PurifyPolicy::EndToEnd`]): the streams split
+    /// issues under [`Policy::EndToEndPurify`]): the streams split
     /// over edge-disjoint routes where the topology has them, and when
     /// both deliver, the path ends measure, exchange the parity bit
     /// across the whole path's control channels, and either emit one
@@ -1331,8 +1246,7 @@ impl Network {
                 done: Vec::new(),
                 swaps: 0,
                 pairs_consumed: 0,
-                link_purify: self.ruleset.is_none() && self.purify == PurifyPolicy::LinkLevel,
-                policy: self.member_ruleset(),
+                policy: self.member_policy(),
                 armed: self.reroute_enabled(),
                 timeout: self.request_timeout,
                 retries: self.retry_budget,
@@ -1350,14 +1264,6 @@ impl Network {
     /// Panics if the path has fewer than two nodes or consecutive
     /// nodes are not connected.
     pub fn request_on_path(&mut self, path: &[usize], fmin: f64) -> u64 {
-        let link_purify = self.ruleset.is_none() && self.purify == PurifyPolicy::LinkLevel;
-        self.issue_on_path(path, fmin, link_purify)
-    }
-
-    /// [`Network::request_on_path`] with the edge-purification choice
-    /// pinned by the caller, issued under the network's current
-    /// failure-detection knobs.
-    fn issue_on_path(&mut self, path: &[usize], fmin: f64, link_purify: bool) -> u64 {
         let seed = AttemptSeed {
             armed: self.reroute_enabled(),
             timeout: self.request_timeout,
@@ -1366,25 +1272,19 @@ impl Network {
             requested_at: self.queue.now(),
             group: None,
             attempt: 0,
-            policy: self.member_ruleset(),
+            policy: self.member_policy(),
         };
-        self.issue_fresh(path, fmin, link_purify, seed)
+        self.issue_fresh(path, fmin, seed)
     }
 
     /// Allocates a new request id and issues its first attempt under
     /// an explicit seed — group regeneration builds the seed from the
     /// state its group was *created* with, whatever the network's
     /// knobs say by then.
-    fn issue_fresh(
-        &mut self,
-        path: &[usize],
-        fmin: f64,
-        link_purify: bool,
-        seed: AttemptSeed,
-    ) -> u64 {
+    fn issue_fresh(&mut self, path: &[usize], fmin: f64, seed: AttemptSeed) -> u64 {
         let id = self.next_request;
         self.next_request += 1;
-        self.issue_attempt(id, path, fmin, link_purify, seed);
+        self.issue_attempt(id, path, fmin, seed);
         id
     }
 
@@ -1392,14 +1292,7 @@ impl Network {
     /// id, under the given retry/identity state — both the first
     /// attempt of a fresh request and every re-routed attempt land
     /// here.
-    fn issue_attempt(
-        &mut self,
-        id: u64,
-        path: &[usize],
-        fmin: f64,
-        link_purify: bool,
-        seed: AttemptSeed,
-    ) {
+    fn issue_attempt(&mut self, id: u64, path: &[usize], fmin: f64, seed: AttemptSeed) {
         assert!(path.len() >= 2, "a path needs two ends");
         let path = path.to_vec();
         let edges = self.topo.path_edges(&path);
@@ -1431,55 +1324,37 @@ impl Network {
             self.edge_load[e] += 1;
         }
 
-        // An interpreted attempt compiles its policy to a rule table
-        // once and installs per-edge programs (purification rounds,
-        // chosen against the planner's FEU fidelity estimate) on every
-        // path node. Building the planner is deterministic and draws
-        // no RNG, so doing it lazily here cannot move a bit.
-        let compiled = seed.policy.map(|pol| {
-            if self.planner.is_none() {
-                self.planner = Some(RoutePlanner::new(&self.topo));
-            }
-            let planner = self.planner.as_ref().expect("planner just built");
-            let rules = Arc::new(pol.ruleset());
-            let programs: Vec<ArmProgram> = edges
-                .iter()
-                .map(|&e| rules.edge_program(planner.profile(e).fidelity))
-                .collect();
-            (rules, programs)
-        });
+        // The attempt compiles its policy to a rule table once and
+        // installs per-edge programs (purification rounds, chosen
+        // against the planner's FEU fidelity estimate) on every path
+        // node. Building the planner is deterministic and draws no
+        // RNG, so doing it lazily here cannot move a bit.
+        let planner = self
+            .planner
+            .get_or_insert_with(|| RoutePlanner::new(&self.topo));
+        let rules = Arc::new(seed.policy.ruleset());
+        let programs: Vec<ArmProgram> = edges
+            .iter()
+            .map(|&e| rules.edge_program(planner.profile(e).fidelity))
+            .collect();
         let repeaters = (path.len() - 2) as u32;
         for (i, &n) in path.iter().enumerate() {
-            let role = if i == 0 {
-                PathRole::End {
-                    edge: edges[0],
+            let (role, left, right) = if i == 0 || i == path.len() - 1 {
+                // An end's single edge: the path's first, or its last.
+                let pos = i.saturating_sub(1);
+                let role = PathRole::End {
+                    edge: edges[pos],
                     expected_swaps: repeaters,
-                }
-            } else if i == path.len() - 1 {
-                PathRole::End {
-                    edge: edges[i - 1],
-                    expected_swaps: repeaters,
-                }
+                };
+                (role, programs[pos], ArmProgram::default())
             } else {
-                PathRole::Repeater {
+                let role = PathRole::Repeater {
                     left: edges[i - 1],
                     right: edges[i],
-                }
-            };
-            if let Some((rules, programs)) = &compiled {
-                let (left, right) = if i == 0 {
-                    (programs[0], ArmProgram::default())
-                } else if i == path.len() - 1 {
-                    (programs[i - 1], ArmProgram::default())
-                } else {
-                    (programs[i - 1], programs[i])
                 };
-                self.nodes[n].reserve_ruleset(id, role, rules.clone(), left, right);
-            } else if link_purify {
-                self.nodes[n].reserve_purified(id, role);
-            } else {
-                self.nodes[n].reserve(id, role);
-            }
+                (role, programs[i - 1], programs[i])
+            };
+            self.nodes[n].reserve(id, role, rules.clone(), left, right);
         }
         // Arm this attempt's failure detection (no event at all when
         // the request was issued without a timeout — earlier PRs'
@@ -1502,13 +1377,10 @@ impl Network {
                 ends_ready: [None, None],
                 frame: (0, 0),
                 swaps: 0,
-                link_purify,
                 purify_pending: vec![false; edges.len()],
                 pair_fidelities: vec![Vec::new(); edges.len()],
                 pairs_consumed: 0,
-                edge_needs: compiled
-                    .as_ref()
-                    .map(|(_, programs)| programs.iter().map(|p| p.need()).collect()),
+                edge_needs: programs.iter().map(ArmProgram::need).collect(),
                 path,
                 edges,
                 seed,
@@ -1825,12 +1697,6 @@ impl Network {
         }
     }
 
-    fn record(&mut self, at: SimTime, kind: TraceKind) {
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEntry { at, kind });
-        }
-    }
-
     /// (Re)schedules the wake for a link's next internal event. Any
     /// previously scheduled wake becomes stale via the generation
     /// counter. A parked link has no next event and gets no wake: the
@@ -1850,7 +1716,6 @@ impl Network {
                 if gen != self.wake_gen[link] {
                     return; // superseded by a later-scheduled, earlier wake
                 }
-                self.record(t, TraceKind::LinkWake(link));
                 self.links[link].advance_to(t);
                 let deliveries = self.links[link].drain_deliveries();
                 for d in deliveries {
@@ -1864,7 +1729,6 @@ impl Network {
             }
             NetEvent::Control { at, msg } => {
                 self.cr_pending.fired(t);
-                self.record(t, TraceKind::Control(at));
                 match msg {
                     ControlMsg::Reserve { request } => self.on_reserve(request, at),
                     ControlMsg::SwapResult {
@@ -2035,19 +1899,13 @@ impl Network {
     }
 
     /// Issues every NL CREATE path edge position `pos` of `request`
-    /// needs: one pair normally, two under link-level purification.
+    /// starts with: the compiled program's pair need for the edge (one
+    /// pair normally, two when it distills).
     fn submit_edge_creates(&mut self, request: u64, pos: usize, fmin: f64) {
-        let pairs = match self.requests.get(&request) {
-            Some(req) => match &req.edge_needs {
-                // Interpreted attempt: initial CREATE count is the
-                // compiled program's pair need for this edge.
-                Some(needs) => needs[pos],
-                None if req.link_purify => 2,
-                None => 1,
-            },
-            None => return,
+        let Some(req) = self.requests.get(&request) else {
+            return;
         };
-        for _ in 0..pairs {
+        for _ in 0..req.edge_needs[pos] {
             self.submit_nl(request, pos, fmin);
         }
     }
@@ -2260,7 +2118,6 @@ impl Network {
 
         if req.seed.retries_left == 0 {
             self.timed_out += 1;
-            self.record(t, TraceKind::Timeout(request));
             if let Some(tl) = self.telemetry.as_deref_mut() {
                 tl.on_abandon();
                 tl.emit(
@@ -2285,7 +2142,6 @@ impl Network {
         // never touch it) desynchronises the retry storm of streams
         // that all timed out at the same instant.
         self.reroutes += 1;
-        self.record(t, TraceKind::Reroute(request));
         if let Some(tl) = self.telemetry.as_deref_mut() {
             tl.on_reroute();
             tl.emit(
@@ -2312,7 +2168,6 @@ impl Network {
                 src: req.path[0],
                 dst: *req.path.last().expect("a path has two ends"),
                 fmin: req.fmin,
-                link_purify: req.link_purify,
                 seed: AttemptSeed {
                     excluded,
                     retries_left: req.seed.retries_left - 1,
@@ -2329,28 +2184,23 @@ impl Network {
     /// *current* loads and profiles — first barring every excluded
     /// edge, then (if that disconnects the pair) with the bars
     /// lifted, then best-effort ignoring `fmin` — and re-issue under
-    /// the original id, fmin, and purification policy.
+    /// the original id, fmin, and policy.
     fn on_reissue(&mut self, request: u64, _t: SimTime) {
         let Some(p) = self.parked.remove(&request) else {
             return; // cancelled while parked
         };
-        let policy = if p.link_purify {
-            PurifyPolicy::LinkLevel
-        } else {
-            PurifyPolicy::Off
-        };
-        let ruleset = p.seed.policy;
+        let policy = p.seed.policy;
         let route = self
-            .plan_with_policy(p.src, p.dst, p.fmin, 1, &p.seed.excluded, policy, ruleset)
+            .plan_with_policy(p.src, p.dst, p.fmin, 1, &p.seed.excluded, policy)
             .into_iter()
             .next()
             .or_else(|| {
-                self.plan_with_policy(p.src, p.dst, p.fmin, 1, &[], policy, ruleset)
+                self.plan_with_policy(p.src, p.dst, p.fmin, 1, &[], policy)
                     .into_iter()
                     .next()
             })
             .or_else(|| {
-                self.plan_with_policy(p.src, p.dst, 0.0, 1, &[], policy, ruleset)
+                self.plan_with_policy(p.src, p.dst, 0.0, 1, &[], policy)
                     .into_iter()
                     .next()
             });
@@ -2374,7 +2224,7 @@ impl Network {
                 }
             }
         }
-        self.issue_attempt(request, &route.nodes, p.fmin, p.link_purify, p.seed);
+        self.issue_attempt(request, &route.nodes, p.fmin, p.seed);
     }
 
     /// A member stream of an end-to-end distillation group was
@@ -2405,7 +2255,6 @@ impl Network {
         };
         self.pending_creates
             .remove(&(edge_idx, d.origin, d.create_id));
-        self.record(t, TraceKind::Delivery(edge_idx));
         if self.telemetry.is_some() {
             let attempt = self.requests.get(&request).map_or(0, |r| r.seed.attempt);
             let tl = self.telemetry.as_deref_mut().expect("just checked");
@@ -2460,27 +2309,28 @@ impl Network {
         }
     }
 
-    /// Surfaces the rule-firing log an interpreted node accumulated
-    /// during its last observation as [`SpanStage::RuleFired`] spans.
-    /// The log is always drained (the node buffers unconditionally so
-    /// its decision path is identical either way), but spans are only
+    /// Surfaces the rule-firing log a node accumulated during its last
+    /// observation as [`SpanStage::RuleFired`] spans. The log is
+    /// always drained (the node buffers unconditionally so its
+    /// decision path is identical either way), but spans are only
     /// emitted when telemetry is on — recording stays passive and
     /// on/off never moves a bit.
     fn drain_rule_fires(&mut self, node: usize, t: SimTime) {
-        while let Some(f) = self.nodes[node].pop_fired() {
-            if self.telemetry.is_some() {
-                let attempt = self.requests.get(&f.request).map_or(0, |r| r.seed.attempt);
-                let tl = self.telemetry.as_deref_mut().expect("just checked");
-                tl.emit(
-                    t,
-                    f.request,
-                    attempt,
-                    SpanStage::RuleFired {
-                        rule: f.rule,
-                        action: f.action,
-                    },
-                );
-            }
+        let fired = self.nodes[node].drain_fired();
+        let Some(tl) = self.telemetry.as_deref_mut() else {
+            return; // dropping the drain empties the log
+        };
+        for f in fired {
+            let attempt = self.requests.get(&f.request).map_or(0, |r| r.seed.attempt);
+            tl.emit(
+                t,
+                f.request,
+                attempt,
+                SpanStage::RuleFired {
+                    rule: f.rule,
+                    action: f.action,
+                },
+            );
         }
     }
 
@@ -2571,7 +2421,6 @@ impl Network {
                 });
             }
         }
-        self.record(t, TraceKind::Purify(edge_idx));
         // Each endpoint learns the verdict when the partner's parity
         // bit crosses the edge's control channel.
         let edge = self.topo.edge(edge_idx);
@@ -2591,10 +2440,10 @@ impl Network {
         }
     }
 
-    /// Delivers a link-level purification verdict to `at`: the node
-    /// machine advances (possibly unlocking a swap or completion), and
-    /// on a reject the edge's CREATE-issuing endpoint regenerates the
-    /// two pairs.
+    /// Delivers a link-level purification verdict to `at`: the node's
+    /// table advances (possibly unlocking a swap or completion), and
+    /// the edge's CREATE-issuing endpoint generates whatever fresh
+    /// pairs the table now demands.
     fn on_purify_result(
         &mut self,
         request: u64,
@@ -2617,40 +2466,11 @@ impl Network {
         if let Some(action) = action {
             self.apply_action(at, action, t);
         }
-        // Interpreted attempt: regeneration is demand-driven — the
-        // rule table decided how many fresh pairs this edge needs
-        // (one to pump an accepted round, the program's full need
-        // after a reject, zero when the program completed).
-        if self
-            .requests
-            .get(&request)
-            .is_some_and(|r| r.edge_needs.is_some())
-        {
-            let demand = self.nodes[at].take_create_demand(request, edge);
-            let Some(req) = self.requests.get_mut(&request) else {
-                return;
-            };
-            let Some(pos) = req.edges.iter().position(|&e| e == edge) else {
-                return;
-            };
-            // Only the endpoint that submits this edge's CREATEs
-            // restarts generation (its partner drained an identical
-            // demand above and drops it here).
-            if req.path[pos] != at {
-                return;
-            }
-            if demand > 0 {
-                req.purify_pending[pos] = false;
-                let fmin = req.fmin;
-                for _ in 0..demand {
-                    self.submit_nl(request, pos, fmin);
-                }
-            }
-            return;
-        }
-        if accepted {
-            return;
-        }
+        // Regeneration is demand-driven — the rule table decided how
+        // many fresh pairs this edge needs (one to pump an accepted
+        // round, the program's full need after a reject, zero when the
+        // program completed).
+        let demand = self.nodes[at].take_create_demand(request, edge);
         let Some(req) = self.requests.get_mut(&request) else {
             return;
         };
@@ -2658,19 +2478,21 @@ impl Network {
             return;
         };
         // Only the endpoint that submits this edge's CREATEs restarts
-        // generation (its partner received the same verdict).
-        if req.path[pos] != at {
+        // generation (its partner drained an identical demand above
+        // and drops it here).
+        if req.path[pos] != at || demand == 0 {
             return;
         }
         req.purify_pending[pos] = false;
         let fmin = req.fmin;
-        self.submit_edge_creates(request, pos, fmin);
+        for _ in 0..demand {
+            self.submit_nl(request, pos, fmin);
+        }
     }
 
     /// Executes a repeater's entanglement swap on the quantum ledger
     /// and broadcasts the Bell-measurement outcome to both ends.
     fn do_swap(&mut self, node: usize, request: u64, t: SimTime) {
-        self.record(t, TraceKind::Swap(node));
         if self.telemetry.is_some() {
             let attempt = self.requests.get(&request).map_or(0, |r| r.seed.attempt);
             self.telemetry.as_deref_mut().expect("just checked").emit(
@@ -2811,7 +2633,6 @@ impl Network {
             self.nodes[n].release(request);
         }
         self.release_edge_load(request, &req.edges);
-        self.record(t, TraceKind::Complete(request));
         debug_assert_eq!(req.segments.len(), 1, "completion with fragmented path");
         let mut seg = req.segments.into_iter().next().expect("spanning segment");
         // The pair keeps decaying until the later end learned its
@@ -2946,7 +2767,6 @@ impl Network {
             g.done.clear();
             let routes = g.routes.clone();
             let fmin = g.fmin;
-            let link_purify = g.link_purify;
             let (armed, timeout, retries) = (g.armed, g.timeout, g.retries);
             let policy = g.policy;
             let mut members = [0u64; 2];
@@ -2965,7 +2785,7 @@ impl Network {
                     attempt: 0,
                     policy,
                 };
-                members[i] = self.issue_fresh(route, fmin, link_purify, seed);
+                members[i] = self.issue_fresh(route, fmin, seed);
             }
             self.groups.get_mut(&group).expect("group survives").members = members;
             return;
@@ -2977,7 +2797,6 @@ impl Network {
         // The surviving pair decayed while the parity bits travelled.
         kept.segment.decay_to(t);
         let fidelity = bell_fidelity(&kept.segment.state, (0, 1), BellState::PhiPlus);
-        self.record(t, TraceKind::Complete(group));
         let latency = t.since(g.requested_at);
         if let Some(tl) = self.telemetry.as_deref_mut() {
             tl.on_complete(t, fidelity, latency);

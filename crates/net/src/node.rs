@@ -1,4 +1,4 @@
-//! Per-node SWAP-ASAP protocol state machines.
+//! Per-node SWAP-ASAP protocol state.
 //!
 //! Each node of the topology runs one [`SwapAsapNode`]. For every
 //! path reservation it plays one of two roles: an *end* (source or
@@ -7,44 +7,38 @@
 //! pair is usable; the quantum ledger folds the Pauli correction into
 //! the state at swap time, so the collected bits gate *usability*,
 //! not a correction still to be applied), or a *repeater* (it swaps —
-//! performs a Bell-state
-//! measurement over its two halves — **as soon as** pairs on both of
-//! its path edges exist; hence SWAP-ASAP, the greedy policy of the
-//! repeater literature, e.g. arXiv:2111.11332's chain demonstration).
+//! performs a Bell-state measurement over its two halves — **as soon
+//! as** pairs on both of its path edges exist; hence SWAP-ASAP, the
+//! greedy policy of the repeater literature, e.g. arXiv:2111.11332's
+//! chain demonstration).
 //!
-//! Under link-level purification (reservations made with
-//! [`SwapAsapNode::reserve_purified`]) an edge must deliver **two**
-//! pairs before it is usable: the second delivery arms the
-//! purification rule — the node emits [`NodeAction::Purify`], the
-//! local halves are measured, and the edge stays unusable until the
-//! partner's parity bit arrives over the classical control channel
+//! What a node *does* with its role is data, not code: every
+//! reservation installs a [`RuleSet`] table (compiled from the
+//! request's [`Policy`](crate::ruleset::Policy) at plan time) and
+//! runs it through the [`crate::ruleset`] interpreter. Under a
+//! purifying program an edge must deliver **two** pairs before it is
+//! usable: the second delivery arms the purification rule — the node
+//! emits [`NodeAction::Purify`], the local halves are measured, and
+//! the edge stays unusable until the partner's parity bit arrives
+//! over the classical control channel
 //! ([`SwapAsapNode::on_purify_result`]). An agreeing parity makes the
-//! edge ready (one boosted pair); a disagreeing one discards both
-//! pairs and the counting starts over. This is the RuleSet shape of
-//! Matsuo et al.: purification and swapping are both rules the same
-//! per-node machine schedules, purify strictly before swap.
+//! edge ready (one boosted pair, or the next pumping round); a
+//! disagreeing one discards both pairs and the counting starts over.
+//! This is the RuleSet shape of Matsuo et al.: purification and
+//! swapping are both rules the same per-node interpreter schedules,
+//! purify strictly before swap.
 //!
-//! The node machines are pure decision logic: they never touch the
-//! event queue or the quantum ledger. The [`crate::network::Network`]
-//! feeds them observations (pair deliveries, purify results,
-//! swap-result messages) and executes the [`NodeAction`]s they emit,
-//! which keeps every quantum operation and every classical
-//! transmission on the shared clock.
-//!
-//! Reservations come in two flavours: the hard-coded machine above
-//! ([`SwapAsapNode::reserve`] / [`SwapAsapNode::reserve_purified`]),
-//! and interpreted reservations
-//! ([`SwapAsapNode::reserve_ruleset`]) that run an installed
-//! [`RuleSet`] table through the
-//! [`crate::ruleset`] interpreter instead. Both flavours consume the
-//! same observations and emit the same [`NodeAction`]s; the
-//! interpreted SWAP-ASAP table is bit-identical to the hard-coded
-//! path (see `crate::ruleset`).
+//! The nodes are pure decision logic: they never touch the event
+//! queue or the quantum ledger. The [`crate::network::Network`] feeds
+//! them observations (pair deliveries, purify results, swap-result
+//! messages) and executes the [`NodeAction`]s they emit, which keeps
+//! every quantum operation and every classical transmission on the
+//! shared clock.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::ruleset::{ArmProgram, Emit, FiredRule, Obs, RuleSet, RuleState};
+use crate::ruleset::{ArmProgram, FiredRule, Obs, RuleSet, RuleState};
 
 /// A node's role in one reserved path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,78 +95,15 @@ pub enum NodeAction {
     },
 }
 
-/// Per-edge delivery/purification bookkeeping inside one reservation.
-#[derive(Debug, Clone, Copy, Default)]
-struct EdgeState {
-    /// Pairs delivered toward the current usable pair.
-    pairs: u8,
-    /// Parity bits in flight: measured, awaiting the partner's bit.
-    purifying: bool,
-    /// The edge holds its usable (possibly distilled) pair.
-    ready: bool,
-}
-
-impl EdgeState {
-    /// Registers one delivery; returns `true` when the purification
-    /// rule arms (second pair of a purifying edge).
-    fn on_pair(&mut self, need: u8) -> bool {
-        if self.ready || self.purifying {
-            return false;
-        }
-        self.pairs += 1;
-        if self.pairs < need {
-            return false;
-        }
-        if need == 1 {
-            self.ready = true;
-            false
-        } else {
-            self.purifying = true;
-            true
-        }
-    }
-}
-
-#[derive(Debug)]
-struct PathState {
-    role: PathRole,
-    /// Pairs an edge must deliver before it is usable (2 = purify).
-    need: u8,
-    left: EdgeState,
-    right: EdgeState,
-    swapped: bool,
-    swap_results: u32,
-    frame_z: u8,
-    frame_x: u8,
-}
-
-impl PathState {
-    fn edge_state(&mut self, edge: usize) -> Option<&mut EdgeState> {
-        match self.role {
-            PathRole::End { edge: own, .. } => (edge == own).then_some(&mut self.left),
-            PathRole::Repeater { left, right } => {
-                if edge == left {
-                    Some(&mut self.left)
-                } else if edge == right {
-                    Some(&mut self.right)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-}
-
-/// The SWAP-ASAP state machine of one network node.
+/// The protocol state of one network node: one installed rule table
+/// per path reservation.
 #[derive(Debug, Default)]
 pub struct SwapAsapNode {
-    paths: HashMap<u64, PathState>,
-    /// Interpreted reservations: per-request installed RuleSet state
-    /// (see [`crate::ruleset`]). Disjoint from `paths` by the
-    /// reservation assertions.
+    /// Per-request installed RuleSet state (see [`crate::ruleset`]).
     rules: HashMap<u64, RuleState>,
-    /// Rules the interpreter fired, FIFO — drained by the network
-    /// layer into passive telemetry via [`SwapAsapNode::pop_fired`].
+    /// Rules the interpreter fired during the last observation —
+    /// drained by the network layer into passive telemetry via
+    /// [`SwapAsapNode::drain_fired`].
     fired: Vec<FiredRule>,
     /// Total swaps this node has performed (across requests).
     pub swaps_performed: u64,
@@ -188,19 +119,14 @@ impl SwapAsapNode {
 
     /// Number of in-flight path reservations at this node.
     pub fn active_paths(&self) -> usize {
-        self.paths.len() + self.rules.len()
+        self.rules.len()
     }
 
     /// The in-flight request ids reserved at this node, ascending.
     /// Reservations are independent per request, so one node serves
     /// any number of concurrent paths (its own or other pairs').
     pub fn active_requests(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .paths
-            .keys()
-            .chain(self.rules.keys())
-            .copied()
-            .collect();
+        let mut ids: Vec<u64> = self.rules.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -209,71 +135,23 @@ impl SwapAsapNode {
     /// node-local view of the contention the EGP distributed queue
     /// arbitrates when concurrent requests share a link.
     pub fn reserved_on_edge(&self, edge: usize) -> usize {
-        let uses = |role: PathRole| match role {
-            PathRole::End { edge: own, .. } => own == edge,
-            PathRole::Repeater { left, right } => left == edge || right == edge,
-        };
-        self.paths.values().filter(|st| uses(st.role)).count()
-            + self.rules.values().filter(|st| uses(st.role())).count()
+        self.rules
+            .values()
+            .filter(|st| match st.role() {
+                PathRole::End { edge: own, .. } => own == edge,
+                PathRole::Repeater { left, right } => left == edge || right == edge,
+            })
+            .count()
     }
 
-    /// Reserves this node for a path with the given role (one pair per
-    /// edge — no purification).
+    /// Reserves this node for a path with the given role, installing
+    /// the request's rule table. `left` / `right` are the compiled
+    /// per-edge programs of the role's arms (an end uses `left` for
+    /// its single edge; `right` is ignored).
     ///
     /// # Panics
     /// Panics if the request is already reserved here.
-    pub fn reserve(&mut self, request: u64, role: PathRole) {
-        self.reserve_with_need(request, role, 1);
-    }
-
-    /// Reserves this node for a path whose edges purify: every edge
-    /// needs two delivered pairs, distilled into one via
-    /// [`NodeAction::Purify`] / [`SwapAsapNode::on_purify_result`],
-    /// before the SWAP-ASAP rules may consume it.
-    ///
-    /// # Panics
-    /// Panics if the request is already reserved here.
-    pub fn reserve_purified(&mut self, request: u64, role: PathRole) {
-        self.reserve_with_need(request, role, 2);
-    }
-
-    fn reserve_with_need(&mut self, request: u64, role: PathRole, need: u8) {
-        assert!(
-            !self.rules.contains_key(&request),
-            "request {request} reserved twice"
-        );
-        let prev = self.paths.insert(
-            request,
-            PathState {
-                role,
-                need,
-                left: EdgeState::default(),
-                right: EdgeState::default(),
-                swapped: false,
-                swap_results: 0,
-                frame_z: 0,
-                frame_x: 0,
-            },
-        );
-        assert!(prev.is_none(), "request {request} reserved twice");
-    }
-
-    /// `true` while `request` holds a reservation at this node.
-    pub fn is_reserved(&self, request: u64) -> bool {
-        self.paths.contains_key(&request) || self.rules.contains_key(&request)
-    }
-
-    /// Reserves this node for a path that runs an installed
-    /// [`RuleSet`] instead of the hard-coded
-    /// machine: observations route through the [`crate::ruleset`]
-    /// interpreter, whose emissions convert 1:1 into the same
-    /// [`NodeAction`]s. `left` / `right` are the compiled per-edge
-    /// programs of the role's arms (an end uses `left` for its single
-    /// edge; `right` is ignored).
-    ///
-    /// # Panics
-    /// Panics if the request is already reserved here.
-    pub fn reserve_ruleset(
+    pub fn reserve(
         &mut self,
         request: u64,
         role: PathRole,
@@ -281,19 +159,20 @@ impl SwapAsapNode {
         left: ArmProgram,
         right: ArmProgram,
     ) {
-        assert!(
-            !self.paths.contains_key(&request),
-            "request {request} reserved twice"
-        );
         let prev = self
             .rules
             .insert(request, RuleState::new(rules, role, left, right));
         assert!(prev.is_none(), "request {request} reserved twice");
     }
 
-    /// Drains the fresh-pair demand the interpreter accumulated for
+    /// `true` while `request` holds a reservation at this node.
+    pub fn is_reserved(&self, request: u64) -> bool {
+        self.rules.contains_key(&request)
+    }
+
+    /// Drains the fresh-pair demand the rule table accumulated for
     /// `request` on `edge` (pump / regenerate actions). Zero for
-    /// hard-coded reservations and unknown edges.
+    /// unknown requests and edges.
     pub fn take_create_demand(&mut self, request: u64, edge: usize) -> u8 {
         match self.rules.get_mut(&request) {
             Some(st) => st.take_demand(edge),
@@ -301,43 +180,25 @@ impl SwapAsapNode {
         }
     }
 
-    /// Pops the oldest fired-rule log entry, if any. The network layer
+    /// Drains the fired-rule log, oldest first. The network layer
     /// drains this after every observation it feeds the node — always,
     /// whether or not telemetry records the entries, so recording
     /// state never changes node or network behaviour.
-    pub fn pop_fired(&mut self) -> Option<FiredRule> {
-        if self.fired.is_empty() {
-            None
-        } else {
-            Some(self.fired.remove(0))
-        }
+    pub fn drain_fired(&mut self) -> std::vec::Drain<'_, FiredRule> {
+        self.fired.drain(..)
     }
 
-    /// Routes an observation through the interpreter of an interpreted
-    /// reservation, converting its emission into a [`NodeAction`] and
-    /// keeping the public counters in step with the hard-coded path.
-    fn observe_rules(&mut self, request: u64, obs: Obs) -> Option<NodeAction> {
+    /// Routes an observation through the request's installed table,
+    /// keeping the public counters in step with what it emits.
+    fn observe(&mut self, request: u64, obs: Obs) -> Option<NodeAction> {
         let st = self.rules.get_mut(&request)?;
-        let emit = st.observe(request, obs, &mut self.fired)?;
-        Some(match emit {
-            Emit::Purify { edge } => {
-                self.purifications_started += 1;
-                NodeAction::Purify { request, edge }
-            }
-            Emit::Swap { left, right } => {
-                self.swaps_performed += 1;
-                NodeAction::Swap {
-                    request,
-                    left,
-                    right,
-                }
-            }
-            Emit::EndReady { frame_z, frame_x } => NodeAction::EndReady {
-                request,
-                frame_z,
-                frame_x,
-            },
-        })
+        let action = st.observe(request, obs, &mut self.fired)?;
+        match action {
+            NodeAction::Purify { .. } => self.purifications_started += 1,
+            NodeAction::Swap { .. } => self.swaps_performed += 1,
+            NodeAction::EndReady { .. } => {}
+        }
+        Some(action)
     }
 
     /// Releases a path reservation (completion, timeout, or re-route
@@ -346,30 +207,18 @@ impl SwapAsapNode {
     /// releases along the *old* path, which may no longer include
     /// this node.
     pub fn release(&mut self, request: u64) -> bool {
-        let hard = self.paths.remove(&request).is_some();
-        let interpreted = self.rules.remove(&request).is_some();
-        hard || interpreted
+        self.rules.remove(&request).is_some()
     }
 
     /// Observation: a link pair on `edge` now exists for `request`.
     /// Returns the action this unlocks, if any.
     pub fn on_pair(&mut self, request: u64, edge: usize) -> Option<NodeAction> {
-        if self.rules.contains_key(&request) {
-            return self.observe_rules(request, Obs::PairArrived { edge });
-        }
-        let st = self.paths.get_mut(&request)?;
-        let need = st.need;
-        let armed = st.edge_state(edge)?.on_pair(need);
-        if armed {
-            self.purifications_started += 1;
-            return Some(NodeAction::Purify { request, edge });
-        }
-        self.unlock(request)
+        self.observe(request, Obs::PairArrived { edge })
     }
 
     /// Observation: the partner's parity bit for the purification on
-    /// `edge` arrived. An agreeing parity (`accepted`) makes the edge
-    /// ready; a disagreement discards both pairs — the edge counts
+    /// `edge` arrived. An agreeing parity (`accepted`) completes the
+    /// round; a disagreement discards both pairs — the edge counts
     /// deliveries from zero again.
     pub fn on_purify_result(
         &mut self,
@@ -377,90 +226,35 @@ impl SwapAsapNode {
         edge: usize,
         accepted: bool,
     ) -> Option<NodeAction> {
-        if self.rules.contains_key(&request) {
-            return self.observe_rules(request, Obs::Parity { edge, accepted });
-        }
-        let st = self.paths.get_mut(&request)?;
-        let es = st.edge_state(edge)?;
-        if !es.purifying {
-            return None;
-        }
-        es.purifying = false;
-        if accepted {
-            es.ready = true;
-            self.unlock(request)
-        } else {
-            es.pairs = 0;
-            None
-        }
+        self.observe(request, Obs::Parity { edge, accepted })
     }
 
     /// Observation: a repeater's swap result (the two BSM bits)
     /// arrived at this node. Ends fold it into their Pauli frame;
     /// repeaters ignore it.
     pub fn on_swap_result(&mut self, request: u64, z: u8, x: u8) -> Option<NodeAction> {
-        if self.rules.contains_key(&request) {
-            return self.observe_rules(request, Obs::SwapResult { z, x });
-        }
-        let st = self.paths.get_mut(&request)?;
-        let PathRole::End { .. } = st.role else {
-            return None;
-        };
-        st.swap_results += 1;
-        st.frame_z ^= z;
-        st.frame_x ^= x;
-        self.unlock(request)
-    }
-
-    /// Checks whether a reservation's standing rules fire: a repeater
-    /// swaps once both edges are ready; an end reports once its edge
-    /// is ready and every expected swap result arrived. Either fires
-    /// at most once (latched by `swapped`).
-    fn unlock(&mut self, request: u64) -> Option<NodeAction> {
-        let st = self.paths.get_mut(&request)?;
-        if st.swapped {
-            return None;
-        }
-        match st.role {
-            PathRole::Repeater { left, right } => {
-                if st.left.ready && st.right.ready {
-                    st.swapped = true;
-                    self.swaps_performed += 1;
-                    Some(NodeAction::Swap {
-                        request,
-                        left,
-                        right,
-                    })
-                } else {
-                    None
-                }
-            }
-            PathRole::End { expected_swaps, .. } => {
-                if st.left.ready && st.swap_results >= expected_swaps {
-                    // `swapped` doubles as the ends' "ready already
-                    // reported" latch so completion fires exactly once.
-                    st.swapped = true;
-                    Some(NodeAction::EndReady {
-                        request,
-                        frame_z: st.frame_z,
-                        frame_x: st.frame_x,
-                    })
-                } else {
-                    None
-                }
-            }
-        }
+        self.observe(request, Obs::SwapResult { z, x })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::PathRole::{End, Repeater};
     use super::*;
+    use crate::ruleset::Policy::{self, LinkPurify, SwapAsap};
+
+    /// Installs `policy`'s table for `role`, every arm compiled
+    /// against the same fidelity estimate.
+    fn reserve(n: &mut SwapAsapNode, request: u64, role: PathRole, policy: Policy) {
+        let rules = Arc::new(policy.ruleset());
+        let program = rules.edge_program(0.9);
+        n.reserve(request, role, rules, program, program);
+    }
 
     #[test]
     fn repeater_swaps_exactly_when_both_sides_arrive() {
         let mut n = SwapAsapNode::new();
-        n.reserve(1, PathRole::Repeater { left: 0, right: 1 });
+        reserve(&mut n, 1, Repeater { left: 0, right: 1 }, SwapAsap);
         assert_eq!(n.on_pair(1, 0), None);
         assert_eq!(
             n.on_pair(1, 1),
@@ -478,12 +272,14 @@ mod tests {
     #[test]
     fn end_waits_for_pair_and_all_results() {
         let mut n = SwapAsapNode::new();
-        n.reserve(
+        reserve(
+            &mut n,
             7,
-            PathRole::End {
+            End {
                 edge: 2,
                 expected_swaps: 2,
             },
+            SwapAsap,
         );
         assert_eq!(n.on_swap_result(7, 1, 0), None);
         assert_eq!(n.on_pair(7, 2), None);
@@ -503,12 +299,14 @@ mod tests {
     #[test]
     fn single_hop_end_is_ready_on_delivery() {
         let mut n = SwapAsapNode::new();
-        n.reserve(
+        reserve(
+            &mut n,
             3,
-            PathRole::End {
+            End {
                 edge: 0,
                 expected_swaps: 0,
             },
+            SwapAsap,
         );
         assert_eq!(
             n.on_pair(3, 0),
@@ -523,12 +321,14 @@ mod tests {
     #[test]
     fn frame_accumulates_by_xor() {
         let mut n = SwapAsapNode::new();
-        n.reserve(
+        reserve(
+            &mut n,
             9,
-            PathRole::End {
+            End {
                 edge: 0,
                 expected_swaps: 3,
             },
+            SwapAsap,
         );
         n.on_pair(9, 0);
         n.on_swap_result(9, 1, 1);
@@ -547,14 +347,16 @@ mod tests {
     #[test]
     fn concurrent_requests_are_tracked_independently() {
         let mut n = SwapAsapNode::new();
-        n.reserve(1, PathRole::Repeater { left: 0, right: 1 });
-        n.reserve(2, PathRole::Repeater { left: 0, right: 2 });
-        n.reserve(
+        reserve(&mut n, 1, Repeater { left: 0, right: 1 }, SwapAsap);
+        reserve(&mut n, 2, Repeater { left: 0, right: 2 }, SwapAsap);
+        reserve(
+            &mut n,
             5,
-            PathRole::End {
+            End {
                 edge: 1,
                 expected_swaps: 1,
             },
+            SwapAsap,
         );
         assert_eq!(n.active_requests(), vec![1, 2, 5]);
         assert_eq!(n.reserved_on_edge(0), 2, "edge 0 is shared");
@@ -583,7 +385,7 @@ mod tests {
         assert_eq!(n.on_pair(99, 0), None);
         assert_eq!(n.on_swap_result(99, 1, 1), None);
         assert_eq!(n.on_purify_result(99, 0, true), None);
-        n.reserve(1, PathRole::Repeater { left: 0, right: 1 });
+        reserve(&mut n, 1, Repeater { left: 0, right: 1 }, SwapAsap);
         n.release(1);
         assert_eq!(n.on_pair(1, 0), None);
     }
@@ -593,7 +395,7 @@ mod tests {
         let mut n = SwapAsapNode::new();
         assert!(!n.is_reserved(5));
         assert!(!n.release(5), "releasing a stranger is a no-op");
-        n.reserve(5, PathRole::Repeater { left: 0, right: 1 });
+        reserve(&mut n, 5, Repeater { left: 0, right: 1 }, SwapAsap);
         assert!(n.is_reserved(5));
         assert!(n.release(5));
         assert!(!n.is_reserved(5));
@@ -603,7 +405,7 @@ mod tests {
     #[test]
     fn purifying_repeater_arms_purify_then_swaps_on_accepts() {
         let mut n = SwapAsapNode::new();
-        n.reserve_purified(4, PathRole::Repeater { left: 0, right: 1 });
+        reserve(&mut n, 4, Repeater { left: 0, right: 1 }, LinkPurify);
         // One pair per edge: nothing fires yet.
         assert_eq!(n.on_pair(4, 0), None);
         assert_eq!(n.on_pair(4, 1), None);
@@ -641,12 +443,14 @@ mod tests {
     #[test]
     fn purify_reject_restarts_the_edge_count() {
         let mut n = SwapAsapNode::new();
-        n.reserve_purified(
+        reserve(
+            &mut n,
             6,
-            PathRole::End {
+            End {
                 edge: 3,
                 expected_swaps: 0,
             },
+            LinkPurify,
         );
         assert_eq!(n.on_pair(6, 3), None);
         assert_eq!(
@@ -659,8 +463,11 @@ mod tests {
         // While the parity bit is in flight, further deliveries are
         // not counted toward the *next* round.
         assert_eq!(n.on_pair(6, 3), None);
-        // Reject: both pairs lost, count restarts.
+        // Reject: both pairs lost, count restarts — and the network is
+        // owed a fresh batch of two, once.
         assert_eq!(n.on_purify_result(6, 3, false), None);
+        assert_eq!(n.take_create_demand(6, 3), 2);
+        assert_eq!(n.take_create_demand(6, 3), 0);
         assert_eq!(n.on_pair(6, 3), None);
         assert_eq!(
             n.on_pair(6, 3),
@@ -678,17 +485,27 @@ mod tests {
                 frame_x: 0
             })
         );
+        assert_eq!(n.purifications_started, 2);
+        // The whole firing log comes out in one batch, oldest first.
+        let fired: Vec<&str> = n.drain_fired().map(|f| f.action).collect();
+        assert_eq!(
+            fired,
+            ["purify", "regenerate", "purify", "mark-ready", "end-ready"]
+        );
+        assert_eq!(n.drain_fired().count(), 0);
     }
 
     #[test]
     fn purifying_end_waits_for_swap_results_too() {
         let mut n = SwapAsapNode::new();
-        n.reserve_purified(
+        reserve(
+            &mut n,
             8,
-            PathRole::End {
+            End {
                 edge: 0,
                 expected_swaps: 1,
             },
+            LinkPurify,
         );
         n.on_pair(8, 0);
         assert_eq!(

@@ -1,18 +1,17 @@
 //! The RuleSet control plane: per-node protocol logic as *data*.
 //!
-//! Earlier PRs hard-coded every node behaviour into
-//! [`SwapAsapNode`](crate::node::SwapAsapNode)'s state machine: SWAP
-//! as soon as both arms hold a pair, distill first when the network
-//! runs [`PurifyPolicy::LinkLevel`](crate::purify::PurifyPolicy). The
-//! network layer the paper's link layer is built for is meant to be
-//! *programmable* (Matsuo & Van Meter's RuleSet-based simulation,
+//! The network layer the paper's link layer is built for is meant to
+//! be *programmable* (Matsuo & Van Meter's RuleSet-based simulation,
 //! arXiv 1908.10758): a connection setup compiles the chosen policy
 //! into a table of `condition → action` rules, installs the table on
 //! every path node, and each node then reacts to local events — pair
 //! deliveries, parity bits, swap results — by evaluating its rules in
 //! priority order. New protocols become new tables, not new engines.
 //!
-//! This module is that interpreter:
+//! This module is that interpreter, and the only per-node engine
+//! there is — every reservation a
+//! [`SwapAsapNode`](crate::node::SwapAsapNode) holds is one
+//! [`RuleState`]:
 //!
 //! * [`Policy`] — the network-facing choice, a small `Copy` value
 //!   carried in every attempt's issue seed. [`Policy::ruleset`]
@@ -27,24 +26,18 @@
 //!   [`RuleState::observe`] folds one observation into the arm state,
 //!   scans the table once in priority order, logs every fired rule
 //!   (for the passive [`SpanStage::RuleFired`] telemetry), and
-//!   returns at most one [`Emit`] — which the node wrapper converts
-//!   into exactly the existing
-//!   [`NodeAction`](crate::node::NodeAction)s, so
-//!   `network.rs` dispatch is unchanged.
+//!   returns at most one [`NodeAction`] for the network to execute.
 //!
-//! # Bit-identity with the hard-coded machine
+//! # The builtin policies
 //!
-//! [`Policy::SwapAsap`] interprets to the same decisions, in the same
-//! evaluation order, as the hard-coded `SwapAsapNode` path — it
-//! draws nothing, schedules nothing, and emits the same actions at
-//! the same instants, so whole-suite runs are bit-identical (the
-//! golden tests in `tests/net_ruleset.rs` pin this per seed, and
-//! ARCHITECTURE.md walks the case analysis). [`Policy::LinkPurify`]
-//! is likewise bit-identical to `PurifyPolicy::LinkLevel`.
-//!
-//! # Beyond the hard-coded behaviours
-//!
-//! Two policies exist only as tables: [`Policy::ThresholdPurify`]
+//! [`Policy::SwapAsap`] is the paper-era greedy repeater protocol,
+//! [`Policy::LinkPurify`] distills every edge once before swapping,
+//! and [`Policy::EndToEndPurify`] distills two whole streams at the
+//! path ends. Their trajectories are frozen per seed as golden
+//! fingerprints in `tests/net_ruleset.rs` (recorded from the
+//! hand-written state machine these tables replaced) and by every
+//! bit-pin of the congestion, load, purification, routing and fault
+//! suites. [`Policy::ThresholdPurify`]
 //! distills an edge only when its FEU-estimated fidelity sits below
 //! θ (the install-time [`Condition::FidelityBelow`] gates the
 //! [`Action::SetPurify`] rule), and [`Policy::PumpRounds`] runs k
@@ -64,13 +57,12 @@
 //!
 //! # Examples
 //!
-//! A custom table, driven directly (the network compiles and installs
-//! tables for you via
-//! [`Network::set_ruleset_policy`](crate::network::Network::set_ruleset_policy)):
+//! A table driven directly (the network compiles and installs tables
+//! for you under [`Network::set_policy`](crate::network::Network::set_policy)):
 //!
 //! ```
 //! use std::sync::Arc;
-//! use qlink_net::node::PathRole;
+//! use qlink_net::node::{NodeAction, PathRole};
 //! use qlink_net::ruleset::{Obs, Policy, RuleState};
 //!
 //! let rules = Arc::new(Policy::SwapAsap.ruleset());
@@ -83,42 +75,62 @@
 //! );
 //! let mut log = Vec::new();
 //! // One pair on the only edge of a repeater-less path: end-ready.
-//! let emit = end.observe(7, Obs::PairArrived { edge: 0 }, &mut log);
-//! assert!(matches!(
-//!     emit,
-//!     Some(qlink_net::ruleset::Emit::EndReady { frame_z: 0, frame_x: 0 })
-//! ));
+//! let action = end.observe(7, Obs::PairArrived { edge: 0 }, &mut log);
+//! assert_eq!(
+//!     action,
+//!     Some(NodeAction::EndReady { request: 7, frame_z: 0, frame_x: 0 })
+//! );
 //! // Both the mark-ready and the end-ready rule fired, in order.
 //! assert_eq!(log.len(), 2);
 //! ```
 
 use std::sync::Arc;
 
-use crate::node::PathRole;
+use crate::node::{NodeAction, PathRole};
 use crate::route::{EdgeProfile, RouteMetric};
 
 /// The network-facing policy choice: which RuleSet every path node of
 /// a request runs. Compiled via [`Policy::ruleset`] when the attempt
 /// is issued and pinned in the attempt seed, so re-routes and group
 /// regeneration keep the policy their request was born with.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// SWAP-ASAP composition multiplies link fidelities, so every extra
+/// hop pushes the end-to-end pair toward the maximally mixed 1/4; the
+/// purifying variants decide *where* on a path the network spends the
+/// 2→1 distillation trade of pairs for fidelity
+/// ([`qlink_quantum::purify::distill_werner`]).
+///
+/// # Examples
+///
+/// ```
+/// use qlink_net::ruleset::Policy;
+///
+/// assert_eq!(Policy::default(), Policy::SwapAsap);
+/// assert_eq!(Policy::SwapAsap.ruleset().edge_program(0.9).need(), 1);
+/// assert_eq!(Policy::LinkPurify.ruleset().edge_program(0.9).need(), 2);
+/// assert_eq!(Policy::EndToEndPurify.name(), "rs-e2e-purify");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Policy {
-    /// The paper's SWAP-ASAP, interpreted: one pair per edge, swap as
-    /// soon as both arms are ready. Bit-identical to the hard-coded
-    /// [`SwapAsapNode`](crate::node::SwapAsapNode) path.
+    /// The paper's SWAP-ASAP: one pair per edge, swap as soon as both
+    /// arms are ready.
+    #[default]
     SwapAsap,
-    /// Every edge distills two pairs into one before the SWAP-ASAP
-    /// rules may consume it. Bit-identical to
-    /// [`PurifyPolicy::LinkLevel`](crate::purify::PurifyPolicy).
+    /// Every path edge generates **two** pairs; its endpoints distill
+    /// them into one boosted pair (exchanging the parity bits over the
+    /// edge's classical control channel) before the SWAP-ASAP rules
+    /// may consume it. A rejected parity check discards both pairs
+    /// and regenerates.
     LinkPurify,
-    /// End-to-end 2→1 distillation of two concurrent streams; the
-    /// member streams themselves run [`Policy::SwapAsap`] tables.
-    /// The network analogue of
-    /// [`PurifyPolicy::EndToEnd`](crate::purify::PurifyPolicy).
+    /// The request runs as two concurrent streams (edge-disjoint
+    /// routes where the topology has them, via the multi-path
+    /// splitter); the two delivered end-to-end pairs are distilled
+    /// into one by the path ends, with the parity bits crossing the
+    /// whole path's control channels. The member streams themselves
+    /// run [`Policy::SwapAsap`] tables.
     EndToEndPurify,
     /// Distill an edge only when its FEU-estimated profile fidelity
     /// sits below `theta`; good edges skip the double-pair price.
-    /// Exists only as rule data — there is no hard-coded analogue.
     ThresholdPurify {
         /// Estimated-fidelity threshold below which an edge purifies.
         theta: f64,
@@ -128,7 +140,7 @@ pub enum Policy {
     /// fresh pair, climbing toward the DEJMPS fixed point. A rejected
     /// parity restarts the edge from scratch. `rounds == 1` behaves
     /// like [`Policy::LinkPurify`]; `rounds == 0` like
-    /// [`Policy::SwapAsap`]. Exists only as rule data.
+    /// [`Policy::SwapAsap`].
     PumpRounds {
         /// Accepted distillation rounds each edge must complete.
         rounds: u8,
@@ -175,9 +187,7 @@ impl Policy {
         RuleSet { rules }
     }
 
-    /// The plan-time price of an edge under this policy — the RuleSet
-    /// analogue of
-    /// [`PurifyPolicy::prices_purified_edges`](crate::purify::PurifyPolicy::prices_purified_edges):
+    /// The plan-time price of an edge under this policy:
     /// non-purifying policies pay the raw [`RouteMetric::load_cost`],
     /// always-purifying ones the distilled
     /// [`RouteMetric::purified_load_cost`], the threshold policy picks
@@ -329,7 +339,7 @@ pub enum Action {
         rounds: u8,
     },
     /// Arm a 2→1 distillation on the triggering arm (emits
-    /// [`Emit::Purify`]).
+    /// [`NodeAction::Purify`]).
     Purify,
     /// Internal: the triggering arm's pair is usable.
     MarkReady,
@@ -339,9 +349,9 @@ pub enum Action {
     /// Internal: drop the arm's pairs, reset its rounds, and demand a
     /// full fresh batch.
     Regenerate,
-    /// Swap the repeater's two arms (emits [`Emit::Swap`]).
+    /// Swap the repeater's two arms (emits [`NodeAction::Swap`]).
     Swap,
-    /// Declare this path end ready (emits [`Emit::EndReady`]).
+    /// Declare this path end ready (emits [`NodeAction::EndReady`]).
     EndReady,
 }
 
@@ -449,8 +459,7 @@ struct ArmRuntime {
     demand: u8,
 }
 
-/// An observation fed to [`RuleState::observe`] — the same three the
-/// hard-coded machine reacts to.
+/// An observation fed to [`RuleState::observe`].
 #[derive(Debug, Clone, Copy)]
 pub enum Obs {
     /// A link pair was delivered on `edge`.
@@ -471,32 +480,6 @@ pub enum Obs {
         z: u8,
         /// X correction bit.
         x: u8,
-    },
-}
-
-/// What an emitting rule asks the network to execute — converted 1:1
-/// into the existing [`NodeAction`](crate::node::NodeAction)s by the
-/// node wrapper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Emit {
-    /// Distill the two pairs on `edge`.
-    Purify {
-        /// The edge holding two pairs.
-        edge: usize,
-    },
-    /// Swap the repeater's two path edges.
-    Swap {
-        /// Path edge toward the source.
-        left: usize,
-        /// Path edge toward the destination.
-        right: usize,
-    },
-    /// This path end is ready, with its accumulated Pauli frame.
-    EndReady {
-        /// Accumulated Z frame.
-        frame_z: u8,
-        /// Accumulated X frame.
-        frame_x: u8,
     },
 }
 
@@ -564,12 +547,16 @@ impl RuleState {
     /// Absorbed observations — a delivery on a ready or distilling
     /// arm, a parity with no distillation in flight, a swap result at
     /// a repeater, anything on an unknown edge — return `None`
-    /// without scanning: the hard-coded machine provably takes no
-    /// action on them either (its state transitions all *latch*, so a
+    /// without scanning: every state transition *latches*, so a
     /// standing rule can never become newly true at an absorbed
-    /// observation), and skipping the scan keeps the fired-rule log
+    /// observation, and skipping the scan keeps the fired-rule log
     /// clean of no-op entries.
-    pub fn observe(&mut self, request: u64, obs: Obs, log: &mut Vec<FiredRule>) -> Option<Emit> {
+    pub fn observe(
+        &mut self,
+        request: u64,
+        obs: Obs,
+        log: &mut Vec<FiredRule>,
+    ) -> Option<NodeAction> {
         let (trigger, arm_edge) = match obs {
             Obs::PairArrived { edge } => {
                 let arm = self.arm_mut(edge)?;
@@ -607,8 +594,7 @@ impl RuleState {
 
     /// Drains the accumulated fresh-pair demand of the arm on `edge`
     /// (zero for unknown edges). The network layer converts it into
-    /// NL CREATEs at the parity-result instant, mirroring the
-    /// hard-coded regeneration path.
+    /// NL CREATEs at the parity-result instant.
     pub fn take_demand(&mut self, edge: usize) -> u8 {
         match self.arm_mut(edge) {
             Some(arm) => std::mem::take(&mut arm.demand),
@@ -622,7 +608,7 @@ impl RuleState {
         trigger: Trigger,
         arm_edge: Option<usize>,
         log: &mut Vec<FiredRule>,
-    ) -> Option<Emit> {
+    ) -> Option<NodeAction> {
         let rules = Arc::clone(&self.rules);
         for (i, rule) in rules.rules.iter().enumerate() {
             let eligible = match rule.on {
@@ -637,8 +623,8 @@ impl RuleState {
                 rule: i as u32,
                 action: rule.then.tag(),
             });
-            if let Some(emit) = self.apply(rule.then, arm_edge) {
-                return Some(emit);
+            if let Some(action) = self.apply(request, rule.then, arm_edge) {
+                return Some(action);
             }
         }
         None
@@ -665,7 +651,12 @@ impl RuleState {
         }
     }
 
-    fn apply(&mut self, action: Action, arm_edge: Option<usize>) -> Option<Emit> {
+    fn apply(
+        &mut self,
+        request: u64,
+        action: Action,
+        arm_edge: Option<usize>,
+    ) -> Option<NodeAction> {
         match action {
             // Install-time vocabulary; inert if a table lists it at
             // runtime.
@@ -673,7 +664,7 @@ impl RuleState {
             Action::Purify => {
                 let edge = arm_edge?;
                 self.arm_mut(edge)?.purifying = true;
-                Some(Emit::Purify { edge })
+                Some(NodeAction::Purify { request, edge })
             }
             Action::MarkReady => {
                 self.arm_mut(arm_edge?)?.ready = true;
@@ -697,14 +688,19 @@ impl RuleState {
                     return None; // degenerate table: swap at an end
                 };
                 self.done = true;
-                Some(Emit::Swap { left, right })
+                Some(NodeAction::Swap {
+                    request,
+                    left,
+                    right,
+                })
             }
             Action::EndReady => {
                 let PathRole::End { .. } = self.role else {
                     return None; // degenerate table: end-ready at a repeater
                 };
                 self.done = true;
-                Some(Emit::EndReady {
+                Some(NodeAction::EndReady {
+                    request,
                     frame_z: self.frame_z,
                     frame_x: self.frame_x,
                 })
@@ -764,7 +760,11 @@ mod tests {
         assert_eq!(st.observe(1, Obs::PairArrived { edge: 3 }, &mut log), None);
         assert_eq!(
             st.observe(1, Obs::PairArrived { edge: 4 }, &mut log),
-            Some(Emit::Swap { left: 3, right: 4 })
+            Some(NodeAction::Swap {
+                request: 1,
+                left: 3,
+                right: 4
+            })
         );
         // mark-ready ×2 + swap, attributed to the right request.
         let actions: Vec<&str> = log.iter().map(|f| f.action).collect();
@@ -790,7 +790,8 @@ mod tests {
         assert_eq!(st.observe(2, Obs::PairArrived { edge: 0 }, &mut log), None);
         assert_eq!(
             st.observe(2, Obs::SwapResult { z: 1, x: 0 }, &mut log),
-            Some(Emit::EndReady {
+            Some(NodeAction::EndReady {
+                request: 2,
                 frame_z: 1,
                 frame_x: 0
             })
@@ -813,7 +814,10 @@ mod tests {
         assert_eq!(st.observe(3, Obs::PairArrived { edge: 5 }, &mut log), None);
         assert_eq!(
             st.observe(3, Obs::PairArrived { edge: 5 }, &mut log),
-            Some(Emit::Purify { edge: 5 })
+            Some(NodeAction::Purify {
+                request: 3,
+                edge: 5
+            })
         );
         // Deliveries while the parity is in flight are absorbed.
         assert_eq!(st.observe(3, Obs::PairArrived { edge: 5 }, &mut log), None);
@@ -835,7 +839,10 @@ mod tests {
         st.observe(3, Obs::PairArrived { edge: 5 }, &mut log);
         assert_eq!(
             st.observe(3, Obs::PairArrived { edge: 5 }, &mut log),
-            Some(Emit::Purify { edge: 5 })
+            Some(NodeAction::Purify {
+                request: 3,
+                edge: 5
+            })
         );
         assert_eq!(
             st.observe(
@@ -846,7 +853,8 @@ mod tests {
                 },
                 &mut log
             ),
-            Some(Emit::EndReady {
+            Some(NodeAction::EndReady {
+                request: 3,
                 frame_z: 0,
                 frame_x: 0
             })
@@ -868,7 +876,10 @@ mod tests {
         st.observe(4, Obs::PairArrived { edge: 0 }, &mut log);
         assert_eq!(
             st.observe(4, Obs::PairArrived { edge: 0 }, &mut log),
-            Some(Emit::Purify { edge: 0 })
+            Some(NodeAction::Purify {
+                request: 4,
+                edge: 0
+            })
         );
         // Mid-program accept: survivor kept, one fresh pair demanded.
         assert_eq!(
@@ -886,7 +897,10 @@ mod tests {
         // The pumping pair arrives: second round arms immediately.
         assert_eq!(
             st.observe(4, Obs::PairArrived { edge: 0 }, &mut log),
-            Some(Emit::Purify { edge: 0 })
+            Some(NodeAction::Purify {
+                request: 4,
+                edge: 0
+            })
         );
         // Final accept completes the program.
         assert_eq!(
@@ -898,7 +912,8 @@ mod tests {
                 },
                 &mut log
             ),
-            Some(Emit::EndReady {
+            Some(NodeAction::EndReady {
+                request: 4,
                 frame_z: 0,
                 frame_x: 0
             })

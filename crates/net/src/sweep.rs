@@ -13,7 +13,6 @@ use crate::load::{ClassLoadStats, Workload};
 use crate::network::Network;
 use crate::obs::{fidelity_histogram, latency_histogram};
 use crate::par::ExecMode;
-use crate::purify::PurifyPolicy;
 use crate::route::{FidelityProduct, HopCount, Latency, LoadScaledLatency};
 use crate::ruleset::Policy;
 use crate::topology::Topology;
@@ -113,30 +112,6 @@ pub enum FaultChoice {
     },
 }
 
-/// Which control plane a sweep run's nodes execute (the data-only
-/// `Copy` stand-in for [`Network::set_ruleset_policy`], so specs stay
-/// trivially `Send` + `Clone` across worker threads).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum PolicyChoice {
-    /// The hard-coded `SwapAsapNode` machine (the default; every
-    /// earlier PR's behaviour, bit-for-bit).
-    #[default]
-    Hardcoded,
-    /// The interpreted RuleSet control plane, compiled from the given
-    /// [`Policy`] at issue time ([`crate::ruleset`]).
-    Rules(Policy),
-}
-
-impl PolicyChoice {
-    /// Display name (reports, benches).
-    pub fn name(&self) -> &'static str {
-        match self {
-            PolicyChoice::Hardcoded => "hardcoded",
-            PolicyChoice::Rules(p) => p.name(),
-        }
-    }
-}
-
 /// Which topology a sweep run instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyChoice {
@@ -198,11 +173,12 @@ pub struct ScenarioSpec {
     /// Concurrent same-pair requests per round (1 = single path; more
     /// are split across routes by
     /// [`Network::request_entanglement_multipath`]). Ignored under
-    /// [`PurifyPolicy::EndToEnd`], whose rounds are one *logical*
+    /// [`Policy::EndToEndPurify`], whose rounds are one *logical*
     /// request each (two internal streams distilled into one pair).
     pub streams: u32,
-    /// Purification policy of every round's requests.
-    pub purify: PurifyPolicy,
+    /// The [`Policy`] every round's requests run under
+    /// ([`Network::set_policy`]; [`Policy::SwapAsap`] by default).
+    pub policy: Policy,
     /// Overrides the carbon-memory dephasing time `T2*` (seconds) of
     /// every hop — the knob that models dynamically decoupled
     /// long-lived memories, without which multi-hop pairs decay to
@@ -249,12 +225,6 @@ pub struct ScenarioSpec {
     /// default, which arms no plan and reproduces earlier PRs'
     /// results bit-for-bit).
     pub faults: FaultChoice,
-    /// Control plane of every round's requests
-    /// ([`PolicyChoice::Hardcoded`] by default, which never touches
-    /// the RuleSet machinery and reproduces earlier PRs' results
-    /// bit-for-bit). Under [`PolicyChoice::Rules`] the run's requests
-    /// are interpreted and the spec's `purify` knob is ignored.
-    pub ruleset: PolicyChoice,
 }
 
 impl ScenarioSpec {
@@ -273,7 +243,7 @@ impl ScenarioSpec {
             rounds: 1,
             metric: MetricChoice::Hops,
             streams: 1,
-            purify: PurifyPolicy::Off,
+            policy: Policy::SwapAsap,
             carbon_t2: None,
             topology: TopologyChoice::Chain,
             pairs: Vec::new(),
@@ -282,7 +252,6 @@ impl ScenarioSpec {
             exec: ExecChoice::Auto,
             workload: None,
             faults: FaultChoice::None,
-            ruleset: PolicyChoice::Hardcoded,
         }
     }
 
@@ -346,9 +315,9 @@ impl ScenarioSpec {
         self
     }
 
-    /// Builder: purification policy.
-    pub fn with_purify(mut self, purify: PurifyPolicy) -> Self {
-        self.purify = purify;
+    /// Builder: the policy every round's requests run under.
+    pub fn with_policy(mut self, policy: Policy) -> Self {
+        self.policy = policy;
         self
     }
 
@@ -403,13 +372,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Builder: run the round requests under the interpreted RuleSet
-    /// control plane (see [`PolicyChoice`]).
-    pub fn with_ruleset(mut self, policy: Policy) -> Self {
-        self.ruleset = PolicyChoice::Rules(policy);
-        self
-    }
-
     /// Number of nodes in the run's topology, whatever its shape.
     pub fn node_count(&self) -> usize {
         match self.topology {
@@ -452,7 +414,7 @@ pub struct RunRecord {
     pub successes: u32,
     /// Logical requests attempted: counted as they are issued —
     /// `rounds × streams` of the spec normally, `rounds` under
-    /// [`PurifyPolicy::EndToEnd`] (one distilled pair per round,
+    /// [`Policy::EndToEndPurify`] (one distilled pair per round,
     /// however many internal streams feed it). An outcome can only
     /// ever be counted against the round that issued its request, so
     /// `successes ≤ rounds` holds even when a stream aborts on UNSUPP
@@ -723,10 +685,7 @@ fn run_one_granted(spec: &ScenarioSpec, seed: u64, granted: usize) -> RunRecord 
         MetricChoice::Fidelity => net.set_route_metric(FidelityProduct),
         MetricChoice::LoadLatency => net.set_route_metric(LoadScaledLatency),
     }
-    net.set_purify_policy(spec.purify);
-    if let PolicyChoice::Rules(policy) = spec.ruleset {
-        net.set_ruleset_policy(Some(policy));
-    }
+    net.set_policy(spec.policy);
     net.set_retry_budget(spec.retries);
     net.set_request_timeout(spec.request_timeout);
     if let FaultChoice::Flapping {
@@ -814,11 +773,7 @@ fn run_one_granted(spec: &ScenarioSpec, seed: u64, granted: usize) -> RunRecord 
         // EndToEnd a round is one logical request per pair (two
         // internal streams distilled into one delivered pair).
         let requests: Vec<u64> = if spec.pairs.is_empty() {
-            let end_to_end = match spec.ruleset {
-                PolicyChoice::Hardcoded => spec.purify == PurifyPolicy::EndToEnd,
-                PolicyChoice::Rules(p) => p == Policy::EndToEndPurify,
-            };
-            if streams == 1 || end_to_end {
+            if streams == 1 || spec.policy == Policy::EndToEndPurify {
                 vec![net.request_entanglement(0, dst, spec.fmin)]
             } else {
                 net.request_entanglement_multipath(0, dst, spec.fmin, streams as usize)

@@ -77,13 +77,11 @@ pub use qlink_wire as wire;
 
 /// The most commonly used types, for glob import.
 ///
-/// `RepeaterChain` here is the network-layer one — every hop on one
-/// shared event queue under SWAP-ASAP control. The deprecated
-/// independent-queue version survives as
-/// [`sim::chain::RepeaterChain`](crate::sim::chain).
+/// `RepeaterChain` is the network-layer one — every hop on one shared
+/// event queue under SWAP-ASAP control.
 pub mod prelude {
     pub use crate::des::{DetRng, SimDuration, SimTime};
-    pub use crate::net::chain::RepeaterChain;
+    pub use crate::net::chain::{ChainOutcome, RepeaterChain};
     pub use crate::net::fault::{
         FaultKind, FaultPlan, FaultSpec, Flapping, PenaltyBox, PenaltyConfig,
     };
@@ -93,11 +91,11 @@ pub mod prelude {
     };
     pub use crate::net::network::{BackoffPolicy, EndToEndOutcome, Network};
     pub use crate::net::par::ExecMode;
-    pub use crate::net::purify::PurifyPolicy;
     pub use crate::net::route::{
         EdgeProfile, FidelityProduct, HopCount, Latency, LoadScaledLatency, PlanContext, Route,
         RouteMetric, RoutePlanner,
     };
+    pub use crate::net::ruleset::Policy;
     pub use crate::net::sweep::{
         sweep, ExecChoice, FaultChoice, MetricChoice, ScenarioSpec, SweepReport, TopologyChoice,
     };
@@ -106,7 +104,6 @@ pub mod prelude {
     pub use crate::quantum::bell::{bell_fidelity, BellState, Qber};
     pub use crate::quantum::purify::{distill_werner, DistillOutcome};
     pub use crate::quantum::{Basis, QuantumState};
-    pub use crate::sim::chain::ChainOutcome;
     pub use crate::sim::config::{LinkConfig, RequestKind, SchedulerChoice, UsagePattern};
     pub use crate::sim::link::{Delivery, LinkSimulation};
     pub use crate::sim::metrics::LinkMetrics;

@@ -16,18 +16,13 @@
 //!   network layer can interleave many links on one shared clock;
 //! * [`metrics`] — throughput, request/pair/scaled latency, fidelity,
 //!   QBER, queue lengths, error counts, fairness splits and the time
-//!   series of the appendix figures;
-//! * [`chain`] — **deprecated** independent-queue repeater chains;
-//!   superseded by the shared-clock network layer in `qlink-net`.
+//!   series of the appendix figures.
 
-pub mod chain;
 pub mod config;
 pub mod link;
 pub mod metrics;
 pub mod workload;
 
-#[allow(deprecated)]
-pub use chain::RepeaterChain;
 pub use config::{LinkConfig, RequestKind, SchedulerChoice, UsagePattern};
 pub use link::{Delivery, LinkSimulation};
 pub use metrics::LinkMetrics;

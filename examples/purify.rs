@@ -52,11 +52,11 @@ fn main() {
             .with_max_time(SimDuration::from_secs(60))
             .with_carbon_t2(10.0)
     };
-    let mut off = base().with_purify(PurifyPolicy::Off);
+    let mut off = base().with_policy(Policy::SwapAsap);
     off.name = "off".into();
-    let mut link = base().with_purify(PurifyPolicy::LinkLevel);
+    let mut link = base().with_policy(Policy::LinkPurify);
     link.name = "link-level".into();
-    let mut e2e = base().with_purify(PurifyPolicy::EndToEnd);
+    let mut e2e = base().with_policy(Policy::EndToEndPurify);
     e2e.name = "end-to-end".into();
 
     let report = sweep(&[off, link, e2e], &[1, 2, 3], 3);

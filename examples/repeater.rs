@@ -18,7 +18,7 @@
 //! ```
 
 use qlink::net::sweep::run_one;
-use qlink::net::TraceKind;
+use qlink::net::{SpanStage, TelemetryConfig};
 use qlink::prelude::*;
 
 fn main() {
@@ -27,7 +27,10 @@ fn main() {
         LinkConfig::lab(WorkloadSpec::none(), 11 + 11 * i as u64)
     });
     let mut net = Network::new(topo, 7);
-    net.enable_trace();
+    net.set_telemetry(TelemetryConfig {
+        spans: true,
+        ..TelemetryConfig::OFF
+    });
 
     println!("3-node chain, both hops on one shared event queue...");
     net.request_entanglement(0, 2, 0.6);
@@ -52,20 +55,20 @@ fn main() {
     );
     println!("  usable (F > 1/2)     : {}", out.end_to_end_fidelity > 0.5);
 
-    // The trace is one monotone SimTime stream interleaving every
-    // link's events with the control plane.
-    let trace = net.trace();
-    let wakes = trace
+    // The spans are one monotone SimTime stream interleaving every
+    // link's deliveries with the control plane.
+    let spans = net.telemetry().expect("telemetry on").spans();
+    let adds = spans
         .iter()
-        .filter(|e| matches!(e.kind, TraceKind::LinkWake(_)))
+        .filter(|s| matches!(s.stage, SpanStage::Add { .. }))
         .count();
-    let ctrl = trace
+    let ctrl = spans
         .iter()
-        .filter(|e| matches!(e.kind, TraceKind::Control(_)))
+        .filter(|s| matches!(s.stage, SpanStage::SwapResult { .. }))
         .count();
     println!(
-        "  shared-clock trace   : {} entries ({wakes} link wakes, {ctrl} control msgs)",
-        trace.len()
+        "  shared-clock spans   : {} entries ({adds} link deliveries, {ctrl} swap results)",
+        spans.len()
     );
 
     // --- scenario sweep across OS threads ---------------------------

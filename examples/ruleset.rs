@@ -1,33 +1,19 @@
 //! The RuleSet control plane: protocol logic as data.
 //!
-//! Per-node behaviour is no longer hard-coded — a [`Policy`] compiles
-//! into an ordered table of condition→action rules installed on every
-//! path node, and a tiny interpreter replays them per event. This
-//! example runs **threshold purification** (distill only the edges
-//! whose estimated fidelity sits below θ) side by side with **always
-//! purify** ([`Policy::LinkPurify`]) and **never purify**
-//! ([`Policy::SwapAsap`]) on the same seeds, then shows the
-//! bit-identity anchor: the interpreted tables reproduce the
-//! hard-coded policies exactly.
+//! Per-node behaviour is data — a [`Policy`] compiles into an ordered
+//! table of condition→action rules installed on every path node, and
+//! a tiny interpreter replays them per event. This example runs
+//! **threshold purification** (distill only the edges whose estimated
+//! fidelity sits below θ) side by side with **always purify**
+//! ([`Policy::LinkPurify`]) and **never purify**
+//! ([`Policy::SwapAsap`]) on the same seeds.
 //!
 //! Run with:
 //! ```sh
 //! cargo run --release --example ruleset
 //! ```
 
-use qlink::net::ruleset::Policy;
-use qlink::net::sweep::{run_one, RunRecord};
 use qlink::prelude::*;
-
-fn fingerprint(r: &RunRecord) -> (u32, u32, u64, u64, u64) {
-    (
-        r.successes,
-        r.timeouts,
-        r.pairs_consumed,
-        r.fidelity.mean().to_bits(),
-        r.latency_s.mean().to_bits(),
-    )
-}
 
 fn mixed_chain() -> Topology {
     Topology::chain(5, |i| {
@@ -82,11 +68,11 @@ fn main() {
         ("always (purify)", Policy::LinkPurify),
     ];
     println!();
-    println!("same chain, 3 deliveries each, interpreted policies:");
+    println!("same chain, 3 deliveries each:");
     println!("  policy            delivered   mean F   pairs/delivery");
     for (name, pol) in cells {
         let mut net = Network::new(mixed_chain(), 9);
-        net.set_ruleset_policy(Some(pol));
+        net.set_policy(pol);
         let (mut delivered, mut pairs, mut fid) = (0u32, 0u32, 0.0f64);
         for _ in 0..3 {
             net.request_entanglement(0, 4, 0.6);
@@ -105,27 +91,6 @@ fn main() {
         );
     }
 
-    // The anchor the whole subsystem rests on: interpretation is
-    // bit-identical to the hard-coded policies it replaces.
-    let base = || {
-        ScenarioSpec::lab_chain("", 5)
-            .with_rounds(2)
-            .with_max_time(SimDuration::from_secs(60))
-            .with_carbon_t2(10.0)
-    };
-    let hard = run_one(&base().with_purify(PurifyPolicy::LinkLevel), 7);
-    let soft = run_one(&base().with_ruleset(Policy::LinkPurify), 7);
-    println!();
-    println!(
-        "bit-identity: hard-coded LinkLevel vs interpreted {}: {}",
-        Policy::LinkPurify.name(),
-        if fingerprint(&hard) == fingerprint(&soft) {
-            "identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-    assert_eq!(fingerprint(&hard), fingerprint(&soft));
     println!();
     println!("threshold purification pays the double-pair price only on the");
     println!("edges that need it — the rule table, not the engine, decides.");

@@ -3,8 +3,15 @@
 //! scenario-sweep driver.
 
 use qlink::net::sweep::run_one;
-use qlink::net::TraceKind;
+use qlink::net::{SpanStage, TelemetryConfig};
 use qlink::prelude::*;
+
+/// Span recording only: the request-lifecycle record of the shared
+/// clock.
+const SPANS: TelemetryConfig = TelemetryConfig {
+    spans: true,
+    ..TelemetryConfig::OFF
+};
 
 fn lab_chain(nodes: usize, base_seed: u64) -> Topology {
     Topology::chain(nodes, |i| {
@@ -15,7 +22,7 @@ fn lab_chain(nodes: usize, base_seed: u64) -> Topology {
 #[test]
 fn three_node_chain_delivers_end_to_end_on_shared_clock() {
     let mut net = Network::new(lab_chain(3, 71), 7);
-    net.enable_trace();
+    net.set_telemetry(SPANS);
     net.request_entanglement(0, 2, 0.6);
     let out = net
         .run_until_outcome(SimDuration::from_secs(30))
@@ -49,23 +56,23 @@ fn three_node_chain_delivers_end_to_end_on_shared_clock() {
     assert!(out.latency > SimDuration::ZERO);
     assert_eq!(out.delivered_at, SimTime::ZERO + out.latency);
 
-    // The trace is one monotone SimTime stream that interleaves both
-    // links' wakes with control messages — a single shared clock.
-    let trace = net.trace();
-    assert!(!trace.is_empty());
-    for w in trace.windows(2) {
-        assert!(w[0].at <= w[1].at, "trace time went backwards");
+    // The spans are one monotone SimTime stream that interleaves both
+    // links' deliveries with control messages — a single shared clock.
+    let spans = net.telemetry().expect("telemetry on").spans();
+    assert!(!spans.is_empty());
+    for w in spans.windows(2) {
+        assert!(w[0].at <= w[1].at, "span time went backwards");
     }
     for link in 0..2 {
         assert!(
-            trace.iter().any(|e| e.kind == TraceKind::LinkWake(link)),
+            net.link(link).events_fired() > 0,
             "link {link} never woke on the shared queue"
         );
     }
-    assert!(trace.iter().any(|e| matches!(e.kind, TraceKind::Swap(1))));
-    assert!(trace
-        .iter()
-        .any(|e| matches!(e.kind, TraceKind::Control(_))));
+    let saw = |stage: SpanStage| spans.iter().any(|s| s.stage == stage);
+    assert!(saw(SpanStage::Swap { node: 1 }));
+    // The swap's Bell outcome arrived over the control channel.
+    assert!(saw(SpanStage::SwapResult { node: 0 }));
 }
 
 #[test]
@@ -105,9 +112,9 @@ fn identical_seeds_give_bit_identical_outcomes() {
 #[test]
 fn five_node_chain_swaps_asap_on_one_queue() {
     // Acceptance: a 5-node (4-hop) SWAP-ASAP run on a single shared
-    // event queue, one SimTime stream verifiable from the trace.
+    // event queue, one SimTime stream verifiable from the spans.
     let mut net = Network::new(lab_chain(5, 201), 11);
-    net.enable_trace();
+    net.set_telemetry(SPANS);
     net.request_entanglement(0, 4, 0.6);
     let out = net
         .run_until_outcome(SimDuration::from_secs(120))
@@ -123,36 +130,35 @@ fn five_node_chain_swaps_asap_on_one_queue() {
         .fold(f64::INFINITY, f64::min);
     assert!(out.end_to_end_fidelity <= min_link);
 
-    // Single SimTime stream: monotone trace covering all four links.
-    let trace = net.trace();
-    for w in trace.windows(2) {
-        assert!(w[0].at <= w[1].at, "trace time went backwards");
+    // Single SimTime stream: monotone spans covering all four links.
+    let spans = net.telemetry().expect("telemetry on").spans();
+    for w in spans.windows(2) {
+        assert!(w[0].at <= w[1].at, "span time went backwards");
     }
     for link in 0..4 {
-        assert!(
-            trace.iter().any(|e| e.kind == TraceKind::LinkWake(link)),
-            "link {link} never woke"
-        );
+        assert!(net.link(link).events_fired() > 0, "link {link} never woke");
     }
-    // All three repeaters swapped, and completion was traced.
+    // All three repeaters swapped, and completion was recorded.
     for node in 1..4 {
-        assert!(trace.iter().any(|e| e.kind == TraceKind::Swap(node)));
+        assert!(spans.iter().any(|s| s.stage == SpanStage::Swap { node }));
     }
-    assert!(trace
+    assert!(spans
         .iter()
-        .any(|e| matches!(e.kind, TraceKind::Complete(_))));
+        .any(|s| matches!(s.stage, SpanStage::Deliver { .. })));
 
-    // Wakes of different links interleave in time (shared clock, not
-    // sequential per-link execution).
-    let wakes: Vec<usize> = trace
+    // The links generate concurrently (shared clock, not sequential
+    // per-link execution): every hop's CREATE is in before the first
+    // pair of any hop lands.
+    let last_create = spans
         .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::LinkWake(l) => Some(l),
-            _ => None,
-        })
-        .collect();
+        .rposition(|s| matches!(s.stage, SpanStage::Create { .. }))
+        .expect("creates recorded");
+    let first_add = spans
+        .iter()
+        .position(|s| matches!(s.stage, SpanStage::Add { .. }))
+        .expect("deliveries recorded");
     assert!(
-        wakes.windows(2).any(|w| w[0] != w[1]),
+        last_create < first_add,
         "links never interleaved on the shared queue"
     );
 }
@@ -232,16 +238,7 @@ fn star_topology_routes_through_the_hub() {
 }
 
 #[test]
-fn deprecated_sim_chain_still_works_as_shim() {
-    // The old API keeps functioning during the migration window.
-    #[allow(deprecated)]
-    {
-        let mk = |seed| LinkConfig::lab(WorkloadSpec::none(), seed);
-        let mut chain = qlink::sim::chain::RepeaterChain::new(vec![mk(31), mk(32)]);
-        let out = chain.generate_end_to_end(0.6, SimDuration::from_secs(20));
-        assert!(out.is_some());
-    }
-    // And the prelude now exposes the shared-clock version.
+fn prelude_repeater_chain_runs_on_the_shared_clock() {
     let mk = |seed| LinkConfig::lab(WorkloadSpec::none(), seed);
     let mut chain = RepeaterChain::new(vec![mk(31), mk(32)]);
     assert_eq!(chain.hops(), 2);

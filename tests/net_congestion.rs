@@ -14,13 +14,12 @@
 //!
 //! PR 5 adds two satellite families: the adaptive re-route backoff
 //! (`BackoffPolicy` — default pinned to PR 4's jittered delay,
-//! exponential growth and cap asserted against trace times) and
+//! exponential growth and cap asserted against `Reroute` span times) and
 //! CREATE retraction (a timeout storm leaves both EGP queues empty,
 //! so `edge_load` matches the links' true backlog).
 
-use qlink::net::ruleset::Policy;
 use qlink::net::sweep::{run_one, RunRecord};
-use qlink::net::{MetricChoice, TraceKind};
+use qlink::net::{MetricChoice, SpanStage, TelemetryConfig};
 use qlink::prelude::*;
 
 fn lab(seed: u64) -> LinkConfig {
@@ -225,11 +224,11 @@ fn exhausted_budget_abandons_and_releases() {
 fn edge_load_balances_through_every_lifecycle() {
     let mut rng = DetRng::new(0xC0FFEE).substream("net-congestion/load");
     let policies = [
-        PurifyPolicy::Off,
-        PurifyPolicy::LinkLevel,
-        PurifyPolicy::EndToEnd,
-        PurifyPolicy::Off,
-        PurifyPolicy::Off,
+        Policy::SwapAsap,
+        Policy::LinkPurify,
+        Policy::EndToEndPurify,
+        Policy::SwapAsap,
+        Policy::SwapAsap,
     ];
     for (trial, &policy) in policies.iter().enumerate() {
         let link_seed = rng.below(1 << 20);
@@ -238,7 +237,7 @@ fn edge_load_balances_through_every_lifecycle() {
         let timeout_ms = 60 + rng.below(240);
         let mut topo = Topology::grid(3, 3, |i| {
             let mut cfg = lab(link_seed + i as u64);
-            // Long memory so LinkLevel/EndToEnd trials can progress.
+            // Long memory so the purifying trials can progress.
             cfg.scenario.nv.carbon_t2 = 10.0;
             cfg
         });
@@ -248,7 +247,7 @@ fn edge_load_balances_through_every_lifecycle() {
         let noisy_edge = topo.edge_count() - 1;
         let mut net = Network::new(topo, net_seed);
         net.set_route_metric(LoadScaledLatency);
-        net.set_purify_policy(policy);
+        net.set_policy(policy);
         net.set_retry_budget(retries);
         net.set_request_timeout(Some(SimDuration::from_millis(timeout_ms)));
 
@@ -401,15 +400,12 @@ fn edge_load_balances_through_fault_interleavings() {
     }
 }
 
-/// The interpreted extension of the ledger property (PR 10
-/// satellite): with a RuleSet policy installed on every node, the
-/// interpreter's purify claims (`reserve_ruleset` + `RuleState`
+/// The policy extension of the ledger property (PR 10 satellite):
+/// under every `Policy`, the interpreter's purify claims (`RuleState`
 /// latches), pump-round regenerations, releases during pending
 /// parities, and fault-triggered teardowns must all keep `edge_load`
-/// in agreement with both endpoint nodes' reservation counts
-/// (`reserved_on_edge` counts hard-coded and interpreted arms through
-/// the same `uses(role)` accounting). Trials mix every data-only
-/// policy with flapping faults, seeded retries/timeouts, an
+/// in agreement with both endpoint nodes' reservation counts. Trials
+/// mix every policy with flapping faults, seeded retries/timeouts, an
 /// unachievable-fmin rejection exerciser, and a pinned noisy path;
 /// after cancel-all every edge is back at exactly zero and no node
 /// still holds a reservation.
@@ -438,12 +434,11 @@ fn edge_load_balances_under_interpreted_rulesets() {
         topo.connect(0, 4, noisy_lab(link_seed + 100));
         let mut net = Network::new(topo, net_seed);
         net.set_route_metric(LoadScaledLatency);
-        net.set_ruleset_policy(Some(policy));
+        net.set_policy(policy);
         net.set_retry_budget(retries);
         net.set_request_timeout(Some(SimDuration::from_millis(timeout_ms)));
         if with_faults {
-            // Two central edges flap underneath the interpreted
-            // traffic: releases must land mid-parity and mid-pump.
+            // Two central edges flap underneath the traffic: releases must land mid-parity and mid-pump.
             let mut plan = FaultPlan::new();
             for edge in [1, 7] {
                 plan = plan.with_flapping(Flapping {
@@ -589,10 +584,10 @@ fn pr3_scenario_stats_reproduce_bit_identically() {
         "routing/contended",
     );
 
-    // net_purify.rs: the Off vs LinkLevel sweep cells, seeds 1 and 2.
+    // net_purify.rs: the SwapAsap vs LinkPurify sweep cells, seeds 1 and 2.
     let pins = [
         (
-            PurifyPolicy::Off,
+            Policy::SwapAsap,
             1,
             1003059,
             0x3fd4c4c25b62f322,
@@ -600,7 +595,7 @@ fn pr3_scenario_stats_reproduce_bit_identically() {
             8,
         ),
         (
-            PurifyPolicy::Off,
+            Policy::SwapAsap,
             2,
             1022643,
             0x3fd4dd4546f6ff70,
@@ -608,7 +603,7 @@ fn pr3_scenario_stats_reproduce_bit_identically() {
             8,
         ),
         (
-            PurifyPolicy::LinkLevel,
+            Policy::LinkPurify,
             1,
             1997215,
             0x3fd61d31f71fd713,
@@ -616,7 +611,7 @@ fn pr3_scenario_stats_reproduce_bit_identically() {
             20,
         ),
         (
-            PurifyPolicy::LinkLevel,
+            Policy::LinkPurify,
             2,
             2461807,
             0x3fd5de38a4298a86,
@@ -629,7 +624,7 @@ fn pr3_scenario_stats_reproduce_bit_identically() {
             .with_rounds(2)
             .with_max_time(SimDuration::from_secs(60))
             .with_carbon_t2(10.0)
-            .with_purify(policy);
+            .with_policy(policy);
         check(
             &run_one(&spec, seed),
             &Pin {
@@ -675,7 +670,7 @@ fn sweep_merges_timeout_and_reroute_counters() {
 
 /// The failure times of every re-route of a 1-edge stream whose link
 /// UNSUPPs Fmin 0.6 forever: each attempt is rejected almost
-/// instantly, so consecutive `Reroute` trace times are dominated by
+/// instantly, so consecutive `Reroute` span times are dominated by
 /// the backoff delays between them. The edge's control delay is
 /// overridden to 120 µs (metropolitan scale) so backoff differences
 /// dwarf the MHP-cycle-scale rejection-detection jitter.
@@ -688,14 +683,19 @@ fn reroute_times(policy: Option<BackoffPolicy>, retries: u32) -> (Vec<u64>, u64)
         assert_eq!(net.backoff_policy(), p);
     }
     net.set_retry_budget(retries);
-    net.enable_trace();
+    net.set_telemetry(TelemetryConfig {
+        spans: true,
+        ..TelemetryConfig::OFF
+    });
     net.request_on_path(&[0, 1], 0.6);
     net.run_for(SimDuration::from_millis(100));
     let times = net
-        .trace()
+        .telemetry()
+        .expect("telemetry on")
+        .spans()
         .iter()
-        .filter(|e| matches!(e.kind, TraceKind::Reroute(_)))
-        .map(|e| e.at.as_ps())
+        .filter(|s| matches!(s.stage, SpanStage::Reroute { .. }))
+        .map(|s| s.at.as_ps())
         .collect();
     (times, net.events_fired())
 }

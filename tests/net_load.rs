@@ -207,7 +207,7 @@ fn closed_loop_specs_reproduce_pre_workload_records_bit_for_bit() {
         },
         Pin {
             spec: ScenarioSpec::lab_chain("pin-purify", 3)
-                .with_purify(PurifyPolicy::LinkLevel)
+                .with_policy(Policy::LinkPurify)
                 .with_carbon_t2(10.0)
                 .with_rounds(2),
             seed: 2,

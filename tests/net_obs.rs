@@ -142,8 +142,10 @@ fn sharded_span_stream_is_byte_identical_to_sequential() {
 /// 3-node lab chain, seed 7. A SWAP-ASAP story in 10 stages: plan onto
 /// 0-1-2, CREATE on both edges, both pairs arrive, the repeater swaps
 /// the instant the second pair lands, the Bell frame crosses to the
-/// far end, deliver. Any change to emission order, hook placement, or
-/// the simulation itself shows up here.
+/// far end, deliver — with the rules each node's table fired logged
+/// in between (mark-ready per arm, swap, end-ready). Any change to
+/// emission order, hook placement, or the simulation itself shows up
+/// here.
 #[test]
 fn three_node_chain_matches_golden_stage_sequence() {
     let mut net = Network::new(chain(3), 7);
@@ -162,13 +164,44 @@ fn three_node_chain_matches_golden_stage_sequence() {
             "create",
             "create",
             "add",
+            "rule_fired",
+            "rule_fired",
+            "add",
+            "rule_fired",
+            "rule_fired",
+            "rule_fired",
+            "swap",
+            "swap_result",
+            "rule_fired",
+            "swap_result",
+            "rule_fired",
+            "deliver",
+        ],
+        "golden stage sequence moved"
+    );
+    // The `rule_fired` entries are purely additive: without them this
+    // is, verbatim, the sequence recorded before every request ran an
+    // installed rule table.
+    let lifecycle: Vec<&str> = stages
+        .iter()
+        .copied()
+        .filter(|&s| s != "rule_fired")
+        .collect();
+    assert_eq!(
+        lifecycle,
+        [
+            "issue",
+            "plan",
+            "create",
+            "create",
+            "add",
             "add",
             "swap",
             "swap_result",
             "swap_result",
             "deliver",
         ],
-        "golden stage sequence moved"
+        "the request-lifecycle stages moved"
     );
     // The deliver span carries the outcome's exact numbers.
     let SpanStage::Deliver { fidelity, latency } = tl.spans().last().expect("non-empty").stage

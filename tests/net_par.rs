@@ -83,10 +83,10 @@ fn contended_grid_with_reroutes_is_engine_equivalent() {
 
 #[test]
 fn purify_policies_are_engine_equivalent() {
-    for policy in [PurifyPolicy::LinkLevel, PurifyPolicy::EndToEnd] {
+    for policy in [Policy::LinkPurify, Policy::EndToEndPurify] {
         let spec = ScenarioSpec::lab_chain(policy.name(), 4)
             .with_carbon_t2(10.0)
-            .with_purify(policy)
+            .with_policy(policy)
             .with_max_time(SimDuration::from_secs(40));
         assert_engine_equivalence(&spec, &[3], &[2, 4]);
     }

@@ -43,11 +43,11 @@ fn swap_product(links: &[f64]) -> f64 {
 
 #[test]
 fn link_level_purification_boosts_a_single_hop() {
-    let run = |policy: PurifyPolicy| {
+    let run = |policy: Policy| {
         let topo = Topology::chain(2, |i| long_memory_lab(50 + i as u64));
         let mut net = Network::new(topo, 9);
-        net.set_purify_policy(policy);
-        assert_eq!(net.purify_policy(), policy);
+        net.set_policy(policy);
+        assert_eq!(net.policy(), policy);
         net.request_entanglement(0, 1, 0.6);
         let out = net
             .run_until_outcome(SimDuration::from_secs(120))
@@ -55,14 +55,14 @@ fn link_level_purification_boosts_a_single_hop() {
         (out, net.purify_attempts(0), net.pairs_delivered(0))
     };
 
-    let (off, off_attempts, off_pairs) = run(PurifyPolicy::Off);
+    let (off, off_attempts, off_pairs) = run(Policy::SwapAsap);
     assert_eq!(off.pairs_consumed, 1);
     assert_eq!(off_attempts, 0);
     assert_eq!(off_pairs, 1);
     assert!(!off.distilled);
     assert_eq!(off.pair_fidelities, vec![vec![off.link_fidelities[0]]]);
 
-    let (pur, pur_attempts, pur_pairs) = run(PurifyPolicy::LinkLevel);
+    let (pur, pur_attempts, pur_pairs) = run(Policy::LinkPurify);
     // Two raw pairs in, one boosted pair out: the recorded link
     // fidelity is the distillation output of the recorded inputs.
     assert_eq!(pur_pairs, 2 * pur_attempts);
@@ -81,30 +81,30 @@ fn link_level_purification_boosts_a_single_hop() {
 
 #[test]
 fn end_to_end_distillation_beats_off_on_a_4_node_chain() {
-    let run = |policy: PurifyPolicy| {
+    let run = |policy: Policy| {
         let topo = Topology::chain(4, |i| clean_lab(70 + i as u64));
         let mut net = Network::new(topo, 11);
-        net.set_purify_policy(policy);
+        net.set_policy(policy);
         net.request_entanglement(0, 3, 0.8);
         net.run_until_outcome(SimDuration::from_secs(600))
             .expect("the 4-node chain delivers")
     };
 
-    let off = run(PurifyPolicy::Off);
-    let e2e = run(PurifyPolicy::EndToEnd);
+    let off = run(Policy::SwapAsap);
+    let e2e = run(Policy::EndToEndPurify);
 
-    // Off composes three swapped links; its fidelity must sit above
+    // SWAP-ASAP composes three swapped links; its fidelity must sit above
     // the distillation threshold for end-to-end purification to gain.
     assert!(!off.distilled);
     assert_eq!(off.swaps, 2);
     assert_eq!(off.pairs_consumed, 3);
     assert!(off.end_to_end_fidelity > 0.5);
 
-    // EndToEnd merges two whole streams into one boosted pair…
+    // End-to-end distillation merges two whole streams into one boosted pair…
     assert!(e2e.distilled);
     assert!(
         e2e.end_to_end_fidelity > off.end_to_end_fidelity,
-        "distilled e2e fidelity {} must beat Off {}",
+        "distilled e2e fidelity {} must beat SWAP-ASAP {}",
         e2e.end_to_end_fidelity,
         off.end_to_end_fidelity
     );
@@ -115,7 +115,7 @@ fn end_to_end_distillation_beats_off_on_a_4_node_chain() {
     assert!(e2e.latency > off.latency);
 
     // Bit-identical across reruns of the same seed.
-    let again = run(PurifyPolicy::EndToEnd);
+    let again = run(Policy::EndToEndPurify);
     assert_eq!(
         e2e.end_to_end_fidelity.to_bits(),
         again.end_to_end_fidelity.to_bits()
@@ -127,15 +127,15 @@ fn end_to_end_distillation_beats_off_on_a_4_node_chain() {
     // regenerates (visible as more than the minimal 2 × 3 pairs) —
     // exactly the path where an in-flight group must keep the policy
     // it was issued under. Flipping the network policy mid-run must
-    // not leak LinkLevel edge purification into the regenerated
+    // not leak link-level edge purification into the regenerated
     // streams.
     assert!(e2e.pairs_consumed > 6, "seed must exercise regeneration");
     let flipped = {
         let topo = Topology::chain(4, |i| clean_lab(70 + i as u64));
         let mut net = Network::new(topo, 11);
-        net.set_purify_policy(PurifyPolicy::EndToEnd);
+        net.set_policy(Policy::EndToEndPurify);
         net.request_entanglement(0, 3, 0.8);
-        net.set_purify_policy(PurifyPolicy::LinkLevel); // later requests only
+        net.set_policy(Policy::LinkPurify); // later requests only
         net.run_until_outcome(SimDuration::from_secs(600))
             .expect("in-flight group completes under its own policy")
     };
@@ -147,8 +147,8 @@ fn end_to_end_distillation_beats_off_on_a_4_node_chain() {
     assert_eq!(flipped.latency, e2e.latency);
 }
 
-/// The acceptance sweep: over a 5-node chain, `LinkLevel` delivers
-/// strictly higher mean end-to-end fidelity than `Off` — and pays for
+/// The acceptance sweep: over a 5-node chain, `LinkPurify` delivers
+/// strictly higher mean end-to-end fidelity than `SwapAsap` — and pays for
 /// it with more link pairs per delivered pair and higher latency —
 /// deterministically per seed.
 #[test]
@@ -158,12 +158,12 @@ fn sweep_link_level_beats_off_on_fidelity_at_lower_throughput() {
             .with_rounds(2)
             .with_max_time(SimDuration::from_secs(60))
             .with_carbon_t2(10.0)
-            .with_purify(PurifyPolicy::Off),
+            .with_policy(Policy::SwapAsap),
         ScenarioSpec::lab_chain("link-level", 5)
             .with_rounds(2)
             .with_max_time(SimDuration::from_secs(60))
             .with_carbon_t2(10.0)
-            .with_purify(PurifyPolicy::LinkLevel),
+            .with_policy(Policy::LinkPurify),
     ];
     let seeds = [1, 2];
     let report = sweep(&specs, &seeds, 2);
@@ -223,7 +223,7 @@ fn seeded_purification_properties_hold_over_random_chains() {
         });
         let edge_count = topo.edge_count();
         let mut net = Network::new(topo, net_seed);
-        net.set_purify_policy(PurifyPolicy::LinkLevel);
+        net.set_policy(Policy::LinkPurify);
         net.request_entanglement(0, nodes - 1, 0.6);
         let out = net
             .run_until_outcome(SimDuration::from_secs(600))
@@ -293,7 +293,7 @@ fn seeded_purification_properties_hold_over_random_chains() {
 
 /// Regression for the `RunRecord` attempt accounting: `rounds` counts
 /// logical requests as issued — multipath streams that abort on
-/// UNSUPP still count exactly once each, EndToEnd rounds count once
+/// UNSUPP still count exactly once each, end-to-end rounds count once
 /// (not once per internal stream), and `successes` can never exceed
 /// `rounds`.
 #[test]
@@ -332,14 +332,14 @@ fn run_record_attempt_accounting_is_exact() {
     assert_eq!(record.pairs_consumed, 4);
     check(&record);
 
-    // EndToEnd rounds are one logical attempt each, although two
+    // End-to-end rounds are one logical attempt each, although two
     // internal streams (and at least two link pairs) feed every one.
     let spec = ScenarioSpec::lab_chain("e2e", 2)
         .with_rounds(2)
-        .with_streams(2) // ignored under EndToEnd
+        .with_streams(2) // ignored under EndToEndPurify
         .with_max_time(SimDuration::from_secs(60))
         .with_carbon_t2(10.0)
-        .with_purify(PurifyPolicy::EndToEnd)
+        .with_policy(Policy::EndToEndPurify)
         .with_metric(MetricChoice::Fidelity);
     let record = run_one(&spec, 1);
     assert_eq!(record.rounds, 2);

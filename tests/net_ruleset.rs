@@ -1,51 +1,54 @@
-//! Golden suite for the RuleSet control plane (`qlink::net::ruleset`,
-//! the PR 10 tentpole).
+//! Golden suite for the RuleSet control plane (`qlink::net::ruleset`),
+//! the only per-node engine.
 //!
-//! The contract under test: the **interpreted** SWAP-ASAP table is
-//! bit-identical to the hard-coded `SwapAsapNode` machine — same
-//! outcomes, same RNG draws, same event counts — across the PR 5
-//! parallel-suite scenario classes (chains, the contended 4×4 grid,
-//! both purification policies, single-edge paths), and `Sharded(n)`
-//! stays bit-identical to `Sequential` (byte-equal span streams) with
-//! rulesets enabled. The data-only policies — threshold-gated
-//! purification and k-round entanglement pumping — are pinned
-//! behaviourally: a gated-out threshold is indistinguishable from
-//! plain SWAP-ASAP, one pump round is indistinguishable from
-//! link-purify, and more rounds consume more pairs for more fidelity.
+//! The contract under test: the interpreted tables reproduce, bit for
+//! bit, the trajectories of the hand-written `SwapAsapNode` state
+//! machine they replaced — same outcomes, same RNG draws, same event
+//! counts — across the PR 5 parallel-suite scenario classes (chains,
+//! the contended 4×4 grid, both purification policies, single-edge
+//! paths). The hard-coded machine's verdicts were frozen as the
+//! `fingerprint` literals below at commit `ab9c824`, the last one that
+//! carried both engines (where the interpreter equalled every literal
+//! too). `Sharded(n)` stays bit-identical to `Sequential` (byte-equal
+//! span streams, `rule_fired` spans included). The data-only policies
+//! — threshold-gated purification and k-round entanglement pumping —
+//! are pinned behaviourally: a gated-out threshold is
+//! indistinguishable from plain SWAP-ASAP, one pump round is
+//! indistinguishable from link-purify, and more rounds consume more
+//! pairs for more fidelity.
 
-use qlink::net::ruleset::Policy;
-use qlink::net::sweep::{run_one, ExecChoice, PolicyChoice, RunRecord};
+use qlink::net::sweep::{run_one, ExecChoice, RunRecord};
 use qlink::net::{spans_jsonl, MetricChoice, TelemetryConfig};
 use qlink::prelude::*;
 
 /// Every field of a [`RunRecord`] that a simulation trajectory
 /// determines, f64 compared by bit pattern.
-fn fingerprint(r: &RunRecord) -> (u32, u32, u32, u64, u64, u64, u64, u64, u64) {
-    (
-        r.successes,
-        r.rounds,
-        r.timeouts,
+type Fingerprint = [u64; 9];
+
+fn fingerprint(r: &RunRecord) -> Fingerprint {
+    [
+        r.successes.into(),
+        r.rounds.into(),
+        r.timeouts.into(),
         r.reroutes,
         r.events,
         r.pairs_consumed,
         r.fidelity.mean().to_bits(),
         r.latency_s.mean().to_bits(),
         r.latency_s.variance().to_bits(),
-    )
+    ]
 }
 
-/// Asserts that `spec` run under the hard-coded machine and under the
-/// interpreted `policy` produce bit-identical records per seed.
-fn assert_interpreted_identical(spec: &ScenarioSpec, policy: Policy, seeds: &[u64]) {
-    for &seed in seeds {
-        let hard = run_one(spec, seed);
-        let soft = run_one(&spec.clone().with_ruleset(policy), seed);
+/// Asserts that `spec` reproduces, per seed, the record the
+/// hard-coded machine produced for it at `ab9c824`.
+fn assert_matches_hardcoded(spec: &ScenarioSpec, golden: &[(u64, Fingerprint)]) {
+    for &(seed, hard) in golden {
         assert_eq!(
-            fingerprint(&hard),
-            fingerprint(&soft),
-            "{}: interpreted {} diverged from hard-coded at seed {seed}",
+            fingerprint(&run_one(spec, seed)),
+            hard,
+            "{}: interpreted {} diverged from the frozen hard-coded record at seed {seed}",
             spec.name,
-            policy.name()
+            spec.policy.name()
         );
     }
 }
@@ -55,7 +58,12 @@ fn interpreted_swap_asap_matches_hardcoded_on_chains() {
     let spec = ScenarioSpec::lab_chain("chain-3", 3)
         .with_rounds(2)
         .with_max_time(SimDuration::from_secs(25));
-    assert_interpreted_identical(&spec, Policy::SwapAsap, &[1, 7]);
+    #[rustfmt::skip]
+    let hard = [
+        (1, [2, 2, 0, 0, 777477, 4, 4599619521836574833, 4598388233409594216, 4569866618796350589]),
+        (7, [2, 2, 0, 0, 267432, 4, 4599786584738351710, 4589311758245325074, 4530160925900384171]),
+    ];
+    assert_matches_hardcoded(&spec, &hard);
 }
 
 #[test]
@@ -65,63 +73,62 @@ fn interpreted_swap_asap_matches_hardcoded_on_one_hop() {
     let spec = ScenarioSpec::lab_chain("one-hop", 2)
         .with_rounds(3)
         .with_max_time(SimDuration::from_secs(10));
-    assert_interpreted_identical(&spec, Policy::SwapAsap, &[2, 9]);
+    #[rustfmt::skip]
+    let hard = [
+        (2, [3, 3, 0, 0, 365882, 3, 4604252624975988762, 4591650132507820539, 4566427212165199399]),
+        (9, [3, 3, 0, 0, 523882, 3, 4604252624975988762, 4594154810761638530, 4579193067056446059]),
+    ];
+    assert_matches_hardcoded(&spec, &hard);
 }
 
 #[test]
 fn interpreted_swap_asap_matches_hardcoded_on_contended_grid() {
     // The PR 4 contention scenario: armed timeouts, retries, re-routes
-    // — interpreted attempts must release, park, re-plan (pricing
-    // through Policy::price), and re-install tables identically.
+    // — attempts must release, park, re-plan (pricing through
+    // Policy::price), and re-install tables identically.
     let spec = ScenarioSpec::lab_grid("contended-grid", 4, 4)
         .with_pairs(vec![(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)])
         .with_metric(MetricChoice::LoadLatency)
         .with_request_timeout(SimDuration::from_millis(300))
         .with_retries(2)
         .with_max_time(SimDuration::from_millis(700));
-    let probe = run_one(&spec.clone().with_ruleset(Policy::SwapAsap), 5);
+    let probe = run_one(&spec, 5);
     assert!(probe.reroutes > 0, "seed must actually exercise re-routing");
-    assert_interpreted_identical(&spec, Policy::SwapAsap, &[1, 5]);
+    #[rustfmt::skip]
+    let hard = [
+        (1, [5, 6, 1, 5, 6591897, 22, 4598575477975178277, 4599514445687038339, 4584897020997715398]),
+        (5, [5, 6, 1, 4, 7500461, 22, 4598575477975178277, 4599305596262321818, 4584134522147635500]),
+    ];
+    assert_matches_hardcoded(&spec, &hard);
 }
 
 #[test]
 fn interpreted_link_purify_matches_hardcoded_link_level() {
+    // The table alone recreates the hard-coded link-level machine
+    // (double CREATEs, distill, regenerate on reject) and
+    // Policy::price its purified route pricing.
     let spec = ScenarioSpec::lab_chain("link-purify", 4)
         .with_carbon_t2(10.0)
-        .with_purify(PurifyPolicy::LinkLevel)
-        .with_max_time(SimDuration::from_secs(40));
-    // The interpreted spec carries PurifyPolicy::Off: the table alone
-    // recreates LinkLevel (double CREATEs, distill, regenerate on
-    // reject) and Policy::price the purified route pricing.
-    let hard = spec.clone();
-    let soft = ScenarioSpec::lab_chain("link-purify", 4)
-        .with_carbon_t2(10.0)
         .with_max_time(SimDuration::from_secs(40))
-        .with_ruleset(Policy::LinkPurify);
-    let seed = 3;
-    assert_eq!(
-        fingerprint(&run_one(&hard, seed)),
-        fingerprint(&run_one(&soft, seed)),
-        "interpreted link-purify diverged from PurifyPolicy::LinkLevel at seed {seed}"
-    );
+        .with_policy(Policy::LinkPurify);
+    #[rustfmt::skip]
+    let hard = [
+        (3, [1, 1, 0, 0, 746515, 6, 4601081113931079488, 4598685209851567502, 0]),
+    ];
+    assert_matches_hardcoded(&spec, &hard);
 }
 
 #[test]
 fn interpreted_end_to_end_matches_hardcoded_end_to_end() {
-    let hard = ScenarioSpec::lab_chain("e2e-purify", 4)
-        .with_carbon_t2(10.0)
-        .with_purify(PurifyPolicy::EndToEnd)
-        .with_max_time(SimDuration::from_secs(40));
-    let soft = ScenarioSpec::lab_chain("e2e-purify", 4)
+    let spec = ScenarioSpec::lab_chain("e2e-purify", 4)
         .with_carbon_t2(10.0)
         .with_max_time(SimDuration::from_secs(40))
-        .with_ruleset(Policy::EndToEndPurify);
-    let seed = 3;
-    assert_eq!(
-        fingerprint(&run_one(&hard, seed)),
-        fingerprint(&run_one(&soft, seed)),
-        "interpreted e2e-purify diverged from PurifyPolicy::EndToEnd at seed {seed}"
-    );
+        .with_policy(Policy::EndToEndPurify);
+    #[rustfmt::skip]
+    let hard = [
+        (3, [1, 1, 0, 0, 746518, 6, 4600262216086889870, 4598685210200074056, 0]),
+    ];
+    assert_matches_hardcoded(&spec, &hard);
 }
 
 // ---- engine invariance with rules enabled ---------------------------
@@ -130,10 +137,10 @@ fn chain(n: usize) -> Topology {
     Topology::chain(n, |i| LinkConfig::lab(WorkloadSpec::none(), 100 + i as u64))
 }
 
-/// With rulesets enabled and telemetry on, `Sharded(n)` produces a
-/// span stream byte-identical to `Sequential` — including the new
-/// `rule_fired` spans, whose emission points ride the same control
-/// messages as the decisions they log.
+/// With telemetry on, `Sharded(n)` produces a span stream
+/// byte-identical to `Sequential` — including the `rule_fired` spans,
+/// whose emission points ride the same control messages as the
+/// decisions they log.
 #[test]
 fn sharded_span_stream_is_byte_identical_with_rules() {
     for policy in [Policy::SwapAsap, Policy::LinkPurify] {
@@ -141,7 +148,7 @@ fn sharded_span_stream_is_byte_identical_with_rules() {
             let mut net = Network::new(chain(4), 11);
             net.set_telemetry(TelemetryConfig::all());
             net.set_exec(exec);
-            net.set_ruleset_policy(Some(policy));
+            net.set_policy(policy);
             net.request_entanglement(0, 3, 0.5);
             net.run_until_outcome(SimDuration::from_secs(40));
             spans_jsonl(net.telemetry().expect("telemetry on").spans())
@@ -149,7 +156,7 @@ fn sharded_span_stream_is_byte_identical_with_rules() {
         let seq = run(ExecMode::Sequential);
         assert!(
             seq.contains("\"stage\":\"rule_fired\""),
-            "{}: interpreted runs must log fired rules",
+            "{}: runs must log fired rules",
             policy.name()
         );
         for n in [2, 4] {
@@ -173,7 +180,7 @@ fn sharded_runs_match_sequential_with_rules() {
         .with_request_timeout(SimDuration::from_millis(300))
         .with_retries(2)
         .with_max_time(SimDuration::from_millis(700))
-        .with_ruleset(Policy::SwapAsap);
+        .with_policy(Policy::SwapAsap);
     for seed in [1, 5] {
         let seq = run_one(&spec.clone().with_exec(ExecChoice::Sequential), seed);
         for n in [2, 4] {
@@ -189,9 +196,8 @@ fn sharded_runs_match_sequential_with_rules() {
 
 // ---- passivity ------------------------------------------------------
 
-/// `SpanStage::RuleFired` is observation, not behaviour: an
-/// interpreted run produces bit-identical results with telemetry on
-/// or off.
+/// `SpanStage::RuleFired` is observation, not behaviour: a run
+/// produces bit-identical results with telemetry on or off.
 #[test]
 fn rule_fired_telemetry_never_moves_a_bit() {
     let run = |telemetry: bool| {
@@ -199,7 +205,7 @@ fn rule_fired_telemetry_never_moves_a_bit() {
         if telemetry {
             net.set_telemetry(TelemetryConfig::all());
         }
-        net.set_ruleset_policy(Some(Policy::LinkPurify));
+        net.set_policy(Policy::LinkPurify);
         net.request_entanglement(0, 3, 0.5);
         let out = net
             .run_until_outcome(SimDuration::from_secs(40))
@@ -210,13 +216,13 @@ fn rule_fired_telemetry_never_moves_a_bit() {
             net.events_fired(),
         )
     };
-    assert_eq!(run(false), run(true), "telemetry moved an interpreted run");
+    assert_eq!(run(false), run(true), "telemetry moved the run");
 }
 
 // ---- the data-only policies -----------------------------------------
 
 /// A threshold no edge is below compiles every edge to a zero-round
-/// program: the run is bit-identical to plain interpreted SWAP-ASAP.
+/// program: the run is bit-identical to plain SWAP-ASAP.
 /// A threshold every edge is below is bit-identical to link-purify.
 #[test]
 fn threshold_purify_degenerates_to_its_neighbours() {
@@ -224,7 +230,7 @@ fn threshold_purify_degenerates_to_its_neighbours() {
         .with_carbon_t2(10.0)
         .with_max_time(SimDuration::from_secs(40));
     let run =
-        |policy: Policy, seed: u64| fingerprint(&run_one(&base.clone().with_ruleset(policy), seed));
+        |policy: Policy, seed: u64| fingerprint(&run_one(&base.clone().with_policy(policy), seed));
     let seed = 3;
     assert_eq!(
         run(Policy::ThresholdPurify { theta: 0.0 }, seed),
@@ -246,7 +252,7 @@ fn pump_rounds_scale_pair_cost() {
     let base = ScenarioSpec::lab_chain("pump", 4)
         .with_carbon_t2(10.0)
         .with_max_time(SimDuration::from_secs(40));
-    let run = |policy: Policy, seed: u64| run_one(&base.clone().with_ruleset(policy), seed);
+    let run = |policy: Policy, seed: u64| run_one(&base.clone().with_policy(policy), seed);
     let seed = 3;
     let asap = run(Policy::SwapAsap, seed);
     let one = run(Policy::LinkPurify, seed);
@@ -270,26 +276,23 @@ fn pump_rounds_scale_pair_cost() {
     );
 }
 
-/// The sweep matrix carries [`PolicyChoice`] end to end: a two-cell
-/// sweep mixing hard-coded and interpreted specs merges
+/// The sweep matrix carries the [`Policy`] end to end: a two-cell
+/// sweep mixing the default and an explicitly chosen policy merges
 /// deterministically and names the policies.
 #[test]
 fn sweep_matrix_carries_policy_choice() {
     let specs = vec![
-        ScenarioSpec::lab_chain("hard", 3).with_max_time(SimDuration::from_secs(25)),
-        ScenarioSpec::lab_chain("soft", 3)
+        ScenarioSpec::lab_chain("default", 3).with_max_time(SimDuration::from_secs(25)),
+        ScenarioSpec::lab_chain("gated-out", 3)
             .with_max_time(SimDuration::from_secs(25))
-            .with_ruleset(Policy::SwapAsap),
+            .with_policy(Policy::ThresholdPurify { theta: 0.0 }),
     ];
-    assert_eq!(specs[0].ruleset.name(), "hardcoded");
-    assert_eq!(specs[1].ruleset.name(), "rs-swap-asap");
-    assert_eq!(
-        PolicyChoice::Rules(Policy::ThresholdPurify { theta: 0.9 }).name(),
-        "rs-threshold"
-    );
+    assert_eq!(specs[0].policy.name(), "rs-swap-asap");
+    assert_eq!(specs[1].policy.name(), "rs-threshold");
     let report = sweep(&specs, &[1], 2);
     assert_eq!(report.runs.len(), 2);
-    // Same physics, same seed, same decisions: the interpreted twin
-    // reproduces the hard-coded record bit for bit inside the sweep.
+    // Same physics, same seed, same decisions: the gated-out
+    // threshold cell reproduces the SWAP-ASAP record bit for bit
+    // inside the sweep.
     assert_eq!(fingerprint(&report.runs[0]), fingerprint(&report.runs[1]));
 }
