@@ -197,8 +197,8 @@ fn bench_par_engine(c: &mut Criterion) {
     let mut json_entries = Vec::new();
     let mut measured: Vec<(String, f64)> = Vec::new();
     for n in [8usize, 16] {
-        // One corner-to-corner request plus cross traffic, re-routing
-        // armed: the workload class the intra-topology engine exists
+        // One corner-to-corner request plus cross traffic, with a
+        // timeout and retry budget: the workload class the intra-topology engine exists
         // for. Results are bit-identical across modes (pinned by
         // tests/net_par.rs), so wall-clock is the whole story.
         let last = n * n - 1;

@@ -49,9 +49,9 @@
 //! [`Network::set_workload`]: crate::network::Network::set_workload
 
 use crate::obs::{fidelity_histogram, latency_histogram};
-use qlink_des::{DetRng, Histogram, SimDuration, SimTime};
+use qlink_des::{DetRng, Histogram, IntMap, SimDuration, SimTime};
 pub use qlink_sim::config::RequestKind;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Per-class service-level objective targets. `None` targets are
@@ -421,14 +421,6 @@ pub(crate) struct QueuedArrival {
     pub(crate) pair: (usize, usize),
 }
 
-/// What a completion looked like, for the caller's telemetry mirror.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CompletionInfo {
-    pub(crate) class: usize,
-    /// Arrival-to-completion latency (queue wait included).
-    pub(crate) latency: SimDuration,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct InFlightReq {
     class: usize,
@@ -436,7 +428,7 @@ struct InFlightReq {
 }
 
 /// The workload engine state a [`Network`](crate::network::Network)
-/// owns while a workload is armed: the spec, the live admission state
+/// owns while a workload is armed — the spec, the live admission state
 /// machine, and the accounting. Pure bookkeeping — every method is
 /// called by the network at event-handling instants, and the only
 /// randomness it ever touches is the `net/load` substream the network
@@ -450,7 +442,7 @@ pub(crate) struct LoadEngine {
     /// then class order.
     drain_order: Vec<usize>,
     stats: LoadStats,
-    in_flight: HashMap<u64, InFlightReq>,
+    in_flight: IntMap<u64, InFlightReq>,
     in_flight_total: u64,
     /// FIFO waiting room per class.
     queues: Vec<VecDeque<QueuedArrival>>,
@@ -473,15 +465,11 @@ impl LoadEngine {
             weights,
             drain_order,
             stats,
-            in_flight: HashMap::new(),
+            in_flight: IntMap::default(),
             in_flight_total: 0,
             queues,
             spec,
         }
-    }
-
-    pub(crate) fn spec(&self) -> &Workload {
-        &self.spec
     }
 
     pub(crate) fn class(&self, class: usize) -> &UserClass {
@@ -640,21 +628,13 @@ impl LoadEngine {
         None
     }
 
-    /// `true` when `id` is a workload-tracked in-flight request.
-    pub(crate) fn tracks(&self, id: u64) -> bool {
-        self.in_flight.contains_key(&id)
-    }
-
     /// A tracked request delivered: update the class accounting and
-    /// SLO attainment. Returns `None` for untracked ids (legacy
-    /// closed-loop requests sharing the network).
-    pub(crate) fn complete(
-        &mut self,
-        id: u64,
-        fidelity: f64,
-        now: SimTime,
-    ) -> Option<CompletionInfo> {
-        let req = self.in_flight.remove(&id)?;
+    /// SLO attainment. Returns `false` for untracked ids (closed-loop
+    /// requests sharing the network).
+    pub(crate) fn complete(&mut self, id: u64, fidelity: f64, now: SimTime) -> bool {
+        let Some(req) = self.in_flight.remove(&id) else {
+            return false;
+        };
         self.in_flight_total -= 1;
         let latency = now.since(req.arrived_at);
         let cls = &self.spec.classes[req.class];
@@ -669,22 +649,20 @@ impl LoadEngine {
         if cls.slo.min_fidelity.is_none_or(|bound| fidelity >= bound) {
             c.slo_fidelity_met += 1;
         }
-        Some(CompletionInfo {
-            class: req.class,
-            latency,
-        })
+        true
     }
 
     /// A tracked request was abandoned (retry budget exhausted, no
-    /// route, or cancelled). Returns the class, or `None` for
-    /// untracked ids.
-    pub(crate) fn abandon(&mut self, id: u64) -> Option<usize> {
-        let req = self.in_flight.remove(&id)?;
+    /// route, or cancelled). Returns `false` for untracked ids.
+    pub(crate) fn abandon(&mut self, id: u64) -> bool {
+        let Some(req) = self.in_flight.remove(&id) else {
+            return false;
+        };
         self.in_flight_total -= 1;
         let c = &mut self.stats.classes[req.class];
         c.in_flight -= 1;
         c.abandoned += 1;
-        Some(req.class)
+        true
     }
 }
 
@@ -738,7 +716,7 @@ mod tests {
             "offered splits into admitted + queued + dropped"
         );
         // Completion frees the slot; the oldest queued arrival drains.
-        assert!(eng.complete(100, 0.9, t).is_some());
+        assert!(eng.complete(100, 0.9, t));
         let q = eng.pop_admittable().expect("a queued arrival drains");
         assert_eq!(q.class, 0);
         eng.register(200, q.class, q.arrived_at, t);
@@ -749,8 +727,8 @@ mod tests {
             (2, 1, 1, 1)
         );
         // Untracked ids are ignored.
-        assert!(eng.complete(999, 0.5, t).is_none());
-        assert!(eng.abandon(999).is_none());
+        assert!(!eng.complete(999, 0.5, t));
+        assert!(!eng.abandon(999));
         let _ = eng.first_arrival_delay(&mut rng);
     }
 
@@ -765,9 +743,9 @@ mod tests {
         // Class 1 (priority 0) has nothing queued, so class 0 drains
         // despite its lower priority — but only once its own slot
         // frees: class 1's completion alone unblocks nothing.
-        assert!(eng.complete(2, 0.9, t).is_some());
+        assert!(eng.complete(2, 0.9, t));
         assert!(eng.pop_admittable().is_none(), "class-0 slot still full");
-        assert!(eng.complete(1, 0.9, t).is_some());
+        assert!(eng.complete(1, 0.9, t));
         let q = eng.pop_admittable().expect("class-0 arrival drains");
         assert_eq!(q.class, 0);
     }

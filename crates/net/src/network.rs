@@ -34,15 +34,17 @@
 //! sees the current per-edge reservation counts (metrics opt in via
 //! [`RouteMetric::load_cost`] — see
 //! [`LoadScaledLatency`](crate::route::LoadScaledLatency)), and
-//! failed attempts feed back as re-plans. With a per-request timeout
-//! ([`Network::set_request_timeout`]) and a retry budget
-//! ([`Network::set_retry_budget`]), a stream that stalls past its
-//! deadline or whose CREATE a link terminally rejects (UNSUPP)
-//! releases every reservation it holds and is re-planned against
-//! *current* load — excluding the edges that failed it — under its
-//! original id, `fmin`, and [`Policy`]. Both knobs default
-//! to off, in which case no timeout events exist and no re-route
-//! randomness is drawn: earlier PRs' runs reproduce bit-for-bit.
+//! failed attempts feed back as re-plans. An attempt fails when a link
+//! terminally rejects one of its CREATEs (UNSUPP), a fault downs an
+//! edge it rides, or it outlives its per-request timeout
+//! ([`Network::set_request_timeout`]; off by default, and then no
+//! timeout events exist). However an attempt ends — delivery, failure,
+//! [`Network::cancel_request`] — one teardown releases every
+//! reservation it holds and retracts its queued CREATEs. A failed
+//! request with retry budget left ([`Network::set_retry_budget`],
+//! default 0) is re-planned against *current* load — excluding the
+//! edges that failed it — under its original id, `fmin`, and
+//! [`Policy`]; otherwise it is abandoned ([`Network::timeouts`]).
 
 use crate::bound::CrBound;
 use crate::fault::{FaultKind, FaultPlan, PenaltyBox};
@@ -53,7 +55,7 @@ use crate::par::{ExecMode, ShardPool};
 use crate::route::{HopCount, PlanContext, Route, RouteMetric, RoutePlanner};
 use crate::ruleset::{ArmProgram, Policy};
 use crate::topology::Topology;
-use qlink_des::{DetRng, EventQueue, SimDuration, SimTime};
+use qlink_des::{DetRng, EventQueue, IntMap, SimDuration, SimTime};
 use qlink_quantum::bell::{bell_fidelity, werner_from_fidelity, BellState};
 use qlink_quantum::ops::entanglement_swap;
 use qlink_quantum::purify::distill_werner;
@@ -61,7 +63,7 @@ use qlink_quantum::{channels, gates, QuantumState};
 use qlink_sim::config::{LinkConfig, RequestKind};
 use qlink_sim::link::{Delivery, LinkSimulation, Rejection};
 use qlink_sim::workload::GeneratedRequest;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -274,15 +276,10 @@ struct ParkedReroute {
 /// time the re-route machinery re-issues the request.
 #[derive(Debug)]
 struct AttemptSeed {
-    /// Whether failure detection was armed when the request was first
-    /// issued. Pinned for the request's whole life: rejections of an
-    /// unarmed request stay unobserved (earlier PRs' behaviour)
-    /// however the network's knobs move afterwards, and an armed one
-    /// keeps its budget even if the knobs are later cleared.
-    armed: bool,
     /// The per-attempt timeout the request was issued under — pinned
-    /// like `armed`, so every re-issued attempt re-arms the same
-    /// deadline whatever the network's knob says by then.
+    /// for the request's whole life, so every re-issued attempt
+    /// re-arms the same deadline whatever the network's knob says by
+    /// then.
     timeout: Option<SimDuration>,
     /// Re-issues left before a failed attempt abandons the request.
     retries_left: u32,
@@ -297,8 +294,8 @@ struct AttemptSeed {
     /// Attempt number, starting at 0; a [`NetEvent::RequestTimeout`]
     /// carrying an older number is stale and ignored.
     attempt: u64,
-    /// The policy the request was issued under — pinned like `armed`,
-    /// so re-routed attempts recompile the same tables (and price
+    /// The policy the request was issued under — pinned like
+    /// `timeout`, so re-routed attempts recompile the same tables (and price
     /// their re-plans the same way) whatever [`Network::set_policy`]
     /// says by then.
     policy: Policy,
@@ -335,11 +332,10 @@ struct PairGroup {
     /// so regeneration ignores later policy changes.
     policy: Policy,
     /// Failure-detection state pinned at group creation
-    /// (armed / timeout / retry budget): regenerated member streams
+    /// (timeout / retry budget): regenerated member streams
     /// are issued under it, not under whatever the network's knobs
     /// say by then — the same pin-at-issue contract single streams
     /// keep via their [`AttemptSeed`].
-    armed: bool,
     timeout: Option<SimDuration>,
     retries: u32,
 }
@@ -404,10 +400,15 @@ pub struct Network {
     /// The armed open-loop workload engine (see [`crate::load`]),
     /// `None` unless [`Network::set_workload`] armed one.
     workload: Option<Box<LoadEngine>>,
-    requests: HashMap<u64, PathRequest>,
-    groups: HashMap<u64, PairGroup>,
-    parked: HashMap<u64, ParkedReroute>,
-    pending_creates: HashMap<(usize, usize, u16), u64>,
+    /// In-flight attempts by request id. Ordered: a fault fails the
+    /// requests riding an edge in iteration order.
+    requests: BTreeMap<u64, PathRequest>,
+    groups: IntMap<u64, PairGroup>,
+    parked: IntMap<u64, ParkedReroute>,
+    /// CREATEs queued inside links: `(edge, side, create_id)` → the
+    /// owning request and the submission instant. Ordered: retraction
+    /// notices are scheduled in iteration order.
+    pending_creates: BTreeMap<(usize, usize, u16), (u64, SimTime)>,
     next_request: u64,
     retry_budget: u32,
     request_timeout: Option<SimDuration>,
@@ -422,13 +423,6 @@ pub struct Network {
     /// telemetry-on run's *results* are bit-identical to the same
     /// run with it off.
     telemetry: Option<Box<Telemetry>>,
-    /// When set, [`Network::cancel_request`] retracts the cancelled
-    /// request's still-queued CREATEs through the classical expire
-    /// path (like a failed attempt does) instead of merely dropping
-    /// the bookkeeping. Off by default: the extra [`NetEvent::Expire`]
-    /// events change the event stream, and earlier PRs' runs must
-    /// reproduce exactly.
-    retract_on_cancel: bool,
     metric: Box<dyn RouteMetric + Send>,
     /// The [`Policy`] new requests are issued under — see
     /// [`Network::set_policy`].
@@ -540,10 +534,10 @@ impl Network {
             fault_count: 0,
             repair_total: 0,
             workload: None,
-            requests: HashMap::new(),
-            groups: HashMap::new(),
-            parked: HashMap::new(),
-            pending_creates: HashMap::new(),
+            requests: BTreeMap::new(),
+            groups: IntMap::default(),
+            parked: IntMap::default(),
+            pending_creates: BTreeMap::new(),
             next_request: 0,
             retry_budget: 0,
             request_timeout: None,
@@ -552,7 +546,6 @@ impl Network {
             timed_out: 0,
             outcomes: Vec::new(),
             telemetry,
-            retract_on_cancel: false,
             metric: Box::new(HopCount),
             policy: Policy::default(),
             planner: None,
@@ -586,23 +579,6 @@ impl Network {
     /// The telemetry recorded so far (`None` when the layer is off).
     pub fn telemetry(&self) -> Option<&Telemetry> {
         self.telemetry.as_deref()
-    }
-
-    /// Opts cancellation into CREATE retraction: a
-    /// [`Network::cancel_request`] also sends expire notices (one
-    /// classical control delay out, exactly like a failed attempt's
-    /// retraction) for every CREATE of the request still queued inside
-    /// a link, so the links stop spending attempt cycles on pairs
-    /// nobody will consume. Off by default — the extra expire events
-    /// change the event stream, and runs that never enable the knob
-    /// reproduce earlier PRs bit-for-bit.
-    pub fn set_retract_on_cancel(&mut self, on: bool) {
-        self.retract_on_cancel = on;
-    }
-
-    /// Whether cancellation retracts queued CREATEs.
-    pub fn retract_on_cancel(&self) -> bool {
-        self.retract_on_cancel
     }
 
     /// Current global simulated time.
@@ -707,9 +683,9 @@ impl Network {
     /// path's edges) and re-issues; otherwise the request is
     /// abandoned and counted in [`Network::timeouts`].
     ///
-    /// `None` (the default) disables timeout detection entirely: no
-    /// timeout events are scheduled and runs reproduce earlier PRs
-    /// bit-for-bit. Applies to requests issued after the call.
+    /// `None` (the default) schedules no timeout events: an attempt
+    /// then fails only on a terminal link rejection or a fault on its
+    /// path. Applies to requests issued after the call.
     pub fn set_request_timeout(&mut self, timeout: Option<SimDuration>) {
         self.request_timeout = timeout;
     }
@@ -719,10 +695,11 @@ impl Network {
         self.request_timeout
     }
 
-    /// Sets how many times a failed attempt (timeout or terminal link
-    /// rejection, UNSUPP included) may be re-planned and re-issued
-    /// before its request is abandoned. The budget is per request,
-    /// pinned at issue time; the default is 0 (no re-routing).
+    /// Sets how many times a failed attempt (timeout, terminal link
+    /// rejection — UNSUPP included — or a fault on its path) may be
+    /// re-planned and re-issued before its request is abandoned. The
+    /// budget is per request, pinned at issue time; the default is 0
+    /// (the first failure abandons).
     pub fn set_retry_budget(&mut self, retries: u32) {
         self.retry_budget = retries;
     }
@@ -849,9 +826,6 @@ impl Network {
             }
         }
         let engine = Box::new(LoadEngine::new(workload));
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.on_workload_armed(engine.spec().classes.len());
-        }
         if let Some(delay) = engine.first_arrival_delay(&mut self.load_rng) {
             self.schedule_cr(delay, NetEvent::Arrival { index: 0 });
         }
@@ -941,13 +915,9 @@ impl Network {
 
     /// Takes an edge's quantum link down: marks it down (planning
     /// treats it as absent), bumps its penalty, and fails every
-    /// *armed* in-flight request riding it through the ordinary
-    /// rejection path — release, retract, backoff, re-plan
-    /// ([`Network::fail_attempt`]). Unarmed requests are left alone,
-    /// exactly as an unarmed stream leaves a link rejection
-    /// unobserved ([`Network::on_rejection`]): they lose their queued
-    /// CREATEs at the eventual repair and surface as driver-level
-    /// timeouts. No-op if the edge is already down.
+    /// in-flight request riding it through the ordinary rejection
+    /// path — release, retract, then backoff and re-plan or abandon
+    /// ([`Network::fail_attempt`]). No-op if the edge is already down.
     fn fail_edge(&mut self, edge: usize, t: SimTime) {
         if !self.topo.edge_up(edge) {
             return;
@@ -955,25 +925,16 @@ impl Network {
         self.topo.set_edge_up(edge, false);
         self.fault_count += 1;
         if let Some(pb) = &mut self.penalty_box {
-            let v = pb.bump(edge, t);
-            if let Some(tl) = self.telemetry.as_deref_mut() {
-                tl.on_penalty(edge, v);
-            }
+            pb.bump(edge, t);
         }
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.on_edge_fail(edge);
-            tl.emit(t, FAULT_TRACK, 0, SpanStage::EdgeFail { edge });
-        }
-        // Fail the armed in-flight streams riding the edge, in sorted
-        // id order — HashMap iteration order must never leak into the
-        // event stream.
-        let mut victims: Vec<u64> = self
+        self.emit(t, FAULT_TRACK, 0, SpanStage::EdgeFail { edge });
+        // Fail the in-flight streams riding the edge, in id order.
+        let victims: Vec<u64> = self
             .requests
             .iter()
-            .filter(|(_, req)| req.seed.armed && req.edges.contains(&edge))
+            .filter(|(_, req)| req.edges.contains(&edge))
             .map(|(&id, _)| id)
             .collect();
-        victims.sort_unstable();
         for id in victims {
             self.fail_attempt(id, Some(edge), t);
         }
@@ -1014,20 +975,10 @@ impl Network {
         // create ids. A still-pending Expire for one of them fires
         // into the new link as a no-op (unknown create id).
         self.pending_creates.retain(|k, _| k.0 != edge);
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.on_edge_repair(edge);
-            tl.emit(t, FAULT_TRACK, 0, SpanStage::EdgeRepair { edge });
-        }
+        self.emit(t, FAULT_TRACK, 0, SpanStage::EdgeRepair { edge });
         // Any wake scheduled for the old incarnation is superseded by
         // the generation bump.
         self.schedule_wake(edge);
-    }
-
-    /// Whether failures are acted on at all: with no timeout *and* no
-    /// retry budget, rejection handling stays fully inert so earlier
-    /// PRs' runs reproduce bit-for-bit.
-    fn reroute_enabled(&self) -> bool {
-        self.retry_budget > 0 || self.request_timeout.is_some()
     }
 
     /// Total NL pairs the link layer has delivered on edge `edge` for
@@ -1142,6 +1093,31 @@ impl Network {
         )
     }
 
+    /// Plans the routes a request is *issued* on, down one fallback
+    /// ladder: at `fmin` around `exclude`; else with the exclusions
+    /// lifted; else best-effort ignoring `fmin` — the links then
+    /// reject the CREATEs as UNSUPP and the attempt fails gracefully,
+    /// the same degradation the link layer gives an unachievable
+    /// `Fmin`. Empty only when no path connects the pair at all.
+    fn plan_for_issue(
+        &mut self,
+        src: usize,
+        dst: usize,
+        fmin: f64,
+        k: usize,
+        exclude: &[usize],
+        policy: Policy,
+    ) -> Vec<Route> {
+        let mut routes = self.plan_with_policy(src, dst, fmin, k, exclude, policy);
+        if routes.is_empty() && !exclude.is_empty() {
+            routes = self.plan_with_policy(src, dst, fmin, k, &[], policy);
+        }
+        if routes.is_empty() {
+            routes = self.plan_with_policy(src, dst, 0.0, k, &[], policy);
+        }
+        routes
+    }
+
     /// The single best route under the current metric, or `None` if no
     /// path can serve `fmin`.
     ///
@@ -1161,11 +1137,12 @@ impl Network {
     /// If paths exist but none can serve `fmin` (every candidate
     /// contains an edge whose FEU ceiling is below it), the best
     /// route *ignoring* feasibility is reserved instead: the links
-    /// reject their CREATEs as UNSUPP and the request never
-    /// completes, surfacing as a timeout — the same graceful
-    /// degradation the link layer itself gives an unachievable
-    /// `Fmin`, and what [`RepeaterChain::generate_end_to_end`]'s
-    /// `None` and the sweep driver's zero-success records rely on.
+    /// reject their CREATEs as UNSUPP, the attempt fails, and — once
+    /// its retry budget is spent on equally infeasible re-plans — the
+    /// request is abandoned and counted in [`Network::timeouts`]. No
+    /// outcome is ever produced, which is what
+    /// [`RepeaterChain::generate_end_to_end`]'s `None` and the sweep
+    /// driver's zero-success records rely on.
     ///
     /// [`RepeaterChain::generate_end_to_end`]:
     ///     crate::chain::RepeaterChain::generate_end_to_end
@@ -1198,10 +1175,9 @@ impl Network {
             return self.request_entanglement_distilled(src, dst, fmin);
         }
         let route = self
-            .plan_route(src, dst, fmin)
-            // No serving path: reserve the best-effort route and let
-            // the links UNSUPP it (the request times out gracefully).
-            .or_else(|| self.plan_route(src, dst, 0.0))
+            .plan_for_issue(src, dst, fmin, 1, &[], self.policy)
+            .into_iter()
+            .next()
             .unwrap_or_else(|| panic!("no path from {src} to {dst}"));
         self.request_on_path(&route.nodes, fmin)
     }
@@ -1224,10 +1200,12 @@ impl Network {
         // The group id gets its own issue span: its Deliver (and thus
         // the chrome-trace span close) is reported under the group id,
         // while the member streams trace under their own ids.
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            let now = self.queue.now();
-            tl.emit(now, group, 0, SpanStage::Issue { src, dst, fmin });
-        }
+        self.emit(
+            self.queue.now(),
+            group,
+            0,
+            SpanStage::Issue { src, dst, fmin },
+        );
         let members = self.request_entanglement_multipath(src, dst, fmin, 2);
         let members: [u64; 2] = [members[0], members[1]];
         let mut routes: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
@@ -1247,7 +1225,6 @@ impl Network {
                 swaps: 0,
                 pairs_consumed: 0,
                 policy: self.member_policy(),
-                armed: self.reroute_enabled(),
                 timeout: self.request_timeout,
                 retries: self.retry_budget,
             },
@@ -1265,7 +1242,6 @@ impl Network {
     /// nodes are not connected.
     pub fn request_on_path(&mut self, path: &[usize], fmin: f64) -> u64 {
         let seed = AttemptSeed {
-            armed: self.reroute_enabled(),
             timeout: self.request_timeout,
             retries_left: self.retry_budget,
             excluded: Vec::new(),
@@ -1405,7 +1381,7 @@ impl Network {
     /// CREATEs in queue order. Returns one request id per stream, in
     /// issue order. As with [`Network::request_entanglement`], an
     /// `fmin` no path can serve falls back to best-effort routes that
-    /// the links will UNSUPP (the streams then time out).
+    /// the links will UNSUPP (the streams are then abandoned).
     ///
     /// # Panics
     /// Panics if `streams == 0` or no path connects the nodes.
@@ -1425,12 +1401,7 @@ impl Network {
         let mut k = streams;
         let mut selected: Vec<Route> = Vec::new();
         loop {
-            let mut routes = self.plan_routes(src, dst, fmin, k);
-            if routes.is_empty() {
-                // No serving path: fall back to best-effort routes
-                // the links will UNSUPP (streams time out gracefully).
-                routes = self.plan_routes(src, dst, 0.0, k);
-            }
+            let routes = self.plan_for_issue(src, dst, fmin, k, &[], self.policy);
             assert!(!routes.is_empty(), "no path from {src} to {dst}");
             let exhausted = routes.len() < k;
             selected.clear();
@@ -1623,10 +1594,12 @@ impl Network {
         std::mem::take(&mut self.outcomes)
     }
 
-    /// Abandons an in-flight request: releases the path reservation
-    /// and stops matching its link deliveries. (The link layers may
-    /// still serve the already-queued CREATEs; their pairs are then
-    /// simply discarded by the network layer.) A group id from
+    /// Abandons an in-flight request — a failed attempt's teardown
+    /// minus the re-plan: the path reservation is released and every
+    /// CREATE still queued inside a link is retracted, so the links
+    /// stop spending attempt cycles on pairs nobody will consume. No
+    /// terminal span is recorded: the caller, not the network, ended
+    /// the request. A group id from
     /// [`Network::request_entanglement_distilled`] cancels both of the
     /// group's streams and drops any parked pair.
     pub fn cancel_request(&mut self, request: u64) {
@@ -1637,17 +1610,7 @@ impl Network {
             }
             return;
         }
-        let mut attempt = 0;
-        if let Some(req) = self.requests.remove(&request) {
-            attempt = req.seed.attempt;
-            if req.edges.len() == 1 {
-                self.short_requests -= 1;
-            }
-            for &n in &req.path {
-                self.nodes[n].release(request);
-            }
-            self.release_edge_load(request, &req.edges);
-        }
+        self.teardown(request);
         // A stream parked between failure and re-issue holds no
         // reservations (its failing attempt released them). Dropping
         // the parked state makes the pending Reissue a no-op, so its
@@ -1657,26 +1620,29 @@ impl Network {
         if let Some(p) = self.parked.remove(&request) {
             self.cr_pending.cancel(p.reissue_at);
         }
-        if self.retract_on_cancel {
-            // Opt-in (see `Network::set_retract_on_cancel`): expire the
-            // request's queued CREATEs inside the links, over the same
-            // classical retraction path a failed attempt uses.
-            self.retract_pending_creates(request, attempt);
-        } else {
-            self.pending_creates.retain(|_, r| *r != request);
-        }
     }
 
     // ---- internals ---------------------------------------------------
 
-    /// Releases one reservation per path edge of `request`. The
-    /// subtraction is checked: with fault injection in play a release
-    /// can race a fault-triggered teardown of the same attempt, and a
-    /// double release must flag loudly in debug builds (naming the
-    /// edge and the request) instead of underflow-panicking — and
-    /// saturate at zero, never wrap, in release builds.
-    fn release_edge_load(&mut self, request: u64, edges: &[usize]) {
-        for &e in edges {
+    /// The one exit — the only place a [`PathRequest`] leaves the
+    /// table: releases its node reservations and edge loads and
+    /// retracts whatever CREATEs it still has queued inside links
+    /// (none, for a delivered request). Delivery, failure, and
+    /// cancellation all end here, so `edge_load` tracks the links' true
+    /// backlog whatever ended the attempt. `None` when the request has
+    /// no attempt in flight.
+    fn teardown(&mut self, request: u64) -> Option<PathRequest> {
+        let req = self.requests.remove(&request)?;
+        if req.edges.len() == 1 {
+            self.short_requests -= 1;
+        }
+        for &n in &req.path {
+            self.nodes[n].release(request);
+        }
+        for &e in &req.edges {
+            // Checked: a double release must flag loudly in debug
+            // builds (naming the edge and the request) and saturate at
+            // zero, never wrap, in release builds.
             match self.edge_load[e].checked_sub(1) {
                 Some(next) => self.edge_load[e] = next,
                 None => debug_assert!(
@@ -1684,6 +1650,23 @@ impl Network {
                     "edge_load underflow: double release of edge {e} by request {request}"
                 ),
             }
+        }
+        self.retract_pending_creates(request, req.seed.attempt);
+        Some(req)
+    }
+
+    /// Records a span if telemetry is on (passive either way).
+    fn emit(&mut self, t: SimTime, request: u64, attempt: u64, stage: SpanStage) {
+        if let Some(tl) = self.telemetry.as_deref_mut() {
+            tl.emit(t, request, attempt, stage);
+        }
+    }
+
+    /// [`Network::emit`] under the attempt `request` is currently on
+    /// (looked up only when telemetry is on).
+    fn span(&mut self, t: SimTime, request: u64, stage: SpanStage) {
+        if let Some(tl) = self.telemetry.as_deref_mut() {
+            tl.emit(t, request, attempt_of(&self.requests, request), stage);
         }
     }
 
@@ -1754,17 +1737,16 @@ impl Network {
             NetEvent::RequestTimeout { request, attempt } => {
                 self.on_request_timeout(request, attempt, t);
             }
-            NetEvent::Reissue { request } => {
-                if self.parked.contains_key(&request) {
+            NetEvent::Reissue { request } => match self.parked.remove(&request) {
+                Some(parked) => {
                     self.cr_pending.fired(t);
-                    self.on_reissue(request, t);
-                } else {
-                    // Cancelled while parked: the bound entry was
-                    // tombstoned at cancel time; reclaim the hollow
-                    // firing if the lazy purge has not already.
-                    self.cr_pending.fired_cancelled(t);
+                    self.on_reissue(request, parked, t);
                 }
-            }
+                // Cancelled while parked: the bound entry was
+                // tombstoned at cancel time; reclaim the hollow
+                // firing if the lazy purge has not already.
+                None => self.cr_pending.fired_cancelled(t),
+            },
             NetEvent::Expire {
                 edge,
                 side,
@@ -1819,17 +1801,9 @@ impl Network {
                 let fmin = wl.class(class).fmin;
                 let id = self.request_entanglement(pair.0, pair.1, fmin);
                 wl.register(id, class, t, t);
-                if let Some(tl) = self.telemetry.as_deref_mut() {
-                    tl.on_admit(class, 0.0);
-                }
             }
             Admission::Queue => wl.enqueue(class, t, pair),
-            Admission::Drop => {
-                wl.drop_arrival(class);
-                if let Some(tl) = self.telemetry.as_deref_mut() {
-                    tl.on_admission_drop(class);
-                }
-            }
+            Admission::Drop => wl.drop_arrival(class),
         }
         self.workload = Some(wl);
     }
@@ -1845,9 +1819,6 @@ impl Network {
             let fmin = wl.class(q.class).fmin;
             let id = self.request_entanglement(q.pair.0, q.pair.1, fmin);
             wl.register(id, q.class, q.arrived_at, t);
-            if let Some(tl) = self.telemetry.as_deref_mut() {
-                tl.on_admit(q.class, t.since(q.arrived_at).as_secs_f64());
-            }
         }
         self.workload = Some(wl);
     }
@@ -1858,44 +1829,36 @@ impl Network {
     /// reach the admission plane — and a completion or abandon can
     /// fire at instants where links have already run ahead, so the
     /// drain must go through a control-class event of its own).
-    /// No-op for untracked (legacy closed-loop) requests.
-    fn workload_complete(&mut self, request: u64, fidelity: f64, t: SimTime) {
-        let Some(wl) = self.workload.as_deref_mut() else {
-            return;
-        };
-        let Some(done) = wl.complete(request, fidelity, t) else {
-            return;
-        };
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.on_class_complete(done.class, done.latency.as_secs_f64());
+    /// Returns `false`, touching nothing, for untracked (closed-loop)
+    /// requests.
+    fn workload_complete(&mut self, request: u64, fidelity: f64, t: SimTime) -> bool {
+        let tracked = self
+            .workload
+            .as_deref_mut()
+            .is_some_and(|wl| wl.complete(request, fidelity, t));
+        if tracked {
+            self.schedule_admit_drain();
         }
-        self.schedule_admit_drain();
+        tracked
     }
 
     /// A workload-tracked request was abandoned (retry budget
     /// exhausted, no route left, or cancelled): count it and free its
     /// slot. No-op for untracked requests.
     fn workload_abandon(&mut self, request: u64) {
-        let Some(wl) = self.workload.as_deref_mut() else {
-            return;
-        };
-        if wl.abandon(request).is_none() {
-            return;
+        let tracked = self
+            .workload
+            .as_deref_mut()
+            .is_some_and(|wl| wl.abandon(request));
+        if tracked {
+            self.schedule_admit_drain();
         }
-        self.schedule_admit_drain();
     }
 
     fn schedule_admit_drain(&mut self) {
         if self.workload.as_deref().is_some_and(LoadEngine::has_queued) {
             self.schedule_cr(self.min_control_delay, NetEvent::AdmitQueued);
         }
-    }
-
-    /// `true` when `request` is tracked by the armed workload (its
-    /// completion feeds [`Network::workload_stats`] instead of the
-    /// outcome buffer).
-    fn workload_tracks(&self, request: u64) -> bool {
-        self.workload.as_deref().is_some_and(|w| w.tracks(request))
     }
 
     /// Issues every NL CREATE path edge position `pos` of `request`
@@ -1917,7 +1880,6 @@ impl Network {
         };
         let edge_idx = req.edges[pos];
         let submitting_node = req.path[pos];
-        let attempt = req.seed.attempt;
         let side = self.topo.edge(edge_idx).side_of(submitting_node);
         let now = self.queue.now();
         // Align the link's clock with the global instant of submission.
@@ -1941,20 +1903,19 @@ impl Network {
             },
         );
         self.pending_creates
-            .insert((edge_idx, side, create_id), request);
+            .insert((edge_idx, side, create_id), (request, now));
         if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.on_create(now, edge_idx, side, create_id);
-            tl.emit(
-                now,
-                request,
-                attempt,
-                SpanStage::Create {
-                    edge: edge_idx,
-                    side,
-                    create_id,
-                },
-            );
+            tl.on_create(edge_idx);
         }
+        self.span(
+            now,
+            request,
+            SpanStage::Create {
+                edge: edge_idx,
+                side,
+                create_id,
+            },
+        );
         self.schedule_wake(edge_idx);
     }
 
@@ -1992,38 +1953,28 @@ impl Network {
         self.forward_reserve(request, pos);
     }
 
-    /// A link terminally rejected one of this network's CREATEs
-    /// (UNSUPP and friends). A stream issued with failure detection
-    /// armed fails *now* — releasing its reservations and trying
-    /// another path — instead of idling until some timeout notices;
-    /// an unarmed stream leaves the rejection unobserved, exactly as
-    /// in earlier PRs (it surfaces as a driver-level timeout). The
-    /// choice is the request's `armed` flag, pinned at issue time, so
-    /// knob changes mid-flight never strand or surprise a stream.
-    /// Retracts every CREATE of `request` still queued inside a link.
-    /// The retraction notice travels the edge's classical control
-    /// channel (a [`NetEvent::Expire`] one control delay out — also
-    /// what keeps the parallel engine's lookahead sound: a failure
-    /// detected at a link wake must not touch links inside the current
-    /// window); on arrival the link-layer EXPIRE hook removes the
-    /// request at both EGPs, so the links stop spending attempt cycles
-    /// on pairs nobody will use and `edge_load`'s release above
-    /// reflects the links' true backlog. Keys are scheduled in sorted
-    /// order — HashMap iteration order must never leak into the event
-    /// stream.
+    /// Retracts every CREATE of `request` still queued inside a link
+    /// (`attempt` stamps the spans: the attempt that owned them, whose
+    /// state the caller has already removed). The retraction notice
+    /// travels the edge's classical control channel (a
+    /// [`NetEvent::Expire`] one control delay out — also what keeps
+    /// the parallel engine's lookahead sound: a failure detected at a
+    /// link wake must not touch links inside the current window); on
+    /// arrival the link-layer EXPIRE hook removes the request at both
+    /// EGPs, so the links stop spending attempt cycles on pairs nobody
+    /// will use. Notices are scheduled in key order.
     fn retract_pending_creates(&mut self, request: u64, attempt: u64) {
-        let mut keys: Vec<(usize, usize, u16)> = self
+        let keys: Vec<(usize, usize, u16)> = self
             .pending_creates
             .iter()
-            .filter_map(|(k, r)| (*r == request).then_some(*k))
+            .filter_map(|(k, &(r, _))| (r == request).then_some(*k))
             .collect();
-        keys.sort_unstable();
         let now = self.queue.now();
         for key in keys {
             self.pending_creates.remove(&key);
             let (edge, side, create_id) = key;
             if let Some(tl) = self.telemetry.as_deref_mut() {
-                tl.on_retract(edge, side, create_id);
+                tl.on_retract(edge);
                 tl.emit(now, request, attempt, SpanStage::Retract { edge });
             }
             let delay = self.topo.edge(edge).control_delay;
@@ -2038,10 +1989,15 @@ impl Network {
         }
     }
 
+    /// A link terminally rejected one of this network's CREATEs
+    /// (UNSUPP and friends): the attempt fails *now* — releasing its
+    /// reservations and either trying another path or, with no retry
+    /// budget left, abandoning the request — instead of idling until
+    /// some timeout notices.
     fn on_rejection(&mut self, edge_idx: usize, r: Rejection, t: SimTime) {
         let key = (edge_idx, r.origin, r.create_id);
-        let Some(&request) = self.pending_creates.get(&key) else {
-            return; // a purged or completed request's stray CREATE
+        let Some((request, _)) = self.pending_creates.remove(&key) else {
+            return; // link-local traffic, or a CREATE already retracted
         };
         if r.is_unsupported() {
             if let Some(tl) = self.telemetry.as_deref_mut() {
@@ -2049,23 +2005,11 @@ impl Network {
             }
             // A terminal "this link cannot serve that" also feeds the
             // penalty box: the edge is priced up for *everyone*, so
-            // later plans steer other requests around it — whether or
-            // not this particular stream was armed to react itself.
+            // later plans steer other requests around it too.
             if let Some(pb) = &mut self.penalty_box {
-                let v = pb.bump(edge_idx, t);
-                if let Some(tl) = self.telemetry.as_deref_mut() {
-                    tl.on_penalty(edge_idx, v);
-                }
+                pb.bump(edge_idx, t);
             }
         }
-        if !self
-            .requests
-            .get(&request)
-            .is_some_and(|req| req.seed.armed)
-        {
-            return;
-        }
-        self.pending_creates.remove(&key);
         self.fail_attempt(request, Some(edge_idx), t);
     }
 
@@ -2080,59 +2024,32 @@ impl Network {
         self.fail_attempt(request, None, t);
     }
 
-    /// Fails the current attempt of `request`: releases every
-    /// reservation it holds (node state, edge loads), *retracts* its
-    /// CREATEs still queued inside the links' EGPs
-    /// ([`LinkSimulation::expire_request`] — both endpoints drop the
-    /// queued request and stop spending attempt cycles on it, so
+    /// Fails the current attempt of `request`: tears it down
+    /// ([`Network::teardown`] — reservations released, queued CREATEs
+    /// retracted via [`LinkSimulation::expire_request`], so
     /// `edge_load` stays an exact congestion signal through timeout
-    /// storms), extends its excluded-edge set — the specific rejecting
+    /// storms), extends its excluded-edge set — the specific failing
     /// edge when known, the whole failed path on a timeout — and
     /// either parks it for re-issue (budget left) or abandons it.
     ///
     /// [`LinkSimulation::expire_request`]:
     ///     qlink_sim::link::LinkSimulation::expire_request
     fn fail_attempt(&mut self, request: u64, failed_edge: Option<usize>, t: SimTime) {
-        let Some(req) = self.requests.remove(&request) else {
+        let Some(mut req) = self.teardown(request) else {
             return;
         };
-        if req.edges.len() == 1 {
-            self.short_requests -= 1;
+        if req.seed.retries_left == 0 {
+            self.abandon(request, &req.seed, failed_edge, t);
+            return;
         }
-        for &n in &req.path {
-            self.nodes[n].release(request);
-        }
-        self.release_edge_load(request, &req.edges);
-        self.retract_pending_creates(request, req.seed.attempt);
-
-        let mut excluded = req.seed.excluded;
         let implicated: &[usize] = match failed_edge {
             Some(ref e) => std::slice::from_ref(e),
             None => &req.edges,
         };
         for &e in implicated {
-            if !excluded.contains(&e) {
-                excluded.push(e);
+            if !req.seed.excluded.contains(&e) {
+                req.seed.excluded.push(e);
             }
-        }
-
-        if req.seed.retries_left == 0 {
-            self.timed_out += 1;
-            if let Some(tl) = self.telemetry.as_deref_mut() {
-                tl.on_abandon();
-                tl.emit(
-                    t,
-                    request,
-                    req.seed.attempt,
-                    SpanStage::Abandon { failed_edge },
-                );
-            }
-            if let Some(group) = req.seed.group {
-                self.abandon_group(group, request);
-            } else {
-                self.workload_abandon(request);
-            }
-            return;
         }
 
         // Park and re-issue after a jittered backoff: the release has
@@ -2142,22 +2059,15 @@ impl Network {
         // never touch it) desynchronises the retry storm of streams
         // that all timed out at the same instant.
         self.reroutes += 1;
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.on_reroute();
-            tl.emit(
-                t,
-                request,
-                req.seed.attempt,
-                SpanStage::Reroute { failed_edge },
-            );
-        }
+        let attempt = req.seed.attempt;
+        self.emit(t, request, attempt, SpanStage::Reroute { failed_edge });
         let base = self.topo.path_control_delay(&req.path).as_secs_f64();
         // One jitter draw per failure whatever the policy, so changing
         // the policy never shifts the `net/reroute` substream.
         let jitter = self.reroute_rng.uniform();
         let backoff = self
             .backoff
-            .delay(base, req.seed.attempt, jitter)
+            .delay(base, attempt, jitter)
             // Zero-delay re-issues would fire inside the failing
             // window; at least one control delay must pass anyway
             // before the released capacity is real.
@@ -2169,9 +2079,8 @@ impl Network {
                 dst: *req.path.last().expect("a path has two ends"),
                 fmin: req.fmin,
                 seed: AttemptSeed {
-                    excluded,
                     retries_left: req.seed.retries_left - 1,
-                    attempt: req.seed.attempt + 1,
+                    attempt: attempt + 1,
                     ..req.seed
                 },
                 reissue_at: self.queue.now() + backoff,
@@ -2180,39 +2089,39 @@ impl Network {
         self.schedule_cr(backoff, NetEvent::Reissue { request });
     }
 
+    /// The one abandon tail: `request` will never deliver — its retry
+    /// budget is exhausted, or no route is left to re-issue it on.
+    /// Counts it, closes its span, and tells whoever tracks it (its
+    /// distillation group, else the workload). `seed` is the state of
+    /// the attempt that could not go on.
+    fn abandon(
+        &mut self,
+        request: u64,
+        seed: &AttemptSeed,
+        failed_edge: Option<usize>,
+        t: SimTime,
+    ) {
+        self.timed_out += 1;
+        self.emit(t, request, seed.attempt, SpanStage::Abandon { failed_edge });
+        if let Some(group) = seed.group {
+            self.abandon_group(group, request);
+        } else {
+            self.workload_abandon(request);
+        }
+    }
+
     /// A failed stream's backoff elapsed: re-plan against the
-    /// *current* loads and profiles — first barring every excluded
-    /// edge, then (if that disconnects the pair) with the bars
-    /// lifted, then best-effort ignoring `fmin` — and re-issue under
-    /// the original id, fmin, and policy.
-    fn on_reissue(&mut self, request: u64, _t: SimTime) {
-        let Some(p) = self.parked.remove(&request) else {
-            return; // cancelled while parked
-        };
-        let policy = p.seed.policy;
+    /// *current* loads and profiles, around every excluded edge where
+    /// possible ([`Network::plan_for_issue`]), and re-issue under the
+    /// original id, fmin, and policy.
+    fn on_reissue(&mut self, request: u64, p: ParkedReroute, t: SimTime) {
         let route = self
-            .plan_with_policy(p.src, p.dst, p.fmin, 1, &p.seed.excluded, policy)
+            .plan_for_issue(p.src, p.dst, p.fmin, 1, &p.seed.excluded, p.seed.policy)
             .into_iter()
-            .next()
-            .or_else(|| {
-                self.plan_with_policy(p.src, p.dst, p.fmin, 1, &[], policy)
-                    .into_iter()
-                    .next()
-            })
-            .or_else(|| {
-                self.plan_with_policy(p.src, p.dst, 0.0, 1, &[], policy)
-                    .into_iter()
-                    .next()
-            });
+            .next();
         let Some(route) = route else {
-            // Disconnected pair (cannot happen for a request that was
-            // issued at all): abandon.
-            self.timed_out += 1;
-            if let Some(group) = p.seed.group {
-                self.abandon_group(group, request);
-            } else {
-                self.workload_abandon(request);
-            }
+            // Faults have cut every path between the pair.
+            self.abandon(request, &p.seed, None, t);
             return;
         };
         // A re-routed group member retargets its group's route record
@@ -2250,25 +2159,23 @@ impl Network {
         if d.kind != RequestKind::Nl {
             return;
         }
-        let Some(&request) = self.pending_creates.get(&(edge_idx, d.origin, d.create_id)) else {
+        let Some((request, submitted)) =
+            self.pending_creates
+                .remove(&(edge_idx, d.origin, d.create_id))
+        else {
             return;
         };
-        self.pending_creates
-            .remove(&(edge_idx, d.origin, d.create_id));
-        if self.telemetry.is_some() {
-            let attempt = self.requests.get(&request).map_or(0, |r| r.seed.attempt);
-            let tl = self.telemetry.as_deref_mut().expect("just checked");
-            tl.on_add(t, edge_idx, d.origin, d.create_id);
-            tl.emit(
-                t,
-                request,
-                attempt,
-                SpanStage::Add {
-                    edge: edge_idx,
-                    fidelity: d.fidelity,
-                },
-            );
+        if let Some(tl) = self.telemetry.as_deref_mut() {
+            tl.on_add(t.since(submitted));
         }
+        self.span(
+            t,
+            request,
+            SpanStage::Add {
+                edge: edge_idx,
+                fidelity: d.fidelity,
+            },
+        );
 
         let edge = self.topo.edge(edge_idx);
         let (a, b) = (edge.a, edge.b);
@@ -2321,11 +2228,10 @@ impl Network {
             return; // dropping the drain empties the log
         };
         for f in fired {
-            let attempt = self.requests.get(&f.request).map_or(0, |r| r.seed.attempt);
             tl.emit(
                 t,
                 f.request,
-                attempt,
+                attempt_of(&self.requests, f.request),
                 SpanStage::RuleFired {
                     rule: f.rule,
                     action: f.action,
@@ -2399,12 +2305,7 @@ impl Network {
         let out = distill_werner(f1, f2);
         let accepted = self.purify_rng.bernoulli(out.success_probability);
         self.edge_purify_attempts[edge_idx] += 1;
-        if self.telemetry.is_some() {
-            let attempt = self.requests.get(&request).map_or(0, |r| r.seed.attempt);
-            let tl = self.telemetry.as_deref_mut().expect("just checked");
-            tl.on_purify(accepted);
-            tl.emit(t, request, attempt, SpanStage::Purify { edge: edge_idx });
-        }
+        self.span(t, request, SpanStage::Purify { edge: edge_idx });
         // Phase 3: on an agreeing parity the boosted pair replaces the
         // two inputs; on a reject both are lost.
         if accepted {
@@ -2452,15 +2353,7 @@ impl Network {
         accepted: bool,
         t: SimTime,
     ) {
-        if self.telemetry.is_some() {
-            let attempt = self.requests.get(&request).map_or(0, |r| r.seed.attempt);
-            self.telemetry.as_deref_mut().expect("just checked").emit(
-                t,
-                request,
-                attempt,
-                SpanStage::PurifyParity { edge, accepted },
-            );
-        }
+        self.span(t, request, SpanStage::PurifyParity { edge, accepted });
         let action = self.nodes[at].on_purify_result(request, edge, accepted);
         self.drain_rule_fires(at, t);
         if let Some(action) = action {
@@ -2493,15 +2386,7 @@ impl Network {
     /// Executes a repeater's entanglement swap on the quantum ledger
     /// and broadcasts the Bell-measurement outcome to both ends.
     fn do_swap(&mut self, node: usize, request: u64, t: SimTime) {
-        if self.telemetry.is_some() {
-            let attempt = self.requests.get(&request).map_or(0, |r| r.seed.attempt);
-            self.telemetry.as_deref_mut().expect("just checked").emit(
-                t,
-                request,
-                attempt,
-                SpanStage::Swap { node },
-            );
-        }
+        self.span(t, request, SpanStage::Swap { node });
         let (src, dst, outcome) = {
             let Some(req) = self.requests.get_mut(&request) else {
                 return;
@@ -2591,15 +2476,7 @@ impl Network {
             self.forward_swap_result(request, at, target, z, x);
             return;
         }
-        if self.telemetry.is_some() {
-            let attempt = self.requests.get(&request).map_or(0, |r| r.seed.attempt);
-            self.telemetry.as_deref_mut().expect("just checked").emit(
-                t,
-                request,
-                attempt,
-                SpanStage::SwapResult { node: at },
-            );
-        }
+        self.span(t, request, SpanStage::SwapResult { node: at });
         let action = self.nodes[at].on_swap_result(request, z, x);
         self.drain_rule_fires(at, t);
         if let Some(action) = action {
@@ -2623,16 +2500,13 @@ impl Network {
     }
 
     fn finalize(&mut self, request: u64, t: SimTime) {
-        let Some(req) = self.requests.remove(&request) else {
+        debug_assert!(
+            !self.pending_creates.values().any(|&(r, _)| r == request),
+            "request {request} completed with CREATEs still queued"
+        );
+        let Some(req) = self.teardown(request) else {
             return;
         };
-        if req.edges.len() == 1 {
-            self.short_requests -= 1;
-        }
-        for &n in &req.path {
-            self.nodes[n].release(request);
-        }
-        self.release_edge_load(request, &req.edges);
         debug_assert_eq!(req.segments.len(), 1, "completion with fragmented path");
         let mut seg = req.segments.into_iter().next().expect("spanning segment");
         // The pair keeps decaying until the later end learned its
@@ -2659,29 +2533,11 @@ impl Network {
             );
             return;
         }
-        let fidelity = bell_fidelity(&seg.state, (0, 1), BellState::PhiPlus);
-        let latency = t.since(req.seed.requested_at);
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.on_complete(t, fidelity, latency);
-            tl.emit(
-                t,
-                request,
-                req.seed.attempt,
-                SpanStage::Deliver { fidelity, latency },
-            );
-        }
-        if self.workload_tracks(request) {
-            // Workload completions feed the class accounting directly;
-            // buffering an outcome per delivery would grow without
-            // bound over a million-arrival run.
-            self.workload_complete(request, fidelity, t);
-            return;
-        }
-        self.outcomes.push(EndToEndOutcome {
+        let outcome = EndToEndOutcome {
             request,
             link_fidelities,
-            end_to_end_fidelity: fidelity,
-            latency,
+            end_to_end_fidelity: bell_fidelity(&seg.state, (0, 1), BellState::PhiPlus),
+            latency: t.since(req.seed.requested_at),
             delivered_at: t,
             swaps: req.swaps,
             frame_z: req.frame.0,
@@ -2690,7 +2546,25 @@ impl Network {
             pairs_consumed: req.pairs_consumed,
             pair_fidelities: req.pair_fidelities,
             path: req.path,
-        });
+        };
+        self.deliver(outcome, req.seed.attempt);
+    }
+
+    /// The one delivery tail: records the completion (metrics, the
+    /// closing span — stamped `attempt`) and hands the outcome to
+    /// whoever waits for it. Workload completions feed the class
+    /// accounting directly; buffering an outcome per delivery would
+    /// grow without bound over a million-arrival run.
+    fn deliver(&mut self, outcome: EndToEndOutcome, attempt: u64) {
+        let (id, t) = (outcome.request, outcome.delivered_at);
+        let (fidelity, latency) = (outcome.end_to_end_fidelity, outcome.latency);
+        if let Some(tl) = self.telemetry.as_deref_mut() {
+            tl.on_complete(t, fidelity, latency);
+        }
+        self.emit(t, id, attempt, SpanStage::Deliver { fidelity, latency });
+        if !self.workload_complete(id, fidelity, t) {
+            self.outcomes.push(outcome);
+        }
     }
 
     /// One stream of an end-to-end distillation group completed: park
@@ -2757,9 +2631,7 @@ impl Network {
     /// disagreement discards both streams' pairs and regenerates both
     /// streams on their routes.
     fn on_group_result(&mut self, group: u64, accepted: bool, t: SimTime) {
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.emit(t, group, 0, SpanStage::GroupParity { group, accepted });
-        }
+        self.emit(t, group, 0, SpanStage::GroupParity { group, accepted });
         if !accepted {
             let Some(g) = self.groups.get_mut(&group) else {
                 return;
@@ -2767,7 +2639,7 @@ impl Network {
             g.done.clear();
             let routes = g.routes.clone();
             let fmin = g.fmin;
-            let (armed, timeout, retries) = (g.armed, g.timeout, g.retries);
+            let (timeout, retries) = (g.timeout, g.retries);
             let policy = g.policy;
             let mut members = [0u64; 2];
             for (i, route) in routes.iter().enumerate() {
@@ -2776,7 +2648,6 @@ impl Network {
                 // (like the original members) and the group id set
                 // from birth.
                 let seed = AttemptSeed {
-                    armed,
                     timeout,
                     retries_left: retries,
                     excluded: Vec::new(),
@@ -2796,23 +2667,11 @@ impl Network {
         let mut kept = g.done.into_iter().next().expect("resolved group");
         // The surviving pair decayed while the parity bits travelled.
         kept.segment.decay_to(t);
-        let fidelity = bell_fidelity(&kept.segment.state, (0, 1), BellState::PhiPlus);
-        let latency = t.since(g.requested_at);
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.on_complete(t, fidelity, latency);
-            tl.emit(t, group, 0, SpanStage::Deliver { fidelity, latency });
-        }
-        if self.workload_tracks(group) {
-            // As in `finalize`: workload-tracked groups skip the
-            // outcome buffer.
-            self.workload_complete(group, fidelity, t);
-            return;
-        }
-        self.outcomes.push(EndToEndOutcome {
+        let outcome = EndToEndOutcome {
             request: group,
             link_fidelities: kept.link_fidelities,
-            end_to_end_fidelity: fidelity,
-            latency,
+            end_to_end_fidelity: bell_fidelity(&kept.segment.state, (0, 1), BellState::PhiPlus),
+            latency: t.since(g.requested_at),
             delivered_at: t,
             swaps: g.swaps,
             frame_z: kept.frame.0,
@@ -2821,6 +2680,13 @@ impl Network {
             pairs_consumed: g.pairs_consumed,
             pair_fidelities: kept.pair_fidelities,
             path: kept.path,
-        });
+        };
+        self.deliver(outcome, 0);
     }
+}
+
+/// The attempt number `request` is on, as spans are stamped — 0 once
+/// its in-flight state is gone.
+fn attempt_of(requests: &BTreeMap<u64, PathRequest>, request: u64) -> u64 {
+    requests.get(&request).map_or(0, |r| r.seed.attempt)
 }

@@ -35,7 +35,7 @@
 //! every quantum operation and every classical transmission on the
 //! shared clock.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::ruleset::{ArmProgram, FiredRule, Obs, RuleSet, RuleState};
@@ -99,8 +99,9 @@ pub enum NodeAction {
 /// per path reservation.
 #[derive(Debug, Default)]
 pub struct SwapAsapNode {
-    /// Per-request installed RuleSet state (see [`crate::ruleset`]).
-    rules: HashMap<u64, RuleState>,
+    /// Per-request installed RuleSet state (see [`crate::ruleset`]),
+    /// in request-id order.
+    rules: BTreeMap<u64, RuleState>,
     /// Rules the interpreter fired during the last observation —
     /// drained by the network layer into passive telemetry via
     /// [`SwapAsapNode::drain_fired`].
@@ -126,9 +127,7 @@ impl SwapAsapNode {
     /// Reservations are independent per request, so one node serves
     /// any number of concurrent paths (its own or other pairs').
     pub fn active_requests(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.rules.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.rules.keys().copied().collect()
     }
 
     /// How many of this node's reservations use edge `edge` — the

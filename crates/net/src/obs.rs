@@ -33,9 +33,13 @@
 //!   Perfetto UI) or line-delimited [`spans_jsonl`].
 //! * **Metrics** — fixed-bucket [`Histogram`]s (end-to-end latency,
 //!   delivered fidelity, per-CREATE queue wait) and exact `u64`
-//!   counters (per-edge CREATE / RETRACT / EXPIRE / UNSUPP, purify
-//!   attempts and successes, reroutes, abandons, completions), plus a
-//!   deliveries [`TimeSeries`] for throughput-vs-time re-binning.
+//!   counters (per-edge CREATE / RETRACT / EXPIRE / UNSUPP,
+//!   completions), plus a deliveries [`TimeSeries`] for
+//!   throughput-vs-time re-binning. Only what nothing else records:
+//!   re-routes, abandons, purifications, faults and penalties are
+//!   [`Network`](crate::network::Network) counters and spans, and
+//!   per-class service figures are
+//!   [`Network::workload_stats`](crate::network::Network::workload_stats).
 //! * **Profile** — wall-clock engine introspection: run time, events
 //!   drained, queue-depth high water, and (sharded mode) per-shard
 //!   run-ahead busy time and coordinator idle time per window,
@@ -50,7 +54,6 @@
 //! [`ExecMode::Sequential`]: crate::par::ExecMode::Sequential
 
 use qlink_des::{Histogram, SimDuration, SimTime, TimeSeries};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Which telemetry facets a [`Network`](crate::network::Network)
@@ -287,14 +290,6 @@ pub struct Metrics {
     pub expires: Vec<u64>,
     /// Terminal UNSUPP rejections observed, per edge.
     pub unsupp: Vec<u64>,
-    /// Link-level 2→1 distillations attempted / accepted.
-    pub purify_attempts: u64,
-    /// See [`Metrics::purify_attempts`].
-    pub purify_successes: u64,
-    /// Failed attempts re-planned and re-issued.
-    pub reroutes: u64,
-    /// Requests abandoned after exhausting their retry budget.
-    pub abandoned: u64,
     /// End-to-end pairs delivered.
     pub completions: u64,
     /// End-to-end latency in seconds: `[0, 60)` s in 600 buckets of
@@ -310,23 +305,6 @@ pub struct Metrics {
     /// re-bin with [`TimeSeries::rate_per_second`] for the
     /// throughput-vs-time series.
     pub deliveries: TimeSeries,
-    /// Open-loop workload only: arrivals rejected by admission
-    /// control, per user class. Empty until a workload arms.
-    pub class_drops: Vec<u64>,
-    /// Open-loop workload only: end-to-end latency per user class
-    /// (same axis as [`Metrics::latency`]).
-    pub class_latency: Vec<Histogram>,
-    /// Open-loop workload only: admission queue wait per user class
-    /// (zero for arrivals admitted on the spot).
-    pub class_queue_wait: Vec<Histogram>,
-    /// Fault injection (see [`crate::fault`]): edge failures applied,
-    /// per edge.
-    pub edge_fails: Vec<u64>,
-    /// Fault injection: edge repairs applied, per edge.
-    pub edge_repairs: Vec<u64>,
-    /// Fault injection: the highest penalty-box surcharge each edge
-    /// reached (a gauge — the live value decays between bumps).
-    pub penalty_high_water: Vec<f64>,
 }
 
 impl Metrics {
@@ -336,21 +314,11 @@ impl Metrics {
             retracts: vec![0; edges],
             expires: vec![0; edges],
             unsupp: vec![0; edges],
-            purify_attempts: 0,
-            purify_successes: 0,
-            reroutes: 0,
-            abandoned: 0,
             completions: 0,
             latency: latency_histogram(),
             fidelity: fidelity_histogram(),
             queue_wait: latency_histogram(),
             deliveries: TimeSeries::new(),
-            class_drops: Vec::new(),
-            class_latency: Vec::new(),
-            class_queue_wait: Vec::new(),
-            edge_fails: vec![0; edges],
-            edge_repairs: vec![0; edges],
-            penalty_high_water: vec![0.0; edges],
         }
     }
 }
@@ -437,10 +405,6 @@ pub struct Telemetry {
     spans: Vec<SpanEvent>,
     metrics: Metrics,
     profile: EngineProfile,
-    /// Submission instant of each in-flight CREATE, for the
-    /// queue-wait histogram (same key as the network's
-    /// `pending_creates`).
-    submit_times: HashMap<(usize, usize, u16), SimTime>,
 }
 
 impl Telemetry {
@@ -451,7 +415,6 @@ impl Telemetry {
             spans: Vec::new(),
             metrics: Metrics::new(edges),
             profile: EngineProfile::default(),
-            submit_times: HashMap::new(),
         }
     }
 
@@ -498,27 +461,22 @@ impl Telemetry {
         }
     }
 
-    pub(crate) fn on_create(&mut self, at: SimTime, edge: usize, side: usize, create_id: u16) {
+    pub(crate) fn on_create(&mut self, edge: usize) {
         if self.config.metrics {
             self.metrics.creates[edge] += 1;
-            self.submit_times.insert((edge, side, create_id), at);
         }
     }
 
-    pub(crate) fn on_add(&mut self, at: SimTime, edge: usize, side: usize, create_id: u16) {
+    /// A CREATE's pair arrived, `wait` after its submission.
+    pub(crate) fn on_add(&mut self, wait: SimDuration) {
         if self.config.metrics {
-            if let Some(submitted) = self.submit_times.remove(&(edge, side, create_id)) {
-                self.metrics
-                    .queue_wait
-                    .record(at.since(submitted).as_secs_f64());
-            }
+            self.metrics.queue_wait.record(wait.as_secs_f64());
         }
     }
 
-    pub(crate) fn on_retract(&mut self, edge: usize, side: usize, create_id: u16) {
+    pub(crate) fn on_retract(&mut self, edge: usize) {
         if self.config.metrics {
             self.metrics.retracts[edge] += 1;
-            self.submit_times.remove(&(edge, side, create_id));
         }
     }
 
@@ -534,84 +492,12 @@ impl Telemetry {
         }
     }
 
-    pub(crate) fn on_purify(&mut self, accepted: bool) {
-        if self.config.metrics {
-            self.metrics.purify_attempts += 1;
-            if accepted {
-                self.metrics.purify_successes += 1;
-            }
-        }
-    }
-
-    pub(crate) fn on_reroute(&mut self) {
-        if self.config.metrics {
-            self.metrics.reroutes += 1;
-        }
-    }
-
-    pub(crate) fn on_abandon(&mut self) {
-        if self.config.metrics {
-            self.metrics.abandoned += 1;
-        }
-    }
-
     pub(crate) fn on_complete(&mut self, at: SimTime, fidelity: f64, latency: SimDuration) {
         if self.config.metrics {
             self.metrics.completions += 1;
             self.metrics.latency.record(latency.as_secs_f64());
             self.metrics.fidelity.record(fidelity);
             self.metrics.deliveries.push(at, 1.0);
-        }
-    }
-
-    /// An open-loop workload armed with `classes` user classes: size
-    /// the per-class vectors so the class-indexed hooks below can
-    /// record unconditionally.
-    pub(crate) fn on_workload_armed(&mut self, classes: usize) {
-        if self.config.metrics {
-            self.metrics.class_drops = vec![0; classes];
-            self.metrics.class_latency = vec![latency_histogram(); classes];
-            self.metrics.class_queue_wait = vec![latency_histogram(); classes];
-        }
-    }
-
-    pub(crate) fn on_admission_drop(&mut self, class: usize) {
-        if self.config.metrics {
-            self.metrics.class_drops[class] += 1;
-        }
-    }
-
-    pub(crate) fn on_admit(&mut self, class: usize, wait_s: f64) {
-        if self.config.metrics {
-            self.metrics.class_queue_wait[class].record(wait_s);
-        }
-    }
-
-    pub(crate) fn on_class_complete(&mut self, class: usize, latency_s: f64) {
-        if self.config.metrics {
-            self.metrics.class_latency[class].record(latency_s);
-        }
-    }
-
-    pub(crate) fn on_edge_fail(&mut self, edge: usize) {
-        if self.config.metrics {
-            self.metrics.edge_fails[edge] += 1;
-        }
-    }
-
-    pub(crate) fn on_edge_repair(&mut self, edge: usize) {
-        if self.config.metrics {
-            self.metrics.edge_repairs[edge] += 1;
-        }
-    }
-
-    /// The penalty box was bumped to `value` on `edge` — track the
-    /// high water. (A gauge of bumps, not of the decayed value: the
-    /// maximum is always attained at a bump instant.)
-    pub(crate) fn on_penalty(&mut self, edge: usize, value: f64) {
-        if self.config.metrics {
-            let g = &mut self.metrics.penalty_high_water[edge];
-            *g = g.max(value);
         }
     }
 }
@@ -729,7 +615,7 @@ mod tests {
             2,
         );
         tl.emit(SimTime::ZERO, 0, 0, SpanStage::Swap { node: 1 });
-        tl.on_create(SimTime::ZERO, 0, 0, 7);
+        tl.on_create(0);
         tl.on_complete(SimTime::ZERO, 0.9, SimDuration::from_micros(5));
         assert_eq!(tl.spans().len(), 1);
         assert_eq!(tl.metrics().creates, vec![0, 0], "metrics facet is off");
@@ -739,13 +625,9 @@ mod tests {
     #[test]
     fn queue_wait_pairs_create_with_add() {
         let mut tl = Telemetry::new(TelemetryConfig::all(), 1);
-        let t0 = SimTime::ZERO + SimDuration::from_micros(10);
-        let t1 = t0 + SimDuration::from_secs_f64(0.25);
-        tl.on_create(t0, 0, 1, 3);
-        tl.on_add(t1, 0, 1, 3);
-        // An ADD with no matching CREATE (completed request's stray
-        // pair) records nothing.
-        tl.on_add(t1, 0, 1, 99);
+        tl.on_create(0);
+        tl.on_add(SimDuration::from_secs_f64(0.25));
+        assert_eq!(tl.metrics().creates, vec![1]);
         assert_eq!(tl.metrics().queue_wait.count(), 1);
         assert!((tl.metrics().queue_wait.mean() - 0.25).abs() < 1e-12);
     }

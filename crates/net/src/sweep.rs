@@ -90,7 +90,7 @@ impl ExecChoice {
 /// `Clone` across worker threads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultChoice {
-    /// No fault plan is armed: no fault events, no penalty box, no
+    /// No fault plan — no fault events, no penalty box, no
     /// draws from the `"net/fault"` substream — earlier PRs' event
     /// streams reproduce bit-for-bit.
     #[default]
@@ -198,16 +198,15 @@ pub struct ScenarioSpec {
     pub pairs: Vec<(usize, usize)>,
     /// Re-route budget per request
     /// ([`Network::set_retry_budget`](crate::network::Network::set_retry_budget)):
-    /// how many times a timed-out or link-rejected attempt re-plans
-    /// against live load and re-issues. 0 (the default) disables
-    /// re-routing entirely.
+    /// how many times a failed attempt (timed out, link-rejected, or
+    /// cut by a fault) re-plans against live load and re-issues. At 0
+    /// (the default) the first failure abandons the request.
     pub retries: u32,
     /// Per-attempt timeout
     /// ([`Network::set_request_timeout`](crate::network::Network::set_request_timeout)).
-    /// `None` (the default) schedules no timeout events, reproducing
-    /// earlier PRs' event streams bit-for-bit; re-route on *timeout*
-    /// (rather than on link rejection) needs it set below
-    /// [`ScenarioSpec::max_time`].
+    /// `None` (the default) schedules no timeout events: attempts then
+    /// fail only on a link rejection or a fault. Failing on *timeout*
+    /// needs it set below [`ScenarioSpec::max_time`].
     pub request_timeout: Option<SimDuration>,
     /// Execution engine per run (see [`ExecChoice`]; results are
     /// bit-identical across all choices).
@@ -341,8 +340,7 @@ impl ScenarioSpec {
         self
     }
 
-    /// Builder: per-attempt timeout (arming timeout-driven
-    /// re-routing).
+    /// Builder: per-attempt timeout.
     pub fn with_request_timeout(mut self, timeout: SimDuration) -> Self {
         self.request_timeout = Some(timeout);
         self

@@ -180,14 +180,14 @@ fn unsupp_stream_reroutes_onto_the_serving_arm() {
         assert_eq!(net.edge_load(e), 0, "edge {e}: load released");
     }
 
-    // Without a retry budget (and no timeout armed) the same pinned
-    // stream behaves exactly as in PR 3: it idles, delivering nothing.
+    // Without a retry budget the same pinned stream delivers nothing:
+    // the first rejection abandons it.
     let mut inert = Network::new(short_noisy_long_clean_diamond(), 7);
     inert.request_on_path(&[0, 1, 4], 0.6);
     assert!(inert
         .run_until_outcome(SimDuration::from_millis(50))
         .is_none());
-    assert_eq!(inert.reroutes(), 0);
+    assert_eq!((inert.reroutes(), inert.timeouts()), (0, 1));
 }
 
 /// With the budget exhausted, an UNSUPP'd stream is abandoned and
@@ -213,15 +213,175 @@ fn exhausted_budget_abandons_and_releases() {
     assert!((0..net.topology().edge_count()).all(|e| net.edge_load(e) == 0));
 }
 
+/// `edge_load` must agree with both endpoint nodes' reservation counts.
+fn assert_load_matches_reservations(net: &Network, what: &str) {
+    for e in 0..net.topology().edge_count() {
+        let edge = net.topology().edge(e);
+        for node in [edge.a, edge.b] {
+            assert_eq!(
+                net.edge_load(e) as usize,
+                net.node(node).reserved_on_edge(e),
+                "{what}: edge {e} vs node {node}"
+            );
+        }
+    }
+}
+
+/// What every ending must leave behind once its expire notices have
+/// landed (`settle` covers the slowest control delay): no edge load,
+/// no node reservation, every retraction received by its link, and no
+/// request id with more than one terminal span.
+fn assert_ledgers_clean(net: &mut Network, settle: SimDuration, what: &str) {
+    net.run_for(settle);
+    for e in 0..net.topology().edge_count() {
+        assert_eq!(net.edge_load(e), 0, "{what}: edge {e} leaked load");
+    }
+    for n in 0..net.topology().node_count() {
+        let left = net.node(n).active_requests();
+        assert!(left.is_empty(), "{what}: node {n} still holds {left:?}");
+    }
+    let tl = net.telemetry().expect("telemetry on");
+    let m = tl.metrics();
+    assert_eq!(m.retracts, m.expires, "{what}: a retraction never landed");
+    let ended = tl.spans().iter().filter(|s| s.stage.is_terminal());
+    let mut ended: Vec<u64> = ended.map(|s| s.request).collect();
+    ended.sort_unstable();
+    let twice = ended.windows(2).any(|w| w[0] == w[1]);
+    assert!(!twice, "{what}: a request ended twice ({ended:?})");
+}
+
+/// Runs `requests` for `budget` — the load ledger checked after issue,
+/// at every outcome, and after cancelling whatever is left — then
+/// checks the ledgers clean.
+fn run_then_cancel(net: &mut Network, requests: &[u64], budget: SimDuration, what: &str) {
+    assert_load_matches_reservations(net, &format!("{what} after issue"));
+    let deadline = net.now() + budget;
+    loop {
+        let left = deadline.saturating_since(net.now());
+        if left == SimDuration::ZERO {
+            break;
+        }
+        let outcome = net.run_until_outcome(left);
+        assert_load_matches_reservations(net, &format!("{what} mid-run"));
+        if outcome.is_none() {
+            break;
+        }
+    }
+    for &r in requests {
+        net.cancel_request(r);
+    }
+    assert_load_matches_reservations(net, &format!("{what} after cancel"));
+    assert_ledgers_clean(net, SimDuration::from_millis(1), what);
+}
+
+/// One request, driven to each ending that leaves through the shared
+/// teardown. Each row: the ending, the one terminal span the run must
+/// record (`None`: a cancel records none), and the finished network.
+fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
+    let ms = SimDuration::from_millis;
+    let traced = |topo: Topology, seed: u64| {
+        let mut net = Network::new(topo, seed);
+        net.set_telemetry(TelemetryConfig::all());
+        net
+    };
+    let chain3 = || Topology::chain(3, |i| lab(40 + i as u64));
+    let mut rows = Vec::new();
+
+    let mut net = traced(chain3(), 7);
+    net.request_entanglement(0, 2, 0.5);
+    assert!(net.run_until_outcome(SimDuration::from_secs(30)).is_some());
+    rows.push(("deliver", Some("deliver"), net));
+
+    // Pinned onto the noisy arm with no budget: the first UNSUPP ends it.
+    let mut net = traced(short_noisy_long_clean_diamond(), 7);
+    net.request_on_path(&[0, 1, 4], 0.6);
+    net.run_for(ms(50));
+    assert_eq!((net.reroutes(), net.timeouts()), (0, 1));
+    rows.push(("abandon on exhausted budget", Some("abandon"), net));
+
+    // The pair's only edge fails for good under the first attempt: the
+    // re-issue finds no route.
+    let mut net = traced(Topology::chain(2, |_| lab(30)), 1);
+    net.set_retry_budget(2);
+    net.set_fault_plan(&FaultPlan::new().with_event(ms(20), FaultKind::Fail { edge: 0 }));
+    net.request_entanglement(0, 1, 0.6);
+    net.run_for(ms(50));
+    assert_eq!((net.reroutes(), net.timeouts()), (1, 1));
+    rows.push(("abandon on no route", Some("abandon"), net));
+
+    // 50 µs in: both CREATEs submitted, far too early for a pair.
+    let mut net = traced(chain3(), 7);
+    let request = net.request_entanglement(0, 2, 0.5);
+    net.run_for(SimDuration::from_micros(50));
+    net.cancel_request(request);
+    let retracts = &net.telemetry().expect("telemetry on").metrics().retracts;
+    assert!(retracts.iter().sum::<u64>() > 0, "CREATEs were queued");
+    rows.push(("cancel with CREATEs queued", None, net));
+
+    // Control delays stretched to 2 ms: the UNSUPP'd attempt parks for
+    // a ≥ 4 ms backoff, and the cancel lands inside it. (A re-issue
+    // slipping through would hold load on the clean arm.)
+    let mut topo = short_noisy_long_clean_diamond();
+    for e in 0..topo.edge_count() {
+        topo.set_control_delay(e, ms(2));
+    }
+    let mut net = traced(topo, 7);
+    net.set_retry_budget(1);
+    let request = net.request_on_path(&[0, 1, 4], 0.6);
+    net.run_for(ms(1));
+    assert_eq!(net.reroutes(), 1, "the failed attempt is parked");
+    net.cancel_request(request);
+    rows.push(("cancel while parked for re-issue", None, net));
+
+    // At this seed the group's first parity check rejects: both member
+    // streams are discarded and regenerated before the pair delivers.
+    let mut net = traced(Topology::chain(2, |_| lab(70)), 4);
+    net.set_policy(Policy::EndToEndPurify);
+    let group = net.request_entanglement(0, 1, 0.6);
+    assert!(net.run_until_outcome(SimDuration::from_secs(60)).is_some());
+    let accepted = false;
+    let rejected = SpanStage::GroupParity { group, accepted };
+    let spans = net.telemetry().expect("telemetry on").spans();
+    assert!(
+        spans.iter().any(|s| s.stage == rejected),
+        "a parity rejects"
+    );
+    rows.push(("group reject, regenerate, deliver", Some("deliver"), net));
+
+    // No arm serves Fmin 0.95: one member's UNSUPP abandons it, which
+    // drops the group and cancels its partner.
+    let mut net = traced(short_noisy_long_clean_diamond(), 3);
+    net.set_policy(Policy::EndToEndPurify);
+    net.request_entanglement(0, 4, 0.95);
+    net.run_for(ms(50));
+    assert_eq!(net.timeouts(), 1);
+    rows.push(("group abandon", Some("abandon"), net));
+
+    rows
+}
+
 /// Seeded property test for the load ledger: at every observation
 /// point `edge_load` agrees with both endpoint nodes' reservation
 /// counts, and after every lifecycle — completion, timeout,
-/// rejection, re-route, cancellation — every edge returns to exactly
-/// zero. Trials mix purification policies, retry budgets, timeouts,
-/// and an unachievable-fmin request (a rejection/re-route/abandon
-/// exerciser).
+/// rejection, re-route, cancellation — the ledgers are clean
+/// ([`assert_ledgers_clean`]). Trials mix purification policies, retry
+/// budgets, timeouts, and an unachievable-fmin request (a
+/// rejection/re-route/abandon exerciser); the [`endings`] table then
+/// drives one request to each ending in isolation and pins the single
+/// terminal span it records.
 #[test]
 fn edge_load_balances_through_every_lifecycle() {
+    for (ending, terminal, mut net) in endings() {
+        assert_ledgers_clean(&mut net, SimDuration::from_millis(10), ending);
+        let spans = net.telemetry().expect("telemetry on").spans().iter();
+        let recorded: Vec<&str> = spans
+            .filter(|s| s.stage.is_terminal())
+            .map(|s| s.stage.name())
+            .collect();
+        let expected: Vec<&str> = terminal.into_iter().collect();
+        assert_eq!(recorded, expected, "{ending}: terminal spans");
+    }
+
     let mut rng = DetRng::new(0xC0FFEE).substream("net-congestion/load");
     let policies = [
         Policy::SwapAsap,
@@ -246,6 +406,7 @@ fn edge_load_balances_through_every_lifecycle() {
         topo.connect(0, 4, noisy_lab(link_seed + 100));
         let noisy_edge = topo.edge_count() - 1;
         let mut net = Network::new(topo, net_seed);
+        net.set_telemetry(TelemetryConfig::all());
         net.set_route_metric(LoadScaledLatency);
         net.set_policy(policy);
         net.set_retry_budget(retries);
@@ -262,49 +423,8 @@ fn edge_load_balances_through_every_lifecycle() {
         // Forced onto the noisy shortcut: UNSUPP at a feasible floor.
         requests.push(net.request_on_path(&[0, 4, 5, 8], 0.6));
 
-        let check = |net: &Network, when: &str| {
-            for e in 0..net.topology().edge_count() {
-                let edge = net.topology().edge(e);
-                let load = net.edge_load(e) as usize;
-                assert_eq!(
-                    load,
-                    net.node(edge.a).reserved_on_edge(e),
-                    "trial {trial} {when}: edge {e} vs node {}",
-                    edge.a
-                );
-                assert_eq!(
-                    load,
-                    net.node(edge.b).reserved_on_edge(e),
-                    "trial {trial} {when}: edge {e} vs node {}",
-                    edge.b
-                );
-            }
-        };
-
-        check(&net, "after issue");
-        let deadline = net.now() + SimDuration::from_millis(600);
-        loop {
-            let left = deadline.saturating_since(net.now());
-            if left == SimDuration::ZERO {
-                break;
-            }
-            let outcome = net.run_until_outcome(left);
-            check(&net, "mid-run");
-            if outcome.is_none() {
-                break;
-            }
-        }
-        for r in requests.drain(..) {
-            net.cancel_request(r);
-        }
-        check(&net, "after cancel");
-        for e in 0..net.topology().edge_count() {
-            assert_eq!(
-                net.edge_load(e),
-                0,
-                "trial {trial}: edge {e} leaked load (noisy edge is {noisy_edge})"
-            );
-        }
+        let what = format!("trial {trial} (noisy edge is {noisy_edge})");
+        run_then_cancel(&mut net, &requests, SimDuration::from_millis(600), &what);
     }
 }
 
@@ -312,12 +432,11 @@ fn edge_load_balances_through_every_lifecycle() {
 /// satellite): with edges flapping underneath live traffic, every
 /// fail-triggered teardown, repair-time CREATE drop, re-route, and
 /// cancellation still leaves `edge_load` in agreement with both
-/// endpoint nodes' reservation counts — and at zero once every
-/// request is resolved. Release sites use checked subtraction
-/// (`Network::release_edge_load`), so a double release from a
-/// fail/release race would fail a debug assertion here rather than
-/// silently corrupt (or, in debug builds, panic-underflow) the
-/// ledger.
+/// endpoint nodes' reservation counts — and the ledgers clean once
+/// every request is resolved. The release uses checked subtraction
+/// (`Network::teardown`), so a double release would fail a debug
+/// assertion here rather than silently corrupt (or, in debug builds,
+/// panic-underflow) the ledger.
 #[test]
 fn edge_load_balances_through_fault_interleavings() {
     let mut rng = DetRng::new(0xFA17).substream("net-congestion/faults");
@@ -329,6 +448,7 @@ fn edge_load_balances_through_fault_interleavings() {
         let mut topo = Topology::grid(3, 3, |i| lab(link_seed + i as u64));
         topo.connect(0, 4, noisy_lab(link_seed + 100));
         let mut net = Network::new(topo, net_seed);
+        net.set_telemetry(TelemetryConfig::all());
         net.set_route_metric(LoadScaledLatency);
         net.set_retry_budget(retries);
         net.set_request_timeout(Some(SimDuration::from_millis(timeout_ms)));
@@ -354,49 +474,9 @@ fn edge_load_balances_through_fault_interleavings() {
         ];
         requests.push(net.request_on_path(&[0, 4, 5, 8], 0.6));
 
-        let check = |net: &Network, when: &str| {
-            for e in 0..net.topology().edge_count() {
-                let edge = net.topology().edge(e);
-                let load = net.edge_load(e) as usize;
-                assert_eq!(
-                    load,
-                    net.node(edge.a).reserved_on_edge(e),
-                    "trial {trial} {when}: edge {e} vs node {}",
-                    edge.a
-                );
-                assert_eq!(
-                    load,
-                    net.node(edge.b).reserved_on_edge(e),
-                    "trial {trial} {when}: edge {e} vs node {}",
-                    edge.b
-                );
-            }
-        };
-
-        check(&net, "after issue");
-        let deadline = net.now() + SimDuration::from_millis(800);
-        loop {
-            let left = deadline.saturating_since(net.now());
-            if left == SimDuration::ZERO {
-                break;
-            }
-            let outcome = net.run_until_outcome(left);
-            check(&net, "mid-run");
-            if outcome.is_none() {
-                break;
-            }
-        }
-        assert!(
-            net.faults() > 0,
-            "trial {trial}: the flapping plan must actually fire"
-        );
-        for r in requests.drain(..) {
-            net.cancel_request(r);
-        }
-        check(&net, "after cancel");
-        for e in 0..net.topology().edge_count() {
-            assert_eq!(net.edge_load(e), 0, "trial {trial}: edge {e} leaked load");
-        }
+        let what = format!("trial {trial}");
+        run_then_cancel(&mut net, &requests, SimDuration::from_millis(800), &what);
+        assert!(net.faults() > 0, "{what}: the flapping plan must fire");
     }
 }
 
@@ -433,6 +513,7 @@ fn edge_load_balances_under_interpreted_rulesets() {
         });
         topo.connect(0, 4, noisy_lab(link_seed + 100));
         let mut net = Network::new(topo, net_seed);
+        net.set_telemetry(TelemetryConfig::all());
         net.set_route_metric(LoadScaledLatency);
         net.set_policy(policy);
         net.set_retry_budget(retries);
@@ -461,67 +542,9 @@ fn edge_load_balances_under_interpreted_rulesets() {
         ];
         requests.push(net.request_on_path(&[0, 4, 5, 8], 0.6));
 
-        let check = |net: &Network, when: &str| {
-            for e in 0..net.topology().edge_count() {
-                let edge = net.topology().edge(e);
-                let load = net.edge_load(e) as usize;
-                assert_eq!(
-                    load,
-                    net.node(edge.a).reserved_on_edge(e),
-                    "trial {trial} ({}) {when}: edge {e} vs node {}",
-                    policy.name(),
-                    edge.a
-                );
-                assert_eq!(
-                    load,
-                    net.node(edge.b).reserved_on_edge(e),
-                    "trial {trial} ({}) {when}: edge {e} vs node {}",
-                    policy.name(),
-                    edge.b
-                );
-            }
-        };
-
-        check(&net, "after issue");
-        let deadline = net.now() + SimDuration::from_millis(800);
-        loop {
-            let left = deadline.saturating_since(net.now());
-            if left == SimDuration::ZERO {
-                break;
-            }
-            let outcome = net.run_until_outcome(left);
-            check(&net, "mid-run");
-            if outcome.is_none() {
-                break;
-            }
-        }
-        if with_faults {
-            assert!(
-                net.faults() > 0,
-                "trial {trial}: the flapping plan must actually fire"
-            );
-        }
-        for &r in &requests {
-            net.cancel_request(r);
-        }
-        check(&net, "after cancel");
-        for e in 0..net.topology().edge_count() {
-            assert_eq!(
-                net.edge_load(e),
-                0,
-                "trial {trial} ({}): edge {e} leaked load",
-                policy.name()
-            );
-        }
-        for n in 0..net.topology().node_count() {
-            for &r in &requests {
-                assert!(
-                    !net.node(n).is_reserved(r),
-                    "trial {trial} ({}): node {n} still reserved for {r}",
-                    policy.name()
-                );
-            }
-        }
+        let what = format!("trial {trial} ({})", policy.name());
+        run_then_cancel(&mut net, &requests, SimDuration::from_millis(800), &what);
+        assert_eq!(with_faults, net.faults() > 0, "{what}: the flapping plan");
     }
 }
 

@@ -26,7 +26,7 @@
 //!   and a NaN-free service CSV.
 
 use qlink::net::sweep::{run_one, FaultChoice, RunRecord};
-use qlink::net::MetricChoice;
+use qlink::net::{chrome_trace_json, MetricChoice, TelemetryConfig};
 use qlink::prelude::*;
 
 fn lab(seed: u64) -> LinkConfig {
@@ -155,9 +155,8 @@ fn corridor_flap_run(seed: u64, penalty_box: bool) -> (u64, u64, u64) {
     let topo = Topology::grid(4, 4, |i| lab(root.substream(&format!("edge/{i}")).seed()));
     let flappy = topo.edge_between(1, 2).expect("grid edge 1-2");
     let mut net = Network::new(topo, seed);
-    // Arm the timeout so faults are observed (reroute_enabled), but
-    // far above every delivery time: budget 0 means a fault on the
-    // path is the only way a stream can be abandoned.
+    // A timeout far above every delivery time: with budget 0 a fault
+    // on the path is the only way a stream can be abandoned.
     net.set_request_timeout(Some(SimDuration::from_secs(20)));
     let mut plan = FaultPlan::new().with_penalty(if penalty_box {
         PenaltyConfig::default()
@@ -404,12 +403,16 @@ fn node_churn_fails_and_repairs_incident_edges() {
 /// whatever the interleaving of fails, repairs, reissues, and backoff,
 /// the stream lands in **exactly one** of completed/abandoned, and
 /// every reservation is released — across seeds and retry budgets.
+/// Either ending is on the record: every counted abandon — the
+/// no-route-at-reissue ones included — has its `abandon` span, so the
+/// chrome trace closes the request's `B` with exactly one `E`.
 #[test]
 fn flapping_stream_completes_or_abandons_exactly_once() {
     for seed in 0..6u64 {
         for retries in [0u32, 2, 5] {
             let topo = Topology::chain(2, |_| lab(30 + seed));
             let mut net = Network::new(topo, seed);
+            net.set_telemetry(TelemetryConfig::all());
             net.set_retry_budget(retries);
             net.set_request_timeout(Some(SimDuration::from_millis(400)));
             // Up-dwells well below the one-hop delivery latency
@@ -450,6 +453,22 @@ fn flapping_stream_completes_or_abandons_exactly_once() {
             assert!(
                 net.reroutes() <= u64::from(retries),
                 "seed {seed}: reroutes within budget"
+            );
+            let spans = net.telemetry().expect("telemetry on").spans();
+            let abandons = spans.iter().filter(|s| s.stage.name() == "abandon");
+            assert_eq!(
+                abandons.count() as u64,
+                net.timeouts(),
+                "seed {seed} retries {retries}: every abandon is on the record"
+            );
+            let json = chrome_trace_json(spans);
+            assert_eq!(
+                (
+                    json.matches("\"ph\":\"B\"").count(),
+                    json.matches("\"ph\":\"E\"").count()
+                ),
+                (1, 1),
+                "seed {seed} retries {retries}: the request's span must close"
             );
             net.cancel_request(request);
             assert_eq!(net.edge_load(0), 0, "seed {seed}: load released");

@@ -1,6 +1,6 @@
 //! Acceptance suite for the deterministic telemetry layer
-//! (`qlink::net::obs`, the PR 6 tentpole) and the opt-in
-//! retract-on-cancel knob.
+//! (`qlink::net::obs`, the PR 6 tentpole) and the CREATE retraction
+//! a cancel performs.
 //!
 //! The contracts under test:
 //!
@@ -17,9 +17,8 @@
 //!   reconcile exactly with the network's own counters;
 //! * **Histogram percentiles** — within one bucket width of the exact
 //!   order statistic, property-tested against sorted samples;
-//! * **Retract-on-cancel** — default off leaves cancellation
-//!   bit-identical to earlier revisions; opted in, a cancel expires
-//!   the request's queued CREATEs through the links.
+//! * **Cancel retracts** — a cancel expires the request's queued
+//!   CREATEs through the links.
 
 use qlink::des::Histogram;
 use qlink::net::{chrome_trace_json, spans_jsonl, SpanStage, TelemetryConfig};
@@ -248,10 +247,8 @@ fn chrome_trace_is_balanced_and_monotone() {
 #[test]
 fn metrics_reconcile_with_network_counters() {
     let mut net = contended_grid(5, ExecMode::Sequential, TelemetryConfig::all());
-    let reroutes = net.reroutes();
     let outcomes = net.take_outcomes().len() as u64;
     let m = net.telemetry().expect("telemetry on").metrics();
-    assert_eq!(m.reroutes, reroutes);
     assert_eq!(m.completions, outcomes);
     assert_eq!(m.latency.count(), outcomes);
     assert_eq!(m.fidelity.count(), outcomes);
@@ -294,45 +291,21 @@ fn histogram_quantiles_match_exact_order_statistics() {
     }
 }
 
-// ---- retract-on-cancel ----------------------------------------------
+// ---- cancel retracts ------------------------------------------------
 
-/// Cancels a request while its CREATEs are still queued inside the
-/// links, under the given knob setting, and returns the network.
-fn cancel_mid_flight(retract: bool) -> Network {
+/// Cancelling a request while its CREATEs are still queued inside the
+/// links expires them through the links' classical retraction path —
+/// visible as RETRACT then EXPIRE counters and `retract` spans.
+#[test]
+fn cancel_with_retraction_expires_queued_creates() {
     let mut net = Network::new(chain(3), 7);
     net.set_telemetry(TelemetryConfig::all());
-    net.set_retract_on_cancel(retract);
     let req = net.request_entanglement(0, 2, 0.5);
     // Long enough for the reservation to land and the CREATEs to be
     // submitted, far too short for a lab link to deliver a pair.
     net.run_for(SimDuration::from_micros(50));
     net.cancel_request(req);
     net.run_for(SimDuration::from_secs(5));
-    net
-}
-
-/// Default off: cancellation drops the bookkeeping and nothing else —
-/// no retraction traffic, bit-identical to the pre-knob behavior.
-#[test]
-fn cancel_without_retraction_stays_quiet() {
-    let mut net = cancel_mid_flight(false);
-    assert!(!net.retract_on_cancel(), "knob defaults off");
-    let m = net.telemetry().expect("telemetry on").metrics();
-    assert!(m.creates.iter().sum::<u64>() > 0, "CREATEs were in flight");
-    assert_eq!(m.retracts.iter().sum::<u64>(), 0);
-    assert_eq!(m.expires.iter().sum::<u64>(), 0);
-    assert!(
-        net.take_outcomes().is_empty(),
-        "cancelled request delivers nothing"
-    );
-}
-
-/// Opted in: the cancel expires the queued CREATEs through the links'
-/// classical retraction path — visible as RETRACT then EXPIRE
-/// counters and `retract` spans.
-#[test]
-fn cancel_with_retraction_expires_queued_creates() {
-    let mut net = cancel_mid_flight(true);
     let m = net.telemetry().expect("telemetry on").metrics();
     let retracts = m.retracts.iter().sum::<u64>();
     let expires = m.expires.iter().sum::<u64>();
@@ -341,31 +314,6 @@ fn cancel_with_retraction_expires_queued_creates() {
     let spans = spans_jsonl(net.telemetry().expect("telemetry on").spans());
     assert!(spans.contains("\"stage\":\"retract\""));
     assert!(net.take_outcomes().is_empty());
-}
-
-/// The knob is invisible to runs that never cancel: a full contended
-/// grid run fingerprints identically with it on or off.
-#[test]
-fn retract_on_cancel_is_inert_without_cancels() {
-    let mut plain = contended_grid(5, ExecMode::Sequential, TelemetryConfig::OFF);
-    let mut knob = {
-        let root = DetRng::new(5);
-        let topo = Topology::grid(4, 4, |i| lab(root.substream(&format!("edge/{i}")).seed()));
-        let mut net = Network::new(topo, 5);
-        net.set_retract_on_cancel(true);
-        net.set_route_metric(LoadScaledLatency);
-        net.set_request_timeout(Some(SimDuration::from_millis(300)));
-        net.set_retry_budget(2);
-        for (src, dst) in [(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)] {
-            net.request_entanglement(src, dst, 0.6);
-        }
-        net.run_for(SimDuration::from_millis(700));
-        net
-    };
-    assert_eq!(
-        results_fingerprint(&mut plain),
-        results_fingerprint(&mut knob),
-    );
 }
 
 // ---- profiling ------------------------------------------------------
