@@ -130,6 +130,12 @@ impl NodeMhp {
         self.pending.len()
     }
 
+    /// `true` while the attempt of `cycle` has neither been answered
+    /// nor given up on.
+    pub fn is_pending(&self, cycle: u64) -> bool {
+        self.pending.contains_key(&cycle)
+    }
+
     /// One timestep (Protocol 1 step 1): the EGP answered the poll with
     /// `spec`; fire the attempt.
     ///

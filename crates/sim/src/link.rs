@@ -14,7 +14,7 @@ use qlink_egp::dqueue::Role;
 use qlink_egp::egp::{Egp, EgpConfig, EgpEvent, HwDirective};
 use qlink_egp::shared_random::SharedRandomness;
 use qlink_phys::attempt::{AttemptModel, AttemptOutcome, ModelCache};
-use qlink_phys::mhp::{AttemptKind, MhpResult, Midpoint, NodeMhp, PhotonSubmission};
+use qlink_phys::mhp::{AttemptKind, MhpResult, Midpoint, NodeMhp};
 use qlink_phys::pair::{PairState, Side};
 use qlink_quantum::bell::BellState;
 use qlink_quantum::Basis;
@@ -22,7 +22,7 @@ use qlink_wire::egp::{CreateMsg, EgpErrorCode, WireBasis};
 use qlink_wire::fields::{Fidelity16, RequestFlags, RequestType};
 use qlink_wire::mhp::MHP_FRAME_MAX;
 use qlink_wire::{Frame, FrameBytes};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Node IDs on the wire (A is the distributed-queue master).
@@ -34,10 +34,13 @@ pub const NODE_B: u32 = 2;
 /// and nodes are named by their one-byte index (0 = A, 1 = B) — so
 /// scheduling one never allocates. They are also *small*: a busy
 /// link's event queue retains slot capacity in proportion to the event
-/// size (dozens of GENs, REPLYs and reply timeouts are in flight on
-/// QL2020), so the MHP frames sit in a buffer of their own maximum
-/// length, and the node-to-node frames — up to twice as long, sent
-/// only on the CREATE and recovery paths — are boxed.
+/// size (dozens of REPLYs are in flight on QL2020), so the MHP frames
+/// sit in a buffer of their own maximum length, and the node-to-node
+/// frames — up to twice as long, sent only on the CREATE and recovery
+/// paths — are boxed.
+/// A photon or GEN reaching the station is no event (`on_cycle` fills
+/// its detection-window slot at emission), nor is a reply deadline (it
+/// waits in [`LinkSimulation::reply_deadlines`] for its `Cycle`).
 #[derive(Debug)]
 enum Event {
     /// Start of MHP cycle `c` at both nodes.
@@ -46,22 +49,13 @@ enum Event {
     WindowClose(u64),
     /// A node-to-node classical frame arrives.
     PeerFrame { to: u8, bytes: Box<FrameBytes> },
-    /// A GEN frame arrives at the station.
-    GenArrive { from: u8, bytes: MhpFrameBytes },
-    /// A photon arrives at the station.
-    PhotonArrive(PhotonSubmission),
     /// A station REPLY arrives at a node.
     ReplyArrive { to: u8, bytes: MhpFrameBytes },
-    /// Node-side deadline for the reply to attempt `cycle`.
-    ReplyTimeout { node: u8, cycle: u64 },
 }
 
 type MhpFrameBytes = FrameBytes<MHP_FRAME_MAX>;
 
 const _: () = assert!(std::mem::size_of::<Event>() <= 32);
-
-/// Wire IDs by node index.
-const NODE_IDS: [u32; 2] = [NODE_A, NODE_B];
 
 #[derive(Debug)]
 struct LedgerEntry {
@@ -147,7 +141,6 @@ pub struct LinkSimulation {
     /// so they skip the cache lookup and its `Arc` clone.
     model: Option<(u64, Arc<AttemptModel>)>,
     window_alpha: IntMap<u64, f64>,
-    window_active: bool,
     ledger: IntMap<u64, LedgerEntry>,
     chan_ab: [ChannelModel; 2],
     chan_gen: [ChannelModel; 2],
@@ -155,7 +148,13 @@ pub struct LinkSimulation {
     rng_phys: DetRng,
     rng_chan: DetRng,
     workload: WorkloadGenerator,
-    tracking: HashMap<(usize, u16), RequestTracking>,
+    /// Open CREATEs by origin node, then create ID.
+    tracking: [IntMap<u16, RequestTracking>; 2],
+    /// `(attempt cycle, node)`, oldest first, of the attempts not yet past
+    /// their reply deadline, the start of cycle `attempt + reply_deadline_cycles`.
+    reply_deadlines: VecDeque<(u64, u8)>,
+    /// The reply round trip in whole MHP cycles, plus twelve of slack.
+    reply_deadline_cycles: u64,
     deliveries: Option<Vec<Delivery>>,
     rejections: Option<Vec<Rejection>>,
     /// The embedding layer's observation cursor: how far the link has
@@ -236,6 +235,10 @@ impl LinkSimulation {
         let mk_chan = |km: f64| {
             ChannelModel::fiber(km, cfg.classical_loss).with_corruption(cfg.classical_corruption)
         };
+        let round_trip = scenario
+            .reply_latency()
+            .as_ps()
+            .div_ceil(scenario.mhp_cycle.as_ps());
         let mut sim = LinkSimulation {
             queue: EventQueue::new(),
             egps: [egp_a, egp_b],
@@ -244,7 +247,6 @@ impl LinkSimulation {
             cache: ModelCache::new(),
             model: None,
             window_alpha: IntMap::default(),
-            window_active: false,
             ledger: IntMap::default(),
             chan_ab: [mk_chan(node_to_node_km), mk_chan(node_to_node_km)],
             chan_gen: [mk_chan(scenario.arm_a_km), mk_chan(scenario.arm_b_km)],
@@ -252,7 +254,9 @@ impl LinkSimulation {
             rng_phys: root.substream("physics"),
             rng_chan: root.substream("channels"),
             workload,
-            tracking: HashMap::new(),
+            tracking: Default::default(),
+            reply_deadlines: VecDeque::new(),
+            reply_deadline_cycles: round_trip + 12,
             deliveries: None,
             rejections: None,
             visible: SimTime::ZERO,
@@ -263,6 +267,13 @@ impl LinkSimulation {
             cycles_elided: 0,
             cfg,
         };
+        // `on_cycle` hands photons and GENs to the station at emission: both
+        // must arrive before their window closes, `max_arm_delay()` + 100 ns on.
+        let max_arm_delay = sim.max_arm_delay();
+        assert!(
+            sim.chan_gen.iter().all(|gen| gen.delay <= max_arm_delay),
+            "a GEN would reach the station after its detection window closed"
+        );
         sim.queue.schedule_at(SimTime::ZERO, Event::Cycle(0));
         sim
     }
@@ -326,8 +337,8 @@ impl LinkSimulation {
         let cycle = self.current_cycle();
         let msg = Self::create_msg(&req, if origin == 0 { NODE_B } else { NODE_A });
         let (create_id, events) = self.egps[origin].create(msg, cycle);
-        self.tracking.insert(
-            (origin, create_id),
+        self.tracking[origin].insert(
+            create_id,
             RequestTracking {
                 kind: req.kind,
                 submitted: now,
@@ -358,7 +369,7 @@ impl LinkSimulation {
     pub fn expire_request(&mut self, origin: usize, create_id: u16) {
         self.resume();
         let cycle = self.current_cycle();
-        self.tracking.remove(&(origin, create_id));
+        self.tracking[origin].remove(&create_id);
         let events = self.egps[origin].expire_request(create_id, cycle);
         self.route(origin, events);
     }
@@ -448,18 +459,18 @@ impl LinkSimulation {
         }
     }
 
-    /// Lets the MHP cycle clock stop while the link is idle. At a
-    /// cycle where nothing pends in the link's own event queue, the
-    /// workload generator is [`WorkloadSpec::none`] and both EGPs are
-    /// quiescent ([`Egp::is_quiescent`]), the link schedules no further
-    /// `Cycle`: [`LinkSimulation::next_event_time`] returns `None` until
-    /// the next [`LinkSimulation::submit`] /
-    /// [`LinkSimulation::expire_request`] restarts the clock at the
-    /// first cycle boundary after it — the cycle a ticking link would
-    /// fire next. Every skipped cycle is one whose polls are no-ops, and
-    /// its housekeeping (the `queue_length` sample, the pair-ledger
-    /// sweep) is back-filled, so deliveries, rejections and
-    /// [`LinkMetrics`] are bit-identical to a never-parking run; only
+    /// Lets the MHP cycle clock stop while the link is idle. At a cycle
+    /// where nothing pends in the link's own event queue, no attempt awaits
+    /// its reply, the workload generator is [`WorkloadSpec::none`] and both
+    /// EGPs are quiescent ([`Egp::is_quiescent`]), the link schedules no
+    /// further `Cycle`: [`LinkSimulation::next_event_time`] returns `None`
+    /// until the next [`LinkSimulation::submit`] /
+    /// [`LinkSimulation::expire_request`] restarts the clock at the first
+    /// cycle boundary after it — the cycle a ticking link would fire next.
+    /// Every skipped cycle is one whose polls are no-ops, and its
+    /// housekeeping (the `queue_length` sample, the pair-ledger sweep) is
+    /// back-filled, so deliveries, rejections and [`LinkMetrics`] are
+    /// bit-identical to a never-parking run; only
     /// [`LinkSimulation::events_fired`] drops, by
     /// [`LinkSimulation::cycles_elided`].
     ///
@@ -583,12 +594,6 @@ impl LinkSimulation {
                     self.route(to, evs);
                 }
             }
-            Event::GenArrive { from, bytes } => {
-                if let Ok(Frame::Gen(msg)) = Frame::decode(&bytes) {
-                    self.midpoint.on_gen(NODE_IDS[usize::from(from)], msg);
-                }
-            }
-            Event::PhotonArrive(p) => self.midpoint.on_photon(p),
             Event::ReplyArrive { to, bytes } => {
                 if let Ok(Frame::Reply(msg)) = Frame::decode(&bytes) {
                     let to = usize::from(to);
@@ -597,21 +602,36 @@ impl LinkSimulation {
                     }
                 }
             }
-            Event::ReplyTimeout { node, cycle } => {
-                let node = usize::from(node);
-                if let Some(result) = self.mhps[node].on_reply_timeout(cycle) {
-                    self.process_result(node, result);
-                }
-            }
         }
     }
 
     /// `true` at a cycle whose polls cannot do anything, and after
     /// which nothing can until the next external input: no internal
-    /// event pends (so no frame, photon, reply or timeout is in
-    /// flight), no workload will arrive, and neither EGP has work.
+    /// event pends (so no frame or reply is in flight and no detection
+    /// window is open), no node still waits out a reply deadline, no
+    /// workload will arrive, and neither EGP has work.
     fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.workload.is_none() && self.egps.iter().all(Egp::is_quiescent)
+        self.queue.is_empty()
+            && self.reply_deadlines.is_empty()
+            && self.workload.is_none()
+            && self.egps.iter().all(Egp::is_quiescent)
+    }
+
+    /// At the start of cycle `c`, gives up on the attempts whose reply
+    /// deadline it is — oldest first, node A before node B — and drops
+    /// the answered attempts at the head, so they hold up no parking.
+    fn fire_reply_deadlines(&mut self, c: u64) {
+        while let Some(&(attempt, node)) = self.reply_deadlines.front() {
+            let node = usize::from(node);
+            if attempt + self.reply_deadline_cycles <= c {
+                if let Some(result) = self.mhps[node].on_reply_timeout(attempt) {
+                    self.process_result(node, result);
+                }
+            } else if self.mhps[node].is_pending(attempt) {
+                break;
+            }
+            self.reply_deadlines.pop_front();
+        }
     }
 
     /// Restarts a parked cycle clock at the first cycle boundary after
@@ -662,6 +682,7 @@ impl LinkSimulation {
     }
 
     fn on_cycle(&mut self, now: SimTime, c: u64) {
+        self.fire_reply_deadlines(c);
         if self.park_when_idle && self.is_idle() {
             // This cycle's polls are no-ops and so is every later
             // one's until the next CREATE: stop the clock here.
@@ -680,7 +701,7 @@ impl LinkSimulation {
         }
 
         // Poll both EGPs; trigger attempts.
-        self.window_active = false;
+        let mut window_open = false;
         for node in 0..2u8 {
             let i = usize::from(node);
             let (spec, evs) = self.egps[i].poll(c);
@@ -688,27 +709,23 @@ impl LinkSimulation {
             let Some(spec) = spec else { continue };
             let actions = self.mhps[i].trigger(c, spec);
             self.window_alpha.entry(c).or_insert(spec.alpha);
-            self.window_active = true;
+            window_open = true;
 
-            let prep = self.cfg.scenario.emission_prep;
-            let photon_at = now + prep + self.arm_delay(i);
-            self.queue
-                .schedule_at(photon_at, Event::PhotonArrive(actions.photon));
-
+            // Both land in window `c` before it closes (see `new`): the station
+            // takes them now. The GEN still crosses its lossy channel and parses.
+            self.midpoint.on_photon(actions.photon);
             let mut bytes = Frame::Gen(actions.gen).encode();
-            if let Transmission::Delivered { delay } =
+            if let Transmission::Delivered { .. } =
                 self.chan_gen[i].transmit(&mut bytes, &mut self.rng_chan)
             {
-                let bytes = bytes.narrow();
-                let arrive = Event::GenArrive { from: node, bytes };
-                self.queue.schedule_at(now + prep + delay, arrive);
+                if let Ok(Frame::Gen(msg)) = Frame::decode(&bytes) {
+                    self.midpoint.on_gen(self.mhps[i].node_id(), msg);
+                }
             }
-            let timeout = self.cfg.scenario.mhp_cycle * (self.reply_timeout_cycles() + 2);
-            self.queue
-                .schedule_at(now + timeout, Event::ReplyTimeout { node, cycle: c });
+            self.reply_deadlines.push_back((c, node));
         }
 
-        if self.window_active {
+        if window_open {
             let close_at = now
                 + self.cfg.scenario.emission_prep
                 + self.max_arm_delay()
@@ -824,7 +841,7 @@ impl LinkSimulation {
                         // Partial expiry: the affected pairs no
                         // longer count as delivered.
                         let span = err.seq_high.wrapping_sub(err.seq_low).min(16);
-                        if let Some(t) = self.tracking.get_mut(&(from, err.create_id)) {
+                        if let Some(t) = self.tracking[from].get_mut(&err.create_id) {
                             t.pairs_seen = t.pairs_seen.saturating_sub(span);
                         }
                     } else if matches!(
@@ -836,7 +853,7 @@ impl LinkSimulation {
                             | EgpErrorCode::MemExceeded
                             | EgpErrorCode::OutOfMem
                     ) {
-                        self.tracking.remove(&(from, err.create_id));
+                        self.tracking[from].remove(&err.create_id);
                         if let Some(rejections) = &mut self.rejections {
                             rejections.push(Rejection {
                                 origin: from,
@@ -911,7 +928,7 @@ impl LinkSimulation {
 
     fn record_ok(&mut self, origin: usize, create_id: u16, fidelity: f64) {
         let now = self.queue.now();
-        let Some(t) = self.tracking.get_mut(&(origin, create_id)) else {
+        let Some(t) = self.tracking[origin].get_mut(&create_id) else {
             return;
         };
         t.pairs_seen += 1;
@@ -934,7 +951,7 @@ impl LinkSimulation {
         if complete {
             self.metrics
                 .record_request_complete(kind, origin, pairs, latency, now);
-            self.tracking.remove(&(origin, create_id));
+            self.tracking[origin].remove(&create_id);
         }
     }
 
@@ -947,28 +964,11 @@ impl LinkSimulation {
         }
     }
 
-    fn arm_delay(&self, node: usize) -> SimDuration {
-        if node == 0 {
-            self.cfg.scenario.arm_a_delay()
-        } else {
-            self.cfg.scenario.arm_b_delay()
-        }
-    }
-
     fn max_arm_delay(&self) -> SimDuration {
         self.cfg
             .scenario
             .arm_a_delay()
             .max(self.cfg.scenario.arm_b_delay())
-    }
-
-    fn reply_timeout_cycles(&self) -> u64 {
-        self.cfg
-            .scenario
-            .reply_latency()
-            .as_ps()
-            .div_ceil(self.cfg.scenario.mhp_cycle.as_ps())
-            + 10
     }
 }
 

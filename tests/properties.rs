@@ -377,6 +377,50 @@ fn metrics_fingerprint(m: &LinkMetrics) -> String {
     out
 }
 
+/// Answered attempts do not hold up parking: their reply deadlines are
+/// dropped at the next cycle rather than waited out (13 cycles on Lab).
+/// A retraction shows it — it leaves both EGPs quiescent as soon as the
+/// RETRACT is acknowledged, with the attempt of that cycle still in
+/// flight, whereas a served request lingers 5 000 cycles, long past
+/// every deadline.
+#[test]
+fn retracted_link_parks_the_cycle_after_its_last_reply() {
+    let cfg = LinkConfig::lab(WorkloadSpec::none(), 4);
+    let cycle_start = |c: u64| SimTime::ZERO + cfg.scenario.mhp_cycle * c;
+    let retracted = |park: bool| {
+        let mut link = LinkSimulation::new(cfg.clone());
+        if park {
+            link.park_when_idle();
+        }
+        let req = GeneratedRequest {
+            kind: RequestKind::Md,
+            pairs: 1,
+            origin: 0,
+            fmin: 0.6,
+            tmax_us: 0,
+        };
+        let id = link.submit(0, req);
+        // Well into the attempt phase: one attempt per cycle.
+        link.advance_to(cycle_start(2_000));
+        assert_eq!(link.metrics.total_pairs(), 0, "still attempting");
+        assert!(link.events_fired() > 4 * 1_000, "attempts are running");
+        link.expire_request(0, id);
+        link
+    };
+    let (mut ticking, mut parking) = (retracted(false), retracted(true));
+    // Cycle 2001 finds attempt 2000 answered at both nodes and parks.
+    parking.advance_to(cycle_start(2_001));
+    assert_eq!(parking.next_event_time(), None, "parked at cycle 2001");
+
+    ticking.advance_to(cycle_start(2_100));
+    parking.advance_to(cycle_start(2_100));
+    assert_eq!(parking.cycles_elided(), 99, "cycles 2002 to 2100");
+    assert_eq!(
+        parking.events_fired() + parking.cycles_elided(),
+        ticking.events_fired()
+    );
+}
+
 /// Idle-link parking is invisible except in the event count: a link
 /// that parks, one that parks *and* is run ahead of its observation
 /// cursor, and one that never parks, driven through the same seeded
