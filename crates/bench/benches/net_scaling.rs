@@ -18,15 +18,13 @@
 //!   latency routing (with and without timeout re-routing).
 //! * `sweep/*` — sweep-driver throughput (ROADMAP item): runs/second
 //!   of a fixed scenario × seed matrix vs worker-thread count.
-//! * `par/*` — the conservative-lookahead intra-topology engine
-//!   (`qlink::net::par`): wall-clock of one giant-grid run under
-//!   `ExecMode::Sequential` vs `Sharded(n)` — bit-identical results,
-//!   so the whole difference is engine overhead vs parallel speedup.
-//!   Also writes the measurements to `BENCH_par.json` (override the
-//!   path with `QLINK_BENCH_PAR_JSON`) as the perf-trajectory record;
-//!   speedup depends on the host's core count, which is recorded
-//!   alongside. Run just this family with `cargo bench --bench
-//!   net_scaling -- par/`, and shrink the simulated horizon for smoke
+//! * `par/*` — wall-clock of one giant-grid run (the family keeps the
+//!   name it had when it also timed the deleted intra-run parallel
+//!   engine; see ARCHITECTURE.md, "Intra-run parallelism: a negative
+//!   result"). Also writes the measurements to `BENCH_par.json`
+//!   (override the path with `QLINK_BENCH_PAR_JSON`) as the
+//!   perf-trajectory record. Run just this family with
+//!   `cargo bench --bench net_scaling -- par/`, and shrink the simulated horizon for smoke
 //!   runs with `QLINK_BENCH_SCALE` (e.g. `=0.1`).
 //! * `load/*` — the open-loop workload engine (`qlink::net::load`):
 //!   wall-clock of one sustained-arrival grid run at a moderate rate
@@ -37,7 +35,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use qlink::net::route::{FidelityProduct, HopCount, Latency, RoutePlanner};
-use qlink::net::sweep::{run_one, sweep, ExecChoice};
+use qlink::net::sweep::{run_one, sweep};
 use qlink::net::MetricChoice;
 use qlink::prelude::*;
 
@@ -185,22 +183,12 @@ fn bench_par_engine(c: &mut Criterion) {
     if !c.matches_prefix("par/") {
         return;
     }
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let sim = qlink_bench::scaled_secs(2.0);
-    let modes = [
-        ("seq", ExecChoice::Sequential, 1usize),
-        ("t2", ExecChoice::Sharded(2), 2),
-        ("t4", ExecChoice::Sharded(4), 4),
-    ];
     let mut json_entries = Vec::new();
     let mut measured: Vec<(String, f64)> = Vec::new();
     for n in [8usize, 16] {
         // One corner-to-corner request plus cross traffic, with a
-        // timeout and retry budget: the workload class the intra-topology engine exists
-        // for. Results are bit-identical across modes (pinned by
-        // tests/net_par.rs), so wall-clock is the whole story.
+        // timeout and retry budget.
         let last = n * n - 1;
         let spec = ScenarioSpec::lab_grid(format!("par-grid-{n}"), n, n)
             .with_pairs(vec![
@@ -210,63 +198,47 @@ fn bench_par_engine(c: &mut Criterion) {
             ])
             .with_metric(MetricChoice::LoadLatency)
             .with_max_time(sim);
-        let mut seq_secs = None;
-        for (tag, exec, threads) in modes {
-            let name = format!("par/grid_{n}x{n}_{tag}");
-            if !c.matches(&name) {
-                continue;
-            }
-            let spec = spec.clone().with_exec(exec);
-            // Minimum of two runs: single-shot wall timing is noisy
-            // (±10% run-to-run on a busy host), and the minimum is the
-            // standard low-noise estimator for a regression gate. The
-            // runs are bit-identical, so only the clock differs.
-            let watch = qlink_bench::Stopwatch::new();
-            let r = run_one(&spec, 1);
-            let first = watch.secs();
-            let watch = qlink_bench::Stopwatch::new();
-            let r2 = run_one(&spec, 1);
-            let secs = watch.secs().min(first);
-            assert_eq!(r.events, r2.events, "{name}: runs must be bit-identical");
-            // Reported, not gated: cost per handled event compares
-            // grid sizes, but the event count is not invariant across
-            // commits (idle-link parking removed most of it), so it can
-            // rise while the run gets faster. The gate reads `secs`.
-            let per_event_ns = if r.events == 0 {
-                0.0
-            } else {
-                secs * 1e9 / r.events as f64
-            };
-            let seq = *seq_secs.get_or_insert(secs);
-            // A speedup needs real cores: on a single-core host the
-            // sharded modes measure scheduling overhead, not
-            // parallelism, so the ratio is suppressed rather than
-            // published as noise.
-            let speedup = (host > 1).then(|| seq / secs);
-            let speedup_col =
-                speedup.map_or("   (1-core host)".into(), |s| format!("speedup {s:>5.2}x"));
-            println!(
-                "{name:<24} {per_event_ns:>7.1} ns/event  {secs:>8.3} s  {speedup_col}  \
-                 ({} events, {} ok, host has {host} core(s))",
-                r.events, r.successes,
-            );
-            json_entries.push(format!(
-                "    {{\"name\": \"{name}\", \"threads\": {threads}, \
-                 \"per_event_ns\": {per_event_ns:.1}, \"wall_seconds\": {secs:.4}, \
-                 \"speedup_vs_seq\": {}, \"events\": {}}}",
-                speedup.map_or("null".to_string(), |s| format!("{s:.3}")),
-                r.events
-            ));
-            measured.push((name, secs));
+        let name = format!("par/grid_{n}x{n}_seq");
+        if !c.matches(&name) {
+            continue;
         }
+        // Minimum of two runs: single-shot wall timing is noisy
+        // (±10% run-to-run on a busy host), and the minimum is the
+        // standard low-noise estimator for a regression gate. The
+        // runs are bit-identical, so only the clock differs.
+        let watch = qlink_bench::Stopwatch::new();
+        let r = run_one(&spec, 1);
+        let first = watch.secs();
+        let watch = qlink_bench::Stopwatch::new();
+        let r2 = run_one(&spec, 1);
+        let secs = watch.secs().min(first);
+        assert_eq!(r.events, r2.events, "{name}: runs must be bit-identical");
+        // Reported, not gated: cost per handled event compares
+        // grid sizes, but the event count is not invariant across
+        // commits (idle-link parking removed most of it), so it can
+        // rise while the run gets faster. The gate reads `secs`.
+        let per_event_ns = if r.events == 0 {
+            0.0
+        } else {
+            secs * 1e9 / r.events as f64
+        };
+        println!(
+            "{name:<24} {per_event_ns:>7.1} ns/event  {secs:>8.3} s  ({} events, {} ok)",
+            r.events, r.successes,
+        );
+        json_entries.push(format!(
+            "    {{\"name\": \"{name}\", \"per_event_ns\": {per_event_ns:.1}, \
+             \"wall_seconds\": {secs:.4}, \"events\": {}}}",
+            r.events
+        ));
+        measured.push((name, secs));
     }
     if json_entries.is_empty() {
         return;
     }
     let json = format!(
-        "{{\n  \"bench\": \"net_scaling/par\",\n  \"host_parallelism\": {host},\n  \
-         \"speedup_valid\": {},\n  \"sim_seconds\": {:.3},\n  \"entries\": [\n{}\n  ]\n}}\n",
-        host > 1,
+        "{{\n  \"bench\": \"net_scaling/par\",\n  \"sim_seconds\": {:.3},\n  \
+         \"entries\": [\n{}\n  ]\n}}\n",
         sim.as_secs_f64(),
         json_entries.join(",\n"),
     );
@@ -287,10 +259,9 @@ fn bench_par_engine(c: &mut Criterion) {
 /// regress beyond `QLINK_BENCH_MAX_REGRESS` (a fraction; default
 /// 0.25 = +25%). The run is a fixed (seed, horizon) simulation, so wall
 /// seconds measure the same work on every commit — which ns/event does
-/// not, once a change removes events. Only `_seq` entries gate:
-/// threaded wall-clock depends on the host's core count, sequential
-/// wall-clock does not. A baseline recorded at another simulated
-/// horizon (`QLINK_BENCH_SCALE`) is refused rather than compared.
+/// not, once a change removes events. A baseline recorded at another
+/// simulated horizon (`QLINK_BENCH_SCALE`) is refused rather than
+/// compared.
 /// Baseline entries without a `wall_seconds` field are skipped.
 fn check_against_baseline(measured: &[(String, f64)], sim_seconds: f64) {
     let Ok(path) = std::env::var("QLINK_BENCH_BASELINE") else {
@@ -310,9 +281,6 @@ fn check_against_baseline(measured: &[(String, f64)], sim_seconds: f64) {
     );
     let mut failed = false;
     for (name, got) in measured {
-        if !name.ends_with("_seq") {
-            continue;
-        }
         let Some(want) = baseline_wall_seconds(&base, name) else {
             continue;
         };
@@ -410,7 +378,6 @@ fn bench_open_loop_load(c: &mut Criterion) {
             .with_retries(1)
             .with_request_timeout(SimDuration::from_millis(250))
             .with_max_time(SimDuration::from_secs_f64(0.2))
-            .with_exec(ExecChoice::Sequential)
             .with_workload(Workload::poisson(rate_hz, classes()));
         c.bench_function(&format!("load/grid4x4_{name}"), |b| {
             let mut seed = 0;

@@ -17,7 +17,7 @@
 use crate::request::RequestId;
 use qlink_wire::dqp::{DqpFrameType, DqpMessage};
 use qlink_wire::fields::{AbsQueueId, Fidelity16, RequestFlags};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Which side of the distributed queue this node is (§E.1.2: two nodes
 /// only, one master marshals access).
@@ -156,9 +156,9 @@ pub struct DqueueConfig {
     pub fairness_window: u8,
     /// WFQ weight per queue index (used to compute virtual finish
     /// times at the master). Missing entries default to 1.0.
-    pub wfq_weights: HashMap<u8, f64>,
+    pub wfq_weights: BTreeMap<u8, f64>,
     /// Purpose IDs accepted from the peer (`None` = accept all).
-    pub allowed_purposes: Option<HashSet<u16>>,
+    pub allowed_purposes: Option<BTreeSet<u16>>,
     /// Retransmission interval in MHP cycles.
     pub retransmit_cycles: u64,
     /// Retransmissions before giving up.
@@ -173,7 +173,7 @@ impl Default for DqueueConfig {
             num_queues: 3,
             max_items_per_queue: 256,
             fairness_window: 4,
-            wfq_weights: HashMap::new(),
+            wfq_weights: BTreeMap::new(),
             allowed_purposes: None,
             retransmit_cycles: 200,
             max_retries: 10,
@@ -194,7 +194,7 @@ pub struct DistributedQueue {
     /// come out in `CSEQ` order, not hash order.
     pending: BTreeMap<u8, PendingAdd>,
     /// Master: dedup of slave cseq → assigned aid (to re-ACK retransmits).
-    slave_cseq_seen: HashMap<u8, AbsQueueId>,
+    slave_cseq_seen: BTreeMap<u8, AbsQueueId>,
     /// Master-side staging for the fairness window.
     staging: VecDeque<(Origin, u8, AddPayload)>,
     run_origin: Option<Origin>,
@@ -213,7 +213,7 @@ impl DistributedQueue {
             next_qseq: vec![0; n],
             next_cseq: 0,
             pending: BTreeMap::new(),
-            slave_cseq_seen: HashMap::new(),
+            slave_cseq_seen: BTreeMap::new(),
             staging: VecDeque::new(),
             run_origin: None,
             run_len: 0,
@@ -745,7 +745,7 @@ mod tests {
         for w in aids.windows(2) {
             assert!(w[0].qseq < w[1].qseq, "qseq must increase in arrival order");
         }
-        let unique: HashSet<_> = aids.iter().collect();
+        let unique: BTreeSet<_> = aids.iter().collect();
         assert_eq!(unique.len(), aids.len());
     }
 

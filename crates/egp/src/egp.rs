@@ -27,6 +27,7 @@ use crate::qmm::{QuantumMemoryManager, QubitId};
 use crate::request::{Request, RequestId, RequestState};
 use crate::scheduler::SchedulerPolicy;
 use crate::shared_random::SharedRandomness;
+use qlink_des::IntMap;
 use qlink_phys::mhp::{AttemptKind, AttemptSpec, MhpResult};
 use qlink_phys::params::ScenarioParams;
 use qlink_quantum::bell::BellState;
@@ -39,7 +40,7 @@ use qlink_wire::fields::{
     seq_after, AbsQueueId, MhpError, MidpointOutcome, ReplyOutcome, RequestType,
 };
 use qlink_wire::Frame;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Hardware directives the EGP issues to the node's quantum device —
 /// the "pulse sequences" of §5.1, abstracted.
@@ -204,7 +205,7 @@ pub struct Egp {
     /// (timeouts) comes out in queue order, not hash order.
     requests: BTreeMap<AbsQueueId, Request>,
     /// Our CREATEs not yet committed (create_id → request template).
-    pending_creates: HashMap<u16, Request>,
+    pending_creates: IntMap<u16, Request>,
     next_create_id: u16,
     seq_expected: u16,
     /// Recently issued OK sequence numbers per request (for EXPIRE).
@@ -223,7 +224,7 @@ pub struct Egp {
     pending_retracts: Vec<PendingRetract>,
     /// CREATEs retracted while their dqueue ADD was still in flight:
     /// if the queue later commits one, it is retracted then.
-    retracted_creates: std::collections::HashSet<u16>,
+    retracted_creates: BTreeSet<u16>,
     /// Peer's last advertised free storage (None = unknown).
     peer_free_storage: Option<u8>,
     /// Consecutive NO_MESSAGE_OTHER counts per request (divergence
@@ -277,7 +278,7 @@ impl Egp {
             feu: FidelityEstimator::new(cfg.scenario.clone()),
             qber: QberEstimator::new(cfg.qber_window),
             requests: BTreeMap::new(),
-            pending_creates: HashMap::new(),
+            pending_creates: IntMap::default(),
             next_create_id: 0,
             seq_expected: 0,
             issued_seqs: BTreeMap::new(),
@@ -287,7 +288,7 @@ impl Egp {
             buffered_oks: BTreeMap::new(),
             pending_expires: Vec::new(),
             pending_retracts: Vec::new(),
-            retracted_creates: std::collections::HashSet::new(),
+            retracted_creates: BTreeSet::new(),
             peer_free_storage: None,
             nmo_counts: BTreeMap::new(),
             qm_counts: BTreeMap::new(),

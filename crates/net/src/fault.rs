@@ -18,12 +18,9 @@
 //!   request's planner prices recently bad edges up — one stream's
 //!   pain re-routes the whole network.
 //!
-//! The expanded schedule rides the shared event queue as
-//! control-class events (`NetEvent::Fault` in `network.rs`): each
-//! pending fault bounds the conservative-lookahead horizon of the
-//! sharded engine exactly like a pending reissue or arrival, which is
-//! what keeps `Sharded(n)` bit-identical to `Sequential` under
-//! adversity. See `tests/net_faults.rs` for the pinned proof.
+//! The expanded schedule rides the shared event queue
+//! (`NetEvent::Fault` in `network.rs`); `tests/net_faults.rs` pins
+//! the resulting runs per seed.
 
 use qlink_des::{DetRng, SimDuration, SimTime};
 use qlink_sim::config::LinkConfig;

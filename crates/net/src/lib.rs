@@ -38,24 +38,16 @@
 //!   fixed-bucket histogram metrics with percentile readout, and
 //!   wall-clock engine profiling — all off by default, all passive
 //!   (recording draws nothing from any RNG and schedules no events,
-//!   so results are bit-identical with telemetry on or off, and the
-//!   sharded engine records the exact same spans as the sequential
-//!   one); enable per network via [`Network::set_telemetry`] or
+//!   so results are bit-identical with telemetry on or off); enable
+//!   per network via [`Network::set_telemetry`] or
 //!   process-wide via the `QLINK_TRACE` environment variable;
-//! * [`par`] — conservative-lookahead parallel execution *within* one
-//!   topology: link shards run ahead to window horizons bounded by the
-//!   minimum classical control delay (Chandy–Misra/YAWNS-style
-//!   barriers), bit-identical to the sequential engine
-//!   ([`ExecMode::Sharded`] on [`Network::set_exec`], or the
-//!   `QLINK_EXEC` environment variable);
 //! * [`chain`] — the repeater-chain convenience wrapper;
 //! * [`load`](mod@load) — the open-loop workload engine: deterministic
 //!   Poisson or trace-driven arrival streams over per-application user
 //!   classes (CK/MD kind, priority, fmin, latency/fidelity SLO
 //!   targets), admission control (reject or queue beyond an in-flight
 //!   bound) with exact offered/admitted/dropped/completed/abandoned
-//!   accounting — arrivals are first-class shared-queue events, so
-//!   open-loop runs stay bit-identical across [`ExecMode`]s
+//!   accounting — arrivals are first-class shared-queue events
 //!   ([`Network::set_workload`]);
 //! * [`ruleset`](mod@ruleset) — the RuleSet control plane: per-node
 //!   protocol logic as data — an ordered `condition → action` table
@@ -71,22 +63,19 @@
 //!   aggregates;
 //! * [`fault`](mod@fault) — deterministic fault injection: a
 //!   [`FaultPlan`] of scheduled and seeded-stochastic link
-//!   fail/repair and node-churn events riding the shared queue as
-//!   control-class events (bit-identical across [`ExecMode`]s),
+//!   fail/repair and node-churn events riding the shared queue,
 //!   heterogeneous repair profiles (a degraded edge can come back
 //!   worse than it left), and the network-wide **penalty box** — an
 //!   exponentially time-decaying per-edge surcharge bumped on every
 //!   failure and UNSUPP and priced into all planning through
 //!   [`PlanContext::penalties`] ([`Network::set_fault_plan`]).
 
-mod bound;
 pub mod chain;
 pub mod fault;
 pub mod load;
 pub mod network;
 pub mod node;
 pub mod obs;
-pub mod par;
 pub mod route;
 pub mod ruleset;
 pub mod sweep;
@@ -104,7 +93,6 @@ pub use obs::{
     chrome_trace_json, spans_jsonl, EngineProfile, Metrics, SpanEvent, SpanStage, Telemetry,
     TelemetryConfig,
 };
-pub use par::ExecMode;
 pub use route::{
     EdgeProfile, FidelityProduct, HopCount, Latency, LoadScaledLatency, PlanContext, Route,
     RouteMetric, RoutePlanner,
@@ -113,7 +101,7 @@ pub use ruleset::{
     Action, ArmProgram, Condition, FiredRule, Obs, Policy, Rule, RuleSet, RuleState, Trigger,
 };
 pub use sweep::{
-    run_one, sweep, ExecChoice, FaultChoice, LinkScenario, MetricChoice, RunRecord, ScenarioSpec,
+    run_one, sweep, FaultChoice, LinkScenario, MetricChoice, RunRecord, ScenarioSpec,
     ScenarioStats, SweepReport, TopologyChoice,
 };
 pub use topology::{Edge, Node, Topology};

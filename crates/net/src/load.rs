@@ -30,14 +30,10 @@
 //!   stats merge exactly across a sweep.
 //!
 //! **Determinism.** Arrivals are first-class events on the network's
-//! shared queue, scheduled one-ahead through the same control-class
-//! path as reservations and re-issues (they enter the
-//! conservative-lookahead engine's pending-minimum, bounding the safe
-//! horizon — see [`crate::par`]). Every draw — gap, class, pair —
-//! happens on the coordinating thread while it handles the arrival
-//! event, so [`ExecMode::Sharded`](crate::par::ExecMode) replays the
-//! exact arrival stream of
-//! [`ExecMode::Sequential`](crate::par::ExecMode), bit for bit.
+//! shared queue, scheduled one-ahead. Every draw — gap, class, pair —
+//! comes from the dedicated `net/load` substream while the network
+//! handles the arrival event, so the arrival stream is a function of
+//! the seed alone.
 //!
 //! The engine itself is pure bookkeeping: [`Network`] owns one
 //! (armed via [`Network::set_workload`]), calls into it at arrival /
@@ -65,7 +61,7 @@ pub struct SloTarget {
 }
 
 /// What a class does with an arrival that finds its in-flight bound
-/// (or the workload's total cap) already full.
+/// already full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionControl {
     /// Admit everything (the open-loop purist's choice; in-flight
@@ -213,7 +209,7 @@ pub enum ArrivalProcess {
 }
 
 /// A complete open-loop workload description: the arrival process,
-/// the traffic classes it feeds, and global caps. Data-only
+/// the traffic classes it feeds, and the arrival cap. Data-only
 /// (`Clone + Send`), so sweep specs carry it across threads.
 #[derive(Debug, Clone)]
 pub struct Workload {
@@ -224,9 +220,6 @@ pub struct Workload {
     /// Stop generating after this many arrivals (`None` = run until
     /// the driver's time budget; traces stop at their end regardless).
     pub max_arrivals: Option<u64>,
-    /// Workload-wide in-flight cap across every class (`None` = only
-    /// the per-class bounds apply).
-    pub max_in_flight_total: Option<u32>,
 }
 
 impl Workload {
@@ -236,7 +229,6 @@ impl Workload {
             arrivals: ArrivalProcess::Poisson { rate_hz },
             classes,
             max_arrivals: None,
-            max_in_flight_total: None,
         }
     }
 
@@ -249,19 +241,12 @@ impl Workload {
             },
             classes,
             max_arrivals: None,
-            max_in_flight_total: None,
         }
     }
 
     /// Builder: stop generating after `n` arrivals.
     pub fn with_max_arrivals(mut self, n: u64) -> Self {
         self.max_arrivals = Some(n);
-        self
-    }
-
-    /// Builder: workload-wide in-flight cap.
-    pub fn with_total_in_flight_cap(mut self, cap: u32) -> Self {
-        self.max_in_flight_total = Some(cap);
         self
     }
 }
@@ -443,7 +428,6 @@ pub(crate) struct LoadEngine {
     drain_order: Vec<usize>,
     stats: LoadStats,
     in_flight: IntMap<u64, InFlightReq>,
-    in_flight_total: u64,
     /// FIFO waiting room per class.
     queues: Vec<VecDeque<QueuedArrival>>,
 }
@@ -466,7 +450,6 @@ impl LoadEngine {
             drain_order,
             stats,
             in_flight: IntMap::default(),
-            in_flight_total: 0,
             queues,
             spec,
         }
@@ -504,7 +487,7 @@ impl LoadEngine {
 
     /// Delay from arrival `index` to arrival `index + 1` (`None`: the
     /// stream is exhausted). Exactly one [`DetRng`] draw per Poisson
-    /// gap, always taken on the coordinating thread.
+    /// gap.
     pub(crate) fn gap_after(&self, index: u64, rng: &mut DetRng) -> Option<SimDuration> {
         if index + 1 >= self.arrival_cap() {
             return None;
@@ -544,12 +527,6 @@ impl LoadEngine {
         (class, pair)
     }
 
-    fn total_cap_free(&self) -> bool {
-        self.spec
-            .max_in_flight_total
-            .is_none_or(|cap| self.in_flight_total < u64::from(cap))
-    }
-
     fn class_cap_free(&self, class: usize) -> bool {
         match self.spec.classes[class].admission {
             AdmissionControl::Open => true,
@@ -563,7 +540,7 @@ impl LoadEngine {
     /// Dispositions a fresh arrival of `class` against the admission
     /// state machine.
     pub(crate) fn admit_decision(&self, class: usize) -> Admission {
-        if self.class_cap_free(class) && self.total_cap_free() {
+        if self.class_cap_free(class) {
             return Admission::Admit;
         }
         match self.spec.classes[class].admission {
@@ -583,7 +560,6 @@ impl LoadEngine {
         c.admitted += 1;
         c.in_flight += 1;
         c.queue_wait.record(now.since(arrived_at).as_secs_f64());
-        self.in_flight_total += 1;
         let prev = self.in_flight.insert(id, InFlightReq { class, arrived_at });
         debug_assert!(prev.is_none(), "request id admitted twice");
     }
@@ -614,9 +590,6 @@ impl LoadEngine {
     /// [`LoadEngine::register`] before popping again, so the capacity
     /// check always sees the updated in-flight counts.
     pub(crate) fn pop_admittable(&mut self) -> Option<QueuedArrival> {
-        if !self.total_cap_free() {
-            return None;
-        }
         for &class in &self.drain_order {
             if self.queues[class].is_empty() || !self.class_cap_free(class) {
                 continue;
@@ -635,7 +608,6 @@ impl LoadEngine {
         let Some(req) = self.in_flight.remove(&id) else {
             return false;
         };
-        self.in_flight_total -= 1;
         let latency = now.since(req.arrived_at);
         let cls = &self.spec.classes[req.class];
         let c = &mut self.stats.classes[req.class];
@@ -658,7 +630,6 @@ impl LoadEngine {
         let Some(req) = self.in_flight.remove(&id) else {
             return false;
         };
-        self.in_flight_total -= 1;
         let c = &mut self.stats.classes[req.class];
         c.in_flight -= 1;
         c.abandoned += 1;

@@ -46,12 +46,10 @@
 //! edges that failed it — under its original id, `fmin`, and
 //! [`Policy`]; otherwise it is abandoned ([`Network::timeouts`]).
 
-use crate::bound::CrBound;
 use crate::fault::{FaultKind, FaultPlan, PenaltyBox};
 use crate::load::{Admission, ArrivalProcess, LoadEngine, LoadStats, Workload};
 use crate::node::{NodeAction, PathRole, SwapAsapNode};
 use crate::obs::{SpanStage, Telemetry, TelemetryConfig};
-use crate::par::{ExecMode, ShardPool};
 use crate::route::{HopCount, PlanContext, Route, RouteMetric, RoutePlanner};
 use crate::ruleset::{ArmProgram, Policy};
 use crate::topology::Topology;
@@ -124,25 +122,17 @@ enum NetEvent {
     },
     /// Open-loop workload arrival number `index` (see [`crate::load`]):
     /// resolve its class and pair, run admission control, and schedule
-    /// the next arrival. Scheduled one-ahead through
-    /// [`Network::schedule_cr`], so pending arrivals bound the
-    /// parallel engine's safe horizon exactly like pending control
-    /// messages.
+    /// the next arrival. Scheduled one-ahead.
     Arrival { index: u64 },
     /// A freed admission slot's control-plane notice: drain the
     /// workload's waiting queues, admitting as many arrivals as
     /// capacity allows at this instant. Scheduled one classical
     /// control delay after the completion / abandon that freed the
-    /// slot — both the physical picture (the coordinator has to learn
-    /// the slot freed) and what keeps admission submit-safe when the
-    /// freeing event was not itself at a lookahead boundary.
+    /// slot: the admission plane has to learn the slot freed.
     AdmitQueued,
     /// A fault-plan event fired (see [`crate::fault`]): take an
     /// edge's quantum link down, bring one back (possibly under a
-    /// degraded profile), or churn a node. Scheduled through
-    /// [`Network::schedule_cr`] at arm time, so pending faults bound
-    /// the parallel engine's safe horizon — a repair rebuilds a link,
-    /// which must never happen while other links have run ahead.
+    /// degraded profile), or churn a node. Scheduled at arm time.
     Fault { kind: FaultKind },
 }
 
@@ -266,9 +256,6 @@ struct ParkedReroute {
     dst: usize,
     fmin: f64,
     seed: AttemptSeed,
-    /// When the pending [`NetEvent::Reissue`] fires — the lookahead
-    /// bound entry to tombstone if the request is cancelled first.
-    reissue_at: SimTime,
 }
 
 /// The retry/identity state an attempt is issued under — carried
@@ -377,14 +364,14 @@ impl BackoffPolicy {
     }
 }
 
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[rustfmt::skip]
+pub enum ExecMode { Sequential, Sharded(usize) } // benchmark-compat: ROADMAP item 1 deletes this
+
 /// A multi-node quantum network on one shared event queue.
 pub struct Network {
     topo: Topology,
-    /// Lazily spawned link-shard worker pool (sharded mode only).
-    /// Declared before `links`: fields drop in declaration order, so
-    /// even during a panic unwind the pool joins its workers before
-    /// the link storage they borrow is freed.
-    pool: Option<ShardPool>,
     links: Vec<LinkSimulation>,
     nodes: Vec<SwapAsapNode>,
     queue: EventQueue<NetEvent>,
@@ -452,23 +439,6 @@ pub struct Network {
     fault_count: u64,
     /// Edge repairs applied so far.
     repair_total: u64,
-    /// Execution engine for `run_for`/`run_until_outcome` (see
-    /// [`crate::par`]).
-    exec: ExecMode,
-    /// Firing times of every pending control / re-issue event — the
-    /// events that may submit CREATEs to links at their own firing
-    /// instant. Their minimum bounds the parallel engine's window
-    /// horizon; kept in sync by [`Network::schedule_cr`] and
-    /// [`Network::handle`] (each firing is popped *asserted* against
-    /// the event's own time), with cancelled re-issues tombstoned via
-    /// [`CrBound::cancel`] so they stop pinning the horizon.
-    cr_pending: CrBound,
-    /// In-flight requests whose path is a single edge. Such requests
-    /// complete at a link *delivery* (no swap-result round trip), so
-    /// while any exist the parallel engine caps its lookahead at the
-    /// next event instead of the control-delay bound — a completion
-    /// must never find other links run ahead past it.
-    short_requests: u32,
     /// Cached [`Topology::min_control_delay`].
     min_control_delay: SimDuration,
     /// Total simulated time this network has been run for.
@@ -549,10 +519,6 @@ impl Network {
             metric: Box::new(HopCount),
             policy: Policy::default(),
             planner: None,
-            exec: ExecMode::from_env(),
-            pool: None,
-            cr_pending: CrBound::new(),
-            short_requests: 0,
             min_control_delay: topo.min_control_delay(),
             elapsed: SimDuration::ZERO,
             topo,
@@ -568,9 +534,7 @@ impl Network {
     /// (the construction default, unless the `QLINK_TRACE` environment
     /// variable opted in — [`TelemetryConfig::from_env`]) records
     /// nothing. Recording is passive: whatever the config, the run's
-    /// outcomes, RNG draws, and event stream are unchanged, and
-    /// [`ExecMode::Sharded`] records the exact same spans and metrics
-    /// as [`ExecMode::Sequential`].
+    /// outcomes, RNG draws, and event stream are unchanged.
     pub fn set_telemetry(&mut self, config: TelemetryConfig) {
         self.telemetry =
             (!config.is_off()).then(|| Box::new(Telemetry::new(config, self.links.len())));
@@ -612,7 +576,7 @@ impl Network {
     /// MHP cycles the links skipped while parked idle, summed over the
     /// current link incarnations
     /// ([`LinkSimulation::cycles_elided`]) — where the events of a
-    /// mostly idle network went. Identical under every [`ExecMode`].
+    /// mostly idle network went.
     pub fn cycles_elided(&self) -> u64 {
         self.links.iter().map(|l| l.cycles_elided()).sum()
     }
@@ -725,23 +689,8 @@ impl Network {
         self.backoff
     }
 
-    /// Selects the execution engine: [`ExecMode::Sequential`] pops the
-    /// shared queue event by event on the calling thread;
-    /// [`ExecMode::Sharded`]`(n)` advances the topology's links on `n`
-    /// threads inside conservative-lookahead windows (see
-    /// [`crate::par`]). The two produce **bit-identical** results —
-    /// the mode only changes wall-clock time — so it may be switched
-    /// freely between runs. Defaults to the `QLINK_EXEC` environment
-    /// variable ([`ExecMode::from_env`]), i.e. sequential unless the
-    /// process opts in.
-    pub fn set_exec(&mut self, exec: ExecMode) {
-        self.exec = exec;
-    }
-
-    /// The execution engine in force.
-    pub fn exec(&self) -> ExecMode {
-        self.exec
-    }
+    #[doc(hidden)]
+    pub fn set_exec(&mut self, _: ExecMode) {} // benchmark-compat: ROADMAP item 1 deletes this
 
     /// Arms an open-loop workload (see [`crate::load`]): arrivals are
     /// scheduled as first-class events on the shared queue, one
@@ -749,10 +698,8 @@ impl Network {
     /// running admission control, and issuing an entanglement request
     /// under the network's current routing / policy / retry
     /// knobs. Every workload draw comes from the dedicated `net/load`
-    /// substream on the coordinating thread, so the arrival stream —
-    /// and everything downstream of it — is bit-identical across
-    /// [`ExecMode::Sequential`] and [`ExecMode::Sharded`], and runs
-    /// that never arm a workload draw nothing from it at all.
+    /// substream, and runs that never arm a workload draw nothing from
+    /// it at all.
     ///
     /// Workload-tracked completions are folded straight into
     /// [`Network::workload_stats`] and **not** pushed onto the
@@ -827,7 +774,8 @@ impl Network {
         }
         let engine = Box::new(LoadEngine::new(workload));
         if let Some(delay) = engine.first_arrival_delay(&mut self.load_rng) {
-            self.schedule_cr(delay, NetEvent::Arrival { index: 0 });
+            self.queue
+                .schedule_in(delay, NetEvent::Arrival { index: 0 });
         }
         self.workload = Some(engine);
     }
@@ -856,15 +804,10 @@ impl Network {
     /// land on the shared queue at their offsets from *now*, flapping
     /// processes are realized into concrete fail/repair events from
     /// the dedicated `net/fault` substream, and the penalty box
-    /// starts pricing planning. Every fault event is control-class
-    /// (`Network::schedule_cr`) — a repair rebuilds a link, which
-    /// must never happen while other links have run ahead — so
-    /// [`ExecMode::Sharded`] runs stay bit-identical to
-    /// [`ExecMode::Sequential`] under adversity.
+    /// starts pricing planning.
     ///
     /// Faults hit the *quantum* links only: classical control
-    /// channels stay up, keeping [`Topology::min_control_delay`] (and
-    /// with it the parallel lookahead bound) valid. A plan that
+    /// channels stay up. A plan that
     /// disconnects a pair a request is later issued for makes that
     /// issue panic ("no path"), exactly like a statically
     /// disconnected pair — run fault plans on topologies that stay
@@ -872,7 +815,7 @@ impl Network {
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.penalty_box = Some(PenaltyBox::new(self.topo.edge_count(), plan.penalty));
         for (delay, kind) in plan.expand(&mut self.fault_rng) {
-            self.schedule_cr(delay, NetEvent::Fault { kind });
+            self.queue.schedule_in(delay, NetEvent::Fault { kind });
         }
     }
 
@@ -1293,9 +1236,6 @@ impl Network {
                 SpanStage::Plan { path: path.clone() },
             );
         }
-        if edges.len() == 1 {
-            self.short_requests += 1;
-        }
         for &e in &edges {
             self.edge_load[e] += 1;
         }
@@ -1426,18 +1366,12 @@ impl Network {
             .collect()
     }
 
-    /// Runs the network for `duration` of global simulated time, on
-    /// the engine selected by [`Network::set_exec`].
+    /// Runs the network for `duration` of global simulated time.
     pub fn run_for(&mut self, duration: SimDuration) {
         let prof = self.profiling().then(Instant::now);
         let horizon = self.queue.now() + duration;
-        match self.exec {
-            ExecMode::Sequential => {
-                while let Some((t, ev)) = self.queue.pop_until(horizon) {
-                    self.handle(t, ev);
-                }
-            }
-            ExecMode::Sharded(_) => self.run_windows(horizon, false),
+        while let Some((t, ev)) = self.queue.pop_until(horizon) {
+            self.handle(t, ev);
         }
         self.account_elapsed(duration, horizon);
         self.finish_profile(prof);
@@ -1450,19 +1384,10 @@ impl Network {
         let prof = self.profiling().then(Instant::now);
         let start = self.queue.now();
         let deadline = start + max_time;
-        match self.exec {
-            ExecMode::Sequential => {
-                while self.outcomes.is_empty() {
-                    match self.queue.pop_until(deadline) {
-                        Some((t, ev)) => self.handle(t, ev),
-                        None => break,
-                    }
-                }
-            }
-            ExecMode::Sharded(_) => {
-                if self.outcomes.is_empty() {
-                    self.run_windows(deadline, true);
-                }
+        while self.outcomes.is_empty() {
+            match self.queue.pop_until(deadline) {
+                Some((t, ev)) => self.handle(t, ev),
+                None => break,
             }
         }
         let end = self.queue.now();
@@ -1501,94 +1426,6 @@ impl Network {
         p.cycles_elided = cycles_elided;
     }
 
-    // ---- conservative-lookahead windows (see crate::par) -------------
-
-    /// The largest instant every link may safely be advanced to, given
-    /// the pending shared-queue events: nothing will be submitted to
-    /// any link strictly before it. Control and re-issue events submit
-    /// at their own firing time, so their earliest pending instance
-    /// (`cr_pending`) is a hard bound; every *other* event (link
-    /// wakes, request timeouts) only ever schedules submit-capable
-    /// work at least one classical control delay after itself, so the
-    /// earliest pending event plus `Topology::min_control_delay`
-    /// bounds everything derived inside the window. While a
-    /// single-edge request is in flight the lookahead collapses to
-    /// the next event: such a request completes at a link delivery,
-    /// and a completion must never find other links run ahead past it
-    /// (the caller may submit at the completion instant).
-    fn safe_horizon(&self, cap: SimTime) -> SimTime {
-        let mut h = cap;
-        if let Some(t) = self.cr_pending.peek() {
-            h = h.min(t);
-        }
-        if let Some(t) = self.queue.peek_time() {
-            let guard = if self.short_requests > 0 {
-                t
-            } else {
-                t + self.min_control_delay
-            };
-            h = h.min(guard);
-        }
-        h
-    }
-
-    /// The sharded engine: repeatedly pick a safe window horizon, run
-    /// every link ahead to it across the shard pool, then drain the
-    /// shared queue up to it exactly as the sequential engine would.
-    /// With `stop_on_outcome`, returns as soon as an outcome lands
-    /// (mid-window; the remaining window events stay pending, exactly
-    /// like the sequential engine stopping mid-queue — the lookahead
-    /// rule guarantees no link has run past the completion instant).
-    fn run_windows(&mut self, horizon: SimTime, stop_on_outcome: bool) {
-        let profiling = self.profiling();
-        loop {
-            let h = self.safe_horizon(horizon);
-            let threads = self.exec.threads();
-            if self.pool.as_ref().map(ShardPool::threads) != Some(threads) {
-                self.pool = Some(ShardPool::new(threads));
-            }
-            let pool = self.pool.as_ref().expect("pool just built");
-            if profiling {
-                let started = Instant::now();
-                let timing = pool.run_window_timed(&mut self.links, h);
-                let window_nanos = started.elapsed().as_nanos() as u64;
-                let p = self
-                    .telemetry
-                    .as_deref_mut()
-                    .expect("profiling implies telemetry")
-                    .profile_mut();
-                p.windows += 1;
-                p.window_nanos += window_nanos;
-                p.coord_idle_nanos += timing.coord_idle_nanos;
-                if p.shard_busy_nanos.len() < timing.shard_busy_nanos.len() {
-                    p.shard_busy_nanos.resize(timing.shard_busy_nanos.len(), 0);
-                }
-                for (total, busy) in p.shard_busy_nanos.iter_mut().zip(&timing.shard_busy_nanos) {
-                    *total += busy;
-                }
-            } else {
-                pool.run_window(&mut self.links, h);
-            }
-            while let Some((t, ev)) = self.queue.pop_until(h) {
-                self.handle(t, ev);
-                if stop_on_outcome && !self.outcomes.is_empty() {
-                    return;
-                }
-            }
-            if h >= horizon {
-                return;
-            }
-        }
-    }
-
-    /// Schedules a control / re-issue event — the class that may
-    /// submit CREATEs at its own firing time — keeping the pending
-    /// minimum the window lookahead depends on in sync.
-    fn schedule_cr(&mut self, delay: SimDuration, ev: NetEvent) {
-        self.cr_pending.push(self.queue.now() + delay);
-        self.queue.schedule_in(delay, ev);
-    }
-
     /// Takes every completed outcome accumulated so far.
     pub fn take_outcomes(&mut self) -> Vec<EndToEndOutcome> {
         std::mem::take(&mut self.outcomes)
@@ -1613,13 +1450,8 @@ impl Network {
         self.teardown(request);
         // A stream parked between failure and re-issue holds no
         // reservations (its failing attempt released them). Dropping
-        // the parked state makes the pending Reissue a no-op, so its
-        // lookahead-bound entry must stop pinning the safe horizon:
-        // tombstone it (lazy deletion — the hollow event still fires
-        // and reclaims the pair if the purge has not already).
-        if let Some(p) = self.parked.remove(&request) {
-            self.cr_pending.cancel(p.reissue_at);
-        }
+        // the parked state makes the pending Reissue a no-op.
+        self.parked.remove(&request);
     }
 
     // ---- internals ---------------------------------------------------
@@ -1633,9 +1465,6 @@ impl Network {
     /// no attempt in flight.
     fn teardown(&mut self, request: u64) -> Option<PathRequest> {
         let req = self.requests.remove(&request)?;
-        if req.edges.len() == 1 {
-            self.short_requests -= 1;
-        }
         for &n in &req.path {
             self.nodes[n].release(request);
         }
@@ -1710,74 +1539,51 @@ impl Network {
                 }
                 self.schedule_wake(link);
             }
-            NetEvent::Control { at, msg } => {
-                self.cr_pending.fired(t);
-                match msg {
-                    ControlMsg::Reserve { request } => self.on_reserve(request, at),
-                    ControlMsg::SwapResult {
-                        request,
-                        target,
-                        z,
-                        x,
-                    } => {
-                        self.on_swap_result(request, at, target, z, x, t);
-                    }
-                    ControlMsg::PurifyResult {
-                        request,
-                        edge,
-                        accepted,
-                    } => {
-                        self.on_purify_result(request, at, edge, accepted, t);
-                    }
-                    ControlMsg::GroupResult { group, accepted } => {
-                        self.on_group_result(group, accepted, t);
-                    }
+            NetEvent::Control { at, msg } => match msg {
+                ControlMsg::Reserve { request } => self.on_reserve(request, at),
+                ControlMsg::SwapResult {
+                    request,
+                    target,
+                    z,
+                    x,
+                } => {
+                    self.on_swap_result(request, at, target, z, x, t);
                 }
-            }
+                ControlMsg::PurifyResult {
+                    request,
+                    edge,
+                    accepted,
+                } => {
+                    self.on_purify_result(request, at, edge, accepted, t);
+                }
+                ControlMsg::GroupResult { group, accepted } => {
+                    self.on_group_result(group, accepted, t);
+                }
+            },
             NetEvent::RequestTimeout { request, attempt } => {
                 self.on_request_timeout(request, attempt, t);
             }
-            NetEvent::Reissue { request } => match self.parked.remove(&request) {
-                Some(parked) => {
-                    self.cr_pending.fired(t);
+            NetEvent::Reissue { request } => {
+                // `None`: cancelled while parked.
+                if let Some(parked) = self.parked.remove(&request) {
                     self.on_reissue(request, parked, t);
                 }
-                // Cancelled while parked: the bound entry was
-                // tombstoned at cancel time; reclaim the hollow
-                // firing if the lazy purge has not already.
-                None => self.cr_pending.fired_cancelled(t),
-            },
+            }
             NetEvent::Expire {
                 edge,
                 side,
                 create_id,
             } => {
-                self.cr_pending.fired(t);
                 self.links[edge].advance_to(t);
-                // Same lookahead contract as `submit_nl`.
-                debug_assert_eq!(
-                    self.links[edge].now(),
-                    t,
-                    "retraction into a link that ran ahead of the lookahead bound"
-                );
                 self.links[edge].expire_request(side, create_id);
                 if let Some(tl) = self.telemetry.as_deref_mut() {
                     tl.on_expire(edge);
                 }
                 self.schedule_wake(edge);
             }
-            NetEvent::Arrival { index } => {
-                self.cr_pending.fired(t);
-                self.on_arrival(index, t);
-            }
-            NetEvent::AdmitQueued => {
-                self.cr_pending.fired(t);
-                self.on_admit_queued(t);
-            }
-            NetEvent::Fault { kind } => {
-                self.cr_pending.fired(t);
-                self.on_fault(kind, t);
-            }
+            NetEvent::Arrival { index } => self.on_arrival(index, t),
+            NetEvent::AdmitQueued => self.on_admit_queued(t),
+            NetEvent::Fault { kind } => self.on_fault(kind, t),
         }
     }
 
@@ -1785,16 +1591,15 @@ impl Network {
 
     /// Handles workload arrival `index` at its firing instant: resolve
     /// class and pair (counting it offered), schedule the next arrival
-    /// one gap ahead, and run admission control. Arrival events are
-    /// control-class ([`Network::schedule_cr`]), so issuing at this
-    /// instant is always inside the parallel engine's safe horizon.
+    /// one gap ahead, and run admission control.
     fn on_arrival(&mut self, index: u64, t: SimTime) {
         let Some(mut wl) = self.workload.take() else {
             return; // workload cleared with an arrival in flight
         };
         let (class, pair) = wl.resolve_arrival(index, &mut self.load_rng);
         if let Some(gap) = wl.gap_after(index, &mut self.load_rng) {
-            self.schedule_cr(gap, NetEvent::Arrival { index: index + 1 });
+            self.queue
+                .schedule_in(gap, NetEvent::Arrival { index: index + 1 });
         }
         match wl.admit_decision(class) {
             Admission::Admit => {
@@ -1826,9 +1631,7 @@ impl Network {
     /// A workload-tracked request delivered: fold it into the class
     /// accounting and, if arrivals are waiting, schedule a queue
     /// drain one control delay out (the slot-freed notice has to
-    /// reach the admission plane — and a completion or abandon can
-    /// fire at instants where links have already run ahead, so the
-    /// drain must go through a control-class event of its own).
+    /// reach the admission plane).
     /// Returns `false`, touching nothing, for untracked (closed-loop)
     /// requests.
     fn workload_complete(&mut self, request: u64, fidelity: f64, t: SimTime) -> bool {
@@ -1857,7 +1660,8 @@ impl Network {
 
     fn schedule_admit_drain(&mut self) {
         if self.workload.as_deref().is_some_and(LoadEngine::has_queued) {
-            self.schedule_cr(self.min_control_delay, NetEvent::AdmitQueued);
+            self.queue
+                .schedule_in(self.min_control_delay, NetEvent::AdmitQueued);
         }
     }
 
@@ -1884,14 +1688,6 @@ impl Network {
         let now = self.queue.now();
         // Align the link's clock with the global instant of submission.
         self.links[edge_idx].advance_to(now);
-        // The lookahead contract: a link must never have *computed*
-        // past an instant the network still submits at (`now()` is the
-        // link's internal clock, which run-ahead moves).
-        debug_assert_eq!(
-            self.links[edge_idx].now(),
-            now,
-            "submit into a link that ran ahead of the lookahead bound"
-        );
         let create_id = self.links[edge_idx].submit(
             side,
             GeneratedRequest {
@@ -1932,7 +1728,7 @@ impl Network {
         }
         let next = req.path[pos + 1];
         let delay = self.topo.edge(req.edges[pos]).control_delay;
-        self.schedule_cr(
+        self.queue.schedule_in(
             delay,
             NetEvent::Control {
                 at: next,
@@ -1957,9 +1753,7 @@ impl Network {
     /// (`attempt` stamps the spans: the attempt that owned them, whose
     /// state the caller has already removed). The retraction notice
     /// travels the edge's classical control channel (a
-    /// [`NetEvent::Expire`] one control delay out — also what keeps
-    /// the parallel engine's lookahead sound: a failure detected at a
-    /// link wake must not touch links inside the current window); on
+    /// [`NetEvent::Expire`] one control delay out); on
     /// arrival the link-layer EXPIRE hook removes the request at both
     /// EGPs, so the links stop spending attempt cycles on pairs nobody
     /// will use. Notices are scheduled in key order.
@@ -1978,7 +1772,7 @@ impl Network {
                 tl.emit(now, request, attempt, SpanStage::Retract { edge });
             }
             let delay = self.topo.edge(edge).control_delay;
-            self.schedule_cr(
+            self.queue.schedule_in(
                 delay,
                 NetEvent::Expire {
                     edge,
@@ -2068,9 +1862,8 @@ impl Network {
         let backoff = self
             .backoff
             .delay(base, attempt, jitter)
-            // Zero-delay re-issues would fire inside the failing
-            // window; at least one control delay must pass anyway
-            // before the released capacity is real.
+            // At least one control delay must pass before the
+            // released capacity is real.
             .max(self.min_control_delay);
         self.parked.insert(
             request,
@@ -2083,10 +1876,10 @@ impl Network {
                     attempt: attempt + 1,
                     ..req.seed
                 },
-                reissue_at: self.queue.now() + backoff,
             },
         );
-        self.schedule_cr(backoff, NetEvent::Reissue { request });
+        self.queue
+            .schedule_in(backoff, NetEvent::Reissue { request });
     }
 
     /// The one abandon tail: `request` will never deliver — its retry
@@ -2327,7 +2120,7 @@ impl Network {
         let edge = self.topo.edge(edge_idx);
         let delay = edge.control_delay;
         for node in [edge.a, edge.b] {
-            self.schedule_cr(
+            self.queue.schedule_in(
                 delay,
                 NetEvent::Control {
                     at: node,
@@ -2457,7 +2250,7 @@ impl Network {
             (req.path[pos - 1], req.edges[pos - 1])
         };
         let delay = self.topo.edge(via).control_delay;
-        self.schedule_cr(
+        self.queue.schedule_in(
             delay,
             NetEvent::Control {
                 at: next,
@@ -2617,7 +2410,7 @@ impl Network {
             (accepted, delay)
         };
         let at = self.groups[&group].done[0].path[0];
-        self.schedule_cr(
+        self.queue.schedule_in(
             delay,
             NetEvent::Control {
                 at,

@@ -4,9 +4,9 @@
 //! Observability for a deterministic simulator has one extra contract
 //! ordinary tracing layers don't: **recording must never perturb the
 //! run**. Everything in this module is passive — it draws nothing from
-//! any RNG, schedules no events, and is only ever written from the
-//! coordinating thread while it processes shared-queue events in
-//! `(time, seq)` order. Consequences:
+//! any RNG, schedules no events, and is only ever written while the
+//! network processes shared-queue events in `(time, seq)` order.
+//! Consequences:
 //!
 //! * With telemetry off (the default), a run is bit-identical to the
 //!   same run on any earlier revision: the hooks reduce to an
@@ -14,16 +14,11 @@
 //! * With telemetry on, the run's *results* are still bit-identical
 //!   to the telemetry-off run — spans and metrics are a projection of
 //!   the event stream, not a participant in it.
-//! * [`ExecMode::Sharded`] produces the **exact same span stream** as
-//!   [`ExecMode::Sequential`]: the parallel engine only runs link
-//!   internals ahead; every span is emitted while the coordinator
-//!   drains the shared queue, whose order the engines share.
 //!
 //! Three facets, independently switchable via [`TelemetryConfig`]
 //! (programmatic: [`Network::set_telemetry`]; environment:
 //! `QLINK_TRACE=1` or `QLINK_TRACE=spans,metrics,profile` via
-//! [`TelemetryConfig::from_env`], read at [`Network::new`] like
-//! `QLINK_EXEC`):
+//! [`TelemetryConfig::from_env`], read at [`Network::new`]):
 //!
 //! * **Spans** — the life of every request as timestamped
 //!   [`SpanEvent`]s: issue → plan → per-edge CREATE → pair ADD →
@@ -41,8 +36,7 @@
 //!   per-class service figures are
 //!   [`Network::workload_stats`](crate::network::Network::workload_stats).
 //! * **Profile** — wall-clock engine introspection: run time, events
-//!   drained, queue-depth high water, and (sharded mode) per-shard
-//!   run-ahead busy time and coordinator idle time per window,
+//!   drained, queue-depth high water, and cycles elided,
 //!   exportable as a `BENCH_par.json`-style artifact via
 //!   [`EngineProfile::to_json`]. Wall time is the *one* nondeterministic
 //!   quantity here, which is why it lives in its own facet: spans and
@@ -50,8 +44,6 @@
 //!
 //! [`Network::set_telemetry`]: crate::network::Network::set_telemetry
 //! [`Network::new`]: crate::network::Network::new
-//! [`ExecMode::Sharded`]: crate::par::ExecMode::Sharded
-//! [`ExecMode::Sequential`]: crate::par::ExecMode::Sequential
 
 use qlink_des::{Histogram, SimDuration, SimTime, TimeSeries};
 use std::fmt::Write as _;
@@ -99,8 +91,7 @@ impl TelemetryConfig {
     /// `1` or `all` means [`TelemetryConfig::all`]; otherwise a
     /// comma-separated subset of `spans`, `metrics`, `profile`
     /// (unknown words are ignored). This is how a whole test suite or
-    /// CI leg switches telemetry on without touching call sites, the
-    /// same pattern as `QLINK_EXEC`.
+    /// CI leg switches telemetry on without touching call sites.
     pub fn from_env() -> TelemetryConfig {
         match std::env::var("QLINK_TRACE") {
             Ok(v) => Self::parse(&v),
@@ -353,31 +344,18 @@ pub struct EngineProfile {
     ///
     /// [`Network::cycles_elided`]: crate::network::Network::cycles_elided
     pub cycles_elided: u64,
-    /// Conservative-lookahead windows executed (sharded mode).
-    pub windows: u64,
-    /// Wall nanoseconds the coordinator spent in window run-ahead +
-    /// barrier (a subset of [`EngineProfile::wall_nanos`]).
-    pub window_nanos: u64,
-    /// Cumulative run-ahead busy nanoseconds per shard (index 0 is the
-    /// coordinator's own shard). A large spread means the round-robin
-    /// link deal is imbalanced.
-    pub shard_busy_nanos: Vec<u64>,
-    /// Wall nanoseconds the coordinator spent waiting on the window
-    /// barrier after finishing its own shard.
-    pub coord_idle_nanos: u64,
+    #[doc(hidden)]
+    pub windows: u64, // benchmark-compat: ROADMAP item 1 deletes this (always 0)
+    #[doc(hidden)]
+    pub coord_idle_nanos: u64, // benchmark-compat: ROADMAP item 1 deletes this (always 0)
 }
 
 impl EngineProfile {
     /// Serialises the profile as a small JSON object, the same artifact
     /// style as the scaling benchmark's `BENCH_par.json`.
     pub fn to_json(&self) -> String {
-        let shards: Vec<String> = self
-            .shard_busy_nanos
-            .iter()
-            .map(|n| n.to_string())
-            .collect();
         format!(
-            "{{\n  \"wall_ns\": {},\n  \"events_handled\": {},\n  \"ns_per_event\": {:.1},\n  \"queue_depth_high_water\": {},\n  \"cycles_elided\": {},\n  \"windows\": {},\n  \"window_ns\": {},\n  \"shard_busy_ns\": [{}],\n  \"coord_idle_ns\": {}\n}}\n",
+            "{{\n  \"wall_ns\": {},\n  \"events_handled\": {},\n  \"ns_per_event\": {:.1},\n  \"queue_depth_high_water\": {},\n  \"cycles_elided\": {}\n}}\n",
             self.wall_nanos,
             self.events_handled,
             if self.events_handled == 0 {
@@ -387,18 +365,14 @@ impl EngineProfile {
             },
             self.queue_depth_high_water,
             self.cycles_elided,
-            self.windows,
-            self.window_nanos,
-            shards.join(", "),
-            self.coord_idle_nanos,
         )
     }
 }
 
 /// A network's telemetry state: configuration plus whatever the
 /// enabled facets have recorded. Owned by
-/// [`Network`](crate::network::Network), written only from its
-/// coordinator thread, readable any time.
+/// [`Network`](crate::network::Network), written only while it
+/// handles events, readable any time.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     config: TelemetryConfig,
@@ -511,9 +485,7 @@ impl Telemetry {
 /// precision kept in the fraction.
 ///
 /// The output is a pure function of the span list — byte-identical
-/// across runs, seeds aside, and across [`ExecMode`] choices.
-///
-/// [`ExecMode`]: crate::par::ExecMode
+/// across runs, seeds aside.
 pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
     let mut out = String::from("{\"traceEvents\":[\n");
     let mut first = true;
@@ -555,10 +527,8 @@ pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
 
 /// Serialises spans as JSON Lines: one self-contained object per span,
 /// in emission order. The format the determinism tests compare
-/// byte-for-byte across [`ExecMode`]s, and the handiest input for ad
-/// hoc `grep`/`jq`-style analysis.
-///
-/// [`ExecMode`]: crate::par::ExecMode
+/// byte-for-byte, and the handiest input for ad hoc `grep`/`jq`-style
+/// analysis.
 pub fn spans_jsonl(spans: &[SpanEvent]) -> String {
     let mut out = String::new();
     for s in spans {
@@ -674,14 +644,10 @@ mod tests {
             events_handled: 10,
             queue_depth_high_water: 4,
             cycles_elided: 7,
-            windows: 2,
-            window_nanos: 600,
-            shard_busy_nanos: vec![300, 280],
-            coord_idle_nanos: 20,
+            ..EngineProfile::default()
         };
         let j = p.to_json();
         assert!(j.contains("\"ns_per_event\": 100.0"));
         assert!(j.contains("\"cycles_elided\": 7"));
-        assert!(j.contains("\"shard_busy_ns\": [300, 280]"));
     }
 }

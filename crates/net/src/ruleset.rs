@@ -49,8 +49,8 @@
 //!
 //! Deliberately absent: timer conditions. A node that could schedule
 //! its own wake-ups would stop being a pure decision function of its
-//! observations — the property the parallel engine's lookahead and
-//! the telemetry layer's passivity both lean on. Time-driven
+//! observations — the property the telemetry layer's passivity
+//! leans on. Time-driven
 //! behaviour stays in the network layer (timeouts, backoff).
 //!
 //! [`SpanStage::RuleFired`]: crate::obs::SpanStage::RuleFired

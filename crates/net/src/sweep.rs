@@ -12,7 +12,6 @@ use crate::fault::{FaultPlan, Flapping, PenaltyConfig};
 use crate::load::{ClassLoadStats, Workload};
 use crate::network::Network;
 use crate::obs::{fidelity_histogram, latency_histogram};
-use crate::par::ExecMode;
 use crate::route::{FidelityProduct, HopCount, Latency, LoadScaledLatency};
 use crate::ruleset::Policy;
 use crate::topology::Topology;
@@ -51,39 +50,8 @@ pub enum MetricChoice {
     LoadLatency,
 }
 
-/// How each run of a sweep advances its network (the sweep-level
-/// handle on [`ExecMode`]; results are bit-identical across all
-/// choices — only wall-clock time changes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecChoice {
-    /// Let the sweep driver decide: when there are more worker threads
-    /// than jobs and the topology is large enough to profit, the
-    /// spare threads parallelise *within* each run
-    /// ([`ExecMode::Sharded`]); otherwise runs stay sequential and
-    /// parallelism comes from fanning runs across threads. A lone
-    /// [`run_one`] call under `Auto` follows the `QLINK_EXEC`
-    /// environment variable.
-    #[default]
-    Auto,
-    /// Force the classic single-threaded engine per run.
-    Sequential,
-    /// Force intra-topology sharding on this many threads per run.
-    Sharded(usize),
-}
-
-impl ExecChoice {
-    /// The concrete mode for one run, given how many threads the
-    /// scheduler grants it (`Auto` only).
-    fn resolve(self, granted: usize) -> Option<ExecMode> {
-        match self {
-            ExecChoice::Auto if granted > 1 => Some(ExecMode::Sharded(granted)),
-            // Leave the network on its env-derived default.
-            ExecChoice::Auto => None,
-            ExecChoice::Sequential => Some(ExecMode::Sequential),
-            ExecChoice::Sharded(n) => Some(ExecMode::Sharded(n)),
-        }
-    }
-}
+#[doc(hidden)]
+pub type ExecChoice = crate::network::ExecMode; // benchmark-compat: ROADMAP item 1 deletes this
 
 /// Which adversity a sweep run is subjected to (the data-only `Copy`
 /// stand-in for [`FaultPlan`], so specs stay trivially `Send` +
@@ -208,9 +176,6 @@ pub struct ScenarioSpec {
     /// fail only on a link rejection or a fault. Failing on *timeout*
     /// needs it set below [`ScenarioSpec::max_time`].
     pub request_timeout: Option<SimDuration>,
-    /// Execution engine per run (see [`ExecChoice`]; results are
-    /// bit-identical across all choices).
-    pub exec: ExecChoice,
     /// Open-loop workload driving the run instead of the closed-loop
     /// round machinery. `None` (the default) keeps the classic
     /// behaviour — and draws nothing from the arrival substream, so
@@ -248,7 +213,6 @@ impl ScenarioSpec {
             pairs: Vec::new(),
             retries: 0,
             request_timeout: None,
-            exec: ExecChoice::Auto,
             workload: None,
             faults: FaultChoice::None,
         }
@@ -346,15 +310,9 @@ impl ScenarioSpec {
         self
     }
 
-    /// Builder: execution engine per run ([`ExecChoice::Sharded`]
-    /// forces intra-topology parallelism, [`ExecChoice::Sequential`]
-    /// forces the classic engine, [`ExecChoice::Auto`] — the default —
-    /// lets [`sweep`] split threads between run-level and
-    /// intra-topology parallelism by topology size).
-    pub fn with_exec(mut self, exec: ExecChoice) -> Self {
-        self.exec = exec;
-        self
-    }
+    #[doc(hidden)]
+    #[rustfmt::skip]
+    pub fn with_exec(self, _: ExecChoice) -> Self { self } // benchmark-compat: ROADMAP item 1 deletes this
 
     /// Builder: drive the run open-loop with a sustained arrival
     /// workload instead of closed-loop rounds (see
@@ -657,26 +615,9 @@ impl SweepReport {
     }
 }
 
-/// Topologies below this node count never profit from intra-run
-/// sharding (windows are too small to amortise the barrier), so the
-/// hybrid scheduler leaves spare threads idle rather than forcing
-/// them onto tiny runs.
-const INTRA_NODES_MIN: usize = 16;
-
 /// Executes one (scenario, seed) cell of the matrix.
 pub fn run_one(spec: &ScenarioSpec, seed: u64) -> RunRecord {
-    run_one_granted(spec, seed, 1)
-}
-
-/// [`run_one`] with `granted` compute threads at this run's disposal —
-/// what the hybrid scheduler in [`sweep`] hands a job when there are
-/// more worker threads than jobs. Results are independent of
-/// `granted`.
-fn run_one_granted(spec: &ScenarioSpec, seed: u64, granted: usize) -> RunRecord {
     let mut net = Network::new(spec.topology(seed), seed);
-    if let Some(mode) = spec.exec.resolve(granted) {
-        net.set_exec(mode);
-    }
     match spec.metric {
         MetricChoice::Hops => net.set_route_metric(HopCount),
         MetricChoice::Latency => net.set_route_metric(Latency),
@@ -827,18 +768,8 @@ fn run_one_granted(spec: &ScenarioSpec, seed: u64, granted: usize) -> RunRecord 
 
 /// Fans `specs × seeds` across up to `threads` OS threads and merges
 /// the results. The merge order is deterministic (scenario-major, then
-/// seed order), so the report is independent of scheduling — and
-/// because the sharded engine is bit-identical to the sequential one,
-/// it is independent of the execution split too.
-///
-/// **Hybrid scheduling:** run-level fan-out uses at most one thread
-/// per job. When `threads` exceeds the job count, the spare threads
-/// are divided evenly among the jobs and each `Auto`-exec run with a
-/// large enough topology (≥ 16 nodes) advances its links under
-/// [`ExecMode::Sharded`] on its share — few giant runs use the whole
-/// machine, many small runs keep the classic one-run-per-thread
-/// layout. [`ExecChoice::Sequential`]/[`ExecChoice::Sharded`] on a
-/// spec override the split for its runs.
+/// seed order), so the report is independent of scheduling. Fan-out
+/// uses at most one thread per job.
 ///
 /// # Panics
 /// Panics if `specs` or `seeds` is empty, or `threads == 0`.
@@ -853,19 +784,6 @@ pub fn sweep(specs: &[ScenarioSpec], seeds: &[u64], threads: usize) -> SweepRepo
         .flat_map(|(si, _)| seeds.iter().map(move |&s| (si, s)))
         .collect();
     let workers = threads.min(jobs.len());
-    // Spare threads (more threads than jobs) parallelise *within*
-    // runs whose topology is big enough to profit.
-    let spare_share = (threads / jobs.len().max(1)).max(1);
-    let granted: Vec<usize> = specs
-        .iter()
-        .map(|s| {
-            if s.node_count() >= INTRA_NODES_MIN {
-                spare_share
-            } else {
-                1
-            }
-        })
-        .collect();
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<RunRecord>>> = Mutex::new(vec![None; jobs.len()]);
 
@@ -876,7 +794,7 @@ pub fn sweep(specs: &[ScenarioSpec], seeds: &[u64], threads: usize) -> SweepRepo
                 let Some(&(si, seed)) = jobs.get(job) else {
                     break;
                 };
-                let mut record = run_one_granted(&specs[si], seed, granted[si]);
+                let mut record = run_one(&specs[si], seed);
                 record.scenario = si;
                 results.lock().expect("worker panicked holding results")[job] = Some(record);
             });

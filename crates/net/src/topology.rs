@@ -230,9 +230,8 @@ impl Topology {
 
     /// Marks an edge's quantum link up or down (the fault layer's
     /// mutator — see [`crate::fault`]). The edge stays in the graph:
-    /// its classical control channel is unaffected, which is what
-    /// keeps [`Topology::min_control_delay`] — and with it the
-    /// parallel engine's lookahead bound — valid across failures.
+    /// its classical control channel is unaffected, so
+    /// [`Topology::min_control_delay`] holds across failures.
     ///
     /// # Panics
     /// Panics on an unknown edge.
@@ -243,9 +242,8 @@ impl Topology {
     /// Replaces an edge's link-layer configuration — how a repaired
     /// link comes back with a different (typically degraded) physics
     /// profile. The classical `control_delay` is deliberately kept:
-    /// changing it mid-run could shrink
-    /// [`Topology::min_control_delay`] below the lookahead the
-    /// parallel engine already committed to.
+    /// the network caches [`Topology::min_control_delay`] at
+    /// construction.
     ///
     /// # Panics
     /// Panics on an unknown edge.
@@ -371,11 +369,11 @@ impl Topology {
             .collect()
     }
 
-    /// The smallest classical control delay of any edge — the
-    /// conservative lookahead bound of the parallel execution engine
-    /// (see [`crate::par`]): no control message scheduled while
-    /// processing events at time `t` can fire before `t + d_min`, so
-    /// link shards may safely run ahead that far between barriers.
+    /// The smallest classical control delay of any edge: no control
+    /// message scheduled while processing events at time `t` can fire
+    /// before `t + d_min`. The network uses it as the floor of the
+    /// re-route backoff and the delay of a freed admission slot's
+    /// notice.
     ///
     /// # Panics
     /// Panics on a topology with no edges.

@@ -89,15 +89,18 @@ pub mod prelude {
         AdmissionControl, ArrivalProcess, ClassLoadStats, LoadStats, SloTarget, TraceArrival,
         UserClass, Workload,
     };
+    #[doc(hidden)]
+    pub use crate::net::network::ExecMode; // benchmark-compat: ROADMAP item 1 deletes this
     pub use crate::net::network::{BackoffPolicy, EndToEndOutcome, Network};
-    pub use crate::net::par::ExecMode;
     pub use crate::net::route::{
         EdgeProfile, FidelityProduct, HopCount, Latency, LoadScaledLatency, PlanContext, Route,
         RouteMetric, RoutePlanner,
     };
     pub use crate::net::ruleset::Policy;
+    #[doc(hidden)]
+    pub use crate::net::sweep::ExecChoice; // benchmark-compat: ROADMAP item 1 deletes this
     pub use crate::net::sweep::{
-        sweep, ExecChoice, FaultChoice, MetricChoice, ScenarioSpec, SweepReport, TopologyChoice,
+        sweep, FaultChoice, MetricChoice, ScenarioSpec, SweepReport, TopologyChoice,
     };
     pub use crate::net::topology::Topology;
     pub use crate::phys::params::{Scenario, ScenarioParams};

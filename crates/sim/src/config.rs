@@ -7,7 +7,7 @@ use qlink_phys::params::ScenarioParams;
 /// The three request kinds of §6's evaluation, mapped to priorities
 /// exactly as the paper does (NL = 1 highest, CK = 2, MD = 3 lowest —
 /// we index queues 0/1/2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RequestKind {
     /// Network-layer: K type, consecutive, priority 1 (queue 0).
     Nl,

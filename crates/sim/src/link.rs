@@ -157,17 +157,6 @@ pub struct LinkSimulation {
     reply_deadline_cycles: u64,
     deliveries: Option<Vec<Delivery>>,
     rejections: Option<Vec<Rejection>>,
-    /// The embedding layer's observation cursor: how far the link has
-    /// been *observed* ([`LinkSimulation::advance_to`]), as opposed to
-    /// how far its internal events have been *computed*
-    /// ([`LinkSimulation::run_ahead`] may push computation past the
-    /// cursor). Always equal to the internal clock outside run-ahead.
-    visible: SimTime,
-    /// Firing times of events computed ahead of `visible`, in firing
-    /// order — replayed by [`LinkSimulation::next_event_time`] /
-    /// [`LinkSimulation::advance_to`] so an embedding layer observes
-    /// the same wake cadence whether or not the link ran ahead.
-    replay: VecDeque<SimTime>,
     /// Metrics collected so far.
     pub metrics: LinkMetrics,
     /// Opt-in ([`LinkSimulation::park_when_idle`]): stop the MHP cycle
@@ -259,8 +248,6 @@ impl LinkSimulation {
             reply_deadline_cycles: round_trip + 12,
             deliveries: None,
             rejections: None,
-            visible: SimTime::ZERO,
-            replay: VecDeque::new(),
             metrics: LinkMetrics::new(),
             park_when_idle: false,
             parked: None,
@@ -308,10 +295,11 @@ impl LinkSimulation {
     }
 
     /// MHP cycles skipped while parked
-    /// ([`LinkSimulation::park_when_idle`]), up to the observation
-    /// cursor: exactly the `Cycle` events a never-parking link would
-    /// have fired on top of [`LinkSimulation::events_fired`]. Always 0
-    /// for a link that was not opted in.
+    /// ([`LinkSimulation::park_when_idle`]), up to
+    /// [`LinkSimulation::now`]: exactly the `Cycle` events a
+    /// never-parking link would have fired on top of
+    /// [`LinkSimulation::events_fired`]. Always 0 for a link that was
+    /// not opted in.
     pub fn cycles_elided(&self) -> u64 {
         self.cycles_elided
     }
@@ -363,9 +351,7 @@ impl LinkSimulation {
     /// No-op for a CREATE already completed, rejected, or unknown.
     /// As for an embedding layer's [`LinkSimulation::submit`], the
     /// caller must have advanced the link to the retraction instant
-    /// first (an embedding asserts this on its side: a link must
-    /// never run ahead of an instant something will still be
-    /// submitted at).
+    /// first.
     pub fn expire_request(&mut self, origin: usize, create_id: u16) {
         self.resume();
         let cycle = self.current_cycle();
@@ -387,75 +373,36 @@ impl LinkSimulation {
     // control than `run_for`: it must know when each link's next event
     // fires, advance a link exactly to a global instant, and observe
     // the pairs delivered along the way. These three methods are that
-    // contract; `run_for` is now a thin wrapper over `advance_to`.
-    //
-    // The contract distinguishes *computing* events from *observing*
-    // them. `run_ahead` lets a parallel embedding (see `qlink-net`'s
-    // `par` module) burn through a link's internal events up to a safe
-    // horizon on a worker thread, while the coordinator keeps
-    // observing — `next_event_time`, `advance_to`, the drains — at the
-    // exact same instants it would have without the run-ahead: fired
-    // times are replayed, and drains only surface records at or before
-    // the observation cursor. A link that never runs ahead behaves
-    // bit-identically to the pre-run-ahead implementation.
+    // contract; `run_for` is a thin wrapper over `advance_to`.
 
-    /// Firing time of this link's next *observable* event: the next
-    /// recorded firing when the link has run ahead of its observation
-    /// cursor, the next pending internal event otherwise. `None` means
+    /// Firing time of this link's next pending event. `None` means
     /// the link is parked ([`LinkSimulation::park_when_idle`]): nothing
     /// will happen inside it until the next
     /// [`LinkSimulation::submit`] / [`LinkSimulation::expire_request`].
     /// A link that was not opted in never returns `None` — its MHP
     /// cycle clock keeps self-scheduling.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.replay
-            .front()
-            .copied()
-            .or_else(|| self.queue.peek_time())
+        self.queue.peek_time()
     }
 
-    /// Moves the observation cursor to exactly `t`: replays recorded
-    /// firings at or before `t`, then (if the link has not already
-    /// computed past `t`) processes every pending event up to and
-    /// including `t` and parks the link's clock at `t`.
+    /// Processes every pending event up to and including `t` and
+    /// parks the link's clock at `t`.
     ///
     /// Does *not* advance [`LinkMetrics::elapsed`] — an embedding layer
     /// accounts elapsed time once, globally.
     ///
     /// # Panics
-    /// Panics if `t` precedes the observation cursor (the DES never
+    /// Panics if `t` precedes [`LinkSimulation::now`] (the DES never
     /// rewinds).
     pub fn advance_to(&mut self, t: SimTime) {
-        assert!(t >= self.visible, "advance_to into the past");
-        self.visible = t;
-        while self.replay.front().is_some_and(|&rt| rt <= t) {
-            self.replay.pop_front();
-        }
-        // No-op when run-ahead already computed past `t`: the internal
-        // clock is at the last computed event and every event ≤ `t` has
-        // fired (`pop_until` never rewinds the clock).
+        assert!(t >= self.queue.now(), "advance_to into the past");
         while let Some((et, ev)) = self.queue.pop_until(t) {
             self.handle(et, ev);
         }
         // A parked link fires nothing: account for the cycles a ticking
-        // one would have fired by `t`. (No-op when run-ahead parked the
-        // link past `t` — the park cursor is already beyond it.)
+        // one would have fired by `t`.
         if self.parked.is_some() {
             self.elide_cycles_before(self.cycle_of(t) + 1);
-        }
-    }
-
-    /// Processes internal events up to and including `h` *ahead of*
-    /// the observation cursor, recording each event's firing time for
-    /// later replay. Safe exactly when nothing will be submitted to
-    /// (or observed from) this link before the cursor reaches `h` —
-    /// the conservative-lookahead guarantee a parallel embedding must
-    /// establish before calling this from a worker thread.
-    pub fn run_ahead(&mut self, h: SimTime) {
-        while self.queue.peek_time().is_some_and(|t| t <= h) {
-            let (et, ev) = self.queue.pop().expect("event peeked above");
-            self.replay.push_back(et);
-            self.handle(et, ev);
         }
     }
 
@@ -495,33 +442,14 @@ impl LinkSimulation {
         }
     }
 
-    /// Takes every pair delivered up to the observation cursor since
-    /// the last drain, in delivery order (empty unless
-    /// [`LinkSimulation::capture_deliveries`] was called). Pairs a
-    /// run-ahead computed *past* the cursor stay buffered until
-    /// [`LinkSimulation::advance_to`] reaches their delivery instant.
+    /// Takes every pair delivered since the last drain, in delivery
+    /// order (empty unless [`LinkSimulation::capture_deliveries`] was
+    /// called).
     pub fn drain_deliveries(&mut self) -> Vec<Delivery> {
-        Self::take_through_cursor(&mut self.deliveries, self.visible, |d| d.at)
-    }
-
-    /// Splits a capture buffer at the observation cursor: entries at
-    /// or before it are returned, later ones stay buffered. Buffer
-    /// times are non-decreasing (push order is event order).
-    fn take_through_cursor<T>(
-        buf: &mut Option<Vec<T>>,
-        cursor: SimTime,
-        at: impl Fn(&T) -> SimTime,
-    ) -> Vec<T> {
-        let Some(buf) = buf.as_mut() else {
-            return Vec::new();
-        };
-        let cut = buf.partition_point(|x| at(x) <= cursor);
-        if cut == buf.len() {
-            std::mem::take(buf)
-        } else {
-            let tail = buf.split_off(cut);
-            std::mem::replace(buf, tail)
-        }
+        self.deliveries
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Starts recording per-CREATE [`Rejection`] records for
@@ -534,13 +462,14 @@ impl LinkSimulation {
         }
     }
 
-    /// Takes every terminal rejection up to the observation cursor
-    /// since the last drain, in event order (empty unless
-    /// [`LinkSimulation::capture_rejections`] was called). Rejections
-    /// a run-ahead computed past the cursor stay buffered, as for
-    /// [`LinkSimulation::drain_deliveries`].
+    /// Takes every terminal rejection since the last drain, in event
+    /// order (empty unless [`LinkSimulation::capture_rejections`] was
+    /// called).
     pub fn drain_rejections(&mut self) -> Vec<Rejection> {
-        Self::take_through_cursor(&mut self.rejections, self.visible, |r| r.at)
+        self.rejections
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     fn current_cycle(&self) -> u64 {
@@ -737,7 +666,10 @@ impl LinkSimulation {
     }
 
     fn on_window_close(&mut self, now: SimTime, c: u64) {
-        let alpha = self.window_alpha.remove(&c).unwrap_or(0.1);
+        let alpha = self
+            .window_alpha
+            .remove(&c)
+            .expect("on_cycle records a window's alpha before it schedules its WindowClose");
         let bits = alpha.to_bits();
         if self.model.as_ref().is_none_or(|(last, _)| *last != bits) {
             self.model = Some((bits, self.cache.get(&self.cfg.scenario, alpha)));

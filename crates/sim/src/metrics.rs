@@ -9,7 +9,7 @@ use qlink_des::trace::TimeSeries;
 use qlink_des::{SimDuration, SimTime};
 use qlink_math::stats::RunningStats;
 use qlink_quantum::Basis;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Per-(kind, origin) accumulator.
 #[derive(Debug, Clone, Default)]
@@ -72,19 +72,19 @@ impl QberTally {
 /// All measurements from one run.
 #[derive(Debug, Default)]
 pub struct LinkMetrics {
-    per_kind: HashMap<(RequestKind, usize), KindMetrics>,
+    per_kind: BTreeMap<(RequestKind, usize), KindMetrics>,
     /// QBER tallies for MD pairs.
     pub qber: QberTally,
     /// Error counts by wire code (TIMEOUT, UNSUPP, ...).
-    pub errors: HashMap<&'static str, u64>,
+    pub errors: BTreeMap<&'static str, u64>,
     /// EXPIRE messages seen (sent, at either node).
     pub expires_sent: u64,
     /// Queue-length samples.
     pub queue_length: RunningStats,
     /// Per-kind OK time series (for throughput-vs-time plots).
-    pub ok_series: HashMap<RequestKind, TimeSeries>,
+    pub ok_series: BTreeMap<RequestKind, TimeSeries>,
     /// Per-kind request-latency time series `(completion time, latency s)`.
-    pub latency_series: HashMap<RequestKind, TimeSeries>,
+    pub latency_series: BTreeMap<RequestKind, TimeSeries>,
     /// Simulated duration covered by the run (set by the harness).
     pub elapsed: SimDuration,
 }

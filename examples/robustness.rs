@@ -71,9 +71,9 @@ fn main() {
         }
     }
     println!();
-    println!("every run is bit-reproducible per seed, sequential or sharded: the");
-    println!("fault schedule is realized from the seed's net/fault substream and");
-    println!("rides the shared queue as control-class events.");
+    println!("every run is bit-reproducible per seed: the fault schedule is");
+    println!("realized from the seed's net/fault substream and rides the shared");
+    println!("queue.");
     println!();
 
     // Continuity with the original Table 5 demo: inflated classical

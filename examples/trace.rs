@@ -70,18 +70,7 @@ fn main() {
     //    rather than the simulation.
     println!("engine profile:\n{}", tl.profile().to_json());
 
-    // 5. Spans are engine-invariant: Sharded(2) replays the exact
-    //    same stream as Sequential, byte for byte.
-    let seq = spans_jsonl(tl.spans());
-    let mut sharded = chain_network(7);
-    sharded.set_exec(ExecMode::Sharded(2));
-    sharded.request_entanglement(0, 2, 0.5);
-    sharded.run_until_outcome(SimDuration::from_secs(30));
-    let sh = spans_jsonl(sharded.telemetry().expect("telemetry on").spans());
-    assert_eq!(seq, sh, "span streams must be engine-invariant");
-    println!("Sharded(2) span stream == Sequential ({} bytes)", sh.len());
-
-    // 6. Sweep-level observability: latency/fidelity percentiles and
+    // 5. Sweep-level observability: latency/fidelity percentiles and
     //    the throughput-vs-time CSV from the merged report.
     let spec = ScenarioSpec::lab_chain("chain-3", 3)
         .with_rounds(4)

@@ -107,6 +107,176 @@ fn identical_seeds_give_bit_identical_outcomes() {
         .run_until_outcome(SimDuration::from_secs(30))
         .expect("delivers");
     assert_ne!(out.end_to_end_fidelity.to_bits(), run(()).0);
+
+    // The scenarios no golden pins, each run twice on one seed.
+    for scenario in [
+        random_graphs,
+        cancel_while_parked,
+        sparse_grid,
+        wheel_overflow,
+    ] {
+        assert_eq!(scenario(), scenario(), "same seeds, different run");
+    }
+}
+
+/// Outcomes in delivery order (f64 by bit pattern), then counters.
+type Rows = Vec<(u64, u64, u64, u64)>;
+
+fn outcome_row(o: &EndToEndOutcome) -> (u64, u64, u64, u64) {
+    (
+        o.request,
+        o.end_to_end_fidelity.to_bits(),
+        o.latency.as_ps(),
+        o.delivered_at.as_ps(),
+    )
+}
+
+fn lab(seed: u64) -> LinkConfig {
+    LinkConfig::lab(WorkloadSpec::none(), seed)
+}
+
+/// Six seeded random connected graphs (a random spanning tree plus a
+/// few chords), two cross-traffic requests each, timeouts and one
+/// retry armed.
+fn random_graphs() -> Rows {
+    let mut rng = DetRng::new(0x9a75eed);
+    let mut out = Vec::new();
+    for case in 0..6u64 {
+        let nodes = 5 + rng.below(5) as usize;
+        let mut topo = Topology::new();
+        for _ in 0..nodes {
+            topo.add_node();
+        }
+        let mut edge_seed = 1000;
+        for n in 1..nodes {
+            edge_seed += 1;
+            topo.connect(rng.below(n as u64) as usize, n, lab(edge_seed));
+        }
+        for _ in 0..3 {
+            let a = rng.below(nodes as u64) as usize;
+            let b = rng.below(nodes as u64) as usize;
+            if a != b && topo.edge_between(a, b).is_none() {
+                edge_seed += 1;
+                topo.connect(a, b, lab(edge_seed));
+            }
+        }
+        let mut net = Network::new(topo, 100 + case);
+        net.set_request_timeout(Some(SimDuration::from_secs(2)));
+        net.set_retry_budget(1);
+        net.request_entanglement(0, nodes - 1, 0.55);
+        net.request_entanglement(1, nodes - 1, 0.55);
+        for _ in 0..2 {
+            if let Some(o) = net.run_until_outcome(SimDuration::from_secs(8)) {
+                out.push(outcome_row(&o));
+            }
+        }
+        net.run_for(SimDuration::from_millis(100));
+        out.push((net.reroutes(), net.timeouts(), net.events_fired(), case));
+    }
+    out
+}
+
+/// Cancels every request while a failed attempt sits between failure
+/// and re-issue: the hollow `Reissue` and the stale timeouts still
+/// fire.
+fn cancel_while_parked() -> Rows {
+    // Control delays stretched to 2 ms, so the re-issue backoff (at
+    // least the failed path's one-way control delay, ≥ 3 hops × 2 ms)
+    // dwarfs the 1 ms probe step below, and a 25 ms timeout fails
+    // corner-to-corner attempts under contention.
+    let mut topo = Topology::grid(4, 4, |i| lab(4000 + i as u64));
+    for e in 0..topo.edge_count() {
+        topo.set_control_delay(e, SimDuration::from_millis(2));
+    }
+    let mut net = Network::new(topo, 5);
+    net.set_request_timeout(Some(SimDuration::from_millis(25)));
+    net.set_retry_budget(3);
+    let reqs: Vec<u64> = [(0, 15), (3, 12), (5, 10), (6, 9)]
+        .iter()
+        .map(|&(a, b)| net.request_entanglement(a, b, 0.45))
+        .collect();
+    // `reroutes` ticks exactly when a failed attempt parks.
+    let mut steps = 0u64;
+    while net.reroutes() == 0 {
+        assert!(steps < 200, "scenario never parked a failed stream");
+        net.run_for(SimDuration::from_millis(1));
+        steps += 1;
+    }
+    for &r in &reqs {
+        net.cancel_request(r);
+    }
+    net.run_for(SimDuration::from_millis(60));
+    let delivered = net.take_outcomes().len() as u64;
+    vec![(
+        net.reroutes(),
+        net.timeouts(),
+        net.events_fired(),
+        steps << 32 | delivered,
+    )]
+}
+
+/// Three two-hop clients on a 112-link 8×8 grid: most links park at
+/// their first cycle and never wake. Each client's second request
+/// follows 60 ms after the first round — past the 5 000-cycle
+/// (50.6 ms) completed-request linger — so the links it rides have
+/// parked in between and are resumed by its CREATEs.
+fn sparse_grid() -> Rows {
+    let topo = Topology::grid(8, 8, |i| lab(8000 + i as u64));
+    let edges = topo.edge_count();
+    let mut net = Network::new(topo, 3);
+    let pairs = [(0, 2), (27, 43), (63, 47)];
+    let mut out = Vec::new();
+    for round in 0..2 {
+        for (src, dst) in pairs {
+            net.request_entanglement(src, dst, 0.6);
+        }
+        for _ in pairs {
+            let o = net
+                .run_until_outcome(SimDuration::from_secs(5))
+                .expect("a two-hop Lab request delivers within 5 s");
+            out.push(outcome_row(&o));
+        }
+        net.run_for(SimDuration::from_millis(60));
+        let parked = (0..edges)
+            .filter(|&e| net.link(e).next_event_time().is_none())
+            .count();
+        assert_eq!(parked, edges, "round {round}: idle past the linger");
+    }
+    let never_woken = (0..edges)
+        .filter(|&e| net.link(e).events_fired() == 1)
+        .count();
+    assert!(
+        never_woken >= edges - 2 * pairs.len(),
+        "only the requests' own links ever leave their first park ({never_woken}/{edges})"
+    );
+    let (events, elided) = (net.events_fired(), net.cycles_elided());
+    assert!(elided > events, "elided {elided} cycles, fired {events}");
+    out.push((events, elided, never_woken as u64, 0));
+    out
+}
+
+/// Request timeouts armed beyond the timing wheel's ~140 s span
+/// (2^47 ps) land in its overflow level and must cascade back in and
+/// fire — as no-ops: both requests complete tens of seconds in. Links
+/// polled at 10 ms instead of 10.12 µs (same physics per attempt) make
+/// the 160 simulated seconds affordable.
+fn wheel_overflow() -> Rows {
+    let topo = Topology::chain(3, |i| {
+        let mut cfg = lab(7000 + i as u64);
+        cfg.scenario.mhp_cycle = SimDuration::from_millis(10);
+        cfg
+    });
+    let mut net = Network::new(topo, 4);
+    net.set_request_timeout(Some(SimDuration::from_secs(150)));
+    net.request_entanglement(0, 2, 0.5);
+    net.run_for(SimDuration::from_millis(5));
+    net.set_request_timeout(Some(SimDuration::from_secs(145)));
+    net.request_entanglement(0, 2, 0.5);
+    net.run_for(SimDuration::from_secs(160));
+    let mut out: Rows = net.take_outcomes().iter().map(outcome_row).collect();
+    assert_eq!(out.len(), 2, "both requests must complete");
+    out.push((net.timeouts(), net.reroutes(), net.events_fired(), 0));
+    out
 }
 
 #[test]

@@ -3,12 +3,9 @@
 //!
 //! The contracts under test:
 //!
-//! * **Engine invariance under adversity** — a flapping 4×4 grid
+//! * **Determinism under adversity** — a flapping 4×4 grid
 //!   (scheduled faults + seeded-stochastic flapping, armed timeouts,
-//!   retries) runs **bit-identically** under `ExecMode::Sharded(2|4)`
-//!   and `ExecMode::Sequential`: fault events are control-class, so
-//!   every pending fail/repair bounds the conservative lookahead
-//!   horizon exactly like a pending reissue or arrival;
+//!   retries) is a pure function of `(seed, plan)`;
 //! * **The penalty box re-routes the network** — on a grid whose
 //!   preferred corridor flaps on a fixed schedule, pricing recent
 //!   failures into planning makes later requests detour around the
@@ -44,10 +41,10 @@ fn noisy_lab(seed: u64) -> LinkConfig {
     cfg
 }
 
-// ---- engine invariance under adversity ------------------------------
+// ---- determinism under adversity ------------------------------------
 
 /// Every trajectory-determined field of a [`RunRecord`], f64s by bit
-/// pattern (the `net_par.rs` fingerprint plus the fault counters).
+/// pattern.
 fn fingerprint(r: &RunRecord) -> (u32, u32, u32, u64, u64, u64, u64, u64, u64, u64, u64) {
     (
         r.successes,
@@ -80,32 +77,6 @@ fn flapping_grid_spec() -> ScenarioSpec {
             cycles: 2,
             penalty_box: true,
         })
-}
-
-/// The acceptance criterion: `Sharded(2)` and `Sharded(4)` reproduce
-/// `Sequential` bit-for-bit on the flapping grid — fault events ride
-/// the shared queue as control-class events, so a repair (which
-/// rebuilds a link) can never fire while other links have run ahead.
-#[test]
-fn sharded_matches_sequential_on_flapping_grid() {
-    let spec = flapping_grid_spec();
-    for seed in [1, 5] {
-        let seq = run_one(&spec.clone().with_exec(ExecChoice::Sequential), seed);
-        assert!(
-            seq.faults > 0 && seq.repairs > 0,
-            "seed {seed} must actually inject faults (got {} fails, {} repairs)",
-            seq.faults,
-            seq.repairs
-        );
-        for n in [2, 4] {
-            let sh = run_one(&spec.clone().with_exec(ExecChoice::Sharded(n)), seed);
-            assert_eq!(
-                fingerprint(&seq),
-                fingerprint(&sh),
-                "Sharded({n}) diverged from Sequential at seed {seed}"
-            );
-        }
-    }
 }
 
 /// The realized fault schedule is a pure function of `(seed, plan)`:

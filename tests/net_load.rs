@@ -3,11 +3,9 @@
 //!
 //! The contracts under test:
 //!
-//! * **Engine invariance** — the Poisson arrival stream, and every
-//!   per-class count and histogram derived from it, is bit-identical
-//!   across `ExecMode::Sequential` and `ExecMode::Sharded(2|4)`:
-//!   arrivals are first-class shared-queue events whose draws all
-//!   happen on the coordinating thread;
+//! * **Determinism** — the Poisson arrival stream, and every
+//!   per-class count and histogram derived from it, is a pure function
+//!   of the run seed;
 //! * **Rate fidelity** — the empirical arrival rate over 10⁵ arrivals
 //!   is within 5% of the configured λ;
 //! * **Legacy isolation** — closed-loop `ScenarioSpec`s (no workload
@@ -58,11 +56,10 @@ fn grid_classes() -> Vec<UserClass> {
 /// against a carried capacity of tens per second) with armed timeouts
 /// and a retry budget — the timeout-storm scenario class the PR 4/5
 /// suites pin, now driven open-loop.
-fn run_grid(seed: u64, exec: ExecMode, horizon: SimDuration) -> (LoadStats, u64) {
+fn run_grid(seed: u64, horizon: SimDuration) -> (LoadStats, u64) {
     let root = DetRng::new(seed);
     let topo = Topology::grid(4, 4, |i| lab(root.substream(&format!("edge/{i}")).seed()));
     let mut net = Network::new(topo, seed);
-    net.set_exec(exec);
     net.set_route_metric(LoadScaledLatency);
     net.set_request_timeout(Some(SimDuration::from_millis(250)));
     net.set_retry_budget(1);
@@ -72,40 +69,15 @@ fn run_grid(seed: u64, exec: ExecMode, horizon: SimDuration) -> (LoadStats, u64)
     (stats, net.events_fired())
 }
 
-// ---- engine invariance ----------------------------------------------
-
-/// Sequential vs. Sharded(2) vs. Sharded(4): the whole per-class
-/// accounting — counts, SLO tallies, latency/queue-wait/fidelity
-/// histograms — and the total event count must not move a bit.
-#[test]
-fn poisson_stream_is_bit_identical_across_exec_modes() {
-    let horizon = SimDuration::from_secs_f64(0.75);
-    let (sequential, seq_events) = run_grid(11, ExecMode::Sequential, horizon);
-    assert!(
-        sequential.total_offered() > 1_000,
-        "the storm must actually offer load (got {})",
-        sequential.total_offered()
-    );
-    for threads in [2, 4] {
-        let (sharded, shard_events) = run_grid(11, ExecMode::Sharded(threads), horizon);
-        assert_eq!(
-            sequential, sharded,
-            "Sharded({threads}) diverged from Sequential"
-        );
-        assert_eq!(
-            seq_events, shard_events,
-            "Sharded({threads}) fired a different event count"
-        );
-    }
-}
+// ---- determinism ----------------------------------------------------
 
 /// Same seed, same workload → same stats, twice over (the arrival
 /// substream is a pure function of the run seed).
 #[test]
 fn poisson_stream_is_reproducible_per_seed() {
     let horizon = SimDuration::from_secs_f64(0.3);
-    let (a, ea) = run_grid(23, ExecMode::Sequential, horizon);
-    let (b, eb) = run_grid(23, ExecMode::Sequential, horizon);
+    let (a, ea) = run_grid(23, horizon);
+    let (b, eb) = run_grid(23, horizon);
     assert_eq!(a, b);
     assert_eq!(ea, eb);
 }
@@ -268,7 +240,7 @@ fn closed_loop_specs_reproduce_pre_workload_records_bit_for_bit() {
 /// disposition (drops, abandons, completions).
 #[test]
 fn accounting_identities_hold_per_class_through_a_timeout_storm() {
-    let (stats, _) = run_grid(31, ExecMode::Sequential, SimDuration::from_secs_f64(1.5));
+    let (stats, _) = run_grid(31, SimDuration::from_secs_f64(1.5));
     for c in &stats.classes {
         assert_eq!(
             c.offered,
@@ -380,7 +352,6 @@ fn sweep_carries_per_class_stats_and_service_csv() {
         .with_retries(1)
         .with_request_timeout(SimDuration::from_millis(250))
         .with_max_time(SimDuration::from_secs_f64(0.4))
-        .with_exec(ExecChoice::Sequential)
         .with_workload(Workload::poisson(2_000.0, grid_classes()));
     let record = sweep_run_one(&spec, 3);
     assert_eq!(record.classes.len(), 2);

@@ -7,10 +7,6 @@
 //! * **Passivity** — telemetry on vs. off never moves a single bit of
 //!   the simulation results (recording draws nothing from any RNG and
 //!   schedules no events);
-//! * **Engine invariance** — `ExecMode::Sharded(n)` records the exact
-//!   same span stream as `ExecMode::Sequential`, byte for byte in the
-//!   JSONL export, on the same scenario classes the PR 5 equivalence
-//!   suite pins (chain, contended grid with re-routes);
 //! * **Fidelity of the record** — a golden snapshot of the 3-node
 //!   chain's stage sequence, structural chrome-trace invariants
 //!   (B/E balance, monotone timestamps), and metric counters that
@@ -35,14 +31,12 @@ fn chain(nodes: usize) -> Topology {
 /// The PR 4 contended grid as an explicit network: armed timeouts,
 /// retries, load-aware routing — failures, retractions, and re-issues
 /// all on the record. Link seeds and `fmin` mirror the sweep driver's
-/// construction so the contention profile matches the PR 5
-/// equivalence suite.
-fn contended_grid(seed: u64, exec: ExecMode, config: TelemetryConfig) -> Network {
+/// construction.
+fn contended_grid(seed: u64, config: TelemetryConfig) -> Network {
     let root = DetRng::new(seed);
     let topo = Topology::grid(4, 4, |i| lab(root.substream(&format!("edge/{i}")).seed()));
     let mut net = Network::new(topo, seed);
     net.set_telemetry(config);
-    net.set_exec(exec);
     net.set_route_metric(LoadScaledLatency);
     net.set_request_timeout(Some(SimDuration::from_millis(300)));
     net.set_retry_budget(2);
@@ -78,8 +72,8 @@ fn results_fingerprint(net: &mut Network) -> Vec<(u64, u64, u64, u64)> {
 /// `QLINK_TRACE=1` and expect zero drift.
 #[test]
 fn telemetry_is_passive_bit_identical_results() {
-    let mut off = contended_grid(5, ExecMode::Sequential, TelemetryConfig::OFF);
-    let mut on = contended_grid(5, ExecMode::Sequential, TelemetryConfig::all());
+    let mut off = contended_grid(5, TelemetryConfig::OFF);
+    let mut on = contended_grid(5, TelemetryConfig::all());
     assert!(off.telemetry().is_none(), "OFF config stores no telemetry");
     assert!(on.telemetry().is_some());
     assert_eq!(
@@ -87,52 +81,6 @@ fn telemetry_is_passive_bit_identical_results() {
         results_fingerprint(&mut on),
         "recording must never perturb the run"
     );
-}
-
-// ---- engine invariance ----------------------------------------------
-
-/// The ISSUE's headline criterion: with telemetry on, `Sharded(2)`
-/// produces a span stream byte-identical to `Sequential` — compared on
-/// the JSONL export, on both a plain chain and the contended grid
-/// (whose re-routes and retractions are the hard part).
-#[test]
-fn sharded_span_stream_is_byte_identical_to_sequential() {
-    // Chain: the happy path.
-    let run_chain = |exec| {
-        let mut net = Network::new(chain(4), 11);
-        net.set_telemetry(TelemetryConfig::all());
-        net.set_exec(exec);
-        net.request_entanglement(0, 3, 0.5);
-        net.run_until_outcome(SimDuration::from_secs(40));
-        spans_jsonl(net.telemetry().expect("telemetry on").spans())
-    };
-    let seq = run_chain(ExecMode::Sequential);
-    assert!(!seq.is_empty());
-    for n in [2, 4] {
-        assert_eq!(
-            seq,
-            run_chain(ExecMode::Sharded(n)),
-            "chain span stream diverged under Sharded({n})"
-        );
-    }
-
-    // Contended grid: timeouts, retractions, re-routes, abandons.
-    for seed in [1, 5] {
-        let seq = contended_grid(seed, ExecMode::Sequential, TelemetryConfig::all());
-        let seq_spans = spans_jsonl(seq.telemetry().expect("telemetry on").spans());
-        assert!(
-            seq_spans.contains("\"stage\":\"reroute\""),
-            "seed {seed} must exercise the failure arcs"
-        );
-        for n in [2, 4] {
-            let sh = contended_grid(seed, ExecMode::Sharded(n), TelemetryConfig::all());
-            let sh_spans = spans_jsonl(sh.telemetry().expect("telemetry on").spans());
-            assert_eq!(
-                seq_spans, sh_spans,
-                "grid span stream diverged under Sharded({n}) at seed {seed}"
-            );
-        }
-    }
 }
 
 // ---- golden snapshot ------------------------------------------------
@@ -216,7 +164,7 @@ fn three_node_chain_matches_golden_stage_sequence() {
 /// backwards, and the JSON is well-formed enough to count braces.
 #[test]
 fn chrome_trace_is_balanced_and_monotone() {
-    let net = contended_grid(5, ExecMode::Sequential, TelemetryConfig::all());
+    let net = contended_grid(5, TelemetryConfig::all());
     let tl = net.telemetry().expect("telemetry on");
     let json = chrome_trace_json(tl.spans());
     let begins = json.matches("\"ph\":\"B\"").count();
@@ -246,7 +194,7 @@ fn chrome_trace_is_balanced_and_monotone() {
 /// counters and with each other.
 #[test]
 fn metrics_reconcile_with_network_counters() {
-    let mut net = contended_grid(5, ExecMode::Sequential, TelemetryConfig::all());
+    let mut net = contended_grid(5, TelemetryConfig::all());
     let outcomes = net.take_outcomes().len() as u64;
     let m = net.telemetry().expect("telemetry on").metrics();
     assert_eq!(m.completions, outcomes);
@@ -319,25 +267,16 @@ fn cancel_with_retraction_expires_queued_creates() {
 // ---- profiling ------------------------------------------------------
 
 /// The profile facet fills in engine numbers without touching the
-/// simulation, in both engines; sharded runs report per-shard busy
-/// time.
+/// simulation.
 #[test]
 fn profile_reports_engine_numbers() {
-    let seq = contended_grid(1, ExecMode::Sequential, TelemetryConfig::all());
-    let p = seq.telemetry().expect("telemetry on").profile();
+    let net = contended_grid(1, TelemetryConfig::all());
+    let p = net.telemetry().expect("telemetry on").profile();
     assert!(p.wall_nanos > 0);
     // `events_handled` counts shared-queue events; the network's
     // public counter adds every link's internal events on top.
     assert!(p.events_handled > 0);
-    assert!(p.events_handled <= seq.events_fired());
+    assert!(p.events_handled <= net.events_fired());
     assert!(p.queue_depth_high_water > 0);
-    assert_eq!(p.windows, 0, "sequential engine runs no windows");
-
-    let sh = contended_grid(1, ExecMode::Sharded(2), TelemetryConfig::all());
-    let p = sh.telemetry().expect("telemetry on").profile();
-    assert!(p.windows > 0, "sharded engine ran windows");
-    assert_eq!(p.shard_busy_nanos.len(), 2, "one busy figure per shard");
-    let json = p.to_json();
-    assert!(json.contains("\"windows\""));
-    assert!(json.contains("\"shard_busy_ns\""));
+    assert!(p.to_json().contains("\"queue_depth_high_water\""));
 }

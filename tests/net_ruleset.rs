@@ -4,25 +4,24 @@
 //! The contract under test: the interpreted tables reproduce, bit for
 //! bit, the trajectories of the hand-written `SwapAsapNode` state
 //! machine they replaced — same outcomes, same RNG draws, same event
-//! counts — across the PR 5 parallel-suite scenario classes (chains,
-//! the contended 4×4 grid, both purification policies, single-edge
-//! paths). The hard-coded machine's verdicts were frozen as the
-//! `fingerprint` literals below at commit `ab9c824`, the last one that
+//! counts — across chains, the contended 4×4 grid, both purification
+//! policies and single-edge paths. The hard-coded machine's verdicts
+//! were frozen as the `fingerprint` literals below at commit
+//! `ab9c824`, the last one that
 //! carried both engines (where the interpreter equalled every literal
 //! too). Their `events` element (index 4) alone was re-recorded when a
 //! link attempt went from ten events to four — photons and GENs reach
 //! the station at emission, reply deadlines wait in a per-link FIFO —
 //! which fires fewer events for the same trajectory; the other eight
-//! elements are the `ab9c824` capture. `Sharded(n)` stays bit-identical to `Sequential` (byte-equal
-//! span streams, `rule_fired` spans included). The data-only policies
+//! elements are the `ab9c824` capture. The data-only policies
 //! — threshold-gated purification and k-round entanglement pumping —
 //! are pinned behaviourally: a gated-out threshold is
 //! indistinguishable from plain SWAP-ASAP, one pump round is
 //! indistinguishable from link-purify, and more rounds consume more
 //! pairs for more fidelity.
 
-use qlink::net::sweep::{run_one, ExecChoice, RunRecord};
-use qlink::net::{spans_jsonl, MetricChoice, TelemetryConfig};
+use qlink::net::sweep::{run_one, RunRecord};
+use qlink::net::{MetricChoice, TelemetryConfig};
 use qlink::prelude::*;
 
 /// Every field of a [`RunRecord`] that a simulation trajectory
@@ -72,8 +71,8 @@ fn interpreted_swap_asap_matches_hardcoded_on_chains() {
 
 #[test]
 fn interpreted_swap_asap_matches_hardcoded_on_one_hop() {
-    // Single-edge paths: the short-request lookahead collapse, and the
-    // only case where an end's table completes without swap results.
+    // Single-edge paths: the only case where an end's table completes
+    // without swap results.
     let spec = ScenarioSpec::lab_chain("one-hop", 2)
         .with_rounds(3)
         .with_max_time(SimDuration::from_secs(10));
@@ -135,70 +134,11 @@ fn interpreted_end_to_end_matches_hardcoded_end_to_end() {
     assert_matches_hardcoded(&spec, &hard);
 }
 
-// ---- engine invariance with rules enabled ---------------------------
+// ---- passivity ------------------------------------------------------
 
 fn chain(n: usize) -> Topology {
     Topology::chain(n, |i| LinkConfig::lab(WorkloadSpec::none(), 100 + i as u64))
 }
-
-/// With telemetry on, `Sharded(n)` produces a span stream
-/// byte-identical to `Sequential` — including the `rule_fired` spans,
-/// whose emission points ride the same control messages as the
-/// decisions they log.
-#[test]
-fn sharded_span_stream_is_byte_identical_with_rules() {
-    for policy in [Policy::SwapAsap, Policy::LinkPurify] {
-        let run = |exec| {
-            let mut net = Network::new(chain(4), 11);
-            net.set_telemetry(TelemetryConfig::all());
-            net.set_exec(exec);
-            net.set_policy(policy);
-            net.request_entanglement(0, 3, 0.5);
-            net.run_until_outcome(SimDuration::from_secs(40));
-            spans_jsonl(net.telemetry().expect("telemetry on").spans())
-        };
-        let seq = run(ExecMode::Sequential);
-        assert!(
-            seq.contains("\"stage\":\"rule_fired\""),
-            "{}: runs must log fired rules",
-            policy.name()
-        );
-        for n in [2, 4] {
-            assert_eq!(
-                seq,
-                run(ExecMode::Sharded(n)),
-                "{}: span stream diverged under Sharded({n})",
-                policy.name()
-            );
-        }
-    }
-}
-
-/// Sweep-level engine equivalence with rules enabled, on the
-/// contended grid (re-routes re-compiling tables mid-run).
-#[test]
-fn sharded_runs_match_sequential_with_rules() {
-    let spec = ScenarioSpec::lab_grid("grid-rules", 4, 4)
-        .with_pairs(vec![(0, 15), (3, 12), (1, 11)])
-        .with_metric(MetricChoice::LoadLatency)
-        .with_request_timeout(SimDuration::from_millis(300))
-        .with_retries(2)
-        .with_max_time(SimDuration::from_millis(700))
-        .with_policy(Policy::SwapAsap);
-    for seed in [1, 5] {
-        let seq = run_one(&spec.clone().with_exec(ExecChoice::Sequential), seed);
-        for n in [2, 4] {
-            let sh = run_one(&spec.clone().with_exec(ExecChoice::Sharded(n)), seed);
-            assert_eq!(
-                fingerprint(&seq),
-                fingerprint(&sh),
-                "rules: Sharded({n}) diverged from Sequential at seed {seed}"
-            );
-        }
-    }
-}
-
-// ---- passivity ------------------------------------------------------
 
 /// `SpanStage::RuleFired` is observation, not behaviour: a run
 /// produces bit-identical results with telemetry on or off.

@@ -153,9 +153,7 @@ fn lossy_run(cfg: LinkConfig, round_len: SimDuration) -> (u64, usize) {
             mix(&mut digest, d.origin as u64);
         }
     }
-    let mut errors: Vec<_> = sim.metrics.errors.iter().collect();
-    errors.sort();
-    for (label, &count) in errors {
+    for (label, &count) in &sim.metrics.errors {
         label.bytes().for_each(|b| mix(&mut digest, u64::from(b)));
         mix(&mut digest, count);
     }
