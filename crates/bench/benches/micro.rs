@@ -13,8 +13,9 @@ use qlink::phys::attempt::AttemptModel;
 use qlink::phys::params::ScenarioParams;
 use qlink::quantum::bell::BellState;
 use qlink::quantum::{channels, gates, QuantumState};
-use qlink::wire::fields::AbsQueueId;
-use qlink::wire::mhp::GenMsg;
+use qlink::wire::crc::crc32;
+use qlink::wire::fields::{AbsQueueId, MidpointOutcome, ReplyOutcome};
+use qlink::wire::mhp::{GenMsg, ReplyMsg};
 use qlink::wire::Frame;
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -68,6 +69,29 @@ fn bench_wire(c: &mut Criterion) {
     c.bench_function("frame_decode_gen", |b| {
         b.iter(|| Frame::decode(black_box(&bytes)).unwrap())
     });
+    let reply = Frame::Reply(ReplyMsg {
+        outcome: ReplyOutcome::Attempt(MidpointOutcome::Fail),
+        mhp_seq: 77,
+        receiver_qid: AbsQueueId::new(2, 1234),
+        peer_qid: Some(AbsQueueId::new(2, 1234)),
+        timestamp_cycle: 987_654_321,
+    });
+    c.bench_function("frame_encode_reply", |b| {
+        b.iter(|| black_box(&reply).encode())
+    });
+    let bytes = reply.encode();
+    c.bench_function("frame_decode_reply", |b| {
+        b.iter(|| Frame::decode(black_box(&bytes)).unwrap())
+    });
+    // The checksum alone, at a GEN payload's length, a REPLY payload's
+    // and a longer run: one eight-byte step plus four tail bytes, two
+    // plus three, five plus two.
+    let payload = [0xA5u8; 42];
+    for len in [12, 19, 42] {
+        c.bench_function(&format!("crc32/{len}B"), |b| {
+            b.iter(|| crc32(black_box(&payload[..len])))
+        });
+    }
     // One frame through a lossy, corrupting channel: encode, the
     // channel's in-place decision, decode of whatever arrives.
     let mut channel = ChannelModel::fiber(25.0, 1e-3).with_corruption(1e-3);

@@ -815,8 +815,7 @@ impl Egp {
         if req.pairs_done == 0 {
             return;
         }
-        req.pairs_done -= 1;
-        req.state = RequestState::InService;
+        req.reopen(req.pairs_done - 1);
         let id = req.id;
         let last_seq = self
             .issued_seqs
@@ -1170,9 +1169,7 @@ impl Egp {
                 let target = msg.seq_low;
                 if req.pairs_done > target {
                     let revoked = req.pairs_done - target;
-                    req.pairs_done = target;
-                    req.state = RequestState::InService;
-                    req.completed_cycle = None;
+                    req.reopen(target);
                     events.push(EgpEvent::Error(ErrMsg {
                         code: EgpErrorCode::Expire,
                         create_id: req.id.create_id,
@@ -1204,8 +1201,7 @@ impl Egp {
             let revoked = issued.iter().filter(|s| in_range(**s)).count() as u16;
             issued.retain(|s| !in_range(*s));
             if revoked > 0 {
-                req.pairs_done = req.pairs_done.saturating_sub(revoked);
-                req.state = RequestState::InService;
+                req.reopen(req.pairs_done.saturating_sub(revoked));
                 events.push(EgpEvent::Error(ErrMsg {
                     code: EgpErrorCode::Expire,
                     create_id: req.id.create_id,
@@ -1434,6 +1430,17 @@ mod tests {
         }
     }
 
+    /// An attempt model that never heralds.
+    fn dead_model() -> AttemptModel {
+        AttemptModel::synthetic(
+            0.0,
+            0.0,
+            BellState::PsiPlus.state(),
+            BellState::PsiMinus.state(),
+            0.2,
+        )
+    }
+
     /// Minimal in-test harness: perfect channels, zero latency, a hot
     /// synthetic attempt model. Drives both EGPs + MHPs + midpoint one
     /// cycle at a time.
@@ -1450,6 +1457,10 @@ mod tests {
         errors_a: Vec<ErrMsg>,
         /// Drop REPLY frames heading to A for these cycles (loss test).
         drop_reply_a_cycles: Vec<u64>,
+        /// Hand A its REPLY for these cycles after B's (A on the longer
+        /// arm), so A's reaction to it finds B already done with its own.
+        late_reply_a_cycles: Vec<u64>,
+        errors_b: Vec<ErrMsg>,
     }
 
     impl Harness {
@@ -1473,6 +1484,8 @@ mod tests {
                 oks_b: Vec::new(),
                 errors_a: Vec::new(),
                 drop_reply_a_cycles: Vec::new(),
+                late_reply_a_cycles: Vec::new(),
+                errors_b: Vec::new(),
             }
         }
 
@@ -1495,7 +1508,8 @@ mod tests {
                     match ev {
                         EgpEvent::SendPeer(f) => next_a.extend(self.egp_a.on_peer_frame(f, cycle)),
                         EgpEvent::OkKeep(_) | EgpEvent::OkMeasure(_) => self.oks_b.push(ev),
-                        EgpEvent::Error(_) | EgpEvent::Hw(_) => {}
+                        EgpEvent::Error(e) => self.errors_b.push(e),
+                        EgpEvent::Hw(_) => {}
                     }
                 }
                 queue_a = next_a;
@@ -1521,7 +1535,11 @@ mod tests {
                 .midpoint
                 .evaluate_window(cycle, &self.model, &mut self.rng);
             let bits = eval.herald.as_ref().and_then(|h| h.measured_bits);
-            for (node, reply) in eval.replies.into_iter().flatten() {
+            let mut replies = eval.replies;
+            if self.late_reply_a_cycles.contains(&cycle) {
+                replies.reverse();
+            }
+            for (node, reply) in replies.into_iter().flatten() {
                 if node == A && self.drop_reply_a_cycles.contains(&reply.timestamp_cycle) {
                     // Reply lost; node-side timeout cleans up later.
                     if let Some(res) = self.mhp_a.on_reply_timeout(reply.timestamp_cycle) {
@@ -1661,13 +1679,7 @@ mod tests {
         let mut h = Harness::new(SchedulerPolicy::fcfs());
         let mut msg = create_msg(1, false, 2);
         // Feasible per-FEU estimate but we kill the model's success.
-        h.model = AttemptModel::synthetic(
-            0.0,
-            0.0,
-            BellState::PsiPlus.state(),
-            BellState::PsiMinus.state(),
-            0.2,
-        );
+        h.model = dead_model();
         msg.max_time_us = 2_000_000; // 2 s — generous but finite
         let (_, evs) = h.egp_a.create(msg, 0);
         h.dispatch(evs, vec![], 0);
@@ -1690,13 +1702,7 @@ mod tests {
     #[test]
     fn timeouts_due_together_are_reported_in_queue_order() {
         let mut h = Harness::new(SchedulerPolicy::fcfs());
-        h.model = AttemptModel::synthetic(
-            0.0,
-            0.0,
-            BellState::PsiPlus.state(),
-            BellState::PsiMinus.state(),
-            0.2,
-        );
+        h.model = dead_model();
         // Equal deadlines, alternating queues: create order is not
         // queue order.
         for i in 0..8 {
@@ -1736,6 +1742,135 @@ mod tests {
             "recovery path exercised"
         );
         // Sequence expectations realign.
+        assert_eq!(h.egp_a.seq_expected(), h.egp_b.seq_expected());
+    }
+
+    /// The detection windows of the M-type pairs A is handed, in order,
+    /// when nothing is lost: a fresh harness is deterministic, so a
+    /// second one heralds in the same windows until a test interferes.
+    fn herald_cycles(start: impl Fn(&mut Harness)) -> Vec<u64> {
+        let mut probe = Harness::new(SchedulerPolicy::fcfs());
+        start(&mut probe);
+        probe.run(400);
+        let cycle_ps = ScenarioParams::lab().mhp_cycle.as_ps();
+        probe
+            .oks_a
+            .iter()
+            .filter_map(|e| match e {
+                EgpEvent::OkMeasure(m) => Some(m.create_time_ps / cycle_ps),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn oks_for(oks: &[EgpEvent], create_id: u16) -> usize {
+        oks.iter()
+            .filter(|e| matches!(e, EgpEvent::OkMeasure(m) if m.create_id == create_id))
+            .count()
+    }
+
+    /// A ranged EXPIRE can reach a request its receiver has already
+    /// completed: A loses the REPLY of pair 1, sees pair 2's on the
+    /// longer arm after B finished the request with it, and revokes
+    /// both. B must regenerate them, complete a second time — once —
+    /// and keep the request through the linger of its *first*
+    /// completion. Before `Request::reopen`, B's copy kept its
+    /// `completed_cycle`: `complete_if_done` never completed it again,
+    /// and `purge_timed_out` forgot it mid-service with no ERR.
+    #[test]
+    fn ranged_expire_reopens_a_completed_request() {
+        let start = |h: &mut Harness| {
+            let (_, evs) = h.egp_a.create(create_msg(3, false, 2), 0);
+            h.dispatch(evs, vec![], 0);
+        };
+        let heralds = herald_cycles(start);
+        assert_eq!(heralds.len(), 3);
+
+        let mut h = Harness::new(SchedulerPolicy::fcfs());
+        start(&mut h);
+        h.drop_reply_a_cycles = vec![heralds[1]];
+        h.late_reply_a_cycles = vec![heralds[2]];
+        let reopened_at = heralds[2];
+        for c in 0..=reopened_at {
+            h.step(c);
+        }
+        let aid = *h.egp_b.requests.keys().next().expect("lingering");
+        assert_eq!(h.count_oks(false), 3, "B completed before A's EXPIRE");
+        assert_eq!(h.egp_a.expires_sent(), 1);
+        assert_eq!(h.errors_b.len(), 1, "B revoked: {:?}", h.errors_b);
+        assert_eq!((h.errors_b[0].seq_low, h.errors_b[0].seq_high), (1, 3));
+        for egp in [&h.egp_a, &h.egp_b] {
+            assert_eq!(egp.requests[&aid].pairs_done, 1);
+        }
+
+        // No herald until the first completion's linger has run out:
+        // the reopened request must outlive it.
+        let hot = std::mem::replace(&mut h.model, dead_model());
+        let lingered = reopened_at + h.egp_b.cfg.completed_linger_cycles + 10;
+        for c in reopened_at + 1..lingered {
+            h.step(c);
+        }
+        assert_eq!(
+            h.egp_b.requests.get(&aid).map(|r| r.state),
+            Some(RequestState::InService),
+            "purged mid-service"
+        );
+
+        h.model = hot;
+        let mut cycle = lingered;
+        while h.egp_a.requests[&aid].completed_cycle.is_none() {
+            assert!(cycle < lingered + 400, "revoked pairs never regenerated");
+            h.step(cycle);
+            cycle += 1;
+        }
+        // Both sides complete on the same herald, once, and stop.
+        assert_eq!(h.egp_b.requests[&aid].completed_cycle, Some(cycle - 1));
+        assert_eq!(h.count_oks(true), 3);
+        assert_eq!(h.count_oks(false), 5, "three, two revoked, two regenerated");
+        let (attempt_a, _) = h.egp_a.poll(cycle);
+        let (attempt_b, _) = h.egp_b.poll(cycle);
+        assert_eq!((attempt_a, attempt_b), (None, None));
+        assert_eq!(h.egp_b.expires_sent(), 0, "no NO_MESSAGE_OTHER resync");
+        assert_eq!(h.egp_a.seq_expected(), h.egp_b.seq_expected());
+    }
+
+    /// Queue-mismatch reconciliation reopens a completed request too: A
+    /// loses the REPLY of request 0's last pair, so B finishes it and
+    /// moves on to request 1 while A still serves request 0. B steps
+    /// back; the pair is regenerated and each request completes once.
+    /// Before `Request::reopen`, B's request 0 never re-completed and
+    /// stayed schedulable, the nodes kept mismatching, A stepped back in
+    /// turn and handed its higher layer a fourth pair of three.
+    #[test]
+    fn queue_mismatch_reopens_a_completed_request() {
+        let start = |h: &mut Harness| {
+            for pairs in [3, 1] {
+                let (_, evs) = h.egp_a.create(create_msg(pairs, false, 2), 0);
+                h.dispatch(evs, vec![], 0);
+            }
+        };
+        let heralds = herald_cycles(start);
+        assert_eq!(heralds.len(), 4);
+
+        let mut h = Harness::new(SchedulerPolicy::fcfs());
+        start(&mut h);
+        h.drop_reply_a_cycles = vec![heralds[2]];
+        h.run(400);
+        assert_eq!(h.errors_b.len(), 1, "B revoked: {:?}", h.errors_b);
+        assert!(h.errors_b[0].range_only && h.errors_b[0].create_id == 0);
+        assert_eq!(oks_for(&h.oks_a, 0), 3);
+        assert_eq!(
+            oks_for(&h.oks_b, 0),
+            4,
+            "three, one revoked, one regenerated"
+        );
+        assert_eq!((oks_for(&h.oks_a, 1), oks_for(&h.oks_b, 1)), (1, 1));
+        for egp in [&h.egp_a, &h.egp_b] {
+            assert_eq!(egp.requests.len(), 2, "both linger");
+            for req in egp.requests.values() {
+                assert_eq!(req.state, RequestState::Completed);
+            }
+        }
         assert_eq!(h.egp_a.seq_expected(), h.egp_b.seq_expected());
     }
 

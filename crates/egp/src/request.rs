@@ -79,6 +79,16 @@ impl Request {
         self.pairs_done >= self.create.number
     }
 
+    /// Rolls progress back to `pairs_done` pairs (a peer revoked the
+    /// rest) and puts the request back in service. A completed request
+    /// still lingering is no longer complete: it must complete again,
+    /// and linger from then.
+    pub fn reopen(&mut self, pairs_done: u16) {
+        self.pairs_done = pairs_done;
+        self.state = RequestState::InService;
+        self.completed_cycle = None;
+    }
+
     /// `true` if the request can be scheduled at `cycle`.
     pub fn is_ready(&self, cycle: u64) -> bool {
         matches!(self.state, RequestState::Queued | RequestState::InService)

@@ -280,6 +280,15 @@ impl Midpoint {
         }
     }
 
+    /// The bright-state population the open detection window `cycle`
+    /// is evaluated under: that of the first node's photon, else the
+    /// second's. `None` once the window is closed, or if no photon
+    /// reached it.
+    pub fn window_alpha(&self, cycle: u64) -> Option<f64> {
+        let [a, b] = self.windows.get(&cycle)?.photons;
+        a.or(b).map(|photon| photon.alpha)
+    }
+
     /// A `GEN` control frame arrived. The first `GEN` per node and
     /// window counts; anything else is ignored.
     pub fn on_gen(&mut self, from: NodeId, msg: GenMsg) {

@@ -20,7 +20,7 @@ use qlink_quantum::bell::BellState;
 use qlink_quantum::Basis;
 use qlink_wire::egp::{CreateMsg, EgpErrorCode, WireBasis};
 use qlink_wire::fields::{Fidelity16, RequestFlags, RequestType};
-use qlink_wire::mhp::MHP_FRAME_MAX;
+use qlink_wire::mhp::{ReplyMsg, MHP_FRAME_MAX};
 use qlink_wire::{Frame, FrameBytes};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -140,7 +140,6 @@ pub struct LinkSimulation {
     /// consecutive windows almost always serve one request at one α,
     /// so they skip the cache lookup and its `Arc` clone.
     model: Option<(u64, Arc<AttemptModel>)>,
-    window_alpha: IntMap<u64, f64>,
     ledger: IntMap<u64, LedgerEntry>,
     chan_ab: [ChannelModel; 2],
     chan_gen: [ChannelModel; 2],
@@ -235,7 +234,6 @@ impl LinkSimulation {
             midpoint: Midpoint::new(NODE_A, NODE_B),
             cache: ModelCache::new(),
             model: None,
-            window_alpha: IntMap::default(),
             ledger: IntMap::default(),
             chan_ab: [mk_chan(node_to_node_km), mk_chan(node_to_node_km)],
             chan_gen: [mk_chan(scenario.arm_a_km), mk_chan(scenario.arm_b_km)],
@@ -606,7 +604,6 @@ impl LinkSimulation {
         if c.is_multiple_of(LEDGER_RETENTION_STRIDE) && c > 0 {
             let horizon = c.saturating_sub(200_000);
             self.ledger.retain(|k, _| *k >= horizon);
-            self.window_alpha.retain(|k, _| *k >= horizon);
         }
     }
 
@@ -637,7 +634,6 @@ impl LinkSimulation {
             self.route(i, evs);
             let Some(spec) = spec else { continue };
             let actions = self.mhps[i].trigger(c, spec);
-            self.window_alpha.entry(c).or_insert(spec.alpha);
             window_open = true;
 
             // Both land in window `c` before it closes (see `new`): the station
@@ -666,10 +662,9 @@ impl LinkSimulation {
     }
 
     fn on_window_close(&mut self, now: SimTime, c: u64) {
-        let alpha = self
-            .window_alpha
-            .remove(&c)
-            .expect("on_cycle records a window's alpha before it schedules its WindowClose");
+        let alpha = self.midpoint.window_alpha(c).expect(
+            "on_cycle hands the station a window's photon before it schedules its WindowClose",
+        );
         let bits = alpha.to_bits();
         if self.model.as_ref().is_none_or(|(last, _)| *last != bits) {
             self.model = Some((bits, self.cache.get(&self.cfg.scenario, alpha)));
@@ -691,13 +686,20 @@ impl LinkSimulation {
             };
             self.ledger.insert(c, entry);
         }
+        // The two REPLYs are equal whenever both GENs named the same queue
+        // ID: the station serialises once. `transmit` corrupts in place, so
+        // each arm gets its own copy of the bytes as encoded.
+        let mut encoded: Option<(ReplyMsg, MhpFrameBytes)> = None;
         for (node, reply) in eval.replies.into_iter().flatten() {
             let to = u8::from(node != NODE_A);
-            let mut bytes = Frame::Reply(reply).encode();
+            let mut bytes = match encoded {
+                Some((msg, bytes)) if msg == reply => bytes,
+                _ => Frame::Reply(reply).encode().narrow(),
+            };
+            encoded = Some((reply, bytes));
             if let Transmission::Delivered { delay } =
                 self.chan_reply[usize::from(to)].transmit(&mut bytes, &mut self.rng_chan)
             {
-                let bytes = bytes.narrow();
                 self.queue
                     .schedule_at(now + delay, Event::ReplyArrive { to, bytes });
             }
@@ -1033,6 +1035,32 @@ mod tests {
         sim.run_for(SimDuration::from_secs(8));
         let m = sim.metrics.kind_total(RequestKind::Md);
         assert_eq!(m.pairs_delivered, 3, "completes despite loss");
+    }
+
+    /// The station serialises a window's REPLY once for both arms (no
+    /// analogue at the parent commit, which encoded each arm's frame
+    /// separately): a bit one arm's channel flips must never show up in
+    /// the other arm's frame. A single flipped bit always fails the CRC,
+    /// so an arm's frame is damaged exactly when its own channel did it.
+    #[test]
+    fn a_corrupted_reply_leaves_the_other_arms_copy_intact() {
+        let mut cfg = LinkConfig::lab(WorkloadSpec::none(), 29);
+        cfg.classical_corruption = 0.25;
+        let mut sim = LinkSimulation::new(cfg);
+        sim.submit(0, md_request(3));
+
+        let mut damaged = [0u64; 2];
+        while let Some((at, ev)) = sim.queue.pop_until(SimTime::from_ps(50_000_000_000)) {
+            if let Event::ReplyArrive { to, bytes } = &ev {
+                damaged[usize::from(*to)] += u64::from(Frame::decode(bytes).is_err());
+            }
+            sim.handle(at, ev);
+        }
+        for (arm, damaged) in damaged.into_iter().enumerate() {
+            let stats = sim.chan_reply[arm].stats();
+            assert!(stats.corrupted > 500 && stats.sent > 2 * stats.corrupted);
+            assert_eq!(damaged, stats.corrupted, "arm {arm}");
+        }
     }
 
     #[test]

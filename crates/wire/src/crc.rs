@@ -9,10 +9,14 @@
 
 const POLY: u32 = 0xEDB8_8320; // reflected IEEE 802.3 polynomial
 
-/// One byte's worth of the shift/xor loop, precomputed: every frame is
-/// checksummed twice (encode and decode) on every MHP attempt.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables. `TABLES[0][b]` is one byte's worth of the
+/// shift/xor loop; `TABLES[k][b]` is the same byte followed by `k` zero
+/// bytes, so eight input bytes fold into the register with eight
+/// independent lookups instead of eight dependent ones. 8 KiB, built at
+/// compile time: every frame is checksummed twice (encode and decode)
+/// on every MHP attempt.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut byte = 0;
     while byte < 256 {
         let mut crc = byte as u32;
@@ -22,17 +26,44 @@ const TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (POLY & mask);
             bit += 1;
         }
-        table[byte] = crc;
+        tables[0][byte] = crc;
         byte += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// Computes the CRC-32 (IEEE) of `data`.
+/// Computes the CRC-32 (IEEE) of `data`, eight bytes a step and the
+/// tail one byte at a time.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+    let mut steps = data.chunks_exact(8);
+    for s in &mut steps {
+        // Byte loads, not two 32-bit ones: `Frame::encode` checksums
+        // bytes its writer stored a field at a time an instant ago, and
+        // a load that straddles those stores waits for them to retire
+        // (`frame_encode_gen` 30 ns against 12 ns).
+        let c = crc.to_le_bytes();
+        crc = TABLES[7][(s[0] ^ c[0]) as usize]
+            ^ TABLES[6][(s[1] ^ c[1]) as usize]
+            ^ TABLES[5][(s[2] ^ c[2]) as usize]
+            ^ TABLES[4][(s[3] ^ c[3]) as usize]
+            ^ TABLES[3][s[4] as usize]
+            ^ TABLES[2][s[5] as usize]
+            ^ TABLES[1][s[6] as usize]
+            ^ TABLES[0][s[7] as usize];
+    }
+    for &byte in steps.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -41,7 +72,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
-    /// The bit-at-a-time definition the table is derived from.
+    /// The bit-at-a-time definition the tables are derived from.
     fn crc32_bitwise(data: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
         for &byte in data {
@@ -72,6 +103,9 @@ mod tests {
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
     }
 
+    /// Every length 0..=64 at eight start offsets: each tail length
+    /// 0..=7 after zero to eight full steps, both MHP payload sizes (12
+    /// and 19 bytes), at every alignment of the first step.
     #[test]
     fn table_matches_the_bitwise_definition() {
         for v in [&b"123456789"[..], b"", b"a"] {
@@ -79,9 +113,16 @@ mod tests {
         }
         let mut state = 0x5eed_c4c3_u64;
         for len in 0..=64usize {
-            for _ in 0..64 {
-                let buf: Vec<u8> = (0..len).map(|_| next(&mut state) as u8).collect();
-                assert_eq!(crc32(&buf), crc32_bitwise(&buf), "buffer {buf:02x?}");
+            for offset in 0..8usize {
+                for _ in 0..8 {
+                    let buf: Vec<u8> = (0..offset + len).map(|_| next(&mut state) as u8).collect();
+                    let data = &buf[offset..];
+                    assert_eq!(
+                        crc32(data),
+                        crc32_bitwise(data),
+                        "offset {offset}, buffer {data:02x?}"
+                    );
+                }
             }
         }
     }

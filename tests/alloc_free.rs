@@ -2,12 +2,15 @@
 //!
 //! One MHP attempt is four events — `Cycle` (two polls, two photons
 //! and two GENs handed to the station, two reply deadlines queued),
-//! `WindowClose` and two REPLYs — and almost every attempt fails. A
-//! failed attempt must not touch the heap: frames travel inline,
-//! detection windows hold two-slot arrays, the cycle-keyed tables and
-//! the reply-deadline FIFO sit at their working size, and the scheduler
-//! buffers nothing. Only the rare outcomes may allocate: a herald (its
-//! quantum state), a delivery (OK events, metrics series) and a CREATE.
+//! `WindowClose` and two REPLYs — and almost every attempt fails. It
+//! costs three encodes, four decodes: a GEN per node, one REPLY whose
+//! bytes each arm gets a copy of, and a CRC-checked decode of all four
+//! frames as they arrive. A failed attempt must not touch the heap:
+//! frames travel inline, detection windows hold two-slot arrays, the
+//! cycle-keyed tables and the reply-deadline FIFO sit at their working
+//! size, and the scheduler buffers nothing. Only the rare outcomes may
+//! allocate: a herald (its quantum state), a delivery (OK events,
+//! metrics series) and a CREATE.
 //!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`. The count is per thread, so the harness's own
