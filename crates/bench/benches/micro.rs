@@ -3,18 +3,31 @@
 //! sample), wire codecs, the classical channel, and quantum channels.
 //! These guard the performance assumptions DESIGN.md relies on (O(1)
 //! sampled attempts; cheap, allocation-free frame codecs and channel
-//! decisions on every control message).
+//! decisions on every control message), and the derived-physics cells
+//! price what a network pays once per hardware profile: the planner's
+//! edge profiles, the first requests' `Fmin → α` inversions, and a
+//! CREATE the FEU has answered before.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use qlink::classical::ChannelModel;
 use qlink::des::{DetRng, EventQueue, SimDuration};
+use qlink::egp::dqueue::Role;
+use qlink::egp::egp::{Egp, EgpConfig};
+use qlink::egp::feu::FidelityEstimator;
+use qlink::egp::scheduler::SchedulerPolicy;
 use qlink::math::CMatrix;
 use qlink::phys::attempt::AttemptModel;
 use qlink::phys::params::ScenarioParams;
+use qlink::prelude::{
+    LinkConfig, LoadScaledLatency, Network, RequestKind, RoutePlanner, Topology, WorkloadSpec,
+};
 use qlink::quantum::bell::BellState;
 use qlink::quantum::{channels, gates, QuantumState};
 use qlink::wire::crc::crc32;
-use qlink::wire::fields::{AbsQueueId, MidpointOutcome, ReplyOutcome};
+use qlink::wire::egp::CreateMsg;
+use qlink::wire::fields::{
+    AbsQueueId, Fidelity16, MidpointOutcome, ReplyOutcome, RequestFlags, RequestType,
+};
 use qlink::wire::mhp::{GenMsg, ReplyMsg};
 use qlink::wire::Frame;
 
@@ -132,9 +145,81 @@ fn bench_channels(c: &mut Criterion) {
     });
 }
 
+/// The 16×16 Lab grid of the repo benchmark's `grid16_sparse`: 480
+/// links on equal hardware, each with a seed of its own.
+fn lab_grid_16() -> Topology {
+    let root = DetRng::new(5);
+    Topology::grid(16, 16, |i| {
+        LinkConfig::lab(
+            WorkloadSpec::none(),
+            root.substream(&format!("edge/{i}")).seed(),
+        )
+    })
+}
+
+fn bench_derived_physics(c: &mut Criterion) {
+    let topo = lab_grid_16();
+    c.bench_function("route_planner_new/16x16", |b| {
+        b.iter(|| RoutePlanner::new(black_box(&topo)))
+    });
+    // What `grid16_sparse` times as `setup_s`: the topology, the
+    // network, and its twelve two-hop requests (the first of which
+    // builds the planner) — all from a cold table.
+    c.bench_function("network_first_requests/16x16", |b| {
+        b.iter(|| {
+            let mut net = Network::new(lab_grid_16(), 5);
+            net.set_route_metric(LoadScaledLatency);
+            for row in [1, 5, 9, 13] {
+                for col in [1, 6, 11] {
+                    net.request_entanglement(row * 16 + col, row * 16 + col + 2, 0.6);
+                }
+            }
+            black_box(net)
+        })
+    });
+    // 64 MD CREATEs on a new EGP whose FEU has answered that
+    // `(Fmin, type)` before (through another handle, as a network's
+    // links do for each other).
+    let kind = RequestKind::Md;
+    let md = CreateMsg {
+        remote_node_id: 2,
+        min_fidelity: Fidelity16::from_f64(0.6),
+        max_time_us: 0,
+        purpose_id: 10 + u16::from(kind.priority()),
+        number: 1,
+        priority: kind.priority(),
+        flags: RequestFlags {
+            store: false,
+            measure_directly: true,
+            consecutive: true,
+            atomic: false,
+            master_request: false,
+        },
+    };
+    let scenario = ScenarioParams::lab();
+    let cfg = EgpConfig::for_scenario(
+        1,
+        2,
+        Role::Master,
+        scenario.clone(),
+        SchedulerPolicy::nl_strict_wfq(),
+    );
+    let mut feu = FidelityEstimator::new(scenario);
+    feu.choose_alpha(md.min_fidelity.to_f64(), RequestType::Measure);
+    c.bench_function("egp_create_warm/x64", |b| {
+        b.iter(|| {
+            let mut egp = Egp::with_estimator(cfg.clone(), feu.clone());
+            for _ in 0..64 {
+                black_box(egp.create(black_box(md.clone()), 0));
+            }
+            egp
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_event_queue, bench_matrices, bench_attempt_model, bench_wire, bench_channels
+    targets = bench_event_queue, bench_matrices, bench_attempt_model, bench_wire, bench_channels, bench_derived_physics
 }
 criterion_main!(benches);

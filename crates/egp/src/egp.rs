@@ -255,8 +255,23 @@ pub struct Egp {
 }
 
 impl Egp {
-    /// Builds an EGP instance.
+    /// Builds an EGP instance with an FEU of its own.
     pub fn new(cfg: EgpConfig) -> Self {
+        let feu = FidelityEstimator::new(cfg.scenario.clone());
+        Self::with_estimator(cfg, feu)
+    }
+
+    /// Builds an EGP instance over a shared FEU handle — its peer's,
+    /// or that of every link on the same hardware — so what one of them
+    /// has derived none of them derives again.
+    ///
+    /// # Panics
+    /// Panics if `feu` models other hardware than `cfg.scenario`.
+    pub fn with_estimator(cfg: EgpConfig, feu: FidelityEstimator) -> Self {
+        assert!(
+            *feu.params() == cfg.scenario,
+            "the FEU models other hardware than this EGP runs on"
+        );
         let cycle_s = cfg.scenario.mhp_cycle.as_secs_f64();
         let reinit_period_cycles =
             (cfg.scenario.nv.carbon_reinit_period_s / cycle_s).round() as u64;
@@ -275,7 +290,7 @@ impl Egp {
         Egp {
             dq: DistributedQueue::new(cfg.role, cfg.dq.clone()),
             qmm: QuantumMemoryManager::new(cfg.storage_qubits),
-            feu: FidelityEstimator::new(cfg.scenario.clone()),
+            feu,
             qber: QberEstimator::new(cfg.qber_window),
             requests: BTreeMap::new(),
             pending_creates: IntMap::default(),
@@ -1321,7 +1336,7 @@ impl Egp {
         let fmin = entry.min_fidelity.to_f64();
         let (alpha, goodness) = match self.feu.choose_alpha(fmin, rtype) {
             Some(c) => (c.alpha, c.goodness),
-            None => (self.feu.alpha_min, fmin),
+            None => (self.feu.alpha_min(), fmin),
         };
         Request {
             id: entry.origin,

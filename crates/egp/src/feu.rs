@@ -17,15 +17,16 @@
 //! attempt model); interspersed test rounds refine it at runtime via
 //! the QBER↔fidelity relation of eq. (16).
 
-use qlink_des::SimTime;
+use qlink_des::{IntMap, SimTime};
 use qlink_math::solve::bisect;
-use qlink_phys::attempt::{AttemptOutcome, ModelCache};
+use qlink_phys::attempt::{AttemptModel, AttemptOutcome, ModelCache};
 use qlink_phys::pair::{PairState, Side};
 use qlink_phys::params::ScenarioParams;
 use qlink_quantum::bell::BellState;
 use qlink_quantum::Basis;
 use qlink_wire::fields::RequestType;
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The FEU's answer to "serve `Fmin` with request type T".
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,53 +39,98 @@ pub struct FeuChoice {
     pub est_cycles_per_pair: u64,
 }
 
-/// The Fidelity Estimation Unit for one link.
+/// Smallest α the hardware can be calibrated for.
+const ALPHA_MIN: f64 = 0.01;
+/// Largest useful α (beyond 0.5 the "bright" state dominates and
+/// fidelity collapses).
+const ALPHA_MAX: f64 = 0.5;
+/// Safety margin added on top of `Fmin` when choosing α (clamped near
+/// the achievable ceiling). The paper's runs deliver average fidelities
+/// well above the requested minimum (e.g. MD ≈ 0.71–0.78 at
+/// `Fmin = 0.64`), implying a conservative FEU; 0.08 reproduces those
+/// operating points.
+const SAFETY_MARGIN: f64 = 0.08;
+/// How close to the fidelity ceiling the margined target may get
+/// (prevents the margin from collapsing α to [`ALPHA_MIN`]).
+const CEILING_GUARD: f64 = 0.02;
+
+/// What every handle to one FEU reads and fills.
 #[derive(Debug)]
-pub struct FidelityEstimator {
+struct Shared {
     params: ScenarioParams,
-    cache: ModelCache,
-    /// Smallest α the hardware can be calibrated for.
-    pub alpha_min: f64,
-    /// Largest useful α (beyond 0.5 the "bright" state dominates and
-    /// fidelity collapses).
-    pub alpha_max: f64,
-    /// Safety margin added on top of `Fmin` when choosing α (clamped
-    /// near the achievable ceiling). The paper's runs deliver average
-    /// fidelities well above the requested minimum (e.g. MD ≈ 0.71–0.78
-    /// at `Fmin = 0.64`), implying a conservative FEU; 0.08 reproduces
-    /// those operating points.
-    pub safety_margin: f64,
-    /// How close to the fidelity ceiling the margined target may get
-    /// (prevents the margin from collapsing α to `alpha_min`).
-    pub ceiling_guard: f64,
+    models: ModelCache,
+    /// Every [`FidelityEstimator::choose_alpha`] answer so far by
+    /// `Fmin` bits, K-type then M-type; UNSUPP (`None`) included.
+    choices: Mutex<[IntMap<u64, Option<FeuChoice>>; 2]>,
+}
+
+/// The Fidelity Estimation Unit of one hardware profile.
+///
+/// A handle: cloning it shares the attempt models and the
+/// `Fmin → α` answers derived so far, so the two EGPs of a link — and
+/// every link of a network built on the same [`ScenarioParams`] —
+/// characterise the hardware once between them (§5.2.3: the estimate
+/// comes from *known* hardware capabilities). Nothing is process-wide:
+/// [`FidelityEstimator::new`] always starts cold.
+///
+/// The inversion reads nothing but the parameters, its two arguments
+/// and four constants (the α range, the safety margin, the ceiling
+/// guard) that are deliberately not settable, which is what makes
+/// remembering its answers exact.
+#[derive(Debug, Clone)]
+pub struct FidelityEstimator {
+    shared: Arc<Shared>,
 }
 
 impl FidelityEstimator {
-    /// Creates the FEU for a physical scenario.
+    /// Creates the FEU for a physical scenario over a table of its own.
     pub fn new(params: ScenarioParams) -> Self {
+        Self::with_models(params, ModelCache::new())
+    }
+
+    /// Creates the FEU for a physical scenario over the attempt models
+    /// `models` already holds (and will hold: every model this FEU
+    /// builds lands there).
+    pub fn with_models(params: ScenarioParams, models: ModelCache) -> Self {
         FidelityEstimator {
-            params,
-            cache: ModelCache::new(),
-            alpha_min: 0.01,
-            alpha_max: 0.5,
-            safety_margin: 0.08,
-            ceiling_guard: 0.02,
+            shared: Arc::new(Shared {
+                params,
+                models,
+                choices: Mutex::default(),
+            }),
         }
     }
 
     /// The physical scenario this FEU models.
     pub fn params(&self) -> &ScenarioParams {
-        &self.params
+        &self.shared.params
+    }
+
+    /// The table of attempt models this FEU derives from.
+    pub fn models(&self) -> &ModelCache {
+        &self.shared.models
+    }
+
+    /// Smallest α the hardware can be calibrated for: where the
+    /// achievability ceiling is read, and what an UNSUPP fallback uses.
+    pub fn alpha_min(&self) -> f64 {
+        ALPHA_MIN
+    }
+
+    /// The attempt model at `alpha` (built on first use).
+    pub fn model(&self, alpha: f64) -> Arc<AttemptModel> {
+        self.shared.models.get(&self.shared.params, alpha)
     }
 
     /// Success probability of one attempt at `alpha`.
     pub fn success_probability(&mut self, alpha: f64) -> f64 {
-        self.cache.get(&self.params, alpha).success_probability()
+        self.model(alpha).success_probability()
     }
 
     /// Predicted *delivered* fidelity at `alpha` for a request type.
     pub fn delivered_fidelity(&mut self, alpha: f64, rtype: RequestType) -> f64 {
-        let model = self.cache.get(&self.params, alpha);
+        let model = self.model(alpha);
+        let params = self.params();
         match rtype {
             RequestType::Measure => {
                 // The MD application sees QBERs that include readout
@@ -94,7 +140,7 @@ impl FidelityEstimator {
                     None => return 0.0,
                 };
                 let q = qlink_quantum::bell::Qber::of_state(state, (0, 1), BellState::PsiPlus);
-                let e = readout_flip_prob(&self.params);
+                let e = readout_flip_prob(params);
                 // Per-side readout flips: a recorded disagreement stays a
                 // disagreement iff zero or both bits flipped, so
                 // q' = q·stay + (1−q)·(1−stay) with
@@ -117,13 +163,13 @@ impl FidelityEstimator {
                     None => return 0.0,
                 };
                 let mut pair = PairState::new(state, SimTime::ZERO);
-                let wait = self.params.reply_latency();
-                pair.advance_to(SimTime::ZERO + wait, &self.params.nv);
-                pair.move_to_carbon(Side::A, &self.params.nv);
-                pair.move_to_carbon(Side::B, &self.params.nv);
+                let wait = params.reply_latency();
+                pair.advance_to(SimTime::ZERO + wait, &params.nv);
+                pair.move_to_carbon(Side::A, &params.nv);
+                pair.move_to_carbon(Side::B, &params.nv);
                 // The 1040 µs move runs under dynamical decoupling
                 // (D.2.2); its noise is in the gate fidelities above.
-                let move_d = qlink_des::SimDuration::from_secs_f64(self.params.nv.move_duration_s);
+                let move_d = qlink_des::SimDuration::from_secs_f64(params.nv.move_duration_s);
                 pair.skip_decoupled(SimTime::ZERO + wait + move_d);
                 pair.fidelity(BellState::PsiPlus)
             }
@@ -132,9 +178,31 @@ impl FidelityEstimator {
 
     /// Inverts `Fmin → α` (§5.2.5: "query the FEU to obtain hardware
     /// parameters (α)"). Returns `None` when the fidelity is not
-    /// achievable at any α — the UNSUPP path.
+    /// achievable at any α — the UNSUPP path. Each `(Fmin, type)` is
+    /// inverted once per FEU, whichever handle asks first.
     pub fn choose_alpha(&mut self, fmin: f64, rtype: RequestType) -> Option<FeuChoice> {
-        let (lo, hi) = (self.alpha_min, self.alpha_max);
+        let slot = match rtype {
+            RequestType::Keep => 0,
+            RequestType::Measure => 1,
+        };
+        if let Some(&known) = self.choices()[slot].get(&fmin.to_bits()) {
+            return known;
+        }
+        let choice = self.invert(fmin, rtype);
+        self.choices()[slot].insert(fmin.to_bits(), choice);
+        choice
+    }
+
+    fn choices(&self) -> MutexGuard<'_, [IntMap<u64, Option<FeuChoice>>; 2]> {
+        self.shared
+            .choices
+            .lock()
+            .expect("a thread panicked while recording an FEU choice")
+    }
+
+    /// The bisection behind [`FidelityEstimator::choose_alpha`].
+    fn invert(&mut self, fmin: f64, rtype: RequestType) -> Option<FeuChoice> {
+        let (lo, hi) = (ALPHA_MIN, ALPHA_MAX);
         let ceiling = self.delivered_fidelity(lo, rtype);
         if ceiling < fmin {
             return None; // even the gentlest α cannot reach Fmin
@@ -142,7 +210,7 @@ impl FidelityEstimator {
         // Aim above Fmin by the safety margin, but never so close to
         // the ceiling that α collapses to the minimum; never below
         // Fmin itself.
-        let target = fmin.max((fmin + self.safety_margin).min(ceiling - self.ceiling_guard));
+        let target = fmin.max((fmin + SAFETY_MARGIN).min(ceiling - CEILING_GUARD));
         // delivered_fidelity decreases with α; find the largest α that
         // still meets the target (fastest acceptable generation).
         let result = bisect(
@@ -166,8 +234,8 @@ impl FidelityEstimator {
             return None;
         }
         let e = match rtype {
-            RequestType::Keep => self.params.expected_cycles_per_attempt_keep(),
-            RequestType::Measure => self.params.expected_cycles_per_attempt_measure(),
+            RequestType::Keep => self.params().expected_cycles_per_attempt_keep(),
+            RequestType::Measure => self.params().expected_cycles_per_attempt_measure(),
         };
         Some(FeuChoice {
             alpha,
@@ -302,7 +370,7 @@ mod tests {
         for rtype in [RequestType::Keep, RequestType::Measure] {
             let choice = feu.choose_alpha(0.6, rtype).expect("0.6 is achievable");
             assert!(choice.goodness >= 0.6 - 1e-6, "{rtype:?}: {choice:?}");
-            assert!(choice.alpha > feu.alpha_min);
+            assert!(choice.alpha > feu.alpha_min());
             assert!(choice.est_cycles_per_pair > 100);
         }
     }
@@ -321,6 +389,62 @@ mod tests {
     fn unachievable_fidelity_is_unsupported() {
         let mut feu = FidelityEstimator::new(ScenarioParams::ql2020());
         assert!(feu.choose_alpha(0.95, RequestType::Keep).is_none());
+    }
+
+    #[test]
+    fn a_repeated_inversion_derives_nothing() {
+        // Counted through the table, not timed: every
+        // `delivered_fidelity` evaluation looks its model up there.
+        let mut feu = FidelityEstimator::new(ScenarioParams::ql2020());
+        let mut peer = feu.clone();
+        for (fmin, rtype) in [
+            (0.6, RequestType::Measure),
+            (0.5, RequestType::Keep),
+            (0.95, RequestType::Keep), // UNSUPP is an answer too
+        ] {
+            let first = feu.choose_alpha(fmin, rtype);
+            let (models, lookups) = (feu.models().len(), feu.models().lookups());
+            assert!(lookups > 0, "the first call did derive");
+            assert_eq!(feu.choose_alpha(fmin, rtype), first);
+            assert_eq!(peer.choose_alpha(fmin, rtype), first, "a clone shares it");
+            assert_eq!(feu.models().len(), models, "no model built");
+            assert_eq!(feu.models().lookups(), lookups, "no bisection run");
+        }
+        // Same Fmin, other type: a different question.
+        let lookups = feu.models().lookups();
+        assert_ne!(
+            feu.choose_alpha(0.6, RequestType::Keep),
+            feu.choose_alpha(0.6, RequestType::Measure)
+        );
+        assert!(feu.models().lookups() > lookups);
+        // And nothing is process-wide: a new FEU starts cold.
+        assert!(FidelityEstimator::new(ScenarioParams::ql2020())
+            .models()
+            .is_empty());
+    }
+
+    #[test]
+    fn estimators_on_one_table_keep_their_hardware_apart() {
+        let models = ModelCache::new();
+        let mut lab = FidelityEstimator::with_models(ScenarioParams::lab(), models.clone());
+        let mut ql = FidelityEstimator::with_models(ScenarioParams::ql2020(), models);
+        let on_lab = lab.choose_alpha(0.5, RequestType::Keep);
+        let on_ql = ql.choose_alpha(0.5, RequestType::Keep);
+        assert_ne!(on_lab, on_ql);
+        let mut alone = FidelityEstimator::new(ScenarioParams::ql2020());
+        assert_eq!(on_ql, alone.choose_alpha(0.5, RequestType::Keep));
+        // The bisections part ways after two steps; a reading at an α
+        // both have asked for is the sharper check.
+        for alpha in [lab.alpha_min(), 0.255] {
+            assert_ne!(
+                lab.success_probability(alpha),
+                ql.success_probability(alpha)
+            );
+            assert_eq!(
+                ql.success_probability(alpha),
+                alone.success_probability(alpha)
+            );
+        }
     }
 
     #[test]

@@ -54,6 +54,9 @@ use crate::route::{HopCount, PlanContext, Route, RouteMetric, RoutePlanner};
 use crate::ruleset::{ArmProgram, Policy};
 use crate::topology::Topology;
 use qlink_des::{DetRng, EventQueue, IntMap, SimDuration, SimTime};
+use qlink_egp::feu::FidelityEstimator;
+use qlink_phys::attempt::ModelCache;
+use qlink_phys::params::ScenarioParams;
 use qlink_quantum::bell::{bell_fidelity, werner_from_fidelity, BellState};
 use qlink_quantum::ops::entanglement_swap;
 use qlink_quantum::purify::distill_werner;
@@ -415,6 +418,12 @@ pub struct Network {
     /// [`Network::set_policy`].
     policy: Policy,
     planner: Option<RoutePlanner>,
+    /// The table every attempt model this network derives lands in.
+    models: ModelCache,
+    /// One FEU handle per distinct [`ScenarioParams`] among the links
+    /// built so far, all over `models`: every link on the same hardware
+    /// holds a clone of the same one.
+    estimators: Vec<FidelityEstimator>,
     edge_load: Vec<u32>,
     edge_pairs_delivered: Vec<u64>,
     edge_purify_attempts: Vec<u64>,
@@ -457,20 +466,57 @@ fn embed(mut link: LinkSimulation) -> LinkSimulation {
     link
 }
 
+/// The FEU handle for `params`: the one already made for that hardware,
+/// or a new one over `models`. Creating one derives nothing.
+fn estimator_for(
+    estimators: &mut Vec<FidelityEstimator>,
+    models: &ModelCache,
+    params: &ScenarioParams,
+) -> FidelityEstimator {
+    if let Some(feu) = estimators.iter().find(|feu| feu.params() == params) {
+        return feu.clone();
+    }
+    estimators.push(FidelityEstimator::with_models(
+        params.clone(),
+        models.clone(),
+    ));
+    estimators.last().expect("pushed above").clone()
+}
+
 impl Network {
     /// Builds the network: one full link-layer simulation per edge
     /// (seeded from its own `LinkConfig`), one SWAP-ASAP node machine
     /// per topology node. `seed` drives network-layer randomness (the
     /// Bell-measurement outcomes of the swaps).
     ///
+    /// The physics the links and the route planner derive (attempt
+    /// models, `Fmin → α` inversions) is kept in one table per hardware
+    /// profile, owned by this network and empty until something asks.
+    ///
     /// # Panics
     /// Panics on a topology with no edges.
     pub fn new(topo: Topology, seed: u64) -> Self {
+        Self::with_models(topo, seed, ModelCache::new())
+    }
+
+    /// [`Network::new`] over a table of attempt models the caller
+    /// shares — with its other networks on the same hardware, one after
+    /// another, as [`crate::sweep::sweep`]'s workers do. What a model
+    /// holds is a pure function of `(params, α)`, so sharing changes no
+    /// result.
+    ///
+    /// # Panics
+    /// Panics on a topology with no edges.
+    pub fn with_models(topo: Topology, seed: u64, models: ModelCache) -> Self {
         assert!(topo.edge_count() > 0, "a network needs at least one link");
+        let mut estimators = Vec::new();
         let links: Vec<LinkSimulation> = topo
             .edges()
             .iter()
-            .map(|e| embed(LinkSimulation::new(e.link.clone())))
+            .map(|e| {
+                let feu = estimator_for(&mut estimators, &models, &e.link.scenario);
+                embed(LinkSimulation::with_estimator(e.link.clone(), feu))
+            })
             .collect();
         let nodes = (0..topo.node_count())
             .map(|_| SwapAsapNode::new())
@@ -519,6 +565,8 @@ impl Network {
             metric: Box::new(HopCount),
             policy: Policy::default(),
             planner: None,
+            models,
+            estimators,
             min_control_delay: topo.min_control_delay(),
             elapsed: SimDuration::ZERO,
             topo,
@@ -558,6 +606,15 @@ impl Network {
     /// Borrow the link simulation on edge `edge` (metrics inspection).
     pub fn link(&self, edge: usize) -> &LinkSimulation {
         &self.links[edge]
+    }
+
+    /// The FEU handles this network has made, one per distinct
+    /// [`ScenarioParams`] among its links (a homogeneous topology has
+    /// one), in first-use order. Each link holds a clone of the one for
+    /// its hardware, and all of them derive from one table of attempt
+    /// models ([`FidelityEstimator::models`]).
+    pub fn estimators(&self) -> &[FidelityEstimator] {
+        &self.estimators
     }
 
     /// Borrow a node's protocol state machine.
@@ -911,7 +968,8 @@ impl Network {
         cfg.seed = DetRng::new(cfg.seed)
             .substream(&format!("repair/{}", self.repair_count[edge]))
             .seed();
-        self.links[edge] = embed(LinkSimulation::new_starting_at(cfg, t));
+        let feu = estimator_for(&mut self.estimators, &self.models, &cfg.scenario);
+        self.links[edge] = embed(LinkSimulation::new_starting_at(cfg, feu, t));
         // Bookkeeping into the old incarnation dies with it: queued
         // CREATEs can never be served, and dropping their keys here
         // keeps them from colliding with the rebuilt link's fresh
@@ -998,7 +1056,7 @@ impl Network {
         policy: Policy,
     ) -> Vec<Route> {
         if self.planner.is_none() {
-            self.planner = Some(RoutePlanner::new(&self.topo));
+            self.planner = Some(RoutePlanner::with_models(&self.topo, &self.models));
         }
         // Refresh the planning-time penalty snapshot: downed edges
         // are infinitely penalized (treated as absent — how the fault
@@ -1247,7 +1305,7 @@ impl Network {
         // RNG, so doing it lazily here cannot move a bit.
         let planner = self
             .planner
-            .get_or_insert_with(|| RoutePlanner::new(&self.topo));
+            .get_or_insert_with(|| RoutePlanner::with_models(&self.topo, &self.models));
         let rules = Arc::new(seed.policy.ruleset());
         let programs: Vec<ArmProgram> = edges
             .iter()

@@ -80,6 +80,7 @@ use crate::ruleset::Policy;
 use crate::topology::Topology;
 use qlink_des::SimDuration;
 use qlink_egp::feu::FidelityEstimator;
+use qlink_phys::attempt::ModelCache;
 use qlink_quantum::purify::distill_werner;
 use qlink_wire::fields::RequestType;
 
@@ -362,25 +363,56 @@ impl Route {
 
 /// Edge profiles for a topology plus metric-driven path search.
 ///
-/// Building a planner runs the FEU once per edge (a few 16×16 matrix
-/// chains each); reuse it across requests on the same topology.
+/// Building a planner reads the FEU once per distinct hardware profile
+/// among the edges (two attempt models, a few 16×16 matrix chains
+/// each, unless the table it is given already holds them); reuse it
+/// across requests on the same topology.
 #[derive(Debug, Clone)]
 pub struct RoutePlanner {
     profiles: Vec<EdgeProfile>,
 }
 
 impl RoutePlanner {
-    /// Profiles every edge of the topology at [`PROFILE_ALPHA`].
+    /// Profiles every edge of the topology at [`PROFILE_ALPHA`], over a
+    /// table of attempt models of its own.
     pub fn new(topo: &Topology) -> Self {
+        Self::with_models(topo, &ModelCache::new())
+    }
+
+    /// Profiles every edge of the topology at [`PROFILE_ALPHA`] over a
+    /// shared table of attempt models (a [`Network`]'s: the models its
+    /// links have built are not built again, and the two the planner
+    /// needs are there for the links). The FEU is read once per
+    /// distinct [`ScenarioParams`](qlink_phys::params::ScenarioParams)
+    /// among the edges, not once per edge.
+    ///
+    /// [`Network`]: crate::network::Network
+    pub fn with_models(topo: &Topology, models: &ModelCache) -> Self {
+        // What the FEU says of an edge depends on its hardware alone:
+        // (psucc, raw fidelity, ceiling) by the first edge that had it.
+        let mut read: Vec<(usize, (f64, f64, f64))> = Vec::new();
         let profiles = topo
             .edges()
             .iter()
             .enumerate()
             .map(|(i, e)| {
-                let mut feu = FidelityEstimator::new(e.link.scenario.clone());
-                let psucc = feu.success_probability(PROFILE_ALPHA);
-                let raw_fidelity = feu.delivered_fidelity(PROFILE_ALPHA, RequestType::Keep);
-                let ceiling = feu.delivered_fidelity(feu.alpha_min, RequestType::Keep);
+                let known = read
+                    .iter()
+                    .find(|(first, _)| topo.edge(*first).link.scenario == e.link.scenario);
+                let (psucc, raw_fidelity, ceiling) = match known {
+                    Some(&(_, readings)) => readings,
+                    None => {
+                        let mut feu =
+                            FidelityEstimator::with_models(e.link.scenario.clone(), models.clone());
+                        let readings = (
+                            feu.success_probability(PROFILE_ALPHA),
+                            feu.delivered_fidelity(PROFILE_ALPHA, RequestType::Keep),
+                            feu.delivered_fidelity(feu.alpha_min(), RequestType::Keep),
+                        );
+                        read.push((i, readings));
+                        readings
+                    }
+                };
                 let cycles = e.link.scenario.expected_cycles_per_attempt_keep()
                     / psucc.max(f64::MIN_POSITIVE);
                 let expected_latency =

@@ -17,6 +17,7 @@ use crate::ruleset::Policy;
 use crate::topology::Topology;
 use qlink_des::{DetRng, Histogram, SimDuration, SimTime, TimeSeries};
 use qlink_math::stats::RunningStats;
+use qlink_phys::attempt::ModelCache;
 use qlink_sim::config::{LinkConfig, SchedulerChoice};
 use qlink_sim::workload::WorkloadSpec;
 use std::fmt::Write as _;
@@ -617,7 +618,12 @@ impl SweepReport {
 
 /// Executes one (scenario, seed) cell of the matrix.
 pub fn run_one(spec: &ScenarioSpec, seed: u64) -> RunRecord {
-    let mut net = Network::new(spec.topology(seed), seed);
+    run_cell(spec, seed, ModelCache::new())
+}
+
+/// [`run_one`] over the attempt models `models` already holds.
+fn run_cell(spec: &ScenarioSpec, seed: u64, models: ModelCache) -> RunRecord {
+    let mut net = Network::with_models(spec.topology(seed), seed, models);
     match spec.metric {
         MetricChoice::Hops => net.set_route_metric(HopCount),
         MetricChoice::Latency => net.set_route_metric(Latency),
@@ -789,14 +795,20 @@ pub fn sweep(specs: &[ScenarioSpec], seeds: &[u64], threads: usize) -> SweepRepo
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let job = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(si, seed)) = jobs.get(job) else {
-                    break;
-                };
-                let mut record = run_one(&specs[si], seed);
-                record.scenario = si;
-                results.lock().expect("worker panicked holding results")[job] = Some(record);
+            scope.spawn(|| {
+                // One table per worker: a model is a pure function of
+                // `(params, α)`, so the cells a worker happens to run
+                // share theirs without any cross-thread traffic.
+                let models = ModelCache::new();
+                loop {
+                    let job = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&(si, seed)) = jobs.get(job) else {
+                        break;
+                    };
+                    let mut record = run_cell(&specs[si], seed, models.clone());
+                    record.scenario = si;
+                    results.lock().expect("worker panicked holding results")[job] = Some(record);
+                }
             });
         }
     });

@@ -25,7 +25,7 @@ use qlink_quantum::bell::{bell_fidelity, BellState};
 use qlink_quantum::channels;
 use qlink_quantum::gates;
 use qlink_quantum::{Basis, QuantumState};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Observed outcome of one attempt, as heralded by the station.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -282,37 +282,86 @@ impl AttemptModel {
     }
 }
 
-/// Cache of attempt models keyed by `α` bits; building a model costs a
-/// few 16×16 matrix chains, sampling from it is O(1).
+/// One hardware profile's models, by `α` bits.
+#[derive(Debug)]
+struct Profile {
+    params: ScenarioParams,
+    models: IntMap<u64, Arc<AttemptModel>>,
+}
+
 #[derive(Debug, Default)]
+struct Table {
+    /// One entry per distinct [`ScenarioParams`] asked for, found by
+    /// `PartialEq` (a handful at most: one per hardware profile of a
+    /// topology), so no `f64` field is ever hashed.
+    profiles: Vec<Profile>,
+    lookups: u64,
+}
+
+/// A handle to one table of attempt models keyed by
+/// `(ScenarioParams, α bits)`; building a model costs a few 16×16
+/// matrix chains, sampling from it is O(1).
+///
+/// Cloning the handle shares the table: whoever derives physics for
+/// the same hardware — the two EGPs of a link, the station, every
+/// link of a network, its route planner — is handed a clone and each
+/// `(params, α)` model is built once between them. The table is owned
+/// by its handles and dies with the last one; it is deliberately not
+/// process-wide, so [`ModelCache::new`] always starts cold and a run
+/// pays for exactly the models it uses.
+#[derive(Debug, Clone, Default)]
 pub struct ModelCache {
-    map: IntMap<u64, Arc<AttemptModel>>,
+    table: Arc<Mutex<Table>>,
 }
 
 impl ModelCache {
-    /// Creates an empty cache.
+    /// Creates a handle to a new, empty table.
     pub fn new() -> Self {
-        ModelCache {
-            map: IntMap::default(),
-        }
+        Self::default()
+    }
+
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table
+            .lock()
+            .expect("a thread panicked while building an attempt model")
     }
 
     /// Returns (building if necessary) the model for `(params, α)`.
-    pub fn get(&mut self, params: &ScenarioParams, alpha: f64) -> Arc<AttemptModel> {
-        self.map
+    pub fn get(&self, params: &ScenarioParams, alpha: f64) -> Arc<AttemptModel> {
+        let mut table = self.table();
+        table.lookups += 1;
+        let profile = match table.profiles.iter().position(|p| p.params == *params) {
+            Some(i) => &mut table.profiles[i],
+            None => {
+                table.profiles.push(Profile {
+                    params: params.clone(),
+                    models: IntMap::default(),
+                });
+                table.profiles.last_mut().expect("pushed above")
+            }
+        };
+        profile
+            .models
             .entry(alpha.to_bits())
             .or_insert_with(|| Arc::new(AttemptModel::build(params, alpha)))
             .clone()
     }
 
-    /// Number of distinct `α` values built so far.
+    /// Number of distinct `(params, α)` models built so far.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.table().profiles.iter().map(|p| p.models.len()).sum()
     }
 
     /// `true` if no models have been built.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
+    }
+
+    /// Calls to [`ModelCache::get`] so far through any handle to this
+    /// table, hits and misses alike — how a test counts the physics
+    /// derivations a code path performed without timing it.
+    pub fn lookups(&self) -> u64 {
+        self.table().lookups
     }
 }
 
@@ -463,12 +512,41 @@ mod tests {
     #[test]
     fn cache_reuses_models() {
         let p = ScenarioParams::lab();
-        let mut cache = ModelCache::new();
+        let cache = ModelCache::new();
         let a = cache.get(&p, 0.3);
         let b = cache.get(&p, 0.3);
         assert!(Arc::ptr_eq(&a, &b));
         let _c = cache.get(&p, 0.31);
         assert_eq!(cache.len(), 2);
+        assert_eq!(cache.lookups(), 3);
+    }
+
+    #[test]
+    fn cache_keys_on_the_parameters_as_well_as_alpha() {
+        // One table asked for two hardware profiles at the same α must
+        // not hand the first profile's model to the second.
+        let cache = ModelCache::new();
+        let lab = cache.get(&ScenarioParams::lab(), 0.2);
+        let ql = cache.get(&ScenarioParams::ql2020(), 0.2);
+        assert_ne!(lab.success_probability(), ql.success_probability());
+        assert_eq!(
+            ql.success_probability(),
+            AttemptModel::build(&ScenarioParams::ql2020(), 0.2).success_probability()
+        );
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn cloned_handles_share_one_table() {
+        let p = ScenarioParams::lab();
+        let cache = ModelCache::new();
+        let clone = cache.clone();
+        let a = cache.get(&p, 0.3);
+        let b = clone.get(&p, 0.3);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(clone.len(), 1);
+        // A fresh handle starts cold: nothing is process-wide.
+        assert!(ModelCache::new().is_empty());
     }
 
     #[test]

@@ -12,8 +12,9 @@ use qlink_classical::channel::{ChannelModel, Transmission};
 use qlink_des::{DetRng, EventQueue, IntMap, SimDuration, SimTime};
 use qlink_egp::dqueue::Role;
 use qlink_egp::egp::{Egp, EgpConfig, EgpEvent, HwDirective};
+use qlink_egp::feu::FidelityEstimator;
 use qlink_egp::shared_random::SharedRandomness;
-use qlink_phys::attempt::{AttemptModel, AttemptOutcome, ModelCache};
+use qlink_phys::attempt::{AttemptModel, AttemptOutcome};
 use qlink_phys::mhp::{AttemptKind, MhpResult, Midpoint, NodeMhp};
 use qlink_phys::pair::{PairState, Side};
 use qlink_quantum::bell::BellState;
@@ -135,7 +136,8 @@ pub struct LinkSimulation {
     egps: [Egp; 2],
     mhps: [NodeMhp; 2],
     midpoint: Midpoint,
-    cache: ModelCache,
+    /// The handle both EGPs hold too; the station reads its models.
+    feu: FidelityEstimator,
     /// The model the last detection window closed under, by α bits:
     /// consecutive windows almost always serve one request at one α,
     /// so they skip the cache lookup and its `Arc` clone.
@@ -177,8 +179,22 @@ const LEDGER_RETENTION_STRIDE: u64 = 16_384;
 const _: () = assert!(LEDGER_RETENTION_STRIDE.is_multiple_of(QUEUE_SAMPLE_STRIDE));
 
 impl LinkSimulation {
-    /// Builds the link from a configuration.
+    /// Builds the link from a configuration, over an FEU of its own.
     pub fn new(cfg: LinkConfig) -> Self {
+        let feu = FidelityEstimator::new(cfg.scenario.clone());
+        Self::with_estimator(cfg, feu)
+    }
+
+    /// Builds the link over a shared FEU handle: both EGPs, the
+    /// station's model lookup and the workload scaling read (and fill)
+    /// the one table behind it, so a link on hardware another link has
+    /// already characterised derives nothing again. Sharing changes no
+    /// value — the table holds pure functions of `(params, α)` and
+    /// `(params, Fmin, type)`.
+    ///
+    /// # Panics
+    /// Panics if `feu` models other hardware than `cfg.scenario`.
+    pub fn with_estimator(cfg: LinkConfig, mut feu: FidelityEstimator) -> Self {
         let root = DetRng::new(cfg.seed);
         let scenario = cfg.scenario.clone();
 
@@ -191,13 +207,12 @@ impl LinkSimulation {
             for (q, w) in cfg.scheduler.wfq_weights() {
                 e.dq.wfq_weights.insert(q, w);
             }
-            Egp::new(e)
+            Egp::with_estimator(e, feu.clone())
         };
         let egp_a = mk_egp(NODE_A, NODE_B, Role::Master);
         let egp_b = mk_egp(NODE_B, NODE_A, Role::Slave);
 
         // Workload arrival scaling: psucc/E at the FEU's α per kind.
-        let mut feu = qlink_egp::feu::FidelityEstimator::new(scenario.clone());
         let mut scale = [0.0f64; 3];
         for (i, kind) in RequestKind::ALL.iter().enumerate() {
             let load = cfg.workload.kind_load(*kind);
@@ -232,7 +247,7 @@ impl LinkSimulation {
             egps: [egp_a, egp_b],
             mhps: [NodeMhp::new(NODE_A), NodeMhp::new(NODE_B)],
             midpoint: Midpoint::new(NODE_A, NODE_B),
-            cache: ModelCache::new(),
+            feu,
             model: None,
             ledger: IntMap::default(),
             chan_ab: [mk_chan(node_to_node_km), mk_chan(node_to_node_km)],
@@ -271,9 +286,10 @@ impl LinkSimulation {
     /// embedder's next `advance_to` parks it at the shared time), no
     /// history is replayed, and no random draw happens for the
     /// skipped cycles, so the rebuild costs O(1) regardless of when
-    /// the repair lands.
-    pub fn new_starting_at(cfg: LinkConfig, at: SimTime) -> Self {
-        let mut sim = Self::new(cfg);
+    /// the repair lands — and, over the FEU handle the previous
+    /// incarnation's network still holds, derives nothing again.
+    pub fn new_starting_at(cfg: LinkConfig, feu: FidelityEstimator, at: SimTime) -> Self {
+        let mut sim = Self::with_estimator(cfg, feu);
         let c0 = at.as_ps().div_ceil(sim.cfg.scenario.mhp_cycle.as_ps());
         sim.queue.clear();
         sim.queue.schedule_at(sim.cycle_start(c0), Event::Cycle(c0));
@@ -667,7 +683,7 @@ impl LinkSimulation {
         );
         let bits = alpha.to_bits();
         if self.model.as_ref().is_none_or(|(last, _)| *last != bits) {
-            self.model = Some((bits, self.cache.get(&self.cfg.scenario, alpha)));
+            self.model = Some((bits, self.feu.model(alpha)));
         }
         let model = &*self.model.as_ref().expect("set above").1;
         let eval = self.midpoint.evaluate_window(c, model, &mut self.rng_phys);

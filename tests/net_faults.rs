@@ -282,6 +282,11 @@ fn degraded_repair_profile_steers_planning_away() {
     assert_eq!(net.faults(), 1);
     assert_eq!(net.repairs(), 1);
     assert!(net.topology().edge_up(0), "the edge is up again");
+    assert_eq!(
+        net.estimators().len(),
+        2,
+        "new hardware on the repaired edge gets an FEU of its own"
+    );
     assert!(
         net.penalty(0) > 0.0,
         "repair must not clear the penalty box"
@@ -343,6 +348,46 @@ fn repaired_link_parks_until_a_rerouted_create_resumes_it() {
         net.link(0).events_fired() > 1,
         "the re-routed CREATE resumed the parked link"
     );
+}
+
+/// A link rebuilt after a repair is handed the FEU handle its
+/// predecessor held, so it — and the re-route the failure caused, and
+/// the CREATE it finally serves — adds no model to the network's table.
+#[test]
+fn rebuilt_link_derives_nothing_again() {
+    let mut net = Network::new(clean_diamond(), 11);
+    net.set_request_timeout(Some(SimDuration::from_secs(30)));
+    net.set_retry_budget(2);
+    let at = SimDuration::from_millis;
+    net.set_fault_plan(
+        &FaultPlan::new()
+            .with_penalty(PenaltyConfig::off())
+            .with_event(at(2), FaultKind::Fail { edge: 0 })
+            .with_event(
+                at(4),
+                FaultKind::Repair {
+                    edge: 0,
+                    profile: None,
+                },
+            )
+            .with_event(at(10), FaultKind::Fail { edge: 2 }),
+    );
+    net.request_entanglement(0, 4, 0.6);
+    net.run_for(at(1));
+    let table = net.estimators()[0].models().clone();
+    let models = table.len();
+    assert!(models > 0, "the planner and the first CREATE derived");
+
+    net.run_for(at(7));
+    assert_eq!((net.faults(), net.repairs(), net.reroutes()), (1, 1, 1));
+    assert_eq!(net.estimators().len(), 1, "same hardware, same FEU");
+    assert_eq!(table.len(), models, "the rebuild built no model");
+
+    let out = net
+        .run_until_outcome(SimDuration::from_secs(20))
+        .expect("the short arm delivers once it is the only route");
+    assert_eq!(out.path, vec![0, 1, 4], "served by the rebuilt link");
+    assert_eq!(table.len(), models, "nor did serving on it");
 }
 
 /// Node churn: `NodeDown` fails every incident edge, `NodeUp` repairs

@@ -276,3 +276,110 @@ fn sweep_streams_and_metric_are_deterministic() {
     assert_eq!(a.fidelity.mean().to_bits(), b.fidelity.mean().to_bits());
     assert!(a.successes >= 1, "at least one stream completes");
 }
+
+// ---- derived physics: one table per network ---------------------------
+
+use qlink::egp::feu::FidelityEstimator;
+use qlink::wire::fields::RequestType;
+
+fn nl_create(fmin: f64) -> GeneratedRequest {
+    GeneratedRequest {
+        kind: RequestKind::Nl,
+        pairs: 1,
+        origin: 0,
+        fmin,
+        tmax_us: 0,
+    }
+}
+
+/// The set-up the `grid16_sparse` benchmark workload times: 480 Lab
+/// links on equal hardware, twelve two-hop requests, the planner built
+/// on the first of them. The network derives each `(params, α)` model
+/// once between all of them — as many as one standalone link and a
+/// one-edge planner need for the same `(Fmin, type)`, not that many
+/// per link and per edge.
+#[test]
+fn a_homogeneous_grid_builds_each_model_once() {
+    let mut net = Network::new(Topology::grid(16, 16, |i| lab(i as u64)), 5);
+    net.set_route_metric(LoadScaledLatency);
+    assert!(
+        net.estimators()[0].models().is_empty(),
+        "construction derives nothing"
+    );
+    for row in [1, 5, 9, 13] {
+        for col in [1, 6, 11] {
+            net.request_entanglement(row * 16 + col, row * 16 + col + 2, 0.6);
+        }
+    }
+    // Long enough for every second-hop CREATE and every peer's ADD.
+    net.run_for(SimDuration::from_millis(5));
+    assert_eq!(net.estimators().len(), 1, "one hardware profile, one FEU");
+
+    let cfg = lab(1);
+    let feu = FidelityEstimator::new(cfg.scenario.clone());
+    let mut link = LinkSimulation::with_estimator(cfg.clone(), feu.clone());
+    link.submit(0, nl_create(0.6));
+    link.run_for(SimDuration::from_millis(5));
+    let _planner = RoutePlanner::with_models(&Topology::chain(2, |_| cfg.clone()), feu.models());
+
+    let table = net.estimators()[0].models();
+    assert_eq!(table.len(), feu.models().len());
+}
+
+/// One QL2020 edge among Lab edges: the network keeps the two hardware
+/// profiles apart (two FEUs over its one table of models, which is
+/// keyed by the parameters as well as α), so what it derives for the
+/// QL2020 edge — asked *after* Lab at the very same α values — is what
+/// a standalone QL2020 link and planner derive.
+#[test]
+fn a_mixed_grid_keeps_its_hardware_profiles_apart() {
+    let ql = LinkConfig::ql2020(WorkloadSpec::none(), 9);
+    let topo = Topology::grid(2, 2, |i| if i == 3 { ql.clone() } else { lab(i as u64) });
+    let mut net = Network::new(topo.clone(), 3);
+    // 0 → 3 must cross the QL2020 edge (1-3) or a Lab one (2-3); ask
+    // for both corners so both kinds of link see a CREATE.
+    net.request_entanglement(0, 3, 0.5);
+    net.request_entanglement(1, 3, 0.5);
+    net.run_for(SimDuration::from_millis(5));
+    assert_eq!(net.estimators().len(), 2);
+    assert_eq!(*net.estimators()[1].params(), ql.scenario);
+
+    let mut on_net = net.estimators()[1].clone();
+    let mut alone = FidelityEstimator::new(ql.scenario.clone());
+    let choice = alone.choose_alpha(0.5, RequestType::Keep);
+    assert!(choice.is_some());
+    assert_eq!(on_net.choose_alpha(0.5, RequestType::Keep), choice);
+    assert_ne!(
+        net.estimators()[0]
+            .clone()
+            .choose_alpha(0.5, RequestType::Keep),
+        choice,
+        "Lab answers differently"
+    );
+
+    let shared = RoutePlanner::with_models(&topo, on_net.models());
+    let own = RoutePlanner::new(&Topology::chain(2, |_| ql.clone()));
+    let (got, want) = (shared.profile(3), own.profile(0));
+    assert_eq!(got.success_probability, want.success_probability);
+    assert_eq!(got.fidelity_ceiling, want.fidelity_ceiling);
+    assert_eq!(got.fidelity, want.fidelity);
+    assert_eq!(got.expected_latency, want.expected_latency);
+    assert_ne!(
+        got.success_probability,
+        shared.profile(0).success_probability
+    );
+}
+
+/// The handles are `Arc<Mutex<_>>`s, so passing physics around costs
+/// the simulators no auto trait: a network (or a link) still moves to
+/// a worker thread whole.
+#[test]
+fn shared_physics_keeps_the_simulators_send() {
+    fn send<T: Send>() {}
+    fn sync<T: Sync>() {}
+    send::<Network>();
+    send::<LinkSimulation>();
+    sync::<LinkSimulation>();
+    send::<FidelityEstimator>();
+    sync::<FidelityEstimator>();
+}

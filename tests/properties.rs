@@ -535,3 +535,73 @@ fn parked_link_is_indistinguishable_from_a_ticking_one() {
         );
     }
 }
+
+// ---- shared physics ---------------------------------------------------
+
+use qlink::egp::feu::FidelityEstimator;
+use qlink::phys::params::ScenarioParams;
+
+/// Sharing derived physics changes no value: a link on an FEU handle
+/// another link (other seed, same hardware) has already warmed
+/// surfaces bit-equal deliveries and rejections, ends with bit-equal
+/// metrics and fires the same events as the same seed on a handle of
+/// its own — and, the table being warm, builds no model itself.
+#[test]
+fn link_on_a_warmed_estimator_is_indistinguishable_from_a_cold_one() {
+    for (case, scenario) in [ScenarioParams::lab(), ScenarioParams::ql2020()]
+        .into_iter()
+        .enumerate()
+    {
+        // Random MD load (so the workload scaling reads the FEU too)
+        // plus an UNSUPP CREATE, a K-type one and a retraction by hand.
+        let cfg = |seed| {
+            let spec = WorkloadSpec::single(RequestKind::Md, 0.7, 1);
+            let mut cfg = LinkConfig::lab(spec, seed);
+            cfg.scenario = scenario.clone();
+            cfg
+        };
+        let drive = |link: &mut LinkSimulation| {
+            link.capture_deliveries();
+            link.capture_rejections();
+            let ck = |fmin| GeneratedRequest {
+                kind: RequestKind::Ck,
+                pairs: 1,
+                origin: 1,
+                fmin,
+                tmax_us: 0,
+            };
+            link.submit(1, ck(0.99));
+            let mut surfaced = step_to(link, SimTime::ZERO + SimDuration::from_millis(1_000));
+            link.submit(1, ck(0.5));
+            let id = link.submit(1, ck(0.5));
+            link.expire_request(1, id);
+            let more = step_to(link, SimTime::ZERO + SimDuration::from_millis(2_000));
+            surfaced.0.extend(more.0);
+            surfaced.1.extend(more.1);
+            (
+                surfaced,
+                metrics_fingerprint(&link.metrics),
+                link.events_fired(),
+            )
+        };
+
+        let cold = drive(&mut LinkSimulation::new(cfg(31)));
+
+        let feu = FidelityEstimator::new(scenario.clone());
+        drive(&mut LinkSimulation::with_estimator(cfg(77), feu.clone()));
+        let models = feu.models().len();
+        assert!(models > 0, "case {case}: the first link filled the table");
+        let warm = drive(&mut LinkSimulation::with_estimator(cfg(31), feu.clone()));
+
+        assert!(
+            !cold.0 .0.is_empty() && !cold.0 .1.is_empty(),
+            "case {case}: the schedule must deliver and reject something"
+        );
+        assert_eq!(warm, cold, "case {case}");
+        assert_eq!(
+            feu.models().len(),
+            models,
+            "case {case}: the second link built no model"
+        );
+    }
+}
