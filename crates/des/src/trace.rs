@@ -271,11 +271,6 @@ impl Histogram {
         }
     }
 
-    /// Lower edge of the histogram's range.
-    pub fn range_lo(&self) -> f64 {
-        self.lo
-    }
-
     /// Width of each bucket.
     pub fn bucket_width(&self) -> f64 {
         self.width

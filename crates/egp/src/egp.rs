@@ -19,28 +19,26 @@
 //!   queue-mismatch reconciliation;
 //! * intersperse test rounds (Appendix B) and feed the QBER estimator.
 
-use crate::dqueue::{
-    AddPayload, DistributedQueue, DqpEvent, DqueueConfig, QueueEntry, RejectReason, Role,
-};
+use crate::dqueue::{DistributedQueue, DqpEvent, DqueueConfig, RejectReason, Role};
 use crate::feu::{FidelityEstimator, QberEstimator};
 use crate::qmm::{QuantumMemoryManager, QubitId};
-use crate::request::{Request, RequestId, RequestState};
+use crate::request::{Request, RequestState, Service};
 use crate::scheduler::SchedulerPolicy;
 use crate::shared_random::SharedRandomness;
-use qlink_des::IntMap;
 use qlink_phys::mhp::{AttemptKind, AttemptSpec, MhpResult};
 use qlink_phys::params::ScenarioParams;
 use qlink_quantum::bell::BellState;
 use qlink_quantum::Basis;
+use qlink_wire::dqp::QueueItem;
 use qlink_wire::egp::{
     CreateMsg, EgpErrorCode, ErrMsg, ExpireAckMsg, ExpireMsg, MemoryAdvertMsg, OkKeepMsg,
     OkMeasureMsg, RetractMsg, WireBasis,
 };
 use qlink_wire::fields::{
-    seq_after, AbsQueueId, MhpError, MidpointOutcome, ReplyOutcome, RequestType,
+    seq_after, AbsQueueId, Fidelity16, MhpError, MidpointOutcome, ReplyOutcome, RequestType,
 };
 use qlink_wire::Frame;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 
 /// Hardware directives the EGP issues to the node's quantum device —
 /// the "pulse sequences" of §5.1, abstracted.
@@ -176,17 +174,12 @@ struct PendingMove {
     ready_cycle: u64,
 }
 
-/// An EXPIRE we sent and must retransmit until ACKed.
+/// An EXPIRE or RETRACT we sent and must retransmit until its
+/// EXPIRE-ACK arrives.
 #[derive(Debug, Clone)]
 struct PendingExpire {
-    msg: ExpireMsg,
-    next_retransmit: u64,
-    retries_left: u8,
-}
-
-#[derive(Debug)]
-struct PendingRetract {
-    msg: RetractMsg,
+    frame: Frame,
+    queue_id: AbsQueueId,
     next_retransmit: u64,
     retries_left: u8,
 }
@@ -199,37 +192,18 @@ pub struct Egp {
     qmm: QuantumMemoryManager,
     feu: FidelityEstimator,
     qber: QberEstimator,
-    /// Every tracked request by absolute queue ID. Ordered like the
-    /// distributed queue — `(QID, QSEQ)` — so the per-cycle poll walks
-    /// the two in step, and so whatever is emitted while iterating
-    /// (timeouts) comes out in queue order, not hash order.
-    requests: BTreeMap<AbsQueueId, Request>,
-    /// Our CREATEs not yet committed (create_id → request template).
-    pending_creates: IntMap<u16, Request>,
     next_create_id: u16,
     seq_expected: u16,
-    /// Recently issued OK sequence numbers per request (for EXPIRE).
-    issued_seqs: BTreeMap<AbsQueueId, VecDeque<u16>>,
     /// K-attempt in flight: the cycle it was fired in.
     inflight_keep: Option<u64>,
     /// Hardware blocked until this cycle (move in progress).
     busy_until: u64,
     /// Move awaiting completion.
     pending_move: Option<PendingMove>,
-    /// Buffered OKs for non-consecutive requests.
-    buffered_oks: BTreeMap<AbsQueueId, Vec<EgpEvent>>,
-    /// EXPIREs awaiting acknowledgment.
+    /// EXPIREs and RETRACTs awaiting acknowledgment.
     pending_expires: Vec<PendingExpire>,
-    /// RETRACTs awaiting acknowledgment.
-    pending_retracts: Vec<PendingRetract>,
-    /// CREATEs retracted while their dqueue ADD was still in flight:
-    /// if the queue later commits one, it is retracted then.
-    retracted_creates: BTreeSet<u16>,
     /// Peer's last advertised free storage (None = unknown).
     peer_free_storage: Option<u8>,
-    /// Consecutive NO_MESSAGE_OTHER counts per request (divergence
-    /// detection) and resync attempts already made.
-    nmo_counts: BTreeMap<AbsQueueId, (u32, u32)>,
     /// Consecutive QUEUE_MISMATCH counts per (our aid, peer aid) pair.
     /// Mismatches for a couple of windows are normal when the two
     /// nodes' replies arrive staggered (unequal arms) around a request
@@ -292,20 +266,13 @@ impl Egp {
             qmm: QuantumMemoryManager::new(cfg.storage_qubits),
             feu,
             qber: QberEstimator::new(cfg.qber_window),
-            requests: BTreeMap::new(),
-            pending_creates: IntMap::default(),
             next_create_id: 0,
             seq_expected: 0,
-            issued_seqs: BTreeMap::new(),
             inflight_keep: None,
             busy_until: 0,
             pending_move: None,
-            buffered_oks: BTreeMap::new(),
             pending_expires: Vec::new(),
-            pending_retracts: Vec::new(),
-            retracted_creates: BTreeSet::new(),
             peer_free_storage: None,
-            nmo_counts: BTreeMap::new(),
             qm_counts: BTreeMap::new(),
             reinit_period_cycles,
             reinit_duration_cycles,
@@ -331,30 +298,21 @@ impl Egp {
         self.seq_expected
     }
 
-    /// Number of requests currently tracked (all states).
-    pub fn tracked_requests(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Current committed queue length (both kinds of origin).
+    /// Current committed queue length (both kinds of origin): every
+    /// request this EGP tracks, lingering completed ones included.
     pub fn queue_len(&self) -> usize {
         self.dq.len()
     }
 
     /// `true` when this EGP has nothing to do and nothing to wait for:
-    /// no tracked request (lingering completed ones included), no
-    /// CREATE, EXPIRE or RETRACT awaiting the peer, no move in
-    /// progress, and an idle distributed queue. [`Egp::poll`] then
+    /// no EXPIRE or RETRACT awaiting the peer, no move in progress,
+    /// and an idle distributed queue — no request (lingering completed
+    /// ones included) and no CREATE awaiting its ACK. [`Egp::poll`] then
     /// returns `(None, [])` and changes no state whatever the cycle —
     /// every timer it consults hangs off one of those collections — so
     /// a simulator may skip the polls of a quiescent EGP outright.
     pub fn is_quiescent(&self) -> bool {
-        self.requests.is_empty()
-            && self.pending_creates.is_empty()
-            && self.pending_expires.is_empty()
-            && self.pending_retracts.is_empty()
-            && self.pending_move.is_none()
-            && self.dq.is_idle()
+        self.pending_expires.is_empty() && self.pending_move.is_none() && self.dq.is_idle()
     }
 
     /// EXPIREs sent so far (robustness metric of §6.1).
@@ -420,38 +378,22 @@ impl Egp {
         } else {
             cycle.saturating_add(tmax_cycles)
         };
-        let id = RequestId {
-            origin: self.cfg.node_id,
-            create_id,
-        };
-        let template = Request {
-            id,
-            create: msg.clone(),
-            queue_id: None,
-            alpha: choice.alpha,
-            goodness: choice.goodness,
-            min_cycle,
-            timeout_cycle,
-            est_cycles_per_pair: choice.est_cycles_per_pair.min(u32::MAX as u64) as u32,
-            pairs_done: 0,
-            round: 0,
-            state: RequestState::Enqueueing,
-            accepted_cycle: cycle,
-            completed_cycle: None,
-        };
-        self.pending_creates.insert(create_id, template.clone());
-        let payload = AddPayload {
-            origin: id,
+        // The master assigns the queue ID and the virtual finish.
+        let item = QueueItem {
+            queue_id: AbsQueueId::new(0, 0),
             schedule_cycle: min_cycle,
             timeout_cycle,
             min_fidelity: msg.min_fidelity,
             purpose_id: msg.purpose_id,
+            create_id,
             num_pairs: msg.number,
             priority: msg.priority,
-            est_cycles_per_pair: template.est_cycles_per_pair,
+            initial_virtual_finish: 0.0,
+            est_cycles_per_pair: choice.est_cycles_per_pair.min(u32::MAX as u64) as u32,
             flags: msg.flags,
         };
-        let dq_events = self.dq.add(payload, cycle);
+        let service = Service::new(choice.alpha, choice.goodness, cycle);
+        let dq_events = self.dq.add(item, service, cycle);
         events.extend(self.process_dq_events(dq_events, cycle));
         (create_id, events)
     }
@@ -467,36 +409,24 @@ impl Egp {
     /// create ID. No OK/ERR is emitted: the higher layer asked for the
     /// removal and needs no echo.
     pub fn expire_request(&mut self, create_id: u16, cycle: u64) -> Vec<EgpEvent> {
-        // ADD still in flight: drop the template now; if the dqueue
-        // later commits the entry anyway, the tombstone retracts it at
-        // commit time (see `process_dq_events`).
-        if self.pending_creates.remove(&create_id).is_some() {
-            self.retracted_creates.insert(create_id);
+        // ADD still in flight: if the master commits the item anyway,
+        // it is retracted when the ACK arrives (`DqpEvent::Retracted`).
+        if self.dq.retract_pending(create_id) {
             return Vec::new();
         }
-        let aid = self.requests.iter().find_map(|(aid, r)| {
-            (r.id.origin == self.cfg.node_id
-                && r.id.create_id == create_id
-                && r.completed_cycle.is_none())
-            .then_some(*aid)
+        let ours = self.dq.iter().find(|r| {
+            r.origin == self.cfg.node_id
+                && r.item.create_id == create_id
+                && r.service.completed_cycle.is_none()
         });
-        let Some(aid) = aid else {
+        let Some(aid) = ours.map(|r| r.item.queue_id) else {
             return Vec::new();
         };
-        self.drop_request(aid);
-        vec![self.send_retract(aid, create_id, cycle)]
-    }
-
-    /// Removes every local trace of a queued request (the same set the
-    /// timeout purge clears). In-flight MHP results for it resolve
-    /// through the unknown-request path, which frees hardware and
-    /// resyncs sequence numbers.
-    fn drop_request(&mut self, aid: AbsQueueId) {
-        self.requests.remove(&aid);
+        // In-flight MHP results for it resolve through the
+        // unknown-request path, which frees hardware and resyncs
+        // sequence numbers.
         self.dq.remove(aid);
-        self.buffered_oks.remove(&aid);
-        self.issued_seqs.remove(&aid);
-        self.nmo_counts.remove(&aid);
+        vec![self.send_retract(aid, create_id, cycle)]
     }
 
     /// Builds, registers for retransmission, and returns the RETRACT
@@ -507,19 +437,44 @@ impl Egp {
             origin_id: self.cfg.node_id,
             create_id,
         };
-        self.pending_retracts.push(PendingRetract {
-            msg,
+        self.await_expire_ack(Frame::Retract(msg), aid, 10, cycle)
+    }
+
+    /// Registers an EXPIRE or RETRACT about `queue_id` for
+    /// retransmission until acknowledged, and returns its first send.
+    fn await_expire_ack(
+        &mut self,
+        frame: Frame,
+        queue_id: AbsQueueId,
+        retries_left: u8,
+        cycle: u64,
+    ) -> EgpEvent {
+        // EXPIREs ahead of RETRACTs, each kind in the order sent: what
+        // falls due in one cycle reaches the channel RNG in this order.
+        let is_retract = |f: &Frame| matches!(f, Frame::Retract(_));
+        let at = if is_retract(&frame) {
+            self.pending_expires.len()
+        } else {
+            self.pending_expires
+                .partition_point(|p| !is_retract(&p.frame))
+        };
+        let pending = PendingExpire {
+            frame: frame.clone(),
+            queue_id,
             next_retransmit: cycle + self.cfg.reply_timeout_cycles,
-            retries_left: 10,
-        });
-        EgpEvent::SendPeer(Frame::Retract(msg))
+            retries_left,
+        };
+        self.pending_expires.insert(at, pending);
+        EgpEvent::SendPeer(frame)
     }
 
     /// Handles a frame arriving from the peer node.
     pub fn on_peer_frame(&mut self, frame: Frame, cycle: u64) -> Vec<EgpEvent> {
         match frame {
             Frame::Dqp(msg) => {
-                let evs = self.dq.on_frame(msg, cycle);
+                let (feu, min_time, item) = (&mut self.feu, self.cfg.min_time_cycles, msg.item);
+                let service = || peer_service(feu, min_time, &item);
+                let evs = self.dq.on_frame(msg, service, cycle);
                 self.process_dq_events(evs, cycle)
             }
             Frame::Expire(msg) => self.on_expire(msg, cycle),
@@ -527,17 +482,14 @@ impl Egp {
                 // The originator abandoned the request: forget it and
                 // acknowledge (the ack doubles as a sequence resync,
                 // like an EXPIRE ack).
-                self.drop_request(msg.queue_id);
+                self.dq.remove(msg.queue_id);
                 vec![EgpEvent::SendPeer(Frame::ExpireAck(ExpireAckMsg {
                     queue_id: msg.queue_id,
                     seq_expected: self.seq_expected,
                 }))]
             }
             Frame::ExpireAck(msg) => {
-                self.pending_expires
-                    .retain(|p| p.msg.queue_id != msg.queue_id);
-                self.pending_retracts
-                    .retain(|p| p.msg.queue_id != msg.queue_id);
+                self.pending_expires.retain(|p| p.queue_id != msg.queue_id);
                 // The acknowledger reports its up-to-date expectation;
                 // adopt it if ahead (stops stale-sequence discards).
                 if seq_after(msg.seq_expected, self.seq_expected) {
@@ -586,24 +538,13 @@ impl Egp {
         // Scheduler: pick among ready requests (identical at both
         // nodes: all inputs are synchronized queue fields). The ready
         // set streams straight into the policy — this runs every MHP
-        // cycle, so it must not allocate: the queue and the request
-        // table are both in `(QID, QSEQ)` order and are joined by
-        // walking them in step, and `select` keeps no buffer.
-        let mut requests = self.requests.iter().peekable();
-        let ready = self.dq.iter().filter(|e| {
-            while requests.next_if(|(aid, _)| **aid < e.aid).is_some() {}
-            requests
-                .peek()
-                .is_some_and(|(aid, r)| **aid == e.aid && r.is_ready(cycle))
-        });
-        let Some(aid) = self.cfg.scheduler.select(ready) else {
+        // cycle, so it must not allocate, and `select` keeps no buffer.
+        let ready = self.dq.iter().filter(|r| r.is_ready(cycle));
+        let Some(aid) = self.cfg.scheduler.select(ready.map(|r| &r.item)) else {
             return (None, events);
         };
-        let req = self
-            .requests
-            .get_mut(&aid)
-            .expect("selected from ready set");
-        req.state = RequestState::InService;
+        let req = self.dq.get_mut(aid).expect("selected from ready set");
+        req.service.state = RequestState::InService;
         let rtype = req.request_type();
 
         // Without emission multiplexing (ablation, §5.2/[98]), M-type
@@ -653,7 +594,7 @@ impl Egp {
         };
         let spec = AttemptSpec {
             queue_id: aid,
-            alpha: req.alpha,
+            alpha: req.service.alpha,
             kind,
             test_round: is_test,
         };
@@ -704,13 +645,10 @@ impl Egp {
                 if was_keep {
                     self.qmm.release_comm();
                 }
-                // Both sides attempted: clear the divergence counters.
-                self.nmo_counts.remove(&result.spec.queue_id);
-                self.qm_counts.clear();
+                self.both_attempted(result.spec.queue_id);
             }
             ReplyOutcome::Attempt(success) => {
-                self.nmo_counts.remove(&result.spec.queue_id);
-                self.qm_counts.clear();
+                self.both_attempted(result.spec.queue_id);
                 self.handle_success(success, result, local_bit, cycle, &mut events);
             }
         }
@@ -718,6 +656,14 @@ impl Egp {
     }
 
     // ----- internals ---------------------------------------------------
+
+    /// Both sides attempted `aid`: clear the divergence counters.
+    fn both_attempted(&mut self, aid: AbsQueueId) {
+        if let Some(req) = self.dq.get_mut(aid) {
+            (req.service.nmo_count, req.service.resyncs) = (0, 0);
+        }
+        self.qm_counts.clear();
+    }
 
     fn handle_mhp_error(
         &mut self,
@@ -747,31 +693,25 @@ impl Egp {
                 // later, e.g. when the remote node never received an OK
                 // for this pair").
                 let aid = result.spec.queue_id;
-                if !self.requests.contains_key(&aid) {
+                let Some(req) = self.dq.get_mut(aid) else {
                     return;
-                }
-                let threshold = self.effective_nmo_threshold;
-                let (count, resyncs) = self.nmo_counts.entry(aid).or_insert((0, 0));
-                *count += 1;
-                if *count >= threshold {
-                    *count = 0;
-                    *resyncs += 1;
-                    let give_up = *resyncs > self.cfg.resync_give_up;
-                    let req = &self.requests[&aid];
-                    if give_up {
+                };
+                req.service.nmo_count += 1;
+                if req.service.nmo_count >= self.effective_nmo_threshold {
+                    req.service.nmo_count = 0;
+                    req.service.resyncs += 1;
+                    if req.service.resyncs > self.cfg.resync_give_up {
                         // The peer has forgotten the request entirely;
                         // abandon it and tell the higher layer.
                         events.push(EgpEvent::Error(ErrMsg {
                             code: EgpErrorCode::Expire,
-                            create_id: req.id.create_id,
-                            origin_node_id: req.id.origin,
+                            create_id: req.item.create_id,
+                            origin_node_id: req.origin,
                             range_only: false,
                             seq_low: 0,
                             seq_high: 0,
                         }));
-                        self.requests.remove(&aid);
                         self.dq.remove(aid);
-                        self.nmo_counts.remove(&aid);
                         return;
                     }
                     // Resync EXPIRE: an empty sequence range carries our
@@ -779,18 +719,13 @@ impl Egp {
                     // progress back to the minimum of the two.
                     let expire = ExpireMsg {
                         queue_id: aid,
-                        origin_id: req.id.origin,
-                        create_id: req.id.create_id,
-                        seq_low: req.pairs_done,
-                        seq_high: req.pairs_done,
+                        origin_id: req.origin,
+                        create_id: req.item.create_id,
+                        seq_low: req.service.pairs_done,
+                        seq_high: req.service.pairs_done,
                     };
                     self.expires_sent += 1;
-                    self.pending_expires.push(PendingExpire {
-                        msg: expire,
-                        next_retransmit: cycle + self.cfg.reply_timeout_cycles,
-                        retries_left: 3,
-                    });
-                    events.push(EgpEvent::SendPeer(Frame::Expire(expire)));
+                    events.push(self.await_expire_ack(Frame::Expire(expire), aid, 3, cycle));
                 }
             }
             MhpError::TimeMismatch | MhpError::GenFail => {}
@@ -824,23 +759,18 @@ impl Egp {
         if !peer_is_earlier {
             return; // we are behind; the peer will reconcile
         }
-        let Some(req) = self.requests.get_mut(&theirs) else {
+        let Some(req) = self.dq.get_mut(theirs) else {
             return;
         };
-        if req.pairs_done == 0 {
+        if req.service.pairs_done == 0 {
             return;
         }
-        req.reopen(req.pairs_done - 1);
-        let id = req.id;
-        let last_seq = self
-            .issued_seqs
-            .get_mut(&theirs)
-            .and_then(|q| q.pop_back())
-            .unwrap_or(0);
+        req.reopen(req.service.pairs_done - 1);
+        let last_seq = req.service.issued_seqs.pop_back().unwrap_or(0);
         events.push(EgpEvent::Error(ErrMsg {
             code: EgpErrorCode::Expire,
-            create_id: id.create_id,
-            origin_node_id: id.origin,
+            create_id: req.item.create_id,
+            origin_node_id: req.origin,
             range_only: true,
             seq_low: last_seq,
             seq_high: last_seq.wrapping_add(1),
@@ -862,7 +792,7 @@ impl Egp {
 
         // Step 3(b): unknown request (timed out / completed): free
         // resources, resync, discard the pair.
-        if !self.requests.contains_key(&aid) {
+        let Some(req) = self.dq.get_mut(aid) else {
             if was_keep {
                 self.qmm.release_comm();
             }
@@ -871,32 +801,26 @@ impl Egp {
                 cycle: result.cycle,
             }));
             return;
-        }
+        };
 
         // Step 3(c)(iii): sequence processing.
         if seq == self.seq_expected {
             self.seq_expected = self.seq_expected.wrapping_add(1);
         } else if seq_after(seq, self.seq_expected) {
             // Missed successes: issue EXPIRE, discard this pair too.
-            let req = &self.requests[&aid];
             let expire = ExpireMsg {
                 queue_id: aid,
-                origin_id: req.id.origin,
-                create_id: req.id.create_id,
+                origin_id: req.origin,
+                create_id: req.item.create_id,
                 seq_low: self.seq_expected,
                 seq_high: seq.wrapping_add(1),
             };
             self.expires_sent += 1;
-            self.pending_expires.push(PendingExpire {
-                msg: expire,
-                next_retransmit: cycle + self.cfg.reply_timeout_cycles,
-                retries_left: 10,
-            });
-            events.push(EgpEvent::SendPeer(Frame::Expire(expire)));
+            events.push(self.await_expire_ack(Frame::Expire(expire), aid, 10, cycle));
             events.push(EgpEvent::Error(ErrMsg {
                 code: EgpErrorCode::Expire,
-                create_id: self.requests[&aid].id.create_id,
-                origin_node_id: self.requests[&aid].id.origin,
+                create_id: expire.create_id,
+                origin_node_id: expire.origin_id,
                 range_only: true,
                 seq_low: self.seq_expected,
                 seq_high: seq.wrapping_add(1),
@@ -922,8 +846,7 @@ impl Egp {
 
         // Test round (Appendix B): consumed for estimation, not counted.
         if result.spec.test_round {
-            let req = self.requests.get_mut(&aid).expect("checked above");
-            req.round += 1;
+            req.service.round += 1;
             events.push(EgpEvent::Hw(HwDirective::Discard {
                 cycle: result.cycle,
             }));
@@ -933,7 +856,7 @@ impl Egp {
         // A completed (lingering) request can still receive heralds
         // from attempts that were in flight when it finished (emission
         // multiplexing); they are surplus — discard the pairs.
-        if self.requests[&aid].is_complete() {
+        if req.is_complete() {
             if was_keep {
                 self.qmm.release_comm();
             }
@@ -945,12 +868,27 @@ impl Egp {
 
         match result.spec.kind {
             AttemptKind::Measure { basis } => {
-                self.deliver_measure_ok(success, result, basis, local_bit, cycle, events);
+                let ok = OkMeasureMsg {
+                    create_id: req.item.create_id,
+                    outcome: local_bit.unwrap_or(0),
+                    basis: to_wire_basis(basis),
+                    origin_is_local: req.origin == self.cfg.node_id,
+                    sequence_number: seq,
+                    purpose_id: req.item.purpose_id,
+                    remote_node_id: self.cfg.peer_id,
+                    goodness: Fidelity16::from_f64(req.service.goodness),
+                    // The pair was created in the attempt's detection
+                    // window, not when the reply was processed (§4.1.2
+                    // item 5).
+                    create_time_ps: result
+                        .cycle
+                        .saturating_mul(self.cfg.scenario.mhp_cycle.as_ps()),
+                };
+                req.deliver(seq, EgpEvent::OkMeasure(ok), cycle, events);
             }
             AttemptKind::Keep => {
                 // Step 3(c)(iv): correction to |Ψ+⟩ by the originator.
-                let req = self.requests.get_mut(&aid).expect("checked above");
-                if success == MidpointOutcome::PsiMinus && req.id.origin == self.cfg.node_id {
+                if success == MidpointOutcome::PsiMinus && req.origin == self.cfg.node_id {
                     events.push(EgpEvent::Hw(HwDirective::CorrectPsiMinus {
                         cycle: result.cycle,
                     }));
@@ -985,42 +923,6 @@ impl Egp {
         }
     }
 
-    fn deliver_measure_ok(
-        &mut self,
-        success: MidpointOutcome,
-        result: &MhpResult,
-        basis: Basis,
-        local_bit: Option<u8>,
-        cycle: u64,
-        events: &mut Vec<EgpEvent>,
-    ) {
-        let aid = result.spec.queue_id;
-        let seq = result.reply.as_ref().expect("success").mhp_seq;
-        let req = self.requests.get_mut(&aid).expect("checked");
-        req.pairs_done += 1;
-        req.round += 1;
-        let ok = OkMeasureMsg {
-            create_id: req.id.create_id,
-            outcome: local_bit.unwrap_or(0),
-            basis: to_wire_basis(basis),
-            origin_is_local: req.id.origin == self.cfg.node_id,
-            sequence_number: seq,
-            purpose_id: req.create.purpose_id,
-            remote_node_id: self.cfg.peer_id,
-            goodness: qlink_wire::fields::Fidelity16::from_f64(req.goodness),
-            // The pair was created in the attempt's detection window,
-            // not when the reply was processed (§4.1.2 item 5).
-            create_time_ps: result
-                .cycle
-                .saturating_mul(self.cfg.scenario.mhp_cycle.as_ps()),
-        };
-        let _ = success;
-        self.issued_seqs.entry(aid).or_default().push_back(seq);
-        self.trim_issued(aid);
-        self.emit_ok(aid, EgpEvent::OkMeasure(ok), events);
-        self.complete_if_done(aid, cycle, events);
-    }
-
     fn finish_move_if_ready(&mut self, cycle: u64, events: &mut Vec<EgpEvent>) {
         let Some(pm) = &self.pending_move else {
             return;
@@ -1029,7 +931,7 @@ impl Egp {
             return;
         }
         let pm = self.pending_move.take().expect("checked");
-        let Some(req) = self.requests.get_mut(&pm.aid) else {
+        let Some(req) = self.dq.get_mut(pm.aid) else {
             // Request vanished (timed out) while the move ran.
             self.qmm.release_storage(pm.qubit);
             events.push(EgpEvent::Hw(HwDirective::Discard {
@@ -1037,115 +939,60 @@ impl Egp {
             }));
             return;
         };
-        req.pairs_done += 1;
-        req.round += 1;
         let ok = OkKeepMsg {
-            create_id: req.id.create_id,
+            create_id: req.item.create_id,
             logical_qubit_id: pm.qubit,
-            origin_is_local: req.id.origin == self.cfg.node_id,
+            origin_is_local: req.origin == self.cfg.node_id,
             sequence_number: pm.seq,
-            purpose_id: req.create.purpose_id,
+            purpose_id: req.item.purpose_id,
             remote_node_id: self.cfg.peer_id,
-            goodness: qlink_wire::fields::Fidelity16::from_f64(req.goodness),
+            goodness: Fidelity16::from_f64(req.service.goodness),
             goodness_time_ps: req
+                .service
                 .accepted_cycle
                 .saturating_mul(self.cfg.scenario.mhp_cycle.as_ps()),
             create_time_ps: pm
                 .herald_cycle
                 .saturating_mul(self.cfg.scenario.mhp_cycle.as_ps()),
         };
-        let aid = pm.aid;
-        self.issued_seqs.entry(aid).or_default().push_back(pm.seq);
-        self.trim_issued(aid);
-        self.emit_ok(aid, EgpEvent::OkKeep(ok), events);
+        req.deliver(pm.seq, EgpEvent::OkKeep(ok), cycle, events);
         // The workloads of §6 consume pairs on delivery; the storage
         // qubit frees for the next pair (a CK application holding pairs
         // would instead release through the QMM explicitly).
         self.qmm.release_storage(pm.qubit);
-        self.complete_if_done(aid, cycle, events);
-    }
-
-    /// Emits an OK now (consecutive) or buffers it until the request
-    /// completes (§4.1.1 item 5).
-    fn emit_ok(&mut self, aid: AbsQueueId, ok: EgpEvent, events: &mut Vec<EgpEvent>) {
-        let consecutive = self
-            .requests
-            .get(&aid)
-            .map(|r| r.create.flags.consecutive)
-            .unwrap_or(true);
-        if consecutive {
-            events.push(ok);
-        } else {
-            self.buffered_oks.entry(aid).or_default().push(ok);
-        }
-    }
-
-    fn complete_if_done(&mut self, aid: AbsQueueId, cycle: u64, events: &mut Vec<EgpEvent>) {
-        let done = self
-            .requests
-            .get(&aid)
-            .map(|r| r.is_complete() && r.completed_cycle.is_none())
-            .unwrap_or(false);
-        if !done {
-            return;
-        }
-        if let Some(buffered) = self.buffered_oks.remove(&aid) {
-            events.extend(buffered);
-        }
-        // Completed requests linger (scheduler skips them) so a resync
-        // EXPIRE from a diverged peer can still reopen them; they are
-        // forgotten in `purge_timed_out` after the linger period.
-        if let Some(req) = self.requests.get_mut(&aid) {
-            req.state = RequestState::Completed;
-            req.completed_cycle = Some(cycle);
-        }
     }
 
     fn purge_timed_out(&mut self, cycle: u64, events: &mut Vec<EgpEvent>) {
         let linger = self.cfg.completed_linger_cycles;
+        // Completed requests are forgotten once their linger period
+        // passed; incomplete ones time out at their deadline.
         let lingered = |r: &Request| {
-            r.completed_cycle
+            r.service
+                .completed_cycle
                 .is_some_and(|c| cycle >= c.saturating_add(linger))
         };
-        let timed_out = |r: &Request| cycle >= r.timeout_cycle && !r.is_complete();
+        let timed_out = |r: &Request| cycle >= r.item.timeout_cycle && !r.is_complete();
+        let due = |r: &Request| lingered(r) || timed_out(r);
         // Runs every MHP cycle, and on almost every one nothing is due:
         // one read-only scan settles that without allocating.
-        if !self.requests.values().any(|r| lingered(r) || timed_out(r)) {
+        if !self.dq.iter().any(due) {
             return;
         }
-        // Forget completed requests once their linger period passed.
-        let forgotten: Vec<AbsQueueId> = self
-            .requests
+        // In queue order (the ERRs below reach the channel RNG and the
+        // network layer's re-route order).
+        let due: Vec<AbsQueueId> = self
+            .dq
             .iter()
-            .filter(|(_, r)| lingered(r))
-            .map(|(aid, _)| *aid)
+            .filter(|r| due(r))
+            .map(|r| r.item.queue_id)
             .collect();
-        for aid in forgotten {
-            self.requests.remove(&aid);
-            self.dq.remove(aid);
-            self.issued_seqs.remove(&aid);
-            self.nmo_counts.remove(&aid);
-        }
-        // Time out incomplete requests past their deadline, in queue
-        // order (the ERRs below reach the channel RNG and the network
-        // layer's re-route order).
-        let expired: Vec<AbsQueueId> = self
-            .requests
-            .iter()
-            .filter(|(_, r)| timed_out(r))
-            .map(|(aid, _)| *aid)
-            .collect();
-        for aid in expired {
-            let req = self.requests.remove(&aid).expect("collected");
-            self.dq.remove(aid);
-            self.buffered_oks.remove(&aid);
-            self.issued_seqs.remove(&aid);
-            self.nmo_counts.remove(&aid);
-            if req.id.origin == self.cfg.node_id {
+        for aid in due {
+            let req = self.dq.remove(aid).expect("collected");
+            if timed_out(&req) && req.origin == self.cfg.node_id {
                 events.push(EgpEvent::Error(ErrMsg {
                     code: EgpErrorCode::Timeout,
-                    create_id: req.id.create_id,
-                    origin_node_id: req.id.origin,
+                    create_id: req.item.create_id,
+                    origin_node_id: req.origin,
                     range_only: false,
                     seq_low: 0,
                     seq_high: 0,
@@ -1159,18 +1006,10 @@ impl Egp {
             if p.next_retransmit <= cycle && p.retries_left > 0 {
                 p.retries_left -= 1;
                 p.next_retransmit = cycle + self.cfg.reply_timeout_cycles;
-                events.push(EgpEvent::SendPeer(Frame::Expire(p.msg)));
+                events.push(EgpEvent::SendPeer(p.frame.clone()));
             }
         }
         self.pending_expires.retain(|p| p.retries_left > 0);
-        for p in &mut self.pending_retracts {
-            if p.next_retransmit <= cycle && p.retries_left > 0 {
-                p.retries_left -= 1;
-                p.next_retransmit = cycle + self.cfg.reply_timeout_cycles;
-                events.push(EgpEvent::SendPeer(Frame::Retract(p.msg)));
-            }
-        }
-        self.pending_retracts.retain(|p| p.retries_left > 0);
     }
 
     fn on_expire(&mut self, msg: ExpireMsg, _cycle: u64) -> Vec<EgpEvent> {
@@ -1180,20 +1019,20 @@ impl Egp {
         // pairs-done count; roll our progress back to match so both
         // sides regenerate the pairs the peer never confirmed.
         if msg.seq_low == msg.seq_high {
-            if let Some(req) = self.requests.get_mut(&msg.queue_id) {
+            if let Some(req) = self.dq.get_mut(msg.queue_id) {
                 let target = msg.seq_low;
-                if req.pairs_done > target {
-                    let revoked = req.pairs_done - target;
+                if req.service.pairs_done > target {
+                    let revoked = req.service.pairs_done - target;
                     req.reopen(target);
                     events.push(EgpEvent::Error(ErrMsg {
                         code: EgpErrorCode::Expire,
-                        create_id: req.id.create_id,
-                        origin_node_id: req.id.origin,
+                        create_id: req.item.create_id,
+                        origin_node_id: req.origin,
                         range_only: true,
                         seq_low: 0,
                         seq_high: revoked,
                     }));
-                    self.issued_seqs.remove(&msg.queue_id);
+                    req.service.issued_seqs.clear();
                 }
             }
             events.push(EgpEvent::SendPeer(Frame::ExpireAck(ExpireAckMsg {
@@ -1207,8 +1046,8 @@ impl Egp {
             self.seq_expected = msg.seq_high;
         }
         // Revoke any OKs we issued in [seq_low, seq_high).
-        if let Some(req) = self.requests.get_mut(&msg.queue_id) {
-            let issued = self.issued_seqs.entry(msg.queue_id).or_default();
+        if let Some(req) = self.dq.get_mut(msg.queue_id) {
+            let issued = &mut req.service.issued_seqs;
             let in_range = |s: u16| {
                 // Half-open wrap-aware range membership.
                 seq_in_range(s, msg.seq_low, msg.seq_high)
@@ -1216,11 +1055,11 @@ impl Egp {
             let revoked = issued.iter().filter(|s| in_range(**s)).count() as u16;
             issued.retain(|s| !in_range(*s));
             if revoked > 0 {
-                req.reopen(req.pairs_done.saturating_sub(revoked));
+                req.reopen(req.service.pairs_done.saturating_sub(revoked));
                 events.push(EgpEvent::Error(ErrMsg {
                     code: EgpErrorCode::Expire,
-                    create_id: req.id.create_id,
-                    origin_node_id: req.id.origin,
+                    create_id: req.item.create_id,
+                    origin_node_id: req.origin,
                     range_only: true,
                     seq_low: msg.seq_low,
                     seq_high: msg.seq_high,
@@ -1240,14 +1079,6 @@ impl Egp {
         cycle.div_ceil(self.keep_cadence_cycles) * self.keep_cadence_cycles
     }
 
-    fn trim_issued(&mut self, aid: AbsQueueId) {
-        if let Some(q) = self.issued_seqs.get_mut(&aid) {
-            while q.len() > 64 {
-                q.pop_front();
-            }
-        }
-    }
-
     fn process_dq_events(&mut self, dq_events: Vec<DqpEvent>, cycle: u64) -> Vec<EgpEvent> {
         // Per-cycle call, almost always with nothing to process.
         if dq_events.is_empty() {
@@ -1257,55 +1088,13 @@ impl Egp {
         for ev in dq_events {
             match ev {
                 DqpEvent::Send(msg) => events.push(EgpEvent::SendPeer(Frame::Dqp(msg))),
-                DqpEvent::Committed(entry) => {
-                    let aid = entry.aid;
-                    // A request retracted while its ADD was in flight:
-                    // retract the freshly committed entry instead of
-                    // tracking it.
-                    if entry.origin.origin == self.cfg.node_id
-                        && self.retracted_creates.remove(&entry.origin.create_id)
-                    {
-                        self.dq.remove(aid);
-                        events.push(self.send_retract(aid, entry.origin.create_id, cycle));
-                        continue;
-                    }
-                    // Our own template if we originated it, otherwise
-                    // build the request from the synchronized entry.
-                    let req = if entry.origin.origin == self.cfg.node_id {
-                        // Template moves over when AddSucceeded fires
-                        // (master: same flush; slave: on ACK).
-                        self.pending_creates
-                            .get(&entry.origin.create_id)
-                            .cloned()
-                            .map(|mut t| {
-                                t.queue_id = Some(aid);
-                                t.state = RequestState::Queued;
-                                t
-                            })
-                    } else {
-                        Some(self.request_from_entry(&entry))
-                    };
-                    if let Some(req) = req {
-                        self.requests.insert(aid, req);
-                    }
-                }
-                DqpEvent::AddSucceeded { create_id, aid } => {
-                    if self.retracted_creates.remove(&create_id) {
-                        self.drop_request(aid);
-                        events.push(self.send_retract(aid, create_id, cycle));
-                        continue;
-                    }
-                    if let Some(mut t) = self.pending_creates.remove(&create_id) {
-                        t.queue_id = Some(aid);
-                        t.state = RequestState::Queued;
-                        self.requests.entry(aid).or_insert(t);
-                    }
+                // The queue's table is the request table: a completed
+                // add leaves nothing to mirror.
+                DqpEvent::AddSucceeded { .. } => {}
+                DqpEvent::Retracted { create_id, aid } => {
+                    events.push(self.send_retract(aid, create_id, cycle));
                 }
                 DqpEvent::AddRejected { create_id, reason } => {
-                    self.pending_creates.remove(&create_id);
-                    if self.retracted_creates.remove(&create_id) {
-                        continue; // retracted before the queue denied it
-                    }
                     let code = match reason {
                         RejectReason::QueueFull => EgpErrorCode::OutOfMem,
                         RejectReason::PurposeDenied => EgpErrorCode::Denied,
@@ -1313,56 +1102,11 @@ impl Egp {
                     events.push(EgpEvent::Error(self.err(create_id, code)));
                 }
                 DqpEvent::AddTimedOut { create_id } => {
-                    self.pending_creates.remove(&create_id);
-                    if self.retracted_creates.remove(&create_id) {
-                        continue;
-                    }
                     events.push(EgpEvent::Error(self.err(create_id, EgpErrorCode::NoTime)));
-                }
-                DqpEvent::RolledBack { aid } => {
-                    self.requests.remove(&aid);
                 }
             }
         }
         events
-    }
-
-    fn request_from_entry(&mut self, entry: &QueueEntry) -> Request {
-        // Peer-originated request: reconstruct service parameters from
-        // the synchronized fields. α must match the peer's choice —
-        // both FEUs run the same deterministic inversion on the same
-        // Fmin, so they agree.
-        let rtype = entry.flags.request_type();
-        let fmin = entry.min_fidelity.to_f64();
-        let (alpha, goodness) = match self.feu.choose_alpha(fmin, rtype) {
-            Some(c) => (c.alpha, c.goodness),
-            None => (self.feu.alpha_min(), fmin),
-        };
-        Request {
-            id: entry.origin,
-            create: CreateMsg {
-                remote_node_id: entry.origin.origin,
-                min_fidelity: entry.min_fidelity,
-                max_time_us: 0,
-                purpose_id: entry.purpose_id,
-                number: entry.num_pairs,
-                priority: entry.priority,
-                flags: entry.flags,
-            },
-            queue_id: Some(entry.aid),
-            alpha,
-            goodness,
-            min_cycle: entry.schedule_cycle,
-            timeout_cycle: entry.timeout_cycle,
-            est_cycles_per_pair: entry.est_cycles_per_pair,
-            pairs_done: 0,
-            round: 0,
-            state: RequestState::Queued,
-            accepted_cycle: entry
-                .schedule_cycle
-                .saturating_sub(self.cfg.min_time_cycles),
-            completed_cycle: None,
-        }
     }
 
     fn err(&self, create_id: u16, code: EgpErrorCode) -> ErrMsg {
@@ -1375,6 +1119,19 @@ impl Egp {
             seq_high: 0,
         }
     }
+}
+
+/// The service state `item`, arriving in the peer's ADD, is committed
+/// with: α must match the peer's choice — both FEUs run the same
+/// deterministic inversion on the same Fmin, so they agree.
+fn peer_service(feu: &mut FidelityEstimator, min_time_cycles: u64, item: &QueueItem) -> Service {
+    let fmin = item.min_fidelity.to_f64();
+    let (alpha, goodness) = match feu.choose_alpha(fmin, item.flags.request_type()) {
+        Some(c) => (c.alpha, c.goodness),
+        None => (feu.alpha_min(), fmin),
+    };
+    let accepted_cycle = item.schedule_cycle.saturating_sub(min_time_cycles);
+    Service::new(alpha, goodness, accepted_cycle)
 }
 
 fn to_wire_basis(b: Basis) -> WireBasis {
@@ -1404,7 +1161,8 @@ mod tests {
     use qlink_phys::attempt::AttemptModel;
     use qlink_phys::mhp::{Midpoint, NodeMhp};
     use qlink_phys::params::ScenarioParams;
-    use qlink_wire::fields::{Fidelity16, RequestFlags};
+    use qlink_wire::fields::RequestFlags;
+    use std::collections::BTreeSet;
 
     const A: u32 = 1;
     const B: u32 = 2;
@@ -1476,6 +1234,9 @@ mod tests {
         /// arm), so A's reaction to it finds B already done with its own.
         late_reply_a_cycles: Vec<u64>,
         errors_b: Vec<ErrMsg>,
+        /// Each frame between the EGPs is lost with this probability.
+        frame_loss: f64,
+        loss_rng: DetRng,
     }
 
     impl Harness {
@@ -1501,6 +1262,8 @@ mod tests {
                 drop_reply_a_cycles: Vec::new(),
                 late_reply_a_cycles: Vec::new(),
                 errors_b: Vec::new(),
+                frame_loss: 0.0,
+                loss_rng: DetRng::new(7),
             }
         }
 
@@ -1511,8 +1274,11 @@ mod tests {
             while !queue_a.is_empty() || !queue_b.is_empty() {
                 let mut next_a = Vec::new();
                 let mut next_b = Vec::new();
+                let (loss, rng) = (self.frame_loss, &mut self.loss_rng);
+                let mut lost = || loss > 0.0 && rng.bernoulli(loss);
                 for ev in queue_a.drain(..) {
                     match ev {
+                        EgpEvent::SendPeer(_) if lost() => {}
                         EgpEvent::SendPeer(f) => next_b.extend(self.egp_b.on_peer_frame(f, cycle)),
                         EgpEvent::OkKeep(_) | EgpEvent::OkMeasure(_) => self.oks_a.push(ev),
                         EgpEvent::Error(e) => self.errors_a.push(e),
@@ -1521,6 +1287,7 @@ mod tests {
                 }
                 for ev in queue_b.drain(..) {
                     match ev {
+                        EgpEvent::SendPeer(_) if lost() => {}
                         EgpEvent::SendPeer(f) => next_a.extend(self.egp_a.on_peer_frame(f, cycle)),
                         EgpEvent::OkKeep(_) | EgpEvent::OkMeasure(_) => self.oks_b.push(ev),
                         EgpEvent::Error(e) => self.errors_b.push(e),
@@ -1738,6 +1505,39 @@ mod tests {
         assert_eq!(timed_out, vec![1, 3, 5, 7, 0, 2, 4, 6]);
     }
 
+    /// EXPIREs and RETRACTs that fall due in one cycle go out EXPIREs
+    /// first, each kind in the order first sent: the frames reach the
+    /// channel RNG in emission order.
+    #[test]
+    fn expires_due_together_are_retransmitted_ahead_of_retracts() {
+        let (mut a, _) = lab_pair(SchedulerPolicy::fcfs());
+        let aid = |qseq| AbsQueueId::new(0, qseq);
+        let expire = |qseq| {
+            Frame::Expire(ExpireMsg {
+                queue_id: aid(qseq),
+                origin_id: A,
+                create_id: qseq,
+                seq_low: 0,
+                seq_high: 0,
+            })
+        };
+        a.send_retract(aid(1), 1, 0);
+        a.await_expire_ack(expire(2), aid(2), 3, 0);
+        a.send_retract(aid(3), 3, 0);
+        a.await_expire_ack(expire(4), aid(4), 3, 0);
+        let (_, evs) = a.poll(a.cfg.reply_timeout_cycles);
+        let sent: Vec<(&str, u16)> = evs
+            .iter()
+            .map(|e| match e {
+                EgpEvent::SendPeer(Frame::Expire(m)) => ("EXPIRE", m.queue_id.qseq),
+                EgpEvent::SendPeer(Frame::Retract(m)) => ("RETRACT", m.queue_id.qseq),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let want = [("EXPIRE", 2), ("EXPIRE", 4), ("RETRACT", 1), ("RETRACT", 3)];
+        assert_eq!(sent, want);
+    }
+
     #[test]
     fn lost_reply_triggers_expire_recovery() {
         let mut h = Harness::new(SchedulerPolicy::fcfs());
@@ -1809,13 +1609,13 @@ mod tests {
         for c in 0..=reopened_at {
             h.step(c);
         }
-        let aid = *h.egp_b.requests.keys().next().expect("lingering");
+        let aid = h.egp_b.dq.iter().next().expect("lingering").item.queue_id;
         assert_eq!(h.count_oks(false), 3, "B completed before A's EXPIRE");
         assert_eq!(h.egp_a.expires_sent(), 1);
         assert_eq!(h.errors_b.len(), 1, "B revoked: {:?}", h.errors_b);
         assert_eq!((h.errors_b[0].seq_low, h.errors_b[0].seq_high), (1, 3));
         for egp in [&h.egp_a, &h.egp_b] {
-            assert_eq!(egp.requests[&aid].pairs_done, 1);
+            assert_eq!(egp.dq.get(aid).unwrap().service.pairs_done, 1);
         }
 
         // No herald until the first completion's linger has run out:
@@ -1826,20 +1626,31 @@ mod tests {
             h.step(c);
         }
         assert_eq!(
-            h.egp_b.requests.get(&aid).map(|r| r.state),
+            h.egp_b.dq.get(aid).map(|r| r.service.state),
             Some(RequestState::InService),
             "purged mid-service"
         );
 
         h.model = hot;
         let mut cycle = lingered;
-        while h.egp_a.requests[&aid].completed_cycle.is_none() {
+        while h
+            .egp_a
+            .dq
+            .get(aid)
+            .unwrap()
+            .service
+            .completed_cycle
+            .is_none()
+        {
             assert!(cycle < lingered + 400, "revoked pairs never regenerated");
             h.step(cycle);
             cycle += 1;
         }
         // Both sides complete on the same herald, once, and stop.
-        assert_eq!(h.egp_b.requests[&aid].completed_cycle, Some(cycle - 1));
+        assert_eq!(
+            h.egp_b.dq.get(aid).unwrap().service.completed_cycle,
+            Some(cycle - 1)
+        );
         assert_eq!(h.count_oks(true), 3);
         assert_eq!(h.count_oks(false), 5, "three, two revoked, two regenerated");
         let (attempt_a, _) = h.egp_a.poll(cycle);
@@ -1881,9 +1692,9 @@ mod tests {
         );
         assert_eq!((oks_for(&h.oks_a, 1), oks_for(&h.oks_b, 1)), (1, 1));
         for egp in [&h.egp_a, &h.egp_b] {
-            assert_eq!(egp.requests.len(), 2, "both linger");
-            for req in egp.requests.values() {
-                assert_eq!(req.state, RequestState::Completed);
+            assert_eq!(egp.queue_len(), 2, "both linger");
+            for req in egp.dq.iter() {
+                assert_eq!(req.service.state, RequestState::Completed);
             }
         }
         assert_eq!(h.egp_a.seq_expected(), h.egp_b.seq_expected());
@@ -2038,6 +1849,161 @@ mod tests {
                 assert!(egp.is_quiescent());
             }
             assert_eq!(before, format!("{egp:?}"), "quiescent polls changed state");
+        }
+    }
+
+    /// Seeded property: CREATEs from both origins (K and M, some for a
+    /// purpose the peer refuses), retractions, random frame loss,
+    /// blackouts long enough for an ADD to give up and roll back, and
+    /// stretches without a herald long enough for deadlines to pass,
+    /// in any interleaving. Once traffic stops and frames get through
+    /// again, both EGPs return to quiescence — with one table of
+    /// requests, that is every kind of per-request state gone with its
+    /// request — and no CREATE went unanswered: each was served in
+    /// full, ended in an ERR, or was retracted by its own higher layer.
+    /// Without loss each got exactly one of the three. (With loss a
+    /// second answer is possible: a master whose ACKs are all lost
+    /// serves the request, then reports NOTIME when its ADD gives up.)
+    ///
+    /// Every CREATE here has a deadline. Without one the link can wedge
+    /// under loss: a master that abandons a request (NO_MESSAGE_OTHER
+    /// give-up) while its ADD is still being retransmitted leaves the
+    /// slave an item the master no longer has, which the slave serves
+    /// first and the master cannot step back to — only the item's
+    /// timeout ends the queue mismatch.
+    #[test]
+    fn every_create_is_answered_and_no_request_state_outlives_its_request() {
+        const SEGMENT: u64 = 2_500; // > max_retries × retransmit_cycles
+        const DENIED_PURPOSE: u16 = 9;
+        struct Created {
+            at_a: bool,
+            create_id: u16,
+            pairs: u16,
+            retracted: bool,
+        }
+        let root = DetRng::new(0x0c4e_a7e5);
+        for case in 0..16 {
+            let mut rng = root.substream(&format!("case/{case}"));
+            let lossless = case % 4 == 0;
+            let policy = if rng.bernoulli(0.5) {
+                SchedulerPolicy::fcfs()
+            } else {
+                SchedulerPolicy::nl_strict_wfq()
+            };
+            let mut h = Harness::new(policy.clone());
+            let allowed: BTreeSet<u16> = [7].into_iter().collect();
+            for (egp, node, peer, role) in [
+                (&mut h.egp_a, A, B, Role::Master),
+                (&mut h.egp_b, B, A, Role::Slave),
+            ] {
+                let mut cfg = EgpConfig::for_scenario(
+                    node,
+                    peer,
+                    role,
+                    ScenarioParams::lab(),
+                    policy.clone(),
+                );
+                cfg.dq.allowed_purposes = Some(allowed.clone());
+                *egp = Egp::new(cfg);
+            }
+            let hot = h.model.clone();
+            let mut created: Vec<Created> = Vec::new();
+            let traffic_until = 4 * SEGMENT;
+            let mut cycle = 0;
+            while cycle < traffic_until || !(h.egp_a.is_quiescent() && h.egp_b.is_quiescent()) {
+                assert!(
+                    cycle < traffic_until + 400_000,
+                    "case {case}: never quiescent"
+                );
+                if cycle == traffic_until {
+                    (h.frame_loss, h.model) = (0.0, hot.clone());
+                } else if cycle < traffic_until && cycle % SEGMENT == 0 {
+                    h.frame_loss = match rng.below(4) {
+                        _ if lossless => 0.0,
+                        0 => 0.0,
+                        1 => 0.05,
+                        2 => 0.3,
+                        _ => 1.0,
+                    };
+                    h.model = if rng.bernoulli(0.3) {
+                        dead_model()
+                    } else {
+                        hot.clone()
+                    };
+                }
+                if cycle < traffic_until && rng.bernoulli(0.004) {
+                    let at_a = rng.bernoulli(0.5);
+                    let mut msg = create_msg(1 + rng.below(3) as u16, rng.bernoulli(0.3), 0);
+                    msg.priority = if msg.flags.store {
+                        rng.below(2) as u8
+                    } else {
+                        2
+                    };
+                    msg.flags.consecutive = rng.bernoulli(0.7);
+                    if rng.bernoulli(0.1) {
+                        msg.purpose_id = DENIED_PURPOSE;
+                    }
+                    // ≈ 12 000 or 20 000 cycles a pair; the FEU wants 8 300
+                    // for M and 10 800 for K.
+                    msg.max_time_us = (120_000 + 80_000 * rng.below(2)) * u64::from(msg.number);
+                    let pairs = msg.number;
+                    let egp = if at_a { &mut h.egp_a } else { &mut h.egp_b };
+                    let (create_id, evs) = egp.create(msg, cycle);
+                    let (from_a, from_b) = if at_a { (evs, vec![]) } else { (vec![], evs) };
+                    h.dispatch(from_a, from_b, cycle);
+                    created.push(Created {
+                        at_a,
+                        create_id,
+                        pairs,
+                        retracted: false,
+                    });
+                }
+                if cycle < traffic_until && !created.is_empty() && rng.bernoulli(0.001) {
+                    let pick = rng.below(created.len() as u64) as usize;
+                    let c = &mut created[pick];
+                    c.retracted = true;
+                    let egp = if c.at_a { &mut h.egp_a } else { &mut h.egp_b };
+                    let evs = egp.expire_request(c.create_id, cycle);
+                    let (from_a, from_b) = if c.at_a { (evs, vec![]) } else { (vec![], evs) };
+                    h.dispatch(from_a, from_b, cycle);
+                }
+                h.step(cycle);
+                cycle += 1;
+            }
+            assert_eq!(h.egp_a.queue_len(), h.egp_b.queue_len());
+            for c in &created {
+                let (oks, errors, node) = if c.at_a {
+                    (&h.oks_a, &h.errors_a, A)
+                } else {
+                    (&h.oks_b, &h.errors_b, B)
+                };
+                let delivered = oks
+                    .iter()
+                    .filter(|ok| match ok {
+                        EgpEvent::OkKeep(m) => m.origin_is_local && m.create_id == c.create_id,
+                        EgpEvent::OkMeasure(m) => m.origin_is_local && m.create_id == c.create_id,
+                        _ => false,
+                    })
+                    .count();
+                let served = delivered >= usize::from(c.pairs);
+                let failed = errors
+                    .iter()
+                    .filter(|e| {
+                        e.create_id == c.create_id && e.origin_node_id == node && !e.range_only
+                    })
+                    .count();
+                let id = c.create_id;
+                assert!(
+                    served || failed > 0 || c.retracted,
+                    "case {case}: CREATE {id} of node {node} went unanswered"
+                );
+                if lossless && !c.retracted {
+                    assert!(
+                        (served, failed) == (true, 0) || (served, failed) == (false, 1),
+                        "case {case}: CREATE {id} of node {node}: {delivered} OKs, {failed} ERRs"
+                    );
+                }
+            }
         }
     }
 }

@@ -22,7 +22,9 @@
 //! * [`shared_random`] — the pre-shared randomness both nodes use to
 //!   agree on test rounds and measurement bases without communication
 //!   (the strings `t` and `r` of Appendix B).
-//! * [`request`] — request bookkeeping shared by the above.
+//! * [`request`] — the one record of a committed request: the
+//!   synchronised queue item plus this node's progress on it, held in
+//!   the distributed queue's table and nowhere else.
 //! * [`egp`] — the EGP state machine itself (Protocol 2), written
 //!   sans-IO: frames/results in, frames/OKs/errors/hardware directives
 //!   out.
@@ -38,4 +40,4 @@ pub mod shared_random;
 pub use egp::{Egp, EgpConfig, EgpEvent, HwDirective};
 pub use feu::{FidelityEstimator, QberEstimator};
 pub use qmm::QuantumMemoryManager;
-pub use request::{RequestId, RequestState};
+pub use request::{Request, RequestState, Service};

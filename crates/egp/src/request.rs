@@ -1,53 +1,44 @@
-//! Request bookkeeping shared across the EGP components.
+//! The one record of a committed request: the synchronised queue item
+//! plus this node's progress on it.
+//!
+//! A CREATE is a [`QueueItem`] from the moment [`crate::egp::Egp`]
+//! accepts it. While its ADD awaits the ACK the item sits in the
+//! distributed queue's pending-add record beside a fresh [`Service`];
+//! at commit the two become a [`Request`] in the queue's table, and
+//! everything the link layer later learns about the request — pairs
+//! delivered, OKs issued or held back, divergence counters — is written
+//! there and nowhere else. Removing the entry forgets the request.
 
-use qlink_wire::egp::CreateMsg;
-use qlink_wire::fields::{AbsQueueId, RequestType};
+use crate::egp::EgpEvent;
+use qlink_wire::dqp::QueueItem;
+use qlink_wire::fields::RequestType;
+use std::collections::VecDeque;
 
-/// Identifies a request uniquely on this link: the originating node
-/// and its locally assigned create ID.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RequestId {
-    /// Node where the CREATE was submitted.
-    pub origin: u32,
-    /// The originator's create ID.
-    pub create_id: u16,
-}
-
-/// Lifecycle of a request as seen by one EGP.
+/// Lifecycle of a committed request as seen by one EGP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestState {
-    /// Submitted to the distributed queue; awaiting ACK.
-    Enqueueing,
-    /// In the distributed queue; not yet schedulable (`min_time`).
+    /// In the distributed queue; not yet picked by the scheduler.
     Queued,
     /// Being served by the scheduler.
     InService,
     /// All pairs delivered.
     Completed,
-    /// Failed (timeout / rejection / expiry of the whole request).
-    Failed,
 }
 
-/// One entanglement request with its link-local metadata — the queue
-/// item of §E.1 plus progress tracking.
-#[derive(Debug, Clone)]
-pub struct Request {
-    /// Origin + create ID.
-    pub id: RequestId,
-    /// The CREATE parameters as submitted.
-    pub create: CreateMsg,
-    /// Absolute queue ID once enqueued.
-    pub queue_id: Option<AbsQueueId>,
+/// OK sequence numbers remembered per request for EXPIRE to revoke.
+const ISSUED_SEQS_KEPT: usize = 64;
+
+/// What one node knows about a request beyond the synchronised item.
+/// The DQP carries it from the ADD to the queue entry and never reads
+/// it; only the EGP does.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Service {
     /// Bright-state population α chosen by the FEU.
     pub alpha: f64,
     /// FEU's fidelity estimate (the OK's Goodness).
     pub goodness: f64,
-    /// First MHP cycle the request may be served (`min_time`).
-    pub min_cycle: u64,
-    /// MHP cycle at which the request times out (`u64::MAX` = none).
-    pub timeout_cycle: u64,
-    /// Estimated MHP cycles to produce one pair (for WFQ weighting).
-    pub est_cycles_per_pair: u32,
+    /// MHP cycle at which the CREATE was accepted (for latency metrics).
+    pub accepted_cycle: u64,
     /// Pairs already delivered (OKs issued locally).
     pub pairs_done: u16,
     /// Round counter: total attempts-with-identity made, used to index
@@ -56,27 +47,65 @@ pub struct Request {
     pub round: u32,
     /// Current lifecycle state.
     pub state: RequestState,
-    /// MHP cycle at which the CREATE was accepted (for latency metrics).
-    pub accepted_cycle: u64,
     /// Cycle at which the request completed (kept for a linger period
     /// so EXPIRE-based resynchronisation can still reopen it).
     pub completed_cycle: Option<u64>,
+    /// Recently issued OK sequence numbers (for EXPIRE).
+    pub issued_seqs: VecDeque<u16>,
+    /// OKs held back until completion (non-consecutive requests).
+    pub buffered_oks: Vec<EgpEvent>,
+    /// Consecutive NO_MESSAGE_OTHER results (divergence detection).
+    pub nmo_count: u32,
+    /// Resync EXPIREs already sent for that divergence.
+    pub resyncs: u32,
+}
+
+impl Service {
+    /// The state of a request nothing has been done for yet.
+    pub fn new(alpha: f64, goodness: f64, accepted_cycle: u64) -> Self {
+        Service {
+            alpha,
+            goodness,
+            accepted_cycle,
+            pairs_done: 0,
+            round: 0,
+            state: RequestState::Queued,
+            completed_cycle: None,
+            issued_seqs: VecDeque::new(),
+            buffered_oks: Vec::new(),
+            nmo_count: 0,
+            resyncs: 0,
+        }
+    }
+}
+
+/// One committed entanglement request — the queue item of §E.1 plus
+/// progress tracking.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Request {
+    /// The synchronised fields, identical at both nodes.
+    pub item: QueueItem,
+    /// Node where the CREATE was submitted (what the item's MR flag
+    /// names on this link).
+    pub origin: u32,
+    /// This node's progress on the request.
+    pub service: Service,
 }
 
 impl Request {
     /// Remaining pairs to produce.
     pub fn pairs_remaining(&self) -> u16 {
-        self.create.number.saturating_sub(self.pairs_done)
+        self.item.num_pairs.saturating_sub(self.service.pairs_done)
     }
 
     /// K or M?
     pub fn request_type(&self) -> RequestType {
-        self.create.flags.request_type()
+        self.item.flags.request_type()
     }
 
     /// `true` once every pair has been delivered.
     pub fn is_complete(&self) -> bool {
-        self.pairs_done >= self.create.number
+        self.service.pairs_done >= self.item.num_pairs
     }
 
     /// Rolls progress back to `pairs_done` pairs (a peer revoked the
@@ -84,54 +113,70 @@ impl Request {
     /// still lingering is no longer complete: it must complete again,
     /// and linger from then.
     pub fn reopen(&mut self, pairs_done: u16) {
-        self.pairs_done = pairs_done;
-        self.state = RequestState::InService;
-        self.completed_cycle = None;
+        self.service.pairs_done = pairs_done;
+        self.service.state = RequestState::InService;
+        self.service.completed_cycle = None;
     }
 
     /// `true` if the request can be scheduled at `cycle`.
     pub fn is_ready(&self, cycle: u64) -> bool {
-        matches!(self.state, RequestState::Queued | RequestState::InService)
-            && cycle >= self.min_cycle
-            && cycle < self.timeout_cycle
+        self.service.state != RequestState::Completed
+            && cycle >= self.item.schedule_cycle
+            && cycle < self.item.timeout_cycle
+    }
+
+    /// Counts the pair delivered at `cycle` and hands its OK to the
+    /// higher layer: now (consecutive) or once the request completes
+    /// (§4.1.1 item 5), which the last pair makes it do.
+    pub fn deliver(&mut self, seq: u16, ok: EgpEvent, cycle: u64, events: &mut Vec<EgpEvent>) {
+        self.service.pairs_done += 1;
+        self.service.round += 1;
+        self.service.issued_seqs.push_back(seq);
+        if self.service.issued_seqs.len() > ISSUED_SEQS_KEPT {
+            self.service.issued_seqs.pop_front();
+        }
+        if self.item.flags.consecutive {
+            events.push(ok);
+        } else {
+            self.service.buffered_oks.push(ok);
+        }
+        if self.is_complete() && self.service.completed_cycle.is_none() {
+            events.append(&mut self.service.buffered_oks);
+            // Completed requests linger (the scheduler skips them) so
+            // a resync EXPIRE from a diverged peer can still reopen
+            // them; the EGP forgets them after the linger period.
+            self.service.state = RequestState::Completed;
+            self.service.completed_cycle = Some(cycle);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qlink_wire::fields::{Fidelity16, RequestFlags};
+    use qlink_wire::fields::{AbsQueueId, Fidelity16, RequestFlags};
 
     fn make(number: u16) -> Request {
         Request {
-            id: RequestId {
-                origin: 1,
-                create_id: 0,
-            },
-            create: CreateMsg {
-                remote_node_id: 2,
+            item: QueueItem {
+                queue_id: AbsQueueId::new(1, 0),
+                schedule_cycle: 10,
+                timeout_cycle: 100,
                 min_fidelity: Fidelity16::from_f64(0.64),
-                max_time_us: 0,
                 purpose_id: 0,
-                number,
+                create_id: 0,
+                num_pairs: number,
                 priority: 1,
+                initial_virtual_finish: 0.0,
+                est_cycles_per_pair: 5_000,
                 flags: RequestFlags {
                     store: true,
                     consecutive: true,
                     ..Default::default()
                 },
             },
-            queue_id: Some(AbsQueueId::new(1, 0)),
-            alpha: 0.1,
-            goodness: 0.65,
-            min_cycle: 10,
-            timeout_cycle: 100,
-            est_cycles_per_pair: 5_000,
-            pairs_done: 0,
-            round: 0,
-            state: RequestState::Queued,
-            accepted_cycle: 0,
-            completed_cycle: None,
+            origin: 1,
+            service: Service::new(0.1, 0.65, 0),
         }
     }
 
@@ -140,7 +185,7 @@ mod tests {
         let mut r = make(3);
         assert_eq!(r.pairs_remaining(), 3);
         assert!(!r.is_complete());
-        r.pairs_done = 3;
+        r.service.pairs_done = 3;
         assert!(r.is_complete());
         assert_eq!(r.pairs_remaining(), 0);
     }
@@ -157,11 +202,9 @@ mod tests {
     #[test]
     fn state_gates_readiness() {
         let mut r = make(1);
-        r.state = RequestState::Completed;
+        r.service.state = RequestState::Completed;
         assert!(!r.is_ready(50));
-        r.state = RequestState::Enqueueing;
-        assert!(!r.is_ready(50));
-        r.state = RequestState::InService;
+        r.service.state = RequestState::InService;
         assert!(r.is_ready(50));
     }
 

@@ -13,7 +13,7 @@
 //!   finish times the master stamped into each item (the paper's
 //!   `LowerWFQ` weights CK:MD = 2:1, `HigherWFQ` = 10:1).
 
-use crate::dqueue::QueueEntry;
+use qlink_wire::dqp::QueueItem;
 use qlink_wire::fields::AbsQueueId;
 
 /// Scheduling policy for the EGP.
@@ -49,17 +49,11 @@ impl SchedulerPolicy {
     /// `min_time`, timeout, resources); both nodes produce identical
     /// `ready` sets from their synchronized queues, so both pick the
     /// same item.
-    pub fn select<'a>(&self, ready: impl Iterator<Item = &'a QueueEntry>) -> Option<AbsQueueId> {
+    pub fn select<'a>(&self, ready: impl Iterator<Item = &'a QueueItem>) -> Option<AbsQueueId> {
         match self {
             SchedulerPolicy::Fcfs => ready
-                .min_by(|a, b| {
-                    (a.schedule_cycle, a.aid.qid, a.aid.qseq).cmp(&(
-                        b.schedule_cycle,
-                        b.aid.qid,
-                        b.aid.qseq,
-                    ))
-                })
-                .map(|e| e.aid),
+                .min_by_key(|e| (e.schedule_cycle, e.queue_id.qid, e.queue_id.qseq))
+                .map(|e| e.queue_id),
             SchedulerPolicy::StrictThenWfq { strict } => {
                 // One pass, no buffering (this runs every MHP cycle):
                 // track the best strict-class item — by position in
@@ -67,12 +61,12 @@ impl SchedulerPolicy {
                 // rest by WFQ virtual finish time. Any strict item
                 // beats every WFQ item.
                 let mut best_strict: Option<((usize, u64, u16), AbsQueueId)> = None;
-                let mut best_wfq: Option<&QueueEntry> = None;
+                let mut best_wfq: Option<&QueueItem> = None;
                 for e in ready {
-                    if let Some(class) = strict.iter().position(|&q| q == e.aid.qid) {
-                        let key = (class, e.schedule_cycle, e.aid.qseq);
+                    if let Some(class) = strict.iter().position(|&q| q == e.queue_id.qid) {
+                        let key = (class, e.schedule_cycle, e.queue_id.qseq);
                         if best_strict.is_none_or(|(best, _)| key < best) {
-                            best_strict = Some((key, e.aid));
+                            best_strict = Some((key, e.queue_id));
                         }
                     } else if best_strict.is_none()
                         && best_wfq.is_none_or(|best| wfq_order(e, best).is_lt())
@@ -80,40 +74,38 @@ impl SchedulerPolicy {
                         best_wfq = Some(e);
                     }
                 }
-                best_strict.map(|(_, aid)| aid).or(best_wfq.map(|e| e.aid))
+                best_strict
+                    .map(|(_, aid)| aid)
+                    .or(best_wfq.map(|e| e.queue_id))
             }
         }
     }
 }
 
 /// WFQ order: smallest virtual finish time, ties by queue ID.
-fn wfq_order(a: &QueueEntry, b: &QueueEntry) -> std::cmp::Ordering {
-    a.virtual_finish
-        .partial_cmp(&b.virtual_finish)
+fn wfq_order(a: &QueueItem, b: &QueueItem) -> std::cmp::Ordering {
+    a.initial_virtual_finish
+        .partial_cmp(&b.initial_virtual_finish)
         .expect("virtual finish is finite")
-        .then((a.aid.qid, a.aid.qseq).cmp(&(b.aid.qid, b.aid.qseq)))
+        .then((a.queue_id.qid, a.queue_id.qseq).cmp(&(b.queue_id.qid, b.queue_id.qseq)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::RequestId;
     use qlink_wire::fields::{Fidelity16, RequestFlags};
 
-    fn entry(qid: u8, qseq: u16, schedule: u64, vf: f64) -> QueueEntry {
-        QueueEntry {
-            aid: AbsQueueId::new(qid, qseq),
-            origin: RequestId {
-                origin: 1,
-                create_id: qseq,
-            },
+    fn entry(qid: u8, qseq: u16, schedule: u64, vf: f64) -> QueueItem {
+        QueueItem {
+            queue_id: AbsQueueId::new(qid, qseq),
             schedule_cycle: schedule,
             timeout_cycle: u64::MAX,
             min_fidelity: Fidelity16::from_f64(0.6),
             purpose_id: 0,
+            create_id: qseq,
             num_pairs: 1,
             priority: qid,
-            virtual_finish: vf,
+            initial_virtual_finish: vf,
             est_cycles_per_pair: 1000,
             flags: RequestFlags::default(),
         }
@@ -191,29 +183,29 @@ mod tests {
 
     /// The collect-then-filter `StrictThenWfq` selection the one-pass
     /// loop replaced, kept as its reference.
-    fn select_by_collecting(strict: &[u8], ready: &[QueueEntry]) -> Option<AbsQueueId> {
-        let items: Vec<&QueueEntry> = ready.iter().collect();
+    fn select_by_collecting(strict: &[u8], ready: &[QueueItem]) -> Option<AbsQueueId> {
+        let items: Vec<&QueueItem> = ready.iter().collect();
         // Strict classes first, in listed order, FCFS within.
         for &q in strict {
             if let Some(e) = items
                 .iter()
-                .filter(|e| e.aid.qid == q)
-                .min_by_key(|e| (e.schedule_cycle, e.aid.qseq))
+                .filter(|e| e.queue_id.qid == q)
+                .min_by_key(|e| (e.schedule_cycle, e.queue_id.qseq))
             {
-                return Some(e.aid);
+                return Some(e.queue_id);
             }
         }
         // WFQ among the rest: smallest virtual finish time.
         items
             .iter()
-            .filter(|e| !strict.contains(&e.aid.qid))
+            .filter(|e| !strict.contains(&e.queue_id.qid))
             .min_by(|a, b| {
-                a.virtual_finish
-                    .partial_cmp(&b.virtual_finish)
+                a.initial_virtual_finish
+                    .partial_cmp(&b.initial_virtual_finish)
                     .expect("virtual finish is finite")
-                    .then((a.aid.qid, a.aid.qseq).cmp(&(b.aid.qid, b.aid.qseq)))
+                    .then((a.queue_id.qid, a.queue_id.qseq).cmp(&(b.queue_id.qid, b.queue_id.qseq)))
             })
-            .map(|e| e.aid)
+            .map(|e| e.queue_id)
     }
 
     #[test]
@@ -230,10 +222,13 @@ mod tests {
             }
             // Distinct queue IDs in random order; schedule cycles and
             // virtual finish times from tiny ranges, so ties abound.
-            let mut ready: Vec<QueueEntry> = Vec::new();
+            let mut ready: Vec<QueueItem> = Vec::new();
             for _ in 0..rng.below(9) {
                 let (qid, qseq) = (rng.below(4) as u8, rng.below(6) as u16);
-                if ready.iter().all(|e| e.aid != AbsQueueId::new(qid, qseq)) {
+                if ready
+                    .iter()
+                    .all(|e| e.queue_id != AbsQueueId::new(qid, qseq))
+                {
                     let vf = rng.below(3) as f64 * 0.5;
                     ready.push(entry(qid, qseq, 100 + rng.below(3), vf));
                 }

@@ -179,13 +179,6 @@ impl Topology {
         id
     }
 
-    /// Adds a named node; returns its index.
-    pub fn add_named_node(&mut self, name: impl Into<String>) -> usize {
-        let id = self.add_node();
-        self.nodes[id].name = name.into();
-        id
-    }
-
     /// Connects two nodes with a quantum link; the classical control
     /// delay defaults to the fiber propagation delay over the edge's
     /// full span. Returns the edge index.

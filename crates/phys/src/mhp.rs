@@ -254,11 +254,6 @@ impl Midpoint {
         self.next_seq
     }
 
-    /// Number of detection windows currently open.
-    pub fn open_windows(&self) -> usize {
-        self.windows.len()
-    }
-
     /// The window slot of `node`; `None` for a node this station does
     /// not serve.
     fn slot(&self, node: NodeId) -> Option<usize> {

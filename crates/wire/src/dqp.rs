@@ -38,16 +38,13 @@ impl DqpFrameType {
     }
 }
 
-/// A DQP message (Fig. 24), carrying an entanglement request and its
-/// queue-placement metadata.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DqpMessage {
-    /// ADD / ACK / REJ discriminator.
-    pub frame_type: DqpFrameType,
-    /// Communication sequence number of this DQP exchange (`CSEQ`),
-    /// used to pair ACK/REJ with the ADD they answer.
-    pub cseq: u8,
-    /// Absolute queue ID `(QID, QSEQ)` being assigned/confirmed.
+/// One distributed-queue item: the fields of Fig. 24 both nodes hold
+/// identically for a request. Declared once and embedded whole in the
+/// DQP frame, the pending ADD and the committed queue entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueueItem {
+    /// Absolute queue ID `(QID, QSEQ)` being assigned/confirmed (zero
+    /// in a slave's ADD: the master has yet to assign it).
     pub queue_id: AbsQueueId,
     /// First MHP cycle at which the request may be served
     /// (`Schedule Cycle`, the paper's `min_time`).
@@ -65,7 +62,7 @@ pub struct DqpMessage {
     /// Priority (4 bits used — one of the 16 local queues).
     pub priority: u8,
     /// Weighted-fair-queueing virtual finish time
-    /// (`Initial Virtual Finish`).
+    /// (`Initial Virtual Finish`), stamped by the master at commit.
     pub initial_virtual_finish: f64,
     /// Expected MHP cycles needed per pair (`Estimated Cycles/Pair`),
     /// used for WFQ weighting.
@@ -74,12 +71,9 @@ pub struct DqpMessage {
     pub flags: RequestFlags,
 }
 
-impl DqpMessage {
-    /// Serialises the message body (without frame discriminator / CRC).
+impl QueueItem {
     #[inline]
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.frame_type.to_wire());
-        w.put_u8(self.cseq);
+    fn encode(&self, w: &mut Writer) {
         self.queue_id.encode(w);
         w.put_u64(self.schedule_cycle);
         w.put_u64(self.timeout_cycle);
@@ -93,12 +87,8 @@ impl DqpMessage {
         self.flags.encode(w);
     }
 
-    /// Parses a message body.
     #[inline]
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let frame_type = DqpFrameType::from_wire(r.get_u8()?);
-        let frame_type = frame_type?;
-        let cseq = r.get_u8()?;
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let queue_id = AbsQueueId::decode(r)?;
         let schedule_cycle = r.get_u64()?;
         let timeout_cycle = r.get_u64()?;
@@ -116,9 +106,7 @@ impl DqpMessage {
         }
         let est_cycles_per_pair = r.get_u32()?;
         let flags = RequestFlags::decode(r)?;
-        Ok(DqpMessage {
-            frame_type,
-            cseq,
+        Ok(QueueItem {
             queue_id,
             schedule_cycle,
             timeout_cycle,
@@ -134,6 +122,42 @@ impl DqpMessage {
     }
 }
 
+/// A DQP message (Fig. 24): one queue item and what is being said
+/// about it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DqpMessage {
+    /// ADD / ACK / REJ discriminator.
+    pub frame_type: DqpFrameType,
+    /// Communication sequence number of this DQP exchange (`CSEQ`),
+    /// used to pair ACK/REJ with the ADD they answer.
+    pub cseq: u8,
+    /// The item being added, confirmed or refused.
+    pub item: QueueItem,
+}
+
+impl DqpMessage {
+    /// Serialises the message body (without frame discriminator / CRC).
+    #[inline]
+    pub fn encode(&self, w: &mut Writer) {
+        w.put_u8(self.frame_type.to_wire());
+        w.put_u8(self.cseq);
+        self.item.encode(w);
+    }
+
+    /// Parses a message body.
+    #[inline]
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let frame_type = DqpFrameType::from_wire(r.get_u8()?)?;
+        let cseq = r.get_u8()?;
+        let item = QueueItem::decode(r)?;
+        Ok(DqpMessage {
+            frame_type,
+            cseq,
+            item,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,22 +166,24 @@ mod tests {
         DqpMessage {
             frame_type: DqpFrameType::Add,
             cseq: 7,
-            queue_id: AbsQueueId::new(2, 513),
-            schedule_cycle: 1_000_000,
-            timeout_cycle: 2_000_000,
-            min_fidelity: Fidelity16::from_f64(0.64),
-            purpose_id: 42,
-            create_id: 9,
-            num_pairs: 3,
-            priority: 2,
-            initial_virtual_finish: 123.5,
-            est_cycles_per_pair: 2700,
-            flags: RequestFlags {
-                store: true,
-                atomic: false,
-                measure_directly: false,
-                master_request: true,
-                consecutive: true,
+            item: QueueItem {
+                queue_id: AbsQueueId::new(2, 513),
+                schedule_cycle: 1_000_000,
+                timeout_cycle: 2_000_000,
+                min_fidelity: Fidelity16::from_f64(0.64),
+                purpose_id: 42,
+                create_id: 9,
+                num_pairs: 3,
+                priority: 2,
+                initial_virtual_finish: 123.5,
+                est_cycles_per_pair: 2700,
+                flags: RequestFlags {
+                    store: true,
+                    atomic: false,
+                    measure_directly: false,
+                    master_request: true,
+                    consecutive: true,
+                },
             },
         }
     }

@@ -193,7 +193,7 @@ mod tests {
 
     /// Every variant, every field at its largest encodable value.
     fn max_field_frames() -> Vec<Frame> {
-        use crate::dqp::DqpFrameType;
+        use crate::dqp::{DqpFrameType, QueueItem};
         use crate::egp::{EgpErrorCode, WireBasis};
         let aid = AbsQueueId::new(AbsQueueId::MAX_QUEUES - 1, u16::MAX);
         let flags = RequestFlags {
@@ -207,17 +207,19 @@ mod tests {
             Frame::Dqp(DqpMessage {
                 frame_type: DqpFrameType::Rej,
                 cseq: u8::MAX,
-                queue_id: aid,
-                schedule_cycle: u64::MAX,
-                timeout_cycle: u64::MAX,
-                min_fidelity: Fidelity16::from_f64(1.0),
-                purpose_id: u16::MAX,
-                create_id: u16::MAX,
-                num_pairs: u16::MAX,
-                priority: 15,
-                initial_virtual_finish: f64::MAX,
-                est_cycles_per_pair: u32::MAX,
-                flags,
+                item: QueueItem {
+                    queue_id: aid,
+                    schedule_cycle: u64::MAX,
+                    timeout_cycle: u64::MAX,
+                    min_fidelity: Fidelity16::from_f64(1.0),
+                    purpose_id: u16::MAX,
+                    create_id: u16::MAX,
+                    num_pairs: u16::MAX,
+                    priority: 15,
+                    initial_virtual_finish: f64::MAX,
+                    est_cycles_per_pair: u32::MAX,
+                    flags,
+                },
             }),
             Frame::Gen(GenMsg {
                 queue_id: aid,

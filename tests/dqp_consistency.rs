@@ -8,25 +8,33 @@
 //! deterministic with the failing case index in the panic message.
 
 use qlink::des::DetRng;
-use qlink::egp::dqueue::{AddPayload, DistributedQueue, DqpEvent, DqueueConfig, Role};
-use qlink::egp::request::RequestId;
-use qlink::wire::fields::{Fidelity16, RequestFlags};
+use qlink::egp::dqueue::{DistributedQueue, DqpEvent, DqueueConfig, Role};
+use qlink::egp::request::Service;
+use qlink::wire::dqp::{DqpFrameType, DqpMessage, QueueItem};
+use qlink::wire::fields::{AbsQueueId, Fidelity16, RequestFlags};
 
-fn payload(create_id: u16, origin: u32, priority: u8) -> AddPayload {
-    AddPayload {
-        origin: RequestId { origin, create_id },
+fn payload(create_id: u16, priority: u8) -> QueueItem {
+    QueueItem {
+        queue_id: AbsQueueId::new(0, 0),
         schedule_cycle: 100,
         timeout_cycle: u64::MAX,
         min_fidelity: Fidelity16::from_f64(0.6),
         purpose_id: 1,
+        create_id,
         num_pairs: 1,
         priority,
+        initial_virtual_finish: 0.0,
         est_cycles_per_pair: 1_000,
         flags: RequestFlags {
             store: true,
             ..Default::default()
         },
     }
+}
+
+/// The DQP carries service state without reading it: any will do.
+fn service() -> Service {
+    Service::new(0.1, 0.7, 0)
 }
 
 /// Drives both queues with interleaved adds and a lossy in-order
@@ -42,12 +50,12 @@ fn run_session(
     let mut slave = DistributedQueue::new(Role::Slave, DqueueConfig::default());
 
     // In-flight frames as (to_master?, msg).
-    let mut wire: Vec<(bool, qlink::wire::dqp::DqpMessage)> = Vec::new();
+    let mut wire: Vec<(bool, DqpMessage)> = Vec::new();
     let mut cycle = 0u64;
 
     let push_events = |events: Vec<DqpEvent>,
                        from_master: bool,
-                       wire: &mut Vec<(bool, qlink::wire::dqp::DqpMessage)>,
+                       wire: &mut Vec<(bool, DqpMessage)>,
                        rng: &mut DetRng,
                        lossy: bool| {
         for ev in events {
@@ -62,19 +70,19 @@ fn run_session(
     // Phase 1: submit all adds, lossy delivery.
     for (i, (from_master, priority)) in adds.iter().enumerate() {
         cycle += 10;
-        let p = payload(i as u16, if *from_master { 1 } else { 2 }, *priority);
+        let p = payload(i as u16, *priority);
         let events = if *from_master {
-            master.add(p, cycle)
+            master.add(p, service(), cycle)
         } else {
-            slave.add(p, cycle)
+            slave.add(p, service(), cycle)
         };
         push_events(events, *from_master, &mut wire, &mut rng, true);
         // Deliver anything on the wire (also lossy responses).
         while let Some((to_master, msg)) = wire.pop() {
             let events = if to_master {
-                master.on_frame(msg, cycle)
+                master.on_frame(msg, service, cycle)
             } else {
-                slave.on_frame(msg, cycle)
+                slave.on_frame(msg, service, cycle)
             };
             push_events(events, to_master, &mut wire, &mut rng, true);
         }
@@ -90,9 +98,9 @@ fn run_session(
         push_events(ev_s, false, &mut wire, &mut rng, false);
         while let Some((to_master, msg)) = wire.pop() {
             let events = if to_master {
-                master.on_frame(msg, cycle)
+                master.on_frame(msg, service, cycle)
             } else {
-                slave.on_frame(msg, cycle)
+                slave.on_frame(msg, service, cycle)
             };
             push_events(events, to_master, &mut wire, &mut rng, false);
         }
@@ -103,7 +111,7 @@ fn run_session(
             .map(|e| {
                 format!(
                     "{}:{}:{}:{}",
-                    e.aid.qid, e.aid.qseq, e.origin.origin, e.origin.create_id
+                    e.item.queue_id.qid, e.item.queue_id.qseq, e.origin, e.item.create_id
                 )
             })
             .collect::<Vec<_>>()
@@ -154,4 +162,51 @@ fn lossless_sessions_commit_everything() {
         );
         assert_eq!(m, s, "case {case}");
     }
+}
+
+/// One slave add with nothing lost; returns the queue ID the slave is
+/// told the item has.
+fn slave_add(
+    master: &mut DistributedQueue,
+    slave: &mut DistributedQueue,
+    create_id: u16,
+    priority: u8,
+) -> AbsQueueId {
+    let mut acked = None;
+    for ev in slave.add(payload(create_id, priority), service(), 0) {
+        let DqpEvent::Send(add) = ev else { continue };
+        for ev in master.on_frame(add, service, 0) {
+            let DqpEvent::Send(ack) = ev else { continue };
+            assert_eq!(ack.frame_type, DqpFrameType::Ack);
+            for ev in slave.on_frame(ack, service, 0) {
+                if let DqpEvent::AddSucceeded { create_id: id, aid } = ev {
+                    assert_eq!(id, create_id);
+                    acked = Some(aid);
+                }
+            }
+        }
+    }
+    acked.expect("add acknowledged")
+}
+
+/// The 8-bit CSEQ of a slave's ADDs wraps every 256 adds. The master
+/// remembers which queue ID it gave each CSEQ, to re-ACK a
+/// retransmitted ADD; an ADD whose CSEQ merely wrapped onto an item
+/// still queued is a new item, and must get a queue ID of its own —
+/// it used to be answered with the old item's, and was lost.
+#[test]
+fn a_wrapped_cseq_is_not_taken_for_a_retransmission() {
+    let mut master = DistributedQueue::new(Role::Master, DqueueConfig::default());
+    let mut slave = DistributedQueue::new(Role::Slave, DqueueConfig::default());
+    // CSEQ 0: an item that stays queued (never served).
+    let starved = slave_add(&mut master, &mut slave, 0, 2);
+    // CSEQs 1..=255: items that come and go.
+    for create_id in 1..=255 {
+        let aid = slave_add(&mut master, &mut slave, create_id, 0);
+        assert!(master.remove(aid).is_some() && slave.remove(aid).is_some());
+    }
+    // CSEQ 0 again, a new item.
+    let aid = slave_add(&mut master, &mut slave, 256, 0);
+    assert_ne!(aid, starved, "answered with the starved item's queue ID");
+    assert_eq!((master.len(), slave.len()), (2, 2), "the new item is lost");
 }

@@ -829,12 +829,7 @@ fn timeout_storm_retracts_queued_creates_from_links() {
         assert_eq!(
             net.link(0).egp(side).queue_len(),
             0,
-            "side {side}: orphaned CREATEs must leave the EGP queue"
-        );
-        assert_eq!(
-            net.link(0).egp(side).tracked_requests(),
-            0,
-            "side {side}: no zombie request state"
+            "side {side}: orphaned CREATEs must leave the EGP queue, and the queue is all the request state there is"
         );
     }
     // The link is not wedged: a fresh (unarmed) request completes.

@@ -11,7 +11,7 @@ use qlink::math::stats::{relative_difference, RunningStats};
 use qlink::math::CMatrix;
 use qlink::quantum::bell::{bell_fidelity, werner_state, BellState, Qber};
 use qlink::quantum::{channels, gates, Basis, QuantumState};
-use qlink::wire::dqp::{DqpFrameType, DqpMessage};
+use qlink::wire::dqp::{DqpFrameType, DqpMessage, QueueItem};
 use qlink::wire::egp::{CreateMsg, ExpireMsg};
 use qlink::wire::fields::{AbsQueueId, Fidelity16, RequestFlags};
 use qlink::wire::mhp::GenMsg;
@@ -65,25 +65,27 @@ fn frame_round_trip_dqp() {
                 _ => DqpFrameType::Rej,
             },
             cseq: rng.below(256) as u8,
-            queue_id: AbsQueueId::new(rng.below(16) as u8, u16_any(rng)),
-            schedule_cycle: u64_any(rng),
-            timeout_cycle: u64_any(rng),
-            min_fidelity: Fidelity16::from_f64(rng.uniform()),
-            purpose_id: u16_any(rng),
-            create_id: u16_any(rng),
-            num_pairs: 1 + rng.below(511) as u16,
-            priority: rng.below(16) as u8,
-            initial_virtual_finish: rng.uniform() * 1e12,
-            est_cycles_per_pair: rng.below(1 << 32) as u32,
-            flags: {
-                let store = rng.bernoulli(0.5);
-                RequestFlags {
-                    store,
-                    atomic: rng.bernoulli(0.5),
-                    measure_directly: !store,
-                    master_request: false,
-                    consecutive: rng.bernoulli(0.5),
-                }
+            item: QueueItem {
+                queue_id: AbsQueueId::new(rng.below(16) as u8, u16_any(rng)),
+                schedule_cycle: u64_any(rng),
+                timeout_cycle: u64_any(rng),
+                min_fidelity: Fidelity16::from_f64(rng.uniform()),
+                purpose_id: u16_any(rng),
+                create_id: u16_any(rng),
+                num_pairs: 1 + rng.below(511) as u16,
+                priority: rng.below(16) as u8,
+                initial_virtual_finish: rng.uniform() * 1e12,
+                est_cycles_per_pair: rng.below(1 << 32) as u32,
+                flags: {
+                    let store = rng.bernoulli(0.5);
+                    RequestFlags {
+                        store,
+                        atomic: rng.bernoulli(0.5),
+                        measure_directly: !store,
+                        master_request: false,
+                        consecutive: rng.bernoulli(0.5),
+                    }
+                },
             },
         });
         let bytes = frame.encode();

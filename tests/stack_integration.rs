@@ -74,6 +74,22 @@ fn requests_from_both_origins_complete() {
     );
 }
 
+/// One origin alone may add any number of items in a row: the DQP's
+/// fairness-run counter is a `u8` that used to be bumped unchecked, so
+/// the 256th consecutive CREATE from the master panicked a debug build
+/// (and restarted the fairness window in a release one).
+#[test]
+fn three_hundred_creates_from_one_side_are_queued_or_refused() {
+    let mut sim = LinkSimulation::new(LinkConfig::lab(WorkloadSpec::none(), 4));
+    sim.capture_rejections();
+    for _ in 0..300 {
+        sim.submit(0, md(1, 0));
+    }
+    // The MD queue holds 256 items; the rest are refused, not lost.
+    assert_eq!(sim.egp(0).queue_len(), 256);
+    assert_eq!(sim.drain_rejections().len(), 44);
+}
+
 #[test]
 fn delivered_fidelity_meets_requested_minimum_on_average() {
     let mut sim = LinkSimulation::new(LinkConfig::lab(WorkloadSpec::none(), 4));
