@@ -41,7 +41,6 @@
 //!   so results are bit-identical with telemetry on or off); enable
 //!   per network via [`Network::set_telemetry`] or
 //!   process-wide via the `QLINK_TRACE` environment variable;
-//! * [`chain`] — the repeater-chain convenience wrapper;
 //! * [`load`](mod@load) — the open-loop workload engine: deterministic
 //!   Poisson or trace-driven arrival streams over per-application user
 //!   classes (CK/MD kind, priority, fmin, latency/fidelity SLO
@@ -70,18 +69,19 @@
 //!   failure and UNSUPP and priced into all planning through
 //!   [`PlanContext::penalties`] ([`Network::set_fault_plan`]).
 
-pub mod chain;
+mod engine;
 pub mod fault;
+mod ledger;
 pub mod load;
 pub mod network;
 pub mod node;
 pub mod obs;
+mod planner;
 pub mod route;
 pub mod ruleset;
 pub mod sweep;
 pub mod topology;
 
-pub use chain::{ChainOutcome, RepeaterChain};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, Flapping, PenaltyBox, PenaltyConfig};
 pub use load::{
     AdmissionControl, ArrivalProcess, ClassLoadStats, LoadStats, SloTarget, TraceArrival,
@@ -101,7 +101,7 @@ pub use ruleset::{
     Action, ArmProgram, Condition, FiredRule, Obs, Policy, Rule, RuleSet, RuleState, Trigger,
 };
 pub use sweep::{
-    run_one, sweep, FaultChoice, LinkScenario, MetricChoice, RunRecord, ScenarioSpec,
-    ScenarioStats, SweepReport, TopologyChoice,
+    run_one, sweep, FaultChoice, LinkScenario, MetricChoice, RunRecord, ScenarioSpec, SweepReport,
+    TopologyChoice,
 };
 pub use topology::{Edge, Node, Topology};

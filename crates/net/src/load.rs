@@ -45,6 +45,7 @@
 //! [`Network::set_workload`]: crate::network::Network::set_workload
 
 use crate::obs::{fidelity_histogram, latency_histogram};
+use crate::topology::Topology;
 use qlink_des::{DetRng, Histogram, IntMap, SimDuration, SimTime};
 pub use qlink_sim::config::RequestKind;
 use std::collections::VecDeque;
@@ -249,6 +250,74 @@ impl Workload {
         self.max_arrivals = Some(n);
         self
     }
+
+    /// Checks the spec against the topology it is armed on.
+    ///
+    /// # Panics
+    /// Panics on an empty class list, a non-positive Poisson rate or
+    /// class weight, an unsorted trace, an out-of-range class or node
+    /// index, a `src == dst` pair, a disconnected pair, or a Poisson
+    /// class with an empty pair pool.
+    pub(crate) fn validate(&self, topo: &Topology) {
+        assert!(
+            !self.classes.is_empty(),
+            "a workload needs at least one user class"
+        );
+        let nodes = topo.node_count();
+        let check_pair = |(src, dst): (usize, usize)| {
+            assert!(
+                src < nodes && dst < nodes,
+                "pair ({src}, {dst}) off-topology"
+            );
+            assert!(src != dst, "pair ({src}, {dst}) needs two distinct ends");
+            assert!(
+                topo.shortest_path(src, dst).is_some(),
+                "no path from {src} to {dst}"
+            );
+        };
+        for class in &self.classes {
+            assert!(
+                class.weight > 0.0 && class.weight.is_finite(),
+                "class {:?} needs a positive weight",
+                class.name
+            );
+            for &pair in &class.pairs {
+                check_pair(pair);
+            }
+        }
+        match &self.arrivals {
+            ArrivalProcess::Poisson { rate_hz } => {
+                assert!(
+                    *rate_hz > 0.0 && rate_hz.is_finite(),
+                    "Poisson arrivals need a positive rate"
+                );
+                for class in &self.classes {
+                    assert!(
+                        !class.pairs.is_empty(),
+                        "Poisson class {:?} needs a pair pool",
+                        class.name
+                    );
+                }
+            }
+            ArrivalProcess::Trace { arrivals } => {
+                for pair in arrivals.windows(2) {
+                    assert!(
+                        pair[0].after <= pair[1].after,
+                        "trace arrivals must be sorted by time"
+                    );
+                }
+                for a in arrivals.iter() {
+                    assert!(
+                        a.class < self.classes.len(),
+                        "trace arrival names class {} of {}",
+                        a.class,
+                        self.classes.len()
+                    );
+                    check_pair(a.pair);
+                }
+            }
+        }
+    }
 }
 
 /// Exact per-class accounting of one open-loop run. Every counter is
@@ -421,6 +490,9 @@ struct InFlightReq {
 #[derive(Debug)]
 pub(crate) struct LoadEngine {
     spec: Workload,
+    /// Which armed stream this is: arrival events carry the number, so
+    /// one a replaced stream left on the queue is not taken for ours.
+    stream: u64,
     /// Cached per-class Poisson weights (spec order).
     weights: Vec<f64>,
     /// Class indices in admission-drain order: priority ascending,
@@ -433,7 +505,7 @@ pub(crate) struct LoadEngine {
 }
 
 impl LoadEngine {
-    pub(crate) fn new(spec: Workload) -> LoadEngine {
+    pub(crate) fn new(spec: Workload, stream: u64) -> LoadEngine {
         let weights: Vec<f64> = spec.classes.iter().map(|c| c.weight).collect();
         let mut drain_order: Vec<usize> = (0..spec.classes.len()).collect();
         drain_order.sort_by_key(|&i| (spec.classes[i].priority, i));
@@ -446,6 +518,7 @@ impl LoadEngine {
         };
         let queues = vec![VecDeque::new(); spec.classes.len()];
         LoadEngine {
+            stream,
             weights,
             drain_order,
             stats,
@@ -453,6 +526,10 @@ impl LoadEngine {
             queues,
             spec,
         }
+    }
+
+    pub(crate) fn stream(&self) -> u64 {
+        self.stream
     }
 
     pub(crate) fn class(&self, class: usize) -> &UserClass {
@@ -667,7 +744,7 @@ mod tests {
 
     #[test]
     fn admission_state_machine_accounts_exactly() {
-        let mut eng = LoadEngine::new(two_class_spec());
+        let mut eng = LoadEngine::new(two_class_spec(), 0);
         let t = SimTime::ZERO;
         let mut rng = DetRng::new(7);
         // Class 0 admits once, queues twice, drops the fourth.
@@ -705,7 +782,7 @@ mod tests {
 
     #[test]
     fn queued_arrivals_drain_by_priority() {
-        let mut eng = LoadEngine::new(two_class_spec());
+        let mut eng = LoadEngine::new(two_class_spec(), 0);
         let t = SimTime::ZERO;
         // Fill both classes' slots, then queue one class-0 arrival.
         eng.register(1, 0, t, t);
@@ -740,7 +817,7 @@ mod tests {
                 pair: (0, 1),
             },
         ];
-        let mut eng = LoadEngine::new(Workload::trace(trace, two_class_spec().classes));
+        let mut eng = LoadEngine::new(Workload::trace(trace, two_class_spec().classes), 0);
         let mut rng = DetRng::new(1);
         assert_eq!(
             eng.first_arrival_delay(&mut rng),
@@ -761,12 +838,12 @@ mod tests {
     #[test]
     fn max_arrivals_caps_the_stream() {
         let spec = two_class_spec().with_max_arrivals(2);
-        let eng = LoadEngine::new(spec);
+        let eng = LoadEngine::new(spec, 0);
         let mut rng = DetRng::new(3);
         assert!(eng.first_arrival_delay(&mut rng).is_some());
         assert!(eng.gap_after(0, &mut rng).is_some());
         assert!(eng.gap_after(1, &mut rng).is_none(), "cap reached");
-        let none = LoadEngine::new(two_class_spec().with_max_arrivals(0));
+        let none = LoadEngine::new(two_class_spec().with_max_arrivals(0), 0);
         assert!(none.first_arrival_delay(&mut rng).is_none());
     }
 }

@@ -1,371 +1,57 @@
 //! The shared-clock multi-link network simulation.
 //!
-//! Every quantum link of a [`Topology`] — each a full
-//! [`LinkSimulation`] with the complete EGP/MHP/physics stack — is
-//! embedded into **one** global discrete-event queue. The network
-//! layer schedules a wake event at each link's next internal firing
-//! time; when the global clock reaches it, the link is advanced to
-//! exactly that instant and its deliveries are observed. Classical
-//! control messages (path reservation, swap results) travel the same
-//! queue with per-edge propagation delays. The result is a single
-//! total order over every event of every link and every control
-//! message — one `SimTime` stream — and, because ties break by
-//! insertion order and all randomness is seeded, bit-reproducible
-//! multi-node runs.
+//! A [`Network`] is three owned units and the dispatch between them:
 //!
-//! On top sits SWAP-ASAP repeater control (see [`crate::node`]): NL
-//! CREATEs are issued along the reserved path, intermediate nodes swap
-//! as soon as both adjacent pairs exist, and the composed end-to-end
-//! state — decayed in memory for exactly the simulated storage times —
-//! is delivered with its true simulated latency.
+//! * the **engine** (`engine.rs`) — what moves the clock: every link of
+//!   the [`Topology`], each a full [`LinkSimulation`], on **one** global
+//!   discrete-event queue with every control message, timer, fault and
+//!   workload arrival;
+//! * the **request ledger** (`ledger.rs`) — who owns a request's
+//!   resources: its terms, its attempt's path and per-hop state, the
+//!   entangled segments swaps merge, its node reservations
+//!   ([`crate::node`]) and the CREATEs it has queued inside links.
+//!   However an attempt ends — delivery, failure,
+//!   [`Network::cancel_request`] — one teardown releases all of it;
+//! * the **planner** (`planner.rs`) — which path to take
+//!   ([`crate::route`] over live per-edge loads and the penalty box),
+//!   and the terms (policy, timeout, retry budget, backoff) requests
+//!   are issued under.
 //!
-//! Paths come from the route-metric engine (see [`crate::route`]):
-//! [`Network::request_entanglement`] routes under a pluggable
-//! [`RouteMetric`] (hop count by default; latency- and
-//! fidelity-product-aware alternatives via
-//! [`Network::set_route_metric`]), and
-//! [`Network::request_entanglement_multipath`] splits concurrent
-//! same-pair requests across the K best routes — edge-disjoint where
-//! the topology allows, otherwise sharing edges under the EGP
-//! distributed queue's multiple-outstanding-CREATE arbitration
-//! (tracked per edge by [`Network::edge_load`]).
-//!
-//! Routing also closes the loop on live congestion: planning always
-//! sees the current per-edge reservation counts (metrics opt in via
-//! [`RouteMetric::load_cost`] — see
-//! [`LoadScaledLatency`](crate::route::LoadScaledLatency)), and
-//! failed attempts feed back as re-plans. An attempt fails when a link
-//! terminally rejects one of its CREATEs (UNSUPP), a fault downs an
-//! edge it rides, or it outlives its per-request timeout
-//! ([`Network::set_request_timeout`]; off by default, and then no
-//! timeout events exist). However an attempt ends — delivery, failure,
-//! [`Network::cancel_request`] — one teardown releases every
-//! reservation it holds and retracts its queued CREATEs. A failed
-//! request with retry budget left ([`Network::set_retry_budget`],
-//! default 0) is re-planned against *current* load — excluding the
-//! edges that failed it — under its original id, `fmin`, and
-//! [`Policy`]; otherwise it is abandoned ([`Network::timeouts`]).
+//! On top sits SWAP-ASAP repeater control: NL CREATEs are issued along
+//! the reserved path, intermediate nodes swap as soon as both adjacent
+//! pairs exist, and the composed end-to-end state — decayed in memory
+//! for exactly the simulated storage times — is delivered with its true
+//! simulated latency. An attempt fails when a link terminally rejects
+//! one of its CREATEs (UNSUPP), a fault downs an edge it rides, or it
+//! outlives its per-request timeout; with retry budget left it is
+//! re-planned against *current* load around the edges that failed it,
+//! otherwise abandoned ([`Network::timeouts`]).
 
-use crate::fault::{FaultKind, FaultPlan, PenaltyBox};
-use crate::load::{Admission, ArrivalProcess, LoadEngine, LoadStats, Workload};
-use crate::node::{NodeAction, PathRole, SwapAsapNode};
+use crate::engine::{embed, ControlMsg, Engine, NetEvent};
+use crate::fault::{FaultKind, FaultPlan};
+use crate::ledger::{AttemptSeed, Completion, Ended, GroupVerdict, Ledger};
+use crate::load::{Admission, LoadEngine, LoadStats, Workload};
+use crate::node::{NodeAction, SwapAsapNode};
 use crate::obs::{SpanStage, Telemetry, TelemetryConfig};
-use crate::route::{HopCount, PlanContext, Route, RouteMetric, RoutePlanner};
-use crate::ruleset::{ArmProgram, Policy};
+use crate::planner::{PlanAsk, Planner};
+use crate::route::{Route, RouteMetric};
+use crate::ruleset::Policy;
 use crate::topology::Topology;
-use qlink_des::{DetRng, EventQueue, IntMap, SimDuration, SimTime};
+use qlink_des::{DetRng, SimDuration, SimTime};
 use qlink_egp::feu::FidelityEstimator;
 use qlink_phys::attempt::ModelCache;
-use qlink_phys::params::ScenarioParams;
-use qlink_quantum::bell::{bell_fidelity, werner_from_fidelity, BellState};
-use qlink_quantum::ops::entanglement_swap;
-use qlink_quantum::purify::distill_werner;
-use qlink_quantum::{channels, gates, QuantumState};
 use qlink_sim::config::{LinkConfig, RequestKind};
 use qlink_sim::link::{Delivery, LinkSimulation, Rejection};
-use qlink_sim::workload::GeneratedRequest;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
+
+pub use crate::ledger::EndToEndOutcome;
+pub use crate::planner::BackoffPolicy;
 
 /// The reserved span id fault spans are emitted under: fault events
 /// belong to the network, not to any request, and request ids count
 /// up from zero, so the maximum id is free to serve as the "network"
 /// track in chrome-trace exports.
 const FAULT_TRACK: u64 = u64::MAX;
-
-/// A network-layer classical control message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ControlMsg {
-    /// Path reservation traveling from source toward destination; each
-    /// node it reaches issues the NL CREATE on its downstream edge.
-    Reserve { request: u64 },
-    /// A repeater's Bell-measurement outcome, forwarded hop-by-hop to
-    /// `target` (one of the path's ends).
-    SwapResult {
-        request: u64,
-        target: usize,
-        z: u8,
-        x: u8,
-    },
-    /// The partner's parity bit of a link-level 2→1 distillation on
-    /// `edge`: `accepted` when the two measured bits agreed.
-    PurifyResult {
-        request: u64,
-        edge: usize,
-        accepted: bool,
-    },
-    /// The far end's parity bit of an end-to-end distillation between
-    /// the two streams of `group` (travels the whole path's control
-    /// channels; scheduled with the summed path delay).
-    GroupResult { group: u64, accepted: bool },
-}
-
-/// An event on the shared network queue.
-#[derive(Debug)]
-enum NetEvent {
-    /// Advance link `link` to the current global time.
-    LinkWake { link: usize, gen: u64 },
-    /// Deliver a control message at node `at`.
-    Control { at: usize, msg: ControlMsg },
-    /// The per-request timeout of `request`'s attempt number `attempt`
-    /// expired (stale if the request completed or was already
-    /// re-issued as a later attempt).
-    RequestTimeout { request: u64, attempt: u64 },
-    /// A failed stream's backoff elapsed: re-plan against current
-    /// load and re-issue it under its original id.
-    Reissue { request: u64 },
-    /// A failed attempt's retraction notice reached the endpoint that
-    /// submitted CREATE `create_id` on `edge`: tell the link layer to
-    /// drop it ([`qlink_sim::link::LinkSimulation::expire_request`]).
-    Expire {
-        edge: usize,
-        side: usize,
-        create_id: u16,
-    },
-    /// Open-loop workload arrival number `index` (see [`crate::load`]):
-    /// resolve its class and pair, run admission control, and schedule
-    /// the next arrival. Scheduled one-ahead.
-    Arrival { index: u64 },
-    /// A freed admission slot's control-plane notice: drain the
-    /// workload's waiting queues, admitting as many arrivals as
-    /// capacity allows at this instant. Scheduled one classical
-    /// control delay after the completion / abandon that freed the
-    /// slot: the admission plane has to learn the slot freed.
-    AdmitQueued,
-    /// A fault-plan event fired (see [`crate::fault`]): take an
-    /// edge's quantum link down, bring one back (possibly under a
-    /// degraded profile), or churn a node. Scheduled at arm time.
-    Fault { kind: FaultKind },
-}
-
-/// One delivered end-to-end entanglement.
-#[derive(Debug, Clone)]
-pub struct EndToEndOutcome {
-    /// The request this outcome serves.
-    pub request: u64,
-    /// Node path, source first.
-    pub path: Vec<usize>,
-    /// Delivered link fidelity per path edge, in path order.
-    pub link_fidelities: Vec<f64>,
-    /// Fidelity of the end-to-end pair after all swaps and the full
-    /// simulated memory decay.
-    pub end_to_end_fidelity: f64,
-    /// True simulated latency: CREATE submission to the instant both
-    /// ends hold a usable pair (last swap result received).
-    pub latency: SimDuration,
-    /// Global time of completion.
-    pub delivered_at: SimTime,
-    /// Number of entanglement swaps performed.
-    pub swaps: u32,
-    /// Accumulated Pauli-Z parity of the swaps' Bell-measurement
-    /// outcomes. **Already applied**: the correction is folded into
-    /// the delivered state (and thus `end_to_end_fidelity`) at swap
-    /// time; these bits record the classical information that had to
-    /// reach the ends, they are *not* a pending correction to apply.
-    pub frame_z: u8,
-    /// Accumulated Pauli-X parity; already applied, see
-    /// [`EndToEndOutcome::frame_z`].
-    pub frame_x: u8,
-    /// `true` when this pair is the survivor of a 2→1 distillation
-    /// (link-level purification boosts the figures in
-    /// [`EndToEndOutcome::link_fidelities`] instead and leaves this
-    /// `false`; end-to-end purification merges two whole streams and
-    /// sets it).
-    pub distilled: bool,
-    /// Link pairs the link layers delivered to produce this outcome —
-    /// 1 per edge without purification, 2 per distillation attempt
-    /// (rejected parities included) with it. The pair cost of the
-    /// delivered fidelity.
-    pub pairs_consumed: u32,
-    /// Raw delivered fidelity of every link pair per path edge, in
-    /// delivery order — under link-level purification these are the
-    /// *inputs* to the per-edge distillations whose outputs appear in
-    /// [`EndToEndOutcome::link_fidelities`]. Without purification each
-    /// edge has exactly one entry, equal to its `link_fidelities`
-    /// figure.
-    pub pair_fidelities: Vec<Vec<f64>>,
-}
-
-/// One contiguous entangled segment of a path (initially one link
-/// pair; swaps merge adjacent segments until one spans the path).
-/// Qubit 0 of `state` lives at node `a`, qubit 1 at node `b`; both
-/// halves sit in carbon memories and decay with the `(T1, T2)` of
-/// their node's hardware.
-#[derive(Debug, Clone)]
-struct Segment {
-    a: usize,
-    b: usize,
-    state: QuantumState,
-    decay_a: (f64, f64),
-    decay_b: (f64, f64),
-    updated: SimTime,
-}
-
-impl Segment {
-    /// Reverses the segment's orientation (qubit order and metadata).
-    fn flip(&mut self) {
-        self.state.apply_unitary(&gates::swap(), &[0, 1]);
-        std::mem::swap(&mut self.a, &mut self.b);
-        std::mem::swap(&mut self.decay_a, &mut self.decay_b);
-    }
-
-    /// Applies carbon-memory decoherence from `updated` to `t`.
-    fn decay_to(&mut self, t: SimTime) {
-        let dt = t.saturating_since(self.updated).as_secs_f64();
-        if dt > 0.0 {
-            let (t1a, t2a) = self.decay_a;
-            let (t1b, t2b) = self.decay_b;
-            self.state
-                .apply_kraus(&channels::t1t2_decay(dt, t1a, t2a), &[0]);
-            self.state
-                .apply_kraus(&channels::t1t2_decay(dt, t1b, t2b), &[1]);
-        }
-        self.updated = t;
-    }
-}
-
-#[derive(Debug)]
-struct PathRequest {
-    path: Vec<usize>,
-    edges: Vec<usize>,
-    fmin: f64,
-    segments: Vec<Segment>,
-    link_fidelities: Vec<Option<f64>>,
-    ends_ready: [Option<SimTime>; 2],
-    frame: (u8, u8),
-    swaps: u32,
-    /// Per path-edge position: a distillation has consumed this edge's
-    /// pairs and its parity exchange is in flight (or succeeded —
-    /// cleared only by a reject, which regenerates).
-    purify_pending: Vec<bool>,
-    /// Raw delivered fidelities per path-edge position.
-    pair_fidelities: Vec<Vec<f64>>,
-    /// Link pairs delivered for this request so far.
-    pairs_consumed: u32,
-    /// The compiled per-edge initial pair needs, in path-edge order
-    /// (regeneration after that is demand-driven —
-    /// [`SwapAsapNode::take_create_demand`]).
-    edge_needs: Vec<u8>,
-    /// Retry/identity state the attempt was issued under.
-    seed: AttemptSeed,
-}
-
-/// A failed stream waiting out its re-route backoff: the seed to
-/// re-issue it under the same public id, plus what re-planning needs.
-#[derive(Debug)]
-struct ParkedReroute {
-    src: usize,
-    dst: usize,
-    fmin: f64,
-    seed: AttemptSeed,
-}
-
-/// The retry/identity state an attempt is issued under — carried
-/// forward (with `attempt` bumped and the failed edges excluded) each
-/// time the re-route machinery re-issues the request.
-#[derive(Debug)]
-struct AttemptSeed {
-    /// The per-attempt timeout the request was issued under — pinned
-    /// for the request's whole life, so every re-issued attempt
-    /// re-arms the same deadline whatever the network's knob says by
-    /// then.
-    timeout: Option<SimDuration>,
-    /// Re-issues left before a failed attempt abandons the request.
-    retries_left: u32,
-    /// Edges barred from future re-plans (every failed attempt adds
-    /// the edges it implicates).
-    excluded: Vec<usize>,
-    /// Issue time of the *first* attempt (latency is measured from
-    /// here across every re-route).
-    requested_at: SimTime,
-    /// End-to-end distillation group this stream belongs to.
-    group: Option<u64>,
-    /// Attempt number, starting at 0; a [`NetEvent::RequestTimeout`]
-    /// carrying an older number is stale and ignored.
-    attempt: u64,
-    /// The policy the request was issued under — pinned like
-    /// `timeout`, so re-routed attempts recompile the same tables (and price
-    /// their re-plans the same way) whatever [`Network::set_policy`]
-    /// says by then.
-    policy: Policy,
-}
-
-/// One completed stream of an end-to-end distillation group, parked
-/// (still decaying) until its partner completes.
-#[derive(Debug)]
-struct GroupMember {
-    segment: Segment,
-    path: Vec<usize>,
-    link_fidelities: Vec<f64>,
-    pair_fidelities: Vec<Vec<f64>>,
-    swaps: u32,
-    frame: (u8, u8),
-}
-
-/// An end-to-end 2→1 distillation in progress: two concurrent streams
-/// whose delivered pairs the path ends merge into one.
-#[derive(Debug)]
-struct PairGroup {
-    /// Current live (or just-completed) member request ids.
-    members: [u64; 2],
-    /// The node paths the two streams run on (kept for regeneration
-    /// after a rejected parity).
-    routes: [Vec<usize>; 2],
-    fmin: f64,
-    requested_at: SimTime,
-    done: Vec<GroupMember>,
-    /// Swaps and pairs across every attempt, rejected ones included.
-    swaps: u32,
-    pairs_consumed: u32,
-    /// The policy member streams run under — pinned at group creation
-    /// so regeneration ignores later policy changes.
-    policy: Policy,
-    /// Failure-detection state pinned at group creation
-    /// (timeout / retry budget): regenerated member streams
-    /// are issued under it, not under whatever the network's knobs
-    /// say by then — the same pin-at-issue contract single streams
-    /// keep via their [`AttemptSeed`].
-    timeout: Option<SimDuration>,
-    retries: u32,
-}
-
-/// How a failed attempt's re-issue delay grows with its retry count
-/// (see [`Network::set_backoff_policy`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackoffPolicy {
-    /// One jittered path control delay per re-issue, whatever the
-    /// attempt number — PR 4's behaviour and the default (runs that
-    /// never change the policy reproduce earlier PRs bit-for-bit).
-    #[default]
-    Jittered,
-    /// Exponential backoff: the jittered control delay doubles with
-    /// every failed attempt (`base × 2^attempt × (1 + u)`), clamped to
-    /// `cap`. Under sustained overload this spreads a retry storm out
-    /// instead of hammering the network at a fixed cadence.
-    Exponential {
-        /// Upper bound on any single re-issue delay.
-        cap: SimDuration,
-    },
-}
-
-impl BackoffPolicy {
-    /// The re-issue delay for a failure of attempt number `attempt`,
-    /// given the failed path's one-way control delay `base` (seconds)
-    /// and the jitter draw `u ∈ [0, 1)`.
-    pub fn delay(self, base: f64, attempt: u64, u: f64) -> SimDuration {
-        let jittered = base * (1.0 + u);
-        match self {
-            BackoffPolicy::Jittered => SimDuration::from_secs_f64(jittered),
-            BackoffPolicy::Exponential { cap } => {
-                // 2^attempt saturates far below f64 overflow; 10⁹ s of
-                // backoff is already "never" on simulation scales.
-                let factor = 2f64.powi(attempt.min(63) as i32);
-                SimDuration::from_secs_f64(jittered * factor).min(cap)
-            }
-        }
-    }
-}
 
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -375,71 +61,19 @@ pub enum ExecMode { Sequential, Sharded(usize) } // benchmark-compat: ROADMAP it
 /// A multi-node quantum network on one shared event queue.
 pub struct Network {
     topo: Topology,
-    links: Vec<LinkSimulation>,
-    nodes: Vec<SwapAsapNode>,
-    queue: EventQueue<NetEvent>,
-    wake_gen: Vec<u64>,
-    rng: DetRng,
-    purify_rng: DetRng,
-    reroute_rng: DetRng,
+    engine: Engine,
+    ledger: Ledger,
+    planner: Planner,
     /// Workload arrival randomness (gaps, class picks, pair picks) —
     /// its own substream, drawn only while a workload is armed, so
-    /// closed-loop runs never touch it and reproduce earlier PRs
-    /// bit-for-bit.
+    /// closed-loop runs never touch it.
     load_rng: DetRng,
     /// The armed open-loop workload engine (see [`crate::load`]),
     /// `None` unless [`Network::set_workload`] armed one.
     workload: Option<Box<LoadEngine>>,
-    /// In-flight attempts by request id. Ordered: a fault fails the
-    /// requests riding an edge in iteration order.
-    requests: BTreeMap<u64, PathRequest>,
-    groups: IntMap<u64, PairGroup>,
-    parked: IntMap<u64, ParkedReroute>,
-    /// CREATEs queued inside links: `(edge, side, create_id)` → the
-    /// owning request and the submission instant. Ordered: retraction
-    /// notices are scheduled in iteration order.
-    pending_creates: BTreeMap<(usize, usize, u16), (u64, SimTime)>,
-    next_request: u64,
-    retry_budget: u32,
-    request_timeout: Option<SimDuration>,
-    backoff: BackoffPolicy,
-    reroutes: u64,
-    timed_out: u64,
-    outcomes: Vec<EndToEndOutcome>,
-    /// The telemetry layer (see [`crate::obs`]): request-lifecycle
-    /// spans, histogram metrics, engine profiling. `None` (the
-    /// default) records nothing; recording is passive either way —
-    /// it draws nothing from any RNG and schedules no events, so a
-    /// telemetry-on run's *results* are bit-identical to the same
-    /// run with it off.
-    telemetry: Option<Box<Telemetry>>,
-    metric: Box<dyn RouteMetric + Send>,
-    /// The [`Policy`] new requests are issued under — see
-    /// [`Network::set_policy`].
-    policy: Policy,
-    planner: Option<RoutePlanner>,
-    /// The table every attempt model this network derives lands in.
-    models: ModelCache,
-    /// One FEU handle per distinct [`ScenarioParams`] among the links
-    /// built so far, all over `models`: every link on the same hardware
-    /// holds a clone of the same one.
-    estimators: Vec<FidelityEstimator>,
-    edge_load: Vec<u32>,
-    edge_pairs_delivered: Vec<u64>,
-    edge_purify_attempts: Vec<u64>,
-    edge_purify_successes: Vec<u64>,
     /// Fault-injection randomness (flapping dwell draws) — its own
-    /// substream, drawn from only when a fault plan arms, so
-    /// fault-free runs reproduce earlier PRs bit-for-bit.
+    /// substream, drawn from only when a fault plan arms.
     fault_rng: DetRng,
-    /// The penalty box (see [`crate::fault`]), armed together with a
-    /// fault plan by [`Network::set_fault_plan`].
-    penalty_box: Option<PenaltyBox>,
-    /// Planning-time scratch: per-edge penalties handed to
-    /// [`PlanContext::penalties`] — `f64::INFINITY` for downed edges,
-    /// the decayed surcharge otherwise. Stays empty (and planning
-    /// bit-identical to earlier PRs) until a fault plan arms.
-    penalty_snapshot: Vec<f64>,
     /// Times each edge has been repaired — salts the rebuilt link's
     /// fresh deterministic seed so successive incarnations never
     /// replay each other's randomness.
@@ -448,39 +82,11 @@ pub struct Network {
     fault_count: u64,
     /// Edge repairs applied so far.
     repair_total: u64,
-    /// Cached [`Topology::min_control_delay`].
-    min_control_delay: SimDuration,
-    /// Total simulated time this network has been run for.
-    pub elapsed: SimDuration,
-}
-
-/// Configures a freshly built link for life inside a [`Network`]: the
-/// network layer drains deliveries (and terminal CREATE rejections, for
-/// re-routing) at every wake, and — since [`Network::schedule_wake`]
-/// schedules nothing for a link with no next event — lets an idle link
-/// park its cycle clock until the next CREATE.
-fn embed(mut link: LinkSimulation) -> LinkSimulation {
-    link.capture_deliveries();
-    link.capture_rejections();
-    link.park_when_idle();
-    link
-}
-
-/// The FEU handle for `params`: the one already made for that hardware,
-/// or a new one over `models`. Creating one derives nothing.
-fn estimator_for(
-    estimators: &mut Vec<FidelityEstimator>,
-    models: &ModelCache,
-    params: &ScenarioParams,
-) -> FidelityEstimator {
-    if let Some(feu) = estimators.iter().find(|feu| feu.params() == params) {
-        return feu.clone();
-    }
-    estimators.push(FidelityEstimator::with_models(
-        params.clone(),
-        models.clone(),
-    ));
-    estimators.last().expect("pushed above").clone()
+    outcomes: Vec<EndToEndOutcome>,
+    /// The telemetry layer (see [`crate::obs`]); `None` (the default)
+    /// records nothing. Recording is passive — no RNG draw, no event —
+    /// so results are bit-identical with it on or off.
+    telemetry: Option<Box<Telemetry>>,
 }
 
 impl Network {
@@ -509,72 +115,35 @@ impl Network {
     /// Panics on a topology with no edges.
     pub fn with_models(topo: Topology, seed: u64, models: ModelCache) -> Self {
         assert!(topo.edge_count() > 0, "a network needs at least one link");
-        let mut estimators = Vec::new();
+        let mut planner = Planner::new(seed, models);
         let links: Vec<LinkSimulation> = topo
             .edges()
             .iter()
             .map(|e| {
-                let feu = estimator_for(&mut estimators, &models, &e.link.scenario);
+                let feu = planner.estimator_for(&e.link.scenario);
                 embed(LinkSimulation::with_estimator(e.link.clone(), feu))
             })
-            .collect();
-        let nodes = (0..topo.node_count())
-            .map(|_| SwapAsapNode::new())
             .collect();
         let trace_cfg = TelemetryConfig::from_env();
         let telemetry =
             (!trace_cfg.is_off()).then(|| Box::new(Telemetry::new(trace_cfg, links.len())));
-        let mut net = Network {
-            wake_gen: vec![0; links.len()],
-            edge_load: vec![0; links.len()],
-            edge_pairs_delivered: vec![0; links.len()],
-            edge_purify_attempts: vec![0; links.len()],
-            edge_purify_successes: vec![0; links.len()],
+        Network {
             repair_count: vec![0; links.len()],
-            links,
-            nodes,
-            queue: EventQueue::new(),
-            rng: DetRng::new(seed).substream("net/swap"),
-            purify_rng: DetRng::new(seed).substream("net/purify"),
-            // Re-route decisions draw from their own substream so
-            // runs without retries reproduce earlier PRs bit-for-bit.
-            reroute_rng: DetRng::new(seed).substream("net/reroute"),
+            engine: Engine::new(links, topo.min_control_delay()),
+            ledger: Ledger::new(seed, topo.node_count(), topo.edge_count()),
+            planner,
             // Substream derivation is pure in (seed, label): creating
-            // it here perturbs nothing, and no draw ever leaves it
-            // unless a workload arms.
+            // these here perturbs nothing, and no draw ever leaves one
+            // unless a workload (a fault plan) arms.
             load_rng: DetRng::new(seed).substream("net/load"),
-            // Same contract: untouched unless a fault plan arms.
             fault_rng: DetRng::new(seed).substream("net/fault"),
-            penalty_box: None,
-            penalty_snapshot: Vec::new(),
             fault_count: 0,
             repair_total: 0,
             workload: None,
-            requests: BTreeMap::new(),
-            groups: IntMap::default(),
-            parked: IntMap::default(),
-            pending_creates: BTreeMap::new(),
-            next_request: 0,
-            retry_budget: 0,
-            request_timeout: None,
-            backoff: BackoffPolicy::default(),
-            reroutes: 0,
-            timed_out: 0,
             outcomes: Vec::new(),
             telemetry,
-            metric: Box::new(HopCount),
-            policy: Policy::default(),
-            planner: None,
-            models,
-            estimators,
-            min_control_delay: topo.min_control_delay(),
-            elapsed: SimDuration::ZERO,
             topo,
-        };
-        for link in 0..net.links.len() {
-            net.schedule_wake(link);
         }
-        net
     }
 
     /// Switches the telemetry layer (see [`crate::obs`]) on or off,
@@ -584,8 +153,8 @@ impl Network {
     /// nothing. Recording is passive: whatever the config, the run's
     /// outcomes, RNG draws, and event stream are unchanged.
     pub fn set_telemetry(&mut self, config: TelemetryConfig) {
-        self.telemetry =
-            (!config.is_off()).then(|| Box::new(Telemetry::new(config, self.links.len())));
+        let edges = self.topo.edge_count();
+        self.telemetry = (!config.is_off()).then(|| Box::new(Telemetry::new(config, edges)));
     }
 
     /// The telemetry recorded so far (`None` when the layer is off).
@@ -595,7 +164,12 @@ impl Network {
 
     /// Current global simulated time.
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        self.engine.now()
+    }
+
+    /// Total simulated time this network has been run for.
+    pub fn elapsed(&self) -> SimDuration {
+        self.engine.elapsed
     }
 
     /// The topology this network runs.
@@ -605,21 +179,22 @@ impl Network {
 
     /// Borrow the link simulation on edge `edge` (metrics inspection).
     pub fn link(&self, edge: usize) -> &LinkSimulation {
-        &self.links[edge]
+        &self.engine.links[edge]
     }
 
     /// The FEU handles this network has made, one per distinct
-    /// [`ScenarioParams`] among its links (a homogeneous topology has
-    /// one), in first-use order. Each link holds a clone of the one for
-    /// its hardware, and all of them derive from one table of attempt
-    /// models ([`FidelityEstimator::models`]).
+    /// [`ScenarioParams`](qlink_phys::params::ScenarioParams) among its
+    /// links (a homogeneous topology has one), in first-use order. Each
+    /// link holds a clone of the one for its hardware, and all of them
+    /// derive from one table of attempt models
+    /// ([`FidelityEstimator::models`]).
     pub fn estimators(&self) -> &[FidelityEstimator] {
-        &self.estimators
+        self.planner.estimators()
     }
 
     /// Borrow a node's protocol state machine.
     pub fn node(&self, node: usize) -> &SwapAsapNode {
-        &self.nodes[node]
+        self.ledger.node(node)
     }
 
     /// Total events fired: shared-queue events plus every link's
@@ -627,7 +202,7 @@ impl Network {
     /// ([`Network::cycles_elided`]), and the wakes that would have
     /// observed them, are not events and are not counted.
     pub fn events_fired(&self) -> u64 {
-        self.queue.events_fired() + self.links.iter().map(|l| l.events_fired()).sum::<u64>()
+        self.engine.events_fired()
     }
 
     /// MHP cycles the links skipped while parked idle, summed over the
@@ -635,7 +210,7 @@ impl Network {
     /// ([`LinkSimulation::cycles_elided`]) — where the events of a
     /// mostly idle network went.
     pub fn cycles_elided(&self) -> u64 {
-        self.links.iter().map(|l| l.cycles_elided()).sum()
+        self.engine.cycles_elided()
     }
 
     /// Restarts the event-count statistics ([`Network::events_fired`],
@@ -646,55 +221,34 @@ impl Network {
     /// calls this at the run boundary so a run's recorded event count
     /// never includes another phase's.
     pub fn reset_event_stats(&mut self) {
-        self.queue.reset_stats();
-        for link in &mut self.links {
-            link.reset_event_stats();
-        }
+        self.engine.reset_event_stats();
     }
 
     /// Selects the [`RouteMetric`] used by subsequent
     /// [`Network::request_entanglement`] calls. The default is
-    /// [`HopCount`]; [`crate::route::Latency`] and
-    /// [`crate::route::FidelityProduct`] weigh edges by the profiles
-    /// the route planner derives from each link's configuration.
+    /// [`HopCount`](crate::route::HopCount); [`crate::route::Latency`]
+    /// and [`crate::route::FidelityProduct`] weigh edges by the
+    /// profiles the route planner derives from each link's
+    /// configuration.
     pub fn set_route_metric(&mut self, metric: impl RouteMetric + Send + 'static) {
-        self.metric = Box::new(metric);
-    }
-
-    /// The metric currently steering route selection.
-    pub fn route_metric(&self) -> &dyn RouteMetric {
-        self.metric.as_ref()
+        self.planner.metric = Box::new(metric);
     }
 
     /// Selects the [`Policy`] subsequent requests run under: at issue
     /// time it is compiled to a [`crate::ruleset::RuleSet`] table,
     /// installed on every path node, and interpreted on each
     /// observation; it also prices edges in planning
-    /// ([`PlanContext::policy`]). [`Policy::LinkPurify`] makes every
-    /// path edge distill two delivered pairs into one before it may
-    /// be swapped; [`Policy::EndToEndPurify`] makes
+    /// ([`PlanContext::policy`](crate::route::PlanContext::policy)).
+    /// [`Policy::LinkPurify`] makes every path edge distill two
+    /// delivered pairs into one before it may be swapped;
+    /// [`Policy::EndToEndPurify`] makes
     /// [`Network::request_entanglement`] run two concurrent streams
     /// and distill their delivered end-to-end pairs into one. The
     /// default is [`Policy::SwapAsap`].
     ///
     /// In-flight requests keep the policy they were issued under.
     pub fn set_policy(&mut self, policy: Policy) {
-        self.policy = policy;
-    }
-
-    /// The policy applied to new requests.
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
-    /// The policy individual member streams are issued under:
-    /// end-to-end distillation is group-level machinery (the member
-    /// streams themselves run plain SWAP-ASAP).
-    fn member_policy(&self) -> Policy {
-        match self.policy {
-            Policy::EndToEndPurify => Policy::SwapAsap,
-            other => other,
-        }
+        self.planner.policy = policy;
     }
 
     /// Sets the per-request timeout: an attempt that has not
@@ -708,12 +262,7 @@ impl Network {
     /// then fails only on a terminal link rejection or a fault on its
     /// path. Applies to requests issued after the call.
     pub fn set_request_timeout(&mut self, timeout: Option<SimDuration>) {
-        self.request_timeout = timeout;
-    }
-
-    /// The per-request timeout applied to new requests.
-    pub fn request_timeout(&self) -> Option<SimDuration> {
-        self.request_timeout
+        self.planner.request_timeout = timeout;
     }
 
     /// Sets how many times a failed attempt (timeout, terminal link
@@ -722,28 +271,18 @@ impl Network {
     /// budget is per request, pinned at issue time; the default is 0
     /// (the first failure abandons).
     pub fn set_retry_budget(&mut self, retries: u32) {
-        self.retry_budget = retries;
-    }
-
-    /// The retry budget granted to new requests.
-    pub fn retry_budget(&self) -> u32 {
-        self.retry_budget
+        self.planner.retry_budget = retries;
     }
 
     /// Selects how a failed attempt's re-issue delay grows with its
-    /// retry count. The default, [`BackoffPolicy::Jittered`], is PR
-    /// 4's single jittered control delay — runs that keep it (and its
-    /// single `net/reroute` jitter draw per failure) reproduce earlier
-    /// PRs bit-for-bit. [`BackoffPolicy::Exponential`] doubles the
-    /// delay per attempt up to a cap, desynchronising sustained retry
-    /// storms. Applies to failures detected after the call.
+    /// retry count. The default, [`BackoffPolicy::Jittered`], is a
+    /// single jittered control delay. [`BackoffPolicy::Exponential`]
+    /// doubles the delay per attempt up to a cap, desynchronising
+    /// sustained retry storms. Either way a failure draws exactly one
+    /// `net/reroute` jitter. Applies to failures detected after the
+    /// call.
     pub fn set_backoff_policy(&mut self, policy: BackoffPolicy) {
-        self.backoff = policy;
-    }
-
-    /// The re-route backoff policy in force.
-    pub fn backoff_policy(&self) -> BackoffPolicy {
-        self.backoff
+        self.planner.backoff = policy;
     }
 
     #[doc(hidden)]
@@ -756,7 +295,8 @@ impl Network {
     /// under the network's current routing / policy / retry
     /// knobs. Every workload draw comes from the dedicated `net/load`
     /// substream, and runs that never arm a workload draw nothing from
-    /// it at all.
+    /// it at all. Arming again replaces the stream: the arrival the
+    /// previous one still has on the queue is ignored when it fires.
     ///
     /// Workload-tracked completions are folded straight into
     /// [`Network::workload_stats`] and **not** pushed onto the
@@ -771,68 +311,12 @@ impl Network {
     /// index, a `src == dst` pair, a disconnected pair, or a Poisson
     /// class with an empty pair pool.
     pub fn set_workload(&mut self, workload: Workload) {
-        assert!(
-            !workload.classes.is_empty(),
-            "a workload needs at least one user class"
-        );
-        let nodes = self.topo.node_count();
-        let check_pair = |(src, dst): (usize, usize)| {
-            assert!(
-                src < nodes && dst < nodes,
-                "pair ({src}, {dst}) off-topology"
-            );
-            assert!(src != dst, "pair ({src}, {dst}) needs two distinct ends");
-            assert!(
-                self.topo.shortest_path(src, dst).is_some(),
-                "no path from {src} to {dst}"
-            );
-        };
-        for class in &workload.classes {
-            assert!(
-                class.weight > 0.0 && class.weight.is_finite(),
-                "class {:?} needs a positive weight",
-                class.name
-            );
-            for &pair in &class.pairs {
-                check_pair(pair);
-            }
-        }
-        match &workload.arrivals {
-            ArrivalProcess::Poisson { rate_hz } => {
-                assert!(
-                    *rate_hz > 0.0 && rate_hz.is_finite(),
-                    "Poisson arrivals need a positive rate"
-                );
-                for class in &workload.classes {
-                    assert!(
-                        !class.pairs.is_empty(),
-                        "Poisson class {:?} needs a pair pool",
-                        class.name
-                    );
-                }
-            }
-            ArrivalProcess::Trace { arrivals } => {
-                for pair in arrivals.windows(2) {
-                    assert!(
-                        pair[0].after <= pair[1].after,
-                        "trace arrivals must be sorted by time"
-                    );
-                }
-                for a in arrivals.iter() {
-                    assert!(
-                        a.class < workload.classes.len(),
-                        "trace arrival names class {} of {}",
-                        a.class,
-                        workload.classes.len()
-                    );
-                    check_pair(a.pair);
-                }
-            }
-        }
-        let engine = Box::new(LoadEngine::new(workload));
+        workload.validate(&self.topo);
+        let stream = self.workload.as_ref().map_or(0, |wl| wl.stream() + 1);
+        let engine = Box::new(LoadEngine::new(workload, stream));
         if let Some(delay) = engine.first_arrival_delay(&mut self.load_rng) {
-            self.queue
-                .schedule_in(delay, NetEvent::Arrival { index: 0 });
+            let first = NetEvent::Arrival { index: 0, stream };
+            self.engine.schedule_in(delay, first);
         }
         self.workload = Some(engine);
     }
@@ -847,12 +331,12 @@ impl Network {
 
     /// Attempts re-planned and re-issued after a failure, in total.
     pub fn reroutes(&self) -> u64 {
-        self.reroutes
+        self.ledger.counters().reroutes
     }
 
     /// Requests abandoned after exhausting their retry budget.
     pub fn timeouts(&self) -> u64 {
-        self.timed_out
+        self.ledger.counters().abandoned
     }
 
     // ---- fault injection (see crate::fault) --------------------------
@@ -870,9 +354,10 @@ impl Network {
     /// disconnected pair — run fault plans on topologies that stay
     /// connected (a grid survives any single edge).
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        self.penalty_box = Some(PenaltyBox::new(self.topo.edge_count(), plan.penalty));
+        self.planner
+            .arm_penalty_box(self.topo.edge_count(), plan.penalty);
         for (delay, kind) in plan.expand(&mut self.fault_rng) {
-            self.queue.schedule_in(delay, NetEvent::Fault { kind });
+            self.engine.schedule_in(delay, NetEvent::Fault { kind });
         }
     }
 
@@ -891,9 +376,7 @@ impl Network {
     /// fault plan is armed, the box is disabled, or the penalty has
     /// decayed away.
     pub fn penalty(&self, edge: usize) -> f64 {
-        self.penalty_box
-            .as_ref()
-            .map_or(0.0, |pb| pb.penalty(edge, self.queue.now()))
+        self.planner.penalty(edge, self.engine.now())
     }
 
     fn on_fault(&mut self, kind: FaultKind, t: SimTime) {
@@ -915,27 +398,19 @@ impl Network {
 
     /// Takes an edge's quantum link down: marks it down (planning
     /// treats it as absent), bumps its penalty, and fails every
-    /// in-flight request riding it through the ordinary rejection
-    /// path — release, retract, then backoff and re-plan or abandon
-    /// ([`Network::fail_attempt`]). No-op if the edge is already down.
+    /// in-flight request riding it, in id order, through the ordinary
+    /// rejection path — release, retract, then backoff and re-plan or
+    /// abandon ([`Network::fail_attempt`]). No-op if the edge is
+    /// already down.
     fn fail_edge(&mut self, edge: usize, t: SimTime) {
         if !self.topo.edge_up(edge) {
             return;
         }
         self.topo.set_edge_up(edge, false);
         self.fault_count += 1;
-        if let Some(pb) = &mut self.penalty_box {
-            pb.bump(edge, t);
-        }
+        self.planner.penalize(edge, t);
         self.emit(t, FAULT_TRACK, 0, SpanStage::EdgeFail { edge });
-        // Fail the in-flight streams riding the edge, in id order.
-        let victims: Vec<u64> = self
-            .requests
-            .iter()
-            .filter(|(_, req)| req.edges.contains(&edge))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in victims {
+        for id in self.ledger.riders(edge) {
             self.fail_attempt(id, Some(edge), t);
         }
     }
@@ -958,52 +433,46 @@ impl Network {
         self.repair_total += 1;
         if let Some(profile) = profile {
             // A new profile changes the edge's FEU-derived planning
-            // profile; drop the cached planner so the next plan
-            // re-profiles every edge against the current configs.
+            // profile.
             self.topo.set_link_config(edge, profile);
-            self.planner = None;
+            self.planner.forget_profiles();
         }
         self.repair_count[edge] += 1;
         let mut cfg = self.topo.edge(edge).link.clone();
         cfg.seed = DetRng::new(cfg.seed)
             .substream(&format!("repair/{}", self.repair_count[edge]))
             .seed();
-        let feu = estimator_for(&mut self.estimators, &self.models, &cfg.scenario);
-        self.links[edge] = embed(LinkSimulation::new_starting_at(cfg, feu, t));
-        // Bookkeeping into the old incarnation dies with it: queued
-        // CREATEs can never be served, and dropping their keys here
-        // keeps them from colliding with the rebuilt link's fresh
-        // create ids. A still-pending Expire for one of them fires
-        // into the new link as a no-op (unknown create id).
-        self.pending_creates.retain(|k, _| k.0 != edge);
+        let feu = self.planner.estimator_for(&cfg.scenario);
+        let link = embed(LinkSimulation::new_starting_at(cfg, feu, t));
+        self.engine.replace_link(edge, link);
+        // A still-pending Expire for a CREATE of the old incarnation
+        // fires into the new link as a no-op (unknown create id).
+        self.ledger.forget_creates_on(edge);
         self.emit(t, FAULT_TRACK, 0, SpanStage::EdgeRepair { edge });
-        // Any wake scheduled for the old incarnation is superseded by
-        // the generation bump.
-        self.schedule_wake(edge);
     }
 
     /// Total NL pairs the link layer has delivered on edge `edge` for
     /// network requests (the raw pair cost purification spends).
     pub fn pairs_delivered(&self, edge: usize) -> u64 {
-        self.edge_pairs_delivered[edge]
+        self.ledger.counters().pairs_delivered[edge]
     }
 
     /// Link-level 2→1 distillations attempted on edge `edge`.
     pub fn purify_attempts(&self, edge: usize) -> u64 {
-        self.edge_purify_attempts[edge]
+        self.ledger.counters().purify_attempts[edge]
     }
 
     /// Link-level distillations on edge `edge` whose parity check
     /// agreed (the pair survived, boosted).
     pub fn purify_successes(&self, edge: usize) -> u64 {
-        self.edge_purify_successes[edge]
+        self.ledger.counters().purify_successes[edge]
     }
 
     /// Number of in-flight path reservations crossing edge `edge` —
     /// the contention the EGP's distributed queue is arbitrating there
     /// (it serves multiple outstanding CREATEs in queue order).
     pub fn edge_load(&self, edge: usize) -> u32 {
-        self.edge_load[edge]
+        self.ledger.edge_load(edge)
     }
 
     /// Plans up to `k` loopless routes from `src` to `dst` under the
@@ -1039,84 +508,14 @@ impl Network {
         k: usize,
         exclude: &[usize],
     ) -> Vec<Route> {
-        self.plan_with_policy(src, dst, fmin, k, exclude, self.policy)
-    }
-
-    /// The planning primitive: current metric + live loads, explicit
-    /// exclusions, and an explicit policy (re-routes price under the
-    /// policy their request was *issued* with, not the network's
-    /// current one).
-    fn plan_with_policy(
-        &mut self,
-        src: usize,
-        dst: usize,
-        fmin: f64,
-        k: usize,
-        exclude: &[usize],
-        policy: Policy,
-    ) -> Vec<Route> {
-        if self.planner.is_none() {
-            self.planner = Some(RoutePlanner::with_models(&self.topo, &self.models));
-        }
-        // Refresh the planning-time penalty snapshot: downed edges
-        // are infinitely penalized (treated as absent — how the fault
-        // layer keeps planning off dead links), every other edge
-        // carries its decayed penalty-box surcharge. The snapshot
-        // stays empty — and planning bit-identical to earlier PRs —
-        // until a fault plan arms.
-        if let Some(pb) = &self.penalty_box {
-            let now = self.queue.now();
-            let topo = &self.topo;
-            let snap = &mut self.penalty_snapshot;
-            snap.clear();
-            snap.extend((0..topo.edge_count()).map(|e| {
-                if topo.edge_up(e) {
-                    pb.penalty(e, now)
-                } else {
-                    f64::INFINITY
-                }
-            }));
-        }
-        let planner = self.planner.as_ref().expect("planner just built");
-        planner.k_shortest_paths_in(
-            &self.topo,
-            src,
-            dst,
+        let route = PlanAsk::route(src, dst, fmin, self.planner.policy);
+        let ask = PlanAsk {
             k,
-            self.metric.as_ref(),
-            fmin,
-            &PlanContext {
-                policy,
-                loads: &self.edge_load,
-                exclude,
-                penalties: &self.penalty_snapshot,
-            },
-        )
-    }
-
-    /// Plans the routes a request is *issued* on, down one fallback
-    /// ladder: at `fmin` around `exclude`; else with the exclusions
-    /// lifted; else best-effort ignoring `fmin` — the links then
-    /// reject the CREATEs as UNSUPP and the attempt fails gracefully,
-    /// the same degradation the link layer gives an unachievable
-    /// `Fmin`. Empty only when no path connects the pair at all.
-    fn plan_for_issue(
-        &mut self,
-        src: usize,
-        dst: usize,
-        fmin: f64,
-        k: usize,
-        exclude: &[usize],
-        policy: Policy,
-    ) -> Vec<Route> {
-        let mut routes = self.plan_with_policy(src, dst, fmin, k, exclude, policy);
-        if routes.is_empty() && !exclude.is_empty() {
-            routes = self.plan_with_policy(src, dst, fmin, k, &[], policy);
-        }
-        if routes.is_empty() {
-            routes = self.plan_with_policy(src, dst, 0.0, k, &[], policy);
-        }
-        routes
+            exclude,
+            ..route
+        };
+        self.planner
+            .plan(&self.topo, &self.ledger, self.engine.now(), ask)
     }
 
     /// The single best route under the current metric, or `None` if no
@@ -1128,12 +527,24 @@ impl Network {
         self.plan_routes(src, dst, fmin, 1).into_iter().next()
     }
 
+    /// The best route to issue (or re-issue) a request under `seed` on,
+    /// [`Planner::plan_for_issue`]'s fallback ladder included.
+    fn route_for_issue(&mut self, seed: &AttemptSeed) -> Option<Route> {
+        let exclude = &seed.excluded;
+        let route = PlanAsk::route(seed.src, seed.dst, seed.fmin, seed.policy);
+        let ask = PlanAsk { exclude, ..route };
+        let routes = self
+            .planner
+            .plan_for_issue(&self.topo, &self.ledger, self.engine.now(), ask);
+        routes.into_iter().next()
+    }
+
     /// Requests end-to-end entanglement between `src` and `dst` at
     /// minimum link fidelity `fmin`; returns the request id. The path
     /// is chosen by the current [`RouteMetric`] (default:
-    /// [`HopCount`]) and reserved immediately; NL CREATEs are issued
-    /// hop-by-hop as the reservation message propagates over the
-    /// classical control channels.
+    /// [`HopCount`](crate::route::HopCount)) and reserved immediately;
+    /// NL CREATEs are issued hop-by-hop as the reservation message
+    /// propagates over the classical control channels.
     ///
     /// If paths exist but none can serve `fmin` (every candidate
     /// contains an edge whose FEU ceiling is below it), the best
@@ -1142,11 +553,8 @@ impl Network {
     /// its retry budget is spent on equally infeasible re-plans — the
     /// request is abandoned and counted in [`Network::timeouts`]. No
     /// outcome is ever produced, which is what
-    /// [`RepeaterChain::generate_end_to_end`]'s `None` and the sweep
-    /// driver's zero-success records rely on.
-    ///
-    /// [`RepeaterChain::generate_end_to_end`]:
-    ///     crate::chain::RepeaterChain::generate_end_to_end
+    /// [`Network::run_until_outcome`]'s `None` and the sweep driver's
+    /// zero-success records rely on.
     ///
     /// # Panics
     /// Panics if no path connects the nodes.
@@ -1172,15 +580,14 @@ impl Network {
     /// assert!(out.end_to_end_fidelity > 0.25);
     /// ```
     pub fn request_entanglement(&mut self, src: usize, dst: usize, fmin: f64) -> u64 {
-        if self.policy == Policy::EndToEndPurify {
+        if self.planner.policy == Policy::EndToEndPurify {
             return self.request_entanglement_distilled(src, dst, fmin);
         }
+        let seed = self.planner.seed(src, dst, fmin, self.engine.now());
         let route = self
-            .plan_for_issue(src, dst, fmin, 1, &[], self.policy)
-            .into_iter()
-            .next()
+            .route_for_issue(&seed)
             .unwrap_or_else(|| panic!("no path from {src} to {dst}"));
-        self.request_on_path(&route.nodes, fmin)
+        self.issue_fresh(&route.nodes, seed)
     }
 
     /// Requests one end-to-end pair produced by 2→1 distillation of
@@ -1196,40 +603,19 @@ impl Network {
     /// # Panics
     /// Panics if no path connects the nodes.
     pub fn request_entanglement_distilled(&mut self, src: usize, dst: usize, fmin: f64) -> u64 {
-        let group = self.next_request;
-        self.next_request += 1;
+        let group = self.ledger.new_id();
+        let now = self.engine.now();
         // The group id gets its own issue span: its Deliver (and thus
         // the chrome-trace span close) is reported under the group id,
         // while the member streams trace under their own ids.
-        self.emit(
-            self.queue.now(),
-            group,
-            0,
-            SpanStage::Issue { src, dst, fmin },
-        );
+        self.emit(now, group, 0, SpanStage::Issue { src, dst, fmin });
         let members = self.request_entanglement_multipath(src, dst, fmin, 2);
-        let members: [u64; 2] = [members[0], members[1]];
-        let mut routes: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-        for (i, m) in members.iter().enumerate() {
-            let req = self.requests.get_mut(m).expect("member just issued");
-            req.seed.group = Some(group);
-            routes[i] = req.path.clone();
-        }
-        self.groups.insert(
-            group,
-            PairGroup {
-                members,
-                routes,
-                fmin,
-                requested_at: self.queue.now(),
-                done: Vec::new(),
-                swaps: 0,
-                pairs_consumed: 0,
-                policy: self.member_policy(),
-                timeout: self.request_timeout,
-                retries: self.retry_budget,
-            },
-        );
+        let template = AttemptSeed {
+            group: Some(group),
+            ..self.planner.seed(src, dst, fmin, now)
+        };
+        self.ledger
+            .open_group(group, [members[0], members[1]], template);
         group
     }
 
@@ -1242,26 +628,16 @@ impl Network {
     /// Panics if the path has fewer than two nodes or consecutive
     /// nodes are not connected.
     pub fn request_on_path(&mut self, path: &[usize], fmin: f64) -> u64 {
-        let seed = AttemptSeed {
-            timeout: self.request_timeout,
-            retries_left: self.retry_budget,
-            excluded: Vec::new(),
-            requested_at: self.queue.now(),
-            group: None,
-            attempt: 0,
-            policy: self.member_policy(),
-        };
-        self.issue_fresh(path, fmin, seed)
+        assert!(path.len() >= 2, "a path needs two ends");
+        let (src, dst) = (path[0], path[path.len() - 1]);
+        let seed = self.planner.seed(src, dst, fmin, self.engine.now());
+        self.issue_fresh(path, seed)
     }
 
-    /// Allocates a new request id and issues its first attempt under
-    /// an explicit seed — group regeneration builds the seed from the
-    /// state its group was *created* with, whatever the network's
-    /// knobs say by then.
-    fn issue_fresh(&mut self, path: &[usize], fmin: f64, seed: AttemptSeed) -> u64 {
-        let id = self.next_request;
-        self.next_request += 1;
-        self.issue_attempt(id, path, fmin, seed);
+    /// Allocates a new request id and issues its first attempt.
+    fn issue_fresh(&mut self, path: &[usize], seed: AttemptSeed) -> u64 {
+        let id = self.ledger.new_id();
+        self.issue_attempt(id, path, seed);
         id
     }
 
@@ -1269,102 +645,31 @@ impl Network {
     /// id, under the given retry/identity state — both the first
     /// attempt of a fresh request and every re-routed attempt land
     /// here.
-    fn issue_attempt(&mut self, id: u64, path: &[usize], fmin: f64, seed: AttemptSeed) {
-        assert!(path.len() >= 2, "a path needs two ends");
-        let path = path.to_vec();
-        let edges = self.topo.path_edges(&path);
+    fn issue_attempt(&mut self, id: u64, path: &[usize], seed: AttemptSeed) {
+        let edges = self.topo.path_edges(path);
+        let attempt = seed.attempt;
         if let Some(tl) = self.telemetry.as_deref_mut() {
-            let now = self.queue.now();
-            if seed.attempt == 0 {
-                tl.emit(
-                    now,
-                    id,
-                    0,
-                    SpanStage::Issue {
-                        src: path[0],
-                        dst: *path.last().expect("a path has two ends"),
-                        fmin,
-                    },
-                );
+            let now = self.engine.now();
+            if attempt == 0 {
+                let (src, dst, fmin) = (seed.src, seed.dst, seed.fmin);
+                tl.emit(now, id, 0, SpanStage::Issue { src, dst, fmin });
             }
-            tl.emit(
-                now,
-                id,
-                seed.attempt,
-                SpanStage::Plan { path: path.clone() },
-            );
-        }
-        for &e in &edges {
-            self.edge_load[e] += 1;
-        }
-
-        // The attempt compiles its policy to a rule table once and
-        // installs per-edge programs (purification rounds, chosen
-        // against the planner's FEU fidelity estimate) on every path
-        // node. Building the planner is deterministic and draws no
-        // RNG, so doing it lazily here cannot move a bit.
-        let planner = self
-            .planner
-            .get_or_insert_with(|| RoutePlanner::with_models(&self.topo, &self.models));
-        let rules = Arc::new(seed.policy.ruleset());
-        let programs: Vec<ArmProgram> = edges
-            .iter()
-            .map(|&e| rules.edge_program(planner.profile(e).fidelity))
-            .collect();
-        let repeaters = (path.len() - 2) as u32;
-        for (i, &n) in path.iter().enumerate() {
-            let (role, left, right) = if i == 0 || i == path.len() - 1 {
-                // An end's single edge: the path's first, or its last.
-                let pos = i.saturating_sub(1);
-                let role = PathRole::End {
-                    edge: edges[pos],
-                    expected_swaps: repeaters,
-                };
-                (role, programs[pos], ArmProgram::default())
-            } else {
-                let role = PathRole::Repeater {
-                    left: edges[i - 1],
-                    right: edges[i],
-                };
-                (role, programs[i - 1], programs[i])
-            };
-            self.nodes[n].reserve(id, role, rules.clone(), left, right);
+            let path = path.to_vec();
+            tl.emit(now, id, attempt, SpanStage::Plan { path });
         }
         // Arm this attempt's failure detection (no event at all when
-        // the request was issued without a timeout — earlier PRs'
-        // event streams must reproduce exactly).
+        // the request was issued without a timeout).
         if let Some(timeout) = seed.timeout {
-            self.queue.schedule_in(
-                timeout,
-                NetEvent::RequestTimeout {
-                    request: id,
-                    attempt: seed.attempt,
-                },
-            );
+            let request = id;
+            let timer = NetEvent::RequestTimeout { request, attempt };
+            self.engine.schedule_in(timeout, timer);
         }
-        self.requests.insert(
-            id,
-            PathRequest {
-                fmin,
-                segments: Vec::new(),
-                link_fidelities: vec![None; edges.len()],
-                ends_ready: [None, None],
-                frame: (0, 0),
-                swaps: 0,
-                purify_pending: vec![false; edges.len()],
-                pair_fidelities: vec![Vec::new(); edges.len()],
-                pairs_consumed: 0,
-                edge_needs: programs.iter().map(ArmProgram::need).collect(),
-                path,
-                edges,
-                seed,
-            },
-        );
-
+        let est_fidelity = |e| self.planner.edge_fidelity(&self.topo, e);
+        self.ledger
+            .issue(id, path.to_vec(), &edges, est_fidelity, seed);
         // The source issues its CREATE(s) now; downstream nodes issue
         // theirs when the reservation reaches them.
-        self.submit_edge_creates(id, 0, fmin);
-        self.forward_reserve(id, 0);
+        self.reserve_at(id, 0);
     }
 
     /// Requests `streams` concurrent end-to-end entanglements between
@@ -1391,47 +696,29 @@ impl Network {
         streams: usize,
     ) -> Vec<u64> {
         assert!(streams >= 1, "no streams requested");
-        // A disjoint route ranked below non-disjoint ones can sit
-        // beyond the first `streams` candidates, so grow the pool
-        // until greedy selection is satisfied or the graph (or the
-        // cap — Yen's cost grows with k) is exhausted.
-        let cap = streams.max(32);
-        let mut k = streams;
-        let mut selected: Vec<Route> = Vec::new();
-        loop {
-            let routes = self.plan_for_issue(src, dst, fmin, k, &[], self.policy);
-            assert!(!routes.is_empty(), "no path from {src} to {dst}");
-            let exhausted = routes.len() < k;
-            selected.clear();
-            for r in routes {
-                if selected.iter().all(|s| s.edge_disjoint(&r)) {
-                    selected.push(r);
-                }
-                if selected.len() == streams {
-                    break;
-                }
-            }
-            if selected.len() == streams || exhausted || k >= cap {
-                break;
-            }
-            k = (k * 2).min(cap);
-        }
+        let route = PlanAsk::route(src, dst, fmin, self.planner.policy);
+        let ask = PlanAsk {
+            k: streams,
+            ..route
+        };
+        let now = self.engine.now();
+        let selected = self
+            .planner
+            .disjoint_routes(&self.topo, &self.ledger, now, ask);
+        assert!(!selected.is_empty(), "no path from {src} to {dst}");
         (0..streams)
-            .map(|i| {
-                let nodes = selected[i % selected.len()].nodes.clone();
-                self.request_on_path(&nodes, fmin)
-            })
+            .map(|i| self.request_on_path(&selected[i % selected.len()].nodes, fmin))
             .collect()
     }
 
     /// Runs the network for `duration` of global simulated time.
     pub fn run_for(&mut self, duration: SimDuration) {
         let prof = self.profiling().then(Instant::now);
-        let horizon = self.queue.now() + duration;
-        while let Some((t, ev)) = self.queue.pop_until(horizon) {
+        let horizon = self.engine.now() + duration;
+        while let Some((t, ev)) = self.engine.queue.pop_until(horizon) {
             self.handle(t, ev);
         }
-        self.account_elapsed(duration, horizon);
+        self.engine.account_elapsed(duration, horizon);
         self.finish_profile(prof);
     }
 
@@ -1440,16 +727,16 @@ impl Network {
     /// running (cancel with [`Network::cancel_request`] if desired).
     pub fn run_until_outcome(&mut self, max_time: SimDuration) -> Option<EndToEndOutcome> {
         let prof = self.profiling().then(Instant::now);
-        let start = self.queue.now();
+        let start = self.engine.now();
         let deadline = start + max_time;
         while self.outcomes.is_empty() {
-            match self.queue.pop_until(deadline) {
+            match self.engine.queue.pop_until(deadline) {
                 Some((t, ev)) => self.handle(t, ev),
                 None => break,
             }
         }
-        let end = self.queue.now();
-        self.account_elapsed(end.since(start), end);
+        let end = self.engine.now();
+        self.engine.account_elapsed(end.since(start), end);
         self.finish_profile(prof);
         if self.outcomes.is_empty() {
             None
@@ -1470,18 +757,15 @@ impl Network {
     /// the simulation).
     fn finish_profile(&mut self, started: Option<Instant>) {
         let Some(started) = started else { return };
-        let events = self.queue.events_fired();
-        let high_water = self.queue.depth_high_water();
-        let cycles_elided = self.cycles_elided();
         let p = self
             .telemetry
             .as_deref_mut()
             .expect("profiling implies telemetry")
             .profile_mut();
         p.wall_nanos += started.elapsed().as_nanos() as u64;
-        p.events_handled = events;
-        p.queue_depth_high_water = high_water;
-        p.cycles_elided = cycles_elided;
+        p.events_handled = self.engine.queue.events_fired();
+        p.queue_depth_high_water = self.engine.queue.depth_high_water();
+        p.cycles_elided = self.engine.cycles_elided();
     }
 
     /// Takes every completed outcome accumulated so far.
@@ -1494,52 +778,42 @@ impl Network {
     /// CREATE still queued inside a link is retracted, so the links
     /// stop spending attempt cycles on pairs nobody will consume. No
     /// terminal span is recorded: the caller, not the network, ended
-    /// the request. A group id from
+    /// the request. A stream parked between failure and re-issue is
+    /// dropped, making its pending re-issue a no-op. A group id from
     /// [`Network::request_entanglement_distilled`] cancels both of the
     /// group's streams and drops any parked pair.
     pub fn cancel_request(&mut self, request: u64) {
         self.workload_abandon(request);
-        if let Some(group) = self.groups.remove(&request) {
-            for member in group.members {
+        if let Some(members) = self.ledger.close_group(request) {
+            for member in members {
                 self.cancel_request(member);
             }
             return;
         }
         self.teardown(request);
-        // A stream parked between failure and re-issue holds no
-        // reservations (its failing attempt released them). Dropping
-        // the parked state makes the pending Reissue a no-op.
-        self.parked.remove(&request);
     }
 
     // ---- internals ---------------------------------------------------
 
-    /// The one exit — the only place a [`PathRequest`] leaves the
-    /// table: releases its node reservations and edge loads and
-    /// retracts whatever CREATEs it still has queued inside links
-    /// (none, for a delivered request). Delivery, failure, and
-    /// cancellation all end here, so `edge_load` tracks the links' true
-    /// backlog whatever ended the attempt. `None` when the request has
-    /// no attempt in flight.
-    fn teardown(&mut self, request: u64) -> Option<PathRequest> {
-        let req = self.requests.remove(&request)?;
-        for &n in &req.path {
-            self.nodes[n].release(request);
-        }
-        for &e in &req.edges {
-            // Checked: a double release must flag loudly in debug
-            // builds (naming the edge and the request) and saturate at
-            // zero, never wrap, in release builds.
-            match self.edge_load[e].checked_sub(1) {
-                Some(next) => self.edge_load[e] = next,
-                None => debug_assert!(
-                    false,
-                    "edge_load underflow: double release of edge {e} by request {request}"
-                ),
+    /// Takes `request` off the books ([`Ledger::teardown`]) and sends
+    /// what that owes: a retraction notice per CREATE still queued
+    /// inside a link, down the edge's classical control channel (a
+    /// [`NetEvent::Expire`] one control delay out); on arrival the
+    /// link-layer EXPIRE hook removes the request at both EGPs.
+    fn teardown(&mut self, request: u64) -> Option<Ended> {
+        let ended = self.ledger.teardown(request)?;
+        let now = self.engine.now();
+        for &key in &ended.retract {
+            let edge = key.0;
+            if let Some(tl) = self.telemetry.as_deref_mut() {
+                tl.on_retract(edge);
+                let attempt = ended.seed.attempt;
+                tl.emit(now, request, attempt, SpanStage::Retract { edge });
             }
+            let delay = self.topo.edge(edge).control_delay;
+            self.engine.schedule_in(delay, NetEvent::Expire(key));
         }
-        self.retract_pending_creates(request, req.seed.attempt);
-        Some(req)
+        Some(ended)
     }
 
     /// Records a span if telemetry is on (passive either way).
@@ -1553,49 +827,29 @@ impl Network {
     /// (looked up only when telemetry is on).
     fn span(&mut self, t: SimTime, request: u64, stage: SpanStage) {
         if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.emit(t, request, attempt_of(&self.requests, request), stage);
+            tl.emit(t, request, self.ledger.attempt_of(request), stage);
         }
     }
 
-    fn account_elapsed(&mut self, duration: SimDuration, horizon: SimTime) {
-        self.elapsed += duration;
-        for link in &mut self.links {
-            // Pure clock parking: every link event at or before the
-            // horizon was already processed through its wake.
-            link.advance_to(horizon);
-            link.metrics.elapsed += duration;
-        }
-    }
-
-    /// (Re)schedules the wake for a link's next internal event. Any
-    /// previously scheduled wake becomes stale via the generation
-    /// counter. A parked link has no next event and gets no wake: the
-    /// submit that resumes it reschedules one.
-    fn schedule_wake(&mut self, link: usize) {
-        if let Some(t) = self.links[link].next_event_time() {
-            self.wake_gen[link] += 1;
-            let gen = self.wake_gen[link];
-            self.queue
-                .schedule_at(t.max(self.queue.now()), NetEvent::LinkWake { link, gen });
-        }
+    /// Sends `msg` to node `at` over a control channel `delay` long.
+    fn send(&mut self, delay: SimDuration, at: usize, msg: ControlMsg) {
+        self.engine
+            .schedule_in(delay, NetEvent::Control { at, msg });
     }
 
     fn handle(&mut self, t: SimTime, ev: NetEvent) {
         match ev {
             NetEvent::LinkWake { link, gen } => {
-                if gen != self.wake_gen[link] {
-                    return; // superseded by a later-scheduled, earlier wake
+                if !self.engine.wake(link, gen, t) {
+                    return;
                 }
-                self.links[link].advance_to(t);
-                let deliveries = self.links[link].drain_deliveries();
-                for d in deliveries {
+                for d in self.engine.links[link].drain_deliveries() {
                     self.on_delivery(link, d, t);
                 }
-                let rejections = self.links[link].drain_rejections();
-                for r in rejections {
+                for r in self.engine.links[link].drain_rejections() {
                     self.on_rejection(link, r, t);
                 }
-                self.schedule_wake(link);
+                self.engine.schedule_wake(link);
             }
             NetEvent::Control { at, msg } => match msg {
                 ControlMsg::Reserve { request } => self.on_reserve(request, at),
@@ -1604,42 +858,37 @@ impl Network {
                     target,
                     z,
                     x,
-                } => {
-                    self.on_swap_result(request, at, target, z, x, t);
-                }
+                } => self.on_swap_result(request, at, target, z, x, t),
                 ControlMsg::PurifyResult {
                     request,
                     edge,
                     accepted,
-                } => {
-                    self.on_purify_result(request, at, edge, accepted, t);
-                }
+                } => self.on_purify_result(request, at, edge, accepted, t),
                 ControlMsg::GroupResult { group, accepted } => {
-                    self.on_group_result(group, accepted, t);
+                    self.on_group_result(group, accepted, t)
                 }
             },
             NetEvent::RequestTimeout { request, attempt } => {
-                self.on_request_timeout(request, attempt, t);
+                // Stale timers (the attempt completed or was already
+                // re-issued) carry an older attempt number.
+                let current = self.ledger.in_flight(request).map(|(seed, _)| seed.attempt);
+                if current == Some(attempt) {
+                    self.fail_attempt(request, None, t);
+                }
             }
             NetEvent::Reissue { request } => {
                 // `None`: cancelled while parked.
-                if let Some(parked) = self.parked.remove(&request) {
-                    self.on_reissue(request, parked, t);
+                if let Some(seed) = self.ledger.unpark(request) {
+                    self.on_reissue(request, seed, t);
                 }
             }
-            NetEvent::Expire {
-                edge,
-                side,
-                create_id,
-            } => {
-                self.links[edge].advance_to(t);
-                self.links[edge].expire_request(side, create_id);
+            NetEvent::Expire(key) => {
+                self.engine.expire(key, t);
                 if let Some(tl) = self.telemetry.as_deref_mut() {
-                    tl.on_expire(edge);
+                    tl.on_expire(key.0);
                 }
-                self.schedule_wake(edge);
             }
-            NetEvent::Arrival { index } => self.on_arrival(index, t),
+            NetEvent::Arrival { index, stream } => self.on_arrival(index, stream, t),
             NetEvent::AdmitQueued => self.on_admit_queued(t),
             NetEvent::Fault { kind } => self.on_fault(kind, t),
         }
@@ -1647,17 +896,20 @@ impl Network {
 
     // ---- open-loop workload glue (see crate::load) -------------------
 
-    /// Handles workload arrival `index` at its firing instant: resolve
-    /// class and pair (counting it offered), schedule the next arrival
-    /// one gap ahead, and run admission control.
-    fn on_arrival(&mut self, index: u64, t: SimTime) {
-        let Some(mut wl) = self.workload.take() else {
-            return; // workload cleared with an arrival in flight
+    /// Handles arrival `index` of workload stream `stream` at its
+    /// firing instant: resolve class and pair (counting it offered),
+    /// schedule the next arrival one gap ahead, and run admission
+    /// control. An arrival of a stream since replaced (or cleared) is
+    /// ignored.
+    fn on_arrival(&mut self, index: u64, stream: u64, t: SimTime) {
+        let Some(mut wl) = self.workload.take_if(|wl| wl.stream() == stream) else {
+            return;
         };
         let (class, pair) = wl.resolve_arrival(index, &mut self.load_rng);
         if let Some(gap) = wl.gap_after(index, &mut self.load_rng) {
-            self.queue
-                .schedule_in(gap, NetEvent::Arrival { index: index + 1 });
+            let index = index + 1;
+            self.engine
+                .schedule_in(gap, NetEvent::Arrival { index, stream });
         }
         match wl.admit_decision(class) {
             Admission::Admit => {
@@ -1686,23 +938,6 @@ impl Network {
         self.workload = Some(wl);
     }
 
-    /// A workload-tracked request delivered: fold it into the class
-    /// accounting and, if arrivals are waiting, schedule a queue
-    /// drain one control delay out (the slot-freed notice has to
-    /// reach the admission plane).
-    /// Returns `false`, touching nothing, for untracked (closed-loop)
-    /// requests.
-    fn workload_complete(&mut self, request: u64, fidelity: f64, t: SimTime) -> bool {
-        let tracked = self
-            .workload
-            .as_deref_mut()
-            .is_some_and(|wl| wl.complete(request, fidelity, t));
-        if tracked {
-            self.schedule_admit_drain();
-        }
-        tracked
-    }
-
     /// A workload-tracked request was abandoned (retry budget
     /// exhausted, no route left, or cancelled): count it and free its
     /// slot. No-op for untracked requests.
@@ -1716,128 +951,65 @@ impl Network {
         }
     }
 
+    /// A tracked request freed its slot: if arrivals are waiting,
+    /// schedule a queue drain one control delay out (the slot-freed
+    /// notice has to reach the admission plane).
     fn schedule_admit_drain(&mut self) {
         if self.workload.as_deref().is_some_and(LoadEngine::has_queued) {
-            self.queue
-                .schedule_in(self.min_control_delay, NetEvent::AdmitQueued);
+            let delay = self.engine.min_control_delay;
+            self.engine.schedule_in(delay, NetEvent::AdmitQueued);
         }
     }
 
-    /// Issues every NL CREATE path edge position `pos` of `request`
-    /// starts with: the compiled program's pair need for the edge (one
-    /// pair normally, two when it distills).
-    fn submit_edge_creates(&mut self, request: u64, pos: usize, fmin: f64) {
-        let Some(req) = self.requests.get(&request) else {
+    // ---- the life of an attempt --------------------------------------
+
+    /// The reservation of `request` is at path position `pos`: that
+    /// node issues every NL CREATE its edge starts with, and forwards
+    /// the reservation to the next node that must issue one.
+    fn reserve_at(&mut self, request: u64, pos: usize) {
+        let Some((_, att)) = self.ledger.in_flight(request) else {
             return;
         };
-        for _ in 0..req.edge_needs[pos] {
-            self.submit_nl(request, pos, fmin);
+        let (edge, need) = att.create_site(pos);
+        // The node at position `len - 2` submits the last edge; the
+        // reservation needs to travel no further.
+        let next = (pos + 2 < att.path().len()).then(|| att.path()[pos + 1]);
+        for _ in 0..need {
+            self.submit_nl(request, pos);
+        }
+        if let Some(next) = next {
+            let delay = self.topo.edge(edge).control_delay;
+            self.send(delay, next, ControlMsg::Reserve { request });
         }
     }
 
     /// Issues one NL CREATE for path edge position `pos` of `request`.
-    fn submit_nl(&mut self, request: u64, pos: usize, fmin: f64) {
-        let Some(req) = self.requests.get(&request) else {
+    fn submit_nl(&mut self, request: u64, pos: usize) {
+        let Some((seed, att)) = self.ledger.in_flight(request) else {
             return;
         };
-        let edge_idx = req.edges[pos];
-        let submitting_node = req.path[pos];
-        let side = self.topo.edge(edge_idx).side_of(submitting_node);
-        let now = self.queue.now();
-        // Align the link's clock with the global instant of submission.
-        self.links[edge_idx].advance_to(now);
-        let create_id = self.links[edge_idx].submit(
-            side,
-            GeneratedRequest {
-                kind: RequestKind::Nl,
-                pairs: 1,
-                origin: side,
-                fmin,
-                tmax_us: 0,
-            },
-        );
-        self.pending_creates
-            .insert((edge_idx, side, create_id), (request, now));
+        let (fmin, attempt) = (seed.fmin, seed.attempt);
+        let (edge, _) = att.create_site(pos);
+        let side = self.topo.edge(edge).side_of(att.path()[pos]);
+        let now = self.engine.now();
+        let create_id = self.engine.submit_nl(edge, side, fmin);
+        self.ledger
+            .record_create((edge, side, create_id), request, now);
         if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.on_create(edge_idx);
-        }
-        self.span(
-            now,
-            request,
-            SpanStage::Create {
-                edge: edge_idx,
+            tl.on_create(edge);
+            let stage = SpanStage::Create {
+                edge,
                 side,
                 create_id,
-            },
-        );
-        self.schedule_wake(edge_idx);
-    }
-
-    /// Forwards the reservation from path position `pos` to the next
-    /// node that must issue a CREATE.
-    fn forward_reserve(&mut self, request: u64, pos: usize) {
-        let Some(req) = self.requests.get(&request) else {
-            return;
-        };
-        // The node at position `len - 2` submits the last edge; the
-        // reservation needs to travel no further.
-        if pos + 1 >= req.path.len() - 1 {
-            return;
+            };
+            tl.emit(now, request, attempt, stage);
         }
-        let next = req.path[pos + 1];
-        let delay = self.topo.edge(req.edges[pos]).control_delay;
-        self.queue.schedule_in(
-            delay,
-            NetEvent::Control {
-                at: next,
-                msg: ControlMsg::Reserve { request },
-            },
-        );
     }
 
     fn on_reserve(&mut self, request: u64, at: usize) {
-        let Some(req) = self.requests.get(&request) else {
-            return;
-        };
-        let Some(pos) = req.path.iter().position(|&n| n == at) else {
-            return;
-        };
-        let fmin = req.fmin;
-        self.submit_edge_creates(request, pos, fmin);
-        self.forward_reserve(request, pos);
-    }
-
-    /// Retracts every CREATE of `request` still queued inside a link
-    /// (`attempt` stamps the spans: the attempt that owned them, whose
-    /// state the caller has already removed). The retraction notice
-    /// travels the edge's classical control channel (a
-    /// [`NetEvent::Expire`] one control delay out); on
-    /// arrival the link-layer EXPIRE hook removes the request at both
-    /// EGPs, so the links stop spending attempt cycles on pairs nobody
-    /// will use. Notices are scheduled in key order.
-    fn retract_pending_creates(&mut self, request: u64, attempt: u64) {
-        let keys: Vec<(usize, usize, u16)> = self
-            .pending_creates
-            .iter()
-            .filter_map(|(k, &(r, _))| (r == request).then_some(*k))
-            .collect();
-        let now = self.queue.now();
-        for key in keys {
-            self.pending_creates.remove(&key);
-            let (edge, side, create_id) = key;
-            if let Some(tl) = self.telemetry.as_deref_mut() {
-                tl.on_retract(edge);
-                tl.emit(now, request, attempt, SpanStage::Retract { edge });
-            }
-            let delay = self.topo.edge(edge).control_delay;
-            self.queue.schedule_in(
-                delay,
-                NetEvent::Expire {
-                    edge,
-                    side,
-                    create_id,
-                },
-            );
+        let in_flight = self.ledger.in_flight(request);
+        if let Some(pos) = in_flight.and_then(|(_, att)| att.position(at)) {
+            self.reserve_at(request, pos);
         }
     }
 
@@ -1846,105 +1018,58 @@ impl Network {
     /// reservations and either trying another path or, with no retry
     /// budget left, abandoning the request — instead of idling until
     /// some timeout notices.
-    fn on_rejection(&mut self, edge_idx: usize, r: Rejection, t: SimTime) {
-        let key = (edge_idx, r.origin, r.create_id);
-        let Some((request, _)) = self.pending_creates.remove(&key) else {
-            return; // link-local traffic, or a CREATE already retracted
+    fn on_rejection(&mut self, edge: usize, r: Rejection, t: SimTime) {
+        let key = (edge, r.origin, r.create_id);
+        let Some((request, _)) = self.ledger.claim_create(key) else {
+            return;
         };
         if r.is_unsupported() {
             if let Some(tl) = self.telemetry.as_deref_mut() {
-                tl.on_unsupp(edge_idx);
+                tl.on_unsupp(edge);
             }
             // A terminal "this link cannot serve that" also feeds the
             // penalty box: the edge is priced up for *everyone*, so
             // later plans steer other requests around it too.
-            if let Some(pb) = &mut self.penalty_box {
-                pb.bump(edge_idx, t);
-            }
+            self.planner.penalize(edge, t);
         }
-        self.fail_attempt(request, Some(edge_idx), t);
+        self.fail_attempt(request, Some(edge), t);
     }
 
-    /// A request's per-attempt timeout fired. Stale timers (the
-    /// attempt completed or was already re-issued) carry an older
-    /// attempt number and are ignored.
-    fn on_request_timeout(&mut self, request: u64, attempt: u64, t: SimTime) {
-        let current = self.requests.get(&request).map(|req| req.seed.attempt);
-        if current != Some(attempt) {
-            return;
-        }
-        self.fail_attempt(request, None, t);
-    }
-
-    /// Fails the current attempt of `request`: tears it down
-    /// ([`Network::teardown`] — reservations released, queued CREATEs
-    /// retracted via [`LinkSimulation::expire_request`], so
-    /// `edge_load` stays an exact congestion signal through timeout
-    /// storms), extends its excluded-edge set — the specific failing
-    /// edge when known, the whole failed path on a timeout — and
-    /// either parks it for re-issue (budget left) or abandons it.
-    ///
-    /// [`LinkSimulation::expire_request`]:
-    ///     qlink_sim::link::LinkSimulation::expire_request
+    /// Fails the current attempt of `request`: tears it down (so
+    /// [`Network::edge_load`] stays an exact congestion signal through
+    /// timeout storms) and either parks it for re-issue around the
+    /// edges the failure implicates (budget left) or abandons it.
     fn fail_attempt(&mut self, request: u64, failed_edge: Option<usize>, t: SimTime) {
-        let Some(mut req) = self.teardown(request) else {
+        let Some(ended) = self.teardown(request) else {
             return;
         };
-        if req.seed.retries_left == 0 {
-            self.abandon(request, &req.seed, failed_edge, t);
+        if ended.seed.retries_left == 0 {
+            self.abandon(request, &ended.seed, failed_edge, t);
             return;
         }
-        let implicated: &[usize] = match failed_edge {
-            Some(ref e) => std::slice::from_ref(e),
-            None => &req.edges,
-        };
-        for &e in implicated {
-            if !req.seed.excluded.contains(&e) {
-                req.seed.excluded.push(e);
-            }
-        }
-
         // Park and re-issue after a jittered backoff: the release has
-        // to propagate along the old path's control channels before
-        // its capacity is really free, and the jitter (drawn from the
-        // dedicated `net/reroute` substream — runs without re-routes
-        // never touch it) desynchronises the retry storm of streams
-        // that all timed out at the same instant.
-        self.reroutes += 1;
-        let attempt = req.seed.attempt;
+        // to propagate along the old path's control channels before its
+        // capacity is really free, and the jitter desynchronises the
+        // retry storm of streams that timed out at the same instant.
+        let attempt = ended.seed.attempt;
         self.emit(t, request, attempt, SpanStage::Reroute { failed_edge });
-        let base = self.topo.path_control_delay(&req.path).as_secs_f64();
-        // One jitter draw per failure whatever the policy, so changing
-        // the policy never shifts the `net/reroute` substream.
-        let jitter = self.reroute_rng.uniform();
+        let base = self.topo.path_control_delay(ended.attempt.path());
         let backoff = self
-            .backoff
-            .delay(base, attempt, jitter)
+            .planner
+            .backoff_delay(base.as_secs_f64(), attempt)
             // At least one control delay must pass before the
             // released capacity is real.
-            .max(self.min_control_delay);
-        self.parked.insert(
-            request,
-            ParkedReroute {
-                src: req.path[0],
-                dst: *req.path.last().expect("a path has two ends"),
-                fmin: req.fmin,
-                seed: AttemptSeed {
-                    retries_left: req.seed.retries_left - 1,
-                    attempt: attempt + 1,
-                    ..req.seed
-                },
-            },
-        );
-        self.queue
+            .max(self.engine.min_control_delay);
+        self.ledger.park(request, ended, failed_edge);
+        self.engine
             .schedule_in(backoff, NetEvent::Reissue { request });
     }
 
     /// The one abandon tail: `request` will never deliver — its retry
     /// budget is exhausted, or no route is left to re-issue it on.
-    /// Counts it, closes its span, and tells whoever tracks it (its
-    /// distillation group, else the workload). `seed` is the state of
-    /// the attempt that could not go on.
+    /// Counts it, closes its span, and tells whoever tracks it: the
+    /// workload, or its distillation group, which is then dropped whole
+    /// (partner stream cancelled, any parked pair discarded).
     fn abandon(
         &mut self,
         request: u64,
@@ -1952,243 +1077,105 @@ impl Network {
         failed_edge: Option<usize>,
         t: SimTime,
     ) {
-        self.timed_out += 1;
+        self.ledger.count_abandoned();
         self.emit(t, request, seed.attempt, SpanStage::Abandon { failed_edge });
-        if let Some(group) = seed.group {
-            self.abandon_group(group, request);
-        } else {
-            self.workload_abandon(request);
-        }
-    }
-
-    /// A failed stream's backoff elapsed: re-plan against the
-    /// *current* loads and profiles, around every excluded edge where
-    /// possible ([`Network::plan_for_issue`]), and re-issue under the
-    /// original id, fmin, and policy.
-    fn on_reissue(&mut self, request: u64, p: ParkedReroute, t: SimTime) {
-        let route = self
-            .plan_for_issue(p.src, p.dst, p.fmin, 1, &p.seed.excluded, p.seed.policy)
-            .into_iter()
-            .next();
-        let Some(route) = route else {
-            // Faults have cut every path between the pair.
-            self.abandon(request, &p.seed, None, t);
-            return;
+        let Some(group) = seed.group else {
+            return self.workload_abandon(request);
         };
-        // A re-routed group member retargets its group's route record
-        // so a later parity-reject regenerates on the *new* path.
-        if let Some(group) = p.seed.group {
-            if let Some(g) = self.groups.get_mut(&group) {
-                if let Some(i) = g.members.iter().position(|&m| m == request) {
-                    g.routes[i] = route.nodes.clone();
-                }
-            }
-        }
-        self.issue_attempt(request, &route.nodes, p.fmin, p.seed);
-    }
-
-    /// A member stream of an end-to-end distillation group was
-    /// abandoned: the group can never deliver, so drop it whole —
-    /// cancel the partner stream (releasing its reservations) and
-    /// discard any parked pair.
-    fn abandon_group(&mut self, group: u64, failed_member: u64) {
-        let Some(g) = self.groups.remove(&group) else {
+        let Some(members) = self.ledger.close_group(group) else {
             return;
         };
         // The group id is the public handle a workload tracks; member
         // streams were never registered, so their cancels below are
         // workload no-ops.
         self.workload_abandon(group);
-        for member in g.members {
-            if member != failed_member {
+        for member in members {
+            if member != request {
                 self.cancel_request(member);
             }
         }
+    }
+
+    /// A failed stream's backoff elapsed: re-plan against the
+    /// *current* loads and profiles, around every excluded edge where
+    /// possible, and re-issue under the original id, fmin, and policy.
+    fn on_reissue(&mut self, request: u64, seed: AttemptSeed, t: SimTime) {
+        let Some(route) = self.route_for_issue(&seed) else {
+            // Faults have cut every path between the pair.
+            self.abandon(request, &seed, None, t);
+            return;
+        };
+        self.issue_attempt(request, &route.nodes, seed);
     }
 
     fn on_delivery(&mut self, edge_idx: usize, d: Delivery, t: SimTime) {
         if d.kind != RequestKind::Nl {
             return;
         }
-        let Some((request, submitted)) =
-            self.pending_creates
-                .remove(&(edge_idx, d.origin, d.create_id))
-        else {
+        let key = (edge_idx, d.origin, d.create_id);
+        let Some((request, submitted)) = self.ledger.claim_create(key) else {
             return;
         };
         if let Some(tl) = self.telemetry.as_deref_mut() {
             tl.on_add(t.since(submitted));
         }
-        self.span(
-            t,
-            request,
-            SpanStage::Add {
-                edge: edge_idx,
-                fidelity: d.fidelity,
-            },
-        );
-
+        let (edge, fidelity) = (edge_idx, d.fidelity);
+        self.span(t, request, SpanStage::Add { edge, fidelity });
         let edge = self.topo.edge(edge_idx);
-        let (a, b) = (edge.a, edge.b);
-        let nv = &edge.link.scenario.nv;
-        let decay = (nv.carbon_t1, nv.carbon_t2);
-        // The delivered fidelity summarises the pair as a Werner state
-        // — the one-parameter model a network layer tracks per link.
-        let state = werner_from_fidelity(BellState::PhiPlus, d.fidelity);
-
-        {
-            let Some(req) = self.requests.get_mut(&request) else {
-                return;
-            };
-            req.pairs_consumed += 1;
-            self.edge_pairs_delivered[edge_idx] += 1;
-            if let Some(pos) = req.edges.iter().position(|&e| e == edge_idx) {
-                req.pair_fidelities[pos].push(d.fidelity);
-                // Under link-level purification this is provisional:
-                // the distillation overwrites it with its output.
-                req.link_fidelities[pos] = Some(d.fidelity);
-            }
-            req.segments.push(Segment {
-                a,
-                b,
-                state,
-                decay_a: decay,
-                decay_b: decay,
-                updated: t,
-            });
+        let ends = [edge.a, edge.b];
+        if !self.ledger.add_pair(request, edge_idx, edge, fidelity, t) {
+            return;
         }
-
-        for node in [a, b] {
-            let action = self.nodes[node].on_pair(request, edge_idx);
-            self.drain_rule_fires(node, t);
-            if let Some(action) = action {
-                self.apply_action(node, action, t);
-            }
+        for node in ends {
+            self.observe(node, t, |n| n.on_pair(request, edge_idx));
         }
     }
 
-    /// Surfaces the rule-firing log a node accumulated during its last
-    /// observation as [`SpanStage::RuleFired`] spans. The log is
-    /// always drained (the node buffers unconditionally so its
-    /// decision path is identical either way), but spans are only
-    /// emitted when telemetry is on — recording stays passive and
-    /// on/off never moves a bit.
-    fn drain_rule_fires(&mut self, node: usize, t: SimTime) {
-        let fired = self.nodes[node].drain_fired();
-        let Some(tl) = self.telemetry.as_deref_mut() else {
-            return; // dropping the drain empties the log
-        };
-        for f in fired {
-            tl.emit(
-                t,
-                f.request,
-                attempt_of(&self.requests, f.request),
-                SpanStage::RuleFired {
-                    rule: f.rule,
-                    action: f.action,
-                },
-            );
-        }
-    }
-
-    fn apply_action(&mut self, node: usize, action: NodeAction, t: SimTime) {
-        match action {
-            NodeAction::Purify { request, edge } => self.do_purify(request, edge, t),
-            NodeAction::Swap { request, .. } => self.do_swap(node, request, t),
-            NodeAction::EndReady {
+    /// Feeds node `node` one observation and executes the action its
+    /// rule table answers with, if any.
+    fn observe(
+        &mut self,
+        node: usize,
+        t: SimTime,
+        obs: impl FnOnce(&mut SwapAsapNode) -> Option<NodeAction>,
+    ) {
+        let telemetry = self.telemetry.as_deref_mut();
+        match self.ledger.observe(node, t, telemetry, obs) {
+            None => {}
+            Some(NodeAction::Purify { request, edge }) => self.do_purify(request, edge, t),
+            Some(NodeAction::Swap { request, .. }) => self.do_swap(node, request, t),
+            Some(NodeAction::EndReady {
                 request,
                 frame_z,
                 frame_x,
-            } => self.on_end_ready(node, request, frame_z, frame_x, t),
+            }) => {
+                let complete = self.ledger.end_ready(request, node, (frame_z, frame_x));
+                if complete {
+                    self.finalize(request, t);
+                }
+            }
         }
     }
 
-    /// Executes a link-level 2→1 distillation on the quantum ledger:
-    /// consumes the edge's two pairs, draws the parity check from the
-    /// closed-form success probability of their Werner fidelities, and
+    /// Runs a link-level 2→1 distillation ([`Ledger::purify`]) and
     /// sends each endpoint its partner's parity bit over the edge's
-    /// classical control channel. Both endpoints arm the rule in the
-    /// same delivery instant; the first arrival does the work and the
-    /// `purify_pending` latch absorbs the second.
+    /// classical control channel: each learns the verdict when that
+    /// bit arrives.
     fn do_purify(&mut self, request: u64, edge_idx: usize, t: SimTime) {
-        let (ea, eb) = {
-            let e = self.topo.edge(edge_idx);
-            (e.a, e.b)
-        };
-        // Phase 1: claim the rule and pull the edge's two pairs off
-        // the ledger.
-        let (pos, mut s1, mut s2) = {
-            let Some(req) = self.requests.get_mut(&request) else {
-                return;
-            };
-            let pos = req
-                .edges
-                .iter()
-                .position(|&e| e == edge_idx)
-                .expect("purify on an off-path edge");
-            if req.purify_pending[pos] {
-                return; // the other endpoint already ran it
-            }
-            req.purify_pending[pos] = true;
-            let on_edge = |s: &Segment| (s.a == ea && s.b == eb) || (s.a == eb && s.b == ea);
-            let i2 = req
-                .segments
-                .iter()
-                .rposition(on_edge)
-                .expect("purify without a second pair");
-            let s2 = req.segments.remove(i2);
-            let i1 = req
-                .segments
-                .iter()
-                .position(on_edge)
-                .expect("purify without a first pair");
-            debug_assert!(i1 < i2, "distinct pairs");
-            (pos, req.segments.remove(i1), s2)
-        };
-        // Phase 2: catch both memories up and distill in closed form —
-        // the network layer tracks pairs as Werner states, so each
-        // pair's current fidelity is read off the ledger (memory decay
-        // included) and fed to the DEJMPS formulas.
-        s1.decay_to(t);
-        s2.decay_to(t);
-        let f1 = bell_fidelity(&s1.state, (0, 1), BellState::PhiPlus).clamp(0.25, 1.0);
-        let f2 = bell_fidelity(&s2.state, (0, 1), BellState::PhiPlus).clamp(0.25, 1.0);
-        let out = distill_werner(f1, f2);
-        let accepted = self.purify_rng.bernoulli(out.success_probability);
-        self.edge_purify_attempts[edge_idx] += 1;
-        self.span(t, request, SpanStage::Purify { edge: edge_idx });
-        // Phase 3: on an agreeing parity the boosted pair replaces the
-        // two inputs; on a reject both are lost.
-        if accepted {
-            self.edge_purify_successes[edge_idx] += 1;
-            if let Some(req) = self.requests.get_mut(&request) {
-                req.link_fidelities[pos] = Some(out.output_fidelity);
-                req.segments.push(Segment {
-                    a: s1.a,
-                    b: s1.b,
-                    state: werner_from_fidelity(BellState::PhiPlus, out.output_fidelity),
-                    decay_a: s1.decay_a,
-                    decay_b: s1.decay_b,
-                    updated: t,
-                });
-            }
-        }
-        // Each endpoint learns the verdict when the partner's parity
-        // bit crosses the edge's control channel.
         let edge = self.topo.edge(edge_idx);
-        let delay = edge.control_delay;
-        for node in [edge.a, edge.b] {
-            self.queue.schedule_in(
-                delay,
-                NetEvent::Control {
-                    at: node,
-                    msg: ControlMsg::PurifyResult {
-                        request,
-                        edge: edge_idx,
-                        accepted,
-                    },
-                },
-            );
+        let (ends, delay) = ((edge.a, edge.b), edge.control_delay);
+        let Some(accepted) = self.ledger.purify(request, edge_idx, ends, t) else {
+            return;
+        };
+        let edge = edge_idx;
+        self.span(t, request, SpanStage::Purify { edge });
+        let verdict = ControlMsg::PurifyResult {
+            request,
+            edge,
+            accepted,
+        };
+        for node in [ends.0, ends.1] {
+            self.send(delay, node, verdict);
         }
     }
 
@@ -2205,121 +1192,42 @@ impl Network {
         t: SimTime,
     ) {
         self.span(t, request, SpanStage::PurifyParity { edge, accepted });
-        let action = self.nodes[at].on_purify_result(request, edge, accepted);
-        self.drain_rule_fires(at, t);
-        if let Some(action) = action {
-            self.apply_action(at, action, t);
-        }
-        // Regeneration is demand-driven — the rule table decided how
-        // many fresh pairs this edge needs (one to pump an accepted
-        // round, the program's full need after a reject, zero when the
-        // program completed).
-        let demand = self.nodes[at].take_create_demand(request, edge);
-        let Some(req) = self.requests.get_mut(&request) else {
-            return;
-        };
-        let Some(pos) = req.edges.iter().position(|&e| e == edge) else {
-            return;
-        };
-        // Only the endpoint that submits this edge's CREATEs restarts
-        // generation (its partner drained an identical demand above
-        // and drops it here).
-        if req.path[pos] != at || demand == 0 {
-            return;
-        }
-        req.purify_pending[pos] = false;
-        let fmin = req.fmin;
-        for _ in 0..demand {
-            self.submit_nl(request, pos, fmin);
+        self.observe(at, t, |n| n.on_purify_result(request, edge, accepted));
+        if let Some((pos, demand)) = self.ledger.take_create_demand(request, at, edge) {
+            for _ in 0..demand {
+                self.submit_nl(request, pos);
+            }
         }
     }
 
-    /// Executes a repeater's entanglement swap on the quantum ledger
-    /// and broadcasts the Bell-measurement outcome to both ends.
+    /// Runs a repeater's entanglement swap ([`Ledger::swap`]) and
+    /// broadcasts the Bell-measurement outcome to both ends.
     fn do_swap(&mut self, node: usize, request: u64, t: SimTime) {
         self.span(t, request, SpanStage::Swap { node });
-        let (src, dst, outcome) = {
-            let Some(req) = self.requests.get_mut(&request) else {
-                return;
-            };
-            let i1 = req
-                .segments
-                .iter()
-                .position(|s| s.a == node || s.b == node)
-                .expect("swap without a left segment");
-            let mut s1 = req.segments.swap_remove(i1);
-            let i2 = req
-                .segments
-                .iter()
-                .position(|s| s.a == node || s.b == node)
-                .expect("swap without a right segment");
-            let mut s2 = req.segments.swap_remove(i2);
-            // Orient [far1 .. node][node .. far2].
-            if s1.a == node {
-                s1.flip();
-            }
-            if s2.b == node {
-                s2.flip();
-            }
-            // Catch both halves' memories up to the swap instant.
-            s1.decay_to(t);
-            s2.decay_to(t);
-            // Register [far1, node, node, far2]: BSM on the middle
-            // two, Pauli correction folded onto far2.
-            let mut joint = s1.state.tensor(&s2.state);
-            let outcome = entanglement_swap(&mut joint, 1, 2, 3, self.rng.raw());
-            let state = joint.partial_trace(&[0, 3]);
-            req.segments.push(Segment {
-                a: s1.a,
-                b: s2.b,
-                state,
-                decay_a: s1.decay_a,
-                decay_b: s2.decay_b,
-                updated: t,
-            });
-            req.swaps += 1;
-            (req.path[0], *req.path.last().unwrap(), outcome)
+        let Some((z, x)) = self.ledger.swap(request, node, t) else {
+            return;
         };
-        for target in [src, dst] {
-            self.forward_swap_result(request, node, target, outcome.z_bit, outcome.x_bit);
+        let (seed, _) = self.ledger.in_flight(request).expect("swapped above");
+        for target in [seed.src, seed.dst] {
+            self.forward_swap_result(request, node, target, z, x);
         }
     }
 
     /// Sends a swap result one hop from `from` toward `target` over
     /// the classical control channel of the connecting path edge.
     fn forward_swap_result(&mut self, request: u64, from: usize, target: usize, z: u8, x: u8) {
-        let Some(req) = self.requests.get(&request) else {
+        let Some((_, att)) = self.ledger.in_flight(request) else {
             return;
         };
-        let pos = req
-            .path
-            .iter()
-            .position(|&n| n == from)
-            .expect("off-path sender");
-        let tpos = req
-            .path
-            .iter()
-            .position(|&n| n == target)
-            .expect("off-path target");
-        debug_assert_ne!(pos, tpos);
-        let (next, via) = if tpos > pos {
-            (req.path[pos + 1], req.edges[pos])
-        } else {
-            (req.path[pos - 1], req.edges[pos - 1])
-        };
+        let (next, via) = att.step_toward(from, target);
         let delay = self.topo.edge(via).control_delay;
-        self.queue.schedule_in(
-            delay,
-            NetEvent::Control {
-                at: next,
-                msg: ControlMsg::SwapResult {
-                    request,
-                    target,
-                    z,
-                    x,
-                },
-            },
-        );
+        let result = ControlMsg::SwapResult {
+            request,
+            target,
+            z,
+            x,
+        };
+        self.send(delay, next, result);
     }
 
     fn on_swap_result(&mut self, request: u64, at: usize, target: usize, z: u8, x: u8, t: SimTime) {
@@ -2328,83 +1236,35 @@ impl Network {
             return;
         }
         self.span(t, request, SpanStage::SwapResult { node: at });
-        let action = self.nodes[at].on_swap_result(request, z, x);
-        self.drain_rule_fires(at, t);
-        if let Some(action) = action {
-            self.apply_action(at, action, t);
-        }
+        self.observe(at, t, |n| n.on_swap_result(request, z, x));
     }
 
-    fn on_end_ready(&mut self, node: usize, request: u64, frame_z: u8, frame_x: u8, t: SimTime) {
-        let complete = {
-            let Some(req) = self.requests.get_mut(&request) else {
-                return;
-            };
-            let side = if node == req.path[0] { 0 } else { 1 };
-            req.ends_ready[side] = Some(t);
-            req.frame = (frame_z, frame_x);
-            req.ends_ready.iter().all(|r| r.is_some())
-        };
-        if complete {
-            self.finalize(request, t);
-        }
-    }
-
+    /// Both ends of `request` hold a usable pair: the attempt leaves
+    /// the books through the one exit, complete ([`Ledger::complete`]).
     fn finalize(&mut self, request: u64, t: SimTime) {
+        let Some(ended) = self.teardown(request) else {
+            return;
+        };
         debug_assert!(
-            !self.pending_creates.values().any(|&(r, _)| r == request),
+            ended.retract.is_empty(),
             "request {request} completed with CREATEs still queued"
         );
-        let Some(req) = self.teardown(request) else {
-            return;
-        };
-        debug_assert_eq!(req.segments.len(), 1, "completion with fragmented path");
-        let mut seg = req.segments.into_iter().next().expect("spanning segment");
-        // The pair keeps decaying until the later end learned its
-        // Pauli frame — only then is the entanglement usable.
-        seg.decay_to(t);
-        let link_fidelities: Vec<f64> = req
-            .link_fidelities
-            .iter()
-            .map(|f| f.expect("complete path with missing link fidelity"))
-            .collect();
-        if let Some(group) = req.seed.group {
-            self.on_member_complete(
+        match self.ledger.complete(request, ended, t, &self.topo) {
+            Completion::Deliver { outcome, attempt } => self.deliver(outcome, attempt),
+            Completion::Waiting => {}
+            Completion::Verdict {
                 group,
-                GroupMember {
-                    segment: seg,
-                    path: req.path,
-                    link_fidelities,
-                    pair_fidelities: req.pair_fidelities,
-                    swaps: req.swaps,
-                    frame: req.frame,
-                },
-                req.pairs_consumed,
-                t,
-            );
-            return;
+                accepted,
+                at,
+                delay,
+            } => self.send(delay, at, ControlMsg::GroupResult { group, accepted }),
         }
-        let outcome = EndToEndOutcome {
-            request,
-            link_fidelities,
-            end_to_end_fidelity: bell_fidelity(&seg.state, (0, 1), BellState::PhiPlus),
-            latency: t.since(req.seed.requested_at),
-            delivered_at: t,
-            swaps: req.swaps,
-            frame_z: req.frame.0,
-            frame_x: req.frame.1,
-            distilled: false,
-            pairs_consumed: req.pairs_consumed,
-            pair_fidelities: req.pair_fidelities,
-            path: req.path,
-        };
-        self.deliver(outcome, req.seed.attempt);
     }
 
     /// The one delivery tail: records the completion (metrics, the
     /// closing span — stamped `attempt`) and hands the outcome to
     /// whoever waits for it. Workload completions feed the class
-    /// accounting directly; buffering an outcome per delivery would
+    /// accounting directly: buffering an outcome per delivery would
     /// grow without bound over a million-arrival run.
     fn deliver(&mut self, outcome: EndToEndOutcome, attempt: u64) {
         let (id, t) = (outcome.request, outcome.delivered_at);
@@ -2413,131 +1273,27 @@ impl Network {
             tl.on_complete(t, fidelity, latency);
         }
         self.emit(t, id, attempt, SpanStage::Deliver { fidelity, latency });
-        if !self.workload_complete(id, fidelity, t) {
+        let workload = self.workload.as_deref_mut();
+        if workload.is_some_and(|wl| wl.complete(id, fidelity, t)) {
+            self.schedule_admit_drain();
+        } else {
             self.outcomes.push(outcome);
         }
-    }
-
-    /// One stream of an end-to-end distillation group completed: park
-    /// it (the pair keeps decaying in memory); when its partner is
-    /// also in, the path ends measure both pairs, and the parity bits
-    /// cross the full classical path before the verdict lands.
-    fn on_member_complete(
-        &mut self,
-        group: u64,
-        member: GroupMember,
-        pairs_consumed: u32,
-        t: SimTime,
-    ) {
-        let ready = {
-            let Some(g) = self.groups.get_mut(&group) else {
-                return; // group cancelled; the stream's pair is dropped
-            };
-            g.swaps += member.swaps;
-            g.pairs_consumed += pairs_consumed;
-            g.done.push(member);
-            g.done.len() == 2
-        };
-        if !ready {
-            return;
-        }
-        let (accepted, delay) = {
-            let g = self.groups.get_mut(&group).expect("group just updated");
-            let mut fids = [0.0; 2];
-            for (i, m) in g.done.iter_mut().enumerate() {
-                m.segment.decay_to(t);
-                fids[i] =
-                    bell_fidelity(&m.segment.state, (0, 1), BellState::PhiPlus).clamp(0.25, 1.0);
-            }
-            let out = distill_werner(fids[0], fids[1]);
-            let accepted = self.purify_rng.bernoulli(out.success_probability);
-            if accepted {
-                // The kept stream's pair becomes the distilled output.
-                let kept = &mut g.done[0];
-                kept.segment.state = werner_from_fidelity(BellState::PhiPlus, out.output_fidelity);
-                kept.segment.updated = t;
-            }
-            // The parity bit crosses every control channel of the
-            // (slower) path before the ends know the verdict.
-            let delay = g
-                .done
-                .iter()
-                .map(|m| self.topo.path_control_delay(&m.path))
-                .max()
-                .expect("two members");
-            (accepted, delay)
-        };
-        let at = self.groups[&group].done[0].path[0];
-        self.queue.schedule_in(
-            delay,
-            NetEvent::Control {
-                at,
-                msg: ControlMsg::GroupResult { group, accepted },
-            },
-        );
     }
 
     /// The verdict of an end-to-end distillation reached the ends: an
     /// agreeing parity delivers the surviving boosted pair; a
     /// disagreement discards both streams' pairs and regenerates both
-    /// streams on their routes.
+    /// streams on their routes, under the group's pinned terms.
     fn on_group_result(&mut self, group: u64, accepted: bool, t: SimTime) {
         self.emit(t, group, 0, SpanStage::GroupParity { group, accepted });
-        if !accepted {
-            let Some(g) = self.groups.get_mut(&group) else {
-                return;
-            };
-            g.done.clear();
-            let routes = g.routes.clone();
-            let fmin = g.fmin;
-            let (timeout, retries) = (g.timeout, g.retries);
-            let policy = g.policy;
-            let mut members = [0u64; 2];
-            for (i, route) in routes.iter().enumerate() {
-                // Regenerated members run under the group's pinned
-                // failure-detection state, with a fresh retry budget
-                // (like the original members) and the group id set
-                // from birth.
-                let seed = AttemptSeed {
-                    timeout,
-                    retries_left: retries,
-                    excluded: Vec::new(),
-                    requested_at: self.queue.now(),
-                    group: Some(group),
-                    attempt: 0,
-                    policy,
-                };
-                members[i] = self.issue_fresh(route, fmin, seed);
+        match self.ledger.group_verdict(group, accepted, t) {
+            None => {}
+            Some(GroupVerdict::Deliver(outcome)) => self.deliver(outcome, 0),
+            Some(GroupVerdict::Regenerate { routes, template }) => {
+                let members = routes.map(|route| self.issue_fresh(&route, template.clone()));
+                self.ledger.set_group_members(group, members);
             }
-            self.groups.get_mut(&group).expect("group survives").members = members;
-            return;
         }
-        let Some(g) = self.groups.remove(&group) else {
-            return;
-        };
-        let mut kept = g.done.into_iter().next().expect("resolved group");
-        // The surviving pair decayed while the parity bits travelled.
-        kept.segment.decay_to(t);
-        let outcome = EndToEndOutcome {
-            request: group,
-            link_fidelities: kept.link_fidelities,
-            end_to_end_fidelity: bell_fidelity(&kept.segment.state, (0, 1), BellState::PhiPlus),
-            latency: t.since(g.requested_at),
-            delivered_at: t,
-            swaps: g.swaps,
-            frame_z: kept.frame.0,
-            frame_x: kept.frame.1,
-            distilled: true,
-            pairs_consumed: g.pairs_consumed,
-            pair_fidelities: kept.pair_fidelities,
-            path: kept.path,
-        };
-        self.deliver(outcome, 0);
     }
-}
-
-/// The attempt number `request` is on, as spans are stamped — 0 once
-/// its in-flight state is gone.
-fn attempt_of(requests: &BTreeMap<u64, PathRequest>, request: u64) -> u64 {
-    requests.get(&request).map_or(0, |r| r.seed.attempt)
 }

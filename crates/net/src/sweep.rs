@@ -360,13 +360,19 @@ impl ScenarioSpec {
     }
 }
 
-/// The measurements of one (scenario, seed) run.
+/// The measurements of one (scenario, seed) run — or, as
+/// [`SweepReport::scenarios`] holds them, of every run of one scenario
+/// merged ([`RunRecord::merge`]).
 #[derive(Debug, Clone)]
 pub struct RunRecord {
+    /// Scenario display name.
+    pub name: String,
     /// Index into the sweep's scenario list.
     pub scenario: usize,
-    /// The run's seed.
+    /// The run's seed (0 on a merged aggregate).
     pub seed: u64,
+    /// Runs merged in: 1 for a single run, one per seed on an aggregate.
+    pub runs: u32,
     /// Requests that delivered end-to-end entanglement.
     pub successes: u32,
     /// Logical requests attempted: counted as they are issued —
@@ -403,15 +409,18 @@ pub struct RunRecord {
     pub repairs: u64,
     /// Latency distribution of the delivered requests (seconds; the
     /// standard [`latency_histogram`] layout, so per-seed histograms
-    /// merge exactly into [`ScenarioStats::latency_hist`]). Always
-    /// recorded — the histogram is a pure projection of the run's
-    /// deterministic outcomes, so it costs nothing in reproducibility.
+    /// merge exactly; read percentiles off it via
+    /// [`RunRecord::latency_percentiles`]). Always recorded — the
+    /// histogram is a pure projection of the run's deterministic
+    /// outcomes, so it costs nothing in reproducibility.
     pub latency_hist: Histogram,
     /// Fidelity distribution of the delivered requests (the standard
     /// [`fidelity_histogram`] layout).
     pub fidelity_hist: Histogram,
     /// One sample per delivered request at its delivery time — the
-    /// run's throughput-vs-time raw series.
+    /// throughput-vs-time raw series, re-binned by
+    /// [`SweepReport::throughput_csv`]. Runs share the t = 0 origin, so
+    /// merged per-seed series interleave ([`TimeSeries::merge`]).
     pub deliveries: TimeSeries,
     /// Open-loop runs only: per-class workload accounting, in workload
     /// class order (empty for closed-loop runs). The scalar fields
@@ -421,63 +430,67 @@ pub struct RunRecord {
     pub classes: Vec<ClassLoadStats>,
     /// Open-loop runs only: simulated seconds of sustained arrivals
     /// (the spec's `max_time`; 0 for closed-loop runs). Offered and
-    /// carried *rates* divide by this.
+    /// carried *rates* divide by this
+    /// ([`SweepReport::service_csv`]).
     pub open_loop_secs: f64,
 }
 
-/// Merged per-scenario aggregate over all seeds.
-#[derive(Debug, Clone)]
-pub struct ScenarioStats {
-    /// Scenario display name.
-    pub name: String,
-    /// Runs merged (one per seed).
-    pub runs: u32,
-    /// Requests that delivered end-to-end entanglement, across runs.
-    pub successes: u32,
-    /// Logical requests attempted across runs (see
-    /// [`RunRecord::rounds`]).
-    pub rounds: u32,
-    /// End-to-end fidelity across delivered requests.
-    pub fidelity: RunningStats,
-    /// End-to-end latency (seconds) across delivered requests.
-    pub latency_s: RunningStats,
-    /// Link pairs consumed by delivered outcomes across runs.
-    pub pairs_consumed: u64,
-    /// Requests that failed to deliver within budget, across runs
-    /// (see [`RunRecord::timeouts`]).
-    pub timeouts: u32,
-    /// Re-planned and re-issued attempts across runs.
-    pub reroutes: u64,
-    /// Total events fired across runs.
-    pub events: u64,
-    /// Edge failures injected across runs.
-    pub faults: u64,
-    /// Edge repairs applied across runs.
-    pub repairs: u64,
-    /// Exact bucket-merge of every run's latency histogram; read
-    /// percentiles off it via [`ScenarioStats::latency_percentiles`].
-    pub latency_hist: Histogram,
-    /// Exact bucket-merge of every run's fidelity histogram.
-    pub fidelity_hist: Histogram,
-    /// Every run's delivery series, time-merged
-    /// ([`TimeSeries::merge`] — runs share the t = 0 origin, so
-    /// per-seed series interleave) — the scenario's throughput-vs-time
-    /// raw data, re-binned by [`SweepReport::throughput_csv`].
-    pub deliveries: TimeSeries,
-    /// Open-loop scenarios only: exact per-class merge of every run's
-    /// workload accounting ([`ClassLoadStats::merge`]; empty for
-    /// closed-loop scenarios).
-    pub classes: Vec<ClassLoadStats>,
-    /// Open-loop scenarios only: total simulated seconds of sustained
-    /// arrivals across runs (the denominator for offered/carried rates
-    /// in [`SweepReport::service_csv`]).
-    pub open_loop_secs: f64,
-}
+impl RunRecord {
+    /// An empty record: no run merged in yet.
+    fn new(name: &str, scenario: usize, seed: u64) -> Self {
+        RunRecord {
+            name: name.to_owned(),
+            scenario,
+            seed,
+            runs: 0,
+            successes: 0,
+            rounds: 0,
+            fidelity: RunningStats::new(),
+            latency_s: RunningStats::new(),
+            pairs_consumed: 0,
+            timeouts: 0,
+            reroutes: 0,
+            events: 0,
+            faults: 0,
+            repairs: 0,
+            latency_hist: latency_histogram(),
+            fidelity_hist: fidelity_histogram(),
+            deliveries: TimeSeries::new(),
+            classes: Vec::new(),
+            open_loop_secs: 0.0,
+        }
+    }
 
-impl ScenarioStats {
+    /// Exact merge of another record of the same scenario (sweep
+    /// aggregation across seeds).
+    pub fn merge(&mut self, run: &RunRecord) {
+        self.runs += run.runs;
+        self.successes += run.successes;
+        self.rounds += run.rounds;
+        self.fidelity.merge(&run.fidelity);
+        self.latency_s.merge(&run.latency_s);
+        self.pairs_consumed += run.pairs_consumed;
+        self.timeouts += run.timeouts;
+        self.reroutes += run.reroutes;
+        self.events += run.events;
+        self.faults += run.faults;
+        self.repairs += run.repairs;
+        self.latency_hist.merge(&run.latency_hist);
+        self.fidelity_hist.merge(&run.fidelity_hist);
+        self.deliveries.merge(&run.deliveries);
+        self.open_loop_secs += run.open_loop_secs;
+        if self.classes.is_empty() {
+            self.classes = run.classes.clone();
+        } else {
+            for (agg, c) in self.classes.iter_mut().zip(&run.classes) {
+                agg.merge(c);
+            }
+        }
+    }
+
     /// `(p50, p90, p99)` end-to-end latency in seconds, read from the
-    /// merged histogram (each within one bucket width — 100 ms — of
-    /// the exact order statistic). Zeros when nothing delivered.
+    /// histogram (each within one bucket width — 100 ms — of the exact
+    /// order statistic). Zeros when nothing delivered.
     pub fn latency_percentiles(&self) -> (f64, f64, f64) {
         (
             self.latency_hist.quantile(0.50),
@@ -486,9 +499,9 @@ impl ScenarioStats {
         )
     }
 
-    /// `(p50, p90, p99)` delivered fidelity, read from the merged
-    /// histogram (each within one bucket width — 0.01 — of the exact
-    /// order statistic). Zeros when nothing delivered.
+    /// `(p50, p90, p99)` delivered fidelity, read from the histogram
+    /// (each within one bucket width — 0.01 — of the exact order
+    /// statistic). Zeros when nothing delivered.
     pub fn fidelity_percentiles(&self) -> (f64, f64, f64) {
         (
             self.fidelity_hist.quantile(0.50),
@@ -502,7 +515,7 @@ impl ScenarioStats {
 #[derive(Debug, Clone)]
 pub struct SweepReport {
     /// Per-scenario aggregates, in scenario order.
-    pub scenarios: Vec<ScenarioStats>,
+    pub scenarios: Vec<RunRecord>,
     /// Worker threads spawned.
     pub threads_used: usize,
     /// Per-run records in deterministic (scenario-major) order.
@@ -663,25 +676,8 @@ fn run_cell(spec: &ScenarioSpec, seed: u64, models: ModelCache) -> RunRecord {
     net.reset_event_stats();
     let dst = spec.node_count() - 1;
     let streams = spec.streams.max(1);
-    let mut record = RunRecord {
-        scenario: 0,
-        seed,
-        successes: 0,
-        rounds: 0,
-        fidelity: RunningStats::new(),
-        latency_s: RunningStats::new(),
-        pairs_consumed: 0,
-        timeouts: 0,
-        reroutes: 0,
-        events: 0,
-        faults: 0,
-        repairs: 0,
-        latency_hist: latency_histogram(),
-        fidelity_hist: fidelity_histogram(),
-        deliveries: TimeSeries::new(),
-        classes: Vec::new(),
-        open_loop_secs: 0.0,
-    };
+    let mut record = RunRecord::new(&spec.name, 0, seed);
+    record.runs = 1;
     if let Some(workload) = &spec.workload {
         // Open-loop: arm the sustained arrival stream and advance the
         // clock once for the whole budget — the workload engine issues
@@ -824,48 +820,9 @@ pub fn sweep(specs: &[ScenarioSpec], seeds: &[u64], threads: usize) -> SweepRepo
         .iter()
         .enumerate()
         .map(|(si, spec)| {
-            let mut stats = ScenarioStats {
-                name: spec.name.clone(),
-                runs: 0,
-                successes: 0,
-                rounds: 0,
-                fidelity: RunningStats::new(),
-                latency_s: RunningStats::new(),
-                pairs_consumed: 0,
-                timeouts: 0,
-                reroutes: 0,
-                events: 0,
-                faults: 0,
-                repairs: 0,
-                latency_hist: latency_histogram(),
-                fidelity_hist: fidelity_histogram(),
-                deliveries: TimeSeries::new(),
-                classes: Vec::new(),
-                open_loop_secs: 0.0,
-            };
+            let mut stats = RunRecord::new(&spec.name, si, 0);
             for run in runs.iter().filter(|r| r.scenario == si) {
-                stats.runs += 1;
-                stats.successes += run.successes;
-                stats.rounds += run.rounds;
-                stats.fidelity.merge(&run.fidelity);
-                stats.latency_s.merge(&run.latency_s);
-                stats.pairs_consumed += run.pairs_consumed;
-                stats.timeouts += run.timeouts;
-                stats.reroutes += run.reroutes;
-                stats.events += run.events;
-                stats.faults += run.faults;
-                stats.repairs += run.repairs;
-                stats.latency_hist.merge(&run.latency_hist);
-                stats.fidelity_hist.merge(&run.fidelity_hist);
-                stats.deliveries.merge(&run.deliveries);
-                stats.open_loop_secs += run.open_loop_secs;
-                if stats.classes.is_empty() {
-                    stats.classes = run.classes.clone();
-                } else {
-                    for (agg, c) in stats.classes.iter_mut().zip(&run.classes) {
-                        agg.merge(c);
-                    }
-                }
+                stats.merge(run);
             }
             stats
         })

@@ -76,12 +76,8 @@ pub use qlink_sim as sim;
 pub use qlink_wire as wire;
 
 /// The most commonly used types, for glob import.
-///
-/// `RepeaterChain` is the network-layer one — every hop on one shared
-/// event queue under SWAP-ASAP control.
 pub mod prelude {
     pub use crate::des::{DetRng, SimDuration, SimTime};
-    pub use crate::net::chain::{ChainOutcome, RepeaterChain};
     pub use crate::net::fault::{
         FaultKind, FaultPlan, FaultSpec, Flapping, PenaltyBox, PenaltyConfig,
     };

@@ -407,13 +407,80 @@ fn star_topology_routes_through_the_hub() {
     assert!(out.end_to_end_fidelity > 0.25);
 }
 
+/// A chain with one Lab hop per seed, as a client that wants one
+/// end-to-end pair at a time sets it up.
+fn chain_of(seeds: &[u64]) -> Network {
+    let topo = Topology::chain(seeds.len() + 1, |i| {
+        LinkConfig::lab(WorkloadSpec::none(), seeds[i])
+    });
+    Network::new(topo, seeds[0] ^ 0xc4a1)
+}
+
+/// One end-to-end pair between the chain's ends: request, run until the
+/// outcome or `max_time` of simulated time, cancel on timeout.
+fn generate_end_to_end(net: &mut Network, max_time: SimDuration) -> Option<EndToEndOutcome> {
+    let dst = net.topology().node_count() - 1;
+    let request = net.request_entanglement(0, dst, 0.6);
+    let out = net.run_until_outcome(max_time);
+    if out.is_none() {
+        net.cancel_request(request);
+    }
+    out
+}
+
 #[test]
 fn prelude_repeater_chain_runs_on_the_shared_clock() {
-    let mk = |seed| LinkConfig::lab(WorkloadSpec::none(), seed);
-    let mut chain = RepeaterChain::new(vec![mk(31), mk(32)]);
-    assert_eq!(chain.hops(), 2);
-    let out = chain
-        .generate_end_to_end(0.6, SimDuration::from_secs(30))
+    let mut net = chain_of(&[31, 32]);
+    let out = generate_end_to_end(&mut net, SimDuration::from_secs(30))
         .expect("shared-clock chain delivers");
+    assert_eq!(out.path, vec![0, 1, 2]);
     assert!(out.end_to_end_fidelity > 0.25);
+}
+
+#[test]
+fn two_hop_chain_delivers_on_shared_clock() {
+    let mut net = chain_of(&[31, 32]);
+    let out = generate_end_to_end(&mut net, SimDuration::from_secs(30))
+        .expect("both hops deliver in 30 s");
+    assert_eq!(out.link_fidelities.len(), 2);
+    for f in &out.link_fidelities {
+        assert!(*f > 0.5, "link fidelity {f}");
+    }
+    let min_link = out
+        .link_fidelities
+        .iter()
+        .cloned()
+        .fold(f64::INFINITY, f64::min);
+    assert!(
+        out.end_to_end_fidelity < min_link,
+        "swap must cost fidelity: {} vs min link {min_link}",
+        out.end_to_end_fidelity
+    );
+    assert!(
+        out.end_to_end_fidelity > 0.25,
+        "{}",
+        out.end_to_end_fidelity
+    );
+    assert!(out.latency > SimDuration::ZERO);
+}
+
+#[test]
+fn chain_times_out_when_a_hop_cannot_deliver() {
+    let mut net = chain_of(&[41]);
+    // 1 ms is ~98 MHP cycles: no NL delivery is possible.
+    let out = generate_end_to_end(&mut net, SimDuration::from_millis(1));
+    assert!(out.is_none());
+    // The timed-out request was cancelled: nothing stays reserved.
+    assert_eq!(net.edge_load(0), 0);
+    assert_eq!(net.node(0).active_paths(), 0);
+}
+
+#[test]
+fn sequential_rounds_reuse_the_network() {
+    let mut net = chain_of(&[51]);
+    let first = generate_end_to_end(&mut net, SimDuration::from_secs(20));
+    let second = generate_end_to_end(&mut net, SimDuration::from_secs(20));
+    let (first, second) = (first.expect("round 1"), second.expect("round 2"));
+    assert!(first.end_to_end_fidelity > 0.5);
+    assert!(second.end_to_end_fidelity > 0.5);
 }

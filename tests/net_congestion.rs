@@ -164,7 +164,6 @@ fn short_noisy_long_clean_diamond() -> Topology {
 fn unsupp_stream_reroutes_onto_the_serving_arm() {
     let mut net = Network::new(short_noisy_long_clean_diamond(), 7);
     net.set_retry_budget(1);
-    assert_eq!(net.retry_budget(), 1);
     // Pin the request onto the noisy arm, bypassing the planner's
     // feasibility filter: both links reject the CREATEs as UNSUPP.
     let request = net.request_on_path(&[0, 1, 4], 0.6);
@@ -196,7 +195,6 @@ fn unsupp_stream_reroutes_onto_the_serving_arm() {
 fn exhausted_budget_abandons_and_releases() {
     let mut net = Network::new(short_noisy_long_clean_diamond(), 3);
     net.set_request_timeout(Some(SimDuration::from_millis(80)));
-    assert_eq!(net.request_timeout(), Some(SimDuration::from_millis(80)));
     // Fmin above every arm's ceiling: each re-plan lands on another
     // UNSUPP'ing path until the budget runs out.
     let request = net.request_entanglement(0, 4, 0.95);
@@ -548,6 +546,122 @@ fn edge_load_balances_under_interpreted_rulesets() {
     }
 }
 
+/// The request ledger's closing property, over 16 seeded compositions
+/// of topology (chain, grid) × policy × timeout × retry budget, with a
+/// flapping fault plan, an open-loop workload and a mid-run
+/// `cancel_request` mixed in: once every request has delivered, been
+/// abandoned or been cancelled and the run has drained, nothing is left
+/// on the books — no edge carries load, no node holds a reservation,
+/// and both EGPs of every link are quiescent (every retracted CREATE
+/// really left the link).
+#[test]
+fn ledger_is_empty_once_every_request_has_ended() {
+    let mut rng = DetRng::new(0x1ED6E2).substream("net-congestion/ledger");
+    let policies = [Policy::SwapAsap, Policy::LinkPurify, Policy::EndToEndPurify];
+    let ms = SimDuration::from_millis;
+    let (mut delivered, mut abandoned, mut rerouted, mut faults) = (0, 0, 0, 0);
+    for case in 0..16 {
+        let policy = policies[case % 3];
+        let grid = case % 2 == 0;
+        let link_seed = rng.below(1 << 20);
+        let link = |i: usize| {
+            let mut cfg = lab(link_seed + i as u64);
+            // Long memory so the purifying cases can progress.
+            cfg.scenario.nv.carbon_t2 = 10.0;
+            cfg
+        };
+        // Pairs any two of the flapping grid edges leave connected.
+        let (topo, pairs) = if grid {
+            (Topology::grid(3, 3, link), vec![(0, 8), (2, 6), (3, 4)])
+        } else {
+            (Topology::chain(4, link), vec![(0, 3), (1, 2), (0, 1)])
+        };
+        let mut net = Network::new(topo, rng.below(1 << 20));
+        net.set_route_metric(LoadScaledLatency);
+        net.set_policy(policy);
+        net.set_retry_budget(rng.below(3) as u32);
+        // Workload requests have no handle to cancel: they end by
+        // delivering or by timing out, so those cases arm a timeout.
+        let open_loop = case % 4 < 2;
+        if open_loop || rng.below(2) == 0 {
+            net.set_request_timeout(Some(ms(80 + rng.below(150))));
+        }
+        if grid && case % 8 < 4 {
+            let mut plan = FaultPlan::new();
+            for edge in [1, 4, 7] {
+                plan = plan.with_flapping(Flapping {
+                    edge,
+                    mean_up: ms(50),
+                    mean_down: ms(15),
+                    cycles: 3,
+                    degrade: None,
+                });
+            }
+            net.set_fault_plan(&plan);
+        }
+        if open_loop {
+            let class = UserClass::new("ck", RequestKind::Ck, pairs.clone()).with_admission(
+                AdmissionControl::QueueBeyond {
+                    max_in_flight: 2,
+                    queue_cap: 2,
+                },
+            );
+            net.set_workload(Workload::poisson(60.0, vec![class]).with_max_arrivals(8));
+        }
+        let mut requests: Vec<u64> = pairs
+            .iter()
+            .map(|&(src, dst)| net.request_entanglement(src, dst, 0.6))
+            .collect();
+        // Unachievable floor: rejected, re-routed while budget lasts,
+        // abandoned.
+        requests.push(net.request_entanglement(pairs[0].0, pairs[0].1, 0.95));
+
+        let what = format!("case {case} ({}, grid: {grid})", policy.name());
+        net.run_for(ms(40 + rng.below(80)));
+        net.cancel_request(requests[case % requests.len()]);
+        net.run_for(ms(200));
+        for request in requests {
+            net.cancel_request(request);
+        }
+        // The workload's own requests deliver or time out.
+        for _ in 0..40 {
+            let busy = |c: &ClassLoadStats| c.in_flight + c.queued > 0;
+            if !net
+                .workload_stats()
+                .is_some_and(|s| s.classes.iter().any(busy))
+            {
+                break;
+            }
+            net.run_for(ms(50));
+        }
+        if let Some(stats) = net.workload_stats() {
+            let c = &stats.classes[0];
+            assert_eq!(c.in_flight + c.queued, 0, "{what}: workload never drained");
+            assert_eq!(c.offered, 8, "{what}: the whole stream arrived");
+        }
+        // Retraction notices land, and delivered requests stop lingering.
+        net.run_for(ms(50));
+
+        for e in 0..net.topology().edge_count() {
+            assert_eq!(net.edge_load(e), 0, "{what}: edge {e} leaked load");
+            let quiet = (0..2).all(|side| net.link(e).egp(side).is_quiescent());
+            assert!(quiet, "{what}: an EGP of edge {e} still holds a request");
+        }
+        for n in 0..net.topology().node_count() {
+            let left = net.node(n).active_paths();
+            assert_eq!(left, 0, "{what}: node {n} still holds {left} reservations");
+        }
+        let completed = net.workload_stats().map_or(0, |s| s.total_completed());
+        delivered += net.take_outcomes().len() as u64 + completed;
+        abandoned += net.timeouts();
+        rerouted += net.reroutes();
+        faults += net.faults();
+    }
+    // Between them the cases took every way out.
+    let endings = [delivered, abandoned, rerouted, faults];
+    assert!(endings.iter().all(|&n| n > 0), "{endings:?}");
+}
+
 /// PR 3 regression anchors, captured before this PR's plumbing
 /// landed: with retries = 0 and no request timeout (the defaults) the
 /// new machinery schedules no events and draws no randomness, so
@@ -706,7 +820,6 @@ fn reroute_times(policy: Option<BackoffPolicy>, retries: u32) -> (Vec<u64>, u64)
     let mut net = Network::new(topo, 21);
     if let Some(p) = policy {
         net.set_backoff_policy(p);
-        assert_eq!(net.backoff_policy(), p);
     }
     net.set_retry_budget(retries);
     net.set_telemetry(TelemetryConfig {

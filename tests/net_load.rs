@@ -15,7 +15,7 @@
 //!   queued` and `admitted = completed + abandoned + in_flight`, per
 //!   class, through a timeout storm on the contended 4×4 grid;
 //! * **Trace replay** — a recorded `(time, class, pair)` trace drives
-//!   the run verbatim;
+//!   the run verbatim, and re-arming replaces the arrival stream;
 //! * **Sweep integration** — `ScenarioSpec::with_workload` carries
 //!   per-class stats through the sweep merge and the service CSV.
 
@@ -337,6 +337,49 @@ fn trace_workloads_replay_verbatim_through_the_network() {
     assert_eq!(stats.total_admitted(), 4);
     assert_eq!(stats.total_completed(), 4);
     assert_eq!(stats, run(), "trace replay is deterministic");
+}
+
+/// Arming a workload again replaces the stream: the arrival the first
+/// stream still has on the queue is stale and must not start a second
+/// chain of arrivals inside the new engine.
+#[test]
+fn re_arming_a_workload_replaces_the_stream() {
+    let classes = || vec![UserClass::new("ck", RequestKind::Ck, vec![(0, 3), (1, 2)])];
+    let offered = |arms: usize| {
+        let mut net = Network::new(Topology::grid(2, 2, |i| lab(60 + i as u64)), 5);
+        for _ in 0..arms {
+            net.set_workload(Workload::poisson(200.0, classes()));
+        }
+        net.run_for(SimDuration::from_secs(1));
+        net.workload_stats().expect("armed").total_offered()
+    };
+    let (once, twice) = (offered(1), offered(2));
+    assert!((150..250).contains(&once), "200 Hz for 1 s offered {once}");
+    assert!(
+        (150..250).contains(&twice),
+        "armed twice, still one 200 Hz stream: offered {twice} (once: {once})"
+    );
+
+    // A re-armed trace offers exactly its trace.
+    let at = |ms| TraceArrival {
+        after: SimDuration::from_millis(ms),
+        class: 0,
+        pair: (0, 3),
+    };
+    let trace = vec![at(0), at(30), at(30), at(500)];
+    let mut net = Network::new(Topology::grid(2, 2, |i| lab(60 + i as u64)), 5);
+    net.set_workload(Workload::poisson(200.0, classes()));
+    net.run_for(SimDuration::from_millis(100));
+    net.set_workload(Workload::trace(trace.clone(), classes()));
+    net.set_workload(Workload::trace(trace, classes()));
+    net.run_for(SimDuration::from_secs(1));
+    let stats = net.workload_stats().expect("armed");
+    assert_eq!(
+        stats.total_offered(),
+        4,
+        "the trace, once, and nothing else"
+    );
+    assert_eq!(stats.total_admitted(), 4);
 }
 
 // ---- sweep integration ----------------------------------------------

@@ -47,7 +47,6 @@ fn link_level_purification_boosts_a_single_hop() {
         let topo = Topology::chain(2, |i| long_memory_lab(50 + i as u64));
         let mut net = Network::new(topo, 9);
         net.set_policy(policy);
-        assert_eq!(net.policy(), policy);
         net.request_entanglement(0, 1, 0.6);
         let out = net
             .run_until_outcome(SimDuration::from_secs(120))

@@ -80,7 +80,6 @@ fn fidelity_product_prefers_the_long_clean_arm() {
     // The same choice drives Network::request_entanglement.
     let mut net = Network::new(topo, 9);
     net.set_route_metric(FidelityProduct);
-    assert_eq!(net.route_metric().name(), "fidelity");
     let route = net.plan_route(0, 4, 0.4).expect("route exists");
     assert_eq!(route.nodes, vec![0, 2, 3, 4]);
 }
@@ -248,9 +247,12 @@ fn infeasible_fmin_times_out_instead_of_panicking() {
     // link layer's own UNSUPP path: best-effort route reserved, no
     // delivery, graceful timeout — never a panic (a sweep worker
     // panicking would abort the whole matrix).
-    let mut chain = RepeaterChain::new(vec![lab(61)]);
-    let out = chain.generate_end_to_end(0.95, SimDuration::from_millis(10));
+    let mut net = Network::new(Topology::chain(2, |_| lab(61)), 61);
+    let request = net.request_entanglement(0, 1, 0.95);
+    let out = net.run_until_outcome(SimDuration::from_millis(10));
     assert!(out.is_none(), "unachievable Fmin must yield None");
+    net.cancel_request(request);
+    assert_eq!(net.edge_load(0), 0);
 
     let mut spec = ScenarioSpec::lab_chain("unsupp", 3).with_max_time(SimDuration::from_millis(10));
     spec.fmin = 0.95;
