@@ -9,7 +9,7 @@
 //! CREATE the FEU has answered before.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use qlink::classical::ChannelModel;
+use qlink::classical::{ChannelModel, Fate};
 use qlink::des::{DetRng, EventQueue, SimDuration};
 use qlink::egp::dqueue::Role;
 use qlink::egp::egp::{Egp, EgpConfig};
@@ -28,7 +28,7 @@ use qlink::wire::egp::CreateMsg;
 use qlink::wire::fields::{
     AbsQueueId, Fidelity16, MidpointOutcome, ReplyOutcome, RequestFlags, RequestType,
 };
-use qlink::wire::mhp::{GenMsg, ReplyMsg};
+use qlink::wire::mhp::{GenMsg, ReplyMsg, GEN_FRAME_LEN};
 use qlink::wire::Frame;
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -71,10 +71,11 @@ fn bench_attempt_model(c: &mut Criterion) {
 }
 
 fn bench_wire(c: &mut Criterion) {
-    let frame = Frame::Gen(GenMsg {
+    let gen = GenMsg {
         queue_id: AbsQueueId::new(2, 1234),
         timestamp_cycle: 987_654_321,
-    });
+    };
+    let frame = Frame::Gen(gen);
     c.bench_function("frame_encode_gen", |b| {
         b.iter(|| black_box(&frame).encode())
     });
@@ -105,13 +106,22 @@ fn bench_wire(c: &mut Criterion) {
             b.iter(|| crc32(black_box(&payload[..len])))
         });
     }
-    // One frame through a lossy, corrupting channel: encode, the
-    // channel's in-place decision, decode of whatever arrives.
+    // One frame over a lossy, corrupting channel, as the link carries it.
+    // A GEN crosses as a value: the channel decides from the length, and
+    // a GEN that arrives intact is the message the node built.
     let mut channel = ChannelModel::fiber(25.0, 1e-3).with_corruption(1e-3);
     let mut rng = DetRng::new(3);
     c.bench_function("frame_gen_over_channel", |b| {
+        b.iter(|| match channel.fate(&mut rng, GEN_FRAME_LEN) {
+            Fate::Intact { .. } => Some(black_box(gen)),
+            _ => None,
+        })
+    });
+    // A REPLY crosses as bytes: encode, the channel's in-place decision,
+    // decode of whatever arrives.
+    c.bench_function("frame_reply_over_channel", |b| {
         b.iter(|| {
-            let mut bytes = black_box(&frame).encode();
+            let mut bytes = black_box(&reply).encode();
             let fate = channel.transmit(&mut bytes, &mut rng);
             black_box((fate, Frame::decode(&bytes).is_ok()))
         })

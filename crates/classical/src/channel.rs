@@ -1,11 +1,16 @@
 //! Lossy, delaying classical channels.
 //!
-//! A channel is a pure decision function: given a frame and a random
-//! stream, it reports whether the frame arrives and after what delay,
-//! and leaves in the caller's buffer the bytes as received (possibly
-//! corrupted — the CRC at the receiver turns corruption into loss, as
-//! in real Ethernet). The DES schedules the delivery event; the
-//! channel holds no queue or buffer of its own.
+//! A channel is a pure decision function: [`ChannelModel::fate`] takes a
+//! frame's *length* and a random stream and says whether the frame is
+//! lost, arrives intact, or arrives with one named bit flipped, and
+//! after what delay. It never sees the frame — so a sender may ask for
+//! the fate before any bytes exist, and carry a frame that arrives
+//! intact as the value it already holds. [`ChannelModel::transmit`] is
+//! `fate` applied to a buffer: it flips the named bit there, and the CRC
+//! at the receiver turns that corruption into loss, as in real Ethernet.
+//! Both make the same draws in the same order; there is one draw
+//! sequence. The DES schedules the delivery event; the channel holds no
+//! queue or buffer of its own.
 
 use qlink_des::{DetRng, SimDuration};
 
@@ -14,7 +19,30 @@ use qlink_des::{DetRng, SimDuration};
 /// (10 km → 48.4 µs, 15 km → 72.6 µs).
 pub const SPEED_OF_LIGHT_FIBER_KM_PER_S: f64 = 206_753.0;
 
-/// The fate of one transmitted frame.
+/// What a channel does to one frame, decided from its length alone
+/// ([`ChannelModel::fate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate {
+    /// The frame is lost in transit.
+    Lost,
+    /// The frame arrives after `delay`, every bit as sent.
+    Intact {
+        /// Propagation (plus fixed processing) delay.
+        delay: SimDuration,
+    },
+    /// The frame arrives after `delay` with bit `bit` flipped (bit
+    /// `b % 8` of byte `b / 8`). A single flipped bit always fails the
+    /// CRC-32, so the receiver drops it (see
+    /// [`ChannelModel::corrupt_probability`]).
+    Damaged {
+        /// Propagation (plus fixed processing) delay.
+        delay: SimDuration,
+        /// Index of the flipped bit, below eight times the frame length.
+        bit: u64,
+    },
+}
+
+/// The fate of one frame handed to [`ChannelModel::transmit`] as bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Transmission {
     /// The frame was lost in transit.
@@ -97,20 +125,36 @@ impl ChannelModel {
         self.stats
     }
 
-    /// Submits a frame; returns its fate. Corruption is injected in
-    /// place, so `bytes` holds the frame as received.
-    pub fn transmit(&mut self, bytes: &mut [u8], rng: &mut DetRng) -> Transmission {
+    /// Decides what happens to a frame of `len` bytes: the loss draw,
+    /// then the corruption draw, then — for a corrupted, non-empty
+    /// frame — which bit. The only function of the channel that draws
+    /// or counts.
+    pub fn fate(&mut self, rng: &mut DetRng, len: usize) -> Fate {
         self.stats.sent += 1;
         if rng.bernoulli(self.loss_probability) {
             self.stats.lost += 1;
-            return Transmission::Lost;
+            return Fate::Lost;
         }
-        if rng.bernoulli(self.corrupt_probability) && !bytes.is_empty() {
+        let delay = self.delay;
+        if rng.bernoulli(self.corrupt_probability) && len > 0 {
             self.stats.corrupted += 1;
-            let bit = rng.below(8 * bytes.len() as u64);
-            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+            let bit = rng.below(8 * len as u64);
+            return Fate::Damaged { delay, bit };
         }
-        Transmission::Delivered { delay: self.delay }
+        Fate::Intact { delay }
+    }
+
+    /// Submits a frame as bytes; returns its fate. Corruption is
+    /// injected in place, so `bytes` holds the frame as received.
+    pub fn transmit(&mut self, bytes: &mut [u8], rng: &mut DetRng) -> Transmission {
+        match self.fate(rng, bytes.len()) {
+            Fate::Lost => Transmission::Lost,
+            Fate::Intact { delay } => Transmission::Delivered { delay },
+            Fate::Damaged { delay, bit } => {
+                bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+                Transmission::Delivered { delay }
+            }
+        }
     }
 }
 
@@ -193,6 +237,37 @@ mod tests {
         assert_ne!(ch.transmit(&mut bytes, &mut rng), Transmission::Lost);
         assert_ne!(bytes, frame.encode(), "corruption lands in the buffer");
         assert!(Frame::decode(&bytes).is_err(), "corrupt frame parsed");
+    }
+
+    /// `transmit` is `fate` plus the flip: over one stream the two name
+    /// the same fates, and the bit `fate` names is the bit `transmit`
+    /// flips.
+    #[test]
+    fn transmit_flips_the_bit_fate_names() {
+        let mut by_len = ChannelModel::fiber(25.0, 0.05).with_corruption(0.3);
+        let mut by_bytes = by_len.clone();
+        let (mut rng_len, mut rng_bytes) = (DetRng::new(21), DetRng::new(21));
+        for _ in 0..2_000 {
+            let mut bytes = [0u8; 16];
+            let got = by_bytes.transmit(&mut bytes, &mut rng_bytes);
+            let flipped: Vec<u64> = (0..128)
+                .filter(|b| bytes[b / 8] >> (b % 8) & 1 == 1)
+                .map(|b| b as u64)
+                .collect();
+            match by_len.fate(&mut rng_len, bytes.len()) {
+                Fate::Lost => assert_eq!(got, Transmission::Lost),
+                Fate::Intact { delay } => {
+                    assert_eq!(got, Transmission::Delivered { delay });
+                    assert!(flipped.is_empty());
+                }
+                Fate::Damaged { delay, bit } => {
+                    assert_eq!(got, Transmission::Delivered { delay });
+                    assert_eq!(flipped, [bit]);
+                }
+            }
+        }
+        assert_eq!(by_len.stats(), by_bytes.stats());
+        assert!(by_len.stats().corrupted > 400 && by_len.stats().lost > 50);
     }
 
     /// The in-place `transmit` draws exactly what the by-value one it

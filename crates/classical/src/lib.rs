@@ -7,7 +7,8 @@
 //!
 //! * [`channel`] — per-frame propagation delay (speed of light in
 //!   fiber, 206,753 km/s as in the paper's §A.4), Bernoulli frame loss,
-//!   and bit-corruption injection (caught by the CRC-32 trailer);
+//!   and bit-corruption injection (caught by the CRC-32 trailer), all
+//!   decided from the frame's length before any bytes need exist;
 //! * [`ethernet`] — the 1000BASE-ZX link-budget model of Appendix
 //!   D.6.1, mapping link length / connectors / splices to a frame error
 //!   rate, reproducing the paper's conclusion that realistic links show
@@ -17,5 +18,5 @@
 pub mod channel;
 pub mod ethernet;
 
-pub use channel::{ChannelModel, ChannelStats, Transmission, SPEED_OF_LIGHT_FIBER_KM_PER_S};
+pub use channel::{ChannelModel, ChannelStats, Fate, Transmission, SPEED_OF_LIGHT_FIBER_KM_PER_S};
 pub use ethernet::LinkBudget;

@@ -235,8 +235,26 @@ impl LinkConfig {
     }
 
     /// Builder: inject classical frame loss.
+    ///
+    /// # Panics
+    /// Panics unless `0 ≤ p ≤ 1`.
     pub fn with_classical_loss(mut self, p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "classical_loss {p} not in [0, 1]");
         self.classical_loss = p;
+        self
+    }
+
+    /// Builder: inject classical frame corruption (one flipped bit,
+    /// caught by the receiver's CRC).
+    ///
+    /// # Panics
+    /// Panics unless `0 ≤ p ≤ 1`.
+    pub fn with_classical_corruption(mut self, p: f64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "classical_corruption {p} not in [0, 1]"
+        );
+        self.classical_corruption = p;
         self
     }
 }
@@ -285,8 +303,22 @@ mod tests {
     fn builders() {
         let cfg = LinkConfig::ql2020(WorkloadSpec::none(), 1)
             .with_scheduler(SchedulerChoice::HigherWfq)
-            .with_classical_loss(1e-4);
+            .with_classical_loss(1e-4)
+            .with_classical_corruption(1e-5);
         assert_eq!(cfg.scheduler, SchedulerChoice::HigherWfq);
         assert_eq!(cfg.classical_loss, 1e-4);
+        assert_eq!(cfg.classical_corruption, 1e-5);
+    }
+
+    #[test]
+    #[should_panic(expected = "classical_loss")]
+    fn a_loss_probability_above_one_fails_at_the_builder() {
+        let _ = LinkConfig::lab(WorkloadSpec::none(), 1).with_classical_loss(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "classical_corruption")]
+    fn a_nan_corruption_probability_fails_at_the_builder() {
+        let _ = LinkConfig::lab(WorkloadSpec::none(), 1).with_classical_corruption(f64::NAN);
     }
 }

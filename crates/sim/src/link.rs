@@ -4,11 +4,18 @@
 //! (with loss/corruption injection) and the quantum pair ledger onto
 //! the deterministic event queue. This is the Rust analogue of the
 //! paper's NetSquid setup of Appendix D.1.
+//!
+//! Every control frame crosses a lossy, corrupting channel. The REPLY
+//! and the node-to-node frames cross as CRC-protected bytes inside an
+//! event; the GEN, which lands in its detection window at no instant of
+//! its own, crosses as a value once its channel has decided — from the
+//! frame's length — that it arrives intact (ARCHITECTURE.md, "Link
+//! layer: one attempt").
 
 use crate::config::{LinkConfig, RequestKind};
 use crate::metrics::LinkMetrics;
 use crate::workload::{GeneratedRequest, WorkloadGenerator};
-use qlink_classical::channel::{ChannelModel, Transmission};
+use qlink_classical::channel::{ChannelModel, Fate, Transmission};
 use qlink_des::{DetRng, EventQueue, IntMap, SimDuration, SimTime};
 use qlink_egp::dqueue::Role;
 use qlink_egp::egp::{Egp, EgpConfig, EgpEvent, HwDirective};
@@ -20,8 +27,8 @@ use qlink_phys::pair::{PairState, Side};
 use qlink_quantum::bell::BellState;
 use qlink_quantum::Basis;
 use qlink_wire::egp::{CreateMsg, EgpErrorCode, WireBasis};
-use qlink_wire::fields::{Fidelity16, RequestFlags, RequestType};
-use qlink_wire::mhp::{ReplyMsg, MHP_FRAME_MAX};
+use qlink_wire::fields::{AbsQueueId, Fidelity16, RequestFlags, RequestType};
+use qlink_wire::mhp::{ReplyMsg, GEN_FRAME_LEN, MHP_FRAME_MAX};
 use qlink_wire::{Frame, FrameBytes};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -156,6 +163,9 @@ pub struct LinkSimulation {
     reply_deadlines: VecDeque<(u64, u8)>,
     /// The reply round trip in whole MHP cycles, plus twelve of slack.
     reply_deadline_cycles: u64,
+    /// From the start of an attempt's cycle to the close of its detection
+    /// window: emission preparation, the longer arm's flight, 100 ns.
+    window_close_after: SimDuration,
     deliveries: Option<Vec<Delivery>>,
     rejections: Option<Vec<Rejection>>,
     /// Metrics collected so far.
@@ -242,6 +252,7 @@ impl LinkSimulation {
             .reply_latency()
             .as_ps()
             .div_ceil(scenario.mhp_cycle.as_ps());
+        let longer_arm = scenario.arm_a_delay().max(scenario.arm_b_delay());
         let mut sim = LinkSimulation {
             queue: EventQueue::new(),
             egps: [egp_a, egp_b],
@@ -259,6 +270,7 @@ impl LinkSimulation {
             tracking: Default::default(),
             reply_deadlines: VecDeque::new(),
             reply_deadline_cycles: round_trip + 12,
+            window_close_after: scenario.emission_prep + longer_arm + SimDuration::from_nanos(100),
             deliveries: None,
             rejections: None,
             metrics: LinkMetrics::new(),
@@ -268,10 +280,11 @@ impl LinkSimulation {
             cfg,
         };
         // `on_cycle` hands photons and GENs to the station at emission: both
-        // must arrive before their window closes, `max_arm_delay()` + 100 ns on.
-        let max_arm_delay = sim.max_arm_delay();
+        // leave after `emission_prep` and must arrive before their window closes.
         assert!(
-            sim.chan_gen.iter().all(|gen| gen.delay <= max_arm_delay),
+            sim.chan_gen
+                .iter()
+                .all(|gen| scenario.emission_prep + gen.delay < sim.window_close_after),
             "a GEN would reach the station after its detection window closed"
         );
         sim.queue.schedule_at(SimTime::ZERO, Event::Cycle(0));
@@ -652,26 +665,22 @@ impl LinkSimulation {
             let actions = self.mhps[i].trigger(c, spec);
             window_open = true;
 
-            // Both land in window `c` before it closes (see `new`): the station
-            // takes them now. The GEN still crosses its lossy channel and parses.
+            // Both land in window `c` before it closes (see `with_estimator`):
+            // the station takes them now. The GEN's channel decides its fate
+            // from its length; a GEN that arrives intact is handed over as the
+            // value it is, and a damaged one is what the station's CRC check
+            // would have dropped.
             self.midpoint.on_photon(actions.photon);
-            let mut bytes = Frame::Gen(actions.gen).encode();
-            if let Transmission::Delivered { .. } =
-                self.chan_gen[i].transmit(&mut bytes, &mut self.rng_chan)
-            {
-                if let Ok(Frame::Gen(msg)) = Frame::decode(&bytes) {
-                    self.midpoint.on_gen(self.mhps[i].node_id(), msg);
-                }
+            if let Fate::Intact { .. } = self.chan_gen[i].fate(&mut self.rng_chan, GEN_FRAME_LEN) {
+                debug_assert!(actions.gen.queue_id.qid < AbsQueueId::MAX_QUEUES);
+                self.midpoint.on_gen(self.mhps[i].node_id(), actions.gen);
             }
             self.reply_deadlines.push_back((c, node));
         }
 
         if window_open {
-            let close_at = now
-                + self.cfg.scenario.emission_prep
-                + self.max_arm_delay()
-                + SimDuration::from_nanos(100);
-            self.queue.schedule_at(close_at, Event::WindowClose(c));
+            self.queue
+                .schedule_at(now + self.window_close_after, Event::WindowClose(c));
         }
 
         self.housekeeping(c);
@@ -913,13 +922,6 @@ impl LinkSimulation {
             }
         }
     }
-
-    fn max_arm_delay(&self) -> SimDuration {
-        self.cfg
-            .scenario
-            .arm_a_delay()
-            .max(self.cfg.scenario.arm_b_delay())
-    }
 }
 
 fn outcome_is_success(outcome: qlink_wire::fields::ReplyOutcome) -> bool {
@@ -1060,8 +1062,7 @@ mod tests {
     /// so an arm's frame is damaged exactly when its own channel did it.
     #[test]
     fn a_corrupted_reply_leaves_the_other_arms_copy_intact() {
-        let mut cfg = LinkConfig::lab(WorkloadSpec::none(), 29);
-        cfg.classical_corruption = 0.25;
+        let cfg = LinkConfig::lab(WorkloadSpec::none(), 29).with_classical_corruption(0.25);
         let mut sim = LinkSimulation::new(cfg);
         sim.submit(0, md_request(3));
 
@@ -1077,6 +1078,47 @@ mod tests {
             assert!(stats.corrupted > 500 && stats.sent > 2 * stats.corrupted);
             assert_eq!(damaged, stats.corrupted, "arm {arm}");
         }
+    }
+
+    /// A GEN its channel loses or damages never reaches the station, and
+    /// the station answers an arm — sends it one REPLY — exactly when it
+    /// took that arm's GEN. The digest was recorded on the implementation
+    /// that serialised every GEN, flipped the bit in the bytes and let the
+    /// station's CRC check reject it.
+    #[test]
+    fn lossy_corrupting_gen_arms_account_for_every_frame() {
+        let cfg = LinkConfig::lab(WorkloadSpec::none(), 31)
+            .with_classical_loss(0.05)
+            .with_classical_corruption(0.25);
+        let mut sim = LinkSimulation::new(cfg);
+        sim.submit(0, md_request(3));
+        // Stop just short of a cycle boundary, every detection window closed.
+        let horizon = sim.cycle_start(sim.cycle_of(SimTime::from_ps(50_000_000_000)));
+        sim.advance_to(horizon - SimDuration::from_ps(1));
+
+        for arm in 0..2 {
+            let gen = sim.chan_gen[arm].stats();
+            let taken = sim.chan_reply[arm].stats().sent;
+            assert_eq!(gen.sent, gen.lost + gen.corrupted + taken, "arm {arm}");
+            assert!(gen.corrupted > 500, "arm {arm}: {gen:?}");
+        }
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |v: u64| digest = (digest ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+        fold(sim.events_fired());
+        for chan in sim
+            .chan_gen
+            .iter()
+            .chain(&sim.chan_reply)
+            .chain(&sim.chan_ab)
+        {
+            let stats = chan.stats();
+            [stats.sent, stats.lost, stats.corrupted]
+                .into_iter()
+                .for_each(&mut fold);
+        }
+        fold(sim.metrics.total_pairs());
+        sim.metrics.errors.values().for_each(|&n| fold(n));
+        assert_eq!(digest, 0x9a71_4371_fb7a_d934);
     }
 
     #[test]

@@ -14,6 +14,10 @@ use crate::fields::{AbsQueueId, ReplyOutcome};
 /// REPLY in flight is held in.
 pub const MHP_FRAME_MAX: usize = 23;
 
+/// The length of a GEN frame (1 discriminator + 11 body + 4 CRC
+/// bytes): what a channel needs to know of a GEN to decide its fate.
+pub const GEN_FRAME_LEN: usize = 16;
+
 /// The `GEN` frame a node sends to the midpoint (Fig. 27), augmented —
 /// per §5.1.1 — with the timestamp that links it to a detection window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,9 +3,10 @@
 //! One MHP attempt is four events — `Cycle` (two polls, two photons
 //! and two GENs handed to the station, two reply deadlines queued),
 //! `WindowClose` and two REPLYs — and almost every attempt fails. It
-//! costs three encodes, four decodes: a GEN per node, one REPLY whose
-//! bytes each arm gets a copy of, and a CRC-checked decode of all four
-//! frames as they arrive. A failed attempt must not touch the heap:
+//! costs one encode, two decodes: the GENs reach the station as values
+//! once their channels have let them through, the one REPLY is bytes
+//! each arm gets a copy of, and each copy is CRC-checked and decoded as
+//! it arrives. A failed attempt must not touch the heap:
 //! frames travel inline, detection windows hold two-slot arrays, the
 //! cycle-keyed tables and the reply-deadline FIFO sit at their working
 //! size, and the scheduler buffers nothing. Only the rare outcomes may

@@ -44,11 +44,7 @@ fn completes_under_severe_loss() {
 fn corruption_behaves_like_loss() {
     // Corrupted frames fail CRC and are dropped; the protocol recovers
     // the same way it does from loss.
-    let cfg = {
-        let mut c = LinkConfig::lab(WorkloadSpec::none(), 13);
-        c.classical_corruption = 1e-3;
-        c
-    };
+    let cfg = LinkConfig::lab(WorkloadSpec::none(), 13).with_classical_corruption(1e-3);
     let mut sim = LinkSimulation::new(cfg);
     sim.submit(0, md(3));
     sim.run_for(SimDuration::from_secs(10));
