@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks for the core data structures: the event
-//! queue, dense complex matrices, the attempt model (build and
-//! sample), wire codecs, the classical channel, and quantum channels.
+//! queue (in the three traffic shapes the workloads put on it, and the
+//! random-time shape none does), dense complex matrices, the attempt
+//! model (build and sample), wire codecs, the classical channel, and
+//! quantum channels.
 //! These guard the performance assumptions DESIGN.md relies on (O(1)
 //! sampled attempts; cheap, allocation-free frame codecs and channel
 //! decisions on every control message), and the derived-physics cells
@@ -31,7 +33,56 @@ use qlink::wire::fields::{
 use qlink::wire::mhp::{GenMsg, ReplyMsg, GEN_FRAME_LEN};
 use qlink::wire::Frame;
 
+/// One pop and one re-schedule, which keeps the queue's depth: the
+/// steady state of a queue whose events each schedule their successor.
+/// The `k`-th re-schedule lands `offset(k)` past the clock.
+fn queue_hold(q: &mut EventQueue<u64>, k: &mut u64, offset: impl Fn(u64) -> SimDuration) -> u64 {
+    let (_, e) = q.pop().expect("a hold pattern never drains");
+    *k += 1;
+    q.schedule_in(offset(*k), e);
+    e
+}
+
 fn bench_event_queue(c: &mut Criterion) {
+    // A link's queue: its next cycle, its window close and a reply, each
+    // re-scheduled one cycle on — always behind everything pending.
+    let cycle = SimDuration::from_nanos(10_120);
+    let mut link = EventQueue::new();
+    for i in 0..3u64 {
+        link.schedule_in(SimDuration::from_nanos(1_000 * (i + 1)), i);
+    }
+    let mut k = 0;
+    c.bench_function("event_queue_hold_depth3", |b| {
+        b.iter(|| black_box(queue_hold(&mut link, &mut k, |_| cycle)))
+    });
+    // `Engine::new`: one wake per link of a 16×16 grid at t = 0, then
+    // the drain that fires them.
+    c.bench_function("event_queue_burst_480", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for i in 0..480u64 {
+                q.schedule_in(SimDuration::ZERO, i);
+            }
+            let mut acc = 0u64;
+            while let Some((_, e)) = q.pop() {
+                acc = acc.wrapping_add(e);
+            }
+            black_box(acc)
+        })
+    });
+    // `grid16_sparse`'s shared queue: ≈ 20 wakes of links whose cycles
+    // are out of phase, each re-scheduled within the next 10.12 µs.
+    let mut shared = EventQueue::new();
+    for i in 0..20u64 {
+        shared.schedule_in(SimDuration::from_ps(i * 506_000), i);
+    }
+    let mut k = 0;
+    let spread = |k: u64| SimDuration::from_ps((k * 7_919_000) % 10_120_000);
+    c.bench_function("event_queue_hold_depth20_spread", |b| {
+        b.iter(|| black_box(queue_hold(&mut shared, &mut k, spread)))
+    });
+    // 1 000 schedules at random times into one queue, then the drain:
+    // the shape a sorted list serves worst.
     c.bench_function("event_queue_schedule_pop_1k", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();

@@ -7,86 +7,22 @@
 //! Table 5 compares metrics across runs that differ *only* in the
 //! classical-loss probability).
 //!
-//! # Implementation: a small-backlog fast path over a timing wheel
+//! # Implementation: one sorted list
 //!
-//! A network embeds hundreds of [`EventQueue`]s — one shared network
-//! queue plus one per link — and almost all of them hold only a
-//! handful of events at a time (a link pends its next MHP cycle and
-//! little else). The queue therefore runs in one of two modes:
-//!
-//! * **Small mode** (backlog ≤ `SMALL_MAX`): a single vector kept
-//!   sorted descending by `(time, seq)`. Scheduling is a binary search
-//!   plus an insert into a few-element, cache-resident vector; popping
-//!   is `Vec::pop` from the tail. No wheel memory is even allocated
-//!   until a queue first outgrows this mode.
-//! * **Wheel mode**: once the backlog exceeds `SMALL_MAX` the queue
-//!   migrates into a four-level hierarchical timing wheel and stays
-//!   there until it fully drains (hysteresis — no thrash at the
-//!   boundary), at which point it reverts to small mode.
-//!
-//! Both modes pop in exactly ascending `(time, seq)` order, so the mode
-//! is invisible to callers and to reproducibility.
-//!
-//! # The wheel
-//!
-//! The wheel suits the simulator's event-time distribution: dense in
-//! the near term (link cycles every few microseconds, control messages
-//! one classical delay out) and sparse far out (request timeouts).
-//! A *tick* is `2^TICK_BITS` ps and
-//! each level holds `SLOTS` slots of geometrically growing width:
-//! level 0 resolves single ticks, level `l` resolves `SLOTS^l` ticks,
-//! and everything beyond the wheel span (`SLOTS^LEVELS` ticks ≈ 140
-//! simulated seconds) parks in an unsorted overflow list with a cached
-//! minimum. Scheduling is O(1): pick the level by the delta to the
-//! cursor, index by the event's absolute tick. Popping jumps the cursor
-//! straight to the cached minimum's tick, cascades the slots on that
-//! tick's index path down one level (only cells whose window matches —
-//! a slot at the cursor's own index may legitimately hold next-rotation
-//! cells, which stay put), then sorts the level-0 slot *descending* by
-//! `(time, seq)` once and pops from its tail — so a burst of same-slot
-//! events costs one sort, then O(1) per pop.
-//!
-//! Determinism: the pop order is exactly ascending `(time, seq)`,
-//! independent of wheel geometry. All cells of the minimal tick are in
-//! the minimal level-0 slot after the cascade (placement uses absolute
-//! tick bits, so equal ticks always share a slot; the overflow drains
-//! whenever its cached minimum reaches the front), the slot sort is by
-//! the total key `(time, seq)` — unique, so `sort_unstable` cannot
-//! introduce ambiguity — and cells scheduled mid-drain insert into the
-//! sorted slot by binary search. The differential test at the bottom of
-//! this file pins the pop order against a reference binary heap over
-//! random tie-heavy schedules.
+//! Every queue holds few events: a link pends its next cycle, its window
+//! close and the replies in flight (at most 25 on a benchmark workload),
+//! and a network's shared queue about one wake per busy link (≈ 20 on a
+//! 16×16 grid once the 480 wakes of its construction have fired). So the
+//! pending events sit in one `VecDeque` ascending by firing time. A pop
+//! is `pop_front`; a schedule almost always appends (a link's next event
+//! is due no earlier than its last), and otherwise inserts after the
+//! last event due at or before it, found by binary search. A new event
+//! was scheduled after every pending one, so its position in the list is
+//! its insertion sequence. The differential test at the bottom of this
+//! file pins the pop order against a reference binary heap.
 
 use crate::time::{SimDuration, SimTime};
-
-/// log2 of the tick width in picoseconds: 2^20 ps ≈ 1.05 µs. Chosen
-/// *coarser* than the typical inter-event spacing of a deep shared
-/// queue (hundreds of staggered link wakes per ~10 µs MHP cycle, i.e.
-/// events every few tens of ns), so a slot collects a burst of events
-/// and the one-sort-then-pop-from-tail fast path amortises the wheel
-/// bookkeeping across the burst; level 0 still spans 256 ticks ≈ 268 µs,
-/// several full link cycles of lookahead at single-slot precision.
-const TICK_BITS: u32 = 20;
-/// log2 of the slots per level.
-const SLOT_BITS: u32 = 8;
-const SLOTS: usize = 1 << SLOT_BITS;
-const SLOT_MASK: u64 = (SLOTS as u64) - 1;
-/// Occupancy-bitmap words per level.
-const WORDS: usize = SLOTS / 64;
-const LEVELS: usize = 4;
-/// Ticks covered by the wheel proper; deltas at or past this overflow.
-const WHEEL_TICKS: u64 = 1 << (SLOT_BITS * LEVELS as u32);
-/// Largest backlog served by small mode (one sorted vector, no wheel).
-/// Sized so the per-link queues of a network — which pend a few events
-/// each — never pay wheel bookkeeping, while a genuinely deep backlog
-/// (the shared network queue of a large topology) still graduates.
-const SMALL_MAX: usize = 32;
-
-struct Cell<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
+use std::collections::VecDeque;
 
 /// A deterministic future-event list.
 ///
@@ -94,33 +30,8 @@ struct Cell<E> {
 /// The queue tracks the current simulated time: popping an event
 /// advances the clock to that event's firing time.
 pub struct EventQueue<E> {
-    /// Small-mode storage: every pending cell, sorted descending by
-    /// `(at, seq)` so the tail is the minimum. Empty in wheel mode.
-    small: Vec<Cell<E>>,
-    /// `true` once the backlog has outgrown [`SMALL_MAX`]; reverts to
-    /// `false` only when the queue fully drains (or is cleared).
-    big: bool,
-    /// `LEVELS * SLOTS` slot vectors, level-major — allocated lazily on
-    /// the first graduation to wheel mode (zero-length until then).
-    /// Slots keep their capacity across drains, so the steady state
-    /// schedules and pops without allocating.
-    slots: Box<[Vec<Cell<E>>]>,
-    /// One occupancy bit per slot, per level.
-    occ: [[u64; WORDS]; LEVELS],
-    /// Events beyond the wheel span, unsorted.
-    overflow: Vec<Cell<E>>,
-    /// Earliest firing time in `overflow` (`u64::MAX` when empty).
-    overflow_min: u64,
-    /// Earliest pending firing time in ps (`u64::MAX` when empty).
-    next_at: u64,
-    /// The wheel cursor: placement levels are chosen relative to this.
-    /// Invariant: `cur_tick <= tick(at)` for every pending event.
-    cur_tick: u64,
-    /// Level-0 slot currently sorted descending by `(at, seq)`
-    /// (`usize::MAX`: none). Pops pull from this slot's tail.
-    sorted: usize,
-    len: usize,
-    next_seq: u64,
+    /// Every pending event with its firing time, in pop order.
+    cells: VecDeque<(SimTime, E)>,
     now: SimTime,
     popped: u64,
     high_water: usize,
@@ -136,17 +47,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at `t = 0`.
     pub fn new() -> Self {
         EventQueue {
-            small: Vec::new(),
-            big: false,
-            slots: Box::default(),
-            occ: [[0; WORDS]; LEVELS],
-            overflow: Vec::new(),
-            overflow_min: u64::MAX,
-            next_at: u64::MAX,
-            cur_tick: 0,
-            sorted: usize::MAX,
-            len: 0,
-            next_seq: 0,
+            cells: VecDeque::new(),
             now: SimTime::ZERO,
             popped: 0,
             high_water: 0,
@@ -161,12 +62,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.cells.len()
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cells.is_empty()
     }
 
     /// Total number of events fired so far (for run statistics).
@@ -175,8 +76,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The most events that were ever pending at once — the engine
-    /// profiler's queue-depth gauge (one comparison per schedule; no
-    /// opt-in needed).
+    /// profiler's queue-depth gauge.
     pub fn depth_high_water(&self) -> usize {
         self.high_water
     }
@@ -192,23 +92,16 @@ impl<E> EventQueue<E> {
             "scheduling into the past: {at:?} < {:?}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.next_at = self.next_at.min(at.as_ps());
-        let cell = Cell { at, seq, event };
-        if self.big {
-            self.place(cell);
-        } else if self.small.len() < SMALL_MAX {
-            let key = (cell.at, cell.seq);
-            let pos = self.small.partition_point(|c| (c.at, c.seq) > key);
-            self.small.insert(pos, cell);
-        } else {
-            self.graduate(cell);
+        match self.cells.back() {
+            Some(&(last, _)) if at < last => {
+                // Behind every event due at or before `at`; at index 0
+                // the deque's insert is a push to the front.
+                let pos = self.cells.partition_point(|&(t, _)| t <= at);
+                self.cells.insert(pos, (at, event));
+            }
+            _ => self.cells.push_back((at, event)),
         }
-        self.len += 1;
-        if self.len > self.high_water {
-            self.high_water = self.len;
-        }
+        self.high_water = self.high_water.max(self.cells.len());
     }
 
     /// Schedules `event` after a delay from the current time.
@@ -218,76 +111,17 @@ impl<E> EventQueue<E> {
 
     /// Firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        (self.len != 0).then(|| SimTime::from_ps(self.next_at))
+        self.cells.front().map(|&(at, _)| at)
     }
 
     /// Pops the earliest event unconditionally, advancing the clock.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.big {
-            return self.pop_big();
-        }
-        let cell = self
-            .small
-            .pop()
-            .expect("small mode holds every pending cell");
-        debug_assert_eq!(cell.at.as_ps(), self.next_at);
-        debug_assert!(cell.at >= self.now);
-        self.len -= 1;
+        let (at, event) = self.cells.pop_front()?;
+        debug_assert!(at >= self.now);
         self.popped += 1;
-        self.now = cell.at;
-        self.next_at = self.small.last().map_or(u64::MAX, |c| c.at.as_ps());
-        Some((cell.at, cell.event))
-    }
-
-    /// The wheel-mode pop — out of line so the small-mode fast path
-    /// above stays small enough to inline into the engine loops.
-    fn pop_big(&mut self) -> Option<(SimTime, E)> {
-        let min_ps = self.next_at;
-        let min_tick = min_ps >> TICK_BITS;
-        // Nothing pends before the cached minimum, so the cursor may
-        // jump straight to its tick; then pull the minimum's slot chain
-        // down to level 0.
-        self.cur_tick = min_tick;
-        if self.overflow_min <= min_ps {
-            self.drain_overflow();
-        }
-        for level in (1..LEVELS).rev() {
-            let idx = ((min_tick >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-            if self.occ[level][idx / 64] & (1 << (idx % 64)) != 0 {
-                self.cascade(level, idx, min_tick);
-            }
-        }
-        let idx0 = (min_tick & SLOT_MASK) as usize;
-        if self.sorted != idx0 {
-            // First pop out of this slot: one descending sort serves
-            // the whole burst (the key (at, seq) is unique, so the
-            // order is total and unstable sorting is deterministic).
-            self.slots[idx0].sort_unstable_by_key(|c| std::cmp::Reverse((c.at, c.seq)));
-            self.sorted = idx0;
-        }
-        let cell = self.slots[idx0]
-            .pop()
-            .expect("the minimum's slot is occupied");
-        debug_assert_eq!(cell.at.as_ps(), min_ps);
-        debug_assert!(cell.at >= self.now);
-        if self.slots[idx0].is_empty() {
-            self.occ[0][idx0 / 64] &= !(1 << (idx0 % 64));
-            self.sorted = usize::MAX;
-        }
-        self.len -= 1;
-        self.popped += 1;
-        self.now = cell.at;
-        self.refresh_next();
-        if self.len == 0 {
-            // Fully drained: every slot is empty and every occupancy bit
-            // is cleared, so the queue may drop back to small mode.
-            self.big = false;
-        }
-        Some((cell.at, cell.event))
+        self.now = at;
+        Some((at, event))
     }
 
     /// Pops the earliest event if it fires at or before `horizon`.
@@ -297,235 +131,29 @@ impl<E> EventQueue<E> {
     /// simulation "for N seconds".
     #[inline]
     pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.len != 0 && self.next_at <= horizon.as_ps() {
+        if self.peek_time().is_some_and(|at| at <= horizon) {
             return self.pop();
         }
         if horizon > self.now {
             self.now = horizon;
-            if self.big {
-                // Nothing pends at or before the horizon, so the cursor
-                // may follow the clock (keeps upcoming schedules in the
-                // low, precise wheel levels).
-                self.cur_tick = horizon.as_ps() >> TICK_BITS;
-            }
         }
         None
     }
 
-    /// Discards all pending events.
-    ///
-    /// Only the future-event list empties: the clock ([`Self::now`]),
-    /// the insertion-sequence counter, and the run statistics
-    /// ([`Self::events_fired`], [`Self::depth_high_water`]) are all
-    /// **kept**, so a caller reusing a cleared queue for a fresh run
-    /// still sees the previous run's statistics until it calls
-    /// [`EventQueue::reset_stats`]. (The sequence counter must never
-    /// rewind — `(time, seq)` keys stay unique for the queue's whole
-    /// life — and the clock is kept because the DES never rewinds.)
+    /// Discards all pending events. The clock ([`Self::now`]) and the
+    /// run statistics ([`Self::events_fired`], [`Self::depth_high_water`])
+    /// are **kept**: a caller reusing a cleared queue for a fresh run
+    /// sees the previous run's statistics until [`Self::reset_stats`].
     pub fn clear(&mut self) {
-        self.small.clear();
-        self.big = false;
-        for slot in self.slots.iter_mut() {
-            slot.clear();
-        }
-        self.occ = [[0; WORDS]; LEVELS];
-        self.overflow.clear();
-        self.overflow_min = u64::MAX;
-        self.next_at = u64::MAX;
-        self.sorted = usize::MAX;
-        self.len = 0;
+        self.cells.clear();
     }
 
     /// Restarts the run statistics: zeroes [`Self::events_fired`] and
     /// resets [`Self::depth_high_water`] to the current backlog. The
-    /// sweep driver calls this between runs that reuse one queue; the
-    /// clock and the sequence counter are untouched.
+    /// sweep driver calls this between runs that reuse one queue.
     pub fn reset_stats(&mut self) {
         self.popped = 0;
-        self.high_water = self.len;
-    }
-
-    // ---- wheel internals ---------------------------------------------
-
-    /// Migrates the small-mode backlog (plus one incoming cell) into the
-    /// wheel, allocating the slot array on the very first graduation.
-    /// The cursor restarts at the clock's tick — a lower bound on every
-    /// pending firing time, since scheduling into the past panics.
-    #[cold]
-    fn graduate(&mut self, cell: Cell<E>) {
-        if self.slots.is_empty() {
-            self.slots = (0..LEVELS * SLOTS).map(|_| Vec::new()).collect();
-        }
-        self.big = true;
-        self.cur_tick = self.now.as_ps() >> TICK_BITS;
-        self.sorted = usize::MAX;
-        let mut pending = std::mem::take(&mut self.small);
-        for c in pending.drain(..) {
-            self.place(c);
-        }
-        self.small = pending; // keep the small-mode capacity for later
-        self.place(cell);
-    }
-
-    /// Files a cell into the wheel (or the overflow) relative to the
-    /// current cursor. Does not touch `len` or the statistics.
-    fn place(&mut self, cell: Cell<E>) {
-        let at_ps = cell.at.as_ps();
-        let at_tick = at_ps >> TICK_BITS;
-        debug_assert!(at_tick >= self.cur_tick);
-        let delta = at_tick - self.cur_tick;
-        if delta >= WHEEL_TICKS {
-            self.overflow_min = self.overflow_min.min(at_ps);
-            self.overflow.push(cell);
-            return;
-        }
-        let level = if delta == 0 {
-            0
-        } else {
-            (63 - delta.leading_zeros()) as usize / SLOT_BITS as usize
-        };
-        let idx = ((at_tick >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.occ[level][idx / 64] |= 1 << (idx % 64);
-        let slot = &mut self.slots[level * SLOTS + idx];
-        if level == 0 && idx == self.sorted {
-            // Scheduled mid-drain into the slot currently being popped:
-            // keep it sorted (descending) so the tail stays the minimum.
-            let key = (cell.at, cell.seq);
-            let pos = slot.partition_point(|c| (c.at, c.seq) > key);
-            slot.insert(pos, cell);
-        } else {
-            slot.push(cell);
-        }
-    }
-
-    /// Moves every cell of `min_tick`'s window out of the given slot
-    /// one level down. Cells from a *later* rotation that happen to
-    /// share the slot stay put.
-    fn cascade(&mut self, level: usize, idx: usize, min_tick: u64) {
-        let shift = SLOT_BITS * level as u32;
-        let window = min_tick >> shift;
-        let g = level * SLOTS + idx;
-        let mut i = 0;
-        while i < self.slots[g].len() {
-            if self.slots[g][i].at.as_ps() >> (TICK_BITS + shift) == window {
-                let cell = self.slots[g].swap_remove(i);
-                self.place(cell);
-            } else {
-                i += 1;
-            }
-        }
-        if self.slots[g].is_empty() {
-            self.occ[level][idx / 64] &= !(1 << (idx % 64));
-        }
-    }
-
-    /// Pulls every overflow cell now within the wheel span into the
-    /// wheel and recomputes the cached overflow minimum.
-    fn drain_overflow(&mut self) {
-        let mut min_left = u64::MAX;
-        let mut i = 0;
-        while i < self.overflow.len() {
-            let at_ps = self.overflow[i].at.as_ps();
-            if (at_ps >> TICK_BITS) - self.cur_tick < WHEEL_TICKS {
-                let cell = self.overflow.swap_remove(i);
-                self.place(cell);
-            } else {
-                min_left = min_left.min(at_ps);
-                i += 1;
-            }
-        }
-        self.overflow_min = min_left;
-    }
-
-    /// Recomputes `next_at` after a pop. Read-only with respect to the
-    /// wheel structure: no cursor movement, no cascades.
-    fn refresh_next(&mut self) {
-        if self.len == 0 {
-            self.next_at = u64::MAX;
-            return;
-        }
-        if self.sorted != usize::MAX {
-            // The slot just popped from still has cells: they share the
-            // minimal tick, so its (sorted) tail is the earliest in the
-            // wheel — only the overflow could tie within the tick.
-            let top = self.slots[self.sorted]
-                .last()
-                .expect("sorted slot is non-empty");
-            self.next_at = top.at.as_ps().min(self.overflow_min);
-            return;
-        }
-        let mut best = self.overflow_min;
-        // Level 0: the first occupied slot circularly at/after the
-        // cursor holds the minimal tick (slots are single ticks).
-        let c0 = (self.cur_tick & SLOT_MASK) as usize;
-        if let Some((idx, _)) = self.first_occupied(0, c0, true) {
-            best = best.min(self.slot_min(0, idx));
-        }
-        for level in 1..LEVELS {
-            let shift = SLOT_BITS * level as u32;
-            let cur_unit = self.cur_tick >> shift;
-            let c = (cur_unit & SLOT_MASK) as usize;
-            // The cursor's own slot must be scanned exactly: it may mix
-            // the current window with the next rotation.
-            if self.occ[level][c / 64] & (1 << (c % 64)) != 0 {
-                best = best.min(self.slot_min(level, c));
-            }
-            // Later slots are pure windows: prune by the window start,
-            // scan the first occupied one exactly.
-            if let Some((idx, steps)) = self.first_occupied(level, c, false) {
-                let start_ps = (cur_unit + steps)
-                    .checked_shl(shift + TICK_BITS)
-                    .unwrap_or(u64::MAX);
-                if start_ps < best {
-                    best = best.min(self.slot_min(level, idx));
-                }
-            }
-        }
-        self.next_at = best;
-    }
-
-    /// Earliest firing time within one (occupied) slot.
-    fn slot_min(&self, level: usize, idx: usize) -> u64 {
-        self.slots[level * SLOTS + idx]
-            .iter()
-            .map(|c| c.at.as_ps())
-            .min()
-            .expect("occupied slot has cells")
-    }
-
-    /// First occupied slot of `level` circularly at (`include_from`) or
-    /// strictly after `from`, with its circular distance from `from`.
-    fn first_occupied(
-        &self,
-        level: usize,
-        from: usize,
-        include_from: bool,
-    ) -> Option<(usize, u64)> {
-        let occ = &self.occ[level];
-        let w0 = from / 64;
-        let bit = from % 64;
-        let head = if include_from {
-            !0u64 << bit
-        } else {
-            (!0u64 << bit) << 1
-        };
-        if occ[w0] & head != 0 {
-            let idx = w0 * 64 + (occ[w0] & head).trailing_zeros() as usize;
-            return Some((idx, (idx - from) as u64));
-        }
-        for k in 1..WORDS {
-            let w = (w0 + k) % WORDS;
-            if occ[w] != 0 {
-                let idx = w * 64 + occ[w].trailing_zeros() as usize;
-                return Some((idx, ((idx + SLOTS - from) % SLOTS) as u64));
-            }
-        }
-        let tail = occ[w0] & ((1u64 << bit) - 1);
-        if tail != 0 {
-            let idx = w0 * 64 + tail.trailing_zeros() as usize;
-            return Some((idx, (SLOTS - from + idx) as u64));
-        }
-        None
+        self.high_water = self.cells.len();
     }
 }
 
@@ -680,8 +308,8 @@ mod tests {
     }
 
     #[test]
-    fn far_future_overflow_pops_in_order() {
-        // Events past the wheel span (~140 s) take the overflow path.
+    fn far_future_events_pop_in_order() {
+        // Request timeouts minutes out sort among microsecond events.
         let mut q = EventQueue::new();
         q.schedule_in(SimDuration::from_secs(300), "far");
         q.schedule_in(SimDuration::from_secs(200), "mid");
@@ -692,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_ties_keep_insertion_order() {
+    fn far_future_ties_keep_insertion_order() {
         let mut q = EventQueue::new();
         let far = SimDuration::from_secs(250);
         for label in ["first", "second", "third"] {
@@ -700,26 +328,6 @@ mod tests {
         }
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, ["first", "second", "third"]);
-    }
-
-    #[test]
-    fn graduation_and_drainback_keep_order() {
-        // Cross the small-mode threshold mid-stream, drain to empty
-        // (reverting to small mode), then refill: order holds across
-        // both transitions and the wheel's rotation/overflow paths.
-        let mut q = EventQueue::new();
-        let n = 4 * SMALL_MAX as u64;
-        for i in 0..n {
-            q.schedule_in(SimDuration::from_nanos((i * 7919) % 5000), i);
-        }
-        let mut fired: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(fired.len(), n as usize);
-        assert!(fired.windows(2).all(|w| w[0].0 <= w[1].0), "time order");
-        // Refilled after drain-back: small mode again, still ordered.
-        q.schedule_in(us(2), n);
-        q.schedule_in(us(1), n + 1);
-        fired = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(fired.iter().map(|f| f.1).collect::<Vec<_>>(), [n + 1, n]);
     }
 
     #[test]
@@ -741,7 +349,7 @@ mod tests {
 
     // ---- differential property test vs. the reference heap -----------
 
-    /// The pre-wheel implementation, kept verbatim as the ordering
+    /// The original implementation, kept verbatim as the ordering
     /// oracle: a max-heap of `(at, seq)`-keyed cells with the ordering
     /// inverted to pop earliest first.
     struct RefScheduled<E> {
@@ -807,14 +415,26 @@ mod tests {
         }
     }
 
+    /// Drains both queues, asserting they pop the same sequence.
+    fn drain_both(q: &mut EventQueue<u64>, oracle: &mut RefQueue<u64>) {
+        loop {
+            let (a, b) = (q.pop(), oracle.pop());
+            assert_eq!(a, b, "drain diverged");
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
     /// 10^5 random schedule/pop/pop_until/clear interleavings, heavy on
-    /// ties and spanning sub-tick offsets, wheel rotations, upper
-    /// levels, and the overflow: the wheel must reproduce the reference
-    /// heap's pop sequence exactly.
+    /// ties and spanning picoseconds to minutes, then a deep phase that
+    /// holds over 10^4 events while inserting at the front, in the
+    /// middle, at the back and on pending instants: the queue must
+    /// reproduce the reference heap's pop sequence exactly.
     #[test]
-    fn differential_wheel_matches_reference_heap() {
+    fn differential_matches_reference_heap() {
         let mut rng = crate::rng::DetRng::new(0x5eed_cafe);
-        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut q: EventQueue<u64> = EventQueue::new();
         let mut oracle: RefQueue<u64> = RefQueue::new();
         for i in 0..100_000u64 {
             let op = rng.below(100);
@@ -822,46 +442,74 @@ mod tests {
                 let delay = match rng.below(7) {
                     // Same instant (hot tie path).
                     0 => SimDuration::ZERO,
-                    // Sub-tick offsets within one slot.
-                    1 => SimDuration::from_ps(rng.below(1u64 << TICK_BITS)),
-                    // A small pool of repeated delays: cross-slot ties.
+                    // Sub-microsecond offsets.
+                    1 => SimDuration::from_ps(rng.below(1 << 20)),
+                    // A small pool of repeated delays: ties behind the front.
                     2 => SimDuration::from_nanos(100 * (1 + rng.below(4))),
-                    // Level-0 span / rotation boundary.
-                    3 => SimDuration::from_ps(rng.below(300u64 << TICK_BITS)),
-                    // Upper levels (microseconds to milliseconds).
+                    // Up to ~300 µs: tens of MHP cycles.
+                    3 => SimDuration::from_ps(rng.below(300 << 20)),
+                    // Microseconds to milliseconds.
                     4 => SimDuration::from_nanos(rng.below(3_000_000)),
-                    // Deep wheel (up to ~hundred seconds).
+                    // Up to a hundred seconds.
                     5 => SimDuration::from_micros(rng.below(100_000_000)),
-                    // Overflow (past the ~140 s wheel span).
+                    // Minutes out, like a request timeout.
                     _ => SimDuration::from_secs(141 + rng.below(1000)),
                 };
-                wheel.schedule_in(delay, i);
+                q.schedule_in(delay, i);
                 oracle.schedule_in(delay, i);
             } else if op < 88 {
-                assert_eq!(wheel.pop(), oracle.pop(), "pop diverged at op {i}");
-                assert_eq!(wheel.now(), oracle.now);
+                assert_eq!(q.pop(), oracle.pop(), "pop diverged at op {i}");
+                assert_eq!(q.now(), oracle.now);
             } else if op < 97 {
                 let horizon = oracle.now + SimDuration::from_nanos(rng.below(200_000));
                 assert_eq!(
-                    wheel.pop_until(horizon),
+                    q.pop_until(horizon),
                     oracle.pop_until(horizon),
                     "pop_until diverged at op {i}"
                 );
-                assert_eq!(wheel.now(), oracle.now);
+                assert_eq!(q.now(), oracle.now);
             } else if op < 99 {
-                assert_eq!(wheel.peek_time(), oracle.peek_time());
+                assert_eq!(q.peek_time(), oracle.peek_time());
             } else {
-                wheel.clear();
+                q.clear();
                 oracle.heap.clear();
             }
-            assert_eq!(wheel.len(), oracle.heap.len(), "len diverged at op {i}");
+            assert_eq!(q.len(), oracle.heap.len(), "len diverged at op {i}");
         }
-        loop {
-            let (a, b) = (wheel.pop(), oracle.pop());
-            assert_eq!(a, b, "drain diverged");
-            if a.is_none() {
-                break;
+        drain_both(&mut q, &mut oracle);
+
+        // Deep phase: one pop per six schedules, so the backlog grows
+        // past 10^4 and the deque wraps and shifts on both sides.
+        // `latest` bounds every pending firing time from above.
+        let mut latest = oracle.now.as_ps();
+        for i in 0..30_000u64 {
+            if rng.below(7) == 0 {
+                assert_eq!(q.pop(), oracle.pop(), "deep pop diverged at op {i}");
+                continue;
             }
+            let now = oracle.now.as_ps();
+            let first = oracle.peek_time().map_or(now, SimTime::as_ps);
+            let at = match rng.below(4) {
+                // Front: before the earliest pending event (on it, when
+                // that one is due now).
+                0 => now + rng.below((first - now).max(1)),
+                // Middle, on a 1 µs grid, so it often ties a pending event.
+                1 => now + 1_000_000 * rng.below((latest - now) / 1_000_000 + 1),
+                // Back: on or after the latest pending event.
+                2 => latest + rng.below(2) * rng.below(1_000_000),
+                // Exactly on the earliest or the latest pending instant.
+                _ => [first, latest][rng.below(2) as usize],
+            };
+            latest = latest.max(at);
+            let delay = SimDuration::from_ps(at - now);
+            q.schedule_in(delay, i);
+            oracle.schedule_in(delay, i);
+            assert_eq!(q.len(), oracle.heap.len(), "deep len diverged at op {i}");
         }
+        assert!(
+            q.depth_high_water() >= 10_000,
+            "the deep phase stayed shallow"
+        );
+        drain_both(&mut q, &mut oracle);
     }
 }

@@ -674,8 +674,6 @@ fn run_cell(spec: &ScenarioSpec, seed: u64, models: ModelCache) -> RunRecord {
     // runs keeps its counters through `clear()` (see
     // `EventQueue::reset_stats`), so `record.events` must re-base here.
     net.reset_event_stats();
-    let dst = spec.node_count() - 1;
-    let streams = spec.streams.max(1);
     let mut record = RunRecord::new(&spec.name, 0, seed);
     record.runs = 1;
     if let Some(workload) = &spec.workload {
@@ -702,63 +700,61 @@ fn run_cell(spec: &ScenarioSpec, seed: u64, models: ModelCache) -> RunRecord {
         record.pairs_consumed = (0..net.topology().edge_count())
             .map(|e| net.pairs_delivered(e))
             .sum();
-        record.reroutes = net.reroutes();
-        record.events = net.events_fired();
-        record.faults = net.faults();
-        record.repairs = net.repairs();
-        return record;
-    }
-    for _ in 0..spec.rounds {
-        // A round's requests: explicit cross-traffic pairs when
-        // given, else `streams` same-pair requests 0 → last. Under
-        // EndToEnd a round is one logical request per pair (two
-        // internal streams distilled into one delivered pair).
-        let requests: Vec<u64> = if spec.pairs.is_empty() {
-            if streams == 1 || spec.policy == Policy::EndToEndPurify {
-                vec![net.request_entanglement(0, dst, spec.fmin)]
+    } else {
+        let dst = spec.node_count() - 1;
+        let streams = spec.streams.max(1);
+        for _ in 0..spec.rounds {
+            // A round's requests: explicit cross-traffic pairs when
+            // given, else `streams` same-pair requests 0 → last. Under
+            // EndToEnd a round is one logical request per pair (two
+            // internal streams distilled into one delivered pair).
+            let requests: Vec<u64> = if spec.pairs.is_empty() {
+                if streams == 1 || spec.policy == Policy::EndToEndPurify {
+                    vec![net.request_entanglement(0, dst, spec.fmin)]
+                } else {
+                    net.request_entanglement_multipath(0, dst, spec.fmin, streams as usize)
+                }
             } else {
-                net.request_entanglement_multipath(0, dst, spec.fmin, streams as usize)
-            }
-        } else {
-            spec.pairs
-                .iter()
-                .map(|&(src, dst)| net.request_entanglement(src, dst, spec.fmin))
-                .collect()
-        };
-        // Count attempts as issued, and only ever credit an outcome to
-        // the round that issued its request: a stream aborting on
-        // UNSUPP must not let a buffered outcome from an earlier round
-        // double-count into this round's quota.
-        record.rounds += requests.len() as u32;
-        let mut pending: Vec<u64> = requests.clone();
-        // One shared time budget per round, however many streams.
-        let deadline = net.now() + spec.max_time;
-        while !pending.is_empty() {
-            let left = deadline.saturating_since(net.now());
-            if left == SimDuration::ZERO {
-                break;
-            }
-            let Some(out) = net.run_until_outcome(left) else {
-                break;
+                spec.pairs
+                    .iter()
+                    .map(|&(src, dst)| net.request_entanglement(src, dst, spec.fmin))
+                    .collect()
             };
-            let Some(at) = pending.iter().position(|&r| r == out.request) else {
-                continue; // an earlier round's stray outcome
-            };
-            pending.swap_remove(at);
-            record.successes += 1;
-            record.fidelity.push(out.end_to_end_fidelity);
-            record.latency_s.push(out.latency.as_secs_f64());
-            record.latency_hist.record(out.latency.as_secs_f64());
-            record.fidelity_hist.record(out.end_to_end_fidelity);
-            record.deliveries.push(out.delivered_at, 1.0);
-            record.pairs_consumed += u64::from(out.pairs_consumed);
-        }
-        // Whatever did not make the budget timed out — whether the
-        // network already abandoned it (retry budget exhausted) or it
-        // was still limping along. Cancel is a no-op for the done.
-        record.timeouts += pending.len() as u32;
-        for request in requests {
-            net.cancel_request(request);
+            // Count attempts as issued, and only ever credit an outcome
+            // to the round that issued its request: a stream aborting
+            // on UNSUPP must not let a buffered outcome from an earlier
+            // round double-count into this round's quota.
+            record.rounds += requests.len() as u32;
+            let mut pending: Vec<u64> = requests.clone();
+            // One shared time budget per round, however many streams.
+            let deadline = net.now() + spec.max_time;
+            while !pending.is_empty() {
+                let left = deadline.saturating_since(net.now());
+                if left == SimDuration::ZERO {
+                    break;
+                }
+                let Some(out) = net.run_until_outcome(left) else {
+                    break;
+                };
+                let Some(at) = pending.iter().position(|&r| r == out.request) else {
+                    continue; // an earlier round's stray outcome
+                };
+                pending.swap_remove(at);
+                record.successes += 1;
+                record.fidelity.push(out.end_to_end_fidelity);
+                record.latency_s.push(out.latency.as_secs_f64());
+                record.latency_hist.record(out.latency.as_secs_f64());
+                record.fidelity_hist.record(out.end_to_end_fidelity);
+                record.deliveries.push(out.delivered_at, 1.0);
+                record.pairs_consumed += u64::from(out.pairs_consumed);
+            }
+            // Whatever did not make the budget timed out — whether the
+            // network already abandoned it (retry budget exhausted) or
+            // it was still limping along. Cancel is a no-op for the done.
+            record.timeouts += pending.len() as u32;
+            for request in requests {
+                net.cancel_request(request);
+            }
         }
     }
     record.reroutes = net.reroutes();

@@ -40,12 +40,12 @@ pub const NODE_B: u32 = 2;
 
 /// The per-attempt events are flat values — MHP frames travel inline
 /// and nodes are named by their one-byte index (0 = A, 1 = B) — so
-/// scheduling one never allocates. They are also *small*: a busy
-/// link's event queue retains slot capacity in proportion to the event
-/// size (dozens of REPLYs are in flight on QL2020), so the MHP frames
-/// sit in a buffer of their own maximum length, and the node-to-node
-/// frames — up to twice as long, sent only on the CREATE and recovery
-/// paths — are boxed.
+/// scheduling one never allocates. They are also *small*, at most 32
+/// bytes: every schedule and every pop moves an event, and an event
+/// scheduled inside the link's queue shifts the ones beside it. So the
+/// MHP frames sit in a buffer of their own maximum length, and the
+/// node-to-node frames — up to twice as long, sent only on the CREATE
+/// and recovery paths — are boxed.
 /// A photon or GEN reaching the station is no event (`on_cycle` fills
 /// its detection-window slot at emission), nor is a reply deadline (it
 /// waits in [`LinkSimulation::reply_deadlines`] for its `Cycle`).

@@ -113,7 +113,7 @@ fn identical_seeds_give_bit_identical_outcomes() {
         random_graphs,
         cancel_while_parked,
         sparse_grid,
-        wheel_overflow,
+        timeouts_outlive_their_requests,
     ] {
         assert_eq!(scenario(), scenario(), "same seeds, different run");
     }
@@ -255,12 +255,12 @@ fn sparse_grid() -> Rows {
     out
 }
 
-/// Request timeouts armed beyond the timing wheel's ~140 s span
-/// (2^47 ps) land in its overflow level and must cascade back in and
-/// fire — as no-ops: both requests complete tens of seconds in. Links
-/// polled at 10 ms instead of 10.12 µs (same physics per attempt) make
-/// the 160 simulated seconds affordable.
-fn wheel_overflow() -> Rows {
+/// Request timeouts armed 145 s and 150 s out wait on the shared queue
+/// behind every link event of the run and must still fire — as no-ops:
+/// both requests complete tens of seconds in. Links polled at 10 ms
+/// instead of 10.12 µs (same physics per attempt) make the 160
+/// simulated seconds affordable.
+fn timeouts_outlive_their_requests() -> Rows {
     let topo = Topology::chain(3, |i| {
         let mut cfg = lab(7000 + i as u64);
         cfg.scenario.mhp_cycle = SimDuration::from_millis(10);
