@@ -223,6 +223,11 @@ fn bench_derived_physics(c: &mut Criterion) {
     c.bench_function("route_planner_new/16x16", |b| {
         b.iter(|| RoutePlanner::new(black_box(&topo)))
     });
+    // The 480 links alone, built and dropped: what a link costs to set
+    // up before it fires an attempt (the topology clone is in the loop).
+    c.bench_function("network_new/lab_16x16", |b| {
+        b.iter(|| Network::new(black_box(topo.clone()), 5))
+    });
     // What `grid16_sparse` times as `setup_s`: the topology, the
     // network, and its twelve two-hop requests (the first of which
     // builds the planner) — all from a cold table.

@@ -184,10 +184,30 @@ struct PendingExpire {
     retries_left: u8,
 }
 
+/// The part of an [`EgpConfig`] an [`Egp`] reads after construction.
+/// The hardware profile itself lives behind the FEU handle
+/// ([`FidelityEstimator::params`]); the distributed-queue parameters
+/// move into the [`DistributedQueue`].
+#[derive(Debug)]
+struct Settings {
+    node_id: u32,
+    peer_id: u32,
+    min_time_cycles: u64,
+    reply_timeout_cycles: u64,
+    completed_linger_cycles: u64,
+    resync_give_up: u32,
+    scheduler: SchedulerPolicy,
+    shared_random: SharedRandomness,
+    /// [`ScenarioParams::measure_multiplexing`], read on every poll.
+    measure_multiplexing: bool,
+    /// The MHP cycle in picoseconds, for the OKs' timestamps.
+    mhp_cycle_ps: u64,
+}
+
 /// The per-node link-layer protocol instance.
 #[derive(Debug)]
 pub struct Egp {
-    cfg: EgpConfig,
+    cfg: Settings,
     dq: DistributedQueue,
     qmm: QuantumMemoryManager,
     feu: FidelityEstimator,
@@ -246,23 +266,34 @@ impl Egp {
             *feu.params() == cfg.scenario,
             "the FEU models other hardware than this EGP runs on"
         );
-        let cycle_s = cfg.scenario.mhp_cycle.as_secs_f64();
-        let reinit_period_cycles =
-            (cfg.scenario.nv.carbon_reinit_period_s / cycle_s).round() as u64;
-        let reinit_duration_cycles =
-            (cfg.scenario.nv.carbon_reinit_duration_s / cycle_s).ceil() as u64;
-        let move_cycles = (cfg.scenario.nv.move_duration_s / cycle_s).ceil() as u64;
-        let keep_cadence_cycles = if cfg.scenario.keep_waits_for_reply {
-            cfg.scenario
+        let scenario = &cfg.scenario;
+        let cycle_s = scenario.mhp_cycle.as_secs_f64();
+        let reinit_period_cycles = (scenario.nv.carbon_reinit_period_s / cycle_s).round() as u64;
+        let reinit_duration_cycles = (scenario.nv.carbon_reinit_duration_s / cycle_s).ceil() as u64;
+        let move_cycles = (scenario.nv.move_duration_s / cycle_s).ceil() as u64;
+        let keep_cadence_cycles = if scenario.keep_waits_for_reply {
+            scenario
                 .reply_latency()
                 .as_ps()
-                .div_ceil(cfg.scenario.mhp_cycle.as_ps())
+                .div_ceil(scenario.mhp_cycle.as_ps())
                 + 1
         } else {
             1
         };
         Egp {
-            dq: DistributedQueue::new(cfg.role, cfg.dq.clone()),
+            cfg: Settings {
+                node_id: cfg.node_id,
+                peer_id: cfg.peer_id,
+                min_time_cycles: cfg.min_time_cycles,
+                reply_timeout_cycles: cfg.reply_timeout_cycles,
+                completed_linger_cycles: cfg.completed_linger_cycles,
+                resync_give_up: cfg.resync_give_up,
+                scheduler: cfg.scheduler,
+                shared_random: cfg.shared_random,
+                measure_multiplexing: scenario.measure_multiplexing,
+                mhp_cycle_ps: scenario.mhp_cycle.as_ps(),
+            },
+            dq: DistributedQueue::new(cfg.role, cfg.dq),
             qmm: QuantumMemoryManager::new(cfg.storage_qubits),
             feu,
             qber: QberEstimator::new(cfg.qber_window),
@@ -284,7 +315,6 @@ impl Egp {
                 .max((cfg.reply_timeout_cycles / keep_cadence_cycles + 4) as u32),
             expires_sent: 0,
             expires_received: 0,
-            cfg,
         }
     }
 
@@ -359,7 +389,7 @@ impl Egp {
             ));
             return (create_id, events);
         };
-        let cycle_us = self.cfg.scenario.mhp_cycle.as_micros_f64();
+        let cycle_us = self.feu.params().mhp_cycle.as_micros_f64();
         let tmax_cycles = if msg.max_time_us == 0 {
             u64::MAX
         } else {
@@ -550,7 +580,7 @@ impl Egp {
         // Without emission multiplexing (ablation, §5.2/[98]), M-type
         // attempts pace like K-type: one per reply round trip.
         if rtype == RequestType::Measure
-            && !self.cfg.scenario.measure_multiplexing
+            && !self.cfg.measure_multiplexing
             && cycle < self.next_keep_cycle
         {
             return (None, events);
@@ -599,7 +629,7 @@ impl Egp {
             test_round: is_test,
         };
         if rtype == RequestType::Keep
-            || (rtype == RequestType::Measure && !self.cfg.scenario.measure_multiplexing)
+            || (rtype == RequestType::Measure && !self.cfg.measure_multiplexing)
         {
             // Any attempt for a K request (including a test round)
             // occupies the slot for one cadence period; unmultiplexed M
@@ -880,9 +910,7 @@ impl Egp {
                     // The pair was created in the attempt's detection
                     // window, not when the reply was processed (§4.1.2
                     // item 5).
-                    create_time_ps: result
-                        .cycle
-                        .saturating_mul(self.cfg.scenario.mhp_cycle.as_ps()),
+                    create_time_ps: result.cycle.saturating_mul(self.cfg.mhp_cycle_ps),
                 };
                 req.deliver(seq, EgpEvent::OkMeasure(ok), cycle, events);
             }
@@ -950,10 +978,8 @@ impl Egp {
             goodness_time_ps: req
                 .service
                 .accepted_cycle
-                .saturating_mul(self.cfg.scenario.mhp_cycle.as_ps()),
-            create_time_ps: pm
-                .herald_cycle
-                .saturating_mul(self.cfg.scenario.mhp_cycle.as_ps()),
+                .saturating_mul(self.cfg.mhp_cycle_ps),
+            create_time_ps: pm.herald_cycle.saturating_mul(self.cfg.mhp_cycle_ps),
         };
         req.deliver(pm.seq, EgpEvent::OkKeep(ok), cycle, events);
         // The workloads of §6 consume pairs on delivery; the storage

@@ -137,9 +137,15 @@ impl Rejection {
 }
 
 /// A fully wired two-node link simulation.
+///
+/// The link stores no config struct: its hardware profile lives behind
+/// the FEU handle ([`FidelityEstimator::params`]), read there on the
+/// cold paths, and the one figure the per-event paths need, the MHP
+/// cycle, is cached as a scalar.
 pub struct LinkSimulation {
-    cfg: LinkConfig,
     queue: EventQueue<Event>,
+    /// The MHP cycle in picoseconds.
+    mhp_cycle_ps: u64,
     egps: [Egp; 2],
     mhps: [NodeMhp; 2],
     midpoint: Midpoint,
@@ -155,7 +161,11 @@ pub struct LinkSimulation {
     chan_reply: [ChannelModel; 2],
     rng_phys: DetRng,
     rng_chan: DetRng,
-    workload: WorkloadGenerator,
+    /// `None` for [`WorkloadSpec::none`]: a link driven only by
+    /// [`LinkSimulation::submit`] keeps no generator.
+    ///
+    /// [`WorkloadSpec::none`]: crate::workload::WorkloadSpec::none
+    workload: Option<Box<WorkloadGenerator>>,
     /// Open CREATEs by origin node, then create ID.
     tracking: [IntMap<u16, RequestTracking>; 2],
     /// `(attempt cycle, node)`, oldest first, of the attempts not yet past
@@ -206,7 +216,7 @@ impl LinkSimulation {
     /// Panics if `feu` models other hardware than `cfg.scenario`.
     pub fn with_estimator(cfg: LinkConfig, mut feu: FidelityEstimator) -> Self {
         let root = DetRng::new(cfg.seed);
-        let scenario = cfg.scenario.clone();
+        let scenario = &cfg.scenario;
 
         let shared = SharedRandomness::new(cfg.seed ^ 0x7e57_0000, cfg.test_round_probability);
         let mk_egp = |node, peer, role| {
@@ -242,7 +252,10 @@ impl LinkSimulation {
                 scale[i] = feu.success_probability(choice.alpha) / e;
             }
         }
+        // A link driven only by `submit` keeps no generator; building one
+        // to ask drew nothing, and substream derivation is pure.
         let workload = WorkloadGenerator::new(cfg.workload, scale, root.substream("workload"));
+        let workload = (!workload.is_none()).then(|| Box::new(workload));
 
         let node_to_node_km = scenario.arm_a_km + scenario.arm_b_km;
         let mk_chan = |km: f64| {
@@ -255,6 +268,7 @@ impl LinkSimulation {
         let longer_arm = scenario.arm_a_delay().max(scenario.arm_b_delay());
         let mut sim = LinkSimulation {
             queue: EventQueue::new(),
+            mhp_cycle_ps: scenario.mhp_cycle.as_ps(),
             egps: [egp_a, egp_b],
             mhps: [NodeMhp::new(NODE_A), NodeMhp::new(NODE_B)],
             midpoint: Midpoint::new(NODE_A, NODE_B),
@@ -277,7 +291,6 @@ impl LinkSimulation {
             park_when_idle: false,
             parked: None,
             cycles_elided: 0,
-            cfg,
         };
         // `on_cycle` hands photons and GENs to the station at emission: both
         // leave after `emission_prep` and must arrive before their window closes.
@@ -303,7 +316,7 @@ impl LinkSimulation {
     /// incarnation's network still holds, derives nothing again.
     pub fn new_starting_at(cfg: LinkConfig, feu: FidelityEstimator, at: SimTime) -> Self {
         let mut sim = Self::with_estimator(cfg, feu);
-        let c0 = at.as_ps().div_ceil(sim.cfg.scenario.mhp_cycle.as_ps());
+        let c0 = at.as_ps().div_ceil(sim.mhp_cycle_ps);
         sim.queue.clear();
         sim.queue.schedule_at(sim.cycle_start(c0), Event::Cycle(c0));
         sim
@@ -505,11 +518,11 @@ impl LinkSimulation {
 
     /// The MHP cycle whose slot contains `t`.
     fn cycle_of(&self, t: SimTime) -> u64 {
-        t.as_ps() / self.cfg.scenario.mhp_cycle.as_ps()
+        t.as_ps() / self.mhp_cycle_ps
     }
 
     fn cycle_start(&self, c: u64) -> SimTime {
-        SimTime::from_ps(c * self.cfg.scenario.mhp_cycle.as_ps())
+        SimTime::from_ps(c * self.mhp_cycle_ps)
     }
 
     fn side_of(node: usize) -> Side {
@@ -650,9 +663,10 @@ impl LinkSimulation {
             .schedule_at(self.cycle_start(c + 1), Event::Cycle(c + 1));
 
         // Workload arrivals.
-        let arrivals = self.workload.sample_cycle();
-        for req in arrivals {
-            self.submit(req.origin, req);
+        if let Some(workload) = &mut self.workload {
+            for req in workload.sample_cycle() {
+                self.submit(req.origin, req);
+            }
         }
 
         // Poll both EGPs; trigger attempts.
@@ -698,7 +712,7 @@ impl LinkSimulation {
         let eval = self.midpoint.evaluate_window(c, model, &mut self.rng_phys);
 
         if let Some(h) = &eval.herald {
-            let emission = self.cycle_start(c) + self.cfg.scenario.emission_prep;
+            let emission = self.cycle_start(c) + self.feu.params().emission_prep;
             let entry = LedgerEntry {
                 pair: h
                     .measured_bits
@@ -774,7 +788,7 @@ impl LinkSimulation {
                     }
                 }
                 EgpEvent::OkKeep(ok) => {
-                    let herald_cycle = ok.create_time_ps / self.cfg.scenario.mhp_cycle.as_ps();
+                    let herald_cycle = ok.create_time_ps / self.mhp_cycle_ps;
                     if ok.origin_is_local {
                         let fidelity = self.keep_pair_fidelity(herald_cycle);
                         self.record_ok(from, ok.create_id, fidelity);
@@ -782,7 +796,7 @@ impl LinkSimulation {
                     self.release_ledger(herald_cycle, from);
                 }
                 EgpEvent::OkMeasure(ok) => {
-                    let herald_cycle = ok.create_time_ps / self.cfg.scenario.mhp_cycle.as_ps();
+                    let herald_cycle = ok.create_time_ps / self.mhp_cycle_ps;
                     if ok.origin_is_local {
                         let fidelity = self
                             .ledger
@@ -830,7 +844,7 @@ impl LinkSimulation {
 
     fn apply_hw(&mut self, node: usize, directive: HwDirective) {
         let now = self.queue.now();
-        let nv = &self.cfg.scenario.nv;
+        let nv = &self.feu.params().nv;
         match directive {
             HwDirective::CorrectPsiMinus { cycle } => {
                 if let Some(pair) = self.ledger.get_mut(&cycle).and_then(|e| e.pair.as_mut()) {
@@ -857,7 +871,7 @@ impl LinkSimulation {
 
     fn keep_pair_fidelity(&mut self, herald_cycle: u64) -> f64 {
         let now = self.queue.now();
-        let nv = &self.cfg.scenario.nv;
+        let nv = &self.feu.params().nv;
         match self
             .ledger
             .get_mut(&herald_cycle)

@@ -159,10 +159,9 @@ pub struct WorkloadGenerator {
     /// `psucc/E` per kind, fixed at setup from the FEU's α choice.
     rate_scale: [f64; 3],
     /// Kinds with a positive offered load, in [`RequestKind::ALL`]
-    /// order, precomputed so the per-cycle sampler is a single branch
-    /// when the workload is empty (manually driven links call it every
-    /// MHP cycle) and touches only live kinds otherwise. Disabled kinds
-    /// never drew randomness, so the RNG stream is unchanged.
+    /// order, precomputed so the per-cycle sampler touches only live
+    /// kinds. Disabled kinds never drew randomness, so the RNG stream
+    /// is unchanged.
     active: [(RequestKind, usize); 3],
     active_n: usize,
     rng: DetRng,
@@ -203,15 +202,7 @@ impl WorkloadGenerator {
 
     /// Samples this cycle's arrivals (0 or more — each kind draws
     /// independently, as in the paper's per-kind issue probability).
-    #[inline]
     pub fn sample_cycle(&mut self) -> Vec<GeneratedRequest> {
-        if self.active_n == 0 {
-            return Vec::new();
-        }
-        self.sample_active()
-    }
-
-    fn sample_active(&mut self) -> Vec<GeneratedRequest> {
         let mut out = Vec::new();
         for &(kind, i) in &self.active[..self.active_n] {
             let load = self.spec.kind_load(kind);
