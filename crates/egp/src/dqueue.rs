@@ -21,9 +21,10 @@
 //! here depends on synchronised fields alone.
 
 use crate::request::{Request, Service};
+use crate::scheduler::SchedulerPolicy;
 use qlink_wire::dqp::{DqpFrameType, DqpMessage, QueueItem};
 use qlink_wire::fields::AbsQueueId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Which side of the distributed queue this node is (§E.1.2: two nodes
 /// only, one master marshals access).
@@ -40,8 +41,8 @@ pub enum Role {
 pub enum RejectReason {
     /// The target queue is at capacity.
     QueueFull,
-    /// The purpose ID violates the local queue rules (§4.1.1 item 7).
-    PurposeDenied,
+    /// The priority names no queue, or the peer refused the ADD.
+    Denied,
 }
 
 /// Events the DQP reports to the EGP.
@@ -103,55 +104,35 @@ enum Origin {
     Theirs,
 }
 
-/// Configuration for the distributed queue.
-#[derive(Debug, Clone)]
-pub struct DqueueConfig {
-    /// Node ID of the master side.
-    pub master_node: u32,
-    /// Node ID of the slave side.
-    pub slave_node: u32,
-    /// Number of priority queues (`L`; the paper provisions 16).
-    pub num_queues: u8,
-    /// Capacity per queue (`x`; 256 in the evaluation's Ultra runs).
-    pub max_items_per_queue: usize,
-    /// Fairness window `W` (max consecutive same-origin commits while
-    /// the other origin waits).
-    pub fairness_window: u8,
-    /// WFQ weight per queue index (used to compute virtual finish
-    /// times at the master). Missing entries default to 1.0.
-    pub wfq_weights: BTreeMap<u8, f64>,
-    /// Purpose IDs accepted from the peer (`None` = accept all).
-    pub allowed_purposes: Option<BTreeSet<u16>>,
-    /// Retransmission interval in MHP cycles.
-    pub retransmit_cycles: u64,
-    /// Retransmissions before giving up.
-    pub max_retries: u8,
-}
-
-impl Default for DqueueConfig {
-    fn default() -> Self {
-        DqueueConfig {
-            master_node: 1,
-            slave_node: 2,
-            num_queues: 3,
-            max_items_per_queue: 256,
-            fairness_window: 4,
-            wfq_weights: BTreeMap::new(),
-            allowed_purposes: None,
-            retransmit_cycles: 200,
-            max_retries: 10,
-        }
-    }
-}
+/// Number of priority queues (`L`): one per request kind of §6 — NL,
+/// CK and MD, highest priority first. An add for a priority outside
+/// them is refused as DENIED.
+pub const NUM_QUEUES: u8 = 3;
+/// Capacity per queue (`x`; 256 in the evaluation's Ultra runs). An add
+/// to a full queue is refused (OUTOFMEM at the origin, a REJ from the
+/// master).
+pub const MAX_ITEMS_PER_QUEUE: usize = 256;
+/// Fairness window `W` (§E.1.2): consecutive same-origin commits the
+/// master makes while an item of the other origin waits.
+const FAIRNESS_WINDOW: u8 = 4;
+/// MHP cycles between retransmissions of an unanswered ADD.
+const RETRANSMIT_CYCLES: u64 = 200;
+/// Retransmissions before an add gives up (the ERR_NOTIME path).
+const MAX_RETRIES: u8 = 10;
 
 /// One node's half of the distributed queue.
 #[derive(Debug)]
 pub struct DistributedQueue {
     role: Role,
-    config: DqueueConfig,
+    /// The node IDs a committed item's MR flag names as its origin.
+    master_node: u32,
+    slave_node: u32,
+    /// Master: the WFQ weight of each queue, from the scheduling
+    /// policy (see [`SchedulerPolicy::weight`]).
+    weights: [u32; NUM_QUEUES as usize],
     /// Every committed request, in queue order `(QID, QSEQ)`.
     table: BTreeMap<AbsQueueId, Request>,
-    next_qseq: Vec<u16>,
+    next_qseq: [u16; NUM_QUEUES as usize],
     next_cseq: u8,
     /// ADDs awaiting their ACK/REJ, by `CSEQ`. Ordered, so the
     /// retransmissions and give-ups [`DistributedQueue::tick`] emits
@@ -164,25 +145,32 @@ pub struct DistributedQueue {
     run_origin: Option<Origin>,
     run_len: u8,
     /// Master-side WFQ virtual-finish bookkeeping.
-    last_virtual_finish: Vec<f64>,
+    last_virtual_finish: [f64; NUM_QUEUES as usize],
 }
 
 impl DistributedQueue {
-    /// Creates one side of the queue.
-    pub fn new(role: Role, config: DqueueConfig) -> Self {
-        let n = config.num_queues as usize;
+    /// Creates node `node_id`'s side of its queue with `peer_id`; both
+    /// sides must schedule by the same `scheduler`, whose WFQ weights
+    /// the master stamps into every item's virtual finish.
+    pub fn new(role: Role, node_id: u32, peer_id: u32, scheduler: &SchedulerPolicy) -> Self {
+        let (master_node, slave_node) = match role {
+            Role::Master => (node_id, peer_id),
+            Role::Slave => (peer_id, node_id),
+        };
         DistributedQueue {
             role,
+            master_node,
+            slave_node,
+            weights: std::array::from_fn(|q| scheduler.weight(q as u8)),
             table: BTreeMap::new(),
-            next_qseq: vec![0; n],
+            next_qseq: [0; NUM_QUEUES as usize],
             next_cseq: 0,
             pending: BTreeMap::new(),
             slave_cseq_seen: BTreeMap::new(),
             staging: VecDeque::new(),
             run_origin: None,
             run_len: 0,
-            last_virtual_finish: vec![0.0; n],
-            config,
+            last_virtual_finish: [0.0; NUM_QUEUES as usize],
         }
     }
 
@@ -238,10 +226,10 @@ impl DistributedQueue {
         // part of the synchronized item, so set it at the source.
         item.flags.master_request = self.role == Role::Master;
         let create_id = item.create_id;
-        if item.priority >= self.config.num_queues {
+        if item.priority >= NUM_QUEUES {
             return vec![DqpEvent::AddRejected {
                 create_id,
-                reason: RejectReason::PurposeDenied,
+                reason: RejectReason::Denied,
             }];
         }
         if self.queue_full(item.priority) {
@@ -330,7 +318,7 @@ impl DistributedQueue {
                 }
             } else {
                 p.retries_left -= 1;
-                p.next_retransmit_cycle = cycle + self.config.retransmit_cycles;
+                p.next_retransmit_cycle = cycle + RETRANSMIT_CYCLES;
                 events.push(DqpEvent::Send(self.add_frame(cseq)));
             }
         }
@@ -342,26 +330,15 @@ impl DistributedQueue {
             qid,
             qseq: u16::MAX,
         };
-        self.table.range(queue).count() >= self.config.max_items_per_queue
-    }
-
-    fn purpose_allowed(&self, purpose: u16) -> bool {
-        match &self.config.allowed_purposes {
-            Some(set) => set.contains(&purpose),
-            None => true,
-        }
-    }
-
-    fn weight(&self, qid: u8) -> f64 {
-        *self.config.wfq_weights.get(&qid).unwrap_or(&1.0)
+        self.table.range(queue).count() >= MAX_ITEMS_PER_QUEUE
     }
 
     /// Enters `item` in the local queue under the ID it carries.
     fn commit(&mut self, item: QueueItem, service: Service) {
         let origin = if item.flags.master_request {
-            self.config.master_node
+            self.master_node
         } else {
-            self.config.slave_node
+            self.slave_node
         };
         let request = Request {
             item,
@@ -377,8 +354,8 @@ impl DistributedQueue {
             item,
             service,
             retracted: false,
-            retries_left: self.config.max_retries,
-            next_retransmit_cycle: cycle + self.config.retransmit_cycles,
+            retries_left: MAX_RETRIES,
+            next_retransmit_cycle: cycle + RETRANSMIT_CYCLES,
         };
         self.pending.insert(cseq, pending);
     }
@@ -400,7 +377,7 @@ impl DistributedQueue {
         self.next_qseq[qid as usize] = qseq.wrapping_add(1);
         let cost = item.est_cycles_per_pair as f64 * item.num_pairs as f64;
         let start = self.last_virtual_finish[qid as usize].max(item.schedule_cycle as f64);
-        let vf = start + cost / self.weight(qid);
+        let vf = start + cost / f64::from(self.weights[qid as usize]);
         self.last_virtual_finish[qid as usize] = vf;
         item.queue_id = AbsQueueId::new(qid, qseq);
         item.initial_virtual_finish = vf;
@@ -415,7 +392,7 @@ impl DistributedQueue {
             // Window exhausted for the current run origin and an item
             // from the other origin is waiting? Serve the other first.
             let pick_idx = match self.run_origin {
-                Some(run) if self.run_len >= self.config.fairness_window => self
+                Some(run) if self.run_len >= FAIRNESS_WINDOW => self
                     .staging
                     .iter()
                     .position(|(o, ..)| *o != run)
@@ -476,10 +453,7 @@ impl DistributedQueue {
             }
         }
         let item = msg.item;
-        if !self.purpose_allowed(item.purpose_id)
-            || item.priority >= self.config.num_queues
-            || self.queue_full(item.priority)
-        {
+        if item.priority >= NUM_QUEUES || self.queue_full(item.priority) {
             return vec![DqpEvent::Send(rej_frame(msg))];
         }
         self.staging
@@ -493,7 +467,7 @@ impl DistributedQueue {
         service: impl FnOnce() -> Service,
     ) -> Vec<DqpEvent> {
         let item = msg.item;
-        if !self.purpose_allowed(item.purpose_id) || item.queue_id.qid >= self.config.num_queues {
+        if item.queue_id.qid >= NUM_QUEUES {
             return vec![DqpEvent::Send(rej_frame(msg))];
         }
         // Idempotent commit (retransmissions re-deliver).
@@ -517,7 +491,7 @@ impl DistributedQueue {
         // Commit with the master-assigned queue ID and VF.
         let item = msg.item;
         let (create_id, aid) = (p.item.create_id, item.queue_id);
-        if aid.qid >= self.config.num_queues {
+        if aid.qid >= NUM_QUEUES {
             return Vec::new();
         }
         if p.retracted {
@@ -533,7 +507,7 @@ impl DistributedQueue {
         match self.abandon_pending(msg.cseq) {
             Some(create_id) => vec![DqpEvent::AddRejected {
                 create_id,
-                reason: RejectReason::PurposeDenied,
+                reason: RejectReason::Denied,
             }],
             None => Vec::new(),
         }
@@ -563,6 +537,7 @@ fn rej_frame(msg: DqpMessage) -> DqpMessage {
 mod tests {
     use super::*;
     use qlink_wire::fields::{Fidelity16, RequestFlags};
+    use std::collections::BTreeSet;
 
     /// An item as the EGP hands it to `add`: no queue ID or virtual
     /// finish yet, and the MR flag left for `add` to set.
@@ -626,11 +601,24 @@ mod tests {
         (master_events, slave_events)
     }
 
+    fn master() -> DistributedQueue {
+        DistributedQueue::new(Role::Master, 1, 2, &SchedulerPolicy::fcfs())
+    }
+
+    fn slave() -> DistributedQueue {
+        DistributedQueue::new(Role::Slave, 2, 1, &SchedulerPolicy::fcfs())
+    }
+
     fn pair() -> (DistributedQueue, DistributedQueue) {
-        (
-            DistributedQueue::new(Role::Master, DqueueConfig::default()),
-            DistributedQueue::new(Role::Slave, DqueueConfig::default()),
-        )
+        (master(), slave())
+    }
+
+    /// The one frame among `events`.
+    fn frame(events: Vec<DqpEvent>) -> DqpMessage {
+        match &events[..] {
+            [DqpEvent::Send(f)] => f.clone(),
+            other => panic!("expected one frame, got {other:?}"),
+        }
     }
 
     #[test]
@@ -686,61 +674,91 @@ mod tests {
 
     #[test]
     fn full_queue_rejected_locally() {
-        let cfg = DqueueConfig {
-            max_items_per_queue: 2,
-            ..DqueueConfig::default()
-        };
-        let mut m = DistributedQueue::new(Role::Master, cfg.clone());
-        let mut s = DistributedQueue::new(Role::Slave, cfg);
-        for i in 0..2u16 {
+        let (mut m, mut s) = pair();
+        for i in 0..MAX_ITEMS_PER_QUEUE as u16 {
             let evs = m.add(payload(i, 0), service(), 0);
             settle(&mut m, &mut s, evs, vec![], 0);
         }
-        let evs = m.add(payload(99, 0), service(), 0);
-        assert!(matches!(
-            evs[0],
-            DqpEvent::AddRejected {
-                reason: RejectReason::QueueFull,
-                ..
-            }
-        ));
+        assert_eq!(
+            (m.len(), s.len()),
+            (MAX_ITEMS_PER_QUEUE, MAX_ITEMS_PER_QUEUE)
+        );
+        for q in [&mut m, &mut s] {
+            let evs = q.add(payload(999, 0), service(), 0);
+            assert!(matches!(
+                evs[..],
+                [DqpEvent::AddRejected {
+                    create_id: 999,
+                    reason: RejectReason::QueueFull,
+                }]
+            ));
+        }
+        // The other queues still take items.
+        let evs = s.add(payload(1000, 1), service(), 0);
+        assert!(matches!(evs[..], [DqpEvent::Send(_)]));
     }
 
+    /// The master refuses a slave ADD for a queue that filled while the
+    /// ADD was in flight, or for a priority that names no queue; the
+    /// slave reports either as DENIED. An add for no queue never leaves
+    /// its own node.
     #[test]
-    fn purpose_policy_rejects_peer_add() {
-        let cfg = DqueueConfig {
-            allowed_purposes: Some([1u16].into_iter().collect()),
-            ..DqueueConfig::default()
-        };
-        let mut m = DistributedQueue::new(Role::Master, cfg);
-        let mut s = DistributedQueue::new(Role::Slave, DqueueConfig::default());
-        // Slave asks for purpose 7, master only allows 1 → DENIED.
-        let evs = s.add(payload(4, 0), service(), 0);
-        let (_, sev) = settle(&mut m, &mut s, vec![], evs, 0);
-        assert!(sev.iter().any(|e| matches!(
-            e,
-            DqpEvent::AddRejected {
-                reason: RejectReason::PurposeDenied,
-                ..
-            }
-        )));
-        assert_eq!(m.len(), 0);
-        assert_eq!(s.len(), 0);
+    fn master_rejects_peer_adds_it_cannot_queue() {
+        let (mut m, mut s) = pair();
+        let add = frame(s.add(payload(4, 0), service(), 0));
+        for i in 0..MAX_ITEMS_PER_QUEUE as u16 {
+            drop(m.add(payload(i, 0), service(), 0)); // not delivered
+        }
+        let mut no_queue = add.clone();
+        no_queue.cseq += 1;
+        no_queue.item.priority = NUM_QUEUES;
+        for msg in [add.clone(), no_queue] {
+            let cseq = msg.cseq;
+            let rej = frame(m.on_frame(msg, || panic!("nothing to commit"), 0));
+            assert_eq!((rej.frame_type, rej.cseq), (DqpFrameType::Rej, cseq));
+        }
+        let denied = s.on_frame(rej_frame(add), service, 0);
+        let reason = RejectReason::Denied;
+        assert_eq!(
+            denied,
+            vec![DqpEvent::AddRejected {
+                create_id: 4,
+                reason
+            }]
+        );
+        assert_eq!((m.len(), s.len()), (MAX_ITEMS_PER_QUEUE, 0));
+        assert!(s.is_idle());
+        let evs = s.add(payload(5, NUM_QUEUES), service(), 0);
+        assert_eq!(
+            evs,
+            vec![DqpEvent::AddRejected {
+                create_id: 5,
+                reason
+            }]
+        );
     }
 
+    /// The slave refuses a master ADD for a queue it does not have: the
+    /// master rolls back what it had committed and reports the add
+    /// refused.
     #[test]
     fn slave_rejection_rolls_back_master() {
-        let cfg = DqueueConfig {
-            allowed_purposes: Some([1u16].into_iter().collect()),
-            ..DqueueConfig::default()
-        };
-        let mut m = DistributedQueue::new(Role::Master, DqueueConfig::default());
-        let mut s = DistributedQueue::new(Role::Slave, cfg);
+        let (mut m, mut s) = pair();
         let evs = m.add(payload(5, 0), service(), 0);
-        let (mev, _) = settle(&mut m, &mut s, evs, vec![], 0);
+        let mut add = evs
+            .iter()
+            .find_map(|e| match e {
+                DqpEvent::Send(f) => Some(f.clone()),
+                _ => None,
+            })
+            .expect("the ADD");
+        assert_eq!(m.len(), 1, "the master commits at once");
+        add.item.queue_id.qid = NUM_QUEUES;
+        let rej = s.on_frame(add, || panic!("nothing to commit"), 0);
+        let (mev, _) = settle(&mut m, &mut s, vec![], rej, 0);
         assert!(mev
             .iter()
-            .any(|e| matches!(e, DqpEvent::AddRejected { .. })));
+            .any(|e| matches!(e, DqpEvent::AddRejected { create_id: 5, .. })));
         assert_eq!(m.len(), 0, "master must roll back the commit");
     }
 
@@ -771,7 +789,7 @@ mod tests {
     /// differ from process to process.
     #[test]
     fn adds_due_together_retransmit_in_cseq_order() {
-        let mut s = DistributedQueue::new(Role::Slave, DqueueConfig::default());
+        let mut s = slave();
         for create_id in 0..8 {
             drop(s.add(payload(create_id, 0), service(), 0)); // every ADD lost
         }
@@ -841,42 +859,35 @@ mod tests {
 
     #[test]
     fn add_gives_up_after_max_retries() {
-        let cfg = DqueueConfig {
-            max_retries: 2,
-            retransmit_cycles: 10,
-            ..DqueueConfig::default()
-        };
-        let mut m = DistributedQueue::new(Role::Master, cfg);
+        let mut m = master();
         let evs = m.add(payload(8, 0), service(), 0);
-        drop(evs); // ADD lost
-        let mut timed_out = false;
+        drop(evs); // ADD lost, and every retransmission too
+        let mut retransmissions = 0;
+        let mut timed_out_at = None;
         let mut cycle = 0;
-        for _ in 0..5 {
-            cycle += 10;
+        while timed_out_at.is_none() {
+            assert!(cycle < 100 * RETRANSMIT_CYCLES, "never gave up");
+            cycle += 1;
             for e in m.tick(cycle) {
                 match e {
-                    DqpEvent::AddTimedOut { create_id } => {
-                        assert_eq!(create_id, 8);
-                        timed_out = true;
-                    }
-                    DqpEvent::Send(_) => {}
+                    DqpEvent::AddTimedOut { create_id: 8 } => timed_out_at = Some(cycle),
+                    DqpEvent::Send(_) => retransmissions += 1,
                     other => panic!("unexpected {other:?}"),
                 }
             }
         }
-        assert!(timed_out);
+        assert_eq!(retransmissions, MAX_RETRIES);
+        let first_due = u64::from(MAX_RETRIES) + 1;
+        assert_eq!(timed_out_at, Some(first_due * RETRANSMIT_CYCLES));
         assert_eq!(m.len(), 0, "rolled back after giving up");
+        assert!(m.is_idle());
     }
 
     #[test]
     fn fairness_window_interleaves_contending_origins() {
         // Master floods its own items while slave ADDs are staged; the
         // window (4) must bound consecutive master commits.
-        let cfg = DqueueConfig {
-            fairness_window: 4,
-            ..DqueueConfig::default()
-        };
-        let mut m = DistributedQueue::new(Role::Master, cfg);
+        let mut m = master();
         // Stage a burst: 10 master + 3 slave items arriving interleaved
         // in one flush window. Build the staging directly through the
         // public API: master adds flush immediately, so emulate
@@ -939,10 +950,11 @@ mod tests {
 
     #[test]
     fn wfq_weights_scale_finish_times() {
-        let mut cfg = DqueueConfig::default();
-        cfg.wfq_weights.insert(1, 10.0);
-        cfg.wfq_weights.insert(2, 1.0);
-        let mut m = DistributedQueue::new(Role::Master, cfg);
+        let policy = SchedulerPolicy::StrictThenWfq {
+            strict: vec![0],
+            weights: vec![(1, 10), (2, 1)],
+        };
+        let mut m = DistributedQueue::new(Role::Master, 1, 2, &policy);
         let heavy = {
             let evs = m.add(payload(0, 1), service(), 0);
             evs.iter()

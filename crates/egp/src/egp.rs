@@ -19,7 +19,7 @@
 //!   queue-mismatch reconciliation;
 //! * intersperse test rounds (Appendix B) and feed the QBER estimator.
 
-use crate::dqueue::{DistributedQueue, DqpEvent, DqueueConfig, RejectReason, Role};
+use crate::dqueue::{DistributedQueue, DqpEvent, RejectReason, Role};
 use crate::feu::{FidelityEstimator, QberEstimator};
 use crate::qmm::{QuantumMemoryManager, QubitId};
 use crate::request::{Request, RequestState, Service};
@@ -81,7 +81,9 @@ pub enum EgpEvent {
     Hw(HwDirective),
 }
 
-/// Static configuration of one EGP instance.
+/// What varies between EGP instances. Everything else is fixed by the
+/// protocol (private constants) or derived from the hardware
+/// (`min_time` and the reply timeout, in [`Egp::with_estimator`]).
 #[derive(Debug, Clone)]
 pub struct EgpConfig {
     /// This node's ID.
@@ -92,36 +94,17 @@ pub struct EgpConfig {
     pub role: Role,
     /// Physical scenario (timings, NV parameters).
     pub scenario: ScenarioParams,
-    /// Distributed-queue parameters (must match the peer's).
-    pub dq: DqueueConfig,
-    /// Scheduling policy (must match the peer's).
+    /// Scheduling policy, WFQ weights included (must match the peer's).
     pub scheduler: SchedulerPolicy,
     /// Number of carbon storage qubits.
     pub storage_qubits: usize,
     /// Pre-shared randomness for test rounds and bases.
     pub shared_random: SharedRandomness,
-    /// Cycles to wait for a midpoint reply before declaring GEN_FAIL.
-    pub reply_timeout_cycles: u64,
-    /// `min_time` offset: cycles between queue-add and earliest service
-    /// (must exceed the ADD/ACK round trip; §E.1.2).
-    pub min_time_cycles: u64,
-    /// Window size of the QBER estimator (Appendix B's `N`).
-    pub qber_window: usize,
-    /// Consecutive NO_MESSAGE_OTHER results on one request before
-    /// concluding the peer has diverged and sending a resync EXPIRE
-    /// (§E.3.2's "inconsistency detected later" case).
-    pub nmo_resync_threshold: u32,
-    /// Resync attempts before abandoning the request entirely.
-    pub resync_give_up: u32,
-    /// Cycles a completed request lingers (still reopenable by a
-    /// resync EXPIRE) before being forgotten.
-    pub completed_linger_cycles: u64,
 }
 
 impl EgpConfig {
-    /// Sensible defaults for a scenario: reply timeout covers the
-    /// midpoint round trip with margin, `min_time` covers the DQP
-    /// handshake.
+    /// A node of a link on `scenario` with one storage qubit and no
+    /// test rounds.
     pub fn for_scenario(
         node_id: u32,
         peer_id: u32,
@@ -129,40 +112,30 @@ impl EgpConfig {
         scenario: ScenarioParams,
         scheduler: SchedulerPolicy,
     ) -> Self {
-        let cycle = scenario.mhp_cycle;
-        let reply_cycles = scenario.reply_latency().as_ps().div_ceil(cycle.as_ps());
-        let rtt_ab = (scenario.arm_a_delay() + scenario.arm_b_delay()).as_ps() * 2;
-        let min_time = rtt_ab.div_ceil(cycle.as_ps()) + 3;
         EgpConfig {
             node_id,
             peer_id,
             role,
             scenario,
-            dq: DqueueConfig {
-                master_node: if role == Role::Master {
-                    node_id
-                } else {
-                    peer_id
-                },
-                slave_node: if role == Role::Master {
-                    peer_id
-                } else {
-                    node_id
-                },
-                ..DqueueConfig::default()
-            },
             scheduler,
             storage_qubits: 1,
             shared_random: SharedRandomness::new(0x51_1b_2a_7e, 0.0),
-            reply_timeout_cycles: reply_cycles + 10,
-            min_time_cycles: min_time,
-            qber_window: 1000,
-            nmo_resync_threshold: 5,
-            resync_give_up: 3,
-            completed_linger_cycles: 5_000,
         }
     }
 }
+
+/// Window size of the QBER estimator (Appendix B's `N`).
+const QBER_WINDOW: usize = 1000;
+/// Consecutive NO_MESSAGE_OTHER results on one request before
+/// concluding the peer has diverged and sending a resync EXPIRE
+/// (§E.3.2's "inconsistency detected later" case) — at least; see
+/// `Egp::effective_nmo_threshold`.
+const NMO_RESYNC_THRESHOLD: u32 = 5;
+/// Resync attempts before abandoning the request entirely.
+const RESYNC_GIVE_UP: u32 = 3;
+/// Cycles a completed request lingers (still reopenable by a resync
+/// EXPIRE) before being forgotten.
+const COMPLETED_LINGER_CYCLES: u64 = 5_000;
 
 /// A completed move awaiting its OK at `ready_cycle`.
 #[derive(Debug, Clone)]
@@ -184,18 +157,21 @@ struct PendingExpire {
     retries_left: u8,
 }
 
-/// The part of an [`EgpConfig`] an [`Egp`] reads after construction.
-/// The hardware profile itself lives behind the FEU handle
-/// ([`FidelityEstimator::params`]); the distributed-queue parameters
-/// move into the [`DistributedQueue`].
+/// The part of an [`EgpConfig`] an [`Egp`] reads after construction,
+/// and the timers derived from it. The hardware profile itself lives
+/// behind the FEU handle ([`FidelityEstimator::params`]); the node IDs
+/// and the WFQ weights are also handed to the [`DistributedQueue`].
 #[derive(Debug)]
 struct Settings {
     node_id: u32,
     peer_id: u32,
+    /// `min_time` offset: cycles between queue-add and earliest service.
+    /// It must exceed the ADD/ACK round trip (§E.1.2): the node-to-node
+    /// round trip in whole cycles, plus three.
     min_time_cycles: u64,
+    /// Cycles to wait for an EXPIRE-ACK before retransmitting: the
+    /// midpoint reply latency in whole cycles, plus ten.
     reply_timeout_cycles: u64,
-    completed_linger_cycles: u64,
-    resync_give_up: u32,
     scheduler: SchedulerPolicy,
     shared_random: SharedRandomness,
     /// [`ScenarioParams::measure_multiplexing`], read on every poll.
@@ -267,36 +243,35 @@ impl Egp {
             "the FEU models other hardware than this EGP runs on"
         );
         let scenario = &cfg.scenario;
+        let cycle_ps = scenario.mhp_cycle.as_ps();
+        let reply_cycles = scenario.reply_latency().as_ps().div_ceil(cycle_ps);
+        let rtt_ab = (scenario.arm_a_delay() + scenario.arm_b_delay()).as_ps() * 2;
+        let reply_timeout_cycles = reply_cycles + 10;
         let cycle_s = scenario.mhp_cycle.as_secs_f64();
         let reinit_period_cycles = (scenario.nv.carbon_reinit_period_s / cycle_s).round() as u64;
         let reinit_duration_cycles = (scenario.nv.carbon_reinit_duration_s / cycle_s).ceil() as u64;
         let move_cycles = (scenario.nv.move_duration_s / cycle_s).ceil() as u64;
         let keep_cadence_cycles = if scenario.keep_waits_for_reply {
-            scenario
-                .reply_latency()
-                .as_ps()
-                .div_ceil(scenario.mhp_cycle.as_ps())
-                + 1
+            reply_cycles + 1
         } else {
             1
         };
+        let dq = DistributedQueue::new(cfg.role, cfg.node_id, cfg.peer_id, &cfg.scheduler);
         Egp {
             cfg: Settings {
                 node_id: cfg.node_id,
                 peer_id: cfg.peer_id,
-                min_time_cycles: cfg.min_time_cycles,
-                reply_timeout_cycles: cfg.reply_timeout_cycles,
-                completed_linger_cycles: cfg.completed_linger_cycles,
-                resync_give_up: cfg.resync_give_up,
-                scheduler: cfg.scheduler,
-                shared_random: cfg.shared_random,
+                min_time_cycles: rtt_ab.div_ceil(cycle_ps) + 3,
+                reply_timeout_cycles,
                 measure_multiplexing: scenario.measure_multiplexing,
-                mhp_cycle_ps: scenario.mhp_cycle.as_ps(),
+                mhp_cycle_ps: cycle_ps,
+                shared_random: cfg.shared_random,
+                scheduler: cfg.scheduler,
             },
-            dq: DistributedQueue::new(cfg.role, cfg.dq),
+            dq,
             qmm: QuantumMemoryManager::new(cfg.storage_qubits),
             feu,
-            qber: QberEstimator::new(cfg.qber_window),
+            qber: QberEstimator::new(QBER_WINDOW),
             next_create_id: 0,
             seq_expected: 0,
             inflight_keep: None,
@@ -310,9 +285,8 @@ impl Egp {
             move_cycles,
             keep_cadence_cycles,
             next_keep_cycle: 0,
-            effective_nmo_threshold: cfg
-                .nmo_resync_threshold
-                .max((cfg.reply_timeout_cycles / keep_cadence_cycles + 4) as u32),
+            effective_nmo_threshold: NMO_RESYNC_THRESHOLD
+                .max((reply_timeout_cycles / keep_cadence_cycles + 4) as u32),
             expires_sent: 0,
             expires_received: 0,
         }
@@ -730,7 +704,7 @@ impl Egp {
                 if req.service.nmo_count >= self.effective_nmo_threshold {
                     req.service.nmo_count = 0;
                     req.service.resyncs += 1;
-                    if req.service.resyncs > self.cfg.resync_give_up {
+                    if req.service.resyncs > RESYNC_GIVE_UP {
                         // The peer has forgotten the request entirely;
                         // abandon it and tell the higher layer.
                         events.push(EgpEvent::Error(ErrMsg {
@@ -989,7 +963,7 @@ impl Egp {
     }
 
     fn purge_timed_out(&mut self, cycle: u64, events: &mut Vec<EgpEvent>) {
-        let linger = self.cfg.completed_linger_cycles;
+        let linger = COMPLETED_LINGER_CYCLES;
         // Completed requests are forgotten once their linger period
         // passed; incomplete ones time out at their deadline.
         let lingered = |r: &Request| {
@@ -1123,7 +1097,7 @@ impl Egp {
                 DqpEvent::AddRejected { create_id, reason } => {
                     let code = match reason {
                         RejectReason::QueueFull => EgpErrorCode::OutOfMem,
-                        RejectReason::PurposeDenied => EgpErrorCode::Denied,
+                        RejectReason::Denied => EgpErrorCode::Denied,
                     };
                     events.push(EgpEvent::Error(self.err(create_id, code)));
                 }
@@ -1188,7 +1162,6 @@ mod tests {
     use qlink_phys::mhp::{Midpoint, NodeMhp};
     use qlink_phys::params::ScenarioParams;
     use qlink_wire::fields::RequestFlags;
-    use std::collections::BTreeSet;
 
     const A: u32 = 1;
     const B: u32 = 2;
@@ -1647,7 +1620,7 @@ mod tests {
         // No herald until the first completion's linger has run out:
         // the reopened request must outlive it.
         let hot = std::mem::replace(&mut h.model, dead_model());
-        let lingered = reopened_at + h.egp_b.cfg.completed_linger_cycles + 10;
+        let lingered = reopened_at + COMPLETED_LINGER_CYCLES + 10;
         for c in reopened_at + 1..lingered {
             h.step(c);
         }
@@ -1795,6 +1768,31 @@ mod tests {
         assert!(!seq_in_range(0, 5, 5));
     }
 
+    /// `min_time`, the EXPIRE retransmission timeout and the
+    /// NO_MESSAGE_OTHER threshold are derived from the hardware, not
+    /// set. On the two evaluation profiles they equal what `EgpConfig`
+    /// carried when they were settings: Lab 4, 11 and 15 cycles; QL2020
+    /// 27, 25 and 5 (there the constant floor of 5 wins).
+    #[test]
+    fn timers_derive_from_the_hardware() {
+        for (scenario, want) in [
+            (ScenarioParams::lab(), (4, 11, 15)),
+            (ScenarioParams::ql2020(), (27, 25, 5)),
+        ] {
+            for role in [Role::Master, Role::Slave] {
+                let cfg =
+                    EgpConfig::for_scenario(A, B, role, scenario.clone(), SchedulerPolicy::fcfs());
+                let egp = Egp::new(cfg);
+                let got = (
+                    egp.cfg.min_time_cycles,
+                    egp.cfg.reply_timeout_cycles,
+                    egp.effective_nmo_threshold,
+                );
+                assert_eq!(got, want, "{:?} {role:?}", scenario.scenario);
+            }
+        }
+    }
+
     #[test]
     fn memory_advert_flow() {
         let (mut a, mut b) = lab_pair(SchedulerPolicy::fcfs());
@@ -1841,7 +1839,7 @@ mod tests {
         h.dispatch(evs, vec![], 0);
         assert!(!h.egp_a.is_quiescent() && !h.egp_b.is_quiescent());
 
-        let linger = h.egp_a.cfg.completed_linger_cycles;
+        let linger = COMPLETED_LINGER_CYCLES;
         let mut cycle = 0;
         while !(h.egp_a.is_quiescent() && h.egp_b.is_quiescent()) {
             assert!(cycle < 2_000 + linger, "never returned to quiescence");
@@ -1878,16 +1876,17 @@ mod tests {
         }
     }
 
-    /// Seeded property: CREATEs from both origins (K and M, some for a
-    /// purpose the peer refuses), retractions, random frame loss,
-    /// blackouts long enough for an ADD to give up and roll back, and
-    /// stretches without a herald long enough for deadlines to pass,
-    /// in any interleaving. Once traffic stops and frames get through
-    /// again, both EGPs return to quiescence — with one table of
-    /// requests, that is every kind of per-request state gone with its
-    /// request — and no CREATE went unanswered: each was served in
-    /// full, ended in an ERR, or was retracted by its own higher layer.
-    /// Without loss each got exactly one of the three. (With loss a
+    /// Seeded property: CREATEs from both origins (K and M), retractions,
+    /// random frame loss, blackouts long enough for an ADD to give up and
+    /// roll back, stretches without a herald long enough for deadlines to
+    /// pass, and one slave CREATE the master refuses because its queue
+    /// filled while the ADD was in flight, in any interleaving. Once
+    /// traffic stops and frames get through again, both EGPs return to
+    /// quiescence — with one table of requests, that is every kind of
+    /// per-request state gone with its request — and no CREATE went
+    /// unanswered: each was served in full, ended in an ERR, or was
+    /// retracted by its own higher layer. Without loss each got exactly
+    /// one of the three, and the refused one a DENIED. (With loss a
     /// second answer is possible: a master whose ACKs are all lost
     /// serves the request, then reports NOTIME when its ADD gives up.)
     ///
@@ -1899,8 +1898,8 @@ mod tests {
     /// timeout ends the queue mismatch.
     #[test]
     fn every_create_is_answered_and_no_request_state_outlives_its_request() {
-        const SEGMENT: u64 = 2_500; // > max_retries × retransmit_cycles
-        const DENIED_PURPOSE: u16 = 9;
+        const SEGMENT: u64 = 2_500; // > (MAX_RETRIES + 1) × RETRANSMIT_CYCLES
+        const OVERFILL_AT: u64 = SEGMENT + SEGMENT / 2;
         struct Created {
             at_a: bool,
             create_id: u16,
@@ -1916,22 +1915,7 @@ mod tests {
             } else {
                 SchedulerPolicy::nl_strict_wfq()
             };
-            let mut h = Harness::new(policy.clone());
-            let allowed: BTreeSet<u16> = [7].into_iter().collect();
-            for (egp, node, peer, role) in [
-                (&mut h.egp_a, A, B, Role::Master),
-                (&mut h.egp_b, B, A, Role::Slave),
-            ] {
-                let mut cfg = EgpConfig::for_scenario(
-                    node,
-                    peer,
-                    role,
-                    ScenarioParams::lab(),
-                    policy.clone(),
-                );
-                cfg.dq.allowed_purposes = Some(allowed.clone());
-                *egp = Egp::new(cfg);
-            }
+            let mut h = Harness::new(policy);
             let hot = h.model.clone();
             let mut created: Vec<Created> = Vec::new();
             let traffic_until = 4 * SEGMENT;
@@ -1957,6 +1941,43 @@ mod tests {
                         hot.clone()
                     };
                 }
+                if cycle == OVERFILL_AT {
+                    // B's ADD is in flight while A fills the MD queue:
+                    // A refuses it, then retracts what it filled with.
+                    let mut msg = create_msg(1, false, 2);
+                    msg.max_time_us = 120_000;
+                    let (refused, held) = h.egp_b.create(msg.clone(), cycle);
+                    let mut filled = Vec::new();
+                    for _ in 0..crate::dqueue::MAX_ITEMS_PER_QUEUE {
+                        let (create_id, evs) = h.egp_a.create(msg.clone(), cycle);
+                        h.dispatch(evs, vec![], cycle);
+                        filled.push(create_id);
+                    }
+                    h.dispatch(vec![], held, cycle);
+                    for &create_id in &filled {
+                        let evs = h.egp_a.expire_request(create_id, cycle);
+                        h.dispatch(evs, vec![], cycle);
+                    }
+                    if lossless {
+                        let denied = h
+                            .errors_b
+                            .iter()
+                            .filter(|e| (e.create_id, e.code) == (refused, EgpErrorCode::Denied));
+                        assert_eq!(denied.count(), 1, "case {case}: B's ADD was not refused");
+                    }
+                    created.push(Created {
+                        at_a: false,
+                        create_id: refused,
+                        pairs: 1,
+                        retracted: false,
+                    });
+                    created.extend(filled.into_iter().map(|create_id| Created {
+                        at_a: true,
+                        create_id,
+                        pairs: 1,
+                        retracted: true,
+                    }));
+                }
                 if cycle < traffic_until && rng.bernoulli(0.004) {
                     let at_a = rng.bernoulli(0.5);
                     let mut msg = create_msg(1 + rng.below(3) as u16, rng.bernoulli(0.3), 0);
@@ -1966,9 +1987,6 @@ mod tests {
                         2
                     };
                     msg.flags.consecutive = rng.bernoulli(0.7);
-                    if rng.bernoulli(0.1) {
-                        msg.purpose_id = DENIED_PURPOSE;
-                    }
                     // ≈ 12 000 or 20 000 cycles a pair; the FEU wants 8 300
                     // for M and 10 800 for K.
                     msg.max_time_us = (120_000 + 80_000 * rng.below(2)) * u64::from(msg.number);

@@ -10,8 +10,9 @@
 //! * **FCFS** — a single logical first-come-first-serve queue.
 //! * **Strict + WFQ** — NL (priority-1) requests always go first;
 //!   remaining queues share via weighted fair queueing on the virtual
-//!   finish times the master stamped into each item (the paper's
-//!   `LowerWFQ` weights CK:MD = 2:1, `HigherWFQ` = 10:1).
+//!   finish times the master stamped into each item under the policy's
+//!   weights (the paper's `LowerWFQ` weights CK:MD = 2:1,
+//!   `HigherWFQ` = 10:1).
 
 use qlink_wire::dqp::QueueItem;
 use qlink_wire::fields::AbsQueueId;
@@ -27,6 +28,10 @@ pub enum SchedulerPolicy {
     StrictThenWfq {
         /// Queue indices with strict priority, highest first.
         strict: Vec<u8>,
+        /// `(queue index, weight)`: the master divides an item's cost by
+        /// its queue's weight to stamp its virtual finish. Unlisted
+        /// queues weigh 1.
+        weights: Vec<(u8, u32)>,
     },
 }
 
@@ -36,11 +41,24 @@ impl SchedulerPolicy {
         SchedulerPolicy::Fcfs
     }
 
-    /// The paper's WFQ schedulers: NL (queue 0) strict, CK/MD weighted
-    /// (weights live in the distributed queue's config — see
-    /// [`crate::dqueue::DqueueConfig::wfq_weights`]).
+    /// NL (queue 0) strict, CK and MD sharing by WFQ at equal weights.
     pub fn nl_strict_wfq() -> Self {
-        SchedulerPolicy::StrictThenWfq { strict: vec![0] }
+        SchedulerPolicy::StrictThenWfq {
+            strict: vec![0],
+            weights: Vec::new(),
+        }
+    }
+
+    /// The WFQ weight of queue `qid` (1 for an unlisted queue and under
+    /// FCFS, which stamps virtual finishes all the same).
+    pub fn weight(&self, qid: u8) -> u32 {
+        match self {
+            SchedulerPolicy::StrictThenWfq { weights, .. } => weights
+                .iter()
+                .find_map(|&(q, w)| (q == qid).then_some(w))
+                .unwrap_or(1),
+            SchedulerPolicy::Fcfs => 1,
+        }
     }
 
     /// Picks the next request to serve among `ready` items.
@@ -54,7 +72,7 @@ impl SchedulerPolicy {
             SchedulerPolicy::Fcfs => ready
                 .min_by_key(|e| (e.schedule_cycle, e.queue_id.qid, e.queue_id.qseq))
                 .map(|e| e.queue_id),
-            SchedulerPolicy::StrictThenWfq { strict } => {
+            SchedulerPolicy::StrictThenWfq { strict, .. } => {
                 // One pass, no buffering (this runs every MHP cycle):
                 // track the best strict-class item — by position in
                 // `strict`, FCFS within a class — and the best of the
@@ -235,6 +253,7 @@ mod tests {
             }
             let policy = SchedulerPolicy::StrictThenWfq {
                 strict: strict.clone(),
+                weights: Vec::new(),
             };
             assert_eq!(
                 policy.select(ready.iter()),

@@ -87,7 +87,7 @@ pub use load::{
     AdmissionControl, ArrivalProcess, ClassLoadStats, LoadStats, SloTarget, TraceArrival,
     UserClass, Workload,
 };
-pub use network::{BackoffPolicy, EndToEndOutcome, Network};
+pub use network::{EndToEndOutcome, Network};
 pub use node::{NodeAction, PathRole, SwapAsapNode};
 pub use obs::{
     chrome_trace_json, spans_jsonl, EngineProfile, Metrics, SpanEvent, SpanStage, Telemetry,

@@ -45,7 +45,6 @@ use qlink_sim::link::{Delivery, LinkSimulation, Rejection};
 use std::time::Instant;
 
 pub use crate::ledger::EndToEndOutcome;
-pub use crate::planner::BackoffPolicy;
 
 /// The reserved span id fault spans are emitted under: fault events
 /// belong to the network, not to any request, and request ids count
@@ -124,10 +123,7 @@ impl Network {
                 embed(LinkSimulation::with_estimator(e.link.clone(), feu))
             })
             .collect();
-        let trace_cfg = TelemetryConfig::from_env();
-        let telemetry =
-            (!trace_cfg.is_off()).then(|| Box::new(Telemetry::new(trace_cfg, links.len())));
-        Network {
+        let mut net = Network {
             repair_count: vec![0; links.len()],
             engine: Engine::new(links, topo.min_control_delay()),
             ledger: Ledger::new(seed, topo.node_count(), topo.edge_count()),
@@ -141,9 +137,11 @@ impl Network {
             repair_total: 0,
             workload: None,
             outcomes: Vec::new(),
-            telemetry,
+            telemetry: None,
             topo,
-        }
+        };
+        net.set_telemetry(TelemetryConfig::from_env());
+        net
     }
 
     /// Switches the telemetry layer (see [`crate::obs`]) on or off,
@@ -154,7 +152,7 @@ impl Network {
     /// outcomes, RNG draws, and event stream are unchanged.
     pub fn set_telemetry(&mut self, config: TelemetryConfig) {
         let edges = self.topo.edge_count();
-        self.telemetry = (!config.is_off()).then(|| Box::new(Telemetry::new(config, edges)));
+        self.telemetry = (!config.is_off()).then(|| Box::new(Telemetry::new(edges)));
     }
 
     /// The telemetry recorded so far (`None` when the layer is off).
@@ -272,17 +270,6 @@ impl Network {
     /// (the first failure abandons).
     pub fn set_retry_budget(&mut self, retries: u32) {
         self.planner.retry_budget = retries;
-    }
-
-    /// Selects how a failed attempt's re-issue delay grows with its
-    /// retry count. The default, [`BackoffPolicy::Jittered`], is a
-    /// single jittered control delay. [`BackoffPolicy::Exponential`]
-    /// doubles the delay per attempt up to a cap, desynchronising
-    /// sustained retry storms. Either way a failure draws exactly one
-    /// `net/reroute` jitter. Applies to failures detected after the
-    /// call.
-    pub fn set_backoff_policy(&mut self, policy: BackoffPolicy) {
-        self.planner.backoff = policy;
     }
 
     #[doc(hidden)]
@@ -713,7 +700,7 @@ impl Network {
 
     /// Runs the network for `duration` of global simulated time.
     pub fn run_for(&mut self, duration: SimDuration) {
-        let prof = self.profiling().then(Instant::now);
+        let prof = self.telemetry.is_some().then(Instant::now);
         let horizon = self.engine.now() + duration;
         while let Some((t, ev)) = self.engine.queue.pop_until(horizon) {
             self.handle(t, ev);
@@ -726,7 +713,7 @@ impl Network {
     /// additional simulated time passes. On timeout the request keeps
     /// running (cancel with [`Network::cancel_request`] if desired).
     pub fn run_until_outcome(&mut self, max_time: SimDuration) -> Option<EndToEndOutcome> {
-        let prof = self.profiling().then(Instant::now);
+        let prof = self.telemetry.is_some().then(Instant::now);
         let start = self.engine.now();
         let deadline = start + max_time;
         while self.outcomes.is_empty() {
@@ -745,13 +732,6 @@ impl Network {
         }
     }
 
-    /// `true` when the telemetry layer's profiling facet is on — the
-    /// only condition under which the run loops touch `Instant` at
-    /// all.
-    fn profiling(&self) -> bool {
-        self.telemetry.as_deref().is_some_and(Telemetry::profiling)
-    }
-
     /// Closes out one run loop's profiling stopwatch and refreshes the
     /// queue gauges (pure observation: nothing here feeds back into
     /// the simulation).
@@ -760,7 +740,7 @@ impl Network {
         let p = self
             .telemetry
             .as_deref_mut()
-            .expect("profiling implies telemetry")
+            .expect("only telemetry starts the stopwatch")
             .profile_mut();
         p.wall_nanos += started.elapsed().as_nanos() as u64;
         p.events_handled = self.engine.queue.events_fired();
@@ -1056,7 +1036,7 @@ impl Network {
         let base = self.topo.path_control_delay(ended.attempt.path());
         let backoff = self
             .planner
-            .backoff_delay(base.as_secs_f64(), attempt)
+            .backoff_delay(base)
             // At least one control delay must pass before the
             // released capacity is real.
             .max(self.engine.min_control_delay);

@@ -15,10 +15,10 @@
 //!   to the telemetry-off run — spans and metrics are a projection of
 //!   the event stream, not a participant in it.
 //!
-//! Three facets, independently switchable via [`TelemetryConfig`]
-//! (programmatic: [`Network::set_telemetry`]; environment:
-//! `QLINK_TRACE=1` or `QLINK_TRACE=spans,metrics,profile` via
-//! [`TelemetryConfig::from_env`], read at [`Network::new`]):
+//! One switch, [`TelemetryConfig`], turns all three facets on or off
+//! together (programmatic: [`Network::set_telemetry`]; environment:
+//! `QLINK_TRACE=1` via [`TelemetryConfig::from_env`], read at
+//! [`Network::new`]):
 //!
 //! * **Spans** — the life of every request as timestamped
 //!   [`SpanEvent`]s: issue → plan → per-edge CREATE → pair ADD →
@@ -39,8 +39,8 @@
 //!   drained, queue-depth high water, and cycles elided,
 //!   exportable as a `BENCH_par.json`-style artifact via
 //!   [`EngineProfile::to_json`]. Wall time is the *one* nondeterministic
-//!   quantity here, which is why it lives in its own facet: spans and
-//!   metrics stay byte-reproducible with profiling on or off.
+//!   quantity here: spans and metrics never read it, so they stay
+//!   byte-reproducible.
 //!
 //! [`Network::set_telemetry`]: crate::network::Network::set_telemetry
 //! [`Network::new`]: crate::network::Network::new
@@ -48,50 +48,34 @@
 use qlink_des::{Histogram, SimDuration, SimTime, TimeSeries};
 use std::fmt::Write as _;
 
-/// Which telemetry facets a [`Network`](crate::network::Network)
-/// records. The default ([`TelemetryConfig::OFF`]) records nothing and
-/// costs one branch per hook.
+/// Whether a [`Network`](crate::network::Network) records telemetry:
+/// spans, metrics and the engine profile, all or none. The default
+/// ([`TelemetryConfig::OFF`]) records nothing and costs one branch per
+/// hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
-    /// Record request-lifecycle [`SpanEvent`]s.
-    pub spans: bool,
-    /// Record histogram metrics and per-edge counters.
-    pub metrics: bool,
-    /// Record wall-clock engine profiling (the only facet whose output
-    /// is not bit-reproducible — it measures the host, not the
-    /// simulation).
-    pub profile: bool,
+    on: bool,
 }
 
 impl TelemetryConfig {
-    /// Everything off — the default; runs reproduce earlier revisions
-    /// bit-for-bit.
-    pub const OFF: TelemetryConfig = TelemetryConfig {
-        spans: false,
-        metrics: false,
-        profile: false,
-    };
+    /// Off — the default; runs reproduce earlier revisions bit-for-bit.
+    pub const OFF: TelemetryConfig = TelemetryConfig { on: false };
 
-    /// Every facet on.
+    /// On: every facet records.
     pub fn all() -> TelemetryConfig {
-        TelemetryConfig {
-            spans: true,
-            metrics: true,
-            profile: true,
-        }
+        TelemetryConfig { on: true }
     }
 
-    /// `true` when no facet is enabled.
+    /// `true` when nothing records.
     pub fn is_off(&self) -> bool {
-        *self == TelemetryConfig::OFF
+        !self.on
     }
 
     /// The configuration requested by the `QLINK_TRACE` environment
-    /// variable: unset, empty, or `0` means [`TelemetryConfig::OFF`];
-    /// `1` or `all` means [`TelemetryConfig::all`]; otherwise a
-    /// comma-separated subset of `spans`, `metrics`, `profile`
-    /// (unknown words are ignored). This is how a whole test suite or
-    /// CI leg switches telemetry on without touching call sites.
+    /// variable: `1` or `all` means [`TelemetryConfig::all`], anything
+    /// else — unset, empty, `0` — [`TelemetryConfig::OFF`]. This is how
+    /// a whole test suite or CI leg switches telemetry on without
+    /// touching call sites.
     pub fn from_env() -> TelemetryConfig {
         match std::env::var("QLINK_TRACE") {
             Ok(v) => Self::parse(&v),
@@ -101,22 +85,8 @@ impl TelemetryConfig {
 
     /// Parses a `QLINK_TRACE` value; see [`TelemetryConfig::from_env`].
     pub fn parse(s: &str) -> TelemetryConfig {
-        let s = s.trim().to_ascii_lowercase();
-        match s.as_str() {
-            "" | "0" => TelemetryConfig::OFF,
-            "1" | "all" => TelemetryConfig::all(),
-            _ => {
-                let mut c = TelemetryConfig::OFF;
-                for word in s.split(',') {
-                    match word.trim() {
-                        "spans" => c.spans = true,
-                        "metrics" => c.metrics = true,
-                        "profile" => c.profile = true,
-                        _ => {}
-                    }
-                }
-                c
-            }
+        TelemetryConfig {
+            on: matches!(s.trim().to_ascii_lowercase().as_str(), "1" | "all"),
         }
     }
 }
@@ -326,8 +296,8 @@ pub fn fidelity_histogram() -> Histogram {
     Histogram::new(0.0, 1.0, 100)
 }
 
-/// Wall-clock engine profile of one run (the only telemetry facet
-/// whose numbers vary run to run — it measures the host machine).
+/// Wall-clock engine profile of one run (the only telemetry whose
+/// numbers vary run to run — it measures the host machine).
 #[derive(Debug, Clone, Default)]
 pub struct EngineProfile {
     /// Wall nanoseconds spent inside `run_for` / `run_until_outcome`.
@@ -369,13 +339,11 @@ impl EngineProfile {
     }
 }
 
-/// A network's telemetry state: configuration plus whatever the
-/// enabled facets have recorded. Owned by
-/// [`Network`](crate::network::Network), written only while it
-/// handles events, readable any time.
+/// What a network with telemetry on has recorded. Owned by
+/// [`Network`](crate::network::Network) while telemetry is on, written
+/// only while it handles events, readable any time.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    config: TelemetryConfig,
     spans: Vec<SpanEvent>,
     metrics: Metrics,
     profile: EngineProfile,
@@ -383,18 +351,12 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Fresh telemetry for a network with `edges` links.
-    pub(crate) fn new(config: TelemetryConfig, edges: usize) -> Telemetry {
+    pub(crate) fn new(edges: usize) -> Telemetry {
         Telemetry {
-            config,
             spans: Vec::new(),
             metrics: Metrics::new(edges),
             profile: EngineProfile::default(),
         }
-    }
-
-    /// The configuration this telemetry was enabled with.
-    pub fn config(&self) -> TelemetryConfig {
-        self.config
     }
 
     /// Every recorded span, in emission (= shared-queue) order.
@@ -416,63 +378,43 @@ impl Telemetry {
         &mut self.profile
     }
 
-    /// `true` when the profiling facet is on (the network's run loops
-    /// only reach for `Instant` then).
-    pub(crate) fn profiling(&self) -> bool {
-        self.config.profile
-    }
-
     // ---- hook surface (called by network.rs; all passive) ------------
 
     pub(crate) fn emit(&mut self, at: SimTime, request: u64, attempt: u64, stage: SpanStage) {
-        if self.config.spans {
-            self.spans.push(SpanEvent {
-                at,
-                request,
-                attempt,
-                stage,
-            });
-        }
+        self.spans.push(SpanEvent {
+            at,
+            request,
+            attempt,
+            stage,
+        });
     }
 
     pub(crate) fn on_create(&mut self, edge: usize) {
-        if self.config.metrics {
-            self.metrics.creates[edge] += 1;
-        }
+        self.metrics.creates[edge] += 1;
     }
 
     /// A CREATE's pair arrived, `wait` after its submission.
     pub(crate) fn on_add(&mut self, wait: SimDuration) {
-        if self.config.metrics {
-            self.metrics.queue_wait.record(wait.as_secs_f64());
-        }
+        self.metrics.queue_wait.record(wait.as_secs_f64());
     }
 
     pub(crate) fn on_retract(&mut self, edge: usize) {
-        if self.config.metrics {
-            self.metrics.retracts[edge] += 1;
-        }
+        self.metrics.retracts[edge] += 1;
     }
 
     pub(crate) fn on_expire(&mut self, edge: usize) {
-        if self.config.metrics {
-            self.metrics.expires[edge] += 1;
-        }
+        self.metrics.expires[edge] += 1;
     }
 
     pub(crate) fn on_unsupp(&mut self, edge: usize) {
-        if self.config.metrics {
-            self.metrics.unsupp[edge] += 1;
-        }
+        self.metrics.unsupp[edge] += 1;
     }
 
     pub(crate) fn on_complete(&mut self, at: SimTime, fidelity: f64, latency: SimDuration) {
-        if self.config.metrics {
-            self.metrics.completions += 1;
-            self.metrics.latency.record(latency.as_secs_f64());
-            self.metrics.fidelity.record(fidelity);
-            self.metrics.deliveries.push(at, 1.0);
-        }
+        self.metrics.completions += 1;
+        self.metrics.latency.record(latency.as_secs_f64());
+        self.metrics.fidelity.record(fidelity);
+        self.metrics.deliveries.push(at, 1.0);
     }
 }
 
@@ -551,50 +493,19 @@ mod tests {
 
     #[test]
     fn config_parses_env_forms() {
-        assert_eq!(TelemetryConfig::parse(""), TelemetryConfig::OFF);
-        assert_eq!(TelemetryConfig::parse("0"), TelemetryConfig::OFF);
-        assert_eq!(TelemetryConfig::parse("1"), TelemetryConfig::all());
-        assert_eq!(TelemetryConfig::parse("all"), TelemetryConfig::all());
-        assert_eq!(
-            TelemetryConfig::parse("spans,profile"),
-            TelemetryConfig {
-                spans: true,
-                metrics: false,
-                profile: true,
-            }
-        );
-        assert_eq!(
-            TelemetryConfig::parse(" Metrics "),
-            TelemetryConfig {
-                spans: false,
-                metrics: true,
-                profile: false,
-            }
-        );
-        assert!(TelemetryConfig::parse("nonsense").is_off());
-    }
-
-    #[test]
-    fn facets_gate_recording() {
-        let mut tl = Telemetry::new(
-            TelemetryConfig {
-                spans: true,
-                metrics: false,
-                profile: false,
-            },
-            2,
-        );
-        tl.emit(SimTime::ZERO, 0, 0, SpanStage::Swap { node: 1 });
-        tl.on_create(0);
-        tl.on_complete(SimTime::ZERO, 0.9, SimDuration::from_micros(5));
-        assert_eq!(tl.spans().len(), 1);
-        assert_eq!(tl.metrics().creates, vec![0, 0], "metrics facet is off");
-        assert_eq!(tl.metrics().completions, 0);
+        for on in ["1", "all", " ALL "] {
+            assert_eq!(TelemetryConfig::parse(on), TelemetryConfig::all(), "{on:?}");
+        }
+        for off in ["", "0", "spans", "nonsense"] {
+            assert!(TelemetryConfig::parse(off).is_off(), "{off:?}");
+        }
+        assert!(TelemetryConfig::default().is_off());
+        assert!(!TelemetryConfig::all().is_off());
     }
 
     #[test]
     fn queue_wait_pairs_create_with_add() {
-        let mut tl = Telemetry::new(TelemetryConfig::all(), 1);
+        let mut tl = Telemetry::new(1);
         tl.on_create(0);
         tl.on_add(SimDuration::from_secs_f64(0.25));
         assert_eq!(tl.metrics().creates, vec![1]);

@@ -23,44 +23,6 @@ use qlink_egp::feu::FidelityEstimator;
 use qlink_phys::attempt::ModelCache;
 use qlink_phys::params::ScenarioParams;
 
-/// How a failed attempt's re-issue delay grows with its retry count
-/// (see [`Network::set_backoff_policy`]).
-///
-/// [`Network::set_backoff_policy`]: crate::network::Network::set_backoff_policy
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackoffPolicy {
-    /// One jittered path control delay per re-issue, whatever the
-    /// attempt number — the default.
-    #[default]
-    Jittered,
-    /// Exponential backoff: the jittered control delay doubles with
-    /// every failed attempt (`base × 2^attempt × (1 + u)`), clamped to
-    /// `cap`. Under sustained overload this spreads a retry storm out
-    /// instead of hammering the network at a fixed cadence.
-    Exponential {
-        /// Upper bound on any single re-issue delay.
-        cap: SimDuration,
-    },
-}
-
-impl BackoffPolicy {
-    /// The re-issue delay for a failure of attempt number `attempt`,
-    /// given the failed path's one-way control delay `base` (seconds)
-    /// and the jitter draw `u ∈ [0, 1)`.
-    pub fn delay(self, base: f64, attempt: u64, u: f64) -> SimDuration {
-        let jittered = base * (1.0 + u);
-        match self {
-            BackoffPolicy::Jittered => SimDuration::from_secs_f64(jittered),
-            BackoffPolicy::Exponential { cap } => {
-                // 2^attempt saturates far below f64 overflow; 10⁹ s of
-                // backoff is already "never" on simulation scales.
-                let factor = 2f64.powi(attempt.min(63) as i32);
-                SimDuration::from_secs_f64(jittered * factor).min(cap)
-            }
-        }
-    }
-}
-
 /// One planning question: up to `k` loopless routes `src → dst` whose
 /// every edge can serve `fmin`, around `exclude`, priced for `policy`.
 #[derive(Debug, Clone, Copy)]
@@ -103,7 +65,6 @@ pub(crate) struct Planner {
     pub(crate) policy: Policy,
     pub(crate) retry_budget: u32,
     pub(crate) request_timeout: Option<SimDuration>,
-    pub(crate) backoff: BackoffPolicy,
     /// Re-route jitter draws from its own substream, so runs without
     /// retries never touch it.
     reroute_rng: DetRng,
@@ -128,7 +89,6 @@ impl Planner {
             policy: Policy::default(),
             retry_budget: 0,
             request_timeout: None,
-            backoff: BackoffPolicy::default(),
             reroute_rng: DetRng::new(seed).substream("net/reroute"),
             penalty_box: None,
             penalties: Vec::new(),
@@ -325,12 +285,11 @@ impl Planner {
         }
     }
 
-    /// How long a failed attempt number `attempt` waits before its
-    /// re-plan, given the failed path's one-way control delay `base`
-    /// (seconds). One jitter draw per failure whatever the policy, so
-    /// changing the policy never shifts the `net/reroute` substream.
-    pub(crate) fn backoff_delay(&mut self, base: f64, attempt: u64) -> SimDuration {
+    /// How long a failed attempt waits before its re-plan, given the
+    /// failed path's one-way control delay `base`: `base × (1 + u)` for
+    /// one `net/reroute` draw `u ∈ [0, 1)`, whatever the attempt number.
+    pub(crate) fn backoff_delay(&mut self, base: SimDuration) -> SimDuration {
         let jitter = self.reroute_rng.uniform();
-        self.backoff.delay(base, attempt, jitter)
+        SimDuration::from_secs_f64(base.as_secs_f64() * (1.0 + jitter))
     }
 }

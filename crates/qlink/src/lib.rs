@@ -87,7 +87,7 @@ pub mod prelude {
     };
     #[doc(hidden)]
     pub use crate::net::network::ExecMode; // benchmark-compat: ROADMAP item 1 deletes this
-    pub use crate::net::network::{BackoffPolicy, EndToEndOutcome, Network};
+    pub use crate::net::network::{EndToEndOutcome, Network};
     pub use crate::net::route::{
         EdgeProfile, FidelityProduct, HopCount, Latency, LoadScaledLatency, PlanContext, Route,
         RouteMetric, RoutePlanner,

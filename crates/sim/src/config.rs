@@ -57,22 +57,17 @@ pub enum SchedulerChoice {
 }
 
 impl SchedulerChoice {
-    /// The EGP scheduling policy.
+    /// The EGP scheduling policy, with its WFQ weights per queue index
+    /// (CK = queue 1, MD = queue 2).
     pub fn policy(self) -> SchedulerPolicy {
+        let nl_strict = |ck_weight| SchedulerPolicy::StrictThenWfq {
+            strict: vec![0],
+            weights: vec![(1, ck_weight), (2, 1)],
+        };
         match self {
             SchedulerChoice::Fcfs => SchedulerPolicy::Fcfs,
-            SchedulerChoice::LowerWfq | SchedulerChoice::HigherWfq => {
-                SchedulerPolicy::nl_strict_wfq()
-            }
-        }
-    }
-
-    /// WFQ weights per queue index (CK = queue 1, MD = queue 2).
-    pub fn wfq_weights(self) -> Vec<(u8, f64)> {
-        match self {
-            SchedulerChoice::Fcfs => vec![],
-            SchedulerChoice::LowerWfq => vec![(1, 2.0), (2, 1.0)],
-            SchedulerChoice::HigherWfq => vec![(1, 10.0), (2, 1.0)],
+            SchedulerChoice::LowerWfq => nl_strict(2),
+            SchedulerChoice::HigherWfq => nl_strict(10),
         }
     }
 
@@ -288,15 +283,11 @@ mod tests {
 
     #[test]
     fn wfq_weights() {
-        assert_eq!(
-            SchedulerChoice::HigherWfq.wfq_weights(),
-            vec![(1, 10.0), (2, 1.0)]
-        );
-        assert_eq!(
-            SchedulerChoice::LowerWfq.wfq_weights(),
-            vec![(1, 2.0), (2, 1.0)]
-        );
-        assert!(SchedulerChoice::Fcfs.wfq_weights().is_empty());
+        let weights = |s: SchedulerChoice| [0, 1, 2].map(|q| s.policy().weight(q));
+        assert_eq!(weights(SchedulerChoice::HigherWfq), [1, 10, 1]);
+        assert_eq!(weights(SchedulerChoice::LowerWfq), [1, 2, 1]);
+        assert_eq!(weights(SchedulerChoice::Fcfs), [1, 1, 1]);
+        assert_eq!(SchedulerChoice::Fcfs.policy(), SchedulerPolicy::Fcfs);
     }
 
     #[test]

@@ -224,9 +224,6 @@ impl LinkSimulation {
                 EgpConfig::for_scenario(node, peer, role, scenario.clone(), cfg.scheduler.policy());
             e.storage_qubits = cfg.storage_qubits;
             e.shared_random = shared;
-            for (q, w) in cfg.scheduler.wfq_weights() {
-                e.dq.wfq_weights.insert(q, w);
-            }
             Egp::with_estimator(e, feu.clone())
         };
         let egp_a = mk_egp(NODE_A, NODE_B, Role::Master);
@@ -810,6 +807,11 @@ impl LinkSimulation {
                 }
                 EgpEvent::Error(err) => {
                     self.metrics.record_error(error_label(err.code));
+                    // Both nodes number their CREATEs from 0: an ERR about
+                    // the peer's CREATE names none of this node's.
+                    if err.origin_node_id != [NODE_A, NODE_B][from] {
+                        continue;
+                    }
                     if err.code == EgpErrorCode::Expire && err.range_only {
                         // Partial expiry: the affected pairs no
                         // longer count as delivered.
@@ -825,6 +827,9 @@ impl LinkSimulation {
                             | EgpErrorCode::NoTime
                             | EgpErrorCode::MemExceeded
                             | EgpErrorCode::OutOfMem
+                            // Not a range: the EGP abandoned the CREATE
+                            // once its resyncs ran out.
+                            | EgpErrorCode::Expire
                     ) {
                         self.tracking[from].remove(&err.create_id);
                         if let Some(rejections) = &mut self.rejections {
@@ -971,6 +976,7 @@ mod tests {
     use super::*;
     use crate::config::{LinkConfig, SchedulerChoice};
     use crate::workload::{GeneratedRequest, OriginPolicy, WorkloadSpec};
+    use qlink_wire::egp::ErrMsg;
 
     fn manual_lab(seed: u64) -> LinkSimulation {
         LinkSimulation::new(LinkConfig::lab(WorkloadSpec::none(), seed))
@@ -1133,6 +1139,94 @@ mod tests {
         fold(sim.metrics.total_pairs());
         sim.metrics.errors.values().for_each(|&n| fold(n));
         assert_eq!(digest, 0x9a71_4371_fb7a_d934);
+    }
+
+    /// An ERR names a CREATE by its origin and create ID, and both nodes
+    /// count create IDs from 0: only an ERR about a CREATE this node
+    /// originated touches this node's record of its CREATE of that ID.
+    /// A ranged EXPIRE un-counts revoked pairs; a non-ranged one — the
+    /// EGP abandoning the CREATE after its resyncs ran out — ends it
+    /// like any other terminal ERR.
+    #[test]
+    fn an_err_touches_only_the_create_of_its_origin() {
+        let mut sim = manual_lab(3);
+        sim.capture_rejections();
+        let create_id = sim.submit(0, md_request(3));
+        sim.tracking[0].get_mut(&create_id).unwrap().pairs_seen = 2;
+        let expire = |origin_node_id, range_only| {
+            EgpEvent::Error(ErrMsg {
+                code: EgpErrorCode::Expire,
+                create_id,
+                origin_node_id,
+                range_only,
+                seq_low: 0,
+                seq_high: 1,
+            })
+        };
+        let seen = |sim: &LinkSimulation| sim.tracking[0].get(&create_id).map(|t| t.pairs_seen);
+
+        sim.route(0, vec![expire(NODE_B, true), expire(NODE_B, false)]);
+        assert_eq!(seen(&sim), Some(2), "B's CREATE {create_id} is not A's");
+        assert!(sim.drain_rejections().is_empty());
+
+        sim.route(0, vec![expire(NODE_A, true)]);
+        assert_eq!(seen(&sim), Some(1), "A's own revoked pair");
+
+        sim.route(0, vec![expire(NODE_A, false)]);
+        assert_eq!(seen(&sim), None, "abandoned by its EGP");
+        let rejections = sim.drain_rejections();
+        assert_eq!(rejections.len(), 1);
+        assert_eq!(
+            (
+                rejections[0].origin,
+                rejections[0].create_id,
+                rejections[0].code
+            ),
+            (0, create_id, EgpErrorCode::Expire)
+        );
+    }
+
+    /// Whatever loss does to a CREATE from either origin — served,
+    /// timed out, refused, or abandoned by its EGP once NO_MESSAGE_OTHER
+    /// resyncs ran out — the link forgets it when its EGP does: once
+    /// both EGPs are quiescent, no CREATE is left in `tracking` (an entry
+    /// there would never see an OK or an ERR again, and an embedding
+    /// network would never hear of its end).
+    #[test]
+    fn no_create_stays_tracked_once_its_egp_dropped_it() {
+        const KINDS: [RequestKind; 3] = [RequestKind::Md, RequestKind::Nl, RequestKind::Ck];
+        for seed in 1..=3 {
+            let cfg = LinkConfig::lab(WorkloadSpec::none(), seed)
+                .with_classical_loss(0.1)
+                .with_classical_corruption(0.05);
+            let mut sim = LinkSimulation::new(cfg);
+            let mut submitted = 0;
+            for round in 0..6 {
+                for (i, &kind) in KINDS.iter().enumerate() {
+                    let origin = (round + i) % 2;
+                    sim.submit(
+                        origin,
+                        GeneratedRequest {
+                            kind,
+                            pairs: 1 + ((round + 2 * i) % 3) as u16,
+                            origin,
+                            fmin: 0.6,
+                            tmax_us: 2_000_000,
+                        },
+                    );
+                    submitted += 1;
+                }
+                sim.run_for(SimDuration::from_millis(500));
+            }
+            let mut waited = 0;
+            while !sim.egps.iter().all(Egp::is_quiescent) {
+                assert!(waited < 200, "seed {seed}: the EGPs never went quiet");
+                sim.run_for(SimDuration::from_millis(100));
+                waited += 1;
+            }
+            let tracked: Vec<_> = sim.tracking.iter().map(|t| t.len()).collect();
+            assert_eq!(tracked, [0, 0], "seed {seed}: of {submitted} CREATEs");
+        }
     }
 
     #[test]

@@ -27,10 +27,7 @@ fn main() {
         LinkConfig::lab(WorkloadSpec::none(), 11 + 11 * i as u64)
     });
     let mut net = Network::new(topo, 7);
-    net.set_telemetry(TelemetryConfig {
-        spans: true,
-        ..TelemetryConfig::OFF
-    });
+    net.set_telemetry(TelemetryConfig::all());
 
     println!("3-node chain, both hops on one shared event queue...");
     net.request_entanglement(0, 2, 0.6);

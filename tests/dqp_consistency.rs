@@ -8,8 +8,9 @@
 //! deterministic with the failing case index in the panic message.
 
 use qlink::des::DetRng;
-use qlink::egp::dqueue::{DistributedQueue, DqpEvent, DqueueConfig, Role};
+use qlink::egp::dqueue::{DistributedQueue, DqpEvent, Role};
 use qlink::egp::request::Service;
+use qlink::egp::scheduler::SchedulerPolicy;
 use qlink::wire::dqp::{DqpFrameType, DqpMessage, QueueItem};
 use qlink::wire::fields::{AbsQueueId, Fidelity16, RequestFlags};
 
@@ -32,6 +33,15 @@ fn payload(create_id: u16, priority: u8) -> QueueItem {
     }
 }
 
+/// Node 1's master half and node 2's slave half of one queue.
+fn pair() -> (DistributedQueue, DistributedQueue) {
+    let fcfs = SchedulerPolicy::fcfs();
+    (
+        DistributedQueue::new(Role::Master, 1, 2, &fcfs),
+        DistributedQueue::new(Role::Slave, 2, 1, &fcfs),
+    )
+}
+
 /// The DQP carries service state without reading it: any will do.
 fn service() -> Service {
     Service::new(0.1, 0.7, 0)
@@ -46,8 +56,7 @@ fn run_session(
     seed: u64,
 ) -> (Vec<String>, Vec<String>) {
     let mut rng = DetRng::new(seed);
-    let mut master = DistributedQueue::new(Role::Master, DqueueConfig::default());
-    let mut slave = DistributedQueue::new(Role::Slave, DqueueConfig::default());
+    let (mut master, mut slave) = pair();
 
     // In-flight frames as (to_master?, msg).
     let mut wire: Vec<(bool, DqpMessage)> = Vec::new();
@@ -196,8 +205,7 @@ fn slave_add(
 /// it used to be answered with the old item's, and was lost.
 #[test]
 fn a_wrapped_cseq_is_not_taken_for_a_retransmission() {
-    let mut master = DistributedQueue::new(Role::Master, DqueueConfig::default());
-    let mut slave = DistributedQueue::new(Role::Slave, DqueueConfig::default());
+    let (mut master, mut slave) = pair();
     // CSEQ 0: an item that stays queued (never served).
     let starved = slave_add(&mut master, &mut slave, 0, 2);
     // CSEQs 1..=255: items that come and go.

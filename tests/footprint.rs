@@ -3,6 +3,7 @@
 //! A link's hardware profile lives once, behind the FEU handle the
 //! network hands every link on that hardware; a [`LinkSimulation`] and
 //! its two [`Egp`]s keep only the scalars they read after construction,
+//! a [`DistributedQueue`] holds the protocol's constants as constants,
 //! and a link with no workload carries no workload generator. These
 //! tests pin the resulting sizes, and the heap a 16×16 Lab grid's
 //! [`Network::new`] keeps, so a config struct creeping back into a link
@@ -12,6 +13,7 @@
 //! `#[global_allocator]`. The count is per thread, so the harness's own
 //! threads and the other test in this binary do not disturb it.
 
+use qlink::egp::dqueue::DistributedQueue;
 use qlink::egp::egp::Egp;
 use qlink::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -74,13 +76,18 @@ fn live_bytes() -> i64 {
 fn a_link_and_its_egps_store_no_config_struct() {
     let link = std::mem::size_of::<LinkSimulation>();
     let egp = std::mem::size_of::<Egp>();
+    let dq = std::mem::size_of::<DistributedQueue>();
     assert!(
-        link <= 2_400,
+        link <= 2_184,
         "LinkSimulation is {link} B (3,784 B while it stored its LinkConfig and workload generator)"
     );
     assert!(
-        egp <= 680,
-        "Egp is {egp} B (1,056 B while it stored its EgpConfig)"
+        egp <= 584,
+        "Egp is {egp} B (1,056 B while it stored its EgpConfig, 656 B while its queue did)"
+    );
+    assert!(
+        dq <= 160,
+        "DistributedQueue is {dq} B (248 B while it stored its parameters)"
     );
 }
 

@@ -6,13 +6,6 @@ use qlink::net::sweep::run_one;
 use qlink::net::{SpanStage, TelemetryConfig};
 use qlink::prelude::*;
 
-/// Span recording only: the request-lifecycle record of the shared
-/// clock.
-const SPANS: TelemetryConfig = TelemetryConfig {
-    spans: true,
-    ..TelemetryConfig::OFF
-};
-
 fn lab_chain(nodes: usize, base_seed: u64) -> Topology {
     Topology::chain(nodes, |i| {
         LinkConfig::lab(WorkloadSpec::none(), base_seed + 1000 * i as u64)
@@ -22,7 +15,7 @@ fn lab_chain(nodes: usize, base_seed: u64) -> Topology {
 #[test]
 fn three_node_chain_delivers_end_to_end_on_shared_clock() {
     let mut net = Network::new(lab_chain(3, 71), 7);
-    net.set_telemetry(SPANS);
+    net.set_telemetry(TelemetryConfig::all());
     net.request_entanglement(0, 2, 0.6);
     let out = net
         .run_until_outcome(SimDuration::from_secs(30))
@@ -284,7 +277,7 @@ fn five_node_chain_swaps_asap_on_one_queue() {
     // Acceptance: a 5-node (4-hop) SWAP-ASAP run on a single shared
     // event queue, one SimTime stream verifiable from the spans.
     let mut net = Network::new(lab_chain(5, 201), 11);
-    net.set_telemetry(SPANS);
+    net.set_telemetry(TelemetryConfig::all());
     net.request_entanglement(0, 4, 0.6);
     let out = net
         .run_until_outcome(SimDuration::from_secs(120))

@@ -12,11 +12,10 @@
 //!   plumbing (re-route draws live on their own `net/reroute`
 //!   substream and no timeout events exist unless armed).
 //!
-//! PR 5 adds two satellite families: the adaptive re-route backoff
-//! (`BackoffPolicy` — default pinned to PR 4's jittered delay,
-//! exponential growth and cap asserted against `Reroute` span times) and
-//! CREATE retraction (a timeout storm leaves both EGP queues empty,
-//! so `edge_load` matches the links' true backlog).
+//! Two more families: the re-route backoff (one jittered control delay,
+//! pinned against `Reroute` span times) and CREATE retraction (a timeout
+//! storm leaves both EGP queues empty, so `edge_load` matches the links'
+//! true backlog).
 
 use qlink::net::sweep::{run_one, RunRecord};
 use qlink::net::{MetricChoice, SpanStage, TelemetryConfig};
@@ -806,26 +805,20 @@ fn sweep_merges_timeout_and_reroute_counters() {
     }
 }
 
-// ---- adaptive retry backoff (PR 5 satellite) ------------------------
+// ---- re-route backoff ----------------------------------------------
 
 /// The failure times of every re-route of a 1-edge stream whose link
-/// UNSUPPs Fmin 0.6 forever: each attempt is rejected almost
-/// instantly, so consecutive `Reroute` span times are dominated by
-/// the backoff delays between them. The edge's control delay is
-/// overridden to 120 µs (metropolitan scale) so backoff differences
-/// dwarf the MHP-cycle-scale rejection-detection jitter.
-fn reroute_times(policy: Option<BackoffPolicy>, retries: u32) -> (Vec<u64>, u64) {
+/// UNSUPPs Fmin 0.6 forever, and the run's event count: each attempt is
+/// rejected almost instantly, so consecutive `Reroute` span times are
+/// dominated by the backoff delays between them. The edge's control
+/// delay is overridden to 120 µs (metropolitan scale) so the backoff
+/// dwarfs the MHP-cycle-scale rejection-detection jitter.
+fn reroute_times(retries: u32) -> (Vec<u64>, u64) {
     let mut topo = Topology::chain(2, |_| noisy_lab(21));
     topo.set_control_delay(0, SimDuration::from_micros(120));
     let mut net = Network::new(topo, 21);
-    if let Some(p) = policy {
-        net.set_backoff_policy(p);
-    }
     net.set_retry_budget(retries);
-    net.set_telemetry(TelemetryConfig {
-        spans: true,
-        ..TelemetryConfig::OFF
-    });
+    net.set_telemetry(TelemetryConfig::all());
     net.request_on_path(&[0, 1], 0.6);
     net.run_for(SimDuration::from_millis(100));
     let times = net
@@ -839,80 +832,23 @@ fn reroute_times(policy: Option<BackoffPolicy>, retries: u32) -> (Vec<u64>, u64)
     (times, net.events_fired())
 }
 
-/// The default backoff is PR 4's single jittered control delay,
-/// pinned: never touching the knob and explicitly selecting
-/// `BackoffPolicy::Jittered` produce bit-identical runs.
+/// The backoff is one jittered path control delay, `base × (1 + u)`
+/// for one `net/reroute` draw `u ∈ [0, 1)`, whatever the attempt
+/// number: every gap between failures is one backoff plus the next
+/// rejection's detection (a few MHP cycles). The failure instants and
+/// the event count are pinned as recorded when the backoff was still a
+/// selectable policy and this was its default.
 #[test]
 fn default_backoff_is_pinned_to_jittered() {
-    let untouched = reroute_times(None, 3);
-    let explicit = reroute_times(Some(BackoffPolicy::Jittered), 3);
-    assert_eq!(untouched.0.len(), 3, "the stream must re-route 3 times");
-    assert_eq!(untouched, explicit, "default must equal Jittered exactly");
-}
-
-/// Exponential backoff doubles the re-issue delay per failed attempt.
-/// Both policies draw the same jitter values from the same substream,
-/// so the first re-route (and the second: attempt 0's factor is
-/// 2⁰ = 1) land at identical instants, after which the exponential
-/// run falls measurably behind — by at least one extra control delay
-/// per doubled attempt.
-#[test]
-fn exponential_backoff_spaces_retries_out() {
-    let base_ps = SimDuration::from_micros(120).as_ps();
-    let (jit, _) = reroute_times(Some(BackoffPolicy::Jittered), 3);
-    let (exp, _) = reroute_times(
-        Some(BackoffPolicy::Exponential {
-            cap: SimDuration::from_secs(1),
-        }),
-        3,
-    );
-    assert_eq!(jit.len(), 3);
-    assert_eq!(exp.len(), 3);
-    assert_eq!(jit[0], exp[0], "first failure predates any backoff");
-    assert_eq!(jit[1], exp[1], "attempt 0 backs off by the same 2⁰ delay");
-    assert!(
-        exp[2] >= jit[2] + base_ps,
-        "attempt 1's doubled backoff must defer the third failure by \
-         at least one control delay ({} vs {})",
-        exp[2],
-        jit[2]
-    );
-}
-
-/// The cap clamps every exponential delay: with it at ~1.2 control
-/// delays, consecutive failures stay tightly spaced however many
-/// attempts have accumulated (each gap = capped backoff + detection,
-/// both bounded), while the uncapped policy's gaps keep doubling.
-#[test]
-fn exponential_backoff_respects_cap() {
-    let cap = SimDuration::from_micros(145);
-    let (capped, _) = reroute_times(Some(BackoffPolicy::Exponential { cap }), 4);
-    assert_eq!(capped.len(), 4);
-    // Gap bound: capped backoff (≤ 145 µs) + UNSUPP detection (a few
-    // MHP cycles ≈ 30 µs of slack).
-    let bound = cap.as_ps() + SimDuration::from_micros(35).as_ps();
-    for w in capped.windows(2) {
-        assert!(
-            w[1] - w[0] <= bound,
-            "capped gap {} exceeds bound {bound}",
-            w[1] - w[0]
-        );
+    let (times, events) = reroute_times(3);
+    assert_eq!(times, [10_120_000, 192_280_000, 414_920_000]);
+    assert_eq!(events, 13);
+    let base = SimDuration::from_micros(120).as_ps();
+    let detection = SimDuration::from_micros(35).as_ps();
+    for w in times.windows(2) {
+        let gap = w[1] - w[0];
+        assert!((base..2 * base + detection).contains(&gap), "gap {gap} ps");
     }
-    // The unit-level contract, including saturation far past the cap.
-    let pol = BackoffPolicy::Exponential { cap };
-    assert_eq!(
-        pol.delay(120e-6, 0, 0.0),
-        SimDuration::from_secs_f64(120e-6),
-        "attempt 0 is one un-doubled control delay"
-    );
-    assert_eq!(pol.delay(120e-6, 1, 0.5), cap, "2 × 1.5 × 120 µs clamps");
-    assert_eq!(pol.delay(120e-6, 63, 0.9), cap);
-    assert_eq!(pol.delay(120e-6, 64, 0.9), cap, "factor saturates at 2⁶³");
-    assert_eq!(
-        BackoffPolicy::Jittered.delay(120e-6, 7, 0.25),
-        SimDuration::from_secs_f64(120e-6 * 1.25),
-        "jittered ignores the attempt number"
-    );
 }
 
 // ---- CREATE retraction through timeout storms (PR 5 satellite) ------
