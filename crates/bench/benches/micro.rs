@@ -12,6 +12,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use qlink::classical::{ChannelModel, Fate};
+use qlink::des::SimTime;
 use qlink::des::{DetRng, EventQueue, SimDuration};
 use qlink::egp::dqueue::Role;
 use qlink::egp::egp::{Egp, EgpConfig};
@@ -19,7 +20,10 @@ use qlink::egp::feu::FidelityEstimator;
 use qlink::egp::scheduler::SchedulerPolicy;
 use qlink::math::CMatrix;
 use qlink::phys::attempt::AttemptModel;
+use qlink::phys::attempt::{arm_state, AttemptOutcome};
+use qlink::phys::pair::{PairState, Side};
 use qlink::phys::params::ScenarioParams;
+use qlink::phys::station::{herald_distribution, BeamSplitter, DetectorModel};
 use qlink::prelude::{
     LinkConfig, LoadScaledLatency, Network, RequestKind, RoutePlanner, Topology, WorkloadSpec,
 };
@@ -283,9 +287,65 @@ fn bench_derived_physics(c: &mut Criterion) {
     });
 }
 
+/// What one derivation from a hardware profile costs, cold: the
+/// station's analysis of one attempt's joint state, a `Fmin → α`
+/// inversion over a table of its own, and the K delivery path of a
+/// heralded pair (storage decay while the reply travels, then the move
+/// to carbon at both nodes).
+fn bench_derivation(c: &mut Criterion) {
+    let lab = ScenarioParams::lab();
+    let joint = arm_state(&lab, 0.2, lab.arm_a_km).tensor(&arm_state(&lab, 0.2, lab.arm_b_km));
+    let bs = BeamSplitter::new(lab.optics.visibility);
+    let det = DetectorModel {
+        efficiency: lab.optics.detector_efficiency,
+        dark_prob: lab.optics.dark_count_prob(),
+    };
+    c.bench_function("herald_distribution/lab", |b| {
+        b.iter(|| herald_distribution(black_box(&joint), &bs, &det))
+    });
+    for (name, params, fmin, rtype) in [
+        (
+            "lab_keep_064",
+            ScenarioParams::lab(),
+            0.64,
+            RequestType::Keep,
+        ),
+        (
+            "lab_measure_064",
+            ScenarioParams::lab(),
+            0.64,
+            RequestType::Measure,
+        ),
+        (
+            "ql2020_measure_060",
+            ScenarioParams::ql2020(),
+            0.60,
+            RequestType::Measure,
+        ),
+    ] {
+        c.bench_function(&format!("feu_choose_alpha_cold/{name}"), |b| {
+            b.iter(|| FidelityEstimator::new(params.clone()).choose_alpha(black_box(fmin), rtype))
+        });
+    }
+    let heralded = AttemptModel::build(&lab, 0.2)
+        .conditional_state(AttemptOutcome::PsiPlus)
+        .expect("a Lab attempt at α = 0.2 heralds")
+        .clone();
+    let reply_at = SimTime::ZERO + lab.reply_latency();
+    c.bench_function("pair_decay_and_move", |b| {
+        b.iter(|| {
+            let mut pair = PairState::new(black_box(&heralded).clone(), SimTime::ZERO);
+            pair.advance_to(reply_at, &lab.nv);
+            pair.move_to_carbon(Side::A, &lab.nv);
+            pair.move_to_carbon(Side::B, &lab.nv);
+            pair
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_event_queue, bench_matrices, bench_attempt_model, bench_wire, bench_channels, bench_derived_physics
+    targets = bench_event_queue, bench_matrices, bench_attempt_model, bench_wire, bench_channels, bench_derived_physics, bench_derivation
 }
 criterion_main!(benches);

@@ -529,4 +529,59 @@ mod tests {
             "estimator {measured} vs model {expected}"
         );
     }
+
+    /// What the stack derives from a hardware profile, bit for bit: the
+    /// attempt model at 200 α on both profiles (the three outcome
+    /// probabilities and every entry of both conditional states) and
+    /// the `Fmin → α` inversion for Fmin 0.50–0.89 and both request
+    /// types, UNSUPP included. The digest was recorded with the dense
+    /// `2ⁿ × 2ⁿ` state kernels.
+    #[test]
+    fn derived_physics_is_pinned_bit_for_bit() {
+        /// FNV-1a over the little-endian bytes of `word`.
+        fn mix(digest: &mut u64, word: u64) {
+            for byte in word.to_le_bytes() {
+                *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        const DIGEST: u64 = 0x4c5b8887824d2555;
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for params in [ScenarioParams::lab(), ScenarioParams::ql2020()] {
+            for i in 1..=200 {
+                let model = AttemptModel::build(&params, f64::from(i) * 0.5 / 200.0);
+                for outcome in [
+                    AttemptOutcome::Fail,
+                    AttemptOutcome::PsiPlus,
+                    AttemptOutcome::PsiMinus,
+                ] {
+                    mix(&mut digest, model.outcome_probability(outcome).to_bits());
+                }
+                for outcome in [AttemptOutcome::PsiPlus, AttemptOutcome::PsiMinus] {
+                    match model.conditional_state(outcome) {
+                        Some(state) => {
+                            for z in state.density().as_slice() {
+                                mix(&mut digest, z.re.to_bits());
+                                mix(&mut digest, z.im.to_bits());
+                            }
+                        }
+                        None => mix(&mut digest, u64::MAX),
+                    }
+                }
+            }
+            let mut feu = FidelityEstimator::new(params);
+            for centi in 50..90 {
+                for rtype in [RequestType::Keep, RequestType::Measure] {
+                    match feu.choose_alpha(f64::from(centi) / 100.0, rtype) {
+                        Some(choice) => {
+                            mix(&mut digest, choice.alpha.to_bits());
+                            mix(&mut digest, choice.goodness.to_bits());
+                            mix(&mut digest, choice.est_cycles_per_pair);
+                        }
+                        None => mix(&mut digest, u64::MAX), // UNSUPP
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, DIGEST, "got {digest:#018x}");
+    }
 }

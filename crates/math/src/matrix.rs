@@ -101,6 +101,12 @@ impl CMatrix {
         &self.data
     }
 
+    /// Raw row-major data, writable in place.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [Complex] {
+        &mut self.data
+    }
+
     /// Conjugate transpose `A†`.
     pub fn adjoint(&self) -> CMatrix {
         let mut out = CMatrix::zeros(self.cols, self.rows);

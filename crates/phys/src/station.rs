@@ -6,8 +6,15 @@
 //! (eqs. (90)–(93)), together with a Kraus choice (eqs. (94)–(97)).
 //! This module implements those operators verbatim, plus the classical
 //! detector-noise mixing of D.4.8 (efficiency and dark counts).
+//!
+//! Only the electrons outlive a herald, so the station keeps only their
+//! block: for each ideal click pattern it reads the branch probability
+//! off the diagonal of `K†Kρ` ([`QuantumState::kraus_probability`]) and
+//! forms just the entries of `KρK†` the photon trace reads — bit for bit
+//! what applying the Kraus operator to the whole register and tracing
+//! the photons out gives.
 
-use qlink_math::complex::Complex;
+use qlink_math::complex::{Complex, ZERO};
 use qlink_math::CMatrix;
 use qlink_quantum::QuantumState;
 
@@ -201,10 +208,92 @@ impl HeraldDistribution {
     }
 }
 
+/// Basis offset of each photon pattern `|p_A p_B⟩` (a Kraus operator
+/// index) in the `[e_A, p_A, e_B, p_B]` register, ascending.
+const PHOTON: [usize; 4] = [0b0000, 0b0001, 0b0100, 0b0101];
+/// Basis offset of each electron pattern `|e_A e_B⟩` in that register.
+const ELECTRON: [usize; 4] = [0b0000, 0b0010, 0b1000, 0b1010];
+
+/// The two-electron block photon Kraus operator `k` leaves of the
+/// `[e_A, p_A, e_B, p_B]` density matrix `joint`: `Tr_photons(KρK†)`,
+/// renormalised by `Tr(KρK†)` — bit for bit what `apply_kraus(&[k],
+/// &[1, 3])` then `partial_trace(&[0, 2])` give, by the rules in
+/// `qlink_quantum::state`, without copying the register and forming
+/// only the 64 entries of `KρK†` the trace reads.
+fn electron_block(joint: &CMatrix, k: &CMatrix) -> CMatrix {
+    let rho = joint.as_slice();
+    // Kρ: row (e, p) reads the rows (e, q) of its photon block.
+    let mut left = [[ZERO; 16]; 16];
+    for e in ELECTRON {
+        for (p, &row) in PHOTON.iter().enumerate() {
+            for (c, entry) in left[e + row].iter_mut().enumerate() {
+                let mut acc = ZERO;
+                for (q, &offset) in PHOTON.iter().enumerate() {
+                    let a = k[(p, q)];
+                    if a != ZERO {
+                        acc += a * rho[(e + offset) * 16 + c];
+                    }
+                }
+                *entry = acc;
+            }
+        }
+    }
+    // (Kρ)K† at row (r, t), column (c, t): what the photon trace reads.
+    let mut kept = [[[ZERO; 4]; 4]; 4];
+    for (t, &photon) in PHOTON.iter().enumerate() {
+        for (r, &row) in ELECTRON.iter().enumerate() {
+            for (c, &col) in ELECTRON.iter().enumerate() {
+                let mut acc = ZERO;
+                for (q, &offset) in PHOTON.iter().enumerate() {
+                    let a = k[(t, q)];
+                    if a != ZERO {
+                        acc += left[row + photon][col + offset] * a.conj();
+                    }
+                }
+                kept[t][r][c] = acc;
+            }
+        }
+    }
+    // Renormalise by Tr(KρK†), summed over the register's diagonal in
+    // index order: index bits (e_A, p_A, e_B, p_B).
+    let trace: Complex = (0..16usize)
+        .map(|i| {
+            let r = ((i >> 2) & 0b10) | ((i >> 1) & 1);
+            let t = ((i >> 1) & 0b10) | (i & 1);
+            kept[t][r][r]
+        })
+        .sum();
+    let t = trace.re;
+    let scale = if t > 0.0 && (t - 1.0).abs() > f64::EPSILON {
+        Some(Complex::real(1.0 / t))
+    } else {
+        None
+    };
+    let mut out = CMatrix::zeros(4, 4);
+    for r in 0..4 {
+        for c in 0..4 {
+            let mut sum = ZERO;
+            for block in &kept {
+                sum += match scale {
+                    Some(s) => block[r][c] * s,
+                    None => block[r][c],
+                };
+            }
+            out[(r, c)] = sum;
+        }
+    }
+    out
+}
+
 /// Performs the full station measurement on a 4-qubit register ordered
 /// `[electron_A, photon_A, electron_B, photon_B]`: ideal beam-splitter
 /// POVM on the photons, detector-noise mixing, and partial trace onto
 /// the electrons.
+///
+/// # Panics
+/// Panics unless the register has four qubits, or if a heralded state
+/// fails validation (an internal invariant: the mix of conditional
+/// states is a density matrix).
 pub fn herald_distribution(
     joint: &QuantumState,
     bs: &BeamSplitter,
@@ -215,22 +304,15 @@ pub fn herald_distribution(
 
     // Ideal-outcome branch probabilities and conditional electron states.
     let mut ideal_probs = [0.0f64; 4];
-    let mut ideal_states: [Option<QuantumState>; 4] = [None, None, None, None];
+    let mut ideal_states: [Option<CMatrix>; 4] = Default::default();
     for pattern in ClickPattern::ALL {
         let i = pattern.index();
         let k = bs.kraus(pattern);
-        let mut branch = joint.clone();
         // Photons are register positions 1 and 3; the Kraus operator's
         // first factor is photon A.
-        let full = branch.expand_operator(k, &[1, 3]);
-        let prob = {
-            let m = &(&full.adjoint() * &full) * branch.density();
-            m.trace().re.max(0.0)
-        };
-        ideal_probs[i] = prob;
-        if prob > 1e-15 {
-            branch.apply_kraus(std::slice::from_ref(k), &[1, 3]);
-            ideal_states[i] = Some(branch.partial_trace(&[0, 2]));
+        ideal_probs[i] = joint.kraus_probability(k, &[1, 3]);
+        if ideal_probs[i] > 1e-15 {
+            ideal_states[i] = Some(electron_block(joint.density(), k));
         }
     }
 
@@ -247,7 +329,7 @@ pub fn herald_distribution(
             }
             p_obs += w;
             if let Some(state) = &ideal_states[ideal] {
-                let term = state.density().scale(Complex::real(w));
+                let term = state.scale(Complex::real(w));
                 rho_acc = Some(match rho_acc {
                     Some(acc) => &acc + &term,
                     None => term,
@@ -257,7 +339,11 @@ pub fn herald_distribution(
         probs[observed] = p_obs;
         if let (Some(rho), true) = (rho_acc, p_obs > 1e-15) {
             let normalized = rho.scale(Complex::real(1.0 / p_obs));
-            states[observed] = QuantumState::from_density(normalized).ok();
+            let pattern = ClickPattern::ALL[observed];
+            let state = QuantumState::from_density(normalized).unwrap_or_else(|e| {
+                panic!("the {pattern:?} herald (p = {p_obs:e}) is not a density matrix: {e}")
+            });
+            states[observed] = Some(state);
         }
     }
     HeraldDistribution { probs, states }
@@ -266,7 +352,9 @@ pub fn herald_distribution(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qlink_math::complex::ZERO;
+    use crate::attempt::arm_state;
+    use crate::params::ScenarioParams;
+    use qlink_des::DetRng;
     use qlink_quantum::bell::{bell_fidelity, BellState};
 
     fn noiseless_detectors() -> DetectorModel {
@@ -304,6 +392,62 @@ mod tests {
                 acc.approx_eq(&CMatrix::identity(4), 1e-12),
                 "Σ E†E ≠ I at visibility {vis}"
             );
+        }
+    }
+
+    /// The station's electron block against the general kernels:
+    /// `apply_kraus` on the whole register, then the photon trace.
+    #[test]
+    fn electron_block_matches_apply_kraus_then_partial_trace() {
+        let bits = |m: &CMatrix| -> Vec<(u64, u64)> {
+            m.as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        let attempt = |p: &ScenarioParams, alpha: f64| {
+            arm_state(p, alpha, p.arm_a_km).tensor(&arm_state(p, alpha, p.arm_b_km))
+        };
+        let mut rng = DetRng::new(11);
+        let mut random_joint = || {
+            let data: Vec<Complex> = (0..256)
+                .map(|_| {
+                    if rng.uniform() < 0.25 {
+                        ZERO
+                    } else {
+                        Complex::new(rng.uniform() - 0.5, rng.uniform() - 0.5)
+                    }
+                })
+                .collect();
+            let a = CMatrix::from_rows(16, 16, &data);
+            let rho = &a * &a.adjoint();
+            let t = rho.trace().re;
+            QuantumState::from_density(rho.scale(Complex::real(1.0 / t)))
+                .expect("AA†/Tr is a state")
+        };
+        let joints = [
+            ideal_joint(0.1),
+            ideal_joint(1e-9),
+            ideal_joint(1.0 - 1e-12),
+            attempt(&ScenarioParams::lab(), 0.2),
+            attempt(&ScenarioParams::ql2020(), 0.05),
+            random_joint(),
+            random_joint(),
+        ];
+        for vis in [0.0, 0.9, 1.0] {
+            let bs = BeamSplitter::new(vis);
+            for (j, joint) in joints.iter().enumerate() {
+                for pattern in ClickPattern::ALL {
+                    let k = bs.kraus(pattern);
+                    let mut branch = joint.clone();
+                    branch.apply_kraus(std::slice::from_ref(k), &[1, 3]);
+                    assert_eq!(
+                        bits(&electron_block(joint.density(), k)),
+                        bits(branch.partial_trace(&[0, 2]).density()),
+                        "joint {j}, {pattern:?}, visibility {vis}"
+                    );
+                }
+            }
         }
     }
 

@@ -6,6 +6,28 @@
 //! density matrix (dimension `2^n ≤ 16`) is exact, simple, and fast
 //! enough. Noise is expressed as Kraus maps, measurements as POVMs,
 //! exactly mirroring Appendix D of the paper.
+//!
+//! An operator on `k` target qubits is applied block by block: it mixes
+//! only basis indices that agree outside the target bits, so `Kρ` reads
+//! and writes the rows of one such block at a time and `(Kρ)K†` the
+//! columns, and no `2^n × 2^n` operator is built. Every value is bit for
+//! bit what multiplying the expanded operator densely gives, which holds
+//! by four rules:
+//!
+//! 1. a block's members are visited in ascending *register* index, the
+//!    order the dense product sums in — not in the operator's own index
+//!    order, which differs for targets like `[1, 0]`;
+//! 2. every accumulator starts at `ZERO` and uses the same `Complex`
+//!    `*`, `+=` and `conj`;
+//! 3. a term with a zero operator entry is skipped: the dense product
+//!    adds it as a signed zero to an accumulator that starts at `+0`
+//!    and can never become `−0`, which changes no bit;
+//! 4. each Kraus term is summed from zero and then added to the
+//!    accumulator, and renormalisation scales by `Complex::real(1/t)`
+//!    after the full trace.
+//!
+//! The dense path stays in the test build as the oracle the kernels are
+//! compared against.
 
 use qlink_math::complex::{Complex, ONE, ZERO};
 use qlink_math::CMatrix;
@@ -85,6 +107,170 @@ impl fmt::Display for StateError {
 }
 
 impl std::error::Error for StateError {}
+
+/// The basis indices an operator on some target qubits mixes.
+///
+/// Two indices meet in a product with the expanded operator only if they
+/// agree outside the target bits, so a `2^n` register splits into
+/// `2^(n−k)` blocks of `2^k` indices, each block a copy of the operator.
+/// A block is its base index (target bits clear) plus one of `members`'
+/// offsets.
+struct Blocks {
+    dim: usize,
+    /// The target qubits' bits in a basis index.
+    mask: usize,
+    /// `(offset, operator index)` of every block member, by ascending
+    /// offset: the register order the dense product sums in.
+    members: Vec<(usize, usize)>,
+}
+
+impl Blocks {
+    /// # Panics
+    /// Panics on no, out-of-range or duplicate targets.
+    fn new(n: usize, targets: &[usize]) -> Self {
+        assert!(!targets.is_empty(), "operator/target mismatch");
+        for (i, &t) in targets.iter().enumerate() {
+            assert!(t < n, "target {t} out of range for {n}-qubit register");
+            assert!(!targets[..i].contains(&t), "duplicate target {t}");
+        }
+        let bit = |t: usize| 1usize << (n - 1 - t);
+        let mask = targets.iter().fold(0, |m, &t| m | bit(t));
+        let mut members = Vec::with_capacity(1 << targets.len());
+        // `(s − mask) & mask` steps through the subsets of `mask` in
+        // ascending order, from 0 back round to 0.
+        let mut offset = 0usize;
+        loop {
+            // The operator's first target is its most significant bit.
+            let index = targets
+                .iter()
+                .fold(0, |idx, &t| (idx << 1) | usize::from(offset & bit(t) != 0));
+            members.push((offset, index));
+            offset = offset.wrapping_sub(mask) & mask;
+            if offset == 0 {
+                break;
+            }
+        }
+        Blocks {
+            dim: 1 << n,
+            mask,
+            members,
+        }
+    }
+
+    /// # Panics
+    /// Panics unless `op` is `2^k × 2^k`.
+    fn check(&self, op: &CMatrix) {
+        let size = self.members.len();
+        assert!(
+            op.rows() == size && op.cols() == size,
+            "operator/target mismatch"
+        );
+    }
+
+    /// Base index of every block, ascending.
+    fn bases(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.dim).filter(|i| (i & self.mask) == 0)
+    }
+
+    /// `out ← Oρ`: a row of the product reads only the rows of its block.
+    fn left(&self, op: &CMatrix, rho: &CMatrix, out: &mut CMatrix) {
+        self.check(op);
+        let dim = self.dim;
+        let (rho, out) = (rho.as_slice(), out.as_mut_slice());
+        for base in self.bases() {
+            for &(row_offset, row) in &self.members {
+                let out_row = &mut out[(base + row_offset) * dim..][..dim];
+                for (c, entry) in out_row.iter_mut().enumerate() {
+                    let mut acc = ZERO;
+                    for &(offset, col) in &self.members {
+                        let a = op[(row, col)];
+                        if a != ZERO {
+                            acc += a * rho[(base + offset) * dim + c];
+                        }
+                    }
+                    *entry = acc;
+                }
+            }
+        }
+    }
+
+    /// `out ← merge(out, LO†)` entry by entry: a column of the product
+    /// reads only the columns of its block.
+    fn right_adjoint(
+        &self,
+        op: &CMatrix,
+        left: &CMatrix,
+        out: &mut CMatrix,
+        merge: impl Fn(Complex, Complex) -> Complex,
+    ) {
+        let dim = self.dim;
+        let (left, out) = (left.as_slice(), out.as_mut_slice());
+        for (left_row, out_row) in left.chunks_exact(dim).zip(out.chunks_exact_mut(dim)) {
+            for base in self.bases() {
+                for &(col_offset, col) in &self.members {
+                    let mut acc = ZERO;
+                    for &(offset, k) in &self.members {
+                        let a = op[(col, k)];
+                        if a != ZERO {
+                            acc += left_row[base + offset] * a.conj();
+                        }
+                    }
+                    let entry = &mut out_row[base + col_offset];
+                    *entry = merge(*entry, acc);
+                }
+            }
+        }
+    }
+
+    /// `Tr(Oρ)` for the operator whose entries `entry(p, q)` are given by
+    /// member position, summed over the diagonal in register order.
+    fn trace(&self, entry: impl Fn(usize, usize) -> Complex, rho: &CMatrix) -> Complex {
+        let dim = self.dim;
+        let rho = rho.as_slice();
+        (0..dim)
+            .map(|i| {
+                let base = i & !self.mask;
+                let p = self
+                    .members
+                    .partition_point(|&(offset, _)| offset < (i & self.mask));
+                let mut acc = ZERO;
+                for (q, &(offset, _)) in self.members.iter().enumerate() {
+                    let a = entry(p, q);
+                    if a != ZERO {
+                        acc += a * rho[(base + offset) * dim + i];
+                    }
+                }
+                acc
+            })
+            .sum()
+    }
+
+    /// `Tr(Oρ)`.
+    fn trace_product(&self, op: &CMatrix, rho: &CMatrix) -> Complex {
+        self.check(op);
+        self.trace(|p, q| op[(self.members[p].1, self.members[q].1)], rho)
+    }
+
+    /// `Tr(K†Kρ)`, with `K†K` summed in register order.
+    fn trace_gram(&self, k: &CMatrix, rho: &CMatrix) -> Complex {
+        self.check(k);
+        let size = self.members.len();
+        let mut gram = CMatrix::zeros(size, size);
+        for (p, &(_, col_p)) in self.members.iter().enumerate() {
+            for (q, &(_, col_q)) in self.members.iter().enumerate() {
+                let mut acc = ZERO;
+                for &(_, row) in &self.members {
+                    let a = k[(row, col_p)].conj();
+                    if a != ZERO {
+                        acc += a * k[(row, col_q)];
+                    }
+                }
+                gram[(p, q)] = acc;
+            }
+        }
+        self.trace(|p, q| gram[(p, q)], rho)
+    }
+}
 
 /// A mixed state of `n` qubits, stored as a `2^n × 2^n` density matrix.
 ///
@@ -172,65 +358,21 @@ impl QuantumState {
         }
     }
 
-    /// Embeds a `2^k`-dimensional operator acting on `targets` (in the
-    /// operator's own qubit order, most significant first) into the full
-    /// `2^n`-dimensional space.
+    /// `ρ ← OρO†`.
+    fn conjugate(&mut self, blocks: &Blocks, op: &CMatrix) {
+        let mut left = CMatrix::zeros(self.dim(), self.dim());
+        blocks.left(op, &self.rho, &mut left);
+        blocks.right_adjoint(op, &left, &mut self.rho, |_, term| term);
+    }
+
+    /// Applies a unitary to the given target qubits (in the operator's
+    /// own qubit order, most significant first): `ρ ← UρU†`.
     ///
     /// # Panics
     /// Panics on out-of-range or duplicate targets, or an operator whose
     /// dimension does not match `targets.len()`.
-    pub fn expand_operator(&self, op: &CMatrix, targets: &[usize]) -> CMatrix {
-        let k = targets.len();
-        assert!(
-            k >= 1 && op.rows() == (1 << k) && op.cols() == (1 << k),
-            "operator/target mismatch"
-        );
-        for (i, &t) in targets.iter().enumerate() {
-            assert!(
-                t < self.n,
-                "target {t} out of range for {}-qubit register",
-                self.n
-            );
-            assert!(!targets[..i].contains(&t), "duplicate target {t}");
-        }
-        let dim = self.dim();
-        let mut out = CMatrix::zeros(dim, dim);
-        // Positions (bit shifts) of the target qubits inside a basis index.
-        let shifts: Vec<usize> = targets.iter().map(|&t| self.n - 1 - t).collect();
-        let rest_mask: usize = {
-            let mut m = dim - 1;
-            for &s in &shifts {
-                m &= !(1usize << s);
-            }
-            m
-        };
-        let sub = |full: usize| -> usize {
-            let mut idx = 0;
-            for (pos, &s) in shifts.iter().enumerate() {
-                idx |= ((full >> s) & 1) << (k - 1 - pos);
-            }
-            idx
-        };
-        for i in 0..dim {
-            let ti = sub(i);
-            let ri = i & rest_mask;
-            for j in 0..dim {
-                if (j & rest_mask) != ri {
-                    continue;
-                }
-                let v = op[(ti, sub(j))];
-                if v != ZERO {
-                    out[(i, j)] = v;
-                }
-            }
-        }
-        out
-    }
-
-    /// Applies a unitary to the given target qubits: `ρ ← UρU†`.
     pub fn apply_unitary(&mut self, u: &CMatrix, targets: &[usize]) {
-        let full = self.expand_operator(u, targets);
-        self.rho = &(&full * &self.rho) * &full.adjoint();
+        self.conjugate(&Blocks::new(self.n, targets), u);
     }
 
     /// Applies a completely positive map given by Kraus operators on the
@@ -239,11 +381,12 @@ impl QuantumState {
     /// The Kraus set should satisfy `Σ K†K = I`; trace is renormalised
     /// afterwards to absorb numerical drift.
     pub fn apply_kraus(&mut self, kraus: &[CMatrix], targets: &[usize]) {
+        let blocks = Blocks::new(self.n, targets);
         let mut acc = CMatrix::zeros(self.dim(), self.dim());
+        let mut left = CMatrix::zeros(self.dim(), self.dim());
         for k in kraus {
-            let full = self.expand_operator(k, targets);
-            let term = &(&full * &self.rho) * &full.adjoint();
-            acc = &acc + &term;
+            blocks.left(k, &self.rho, &mut left);
+            blocks.right_adjoint(k, &left, &mut acc, |sum, term| sum + term);
         }
         self.rho = acc;
         self.renormalize();
@@ -252,8 +395,20 @@ impl QuantumState {
     /// Probability that a POVM element `M` (acting on `targets`) fires:
     /// `Tr(Mρ)` clamped to `[0, 1]`.
     pub fn povm_probability(&self, m: &CMatrix, targets: &[usize]) -> f64 {
-        let full = self.expand_operator(m, targets);
-        (&full * &self.rho).trace().re.clamp(0.0, 1.0)
+        Blocks::new(self.n, targets)
+            .trace_product(m, &self.rho)
+            .re
+            .clamp(0.0, 1.0)
+    }
+
+    /// Probability that a measurement selects Kraus operator `K` (acting
+    /// on `targets`): `Tr(K†Kρ)`, clamped below at 0. Only the diagonal
+    /// of `K†Kρ` is formed.
+    pub fn kraus_probability(&self, k: &CMatrix, targets: &[usize]) -> f64 {
+        Blocks::new(self.n, targets)
+            .trace_gram(k, &self.rho)
+            .re
+            .max(0.0)
     }
 
     /// Performs a generalized measurement described by Kraus operators
@@ -276,13 +431,10 @@ impl QuantumState {
     /// randomness (e.g. `DetRng::uniform_batch` in `qlink-des`) without
     /// changing which outcome any given draw selects.
     pub fn measure_kraus_given(&mut self, kraus: &[CMatrix], targets: &[usize], u: f64) -> usize {
-        let fulls: Vec<CMatrix> = kraus
+        let blocks = Blocks::new(self.n, targets);
+        let probs: Vec<f64> = kraus
             .iter()
-            .map(|k| self.expand_operator(k, targets))
-            .collect();
-        let probs: Vec<f64> = fulls
-            .iter()
-            .map(|f| (&(&f.adjoint() * f) * &self.rho).trace().re.max(0.0))
+            .map(|k| blocks.trace_gram(k, &self.rho).re.max(0.0))
             .collect();
         let total: f64 = probs.iter().sum();
         assert!(
@@ -298,8 +450,7 @@ impl QuantumState {
             }
             draw -= p;
         }
-        let f = &fulls[outcome];
-        self.rho = &(f * &self.rho) * &f.adjoint();
+        self.conjugate(&blocks, &kraus[outcome]);
         self.renormalize();
         outcome
     }
@@ -325,8 +476,9 @@ impl QuantumState {
     /// Expectation value `Tr(Oρ)` of a Hermitian observable `O` acting
     /// on `targets`.
     pub fn expectation(&self, observable: &CMatrix, targets: &[usize]) -> f64 {
-        let full = self.expand_operator(observable, targets);
-        (&full * &self.rho).trace().re
+        Blocks::new(self.n, targets)
+            .trace_product(observable, &self.rho)
+            .re
     }
 
     /// Partial trace keeping only the listed qubits (in their current
@@ -403,6 +555,127 @@ impl QuantumState {
         // Diagonal entries of a PSD matrix are non-negative, and basis
         // probes catch the common failure modes at these dimensions.
         (0..self.dim()).all(|i| self.rho[(i, i)].re >= -tol)
+    }
+}
+
+/// The dense path the block-local kernels replaced, unedited: every
+/// operator expanded to `2^n × 2^n` and multiplied whole. It is the
+/// oracle the kernels are compared against bit for bit.
+#[cfg(test)]
+impl QuantumState {
+    /// Embeds a `2^k`-dimensional operator acting on `targets` (in the
+    /// operator's own qubit order, most significant first) into the full
+    /// `2^n`-dimensional space.
+    ///
+    /// # Panics
+    /// Panics on out-of-range or duplicate targets, or an operator whose
+    /// dimension does not match `targets.len()`.
+    fn expand_operator(&self, op: &CMatrix, targets: &[usize]) -> CMatrix {
+        let k = targets.len();
+        assert!(
+            k >= 1 && op.rows() == (1 << k) && op.cols() == (1 << k),
+            "operator/target mismatch"
+        );
+        for (i, &t) in targets.iter().enumerate() {
+            assert!(
+                t < self.n,
+                "target {t} out of range for {}-qubit register",
+                self.n
+            );
+            assert!(!targets[..i].contains(&t), "duplicate target {t}");
+        }
+        let dim = self.dim();
+        let mut out = CMatrix::zeros(dim, dim);
+        // Positions (bit shifts) of the target qubits inside a basis index.
+        let shifts: Vec<usize> = targets.iter().map(|&t| self.n - 1 - t).collect();
+        let rest_mask: usize = {
+            let mut m = dim - 1;
+            for &s in &shifts {
+                m &= !(1usize << s);
+            }
+            m
+        };
+        let sub = |full: usize| -> usize {
+            let mut idx = 0;
+            for (pos, &s) in shifts.iter().enumerate() {
+                idx |= ((full >> s) & 1) << (k - 1 - pos);
+            }
+            idx
+        };
+        for i in 0..dim {
+            let ti = sub(i);
+            let ri = i & rest_mask;
+            for j in 0..dim {
+                if (j & rest_mask) != ri {
+                    continue;
+                }
+                let v = op[(ti, sub(j))];
+                if v != ZERO {
+                    out[(i, j)] = v;
+                }
+            }
+        }
+        out
+    }
+
+    fn dense_apply_unitary(&mut self, u: &CMatrix, targets: &[usize]) {
+        let full = self.expand_operator(u, targets);
+        self.rho = &(&full * &self.rho) * &full.adjoint();
+    }
+
+    fn dense_apply_kraus(&mut self, kraus: &[CMatrix], targets: &[usize]) {
+        let mut acc = CMatrix::zeros(self.dim(), self.dim());
+        for k in kraus {
+            let full = self.expand_operator(k, targets);
+            let term = &(&full * &self.rho) * &full.adjoint();
+            acc = &acc + &term;
+        }
+        self.rho = acc;
+        self.renormalize();
+    }
+
+    fn dense_povm_probability(&self, m: &CMatrix, targets: &[usize]) -> f64 {
+        let full = self.expand_operator(m, targets);
+        (&full * &self.rho).trace().re.clamp(0.0, 1.0)
+    }
+
+    fn dense_kraus_probability(&self, k: &CMatrix, targets: &[usize]) -> f64 {
+        let full = self.expand_operator(k, targets);
+        (&(&full.adjoint() * &full) * &self.rho).trace().re.max(0.0)
+    }
+
+    fn dense_measure_kraus_given(&mut self, kraus: &[CMatrix], targets: &[usize], u: f64) -> usize {
+        let fulls: Vec<CMatrix> = kraus
+            .iter()
+            .map(|k| self.expand_operator(k, targets))
+            .collect();
+        let probs: Vec<f64> = fulls
+            .iter()
+            .map(|f| (&(&f.adjoint() * f) * &self.rho).trace().re.max(0.0))
+            .collect();
+        let total: f64 = probs.iter().sum();
+        assert!(
+            (total - 1.0).abs() < 1e-6,
+            "measurement probabilities sum to {total}, not 1"
+        );
+        let mut draw = u * total;
+        let mut outcome = probs.len() - 1;
+        for (i, &p) in probs.iter().enumerate() {
+            if draw < p {
+                outcome = i;
+                break;
+            }
+            draw -= p;
+        }
+        let f = &fulls[outcome];
+        self.rho = &(f * &self.rho) * &f.adjoint();
+        self.renormalize();
+        outcome
+    }
+
+    fn dense_expectation(&self, observable: &CMatrix, targets: &[usize]) -> f64 {
+        let full = self.expand_operator(observable, targets);
+        (&full * &self.rho).trace().re
     }
 }
 
@@ -584,6 +857,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_target_panics() {
+        let mut s = QuantumState::ground(2);
+        s.apply_kraus(&crate::channels::dephasing(0.1), &[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "operator/target mismatch")]
+    fn operator_target_size_mismatch_panics() {
+        let s = QuantumState::ground(2);
+        s.kraus_probability(&gates::cnot(), &[0]);
+    }
+
+    #[test]
     fn povm_probability_of_projector() {
         let mut s = QuantumState::ground(1);
         s.apply_unitary(&gates::h(), &[0]);
@@ -607,6 +894,256 @@ mod tests {
             let (k0, k1) = b.kets();
             let ip: Complex = (0..2).map(|i| k0[(i, 0)].conj() * k1[(i, 0)]).sum();
             assert!(ip.abs() < 1e-12, "{b:?} kets not orthogonal");
+        }
+    }
+
+    /// The block-local kernels against the dense oracle, bit for bit.
+    mod kernels {
+        use super::*;
+        use crate::channels;
+
+        fn bits(m: &CMatrix) -> Vec<(u64, u64)> {
+            m.as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        }
+
+        /// A random operator with about a third of its entries exactly
+        /// zero, half of those `−0`.
+        fn random_op(rng: &mut StdRng, dim: usize) -> CMatrix {
+            let data: Vec<Complex> = (0..dim * dim)
+                .map(|_| {
+                    let pick = rng.gen::<f64>();
+                    if pick < 1.0 / 6.0 {
+                        ZERO
+                    } else if pick < 1.0 / 3.0 {
+                        Complex::new(-0.0, -0.0)
+                    } else {
+                        Complex::new(rng.gen::<f64>() * 2.0 - 1.0, rng.gen::<f64>() * 2.0 - 1.0)
+                    }
+                })
+                .collect();
+            CMatrix::from_rows(dim, dim, &data)
+        }
+
+        /// `AA†/Tr` for a random `A` with zero entries; with `zero_row`,
+        /// row and column 0 of the state are all zero.
+        fn random_state(rng: &mut StdRng, n: usize, zero_row: bool) -> QuantumState {
+            loop {
+                let mut a = random_op(rng, 1 << n);
+                if zero_row {
+                    for c in 0..1 << n {
+                        a[(0, c)] = ZERO;
+                    }
+                }
+                let rho = &a * &a.adjoint();
+                let t = rho.trace().re;
+                if t > 0.0 {
+                    return QuantumState::from_density(rho.scale(Complex::real(1.0 / t)))
+                        .expect("AA†/Tr AA† is a state");
+                }
+            }
+        }
+
+        /// The shape of a link's spin-photon arm, `√α|01⟩ + √(1−α)|10⟩`,
+        /// tensored up to `n` qubits: mostly exact zeros.
+        fn arm_shaped(n: usize) -> QuantumState {
+            let arm = QuantumState::from_ket(&CMatrix::col_vector(&[
+                ZERO,
+                Complex::real(0.2f64.sqrt()),
+                Complex::real(0.8f64.sqrt()),
+                ZERO,
+            ]));
+            match n {
+                1 => QuantumState::ground(1),
+                2 => arm,
+                3 => arm.tensor(&QuantumState::ground(1)),
+                _ => arm.tensor(&arm),
+            }
+        }
+
+        /// The heralding station's four beam-splitter Kraus operators
+        /// (Appendix D.5, eqs. (94)–(97)) at visibility `µ²`, photon A
+        /// the most significant bit.
+        fn beam_splitter(visibility: f64) -> Vec<CMatrix> {
+            let mu = visibility.sqrt();
+            let sqrt2 = std::f64::consts::SQRT_2;
+            let a = ((1.0 + mu).sqrt() + (1.0 - mu).sqrt()) / sqrt2;
+            let b = ((1.0 + mu).sqrt() - (1.0 - mu).sqrt()) / sqrt2;
+            let s11 = (1.0 + mu * mu).sqrt();
+            let single = |sign: f64| {
+                let mut m = CMatrix::zeros(4, 4);
+                m[(1, 1)] = Complex::real(a / 2.0);
+                m[(2, 2)] = Complex::real(a / 2.0);
+                m[(1, 2)] = Complex::real(sign * b / 2.0);
+                m[(2, 1)] = Complex::real(sign * b / 2.0);
+                m[(3, 3)] = Complex::real(s11 / 2.0);
+                m
+            };
+            let mut none = CMatrix::zeros(4, 4);
+            none[(0, 0)] = ONE;
+            let mut both = CMatrix::zeros(4, 4);
+            both[(3, 3)] = Complex::real(((1.0 - mu * mu) / 2.0).sqrt());
+            vec![none, single(1.0), single(-1.0), both]
+        }
+
+        /// Every ordered choice of `k` distinct qubits out of `n`,
+        /// descending orders included.
+        fn target_orders(n: usize, k: usize) -> Vec<Vec<usize>> {
+            if k == 0 {
+                return vec![Vec::new()];
+            }
+            let mut out = Vec::new();
+            for head in target_orders(n, k - 1) {
+                for t in (0..n).filter(|t| !head.contains(t)) {
+                    let mut targets = head.clone();
+                    targets.push(t);
+                    out.push(targets);
+                }
+            }
+            out
+        }
+
+        /// Single operators by target count, and complete Kraus sets.
+        fn operators(rng: &mut StdRng) -> (Vec<Vec<CMatrix>>, Vec<Vec<CMatrix>>) {
+            let sets: Vec<Vec<CMatrix>> = vec![
+                channels::dephasing(0.0),
+                channels::dephasing(0.3),
+                channels::bit_flip(0.2),
+                channels::depolarizing(0.25),
+                channels::amplitude_damping(0.4),
+                channels::amplitude_damping(1.0),
+                channels::t1t2_decay(5e-4, 1e-3, 1.5e-3),
+                channels::t1t2_decay(0.0, 1e-3, 1e-3),
+                vec![Basis::X.projectors().0, Basis::X.projectors().1],
+                vec![Basis::Y.projectors().0, Basis::Y.projectors().1],
+                vec![Basis::Z.projectors().0, Basis::Z.projectors().1],
+                beam_splitter(0.9),
+                beam_splitter(1.0),
+            ];
+            let mut by_size = vec![
+                Vec::new(),
+                vec![
+                    gates::id2(),
+                    gates::x(),
+                    gates::y(),
+                    gates::z(),
+                    gates::h(),
+                    gates::s(),
+                    gates::rx(0.0),
+                    gates::rx(0.7),
+                    gates::ry(1.1),
+                    gates::rz(-0.4),
+                ],
+                vec![
+                    gates::cnot(),
+                    gates::cz(),
+                    gates::swap(),
+                    gates::ec_controlled_rx(0.3),
+                    gates::ec_controlled_sqrt_x(),
+                ],
+                Vec::new(),
+            ];
+            for set in &sets {
+                let k = set[0].rows().trailing_zeros() as usize;
+                by_size[k].extend(set.iter().cloned());
+            }
+            for (k, ops) in by_size.iter_mut().enumerate().skip(1) {
+                ops.extend((0..3).map(|_| random_op(rng, 1 << k)));
+            }
+            (by_size, sets)
+        }
+
+        #[test]
+        fn block_kernels_match_the_dense_oracle_bit_for_bit() {
+            let mut rng = StdRng::seed_from_u64(0x5eed);
+            let (by_size, sets) = operators(&mut rng);
+            for n in 1..=4 {
+                let mut states = vec![QuantumState::ground(n), arm_shaped(n)];
+                states.push(random_state(&mut rng, n, true));
+                states.extend((0..3).map(|_| random_state(&mut rng, n, false)));
+                for (s, state) in states.iter().enumerate() {
+                    for (k, ops) in by_size.iter().enumerate().take(n.min(3) + 1).skip(1) {
+                        for targets in target_orders(n, k) {
+                            let at = |what: &str| format!("{what}, n={n} state {s} on {targets:?}");
+                            for (o, op) in ops.iter().enumerate() {
+                                let at = |what: &str| at(&format!("{what} of operator {o}"));
+                                let mut fast = state.clone();
+                                let mut dense = state.clone();
+                                fast.apply_unitary(op, &targets);
+                                dense.dense_apply_unitary(op, &targets);
+                                assert_eq!(
+                                    bits(&fast.rho),
+                                    bits(&dense.rho),
+                                    "{}",
+                                    at("apply_unitary")
+                                );
+                                let mut fast = state.clone();
+                                let mut dense = state.clone();
+                                fast.apply_kraus(std::slice::from_ref(op), &targets);
+                                dense.dense_apply_kraus(std::slice::from_ref(op), &targets);
+                                assert_eq!(
+                                    bits(&fast.rho),
+                                    bits(&dense.rho),
+                                    "{}",
+                                    at("apply_kraus")
+                                );
+                                assert_eq!(
+                                    state.kraus_probability(op, &targets).to_bits(),
+                                    state.dense_kraus_probability(op, &targets).to_bits(),
+                                    "{}",
+                                    at("kraus_probability")
+                                );
+                                assert_eq!(
+                                    state.povm_probability(op, &targets).to_bits(),
+                                    state.dense_povm_probability(op, &targets).to_bits(),
+                                    "{}",
+                                    at("povm_probability")
+                                );
+                                assert_eq!(
+                                    state.expectation(op, &targets).to_bits(),
+                                    state.dense_expectation(op, &targets).to_bits(),
+                                    "{}",
+                                    at("expectation")
+                                );
+                            }
+                            for (i, set) in sets.iter().enumerate() {
+                                if set[0].rows() != 1 << k {
+                                    continue;
+                                }
+                                let at = |what: &str| at(&format!("{what} of Kraus set {i}"));
+                                let mut fast = state.clone();
+                                let mut dense = state.clone();
+                                fast.apply_kraus(set, &targets);
+                                dense.dense_apply_kraus(set, &targets);
+                                assert_eq!(
+                                    bits(&fast.rho),
+                                    bits(&dense.rho),
+                                    "{}",
+                                    at("apply_kraus")
+                                );
+                                for u in [0.0, 0.2, 0.5, 0.8, 0.999_999] {
+                                    let mut fast = state.clone();
+                                    let mut dense = state.clone();
+                                    assert_eq!(
+                                        fast.measure_kraus_given(set, &targets, u),
+                                        dense.dense_measure_kraus_given(set, &targets, u),
+                                        "{}",
+                                        at("measure_kraus_given outcome")
+                                    );
+                                    assert_eq!(
+                                        bits(&fast.rho),
+                                        bits(&dense.rho),
+                                        "{}",
+                                        at("measure_kraus_given state")
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }
