@@ -15,7 +15,7 @@ use qlink::classical::{ChannelModel, Fate};
 use qlink::des::SimTime;
 use qlink::des::{DetRng, EventQueue, SimDuration};
 use qlink::egp::dqueue::Role;
-use qlink::egp::egp::{Egp, EgpConfig};
+use qlink::egp::egp::{Egp, EgpConfig, Input};
 use qlink::egp::feu::FidelityEstimator;
 use qlink::egp::scheduler::SchedulerPolicy;
 use qlink::math::CMatrix;
@@ -280,7 +280,9 @@ fn bench_derived_physics(c: &mut Criterion) {
         b.iter(|| {
             let mut egp = Egp::with_estimator(cfg.clone(), feu.clone());
             for _ in 0..64 {
-                black_box(egp.create(black_box(md.clone()), 0));
+                let mut out = Vec::new();
+                black_box(egp.step(Input::Create(black_box(md.clone())), 0, &mut out));
+                black_box(out);
             }
             egp
         })

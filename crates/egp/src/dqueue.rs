@@ -189,11 +189,10 @@ impl DistributedQueue {
         self.table.is_empty()
     }
 
-    /// `true` when this half holds no work at all: nothing committed,
-    /// nothing staged for the fairness window, and no ADD awaiting its
-    /// ACK. [`DistributedQueue::tick`] is then a no-op at any cycle.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.staging.is_empty() && self.is_empty()
+    /// The earliest cycle [`DistributedQueue::tick`] can act at, an ADD's
+    /// next retransmission or give-up; `None` with no ADD in flight.
+    pub fn next_tick(&self) -> Option<u64> {
+        self.pending.values().map(|p| p.next_retransmit_cycle).min()
     }
 
     /// Looks up a committed request.
@@ -727,7 +726,7 @@ mod tests {
             }]
         );
         assert_eq!((m.len(), s.len()), (MAX_ITEMS_PER_QUEUE, 0));
-        assert!(s.is_idle());
+        assert!(s.is_empty() && s.next_tick().is_none());
         let evs = s.add(payload(5, NUM_QUEUES), service(), 0);
         assert_eq!(
             evs,
@@ -853,7 +852,7 @@ mod tests {
         let aid = AbsQueueId::new(0, 0);
         assert_eq!(sev, vec![DqpEvent::Retracted { create_id: 3, aid }]);
         assert_eq!((m.len(), s.len()), (1, 0));
-        assert!(s.is_idle());
+        assert!(s.is_empty() && s.next_tick().is_none());
         assert!(!m.retract_pending(3), "committed, not in flight");
     }
 
@@ -880,7 +879,7 @@ mod tests {
         let first_due = u64::from(MAX_RETRIES) + 1;
         assert_eq!(timed_out_at, Some(first_due * RETRANSMIT_CYCLES));
         assert_eq!(m.len(), 0, "rolled back after giving up");
-        assert!(m.is_idle());
+        assert!(m.is_empty() && m.next_tick().is_none());
     }
 
     #[test]

@@ -26,6 +26,7 @@ use qlink_quantum::bell::BellState;
 use qlink_quantum::Basis;
 use qlink_wire::fields::RequestType;
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The FEU's answer to "serve `Fmin` with request type T".
@@ -55,7 +56,6 @@ const SAFETY_MARGIN: f64 = 0.08;
 const CEILING_GUARD: f64 = 0.02;
 
 /// What every handle to one FEU reads and fills.
-#[derive(Debug)]
 struct Shared {
     params: ScenarioParams,
     models: ModelCache,
@@ -77,9 +77,19 @@ struct Shared {
 /// and four constants (the α range, the safety margin, the ceiling
 /// guard) that are deliberately not settable, which is what makes
 /// remembering its answers exact.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct FidelityEstimator {
     shared: Arc<Shared>,
+}
+
+/// The tables behind the handle remember pure functions of the profile
+/// and are no one's state: a handle shows the profile alone.
+impl fmt::Debug for FidelityEstimator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FidelityEstimator")
+            .field("params", self.params())
+            .finish_non_exhaustive()
+    }
 }
 
 impl FidelityEstimator {

@@ -26,8 +26,9 @@
 //!   synchronised queue item plus this node's progress on it, held in
 //!   the distributed queue's table and nowhere else.
 //! * [`egp`] — the EGP state machine itself (Protocol 2), written
-//!   sans-IO: frames/results in, frames/OKs/errors/hardware directives
-//!   out.
+//!   sans-IO: one input at a time in through [`Egp::step`] (a CREATE,
+//!   a peer frame, a RESULT, a tick), frames/OKs/errors/hardware
+//!   directives out, and [`Egp::next_tick`] for when a tick can next act.
 
 pub mod dqueue;
 pub mod egp;
@@ -37,7 +38,7 @@ pub mod request;
 pub mod scheduler;
 pub mod shared_random;
 
-pub use egp::{Egp, EgpConfig, EgpEvent, HwDirective};
+pub use egp::{Egp, EgpConfig, EgpEvent, HwDirective, Input, Step};
 pub use feu::{FidelityEstimator, QberEstimator};
 pub use qmm::QuantumMemoryManager;
 pub use request::{Request, RequestState, Service};

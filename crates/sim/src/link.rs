@@ -18,7 +18,7 @@ use crate::workload::{GeneratedRequest, WorkloadGenerator};
 use qlink_classical::channel::{ChannelModel, Fate, Transmission};
 use qlink_des::{DetRng, EventQueue, IntMap, SimDuration, SimTime};
 use qlink_egp::dqueue::Role;
-use qlink_egp::egp::{Egp, EgpConfig, EgpEvent, HwDirective};
+use qlink_egp::egp::{Egp, EgpConfig, EgpEvent, HwDirective, Input, Step};
 use qlink_egp::feu::FidelityEstimator;
 use qlink_egp::shared_random::SharedRandomness;
 use qlink_phys::attempt::{AttemptModel, AttemptOutcome};
@@ -361,7 +361,10 @@ impl LinkSimulation {
         let now = self.queue.now();
         let cycle = self.current_cycle();
         let msg = Self::create_msg(&req, if origin == 0 { NODE_B } else { NODE_A });
-        let (create_id, events) = self.egps[origin].create(msg, cycle);
+        // Not `step_egp`: an immediate ERR must find the CREATE tracked.
+        let mut out = Vec::new();
+        let step = self.egps[origin].step(Input::Create(msg), cycle, &mut out);
+        let create_id = step.create_id.expect("a CREATE is assigned a create ID");
         self.tracking[origin].insert(
             create_id,
             RequestTracking {
@@ -371,7 +374,7 @@ impl LinkSimulation {
                 pairs_seen: 0,
             },
         );
-        self.route(origin, events);
+        self.route(origin, &mut out);
         create_id
     }
 
@@ -393,8 +396,7 @@ impl LinkSimulation {
         self.resume();
         let cycle = self.current_cycle();
         self.tracking[origin].remove(&create_id);
-        let events = self.egps[origin].expire_request(create_id, cycle);
-        self.route(origin, events);
+        self.step_egp(origin, Input::Expire(create_id), cycle);
     }
 
     /// Runs the simulation for `duration` of simulated time.
@@ -445,13 +447,13 @@ impl LinkSimulation {
 
     /// Lets the MHP cycle clock stop while the link is idle. At a cycle
     /// where nothing pends in the link's own event queue, no attempt awaits
-    /// its reply, the workload generator is [`WorkloadSpec::none`] and both
-    /// EGPs are quiescent ([`Egp::is_quiescent`]), the link schedules no
-    /// further `Cycle`: [`LinkSimulation::next_event_time`] returns `None`
-    /// until the next [`LinkSimulation::submit`] /
+    /// its reply, the workload generator is [`WorkloadSpec::none`] and
+    /// neither EGP has a next tick ([`Egp::next_tick`] is `None`), the link
+    /// schedules no further `Cycle`: [`LinkSimulation::next_event_time`]
+    /// returns `None` until the next [`LinkSimulation::submit`] /
     /// [`LinkSimulation::expire_request`] restarts the clock at the first
     /// cycle boundary after it — the cycle a ticking link would fire next.
-    /// Every skipped cycle is one whose polls are no-ops, and its
+    /// Every skipped cycle is one whose EGP ticks are no-ops, and its
     /// housekeeping (the `queue_length` sample, the pair-ledger sweep) is
     /// back-filled, so deliveries, rejections and [`LinkMetrics`] are
     /// bit-identical to a never-parking run; only
@@ -556,8 +558,7 @@ impl LinkSimulation {
                 if let Ok(frame) = Frame::decode(&bytes) {
                     let to = usize::from(to);
                     let cycle = self.current_cycle();
-                    let evs = self.egps[to].on_peer_frame(frame, cycle);
-                    self.route(to, evs);
+                    self.step_egp(to, Input::PeerFrame(frame), cycle);
                 }
             }
             Event::ReplyArrive { to, bytes } => {
@@ -571,16 +572,18 @@ impl LinkSimulation {
         }
     }
 
-    /// `true` at a cycle whose polls cannot do anything, and after
+    /// `true` at a cycle whose EGP ticks cannot do anything, and after
     /// which nothing can until the next external input: no internal
     /// event pends (so no frame or reply is in flight and no detection
     /// window is open), no node still waits out a reply deadline, no
-    /// workload will arrive, and neither EGP has work.
+    /// workload will arrive, and neither EGP has a next tick — which a
+    /// queued request always has, so its length settles a busy link.
     fn is_idle(&self) -> bool {
+        let quiet = |egp: &Egp| egp.queue_len() == 0 && egp.next_tick().is_none();
         self.queue.is_empty()
             && self.reply_deadlines.is_empty()
             && self.workload.is_none()
-            && self.egps.iter().all(Egp::is_quiescent)
+            && self.egps.iter().all(quiet)
     }
 
     /// At the start of cycle `c`, gives up on the attempts whose reply
@@ -649,7 +652,7 @@ impl LinkSimulation {
     fn on_cycle(&mut self, now: SimTime, c: u64) {
         self.fire_reply_deadlines(c);
         if self.park_when_idle && self.is_idle() {
-            // This cycle's polls are no-ops and so is every later
+            // This cycle's ticks are no-ops and so is every later
             // one's until the next CREATE: stop the clock here.
             self.housekeeping(c);
             self.parked = Some(c + 1);
@@ -666,13 +669,12 @@ impl LinkSimulation {
             }
         }
 
-        // Poll both EGPs; trigger attempts.
+        // Tick both EGPs; trigger attempts.
         let mut window_open = false;
         for node in 0..2u8 {
             let i = usize::from(node);
-            let (spec, evs) = self.egps[i].poll(c);
-            self.route(i, evs);
-            let Some(spec) = spec else { continue };
+            let step = self.step_egp(i, Input::Tick, c);
+            let Some(spec) = step.attempt else { continue };
             let actions = self.mhps[i].trigger(c, spec);
             window_open = true;
 
@@ -764,14 +766,21 @@ impl LinkSimulation {
                 }
             }
         }
-        let evs = self.egps[node].on_mhp_result(&result, local_bit, cycle);
-        self.route(node, evs);
+        self.step_egp(node, Input::MhpResult { result, local_bit }, cycle);
     }
 
-    /// Routes EGP outputs: frames into channels, OKs/errors into
+    /// Steps node `node`'s EGP with `input` and routes what it emits.
+    fn step_egp(&mut self, node: usize, input: Input, cycle: u64) -> Step {
+        let mut out = Vec::new();
+        let step = self.egps[node].step(input, cycle, &mut out);
+        self.route(node, &mut out);
+        step
+    }
+
+    /// Drains EGP outputs: frames into channels, OKs/errors into
     /// metrics, hardware directives into the pair ledger.
-    fn route(&mut self, from: usize, events: Vec<EgpEvent>) {
-        for ev in events {
+    fn route(&mut self, from: usize, events: &mut Vec<EgpEvent>) {
+        for ev in events.drain(..) {
             match ev {
                 EgpEvent::SendPeer(frame) => {
                     let now = self.queue.now();
@@ -1165,14 +1174,14 @@ mod tests {
         };
         let seen = |sim: &LinkSimulation| sim.tracking[0].get(&create_id).map(|t| t.pairs_seen);
 
-        sim.route(0, vec![expire(NODE_B, true), expire(NODE_B, false)]);
+        sim.route(0, &mut vec![expire(NODE_B, true), expire(NODE_B, false)]);
         assert_eq!(seen(&sim), Some(2), "B's CREATE {create_id} is not A's");
         assert!(sim.drain_rejections().is_empty());
 
-        sim.route(0, vec![expire(NODE_A, true)]);
+        sim.route(0, &mut vec![expire(NODE_A, true)]);
         assert_eq!(seen(&sim), Some(1), "A's own revoked pair");
 
-        sim.route(0, vec![expire(NODE_A, false)]);
+        sim.route(0, &mut vec![expire(NODE_A, false)]);
         assert_eq!(seen(&sim), None, "abandoned by its EGP");
         let rejections = sim.drain_rejections();
         assert_eq!(rejections.len(), 1);
@@ -1219,7 +1228,7 @@ mod tests {
                 sim.run_for(SimDuration::from_millis(500));
             }
             let mut waited = 0;
-            while !sim.egps.iter().all(Egp::is_quiescent) {
+            while sim.egps.iter().any(|egp| egp.next_tick().is_some()) {
                 assert!(waited < 200, "seed {seed}: the EGPs never went quiet");
                 sim.run_for(SimDuration::from_millis(100));
                 waited += 1;

@@ -78,12 +78,12 @@ fn a_link_and_its_egps_store_no_config_struct() {
     let egp = std::mem::size_of::<Egp>();
     let dq = std::mem::size_of::<DistributedQueue>();
     assert!(
-        link <= 2_184,
-        "LinkSimulation is {link} B (3,784 B while it stored its LinkConfig and workload generator)"
+        link <= 2_120,
+        "LinkSimulation is {link} B (3,784 B while it stored its LinkConfig and workload generator, 2,184 B while its EGPs kept write-only state)"
     );
     assert!(
-        egp <= 584,
-        "Egp is {egp} B (1,056 B while it stored its EgpConfig, 656 B while its queue did)"
+        egp <= 552,
+        "Egp is {egp} B (1,056 B while it stored its EgpConfig, 656 B while its queue did, 584 B while it kept write-only state)"
     );
     assert!(
         dq <= 160,

@@ -643,7 +643,7 @@ fn ledger_is_empty_once_every_request_has_ended() {
 
         for e in 0..net.topology().edge_count() {
             assert_eq!(net.edge_load(e), 0, "{what}: edge {e} leaked load");
-            let quiet = (0..2).all(|side| net.link(e).egp(side).is_quiescent());
+            let quiet = (0..2).all(|side| net.link(e).egp(side).next_tick().is_none());
             assert!(quiet, "{what}: an EGP of edge {e} still holds a request");
         }
         for n in 0..net.topology().node_count() {
