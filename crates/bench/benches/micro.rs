@@ -25,7 +25,7 @@ use qlink::phys::pair::{PairState, Side};
 use qlink::phys::params::ScenarioParams;
 use qlink::phys::station::{herald_distribution, BeamSplitter, DetectorModel};
 use qlink::prelude::{
-    LinkConfig, LoadScaledLatency, Network, RequestKind, RoutePlanner, Topology, WorkloadSpec,
+    LinkConfig, Network, RequestKind, RouteMetric, RoutePlanner, Topology, WorkloadSpec,
 };
 use qlink::quantum::bell::BellState;
 use qlink::quantum::{channels, gates, QuantumState};
@@ -238,7 +238,7 @@ fn bench_derived_physics(c: &mut Criterion) {
     c.bench_function("network_first_requests/16x16", |b| {
         b.iter(|| {
             let mut net = Network::new(lab_grid_16(), 5);
-            net.set_route_metric(LoadScaledLatency);
+            net.set_route_metric(RouteMetric::LoadLatency);
             for row in [1, 5, 9, 13] {
                 for col in [1, 6, 11] {
                     net.request_entanglement(row * 16 + col, row * 16 + col + 2, 0.6);

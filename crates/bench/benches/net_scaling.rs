@@ -34,9 +34,7 @@
 //!   push).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use qlink::net::route::{FidelityProduct, HopCount, Latency, RoutePlanner};
 use qlink::net::sweep::{run_one, sweep};
-use qlink::net::MetricChoice;
 use qlink::prelude::*;
 
 fn lab(seed: u64) -> LinkConfig {
@@ -116,9 +114,9 @@ fn bench_congested_mesh(c: &mut Criterion) {
     }
     let pairs = vec![(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)];
     let cells = [
-        ("latency", MetricChoice::Latency, 0u32),
-        ("load_latency", MetricChoice::LoadLatency, 0),
-        ("latency_retry2", MetricChoice::Latency, 2),
+        ("latency", RouteMetric::Latency, 0u32),
+        ("load_latency", RouteMetric::LoadLatency, 0),
+        ("latency_retry2", RouteMetric::Latency, 2),
     ];
     for (name, metric, retries) in cells {
         let mut spec = ScenarioSpec::lab_grid("grid", 4, 4)
@@ -196,7 +194,7 @@ fn bench_par_engine(c: &mut Criterion) {
                 (n - 1, last + 1 - n),
                 (n / 2, last - n / 2),
             ])
-            .with_metric(MetricChoice::LoadLatency)
+            .with_metric(RouteMetric::LoadLatency)
             .with_max_time(sim);
         let name = format!("par/grid_{n}x{n}_seq");
         if !c.matches(&name) {
@@ -341,18 +339,30 @@ fn bench_routing_overhead(c: &mut Criterion) {
 
     // Metric-aware searches on a prebuilt planner.
     let planner = RoutePlanner::new(&topo);
-    c.bench_function("route/latency_dijkstra_6x6", |b| {
-        b.iter(|| black_box(planner.shortest_path(&topo, src, dst, &Latency, 0.6)))
-    });
-    c.bench_function("route/fidelity_dijkstra_6x6", |b| {
-        b.iter(|| black_box(planner.shortest_path(&topo, src, dst, &FidelityProduct, 0.6)))
-    });
-    c.bench_function("route/yen_k4_hopcount_6x6", |b| {
-        b.iter(|| black_box(planner.k_shortest_paths(&topo, src, dst, 4, &HopCount, 0.0)))
-    });
-    c.bench_function("route/yen_k4_fidelity_6x6", |b| {
-        b.iter(|| black_box(planner.k_shortest_paths(&topo, src, dst, 4, &FidelityProduct, 0.6)))
-    });
+    let ask = |metric, fmin, k| PlanContext {
+        metric,
+        fmin,
+        k,
+        ..PlanContext::new(src, dst)
+    };
+    let cells = [
+        (
+            "route/latency_dijkstra_6x6",
+            ask(RouteMetric::Latency, 0.6, 1),
+        ),
+        (
+            "route/fidelity_dijkstra_6x6",
+            ask(RouteMetric::Fidelity, 0.6, 1),
+        ),
+        ("route/yen_k4_hopcount_6x6", ask(RouteMetric::Hops, 0.0, 4)),
+        (
+            "route/yen_k4_fidelity_6x6",
+            ask(RouteMetric::Fidelity, 0.6, 4),
+        ),
+    ];
+    for (name, ctx) in cells {
+        c.bench_function(name, |b| b.iter(|| black_box(planner.routes(&topo, &ctx))));
+    }
 }
 
 fn bench_open_loop_load(c: &mut Criterion) {
@@ -374,7 +384,7 @@ fn bench_open_loop_load(c: &mut Criterion) {
     };
     for (name, rate_hz) in [("rate2k", 2_000.0), ("rate200k", 200_000.0)] {
         let spec = ScenarioSpec::lab_grid("load", 4, 4)
-            .with_metric(MetricChoice::LoadLatency)
+            .with_metric(RouteMetric::LoadLatency)
             .with_retries(1)
             .with_request_timeout(SimDuration::from_millis(250))
             .with_max_time(SimDuration::from_secs_f64(0.2))

@@ -16,7 +16,7 @@
 
 use qlink::classical::LinkBudget;
 use qlink::math::stats::relative_difference;
-use qlink::net::{FaultChoice, MetricChoice};
+use qlink::net::FaultChoice;
 use qlink::prelude::*;
 use qlink_bench::{header, run_link, scaled_secs, Stopwatch};
 
@@ -43,7 +43,7 @@ fn run(kind: RequestKind, loss: f64, secs: SimDuration) -> RunOut {
 fn grid_spec(name: &str, faults: FaultChoice) -> ScenarioSpec {
     ScenarioSpec::lab_grid(name, 4, 4)
         .with_pairs(vec![(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)])
-        .with_metric(MetricChoice::LoadLatency)
+        .with_metric(RouteMetric::LoadLatency)
         .with_request_timeout(SimDuration::from_millis(300))
         .with_retries(2)
         .with_max_time(SimDuration::from_millis(700))

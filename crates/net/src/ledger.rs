@@ -563,6 +563,14 @@ impl Ledger {
         self.requests.insert(request, Request { seed, attempt });
     }
 
+    /// Keeps a fresh request no route serves yet on the books, without
+    /// an attempt, until its first plan. No attempt failed, so no
+    /// re-route is counted.
+    pub(crate) fn park_fresh(&mut self, request: u64, seed: AttemptSeed) {
+        let attempt = None;
+        self.requests.insert(request, Request { seed, attempt });
+    }
+
     /// Takes a parked request off the books for re-issue; `None` if it
     /// was cancelled while parked.
     pub(crate) fn unpark(&mut self, request: u64) -> Option<AttemptSeed> {

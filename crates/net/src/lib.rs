@@ -18,11 +18,10 @@
 //! * [`route`] — the route-metric engine: per-edge cost profiles
 //!   (expected NL latency, attempt success probability, memory-decay-
 //!   adjusted fidelity) derived from each edge's link configuration,
-//!   deterministic Dijkstra and Yen K-shortest-paths search, and the
-//!   pluggable [`RouteMetric`] trait ([`HopCount`], [`Latency`],
-//!   [`FidelityProduct`], and the congestion-aware
-//!   [`LoadScaledLatency`], which prices each edge's live reservation
-//!   count through [`RouteMetric::load_cost`]) steering
+//!   deterministic Dijkstra and Yen K-shortest-paths search, and one
+//!   price per edge, [`RouteMetric::cost`] of its fidelity, latency and
+//!   live reservation count after the distillation rounds the
+//!   request's [`Policy`] installs on it, steering
 //!   [`Network::request_entanglement`] and the multi-path splitter
 //!   [`Network::request_entanglement_multipath`]; failed attempts
 //!   (per-request timeout, terminal link rejection) re-plan against
@@ -93,15 +92,11 @@ pub use obs::{
     chrome_trace_json, spans_jsonl, EngineProfile, Metrics, SpanEvent, SpanStage, Telemetry,
     TelemetryConfig,
 };
-pub use route::{
-    EdgeProfile, FidelityProduct, HopCount, Latency, LoadScaledLatency, PlanContext, Route,
-    RouteMetric, RoutePlanner,
-};
+pub use route::{EdgeProfile, PlanContext, Route, RouteMetric, RoutePlanner};
 pub use ruleset::{
     Action, ArmProgram, Condition, FiredRule, Obs, Policy, Rule, RuleSet, RuleState, Trigger,
 };
 pub use sweep::{
-    run_one, sweep, FaultChoice, LinkScenario, MetricChoice, RunRecord, ScenarioSpec, SweepReport,
-    TopologyChoice,
+    run_one, sweep, FaultChoice, LinkScenario, RunRecord, ScenarioSpec, SweepReport, TopologyChoice,
 };
 pub use topology::{Edge, Node, Topology};

@@ -33,8 +33,8 @@ use crate::ledger::{AttemptSeed, Completion, Ended, GroupVerdict, Ledger};
 use crate::load::{Admission, LoadEngine, LoadStats, Workload};
 use crate::node::{NodeAction, SwapAsapNode};
 use crate::obs::{SpanStage, Telemetry, TelemetryConfig};
-use crate::planner::{PlanAsk, Planner};
-use crate::route::{Route, RouteMetric};
+use crate::planner::Planner;
+use crate::route::{PlanContext, Route, RouteMetric};
 use crate::ruleset::Policy;
 use crate::topology::Topology;
 use qlink_des::{DetRng, SimDuration, SimTime};
@@ -222,21 +222,19 @@ impl Network {
         self.engine.reset_event_stats();
     }
 
-    /// Selects the [`RouteMetric`] used by subsequent
-    /// [`Network::request_entanglement`] calls. The default is
-    /// [`HopCount`](crate::route::HopCount); [`crate::route::Latency`]
-    /// and [`crate::route::FidelityProduct`] weigh edges by the
-    /// profiles the route planner derives from each link's
+    /// Selects the [`RouteMetric`] subsequent plans price edges with.
+    /// The default is [`RouteMetric::Hops`]; the others weigh edges by
+    /// the profiles the route planner derives from each link's
     /// configuration.
-    pub fn set_route_metric(&mut self, metric: impl RouteMetric + Send + 'static) {
-        self.planner.metric = Box::new(metric);
+    pub fn set_route_metric(&mut self, metric: RouteMetric) {
+        self.planner.metric = metric;
     }
 
     /// Selects the [`Policy`] subsequent requests run under: at issue
     /// time it is compiled to a [`crate::ruleset::RuleSet`] table,
     /// installed on every path node, and interpreted on each
     /// observation; it also prices edges in planning
-    /// ([`PlanContext::policy`](crate::route::PlanContext::policy)).
+    /// ([`PlanContext::policy`]).
     /// [`Policy::LinkPurify`] makes every path edge distill two
     /// delivered pairs into one before it may be swapped;
     /// [`Policy::EndToEndPurify`] makes
@@ -335,11 +333,10 @@ impl Network {
     /// starts pricing planning.
     ///
     /// Faults hit the *quantum* links only: classical control
-    /// channels stay up. A plan that
-    /// disconnects a pair a request is later issued for makes that
-    /// issue panic ("no path"), exactly like a statically
-    /// disconnected pair — run fault plans on topologies that stay
-    /// connected (a grid survives any single edge).
+    /// channels stay up. A request issued while faults cut every path
+    /// between its pair waits one control delay for a re-plan, then is
+    /// issued or abandoned ([`Network::timeouts`]), like a failed
+    /// attempt with no route left.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.planner
             .arm_penalty_box(self.topo.edge_count(), plan.penalty);
@@ -462,64 +459,39 @@ impl Network {
         self.ledger.edge_load(edge)
     }
 
-    /// Plans up to `k` loopless routes from `src` to `dst` under the
-    /// current metric, cheapest first; edges whose achievable K-type
-    /// fidelity ceiling is below `fmin` are excluded — for *every*
-    /// metric, hop count included, because a link whose FEU cannot
-    /// reach `fmin` would reject the CREATE as UNSUPP and the request
-    /// would hang on a dead route. Planning always sees the *live*
-    /// per-edge reservation counts ([`Network::edge_load`]) through
-    /// [`RouteMetric::load_cost`]; the static metrics ignore them by
-    /// default, [`crate::route::LoadScaledLatency`] prices them in.
-    /// Planning is pure — nothing is reserved. (The planner's edge
-    /// profiles are built lazily on the first call and reused for the
-    /// life of the network.)
-    ///
-    /// # Panics
-    /// Panics on out-of-range nodes, `src == dst`, or `k == 0`.
-    pub fn plan_routes(&mut self, src: usize, dst: usize, fmin: f64, k: usize) -> Vec<Route> {
-        self.plan_routes_avoiding(src, dst, fmin, k, &[])
-    }
-
-    /// [`Network::plan_routes`] with an additional set of barred
-    /// edges — what a re-route uses to steer around the path that
-    /// just failed.
-    ///
-    /// # Panics
-    /// Panics on out-of-range nodes, `src == dst`, or `k == 0`.
-    pub fn plan_routes_avoiding(
-        &mut self,
-        src: usize,
-        dst: usize,
-        fmin: f64,
-        k: usize,
-        exclude: &[usize],
-    ) -> Vec<Route> {
-        let route = PlanAsk::route(src, dst, fmin, self.planner.policy);
-        let ask = PlanAsk {
-            k,
-            exclude,
-            ..route
-        };
-        self.planner
-            .plan(&self.topo, &self.ledger, self.engine.now(), ask)
-    }
-
-    /// The single best route under the current metric, or `None` if no
-    /// path can serve `fmin`.
+    /// The single best route `src → dst` under the current metric and
+    /// policy, or `None` if no path can serve `fmin`. Edges whose
+    /// achievable K-type fidelity ceiling is below `fmin` are excluded
+    /// — for *every* metric, hop count included, because a link whose
+    /// FEU cannot reach `fmin` would reject the CREATE as UNSUPP. The
+    /// plan sees the *live* per-edge reservation counts
+    /// ([`Network::edge_load`]) and the penalty box. Planning is pure —
+    /// nothing is reserved. (The planner's edge profiles are built
+    /// lazily on the first call and reused for the life of the
+    /// network.)
     ///
     /// # Panics
     /// Panics on out-of-range nodes or `src == dst`.
     pub fn plan_route(&mut self, src: usize, dst: usize, fmin: f64) -> Option<Route> {
-        self.plan_routes(src, dst, fmin, 1).into_iter().next()
+        let ask = PlanContext {
+            fmin,
+            policy: self.planner.policy,
+            ..PlanContext::new(src, dst)
+        };
+        let now = self.engine.now();
+        let routes = self.planner.plan(&self.topo, &self.ledger, now, ask);
+        routes.into_iter().next()
     }
 
     /// The best route to issue (or re-issue) a request under `seed` on,
     /// [`Planner::plan_for_issue`]'s fallback ladder included.
     fn route_for_issue(&mut self, seed: &AttemptSeed) -> Option<Route> {
-        let exclude = &seed.excluded;
-        let route = PlanAsk::route(seed.src, seed.dst, seed.fmin, seed.policy);
-        let ask = PlanAsk { exclude, ..route };
+        let ask = PlanContext {
+            fmin: seed.fmin,
+            policy: seed.policy,
+            exclude: &seed.excluded,
+            ..PlanContext::new(seed.src, seed.dst)
+        };
         let routes = self
             .planner
             .plan_for_issue(&self.topo, &self.ledger, self.engine.now(), ask);
@@ -529,7 +501,7 @@ impl Network {
     /// Requests end-to-end entanglement between `src` and `dst` at
     /// minimum link fidelity `fmin`; returns the request id. The path
     /// is chosen by the current [`RouteMetric`] (default:
-    /// [`HopCount`](crate::route::HopCount)) and reserved immediately;
+    /// [`RouteMetric::Hops`]) and reserved immediately;
     /// NL CREATEs are issued hop-by-hop as the reservation message
     /// propagates over the classical control channels.
     ///
@@ -541,10 +513,12 @@ impl Network {
     /// request is abandoned and counted in [`Network::timeouts`]. No
     /// outcome is ever produced, which is what
     /// [`Network::run_until_outcome`]'s `None` and the sweep driver's
-    /// zero-success records rely on.
+    /// zero-success records rely on. If faults have cut every path,
+    /// the request waits one control delay for a re-plan, and is
+    /// abandoned if none is left then.
     ///
     /// # Panics
-    /// Panics if no path connects the nodes.
+    /// Panics if no path connects the nodes even with every edge up.
     ///
     /// # Examples
     ///
@@ -571,10 +545,8 @@ impl Network {
             return self.request_entanglement_distilled(src, dst, fmin);
         }
         let seed = self.planner.seed(src, dst, fmin, self.engine.now());
-        let route = self
-            .route_for_issue(&seed)
-            .unwrap_or_else(|| panic!("no path from {src} to {dst}"));
-        self.issue_fresh(&route.nodes, seed)
+        let route = self.route_for_issue(&seed);
+        self.issue_fresh(route.as_ref().map(|r| &r.nodes[..]), seed)
     }
 
     /// Requests one end-to-end pair produced by 2→1 distillation of
@@ -588,7 +560,7 @@ impl Network {
     /// [`EndToEndOutcome::distilled`] set.
     ///
     /// # Panics
-    /// Panics if no path connects the nodes.
+    /// Panics if no path connects the nodes even with every edge up.
     pub fn request_entanglement_distilled(&mut self, src: usize, dst: usize, fmin: f64) -> u64 {
         let group = self.ledger.new_id();
         let now = self.engine.now();
@@ -608,8 +580,7 @@ impl Network {
 
     /// Requests entanglement between the ends of an explicit node
     /// path, bypassing route selection. Useful for experiments that
-    /// pin paths, and the primitive
-    /// [`Network::request_entanglement_multipath`] builds on.
+    /// pin paths.
     ///
     /// # Panics
     /// Panics if the path has fewer than two nodes or consecutive
@@ -618,12 +589,30 @@ impl Network {
         assert!(path.len() >= 2, "a path needs two ends");
         let (src, dst) = (path[0], path[path.len() - 1]);
         let seed = self.planner.seed(src, dst, fmin, self.engine.now());
-        self.issue_fresh(path, seed)
+        self.issue_fresh(Some(path), seed)
     }
 
-    /// Allocates a new request id and issues its first attempt.
-    fn issue_fresh(&mut self, path: &[usize], seed: AttemptSeed) -> u64 {
+    /// Allocates a new request id, opens its span, and issues its first
+    /// attempt on `path`. With no path (faults have cut every route)
+    /// the request is parked instead: its re-issue one control delay
+    /// later re-plans or abandons it ([`Network::on_reissue`]). It is
+    /// never abandoned here, before the caller has its id.
+    ///
+    /// # Panics
+    /// Panics if no path connects the pair even with every edge up.
+    fn issue_fresh(&mut self, path: Option<&[usize]>, seed: AttemptSeed) -> u64 {
         let id = self.ledger.new_id();
+        let (now, src, dst, fmin) = (self.engine.now(), seed.src, seed.dst, seed.fmin);
+        self.emit(now, id, 0, SpanStage::Issue { src, dst, fmin });
+        let Some(path) = path else {
+            let connected = self.topo.shortest_path(src, dst).is_some();
+            assert!(connected, "no path from {src} to {dst}");
+            self.ledger.park_fresh(id, seed);
+            let delay = self.engine.min_control_delay;
+            self.engine
+                .schedule_in(delay, NetEvent::Reissue { request: id });
+            return id;
+        };
         self.issue_attempt(id, path, seed);
         id
     }
@@ -636,13 +625,8 @@ impl Network {
         let edges = self.topo.path_edges(path);
         let attempt = seed.attempt;
         if let Some(tl) = self.telemetry.as_deref_mut() {
-            let now = self.engine.now();
-            if attempt == 0 {
-                let (src, dst, fmin) = (seed.src, seed.dst, seed.fmin);
-                tl.emit(now, id, 0, SpanStage::Issue { src, dst, fmin });
-            }
             let path = path.to_vec();
-            tl.emit(now, id, attempt, SpanStage::Plan { path });
+            tl.emit(self.engine.now(), id, attempt, SpanStage::Plan { path });
         }
         // Arm this attempt's failure detection (no event at all when
         // the request was issued without a timeout).
@@ -671,10 +655,12 @@ impl Network {
     /// CREATEs in queue order. Returns one request id per stream, in
     /// issue order. As with [`Network::request_entanglement`], an
     /// `fmin` no path can serve falls back to best-effort routes that
-    /// the links will UNSUPP (the streams are then abandoned).
+    /// the links will UNSUPP (the streams are then abandoned), and
+    /// streams faults have cut off wait for a re-plan.
     ///
     /// # Panics
-    /// Panics if `streams == 0` or no path connects the nodes.
+    /// Panics if `streams == 0` or no path connects the nodes even with
+    /// every edge up.
     pub fn request_entanglement_multipath(
         &mut self,
         src: usize,
@@ -683,18 +669,22 @@ impl Network {
         streams: usize,
     ) -> Vec<u64> {
         assert!(streams >= 1, "no streams requested");
-        let route = PlanAsk::route(src, dst, fmin, self.planner.policy);
-        let ask = PlanAsk {
+        let ask = PlanContext {
+            fmin,
             k: streams,
-            ..route
+            policy: self.planner.policy,
+            ..PlanContext::new(src, dst)
         };
         let now = self.engine.now();
         let selected = self
             .planner
             .disjoint_routes(&self.topo, &self.ledger, now, ask);
-        assert!(!selected.is_empty(), "no path from {src} to {dst}");
+        let mut paths = selected.iter().map(|r| &r.nodes[..]).cycle();
         (0..streams)
-            .map(|i| self.request_on_path(&selected[i % selected.len()].nodes, fmin))
+            .map(|_| {
+                let seed = self.planner.seed(src, dst, fmin, now);
+                self.issue_fresh(paths.next(), seed)
+            })
             .collect()
     }
 
@@ -1271,7 +1261,7 @@ impl Network {
             None => {}
             Some(GroupVerdict::Deliver(outcome)) => self.deliver(outcome, 0),
             Some(GroupVerdict::Regenerate { routes, template }) => {
-                let members = routes.map(|route| self.issue_fresh(&route, template.clone()));
+                let members = routes.map(|route| self.issue_fresh(Some(&route), template.clone()));
                 self.ledger.set_group_members(group, members);
             }
         }

@@ -1,10 +1,10 @@
 //! Planning: which path to take, and on what terms to (re)try.
 //!
 //! Paths come from the route-metric engine (see [`crate::route`])
-//! under a pluggable [`RouteMetric`]. Planning closes the loop on live
+//! under the network's [`RouteMetric`]. Planning closes the loop on live
 //! congestion — every plan sees the per-edge reservation counts the
-//! request ledger holds *now* (metrics opt in via
-//! [`RouteMetric::load_cost`]) — and on adversity: downed edges are
+//! request ledger holds *now* ([`RouteMetric::LoadLatency`] prices
+//! them) — and on adversity: downed edges are
 //! absent and recently failed ones carry the penalty box's decaying
 //! surcharge ([`crate::fault`]). Planning is pure: nothing is reserved.
 //!
@@ -15,39 +15,13 @@
 
 use crate::fault::{PenaltyBox, PenaltyConfig};
 use crate::ledger::{AttemptSeed, Ledger};
-use crate::route::{HopCount, PlanContext, Route, RouteMetric, RoutePlanner};
+use crate::route::{PlanContext, Route, RouteMetric, RoutePlanner};
 use crate::ruleset::Policy;
 use crate::topology::Topology;
 use qlink_des::{DetRng, SimDuration, SimTime};
 use qlink_egp::feu::FidelityEstimator;
 use qlink_phys::attempt::ModelCache;
 use qlink_phys::params::ScenarioParams;
-
-/// One planning question: up to `k` loopless routes `src → dst` whose
-/// every edge can serve `fmin`, around `exclude`, priced for `policy`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PlanAsk<'a> {
-    pub(crate) src: usize,
-    pub(crate) dst: usize,
-    pub(crate) fmin: f64,
-    pub(crate) k: usize,
-    pub(crate) exclude: &'a [usize],
-    pub(crate) policy: Policy,
-}
-
-impl PlanAsk<'static> {
-    /// The single best route `src → dst`, nothing excluded.
-    pub(crate) fn route(src: usize, dst: usize, fmin: f64, policy: Policy) -> Self {
-        PlanAsk {
-            src,
-            dst,
-            fmin,
-            k: 1,
-            exclude: &[],
-            policy,
-        }
-    }
-}
 
 /// The route planner, what it derives from, and the issue terms.
 pub(crate) struct Planner {
@@ -60,7 +34,7 @@ pub(crate) struct Planner {
     /// built so far, all over `models`: every link on the same hardware
     /// holds a clone of the same one.
     estimators: Vec<FidelityEstimator>,
-    pub(crate) metric: Box<dyn RouteMetric + Send>,
+    pub(crate) metric: RouteMetric,
     /// The [`Policy`] new requests are issued under.
     pub(crate) policy: Policy,
     pub(crate) retry_budget: u32,
@@ -85,7 +59,7 @@ impl Planner {
             routes: None,
             models,
             estimators: Vec::new(),
-            metric: Box::new(HopCount),
+            metric: RouteMetric::Hops,
             policy: Policy::default(),
             retry_budget: 0,
             request_timeout: None,
@@ -171,16 +145,17 @@ impl Planner {
         routes.profile(edge).fidelity
     }
 
-    /// The planning primitive: current metric, the ledger's live loads,
-    /// the penalty box as of `now`, and the ask's explicit exclusions
-    /// and policy (re-routes price under the policy their request was
-    /// *issued* with, not the network's current one).
+    /// The planning primitive: `ask` under the current metric, the
+    /// ledger's live loads and the penalty box as of `now`. The ask
+    /// carries its own exclusions and policy (re-routes price under the
+    /// policy their request was *issued* with, not the network's
+    /// current one).
     pub(crate) fn plan(
         &mut self,
         topo: &Topology,
         ledger: &Ledger,
         now: SimTime,
-        ask: PlanAsk<'_>,
+        ask: PlanContext<'_>,
     ) -> Vec<Route> {
         ledger.edge_loads_into(topo.edge_count(), &mut self.loads);
         // Downed edges are infinitely penalized (treated as absent —
@@ -199,20 +174,13 @@ impl Planner {
         let routes = self
             .routes
             .get_or_insert_with(|| RoutePlanner::with_models(topo, &self.models));
-        routes.k_shortest_paths_in(
-            topo,
-            ask.src,
-            ask.dst,
-            ask.k,
-            self.metric.as_ref(),
-            ask.fmin,
-            &PlanContext {
-                policy: ask.policy,
-                loads: &self.loads,
-                exclude: ask.exclude,
-                penalties: &self.penalties,
-            },
-        )
+        let ctx = PlanContext {
+            metric: self.metric,
+            loads: &self.loads,
+            penalties: &self.penalties,
+            ..ask
+        };
+        routes.routes(topo, &ctx)
     }
 
     /// Plans the routes a request is *issued* on, down one fallback
@@ -226,18 +194,18 @@ impl Planner {
         topo: &Topology,
         ledger: &Ledger,
         now: SimTime,
-        ask: PlanAsk<'_>,
+        ask: PlanContext<'_>,
     ) -> Vec<Route> {
         let mut routes = self.plan(topo, ledger, now, ask);
         if routes.is_empty() && !ask.exclude.is_empty() {
-            let ask = PlanAsk {
+            let ask = PlanContext {
                 exclude: &[],
                 ..ask
             };
             routes = self.plan(topo, ledger, now, ask);
         }
         if routes.is_empty() {
-            let ask = PlanAsk {
+            let ask = PlanContext {
                 exclude: &[],
                 fmin: 0.0,
                 ..ask
@@ -256,7 +224,7 @@ impl Planner {
         topo: &Topology,
         ledger: &Ledger,
         now: SimTime,
-        ask: PlanAsk<'_>,
+        ask: PlanContext<'_>,
     ) -> Vec<Route> {
         // A disjoint route ranked below non-disjoint ones can sit
         // beyond the first `streams` candidates, so grow the pool
@@ -267,7 +235,7 @@ impl Planner {
         let mut k = streams;
         let mut selected: Vec<Route> = Vec::new();
         loop {
-            let routes = self.plan_for_issue(topo, ledger, now, PlanAsk { k, ..ask });
+            let routes = self.plan_for_issue(topo, ledger, now, PlanContext { k, ..ask });
             let exhausted = routes.len() < k;
             selected.clear();
             for r in routes {

@@ -1,57 +1,38 @@
-//! The route-metric engine: pluggable per-edge costs and
-//! (K-)shortest-path search over a [`Topology`].
+//! The route-metric engine: per-edge prices and K-shortest-path search
+//! over a [`Topology`].
 //!
-//! PR 1's network layer picked paths by hop count alone. That is the
-//! wrong objective for entanglement distribution: end-to-end fidelity
-//! is (to first order) a *product* of link fidelities, latency is
-//! dominated by the slowest link's expected generation time, and both
-//! vary per edge with the physical scenario behind it. This module
-//! derives a [`EdgeProfile`] for every edge from its
-//! [`LinkConfig`](qlink_sim::config::LinkConfig) — expected NL-pair
-//! latency, per-attempt success probability, and a memory-decay-
-//! adjusted fidelity estimate, all computed by the same
+//! End-to-end fidelity is (to first order) a *product* of link
+//! fidelities, latency is dominated by the slowest link's expected
+//! generation time, and both vary per edge with the physical scenario
+//! behind it. This module derives an [`EdgeProfile`] for every edge
+//! from its [`LinkConfig`](qlink_sim::config::LinkConfig) — expected
+//! NL-pair latency, per-attempt success probability, and a memory-
+//! decay-adjusted fidelity estimate, all computed by the same
 //! [`FidelityEstimator`] the link layer's FEU uses (§5.2.3 of the
-//! paper) — and searches paths under a pluggable [`RouteMetric`]:
+//! paper) — and prices an edge with one function of its fidelity, its
+//! latency and its live load, [`RouteMetric::cost`].
 //!
-//! * [`HopCount`] — PR 1's behaviour, kept as the default;
-//! * [`Latency`] — minimise the summed expected generation latency;
-//! * [`FidelityProduct`] — maximise the product of link fidelities
-//!   (additive as `-ln F`, the standard trick for multiplicative
-//!   route metrics);
-//! * [`LoadScaledLatency`] — congestion-aware latency: every
-//!   outstanding reservation already queued on an edge multiplies its
-//!   expected generation latency, so concurrent requests spread over
-//!   a mesh instead of piling onto the statically cheapest path.
-//!
-//! Load awareness enters through [`RouteMetric::load_cost`]: the
-//! planner hands every metric the edge's *live* reservation count
-//! ([`Network::edge_load`](crate::network::Network::edge_load)) at
-//! plan time via [`PlanContext::loads`], and the default
-//! implementation ignores it — so the static metrics price routes
-//! exactly as before, and only metrics that opt in (currently
-//! [`LoadScaledLatency`]) react to congestion.
-//!
-//! Purifying routes are priced through the same machinery: each
-//! profile also carries the **distilled** figures of its edge
-//! ([`EdgeProfile::purified_fidelity`], the DEJMPS output of two
-//! profile pairs, and [`EdgeProfile::purified_latency`], the
-//! double-pair-plus-retries generation cost), and
-//! [`RouteMetric::purified_cost`] switches a metric onto them when
-//! planning under a purifying [`Policy`] ([`Policy::price`]) — so
+//! A [`Policy`] prices an edge through its own rule table:
+//! [`RuleSet::edge_program`](crate::ruleset::RuleSet::edge_program) on
+//! the edge's profile fidelity — the call the ledger makes when it
+//! installs the request — says how many distillation rounds the edge
+//! runs, and [`EdgeProfile::purified_after`] gives the fidelity and
+//! latency after them. So
 //! [`Network::plan_route`](crate::network::Network::plan_route) faces
 //! the real fidelity-vs-throughput tradeoff purification creates.
 //!
 //! Search is deterministic Dijkstra (equal-cost ties break by
 //! structural settle order, so routing is a pure function of the
 //! topology — never of hash or scheduling order) plus Yen's algorithm
-//! for K shortest loopless paths —
-//! the candidate set [`Network`](crate::network::Network) splits
-//! concurrent same-pair requests across.
+//! for K shortest loopless paths — the candidate set
+//! [`Network`](crate::network::Network) splits concurrent same-pair
+//! requests across. [`RoutePlanner::routes`] answers one
+//! [`PlanContext`].
 //!
 //! # Examples
 //!
 //! ```
-//! use qlink_net::route::{FidelityProduct, HopCount, RouteMetric, RoutePlanner};
+//! use qlink_net::route::{PlanContext, RouteMetric, RoutePlanner};
 //! use qlink_net::topology::Topology;
 //! use qlink_sim::config::LinkConfig;
 //! use qlink_sim::workload::WorkloadSpec;
@@ -66,14 +47,13 @@
 //! topo.connect(0, 2, LinkConfig::lab(WorkloadSpec::none(), 3));
 //!
 //! let planner = RoutePlanner::new(&topo);
-//! let direct = planner
-//!     .shortest_path(&topo, 0, 2, &HopCount, 0.0)
-//!     .expect("connected");
+//! let direct = &planner.routes(&topo, &PlanContext::new(0, 2))[0];
 //! assert_eq!(direct.nodes, vec![0, 2]);
 //! // With identical Lab links the fidelity product also prefers fewer
 //! // hops; the profiles expose the numbers the decision used.
-//! assert_eq!(HopCount.edge_cost(planner.profile(2)), 1.0);
-//! assert!(FidelityProduct.edge_cost(planner.profile(2)) > 0.0);
+//! let p = planner.profile(2);
+//! assert_eq!(RouteMetric::Hops.cost(p.fidelity, p.expected_latency, 0), 1.0);
+//! assert!(RouteMetric::Fidelity.cost(p.fidelity, p.expected_latency, 0) > 0.0);
 //! ```
 
 use crate::ruleset::Policy;
@@ -121,30 +101,19 @@ pub struct EdgeProfile {
     pub fidelity_ceiling: f64,
     /// One-way classical control delay of the edge.
     pub control_delay: SimDuration,
-    /// Fidelity of the edge's pair after a link-level 2→1
-    /// distillation of two profile-fidelity pairs (the DEJMPS closed
-    /// form on [`EdgeProfile::fidelity`] twice). What a purifying
-    /// route's fidelity product is built from.
-    pub purified_fidelity: f64,
-    /// Expected time to one *accepted* distilled pair: two pair
-    /// generations plus the parity-bit exchange per attempt, divided
-    /// by the distillation's success probability — the double-pair
-    /// (and retry) price a purifying route pays per edge.
-    pub purified_latency: SimDuration,
 }
 
 impl EdgeProfile {
     /// Fidelity and expected latency after `rounds` accepted nested
     /// 2→1 distillations, each pumping the previous survivor with one
     /// fresh profile-fidelity pair (entanglement pumping toward the
-    /// DEJMPS fixed point — see
-    /// [`Policy::PumpRounds`]).
+    /// DEJMPS fixed point — see [`Policy::PumpRounds`]).
     ///
-    /// Round 1 reproduces the stored [`EdgeProfile::purified_fidelity`]
-    /// / [`EdgeProfile::purified_latency`] exactly; each further round
-    /// r pays the previous rounds' expected time plus one fresh pair
-    /// and the parity bit, divided by round r's acceptance
-    /// probability. `rounds == 0` returns the raw figures.
+    /// The first round distills two fresh pairs, paying two pair
+    /// generations plus the parity bit's one-way per attempt; each
+    /// further round r pays the previous rounds' expected time plus one
+    /// fresh pair and the parity bit. Each divides by its round's
+    /// acceptance probability. `rounds == 0` returns the raw figures.
     pub fn purified_after(&self, rounds: u8) -> (f64, SimDuration) {
         let raw = self.fidelity.clamp(0.25, 1.0);
         let pair_s = self.expected_latency.as_secs_f64();
@@ -171,169 +140,70 @@ impl EdgeProfile {
     }
 }
 
-/// A per-edge cost function for path search.
+/// What an edge costs a route: one function of the edge's fidelity,
+/// its expected pair latency, and the path reservations already
+/// queued on it ([`RouteMetric::cost`]).
 ///
-/// Costs must be non-negative and additive along a path; edges whose
-/// cost is not finite are treated as absent. Implementations decide
-/// which [`EdgeProfile`] figures matter.
-pub trait RouteMetric {
-    /// Display name (reports, benches).
-    fn name(&self) -> &'static str;
-
-    /// The cost of traversing an edge with this profile.
-    fn edge_cost(&self, profile: &EdgeProfile) -> f64;
-
-    /// The cost of traversing the edge when the route purifies it
-    /// (link-level 2→1 distillation: double pair cost, boosted
-    /// fidelity). Defaults to [`RouteMetric::edge_cost`] for metrics
-    /// the trade does not move (hop count).
-    fn purified_cost(&self, profile: &EdgeProfile) -> f64 {
-        self.edge_cost(profile)
-    }
-
-    /// The cost of traversing the edge while `load` other path
-    /// reservations are already queued on it (the EGP's distributed
-    /// queue serves their CREATEs in order, ahead of a new one).
-    ///
-    /// Defaults to a pure passthrough to [`RouteMetric::edge_cost`] —
-    /// static metrics are unaffected by congestion, which keeps their
-    /// route choices (and therefore regression runs) bit-identical
-    /// whether or not the planner supplies live loads.
-    fn load_cost(&self, profile: &EdgeProfile, load: u32) -> f64 {
-        let _ = load;
-        self.edge_cost(profile)
-    }
-
-    /// [`RouteMetric::load_cost`] for a purifying route (see
-    /// [`RouteMetric::purified_cost`]). Defaults to ignoring the load.
-    fn purified_load_cost(&self, profile: &EdgeProfile, load: u32) -> f64 {
-        let _ = load;
-        self.purified_cost(profile)
-    }
-}
-
-/// PR 1's metric: every edge costs 1; shortest path = fewest hops.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HopCount;
-
-impl RouteMetric for HopCount {
-    fn name(&self) -> &'static str {
-        "hops"
-    }
-
-    fn edge_cost(&self, _profile: &EdgeProfile) -> f64 {
-        1.0
-    }
-}
-
-/// Minimise summed expected NL-pair generation latency (seconds).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Latency;
-
-impl RouteMetric for Latency {
-    fn name(&self) -> &'static str {
-        "latency"
-    }
-
-    fn edge_cost(&self, profile: &EdgeProfile) -> f64 {
-        profile.expected_latency.as_secs_f64()
-    }
-
-    fn purified_cost(&self, profile: &EdgeProfile) -> f64 {
-        profile.purified_latency.as_secs_f64()
-    }
-}
-
-/// Maximise the product of (decay-adjusted) link fidelities: the cost
-/// of an edge is `−ln F`, so minimising the sum maximises `∏ F`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FidelityProduct;
-
-impl RouteMetric for FidelityProduct {
-    fn name(&self) -> &'static str {
-        "fidelity"
-    }
-
-    fn edge_cost(&self, profile: &EdgeProfile) -> f64 {
-        if profile.fidelity <= 0.0 {
-            f64::INFINITY
-        } else {
-            -profile.fidelity.ln()
-        }
-    }
-
-    fn purified_cost(&self, profile: &EdgeProfile) -> f64 {
-        if profile.purified_fidelity <= 0.0 {
-            f64::INFINITY
-        } else {
-            -profile.purified_fidelity.ln()
-        }
-    }
-}
-
-/// Congestion-aware latency: an edge's expected generation latency,
-/// multiplied by one plus the number of path reservations already
-/// queued on it.
-///
-/// The EGP's distributed queue serves multiple outstanding CREATEs in
-/// queue order, so a new reservation on an edge carrying `load`
-/// others waits (to first order) `load` full pair generations before
-/// its own begins — the edge's *effective* latency is
-/// `(1 + load) × expected_latency`. Pricing that at plan time makes
-/// concurrent requests spread across a mesh: each issued reservation
-/// raises the cost its successors see, steering them onto idle edges
-/// without any explicit disjointness constraint.
-///
-/// With no load information (or an idle network) this metric is
-/// identical to [`Latency`].
+/// Costs are non-negative and additive along a path; an edge whose
+/// cost is not finite is treated as absent.
 ///
 /// # Examples
 ///
 /// ```
-/// use qlink_net::route::{EdgeProfile, Latency, LoadScaledLatency, RouteMetric, RoutePlanner};
-/// use qlink_net::topology::Topology;
-/// use qlink_sim::config::LinkConfig;
-/// use qlink_sim::workload::WorkloadSpec;
+/// use qlink_des::SimDuration;
+/// use qlink_net::route::RouteMetric;
 ///
-/// let topo = Topology::chain(2, |_| LinkConfig::lab(WorkloadSpec::none(), 7));
-/// let planner = RoutePlanner::new(&topo);
-/// let profile = planner.profile(0);
-///
-/// // Unloaded, the metric agrees with plain latency…
-/// assert_eq!(
-///     LoadScaledLatency.load_cost(profile, 0),
-///     Latency.edge_cost(profile),
-/// );
+/// let (f, t) = (0.8, SimDuration::from_millis(2));
+/// let latency = RouteMetric::Latency.cost(f, t, 0);
+/// // Unloaded, load-scaled latency agrees with plain latency…
+/// assert_eq!(RouteMetric::LoadLatency.cost(f, t, 0), latency);
 /// // …and every queued reservation adds one expected generation.
-/// assert_eq!(
-///     LoadScaledLatency.load_cost(profile, 3),
-///     4.0 * Latency.edge_cost(profile),
-/// );
-/// // Static metrics ignore the load entirely (default passthrough).
-/// assert_eq!(Latency.load_cost(profile, 3), Latency.edge_cost(profile));
+/// assert_eq!(RouteMetric::LoadLatency.cost(f, t, 3), 4.0 * latency);
+/// // The other metrics ignore the load.
+/// assert_eq!(RouteMetric::Latency.cost(f, t, 3), latency);
+/// assert_eq!(RouteMetric::Hops.name(), "hops");
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LoadScaledLatency;
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RouteMetric {
+    /// Every edge costs 1: fewest hops (the default).
+    #[default]
+    Hops,
+    /// Minimise summed expected NL-pair generation latency (seconds).
+    Latency,
+    /// Maximise the product of (decay-adjusted) link fidelities: an
+    /// edge costs `−ln F`, so minimising the sum maximises `∏ F`.
+    Fidelity,
+    /// Congestion-aware latency: the expected generation latency times
+    /// one plus the path reservations already queued on the edge. The
+    /// EGP's distributed queue serves outstanding CREATEs in queue
+    /// order, so a new reservation waits (to first order) `load` full
+    /// generations before its own begins. Each issued reservation
+    /// raises the price its successors see, which spreads concurrent
+    /// requests over a mesh without any explicit disjointness rule.
+    LoadLatency,
+}
 
-impl RouteMetric for LoadScaledLatency {
-    fn name(&self) -> &'static str {
-        "load-latency"
+impl RouteMetric {
+    /// Display name (reports, benches).
+    pub fn name(self) -> &'static str {
+        match self {
+            RouteMetric::Hops => "hops",
+            RouteMetric::Latency => "latency",
+            RouteMetric::Fidelity => "fidelity",
+            RouteMetric::LoadLatency => "load-latency",
+        }
     }
 
-    fn edge_cost(&self, profile: &EdgeProfile) -> f64 {
-        profile.expected_latency.as_secs_f64()
-    }
-
-    fn purified_cost(&self, profile: &EdgeProfile) -> f64 {
-        profile.purified_latency.as_secs_f64()
-    }
-
-    fn load_cost(&self, profile: &EdgeProfile, load: u32) -> f64 {
-        (1.0 + f64::from(load)) * profile.expected_latency.as_secs_f64()
-    }
-
-    fn purified_load_cost(&self, profile: &EdgeProfile, load: u32) -> f64 {
-        (1.0 + f64::from(load)) * profile.purified_latency.as_secs_f64()
+    /// The cost of an edge whose pair has `fidelity` and takes
+    /// `latency` to make, with `load` reservations queued ahead.
+    pub fn cost(self, fidelity: f64, latency: SimDuration, load: u32) -> f64 {
+        match self {
+            RouteMetric::Hops => 1.0,
+            RouteMetric::Latency => latency.as_secs_f64(),
+            RouteMetric::Fidelity if fidelity <= 0.0 => f64::INFINITY,
+            RouteMetric::Fidelity => -fidelity.ln(),
+            RouteMetric::LoadLatency => (1.0 + f64::from(load)) * latency.as_secs_f64(),
+        }
     }
 }
 
@@ -424,27 +294,13 @@ impl RoutePlanner {
                 let hold = 2.0 * e.control_delay.as_secs_f64();
                 let rate = 2.0 * (1.0 / nv.carbon_t1 + 1.0 / nv.carbon_t2);
                 let w = (4.0 * raw_fidelity - 1.0) / 3.0;
-                let fidelity = (1.0 + 3.0 * w * (-hold * rate).exp()) / 4.0;
-                // Price the link-level purification of this edge: two
-                // profile pairs distilled into one, retried until the
-                // parity check agrees, each attempt paying two pair
-                // generations plus one control one-way for the bit.
-                let distilled =
-                    distill_werner(fidelity.clamp(0.25, 1.0), fidelity.clamp(0.25, 1.0));
-                let attempt_s =
-                    2.0 * expected_latency.as_secs_f64() + e.control_delay.as_secs_f64();
-                let purified_latency = SimDuration::from_secs_f64(
-                    attempt_s / distilled.success_probability.max(f64::MIN_POSITIVE),
-                );
                 EdgeProfile {
                     edge: i,
                     success_probability: psucc,
                     expected_latency,
-                    fidelity,
+                    fidelity: (1.0 + 3.0 * w * (-hold * rate).exp()) / 4.0,
                     fidelity_ceiling: ceiling,
                     control_delay: e.control_delay,
-                    purified_fidelity: distilled.output_fidelity,
-                    purified_latency,
                 }
             })
             .collect();
@@ -464,132 +320,66 @@ impl RoutePlanner {
         &self.profiles
     }
 
-    fn cost_fn<'a>(
-        &'a self,
-        metric: &'a dyn RouteMetric,
-        fmin: f64,
-        ctx: &'a PlanContext<'a>,
-    ) -> impl Fn(usize) -> f64 + 'a {
-        move |edge| {
+    /// Up to `ctx.k` loopless routes `ctx.src → ctx.dst` in
+    /// non-decreasing cost (Yen's algorithm; `k == 1` is the best
+    /// route), empty when none serves. An edge is absent when its
+    /// K-type ceiling is below `ctx.fmin` (its link would UNSUPP the
+    /// CREATE), when `ctx` excludes it, or when its penalty is
+    /// infinite (down). Otherwise it costs
+    /// [`RouteMetric::cost`] of its profile after the distillation
+    /// rounds `ctx.policy`'s rule table installs on it, at its load,
+    /// times `1 + penalty`.
+    ///
+    /// # Panics
+    /// Panics on out-of-range nodes, `src == dst`, or `k == 0`.
+    pub fn routes(&self, topo: &Topology, ctx: &PlanContext<'_>) -> Vec<Route> {
+        let rules = ctx.policy.ruleset();
+        let cost = |edge: usize| {
             let p = &self.profiles[edge];
             let penalty = ctx.penalties.get(edge).copied().unwrap_or(0.0);
-            if p.fidelity_ceiling < fmin || ctx.exclude.contains(&edge) || penalty.is_infinite() {
-                // UNSUPP-infeasible, explicitly barred (re-route away
-                // from a failed edge), or currently down (the fault
-                // layer reports downed edges as infinitely
-                // penalized): treat as absent.
-                f64::INFINITY
-            } else {
-                let load = ctx.loads.get(edge).copied().unwrap_or(0);
-                let base = ctx.policy.price(metric, p, load);
-                if penalty > 0.0 {
-                    // Penalty-box surcharge: multiplicative so it
-                    // bites under every metric, including unit-cost
-                    // HopCount. Only applied when positive, so
-                    // unpenalized costs are untouched bit for bit.
-                    base * (1.0 + penalty)
-                } else {
-                    base
-                }
+            if p.fidelity_ceiling < ctx.fmin || ctx.exclude.contains(&edge) || penalty.is_infinite()
+            {
+                return f64::INFINITY;
             }
-        }
-    }
-
-    /// Minimum-cost path under `metric`, excluding edges that cannot
-    /// serve `fmin` (their K-type ceiling is below it). `None` if no
-    /// serving path exists.
-    ///
-    /// # Panics
-    /// Panics on out-of-range nodes or `src == dst`.
-    pub fn shortest_path(
-        &self,
-        topo: &Topology,
-        src: usize,
-        dst: usize,
-        metric: &dyn RouteMetric,
-        fmin: f64,
-    ) -> Option<Route> {
-        self.shortest_path_in(topo, src, dst, metric, fmin, &PlanContext::default())
-    }
-
-    /// [`RoutePlanner::shortest_path`] under a full [`PlanContext`]:
-    /// policy pricing (under [`Policy::LinkPurify`] every edge is
-    /// charged its [`RouteMetric::purified_cost`] — the double-pair,
-    /// boosted-fidelity trade — so latency-style metrics see the real
-    /// pair cost and fidelity-style metrics see the real gain), live
-    /// per-edge loads (each priced through
-    /// [`RouteMetric::load_cost`]), and an excluded-edge set
-    /// (re-routing bars the edges of a failed attempt).
-    ///
-    /// # Panics
-    /// Panics on out-of-range nodes or `src == dst`.
-    pub fn shortest_path_in(
-        &self,
-        topo: &Topology,
-        src: usize,
-        dst: usize,
-        metric: &dyn RouteMetric,
-        fmin: f64,
-        ctx: &PlanContext<'_>,
-    ) -> Option<Route> {
-        dijkstra(topo, src, dst, &self.cost_fn(metric, fmin, ctx), None)
-    }
-
-    /// Up to `k` loopless paths in non-decreasing `metric` cost
-    /// (Yen's algorithm), under the same `fmin` feasibility filter.
-    ///
-    /// # Panics
-    /// Panics on out-of-range nodes, `src == dst`, or `k == 0`.
-    pub fn k_shortest_paths(
-        &self,
-        topo: &Topology,
-        src: usize,
-        dst: usize,
-        k: usize,
-        metric: &dyn RouteMetric,
-        fmin: f64,
-    ) -> Vec<Route> {
-        self.k_shortest_paths_in(topo, src, dst, k, metric, fmin, &PlanContext::default())
-    }
-
-    /// [`RoutePlanner::k_shortest_paths`] under a full
-    /// [`PlanContext`] (see [`RoutePlanner::shortest_path_in`]).
-    ///
-    /// # Panics
-    /// Panics on out-of-range nodes, `src == dst`, or `k == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn k_shortest_paths_in(
-        &self,
-        topo: &Topology,
-        src: usize,
-        dst: usize,
-        k: usize,
-        metric: &dyn RouteMetric,
-        fmin: f64,
-        ctx: &PlanContext<'_>,
-    ) -> Vec<Route> {
-        yen(topo, src, dst, k, &self.cost_fn(metric, fmin, ctx))
+            let (fidelity, latency) = p.purified_after(rules.edge_program(p.fidelity).rounds);
+            let load = ctx.loads.get(edge).copied().unwrap_or(0);
+            let base = ctx.metric.cost(fidelity, latency, load);
+            // Multiplicative so it bites under every metric, hop count
+            // included; unpenalized costs are untouched bit for bit.
+            if penalty > 0.0 {
+                base * (1.0 + penalty)
+            } else {
+                base
+            }
+        };
+        yen(topo, ctx.src, ctx.dst, ctx.k, &cost)
     }
 }
 
-/// The situational half of a planning query: everything beyond the
-/// metric and the fidelity floor that shapes an edge's price.
+/// One planning question: up to `k` routes `src → dst` whose every edge
+/// can serve `fmin`, priced by `metric` under `policy` at `loads`, with
+/// `exclude` barred and `penalties` applied.
 ///
-/// The default context — plain SWAP-ASAP, no loads, nothing excluded
-/// — reproduces the static planning of
-/// [`RoutePlanner::shortest_path`] exactly.
-#[derive(Debug, Clone, Copy, Default)]
+/// [`PlanContext::new`] asks for the single best fewest-hop route under
+/// plain SWAP-ASAP, nothing loaded, excluded or penalized.
+#[derive(Debug, Clone, Copy)]
 pub struct PlanContext<'a> {
-    /// The policy the route will run under, which prices every edge
-    /// via [`Policy::price`]: always-purifying policies pay
-    /// [`RouteMetric::purified_load_cost`], a threshold policy pays
-    /// the distilled price only on edges its install rule actually
-    /// gates in, and a pumping policy reprices per round.
+    /// Source node.
+    pub src: usize,
+    /// Destination node.
+    pub dst: usize,
+    /// The fidelity every edge must be able to serve.
+    pub fmin: f64,
+    /// How many routes, at most.
+    pub k: usize,
+    /// What an edge costs.
+    pub metric: RouteMetric,
+    /// The policy the route will run under: its install rules say how
+    /// many distillation rounds each edge is priced after.
     pub policy: Policy,
     /// Live reservation count per edge index
-    /// ([`Network::edge_load`](crate::network::Network::edge_load)),
-    /// fed to [`RouteMetric::load_cost`]. Edges beyond the slice (or
-    /// an empty slice) count as unloaded.
+    /// ([`Network::edge_load`](crate::network::Network::edge_load)).
+    /// Edges beyond the slice (or an empty slice) count as unloaded.
     pub loads: &'a [u32],
     /// Edges treated as absent regardless of cost — the re-route
     /// machinery bars the edges of a failed attempt here.
@@ -600,6 +390,23 @@ pub struct PlanContext<'a> {
     /// currently-down edges), and edges beyond the slice (or an
     /// empty slice) are unpenalized.
     pub penalties: &'a [f64],
+}
+
+impl PlanContext<'static> {
+    /// The single best fewest-hop route `src → dst`, any fidelity.
+    pub fn new(src: usize, dst: usize) -> Self {
+        PlanContext {
+            src,
+            dst,
+            fmin: 0.0,
+            k: 1,
+            metric: RouteMetric::Hops,
+            policy: Policy::SwapAsap,
+            loads: &[],
+            exclude: &[],
+            penalties: &[],
+        }
+    }
 }
 
 /// Edges (and via them, nodes) temporarily removed from the graph
@@ -870,25 +677,36 @@ mod tests {
         }
     }
 
+    /// The best-route question 0 → 3 under `metric` at `fmin`.
+    fn ask(metric: RouteMetric, fmin: f64) -> PlanContext<'static> {
+        PlanContext {
+            metric,
+            fmin,
+            ..PlanContext::new(0, 3)
+        }
+    }
+
+    /// The best route `ctx` asks for, if any serves.
+    fn best(planner: &RoutePlanner, t: &Topology, ctx: PlanContext<'_>) -> Option<Route> {
+        planner.routes(t, &ctx).into_iter().next()
+    }
+
     #[test]
     fn fmin_above_ceiling_excludes_edges() {
         let t = ring();
         let planner = RoutePlanner::new(&t);
         let ceiling = planner.profile(0).fidelity_ceiling;
-        assert!(planner
-            .shortest_path(&t, 0, 3, &FidelityProduct, ceiling + 0.01)
-            .is_none());
-        assert!(planner
-            .shortest_path(&t, 0, 3, &FidelityProduct, 0.5)
-            .is_some());
+        let fidelity = RouteMetric::Fidelity;
+        assert!(best(&planner, &t, ask(fidelity, ceiling + 0.01)).is_none());
+        assert!(best(&planner, &t, ask(fidelity, 0.5)).is_some());
     }
 
     #[test]
     fn metric_names() {
-        assert_eq!(HopCount.name(), "hops");
-        assert_eq!(Latency.name(), "latency");
-        assert_eq!(FidelityProduct.name(), "fidelity");
-        assert_eq!(LoadScaledLatency.name(), "load-latency");
+        assert_eq!(RouteMetric::Hops.name(), "hops");
+        assert_eq!(RouteMetric::Latency.name(), "latency");
+        assert_eq!(RouteMetric::Fidelity.name(), "fidelity");
+        assert_eq!(RouteMetric::LoadLatency.name(), "load-latency");
     }
 
     #[test]
@@ -897,89 +715,49 @@ mod tests {
         // enough reservations queued on it, the 3-hop arm gets cheaper.
         let t = ring();
         let planner = RoutePlanner::new(&t);
-        let unloaded = planner
-            .shortest_path_in(&t, 0, 3, &LoadScaledLatency, 0.0, &PlanContext::default())
-            .expect("connected");
-        assert_eq!(unloaded.nodes, vec![0, 3]);
+        let unloaded = best(&planner, &t, ask(RouteMetric::LoadLatency, 0.0));
+        assert_eq!(unloaded.expect("connected").nodes, vec![0, 3]);
 
         let loads = [0, 0, 0, 4]; // four reservations on the direct edge
-        let loaded = planner
-            .shortest_path_in(
-                &t,
-                0,
-                3,
-                &LoadScaledLatency,
-                0.0,
-                &PlanContext {
-                    loads: &loads,
-                    ..PlanContext::default()
-                },
-            )
-            .expect("connected");
-        assert_eq!(loaded.nodes, vec![0, 1, 2, 3], "load pushes traffic off");
+        let loaded = |metric| PlanContext {
+            loads: &loads,
+            ..ask(metric, 0.0)
+        };
+        let spread = best(&planner, &t, loaded(RouteMetric::LoadLatency));
+        let spread = spread.expect("connected");
+        assert_eq!(spread.nodes, vec![0, 1, 2, 3], "load pushes traffic off");
 
         // A static metric sees the same loads and ignores them.
-        let static_pick = planner
-            .shortest_path_in(
-                &t,
-                0,
-                3,
-                &Latency,
-                0.0,
-                &PlanContext {
-                    loads: &loads,
-                    ..PlanContext::default()
-                },
-            )
-            .expect("connected");
-        assert_eq!(static_pick.nodes, vec![0, 3]);
+        let static_pick = best(&planner, &t, loaded(RouteMetric::Latency));
+        assert_eq!(static_pick.expect("connected").nodes, vec![0, 3]);
     }
 
     #[test]
     fn excluded_edges_are_treated_as_absent() {
         let t = ring();
         let planner = RoutePlanner::new(&t);
-        let detour = planner
-            .shortest_path_in(
-                &t,
-                0,
-                3,
-                &HopCount,
-                0.0,
-                &PlanContext {
-                    exclude: &[3],
-                    ..PlanContext::default()
-                },
-            )
-            .expect("the long arm remains");
+        let barring = |exclude| PlanContext {
+            exclude,
+            ..ask(RouteMetric::Hops, 0.0)
+        };
+        let detour = best(&planner, &t, barring(&[3])).expect("the long arm remains");
         assert_eq!(detour.nodes, vec![0, 1, 2, 3]);
         // Excluding every incident edge disconnects the pair.
-        assert!(planner
-            .shortest_path_in(
-                &t,
-                0,
-                3,
-                &HopCount,
-                0.0,
-                &PlanContext {
-                    exclude: &[0, 3],
-                    ..PlanContext::default()
-                },
-            )
-            .is_none());
+        assert!(best(&planner, &t, barring(&[0, 3])).is_none());
     }
 
     #[test]
-    fn purified_load_cost_scales_the_purified_figure() {
+    fn load_latency_scales_the_purified_figure() {
         let t = ring();
         let planner = RoutePlanner::new(&t);
-        let p = planner.profile(0);
+        let (f, latency) = planner.profile(0).purified_after(1);
+        let cost = |metric: RouteMetric, load| metric.cost(f, latency, load);
         assert_eq!(
-            LoadScaledLatency.purified_load_cost(p, 2),
-            3.0 * LoadScaledLatency.purified_cost(p)
+            cost(RouteMetric::LoadLatency, 2),
+            3.0 * cost(RouteMetric::LoadLatency, 0)
         );
-        // Default passthrough for static metrics.
-        assert_eq!(Latency.purified_load_cost(p, 2), Latency.purified_cost(p));
+        // The other metrics ignore the load.
+        assert_eq!(cost(RouteMetric::Latency, 2), cost(RouteMetric::Latency, 0));
     }
 
     #[test]
@@ -987,25 +765,25 @@ mod tests {
         let t = ring();
         let planner = RoutePlanner::new(&t);
         for p in planner.profiles() {
+            let (fidelity, latency) = p.purified_after(1);
             // Lab keep fidelity sits above the F > 1/2 distillation
             // threshold, so the purified figure must be a strict gain…
             assert!(
-                p.purified_fidelity > p.fidelity,
-                "edge {}: purified {} ≤ raw {}",
+                fidelity > p.fidelity,
+                "edge {}: purified {fidelity} ≤ raw {}",
                 p.edge,
-                p.purified_fidelity,
                 p.fidelity
             );
             // …paid for by more than double the generation latency
             // (two pairs per attempt, retried on rejected parity).
             assert!(
-                p.purified_latency.as_secs_f64() > 2.0 * p.expected_latency.as_secs_f64(),
+                latency.as_secs_f64() > 2.0 * p.expected_latency.as_secs_f64(),
                 "edge {}: purified latency must price the double pair cost",
                 p.edge
             );
-            // The closed form itself is what the profile carries.
+            // The closed form itself is what one round gives.
             let d = distill_werner(p.fidelity, p.fidelity);
-            assert!((p.purified_fidelity - d.output_fidelity).abs() < 1e-12);
+            assert!((fidelity - d.output_fidelity).abs() < 1e-12);
         }
     }
 
@@ -1014,30 +792,23 @@ mod tests {
         let t = ring();
         let planner = RoutePlanner::new(&t);
         let p = planner.profile(0);
+        let (f, latency) = p.purified_after(1);
+        let raw = |m: RouteMetric| m.cost(p.fidelity, p.expected_latency, 0);
+        let purified = |m: RouteMetric| m.cost(f, latency, 0);
         // Hop count is indifferent to purification.
-        assert_eq!(HopCount.purified_cost(p), HopCount.edge_cost(p));
+        assert_eq!(purified(RouteMetric::Hops), raw(RouteMetric::Hops));
         // Latency pays more per purified edge, fidelity pays less.
-        assert!(Latency.purified_cost(p) > Latency.edge_cost(p));
-        assert!(FidelityProduct.purified_cost(p) < FidelityProduct.edge_cost(p));
+        assert!(purified(RouteMetric::Latency) > raw(RouteMetric::Latency));
+        assert!(purified(RouteMetric::Fidelity) < raw(RouteMetric::Fidelity));
 
-        // The policy-aware searches agree with the plain ones on
-        // unit-cost metrics and reprice the others.
-        let plain = planner
-            .shortest_path(&t, 0, 3, &Latency, 0.0)
-            .expect("connected");
-        let purified = planner
-            .shortest_path_in(
-                &t,
-                0,
-                3,
-                &Latency,
-                0.0,
-                &PlanContext {
-                    policy: Policy::LinkPurify,
-                    ..PlanContext::default()
-                },
-            )
-            .expect("connected");
+        // A purifying policy reprices the search; identical links keep
+        // the same path.
+        let plain = best(&planner, &t, ask(RouteMetric::Latency, 0.0)).expect("connected");
+        let ctx = PlanContext {
+            policy: Policy::LinkPurify,
+            ..ask(RouteMetric::Latency, 0.0)
+        };
+        let purified = best(&planner, &t, ctx).expect("connected");
         assert_eq!(plain.nodes, purified.nodes, "identical links: same path");
         assert!(purified.cost > plain.cost, "purified edges cost more");
     }

@@ -44,8 +44,9 @@
 //! nested 2→1 rounds toward the DEJMPS fixed point — each accepted
 //! round keeps the survivor and pumps it with one fresh pair
 //! ([`Action::Pump`]), a reject restarts the edge from scratch
-//! ([`Action::Regenerate`]). Both are priced into route planning via
-//! [`Policy::price`] / [`EdgeProfile::purified_after`].
+//! ([`Action::Regenerate`]). Route planning prices every edge after the
+//! rounds [`RuleSet::edge_program`] installs on it
+//! ([`RoutePlanner::routes`](crate::route::RoutePlanner::routes)).
 //!
 //! Deliberately absent: timer conditions. A node that could schedule
 //! its own wake-ups would stop being a pure decision function of its
@@ -87,7 +88,6 @@
 use std::sync::Arc;
 
 use crate::node::{NodeAction, PathRole};
-use crate::route::{EdgeProfile, RouteMetric};
 
 /// The network-facing policy choice: which RuleSet every path node of
 /// a request runs. Compiled via [`Policy::ruleset`] when the attempt
@@ -185,36 +185,6 @@ impl Policy {
         }
         rules.extend(swap_asap_core());
         RuleSet { rules }
-    }
-
-    /// The plan-time price of an edge under this policy:
-    /// non-purifying policies pay the raw [`RouteMetric::load_cost`],
-    /// always-purifying ones the distilled
-    /// [`RouteMetric::purified_load_cost`], the threshold policy picks
-    /// per edge, and pumping reprices the distilled figures at its
-    /// round count via [`EdgeProfile::purified_after`].
-    pub fn price(&self, metric: &dyn RouteMetric, profile: &EdgeProfile, load: u32) -> f64 {
-        match *self {
-            Policy::SwapAsap | Policy::EndToEndPurify => metric.load_cost(profile, load),
-            Policy::LinkPurify => metric.purified_load_cost(profile, load),
-            Policy::ThresholdPurify { theta } => {
-                if profile.fidelity < theta {
-                    metric.purified_load_cost(profile, load)
-                } else {
-                    metric.load_cost(profile, load)
-                }
-            }
-            Policy::PumpRounds { rounds } => {
-                if rounds == 0 {
-                    return metric.load_cost(profile, load);
-                }
-                let (fidelity, latency) = profile.purified_after(rounds);
-                let mut adjusted = profile.clone();
-                adjusted.purified_fidelity = fidelity;
-                adjusted.purified_latency = latency;
-                metric.purified_load_cost(&adjusted, load)
-            }
-        }
     }
 }
 

@@ -12,7 +12,7 @@ use crate::fault::{FaultPlan, Flapping, PenaltyConfig};
 use crate::load::{ClassLoadStats, Workload};
 use crate::network::Network;
 use crate::obs::{fidelity_histogram, latency_histogram};
-use crate::route::{FidelityProduct, HopCount, Latency, LoadScaledLatency};
+use crate::route::RouteMetric;
 use crate::ruleset::Policy;
 use crate::topology::Topology;
 use qlink_des::{DetRng, Histogram, SimDuration, SimTime, TimeSeries};
@@ -31,24 +31,6 @@ pub enum LinkScenario {
     Lab,
     /// The 25 km QL2020 metropolitan setup.
     Ql2020,
-}
-
-/// Which route metric a sweep run steers its network with (the
-/// `Copy` stand-in for the [`crate::route::RouteMetric`] trait
-/// objects, so specs stay data-only and `Send`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MetricChoice {
-    /// Fewest hops (the default; PR 1's behaviour).
-    #[default]
-    Hops,
-    /// Minimise summed expected generation latency.
-    Latency,
-    /// Maximise the product of link fidelities.
-    Fidelity,
-    /// Congestion-aware latency: expected generation latency scaled
-    /// by each edge's live reservation count
-    /// ([`crate::route::LoadScaledLatency`]).
-    LoadLatency,
 }
 
 #[doc(hidden)]
@@ -104,13 +86,14 @@ pub enum TopologyChoice {
 ///
 /// ```
 /// use qlink_des::SimDuration;
-/// use qlink_net::sweep::{run_one, MetricChoice, ScenarioSpec};
+/// use qlink_net::route::RouteMetric;
+/// use qlink_net::sweep::{run_one, ScenarioSpec};
 ///
 /// // A 1-hop Lab chain, two rounds, fidelity-aware routing.
 /// let spec = ScenarioSpec::lab_chain("demo", 2)
 ///     .with_rounds(2)
 ///     .with_max_time(SimDuration::from_secs(20))
-///     .with_metric(MetricChoice::Fidelity);
+///     .with_metric(RouteMetric::Fidelity);
 /// assert_eq!(spec.rounds, 2);
 ///
 /// // One (scenario, seed) cell of the matrix, fully deterministic.
@@ -138,7 +121,7 @@ pub struct ScenarioSpec {
     /// End-to-end rounds per run.
     pub rounds: u32,
     /// Route metric steering each round's path selection.
-    pub metric: MetricChoice,
+    pub metric: RouteMetric,
     /// Concurrent same-pair requests per round (1 = single path; more
     /// are split across routes by
     /// [`Network::request_entanglement_multipath`]). Ignored under
@@ -206,7 +189,7 @@ impl ScenarioSpec {
             fmin: 0.6,
             max_time: SimDuration::from_secs(20),
             rounds: 1,
-            metric: MetricChoice::Hops,
+            metric: RouteMetric::Hops,
             streams: 1,
             policy: Policy::SwapAsap,
             carbon_t2: None,
@@ -257,7 +240,7 @@ impl ScenarioSpec {
     }
 
     /// Builder: route metric.
-    pub fn with_metric(mut self, metric: MetricChoice) -> Self {
+    pub fn with_metric(mut self, metric: RouteMetric) -> Self {
         self.metric = metric;
         self
     }
@@ -637,12 +620,7 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64) -> RunRecord {
 /// [`run_one`] over the attempt models `models` already holds.
 fn run_cell(spec: &ScenarioSpec, seed: u64, models: ModelCache) -> RunRecord {
     let mut net = Network::with_models(spec.topology(seed), seed, models);
-    match spec.metric {
-        MetricChoice::Hops => net.set_route_metric(HopCount),
-        MetricChoice::Latency => net.set_route_metric(Latency),
-        MetricChoice::Fidelity => net.set_route_metric(FidelityProduct),
-        MetricChoice::LoadLatency => net.set_route_metric(LoadScaledLatency),
-    }
+    net.set_route_metric(spec.metric);
     net.set_policy(spec.policy);
     net.set_retry_budget(spec.retries);
     net.set_request_timeout(spec.request_timeout);

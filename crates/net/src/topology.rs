@@ -313,8 +313,8 @@ impl Topology {
     /// Up to `k` loopless fewest-hop paths from `src` to `dst`, in
     /// non-decreasing hop count (Yen's algorithm over unit costs).
     /// Fewer than `k` paths are returned when the graph has fewer
-    /// simple paths. Metric-aware variants live on
-    /// [`crate::route::RoutePlanner::k_shortest_paths`].
+    /// simple paths. The metric-aware search is
+    /// [`crate::route::RoutePlanner::routes`].
     ///
     /// # Panics
     /// Panics on out-of-range nodes, `src == dst`, or `k == 0`.

@@ -88,16 +88,16 @@ pub mod prelude {
     #[doc(hidden)]
     pub use crate::net::network::ExecMode; // benchmark-compat: ROADMAP item 1 deletes this
     pub use crate::net::network::{EndToEndOutcome, Network};
-    pub use crate::net::route::{
-        EdgeProfile, FidelityProduct, HopCount, Latency, LoadScaledLatency, PlanContext, Route,
-        RouteMetric, RoutePlanner,
-    };
+    pub use crate::net::route::{EdgeProfile, PlanContext, Route, RouteMetric, RoutePlanner};
     pub use crate::net::ruleset::Policy;
     #[doc(hidden)]
     pub use crate::net::sweep::ExecChoice; // benchmark-compat: ROADMAP item 1 deletes this
-    pub use crate::net::sweep::{
-        sweep, FaultChoice, MetricChoice, ScenarioSpec, SweepReport, TopologyChoice,
-    };
+    pub use crate::net::sweep::{sweep, FaultChoice, ScenarioSpec, SweepReport, TopologyChoice};
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const LoadScaledLatency: RouteMetric = RouteMetric::LoadLatency; // benchmark-compat: ROADMAP item 1 deletes this
+    #[doc(hidden)]
+    pub type MetricChoice = RouteMetric; // benchmark-compat: ROADMAP item 1 deletes this
     pub use crate::net::topology::Topology;
     pub use crate::phys::params::{Scenario, ScenarioParams};
     pub use crate::quantum::bell::{bell_fidelity, BellState, Qber};

@@ -5,9 +5,10 @@
 //! workload class the repo could not express before `Topology::grid`
 //! and `ScenarioSpec::with_pairs` — and compares, at equal seeds:
 //!
-//! * static `Latency` routing, whose deterministically tie-broken
-//!   shortest paths pile the requests onto the same low-index edges;
-//! * `LoadScaledLatency`, which prices each edge's live reservation
+//! * static `RouteMetric::Latency` routing, whose deterministically
+//!   tie-broken shortest paths pile the requests onto the same
+//!   low-index edges;
+//! * `RouteMetric::LoadLatency`, which prices each edge's live reservation
 //!   count (`Network::edge_load`) into the metric so the requests
 //!   spread at plan time;
 //! * each of the above with a per-request timeout and a retry budget,
@@ -21,7 +22,6 @@
 //! ```
 
 use qlink::net::sweep::run_one;
-use qlink::net::MetricChoice;
 use qlink::prelude::*;
 
 /// Six cross-mesh pairs whose static shortest paths collide.
@@ -37,7 +37,7 @@ fn main() {
     // --- where the static paths actually go -------------------------
     let topo = Topology::grid(4, 4, |i| LinkConfig::lab(WorkloadSpec::none(), i as u64));
     let mut net = Network::new(topo, 1);
-    net.set_route_metric(Latency);
+    net.set_route_metric(RouteMetric::Latency);
     println!("static latency routes (note the shared low-index edges):");
     for (s, d) in contended_pairs() {
         let route = net.plan_route(s, d, 0.6).expect("grid is connected");
@@ -45,7 +45,7 @@ fn main() {
     }
     let topo = Topology::grid(4, 4, |i| LinkConfig::lab(WorkloadSpec::none(), i as u64));
     let mut net = Network::new(topo, 1);
-    net.set_route_metric(LoadScaledLatency);
+    net.set_route_metric(RouteMetric::LoadLatency);
     println!("load-scaled routes, each request seeing its predecessors' load:");
     for (s, d) in contended_pairs() {
         let route = net.plan_route(s, d, 0.6).expect("grid is connected");
@@ -102,14 +102,14 @@ fn main() {
                 ScenarioSpec::lab_grid("grid", 4, 4)
                     .with_pairs(contended_pairs())
                     .with_max_time(tight)
-                    .with_metric(MetricChoice::Latency),
+                    .with_metric(RouteMetric::Latency),
             ),
             (
-                "LoadScaledLatency".into(),
+                "LoadLatency".into(),
                 ScenarioSpec::lab_grid("grid", 4, 4)
                     .with_pairs(contended_pairs())
                     .with_max_time(tight)
-                    .with_metric(MetricChoice::LoadLatency),
+                    .with_metric(RouteMetric::LoadLatency),
             ),
         ],
     );
@@ -124,7 +124,7 @@ fn main() {
                     .with_max_time(budget)
                     .with_request_timeout(timeout)
                     .with_retries(retries)
-                    .with_metric(MetricChoice::Latency),
+                    .with_metric(RouteMetric::Latency),
             )
         })
         .collect();

@@ -36,13 +36,14 @@ fn main() {
     });
     let planner = RoutePlanner::new(&topo);
     let p = planner.profile(0);
+    let (distilled_f, distilled_latency) = p.purified_after(1);
     println!();
     println!(
         "edge profile: F = {:.3} raw vs {:.3} purified, E[latency] = {:.0} ms raw vs {:.0} ms purified",
         p.fidelity,
-        p.purified_fidelity,
+        distilled_f,
         p.expected_latency.as_secs_f64() * 1e3,
-        p.purified_latency.as_secs_f64() * 1e3,
+        distilled_latency.as_secs_f64() * 1e3,
     );
 
     // The sweep: same chain, same seeds, three policies.

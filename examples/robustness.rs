@@ -20,7 +20,7 @@
 //! ```
 
 use qlink::net::sweep::run_one;
-use qlink::net::{FaultChoice, MetricChoice};
+use qlink::net::FaultChoice;
 use qlink::prelude::*;
 
 /// The contended 4×4 grid of the PR 4 suite: six concurrent
@@ -29,7 +29,7 @@ use qlink::prelude::*;
 fn grid_spec(name: &str, faults: FaultChoice) -> ScenarioSpec {
     ScenarioSpec::lab_grid(name, 4, 4)
         .with_pairs(vec![(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)])
-        .with_metric(MetricChoice::LoadLatency)
+        .with_metric(RouteMetric::LoadLatency)
         .with_request_timeout(SimDuration::from_millis(300))
         .with_retries(2)
         .with_max_time(SimDuration::from_millis(700))

@@ -61,10 +61,18 @@ fn main() {
     }
 
     println!();
-    for metric in [&HopCount as &dyn RouteMetric, &Latency, &FidelityProduct] {
-        let route = planner
-            .shortest_path(&topo, 0, 4, metric, 0.4)
-            .expect("diamond is connected");
+    for metric in [
+        RouteMetric::Hops,
+        RouteMetric::Latency,
+        RouteMetric::Fidelity,
+    ] {
+        let ctx = PlanContext {
+            metric,
+            fmin: 0.4,
+            ..PlanContext::new(0, 4)
+        };
+        let routes = planner.routes(&topo, &ctx);
+        let route = routes.first().expect("diamond is connected");
         println!(
             "  {:<9} routes 0 -> 4 via {:?} (cost {:.3})",
             metric.name(),

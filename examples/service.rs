@@ -49,7 +49,7 @@ fn classes() -> Vec<UserClass> {
 
 fn spec(name: &str, rate_hz: f64) -> ScenarioSpec {
     ScenarioSpec::lab_grid(name, 4, 4)
-        .with_metric(MetricChoice::LoadLatency)
+        .with_metric(RouteMetric::LoadLatency)
         .with_retries(1)
         .with_request_timeout(SimDuration::from_millis(250))
         .with_max_time(SimDuration::from_secs(2))

@@ -1,7 +1,7 @@
 //! Contention test suite for congestion-aware routing and timeout
 //! re-routing (the PR 4 tentpole), pinned deterministically per seed:
 //!
-//! * on a contended 4×4 grid, `LoadScaledLatency` times out strictly
+//! * on a contended 4×4 grid, `RouteMetric::LoadLatency` times out strictly
 //!   fewer requests than static `Latency` at equal seeds;
 //! * a retry budget > 0 completes requests that time out at budget 0;
 //! * a stream whose links UNSUPP re-routes onto a serving path
@@ -18,7 +18,7 @@
 //! true backlog).
 
 use qlink::net::sweep::{run_one, RunRecord};
-use qlink::net::{MetricChoice, SpanStage, TelemetryConfig};
+use qlink::net::{SpanStage, TelemetryConfig};
 use qlink::prelude::*;
 
 fn lab(seed: u64) -> LinkConfig {
@@ -33,7 +33,7 @@ fn contended_pairs() -> Vec<(usize, usize)> {
     vec![(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)]
 }
 
-fn grid_spec(metric: MetricChoice, budget: SimDuration) -> ScenarioSpec {
+fn grid_spec(metric: RouteMetric, budget: SimDuration) -> ScenarioSpec {
     ScenarioSpec::lab_grid("contended-grid", 4, 4)
         .with_pairs(contended_pairs())
         .with_max_time(budget)
@@ -46,10 +46,10 @@ fn grid_spec(metric: MetricChoice, budget: SimDuration) -> ScenarioSpec {
 #[test]
 fn load_scaled_metric_times_out_strictly_less_on_contended_grid() {
     let budget = SimDuration::from_millis(500);
-    // (seed, timeouts under static Latency, under LoadScaledLatency).
+    // (seed, timeouts under static Latency, under LoadLatency).
     for (seed, static_to, load_to) in [(1, 2, 0), (4, 1, 0), (6, 2, 0)] {
-        let plain = run_one(&grid_spec(MetricChoice::Latency, budget), seed);
-        let load = run_one(&grid_spec(MetricChoice::LoadLatency, budget), seed);
+        let plain = run_one(&grid_spec(RouteMetric::Latency, budget), seed);
+        let load = run_one(&grid_spec(RouteMetric::LoadLatency, budget), seed);
         assert_eq!(plain.rounds, 6, "six concurrent requests per round");
         assert_eq!(load.rounds, 6);
         assert_eq!(
@@ -58,7 +58,7 @@ fn load_scaled_metric_times_out_strictly_less_on_contended_grid() {
         );
         assert_eq!(
             load.timeouts, load_to,
-            "seed {seed}: LoadScaledLatency timeout count moved"
+            "seed {seed}: LoadLatency timeout count moved"
         );
         assert!(
             load.timeouts < plain.timeouts,
@@ -83,7 +83,7 @@ fn load_scaled_metric_times_out_strictly_less_on_contended_grid() {
 #[test]
 fn retry_budget_completes_requests_that_time_out_at_budget_zero() {
     let run = |seed: u64, retries: u32| -> RunRecord {
-        let spec = grid_spec(MetricChoice::Latency, SimDuration::from_millis(900))
+        let spec = grid_spec(RouteMetric::Latency, SimDuration::from_millis(900))
             .with_request_timeout(SimDuration::from_millis(350))
             .with_retries(retries);
         run_one(&spec, seed)
@@ -115,7 +115,7 @@ fn retry_budget_completes_requests_that_time_out_at_budget_zero() {
 /// reproduces exactly.
 #[test]
 fn rerouted_runs_reproduce_bit_identically() {
-    let spec = grid_spec(MetricChoice::LoadLatency, SimDuration::from_millis(700))
+    let spec = grid_spec(RouteMetric::LoadLatency, SimDuration::from_millis(700))
         .with_request_timeout(SimDuration::from_millis(300))
         .with_retries(2);
     let a = run_one(&spec, 5);
@@ -404,7 +404,7 @@ fn edge_load_balances_through_every_lifecycle() {
         let noisy_edge = topo.edge_count() - 1;
         let mut net = Network::new(topo, net_seed);
         net.set_telemetry(TelemetryConfig::all());
-        net.set_route_metric(LoadScaledLatency);
+        net.set_route_metric(RouteMetric::LoadLatency);
         net.set_policy(policy);
         net.set_retry_budget(retries);
         net.set_request_timeout(Some(SimDuration::from_millis(timeout_ms)));
@@ -446,7 +446,7 @@ fn edge_load_balances_through_fault_interleavings() {
         topo.connect(0, 4, noisy_lab(link_seed + 100));
         let mut net = Network::new(topo, net_seed);
         net.set_telemetry(TelemetryConfig::all());
-        net.set_route_metric(LoadScaledLatency);
+        net.set_route_metric(RouteMetric::LoadLatency);
         net.set_retry_budget(retries);
         net.set_request_timeout(Some(SimDuration::from_millis(timeout_ms)));
         // Three central edges flap fast underneath the traffic; the
@@ -511,7 +511,7 @@ fn edge_load_balances_under_interpreted_rulesets() {
         topo.connect(0, 4, noisy_lab(link_seed + 100));
         let mut net = Network::new(topo, net_seed);
         net.set_telemetry(TelemetryConfig::all());
-        net.set_route_metric(LoadScaledLatency);
+        net.set_route_metric(RouteMetric::LoadLatency);
         net.set_policy(policy);
         net.set_retry_budget(retries);
         net.set_request_timeout(Some(SimDuration::from_millis(timeout_ms)));
@@ -576,7 +576,7 @@ fn ledger_is_empty_once_every_request_has_ended() {
             (Topology::chain(4, link), vec![(0, 3), (1, 2), (0, 1)])
         };
         let mut net = Network::new(topo, rng.below(1 << 20));
-        net.set_route_metric(LoadScaledLatency);
+        net.set_route_metric(RouteMetric::LoadLatency);
         net.set_policy(policy);
         net.set_retry_budget(rng.below(3) as u32);
         // Workload requests have no handle to cancel: they end by
@@ -707,7 +707,7 @@ fn pr3_scenario_stats_reproduce_bit_identically() {
     // the default and must change nothing.
     let spec = ScenarioSpec::lab_chain("contended", 3)
         .with_max_time(SimDuration::from_secs(120))
-        .with_metric(MetricChoice::Fidelity)
+        .with_metric(RouteMetric::Fidelity)
         .with_streams(2)
         .with_retries(0);
     check(
@@ -784,8 +784,8 @@ fn pr3_scenario_stats_reproduce_bit_identically() {
 #[test]
 fn sweep_merges_timeout_and_reroute_counters() {
     let specs = vec![
-        grid_spec(MetricChoice::Latency, SimDuration::from_millis(500)),
-        grid_spec(MetricChoice::LoadLatency, SimDuration::from_millis(500)),
+        grid_spec(RouteMetric::Latency, SimDuration::from_millis(500)),
+        grid_spec(RouteMetric::LoadLatency, SimDuration::from_millis(500)),
     ];
     let seeds = [1, 4];
     let report = sweep(&specs, &seeds, 2);

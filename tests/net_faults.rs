@@ -20,10 +20,13 @@
 //!   released;
 //! * **Zero-completion SLO accounting** (satellite) — a workload
 //!   class that completes nothing reports 0.0 attainment (not NaN)
-//!   and a NaN-free service CSV.
+//!   and a NaN-free service CSV;
+//! * **A pair cut at issue** — a request issued while faults cut
+//!   every path between its pair is abandoned one control delay later
+//!   (a timeout, with its spans), never panicked on.
 
 use qlink::net::sweep::{run_one, FaultChoice, RunRecord};
-use qlink::net::{chrome_trace_json, MetricChoice, TelemetryConfig};
+use qlink::net::{chrome_trace_json, SpanEvent, TelemetryConfig};
 use qlink::prelude::*;
 
 fn lab(seed: u64) -> LinkConfig {
@@ -67,7 +70,7 @@ fn fingerprint(r: &RunRecord) -> (u32, u32, u32, u64, u64, u64, u64, u64, u64, u
 fn flapping_grid_spec() -> ScenarioSpec {
     ScenarioSpec::lab_grid("flapping-grid", 4, 4)
         .with_pairs(vec![(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)])
-        .with_metric(MetricChoice::LoadLatency)
+        .with_metric(RouteMetric::LoadLatency)
         .with_request_timeout(SimDuration::from_millis(300))
         .with_retries(2)
         .with_max_time(SimDuration::from_millis(700))
@@ -103,7 +106,7 @@ fn fault_schedules_are_reproducible_per_seed() {
 fn unarmed_specs_reproduce_without_fault_plumbing() {
     let base = ScenarioSpec::lab_grid("no-faults", 4, 4)
         .with_pairs(vec![(0, 15), (3, 12)])
-        .with_metric(MetricChoice::LoadLatency)
+        .with_metric(RouteMetric::LoadLatency)
         .with_request_timeout(SimDuration::from_millis(300))
         .with_retries(1)
         .with_max_time(SimDuration::from_millis(600));
@@ -529,4 +532,99 @@ fn zero_completion_class_reports_zero_attainment_not_nan() {
     let csv = report.service_csv();
     assert!(csv.contains("doomed"), "the class must appear in the CSV");
     assert!(!csv.contains("NaN"), "service CSV must be NaN-free:\n{csv}");
+}
+
+// ---- requests issued across a cut -----------------------------------
+
+/// A 3-node Lab chain whose two edges flap (30 ms mean up and down), one
+/// retry, a 30 ms timeout: many of its rounds are issued while a fault
+/// has cut the only path.
+fn flapping_chain_spec() -> ScenarioSpec {
+    ScenarioSpec::lab_chain("c", 3)
+        .with_rounds(20)
+        .with_max_time(SimDuration::from_millis(40))
+        .with_retries(1)
+        .with_request_timeout(SimDuration::from_millis(30))
+        .with_faults(FaultChoice::Flapping {
+            mean_up: SimDuration::from_millis(30),
+            mean_down: SimDuration::from_millis(30),
+            cycles: 4,
+            penalty_box: true,
+        })
+}
+
+/// A round issued while faults cut its pair waits one control delay
+/// for a re-plan and is abandoned there if the cut holds — it does not
+/// panic — so every round still ends as a success or a timeout, and the
+/// run stays a pure function of its seed.
+#[test]
+fn a_round_issued_across_a_cut_ends_as_a_timeout() {
+    for seed in 1..=3 {
+        let r = run_one(&flapping_chain_spec(), seed);
+        assert_eq!(r.rounds, 20, "seed {seed}");
+        assert_eq!(r.rounds, r.successes + r.timeouts, "seed {seed}");
+        assert!(r.timeouts > 0 && r.faults > 0, "seed {seed}: the cut bites");
+        let again = run_one(&flapping_chain_spec(), seed);
+        assert_eq!(fingerprint(&r), fingerprint(&again), "seed {seed}");
+    }
+}
+
+/// Poisson arrivals for `0 → 2` on a 3-node chain whose edge 1 is down
+/// from 5 ms to 50 ms, no retries: arrivals in that window find no
+/// route. Each is admitted, opens its span, and is abandoned one
+/// control delay later — a timeout, not a re-route, since no attempt
+/// ran — while the workload's two conservation identities hold.
+#[test]
+fn an_arrival_across_a_cut_is_abandoned_with_its_spans() {
+    let run = |seed: u64| {
+        let topo = Topology::chain(3, |i| lab(40 + i as u64));
+        let mut net = Network::new(topo, seed);
+        net.set_telemetry(TelemetryConfig::all());
+        let plan = FaultPlan::new()
+            .with_event(SimDuration::from_millis(5), FaultKind::Fail { edge: 1 })
+            .with_event(
+                SimDuration::from_millis(50),
+                FaultKind::Repair {
+                    edge: 1,
+                    profile: None,
+                },
+            );
+        net.set_fault_plan(&plan);
+        let class = UserClass::new("nl", RequestKind::Nl, vec![(0, 2)])
+            .with_admission(AdmissionControl::RejectBeyond { max_in_flight: 4 });
+        net.set_workload(Workload::poisson(200.0, vec![class]));
+        net.run_for(SimDuration::from_secs(1));
+        net
+    };
+    let net = run(3);
+    let stats = net.workload_stats().expect("armed");
+    let c = &stats.classes[0];
+    assert_eq!(c.offered, c.admitted + c.dropped + c.queued);
+    assert_eq!(c.admitted, c.completed + c.abandoned + c.in_flight);
+    assert_eq!(net.timeouts(), c.abandoned);
+    assert_eq!(net.reroutes(), 0, "no attempt was re-planned");
+
+    let spans = net.telemetry().expect("telemetry on").spans();
+    let count = |request: u64, stage: &str| {
+        let of = |s: &&SpanEvent| s.request == request && s.stage.name() == stage;
+        spans.iter().filter(of).count()
+    };
+    let ids: Vec<u64> = (0..c.admitted).collect();
+    assert!(ids.iter().all(|&id| count(id, "issue") == 1));
+    let abandons: usize = ids.iter().map(|&id| count(id, "abandon")).sum();
+    assert_eq!(abandons as u64, c.abandoned);
+    let cut_off = ids
+        .iter()
+        .filter(|&&id| count(id, "abandon") == 1 && count(id, "plan") == 0)
+        .count();
+    assert!(cut_off > 0, "some arrival found the pair cut");
+    assert!(c.completed > 0, "arrivals after the repair deliver");
+
+    let again = run(3);
+    let tally = |net: &Network| {
+        let c = &net.workload_stats().expect("armed").classes[0];
+        let counts = (c.offered, c.admitted, c.completed, c.abandoned, c.in_flight);
+        (counts, net.events_fired(), net.timeouts())
+    };
+    assert_eq!(tally(&net), tally(&again));
 }

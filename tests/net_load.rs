@@ -60,7 +60,7 @@ fn run_grid(seed: u64, horizon: SimDuration) -> (LoadStats, u64) {
     let root = DetRng::new(seed);
     let topo = Topology::grid(4, 4, |i| lab(root.substream(&format!("edge/{i}")).seed()));
     let mut net = Network::new(topo, seed);
-    net.set_route_metric(LoadScaledLatency);
+    net.set_route_metric(RouteMetric::LoadLatency);
     net.set_request_timeout(Some(SimDuration::from_millis(250)));
     net.set_retry_budget(1);
     net.set_workload(Workload::poisson(2_000.0, grid_classes()));
@@ -147,7 +147,7 @@ fn closed_loop_specs_reproduce_pre_workload_records_bit_for_bit() {
             spec: ScenarioSpec::lab_chain("pin-chain", 4)
                 .with_rounds(3)
                 .with_streams(2)
-                .with_metric(MetricChoice::Fidelity),
+                .with_metric(RouteMetric::Fidelity),
             seed: 5,
             successes: 6,
             rounds: 6,
@@ -163,7 +163,7 @@ fn closed_loop_specs_reproduce_pre_workload_records_bit_for_bit() {
         Pin {
             spec: ScenarioSpec::lab_grid("pin-grid", 4, 4)
                 .with_pairs(vec![(0, 15), (3, 12), (5, 10)])
-                .with_metric(MetricChoice::LoadLatency)
+                .with_metric(RouteMetric::LoadLatency)
                 .with_retries(2)
                 .with_request_timeout(SimDuration::from_secs_f64(0.080))
                 .with_rounds(2)
@@ -391,7 +391,7 @@ fn re_arming_a_workload_replaces_the_stream() {
 #[test]
 fn sweep_carries_per_class_stats_and_service_csv() {
     let spec = ScenarioSpec::lab_grid("svc", 4, 4)
-        .with_metric(MetricChoice::LoadLatency)
+        .with_metric(RouteMetric::LoadLatency)
         .with_retries(1)
         .with_request_timeout(SimDuration::from_millis(250))
         .with_max_time(SimDuration::from_secs_f64(0.4))

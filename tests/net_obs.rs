@@ -37,7 +37,7 @@ fn contended_grid(seed: u64, config: TelemetryConfig) -> Network {
     let topo = Topology::grid(4, 4, |i| lab(root.substream(&format!("edge/{i}")).seed()));
     let mut net = Network::new(topo, seed);
     net.set_telemetry(config);
-    net.set_route_metric(LoadScaledLatency);
+    net.set_route_metric(RouteMetric::LoadLatency);
     net.set_request_timeout(Some(SimDuration::from_millis(300)));
     net.set_retry_budget(2);
     for (src, dst) in [(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)] {

@@ -5,7 +5,6 @@
 //! `RunRecord` attempt-accounting regression.
 
 use qlink::net::sweep::{run_one, RunRecord};
-use qlink::net::MetricChoice;
 use qlink::prelude::*;
 
 /// A Lab link whose carbon memory is dynamically decoupled (long
@@ -339,7 +338,7 @@ fn run_record_attempt_accounting_is_exact() {
         .with_max_time(SimDuration::from_secs(60))
         .with_carbon_t2(10.0)
         .with_policy(Policy::EndToEndPurify)
-        .with_metric(MetricChoice::Fidelity);
+        .with_metric(RouteMetric::Fidelity);
     let record = run_one(&spec, 1);
     assert_eq!(record.rounds, 2);
     assert_eq!(record.successes, 2);

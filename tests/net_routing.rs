@@ -1,10 +1,10 @@
 //! Integration tests for the route-metric engine and concurrent
 //! multi-path requests: metric-dependent path choice on a diamond,
-//! edge-disjoint splitting of same-pair requests, and deterministic
-//! contention when concurrent requests share an edge.
+//! edge-disjoint splitting of same-pair requests, deterministic
+//! contention when concurrent requests share an edge, and a bit-for-bit
+//! digest of every route and edge price on a mixed-hardware grid.
 
 use qlink::net::sweep::run_one;
-use qlink::net::MetricChoice;
 use qlink::prelude::*;
 
 fn lab(seed: u64) -> LinkConfig {
@@ -48,6 +48,16 @@ fn short_noisy_long_clean_diamond() -> Topology {
     t
 }
 
+/// The best route 0 → 4 under `metric` at `fmin`, if any serves.
+fn best(planner: &RoutePlanner, topo: &Topology, metric: RouteMetric, fmin: f64) -> Option<Route> {
+    let ctx = PlanContext {
+        metric,
+        fmin,
+        ..PlanContext::new(0, 4)
+    };
+    planner.routes(topo, &ctx).into_iter().next()
+}
+
 #[test]
 fn fidelity_product_prefers_the_long_clean_arm() {
     let topo = short_noisy_long_clean_diamond();
@@ -64,22 +74,18 @@ fn fidelity_product_prefers_the_long_clean_arm() {
     );
 
     // Hop count routes through the short noisy arm...
-    let hops = planner
-        .shortest_path(&topo, 0, 4, &HopCount, 0.4)
-        .expect("connected");
+    let hops = best(&planner, &topo, RouteMetric::Hops, 0.4).expect("connected");
     assert_eq!(hops.nodes, vec![0, 1, 4]);
 
     // ...while the fidelity product pays the extra hop for the clean
     // links: 0.72³ ≈ 0.37 beats 0.46² ≈ 0.21.
-    let fid = planner
-        .shortest_path(&topo, 0, 4, &FidelityProduct, 0.4)
-        .expect("connected");
+    let fid = best(&planner, &topo, RouteMetric::Fidelity, 0.4).expect("connected");
     assert_eq!(fid.nodes, vec![0, 2, 3, 4]);
     assert!(fid.cost > 0.0);
 
     // The same choice drives Network::request_entanglement.
     let mut net = Network::new(topo, 9);
-    net.set_route_metric(FidelityProduct);
+    net.set_route_metric(RouteMetric::Fidelity);
     let route = net.plan_route(0, 4, 0.4).expect("route exists");
     assert_eq!(route.nodes, vec![0, 2, 3, 4]);
 }
@@ -95,17 +101,13 @@ fn fmin_filter_drops_edges_that_would_unsupp() {
     // At Fmin 0.6 the noisy arm cannot serve at all: the planner's
     // feasibility filter removes its edges for *every* metric, so even
     // hop-count routing falls through to the clean arm.
-    for metric in [&HopCount as &dyn RouteMetric, &Latency] {
-        let route = planner
-            .shortest_path(&topo, 0, 4, metric, 0.6)
-            .expect("clean arm serves 0.6");
+    for metric in [RouteMetric::Hops, RouteMetric::Latency] {
+        let route = best(&planner, &topo, metric, 0.6).expect("clean arm serves 0.6");
         assert_eq!(route.nodes, vec![0, 2, 3, 4], "{}", metric.name());
     }
 
     // Above every ceiling there is no route under a profile metric.
-    assert!(planner
-        .shortest_path(&topo, 0, 4, &FidelityProduct, 0.95)
-        .is_none());
+    assert!(best(&planner, &topo, RouteMetric::Fidelity, 0.95).is_none());
 
     // The Network's default hop-count routing honours the same filter:
     // a CREATE the noisy arm would UNSUPP must never be routed there.
@@ -268,7 +270,7 @@ fn sweep_streams_and_metric_are_deterministic() {
     // deterministically.
     let spec = ScenarioSpec::lab_chain("contended", 3)
         .with_max_time(SimDuration::from_secs(120))
-        .with_metric(MetricChoice::Fidelity)
+        .with_metric(RouteMetric::Fidelity)
         .with_streams(2);
     let a = run_one(&spec, 3);
     let b = run_one(&spec, 3);
@@ -303,7 +305,7 @@ fn nl_create(fmin: f64) -> GeneratedRequest {
 #[test]
 fn a_homogeneous_grid_builds_each_model_once() {
     let mut net = Network::new(Topology::grid(16, 16, |i| lab(i as u64)), 5);
-    net.set_route_metric(LoadScaledLatency);
+    net.set_route_metric(RouteMetric::LoadLatency);
     assert!(
         net.estimators()[0].models().is_empty(),
         "construction derives nothing"
@@ -384,4 +386,123 @@ fn shared_physics_keeps_the_simulators_send() {
     sync::<LinkSimulation>();
     send::<FidelityEstimator>();
     sync::<FidelityEstimator>();
+}
+
+/// FNV-1a over the little-endian bytes of `word`.
+fn mix(digest: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Routing, bit for bit: on a 4×4 grid of alternating Lab and QL2020
+/// edges (two Lab edges with a 10 s carbon T2), every route of every
+/// (metric, policy, loads, exclusions, penalties, fmin, k, pair) cell —
+/// its nodes, edges and cost bits — and every edge's price per
+/// (metric, policy, load). Threshold purification sits at the median
+/// edge fidelity, so it distills about half the edges.
+#[test]
+fn routing_is_pinned_bit_for_bit() {
+    const DIGEST: u64 = 0x78d4_fda2_1062_b3ca;
+    let topo = Topology::grid(4, 4, |e| {
+        let mut cfg = if e % 2 == 0 {
+            lab(e as u64)
+        } else {
+            LinkConfig::ql2020(WorkloadSpec::none(), e as u64)
+        };
+        match e {
+            5 => cfg.scenario.nv.carbon_t2 = 10.0,
+            18 => cfg.scenario.nv.carbon_t2 = 1e-4,
+            _ => {}
+        }
+        cfg
+    });
+    let planner = RoutePlanner::new(&topo);
+    let edges = topo.edge_count();
+    let mut fidelities: Vec<f64> = planner.profiles().iter().map(|p| p.fidelity).collect();
+    fidelities.sort_by(f64::total_cmp);
+    let theta = fidelities[edges / 2];
+    let metrics = [
+        RouteMetric::Hops,
+        RouteMetric::Latency,
+        RouteMetric::Fidelity,
+        RouteMetric::LoadLatency,
+    ];
+    let policies = [
+        Policy::SwapAsap,
+        Policy::LinkPurify,
+        Policy::EndToEndPurify,
+        Policy::ThresholdPurify { theta },
+        Policy::PumpRounds { rounds: 0 },
+        Policy::PumpRounds { rounds: 1 },
+        Policy::PumpRounds { rounds: 2 },
+        Policy::PumpRounds { rounds: 3 },
+    ];
+    let loads: Vec<u32> = (0..edges as u32).map(|e| e % 4).collect();
+    let penalties: Vec<f64> = (0..edges)
+        .map(|e| match e {
+            9 => f64::INFINITY,
+            _ if e % 5 == 0 => 0.25 * (1 + e / 5) as f64,
+            _ => 0.0,
+        })
+        .collect();
+    let pairs = [
+        (0, 15),
+        (15, 0),
+        (3, 12),
+        (12, 3),
+        (0, 5),
+        (1, 14),
+        (2, 8),
+        (4, 7),
+        (5, 10),
+        (6, 9),
+        (11, 13),
+        (0, 3),
+    ];
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for metric in metrics {
+        for policy in policies {
+            let rules = policy.ruleset();
+            for load in 0..3 {
+                for p in planner.profiles() {
+                    let rounds = rules.edge_program(p.fidelity).rounds;
+                    let (fidelity, latency) = p.purified_after(rounds);
+                    mix(&mut digest, metric.cost(fidelity, latency, load).to_bits());
+                }
+            }
+            for loads in [&[][..], &loads] {
+                for exclude in [&[][..], &[3, 12]] {
+                    for penalties in [&[][..], &penalties] {
+                        for fmin in [0.0, 0.6] {
+                            for k in [1, 4] {
+                                for (src, dst) in pairs {
+                                    let ctx = PlanContext {
+                                        src,
+                                        dst,
+                                        fmin,
+                                        k,
+                                        metric,
+                                        policy,
+                                        loads,
+                                        exclude,
+                                        penalties,
+                                    };
+                                    let routes = planner.routes(&topo, &ctx);
+                                    mix(&mut digest, routes.len() as u64);
+                                    for r in routes {
+                                        mix(&mut digest, r.nodes.len() as u64);
+                                        r.nodes.iter().for_each(|&v| mix(&mut digest, v as u64));
+                                        r.edges.iter().for_each(|&e| mix(&mut digest, e as u64));
+                                        mix(&mut digest, r.cost.to_bits());
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(digest, DIGEST, "got {digest:#018x}");
 }

@@ -21,7 +21,7 @@
 //! pairs for more fidelity.
 
 use qlink::net::sweep::{run_one, RunRecord};
-use qlink::net::{MetricChoice, TelemetryConfig};
+use qlink::net::TelemetryConfig;
 use qlink::prelude::*;
 
 /// Every field of a [`RunRecord`] that a simulation trajectory
@@ -91,7 +91,7 @@ fn interpreted_swap_asap_matches_hardcoded_on_contended_grid() {
     // Policy::price), and re-install tables identically.
     let spec = ScenarioSpec::lab_grid("contended-grid", 4, 4)
         .with_pairs(vec![(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)])
-        .with_metric(MetricChoice::LoadLatency)
+        .with_metric(RouteMetric::LoadLatency)
         .with_request_timeout(SimDuration::from_millis(300))
         .with_retries(2)
         .with_max_time(SimDuration::from_millis(700));
