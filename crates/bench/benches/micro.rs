@@ -6,9 +6,10 @@
 //! These guard the performance assumptions DESIGN.md relies on (O(1)
 //! sampled attempts; cheap, allocation-free frame codecs and channel
 //! decisions on every control message), and the derived-physics cells
-//! price what a network pays once per hardware profile: the planner's
-//! edge profiles, the first requests' `Fmin → α` inversions, and a
-//! CREATE the FEU has answered before.
+//! price what a network pays before it runs: its topology, the
+//! planner's edge profiles, a corner-to-corner search, the first
+//! requests' `Fmin → α` inversions, and a CREATE the FEU has answered
+//! before.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use qlink::classical::{ChannelModel, Fate};
@@ -25,7 +26,8 @@ use qlink::phys::pair::{PairState, Side};
 use qlink::phys::params::ScenarioParams;
 use qlink::phys::station::{herald_distribution, BeamSplitter, DetectorModel};
 use qlink::prelude::{
-    LinkConfig, Network, RequestKind, RouteMetric, RoutePlanner, Topology, WorkloadSpec,
+    LinkConfig, Network, PlanContext, RequestKind, RouteMetric, RoutePlanner, Topology,
+    WorkloadSpec,
 };
 use qlink::quantum::bell::BellState;
 use qlink::quantum::{channels, gates, QuantumState};
@@ -223,9 +225,21 @@ fn lab_grid_16() -> Topology {
 }
 
 fn bench_derived_physics(c: &mut Criterion) {
+    c.bench_function("topology_grid/16x16", |b| b.iter(lab_grid_16));
     let topo = lab_grid_16();
     c.bench_function("route_planner_new/16x16", |b| {
         b.iter(|| RoutePlanner::new(black_box(&topo)))
+    });
+    // Corner to corner on a built planner: the search behind
+    // `Network::plan_route` at its longest on this grid.
+    let planner = RoutePlanner::new(&topo);
+    let corners = PlanContext {
+        metric: RouteMetric::LoadLatency,
+        fmin: 0.6,
+        ..PlanContext::new(0, topo.node_count() - 1)
+    };
+    c.bench_function("route/latency_dijkstra_16x16", |b| {
+        b.iter(|| black_box(planner.routes(&topo, black_box(&corners))))
     });
     // The 480 links alone, built and dropped: what a link costs to set
     // up before it fires an attempt (the topology clone is in the loop).

@@ -18,7 +18,7 @@
 //! the QBER↔fidelity relation of eq. (16).
 
 use qlink_des::{IntMap, SimTime};
-use qlink_math::solve::bisect;
+use qlink_math::solve::{bisect, BisectResult};
 use qlink_phys::attempt::{AttemptModel, AttemptOutcome, ModelCache};
 use qlink_phys::pair::{PairState, Side};
 use qlink_phys::params::ScenarioParams;
@@ -54,6 +54,14 @@ const SAFETY_MARGIN: f64 = 0.08;
 /// How close to the fidelity ceiling the margined target may get
 /// (prevents the margin from collapsing α to [`ALPHA_MIN`]).
 const CEILING_GUARD: f64 = 0.02;
+
+/// The plain bisection `qlink_math::solve` keeps as its oracle.
+#[cfg(test)]
+#[path = "../../math/src/solve/plain.rs"]
+mod plain;
+
+/// A root finder with [`bisect`]'s signature.
+type Solver = fn(&mut dyn FnMut(f64) -> f64, f64, f64, f64, u32) -> BisectResult;
 
 /// What every handle to one FEU reads and fills.
 struct Shared {
@@ -198,7 +206,9 @@ impl FidelityEstimator {
         if let Some(&known) = self.choices()[slot].get(&fmin.to_bits()) {
             return known;
         }
-        let choice = self.invert(fmin, rtype);
+        let choice = self.invert(fmin, rtype, |f, lo, hi, xtol, max_iter| {
+            bisect(f, lo, hi, xtol, max_iter)
+        });
         self.choices()[slot].insert(fmin.to_bits(), choice);
         choice
     }
@@ -210,8 +220,9 @@ impl FidelityEstimator {
             .expect("a thread panicked while recording an FEU choice")
     }
 
-    /// The bisection behind [`FidelityEstimator::choose_alpha`].
-    fn invert(&mut self, fmin: f64, rtype: RequestType) -> Option<FeuChoice> {
+    /// The bisection behind [`FidelityEstimator::choose_alpha`], through
+    /// `solve`: [`bisect`], or in tests the plain bisection it replays.
+    fn invert(&mut self, fmin: f64, rtype: RequestType, solve: Solver) -> Option<FeuChoice> {
         let (lo, hi) = (ALPHA_MIN, ALPHA_MAX);
         let ceiling = self.delivered_fidelity(lo, rtype);
         if ceiling < fmin {
@@ -223,8 +234,8 @@ impl FidelityEstimator {
         let target = fmin.max((fmin + SAFETY_MARGIN).min(ceiling - CEILING_GUARD));
         // delivered_fidelity decreases with α; find the largest α that
         // still meets the target (fastest acceptable generation).
-        let result = bisect(
-            |a| self.delivered_fidelity(a, rtype) - target,
+        let result = solve(
+            &mut |a| self.delivered_fidelity(a, rtype) - target,
             lo,
             hi,
             1e-4,
@@ -431,6 +442,50 @@ mod tests {
         assert!(FidelityEstimator::new(ScenarioParams::ql2020())
             .models()
             .is_empty());
+    }
+
+    /// Every `Fmin → α` answer is the plain bisection's, bit for bit, and
+    /// a cold inversion that bisects builds fewer attempt models (UNSUPP
+    /// builds one either way: the ceiling's).
+    #[test]
+    fn the_inversion_matches_the_plain_bisection_from_fewer_models() {
+        let oracle: Solver = |f, lo, hi, xtol, max_iter| plain::bisect(f, lo, hi, xtol, max_iter);
+        for params in [ScenarioParams::lab(), ScenarioParams::ql2020()] {
+            for rtype in [RequestType::Keep, RequestType::Measure] {
+                for step in 100..=198 {
+                    let fmin = f64::from(step) / 200.0;
+                    let mut feu = FidelityEstimator::new(params.clone());
+                    let mut plain = FidelityEstimator::new(params.clone());
+                    let got = feu.choose_alpha(fmin, rtype);
+                    let want = plain.invert(fmin, rtype, oracle);
+                    let bits = |c: Option<FeuChoice>| {
+                        c.map(|c| {
+                            (
+                                c.alpha.to_bits(),
+                                c.goodness.to_bits(),
+                                c.est_cycles_per_pair,
+                            )
+                        })
+                    };
+                    assert_eq!(bits(got), bits(want), "Fmin {fmin} {rtype:?}");
+                    let (fast, slow) = (feu.models().len(), plain.models().len());
+                    if got.is_some() {
+                        assert!(
+                            fast < slow,
+                            "Fmin {fmin} {rtype:?}: {fast} models vs {slow}"
+                        );
+                    } else {
+                        assert_eq!((fast, slow), (1, 1), "Fmin {fmin} {rtype:?}");
+                    }
+                }
+            }
+        }
+        // The cold Lab K-type inversion at the paper's Fmin.
+        let mut feu = FidelityEstimator::new(ScenarioParams::lab());
+        let mut plain = FidelityEstimator::new(ScenarioParams::lab());
+        feu.choose_alpha(0.64, RequestType::Keep);
+        plain.invert(0.64, RequestType::Keep, oracle);
+        assert_eq!((feu.models().len(), plain.models().len()), (9, 16));
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! * [`stats`] — streaming summary statistics used by the evaluation
 //!   harness (mean / standard deviation / standard error, and the
 //!   *relative difference* metric of Section 6.1),
-//! * [`solve`] — bisection root finding, used by the Fidelity Estimation
-//!   Unit to invert `F(α)` when translating a requested `Fmin` into a
-//!   bright-state population `α`.
+//! * [`solve`] — bisection root finding for a monotone `f`, plain
+//!   bisection's answer from a few Illinois steps and the midpoints they
+//!   leave open, used by the Fidelity Estimation Unit to invert `F(α)`
+//!   when translating a requested `Fmin` into a bright-state population `α`.
 
 pub mod bessel;
 pub mod complex;

@@ -368,12 +368,12 @@ impl Network {
             FaultKind::Fail { edge } => self.fail_edge(edge, t),
             FaultKind::Repair { edge, profile } => self.repair_edge(edge, profile.map(|p| *p), t),
             FaultKind::NodeDown { node } => {
-                for edge in self.topo.edges_at(node) {
+                for edge in self.topo.edges_at(node).to_vec() {
                     self.fail_edge(edge, t);
                 }
             }
             FaultKind::NodeUp { node } => {
-                for edge in self.topo.edges_at(node) {
+                for edge in self.topo.edges_at(node).to_vec() {
                     self.repair_edge(edge, None, t);
                 }
             }

@@ -63,6 +63,8 @@ use qlink_egp::feu::FidelityEstimator;
 use qlink_phys::attempt::ModelCache;
 use qlink_quantum::purify::distill_werner;
 use qlink_wire::fields::RequestType;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Reference bright-state population at which edges are profiled.
 ///
@@ -422,10 +424,7 @@ pub(crate) struct Removed {
 /// Nodes settle in `(distance, index)` order and an equal-cost
 /// relaxation never replaces an earlier predecessor: among equal-cost
 /// paths the choice is a pure function of the topology, never of hash
-/// or scheduling order. (This tie-break is settle-order based, so on
-/// graphs with several equal-length paths it may pick a different —
-/// equally shortest — path than PR 1's BFS did; chains, stars and
-/// rings are unaffected.) Edges with non-finite cost are skipped.
+/// or scheduling order. Edges with non-finite cost are skipped.
 pub(crate) fn dijkstra(
     topo: &Topology,
     src: usize,
@@ -443,29 +442,22 @@ pub(crate) fn dijkstra(
     let mut prev: Vec<Option<(usize, usize)>> = vec![None; n]; // (node, edge)
     let mut settled = vec![false; n];
     dist[src] = 0.0;
+    // Non-negative distances order as their bits, so the heap pops the
+    // least `(distance, index)`. Every improvement pushes an entry: a
+    // node's live entry is its least, and the rest are skipped as stale.
+    let mut frontier = BinaryHeap::from([Reverse((dist[src].to_bits(), src))]);
     loop {
-        // O(n²) scan: topologies are small and this keeps settle order
-        // — and therefore tie-breaking — trivially deterministic.
-        let mut current = None;
-        for v in 0..n {
-            if !settled[v] && dist[v].is_finite() {
-                if let Some(c) = current {
-                    if dist[v] < dist[c] {
-                        current = Some(v);
-                    }
-                } else {
-                    current = Some(v);
-                }
-            }
-        }
-        let Some(u) = current else {
+        let Some(Reverse((d, u))) = frontier.pop() else {
             return None; // frontier exhausted, dst unreachable
         };
+        if settled[u] || d != dist[u].to_bits() {
+            continue;
+        }
         if u == dst {
             break;
         }
         settled[u] = true;
-        for &e in &topo.edges_at(u) {
+        for &e in topo.edges_at(u) {
             if removed.is_some_and(|r| r.edges[e]) {
                 continue;
             }
@@ -482,6 +474,7 @@ pub(crate) fn dijkstra(
             if nd < dist[v] {
                 dist[v] = nd;
                 prev[v] = Some((u, e));
+                frontier.push(Reverse((nd.to_bits(), v)));
             }
         }
     }

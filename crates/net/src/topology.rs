@@ -76,6 +76,9 @@ impl Edge {
 pub struct Topology {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
+    /// Each node's incident edge indices, ascending: [`Topology::connect`]
+    /// appends edges in index order.
+    incident: Vec<Vec<usize>>,
 }
 
 impl Topology {
@@ -176,6 +179,7 @@ impl Topology {
         self.nodes.push(Node {
             name: format!("n{id}"),
         });
+        self.incident.push(Vec::new());
         id
     }
 
@@ -202,6 +206,8 @@ impl Topology {
             control_delay,
             up: true,
         });
+        self.incident[a].push(id);
+        self.incident[b].push(id);
         id
     }
 
@@ -269,18 +275,19 @@ impl Topology {
         &self.edges
     }
 
-    /// The edge connecting `a` and `b`, if any.
+    /// The edge connecting `a` and `b`, if any (`None` for an unknown
+    /// node).
     pub fn edge_between(&self, a: usize, b: usize) -> Option<usize> {
-        self.edges
-            .iter()
-            .position(|e| (e.a == a && e.b == b) || (e.a == b && e.b == a))
+        self.edges_at(a).iter().copied().find(|&i| {
+            let e = &self.edges[i];
+            (e.a == a && e.b == b) || (e.a == b && e.b == a)
+        })
     }
 
-    /// Edge indices incident to `node`.
-    pub fn edges_at(&self, node: usize) -> Vec<usize> {
-        (0..self.edges.len())
-            .filter(|&i| self.edges[i].a == node || self.edges[i].b == node)
-            .collect()
+    /// Edge indices incident to `node`, ascending (empty for an unknown
+    /// node).
+    pub fn edges_at(&self, node: usize) -> &[usize] {
+        self.incident.get(node).map_or(&[], Vec::as_slice)
     }
 
     /// Shortest path (fewest hops) from `src` to `dst` as a node
@@ -410,7 +417,7 @@ mod tests {
         assert_eq!(t.edge_between(1, 2), Some(1));
         assert_eq!(t.edge_between(2, 1), Some(1));
         assert_eq!(t.edge_between(0, 3), None);
-        assert_eq!(t.edges_at(1), vec![0, 1]);
+        assert_eq!(t.edges_at(1), [0, 1]);
     }
 
     #[test]
@@ -503,6 +510,55 @@ mod tests {
         assert_eq!(e.other(2), 1);
         assert_eq!(e.side_of(1), 0);
         assert_eq!(e.side_of(2), 1);
+    }
+
+    /// Incident lists answer as the full-edge scans they replace: every
+    /// `edges_at` and every `edge_between`, both orders, on the shaped
+    /// constructors and on seeded random graphs, out-of-range nodes
+    /// included.
+    #[test]
+    fn incident_lists_answer_as_full_edge_scans() {
+        let mut graphs = vec![
+            Topology::chain(5, |i| lab(i as u64)),
+            Topology::star(6, |i| lab(i as u64)),
+            Topology::grid(3, 4, |i| lab(i as u64)),
+            Topology::grid(16, 16, |i| lab(i as u64)),
+        ];
+        for seed in 0..20 {
+            let mut rng = qlink_des::DetRng::new(seed);
+            let mut t = Topology::new();
+            let n = 2 + rng.below(14) as usize;
+            for _ in 0..n {
+                t.add_node();
+            }
+            let mut linked = std::collections::BTreeSet::new();
+            for _ in 0..rng.below(3 * n as u64) {
+                let (a, b) = (rng.below(n as u64) as usize, rng.below(n as u64) as usize);
+                if a != b && linked.insert((a.min(b), a.max(b))) {
+                    t.connect(a, b, lab(seed));
+                }
+            }
+            graphs.push(t);
+        }
+        for t in &graphs {
+            let e = t.edges();
+            let n = t.node_count();
+            for a in 0..n + 2 {
+                let scan: Vec<usize> = (0..e.len())
+                    .filter(|&i| e[i].a == a || e[i].b == a)
+                    .collect();
+                assert_eq!(t.edges_at(a), scan, "edges at {a}");
+                for b in 0..n + 2 {
+                    let scan = e
+                        .iter()
+                        .position(|edge| (edge.a, edge.b) == (a, b) || (edge.a, edge.b) == (b, a));
+                    assert_eq!(t.edge_between(a, b), scan, "edge {a}-{b}");
+                }
+            }
+            assert!(t.edges_at(usize::MAX).is_empty());
+            assert_eq!(t.edge_between(usize::MAX, 0), None);
+            assert_eq!(t.edge_between(0, usize::MAX), None);
+        }
     }
 
     #[test]

@@ -416,6 +416,29 @@ fn node_churn_fails_and_repairs_incident_edges() {
     assert!(net.topology().edge_up(0) && net.topology().edge_up(1));
 }
 
+/// Node churn naming a node the topology does not have is a no-op:
+/// the run goes on past it, faulting and repairing nothing.
+#[test]
+fn node_churn_on_an_unknown_node_is_a_no_op() {
+    let mut net = Network::new(clean_diamond(), 3);
+    let plan = FaultPlan::new()
+        .with_event(SimDuration::from_millis(1), FaultKind::NodeDown { node: 5 })
+        .with_event(SimDuration::from_millis(2), FaultKind::NodeUp { node: 5 })
+        .with_event(
+            SimDuration::from_millis(3),
+            FaultKind::NodeDown { node: usize::MAX },
+        );
+    net.set_fault_plan(&plan);
+    net.run_for(SimDuration::from_millis(10));
+    assert_eq!(net.now(), SimTime::ZERO + SimDuration::from_millis(10));
+    assert_eq!((net.faults(), net.repairs()), (0, 0));
+    assert!((0..5).all(|e| net.topology().edge_up(e)));
+    assert_eq!(
+        net.plan_route(0, 4, 0.6).expect("short arm").nodes,
+        vec![0, 1, 4]
+    );
+}
+
 // ---- retry-budget exhaustion under flapping (satellite) -------------
 
 /// A single-edge stream whose link flaps faster than it can deliver:
