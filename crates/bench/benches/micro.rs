@@ -304,10 +304,11 @@ fn bench_derived_physics(c: &mut Criterion) {
 }
 
 /// What one derivation from a hardware profile costs, cold: the
-/// station's analysis of one attempt's joint state, a `Fmin → α`
-/// inversion over a table of its own, and the K delivery path of a
-/// heralded pair (storage decay while the reply travels, then the move
-/// to carbon at both nodes).
+/// station's analysis of one attempt's joint state, one arm's noisy
+/// spin-photon state, one forward estimate of each request type over a
+/// model already built, a `Fmin → α` inversion over a table of its
+/// own, and the K delivery path of a heralded pair (storage decay
+/// while the reply travels, then the move to carbon at both nodes).
 fn bench_derivation(c: &mut Criterion) {
     let lab = ScenarioParams::lab();
     let joint = arm_state(&lab, 0.2, lab.arm_a_km).tensor(&arm_state(&lab, 0.2, lab.arm_b_km));
@@ -319,6 +320,20 @@ fn bench_derivation(c: &mut Criterion) {
     c.bench_function("herald_distribution/lab", |b| {
         b.iter(|| herald_distribution(black_box(&joint), &bs, &det))
     });
+    let ql2020 = ScenarioParams::ql2020();
+    c.bench_function("arm_state/ql2020", |b| {
+        b.iter(|| arm_state(black_box(&ql2020), black_box(0.2), ql2020.arm_b_km))
+    });
+    for (name, rtype) in [
+        ("keep", RequestType::Keep),
+        ("measure", RequestType::Measure),
+    ] {
+        let mut feu = FidelityEstimator::new(lab.clone());
+        feu.delivered_fidelity(0.2, rtype);
+        c.bench_function(&format!("feu_delivered_fidelity_warm/{name}"), |b| {
+            b.iter(|| feu.delivered_fidelity(black_box(0.2), rtype))
+        });
+    }
     for (name, params, fmin, rtype) in [
         (
             "lab_keep_064",

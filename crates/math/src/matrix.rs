@@ -57,9 +57,22 @@ impl CMatrix {
     }
 
     /// Builds a matrix from a row-major slice of real entries.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols`.
     pub fn from_real(rows: usize, cols: usize, data: &[f64]) -> Self {
-        let cdata: Vec<Complex> = data.iter().map(|&x| Complex::real(x)).collect();
-        CMatrix::from_rows(rows, cols, &cdata)
+        assert_eq!(
+            data.len(),
+            rows * cols,
+            "CMatrix::from_real: expected {} entries, got {}",
+            rows * cols,
+            data.len()
+        );
+        CMatrix {
+            rows,
+            cols,
+            data: data.iter().map(|&x| Complex::real(x)).collect(),
+        }
     }
 
     /// Builds a column vector from a slice of complex amplitudes.
@@ -147,6 +160,14 @@ impl CMatrix {
         }
     }
 
+    /// Scales every entry by a complex factor in place: [`CMatrix::scale`]
+    /// without a second buffer.
+    pub fn scale_in_place(&mut self, k: Complex) {
+        for z in &mut self.data {
+            *z *= k;
+        }
+    }
+
     /// Kronecker (tensor) product `self ⊗ other`.
     pub fn kron(&self, other: &CMatrix) -> CMatrix {
         let mut out = CMatrix::zeros(self.rows * other.rows, self.cols * other.cols);
@@ -199,8 +220,18 @@ impl CMatrix {
     /// Panics on dimension mismatch.
     pub fn expectation(&self, v: &CMatrix) -> Complex {
         assert!(self.is_square() && v.cols == 1 && v.rows == self.rows);
-        let av = self * v;
-        (0..self.rows).map(|i| v[(i, 0)].conj() * av[(i, 0)]).sum()
+        // `⟨v|(A|v⟩)`, each entry of `A|v⟩` summed as `A * v` sums it.
+        (0..self.rows)
+            .map(|i| {
+                let mut av = ZERO;
+                for (&a, &z) in self.data[i * self.cols..][..self.cols].iter().zip(&v.data) {
+                    if a != ZERO {
+                        av += a * z;
+                    }
+                }
+                v.data[i].conj() * av
+            })
+            .sum()
     }
 
     /// Sets every entry with modulus below `eps` to exactly zero.

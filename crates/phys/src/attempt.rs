@@ -10,6 +10,10 @@
 //! distinguishable photons (D.5) → detector efficiency and dark counts
 //! (D.4.8).
 //!
+//! The two arms run everything up to the photon loss as one chain (it
+//! depends only on `α` and the optics); each then loses its photon over
+//! its own fibre, and arms of equal length are one state.
+//!
 //! The result — outcome probabilities plus conditional post-herald
 //! electron-electron states — is exact for one attempt, so the DES can
 //! *sample* attempts in O(1) instead of re-running the chain millions
@@ -18,7 +22,7 @@
 //! 169-scenario evaluation possible.
 
 use crate::params::ScenarioParams;
-use crate::station::{herald_distribution, BeamSplitter, ClickPattern, DetectorModel};
+use crate::station::{herald_distribution, BeamSplitter, DetectorModel};
 use qlink_des::{DetRng, IntMap};
 use qlink_math::bessel::phase_uncertainty_dephasing;
 use qlink_quantum::bell::{bell_fidelity, BellState};
@@ -61,10 +65,17 @@ impl AttemptOutcome {
 /// `√α|0⟩_C|1⟩_P + √(1−α)|1⟩_C|0⟩_P` plus the arm's noise processes.
 /// Register order `[electron, photon]`.
 pub fn arm_state(params: &ScenarioParams, alpha: f64, arm_km: f64) -> QuantumState {
+    let mut s = emission(params, alpha);
+    lose_photon(&mut s, params, arm_km);
+    s
+}
+
+/// The chain both arms share, everything but the photon loss: the
+/// spin-photon entanglement at `α` and its two dephasings.
+fn emission(params: &ScenarioParams, alpha: f64) -> QuantumState {
     assert!((0.0..=1.0).contains(&alpha), "alpha {alpha}");
     let o = &params.optics;
     let mut s = QuantumState::ground(2);
-
     // Note: electron-initialization noise is deliberately *not* part of
     // this chain. Appendix D.4 enumerates the noise processes of
     // entanglement generation (nuclear dephasing, phase uncertainty,
@@ -91,14 +102,18 @@ pub fn arm_state(params: &ScenarioParams, alpha: f64, arm_km: f64) -> QuantumSta
     // Optical-phase uncertainty (D.4.2, eq. (28)) on the photon.
     let pd = phase_uncertainty_dephasing(o.phase_sigma_rad);
     s.apply_kraus(&channels::dephasing(pd), &[1]);
+    s
+}
 
-    // Photon loss: finite window (eq. 30), collection (eq. 31) and fiber
-    // transmission (eq. 33) compose into one amplitude damping.
+/// Photon loss on the arm's photon: finite window (eq. 30), collection
+/// (eq. 31) and fiber transmission (eq. 33) compose into one amplitude
+/// damping.
+fn lose_photon(s: &mut QuantumState, params: &ScenarioParams, arm_km: f64) {
+    let o = &params.optics;
     let survival = (1.0 - o.window_damping())
         * (1.0 - o.collection_damping())
         * (1.0 - o.transmission_damping(arm_km));
     s.apply_kraus(&channels::amplitude_damping(1.0 - survival), &[1]);
-    s
 }
 
 /// The exact per-attempt behaviour at a given `(scenario, α)`.
@@ -118,9 +133,16 @@ pub struct AttemptModel {
 impl AttemptModel {
     /// Runs the full noise chain once and stores the distribution.
     pub fn build(params: &ScenarioParams, alpha: f64) -> Self {
-        let arm_a = arm_state(params, alpha, params.arm_a_km);
-        let arm_b = arm_state(params, alpha, params.arm_b_km);
-        let joint = arm_a.tensor(&arm_b); // [eA, pA, eB, pB]
+        // The arms share their chain up to the photon loss; equal arms
+        // (Lab) are one state.
+        let mut arm_a = emission(params, alpha);
+        let arm_b = (params.arm_b_km != params.arm_a_km).then(|| {
+            let mut arm_b = arm_a.clone();
+            lose_photon(&mut arm_b, params, params.arm_b_km);
+            arm_b
+        });
+        lose_photon(&mut arm_a, params, params.arm_a_km);
+        let joint = arm_a.tensor(arm_b.as_ref().unwrap_or(&arm_a)); // [eA, pA, eB, pB]
 
         let bs = BeamSplitter::new(params.optics.visibility);
         let det = DetectorModel {
@@ -129,17 +151,16 @@ impl AttemptModel {
         };
         let dist = herald_distribution(&joint, &bs, &det);
 
-        let p_none = dist.probs[ClickPattern::None.index()];
-        let p_both = dist.probs[ClickPattern::Both.index()];
-        let p_psi_plus = dist.probs[ClickPattern::Left.index()];
-        let p_psi_minus = dist.probs[ClickPattern::Right.index()];
+        // Indexed by `ClickPattern::ALL`: None, Left (Ψ+), Right (Ψ−), Both.
+        let [p_none, p_psi_plus, p_psi_minus, p_both] = dist.probs;
+        let [_, cond_plus, cond_minus, _] = dist.states;
         AttemptModel {
             alpha,
             p_fail: p_none + p_both,
             p_psi_plus,
             p_psi_minus,
-            cond_plus: dist.states[ClickPattern::Left.index()].clone(),
-            cond_minus: dist.states[ClickPattern::Right.index()].clone(),
+            cond_plus,
+            cond_minus,
             readout_f0: params.nv.readout_f0,
             readout_f1: params.nv.readout_f1,
         }

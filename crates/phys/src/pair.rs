@@ -106,11 +106,13 @@ impl PairState {
     pub fn advance_to(&mut self, t: SimTime, nv: &NvParams) {
         let dt = t.since(self.last_update).as_secs_f64();
         if dt > 0.0 {
-            for side in [Side::A, Side::B] {
-                let kind = self.kinds[side.index()];
-                let kraus = channels::t1t2_decay(dt, kind.t1(nv), kind.t2(nv));
-                self.state.apply_kraus(&kraus, &[side.index()]);
-            }
+            let decay = |kind: QubitKind| channels::t1t2_decay(dt, kind.t1(nv), kind.t2(nv));
+            let [a, b] = self.kinds;
+            let kraus_a = decay(a);
+            self.state.apply_kraus(&kraus_a, &[Side::A.index()]);
+            // Halves in the same kind of qubit decay by one Kraus set.
+            let kraus_b = if b == a { kraus_a } else { decay(b) };
+            self.state.apply_kraus(&kraus_b, &[Side::B.index()]);
         }
         self.last_update = t;
     }

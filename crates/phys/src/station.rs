@@ -10,9 +10,11 @@
 //! Only the electrons outlive a herald, so the station keeps only their
 //! block: for each ideal click pattern it reads the branch probability
 //! off the diagonal of `K†Kρ` ([`QuantumState::kraus_probability`]) and
-//! forms just the entries of `KρK†` the photon trace reads — bit for bit
-//! what applying the Kraus operator to the whole register and tracing
-//! the photons out gives.
+//! forms just the entries of `KρK†` the photon trace reads, walking
+//! only `K`'s nonzero entries — bit for bit what applying the Kraus
+//! operator to the whole register and tracing the photons out gives.
+//! Only a success pattern's state is then mixed through the detector
+//! noise and validated: a failed attempt leaves nothing anyone reads.
 
 use qlink_math::complex::{Complex, ZERO};
 use qlink_math::CMatrix;
@@ -192,7 +194,9 @@ pub struct HeraldDistribution {
     /// `P(observed pattern)`, indexed by [`ClickPattern::ALL`].
     pub probs: [f64; 4],
     /// Conditional two-electron states (order `[electron_A,
-    /// electron_B]`); `None` when the probability is (numerically) zero.
+    /// electron_B]`) of the two success patterns, `Left` and `Right`;
+    /// `None` when the probability is (numerically) zero, and always
+    /// for `None` and `Both`, whose states no caller reads.
     pub states: [Option<QuantumState>; 4],
 }
 
@@ -222,19 +226,30 @@ const ELECTRON: [usize; 4] = [0b0000, 0b0010, 0b1000, 0b1010];
 /// only the 64 entries of `KρK†` the trace reads.
 fn electron_block(joint: &CMatrix, k: &CMatrix) -> CMatrix {
     let rho = joint.as_slice();
+    // K's nonzero entries `(photon offset, entry)` row by row, and
+    // conjugated (K†'s columns): the only terms either product sums.
+    let mut nonzeros = [[(0, ZERO); 4]; 4];
+    let mut adjoint = [[(0, ZERO); 4]; 4];
+    let mut lens = [0; 4];
+    for p in 0..4 {
+        for (q, &offset) in PHOTON.iter().enumerate() {
+            let a = k[(p, q)];
+            if a != ZERO {
+                nonzeros[p][lens[p]] = (offset, a);
+                adjoint[p][lens[p]] = (offset, a.conj());
+                lens[p] += 1;
+            }
+        }
+    }
     // Kρ: row (e, p) reads the rows (e, q) of its photon block.
     let mut left = [[ZERO; 16]; 16];
     for e in ELECTRON {
         for (p, &row) in PHOTON.iter().enumerate() {
-            for (c, entry) in left[e + row].iter_mut().enumerate() {
-                let mut acc = ZERO;
-                for (q, &offset) in PHOTON.iter().enumerate() {
-                    let a = k[(p, q)];
-                    if a != ZERO {
-                        acc += a * rho[(e + offset) * 16 + c];
-                    }
+            let out = &mut left[e + row];
+            for &(offset, a) in &nonzeros[p][..lens[p]] {
+                for (entry, &z) in out.iter_mut().zip(&rho[(e + offset) * 16..][..16]) {
+                    *entry += a * z;
                 }
-                *entry = acc;
             }
         }
     }
@@ -244,11 +259,8 @@ fn electron_block(joint: &CMatrix, k: &CMatrix) -> CMatrix {
         for (r, &row) in ELECTRON.iter().enumerate() {
             for (c, &col) in ELECTRON.iter().enumerate() {
                 let mut acc = ZERO;
-                for (q, &offset) in PHOTON.iter().enumerate() {
-                    let a = k[(t, q)];
-                    if a != ZERO {
-                        acc += left[row + photon][col + offset] * a.conj();
-                    }
+                for &(offset, a) in &adjoint[t][..lens[t]] {
+                    acc += left[row + photon][col + offset] * a;
                 }
                 kept[t][r][c] = acc;
             }
@@ -288,7 +300,8 @@ fn electron_block(joint: &CMatrix, k: &CMatrix) -> CMatrix {
 /// Performs the full station measurement on a 4-qubit register ordered
 /// `[electron_A, photon_A, electron_B, photon_B]`: ideal beam-splitter
 /// POVM on the photons, detector-noise mixing, and partial trace onto
-/// the electrons.
+/// the electrons. Every pattern gets its probability; only the two
+/// success patterns get a state.
 ///
 /// # Panics
 /// Panics unless the register has four qubits, or if a heralded state
@@ -316,30 +329,40 @@ pub fn herald_distribution(
         }
     }
 
-    // Mix through the detector-noise matrix.
+    // Mix through the detector-noise matrix. Only a success pattern's
+    // state is formed: a failed attempt leaves no state anyone reads.
     let mut probs = [0.0f64; 4];
     let mut states: [Option<QuantumState>; 4] = [None, None, None, None];
-    for observed in 0..4 {
+    for pattern in ClickPattern::ALL {
+        let observed = pattern.index();
         let mut p_obs = 0.0;
-        let mut rho_acc: Option<CMatrix> = None;
+        let mut rho_acc: Option<[Complex; 16]> = None;
         for ideal in 0..4 {
             let w = obs[ideal][observed] * ideal_probs[ideal];
             if w <= 0.0 {
                 continue;
             }
             p_obs += w;
+            if !pattern.is_success() {
+                continue;
+            }
             if let Some(state) = &ideal_states[ideal] {
-                let term = state.scale(Complex::real(w));
-                rho_acc = Some(match rho_acc {
-                    Some(acc) => &acc + &term,
-                    None => term,
-                });
+                let w = Complex::real(w);
+                let entries = state.as_slice();
+                match &mut rho_acc {
+                    Some(acc) => {
+                        for (sum, &z) in acc.iter_mut().zip(entries) {
+                            *sum += z * w;
+                        }
+                    }
+                    None => rho_acc = Some(std::array::from_fn(|i| entries[i] * w)),
+                }
             }
         }
         probs[observed] = p_obs;
         if let (Some(rho), true) = (rho_acc, p_obs > 1e-15) {
-            let normalized = rho.scale(Complex::real(1.0 / p_obs));
-            let pattern = ClickPattern::ALL[observed];
+            let normalize = Complex::real(1.0 / p_obs);
+            let normalized = CMatrix::from_rows(4, 4, &rho.map(|z| z * normalize));
             let state = QuantumState::from_density(normalized).unwrap_or_else(|e| {
                 panic!("the {pattern:?} herald (p = {p_obs:e}) is not a density matrix: {e}")
             });

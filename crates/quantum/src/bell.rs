@@ -10,6 +10,7 @@ use crate::gates;
 use crate::state::{Basis, QuantumState};
 use qlink_math::complex::{Complex, ZERO};
 use qlink_math::CMatrix;
+use std::borrow::Cow;
 
 /// The four Bell states (paper eqs. (9)–(12)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,10 +85,16 @@ impl BellState {
 /// `qubits` selects the pair inside a possibly larger register.
 pub fn bell_fidelity(state: &QuantumState, qubits: (usize, usize), bell: BellState) -> f64 {
     let keep = sorted_pair(qubits);
-    let mut pair = state.partial_trace(&[keep.0, keep.1]);
+    // A trace that keeps every qubit is the state itself: it would only
+    // turn `−0` entries into `+0`, which no product below reads.
+    let mut pair = if state.num_qubits() == 2 && keep == (0, 1) {
+        Cow::Borrowed(state)
+    } else {
+        Cow::Owned(state.partial_trace(&[keep.0, keep.1]))
+    };
     if keep != qubits {
         // The caller's qubit order is reversed w.r.t. the traced register.
-        pair.apply_unitary(&gates::swap(), &[0, 1]);
+        pair.to_mut().apply_unitary(&gates::swap(), &[0, 1]);
     }
     pair.fidelity_pure(&bell.ket())
 }

@@ -11,6 +11,12 @@ use crate::state::QuantumState;
 use qlink_math::complex::Complex;
 use qlink_math::CMatrix;
 
+/// `k · m` in `m`'s own buffer.
+fn scaled(mut m: CMatrix, k: f64) -> CMatrix {
+    m.scale_in_place(Complex::real(k));
+    m
+}
+
 /// Kraus set for the dephasing channel
 /// `ρ → (1−p)ρ + p ZρZ` (paper eq. (24)).
 ///
@@ -19,8 +25,8 @@ use qlink_math::CMatrix;
 pub fn dephasing(p: f64) -> Vec<CMatrix> {
     assert!((0.0..=1.0).contains(&p), "dephasing p = {p}");
     vec![
-        CMatrix::identity(2).scale(Complex::real((1.0 - p).sqrt())),
-        gates::z().scale(Complex::real(p.sqrt())),
+        scaled(CMatrix::identity(2), (1.0 - p).sqrt()),
+        scaled(gates::z(), p.sqrt()),
     ]
 }
 
@@ -28,8 +34,8 @@ pub fn dephasing(p: f64) -> Vec<CMatrix> {
 pub fn bit_flip(p: f64) -> Vec<CMatrix> {
     assert!((0.0..=1.0).contains(&p), "bit_flip p = {p}");
     vec![
-        CMatrix::identity(2).scale(Complex::real((1.0 - p).sqrt())),
-        gates::x().scale(Complex::real(p.sqrt())),
+        scaled(CMatrix::identity(2), (1.0 - p).sqrt()),
+        scaled(gates::x(), p.sqrt()),
     ]
 }
 
@@ -37,12 +43,12 @@ pub fn bit_flip(p: f64) -> Vec<CMatrix> {
 /// `ρ → (1−p)ρ + p/3 (XρX + YρY + ZρZ)` (Appendix D.3.1).
 pub fn depolarizing(p: f64) -> Vec<CMatrix> {
     assert!((0.0..=1.0).contains(&p), "depolarizing p = {p}");
-    let k = Complex::real((p / 3.0).sqrt());
+    let k = (p / 3.0).sqrt();
     vec![
-        CMatrix::identity(2).scale(Complex::real((1.0 - p).sqrt())),
-        gates::x().scale(k),
-        gates::y().scale(k),
-        gates::z().scale(k),
+        scaled(CMatrix::identity(2), (1.0 - p).sqrt()),
+        scaled(gates::x(), k),
+        scaled(gates::y(), k),
+        scaled(gates::z(), k),
     ]
 }
 

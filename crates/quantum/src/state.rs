@@ -19,12 +19,18 @@
 //!    order, which differs for targets like `[1, 0]`;
 //! 2. every accumulator starts at `ZERO` and uses the same `Complex`
 //!    `*`, `+=` and `conj`;
-//! 3. a term with a zero operator entry is skipped: the dense product
-//!    adds it as a signed zero to an accumulator that starts at `+0`
-//!    and can never become `−0`, which changes no bit;
+//! 3. a term with a zero operator entry (of either sign) is skipped: the
+//!    dense product adds it as a signed zero to an accumulator that
+//!    starts at `+0` and can never become `−0`, which changes no bit —
+//!    so each kernel gathers an operator row's nonzero entries once and
+//!    its inner loops sum only those;
 //! 4. each Kraus term is summed from zero and then added to the
 //!    accumulator, and renormalisation scales by `Complex::real(1/t)`
 //!    after the full trace.
+//!
+//! The kernels' scratch lives on the stack, sized for operators on at
+//! most three qubits of a register of at most four, so applying an
+//! operator touches the heap not at all.
 //!
 //! The dense path stays in the test build as the oracle the kernels are
 //! compared against.
@@ -108,87 +114,176 @@ impl fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
+/// The largest register the operator kernels take: every register the
+/// link layer builds — two arms, two pairs, a pair and a data qubit —
+/// has at most four qubits.
+const MAX_QUBITS: usize = 4;
+/// The most qubits one operator acts on (the link layer's act on two).
+const MAX_TARGETS: usize = 3;
+/// `2^MAX_QUBITS`: the most rows a register has.
+const MAX_DIM: usize = 1 << MAX_QUBITS;
+/// `2^MAX_TARGETS`: the most members a block has.
+const MAX_MEMBERS: usize = 1 << MAX_TARGETS;
+
+/// Runs `f` on `len ≤ 2 · 4^MAX_QUBITS` zeros on the stack: the scratch
+/// of a kernel, only two 4×4 matrices' worth when that is enough (a
+/// pair, an arm), since zeroing is most of a small kernel's cost.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Complex]) -> R) -> R {
+    const SMALL: usize = 2 * 4 * 4;
+    if len <= SMALL {
+        f(&mut [ZERO; SMALL][..len])
+    } else {
+        f(&mut [ZERO; 2 * MAX_DIM * MAX_DIM][..len])
+    }
+}
+
+/// The nonzero entries of one operator row as `(index, entry)` in
+/// member order: the only terms a product sums (rule 3), gathered once
+/// per row so no inner loop tests an entry again.
+struct Terms {
+    len: usize,
+    terms: [(usize, Complex); MAX_MEMBERS],
+}
+
+impl Terms {
+    fn gather(entries: impl Iterator<Item = (usize, Complex)>) -> Self {
+        let mut out = Terms {
+            len: 0,
+            terms: [(0, ZERO); MAX_MEMBERS],
+        };
+        for (index, a) in entries {
+            if a != ZERO {
+                out.terms[out.len] = (index, a);
+                out.len += 1;
+            }
+        }
+        out
+    }
+
+    fn as_slice(&self) -> &[(usize, Complex)] {
+        &self.terms[..self.len]
+    }
+}
+
 /// The basis indices an operator on some target qubits mixes.
 ///
 /// Two indices meet in a product with the expanded operator only if they
 /// agree outside the target bits, so a `2^n` register splits into
 /// `2^(n−k)` blocks of `2^k` indices, each block a copy of the operator.
-/// A block is its base index (target bits clear) plus one of `members`'
+/// A block is one of `bases` (target bits clear) plus one of `members`'
 /// offsets.
 struct Blocks {
     dim: usize,
-    /// The target qubits' bits in a basis index.
-    mask: usize,
     /// `(offset, operator index)` of every block member, by ascending
     /// offset: the register order the dense product sums in.
-    members: Vec<(usize, usize)>,
+    members: [(usize, usize); MAX_MEMBERS],
+    size: usize,
+    /// Base index of every block, ascending (at least one target bit
+    /// is clear in each).
+    bases: [usize; MAX_DIM / 2],
+    count: usize,
 }
 
 impl Blocks {
     /// # Panics
-    /// Panics on no, out-of-range or duplicate targets.
+    /// Panics on no, out-of-range or duplicate targets, more than
+    /// [`MAX_TARGETS`] of them, or a register of more than
+    /// [`MAX_QUBITS`] qubits.
     fn new(n: usize, targets: &[usize]) -> Self {
         assert!(!targets.is_empty(), "operator/target mismatch");
         for (i, &t) in targets.iter().enumerate() {
             assert!(t < n, "target {t} out of range for {n}-qubit register");
             assert!(!targets[..i].contains(&t), "duplicate target {t}");
         }
+        assert!(
+            targets.len() <= MAX_TARGETS,
+            "operators act on at most {MAX_TARGETS} qubits, not {}",
+            targets.len()
+        );
+        assert!(
+            n <= MAX_QUBITS,
+            "operators act on registers of at most {MAX_QUBITS} qubits, not {n}"
+        );
         let bit = |t: usize| 1usize << (n - 1 - t);
         let mask = targets.iter().fold(0, |m, &t| m | bit(t));
-        let mut members = Vec::with_capacity(1 << targets.len());
-        // `(s − mask) & mask` steps through the subsets of `mask` in
-        // ascending order, from 0 back round to 0.
+        let mut blocks = Blocks {
+            dim: 1 << n,
+            members: [(0, 0); MAX_MEMBERS],
+            size: 0,
+            bases: [0; MAX_DIM / 2],
+            count: 0,
+        };
+        // `(s − m) & m` steps through the subsets of `m` in ascending
+        // order, from 0 back round to 0: the members are the subsets of
+        // the target bits, the bases those of the rest.
         let mut offset = 0usize;
         loop {
             // The operator's first target is its most significant bit.
             let index = targets
                 .iter()
                 .fold(0, |idx, &t| (idx << 1) | usize::from(offset & bit(t) != 0));
-            members.push((offset, index));
+            blocks.members[blocks.size] = (offset, index);
+            blocks.size += 1;
             offset = offset.wrapping_sub(mask) & mask;
             if offset == 0 {
                 break;
             }
         }
-        Blocks {
-            dim: 1 << n,
-            mask,
-            members,
+        let rest = (blocks.dim - 1) & !mask;
+        let mut base = 0usize;
+        loop {
+            blocks.bases[blocks.count] = base;
+            blocks.count += 1;
+            base = base.wrapping_sub(rest) & rest;
+            if base == 0 {
+                break;
+            }
         }
+        blocks
+    }
+
+    fn members(&self) -> &[(usize, usize)] {
+        &self.members[..self.size]
+    }
+
+    fn bases(&self) -> &[usize] {
+        &self.bases[..self.count]
     }
 
     /// # Panics
     /// Panics unless `op` is `2^k × 2^k`.
     fn check(&self, op: &CMatrix) {
-        let size = self.members.len();
         assert!(
-            op.rows() == size && op.cols() == size,
+            op.rows() == self.size && op.cols() == self.size,
             "operator/target mismatch"
         );
     }
 
-    /// Base index of every block, ascending.
-    fn bases(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.dim).filter(|i| (i & self.mask) == 0)
+    /// The nonzero entries `f(op[row, ·])` of one operator row, by
+    /// register offset.
+    fn row(&self, op: &CMatrix, row: usize, f: impl Fn(Complex) -> Complex) -> Terms {
+        Terms::gather(
+            self.members()
+                .iter()
+                .map(|&(offset, col)| (offset, f(op[(row, col)]))),
+        )
     }
 
-    /// `out ← Oρ`: a row of the product reads only the rows of its block.
-    fn left(&self, op: &CMatrix, rho: &CMatrix, out: &mut CMatrix) {
+    /// `out ← Oρ`: a row of the product reads only the rows of its block,
+    /// each scaled by one operator entry and added in member order.
+    fn left(&self, op: &CMatrix, rho: &[Complex], out: &mut [Complex]) {
         self.check(op);
         let dim = self.dim;
-        let (rho, out) = (rho.as_slice(), out.as_mut_slice());
-        for base in self.bases() {
-            for &(row_offset, row) in &self.members {
+        for &(row_offset, row) in self.members() {
+            let terms = self.row(op, row, |a| a);
+            for &base in self.bases() {
                 let out_row = &mut out[(base + row_offset) * dim..][..dim];
-                for (c, entry) in out_row.iter_mut().enumerate() {
-                    let mut acc = ZERO;
-                    for &(offset, col) in &self.members {
-                        let a = op[(row, col)];
-                        if a != ZERO {
-                            acc += a * rho[(base + offset) * dim + c];
-                        }
+                out_row.fill(ZERO);
+                for &(offset, a) in terms.as_slice() {
+                    let rho_row = &rho[(base + offset) * dim..][..dim];
+                    for (entry, &z) in out_row.iter_mut().zip(rho_row) {
+                        *entry += a * z;
                     }
-                    *entry = acc;
                 }
             }
         }
@@ -199,21 +294,18 @@ impl Blocks {
     fn right_adjoint(
         &self,
         op: &CMatrix,
-        left: &CMatrix,
-        out: &mut CMatrix,
+        left: &[Complex],
+        out: &mut [Complex],
         merge: impl Fn(Complex, Complex) -> Complex,
     ) {
         let dim = self.dim;
-        let (left, out) = (left.as_slice(), out.as_mut_slice());
-        for (left_row, out_row) in left.chunks_exact(dim).zip(out.chunks_exact_mut(dim)) {
-            for base in self.bases() {
-                for &(col_offset, col) in &self.members {
+        for &(col_offset, col) in self.members() {
+            let terms = self.row(op, col, Complex::conj);
+            for (left_row, out_row) in left.chunks_exact(dim).zip(out.chunks_exact_mut(dim)) {
+                for &base in self.bases() {
                     let mut acc = ZERO;
-                    for &(offset, k) in &self.members {
-                        let a = op[(col, k)];
-                        if a != ZERO {
-                            acc += left_row[base + offset] * a.conj();
-                        }
+                    for &(offset, a) in terms.as_slice() {
+                        acc += left_row[base + offset] * a;
                     }
                     let entry = &mut out_row[base + col_offset];
                     *entry = merge(*entry, acc);
@@ -222,53 +314,53 @@ impl Blocks {
         }
     }
 
-    /// `Tr(Oρ)` for the operator whose entries `entry(p, q)` are given by
-    /// member position, summed over the diagonal in register order.
-    fn trace(&self, entry: impl Fn(usize, usize) -> Complex, rho: &CMatrix) -> Complex {
+    /// `Tr(Oρ)` for the operator whose row at member position `p` has
+    /// the nonzero entries `row(p)`, summed over the diagonal in
+    /// register order.
+    fn trace(&self, rho: &CMatrix, row: impl Fn(usize) -> Terms) -> Complex {
         let dim = self.dim;
         let rho = rho.as_slice();
-        (0..dim)
-            .map(|i| {
-                let base = i & !self.mask;
-                let p = self
-                    .members
-                    .partition_point(|&(offset, _)| offset < (i & self.mask));
+        let mut diagonal = [ZERO; MAX_DIM];
+        for (p, &(row_offset, _)) in self.members().iter().enumerate() {
+            let terms = row(p);
+            for &base in self.bases() {
+                let i = base + row_offset;
                 let mut acc = ZERO;
-                for (q, &(offset, _)) in self.members.iter().enumerate() {
-                    let a = entry(p, q);
-                    if a != ZERO {
-                        acc += a * rho[(base + offset) * dim + i];
-                    }
+                for &(offset, a) in terms.as_slice() {
+                    acc += a * rho[(base + offset) * dim + i];
                 }
-                acc
-            })
-            .sum()
+                diagonal[i] = acc;
+            }
+        }
+        diagonal[..dim].iter().copied().sum()
     }
 
     /// `Tr(Oρ)`.
     fn trace_product(&self, op: &CMatrix, rho: &CMatrix) -> Complex {
         self.check(op);
-        self.trace(|p, q| op[(self.members[p].1, self.members[q].1)], rho)
+        self.trace(rho, |p| self.row(op, self.members()[p].1, |a| a))
     }
 
-    /// `Tr(K†Kρ)`, with `K†K` summed in register order.
+    /// `Tr(K†Kρ)`, with `K†K` summed in register order one row at a
+    /// time: row `p` of `K†` is column `p` of `K`, conjugated.
     fn trace_gram(&self, k: &CMatrix, rho: &CMatrix) -> Complex {
         self.check(k);
-        let size = self.members.len();
-        let mut gram = CMatrix::zeros(size, size);
-        for (p, &(_, col_p)) in self.members.iter().enumerate() {
-            for (q, &(_, col_q)) in self.members.iter().enumerate() {
+        let members = self.members();
+        self.trace(rho, |p| {
+            let col_p = members[p].1;
+            let adjoint_row = Terms::gather(
+                members
+                    .iter()
+                    .map(|&(_, row)| (row, k[(row, col_p)].conj())),
+            );
+            Terms::gather(members.iter().map(|&(offset, col_q)| {
                 let mut acc = ZERO;
-                for &(_, row) in &self.members {
-                    let a = k[(row, col_p)].conj();
-                    if a != ZERO {
-                        acc += a * k[(row, col_q)];
-                    }
+                for &(row, a) in adjoint_row.as_slice() {
+                    acc += a * k[(row, col_q)];
                 }
-                gram[(p, q)] = acc;
-            }
-        }
-        self.trace(|p, q| gram[(p, q)], rho)
+                (offset, acc)
+            }))
+        })
     }
 }
 
@@ -358,19 +450,22 @@ impl QuantumState {
         }
     }
 
-    /// `ρ ← OρO†`.
+    /// `ρ ← OρO†`, in place: `Oρ` goes to scratch on the stack first.
     fn conjugate(&mut self, blocks: &Blocks, op: &CMatrix) {
-        let mut left = CMatrix::zeros(self.dim(), self.dim());
-        blocks.left(op, &self.rho, &mut left);
-        blocks.right_adjoint(op, &left, &mut self.rho, |_, term| term);
+        with_scratch(self.dim() * self.dim(), |left| {
+            blocks.left(op, self.rho.as_slice(), left);
+            blocks.right_adjoint(op, left, self.rho.as_mut_slice(), |_, term| term);
+        });
     }
 
     /// Applies a unitary to the given target qubits (in the operator's
     /// own qubit order, most significant first): `ρ ← UρU†`.
     ///
     /// # Panics
-    /// Panics on out-of-range or duplicate targets, or an operator whose
-    /// dimension does not match `targets.len()`.
+    /// Panics on out-of-range or duplicate targets, an operator whose
+    /// dimension does not match `targets.len()`, more than three
+    /// targets, or a register of more than four qubits — as every
+    /// operator method does.
     pub fn apply_unitary(&mut self, u: &CMatrix, targets: &[usize]) {
         self.conjugate(&Blocks::new(self.n, targets), u);
     }
@@ -382,13 +477,15 @@ impl QuantumState {
     /// afterwards to absorb numerical drift.
     pub fn apply_kraus(&mut self, kraus: &[CMatrix], targets: &[usize]) {
         let blocks = Blocks::new(self.n, targets);
-        let mut acc = CMatrix::zeros(self.dim(), self.dim());
-        let mut left = CMatrix::zeros(self.dim(), self.dim());
-        for k in kraus {
-            blocks.left(k, &self.rho, &mut left);
-            blocks.right_adjoint(k, &left, &mut acc, |sum, term| sum + term);
-        }
-        self.rho = acc;
+        let len = self.dim() * self.dim();
+        with_scratch(2 * len, |scratch| {
+            let (acc, left) = scratch.split_at_mut(len);
+            for k in kraus {
+                blocks.left(k, self.rho.as_slice(), left);
+                blocks.right_adjoint(k, left, acc, |sum, term| sum + term);
+            }
+            self.rho.as_mut_slice().copy_from_slice(acc);
+        });
         self.renormalize();
     }
 
@@ -539,7 +636,7 @@ impl QuantumState {
     pub fn renormalize(&mut self) {
         let t = self.rho.trace().re;
         if t > 0.0 && (t - 1.0).abs() > f64::EPSILON {
-            self.rho = self.rho.scale(Complex::real(1.0 / t));
+            self.rho.scale_in_place(Complex::real(1.0 / t));
         }
     }
 
@@ -927,6 +1024,38 @@ mod tests {
             CMatrix::from_rows(dim, dim, &data)
         }
 
+        /// A random operator with adversarial zeros: row 0 all `−0` and
+        /// the last column alternating `+0` and `−0`, so a whole row and a
+        /// whole column contribute no term.
+        fn zero_lined_op(rng: &mut StdRng, dim: usize) -> CMatrix {
+            let mut op = random_op(rng, dim);
+            for c in 0..dim {
+                op[(0, c)] = Complex::new(-0.0, -0.0);
+            }
+            for r in 0..dim {
+                op[(r, dim - 1)] = if r % 2 == 0 {
+                    ZERO
+                } else {
+                    Complex::new(-0.0, 0.0)
+                };
+            }
+            op
+        }
+
+        /// `state` with every zero entry made `−0`.
+        fn negative_zeros(state: &QuantumState) -> QuantumState {
+            let mut rho = state.rho.clone();
+            for z in rho.as_mut_slice() {
+                if z.re == 0.0 {
+                    z.re = -0.0;
+                }
+                if z.im == 0.0 {
+                    z.im = -0.0;
+                }
+            }
+            QuantumState::from_density(rho).expect("the sign of a zero changes no state")
+        }
+
         /// `AA†/Tr` for a random `A` with zero entries; with `zero_row`,
         /// row and column 0 of the state are all zero.
         fn random_state(rng: &mut StdRng, n: usize, zero_row: bool) -> QuantumState {
@@ -1051,8 +1180,61 @@ mod tests {
             }
             for (k, ops) in by_size.iter_mut().enumerate().skip(1) {
                 ops.extend((0..3).map(|_| random_op(rng, 1 << k)));
+                ops.push(zero_lined_op(rng, 1 << k));
+                ops.push(CMatrix::from_rows(
+                    1 << k,
+                    1 << k,
+                    &vec![Complex::new(-0.0, -0.0); 1 << (2 * k)],
+                ));
             }
             (by_size, sets)
+        }
+
+        /// Rule 3 on its own: the product of a zero operator entry, of
+        /// either sign, added to an accumulator that starts at `+0` —
+        /// which no sum can turn into `−0` — changes no bit.
+        #[test]
+        fn a_skipped_zero_term_is_exact() {
+            let zeros = [
+                ZERO,
+                Complex::new(-0.0, 0.0),
+                Complex::new(0.0, -0.0),
+                Complex::new(-0.0, -0.0),
+            ];
+            let mut values = zeros.to_vec();
+            values.extend([
+                Complex::new(0.3, -0.7),
+                Complex::new(-0.3, 0.7),
+                Complex::new(-1e-300, 2.0),
+                Complex::new(5.0, -0.0),
+                Complex::new(-f64::MIN_POSITIVE, 1e150),
+            ]);
+            let mut accumulators = vec![ZERO];
+            for &x in &values {
+                for &y in &values {
+                    accumulators.push(ZERO + x * y);
+                    for &w in &values {
+                        accumulators.push(ZERO + x * y + w * y);
+                    }
+                }
+            }
+            for acc in accumulators {
+                assert!(
+                    acc.re.to_bits() != (-0.0f64).to_bits()
+                        && acc.im.to_bits() != (-0.0f64).to_bits(),
+                    "{acc:?}: a sum from +0 reached −0"
+                );
+                for &a in &zeros {
+                    for &z in &values {
+                        let sum = acc + a * z;
+                        assert_eq!(
+                            (sum.re.to_bits(), sum.im.to_bits()),
+                            (acc.re.to_bits(), acc.im.to_bits()),
+                            "{acc:?} + {a:?}·{z:?}"
+                        );
+                    }
+                }
+            }
         }
 
         #[test]
@@ -1063,6 +1245,15 @@ mod tests {
                 let mut states = vec![QuantumState::ground(n), arm_shaped(n)];
                 states.push(random_state(&mut rng, n, true));
                 states.extend((0..3).map(|_| random_state(&mut rng, n, false)));
+                // Exact-zero blocks (every index with qubit 0, or the last
+                // qubit, set), and zeros of the other sign.
+                if n >= 2 {
+                    let rest = random_state(&mut rng, n - 1, false);
+                    states.push(QuantumState::ground(1).tensor(&rest));
+                    states.push(rest.tensor(&QuantumState::ground(1)));
+                }
+                states.push(negative_zeros(&arm_shaped(n)));
+                states.push(negative_zeros(&random_state(&mut rng, n, true)));
                 for (s, state) in states.iter().enumerate() {
                     for (k, ops) in by_size.iter().enumerate().take(n.min(3) + 1).skip(1) {
                         for targets in target_orders(n, k) {

@@ -11,13 +11,19 @@
 //! cycle-keyed tables and the reply-deadline FIFO sit at their working
 //! size, and the scheduler buffers nothing. Only the rare outcomes may
 //! allocate: a herald (its quantum state), a delivery (OK events,
-//! metrics series) and a CREATE.
+//! metrics series) and a CREATE. What deriving physics from a profile
+//! acquires — one attempt model, one K-type forward estimate — is
+//! pinned here too.
 //!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`. The count is per thread, so the harness's own
-//! threads and the other test in this binary do not disturb it.
+//! threads and the other tests in this binary do not disturb it.
 
+use qlink::egp::feu::FidelityEstimator;
+use qlink::phys::attempt::AttemptModel;
+use qlink::phys::params::ScenarioParams;
 use qlink::prelude::*;
+use qlink::wire::fields::RequestType;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -175,4 +181,50 @@ fn ql2020_pipelined_md_attempts_do_not_allocate() {
         }
     }
     assert_attempts_do_not_allocate(sim, mhp_cycle, 60_000);
+}
+
+/// Heap acquisitions `f` makes on this thread.
+fn acquisitions_of<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = acquisitions();
+    let out = f();
+    let acquired = acquisitions() - before;
+    drop(out);
+    acquired
+}
+
+/// Heap acquisitions of one Lab `AttemptModel::build`: the operators of
+/// the arms' shared chain and of one photon loss, the joint register,
+/// the beam splitter, one electron block per click pattern and the two
+/// heralded states the model keeps.
+const BUILD_ACQUISITIONS: u64 = 26;
+/// Heap acquisitions of one warm K-type `delivered_fidelity`: the copy
+/// of the heralded state, one storage decay for both halves, the
+/// operators of two moves to carbon, and the Bell ket.
+const KEEP_ACQUISITIONS: u64 = 29;
+
+/// Deriving physics from a profile is set-up, not the attempt path, but
+/// a cold `Fmin → α` inversion runs about nine attempt models and, for
+/// K-type, as many replays of the storage-and-move path: the kernels
+/// keep their scratch on the stack, and nothing allocates per Kraus
+/// term, per renormalisation or per failure pattern.
+#[test]
+fn deriving_physics_from_a_profile_allocates_a_pinned_amount() {
+    let lab = ScenarioParams::lab();
+    let build = acquisitions_of(|| AttemptModel::build(&lab, 0.2));
+    assert!(
+        build <= BUILD_ACQUISITIONS,
+        "one AttemptModel::build made {build} heap acquisitions, over its \
+         {BUILD_ACQUISITIONS} (129 when every kernel allocated its scratch and \
+         each arm ran the whole chain)"
+    );
+    let mut feu = FidelityEstimator::new(lab);
+    feu.delivered_fidelity(0.2, RequestType::Keep);
+    let keep = acquisitions_of(|| feu.delivered_fidelity(0.2, RequestType::Keep));
+    assert!(
+        keep <= KEEP_ACQUISITIONS,
+        "one warm K-type delivered_fidelity made {keep} heap acquisitions, over \
+         its {KEEP_ACQUISITIONS} (91 when every kernel allocated its scratch, \
+         each half decayed by a Kraus set of its own and the Bell fidelity \
+         copied the pair)"
+    );
 }
