@@ -3,11 +3,11 @@
 //! One table holds every request on the network's books, one record
 //! each: the terms it was issued under ([`AttemptSeed`]) and — unless it
 //! is parked between a failed attempt and its re-issue — the attempt in
-//! flight: its path, one record per hop, and the entangled segments the
-//! swaps merge until one spans the path. What an attempt holds
-//! elsewhere hangs off the same record: its reservations at the path's
-//! nodes and the CREATEs it has queued inside links. An edge's load is
-//! read off the table, never kept beside it.
+//! flight: its path, one record per hop, one installed rule table per
+//! path node (its reservation there), and the entangled segments the
+//! swaps merge until one spans the path. The CREATEs it has queued
+//! inside links are indexed by key beside the table. An edge's load and
+//! a node's reservations are read off the table, never kept beside it.
 //!
 //! Nothing outside this file can name the tables. An attempt enters by
 //! [`Ledger::issue`] and leaves by the one exit, [`Ledger::teardown`];
@@ -15,9 +15,8 @@
 //! small value saying what the network must now send.
 
 use crate::engine::CreateKey;
-use crate::node::{NodeAction, PathRole, SwapAsapNode};
 use crate::obs::{SpanStage, Telemetry};
-use crate::ruleset::{ArmProgram, Policy};
+use crate::ruleset::{ArmProgram, FiredRule, NodeAction, Obs, PathRole, Policy, RuleState};
 use crate::topology::{Edge, Topology};
 use qlink_des::{DetRng, IntMap, SimDuration, SimTime};
 use qlink_quantum::bell::{bell_fidelity, werner_from_fidelity, BellState};
@@ -137,7 +136,7 @@ impl Segment {
 struct Hop {
     edge: usize,
     /// The compiled initial pair need (regeneration after that is
-    /// demand-driven — [`SwapAsapNode::take_create_demand`]).
+    /// demand-driven — [`Ledger::take_create_demand`]).
     need: u8,
     /// The edge's link fidelity: the delivered pair's, overwritten by a
     /// link-level distillation with its output.
@@ -150,13 +149,17 @@ struct Hop {
     pair_fidelities: Vec<f64>,
 }
 
-/// One attempt at a request: the reserved path and the pairs on it.
+/// One attempt at a request: the reserved path, its nodes' rule
+/// tables and the pairs on it.
 #[derive(Debug)]
 pub(crate) struct Attempt {
     path: Vec<usize>,
     /// Per path edge, in path order (`hops[i]` joins `path[i]` and
     /// `path[i + 1]`, and `path[i]` submits its CREATEs).
     hops: Vec<Hop>,
+    /// Per path node, in path order: `rules[i]` is `path[i]`'s
+    /// reservation.
+    rules: Vec<RuleState>,
     segments: Vec<Segment>,
     ends_ready: [bool; 2],
     frame: (u8, u8),
@@ -358,8 +361,8 @@ pub(crate) struct Ledger {
     /// submission instant. Ordered: retraction notices are scheduled in
     /// iteration order.
     pending_creates: BTreeMap<CreateKey, (u64, SimTime)>,
-    /// Per-node SWAP-ASAP machines holding the path reservations.
-    nodes: Vec<SwapAsapNode>,
+    /// The rules the last observation fired, drained into telemetry.
+    fired: Vec<FiredRule>,
     next_request: u64,
     counters: Counters,
     /// Bell-measurement outcomes of the swaps.
@@ -382,12 +385,12 @@ fn attempt_of(requests: &BTreeMap<u64, Request>, request: u64) -> u64 {
 }
 
 impl Ledger {
-    pub(crate) fn new(seed: u64, nodes: usize, edges: usize) -> Self {
+    pub(crate) fn new(seed: u64, edges: usize) -> Self {
         Ledger {
             requests: BTreeMap::new(),
             groups: IntMap::default(),
             pending_creates: BTreeMap::new(),
-            nodes: (0..nodes).map(|_| SwapAsapNode::new()).collect(),
+            fired: Vec::new(),
             next_request: 0,
             counters: Counters {
                 reroutes: 0,
@@ -418,8 +421,14 @@ impl Ledger {
         &self.counters
     }
 
-    pub(crate) fn node(&self, node: usize) -> &SwapAsapNode {
-        &self.nodes[node]
+    /// The reservations `node` holds — one per in-flight attempt whose
+    /// path visits it — as `(request, role)` in ascending id order.
+    pub(crate) fn reservations_at(&self, node: usize) -> Vec<(u64, PathRole)> {
+        let reservation = |(&id, r): (&u64, &Request)| {
+            let att = r.attempt.as_ref()?;
+            Some((id, att.rules[att.position(node)?].role()))
+        };
+        self.requests.iter().filter_map(reservation).collect()
     }
 
     fn hops(&self) -> impl Iterator<Item = &Hop> {
@@ -464,7 +473,8 @@ impl Ledger {
     /// Puts attempt number `seed.attempt` of `request` on the books,
     /// over `path` and its `edges`: compiles the policy to a rule table
     /// once and installs per-edge programs (purification rounds, chosen
-    /// against `est_fidelity` of each edge) on every path node.
+    /// against `est_fidelity` of each edge) for every path node. The
+    /// path visits each node once.
     pub(crate) fn issue(
         &mut self,
         request: u64,
@@ -479,7 +489,7 @@ impl Ledger {
             .map(|&e| rules.edge_program(est_fidelity(e)))
             .collect();
         let repeaters = (path.len() - 2) as u32;
-        for (i, &n) in path.iter().enumerate() {
+        let install = |i: usize| {
             let (role, left, right) = if i == 0 || i == path.len() - 1 {
                 // An end's single edge: the path's first, or its last.
                 let pos = i.saturating_sub(1);
@@ -495,8 +505,9 @@ impl Ledger {
                 };
                 (role, programs[i - 1], programs[i])
             };
-            self.nodes[n].reserve(request, role, rules.clone(), left, right);
-        }
+            RuleState::new(rules.clone(), role, left, right)
+        };
+        let rules = (0..path.len()).map(install).collect();
         let hops = edges
             .iter()
             .zip(&programs)
@@ -511,6 +522,7 @@ impl Ledger {
         let attempt = Some(Attempt {
             path,
             hops,
+            rules,
             segments: Vec::new(),
             ends_ready: [false; 2],
             frame: (0, 0),
@@ -520,9 +532,9 @@ impl Ledger {
         self.requests.insert(request, Request { seed, attempt });
     }
 
-    /// The one exit — the only place an attempt leaves the books:
-    /// releases its node reservations and hands back whatever CREATEs
-    /// it still has queued inside links (none, for a delivered
+    /// The one exit — the only place an attempt leaves the books, its
+    /// node reservations with it: hands back whatever CREATEs it still
+    /// has queued inside links (none, for a delivered
     /// request). Delivery, failure, and cancellation all end here, so
     /// [`Ledger::edge_load`] tracks the links' true backlog whatever
     /// ended the attempt. The request's record goes with it; `None`
@@ -531,9 +543,6 @@ impl Ledger {
     pub(crate) fn teardown(&mut self, request: u64) -> Option<Ended> {
         let Request { seed, attempt } = self.requests.remove(&request)?;
         let attempt = attempt?;
-        for &n in &attempt.path {
-            self.nodes[n].release(request);
-        }
         let retract: Vec<CreateKey> = self
             .pending_creates
             .iter()
@@ -609,20 +618,26 @@ impl Ledger {
 
     // ---- observations booked against an attempt ----------------------
 
-    /// Feeds node `node` one observation and surfaces the rules it
-    /// fired as [`SpanStage::RuleFired`] spans. The node's firing log
-    /// is always drained (it buffers unconditionally so its decision
-    /// path is identical either way), but spans are only emitted when
-    /// telemetry is on — recording stays passive.
+    /// Feeds `request`'s rule table at `node` one observation and
+    /// surfaces the rules it fired as [`SpanStage::RuleFired`] spans.
+    /// `None`, firing nothing, when `request` has no attempt in flight
+    /// or its path does not visit `node`. The firing log is always
+    /// drained (the table logs unconditionally, so its decision path is
+    /// identical either way), but spans are only emitted when telemetry
+    /// is on — recording stays passive.
     pub(crate) fn observe(
         &mut self,
+        request: u64,
         node: usize,
+        obs: Obs,
         t: SimTime,
         telemetry: Option<&mut Telemetry>,
-        obs: impl FnOnce(&mut SwapAsapNode) -> Option<NodeAction>,
     ) -> Option<NodeAction> {
-        let action = obs(&mut self.nodes[node]);
-        let fired = self.nodes[node].drain_fired();
+        let action = attempt_mut(&mut self.requests, request).and_then(|att| {
+            let pos = att.position(node)?;
+            att.rules[pos].observe(request, obs, &mut self.fired)
+        });
+        let fired = self.fired.drain(..);
         if let Some(tl) = telemetry {
             for f in fired {
                 let (rule, action) = (f.rule, f.action);
@@ -726,8 +741,10 @@ impl Ledger {
         at: usize,
         edge: usize,
     ) -> Option<(usize, u8)> {
-        let demand = self.nodes[at].take_create_demand(request, edge);
         let att = attempt_mut(&mut self.requests, request)?;
+        let demand = att
+            .position(at)
+            .map_or(0, |i| att.rules[i].take_demand(edge));
         let pos = att.hops.iter().position(|h| h.edge == edge)?;
         if att.path[pos] != at || demand == 0 {
             return None;
@@ -933,5 +950,123 @@ impl Ledger {
     /// The streams regenerated after a rejected parity.
     pub(crate) fn set_group_members(&mut self, group: u64, members: [u64; 2]) {
         self.groups.get_mut(&group).expect("group survives").members = members;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ruleset::PathRole::{End, Repeater};
+
+    /// Issues `request` under SWAP-ASAP on `path` over `edges`.
+    fn issue(ledger: &mut Ledger, request: u64, path: &[usize], edges: &[usize]) {
+        let seed = AttemptSeed {
+            src: path[0],
+            dst: path[path.len() - 1],
+            fmin: 0.6,
+            timeout: None,
+            retries_left: 1,
+            excluded: Vec::new(),
+            requested_at: SimTime::ZERO,
+            group: None,
+            attempt: 0,
+            policy: Policy::SwapAsap,
+        };
+        ledger.issue(request, path.to_vec(), edges, |_| 0.9, seed);
+    }
+
+    /// A pair on `edge` shown to `request`'s table at `node`.
+    fn pair(ledger: &mut Ledger, request: u64, node: usize, edge: usize) -> Option<NodeAction> {
+        ledger.observe(
+            request,
+            node,
+            Obs::PairArrived { edge },
+            SimTime::ZERO,
+            None,
+        )
+    }
+
+    fn ids_at(ledger: &Ledger, node: usize) -> Vec<u64> {
+        ledger
+            .reservations_at(node)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_requests_at_one_node_stay_independent() {
+        let mut ledger = Ledger::new(1, 3);
+        issue(&mut ledger, 1, &[0, 1, 2], &[0, 1]);
+        issue(&mut ledger, 2, &[0, 1, 3], &[0, 2]);
+        issue(&mut ledger, 5, &[1, 2], &[1]);
+        let end = End {
+            edge: 1,
+            expected_swaps: 0,
+        };
+        assert_eq!(
+            ledger.reservations_at(1),
+            [
+                (1, Repeater { left: 0, right: 1 }),
+                (2, Repeater { left: 0, right: 2 }),
+                (5, end),
+            ]
+        );
+        assert_eq!(ledger.edge_load(0), 2, "edge 0 is shared");
+        // A pair on the shared edge only advances the request it was
+        // matched to; the other stays incomplete.
+        assert_eq!(pair(&mut ledger, 1, 1, 0), None);
+        let swap = NodeAction::Swap {
+            request: 1,
+            left: 0,
+            right: 1,
+        };
+        assert_eq!(pair(&mut ledger, 1, 1, 1), Some(swap));
+        assert_eq!(
+            pair(&mut ledger, 2, 1, 2),
+            None,
+            "request 2 still lacks edge 0"
+        );
+        assert!(ledger.teardown(1).is_some());
+        assert_eq!(ids_at(&ledger, 1), [2, 5]);
+        assert_eq!(ledger.edge_load(0), 1);
+    }
+
+    #[test]
+    fn observations_for_unknown_or_torn_down_requests_are_ignored() {
+        let mut ledger = Ledger::new(1, 2);
+        let stray = [
+            Obs::PairArrived { edge: 0 },
+            Obs::SwapResult { z: 1, x: 1 },
+            Obs::Parity {
+                edge: 0,
+                accepted: true,
+            },
+        ];
+        for obs in stray {
+            assert_eq!(ledger.observe(99, 0, obs, SimTime::ZERO, None), None);
+        }
+        issue(&mut ledger, 1, &[0, 1, 2], &[0, 1]);
+        assert_eq!(pair(&mut ledger, 1, 3, 0), None, "node 3 is off the path");
+        assert_eq!(pair(&mut ledger, 1, 1, 0), None);
+        ledger.teardown(1);
+        assert_eq!(pair(&mut ledger, 1, 1, 1), None, "torn down: no swap");
+    }
+
+    #[test]
+    fn teardown_drops_every_reservation_once() {
+        let mut ledger = Ledger::new(1, 2);
+        assert!(
+            ledger.teardown(5).is_none(),
+            "tearing down a stranger is a no-op"
+        );
+        issue(&mut ledger, 5, &[0, 1, 2], &[0, 1]);
+        assert!((0..3).all(|n| ids_at(&ledger, n) == [5]));
+        let ended = ledger.teardown(5).expect("in flight");
+        assert!((0..3).all(|n| ids_at(&ledger, n).is_empty()));
+        assert!(ledger.teardown(5).is_none(), "double teardown is a no-op");
+        // A parked request is on the books but holds no reservation.
+        ledger.park(5, ended, None);
+        assert!((0..3).all(|n| ids_at(&ledger, n).is_empty()));
     }
 }

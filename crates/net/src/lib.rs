@@ -28,10 +28,6 @@
 //!   current load and re-issue under a per-request retry budget
 //!   ([`Network::set_retry_budget`],
 //!   [`Network::set_request_timeout`]);
-//! * [`node`] — per-node SWAP-ASAP protocol state: repeaters swap the
-//!   moment pairs exist on both their path edges, ends collect
-//!   Bell-outcome frames; composition applies the exact simulated
-//!   memory decay via [`qlink_quantum::ops::entanglement_swap`];
 //! * [`obs`](mod@obs) — the deterministic telemetry layer:
 //!   request-lifecycle spans (chrome-trace / JSONL exportable),
 //!   fixed-bucket histogram metrics with percentile readout, and
@@ -50,7 +46,12 @@
 //! * [`ruleset`](mod@ruleset) — the RuleSet control plane: per-node
 //!   protocol logic as data — an ordered `condition → action` table
 //!   compiled from a [`Policy`] at plan time, installed on every path
-//!   node, and interpreted deterministically on each observation.
+//!   node as its reservation (a [`RuleState`] in the request's ledger
+//!   record, one [`PathRole`] each: repeaters swap the moment pairs
+//!   exist on both their path edges, ends collect Bell-outcome frames),
+//!   and interpreted deterministically on each observation; swaps
+//!   compose the exact simulated memory decay via
+//!   [`qlink_quantum::ops::entanglement_swap`].
 //!   SWAP-ASAP, 2→1 DEJMPS distillation ([`qlink_quantum::purify`])
 //!   per link or end-to-end with the parity bits crossing the real
 //!   classical control channels, threshold-gated purification and
@@ -73,7 +74,6 @@ pub mod fault;
 mod ledger;
 pub mod load;
 pub mod network;
-pub mod node;
 pub mod obs;
 mod planner;
 pub mod route;
@@ -87,16 +87,175 @@ pub use load::{
     UserClass, Workload,
 };
 pub use network::{EndToEndOutcome, Network};
-pub use node::{NodeAction, PathRole, SwapAsapNode};
 pub use obs::{
     chrome_trace_json, spans_jsonl, EngineProfile, Metrics, SpanEvent, SpanStage, Telemetry,
     TelemetryConfig,
 };
 pub use route::{EdgeProfile, PlanContext, Route, RouteMetric, RoutePlanner};
 pub use ruleset::{
-    Action, ArmProgram, Condition, FiredRule, Obs, Policy, Rule, RuleSet, RuleState, Trigger,
+    Action, ArmProgram, Condition, FiredRule, NodeAction, Obs, PathRole, Policy, Rule, RuleSet,
+    RuleState, Trigger,
 };
 pub use sweep::{
-    run_one, sweep, FaultChoice, LinkScenario, RunRecord, ScenarioSpec, SweepReport, TopologyChoice,
+    run_one, sweep, FaultChoice, RunRecord, ScenarioSpec, SweepReport, TopologyChoice,
 };
 pub use topology::{Edge, Node, Topology};
+
+/// One path node's part in a request, driven the way the network
+/// drives it: each observation reaches the request's rule table at
+/// that node through the ledger record the table lives in.
+#[cfg(test)]
+mod node {
+    mod tests {
+        use crate::ledger::{AttemptSeed, Ledger};
+        use crate::ruleset::{NodeAction, Obs, Policy};
+        use qlink_des::SimTime;
+
+        /// Issues `request` under `policy` on `path` over `edges`,
+        /// every edge estimated at fidelity 0.9.
+        fn issue(
+            ledger: &mut Ledger,
+            request: u64,
+            path: &[usize],
+            edges: &[usize],
+            policy: Policy,
+        ) {
+            let seed = AttemptSeed {
+                src: path[0],
+                dst: path[path.len() - 1],
+                fmin: 0.6,
+                timeout: None,
+                retries_left: 1,
+                excluded: Vec::new(),
+                requested_at: SimTime::ZERO,
+                group: None,
+                attempt: 0,
+                policy,
+            };
+            ledger.issue(request, path.to_vec(), edges, |_| 0.9, seed);
+        }
+
+        /// `obs` shown to `request`'s table at `node`.
+        fn see(ledger: &mut Ledger, request: u64, node: usize, obs: Obs) -> Option<NodeAction> {
+            ledger.observe(request, node, obs, SimTime::ZERO, None)
+        }
+
+        fn pair(edge: usize) -> Obs {
+            Obs::PairArrived { edge }
+        }
+
+        fn result(z: u8, x: u8) -> Obs {
+            Obs::SwapResult { z, x }
+        }
+
+        fn parity(edge: usize, accepted: bool) -> Obs {
+            Obs::Parity { edge, accepted }
+        }
+
+        #[test]
+        fn repeater_swaps_exactly_when_both_sides_arrive() {
+            let mut ledger = Ledger::new(1, 2);
+            issue(&mut ledger, 1, &[0, 1, 2], &[0, 1], Policy::SwapAsap);
+            assert_eq!(see(&mut ledger, 1, 1, pair(0)), None);
+            assert_eq!(
+                see(&mut ledger, 1, 1, pair(1)),
+                Some(NodeAction::Swap {
+                    request: 1,
+                    left: 0,
+                    right: 1
+                })
+            );
+            // Duplicate observations never re-swap.
+            assert_eq!(see(&mut ledger, 1, 1, pair(0)), None);
+            assert_eq!(see(&mut ledger, 1, 1, pair(1)), None);
+        }
+
+        #[test]
+        fn end_waits_for_pair_and_all_results() {
+            // Two repeaters; node 0 is the end on edge 2.
+            let mut ledger = Ledger::new(1, 3);
+            issue(&mut ledger, 7, &[0, 1, 2, 3], &[2, 0, 1], Policy::SwapAsap);
+            assert_eq!(see(&mut ledger, 7, 0, result(1, 0)), None);
+            assert_eq!(see(&mut ledger, 7, 0, pair(2)), None);
+            assert_eq!(
+                see(&mut ledger, 7, 0, result(1, 1)),
+                Some(NodeAction::EndReady {
+                    request: 7,
+                    frame_z: 0,
+                    frame_x: 1
+                })
+            );
+            // Fires once.
+            assert_eq!(see(&mut ledger, 7, 0, result(0, 0)), None);
+        }
+
+        #[test]
+        fn single_hop_end_is_ready_on_delivery() {
+            let mut ledger = Ledger::new(1, 1);
+            issue(&mut ledger, 3, &[0, 1], &[0], Policy::SwapAsap);
+            assert_eq!(
+                see(&mut ledger, 3, 1, pair(0)),
+                Some(NodeAction::EndReady {
+                    request: 3,
+                    frame_z: 0,
+                    frame_x: 0
+                })
+            );
+        }
+
+        #[test]
+        fn frame_accumulates_by_xor() {
+            // Three repeaters; node 4 is the end on edge 3.
+            let mut ledger = Ledger::new(1, 4);
+            issue(
+                &mut ledger,
+                9,
+                &[0, 1, 2, 3, 4],
+                &[0, 1, 2, 3],
+                Policy::SwapAsap,
+            );
+            assert_eq!(see(&mut ledger, 9, 4, pair(3)), None);
+            assert_eq!(see(&mut ledger, 9, 4, result(1, 1)), None);
+            assert_eq!(see(&mut ledger, 9, 4, result(1, 0)), None);
+            assert_eq!(
+                see(&mut ledger, 9, 4, result(1, 1)),
+                Some(NodeAction::EndReady {
+                    request: 9,
+                    frame_z: 1,
+                    frame_x: 0
+                })
+            );
+        }
+
+        #[test]
+        fn purify_reject_restarts_the_edge_count() {
+            let mut ledger = Ledger::new(1, 4);
+            issue(&mut ledger, 6, &[0, 1], &[3], Policy::LinkPurify);
+            let purify = Some(NodeAction::Purify {
+                request: 6,
+                edge: 3,
+            });
+            assert_eq!(see(&mut ledger, 6, 0, pair(3)), None);
+            assert_eq!(see(&mut ledger, 6, 0, pair(3)), purify);
+            // While the parity bit is in flight, further deliveries are
+            // not counted toward the *next* round.
+            assert_eq!(see(&mut ledger, 6, 0, pair(3)), None);
+            // Reject: both pairs lost, count restarts — and node 0, the
+            // edge's submitting end, owes a fresh batch of two, once.
+            assert_eq!(see(&mut ledger, 6, 0, parity(3, false)), None);
+            assert_eq!(ledger.take_create_demand(6, 0, 3), Some((0, 2)));
+            assert_eq!(ledger.take_create_demand(6, 0, 3), None);
+            assert_eq!(see(&mut ledger, 6, 0, pair(3)), None);
+            assert_eq!(see(&mut ledger, 6, 0, pair(3)), purify);
+            // Accept: the end (no repeaters) is immediately ready.
+            assert_eq!(
+                see(&mut ledger, 6, 0, parity(3, true)),
+                Some(NodeAction::EndReady {
+                    request: 6,
+                    frame_z: 0,
+                    frame_x: 0
+                })
+            );
+        }
+    }
+}

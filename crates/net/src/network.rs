@@ -8,8 +8,9 @@
 //!   workload arrival;
 //! * the **request ledger** (`ledger.rs`) — who owns a request's
 //!   resources: its terms, its attempt's path and per-hop state, the
-//!   entangled segments swaps merge, its node reservations
-//!   ([`crate::node`]) and the CREATEs it has queued inside links.
+//!   entangled segments swaps merge, its rule table at every path node
+//!   ([`RuleState`](crate::ruleset::RuleState)) and the CREATEs it has
+//!   queued inside links.
 //!   However an attempt ends — delivery, failure,
 //!   [`Network::cancel_request`] — one teardown releases all of it;
 //! * the **planner** (`planner.rs`) — which path to take
@@ -31,11 +32,10 @@ use crate::engine::{embed, ControlMsg, Engine, NetEvent};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::ledger::{AttemptSeed, Completion, Ended, GroupVerdict, Ledger};
 use crate::load::{Admission, LoadEngine, LoadStats, Workload};
-use crate::node::{NodeAction, SwapAsapNode};
 use crate::obs::{SpanStage, Telemetry, TelemetryConfig};
 use crate::planner::Planner;
 use crate::route::{PlanContext, Route, RouteMetric};
-use crate::ruleset::Policy;
+use crate::ruleset::{NodeAction, Obs, PathRole, Policy};
 use crate::topology::Topology;
 use qlink_des::{DetRng, SimDuration, SimTime};
 use qlink_egp::feu::FidelityEstimator;
@@ -90,9 +90,8 @@ pub struct Network {
 
 impl Network {
     /// Builds the network: one full link-layer simulation per edge
-    /// (seeded from its own `LinkConfig`), one SWAP-ASAP node machine
-    /// per topology node. `seed` drives network-layer randomness (the
-    /// Bell-measurement outcomes of the swaps).
+    /// (seeded from its own `LinkConfig`). `seed` drives network-layer
+    /// randomness (the Bell-measurement outcomes of the swaps).
     ///
     /// The physics the links and the route planner derive (attempt
     /// models, `Fmin → α` inversions) is kept in one table per hardware
@@ -126,7 +125,7 @@ impl Network {
         let mut net = Network {
             repair_count: vec![0; links.len()],
             engine: Engine::new(links, topo.min_control_delay()),
-            ledger: Ledger::new(seed, topo.node_count(), topo.edge_count()),
+            ledger: Ledger::new(seed, topo.edge_count()),
             planner,
             // Substream derivation is pure in (seed, label): creating
             // these here perturbs nothing, and no draw ever leaves one
@@ -190,9 +189,12 @@ impl Network {
         self.planner.estimators()
     }
 
-    /// Borrow a node's protocol state machine.
-    pub fn node(&self, node: usize) -> &SwapAsapNode {
-        self.ledger.node(node)
+    /// The path reservations `node` holds, as `(request, role)` in
+    /// ascending request id: one per in-flight attempt whose path
+    /// visits it, whatever the request's pair — one node serves any
+    /// number of concurrent paths.
+    pub fn reservations_at(&self, node: usize) -> Vec<(u64, PathRole)> {
+        self.ledger.reservations_at(node)
     }
 
     /// Total events fired: shared-queue events plus every link's
@@ -583,10 +585,17 @@ impl Network {
     /// pin paths.
     ///
     /// # Panics
-    /// Panics if the path has fewer than two nodes or consecutive
-    /// nodes are not connected.
+    /// Panics if the path has fewer than two nodes, visits a node
+    /// twice (before any id is taken), or consecutive nodes are not
+    /// connected.
     pub fn request_on_path(&mut self, path: &[usize], fmin: f64) -> u64 {
         assert!(path.len() >= 2, "a path needs two ends");
+        for (i, n) in path.iter().enumerate() {
+            assert!(
+                !path[..i].contains(n),
+                "path {path:?} visits node {n} twice"
+            );
+        }
         let (src, dst) = (path[0], path[path.len() - 1]);
         let seed = self.planner.seed(src, dst, fmin, self.engine.now());
         self.issue_fresh(Some(path), seed)
@@ -1097,20 +1106,15 @@ impl Network {
             return;
         }
         for node in ends {
-            self.observe(node, t, |n| n.on_pair(request, edge_idx));
+            self.observe(request, node, Obs::PairArrived { edge: edge_idx }, t);
         }
     }
 
-    /// Feeds node `node` one observation and executes the action its
-    /// rule table answers with, if any.
-    fn observe(
-        &mut self,
-        node: usize,
-        t: SimTime,
-        obs: impl FnOnce(&mut SwapAsapNode) -> Option<NodeAction>,
-    ) {
+    /// Feeds `request`'s rule table at `node` one observation and
+    /// executes the action it answers with, if any.
+    fn observe(&mut self, request: u64, node: usize, obs: Obs, t: SimTime) {
         let telemetry = self.telemetry.as_deref_mut();
-        match self.ledger.observe(node, t, telemetry, obs) {
+        match self.ledger.observe(request, node, obs, t, telemetry) {
             None => {}
             Some(NodeAction::Purify { request, edge }) => self.do_purify(request, edge, t),
             Some(NodeAction::Swap { request, .. }) => self.do_swap(node, request, t),
@@ -1162,7 +1166,7 @@ impl Network {
         t: SimTime,
     ) {
         self.span(t, request, SpanStage::PurifyParity { edge, accepted });
-        self.observe(at, t, |n| n.on_purify_result(request, edge, accepted));
+        self.observe(request, at, Obs::Parity { edge, accepted }, t);
         if let Some((pos, demand)) = self.ledger.take_create_demand(request, at, edge) {
             for _ in 0..demand {
                 self.submit_nl(request, pos);
@@ -1206,7 +1210,7 @@ impl Network {
             return;
         }
         self.span(t, request, SpanStage::SwapResult { node: at });
-        self.observe(at, t, |n| n.on_swap_result(request, z, x));
+        self.observe(request, at, Obs::SwapResult { z, x }, t);
     }
 
     /// Both ends of `request` hold a usable pair: the attempt leaves

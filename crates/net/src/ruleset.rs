@@ -9,9 +9,9 @@
 //! priority order. New protocols become new tables, not new engines.
 //!
 //! This module is that interpreter, and the only per-node engine
-//! there is — every reservation a
-//! [`SwapAsapNode`](crate::node::SwapAsapNode) holds is one
-//! [`RuleState`]:
+//! there is. A path node's reservation *is* one [`RuleState`], held
+//! by the request's attempt record in the request ledger, one per path
+//! position, installed at issue and dropped with the record:
 //!
 //! * [`Policy`] — the network-facing choice, a small `Copy` value
 //!   carried in every attempt's issue seed. [`Policy::ruleset`]
@@ -22,15 +22,22 @@
 //!   against an edge's FEU-estimated fidelity into the [`ArmProgram`]
 //!   (how many distillation rounds, therefore how many pairs) the
 //!   edge runs under.
-//! * [`RuleState`] — the per-(node, request) interpreter.
-//!   [`RuleState::observe`] folds one observation into the arm state,
-//!   scans the table once in priority order, logs every fired rule
-//!   (for the passive [`SpanStage::RuleFired`] telemetry), and
-//!   returns at most one [`NodeAction`] for the network to execute.
+//! * [`RuleState`] — the per-(node, request) interpreter for one
+//!   [`PathRole`]. [`RuleState::observe`] folds one observation into
+//!   the arm state, scans the table once in priority order, logs every
+//!   fired rule (for the passive [`SpanStage::RuleFired`] telemetry),
+//!   and returns at most one [`NodeAction`] for the network to execute.
+//!
+//! The interpreter is pure decision logic: it never touches the event
+//! queue or the quantum ledger. The network feeds it observations and
+//! executes the [`NodeAction`]s it emits, which keeps every quantum
+//! operation and every classical transmission on the shared clock.
 //!
 //! # The builtin policies
 //!
-//! [`Policy::SwapAsap`] is the paper-era greedy repeater protocol,
+//! [`Policy::SwapAsap`] is the paper-era greedy repeater protocol (a
+//! repeater swaps **as soon as** pairs exist on both its path edges,
+//! e.g. arXiv:2111.11332's chain demonstration),
 //! [`Policy::LinkPurify`] distills every edge once before swapping,
 //! and [`Policy::EndToEndPurify`] distills two whole streams at the
 //! path ends. Their trajectories are frozen per seed as golden
@@ -63,8 +70,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use qlink_net::node::{NodeAction, PathRole};
-//! use qlink_net::ruleset::{Obs, Policy, RuleState};
+//! use qlink_net::ruleset::{NodeAction, Obs, PathRole, Policy, RuleState};
 //!
 //! let rules = Arc::new(Policy::SwapAsap.ruleset());
 //! let program = rules.edge_program(0.9);
@@ -87,7 +93,65 @@
 
 use std::sync::Arc;
 
-use crate::node::{NodeAction, PathRole};
+/// A node's role in one reserved path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathRole {
+    /// Source or destination: one path edge; holds one half of the
+    /// would-be end-to-end pair and collects the repeaters'
+    /// Bell-measurement outcomes before the pair is usable (the
+    /// quantum ledger folds each Pauli correction in at swap time, so
+    /// the collected bits gate *usability*, not a correction still to
+    /// be applied).
+    End {
+        /// The node's single path edge.
+        edge: usize,
+        /// Swap results needed before the frame is fixed
+        /// (= number of repeaters on the path).
+        expected_swaps: u32,
+    },
+    /// Intermediate repeater: swaps its two path edges.
+    Repeater {
+        /// Path edge toward the source.
+        left: usize,
+        /// Path edge toward the destination.
+        right: usize,
+    },
+}
+
+/// What a node decides to do in response to an observation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeAction {
+    /// Purifying reservation: an edge holds its second pair — distill
+    /// the two into one (measure locally, exchange the parity bit).
+    Purify {
+        /// The request being served.
+        request: u64,
+        /// The edge holding two pairs.
+        edge: usize,
+    },
+    /// Repeater: both halves present (and purified, where required) —
+    /// swap `left` and `right` now.
+    Swap {
+        /// The request being served.
+        request: u64,
+        /// Path edge toward the source.
+        left: usize,
+        /// Path edge toward the destination.
+        right: usize,
+    },
+    /// End: own pair present and every swap result received — this
+    /// side of the end-to-end pair is now usable (the ledger applied
+    /// the corrections at swap time; the bits below are the record of
+    /// what arrived classically).
+    EndReady {
+        /// The request being served.
+        request: u64,
+        /// Accumulated Pauli-Z frame bit.
+        frame_z: u8,
+        /// Accumulated Pauli-X frame bit.
+        frame_x: u8,
+    },
+}
 
 /// The network-facing policy choice: which RuleSet every path node of
 /// a request runs. Compiled via [`Policy::ruleset`] when the attempt
@@ -770,6 +834,76 @@ mod tests {
         assert_eq!(st.observe(2, Obs::PairArrived { edge: 9 }, &mut log), None);
     }
 
+    /// A purifying end needs its boosted pair *and* the repeater's
+    /// swap result.
+    #[test]
+    fn link_purify_end_waits_for_swap_results_too() {
+        let role = PathRole::End {
+            edge: 0,
+            expected_swaps: 1,
+        };
+        let mut st = state(Policy::LinkPurify, role, 0.9);
+        let mut log = Vec::new();
+        st.observe(8, Obs::PairArrived { edge: 0 }, &mut log);
+        assert_eq!(
+            st.observe(8, Obs::PairArrived { edge: 0 }, &mut log),
+            Some(NodeAction::Purify {
+                request: 8,
+                edge: 0
+            })
+        );
+        let accept = Obs::Parity {
+            edge: 0,
+            accepted: true,
+        };
+        assert_eq!(st.observe(8, accept, &mut log), None, "no swap result yet");
+        assert_eq!(
+            st.observe(8, Obs::SwapResult { z: 1, x: 0 }, &mut log),
+            Some(NodeAction::EndReady {
+                request: 8,
+                frame_z: 1,
+                frame_x: 0
+            })
+        );
+    }
+
+    /// A purifying repeater distills each arm on its second pair and
+    /// swaps exactly once, when both arms' parities have agreed.
+    #[test]
+    fn link_purify_repeater_purifies_both_arms_then_swaps_once() {
+        let role = PathRole::Repeater { left: 0, right: 1 };
+        let mut st = state(Policy::LinkPurify, role, 0.9);
+        let mut log = Vec::new();
+        // One pair per edge: nothing fires yet.
+        assert_eq!(st.observe(4, Obs::PairArrived { edge: 0 }, &mut log), None);
+        assert_eq!(st.observe(4, Obs::PairArrived { edge: 1 }, &mut log), None);
+        // The second pair arms the purification rule per edge.
+        for edge in [0, 1] {
+            assert_eq!(
+                st.observe(4, Obs::PairArrived { edge }, &mut log),
+                Some(NodeAction::Purify { request: 4, edge })
+            );
+        }
+        let accept = |edge| Obs::Parity {
+            edge,
+            accepted: true,
+        };
+        // One accept is not enough to swap…
+        assert_eq!(st.observe(4, accept(0), &mut log), None);
+        // …both accepts fire the swap exactly once.
+        assert_eq!(
+            st.observe(4, accept(1), &mut log),
+            Some(NodeAction::Swap {
+                request: 4,
+                left: 0,
+                right: 1
+            })
+        );
+        assert_eq!(st.observe(4, accept(1), &mut log), None, "latched");
+        let swaps = log.iter().filter(|f| f.action == "swap").count();
+        assert_eq!(swaps, 1);
+    }
+
     #[test]
     fn link_purify_arms_on_second_pair_and_regenerates_on_reject() {
         let mut st = state(
@@ -830,6 +964,12 @@ mod tests {
             })
         );
         assert_eq!(st.take_demand(5), 0, "a completed program demands nothing");
+        // The whole firing log, oldest first.
+        let fired: Vec<&str> = log.iter().map(|f| f.action).collect();
+        assert_eq!(
+            fired,
+            ["purify", "regenerate", "purify", "mark-ready", "end-ready"]
+        );
     }
 
     #[test]

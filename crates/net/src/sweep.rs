@@ -18,20 +18,11 @@ use crate::topology::Topology;
 use qlink_des::{DetRng, Histogram, SimDuration, SimTime, TimeSeries};
 use qlink_math::stats::RunningStats;
 use qlink_phys::attempt::ModelCache;
-use qlink_sim::config::{LinkConfig, SchedulerChoice};
+use qlink_sim::config::LinkConfig;
 use qlink_sim::workload::WorkloadSpec;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Which physical scenario a sweep run instantiates per hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkScenario {
-    /// The 2 m laboratory setup.
-    Lab,
-    /// The 25 km QL2020 metropolitan setup.
-    Ql2020,
-}
 
 #[doc(hidden)]
 pub type ExecChoice = crate::network::ExecMode; // benchmark-compat: ROADMAP item 1 deletes this
@@ -78,9 +69,10 @@ pub enum TopologyChoice {
     },
 }
 
-/// A data-only description of one sweep scenario: a repeater chain
-/// with homogeneous hops. (Data-only so specs are trivially `Send` +
-/// `Clone` across worker threads.)
+/// A data-only description of one sweep scenario: a chain or grid of
+/// Lab links under FCFS link scheduling, with the network's knobs and
+/// workload. (Data-only so specs are trivially `Send` + `Clone` across
+/// worker threads.)
 ///
 /// # Examples
 ///
@@ -108,12 +100,6 @@ pub struct ScenarioSpec {
     pub name: String,
     /// Number of chain nodes (hops = nodes − 1).
     pub nodes: usize,
-    /// Physical scenario of every hop.
-    pub scenario: LinkScenario,
-    /// Link-layer scheduler at every hop.
-    pub scheduler: SchedulerChoice,
-    /// Classical frame-loss probability on the link-layer channels.
-    pub classical_loss: f64,
     /// Requested minimum link fidelity.
     pub fmin: f64,
     /// Simulated-time budget per end-to-end round.
@@ -183,9 +169,6 @@ impl ScenarioSpec {
         ScenarioSpec {
             name: name.into(),
             nodes,
-            scenario: LinkScenario::Lab,
-            scheduler: SchedulerChoice::Fcfs,
-            classical_loss: 0.0,
             fmin: 0.6,
             max_time: SimDuration::from_secs(20),
             rounds: 1,
@@ -326,15 +309,11 @@ impl ScenarioSpec {
         let root = DetRng::new(run_seed);
         let mut link = |i: usize| {
             let seed = root.substream(&format!("edge/{i}")).seed();
-            let mut cfg = match self.scenario {
-                LinkScenario::Lab => LinkConfig::lab(WorkloadSpec::none(), seed),
-                LinkScenario::Ql2020 => LinkConfig::ql2020(WorkloadSpec::none(), seed),
-            };
+            let mut cfg = LinkConfig::lab(WorkloadSpec::none(), seed);
             if let Some(t2) = self.carbon_t2 {
                 cfg.scenario.nv.carbon_t2 = t2;
             }
-            cfg.with_scheduler(self.scheduler)
-                .with_classical_loss(self.classical_loss)
+            cfg
         };
         match self.topology {
             TopologyChoice::Chain => Topology::chain(self.nodes, link),

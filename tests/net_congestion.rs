@@ -18,7 +18,7 @@
 //! true backlog).
 
 use qlink::net::sweep::{run_one, RunRecord};
-use qlink::net::{SpanStage, TelemetryConfig};
+use qlink::net::{PathRole, SpanStage, TelemetryConfig};
 use qlink::prelude::*;
 
 fn lab(seed: u64) -> LinkConfig {
@@ -203,7 +203,8 @@ fn exhausted_budget_abandons_and_releases() {
         assert_eq!(net.edge_load(e), 0, "edge {e}: load released on abandon");
     }
     for n in 0..net.topology().node_count() {
-        assert!(!net.node(n).is_reserved(request), "node {n} still reserved");
+        let reserved = net.reservations_at(n).iter().any(|r| r.0 == request);
+        assert!(!reserved, "node {n} still reserved");
     }
     // Cancelling an abandoned request is a harmless no-op.
     net.cancel_request(request);
@@ -214,10 +215,17 @@ fn exhausted_budget_abandons_and_releases() {
 fn assert_load_matches_reservations(net: &Network, what: &str) {
     for e in 0..net.topology().edge_count() {
         let edge = net.topology().edge(e);
+        let on_edge = |&(_, role): &(u64, PathRole)| match role {
+            PathRole::End { edge, .. } => edge == e,
+            PathRole::Repeater { left, right } => left == e || right == e,
+        };
         for node in [edge.a, edge.b] {
             assert_eq!(
                 net.edge_load(e) as usize,
-                net.node(node).reserved_on_edge(e),
+                net.reservations_at(node)
+                    .iter()
+                    .filter(|r| on_edge(r))
+                    .count(),
                 "{what}: edge {e} vs node {node}"
             );
         }
@@ -234,7 +242,7 @@ fn assert_ledgers_clean(net: &mut Network, settle: SimDuration, what: &str) {
         assert_eq!(net.edge_load(e), 0, "{what}: edge {e} leaked load");
     }
     for n in 0..net.topology().node_count() {
-        let left = net.node(n).active_requests();
+        let left = net.reservations_at(n);
         assert!(left.is_empty(), "{what}: node {n} still holds {left:?}");
     }
     let tl = net.telemetry().expect("telemetry on");
@@ -647,7 +655,7 @@ fn ledger_is_empty_once_every_request_has_ended() {
             assert!(quiet, "{what}: an EGP of edge {e} still holds a request");
         }
         for n in 0..net.topology().node_count() {
-            let left = net.node(n).active_paths();
+            let left = net.reservations_at(n).len();
             assert_eq!(left, 0, "{what}: node {n} still holds {left} reservations");
         }
         let completed = net.workload_stats().map_or(0, |s| s.total_completed());

@@ -5,6 +5,7 @@
 //! digest of every route and edge price on a mixed-hardware grid.
 
 use qlink::net::sweep::run_one;
+use qlink::net::PathRole;
 use qlink::prelude::*;
 
 fn lab(seed: u64) -> LinkConfig {
@@ -137,9 +138,10 @@ fn concurrent_same_pair_requests_split_over_disjoint_paths() {
     for edge in 0..4 {
         assert_eq!(net.edge_load(edge), 1, "edge {edge}");
     }
-    assert_eq!(net.node(0).active_requests(), requests);
-    assert_eq!(net.node(1).active_paths(), 1);
-    assert_eq!(net.node(2).active_paths(), 1);
+    let ids = |node| -> Vec<u64> { net.reservations_at(node).iter().map(|r| r.0).collect() };
+    assert_eq!(ids(0), requests);
+    assert_eq!(net.reservations_at(1).len(), 1);
+    assert_eq!(net.reservations_at(2).len(), 1);
 
     let first = net
         .run_until_outcome(SimDuration::from_secs(60))
@@ -211,7 +213,12 @@ fn shared_edge_contention_completes_deterministically() {
         assert_eq!(requests.len(), 2);
         assert_eq!(net.edge_load(0), 2, "both requests share edge 0");
         assert_eq!(net.edge_load(1), 2);
-        assert_eq!(net.node(1).reserved_on_edge(0), 2);
+        let on_edge_0 = |&(_, role): &(u64, PathRole)| match role {
+            PathRole::End { edge, .. } => edge == 0,
+            PathRole::Repeater { left, right } => left == 0 || right == 0,
+        };
+        let roles = net.reservations_at(1);
+        assert_eq!(roles.iter().filter(|r| on_edge_0(r)).count(), 2);
 
         let mut outs = Vec::new();
         for _ in 0..2 {
@@ -241,6 +248,15 @@ fn shared_edge_contention_completes_deterministically() {
     }
     // The two deliveries are distinct events at distinct times.
     assert_ne!(a[0].delivered_at, a[1].delivered_at);
+}
+
+/// An explicit path that revisits a node is refused up front: a
+/// request reserves each path node once.
+#[test]
+#[should_panic(expected = "path [0, 1, 2, 1] visits node 1 twice")]
+fn request_on_path_rejects_a_path_that_visits_a_node_twice() {
+    let mut net = Network::new(Topology::chain(3, |i| lab(60 + i as u64)), 5);
+    net.request_on_path(&[0, 1, 2, 1], 0.6);
 }
 
 #[test]

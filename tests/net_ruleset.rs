@@ -2,7 +2,7 @@
 //! the only per-node engine.
 //!
 //! The contract under test: the interpreted tables reproduce, bit for
-//! bit, the trajectories of the hand-written `SwapAsapNode` state
+//! bit, the trajectories of the hand-written SWAP-ASAP state
 //! machine they replaced — same outcomes, same RNG draws, same event
 //! counts — across chains, the contended 4×4 grid, both purification
 //! policies and single-edge paths. The hard-coded machine's verdicts
