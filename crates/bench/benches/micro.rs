@@ -26,8 +26,8 @@ use qlink::phys::pair::{PairState, Side};
 use qlink::phys::params::ScenarioParams;
 use qlink::phys::station::{herald_distribution, BeamSplitter, DetectorModel};
 use qlink::prelude::{
-    LinkConfig, Network, PlanContext, RequestKind, RouteMetric, RoutePlanner, Topology,
-    WorkloadSpec,
+    LinkConfig, ModelCache, NetConfig, Network, PlanContext, RequestKind, RouteMetric,
+    RoutePlanner, Topology, WorkloadSpec,
 };
 use qlink::quantum::bell::BellState;
 use qlink::quantum::{channels, gates, QuantumState};
@@ -251,8 +251,11 @@ fn bench_derived_physics(c: &mut Criterion) {
     // builds the planner) — all from a cold table.
     c.bench_function("network_first_requests/16x16", |b| {
         b.iter(|| {
-            let mut net = Network::new(lab_grid_16(), 5);
-            net.set_route_metric(RouteMetric::LoadLatency);
+            let config = NetConfig {
+                metric: RouteMetric::LoadLatency,
+                ..NetConfig::default()
+            };
+            let mut net = Network::with_config(lab_grid_16(), 5, config, ModelCache::new());
             for row in [1, 5, 9, 13] {
                 for col in [1, 6, 11] {
                     net.request_entanglement(row * 16 + col, row * 16 + col + 2, 0.6);

@@ -8,7 +8,7 @@
 //!
 //! Part 2 runs the same robustness question one layer up: a contended
 //! 4×4 grid whose edges flap up and down on seeded-stochastic dwells
-//! ([`FaultChoice::Flapping`]), swept across seeds with the penalty
+//! ([`FaultPlan::flapping_everywhere`]), swept across seeds with the penalty
 //! box on, off, and with no faults as the baseline. The sweep is the
 //! production driver (`qlink::net::sweep`), so the table doubles as a
 //! smoke test of the fault plumbing: deterministic per seed and
@@ -16,7 +16,6 @@
 
 use qlink::classical::LinkBudget;
 use qlink::math::stats::relative_difference;
-use qlink::net::FaultChoice;
 use qlink::prelude::*;
 use qlink_bench::{header, run_link, scaled_secs, Stopwatch};
 
@@ -40,23 +39,21 @@ fn run(kind: RequestKind, loss: f64, secs: SimDuration) -> RunOut {
 }
 
 /// The contended 4×4 grid of the PR 4 suite under the given adversity.
-fn grid_spec(name: &str, faults: FaultChoice) -> ScenarioSpec {
+fn grid_spec(name: &str) -> ScenarioSpec {
     ScenarioSpec::lab_grid(name, 4, 4)
         .with_pairs(vec![(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)])
         .with_metric(RouteMetric::LoadLatency)
         .with_request_timeout(SimDuration::from_millis(300))
         .with_retries(2)
         .with_max_time(SimDuration::from_millis(700))
-        .with_faults(faults)
 }
 
-fn flapping(penalty_box: bool) -> FaultChoice {
-    FaultChoice::Flapping {
-        mean_up: SimDuration::from_millis(900),
-        mean_down: SimDuration::from_millis(40),
-        cycles: 1,
-        penalty_box,
-    }
+/// [`grid_spec`] with every edge flapping once, under `penalty` pricing.
+fn flapping(name: &str, penalty: PenaltyConfig) -> ScenarioSpec {
+    let spec = grid_spec(name);
+    let ms = SimDuration::from_millis;
+    let plan = FaultPlan::flapping_everywhere(spec.edge_count(), ms(900), ms(40), 1);
+    spec.with_faults(plan.with_penalty(penalty))
 }
 
 fn main() {
@@ -102,9 +99,9 @@ fn main() {
 
     println!("part 2 — network layer, flapping 4x4 grid (6 pairs, retries 2):");
     let specs = vec![
-        grid_spec("calm", FaultChoice::None),
-        grid_spec("flap+box", flapping(true)),
-        grid_spec("flap-nobox", flapping(false)),
+        grid_spec("calm"),
+        flapping("flap+box", PenaltyConfig::default()),
+        flapping("flap-nobox", PenaltyConfig::off()),
     ];
     let seeds = [1, 5, 9];
     let threads = std::thread::available_parallelism().map_or(2, |n| n.get().min(6));

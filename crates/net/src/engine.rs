@@ -66,12 +66,10 @@ pub(crate) enum NetEvent {
     /// submitted the CREATE: tell the link layer to drop it
     /// ([`LinkSimulation::expire_request`]).
     Expire(CreateKey),
-    /// Open-loop workload arrival number `index` (see [`crate::load`])
-    /// of the stream armed as number `stream` — like a wake generation,
-    /// an arrival of a stream since replaced is stale: resolve its
-    /// class and pair, run admission control, and schedule the next
-    /// arrival. Scheduled one-ahead.
-    Arrival { index: u64, stream: u64 },
+    /// Open-loop workload arrival number `index` (see [`crate::load`]):
+    /// resolve its class and pair, run admission control, and schedule
+    /// the next arrival. Scheduled one-ahead.
+    Arrival { index: u64 },
     /// A freed admission slot's control-plane notice: drain the
     /// workload's waiting queues, admitting as many arrivals as
     /// capacity allows at this instant. Scheduled one classical

@@ -64,8 +64,8 @@ pub enum FaultKind {
 /// A fault scheduled at a fixed offset from plan arm time.
 #[derive(Debug, Clone)]
 pub struct FaultSpec {
-    /// When the fault fires, relative to the instant the plan is
-    /// armed ([`crate::network::Network::set_fault_plan`]).
+    /// When the fault fires, relative to the start of the run
+    /// ([`crate::network::NetConfig::faults`]).
     pub at: SimDuration,
     /// What happens.
     pub kind: FaultKind,
@@ -147,6 +147,31 @@ impl FaultPlan {
     /// An empty plan with default penalty pricing.
     pub fn new() -> Self {
         FaultPlan::default()
+    }
+
+    /// Every one of `edges` edges flapping independently for `cycles`
+    /// fail/repair pairs of `Exp(mean_up)` / `Exp(mean_down)` dwells,
+    /// repaired under its current profile, in edge order (the order
+    /// their dwells are drawn in), under default penalty pricing.
+    pub fn flapping_everywhere(
+        edges: usize,
+        mean_up: SimDuration,
+        mean_down: SimDuration,
+        cycles: usize,
+    ) -> Self {
+        let flapping = (0..edges)
+            .map(|edge| Flapping {
+                edge,
+                mean_up,
+                mean_down,
+                cycles,
+                degrade: None,
+            })
+            .collect();
+        FaultPlan {
+            flapping,
+            ..FaultPlan::default()
+        }
     }
 
     /// Adds a scheduled fault (builder style).

@@ -218,18 +218,14 @@ impl Attempt {
     }
 }
 
-/// The terms and retry/identity state a request runs under — pinned at
-/// issue for its whole life, whatever the network's knobs say later,
-/// and carried forward (with `attempt` bumped and the failed edges
+/// The retry/identity state a request runs under — set at issue from
+/// the network's terms, and carried forward (with `attempt` bumped and the failed edges
 /// excluded) each time the re-route machinery re-issues it.
 #[derive(Debug, Clone)]
 pub(crate) struct AttemptSeed {
     pub(crate) src: usize,
     pub(crate) dst: usize,
     pub(crate) fmin: f64,
-    /// The per-attempt timeout: every re-issued attempt re-arms the
-    /// same deadline.
-    pub(crate) timeout: Option<SimDuration>,
     /// Re-issues left before a failed attempt abandons the request.
     pub(crate) retries_left: u32,
     /// Edges barred from future re-plans (every failed attempt adds
@@ -964,7 +960,6 @@ mod tests {
             src: path[0],
             dst: path[path.len() - 1],
             fmin: 0.6,
-            timeout: None,
             retries_left: 1,
             excluded: Vec::new(),
             requested_at: SimTime::ZERO,

@@ -14,7 +14,8 @@
 //! * [`network`] — all links of a topology embedded in **one** global
 //!   discrete-event queue: a single `SimTime` stream orders every MHP
 //!   cycle of every link against every control message, and runs stay
-//!   bit-reproducible per seed;
+//!   bit-reproducible per seed. A network is described once, by a
+//!   [`NetConfig`] fixed before it runs;
 //! * [`route`] — the route-metric engine: per-edge cost profiles
 //!   (expected NL latency, attempt success probability, memory-decay-
 //!   adjusted fidelity) derived from each edge's link configuration,
@@ -26,15 +27,14 @@
 //!   [`Network::request_entanglement_multipath`]; failed attempts
 //!   (per-request timeout, terminal link rejection) re-plan against
 //!   current load and re-issue under a per-request retry budget
-//!   ([`Network::set_retry_budget`],
-//!   [`Network::set_request_timeout`]);
+//!   ([`NetConfig::retries`], [`NetConfig::request_timeout`]);
 //! * [`obs`](mod@obs) — the deterministic telemetry layer:
 //!   request-lifecycle spans (chrome-trace / JSONL exportable),
 //!   fixed-bucket histogram metrics with percentile readout, and
 //!   wall-clock engine profiling — all off by default, all passive
 //!   (recording draws nothing from any RNG and schedules no events,
 //!   so results are bit-identical with telemetry on or off); enable
-//!   per network via [`Network::set_telemetry`] or
+//!   per network via [`NetConfig::telemetry`] or
 //!   process-wide via the `QLINK_TRACE` environment variable;
 //! * [`load`](mod@load) — the open-loop workload engine: deterministic
 //!   Poisson or trace-driven arrival streams over per-application user
@@ -42,7 +42,7 @@
 //!   targets), admission control (reject or queue beyond an in-flight
 //!   bound) with exact offered/admitted/dropped/completed/abandoned
 //!   accounting — arrivals are first-class shared-queue events
-//!   ([`Network::set_workload`]);
+//!   ([`NetConfig::workload`]);
 //! * [`ruleset`](mod@ruleset) — the RuleSet control plane: per-node
 //!   protocol logic as data — an ordered `condition → action` table
 //!   compiled from a [`Policy`] at plan time, installed on every path
@@ -56,7 +56,7 @@
 //!   per link or end-to-end with the parity bits crossing the real
 //!   classical control channels, threshold-gated purification and
 //!   k-round entanglement pumping are all tables of the one
-//!   interpreter ([`Network::set_policy`]);
+//!   interpreter ([`NetConfig::policy`]);
 //! * [`sweep`](mod@sweep) — the parallel scenario-sweep driver: a scenario × seed
 //!   matrix fanned across OS threads with deterministic merged
 //!   aggregates;
@@ -67,7 +67,7 @@
 //!   worse than it left), and the network-wide **penalty box** — an
 //!   exponentially time-decaying per-edge surcharge bumped on every
 //!   failure and UNSUPP and priced into all planning through
-//!   [`PlanContext::penalties`] ([`Network::set_fault_plan`]).
+//!   [`PlanContext::penalties`] ([`NetConfig::faults`]).
 
 mod engine;
 pub mod fault;
@@ -86,7 +86,7 @@ pub use load::{
     AdmissionControl, ArrivalProcess, ClassLoadStats, LoadStats, SloTarget, TraceArrival,
     UserClass, Workload,
 };
-pub use network::{EndToEndOutcome, Network};
+pub use network::{EndToEndOutcome, NetConfig, Network};
 pub use obs::{
     chrome_trace_json, spans_jsonl, EngineProfile, Metrics, SpanEvent, SpanStage, Telemetry,
     TelemetryConfig,
@@ -96,9 +96,7 @@ pub use ruleset::{
     Action, ArmProgram, Condition, FiredRule, NodeAction, Obs, PathRole, Policy, Rule, RuleSet,
     RuleState, Trigger,
 };
-pub use sweep::{
-    run_one, sweep, FaultChoice, RunRecord, ScenarioSpec, SweepReport, TopologyChoice,
-};
+pub use sweep::{run_one, sweep, RunRecord, ScenarioSpec, SweepReport, TopologyChoice};
 pub use topology::{Edge, Node, Topology};
 
 /// One path node's part in a request, driven the way the network
@@ -124,7 +122,6 @@ mod node {
                 src: path[0],
                 dst: path[path.len() - 1],
                 fmin: 0.6,
-                timeout: None,
                 retries_left: 1,
                 excluded: Vec::new(),
                 requested_at: SimTime::ZERO,

@@ -36,13 +36,13 @@
 //! the seed alone.
 //!
 //! The engine itself is pure bookkeeping: [`Network`] owns one
-//! (armed via [`Network::set_workload`]), calls into it at arrival /
+//! (armed from [`NetConfig::workload`]), calls into it at arrival /
 //! completion / abandon instants, and issues the actual
 //! entanglement requests. Nothing here schedules events or draws
 //! randomness on its own.
 //!
 //! [`Network`]: crate::network::Network
-//! [`Network::set_workload`]: crate::network::Network::set_workload
+//! [`NetConfig::workload`]: crate::network::NetConfig::workload
 
 use crate::obs::{fidelity_histogram, latency_histogram};
 use crate::topology::Topology;
@@ -178,8 +178,7 @@ impl UserClass {
 /// One recorded arrival of a trace-driven workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceArrival {
-    /// Arrival instant, relative to the workload arming time
-    /// ([`Network::set_workload`](crate::network::Network::set_workload)).
+    /// Arrival instant, relative to the start of the run.
     /// Entries must be sorted (non-decreasing).
     pub after: SimDuration,
     /// Index into the workload's class list.
@@ -490,9 +489,6 @@ struct InFlightReq {
 #[derive(Debug)]
 pub(crate) struct LoadEngine {
     spec: Workload,
-    /// Which armed stream this is: arrival events carry the number, so
-    /// one a replaced stream left on the queue is not taken for ours.
-    stream: u64,
     /// Cached per-class Poisson weights (spec order).
     weights: Vec<f64>,
     /// Class indices in admission-drain order: priority ascending,
@@ -505,7 +501,7 @@ pub(crate) struct LoadEngine {
 }
 
 impl LoadEngine {
-    pub(crate) fn new(spec: Workload, stream: u64) -> LoadEngine {
+    pub(crate) fn new(spec: Workload) -> LoadEngine {
         let weights: Vec<f64> = spec.classes.iter().map(|c| c.weight).collect();
         let mut drain_order: Vec<usize> = (0..spec.classes.len()).collect();
         drain_order.sort_by_key(|&i| (spec.classes[i].priority, i));
@@ -518,7 +514,6 @@ impl LoadEngine {
         };
         let queues = vec![VecDeque::new(); spec.classes.len()];
         LoadEngine {
-            stream,
             weights,
             drain_order,
             stats,
@@ -526,10 +521,6 @@ impl LoadEngine {
             queues,
             spec,
         }
-    }
-
-    pub(crate) fn stream(&self) -> u64 {
-        self.stream
     }
 
     pub(crate) fn class(&self, class: usize) -> &UserClass {
@@ -744,7 +735,7 @@ mod tests {
 
     #[test]
     fn admission_state_machine_accounts_exactly() {
-        let mut eng = LoadEngine::new(two_class_spec(), 0);
+        let mut eng = LoadEngine::new(two_class_spec());
         let t = SimTime::ZERO;
         let mut rng = DetRng::new(7);
         // Class 0 admits once, queues twice, drops the fourth.
@@ -782,7 +773,7 @@ mod tests {
 
     #[test]
     fn queued_arrivals_drain_by_priority() {
-        let mut eng = LoadEngine::new(two_class_spec(), 0);
+        let mut eng = LoadEngine::new(two_class_spec());
         let t = SimTime::ZERO;
         // Fill both classes' slots, then queue one class-0 arrival.
         eng.register(1, 0, t, t);
@@ -817,7 +808,7 @@ mod tests {
                 pair: (0, 1),
             },
         ];
-        let mut eng = LoadEngine::new(Workload::trace(trace, two_class_spec().classes), 0);
+        let mut eng = LoadEngine::new(Workload::trace(trace, two_class_spec().classes));
         let mut rng = DetRng::new(1);
         assert_eq!(
             eng.first_arrival_delay(&mut rng),
@@ -838,12 +829,12 @@ mod tests {
     #[test]
     fn max_arrivals_caps_the_stream() {
         let spec = two_class_spec().with_max_arrivals(2);
-        let eng = LoadEngine::new(spec, 0);
+        let eng = LoadEngine::new(spec);
         let mut rng = DetRng::new(3);
         assert!(eng.first_arrival_delay(&mut rng).is_some());
         assert!(eng.gap_after(0, &mut rng).is_some());
         assert!(eng.gap_after(1, &mut rng).is_none(), "cap reached");
-        let none = LoadEngine::new(two_class_spec().with_max_arrivals(0), 0);
+        let none = LoadEngine::new(two_class_spec().with_max_arrivals(0));
         assert!(none.first_arrival_delay(&mut rng).is_none());
     }
 }

@@ -15,8 +15,12 @@
 //!   [`Network::cancel_request`] — one teardown releases all of it;
 //! * the **planner** (`planner.rs`) — which path to take
 //!   ([`crate::route`] over live per-edge loads and the penalty box),
-//!   and the terms (policy, timeout, retry budget, backoff) requests
-//!   are issued under.
+//!   and how long a failed attempt backs off.
+//!
+//! A network is described once, by a [`NetConfig`]: the metric,
+//! policy, retry budget and timeout requests are issued under, the
+//! fault plan and workload it is subjected to, and telemetry — all
+//! fixed before it runs.
 //!
 //! On top sits SWAP-ASAP repeater control: NL CREATEs are issued along
 //! the reserved path, intermediate nodes swap as soon as both adjacent
@@ -33,7 +37,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::ledger::{AttemptSeed, Completion, Ended, GroupVerdict, Ledger};
 use crate::load::{Admission, LoadEngine, LoadStats, Workload};
 use crate::obs::{SpanStage, Telemetry, TelemetryConfig};
-use crate::planner::Planner;
+use crate::planner::{Planner, Terms};
 use crate::route::{PlanContext, Route, RouteMetric};
 use crate::ruleset::{NodeAction, Obs, PathRole, Policy};
 use crate::topology::Topology;
@@ -57,22 +61,96 @@ const FAULT_TRACK: u64 = u64::MAX;
 #[rustfmt::skip]
 pub enum ExecMode { Sequential, Sharded(usize) } // benchmark-compat: ROADMAP item 1 deletes this
 
+/// Everything a [`Network`] runs under besides its topology and seed,
+/// fixed before it runs. [`NetConfig::default`] is what
+/// [`Network::new`] runs under.
+#[derive(Debug, Clone)]
+pub struct NetConfig {
+    /// How plans price edges ([`RouteMetric::Hops`] by default; the
+    /// others weigh edges by the profiles the route planner derives
+    /// from each link's configuration).
+    pub metric: RouteMetric,
+    /// The [`Policy`] requests run under ([`Policy::SwapAsap`] by
+    /// default): at issue it is compiled to a
+    /// [`crate::ruleset::RuleSet`] table, installed on every path node
+    /// and interpreted on each observation; it also prices edges in
+    /// planning ([`PlanContext::policy`]). [`Policy::LinkPurify`]
+    /// makes every path edge distill two delivered pairs into one
+    /// before it may be swapped; [`Policy::EndToEndPurify`] makes
+    /// [`Network::request_entanglement`] run two concurrent streams
+    /// and distill their end-to-end pairs into one.
+    pub policy: Policy,
+    /// How many times a failed attempt (timeout, terminal link
+    /// rejection — UNSUPP included — or a fault on its path) is
+    /// re-planned and re-issued before its request is abandoned; 0 (the
+    /// default) abandons on the first failure.
+    pub retries: u32,
+    /// An attempt that has not delivered within this much simulated
+    /// time of its issue fails: it releases every reservation it holds
+    /// and, with retry budget left, re-plans against current load
+    /// (excluding the failed path's edges) and re-issues; otherwise
+    /// the request is abandoned and counted in [`Network::timeouts`].
+    /// `None` (the default) schedules no timeout events: an attempt
+    /// then fails only on a terminal link rejection or a fault.
+    pub request_timeout: Option<SimDuration>,
+    /// The adversity the run is subjected to (see [`crate::fault`]):
+    /// scheduled events land on the shared queue at their offsets from
+    /// time zero, flapping processes are realized from the dedicated
+    /// `net/fault` substream, and the penalty box prices planning.
+    /// Faults hit the *quantum* links only: classical control channels
+    /// stay up. `None` (the default) schedules no fault event, arms no
+    /// penalty box and draws nothing from `net/fault`.
+    pub faults: Option<FaultPlan>,
+    /// An open-loop workload (see [`crate::load`]): arrivals are
+    /// first-class events on the shared queue, scheduled one ahead,
+    /// each resolving its user class and `(src, dst)` pair, running
+    /// admission control, and issuing a request under these terms.
+    /// Every workload draw comes from the dedicated `net/load`
+    /// substream; `None` (the default) draws nothing from it.
+    ///
+    /// Workload-tracked completions are folded straight into
+    /// [`Network::workload_stats`] and **not** pushed onto the
+    /// [`Network::take_outcomes`] buffer — a sustained run offers
+    /// millions of arrivals, and per-outcome records would grow
+    /// without bound. Drive workload runs with [`Network::run_for`].
+    pub workload: Option<Workload>,
+    /// The telemetry layer (see [`crate::obs`]):
+    /// [`TelemetryConfig::from_env`] by default, which records nothing
+    /// unless `QLINK_TRACE` opts in. Recording is passive: whatever the
+    /// config, the run's outcomes, RNG draws, and event stream are
+    /// unchanged.
+    pub telemetry: TelemetryConfig,
+}
+
+impl Default for NetConfig {
+    fn default() -> Self {
+        NetConfig {
+            metric: RouteMetric::Hops,
+            policy: Policy::SwapAsap,
+            retries: 0,
+            request_timeout: None,
+            faults: None,
+            workload: None,
+            telemetry: TelemetryConfig::from_env(),
+        }
+    }
+}
+
 /// A multi-node quantum network on one shared event queue.
 pub struct Network {
     topo: Topology,
     engine: Engine,
     ledger: Ledger,
     planner: Planner,
+    /// The terms requests are issued under.
+    terms: Terms,
     /// Workload arrival randomness (gaps, class picks, pair picks) —
     /// its own substream, drawn only while a workload is armed, so
     /// closed-loop runs never touch it.
     load_rng: DetRng,
-    /// The armed open-loop workload engine (see [`crate::load`]),
-    /// `None` unless [`Network::set_workload`] armed one.
+    /// The open-loop workload engine (see [`crate::load`]), `None`
+    /// unless the config armed one.
     workload: Option<Box<LoadEngine>>,
-    /// Fault-injection randomness (flapping dwell draws) — its own
-    /// substream, drawn from only when a fault plan arms.
-    fault_rng: DetRng,
     /// Times each edge has been repaired — salts the rebuilt link's
     /// fresh deterministic seed so successive incarnations never
     /// replay each other's randomness.
@@ -89,29 +167,35 @@ pub struct Network {
 }
 
 impl Network {
-    /// Builds the network: one full link-layer simulation per edge
-    /// (seeded from its own `LinkConfig`). `seed` drives network-layer
-    /// randomness (the Bell-measurement outcomes of the swaps).
-    ///
-    /// The physics the links and the route planner derive (attempt
-    /// models, `Fmin → α` inversions) is kept in one table per hardware
-    /// profile, owned by this network and empty until something asks.
+    /// Builds the network under [`NetConfig::default`]: one full
+    /// link-layer simulation per edge (seeded from its own
+    /// `LinkConfig`). `seed` drives network-layer randomness (the
+    /// Bell-measurement outcomes of the swaps).
     ///
     /// # Panics
     /// Panics on a topology with no edges.
     pub fn new(topo: Topology, seed: u64) -> Self {
-        Self::with_models(topo, seed, ModelCache::new())
+        Self::with_config(topo, seed, NetConfig::default(), ModelCache::new())
     }
 
-    /// [`Network::new`] over a table of attempt models the caller
-    /// shares — with its other networks on the same hardware, one after
-    /// another, as [`crate::sweep::sweep`]'s workers do. What a model
-    /// holds is a pure function of `(params, α)`, so sharing changes no
-    /// result.
+    /// Builds the network under `config`. It arms, in order, the
+    /// telemetry, the terms requests are issued under, the fault plan
+    /// and the workload.
+    ///
+    /// The physics the links and the route planner derive (attempt
+    /// models, `Fmin → α` inversions) lands in `models`, one table per
+    /// hardware profile. A caller may share it with its other networks
+    /// on the same hardware, one after another, as
+    /// [`crate::sweep::sweep`]'s workers do: what a model holds is a
+    /// pure function of `(params, α)`, so sharing changes no result.
     ///
     /// # Panics
-    /// Panics on a topology with no edges.
-    pub fn with_models(topo: Topology, seed: u64, models: ModelCache) -> Self {
+    /// Panics on a topology with no edges, or on a workload with an
+    /// empty class list, a non-positive Poisson rate or class weight,
+    /// an unsorted trace, an out-of-range class or node index, a
+    /// `src == dst` pair, a disconnected pair, or a Poisson class with
+    /// an empty pair pool.
+    pub fn with_config(topo: Topology, seed: u64, config: NetConfig, models: ModelCache) -> Self {
         assert!(topo.edge_count() > 0, "a network needs at least one link");
         let mut planner = Planner::new(seed, models);
         let links: Vec<LinkSimulation> = topo
@@ -127,11 +211,16 @@ impl Network {
             engine: Engine::new(links, topo.min_control_delay()),
             ledger: Ledger::new(seed, topo.edge_count()),
             planner,
+            terms: Terms {
+                metric: config.metric,
+                policy: config.policy,
+                retries: config.retries,
+                request_timeout: config.request_timeout,
+            },
             // Substream derivation is pure in (seed, label): creating
-            // these here perturbs nothing, and no draw ever leaves one
-            // unless a workload (a fault plan) arms.
+            // this here perturbs nothing, and no draw ever leaves it
+            // unless a workload arms.
             load_rng: DetRng::new(seed).substream("net/load"),
-            fault_rng: DetRng::new(seed).substream("net/fault"),
             fault_count: 0,
             repair_total: 0,
             workload: None,
@@ -139,20 +228,61 @@ impl Network {
             telemetry: None,
             topo,
         };
-        net.set_telemetry(TelemetryConfig::from_env());
+        net.arm_telemetry(config.telemetry);
+        if let Some(plan) = &config.faults {
+            let edges = net.topo.edge_count();
+            net.planner.arm_penalty_box(edges, plan.penalty);
+            let mut fault_rng = DetRng::new(seed).substream("net/fault");
+            for (delay, kind) in plan.expand(&mut fault_rng) {
+                net.engine.schedule_in(delay, NetEvent::Fault { kind });
+            }
+        }
+        if let Some(workload) = config.workload {
+            net.arm_workload(workload);
+        }
         net
     }
 
-    /// Switches the telemetry layer (see [`crate::obs`]) on or off,
-    /// discarding anything recorded so far. [`TelemetryConfig::OFF`]
-    /// (the construction default, unless the `QLINK_TRACE` environment
-    /// variable opted in — [`TelemetryConfig::from_env`]) records
-    /// nothing. Recording is passive: whatever the config, the run's
-    /// outcomes, RNG draws, and event stream are unchanged.
-    pub fn set_telemetry(&mut self, config: TelemetryConfig) {
+    fn arm_telemetry(&mut self, config: TelemetryConfig) {
         let edges = self.topo.edge_count();
         self.telemetry = (!config.is_off()).then(|| Box::new(Telemetry::new(edges)));
     }
+
+    fn arm_workload(&mut self, workload: Workload) {
+        workload.validate(&self.topo);
+        let engine = Box::new(LoadEngine::new(workload));
+        if let Some(delay) = engine.first_arrival_delay(&mut self.load_rng) {
+            self.engine
+                .schedule_in(delay, NetEvent::Arrival { index: 0 });
+        }
+        self.workload = Some(engine);
+    }
+
+    /// Whether the clock has not moved yet: what the compat setters
+    /// below may still configure.
+    fn unrun(&self) -> bool {
+        self.engine.now() == SimTime::ZERO
+    }
+
+    #[doc(hidden)]
+    #[rustfmt::skip]
+    pub fn set_route_metric(&mut self, metric: RouteMetric) { debug_assert!(self.unrun()); self.terms.metric = metric } // benchmark-compat: ROADMAP item 1 deletes this
+
+    #[doc(hidden)]
+    #[rustfmt::skip]
+    pub fn set_retry_budget(&mut self, retries: u32) { debug_assert!(self.unrun()); self.terms.retries = retries } // benchmark-compat: ROADMAP item 1 deletes this
+
+    #[doc(hidden)]
+    #[rustfmt::skip]
+    pub fn set_request_timeout(&mut self, timeout: Option<SimDuration>) { debug_assert!(self.unrun()); self.terms.request_timeout = timeout } // benchmark-compat: ROADMAP item 1 deletes this
+
+    #[doc(hidden)]
+    #[rustfmt::skip]
+    pub fn set_workload(&mut self, workload: Workload) { debug_assert!(self.unrun() && self.workload.is_none()); self.arm_workload(workload) } // benchmark-compat: ROADMAP item 1 deletes this
+
+    #[doc(hidden)]
+    #[rustfmt::skip]
+    pub fn set_telemetry(&mut self, config: TelemetryConfig) { debug_assert!(self.unrun()); self.arm_telemetry(config) } // benchmark-compat: ROADMAP item 1 deletes this
 
     /// The telemetry recorded so far (`None` when the layer is off).
     pub fn telemetry(&self) -> Option<&Telemetry> {
@@ -224,94 +354,12 @@ impl Network {
         self.engine.reset_event_stats();
     }
 
-    /// Selects the [`RouteMetric`] subsequent plans price edges with.
-    /// The default is [`RouteMetric::Hops`]; the others weigh edges by
-    /// the profiles the route planner derives from each link's
-    /// configuration.
-    pub fn set_route_metric(&mut self, metric: RouteMetric) {
-        self.planner.metric = metric;
-    }
-
-    /// Selects the [`Policy`] subsequent requests run under: at issue
-    /// time it is compiled to a [`crate::ruleset::RuleSet`] table,
-    /// installed on every path node, and interpreted on each
-    /// observation; it also prices edges in planning
-    /// ([`PlanContext::policy`]).
-    /// [`Policy::LinkPurify`] makes every path edge distill two
-    /// delivered pairs into one before it may be swapped;
-    /// [`Policy::EndToEndPurify`] makes
-    /// [`Network::request_entanglement`] run two concurrent streams
-    /// and distill their delivered end-to-end pairs into one. The
-    /// default is [`Policy::SwapAsap`].
-    ///
-    /// In-flight requests keep the policy they were issued under.
-    pub fn set_policy(&mut self, policy: Policy) {
-        self.planner.policy = policy;
-    }
-
-    /// Sets the per-request timeout: an attempt that has not
-    /// delivered within this much simulated time of its issue fails —
-    /// it releases every reservation it holds and, with retry budget
-    /// left, re-plans against current load (excluding the failed
-    /// path's edges) and re-issues; otherwise the request is
-    /// abandoned and counted in [`Network::timeouts`].
-    ///
-    /// `None` (the default) schedules no timeout events: an attempt
-    /// then fails only on a terminal link rejection or a fault on its
-    /// path. Applies to requests issued after the call.
-    pub fn set_request_timeout(&mut self, timeout: Option<SimDuration>) {
-        self.planner.request_timeout = timeout;
-    }
-
-    /// Sets how many times a failed attempt (timeout, terminal link
-    /// rejection — UNSUPP included — or a fault on its path) may be
-    /// re-planned and re-issued before its request is abandoned. The
-    /// budget is per request, pinned at issue time; the default is 0
-    /// (the first failure abandons).
-    pub fn set_retry_budget(&mut self, retries: u32) {
-        self.planner.retry_budget = retries;
-    }
-
     #[doc(hidden)]
     pub fn set_exec(&mut self, _: ExecMode) {} // benchmark-compat: ROADMAP item 1 deletes this
 
-    /// Arms an open-loop workload (see [`crate::load`]): arrivals are
-    /// scheduled as first-class events on the shared queue, one
-    /// ahead, each resolving its user class and `(src, dst)` pair,
-    /// running admission control, and issuing an entanglement request
-    /// under the network's current routing / policy / retry
-    /// knobs. Every workload draw comes from the dedicated `net/load`
-    /// substream, and runs that never arm a workload draw nothing from
-    /// it at all. Arming again replaces the stream: the arrival the
-    /// previous one still has on the queue is ignored when it fires.
-    ///
-    /// Workload-tracked completions are folded straight into
-    /// [`Network::workload_stats`] and **not** pushed onto the
-    /// [`Network::take_outcomes`] buffer — a sustained run offers
-    /// millions of arrivals, and per-outcome records would grow
-    /// without bound. Drive workload runs with [`Network::run_for`]
-    /// and read the accounting afterwards.
-    ///
-    /// # Panics
-    /// Panics on an empty class list, a non-positive Poisson rate or
-    /// class weight, an unsorted trace, an out-of-range class or node
-    /// index, a `src == dst` pair, a disconnected pair, or a Poisson
-    /// class with an empty pair pool.
-    pub fn set_workload(&mut self, workload: Workload) {
-        workload.validate(&self.topo);
-        let stream = self.workload.as_ref().map_or(0, |wl| wl.stream() + 1);
-        let engine = Box::new(LoadEngine::new(workload, stream));
-        if let Some(delay) = engine.first_arrival_delay(&mut self.load_rng) {
-            let first = NetEvent::Arrival { index: 0, stream };
-            self.engine.schedule_in(delay, first);
-        }
-        self.workload = Some(engine);
-    }
-
-    /// The armed workload's accounting so far (`None` unless
-    /// [`Network::set_workload`] armed one). Counters and histograms
-    /// are live: reading mid-run sees the state as of the last handled
-    /// event.
+    /// The workload's accounting so far (`None` unless the config
+    /// armed one). Counters and histograms are live: reading mid-run
+    /// sees the state as of the last handled event.
     pub fn workload_stats(&self) -> Option<&LoadStats> {
         self.workload.as_deref().map(LoadEngine::stats)
     }
@@ -327,25 +375,6 @@ impl Network {
     }
 
     // ---- fault injection (see crate::fault) --------------------------
-
-    /// Arms a fault plan (see [`crate::fault`]): scheduled events
-    /// land on the shared queue at their offsets from *now*, flapping
-    /// processes are realized into concrete fail/repair events from
-    /// the dedicated `net/fault` substream, and the penalty box
-    /// starts pricing planning.
-    ///
-    /// Faults hit the *quantum* links only: classical control
-    /// channels stay up. A request issued while faults cut every path
-    /// between its pair waits one control delay for a re-plan, then is
-    /// issued or abandoned ([`Network::timeouts`]), like a failed
-    /// attempt with no route left.
-    pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        self.planner
-            .arm_penalty_box(self.topo.edge_count(), plan.penalty);
-        for (delay, kind) in plan.expand(&mut self.fault_rng) {
-            self.engine.schedule_in(delay, NetEvent::Fault { kind });
-        }
-    }
 
     /// Edge failures injected so far (node churn counts one per
     /// incident edge actually taken down).
@@ -461,8 +490,8 @@ impl Network {
         self.ledger.edge_load(edge)
     }
 
-    /// The single best route `src → dst` under the current metric and
-    /// policy, or `None` if no path can serve `fmin`. Edges whose
+    /// The single best route `src → dst` under the network's metric
+    /// and policy, or `None` if no path can serve `fmin`. Edges whose
     /// achievable K-type fidelity ceiling is below `fmin` are excluded
     /// — for *every* metric, hop count included, because a link whose
     /// FEU cannot reach `fmin` would reject the CREATE as UNSUPP. The
@@ -477,7 +506,8 @@ impl Network {
     pub fn plan_route(&mut self, src: usize, dst: usize, fmin: f64) -> Option<Route> {
         let ask = PlanContext {
             fmin,
-            policy: self.planner.policy,
+            metric: self.terms.metric,
+            policy: self.terms.policy,
             ..PlanContext::new(src, dst)
         };
         let now = self.engine.now();
@@ -490,6 +520,7 @@ impl Network {
     fn route_for_issue(&mut self, seed: &AttemptSeed) -> Option<Route> {
         let ask = PlanContext {
             fmin: seed.fmin,
+            metric: self.terms.metric,
             policy: seed.policy,
             exclude: &seed.excluded,
             ..PlanContext::new(seed.src, seed.dst)
@@ -502,8 +533,8 @@ impl Network {
 
     /// Requests end-to-end entanglement between `src` and `dst` at
     /// minimum link fidelity `fmin`; returns the request id. The path
-    /// is chosen by the current [`RouteMetric`] (default:
-    /// [`RouteMetric::Hops`]) and reserved immediately;
+    /// is chosen by the network's [`RouteMetric`] ([`NetConfig::metric`])
+    /// and reserved immediately;
     /// NL CREATEs are issued hop-by-hop as the reservation message
     /// propagates over the classical control channels.
     ///
@@ -543,10 +574,10 @@ impl Network {
     /// assert!(out.end_to_end_fidelity > 0.25);
     /// ```
     pub fn request_entanglement(&mut self, src: usize, dst: usize, fmin: f64) -> u64 {
-        if self.planner.policy == Policy::EndToEndPurify {
+        if self.terms.policy == Policy::EndToEndPurify {
             return self.request_entanglement_distilled(src, dst, fmin);
         }
-        let seed = self.planner.seed(src, dst, fmin, self.engine.now());
+        let seed = self.terms.seed(src, dst, fmin, self.engine.now());
         let route = self.route_for_issue(&seed);
         self.issue_fresh(route.as_ref().map(|r| &r.nodes[..]), seed)
     }
@@ -573,7 +604,7 @@ impl Network {
         let members = self.request_entanglement_multipath(src, dst, fmin, 2);
         let template = AttemptSeed {
             group: Some(group),
-            ..self.planner.seed(src, dst, fmin, now)
+            ..self.terms.seed(src, dst, fmin, now)
         };
         self.ledger
             .open_group(group, [members[0], members[1]], template);
@@ -597,7 +628,7 @@ impl Network {
             );
         }
         let (src, dst) = (path[0], path[path.len() - 1]);
-        let seed = self.planner.seed(src, dst, fmin, self.engine.now());
+        let seed = self.terms.seed(src, dst, fmin, self.engine.now());
         self.issue_fresh(Some(path), seed)
     }
 
@@ -638,8 +669,8 @@ impl Network {
             tl.emit(self.engine.now(), id, attempt, SpanStage::Plan { path });
         }
         // Arm this attempt's failure detection (no event at all when
-        // the request was issued without a timeout).
-        if let Some(timeout) = seed.timeout {
+        // the network has no timeout).
+        if let Some(timeout) = self.terms.request_timeout {
             let request = id;
             let timer = NetEvent::RequestTimeout { request, attempt };
             self.engine.schedule_in(timeout, timer);
@@ -653,7 +684,7 @@ impl Network {
     }
 
     /// Requests `streams` concurrent end-to-end entanglements between
-    /// the same pair, split across the K best routes under the current
+    /// the same pair, split across the K best routes under the network's
     /// metric. Routes are taken edge-disjoint greedily (cheapest
     /// first), widening the Yen candidate pool until `streams`
     /// disjoint routes are found, the graph runs out of simple paths,
@@ -681,7 +712,8 @@ impl Network {
         let ask = PlanContext {
             fmin,
             k: streams,
-            policy: self.planner.policy,
+            metric: self.terms.metric,
+            policy: self.terms.policy,
             ..PlanContext::new(src, dst)
         };
         let now = self.engine.now();
@@ -691,7 +723,7 @@ impl Network {
         let mut paths = selected.iter().map(|r| &r.nodes[..]).cycle();
         (0..streams)
             .map(|_| {
-                let seed = self.planner.seed(src, dst, fmin, now);
+                let seed = self.terms.seed(src, dst, fmin, now);
                 self.issue_fresh(paths.next(), seed)
             })
             .collect()
@@ -867,7 +899,7 @@ impl Network {
                     tl.on_expire(key.0);
                 }
             }
-            NetEvent::Arrival { index, stream } => self.on_arrival(index, stream, t),
+            NetEvent::Arrival { index } => self.on_arrival(index, t),
             NetEvent::AdmitQueued => self.on_admit_queued(t),
             NetEvent::Fault { kind } => self.on_fault(kind, t),
         }
@@ -875,20 +907,17 @@ impl Network {
 
     // ---- open-loop workload glue (see crate::load) -------------------
 
-    /// Handles arrival `index` of workload stream `stream` at its
-    /// firing instant: resolve class and pair (counting it offered),
-    /// schedule the next arrival one gap ahead, and run admission
-    /// control. An arrival of a stream since replaced (or cleared) is
-    /// ignored.
-    fn on_arrival(&mut self, index: u64, stream: u64, t: SimTime) {
-        let Some(mut wl) = self.workload.take_if(|wl| wl.stream() == stream) else {
+    /// Handles workload arrival `index` at its firing instant: resolve
+    /// class and pair (counting it offered), schedule the next arrival
+    /// one gap ahead, and run admission control.
+    fn on_arrival(&mut self, index: u64, t: SimTime) {
+        let Some(mut wl) = self.workload.take() else {
             return;
         };
         let (class, pair) = wl.resolve_arrival(index, &mut self.load_rng);
         if let Some(gap) = wl.gap_after(index, &mut self.load_rng) {
             let index = index + 1;
-            self.engine
-                .schedule_in(gap, NetEvent::Arrival { index, stream });
+            self.engine.schedule_in(gap, NetEvent::Arrival { index });
         }
         match wl.admit_decision(class) {
             Admission::Admit => {

@@ -16,9 +16,9 @@
 //!   the event stream, not a participant in it.
 //!
 //! One switch, [`TelemetryConfig`], turns all three facets on or off
-//! together (programmatic: [`Network::set_telemetry`]; environment:
-//! `QLINK_TRACE=1` via [`TelemetryConfig::from_env`], read at
-//! [`Network::new`]):
+//! together (programmatic: [`NetConfig::telemetry`]; environment:
+//! `QLINK_TRACE=1` via [`TelemetryConfig::from_env`], which
+//! [`NetConfig::default`] reads):
 //!
 //! * **Spans** — the life of every request as timestamped
 //!   [`SpanEvent`]s: issue → plan → per-edge CREATE → pair ADD →
@@ -42,8 +42,8 @@
 //!   quantity here: spans and metrics never read it, so they stay
 //!   byte-reproducible.
 //!
-//! [`Network::set_telemetry`]: crate::network::Network::set_telemetry
-//! [`Network::new`]: crate::network::Network::new
+//! [`NetConfig::telemetry`]: crate::network::NetConfig::telemetry
+//! [`NetConfig::default`]: crate::network::NetConfig::default
 
 use qlink_des::{Histogram, SimDuration, SimTime, TimeSeries};
 use std::fmt::Write as _;

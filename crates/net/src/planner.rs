@@ -8,10 +8,9 @@
 //! absent and recently failed ones carry the penalty box's decaying
 //! surcharge ([`crate::fault`]). Planning is pure: nothing is reserved.
 //!
-//! The planner also holds the terms a request is issued under — policy,
-//! per-attempt timeout, retry budget — which it pins into each
-//! request's [`AttemptSeed`], and the backoff a failed attempt waits
-//! out before its re-plan.
+//! The planner also draws the backoff a failed attempt waits out
+//! before its re-plan. The terms a request is issued under ([`Terms`])
+//! are the network's, fixed before it runs.
 
 use crate::fault::{PenaltyBox, PenaltyConfig};
 use crate::ledger::{AttemptSeed, Ledger};
@@ -23,7 +22,40 @@ use qlink_egp::feu::FidelityEstimator;
 use qlink_phys::attempt::ModelCache;
 use qlink_phys::params::ScenarioParams;
 
-/// The route planner, what it derives from, and the issue terms.
+/// The terms requests are issued under: a
+/// [`NetConfig`](crate::network::NetConfig)'s metric, policy, retry
+/// budget and timeout.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Terms {
+    pub(crate) metric: RouteMetric,
+    pub(crate) policy: Policy,
+    pub(crate) retries: u32,
+    pub(crate) request_timeout: Option<SimDuration>,
+}
+
+impl Terms {
+    /// What a request `src → dst` issued at `now` starts from. Member
+    /// streams run plain SWAP-ASAP under [`Policy::EndToEndPurify`]:
+    /// end-to-end distillation is group-level machinery.
+    pub(crate) fn seed(&self, src: usize, dst: usize, fmin: f64, now: SimTime) -> AttemptSeed {
+        AttemptSeed {
+            src,
+            dst,
+            fmin,
+            retries_left: self.retries,
+            excluded: Vec::new(),
+            requested_at: now,
+            group: None,
+            attempt: 0,
+            policy: match self.policy {
+                Policy::EndToEndPurify => Policy::SwapAsap,
+                other => other,
+            },
+        }
+    }
+}
+
+/// The route planner and what it derives from.
 pub(crate) struct Planner {
     /// Edge profiles, built lazily on the first plan and reused until a
     /// repair changes an edge's hardware.
@@ -34,11 +66,6 @@ pub(crate) struct Planner {
     /// built so far, all over `models`: every link on the same hardware
     /// holds a clone of the same one.
     estimators: Vec<FidelityEstimator>,
-    pub(crate) metric: RouteMetric,
-    /// The [`Policy`] new requests are issued under.
-    pub(crate) policy: Policy,
-    pub(crate) retry_budget: u32,
-    pub(crate) request_timeout: Option<SimDuration>,
     /// Re-route jitter draws from its own substream, so runs without
     /// retries never touch it.
     reroute_rng: DetRng,
@@ -59,10 +86,6 @@ impl Planner {
             routes: None,
             models,
             estimators: Vec::new(),
-            metric: RouteMetric::Hops,
-            policy: Policy::default(),
-            retry_budget: 0,
-            request_timeout: None,
             reroute_rng: DetRng::new(seed).substream("net/reroute"),
             penalty_box: None,
             penalties: Vec::new(),
@@ -86,28 +109,6 @@ impl Planner {
 
     pub(crate) fn estimators(&self) -> &[FidelityEstimator] {
         &self.estimators
-    }
-
-    /// The terms a request `src → dst` issued at `now` runs under for
-    /// its whole life, whatever the knobs say later. Member streams run
-    /// plain SWAP-ASAP under [`Policy::EndToEndPurify`]: end-to-end
-    /// distillation is group-level machinery.
-    pub(crate) fn seed(&self, src: usize, dst: usize, fmin: f64, now: SimTime) -> AttemptSeed {
-        AttemptSeed {
-            src,
-            dst,
-            fmin,
-            timeout: self.request_timeout,
-            retries_left: self.retry_budget,
-            excluded: Vec::new(),
-            requested_at: now,
-            group: None,
-            attempt: 0,
-            policy: match self.policy {
-                Policy::EndToEndPurify => Policy::SwapAsap,
-                other => other,
-            },
-        }
     }
 
     /// Starts pricing failures into planning.
@@ -145,11 +146,11 @@ impl Planner {
         routes.profile(edge).fidelity
     }
 
-    /// The planning primitive: `ask` under the current metric, the
-    /// ledger's live loads and the penalty box as of `now`. The ask
-    /// carries its own exclusions and policy (re-routes price under the
-    /// policy their request was *issued* with, not the network's
-    /// current one).
+    /// The planning primitive: `ask` under the ledger's live loads and
+    /// the penalty box as of `now`. The ask carries its own metric,
+    /// exclusions and policy (re-routes price under the policy their
+    /// request was *issued* with: an end-to-end group's members plan
+    /// as SWAP-ASAP).
     pub(crate) fn plan(
         &mut self,
         topo: &Topology,
@@ -175,7 +176,6 @@ impl Planner {
             .routes
             .get_or_insert_with(|| RoutePlanner::with_models(topo, &self.models));
         let ctx = PlanContext {
-            metric: self.metric,
             loads: &self.loads,
             penalties: &self.penalties,
             ..ask

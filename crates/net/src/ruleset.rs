@@ -66,7 +66,7 @@
 //! # Examples
 //!
 //! A table driven directly (the network compiles and installs tables
-//! for you under [`Network::set_policy`](crate::network::Network::set_policy)):
+//! for you under [`NetConfig::policy`](crate::network::NetConfig::policy)):
 //!
 //! ```
 //! use std::sync::Arc;

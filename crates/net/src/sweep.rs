@@ -8,9 +8,9 @@
 //! thread count — parallelism changes wall-clock time only, never
 //! results.
 
-use crate::fault::{FaultPlan, Flapping, PenaltyConfig};
+use crate::fault::FaultPlan;
 use crate::load::{ClassLoadStats, Workload};
-use crate::network::Network;
+use crate::network::{NetConfig, Network};
 use crate::obs::{fidelity_histogram, latency_histogram};
 use crate::route::RouteMetric;
 use crate::ruleset::Policy;
@@ -26,33 +26,6 @@ use std::sync::Mutex;
 
 #[doc(hidden)]
 pub type ExecChoice = crate::network::ExecMode; // benchmark-compat: ROADMAP item 1 deletes this
-
-/// Which adversity a sweep run is subjected to (the data-only `Copy`
-/// stand-in for [`FaultPlan`], so specs stay trivially `Send` +
-/// `Clone` across worker threads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultChoice {
-    /// No fault plan — no fault events, no penalty box, no
-    /// draws from the `"net/fault"` substream — earlier PRs' event
-    /// streams reproduce bit-for-bit.
-    #[default]
-    None,
-    /// Every edge flaps independently: `cycles` fail/repair pairs with
-    /// exponential `mean_up`/`mean_down` dwells, realized at arm time
-    /// from the run seed's `"net/fault"` substream (see [`Flapping`]).
-    Flapping {
-        /// Mean up-dwell before each failure.
-        mean_up: SimDuration,
-        /// Mean down-dwell before each repair.
-        mean_down: SimDuration,
-        /// Fail/repair cycles per edge.
-        cycles: usize,
-        /// Arm the penalty box ([`PenaltyConfig::default`]) or switch
-        /// it off ([`PenaltyConfig::off`]) — the A/B knob behind the
-        /// robustness bench.
-        penalty_box: bool,
-    },
-}
 
 /// Which topology a sweep run instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,9 +43,10 @@ pub enum TopologyChoice {
 }
 
 /// A data-only description of one sweep scenario: a chain or grid of
-/// Lab links under FCFS link scheduling, with the network's knobs and
-/// workload. (Data-only so specs are trivially `Send` + `Clone` across
-/// worker threads.)
+/// Lab links under FCFS link scheduling, the [`NetConfig`] each run's
+/// network is built from, and the closed-loop rounds driving it.
+/// (Data-only so specs are trivially `Send` + `Clone` across worker
+/// threads.)
 ///
 /// # Examples
 ///
@@ -87,6 +61,7 @@ pub enum TopologyChoice {
 ///     .with_max_time(SimDuration::from_secs(20))
 ///     .with_metric(RouteMetric::Fidelity);
 /// assert_eq!(spec.rounds, 2);
+/// assert_eq!(spec.net.metric, RouteMetric::Fidelity);
 ///
 /// // One (scenario, seed) cell of the matrix, fully deterministic.
 /// let record = run_one(&spec, 7);
@@ -106,17 +81,12 @@ pub struct ScenarioSpec {
     pub max_time: SimDuration,
     /// End-to-end rounds per run.
     pub rounds: u32,
-    /// Route metric steering each round's path selection.
-    pub metric: RouteMetric,
     /// Concurrent same-pair requests per round (1 = single path; more
     /// are split across routes by
     /// [`Network::request_entanglement_multipath`]). Ignored under
     /// [`Policy::EndToEndPurify`], whose rounds are one *logical*
     /// request each (two internal streams distilled into one pair).
     pub streams: u32,
-    /// The [`Policy`] every round's requests run under
-    /// ([`Network::set_policy`]; [`Policy::SwapAsap`] by default).
-    pub policy: Policy,
     /// Overrides the carbon-memory dephasing time `T2*` (seconds) of
     /// every hop — the knob that models dynamically decoupled
     /// long-lived memories, without which multi-hop pairs decay to
@@ -134,31 +104,13 @@ pub struct ScenarioSpec {
     /// network-wide contention rather than same-pair multipath — and
     /// `streams` is ignored.
     pub pairs: Vec<(usize, usize)>,
-    /// Re-route budget per request
-    /// ([`Network::set_retry_budget`](crate::network::Network::set_retry_budget)):
-    /// how many times a failed attempt (timed out, link-rejected, or
-    /// cut by a fault) re-plans against live load and re-issues. At 0
-    /// (the default) the first failure abandons the request.
-    pub retries: u32,
-    /// Per-attempt timeout
-    /// ([`Network::set_request_timeout`](crate::network::Network::set_request_timeout)).
-    /// `None` (the default) schedules no timeout events: attempts then
-    /// fail only on a link rejection or a fault. Failing on *timeout*
-    /// needs it set below [`ScenarioSpec::max_time`].
-    pub request_timeout: Option<SimDuration>,
-    /// Open-loop workload driving the run instead of the closed-loop
-    /// round machinery. `None` (the default) keeps the classic
-    /// behaviour — and draws nothing from the arrival substream, so
-    /// legacy specs reproduce earlier PRs' results bit-for-bit. Set,
-    /// the run arms [`Network::set_workload`] and advances the clock
-    /// once for [`ScenarioSpec::max_time`] of sustained arrivals;
-    /// `rounds`, `streams`, `pairs`, and `fmin` are ignored (each
+    /// What each run's network is built from
+    /// ([`Network::with_config`]). With [`NetConfig::workload`] set
+    /// the run is open-loop: it advances the clock once for
+    /// [`ScenarioSpec::max_time`] of sustained arrivals, and `rounds`,
+    /// `streams`, `pairs` and `fmin` are ignored (each
     /// [`crate::load::UserClass`] carries its own pairs and fmin).
-    pub workload: Option<Workload>,
-    /// Adversity the run is subjected to ([`FaultChoice::None`] by
-    /// default, which arms no plan and reproduces earlier PRs'
-    /// results bit-for-bit).
-    pub faults: FaultChoice,
+    pub net: NetConfig,
 }
 
 impl ScenarioSpec {
@@ -172,16 +124,11 @@ impl ScenarioSpec {
             fmin: 0.6,
             max_time: SimDuration::from_secs(20),
             rounds: 1,
-            metric: RouteMetric::Hops,
             streams: 1,
-            policy: Policy::SwapAsap,
             carbon_t2: None,
             topology: TopologyChoice::Chain,
             pairs: Vec::new(),
-            retries: 0,
-            request_timeout: None,
-            workload: None,
-            faults: FaultChoice::None,
+            net: NetConfig::default(),
         }
     }
 
@@ -224,7 +171,7 @@ impl ScenarioSpec {
 
     /// Builder: route metric.
     pub fn with_metric(mut self, metric: RouteMetric) -> Self {
-        self.metric = metric;
+        self.net.metric = metric;
         self
     }
 
@@ -247,7 +194,7 @@ impl ScenarioSpec {
 
     /// Builder: the policy every round's requests run under.
     pub fn with_policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
+        self.net.policy = policy;
         self
     }
 
@@ -267,13 +214,13 @@ impl ScenarioSpec {
 
     /// Builder: per-request re-route budget.
     pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
+        self.net.retries = retries;
         self
     }
 
     /// Builder: per-attempt timeout.
     pub fn with_request_timeout(mut self, timeout: SimDuration) -> Self {
-        self.request_timeout = Some(timeout);
+        self.net.request_timeout = Some(timeout);
         self
     }
 
@@ -283,15 +230,17 @@ impl ScenarioSpec {
 
     /// Builder: drive the run open-loop with a sustained arrival
     /// workload instead of closed-loop rounds (see
-    /// [`ScenarioSpec::workload`]).
+    /// [`ScenarioSpec::net`]).
     pub fn with_workload(mut self, workload: Workload) -> Self {
-        self.workload = Some(workload);
+        self.net.workload = Some(workload);
         self
     }
 
-    /// Builder: subject the run to adversity (see [`FaultChoice`]).
-    pub fn with_faults(mut self, faults: FaultChoice) -> Self {
-        self.faults = faults;
+    /// Builder: subject the run to adversity — for every edge
+    /// flapping, [`FaultPlan::flapping_everywhere`] over
+    /// [`ScenarioSpec::edge_count`].
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.net.faults = Some(faults);
         self
     }
 
@@ -300,6 +249,14 @@ impl ScenarioSpec {
         match self.topology {
             TopologyChoice::Chain => self.nodes,
             TopologyChoice::Grid { rows, cols } => rows * cols,
+        }
+    }
+
+    /// Number of edges in the run's topology, whatever its shape.
+    pub fn edge_count(&self) -> usize {
+        match self.topology {
+            TopologyChoice::Chain => self.nodes.saturating_sub(1),
+            TopologyChoice::Grid { rows, cols } => rows * (cols - 1) + cols * (rows - 1),
         }
     }
 
@@ -345,13 +302,18 @@ pub struct RunRecord {
     /// `successes ≤ rounds` holds even when a stream aborts on UNSUPP
     /// and a buffered outcome straddles a round boundary.
     pub rounds: u32,
-    /// End-to-end fidelities of successful rounds.
+    /// Closed-loop runs only: end-to-end fidelities of successful
+    /// rounds.
     pub fidelity: RunningStats,
-    /// End-to-end latencies (seconds) of successful rounds.
+    /// Closed-loop runs only: end-to-end latencies (seconds) of
+    /// successful rounds.
     pub latency_s: RunningStats,
-    /// Link pairs consumed by the delivered outcomes (purification
-    /// spends several per edge; see
+    /// Closed-loop: link pairs consumed by the delivered outcomes
+    /// (purification spends several per edge; see
     /// [`EndToEndOutcome::pairs_consumed`](crate::network::EndToEndOutcome)).
+    /// Open-loop: every link pair delivered to the network's requests
+    /// ([`Network::pairs_delivered`] summed over edges), those of
+    /// abandoned and still-running requests included.
     pub pairs_consumed: u64,
     /// Requests that failed to deliver within their round's budget —
     /// abandoned by the network's own timeout/rejection handling or
@@ -379,8 +341,8 @@ pub struct RunRecord {
     /// Fidelity distribution of the delivered requests (the standard
     /// [`fidelity_histogram`] layout).
     pub fidelity_hist: Histogram,
-    /// One sample per delivered request at its delivery time — the
-    /// throughput-vs-time raw series, re-binned by
+    /// Closed-loop runs only: one sample per delivered request at its
+    /// delivery time — the throughput-vs-time raw series, re-binned by
     /// [`SweepReport::throughput_csv`]. Runs share the t = 0 origin, so
     /// merged per-seed series interleave ([`TimeSeries::merge`]).
     pub deliveries: TimeSeries,
@@ -562,15 +524,17 @@ impl SweepReport {
     /// delivery series re-binned into windows of `width` (closed at
     /// the last delivery, [`TimeSeries::binned`] semantics), one row
     /// per window: `scenario, window start in seconds, deliveries in
-    /// the window, rate per second`. Scenarios with no deliveries get
-    /// a single zero row.
+    /// the window, rate per second`. Closed-loop scenarios with no
+    /// deliveries get a single zero row; open-loop scenarios (a
+    /// workload) record no delivery series and emit no rows — their
+    /// carried load is in [`SweepReport::service_csv`].
     ///
     /// # Panics
     /// Panics on a zero `width`.
     pub fn throughput_csv(&self, width: SimDuration) -> String {
         let mut out = String::from("scenario,window_start_s,deliveries,rate_per_s\n");
         let per_sec = 1.0 / width.as_secs_f64();
-        for s in &self.scenarios {
+        for s in self.scenarios.iter().filter(|s| s.classes.is_empty()) {
             let end = s
                 .deliveries
                 .samples()
@@ -598,34 +562,7 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64) -> RunRecord {
 
 /// [`run_one`] over the attempt models `models` already holds.
 fn run_cell(spec: &ScenarioSpec, seed: u64, models: ModelCache) -> RunRecord {
-    let mut net = Network::with_models(spec.topology(seed), seed, models);
-    net.set_route_metric(spec.metric);
-    net.set_policy(spec.policy);
-    net.set_retry_budget(spec.retries);
-    net.set_request_timeout(spec.request_timeout);
-    if let FaultChoice::Flapping {
-        mean_up,
-        mean_down,
-        cycles,
-        penalty_box,
-    } = spec.faults
-    {
-        let mut plan = FaultPlan::new().with_penalty(if penalty_box {
-            PenaltyConfig::default()
-        } else {
-            PenaltyConfig::off()
-        });
-        for edge in 0..net.topology().edge_count() {
-            plan = plan.with_flapping(Flapping {
-                edge,
-                mean_up,
-                mean_down,
-                cycles,
-                degrade: None,
-            });
-        }
-        net.set_fault_plan(&plan);
-    }
+    let mut net = Network::with_config(spec.topology(seed), seed, spec.net.clone(), models);
     // Event statistics start at the run boundary: construction
     // pre-schedules wakes and link cycles, and a queue reused across
     // runs keeps its counters through `clear()` (see
@@ -633,13 +570,11 @@ fn run_cell(spec: &ScenarioSpec, seed: u64, models: ModelCache) -> RunRecord {
     net.reset_event_stats();
     let mut record = RunRecord::new(&spec.name, 0, seed);
     record.runs = 1;
-    if let Some(workload) = &spec.workload {
-        // Open-loop: arm the sustained arrival stream and advance the
-        // clock once for the whole budget — the workload engine issues
-        // and accounts every request itself.
-        net.set_workload(workload.clone());
+    if spec.net.workload.is_some() {
+        // Open-loop: advance the clock once for the whole budget — the
+        // workload engine issues and accounts every request itself.
         net.run_for(spec.max_time);
-        let stats = net.workload_stats().expect("workload armed above");
+        let stats = net.workload_stats().expect("the config arms it");
         record.classes = stats.classes.clone();
         record.open_loop_secs = spec.max_time.as_secs_f64();
         // Project the per-class accounting onto the legacy scalar
@@ -666,7 +601,7 @@ fn run_cell(spec: &ScenarioSpec, seed: u64, models: ModelCache) -> RunRecord {
             // EndToEnd a round is one logical request per pair (two
             // internal streams distilled into one delivered pair).
             let requests: Vec<u64> = if spec.pairs.is_empty() {
-                if streams == 1 || spec.policy == Policy::EndToEndPurify {
+                if streams == 1 || spec.net.policy == Policy::EndToEndPurify {
                     vec![net.request_entanglement(0, dst, spec.fmin)]
                 } else {
                     net.request_entanglement_multipath(0, dst, spec.fmin, streams as usize)

@@ -87,18 +87,19 @@ pub mod prelude {
     };
     #[doc(hidden)]
     pub use crate::net::network::ExecMode; // benchmark-compat: ROADMAP item 1 deletes this
-    pub use crate::net::network::{EndToEndOutcome, Network};
+    pub use crate::net::network::{EndToEndOutcome, NetConfig, Network};
     pub use crate::net::route::{EdgeProfile, PlanContext, Route, RouteMetric, RoutePlanner};
     pub use crate::net::ruleset::Policy;
     #[doc(hidden)]
     pub use crate::net::sweep::ExecChoice; // benchmark-compat: ROADMAP item 1 deletes this
-    pub use crate::net::sweep::{sweep, FaultChoice, ScenarioSpec, SweepReport, TopologyChoice};
+    pub use crate::net::sweep::{sweep, ScenarioSpec, SweepReport, TopologyChoice};
     #[doc(hidden)]
     #[allow(non_upper_case_globals)]
     pub const LoadScaledLatency: RouteMetric = RouteMetric::LoadLatency; // benchmark-compat: ROADMAP item 1 deletes this
     #[doc(hidden)]
     pub type MetricChoice = RouteMetric; // benchmark-compat: ROADMAP item 1 deletes this
     pub use crate::net::topology::Topology;
+    pub use crate::phys::attempt::ModelCache;
     pub use crate::phys::params::{Scenario, ScenarioParams};
     pub use crate::quantum::bell::{bell_fidelity, BellState, Qber};
     pub use crate::quantum::purify::{distill_werner, DistillOutcome};

@@ -36,16 +36,22 @@ fn main() {
 
     // --- where the static paths actually go -------------------------
     let topo = Topology::grid(4, 4, |i| LinkConfig::lab(WorkloadSpec::none(), i as u64));
-    let mut net = Network::new(topo, 1);
-    net.set_route_metric(RouteMetric::Latency);
+    let config = NetConfig {
+        metric: RouteMetric::Latency,
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(topo, 1, config, ModelCache::new());
     println!("static latency routes (note the shared low-index edges):");
     for (s, d) in contended_pairs() {
         let route = net.plan_route(s, d, 0.6).expect("grid is connected");
         println!("  {s:>2} -> {d:<2}: {:?}", route.nodes);
     }
     let topo = Topology::grid(4, 4, |i| LinkConfig::lab(WorkloadSpec::none(), i as u64));
-    let mut net = Network::new(topo, 1);
-    net.set_route_metric(RouteMetric::LoadLatency);
+    let config = NetConfig {
+        metric: RouteMetric::LoadLatency,
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(topo, 1, config, ModelCache::new());
     println!("load-scaled routes, each request seeing its predecessors' load:");
     for (s, d) in contended_pairs() {
         let route = net.plan_route(s, d, 0.6).expect("grid is connected");

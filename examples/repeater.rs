@@ -26,8 +26,11 @@ fn main() {
     let topo = Topology::chain(3, |i| {
         LinkConfig::lab(WorkloadSpec::none(), 11 + 11 * i as u64)
     });
-    let mut net = Network::new(topo, 7);
-    net.set_telemetry(TelemetryConfig::all());
+    let config = NetConfig {
+        telemetry: TelemetryConfig::all(),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(topo, 7, config, ModelCache::new());
 
     println!("3-node chain, both hops on one shared event queue...");
     net.request_entanglement(0, 2, 0.6);

@@ -20,29 +20,25 @@
 //! ```
 
 use qlink::net::sweep::run_one;
-use qlink::net::FaultChoice;
 use qlink::prelude::*;
 
 /// The contended 4×4 grid of the PR 4 suite: six concurrent
-/// cross-traffic pairs, armed timeouts, a retry budget — and, when
-/// `faults` says so, every edge flapping.
-fn grid_spec(name: &str, faults: FaultChoice) -> ScenarioSpec {
+/// cross-traffic pairs, armed timeouts, a retry budget.
+fn grid_spec(name: &str) -> ScenarioSpec {
     ScenarioSpec::lab_grid(name, 4, 4)
         .with_pairs(vec![(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)])
         .with_metric(RouteMetric::LoadLatency)
         .with_request_timeout(SimDuration::from_millis(300))
         .with_retries(2)
         .with_max_time(SimDuration::from_millis(700))
-        .with_faults(faults)
 }
 
-fn flapping(penalty_box: bool) -> FaultChoice {
-    FaultChoice::Flapping {
-        mean_up: SimDuration::from_millis(900),
-        mean_down: SimDuration::from_millis(40),
-        cycles: 1,
-        penalty_box,
-    }
+/// [`grid_spec`] with every edge flapping once, under `penalty` pricing.
+fn flapping(name: &str, penalty: PenaltyConfig) -> ScenarioSpec {
+    let spec = grid_spec(name);
+    let ms = SimDuration::from_millis;
+    let plan = FaultPlan::flapping_everywhere(spec.edge_count(), ms(900), ms(40), 1);
+    spec.with_faults(plan.with_penalty(penalty))
 }
 
 fn main() {
@@ -53,14 +49,14 @@ fn main() {
     );
     for seed in [1, 5, 9] {
         let rows = [
-            ("calm", run_one(&grid_spec("calm", FaultChoice::None), seed)),
+            ("calm", run_one(&grid_spec("calm"), seed)),
             (
                 "flapping + penalty",
-                run_one(&grid_spec("boxed", flapping(true)), seed),
+                run_one(&flapping("boxed", PenaltyConfig::default()), seed),
             ),
             (
                 "flapping, box off",
-                run_one(&grid_spec("bare", flapping(false)), seed),
+                run_one(&flapping("bare", PenaltyConfig::off()), seed),
             ),
         ];
         for (label, r) in &rows {

@@ -71,8 +71,11 @@ fn main() {
     println!("same chain, 3 deliveries each:");
     println!("  policy            delivered   mean F   pairs/delivery");
     for (name, pol) in cells {
-        let mut net = Network::new(mixed_chain(), 9);
-        net.set_policy(pol);
+        let config = NetConfig {
+            policy: pol,
+            ..NetConfig::default()
+        };
+        let mut net = Network::with_config(mixed_chain(), 9, config, ModelCache::new());
         let (mut delivered, mut pairs, mut fid) = (0u32, 0u32, 0.0f64);
         for _ in 0..3 {
             net.request_entanglement(0, 4, 0.6);

@@ -24,9 +24,11 @@ use qlink::prelude::*;
 
 fn chain_network(seed: u64) -> Network {
     let topo = Topology::chain(3, |i| LinkConfig::lab(WorkloadSpec::none(), 40 + i as u64));
-    let mut net = Network::new(topo, seed);
-    net.set_telemetry(TelemetryConfig::all());
-    net
+    let config = NetConfig {
+        telemetry: TelemetryConfig::all(),
+        ..NetConfig::default()
+    };
+    Network::with_config(topo, seed, config, ModelCache::new())
 }
 
 fn main() {

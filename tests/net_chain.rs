@@ -14,8 +14,11 @@ fn lab_chain(nodes: usize, base_seed: u64) -> Topology {
 
 #[test]
 fn three_node_chain_delivers_end_to_end_on_shared_clock() {
-    let mut net = Network::new(lab_chain(3, 71), 7);
-    net.set_telemetry(TelemetryConfig::all());
+    let config = NetConfig {
+        telemetry: TelemetryConfig::all(),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(lab_chain(3, 71), 7, config, ModelCache::new());
     net.request_entanglement(0, 2, 0.6);
     let out = net
         .run_until_outcome(SimDuration::from_secs(30))
@@ -153,9 +156,12 @@ fn random_graphs() -> Rows {
                 topo.connect(a, b, lab(edge_seed));
             }
         }
-        let mut net = Network::new(topo, 100 + case);
-        net.set_request_timeout(Some(SimDuration::from_secs(2)));
-        net.set_retry_budget(1);
+        let config = NetConfig {
+            request_timeout: Some(SimDuration::from_secs(2)),
+            retries: 1,
+            ..NetConfig::default()
+        };
+        let mut net = Network::with_config(topo, 100 + case, config, ModelCache::new());
         net.request_entanglement(0, nodes - 1, 0.55);
         net.request_entanglement(1, nodes - 1, 0.55);
         for _ in 0..2 {
@@ -181,9 +187,12 @@ fn cancel_while_parked() -> Rows {
     for e in 0..topo.edge_count() {
         topo.set_control_delay(e, SimDuration::from_millis(2));
     }
-    let mut net = Network::new(topo, 5);
-    net.set_request_timeout(Some(SimDuration::from_millis(25)));
-    net.set_retry_budget(3);
+    let config = NetConfig {
+        request_timeout: Some(SimDuration::from_millis(25)),
+        retries: 3,
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(topo, 5, config, ModelCache::new());
     let reqs: Vec<u64> = [(0, 15), (3, 12), (5, 10), (6, 9)]
         .iter()
         .map(|&(a, b)| net.request_entanglement(a, b, 0.45))
@@ -248,9 +257,9 @@ fn sparse_grid() -> Rows {
     out
 }
 
-/// Request timeouts armed 145 s and 150 s out wait on the shared queue
-/// behind every link event of the run and must still fire — as no-ops:
-/// both requests complete tens of seconds in. Links polled at 10 ms
+/// Request timeouts armed 150 s out (at 0 and 5 ms) wait on the shared
+/// queue behind every link event of the run and must still fire — as
+/// no-ops: both requests complete tens of seconds in. Links polled at 10 ms
 /// instead of 10.12 µs (same physics per attempt) make the 160
 /// simulated seconds affordable.
 fn timeouts_outlive_their_requests() -> Rows {
@@ -259,11 +268,13 @@ fn timeouts_outlive_their_requests() -> Rows {
         cfg.scenario.mhp_cycle = SimDuration::from_millis(10);
         cfg
     });
-    let mut net = Network::new(topo, 4);
-    net.set_request_timeout(Some(SimDuration::from_secs(150)));
+    let config = NetConfig {
+        request_timeout: Some(SimDuration::from_secs(150)),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(topo, 4, config, ModelCache::new());
     net.request_entanglement(0, 2, 0.5);
     net.run_for(SimDuration::from_millis(5));
-    net.set_request_timeout(Some(SimDuration::from_secs(145)));
     net.request_entanglement(0, 2, 0.5);
     net.run_for(SimDuration::from_secs(160));
     let mut out: Rows = net.take_outcomes().iter().map(outcome_row).collect();
@@ -276,8 +287,11 @@ fn timeouts_outlive_their_requests() -> Rows {
 fn five_node_chain_swaps_asap_on_one_queue() {
     // Acceptance: a 5-node (4-hop) SWAP-ASAP run on a single shared
     // event queue, one SimTime stream verifiable from the spans.
-    let mut net = Network::new(lab_chain(5, 201), 11);
-    net.set_telemetry(TelemetryConfig::all());
+    let config = NetConfig {
+        telemetry: TelemetryConfig::all(),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(lab_chain(5, 201), 11, config, ModelCache::new());
     net.request_entanglement(0, 4, 0.6);
     let out = net
         .run_until_outcome(SimDuration::from_secs(120))

@@ -161,8 +161,16 @@ fn short_noisy_long_clean_diamond() -> Topology {
 /// stream whose links UNSUPP simply times out" gap, closed.
 #[test]
 fn unsupp_stream_reroutes_onto_the_serving_arm() {
-    let mut net = Network::new(short_noisy_long_clean_diamond(), 7);
-    net.set_retry_budget(1);
+    let config = NetConfig {
+        retries: 1,
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(
+        short_noisy_long_clean_diamond(),
+        7,
+        config,
+        ModelCache::new(),
+    );
     // Pin the request onto the noisy arm, bypassing the planner's
     // feasibility filter: both links reject the CREATEs as UNSUPP.
     let request = net.request_on_path(&[0, 1, 4], 0.6);
@@ -192,8 +200,16 @@ fn unsupp_stream_reroutes_onto_the_serving_arm() {
 /// counted, and its reservations are fully released.
 #[test]
 fn exhausted_budget_abandons_and_releases() {
-    let mut net = Network::new(short_noisy_long_clean_diamond(), 3);
-    net.set_request_timeout(Some(SimDuration::from_millis(80)));
+    let config = NetConfig {
+        request_timeout: Some(SimDuration::from_millis(80)),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(
+        short_noisy_long_clean_diamond(),
+        3,
+        config,
+        ModelCache::new(),
+    );
     // Fmin above every arm's ceiling: each re-plan lands on another
     // UNSUPP'ing path until the budget runs out.
     let request = net.request_entanglement(0, 4, 0.95);
@@ -284,21 +300,28 @@ fn run_then_cancel(net: &mut Network, requests: &[u64], budget: SimDuration, wha
 /// record (`None`: a cancel records none), and the finished network.
 fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
     let ms = SimDuration::from_millis;
-    let traced = |topo: Topology, seed: u64| {
-        let mut net = Network::new(topo, seed);
-        net.set_telemetry(TelemetryConfig::all());
-        net
+    let traced = |topo: Topology, seed: u64, config: NetConfig| {
+        let telemetry = TelemetryConfig::all();
+        let config = NetConfig {
+            telemetry,
+            ..config
+        };
+        Network::with_config(topo, seed, config, ModelCache::new())
     };
     let chain3 = || Topology::chain(3, |i| lab(40 + i as u64));
+    let e2e = NetConfig {
+        policy: Policy::EndToEndPurify,
+        ..NetConfig::default()
+    };
     let mut rows = Vec::new();
 
-    let mut net = traced(chain3(), 7);
+    let mut net = traced(chain3(), 7, NetConfig::default());
     net.request_entanglement(0, 2, 0.5);
     assert!(net.run_until_outcome(SimDuration::from_secs(30)).is_some());
     rows.push(("deliver", Some("deliver"), net));
 
     // Pinned onto the noisy arm with no budget: the first UNSUPP ends it.
-    let mut net = traced(short_noisy_long_clean_diamond(), 7);
+    let mut net = traced(short_noisy_long_clean_diamond(), 7, NetConfig::default());
     net.request_on_path(&[0, 1, 4], 0.6);
     net.run_for(ms(50));
     assert_eq!((net.reroutes(), net.timeouts()), (0, 1));
@@ -306,16 +329,19 @@ fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
 
     // The pair's only edge fails for good under the first attempt: the
     // re-issue finds no route.
-    let mut net = traced(Topology::chain(2, |_| lab(30)), 1);
-    net.set_retry_budget(2);
-    net.set_fault_plan(&FaultPlan::new().with_event(ms(20), FaultKind::Fail { edge: 0 }));
+    let config = NetConfig {
+        retries: 2,
+        faults: Some(FaultPlan::new().with_event(ms(20), FaultKind::Fail { edge: 0 })),
+        ..NetConfig::default()
+    };
+    let mut net = traced(Topology::chain(2, |_| lab(30)), 1, config);
     net.request_entanglement(0, 1, 0.6);
     net.run_for(ms(50));
     assert_eq!((net.reroutes(), net.timeouts()), (1, 1));
     rows.push(("abandon on no route", Some("abandon"), net));
 
     // 50 µs in: both CREATEs submitted, far too early for a pair.
-    let mut net = traced(chain3(), 7);
+    let mut net = traced(chain3(), 7, NetConfig::default());
     let request = net.request_entanglement(0, 2, 0.5);
     net.run_for(SimDuration::from_micros(50));
     net.cancel_request(request);
@@ -330,8 +356,11 @@ fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
     for e in 0..topo.edge_count() {
         topo.set_control_delay(e, ms(2));
     }
-    let mut net = traced(topo, 7);
-    net.set_retry_budget(1);
+    let config = NetConfig {
+        retries: 1,
+        ..NetConfig::default()
+    };
+    let mut net = traced(topo, 7, config);
     let request = net.request_on_path(&[0, 1, 4], 0.6);
     net.run_for(ms(1));
     assert_eq!(net.reroutes(), 1, "the failed attempt is parked");
@@ -340,8 +369,7 @@ fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
 
     // At this seed the group's first parity check rejects: both member
     // streams are discarded and regenerated before the pair delivers.
-    let mut net = traced(Topology::chain(2, |_| lab(70)), 4);
-    net.set_policy(Policy::EndToEndPurify);
+    let mut net = traced(Topology::chain(2, |_| lab(70)), 4, e2e.clone());
     let group = net.request_entanglement(0, 1, 0.6);
     assert!(net.run_until_outcome(SimDuration::from_secs(60)).is_some());
     let accepted = false;
@@ -355,8 +383,7 @@ fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
 
     // No arm serves Fmin 0.95: one member's UNSUPP abandons it, which
     // drops the group and cancels its partner.
-    let mut net = traced(short_noisy_long_clean_diamond(), 3);
-    net.set_policy(Policy::EndToEndPurify);
+    let mut net = traced(short_noisy_long_clean_diamond(), 3, e2e);
     net.request_entanglement(0, 4, 0.95);
     net.run_for(ms(50));
     assert_eq!(net.timeouts(), 1);
@@ -410,12 +437,15 @@ fn edge_load_balances_through_every_lifecycle() {
         // UNSUPP rejections the re-route machinery must clean up.
         topo.connect(0, 4, noisy_lab(link_seed + 100));
         let noisy_edge = topo.edge_count() - 1;
-        let mut net = Network::new(topo, net_seed);
-        net.set_telemetry(TelemetryConfig::all());
-        net.set_route_metric(RouteMetric::LoadLatency);
-        net.set_policy(policy);
-        net.set_retry_budget(retries);
-        net.set_request_timeout(Some(SimDuration::from_millis(timeout_ms)));
+        let config = NetConfig {
+            telemetry: TelemetryConfig::all(),
+            metric: RouteMetric::LoadLatency,
+            policy,
+            retries,
+            request_timeout: Some(SimDuration::from_millis(timeout_ms)),
+            ..NetConfig::default()
+        };
+        let mut net = Network::with_config(topo, net_seed, config, ModelCache::new());
 
         let mut requests = vec![
             net.request_entanglement(0, 8, 0.6),
@@ -452,11 +482,6 @@ fn edge_load_balances_through_fault_interleavings() {
         let timeout_ms = 80 + rng.below(200);
         let mut topo = Topology::grid(3, 3, |i| lab(link_seed + i as u64));
         topo.connect(0, 4, noisy_lab(link_seed + 100));
-        let mut net = Network::new(topo, net_seed);
-        net.set_telemetry(TelemetryConfig::all());
-        net.set_route_metric(RouteMetric::LoadLatency);
-        net.set_retry_budget(retries);
-        net.set_request_timeout(Some(SimDuration::from_millis(timeout_ms)));
         // Three central edges flap fast underneath the traffic; the
         // noisy shortcut adds UNSUPP rejections to the interleaving.
         let mut plan = FaultPlan::new();
@@ -469,7 +494,15 @@ fn edge_load_balances_through_fault_interleavings() {
                 degrade: None,
             });
         }
-        net.set_fault_plan(&plan);
+        let config = NetConfig {
+            telemetry: TelemetryConfig::all(),
+            metric: RouteMetric::LoadLatency,
+            retries,
+            request_timeout: Some(SimDuration::from_millis(timeout_ms)),
+            faults: Some(plan),
+            ..NetConfig::default()
+        };
+        let mut net = Network::with_config(topo, net_seed, config, ModelCache::new());
 
         let mut requests = vec![
             net.request_entanglement(0, 8, 0.6),
@@ -517,14 +550,9 @@ fn edge_load_balances_under_interpreted_rulesets() {
             cfg
         });
         topo.connect(0, 4, noisy_lab(link_seed + 100));
-        let mut net = Network::new(topo, net_seed);
-        net.set_telemetry(TelemetryConfig::all());
-        net.set_route_metric(RouteMetric::LoadLatency);
-        net.set_policy(policy);
-        net.set_retry_budget(retries);
-        net.set_request_timeout(Some(SimDuration::from_millis(timeout_ms)));
-        if with_faults {
-            // Two central edges flap underneath the traffic: releases must land mid-parity and mid-pump.
+        // Two central edges flap underneath the traffic: releases must
+        // land mid-parity and mid-pump.
+        let faults = with_faults.then(|| {
             let mut plan = FaultPlan::new();
             for edge in [1, 7] {
                 plan = plan.with_flapping(Flapping {
@@ -535,8 +563,18 @@ fn edge_load_balances_under_interpreted_rulesets() {
                     degrade: None,
                 });
             }
-            net.set_fault_plan(&plan);
-        }
+            plan
+        });
+        let config = NetConfig {
+            telemetry: TelemetryConfig::all(),
+            metric: RouteMetric::LoadLatency,
+            policy,
+            retries,
+            request_timeout: Some(SimDuration::from_millis(timeout_ms)),
+            faults,
+            ..NetConfig::default()
+        };
+        let mut net = Network::with_config(topo, net_seed, config, ModelCache::new());
 
         let mut requests = vec![
             net.request_entanglement(0, 8, 0.6),
@@ -583,17 +621,13 @@ fn ledger_is_empty_once_every_request_has_ended() {
         } else {
             (Topology::chain(4, link), vec![(0, 3), (1, 2), (0, 1)])
         };
-        let mut net = Network::new(topo, rng.below(1 << 20));
-        net.set_route_metric(RouteMetric::LoadLatency);
-        net.set_policy(policy);
-        net.set_retry_budget(rng.below(3) as u32);
+        let net_seed = rng.below(1 << 20);
+        let retries = rng.below(3) as u32;
         // Workload requests have no handle to cancel: they end by
         // delivering or by timing out, so those cases arm a timeout.
         let open_loop = case % 4 < 2;
-        if open_loop || rng.below(2) == 0 {
-            net.set_request_timeout(Some(ms(80 + rng.below(150))));
-        }
-        if grid && case % 8 < 4 {
+        let request_timeout = (open_loop || rng.below(2) == 0).then(|| ms(80 + rng.below(150)));
+        let flapping = (grid && case % 8 < 4).then(|| {
             let mut plan = FaultPlan::new();
             for edge in [1, 4, 7] {
                 plan = plan.with_flapping(Flapping {
@@ -604,17 +638,27 @@ fn ledger_is_empty_once_every_request_has_ended() {
                     degrade: None,
                 });
             }
-            net.set_fault_plan(&plan);
-        }
-        if open_loop {
+            plan
+        });
+        let workload = open_loop.then(|| {
             let class = UserClass::new("ck", RequestKind::Ck, pairs.clone()).with_admission(
                 AdmissionControl::QueueBeyond {
                     max_in_flight: 2,
                     queue_cap: 2,
                 },
             );
-            net.set_workload(Workload::poisson(60.0, vec![class]).with_max_arrivals(8));
-        }
+            Workload::poisson(60.0, vec![class]).with_max_arrivals(8)
+        });
+        let config = NetConfig {
+            metric: RouteMetric::LoadLatency,
+            policy,
+            retries,
+            request_timeout,
+            faults: flapping,
+            workload,
+            ..NetConfig::default()
+        };
+        let mut net = Network::with_config(topo, net_seed, config, ModelCache::new());
         let mut requests: Vec<u64> = pairs
             .iter()
             .map(|&(src, dst)| net.request_entanglement(src, dst, 0.6))
@@ -824,9 +868,12 @@ fn sweep_merges_timeout_and_reroute_counters() {
 fn reroute_times(retries: u32) -> (Vec<u64>, u64) {
     let mut topo = Topology::chain(2, |_| noisy_lab(21));
     topo.set_control_delay(0, SimDuration::from_micros(120));
-    let mut net = Network::new(topo, 21);
-    net.set_retry_budget(retries);
-    net.set_telemetry(TelemetryConfig::all());
+    let config = NetConfig {
+        retries,
+        telemetry: TelemetryConfig::all(),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(topo, 21, config, ModelCache::new());
     net.request_on_path(&[0, 1], 0.6);
     net.run_for(SimDuration::from_millis(100));
     let times = net
@@ -872,8 +919,11 @@ fn default_backoff_is_pinned_to_jittered() {
 #[test]
 fn timeout_storm_retracts_queued_creates_from_links() {
     let topo = Topology::chain(2, |_| lab(77));
-    let mut net = Network::new(topo, 77);
-    net.set_request_timeout(Some(SimDuration::from_millis(20)));
+    let config = NetConfig {
+        request_timeout: Some(SimDuration::from_millis(20)),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(topo, 77, config, ModelCache::new());
     for _ in 0..6 {
         net.request_on_path(&[0, 1], 0.6);
     }
@@ -889,11 +939,14 @@ fn timeout_storm_retracts_queued_creates_from_links() {
             "side {side}: orphaned CREATEs must leave the EGP queue, and the queue is all the request state there is"
         );
     }
-    // The link is not wedged: a fresh (unarmed) request completes.
-    net.set_request_timeout(None);
+    // The link is not wedged: with both EGP queues empty it parks like
+    // any idle link, and a fresh request's CREATE wakes it again.
+    net.run_for(SimDuration::from_millis(10));
+    assert_eq!(net.link(0).next_event_time(), None, "the idle link parks");
     net.request_on_path(&[0, 1], 0.6);
+    assert!(net.link(0).egp(0).queue_len() > 0, "the CREATE is queued");
     assert!(
-        net.run_until_outcome(SimDuration::from_secs(20)).is_some(),
-        "post-storm request must still deliver"
+        net.link(0).next_event_time().is_some(),
+        "post-storm request must wake the link"
     );
 }

@@ -25,7 +25,7 @@
 //!   every path between its pair is abandoned one control delay later
 //!   (a timeout, with its spans), never panicked on.
 
-use qlink::net::sweep::{run_one, FaultChoice, RunRecord};
+use qlink::net::sweep::{run_one, RunRecord};
 use qlink::net::{chrome_trace_json, SpanEvent, TelemetryConfig};
 use qlink::prelude::*;
 
@@ -68,18 +68,15 @@ fn fingerprint(r: &RunRecord) -> (u32, u32, u32, u64, u64, u64, u64, u64, u64, u
 /// timeouts and retries, every edge flapping on seeded-stochastic
 /// dwells realized from the run seed's `net/fault` substream.
 fn flapping_grid_spec() -> ScenarioSpec {
-    ScenarioSpec::lab_grid("flapping-grid", 4, 4)
+    let ms = SimDuration::from_millis;
+    let spec = ScenarioSpec::lab_grid("flapping-grid", 4, 4)
         .with_pairs(vec![(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)])
         .with_metric(RouteMetric::LoadLatency)
-        .with_request_timeout(SimDuration::from_millis(300))
+        .with_request_timeout(ms(300))
         .with_retries(2)
-        .with_max_time(SimDuration::from_millis(700))
-        .with_faults(FaultChoice::Flapping {
-            mean_up: SimDuration::from_millis(250),
-            mean_down: SimDuration::from_millis(60),
-            cycles: 2,
-            penalty_box: true,
-        })
+        .with_max_time(ms(700));
+    let plan = FaultPlan::flapping_everywhere(spec.edge_count(), ms(250), ms(60), 2);
+    spec.with_faults(plan)
 }
 
 /// The realized fault schedule is a pure function of `(seed, plan)`:
@@ -99,9 +96,9 @@ fn fault_schedules_are_reproducible_per_seed() {
     );
 }
 
-/// Legacy isolation: `FaultChoice::None` (the default) arms no plan
-/// and draws nothing from the `net/fault` substream, so a spec with
-/// and without the explicit spelling are bit-identical.
+/// Legacy isolation: `faults: None` (the default) arms no plan and
+/// draws nothing from the `net/fault` substream, so a spec with and
+/// without the explicit spelling are bit-identical.
 #[test]
 fn unarmed_specs_reproduce_without_fault_plumbing() {
     let base = ScenarioSpec::lab_grid("no-faults", 4, 4)
@@ -111,7 +108,9 @@ fn unarmed_specs_reproduce_without_fault_plumbing() {
         .with_retries(1)
         .with_max_time(SimDuration::from_millis(600));
     let implicit = run_one(&base, 4);
-    let explicit = run_one(&base.clone().with_faults(FaultChoice::None), 4);
+    let mut unarmed = base.clone();
+    unarmed.net.faults = None;
+    let explicit = run_one(&unarmed, 4);
     assert_eq!(fingerprint(&implicit), fingerprint(&explicit));
     assert_eq!(implicit.faults, 0);
     assert_eq!(implicit.repairs, 0);
@@ -128,10 +127,6 @@ fn corridor_flap_run(seed: u64, penalty_box: bool) -> (u64, u64, u64) {
     let root = DetRng::new(seed);
     let topo = Topology::grid(4, 4, |i| lab(root.substream(&format!("edge/{i}")).seed()));
     let flappy = topo.edge_between(1, 2).expect("grid edge 1-2");
-    let mut net = Network::new(topo, seed);
-    // A timeout far above every delivery time: with budget 0 a fault
-    // on the path is the only way a stream can be abandoned.
-    net.set_request_timeout(Some(SimDuration::from_secs(20)));
     let mut plan = FaultPlan::new().with_penalty(if penalty_box {
         PenaltyConfig::default()
     } else {
@@ -151,7 +146,14 @@ fn corridor_flap_run(seed: u64, penalty_box: bool) -> (u64, u64, u64) {
                 },
             );
     }
-    net.set_fault_plan(&plan);
+    let config = NetConfig {
+        // A timeout far above every delivery time: with budget 0 a
+        // fault on the path is the only way a stream can be abandoned.
+        request_timeout: Some(SimDuration::from_secs(20)),
+        faults: Some(plan),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(topo, seed, config, ModelCache::new());
     // Three requests for the corridor pair, issued while the edge is
     // up: at 0 ms, 60 ms, and 120 ms — each 20 ms before the next
     // fail, far below any delivery latency.
@@ -212,7 +214,6 @@ fn penalty_box_times_out_strictly_less_per_seed() {
 fn penalties_decay_between_observations() {
     let topo = Topology::grid(3, 3, |i| lab(50 + i as u64));
     let edge = topo.edge_between(0, 1).expect("grid edge 0-1");
-    let mut net = Network::new(topo, 5);
     let plan = FaultPlan::new()
         .with_event(SimDuration::from_millis(1), FaultKind::Fail { edge })
         .with_event(
@@ -222,7 +223,7 @@ fn penalties_decay_between_observations() {
                 profile: None,
             },
         );
-    net.set_fault_plan(&plan);
+    let mut net = with_faults(topo, 5, plan);
     assert_eq!(net.penalty(edge), 0.0, "no penalty before the failure");
     net.run_for(SimDuration::from_millis(5));
     let fresh = net.penalty(edge);
@@ -257,20 +258,47 @@ fn clean_diamond() -> Topology {
     t
 }
 
+/// A network over `topo` subjected to `plan`, otherwise at defaults.
+fn with_faults(topo: Topology, seed: u64, plan: FaultPlan) -> Network {
+    let faults = Some(plan);
+    let config = NetConfig {
+        faults,
+        ..NetConfig::default()
+    };
+    Network::with_config(topo, seed, config, ModelCache::new())
+}
+
+/// The clean diamond with a 30 s timeout and retry budget 2, whose
+/// short arm's edge 0 fails at 2 ms and is repaired at 4 ms, and whose
+/// long arm's edge 2 fails for good at 10 ms; no penalty box.
+fn fail_repair_fail(seed: u64) -> Network {
+    let at = SimDuration::from_millis;
+    let plan = FaultPlan::new()
+        .with_penalty(PenaltyConfig::off())
+        .with_event(at(2), FaultKind::Fail { edge: 0 })
+        .with_event(
+            at(4),
+            FaultKind::Repair {
+                edge: 0,
+                profile: None,
+            },
+        )
+        .with_event(at(10), FaultKind::Fail { edge: 2 });
+    let config = NetConfig {
+        request_timeout: Some(SimDuration::from_secs(30)),
+        retries: 2,
+        faults: Some(plan),
+        ..NetConfig::default()
+    };
+    Network::with_config(clean_diamond(), seed, config, ModelCache::new())
+}
+
 /// An edge repaired under a degraded profile comes back *worse than
 /// it left*: its new FEU ceiling sits below Fmin 0.6, so the planner
 /// routes around an edge that is nominally up — and the edge still
 /// carries its decayed penalty price.
 #[test]
 fn degraded_repair_profile_steers_planning_away() {
-    let mut net = Network::new(clean_diamond(), 7);
-    assert_eq!(
-        net.plan_route(0, 4, 0.6)
-            .expect("clean diamond serves")
-            .nodes,
-        vec![0, 1, 4],
-        "hop count prefers the short arm before any fault"
-    );
     let plan = FaultPlan::new()
         .with_event(SimDuration::from_millis(1), FaultKind::Fail { edge: 0 })
         .with_event(
@@ -280,7 +308,14 @@ fn degraded_repair_profile_steers_planning_away() {
                 profile: Some(Box::new(noisy_lab(99))),
             },
         );
-    net.set_fault_plan(&plan);
+    let mut net = with_faults(clean_diamond(), 7, plan);
+    assert_eq!(
+        net.plan_route(0, 4, 0.6)
+            .expect("clean diamond serves")
+            .nodes,
+        vec![0, 1, 4],
+        "hop count prefers the short arm before any fault"
+    );
     net.run_for(SimDuration::from_millis(5));
     assert_eq!(net.faults(), 1);
     assert_eq!(net.repairs(), 1);
@@ -317,23 +352,8 @@ fn degraded_repair_profile_steers_planning_away() {
 /// parked edge 0.
 #[test]
 fn repaired_link_parks_until_a_rerouted_create_resumes_it() {
-    let mut net = Network::new(clean_diamond(), 11);
-    net.set_request_timeout(Some(SimDuration::from_secs(30)));
-    net.set_retry_budget(2);
+    let mut net = fail_repair_fail(11);
     let at = SimDuration::from_millis;
-    net.set_fault_plan(
-        &FaultPlan::new()
-            .with_penalty(PenaltyConfig::off())
-            .with_event(at(2), FaultKind::Fail { edge: 0 })
-            .with_event(
-                at(4),
-                FaultKind::Repair {
-                    edge: 0,
-                    profile: None,
-                },
-            )
-            .with_event(at(10), FaultKind::Fail { edge: 2 }),
-    );
     net.request_entanglement(0, 4, 0.6);
     net.run_for(at(8));
     assert_eq!((net.faults(), net.repairs(), net.reroutes()), (1, 1, 1));
@@ -358,23 +378,8 @@ fn repaired_link_parks_until_a_rerouted_create_resumes_it() {
 /// the CREATE it finally serves — adds no model to the network's table.
 #[test]
 fn rebuilt_link_derives_nothing_again() {
-    let mut net = Network::new(clean_diamond(), 11);
-    net.set_request_timeout(Some(SimDuration::from_secs(30)));
-    net.set_retry_budget(2);
+    let mut net = fail_repair_fail(11);
     let at = SimDuration::from_millis;
-    net.set_fault_plan(
-        &FaultPlan::new()
-            .with_penalty(PenaltyConfig::off())
-            .with_event(at(2), FaultKind::Fail { edge: 0 })
-            .with_event(
-                at(4),
-                FaultKind::Repair {
-                    edge: 0,
-                    profile: None,
-                },
-            )
-            .with_event(at(10), FaultKind::Fail { edge: 2 }),
-    );
     net.request_entanglement(0, 4, 0.6);
     net.run_for(at(1));
     let table = net.estimators()[0].models().clone();
@@ -398,11 +403,10 @@ fn rebuilt_link_derives_nothing_again() {
 /// around it.
 #[test]
 fn node_churn_fails_and_repairs_incident_edges() {
-    let mut net = Network::new(clean_diamond(), 3);
     let plan = FaultPlan::new()
         .with_event(SimDuration::from_millis(1), FaultKind::NodeDown { node: 1 })
         .with_event(SimDuration::from_secs(2), FaultKind::NodeUp { node: 1 });
-    net.set_fault_plan(&plan);
+    let mut net = with_faults(clean_diamond(), 3, plan);
     net.run_for(SimDuration::from_millis(10));
     assert_eq!(net.faults(), 2, "both edges at node 1 fail");
     assert!(!net.topology().edge_up(0) && !net.topology().edge_up(1));
@@ -420,7 +424,6 @@ fn node_churn_fails_and_repairs_incident_edges() {
 /// the run goes on past it, faulting and repairing nothing.
 #[test]
 fn node_churn_on_an_unknown_node_is_a_no_op() {
-    let mut net = Network::new(clean_diamond(), 3);
     let plan = FaultPlan::new()
         .with_event(SimDuration::from_millis(1), FaultKind::NodeDown { node: 5 })
         .with_event(SimDuration::from_millis(2), FaultKind::NodeUp { node: 5 })
@@ -428,7 +431,7 @@ fn node_churn_on_an_unknown_node_is_a_no_op() {
             SimDuration::from_millis(3),
             FaultKind::NodeDown { node: usize::MAX },
         );
-    net.set_fault_plan(&plan);
+    let mut net = with_faults(clean_diamond(), 3, plan);
     net.run_for(SimDuration::from_millis(10));
     assert_eq!(net.now(), SimTime::ZERO + SimDuration::from_millis(10));
     assert_eq!((net.faults(), net.repairs()), (0, 0));
@@ -453,21 +456,25 @@ fn flapping_stream_completes_or_abandons_exactly_once() {
     for seed in 0..6u64 {
         for retries in [0u32, 2, 5] {
             let topo = Topology::chain(2, |_| lab(30 + seed));
-            let mut net = Network::new(topo, seed);
-            net.set_telemetry(TelemetryConfig::all());
-            net.set_retry_budget(retries);
-            net.set_request_timeout(Some(SimDuration::from_millis(400)));
             // Up-dwells well below the one-hop delivery latency
             // (~100 ms): most attempts are cut down mid-flight, and a
             // reissue that lands while the edge is down finds no
             // route at all.
-            net.set_fault_plan(&FaultPlan::new().with_flapping(Flapping {
+            let plan = FaultPlan::new().with_flapping(Flapping {
                 edge: 0,
                 mean_up: SimDuration::from_millis(40),
                 mean_down: SimDuration::from_millis(10),
                 cycles: 12,
                 degrade: None,
-            }));
+            });
+            let config = NetConfig {
+                telemetry: TelemetryConfig::all(),
+                retries,
+                request_timeout: Some(SimDuration::from_millis(400)),
+                faults: Some(plan),
+                ..NetConfig::default()
+            };
+            let mut net = Network::with_config(topo, seed, config, ModelCache::new());
             let request = net.request_entanglement(0, 1, 0.6);
             let mut delivered = 0u64;
             let deadline = net.now() + SimDuration::from_secs(3);
@@ -561,17 +568,14 @@ fn zero_completion_class_reports_zero_attainment_not_nan() {
 /// retry, a 30 ms timeout: many of its rounds are issued while a fault
 /// has cut the only path.
 fn flapping_chain_spec() -> ScenarioSpec {
-    ScenarioSpec::lab_chain("c", 3)
+    let ms = SimDuration::from_millis;
+    let spec = ScenarioSpec::lab_chain("c", 3)
         .with_rounds(20)
-        .with_max_time(SimDuration::from_millis(40))
+        .with_max_time(ms(40))
         .with_retries(1)
-        .with_request_timeout(SimDuration::from_millis(30))
-        .with_faults(FaultChoice::Flapping {
-            mean_up: SimDuration::from_millis(30),
-            mean_down: SimDuration::from_millis(30),
-            cycles: 4,
-            penalty_box: true,
-        })
+        .with_request_timeout(ms(30));
+    let plan = FaultPlan::flapping_everywhere(spec.edge_count(), ms(30), ms(30), 4);
+    spec.with_faults(plan)
 }
 
 /// A round issued while faults cut its pair waits one control delay
@@ -599,8 +603,6 @@ fn a_round_issued_across_a_cut_ends_as_a_timeout() {
 fn an_arrival_across_a_cut_is_abandoned_with_its_spans() {
     let run = |seed: u64| {
         let topo = Topology::chain(3, |i| lab(40 + i as u64));
-        let mut net = Network::new(topo, seed);
-        net.set_telemetry(TelemetryConfig::all());
         let plan = FaultPlan::new()
             .with_event(SimDuration::from_millis(5), FaultKind::Fail { edge: 1 })
             .with_event(
@@ -610,10 +612,15 @@ fn an_arrival_across_a_cut_is_abandoned_with_its_spans() {
                     profile: None,
                 },
             );
-        net.set_fault_plan(&plan);
         let class = UserClass::new("nl", RequestKind::Nl, vec![(0, 2)])
             .with_admission(AdmissionControl::RejectBeyond { max_in_flight: 4 });
-        net.set_workload(Workload::poisson(200.0, vec![class]));
+        let config = NetConfig {
+            telemetry: TelemetryConfig::all(),
+            faults: Some(plan),
+            workload: Some(Workload::poisson(200.0, vec![class])),
+            ..NetConfig::default()
+        };
+        let mut net = Network::with_config(topo, seed, config, ModelCache::new());
         net.run_for(SimDuration::from_secs(1));
         net
     };

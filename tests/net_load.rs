@@ -27,6 +27,16 @@ fn lab(seed: u64) -> LinkConfig {
     LinkConfig::lab(WorkloadSpec::none(), seed)
 }
 
+/// A network over `topo` driven by `workload`, otherwise at defaults.
+fn loaded(topo: Topology, seed: u64, workload: Workload) -> Network {
+    let workload = Some(workload);
+    let config = NetConfig {
+        workload,
+        ..NetConfig::default()
+    };
+    Network::with_config(topo, seed, config, ModelCache::new())
+}
+
 /// The two paper-style traffic classes used throughout: a
 /// measure-directly QKD class (three single-hop pairs, queued
 /// admission) and a create-and-keep compute class (two pairs, hard
@@ -59,11 +69,14 @@ fn grid_classes() -> Vec<UserClass> {
 fn run_grid(seed: u64, horizon: SimDuration) -> (LoadStats, u64) {
     let root = DetRng::new(seed);
     let topo = Topology::grid(4, 4, |i| lab(root.substream(&format!("edge/{i}")).seed()));
-    let mut net = Network::new(topo, seed);
-    net.set_route_metric(RouteMetric::LoadLatency);
-    net.set_request_timeout(Some(SimDuration::from_millis(250)));
-    net.set_retry_budget(1);
-    net.set_workload(Workload::poisson(2_000.0, grid_classes()));
+    let config = NetConfig {
+        metric: RouteMetric::LoadLatency,
+        request_timeout: Some(SimDuration::from_millis(250)),
+        retries: 1,
+        workload: Some(Workload::poisson(2_000.0, grid_classes())),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(topo, seed, config, ModelCache::new());
     net.run_for(horizon);
     let stats = net.workload_stats().expect("workload armed").clone();
     (stats, net.events_fired())
@@ -90,13 +103,12 @@ fn poisson_stream_is_reproducible_per_seed() {
 #[test]
 fn poisson_empirical_rate_within_five_percent_of_lambda() {
     let topo = Topology::chain(2, |i| lab(60 + i as u64));
-    let mut net = Network::new(topo, 7);
     // A tight in-flight bound keeps the link idle-cheap: almost every
     // arrival is dropped on the spot, and the test measures the
     // arrival process itself, not the network's service rate.
     let classes = vec![UserClass::new("meter", RequestKind::Md, vec![(0, 1)])
         .with_admission(AdmissionControl::RejectBeyond { max_in_flight: 1 })];
-    net.set_workload(Workload::poisson(2_000_000.0, classes));
+    let mut net = loaded(topo, 7, Workload::poisson(2_000_000.0, classes));
     let horizon = SimDuration::from_millis(50);
     net.run_for(horizon);
     let offered = net.workload_stats().expect("armed").total_offered();
@@ -323,8 +335,8 @@ fn trace_workloads_replay_verbatim_through_the_network() {
     ];
     let run = || {
         let topo = Topology::chain(3, |i| lab(80 + i as u64));
-        let mut net = Network::new(topo, 13);
-        net.set_workload(Workload::trace(trace.clone(), classes.clone()));
+        let workload = Workload::trace(trace.clone(), classes.clone());
+        let mut net = loaded(topo, 13, workload);
         net.run_for(SimDuration::from_secs(5));
         net.workload_stats().expect("armed").clone()
     };
@@ -337,49 +349,6 @@ fn trace_workloads_replay_verbatim_through_the_network() {
     assert_eq!(stats.total_admitted(), 4);
     assert_eq!(stats.total_completed(), 4);
     assert_eq!(stats, run(), "trace replay is deterministic");
-}
-
-/// Arming a workload again replaces the stream: the arrival the first
-/// stream still has on the queue is stale and must not start a second
-/// chain of arrivals inside the new engine.
-#[test]
-fn re_arming_a_workload_replaces_the_stream() {
-    let classes = || vec![UserClass::new("ck", RequestKind::Ck, vec![(0, 3), (1, 2)])];
-    let offered = |arms: usize| {
-        let mut net = Network::new(Topology::grid(2, 2, |i| lab(60 + i as u64)), 5);
-        for _ in 0..arms {
-            net.set_workload(Workload::poisson(200.0, classes()));
-        }
-        net.run_for(SimDuration::from_secs(1));
-        net.workload_stats().expect("armed").total_offered()
-    };
-    let (once, twice) = (offered(1), offered(2));
-    assert!((150..250).contains(&once), "200 Hz for 1 s offered {once}");
-    assert!(
-        (150..250).contains(&twice),
-        "armed twice, still one 200 Hz stream: offered {twice} (once: {once})"
-    );
-
-    // A re-armed trace offers exactly its trace.
-    let at = |ms| TraceArrival {
-        after: SimDuration::from_millis(ms),
-        class: 0,
-        pair: (0, 3),
-    };
-    let trace = vec![at(0), at(30), at(30), at(500)];
-    let mut net = Network::new(Topology::grid(2, 2, |i| lab(60 + i as u64)), 5);
-    net.set_workload(Workload::poisson(200.0, classes()));
-    net.run_for(SimDuration::from_millis(100));
-    net.set_workload(Workload::trace(trace.clone(), classes()));
-    net.set_workload(Workload::trace(trace, classes()));
-    net.run_for(SimDuration::from_secs(1));
-    let stats = net.workload_stats().expect("armed");
-    assert_eq!(
-        stats.total_offered(),
-        4,
-        "the trace, once, and nothing else"
-    );
-    assert_eq!(stats.total_admitted(), 4);
 }
 
 // ---- sweep integration ----------------------------------------------
@@ -434,4 +403,30 @@ fn sweep_carries_per_class_stats_and_service_csv() {
     assert_eq!(rows.len(), 2, "one row per class");
     assert!(rows[0].starts_with("svc,qkd,"));
     assert!(rows[1].starts_with("svc,compute,"));
+}
+
+/// Open-loop records carry no per-delivery series, so the throughput
+/// CSV has no rows for them — the mirror of the service CSV having
+/// none for closed-loop scenarios — rather than one row claiming zero
+/// deliveries for a run that delivered.
+#[test]
+fn throughput_csv_has_no_rows_for_open_loop_scenarios() {
+    let class = UserClass::new("ck", RequestKind::Ck, vec![(0, 1)]);
+    let open = ScenarioSpec::lab_chain("open", 2)
+        .with_max_time(SimDuration::from_secs(1))
+        .with_workload(Workload::poisson(20.0, vec![class]));
+    let closed = ScenarioSpec::lab_chain("closed", 2).with_rounds(2);
+    let report = sweep(&[open, closed], &[5], 1);
+    assert!(report.scenarios[0].successes > 0, "the open loop delivers");
+    assert!(
+        report.scenarios[1].successes > 0,
+        "the closed loop delivers"
+    );
+    let csv = report.throughput_csv(SimDuration::from_secs(1));
+    let rows: Vec<&str> = csv.lines().skip(1).collect();
+    assert!(!rows.is_empty(), "the closed loop has rows:\n{csv}");
+    assert!(
+        rows.iter().all(|r| r.starts_with("closed,")),
+        "only the closed loop has rows:\n{csv}"
+    );
 }

@@ -35,11 +35,14 @@ fn chain(nodes: usize) -> Topology {
 fn contended_grid(seed: u64, config: TelemetryConfig) -> Network {
     let root = DetRng::new(seed);
     let topo = Topology::grid(4, 4, |i| lab(root.substream(&format!("edge/{i}")).seed()));
-    let mut net = Network::new(topo, seed);
-    net.set_telemetry(config);
-    net.set_route_metric(RouteMetric::LoadLatency);
-    net.set_request_timeout(Some(SimDuration::from_millis(300)));
-    net.set_retry_budget(2);
+    let config = NetConfig {
+        telemetry: config,
+        metric: RouteMetric::LoadLatency,
+        request_timeout: Some(SimDuration::from_millis(300)),
+        retries: 2,
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(topo, seed, config, ModelCache::new());
     for (src, dst) in [(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)] {
         net.request_entanglement(src, dst, 0.6);
     }
@@ -95,8 +98,11 @@ fn telemetry_is_passive_bit_identical_results() {
 /// here.
 #[test]
 fn three_node_chain_matches_golden_stage_sequence() {
-    let mut net = Network::new(chain(3), 7);
-    net.set_telemetry(TelemetryConfig::all());
+    let config = NetConfig {
+        telemetry: TelemetryConfig::all(),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(chain(3), 7, config, ModelCache::new());
     net.request_entanglement(0, 2, 0.5);
     let outcome = net
         .run_until_outcome(SimDuration::from_secs(30))
@@ -246,8 +252,11 @@ fn histogram_quantiles_match_exact_order_statistics() {
 /// visible as RETRACT then EXPIRE counters and `retract` spans.
 #[test]
 fn cancel_with_retraction_expires_queued_creates() {
-    let mut net = Network::new(chain(3), 7);
-    net.set_telemetry(TelemetryConfig::all());
+    let config = NetConfig {
+        telemetry: TelemetryConfig::all(),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(chain(3), 7, config, ModelCache::new());
     let req = net.request_entanglement(0, 2, 0.5);
     // Long enough for the reservation to land and the CREATEs to be
     // submitted, far too short for a lab link to deliver a pair.

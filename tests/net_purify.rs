@@ -44,8 +44,11 @@ fn swap_product(links: &[f64]) -> f64 {
 fn link_level_purification_boosts_a_single_hop() {
     let run = |policy: Policy| {
         let topo = Topology::chain(2, |i| long_memory_lab(50 + i as u64));
-        let mut net = Network::new(topo, 9);
-        net.set_policy(policy);
+        let config = NetConfig {
+            policy,
+            ..NetConfig::default()
+        };
+        let mut net = Network::with_config(topo, 9, config, ModelCache::new());
         net.request_entanglement(0, 1, 0.6);
         let out = net
             .run_until_outcome(SimDuration::from_secs(120))
@@ -81,8 +84,11 @@ fn link_level_purification_boosts_a_single_hop() {
 fn end_to_end_distillation_beats_off_on_a_4_node_chain() {
     let run = |policy: Policy| {
         let topo = Topology::chain(4, |i| clean_lab(70 + i as u64));
-        let mut net = Network::new(topo, 11);
-        net.set_policy(policy);
+        let config = NetConfig {
+            policy,
+            ..NetConfig::default()
+        };
+        let mut net = Network::with_config(topo, 11, config, ModelCache::new());
         net.request_entanglement(0, 3, 0.8);
         net.run_until_outcome(SimDuration::from_secs(600))
             .expect("the 4-node chain delivers")
@@ -122,27 +128,9 @@ fn end_to_end_distillation_beats_off_on_a_4_node_chain() {
     assert_eq!(e2e.pairs_consumed, again.pairs_consumed);
 
     // This seed's group rejects its first parity check and
-    // regenerates (visible as more than the minimal 2 × 3 pairs) —
-    // exactly the path where an in-flight group must keep the policy
-    // it was issued under. Flipping the network policy mid-run must
-    // not leak link-level edge purification into the regenerated
-    // streams.
+    // regenerates (visible as more than the minimal 2 × 3 pairs): its
+    // member streams are re-issued under the group's SWAP-ASAP terms.
     assert!(e2e.pairs_consumed > 6, "seed must exercise regeneration");
-    let flipped = {
-        let topo = Topology::chain(4, |i| clean_lab(70 + i as u64));
-        let mut net = Network::new(topo, 11);
-        net.set_policy(Policy::EndToEndPurify);
-        net.request_entanglement(0, 3, 0.8);
-        net.set_policy(Policy::LinkPurify); // later requests only
-        net.run_until_outcome(SimDuration::from_secs(600))
-            .expect("in-flight group completes under its own policy")
-    };
-    assert_eq!(
-        flipped.end_to_end_fidelity.to_bits(),
-        e2e.end_to_end_fidelity.to_bits()
-    );
-    assert_eq!(flipped.pairs_consumed, e2e.pairs_consumed);
-    assert_eq!(flipped.latency, e2e.latency);
 }
 
 /// The acceptance sweep: over a 5-node chain, `LinkPurify` delivers
@@ -220,8 +208,11 @@ fn seeded_purification_properties_hold_over_random_chains() {
             cfg
         });
         let edge_count = topo.edge_count();
-        let mut net = Network::new(topo, net_seed);
-        net.set_policy(Policy::LinkPurify);
+        let config = NetConfig {
+            policy: Policy::LinkPurify,
+            ..NetConfig::default()
+        };
+        let mut net = Network::with_config(topo, net_seed, config, ModelCache::new());
         net.request_entanglement(0, nodes - 1, 0.6);
         let out = net
             .run_until_outcome(SimDuration::from_secs(600))

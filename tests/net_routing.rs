@@ -85,8 +85,11 @@ fn fidelity_product_prefers_the_long_clean_arm() {
     assert!(fid.cost > 0.0);
 
     // The same choice drives Network::request_entanglement.
-    let mut net = Network::new(topo, 9);
-    net.set_route_metric(RouteMetric::Fidelity);
+    let config = NetConfig {
+        metric: RouteMetric::Fidelity,
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(topo, 9, config, ModelCache::new());
     let route = net.plan_route(0, 4, 0.4).expect("route exists");
     assert_eq!(route.nodes, vec![0, 2, 3, 4]);
 }
@@ -320,8 +323,16 @@ fn nl_create(fmin: f64) -> GeneratedRequest {
 /// per link and per edge.
 #[test]
 fn a_homogeneous_grid_builds_each_model_once() {
-    let mut net = Network::new(Topology::grid(16, 16, |i| lab(i as u64)), 5);
-    net.set_route_metric(RouteMetric::LoadLatency);
+    let config = NetConfig {
+        metric: RouteMetric::LoadLatency,
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(
+        Topology::grid(16, 16, |i| lab(i as u64)),
+        5,
+        config,
+        ModelCache::new(),
+    );
     assert!(
         net.estimators()[0].models().is_empty(),
         "construction derives nothing"

@@ -51,7 +51,7 @@ fn assert_matches_hardcoded(spec: &ScenarioSpec, golden: &[(u64, Fingerprint)]) 
             hard,
             "{}: interpreted {} diverged from the frozen hard-coded record at seed {seed}",
             spec.name,
-            spec.policy.name()
+            spec.net.policy.name()
         );
     }
 }
@@ -145,11 +145,16 @@ fn chain(n: usize) -> Topology {
 #[test]
 fn rule_fired_telemetry_never_moves_a_bit() {
     let run = |telemetry: bool| {
-        let mut net = Network::new(chain(4), 11);
-        if telemetry {
-            net.set_telemetry(TelemetryConfig::all());
-        }
-        net.set_policy(Policy::LinkPurify);
+        let config = NetConfig {
+            policy: Policy::LinkPurify,
+            telemetry: if telemetry {
+                TelemetryConfig::all()
+            } else {
+                TelemetryConfig::OFF
+            },
+            ..NetConfig::default()
+        };
+        let mut net = Network::with_config(chain(4), 11, config, ModelCache::new());
         net.request_entanglement(0, 3, 0.5);
         let out = net
             .run_until_outcome(SimDuration::from_secs(40))
@@ -231,8 +236,8 @@ fn sweep_matrix_carries_policy_choice() {
             .with_max_time(SimDuration::from_secs(25))
             .with_policy(Policy::ThresholdPurify { theta: 0.0 }),
     ];
-    assert_eq!(specs[0].policy.name(), "rs-swap-asap");
-    assert_eq!(specs[1].policy.name(), "rs-threshold");
+    assert_eq!(specs[0].net.policy.name(), "rs-swap-asap");
+    assert_eq!(specs[1].net.policy.name(), "rs-threshold");
     let report = sweep(&specs, &[1], 2);
     assert_eq!(report.runs.len(), 2);
     // Same physics, same seed, same decisions: the gated-out
