@@ -52,7 +52,7 @@ fn grid_spec(name: &str) -> ScenarioSpec {
 fn flapping(name: &str, penalty: PenaltyConfig) -> ScenarioSpec {
     let spec = grid_spec(name);
     let ms = SimDuration::from_millis;
-    let plan = FaultPlan::flapping_everywhere(spec.edge_count(), ms(900), ms(40), 1);
+    let plan = FaultPlan::flapping_everywhere(spec.topology.edge_count(), ms(900), ms(40), 1);
     spec.with_faults(plan.with_penalty(penalty))
 }
 

@@ -30,7 +30,7 @@ use qlink_sim::config::LinkConfig;
 pub enum FaultKind {
     /// Take an edge's quantum link down. In-flight requests riding
     /// the edge are failed through the ordinary rejection → backoff →
-    /// re-plan path; the penalty box (if enabled) is bumped.
+    /// re-plan path; the penalty box is bumped.
     Fail {
         /// Edge index in the topology.
         edge: usize,
@@ -96,12 +96,9 @@ pub struct Flapping {
 /// Penalty-box pricing knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct PenaltyConfig {
-    /// Master switch. Disabled, failures still exclude downed edges
-    /// from planning but leave prices untouched.
-    pub enabled: bool,
     /// Surcharge added per fail/UNSUPP event: an edge's base metric
     /// cost is multiplied by `1 + penalty` while the penalty is
-    /// positive.
+    /// positive. Zero switches the box off ([`PenaltyConfig::off`]).
     pub surcharge: f64,
     /// Half-life of the exponential decay: `surcharge` halves every
     /// `half_life` of simulated time.
@@ -111,7 +108,6 @@ pub struct PenaltyConfig {
 impl Default for PenaltyConfig {
     fn default() -> Self {
         PenaltyConfig {
-            enabled: true,
             surcharge: 4.0,
             half_life: SimDuration::from_secs_f64(2.0),
         }
@@ -119,11 +115,12 @@ impl Default for PenaltyConfig {
 }
 
 impl PenaltyConfig {
-    /// A configuration with the penalty box switched off (downed
-    /// edges are still excluded from planning).
+    /// A configuration with the penalty box switched off: a zero
+    /// surcharge, so every penalty stays 0 (downed edges are still
+    /// excluded from planning).
     pub fn off() -> Self {
         PenaltyConfig {
-            enabled: false,
+            surcharge: 0.0,
             ..PenaltyConfig::default()
         }
     }
@@ -138,7 +135,7 @@ pub struct FaultPlan {
     /// Stochastic per-edge flapping processes (expanded into concrete
     /// events from the `"net/fault"` substream at arm time).
     pub flapping: Vec<Flapping>,
-    /// Penalty-box pricing (defaults to enabled; see
+    /// Penalty-box pricing (defaults to on; see
     /// [`PenaltyConfig`]).
     pub penalty: PenaltyConfig,
 }
@@ -259,11 +256,8 @@ impl PenaltyBox {
     }
 
     /// The edge's decayed penalty at `now`. Zero when the box is
-    /// disabled.
+    /// off.
     pub fn penalty(&self, edge: usize, now: SimTime) -> f64 {
-        if !self.cfg.enabled {
-            return 0.0;
-        }
         decay(
             self.value[edge],
             self.updated[edge],
@@ -273,12 +267,9 @@ impl PenaltyBox {
     }
 
     /// Bumps the edge's penalty by one surcharge at `now` (decaying
-    /// the stored value first). Returns the new penalty, or 0.0 with
-    /// no effect when the box is disabled.
+    /// the stored value first). Returns the new penalty: 0.0 when the
+    /// box is off.
     pub fn bump(&mut self, edge: usize, now: SimTime) -> f64 {
-        if !self.cfg.enabled {
-            return 0.0;
-        }
         let v = decay(
             self.value[edge],
             self.updated[edge],
@@ -312,7 +303,6 @@ mod tests {
     #[test]
     fn penalty_bump_and_half_life_decay() {
         let cfg = PenaltyConfig {
-            enabled: true,
             surcharge: 4.0,
             half_life: SimDuration::from_secs_f64(2.0),
         };

@@ -50,11 +50,11 @@ use std::time::Instant;
 
 pub use crate::ledger::EndToEndOutcome;
 
-/// The reserved span id fault spans are emitted under: fault events
-/// belong to the network, not to any request, and request ids count
-/// up from zero, so the maximum id is free to serve as the "network"
-/// track in chrome-trace exports.
-const FAULT_TRACK: u64 = u64::MAX;
+/// The reserved span id fault and expire spans are emitted under: they
+/// belong to the network, not to any request still on the books, and
+/// request ids count up from zero, so the maximum id is free to serve
+/// as the "network" track in chrome-trace exports.
+const NET_TRACK: u64 = u64::MAX;
 
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,8 +157,6 @@ pub struct Network {
     repair_count: Vec<u64>,
     /// Edge failures injected so far (node churn counts per edge).
     fault_count: u64,
-    /// Edge repairs applied so far.
-    repair_total: u64,
     outcomes: Vec<EndToEndOutcome>,
     /// The telemetry layer (see [`crate::obs`]); `None` (the default)
     /// records nothing. Recording is passive — no RNG draw, no event —
@@ -222,7 +220,6 @@ impl Network {
             // unless a workload arms.
             load_rng: DetRng::new(seed).substream("net/load"),
             fault_count: 0,
-            repair_total: 0,
             workload: None,
             outcomes: Vec::new(),
             telemetry: None,
@@ -384,7 +381,7 @@ impl Network {
 
     /// Edge repairs applied so far.
     pub fn repairs(&self) -> u64 {
-        self.repair_total
+        self.repair_count.iter().sum()
     }
 
     /// The edge's current (decayed) penalty-box surcharge: 0 when no
@@ -424,7 +421,7 @@ impl Network {
         self.topo.set_edge_up(edge, false);
         self.fault_count += 1;
         self.planner.penalize(edge, t);
-        self.emit(t, FAULT_TRACK, 0, SpanStage::EdgeFail { edge });
+        self.emit(t, NET_TRACK, 0, SpanStage::EdgeFail { edge });
         for id in self.ledger.riders(edge) {
             self.fail_attempt(id, Some(edge), t);
         }
@@ -445,7 +442,6 @@ impl Network {
             return;
         }
         self.topo.set_edge_up(edge, true);
-        self.repair_total += 1;
         if let Some(profile) = profile {
             // A new profile changes the edge's FEU-derived planning
             // profile.
@@ -463,7 +459,7 @@ impl Network {
         // A still-pending Expire for a CREATE of the old incarnation
         // fires into the new link as a no-op (unknown create id).
         self.ledger.forget_creates_on(edge);
-        self.emit(t, FAULT_TRACK, 0, SpanStage::EdgeRepair { edge });
+        self.emit(t, NET_TRACK, 0, SpanStage::EdgeRepair { edge });
     }
 
     /// Total NL pairs the link layer has delivered on edge `edge` for
@@ -550,6 +546,10 @@ impl Network {
     /// the request waits one control delay for a re-plan, and is
     /// abandoned if none is left then.
     ///
+    /// Under [`Policy::EndToEndPurify`] the returned id names a
+    /// distillation *group* of two concurrent streams, whose one
+    /// [`EndToEndOutcome`] has [`EndToEndOutcome::distilled`] set.
+    ///
     /// # Panics
     /// Panics if no path connects the nodes even with every edge up.
     ///
@@ -588,13 +588,9 @@ impl Network {
     /// over edge-disjoint routes where the topology has them, and when
     /// both deliver, the path ends measure, exchange the parity bit
     /// across the whole path's control channels, and either emit one
-    /// boosted pair or discard both and regenerate. The returned id
-    /// names the *group*; its [`EndToEndOutcome`] has
-    /// [`EndToEndOutcome::distilled`] set.
-    ///
-    /// # Panics
-    /// Panics if no path connects the nodes even with every edge up.
-    pub fn request_entanglement_distilled(&mut self, src: usize, dst: usize, fmin: f64) -> u64 {
+    /// boosted pair or discard both and regenerate. Returns the group
+    /// id.
+    fn request_entanglement_distilled(&mut self, src: usize, dst: usize, fmin: f64) -> u64 {
         let group = self.ledger.new_id();
         let now = self.engine.now();
         // The group id gets its own issue span: its Deliver (and thus
@@ -790,9 +786,10 @@ impl Network {
     /// stop spending attempt cycles on pairs nobody will consume. No
     /// terminal span is recorded: the caller, not the network, ended
     /// the request. A stream parked between failure and re-issue is
-    /// dropped, making its pending re-issue a no-op. A group id from
-    /// [`Network::request_entanglement_distilled`] cancels both of the
-    /// group's streams and drops any parked pair.
+    /// dropped, making its pending re-issue a no-op. A group id (what
+    /// [`Network::request_entanglement`] returns under
+    /// [`Policy::EndToEndPurify`]) cancels both of the group's streams
+    /// and drops any parked pair.
     pub fn cancel_request(&mut self, request: u64) {
         self.workload_abandon(request);
         if let Some(members) = self.ledger.close_group(request) {
@@ -816,11 +813,8 @@ impl Network {
         let now = self.engine.now();
         for &key in &ended.retract {
             let edge = key.0;
-            if let Some(tl) = self.telemetry.as_deref_mut() {
-                tl.on_retract(edge);
-                let attempt = ended.seed.attempt;
-                tl.emit(now, request, attempt, SpanStage::Retract { edge });
-            }
+            let attempt = ended.seed.attempt;
+            self.emit(now, request, attempt, SpanStage::Retract { edge });
             let delay = self.topo.edge(edge).control_delay;
             self.engine.schedule_in(delay, NetEvent::Expire(key));
         }
@@ -895,9 +889,7 @@ impl Network {
             }
             NetEvent::Expire(key) => {
                 self.engine.expire(key, t);
-                if let Some(tl) = self.telemetry.as_deref_mut() {
-                    tl.on_expire(key.0);
-                }
+                self.emit(t, NET_TRACK, 0, SpanStage::Expire { edge: key.0 });
             }
             NetEvent::Arrival { index } => self.on_arrival(index, t),
             NetEvent::AdmitQueued => self.on_admit_queued(t),
@@ -1003,15 +995,12 @@ impl Network {
         let create_id = self.engine.submit_nl(edge, side, fmin);
         self.ledger
             .record_create((edge, side, create_id), request, now);
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.on_create(edge);
-            let stage = SpanStage::Create {
-                edge,
-                side,
-                create_id,
-            };
-            tl.emit(now, request, attempt, stage);
-        }
+        let stage = SpanStage::Create {
+            edge,
+            side,
+            create_id,
+        };
+        self.emit(now, request, attempt, stage);
     }
 
     fn on_reserve(&mut self, request: u64, at: usize) {
@@ -1032,9 +1021,7 @@ impl Network {
             return;
         };
         if r.is_unsupported() {
-            if let Some(tl) = self.telemetry.as_deref_mut() {
-                tl.on_unsupp(edge);
-            }
+            self.span(t, request, SpanStage::Unsupp { edge });
             // A terminal "this link cannot serve that" also feeds the
             // penalty box: the edge is priced up for *everyone*, so
             // later plans steer other requests around it too.
@@ -1077,7 +1064,8 @@ impl Network {
     /// budget is exhausted, or no route is left to re-issue it on.
     /// Counts it, closes its span, and tells whoever tracks it: the
     /// workload, or its distillation group, which is then dropped whole
-    /// (partner stream cancelled, any parked pair discarded).
+    /// (its span closed, partner stream cancelled, any parked pair
+    /// discarded).
     fn abandon(
         &mut self,
         request: u64,
@@ -1093,6 +1081,8 @@ impl Network {
         let Some(members) = self.ledger.close_group(group) else {
             return;
         };
+        // The group id opened its own span: close it too.
+        self.emit(t, group, 0, SpanStage::Abandon { failed_edge });
         // The group id is the public handle a workload tracks; member
         // streams were never registered, so their cancels below are
         // workload no-ops.
@@ -1124,14 +1114,15 @@ impl Network {
         let Some((request, submitted)) = self.ledger.claim_create(key) else {
             return;
         };
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.on_add(t.since(submitted));
-        }
-        let (edge, fidelity) = (edge_idx, d.fidelity);
-        self.span(t, request, SpanStage::Add { edge, fidelity });
+        let add = SpanStage::Add {
+            edge: edge_idx,
+            fidelity: d.fidelity,
+            wait: t.since(submitted),
+        };
+        self.span(t, request, add);
         let edge = self.topo.edge(edge_idx);
         let ends = [edge.a, edge.b];
-        if !self.ledger.add_pair(request, edge_idx, edge, fidelity, t) {
+        if !self.ledger.add_pair(request, edge_idx, edge, d.fidelity, t) {
             return;
         }
         for node in ends {
@@ -1264,17 +1255,14 @@ impl Network {
         }
     }
 
-    /// The one delivery tail: records the completion (metrics, the
-    /// closing span — stamped `attempt`) and hands the outcome to
-    /// whoever waits for it. Workload completions feed the class
-    /// accounting directly: buffering an outcome per delivery would
-    /// grow without bound over a million-arrival run.
+    /// The one delivery tail: records the closing span (stamped
+    /// `attempt`) and hands the outcome to whoever waits for it.
+    /// Workload completions feed the class accounting directly:
+    /// buffering an outcome per delivery would grow without bound over
+    /// a million-arrival run.
     fn deliver(&mut self, outcome: EndToEndOutcome, attempt: u64) {
         let (id, t) = (outcome.request, outcome.delivered_at);
         let (fidelity, latency) = (outcome.end_to_end_fidelity, outcome.latency);
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            tl.on_complete(t, fidelity, latency);
-        }
         self.emit(t, id, attempt, SpanStage::Deliver { fidelity, latency });
         let workload = self.workload.as_deref_mut();
         if workload.is_some_and(|wl| wl.complete(id, fidelity, t)) {

@@ -9,8 +9,8 @@
 //! Consequences:
 //!
 //! * With telemetry off (the default), a run is bit-identical to the
-//!   same run on any earlier revision: the hooks reduce to an
-//!   `Option` check.
+//!   same run on any earlier revision: each span emission reduces to
+//!   an `Option` check.
 //! * With telemetry on, the run's *results* are still bit-identical
 //!   to the telemetry-off run — spans and metrics are a projection of
 //!   the event stream, not a participant in it.
@@ -21,18 +21,21 @@
 //! [`NetConfig::default`] reads):
 //!
 //! * **Spans** — the life of every request as timestamped
-//!   [`SpanEvent`]s: issue → plan → per-edge CREATE → pair ADD →
-//!   swap / swap-result hops → purify parity → deliver, or the
-//!   failure arcs (reroute, retract, abandon). Exportable as
-//!   [`chrome_trace_json`] (load in a Chromium `about://tracing` /
-//!   Perfetto UI) or line-delimited [`spans_jsonl`].
-//! * **Metrics** — fixed-bucket [`Histogram`]s (end-to-end latency,
-//!   delivered fidelity, per-CREATE queue wait) and exact `u64`
-//!   counters (per-edge CREATE / RETRACT / EXPIRE / UNSUPP,
-//!   completions), plus a deliveries [`TimeSeries`] for
-//!   throughput-vs-time re-binning. Only what nothing else records:
-//!   re-routes, abandons, purifications, faults and penalties are
-//!   [`Network`](crate::network::Network) counters and spans, and
+//!   [`SpanEvent`]s: issue → plan → per-edge CREATE → pair ADD (with
+//!   its CREATE's queue wait) → swap / swap-result hops → purify
+//!   parity → deliver, or the failure arcs (unsupp, reroute, retract,
+//!   abandon); plus, on the network track, faults and the expire
+//!   notices that land at links. The one record: everything else here
+//!   is derived from it. Exportable as [`chrome_trace_json`] (load in
+//!   a Chromium `about://tracing` / Perfetto UI) or line-delimited
+//!   [`spans_jsonl`].
+//! * **Metrics** — one fold over the spans ([`Metrics::from_spans`]):
+//!   fixed-bucket [`Histogram`]s (end-to-end latency, delivered
+//!   fidelity, per-CREATE queue wait) and exact `u64` counters
+//!   (per-edge CREATE / RETRACT / EXPIRE / UNSUPP, completions), plus
+//!   a deliveries [`TimeSeries`] for throughput-vs-time re-binning.
+//!   Re-routes, abandons, purifications, faults and penalties are
+//!   also [`Network`](crate::network::Network) counters, and
 //!   per-class service figures are
 //!   [`Network::workload_stats`](crate::network::Network::workload_stats).
 //! * **Profile** — wall-clock engine introspection: run time, events
@@ -49,9 +52,9 @@ use qlink_des::{Histogram, SimDuration, SimTime, TimeSeries};
 use std::fmt::Write as _;
 
 /// Whether a [`Network`](crate::network::Network) records telemetry:
-/// spans, metrics and the engine profile, all or none. The default
-/// ([`TelemetryConfig::OFF`]) records nothing and costs one branch per
-/// hook.
+/// spans (and the metrics folded from them) and the engine profile,
+/// all or none. The default ([`TelemetryConfig::OFF`]) records nothing
+/// and costs one branch per span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     on: bool,
@@ -92,8 +95,8 @@ impl TelemetryConfig {
 }
 
 /// One stage in a request's life. Every variant corresponds to a
-/// specific hook point in `crates/net/src/network.rs`; the stages of
-/// one request, in timestamp order, read as its complete story.
+/// specific emission point in `crates/net/src/network.rs`; the stages
+/// of one request, in timestamp order, read as its complete story.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpanStage {
     /// The request entered the network (first attempt only).
@@ -107,8 +110,14 @@ pub enum SpanStage {
         side: usize,
         create_id: u16,
     },
-    /// A link delivered an NL pair for the request.
-    Add { edge: usize, fidelity: f64 },
+    /// A link delivered an NL pair for the request, `wait` after its
+    /// CREATE was submitted (the time the CREATE spent queued and
+    /// attempting inside the EGP).
+    Add {
+        edge: usize,
+        fidelity: f64,
+        wait: SimDuration,
+    },
     /// A repeater performed its Bell-state measurement.
     Swap { node: usize },
     /// A swap's Bell-outcome frame reached a path end.
@@ -127,11 +136,20 @@ pub enum SpanStage {
     /// The attempt failed (the rejecting edge when a link UNSUPP'd it,
     /// `None` on a timeout) and the request is parked for re-issue.
     Reroute { failed_edge: Option<usize> },
+    /// A link terminally rejected one of the request's CREATEs as
+    /// unsupported (UNSUPP).
+    Unsupp { edge: usize },
     /// A still-queued CREATE of a failed or cancelled request was
     /// retracted (the expire notice is in flight to the link).
     Retract { edge: usize },
-    /// The request was abandoned: its retry budget is exhausted (same
-    /// `failed_edge` convention as [`SpanStage::Reroute`]).
+    /// A retraction's expire notice reached its link. The request is
+    /// off the books by then, so this is emitted under the reserved
+    /// network-track span id (`u64::MAX`), like [`SpanStage::EdgeFail`].
+    Expire { edge: usize },
+    /// The request was abandoned: its retry budget is exhausted, or no
+    /// route is left (same `failed_edge` convention as
+    /// [`SpanStage::Reroute`]). An end-to-end distillation group whose
+    /// member is abandoned records one under the group id too.
     Abandon { failed_edge: Option<usize> },
     /// A RuleSet rule fired at a path node of an interpreted request
     /// (see [`crate::ruleset`]): the rule's index in its table and
@@ -162,7 +180,9 @@ impl SpanStage {
             SpanStage::GroupParity { .. } => "group_parity",
             SpanStage::Deliver { .. } => "deliver",
             SpanStage::Reroute { .. } => "reroute",
+            SpanStage::Unsupp { .. } => "unsupp",
             SpanStage::Retract { .. } => "retract",
+            SpanStage::Expire { .. } => "expire",
             SpanStage::Abandon { .. } => "abandon",
             SpanStage::RuleFired { .. } => "rule_fired",
             SpanStage::EdgeFail { .. } => "edge_fail",
@@ -191,9 +211,14 @@ impl SpanStage {
                 side,
                 create_id,
             } => format!("\"edge\":{edge},\"side\":{side},\"create_id\":{create_id}"),
-            SpanStage::Add { edge, fidelity } => {
-                format!("\"edge\":{edge},\"fidelity\":{fidelity}")
-            }
+            SpanStage::Add {
+                edge,
+                fidelity,
+                wait,
+            } => format!(
+                "\"edge\":{edge},\"fidelity\":{fidelity},\"wait_s\":{}",
+                wait.as_secs_f64()
+            ),
             SpanStage::Swap { node } | SpanStage::SwapResult { node } => {
                 format!("\"node\":{node}")
             }
@@ -217,7 +242,9 @@ impl SpanStage {
             SpanStage::RuleFired { rule, action } => {
                 format!("\"rule\":{rule},\"action\":\"{action}\"")
             }
-            SpanStage::Retract { edge }
+            SpanStage::Unsupp { edge }
+            | SpanStage::Retract { edge }
+            | SpanStage::Expire { edge }
             | SpanStage::EdgeFail { edge }
             | SpanStage::EdgeRepair { edge } => format!("\"edge\":{edge}"),
         }
@@ -229,38 +256,41 @@ impl SpanStage {
 pub struct SpanEvent {
     /// Global simulated time of the stage.
     pub at: SimTime,
-    /// The request (or, for [`SpanStage::GroupParity`] and the
-    /// delivery of a distilled pair, the group) the stage belongs to.
+    /// The request the stage belongs to: for [`SpanStage::GroupParity`]
+    /// and a distillation group's issue, delivery or abandon, the
+    /// group; for fault and expire stages, the network track
+    /// (`u64::MAX`).
     pub request: u64,
     /// The attempt number the request was on (0-based; re-routes bump
-    /// it). Stages recorded after an attempt's state is torn down
-    /// (retractions) carry the attempt that owned the CREATE.
+    /// it). Retractions, recorded after an attempt's state is torn
+    /// down, carry the attempt that owned the CREATE; group and
+    /// network-track stages carry 0.
     pub attempt: u64,
     /// What happened.
     pub stage: SpanStage,
 }
 
-/// Deterministic aggregate metrics of one run.
+/// Deterministic aggregate metrics of one run: a fold over its spans
+/// ([`Metrics::from_spans`]).
 #[derive(Debug, Clone)]
 pub struct Metrics {
-    /// NL CREATEs submitted, per edge.
+    /// NL CREATEs submitted, per edge (`create` spans).
     pub creates: Vec<u64>,
-    /// CREATE retractions scheduled, per edge.
+    /// CREATE retractions scheduled, per edge (`retract` spans).
     pub retracts: Vec<u64>,
-    /// Expire notices that reached their link, per edge.
+    /// Expire notices that reached their link, per edge (`expire`).
     pub expires: Vec<u64>,
-    /// Terminal UNSUPP rejections observed, per edge.
+    /// Terminal UNSUPP rejections observed, per edge (`unsupp`).
     pub unsupp: Vec<u64>,
-    /// End-to-end pairs delivered.
+    /// End-to-end pairs delivered (`deliver` spans).
     pub completions: u64,
     /// End-to-end latency in seconds: `[0, 60)` s in 600 buckets of
     /// 100 ms.
     pub latency: Histogram,
     /// Delivered end-to-end fidelity: `[0, 1)` in 100 buckets.
     pub fidelity: Histogram,
-    /// Per-CREATE queue wait in seconds (submission to pair delivery —
-    /// the time a CREATE spent queued and attempting inside the EGP):
-    /// `[0, 60)` s in 600 buckets.
+    /// Per-CREATE queue wait in seconds (`add` spans' `wait`): `[0, 60)`
+    /// s in 600 buckets.
     pub queue_wait: Histogram,
     /// One sample per completion, at its delivery time, value 1 —
     /// re-bin with [`TimeSeries::rate_per_second`] for the
@@ -269,8 +299,10 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    fn new(edges: usize) -> Metrics {
-        Metrics {
+    /// The aggregates of `spans`, recorded on a network of `edges`
+    /// links, in one pass in emission order.
+    pub fn from_spans(spans: &[SpanEvent], edges: usize) -> Metrics {
+        let mut m = Metrics {
             creates: vec![0; edges],
             retracts: vec![0; edges],
             expires: vec![0; edges],
@@ -280,7 +312,24 @@ impl Metrics {
             fidelity: fidelity_histogram(),
             queue_wait: latency_histogram(),
             deliveries: TimeSeries::new(),
+        };
+        for s in spans {
+            match s.stage {
+                SpanStage::Create { edge, .. } => m.creates[edge] += 1,
+                SpanStage::Add { wait, .. } => m.queue_wait.record(wait.as_secs_f64()),
+                SpanStage::Retract { edge } => m.retracts[edge] += 1,
+                SpanStage::Expire { edge } => m.expires[edge] += 1,
+                SpanStage::Unsupp { edge } => m.unsupp[edge] += 1,
+                SpanStage::Deliver { fidelity, latency } => {
+                    m.completions += 1;
+                    m.latency.record(latency.as_secs_f64());
+                    m.fidelity.record(fidelity);
+                    m.deliveries.push(s.at, 1.0);
+                }
+                _ => {}
+            }
         }
+        m
     }
 }
 
@@ -345,8 +394,10 @@ impl EngineProfile {
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     spans: Vec<SpanEvent>,
-    metrics: Metrics,
     profile: EngineProfile,
+    /// The network's link count: the length of [`Metrics`]' per-edge
+    /// counters.
+    edges: usize,
 }
 
 impl Telemetry {
@@ -354,8 +405,8 @@ impl Telemetry {
     pub(crate) fn new(edges: usize) -> Telemetry {
         Telemetry {
             spans: Vec::new(),
-            metrics: Metrics::new(edges),
             profile: EngineProfile::default(),
+            edges,
         }
     }
 
@@ -364,9 +415,9 @@ impl Telemetry {
         &self.spans
     }
 
-    /// The aggregate metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// The aggregate metrics, folded from [`Telemetry::spans`].
+    pub fn metrics(&self) -> Metrics {
+        Metrics::from_spans(&self.spans, self.edges)
     }
 
     /// The wall-clock engine profile.
@@ -378,8 +429,7 @@ impl Telemetry {
         &mut self.profile
     }
 
-    // ---- hook surface (called by network.rs; all passive) ------------
-
+    /// Records one span (called by `network.rs`; passive).
     pub(crate) fn emit(&mut self, at: SimTime, request: u64, attempt: u64, stage: SpanStage) {
         self.spans.push(SpanEvent {
             at,
@@ -387,34 +437,6 @@ impl Telemetry {
             attempt,
             stage,
         });
-    }
-
-    pub(crate) fn on_create(&mut self, edge: usize) {
-        self.metrics.creates[edge] += 1;
-    }
-
-    /// A CREATE's pair arrived, `wait` after its submission.
-    pub(crate) fn on_add(&mut self, wait: SimDuration) {
-        self.metrics.queue_wait.record(wait.as_secs_f64());
-    }
-
-    pub(crate) fn on_retract(&mut self, edge: usize) {
-        self.metrics.retracts[edge] += 1;
-    }
-
-    pub(crate) fn on_expire(&mut self, edge: usize) {
-        self.metrics.expires[edge] += 1;
-    }
-
-    pub(crate) fn on_unsupp(&mut self, edge: usize) {
-        self.metrics.unsupp[edge] += 1;
-    }
-
-    pub(crate) fn on_complete(&mut self, at: SimTime, fidelity: f64, latency: SimDuration) {
-        self.metrics.completions += 1;
-        self.metrics.latency.record(latency.as_secs_f64());
-        self.metrics.fidelity.record(fidelity);
-        self.metrics.deliveries.push(at, 1.0);
     }
 }
 
@@ -506,11 +528,23 @@ mod tests {
     #[test]
     fn queue_wait_pairs_create_with_add() {
         let mut tl = Telemetry::new(1);
-        tl.on_create(0);
-        tl.on_add(SimDuration::from_secs_f64(0.25));
-        assert_eq!(tl.metrics().creates, vec![1]);
-        assert_eq!(tl.metrics().queue_wait.count(), 1);
-        assert!((tl.metrics().queue_wait.mean() - 0.25).abs() < 1e-12);
+        let create = SpanStage::Create {
+            edge: 0,
+            side: 0,
+            create_id: 0,
+        };
+        tl.emit(SimTime::ZERO, 0, 0, create);
+        let wait = SimDuration::from_secs_f64(0.25);
+        let add = SpanStage::Add {
+            edge: 0,
+            fidelity: 0.8,
+            wait,
+        };
+        tl.emit(SimTime::ZERO + wait, 0, 0, add);
+        let m = tl.metrics();
+        assert_eq!(m.creates, vec![1]);
+        assert_eq!(m.queue_wait.count(), 1);
+        assert!((m.queue_wait.mean() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -30,8 +30,11 @@ pub type ExecChoice = crate::network::ExecMode; // benchmark-compat: ROADMAP ite
 /// Which topology a sweep run instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyChoice {
-    /// A linear chain of [`ScenarioSpec::nodes`] nodes.
-    Chain,
+    /// A linear chain ([`Topology::chain`]).
+    Chain {
+        /// Chain nodes (hops = nodes − 1).
+        nodes: usize,
+    },
     /// A rows × cols mesh ([`Topology::grid`]) — the contended
     /// workload class: many equal-length paths between most pairs.
     Grid {
@@ -40,6 +43,16 @@ pub enum TopologyChoice {
         /// Grid columns (≥ 2).
         cols: usize,
     },
+}
+
+impl TopologyChoice {
+    /// Number of edges in the topology.
+    pub fn edge_count(&self) -> usize {
+        match *self {
+            TopologyChoice::Chain { nodes } => nodes.saturating_sub(1),
+            TopologyChoice::Grid { rows, cols } => rows * (cols - 1) + cols * (rows - 1),
+        }
+    }
 }
 
 /// A data-only description of one sweep scenario: a chain or grid of
@@ -73,8 +86,6 @@ pub enum TopologyChoice {
 pub struct ScenarioSpec {
     /// Display name for the report.
     pub name: String,
-    /// Number of chain nodes (hops = nodes − 1).
-    pub nodes: usize,
     /// Requested minimum link fidelity.
     pub fmin: f64,
     /// Simulated-time budget per end-to-end round.
@@ -120,13 +131,12 @@ impl ScenarioSpec {
     pub fn lab_chain(name: impl Into<String>, nodes: usize) -> Self {
         ScenarioSpec {
             name: name.into(),
-            nodes,
             fmin: 0.6,
             max_time: SimDuration::from_secs(20),
             rounds: 1,
             streams: 1,
             carbon_t2: None,
-            topology: TopologyChoice::Chain,
+            topology: TopologyChoice::Chain { nodes },
             pairs: Vec::new(),
             net: NetConfig::default(),
         }
@@ -141,9 +151,10 @@ impl ScenarioSpec {
     /// Panics unless both dimensions are at least 2.
     pub fn lab_grid(name: impl Into<String>, rows: usize, cols: usize) -> Self {
         assert!(rows >= 2 && cols >= 2, "a grid needs both dimensions ≥ 2");
-        let mut spec = Self::lab_chain(name, rows * cols);
-        spec.topology = TopologyChoice::Grid { rows, cols };
-        spec
+        ScenarioSpec {
+            topology: TopologyChoice::Grid { rows, cols },
+            ..Self::lab_chain(name, rows * cols)
+        }
     }
 
     /// Builder: rounds per run.
@@ -238,26 +249,10 @@ impl ScenarioSpec {
 
     /// Builder: subject the run to adversity — for every edge
     /// flapping, [`FaultPlan::flapping_everywhere`] over
-    /// [`ScenarioSpec::edge_count`].
+    /// [`TopologyChoice::edge_count`].
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.net.faults = Some(faults);
         self
-    }
-
-    /// Number of nodes in the run's topology, whatever its shape.
-    pub fn node_count(&self) -> usize {
-        match self.topology {
-            TopologyChoice::Chain => self.nodes,
-            TopologyChoice::Grid { rows, cols } => rows * cols,
-        }
-    }
-
-    /// Number of edges in the run's topology, whatever its shape.
-    pub fn edge_count(&self) -> usize {
-        match self.topology {
-            TopologyChoice::Chain => self.nodes.saturating_sub(1),
-            TopologyChoice::Grid { rows, cols } => rows * (cols - 1) + cols * (rows - 1),
-        }
     }
 
     /// Builds the run's topology with per-edge seeds derived from the
@@ -273,7 +268,7 @@ impl ScenarioSpec {
             cfg
         };
         match self.topology {
-            TopologyChoice::Chain => Topology::chain(self.nodes, link),
+            TopologyChoice::Chain { nodes } => Topology::chain(nodes, link),
             TopologyChoice::Grid { rows, cols } => Topology::grid(rows, cols, &mut link),
         }
     }
@@ -593,7 +588,7 @@ fn run_cell(spec: &ScenarioSpec, seed: u64, models: ModelCache) -> RunRecord {
             .map(|e| net.pairs_delivered(e))
             .sum();
     } else {
-        let dst = spec.node_count() - 1;
+        let dst = net.topology().node_count() - 1;
         let streams = spec.streams.max(1);
         for _ in 0..spec.rounds {
             // A round's requests: explicit cross-traffic pairs when

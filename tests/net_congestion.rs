@@ -296,9 +296,10 @@ fn run_then_cancel(net: &mut Network, requests: &[u64], budget: SimDuration, wha
 }
 
 /// One request, driven to each ending that leaves through the shared
-/// teardown. Each row: the ending, the one terminal span the run must
-/// record (`None`: a cancel records none), and the finished network.
-fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
+/// teardown. Each row: the ending, the terminal spans the run must
+/// record (a cancel records none; an abandoned group one for its
+/// member and one for itself), and the finished network.
+fn endings() -> Vec<(&'static str, &'static [&'static str], Network)> {
     let ms = SimDuration::from_millis;
     let traced = |topo: Topology, seed: u64, config: NetConfig| {
         let telemetry = TelemetryConfig::all();
@@ -313,19 +314,19 @@ fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
         policy: Policy::EndToEndPurify,
         ..NetConfig::default()
     };
-    let mut rows = Vec::new();
+    let mut rows: Vec<(_, &[&str], _)> = Vec::new();
 
     let mut net = traced(chain3(), 7, NetConfig::default());
     net.request_entanglement(0, 2, 0.5);
     assert!(net.run_until_outcome(SimDuration::from_secs(30)).is_some());
-    rows.push(("deliver", Some("deliver"), net));
+    rows.push(("deliver", &["deliver"], net));
 
     // Pinned onto the noisy arm with no budget: the first UNSUPP ends it.
     let mut net = traced(short_noisy_long_clean_diamond(), 7, NetConfig::default());
     net.request_on_path(&[0, 1, 4], 0.6);
     net.run_for(ms(50));
     assert_eq!((net.reroutes(), net.timeouts()), (0, 1));
-    rows.push(("abandon on exhausted budget", Some("abandon"), net));
+    rows.push(("abandon on exhausted budget", &["abandon"], net));
 
     // The pair's only edge fails for good under the first attempt: the
     // re-issue finds no route.
@@ -338,7 +339,7 @@ fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
     net.request_entanglement(0, 1, 0.6);
     net.run_for(ms(50));
     assert_eq!((net.reroutes(), net.timeouts()), (1, 1));
-    rows.push(("abandon on no route", Some("abandon"), net));
+    rows.push(("abandon on no route", &["abandon"], net));
 
     // 50 µs in: both CREATEs submitted, far too early for a pair.
     let mut net = traced(chain3(), 7, NetConfig::default());
@@ -347,7 +348,7 @@ fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
     net.cancel_request(request);
     let retracts = &net.telemetry().expect("telemetry on").metrics().retracts;
     assert!(retracts.iter().sum::<u64>() > 0, "CREATEs were queued");
-    rows.push(("cancel with CREATEs queued", None, net));
+    rows.push(("cancel with CREATEs queued", &[], net));
 
     // Control delays stretched to 2 ms: the UNSUPP'd attempt parks for
     // a ≥ 4 ms backoff, and the cancel lands inside it. (A re-issue
@@ -365,7 +366,7 @@ fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
     net.run_for(ms(1));
     assert_eq!(net.reroutes(), 1, "the failed attempt is parked");
     net.cancel_request(request);
-    rows.push(("cancel while parked for re-issue", None, net));
+    rows.push(("cancel while parked for re-issue", &[], net));
 
     // At this seed the group's first parity check rejects: both member
     // streams are discarded and regenerated before the pair delivers.
@@ -379,15 +380,15 @@ fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
         spans.iter().any(|s| s.stage == rejected),
         "a parity rejects"
     );
-    rows.push(("group reject, regenerate, deliver", Some("deliver"), net));
+    rows.push(("group reject, regenerate, deliver", &["deliver"], net));
 
     // No arm serves Fmin 0.95: one member's UNSUPP abandons it, which
-    // drops the group and cancels its partner.
+    // drops the group (closing its span) and cancels its partner.
     let mut net = traced(short_noisy_long_clean_diamond(), 3, e2e);
     net.request_entanglement(0, 4, 0.95);
     net.run_for(ms(50));
     assert_eq!(net.timeouts(), 1);
-    rows.push(("group abandon", Some("abandon"), net));
+    rows.push(("group abandon", &["abandon", "abandon"], net));
 
     rows
 }
@@ -399,8 +400,8 @@ fn endings() -> Vec<(&'static str, Option<&'static str>, Network)> {
 /// ([`assert_ledgers_clean`]). Trials mix purification policies, retry
 /// budgets, timeouts, and an unachievable-fmin request (a
 /// rejection/re-route/abandon exerciser); the [`endings`] table then
-/// drives one request to each ending in isolation and pins the single
-/// terminal span it records.
+/// drives one request to each ending in isolation and pins the
+/// terminal spans it records.
 #[test]
 fn edge_load_balances_through_every_lifecycle() {
     for (ending, terminal, mut net) in endings() {
@@ -410,8 +411,7 @@ fn edge_load_balances_through_every_lifecycle() {
             .filter(|s| s.stage.is_terminal())
             .map(|s| s.stage.name())
             .collect();
-        let expected: Vec<&str> = terminal.into_iter().collect();
-        assert_eq!(recorded, expected, "{ending}: terminal spans");
+        assert_eq!(recorded, terminal, "{ending}: terminal spans");
     }
 
     let mut rng = DetRng::new(0xC0FFEE).substream("net-congestion/load");

@@ -75,7 +75,7 @@ fn flapping_grid_spec() -> ScenarioSpec {
         .with_request_timeout(ms(300))
         .with_retries(2)
         .with_max_time(ms(700));
-    let plan = FaultPlan::flapping_everywhere(spec.edge_count(), ms(250), ms(60), 2);
+    let plan = FaultPlan::flapping_everywhere(spec.topology.edge_count(), ms(250), ms(60), 2);
     spec.with_faults(plan)
 }
 
@@ -574,7 +574,7 @@ fn flapping_chain_spec() -> ScenarioSpec {
         .with_max_time(ms(40))
         .with_retries(1)
         .with_request_timeout(ms(30));
-    let plan = FaultPlan::flapping_everywhere(spec.edge_count(), ms(30), ms(30), 4);
+    let plan = FaultPlan::flapping_everywhere(spec.topology.edge_count(), ms(30), ms(30), 4);
     spec.with_faults(plan)
 }
 

@@ -33,6 +33,14 @@ fn chain(nodes: usize) -> Topology {
 /// all on the record. Link seeds and `fmin` mirror the sweep driver's
 /// construction.
 fn contended_grid(seed: u64, config: TelemetryConfig) -> Network {
+    let mut net = contended_grid_issued(seed, config);
+    net.run_for(SimDuration::from_millis(700));
+    net
+}
+
+/// [`contended_grid`]'s network with its six requests issued, before
+/// the clock moves.
+fn contended_grid_issued(seed: u64, config: TelemetryConfig) -> Network {
     let root = DetRng::new(seed);
     let topo = Topology::grid(4, 4, |i| lab(root.substream(&format!("edge/{i}")).seed()));
     let config = NetConfig {
@@ -46,7 +54,6 @@ fn contended_grid(seed: u64, config: TelemetryConfig) -> Network {
     for (src, dst) in [(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)] {
         net.request_entanglement(src, dst, 0.6);
     }
-    net.run_for(SimDuration::from_millis(700));
     net
 }
 
@@ -194,6 +201,36 @@ fn chrome_trace_is_balanced_and_monotone() {
     );
 }
 
+/// An end-to-end distillation group whose member stream is abandoned
+/// closes its own span too: the group id opened with an `issue`, so it
+/// ends in exactly one terminal span, and its chrome-trace `B` gets
+/// its `E`. (Lab links cannot serve fmin 0.999, so a member UNSUPPs
+/// out of its retry budget.)
+#[test]
+fn an_abandoned_distillation_group_closes_its_span() {
+    let config = NetConfig {
+        telemetry: TelemetryConfig::all(),
+        policy: Policy::EndToEndPurify,
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(chain(3), 7, config, ModelCache::new());
+    let group = net.request_entanglement(0, 2, 0.999);
+    net.run_for(SimDuration::from_secs(1));
+    assert_eq!(net.timeouts(), 1, "one member ran out of retries");
+    let tl = net.telemetry().expect("telemetry on");
+    let spans: Vec<_> = tl.spans().iter().filter(|s| s.request == group).collect();
+    let terminals = spans.iter().filter(|s| s.stage.is_terminal()).count();
+    assert_eq!(terminals, 1, "the group ends exactly once");
+    assert!(spans.last().expect("issued").stage.is_terminal());
+    let json = chrome_trace_json(tl.spans());
+    let close = "\"ph\":\"E\",\"ts\"";
+    let group_closes = json
+        .lines()
+        .filter(|l| l.contains(close) && l.contains(&format!("\"tid\":{group}}}")))
+        .count();
+    assert_eq!(group_closes, 1, "the group's B has its E");
+}
+
 // ---- metrics --------------------------------------------------------
 
 /// Metric counters reconcile exactly with the network's own public
@@ -213,6 +250,42 @@ fn metrics_reconcile_with_network_counters() {
         m.queue_wait.count() <= m.creates.iter().sum::<u64>(),
         "at most one wait sample per CREATE"
     );
+}
+
+/// Every [`Metrics`](qlink::net::Metrics) figure of one seeded run
+/// in which each counter moves somewhere: [`contended_grid`] plus one
+/// request at an fmin no Lab link can serve (UNSUPPs, then abandoned)
+/// and one request cancelled while its CREATEs are queued (RETRACTs,
+/// then EXPIREs). Counters exactly, histograms by count and the bits
+/// of their mean, the deliveries series by length and last instant.
+#[test]
+fn metrics_of_a_seeded_run_are_pinned() {
+    let mut net = contended_grid_issued(5, TelemetryConfig::all());
+    net.request_entanglement(5, 10, 0.99);
+    let cancelled = net.request_entanglement(12, 3, 0.6);
+    net.run_for(SimDuration::from_micros(50));
+    net.cancel_request(cancelled);
+    net.run_for(SimDuration::from_millis(700));
+    let m = net.telemetry().expect("telemetry on").metrics();
+    let hist = |h: &Histogram| (h.count(), h.mean().to_bits());
+    let last = m.deliveries.samples().last().map(|s| s.0.as_ps());
+    assert_eq!(
+        m.creates,
+        [2, 2, 2, 1, 3, 2, 3, 3, 2, 5, 2, 2, 7, 3, 1, 2, 3, 2, 2, 3, 2, 2, 4, 2]
+    );
+    let retracts = [
+        1, 0, 0, 0, 2, 1, 1, 1, 0, 1, 0, 0, 2, 2, 0, 0, 0, 0, 0, 1, 1, 2, 1, 1,
+    ];
+    assert_eq!(m.retracts, retracts);
+    assert_eq!(m.expires, retracts, "every retraction reached its link");
+    let mut unsupp = [0; 24];
+    (unsupp[9], unsupp[12]) = (2, 1);
+    assert_eq!(m.unsupp, unsupp);
+    assert_eq!(m.completions, 5);
+    assert_eq!(hist(&m.latency), (5, 4599604577596653333));
+    assert_eq!(hist(&m.fidelity), (5, 4598575477975178277));
+    assert_eq!(hist(&m.queue_wait), (38, 4592554394037267779));
+    assert_eq!((m.deliveries.len(), last), (5, Some(537_311_309_019)));
 }
 
 // ---- histogram percentiles ------------------------------------------
