@@ -1,7 +1,8 @@
 //! The request ledger: who owns a request's resources.
 //!
 //! One table holds every request on the network's books, one record
-//! each: the terms it was issued under ([`AttemptSeed`]) and — unless it
+//! each: the terms it was issued under ([`AttemptSeed`]), among them
+//! the [`Owner`] its outcome or abandonment is reported to, and — unless it
 //! is parked between a failed attempt and its re-issue — the attempt in
 //! flight: its path, one record per hop, one installed rule table per
 //! path node (its reservation there), and the entangled segments the
@@ -16,7 +17,7 @@
 
 use crate::engine::CreateKey;
 use crate::obs::{SpanStage, Telemetry};
-use crate::ruleset::{ArmProgram, FiredRule, NodeAction, Obs, PathRole, Policy, RuleState};
+use crate::ruleset::{ArmProgram, FiredRule, NodeAction, Obs, PathRole, RuleSet, RuleState};
 use crate::topology::{Edge, Topology};
 use qlink_des::{DetRng, IntMap, SimDuration, SimTime};
 use qlink_quantum::bell::{bell_fidelity, werner_from_fidelity, BellState};
@@ -218,6 +219,21 @@ impl Attempt {
     }
 }
 
+/// Who a request answers to: where its outcome goes when it delivers,
+/// and who is told when it never will.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Owner {
+    /// The API caller that issued it: its outcome is buffered for
+    /// `Network::take_outcomes`.
+    Caller,
+    /// An arrival of the open-loop workload: its class's accounting,
+    /// and the admission slot it holds.
+    Workload { class: usize, arrived_at: SimTime },
+    /// A member stream of the end-to-end distillation group with this
+    /// id: its pair goes to the group, which answers to its own owner.
+    Group(u64),
+}
+
 /// The retry/identity state a request runs under — set at issue from
 /// the network's terms, and carried forward (with `attempt` bumped and the failed edges
 /// excluded) each time the re-route machinery re-issues it.
@@ -234,14 +250,11 @@ pub(crate) struct AttemptSeed {
     /// Issue time of the *first* attempt (latency is measured from
     /// here across every re-route).
     pub(crate) requested_at: SimTime,
-    /// End-to-end distillation group this stream belongs to.
-    pub(crate) group: Option<u64>,
+    /// Who the request answers to.
+    pub(crate) owner: Owner,
     /// Attempt number, starting at 0; a request timeout carrying an
     /// older number is stale and ignored.
     pub(crate) attempt: u64,
-    /// The policy re-routed attempts recompile the same tables from
-    /// (and price their re-plans under).
-    pub(crate) policy: Policy,
 }
 
 impl AttemptSeed {
@@ -274,9 +287,11 @@ struct Request {
 struct PairGroup {
     /// Current live (or just-completed) member request ids.
     members: [u64; 2],
-    /// What member streams are issued under — pinned at group creation,
-    /// so regenerated members (each with a fresh retry budget, like the
-    /// originals) ignore later knob changes.
+    /// Who the group id answers to.
+    owner: Owner,
+    /// What member streams are issued under (owned by the group): a
+    /// regenerated member starts from it, with a fresh retry budget
+    /// like the originals.
     template: AttemptSeed,
     /// Completed streams, parked (still decaying) until both are in:
     /// the outcome each would have delivered alone (whose path a
@@ -300,11 +315,12 @@ pub(crate) struct Ended {
 
 /// What a completed attempt amounts to ([`Ledger::complete`]).
 pub(crate) enum Completion {
-    /// A request of its own: deliver the outcome (closing attempt
-    /// number `attempt`'s span).
+    /// A request of its own: deliver the outcome to `owner` (closing
+    /// attempt number `attempt`'s span).
     Deliver {
         outcome: EndToEndOutcome,
         attempt: u64,
+        owner: Owner,
     },
     /// The first stream of its distillation group: the pair waits.
     Waiting,
@@ -322,8 +338,9 @@ pub(crate) enum Completion {
 /// What an end-to-end distillation's verdict asks of the network
 /// ([`Ledger::group_verdict`]).
 pub(crate) enum GroupVerdict {
-    /// Agreeing parity: the surviving boosted pair.
-    Deliver(EndToEndOutcome),
+    /// Agreeing parity: the surviving boosted pair, for the group's
+    /// owner.
+    Deliver(EndToEndOutcome, Owner),
     /// Disagreement: both pairs are lost; issue a fresh stream on each
     /// member's route (in member order) under `template` and report
     /// them ([`Ledger::set_group_members`]).
@@ -408,6 +425,13 @@ impl Ledger {
         Some((&r.seed, r.attempt.as_ref()?))
     }
 
+    /// Who `id` answers to: a request on the books (parked or in
+    /// flight) or an open distillation group.
+    pub(crate) fn owner(&self, id: u64) -> Option<Owner> {
+        let group = || self.groups.get(&id).map(|g| g.owner);
+        self.requests.get(&id).map(|r| r.seed.owner).or_else(group)
+    }
+
     /// The attempt number `request`'s spans are stamped with.
     pub(crate) fn attempt_of(&self, request: u64) -> u64 {
         attempt_of(&self.requests, request)
@@ -467,19 +491,19 @@ impl Ledger {
     }
 
     /// Puts attempt number `seed.attempt` of `request` on the books,
-    /// over `path` and its `edges`: compiles the policy to a rule table
-    /// once and installs per-edge programs (purification rounds, chosen
-    /// against `est_fidelity` of each edge) for every path node. The
-    /// path visits each node once.
+    /// over `path` and its `edges`: installs the compiled `rules` and
+    /// per-edge programs (purification rounds, chosen against
+    /// `est_fidelity` of each edge) for every path node. The path
+    /// visits each node once.
     pub(crate) fn issue(
         &mut self,
         request: u64,
         path: Vec<usize>,
         edges: &[usize],
+        rules: &Arc<RuleSet>,
         mut est_fidelity: impl FnMut(usize) -> f64,
         seed: AttemptSeed,
     ) {
-        let rules = Arc::new(seed.policy.ruleset());
         let programs: Vec<ArmProgram> = edges
             .iter()
             .map(|&e| rules.edge_program(est_fidelity(e)))
@@ -841,9 +865,13 @@ impl Ledger {
             pairs_consumed: attempt.pairs_consumed,
             pair_fidelities,
         };
-        let Some(group) = seed.group else {
-            let attempt = seed.attempt;
-            return Completion::Deliver { outcome, attempt };
+        let Owner::Group(group) = seed.owner else {
+            let (attempt, owner) = (seed.attempt, seed.owner);
+            return Completion::Deliver {
+                outcome,
+                attempt,
+                owner,
+            };
         };
         let Some(g) = self.groups.get_mut(&group) else {
             return Completion::Waiting; // group cancelled; the stream's pair is dropped
@@ -883,15 +911,18 @@ impl Ledger {
 
     // ---- end-to-end distillation groups ------------------------------
 
-    /// Opens group `group` over two streams just issued: they run under
-    /// `template` (which names the group) from here on.
-    pub(crate) fn open_group(&mut self, group: u64, members: [u64; 2], template: AttemptSeed) {
-        for m in members {
-            let member = self.requests.get_mut(&m).expect("member just issued");
-            member.seed.group = template.group;
-        }
+    /// Opens group `group`, answering to `owner`, over two streams just
+    /// issued under `template` (owned by the group).
+    pub(crate) fn open_group(
+        &mut self,
+        group: u64,
+        members: [u64; 2],
+        template: AttemptSeed,
+        owner: Owner,
+    ) {
         let group_record = PairGroup {
             members,
+            owner,
             template,
             done: Vec::new(),
             swaps: 0,
@@ -900,8 +931,8 @@ impl Ledger {
         self.groups.insert(group, group_record);
     }
 
-    /// Takes `group` off the books (it delivered, or never will);
-    /// returns its current member streams.
+    /// Takes `group` off the books (it never will deliver); returns
+    /// its current member streams.
     pub(crate) fn close_group(&mut self, group: u64) -> Option<[u64; 2]> {
         self.groups.remove(&group).map(|g| g.members)
     }
@@ -931,7 +962,7 @@ impl Ledger {
         }
         let g = self.groups.remove(&group)?;
         let (kept, mut seg) = g.done.into_iter().next().expect("resolved group");
-        Some(GroupVerdict::Deliver(EndToEndOutcome {
+        let outcome = EndToEndOutcome {
             request: group,
             end_to_end_fidelity: seg.fidelity_at(t),
             latency: t.since(g.template.requested_at),
@@ -940,7 +971,8 @@ impl Ledger {
             distilled: true,
             pairs_consumed: g.pairs_consumed,
             ..kept
-        }))
+        };
+        Some(GroupVerdict::Deliver(outcome, g.owner))
     }
 
     /// The streams regenerated after a rejected parity.
@@ -963,11 +995,11 @@ mod tests {
             retries_left: 1,
             excluded: Vec::new(),
             requested_at: SimTime::ZERO,
-            group: None,
+            owner: Owner::Caller,
             attempt: 0,
-            policy: Policy::SwapAsap,
         };
-        ledger.issue(request, path.to_vec(), edges, |_| 0.9, seed);
+        let rules = Arc::new(crate::ruleset::Policy::SwapAsap.ruleset());
+        ledger.issue(request, path.to_vec(), edges, &rules, |_| 0.9, seed);
     }
 
     /// A pair on `edge` shown to `request`'s table at `node`.

@@ -105,9 +105,10 @@ pub use topology::{Edge, Node, Topology};
 #[cfg(test)]
 mod node {
     mod tests {
-        use crate::ledger::{AttemptSeed, Ledger};
+        use crate::ledger::{AttemptSeed, Ledger, Owner};
         use crate::ruleset::{NodeAction, Obs, Policy};
         use qlink_des::SimTime;
+        use std::sync::Arc;
 
         /// Issues `request` under `policy` on `path` over `edges`,
         /// every edge estimated at fidelity 0.9.
@@ -125,11 +126,11 @@ mod node {
                 retries_left: 1,
                 excluded: Vec::new(),
                 requested_at: SimTime::ZERO,
-                group: None,
+                owner: Owner::Caller,
                 attempt: 0,
-                policy,
             };
-            ledger.issue(request, path.to_vec(), edges, |_| 0.9, seed);
+            let rules = Arc::new(policy.ruleset());
+            ledger.issue(request, path.to_vec(), edges, &rules, |_| 0.9, seed);
         }
 
         /// `obs` shown to `request`'s table at `node`.

@@ -44,9 +44,10 @@
 //! [`Network`]: crate::network::Network
 //! [`NetConfig::workload`]: crate::network::NetConfig::workload
 
+use crate::ledger::EndToEndOutcome;
 use crate::obs::{fidelity_histogram, latency_histogram};
 use crate::topology::Topology;
-use qlink_des::{DetRng, Histogram, IntMap, SimDuration, SimTime};
+use qlink_des::{DetRng, Histogram, SimDuration, SimTime};
 pub use qlink_sim::config::RequestKind;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -455,17 +456,6 @@ impl LoadStats {
     }
 }
 
-/// How an arrival is dispositioned at its arrival instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Admission {
-    /// Issue it into the network now.
-    Admit,
-    /// Park it in the class's waiting queue.
-    Queue,
-    /// Reject it (counted).
-    Drop,
-}
-
 /// An arrival waiting for an admission slot.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueuedArrival {
@@ -474,18 +464,14 @@ pub(crate) struct QueuedArrival {
     pub(crate) pair: (usize, usize),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct InFlightReq {
-    class: usize,
-    arrived_at: SimTime,
-}
-
 /// The workload engine state a [`Network`](crate::network::Network)
 /// owns while a workload is armed — the spec, the live admission state
 /// machine, and the accounting. Pure bookkeeping — every method is
 /// called by the network at event-handling instants, and the only
 /// randomness it ever touches is the `net/load` substream the network
-/// passes in.
+/// passes in. It keeps no table of requests: each admitted request's
+/// ledger record names its class and arrival instant, and the network
+/// hands both back when the request completes or is abandoned.
 #[derive(Debug)]
 pub(crate) struct LoadEngine {
     spec: Workload,
@@ -495,7 +481,6 @@ pub(crate) struct LoadEngine {
     /// then class order.
     drain_order: Vec<usize>,
     stats: LoadStats,
-    in_flight: IntMap<u64, InFlightReq>,
     /// FIFO waiting room per class.
     queues: Vec<VecDeque<QueuedArrival>>,
 }
@@ -517,7 +502,6 @@ impl LoadEngine {
             weights,
             drain_order,
             stats,
-            in_flight: IntMap::default(),
             queues,
             spec,
         }
@@ -605,46 +589,39 @@ impl LoadEngine {
         }
     }
 
-    /// Dispositions a fresh arrival of `class` against the admission
-    /// state machine.
-    pub(crate) fn admit_decision(&self, class: usize) -> Admission {
+    /// Runs the admission state machine on a fresh arrival of `class`
+    /// for `pair` at `now`, counting its disposition: `true` when it is
+    /// admitted, for the caller to issue; otherwise it waits in its
+    /// class's queue, or is dropped.
+    pub(crate) fn admit(&mut self, class: usize, pair: (usize, usize), now: SimTime) -> bool {
         if self.class_cap_free(class) {
-            return Admission::Admit;
+            self.register(class, now, now);
+            return true;
         }
         match self.spec.classes[class].admission {
             AdmissionControl::QueueBeyond { queue_cap, .. }
                 if self.queues[class].len() < queue_cap =>
             {
-                Admission::Queue
+                self.stats.classes[class].queued += 1;
+                let arrived_at = now;
+                self.queues[class].push_back(QueuedArrival {
+                    class,
+                    arrived_at,
+                    pair,
+                });
             }
-            _ => Admission::Drop,
+            _ => self.stats.classes[class].dropped += 1,
         }
+        false
     }
 
-    /// Records an admitted request: the network issued it as `id` at
-    /// `now` for an arrival that landed at `arrived_at`.
-    pub(crate) fn register(&mut self, id: u64, class: usize, arrived_at: SimTime, now: SimTime) {
+    /// Counts an admission at `now` of an arrival of `class` that
+    /// landed at `arrived_at`.
+    fn register(&mut self, class: usize, arrived_at: SimTime, now: SimTime) {
         let c = &mut self.stats.classes[class];
         c.admitted += 1;
         c.in_flight += 1;
         c.queue_wait.record(now.since(arrived_at).as_secs_f64());
-        let prev = self.in_flight.insert(id, InFlightReq { class, arrived_at });
-        debug_assert!(prev.is_none(), "request id admitted twice");
-    }
-
-    /// Counts a rejected arrival.
-    pub(crate) fn drop_arrival(&mut self, class: usize) {
-        self.stats.classes[class].dropped += 1;
-    }
-
-    /// Parks an arrival in its class's waiting queue.
-    pub(crate) fn enqueue(&mut self, class: usize, arrived_at: SimTime, pair: (usize, usize)) {
-        self.stats.classes[class].queued += 1;
-        self.queues[class].push_back(QueuedArrival {
-            class,
-            arrived_at,
-            pair,
-        });
     }
 
     /// `true` while any class has arrivals waiting for a slot.
@@ -652,33 +629,30 @@ impl LoadEngine {
         self.queues.iter().any(|q| !q.is_empty())
     }
 
-    /// Pops the next admittable queued arrival — highest-priority
-    /// class first, FIFO within a class — or `None` when no waiting
-    /// arrival has a free slot. The caller must issue it and call
-    /// [`LoadEngine::register`] before popping again, so the capacity
-    /// check always sees the updated in-flight counts.
-    pub(crate) fn pop_admittable(&mut self) -> Option<QueuedArrival> {
+    /// Admits the next queued arrival with a free slot at `now` —
+    /// highest-priority class first, FIFO within a class — for the
+    /// caller to issue; `None` when no waiting arrival has a slot.
+    pub(crate) fn pop_admittable(&mut self, now: SimTime) -> Option<QueuedArrival> {
         for &class in &self.drain_order {
             if self.queues[class].is_empty() || !self.class_cap_free(class) {
                 continue;
             }
             let q = self.queues[class].pop_front().expect("non-empty queue");
             self.stats.classes[class].queued -= 1;
+            self.register(class, q.arrived_at, now);
             return Some(q);
         }
         None
     }
 
-    /// A tracked request delivered: update the class accounting and
-    /// SLO attainment. Returns `false` for untracked ids (closed-loop
-    /// requests sharing the network).
-    pub(crate) fn complete(&mut self, id: u64, fidelity: f64, now: SimTime) -> bool {
-        let Some(req) = self.in_flight.remove(&id) else {
-            return false;
-        };
-        let latency = now.since(req.arrived_at);
-        let cls = &self.spec.classes[req.class];
-        let c = &mut self.stats.classes[req.class];
+    /// An admitted request of `class`, arrived at `arrived_at`,
+    /// delivered `out`: update the class accounting and SLO
+    /// attainment.
+    pub(crate) fn complete(&mut self, class: usize, arrived_at: SimTime, out: &EndToEndOutcome) {
+        let fidelity = out.end_to_end_fidelity;
+        let latency = out.delivered_at.since(arrived_at);
+        let cls = &self.spec.classes[class];
+        let c = &mut self.stats.classes[class];
         c.in_flight -= 1;
         c.completed += 1;
         c.latency.record(latency.as_secs_f64());
@@ -689,19 +663,14 @@ impl LoadEngine {
         if cls.slo.min_fidelity.is_none_or(|bound| fidelity >= bound) {
             c.slo_fidelity_met += 1;
         }
-        true
     }
 
-    /// A tracked request was abandoned (retry budget exhausted, no
-    /// route, or cancelled). Returns `false` for untracked ids.
-    pub(crate) fn abandon(&mut self, id: u64) -> bool {
-        let Some(req) = self.in_flight.remove(&id) else {
-            return false;
-        };
-        let c = &mut self.stats.classes[req.class];
+    /// An admitted request of `class` was abandoned (retry budget
+    /// exhausted, no route, or cancelled).
+    pub(crate) fn abandon(&mut self, class: usize) {
+        let c = &mut self.stats.classes[class];
         c.in_flight -= 1;
         c.abandoned += 1;
-        true
     }
 }
 
@@ -715,6 +684,24 @@ fn exp_gap(rate_hz: f64, rng: &mut DetRng) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An outcome of `fidelity` delivered at time zero.
+    fn delivered(fidelity: f64) -> EndToEndOutcome {
+        EndToEndOutcome {
+            request: 0,
+            path: vec![0, 1],
+            link_fidelities: vec![fidelity],
+            end_to_end_fidelity: fidelity,
+            latency: SimDuration::ZERO,
+            delivered_at: SimTime::ZERO,
+            swaps: 0,
+            frame_z: 0,
+            frame_x: 0,
+            distilled: false,
+            pairs_consumed: 1,
+            pair_fidelities: vec![vec![fidelity]],
+        }
+    }
 
     fn two_class_spec() -> Workload {
         Workload::poisson(
@@ -739,14 +726,9 @@ mod tests {
         let t = SimTime::ZERO;
         let mut rng = DetRng::new(7);
         // Class 0 admits once, queues twice, drops the fourth.
-        for i in 0..4 {
-            let (class, pair) = (0, (0, 1));
-            eng.stats.classes[class].offered += 1;
-            match eng.admit_decision(class) {
-                Admission::Admit => eng.register(100 + i, class, t, t),
-                Admission::Queue => eng.enqueue(class, t, pair),
-                Admission::Drop => eng.drop_arrival(class),
-            }
+        for _ in 0..4 {
+            eng.stats.classes[0].offered += 1;
+            eng.admit(0, (0, 1), t);
         }
         let c = &eng.stats().classes[0];
         assert_eq!(
@@ -755,19 +737,23 @@ mod tests {
             "offered splits into admitted + queued + dropped"
         );
         // Completion frees the slot; the oldest queued arrival drains.
-        assert!(eng.complete(100, 0.9, t));
-        let q = eng.pop_admittable().expect("a queued arrival drains");
+        eng.complete(0, t, &delivered(0.9));
+        let q = eng.pop_admittable(t).expect("a queued arrival drains");
         assert_eq!(q.class, 0);
-        eng.register(200, q.class, q.arrived_at, t);
-        assert!(eng.pop_admittable().is_none(), "slot is full again");
+        assert!(eng.pop_admittable(t).is_none(), "slot is full again");
         let c = &eng.stats().classes[0];
         assert_eq!(
             (c.admitted, c.completed, c.in_flight, c.queued),
             (2, 1, 1, 1)
         );
-        // Untracked ids are ignored.
-        assert!(!eng.complete(999, 0.5, t));
-        assert!(!eng.abandon(999));
+        // An abandon frees the slot the same way.
+        eng.abandon(0);
+        let c = &eng.stats().classes[0];
+        assert_eq!((c.abandoned, c.in_flight), (1, 0));
+        assert!(
+            eng.pop_admittable(t).is_some(),
+            "the last queued arrival drains"
+        );
         let _ = eng.first_arrival_delay(&mut rng);
     }
 
@@ -776,16 +762,16 @@ mod tests {
         let mut eng = LoadEngine::new(two_class_spec());
         let t = SimTime::ZERO;
         // Fill both classes' slots, then queue one class-0 arrival.
-        eng.register(1, 0, t, t);
-        eng.register(2, 1, t, t);
-        eng.enqueue(0, t, (0, 1));
+        assert!(eng.admit(0, (0, 1), t));
+        assert!(eng.admit(1, (1, 0), t));
+        assert!(!eng.admit(0, (0, 1), t), "class 0 queues");
         // Class 1 (priority 0) has nothing queued, so class 0 drains
         // despite its lower priority — but only once its own slot
         // frees: class 1's completion alone unblocks nothing.
-        assert!(eng.complete(2, 0.9, t));
-        assert!(eng.pop_admittable().is_none(), "class-0 slot still full");
-        assert!(eng.complete(1, 0.9, t));
-        let q = eng.pop_admittable().expect("class-0 arrival drains");
+        eng.complete(1, t, &delivered(0.9));
+        assert!(eng.pop_admittable(t).is_none(), "class-0 slot still full");
+        eng.complete(0, t, &delivered(0.9));
+        let q = eng.pop_admittable(t).expect("class-0 arrival drains");
         assert_eq!(q.class, 0);
     }
 

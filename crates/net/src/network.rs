@@ -7,7 +7,7 @@
 //!   discrete-event queue with every control message, timer, fault and
 //!   workload arrival;
 //! * the **request ledger** (`ledger.rs`) — who owns a request's
-//!   resources: its terms, its attempt's path and per-hop state, the
+//!   resources: its terms and owner, its attempt's path and per-hop state, the
 //!   entangled segments swaps merge, its rule table at every path node
 //!   ([`RuleState`](crate::ruleset::RuleState)) and the CREATEs it has
 //!   queued inside links.
@@ -34,18 +34,19 @@
 
 use crate::engine::{embed, ControlMsg, Engine, NetEvent};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::ledger::{AttemptSeed, Completion, Ended, GroupVerdict, Ledger};
-use crate::load::{Admission, LoadEngine, LoadStats, Workload};
+use crate::ledger::{AttemptSeed, Completion, Ended, GroupVerdict, Ledger, Owner};
+use crate::load::{LoadEngine, LoadStats, Workload};
 use crate::obs::{SpanStage, Telemetry, TelemetryConfig};
 use crate::planner::{Planner, Terms};
 use crate::route::{PlanContext, Route, RouteMetric};
-use crate::ruleset::{NodeAction, Obs, PathRole, Policy};
+use crate::ruleset::{NodeAction, Obs, PathRole, Policy, RuleSet};
 use crate::topology::Topology;
 use qlink_des::{DetRng, SimDuration, SimTime};
 use qlink_egp::feu::FidelityEstimator;
 use qlink_phys::attempt::ModelCache;
 use qlink_sim::config::{LinkConfig, RequestKind};
 use qlink_sim::link::{Delivery, LinkSimulation, Rejection};
+use std::sync::Arc;
 use std::time::Instant;
 
 pub use crate::ledger::EndToEndOutcome;
@@ -71,10 +72,10 @@ pub struct NetConfig {
     /// from each link's configuration).
     pub metric: RouteMetric,
     /// The [`Policy`] requests run under ([`Policy::SwapAsap`] by
-    /// default): at issue it is compiled to a
-    /// [`crate::ruleset::RuleSet`] table, installed on every path node
-    /// and interpreted on each observation; it also prices edges in
-    /// planning ([`PlanContext::policy`]). [`Policy::LinkPurify`]
+    /// default): it is compiled once, when the network is built, to a
+    /// [`crate::ruleset::RuleSet`] table that every attempt installs on
+    /// its path nodes and interprets on each observation; it also
+    /// prices edges in planning ([`PlanContext::policy`]). [`Policy::LinkPurify`]
     /// makes every path edge distill two delivered pairs into one
     /// before it may be swapped; [`Policy::EndToEndPurify`] makes
     /// [`Network::request_entanglement`] run two concurrent streams
@@ -108,7 +109,7 @@ pub struct NetConfig {
     /// Every workload draw comes from the dedicated `net/load`
     /// substream; `None` (the default) draws nothing from it.
     ///
-    /// Workload-tracked completions are folded straight into
+    /// The workload's completions are folded straight into
     /// [`Network::workload_stats`] and **not** pushed onto the
     /// [`Network::take_outcomes`] buffer — a sustained run offers
     /// millions of arrivals, and per-outcome records would grow
@@ -144,6 +145,9 @@ pub struct Network {
     planner: Planner,
     /// The terms requests are issued under.
     terms: Terms,
+    /// The policy's rule table, compiled once: every attempt installs
+    /// it on its path nodes.
+    rules: Arc<RuleSet>,
     /// Workload arrival randomness (gaps, class picks, pair picks) —
     /// its own substream, drawn only while a workload is armed, so
     /// closed-loop runs never touch it.
@@ -215,6 +219,7 @@ impl Network {
                 retries: config.retries,
                 request_timeout: config.request_timeout,
             },
+            rules: Arc::new(config.policy.ruleset()),
             // Substream derivation is pure in (seed, label): creating
             // this here perturbs nothing, and no draw ever leaves it
             // unless a workload arms.
@@ -517,7 +522,7 @@ impl Network {
         let ask = PlanContext {
             fmin: seed.fmin,
             metric: self.terms.metric,
-            policy: seed.policy,
+            policy: self.terms.policy,
             exclude: &seed.excluded,
             ..PlanContext::new(seed.src, seed.dst)
         };
@@ -574,42 +579,55 @@ impl Network {
     /// assert!(out.end_to_end_fidelity > 0.25);
     /// ```
     pub fn request_entanglement(&mut self, src: usize, dst: usize, fmin: f64) -> u64 {
-        if self.terms.policy == Policy::EndToEndPurify {
-            return self.request_entanglement_distilled(src, dst, fmin);
-        }
-        let seed = self.terms.seed(src, dst, fmin, self.engine.now());
-        let route = self.route_for_issue(&seed);
-        self.issue_fresh(route.as_ref().map(|r| &r.nodes[..]), seed)
+        self.issue_request(src, dst, fmin, Owner::Caller)
     }
 
-    /// Requests one end-to-end pair produced by 2→1 distillation of
-    /// two concurrent streams (what [`Network::request_entanglement`]
-    /// issues under [`Policy::EndToEndPurify`]): the streams split
-    /// over edge-disjoint routes where the topology has them, and when
-    /// both deliver, the path ends measure, exchange the parity bit
-    /// across the whole path's control channels, and either emit one
-    /// boosted pair or discard both and regenerate. Returns the group
-    /// id.
-    fn request_entanglement_distilled(&mut self, src: usize, dst: usize, fmin: f64) -> u64 {
+    /// [`Network::request_entanglement`] for `owner`. Under
+    /// [`Policy::EndToEndPurify`] the request is a distillation group
+    /// answering to `owner`: two concurrent streams, owned by the
+    /// group, split over edge-disjoint routes where the topology has
+    /// them; when both deliver, the path ends measure, exchange the
+    /// parity bit across the whole path's control channels, and either
+    /// emit one boosted pair or discard both and regenerate.
+    fn issue_request(&mut self, src: usize, dst: usize, fmin: f64, owner: Owner) -> u64 {
+        if self.terms.policy != Policy::EndToEndPurify {
+            let seed = self.seed(src, dst, fmin, owner);
+            let route = self.route_for_issue(&seed);
+            return self.issue_fresh(route.as_ref().map(|r| &r.nodes[..]), seed);
+        }
         let group = self.ledger.new_id();
-        let now = self.engine.now();
         // The group id gets its own issue span: its Deliver (and thus
         // the chrome-trace span close) is reported under the group id,
         // while the member streams trace under their own ids.
+        let now = self.engine.now();
         self.emit(now, group, 0, SpanStage::Issue { src, dst, fmin });
-        let members = self.request_entanglement_multipath(src, dst, fmin, 2);
-        let template = AttemptSeed {
-            group: Some(group),
-            ..self.terms.seed(src, dst, fmin, now)
-        };
+        let template = self.seed(src, dst, fmin, Owner::Group(group));
+        let members = self.issue_streams(&template, 2);
         self.ledger
-            .open_group(group, [members[0], members[1]], template);
+            .open_group(group, [members[0], members[1]], template, owner);
         group
+    }
+
+    /// What a request `src → dst` for `owner`, issued now under the
+    /// network's terms, starts from.
+    fn seed(&self, src: usize, dst: usize, fmin: f64, owner: Owner) -> AttemptSeed {
+        AttemptSeed {
+            src,
+            dst,
+            fmin,
+            retries_left: self.terms.retries,
+            excluded: Vec::new(),
+            requested_at: self.engine.now(),
+            owner,
+            attempt: 0,
+        }
     }
 
     /// Requests entanglement between the ends of an explicit node
     /// path, bypassing route selection. Useful for experiments that
-    /// pin paths.
+    /// pin paths. A path that crosses a downed edge is not reserved:
+    /// the request waits one control delay for a re-plan, as when
+    /// faults cut every route ([`Network::request_entanglement`]).
     ///
     /// # Panics
     /// Panics if the path has fewer than two nodes, visits a node
@@ -624,22 +642,26 @@ impl Network {
             );
         }
         let (src, dst) = (path[0], path[path.len() - 1]);
-        let seed = self.terms.seed(src, dst, fmin, self.engine.now());
+        let seed = self.seed(src, dst, fmin, Owner::Caller);
         self.issue_fresh(Some(path), seed)
     }
 
     /// Allocates a new request id, opens its span, and issues its first
-    /// attempt on `path`. With no path (faults have cut every route)
-    /// the request is parked instead: its re-issue one control delay
-    /// later re-plans or abandons it ([`Network::on_reissue`]). It is
-    /// never abandoned here, before the caller has its id.
+    /// attempt on `path`. With no path, or one crossing a downed edge
+    /// (faults have cut it), the request is parked instead: its
+    /// re-issue one control delay later re-plans or abandons it
+    /// ([`Network::on_reissue`]). It is never abandoned here, before
+    /// the caller has its id.
     ///
     /// # Panics
-    /// Panics if no path connects the pair even with every edge up.
+    /// Panics if no path connects the pair even with every edge up, or
+    /// consecutive nodes of `path` are not connected.
     fn issue_fresh(&mut self, path: Option<&[usize]>, seed: AttemptSeed) -> u64 {
         let id = self.ledger.new_id();
         let (now, src, dst, fmin) = (self.engine.now(), seed.src, seed.dst, seed.fmin);
         self.emit(now, id, 0, SpanStage::Issue { src, dst, fmin });
+        let topo = &self.topo;
+        let path = path.filter(|p| topo.path_edges(p).into_iter().all(|e| topo.edge_up(e)));
         let Some(path) = path else {
             let connected = self.topo.shortest_path(src, dst).is_some();
             assert!(connected, "no path from {src} to {dst}");
@@ -673,7 +695,7 @@ impl Network {
         }
         let est_fidelity = |e| self.planner.edge_fidelity(&self.topo, e);
         self.ledger
-            .issue(id, path.to_vec(), &edges, est_fidelity, seed);
+            .issue(id, path.to_vec(), &edges, &self.rules, est_fidelity, seed);
         // The source issues its CREATE(s) now; downstream nodes issue
         // theirs when the reservation reaches them.
         self.reserve_at(id, 0);
@@ -704,13 +726,20 @@ impl Network {
         fmin: f64,
         streams: usize,
     ) -> Vec<u64> {
+        let seed = self.seed(src, dst, fmin, Owner::Caller);
+        self.issue_streams(&seed, streams)
+    }
+
+    /// [`Network::request_entanglement_multipath`]: `streams` requests,
+    /// each issued under `seed`.
+    fn issue_streams(&mut self, seed: &AttemptSeed, streams: usize) -> Vec<u64> {
         assert!(streams >= 1, "no streams requested");
         let ask = PlanContext {
-            fmin,
+            fmin: seed.fmin,
             k: streams,
             metric: self.terms.metric,
             policy: self.terms.policy,
-            ..PlanContext::new(src, dst)
+            ..PlanContext::new(seed.src, seed.dst)
         };
         let now = self.engine.now();
         let selected = self
@@ -718,10 +747,7 @@ impl Network {
             .disjoint_routes(&self.topo, &self.ledger, now, ask);
         let mut paths = selected.iter().map(|r| &r.nodes[..]).cycle();
         (0..streams)
-            .map(|_| {
-                let seed = self.terms.seed(src, dst, fmin, now);
-                self.issue_fresh(paths.next(), seed)
-            })
+            .map(|_| self.issue_fresh(paths.next(), seed.clone()))
             .collect()
     }
 
@@ -789,9 +815,14 @@ impl Network {
     /// dropped, making its pending re-issue a no-op. A group id (what
     /// [`Network::request_entanglement`] returns under
     /// [`Policy::EndToEndPurify`]) cancels both of the group's streams
-    /// and drops any parked pair.
+    /// and drops any parked pair. A workload's request is counted
+    /// abandoned and frees its admission slot.
     pub fn cancel_request(&mut self, request: u64) {
-        self.workload_abandon(request);
+        // The owner hears first: its admission drain is scheduled
+        // before the teardown schedules any retraction.
+        if let Some(Owner::Workload { class, .. }) = self.ledger.owner(request) {
+            self.free_slot(|wl| wl.abandon(class));
+        }
         if let Some(members) = self.ledger.close_group(request) {
             for member in members {
                 self.cancel_request(member);
@@ -911,14 +942,10 @@ impl Network {
             let index = index + 1;
             self.engine.schedule_in(gap, NetEvent::Arrival { index });
         }
-        match wl.admit_decision(class) {
-            Admission::Admit => {
-                let fmin = wl.class(class).fmin;
-                let id = self.request_entanglement(pair.0, pair.1, fmin);
-                wl.register(id, class, t, t);
-            }
-            Admission::Queue => wl.enqueue(class, t, pair),
-            Admission::Drop => wl.drop_arrival(class),
+        if wl.admit(class, pair, t) {
+            let arrived_at = t;
+            let owner = Owner::Workload { class, arrived_at };
+            self.issue_request(pair.0, pair.1, wl.class(class).fmin, owner);
         }
         self.workload = Some(wl);
     }
@@ -930,32 +957,23 @@ impl Network {
         let Some(mut wl) = self.workload.take() else {
             return;
         };
-        while let Some(q) = wl.pop_admittable() {
-            let fmin = wl.class(q.class).fmin;
-            let id = self.request_entanglement(q.pair.0, q.pair.1, fmin);
-            wl.register(id, q.class, q.arrived_at, t);
+        while let Some(q) = wl.pop_admittable(t) {
+            let (class, arrived_at) = (q.class, q.arrived_at);
+            let owner = Owner::Workload { class, arrived_at };
+            self.issue_request(q.pair.0, q.pair.1, wl.class(class).fmin, owner);
         }
         self.workload = Some(wl);
     }
 
-    /// A workload-tracked request was abandoned (retry budget
-    /// exhausted, no route left, or cancelled): count it and free its
-    /// slot. No-op for untracked requests.
-    fn workload_abandon(&mut self, request: u64) {
-        let tracked = self
-            .workload
-            .as_deref_mut()
-            .is_some_and(|wl| wl.abandon(request));
-        if tracked {
-            self.schedule_admit_drain();
-        }
-    }
-
-    /// A tracked request freed its slot: if arrivals are waiting,
-    /// schedule a queue drain one control delay out (the slot-freed
-    /// notice has to reach the admission plane).
-    fn schedule_admit_drain(&mut self) {
-        if self.workload.as_deref().is_some_and(LoadEngine::has_queued) {
+    /// An [`Owner::Workload`] request settled — `settle` counts it
+    /// completed or abandoned — and freed its slot: if arrivals are
+    /// waiting, schedule a queue drain one control delay out (the
+    /// slot-freed notice has to reach the admission plane).
+    fn free_slot(&mut self, settle: impl FnOnce(&mut LoadEngine)) {
+        let wl = self.workload.as_deref_mut();
+        let wl = wl.expect("a workload request outlives no workload");
+        settle(wl);
+        if wl.has_queued() {
             let delay = self.engine.min_control_delay;
             self.engine.schedule_in(delay, NetEvent::AdmitQueued);
         }
@@ -1062,10 +1080,10 @@ impl Network {
 
     /// The one abandon tail: `request` will never deliver — its retry
     /// budget is exhausted, or no route is left to re-issue it on.
-    /// Counts it, closes its span, and tells whoever tracks it: the
-    /// workload, or its distillation group, which is then dropped whole
-    /// (its span closed, partner stream cancelled, any parked pair
-    /// discarded).
+    /// Counts it, closes its span, and tells its owner: the workload,
+    /// or its distillation group, which is then dropped whole (its span
+    /// closed, its own owner told, partner stream cancelled, any parked
+    /// pair discarded). The caller has taken `request` off the books.
     fn abandon(
         &mut self,
         request: u64,
@@ -1075,28 +1093,24 @@ impl Network {
     ) {
         self.ledger.count_abandoned();
         self.emit(t, request, seed.attempt, SpanStage::Abandon { failed_edge });
-        let Some(group) = seed.group else {
-            return self.workload_abandon(request);
-        };
-        let Some(members) = self.ledger.close_group(group) else {
-            return;
-        };
-        // The group id opened its own span: close it too.
-        self.emit(t, group, 0, SpanStage::Abandon { failed_edge });
-        // The group id is the public handle a workload tracks; member
-        // streams were never registered, so their cancels below are
-        // workload no-ops.
-        self.workload_abandon(group);
-        for member in members {
-            if member != request {
-                self.cancel_request(member);
+        match seed.owner {
+            Owner::Caller => {}
+            Owner::Workload { class, .. } => self.free_slot(|wl| wl.abandon(class)),
+            // A lost stream sinks its group, cancelled whole for the
+            // group's own owner (`request` is off the books already).
+            // The group id opened its own span: close it too.
+            Owner::Group(group) => {
+                if self.ledger.owner(group).is_some() {
+                    self.emit(t, group, 0, SpanStage::Abandon { failed_edge });
+                    self.cancel_request(group);
+                }
             }
         }
     }
 
     /// A failed stream's backoff elapsed: re-plan against the
     /// *current* loads and profiles, around every excluded edge where
-    /// possible, and re-issue under the original id, fmin, and policy.
+    /// possible, and re-issue under the original id, fmin, and owner.
     fn on_reissue(&mut self, request: u64, seed: AttemptSeed, t: SimTime) {
         let Some(route) = self.route_for_issue(&seed) else {
             // Faults have cut every path between the pair.
@@ -1244,7 +1258,11 @@ impl Network {
             "request {request} completed with CREATEs still queued"
         );
         match self.ledger.complete(request, ended, t, &self.topo) {
-            Completion::Deliver { outcome, attempt } => self.deliver(outcome, attempt),
+            Completion::Deliver {
+                outcome,
+                attempt,
+                owner,
+            } => self.deliver(outcome, attempt, owner),
             Completion::Waiting => {}
             Completion::Verdict {
                 group,
@@ -1256,19 +1274,20 @@ impl Network {
     }
 
     /// The one delivery tail: records the closing span (stamped
-    /// `attempt`) and hands the outcome to whoever waits for it.
-    /// Workload completions feed the class accounting directly:
-    /// buffering an outcome per delivery would grow without bound over
-    /// a million-arrival run.
-    fn deliver(&mut self, outcome: EndToEndOutcome, attempt: u64) {
+    /// `attempt`) and hands the outcome to its `owner`. Workload
+    /// completions feed the class accounting directly: buffering an
+    /// outcome per delivery would grow without bound over a
+    /// million-arrival run.
+    fn deliver(&mut self, outcome: EndToEndOutcome, attempt: u64, owner: Owner) {
         let (id, t) = (outcome.request, outcome.delivered_at);
         let (fidelity, latency) = (outcome.end_to_end_fidelity, outcome.latency);
         self.emit(t, id, attempt, SpanStage::Deliver { fidelity, latency });
-        let workload = self.workload.as_deref_mut();
-        if workload.is_some_and(|wl| wl.complete(id, fidelity, t)) {
-            self.schedule_admit_drain();
-        } else {
-            self.outcomes.push(outcome);
+        match owner {
+            Owner::Caller => self.outcomes.push(outcome),
+            Owner::Workload { class, arrived_at } => {
+                self.free_slot(|wl| wl.complete(class, arrived_at, &outcome));
+            }
+            Owner::Group(_) => unreachable!("a member stream's pair goes to its group"),
         }
     }
 
@@ -1280,7 +1299,7 @@ impl Network {
         self.emit(t, group, 0, SpanStage::GroupParity { group, accepted });
         match self.ledger.group_verdict(group, accepted, t) {
             None => {}
-            Some(GroupVerdict::Deliver(outcome)) => self.deliver(outcome, 0),
+            Some(GroupVerdict::Deliver(outcome, owner)) => self.deliver(outcome, 0, owner),
             Some(GroupVerdict::Regenerate { routes, template }) => {
                 let members = routes.map(|route| self.issue_fresh(Some(&route), template.clone()));
                 self.ledger.set_group_members(group, members);

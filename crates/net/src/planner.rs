@@ -13,7 +13,7 @@
 //! are the network's, fixed before it runs.
 
 use crate::fault::{PenaltyBox, PenaltyConfig};
-use crate::ledger::{AttemptSeed, Ledger};
+use crate::ledger::Ledger;
 use crate::route::{PlanContext, Route, RouteMetric, RoutePlanner};
 use crate::ruleset::Policy;
 use crate::topology::Topology;
@@ -31,28 +31,6 @@ pub(crate) struct Terms {
     pub(crate) policy: Policy,
     pub(crate) retries: u32,
     pub(crate) request_timeout: Option<SimDuration>,
-}
-
-impl Terms {
-    /// What a request `src → dst` issued at `now` starts from. Member
-    /// streams run plain SWAP-ASAP under [`Policy::EndToEndPurify`]:
-    /// end-to-end distillation is group-level machinery.
-    pub(crate) fn seed(&self, src: usize, dst: usize, fmin: f64, now: SimTime) -> AttemptSeed {
-        AttemptSeed {
-            src,
-            dst,
-            fmin,
-            retries_left: self.retries,
-            excluded: Vec::new(),
-            requested_at: now,
-            group: None,
-            attempt: 0,
-            policy: match self.policy {
-                Policy::EndToEndPurify => Policy::SwapAsap,
-                other => other,
-            },
-        }
-    }
 }
 
 /// The route planner and what it derives from.
@@ -148,9 +126,7 @@ impl Planner {
 
     /// The planning primitive: `ask` under the ledger's live loads and
     /// the penalty box as of `now`. The ask carries its own metric,
-    /// exclusions and policy (re-routes price under the policy their
-    /// request was *issued* with: an end-to-end group's members plan
-    /// as SWAP-ASAP).
+    /// exclusions and policy.
     pub(crate) fn plan(
         &mut self,
         topo: &Topology,

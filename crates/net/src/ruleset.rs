@@ -154,9 +154,9 @@ pub enum NodeAction {
 }
 
 /// The network-facing policy choice: which RuleSet every path node of
-/// a request runs. Compiled via [`Policy::ruleset`] when the attempt
-/// is issued and pinned in the attempt seed, so re-routes and group
-/// regeneration keep the policy their request was born with.
+/// a request runs. A network compiles its policy via
+/// [`Policy::ruleset`] once, when it is built, and installs that one
+/// table on the path nodes of every attempt.
 ///
 /// SWAP-ASAP composition multiplies link fidelities, so every extra
 /// hop pushes the end-to-end pair toward the maximally mixed 1/4; the

@@ -77,8 +77,6 @@ pub struct LinkMetrics {
     pub qber: QberTally,
     /// Error counts by wire code (TIMEOUT, UNSUPP, ...).
     pub errors: BTreeMap<&'static str, u64>,
-    /// EXPIRE messages seen (sent, at either node).
-    pub expires_sent: u64,
     /// Queue-length samples.
     pub queue_length: RunningStats,
     /// Per-kind OK time series (for throughput-vs-time plots).

@@ -656,3 +656,22 @@ fn an_arrival_across_a_cut_is_abandoned_with_its_spans() {
     };
     assert_eq!(tally(&net), tally(&again));
 }
+
+/// A request pinned to a path across a downed edge gets no service
+/// from the downed link: like a request issued across a cut, it parks
+/// for one control delay, finds no route at its re-plan, and is
+/// abandoned (a timeout) without a pair crossing the edge.
+#[test]
+fn a_pinned_path_across_a_downed_edge_never_delivers() {
+    let topo = Topology::chain(3, |i| lab(70 + i as u64));
+    let plan =
+        FaultPlan::new().with_event(SimDuration::from_millis(1), FaultKind::Fail { edge: 0 });
+    let mut net = with_faults(topo, 5, plan);
+    net.run_for(SimDuration::from_millis(2));
+    assert!(!net.topology().edge_up(0));
+    net.request_on_path(&[0, 1, 2], 0.6);
+    let outcome = net.run_until_outcome(SimDuration::from_secs(30));
+    assert!(outcome.is_none(), "a pair crossed a downed link");
+    assert_eq!(net.pairs_delivered(0), 0);
+    assert_eq!(net.timeouts(), 1);
+}

@@ -19,6 +19,7 @@
 //! * **Sweep integration** — `ScenarioSpec::with_workload` carries
 //!   per-class stats through the sweep merge and the service CSV.
 
+use qlink::des::Histogram;
 use qlink::net::run_one;
 use qlink::net::sweep::run_one as sweep_run_one;
 use qlink::prelude::*;
@@ -429,4 +430,126 @@ fn throughput_csv_has_no_rows_for_open_loop_scenarios() {
         rows.iter().all(|r| r.starts_with("closed,")),
         "only the closed loop has rows:\n{csv}"
     );
+}
+
+// ---- owners of a request (regression pin) ----------------------------
+
+/// One class's accounting: its nine counters (offered, admitted,
+/// dropped, completed, abandoned, queued, in flight, latency SLO met,
+/// fidelity SLO met), then its latency, queue-wait and fidelity
+/// histograms as `(sample count, bits of the mean)`.
+type ClassPin = ([u64; 9], [(u64, u64); 3]);
+
+/// Every class's [`ClassPin`], then the network's `timeouts`,
+/// `reroutes`, `events_fired` and the number of outcomes its callers
+/// receive.
+fn accounting(net: &mut Network) -> (Vec<ClassPin>, [u64; 4]) {
+    let stats = net.workload_stats().expect("workload armed");
+    let hist = |h: &Histogram| (h.count(), h.mean().to_bits());
+    let classes = stats
+        .classes
+        .iter()
+        .map(|c| {
+            let counters = [
+                c.offered,
+                c.admitted,
+                c.dropped,
+                c.completed,
+                c.abandoned,
+                c.queued,
+                c.in_flight,
+                c.slo_latency_met,
+                c.slo_fidelity_met,
+            ];
+            (counters, [&c.latency, &c.queue_wait, &c.fidelity].map(hist))
+        })
+        .collect();
+    let outcomes = net.take_outcomes().len() as u64;
+    let run = [net.timeouts(), net.reroutes(), net.events_fired(), outcomes];
+    (classes, run)
+}
+
+/// The workload accounting of two runs that exercise every owner a
+/// request can have, pinned bit for bit: (a) the contended grid's
+/// timeout storm at 2 kHz, with one closed-loop request issued beside
+/// the workload's, whose outcome reaches the caller; every request
+/// holding a reservation after 1 s is then cancelled and the run goes
+/// on for 250 ms; (b) a 3-node long-memory chain under end-to-end
+/// purification, whose workload requests are distillation groups that
+/// both complete and abandon.
+#[test]
+fn workload_accounting_of_every_owner_is_pinned() {
+    let root = DetRng::new(31);
+    let topo = Topology::grid(4, 4, |i| lab(root.substream(&format!("edge/{i}")).seed()));
+    let config = NetConfig {
+        metric: RouteMetric::LoadLatency,
+        request_timeout: Some(SimDuration::from_millis(250)),
+        retries: 1,
+        workload: Some(Workload::poisson(2_000.0, grid_classes())),
+        ..NetConfig::default()
+    };
+    let mut grid = Network::with_config(topo, 31, config, ModelCache::new());
+    grid.request_entanglement(3, 7, 0.6);
+    grid.run_for(SimDuration::from_secs(1));
+    let mut riding: Vec<u64> = (0..16)
+        .flat_map(|node| grid.reservations_at(node))
+        .map(|(request, _)| request)
+        .collect();
+    riding.sort_unstable();
+    riding.dedup();
+    assert!(riding.len() >= 2, "requests in flight to cancel");
+    for request in riding {
+        grid.cancel_request(request);
+    }
+    grid.run_for(SimDuration::from_millis(250));
+    let qkd = &grid.workload_stats().expect("armed").classes[0];
+    assert!(qkd.queue_wait.mean() > 0.0, "queued arrivals drained");
+    assert!(grid.timeouts() > 0, "the storm abandons requests");
+    let qkd: ClassPin = (
+        [1859, 28, 1815, 24, 2, 16, 2, 7, 23],
+        [
+            (24, 0x3fe12c6d10ea29f6),
+            (28, 0x3fe027461d683923),
+            (24, 0x3fe515e45c563645),
+        ],
+    );
+    let compute: ClassPin = (
+        [615, 14, 601, 8, 4, 0, 2, 6, 8],
+        [(8, 0x3fbe9b82f6daf8af), (14, 0), (8, 0x3fe28e8312c09d0c)],
+    );
+    let run = [2, 7, 3_374_278, 1];
+    assert_eq!(accounting(&mut grid), (vec![qkd, compute], run), "grid");
+
+    let topo = Topology::chain(3, |i| {
+        let mut cfg = lab(80 + i as u64);
+        cfg.scenario.nv.carbon_t2 = 10.0;
+        cfg
+    });
+    let admission = AdmissionControl::QueueBeyond {
+        max_in_flight: 2,
+        queue_cap: 4,
+    };
+    let class =
+        UserClass::new("e2e", RequestKind::Ck, vec![(0, 2), (2, 0)]).with_admission(admission);
+    let config = NetConfig {
+        policy: Policy::EndToEndPurify,
+        request_timeout: Some(SimDuration::from_millis(400)),
+        workload: Some(Workload::poisson(20.0, vec![class])),
+        ..NetConfig::default()
+    };
+    let mut chain = Network::with_config(topo, 9, config, ModelCache::new());
+    chain.run_for(SimDuration::from_secs(3));
+    let e2e = &chain.workload_stats().expect("armed").classes[0];
+    assert!(e2e.completed > 0, "distilled groups complete");
+    assert!(e2e.abandoned > 0, "distillation groups abandon");
+    let e2e: ClassPin = (
+        [63, 16, 44, 6, 8, 3, 2, 6, 6],
+        [
+            (6, 0x3fe96d51e31e44e3),
+            (16, 0x3fe1c9fbabdbea5b),
+            (6, 0x3fdecca905cc9e49),
+        ],
+    );
+    let run = [8, 0, 3_662_172, 0];
+    assert_eq!(accounting(&mut chain), (vec![e2e], run), "chain");
 }

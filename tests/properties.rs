@@ -363,7 +363,7 @@ fn step_to(link: &mut LinkSimulation, t: SimTime) -> Surfaced {
 /// so equal strings mean equal bits.
 fn metrics_fingerprint(m: &LinkMetrics) -> String {
     let mut out = format!("{:?} {:?} {:?}", m.qber, m.queue_length, m.elapsed);
-    out += &format!(" {:?} {}", m.errors, m.expires_sent);
+    out += &format!(" {:?}", m.errors);
     for kind in RequestKind::ALL {
         for origin in 0..2 {
             out += &format!(" {:?}", m.kind_at_origin(kind, origin));
