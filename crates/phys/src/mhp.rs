@@ -19,6 +19,7 @@ use qlink_des::{DetRng, IntMap};
 use qlink_quantum::{Basis, QuantumState};
 use qlink_wire::fields::{AbsQueueId, MhpError, MidpointOutcome, ReplyOutcome};
 use qlink_wire::mhp::{GenMsg, ReplyMsg};
+use std::collections::VecDeque;
 
 /// Node identifier (the paper's two controllable nodes are A and B).
 pub type NodeId = u32;
@@ -104,10 +105,12 @@ impl MhpResult {
 #[derive(Debug)]
 pub struct NodeMhp {
     node_id: NodeId,
-    /// In-flight attempts by cycle; an attempt enters and leaves every
-    /// few cycles, so the table reaches its working size once and then
-    /// never allocates.
-    pending: IntMap<u64, AttemptSpec>,
+    /// In-flight attempts, oldest cycle first: the one record of an
+    /// attempt until its REPLY arrives or its reply deadline passes.
+    /// Replies come back nearly in order, so an attempt leaves from at
+    /// or near the front, and the deque reaches its working size once
+    /// and then never allocates.
+    pending: VecDeque<(u64, AttemptSpec)>,
 }
 
 impl NodeMhp {
@@ -115,7 +118,7 @@ impl NodeMhp {
     pub fn new(node_id: NodeId) -> Self {
         NodeMhp {
             node_id,
-            pending: IntMap::default(),
+            pending: VecDeque::new(),
         }
     }
 
@@ -130,20 +133,23 @@ impl NodeMhp {
         self.pending.len()
     }
 
-    /// `true` while the attempt of `cycle` has neither been answered
-    /// nor given up on.
-    pub fn is_pending(&self, cycle: u64) -> bool {
-        self.pending.contains_key(&cycle)
+    /// The cycle of the oldest attempt with no reply yet: the first to
+    /// reach its reply deadline.
+    pub fn oldest_pending(&self) -> Option<u64> {
+        self.pending.front().map(|&(cycle, _)| cycle)
     }
 
     /// One timestep (Protocol 1 step 1): the EGP answered the poll with
     /// `spec`; fire the attempt.
     ///
     /// # Panics
-    /// Panics if an attempt is already pending for this cycle.
+    /// Panics unless `cycle` is later than every attempt in flight.
     pub fn trigger(&mut self, cycle: u64, spec: AttemptSpec) -> CycleActions {
-        let prev = self.pending.insert(cycle, spec);
-        assert!(prev.is_none(), "duplicate attempt in cycle {cycle}");
+        assert!(
+            self.pending.back().is_none_or(|&(last, _)| last < cycle),
+            "attempt in cycle {cycle} is not after every one in flight"
+        );
+        self.pending.push_back((cycle, spec));
         CycleActions {
             photon: PhotonSubmission {
                 node: self.node_id,
@@ -161,11 +167,20 @@ impl NodeMhp {
         }
     }
 
+    /// Takes the in-flight attempt of `cycle` out of the table.
+    fn take(&mut self, cycle: u64) -> Option<AttemptSpec> {
+        let i = self
+            .pending
+            .binary_search_by_key(&cycle, |&(c, _)| c)
+            .ok()?;
+        self.pending.remove(i).map(|(_, spec)| spec)
+    }
+
     /// A `REPLY` frame arrived from the station (Protocol 1 step 3).
     /// Returns the `RESULT` for the EGP, or `None` if the reply matches
     /// no in-flight attempt (stale duplicate — dropped).
     pub fn on_reply(&mut self, reply: ReplyMsg) -> Option<MhpResult> {
-        let spec = self.pending.remove(&reply.timestamp_cycle)?;
+        let spec = self.take(reply.timestamp_cycle)?;
         Some(MhpResult {
             cycle: reply.timestamp_cycle,
             spec,
@@ -177,7 +192,7 @@ impl NodeMhp {
     /// station (lost GEN or lost REPLY). Produces a local `GEN_FAIL`
     /// result if the attempt is still pending.
     pub fn on_reply_timeout(&mut self, cycle: u64) -> Option<MhpResult> {
-        let spec = self.pending.remove(&cycle)?;
+        let spec = self.take(cycle)?;
         Some(MhpResult {
             cycle,
             spec,
@@ -571,6 +586,31 @@ mod tests {
         let res = mhp_a.on_reply_timeout(3).unwrap();
         assert_eq!(res.outcome(), ReplyOutcome::Error(MhpError::GenFail));
         assert!(mhp_a.on_reply_timeout(3).is_none(), "only once");
+    }
+
+    #[test]
+    fn oldest_pending_is_the_first_deadline_due() {
+        let mut mhp_a = NodeMhp::new(A);
+        for cycle in [3, 5, 8] {
+            mhp_a.trigger(cycle, spec(0));
+        }
+        assert_eq!(mhp_a.oldest_pending(), Some(3));
+        // An attempt answered out of order leaves the rest in order.
+        assert!(mhp_a.on_reply_timeout(5).is_some());
+        assert_eq!(mhp_a.oldest_pending(), Some(3));
+        assert!(mhp_a.on_reply_timeout(3).is_some());
+        assert_eq!(mhp_a.oldest_pending(), Some(8));
+        assert!(mhp_a.on_reply_timeout(4).is_none());
+        assert!(mhp_a.on_reply_timeout(8).is_some());
+        assert_eq!(mhp_a.oldest_pending(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "not after every one in flight")]
+    fn a_second_attempt_in_one_cycle_is_refused() {
+        let mut mhp_a = NodeMhp::new(A);
+        mhp_a.trigger(4, spec(0));
+        mhp_a.trigger(4, spec(1));
     }
 
     #[test]

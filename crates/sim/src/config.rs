@@ -194,10 +194,6 @@ pub struct LinkConfig {
     pub classical_corruption: f64,
     /// Run seed (runs are bit-reproducible per seed).
     pub seed: u64,
-    /// Storage (carbon) qubits per node.
-    pub storage_qubits: usize,
-    /// Test-round probability `q` of Appendix B (0 disables).
-    pub test_round_probability: f64,
 }
 
 impl LinkConfig {
@@ -210,8 +206,6 @@ impl LinkConfig {
             classical_loss: 0.0,
             classical_corruption: 0.0,
             seed,
-            storage_qubits: 1,
-            test_round_probability: 0.0,
         }
     }
 

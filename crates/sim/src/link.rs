@@ -30,7 +30,6 @@ use qlink_wire::egp::{CreateMsg, EgpErrorCode, WireBasis};
 use qlink_wire::fields::{AbsQueueId, Fidelity16, RequestFlags, RequestType};
 use qlink_wire::mhp::{ReplyMsg, GEN_FRAME_LEN, MHP_FRAME_MAX};
 use qlink_wire::{Frame, FrameBytes};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Node IDs on the wire (A is the distributed-queue master).
@@ -47,8 +46,8 @@ pub const NODE_B: u32 = 2;
 /// node-to-node frames — up to twice as long, sent only on the CREATE
 /// and recovery paths — are boxed.
 /// A photon or GEN reaching the station is no event (`on_cycle` fills
-/// its detection-window slot at emission), nor is a reply deadline (it
-/// waits in [`LinkSimulation::reply_deadlines`] for its `Cycle`).
+/// its detection-window slot at emission), nor is a reply deadline (the
+/// `Cycle` it falls on gives up on the MHPs' oldest in-flight attempts).
 #[derive(Debug)]
 enum Event {
     /// Start of MHP cycle `c` at both nodes.
@@ -168,10 +167,9 @@ pub struct LinkSimulation {
     workload: Option<Box<WorkloadGenerator>>,
     /// Open CREATEs by origin node, then create ID.
     tracking: [IntMap<u16, RequestTracking>; 2],
-    /// `(attempt cycle, node)`, oldest first, of the attempts not yet past
-    /// their reply deadline, the start of cycle `attempt + reply_deadline_cycles`.
-    reply_deadlines: VecDeque<(u64, u8)>,
-    /// The reply round trip in whole MHP cycles, plus twelve of slack.
+    /// An attempt's reply deadline is the start of cycle `attempt +
+    /// reply_deadline_cycles`: the reply round trip in whole MHP cycles,
+    /// plus twelve of slack.
     reply_deadline_cycles: u64,
     /// From the start of an attempt's cycle to the close of its detection
     /// window: emission preparation, the longer arm's flight, 100 ns.
@@ -190,13 +188,9 @@ pub struct LinkSimulation {
     cycles_elided: u64,
 }
 
-/// MHP cycles between two `queue_length` samples. The pair-ledger
-/// retention period ([`LEDGER_RETENTION_STRIDE`]) is a multiple of it,
-/// so a parked link back-fills both by visiting only these cycles.
+/// MHP cycles between two `queue_length` samples, the one upkeep a
+/// parked link back-fills for the cycles it skipped.
 const QUEUE_SAMPLE_STRIDE: u64 = 256;
-/// MHP cycles between two sweeps of stale pair-ledger entries.
-const LEDGER_RETENTION_STRIDE: u64 = 16_384;
-const _: () = assert!(LEDGER_RETENTION_STRIDE.is_multiple_of(QUEUE_SAMPLE_STRIDE));
 
 impl LinkSimulation {
     /// Builds the link from a configuration, over an FEU of its own.
@@ -218,11 +212,10 @@ impl LinkSimulation {
         let root = DetRng::new(cfg.seed);
         let scenario = &cfg.scenario;
 
-        let shared = SharedRandomness::new(cfg.seed ^ 0x7e57_0000, cfg.test_round_probability);
+        let shared = SharedRandomness::new(cfg.seed ^ 0x7e57_0000, 0.0);
         let mk_egp = |node, peer, role| {
             let mut e =
                 EgpConfig::for_scenario(node, peer, role, scenario.clone(), cfg.scheduler.policy());
-            e.storage_qubits = cfg.storage_qubits;
             e.shared_random = shared;
             Egp::with_estimator(e, feu.clone())
         };
@@ -279,7 +272,6 @@ impl LinkSimulation {
             rng_chan: root.substream("channels"),
             workload,
             tracking: Default::default(),
-            reply_deadlines: VecDeque::new(),
             reply_deadline_cycles: round_trip + 12,
             window_close_after: scenario.emission_prep + longer_arm + SimDuration::from_nanos(100),
             deliveries: None,
@@ -454,10 +446,9 @@ impl LinkSimulation {
     /// [`LinkSimulation::expire_request`] restarts the clock at the first
     /// cycle boundary after it — the cycle a ticking link would fire next.
     /// Every skipped cycle is one whose EGP ticks are no-ops, and its
-    /// housekeeping (the `queue_length` sample, the pair-ledger sweep) is
-    /// back-filled, so deliveries, rejections and [`LinkMetrics`] are
-    /// bit-identical to a never-parking run; only
-    /// [`LinkSimulation::events_fired`] drops, by
+    /// housekeeping (the `queue_length` sample) is back-filled, so
+    /// deliveries, rejections and [`LinkMetrics`] are bit-identical to a
+    /// never-parking run; only [`LinkSimulation::events_fired`] drops, by
     /// [`LinkSimulation::cycles_elided`].
     ///
     /// Off by default, like [`LinkSimulation::capture_deliveries`]: a
@@ -581,25 +572,23 @@ impl LinkSimulation {
     fn is_idle(&self) -> bool {
         let quiet = |egp: &Egp| egp.queue_len() == 0 && egp.next_tick().is_none();
         self.queue.is_empty()
-            && self.reply_deadlines.is_empty()
+            && self.mhps.iter().all(|mhp| mhp.in_flight() == 0)
             && self.workload.is_none()
             && self.egps.iter().all(quiet)
     }
 
     /// At the start of cycle `c`, gives up on the attempts whose reply
-    /// deadline it is — oldest first, node A before node B — and drops
-    /// the answered attempts at the head, so they hold up no parking.
+    /// deadline it is — oldest first, node A before node B — and releases
+    /// each one's half of its herald, if the window heralded a pair.
     fn fire_reply_deadlines(&mut self, c: u64) {
-        while let Some(&(attempt, node)) = self.reply_deadlines.front() {
-            let node = usize::from(node);
-            if attempt + self.reply_deadline_cycles <= c {
-                if let Some(result) = self.mhps[node].on_reply_timeout(attempt) {
-                    self.process_result(node, result);
-                }
-            } else if self.mhps[node].is_pending(attempt) {
-                break;
-            }
-            self.reply_deadlines.pop_front();
+        while let Some((attempt, node)) = (0..2)
+            .filter_map(|node| Some((self.mhps[node].oldest_pending()?, node)))
+            .min()
+            .filter(|&(attempt, _)| attempt + self.reply_deadline_cycles <= c)
+        {
+            let result = self.mhps[node].on_reply_timeout(attempt);
+            self.process_result(node, result.expect("the oldest attempt is in flight"));
+            self.release_ledger(attempt, node);
         }
     }
 
@@ -636,16 +625,12 @@ impl LinkSimulation {
     }
 
     /// The periodic upkeep due at cycle `c`, whether it fired or was
-    /// elided.
+    /// elided: every [`QUEUE_SAMPLE_STRIDE`]th cycle samples the queue.
     fn housekeeping(&mut self, c: u64) {
         if c.is_multiple_of(QUEUE_SAMPLE_STRIDE) {
             self.metrics
                 .queue_length
                 .push(self.egps[0].queue_len() as f64);
-        }
-        if c.is_multiple_of(LEDGER_RETENTION_STRIDE) && c > 0 {
-            let horizon = c.saturating_sub(200_000);
-            self.ledger.retain(|k, _| *k >= horizon);
         }
     }
 
@@ -653,7 +638,12 @@ impl LinkSimulation {
         self.fire_reply_deadlines(c);
         if self.park_when_idle && self.is_idle() {
             // This cycle's ticks are no-ops and so is every later
-            // one's until the next CREATE: stop the clock here.
+            // one's until the next CREATE: stop the clock here. Every
+            // attempt has been answered or given up on, so every pair
+            // heralded has been released by both nodes.
+            debug_assert!(self.ledger.is_empty(), "a parked link holds a pair");
+            debug_assert!(self.tracking.iter().all(IntMap::is_empty));
+            debug_assert!(self.mhps.iter().all(|mhp| mhp.in_flight() == 0));
             self.housekeeping(c);
             self.parked = Some(c + 1);
             return;
@@ -671,8 +661,7 @@ impl LinkSimulation {
 
         // Tick both EGPs; trigger attempts.
         let mut window_open = false;
-        for node in 0..2u8 {
-            let i = usize::from(node);
+        for i in 0..2 {
             let step = self.step_egp(i, Input::Tick, c);
             let Some(spec) = step.attempt else { continue };
             let actions = self.mhps[i].trigger(c, spec);
@@ -688,7 +677,6 @@ impl LinkSimulation {
                 debug_assert!(actions.gen.queue_id.qid < AbsQueueId::MAX_QUEUES);
                 self.midpoint.on_gen(self.mhps[i].node_id(), actions.gen);
             }
-            self.reply_deadlines.push_back((c, node));
         }
 
         if window_open {
@@ -807,8 +795,8 @@ impl LinkSimulation {
                         let fidelity = self
                             .ledger
                             .get(&herald_cycle)
-                            .map(|e| e.heralded_fidelity)
-                            .unwrap_or(0.0);
+                            .expect("an OK finds its herald")
+                            .heralded_fidelity;
                         self.tally_qber(herald_cycle, ok.basis);
                         self.record_ok(from, ok.create_id, fidelity);
                     }
@@ -886,19 +874,15 @@ impl LinkSimulation {
     fn keep_pair_fidelity(&mut self, herald_cycle: u64) -> f64 {
         let now = self.queue.now();
         let nv = &self.feu.params().nv;
-        match self
+        let pair = self
             .ledger
             .get_mut(&herald_cycle)
             .and_then(|e| e.pair.as_mut())
-        {
-            Some(pair) => {
-                if now > pair.last_update() {
-                    pair.advance_to(now, nv);
-                }
-                pair.fidelity(BellState::PsiPlus)
-            }
-            None => 0.0,
+            .expect("a K-type OK finds its herald's pair");
+        if now > pair.last_update() {
+            pair.advance_to(now, nv);
         }
+        pair.fidelity(BellState::PsiPlus)
     }
 
     fn tally_qber(&mut self, herald_cycle: u64, basis: WireBasis) {
@@ -1235,6 +1219,43 @@ mod tests {
             }
             let tracked: Vec<_> = sim.tracking.iter().map(|t| t.len()).collect();
             assert_eq!(tracked, [0, 0], "seed {seed}: of {submitted} CREATEs");
+        }
+    }
+
+    /// A node whose REPLY is lost gives up on its attempt at the reply
+    /// deadline, and that releases its half of the pair the window
+    /// heralded, as an OK or a Discard would: once both lossy links are
+    /// parked, no pair is left in the ledger and no attempt in flight.
+    #[test]
+    fn lossy_links_free_every_pair_they_herald() {
+        let horizon = SimTime::ZERO + SimDuration::from_secs(120);
+        for cfg in [LinkConfig::lab, LinkConfig::ql2020] {
+            let cfg = cfg(WorkloadSpec::none(), 41)
+                .with_classical_loss(0.10)
+                .with_classical_corruption(0.05);
+            let mut sim = LinkSimulation::new(cfg);
+            sim.park_when_idle();
+            sim.capture_deliveries();
+            for _ in 0..4 {
+                sim.submit(0, md_request(5));
+                sim.submit(
+                    1,
+                    GeneratedRequest {
+                        kind: RequestKind::Ck,
+                        pairs: 2,
+                        origin: 1,
+                        fmin: 0.6,
+                        tmax_us: 0,
+                    },
+                );
+                while let Some(t) = sim.next_event_time() {
+                    assert!(t <= horizon, "the link never parked");
+                    sim.advance_to(t);
+                }
+            }
+            assert!(!sim.drain_deliveries().is_empty());
+            assert_eq!(sim.ledger.len(), 0, "pairs left in the ledger");
+            assert_eq!(sim.mhps.each_ref().map(NodeMhp::in_flight), [0, 0]);
         }
     }
 

@@ -1,19 +1,19 @@
 //! Allocation guard for the attempt hot path.
 //!
 //! One MHP attempt is four events — `Cycle` (two polls, two photons
-//! and two GENs handed to the station, two reply deadlines queued),
-//! `WindowClose` and two REPLYs — and almost every attempt fails. It
-//! costs one encode, two decodes: the GENs reach the station as values
-//! once their channels have let them through, the one REPLY is bytes
-//! each arm gets a copy of, and each copy is CRC-checked and decoded as
-//! it arrives. A failed attempt must not touch the heap:
-//! frames travel inline, detection windows hold two-slot arrays, the
-//! cycle-keyed tables and the reply-deadline FIFO sit at their working
-//! size, and the scheduler buffers nothing. Only the rare outcomes may
-//! allocate: a herald (its quantum state), a delivery (OK events,
-//! metrics series) and a CREATE. What deriving physics from a profile
-//! acquires — one attempt model, one K-type forward estimate — is
-//! pinned here too.
+//! and two GENs handed to the station, two attempts pushed on their
+//! MHPs' in-flight deques), `WindowClose` and two REPLYs — and almost
+//! every attempt fails. It costs one encode, two decodes: the GENs
+//! reach the station as values once their channels have let them
+//! through, the one REPLY is bytes each arm gets a copy of, and each
+//! copy is CRC-checked and decoded as it arrives. A failed attempt must
+//! not touch the heap: frames travel inline, detection windows hold
+//! two-slot arrays, the cycle-keyed tables and the MHPs' in-flight
+//! deques sit at their working size, and the scheduler buffers nothing.
+//! Only the rare outcomes may allocate: a herald (its quantum state), a
+//! delivery (OK events, metrics series) and a CREATE. What deriving
+//! physics from a profile acquires — one attempt model, one K-type
+//! forward estimate — is pinned here too.
 //!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`. The count is per thread, so the harness's own

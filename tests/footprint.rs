@@ -78,8 +78,8 @@ fn a_link_and_its_egps_store_no_config_struct() {
     let egp = std::mem::size_of::<Egp>();
     let dq = std::mem::size_of::<DistributedQueue>();
     assert!(
-        link <= 2_120,
-        "LinkSimulation is {link} B (3,784 B while it stored its LinkConfig and workload generator, 2,184 B while its EGPs kept write-only state)"
+        link <= 2_080,
+        "LinkSimulation is {link} B (3,784 B while it stored its LinkConfig and workload generator, 2,184 B while its EGPs kept write-only state, 2,112 B while it kept a reply-deadline FIFO beside its MHPs)"
     );
     assert!(
         egp <= 552,
