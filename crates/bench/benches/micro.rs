@@ -36,7 +36,7 @@ use qlink::wire::egp::CreateMsg;
 use qlink::wire::fields::{
     AbsQueueId, Fidelity16, MidpointOutcome, ReplyOutcome, RequestFlags, RequestType,
 };
-use qlink::wire::mhp::{GenMsg, ReplyMsg, GEN_FRAME_LEN};
+use qlink::wire::mhp::{GenMsg, ReplyMsg, GEN_FRAME_LEN, REPLY_FRAME_LEN};
 use qlink::wire::Frame;
 
 /// One pop and one re-schedule, which keeps the queue's depth: the
@@ -140,17 +140,18 @@ fn bench_wire(c: &mut Criterion) {
     c.bench_function("frame_decode_gen", |b| {
         b.iter(|| Frame::decode(black_box(&bytes)).unwrap())
     });
-    let reply = Frame::Reply(ReplyMsg {
+    let reply = ReplyMsg {
         outcome: ReplyOutcome::Attempt(MidpointOutcome::Fail),
         mhp_seq: 77,
         receiver_qid: AbsQueueId::new(2, 1234),
         peer_qid: Some(AbsQueueId::new(2, 1234)),
         timestamp_cycle: 987_654_321,
-    });
+    };
+    let frame = Frame::Reply(reply);
     c.bench_function("frame_encode_reply", |b| {
-        b.iter(|| black_box(&reply).encode())
+        b.iter(|| black_box(&frame).encode())
     });
-    let bytes = reply.encode();
+    let bytes = frame.encode();
     c.bench_function("frame_decode_reply", |b| {
         b.iter(|| Frame::decode(black_box(&bytes)).unwrap())
     });
@@ -164,8 +165,8 @@ fn bench_wire(c: &mut Criterion) {
         });
     }
     // One frame over a lossy, corrupting channel, as the link carries it.
-    // A GEN crosses as a value: the channel decides from the length, and
-    // a GEN that arrives intact is the message the node built.
+    // A GEN or a REPLY crosses as a value: the channel decides from the
+    // length, and one that arrives intact is the message its sender built.
     let mut channel = ChannelModel::fiber(25.0, 1e-3).with_corruption(1e-3);
     let mut rng = DetRng::new(3);
     c.bench_function("frame_gen_over_channel", |b| {
@@ -174,13 +175,12 @@ fn bench_wire(c: &mut Criterion) {
             _ => None,
         })
     });
-    // A REPLY crosses as bytes: encode, the channel's in-place decision,
-    // decode of whatever arrives.
+    // A REPLY that arrives damaged arrives as nothing.
     c.bench_function("frame_reply_over_channel", |b| {
-        b.iter(|| {
-            let mut bytes = black_box(&reply).encode();
-            let fate = channel.transmit(&mut bytes, &mut rng);
-            black_box((fate, Frame::decode(&bytes).is_ok()))
+        b.iter(|| match channel.fate(&mut rng, REPLY_FRAME_LEN) {
+            Fate::Lost => None,
+            Fate::Intact { .. } => Some(Some(black_box(reply))),
+            Fate::Damaged { .. } => Some(None),
         })
     });
 }

@@ -5,12 +5,13 @@
 //! the deterministic event queue. This is the Rust analogue of the
 //! paper's NetSquid setup of Appendix D.1.
 //!
-//! Every control frame crosses a lossy, corrupting channel. The REPLY
-//! and the node-to-node frames cross as CRC-protected bytes inside an
-//! event; the GEN, which lands in its detection window at no instant of
-//! its own, crosses as a value once its channel has decided — from the
-//! frame's length — that it arrives intact (ARCHITECTURE.md, "Link
-//! layer: one attempt").
+//! Every control frame crosses a lossy, corrupting channel. The
+//! node-to-node frames cross as CRC-protected bytes inside an event. The
+//! MHP's GEN and REPLY cross as values: each one's channel decides its
+//! fate from the frame's length, a GEN that arrives intact lands in its
+//! detection window, and a REPLY arrives at its own instant as the value
+//! the station built, or as nothing when its channel damaged it
+//! (ARCHITECTURE.md, "Link layer: one attempt").
 
 use crate::config::{LinkConfig, RequestKind};
 use crate::metrics::LinkMetrics;
@@ -28,7 +29,8 @@ use qlink_quantum::bell::BellState;
 use qlink_quantum::Basis;
 use qlink_wire::egp::{CreateMsg, EgpErrorCode, WireBasis};
 use qlink_wire::fields::{AbsQueueId, Fidelity16, RequestFlags, RequestType};
-use qlink_wire::mhp::{ReplyMsg, GEN_FRAME_LEN, MHP_FRAME_MAX};
+use qlink_wire::fields::{MhpError, ReplyOutcome};
+use qlink_wire::mhp::{ReplyMsg, GEN_FRAME_LEN, REPLY_FRAME_LEN};
 use qlink_wire::{Frame, FrameBytes};
 use std::sync::Arc;
 
@@ -37,14 +39,13 @@ pub const NODE_A: u32 = 1;
 /// Node B's wire ID.
 pub const NODE_B: u32 = 2;
 
-/// The per-attempt events are flat values — MHP frames travel inline
-/// and nodes are named by their one-byte index (0 = A, 1 = B) — so
-/// scheduling one never allocates. They are also *small*, at most 32
-/// bytes: every schedule and every pop moves an event, and an event
-/// scheduled inside the link's queue shifts the ones beside it. So the
-/// MHP frames sit in a buffer of their own maximum length, and the
-/// node-to-node frames — up to twice as long, sent only on the CREATE
-/// and recovery paths — are boxed.
+/// The per-attempt events are flat values — a REPLY travels as the
+/// message it is and nodes are named by their one-byte index (0 = A,
+/// 1 = B) — so scheduling one never allocates. They are also *small*, at
+/// most 32 bytes: every schedule and every pop moves an event, and an
+/// event scheduled inside the link's queue shifts the ones beside it. So
+/// the node-to-node frames — up to 48 bytes, sent only on the CREATE and
+/// recovery paths — are boxed.
 /// A photon or GEN reaching the station is no event (`on_cycle` fills
 /// its detection-window slot at emission), nor is a reply deadline (the
 /// `Cycle` it falls on gives up on the MHPs' oldest in-flight attempts).
@@ -56,11 +57,10 @@ enum Event {
     WindowClose(u64),
     /// A node-to-node classical frame arrives.
     PeerFrame { to: u8, bytes: Box<FrameBytes> },
-    /// A station REPLY arrives at a node.
-    ReplyArrive { to: u8, bytes: MhpFrameBytes },
+    /// A station REPLY arrives at a node: `None` when its channel damaged
+    /// it, which the node's CRC check drops.
+    ReplyArrive { to: u8, reply: Option<ReplyMsg> },
 }
-
-type MhpFrameBytes = FrameBytes<MHP_FRAME_MAX>;
 
 const _: () = assert!(std::mem::size_of::<Event>() <= 32);
 
@@ -552,12 +552,13 @@ impl LinkSimulation {
                     self.step_egp(to, Input::PeerFrame(frame), cycle);
                 }
             }
-            Event::ReplyArrive { to, bytes } => {
-                if let Ok(Frame::Reply(msg)) = Frame::decode(&bytes) {
-                    let to = usize::from(to);
-                    if let Some(result) = self.mhps[to].on_reply(msg) {
-                        self.process_result(to, result);
-                    }
+            Event::ReplyArrive { to, reply } => {
+                let Some(msg) = reply else { return };
+                // The one value check encoding made: GEN_FAIL is local-only.
+                debug_assert_ne!(msg.outcome, ReplyOutcome::Error(MhpError::GenFail));
+                let to = usize::from(to);
+                if let Some(result) = self.mhps[to].on_reply(msg) {
+                    self.process_result(to, result);
                 }
             }
         }
@@ -712,23 +713,18 @@ impl LinkSimulation {
             };
             self.ledger.insert(c, entry);
         }
-        // The two REPLYs are equal whenever both GENs named the same queue
-        // ID: the station serialises once. `transmit` corrupts in place, so
-        // each arm gets its own copy of the bytes as encoded.
-        let mut encoded: Option<(ReplyMsg, MhpFrameBytes)> = None;
+        // Each arm's channel decides its REPLY's fate from the length; a
+        // damaged REPLY still arrives at its instant.
         for (node, reply) in eval.replies.into_iter().flatten() {
             let to = u8::from(node != NODE_A);
-            let mut bytes = match encoded {
-                Some((msg, bytes)) if msg == reply => bytes,
-                _ => Frame::Reply(reply).encode().narrow(),
-            };
-            encoded = Some((reply, bytes));
-            if let Transmission::Delivered { delay } =
-                self.chan_reply[usize::from(to)].transmit(&mut bytes, &mut self.rng_chan)
-            {
-                self.queue
-                    .schedule_at(now + delay, Event::ReplyArrive { to, bytes });
-            }
+            let (delay, reply) =
+                match self.chan_reply[usize::from(to)].fate(&mut self.rng_chan, REPLY_FRAME_LEN) {
+                    Fate::Lost => continue,
+                    Fate::Intact { delay } => (delay, Some(reply)),
+                    Fate::Damaged { delay, .. } => (delay, None),
+                };
+            self.queue
+                .schedule_at(now + delay, Event::ReplyArrive { to, reply });
         }
     }
 
@@ -1068,28 +1064,44 @@ mod tests {
         assert_eq!(m.pairs_delivered, 3, "completes despite loss");
     }
 
-    /// The station serialises a window's REPLY once for both arms (no
-    /// analogue at the parent commit, which encoded each arm's frame
-    /// separately): a bit one arm's channel flips must never show up in
-    /// the other arm's frame. A single flipped bit always fails the CRC,
-    /// so an arm's frame is damaged exactly when its own channel did it.
+    /// A REPLY crosses its arm as a value, and its channel decides its
+    /// fate: a lost REPLY never arrives, and a damaged one still arrives
+    /// at its instant, as nothing — what the node's CRC check would have
+    /// made of its bytes. Each arm answers to its own channel alone; the
+    /// QL2020 link's arms differ in length.
     #[test]
-    fn a_corrupted_reply_leaves_the_other_arms_copy_intact() {
-        let cfg = LinkConfig::lab(WorkloadSpec::none(), 29).with_classical_corruption(0.25);
-        let mut sim = LinkSimulation::new(cfg);
-        sim.submit(0, md_request(3));
+    fn a_damaged_reply_arrives_as_nothing_on_its_own_arm() {
+        let horizon = SimTime::ZERO + SimDuration::from_secs(120);
+        for cfg in [LinkConfig::lab, LinkConfig::ql2020] {
+            let cfg = cfg(WorkloadSpec::none(), 29)
+                .with_classical_loss(0.05)
+                .with_classical_corruption(0.25);
+            let mut sim = LinkSimulation::new(cfg);
+            sim.park_when_idle();
+            sim.submit(0, md_request(3));
 
-        let mut damaged = [0u64; 2];
-        while let Some((at, ev)) = sim.queue.pop_until(SimTime::from_ps(50_000_000_000)) {
-            if let Event::ReplyArrive { to, bytes } = &ev {
-                damaged[usize::from(*to)] += u64::from(Frame::decode(bytes).is_err());
+            let (mut arrived, mut damaged) = ([0u64; 2], [0u64; 2]);
+            while let Some((at, ev)) = sim.queue.pop_until(horizon) {
+                if let Event::ReplyArrive { to, reply } = &ev {
+                    arrived[usize::from(*to)] += 1;
+                    damaged[usize::from(*to)] += u64::from(reply.is_none());
+                }
+                sim.handle(at, ev);
             }
-            sim.handle(at, ev);
-        }
-        for (arm, damaged) in damaged.into_iter().enumerate() {
-            let stats = sim.chan_reply[arm].stats();
-            assert!(stats.corrupted > 500 && stats.sent > 2 * stats.corrupted);
-            assert_eq!(damaged, stats.corrupted, "arm {arm}");
+            assert!(
+                sim.queue.is_empty(),
+                "the link never parked: a REPLY may be in flight"
+            );
+            for arm in 0..2 {
+                let stats = sim.chan_reply[arm].stats();
+                assert!(
+                    stats.corrupted > 100 && stats.sent > 2 * stats.corrupted,
+                    "arm {arm}: {stats:?}"
+                );
+                assert!(stats.lost > 0, "arm {arm}: {stats:?}");
+                assert_eq!(damaged[arm], stats.corrupted, "arm {arm}");
+                assert_eq!(arrived[arm], stats.sent - stats.lost, "arm {arm}");
+            }
         }
     }
 

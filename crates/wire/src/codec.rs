@@ -49,34 +49,17 @@ impl std::error::Error for WireError {}
 /// ADD/ACK/REJ frame (1 discriminator + 43 body + 4 CRC bytes).
 pub const FRAME_MAX: usize = 48;
 
-/// An encoded frame, held inline: `N` bytes of storage plus a length,
-/// dereferencing to the written prefix. Every control frame has a
-/// small fixed layout, so encoding, corrupting and carrying one
+/// An encoded frame, held inline: [`FRAME_MAX`] bytes of storage plus a
+/// length, dereferencing to the written prefix. Every control frame has
+/// a small fixed layout, so encoding, corrupting and carrying one
 /// through the event queue never touches the heap.
-///
-/// [`Frame::encode`](crate::Frame::encode) returns the full-capacity
-/// `FrameBytes` (`N` = [`FRAME_MAX`]); a holder that knows its frames
-/// are shorter — the MHP's GEN and REPLY, in flight by the dozen on
-/// every link — keeps them in a [`narrow`](FrameBytes::narrow)ed copy.
 #[derive(Clone, Copy)]
-pub struct FrameBytes<const N: usize = FRAME_MAX> {
-    buf: [u8; N],
+pub struct FrameBytes {
+    buf: [u8; FRAME_MAX],
     len: u8,
 }
 
-impl<const N: usize> FrameBytes<N> {
-    /// The same bytes in a buffer of capacity `M`.
-    ///
-    /// # Panics
-    /// Panics if the frame is longer than `M`.
-    pub fn narrow<const M: usize>(&self) -> FrameBytes<M> {
-        let mut buf = [0; M];
-        buf[..self.len()].copy_from_slice(self);
-        FrameBytes { buf, len: self.len }
-    }
-}
-
-impl<const N: usize> std::ops::Deref for FrameBytes<N> {
+impl std::ops::Deref for FrameBytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
@@ -84,25 +67,25 @@ impl<const N: usize> std::ops::Deref for FrameBytes<N> {
     }
 }
 
-impl<const N: usize> std::ops::DerefMut for FrameBytes<N> {
+impl std::ops::DerefMut for FrameBytes {
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.buf[..self.len as usize]
     }
 }
 
-impl<const N: usize> fmt::Debug for FrameBytes<N> {
+impl fmt::Debug for FrameBytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
     }
 }
 
-impl<const N: usize> PartialEq for FrameBytes<N> {
+impl PartialEq for FrameBytes {
     fn eq(&self, other: &Self) -> bool {
         **self == **other
     }
 }
 
-impl<const N: usize> Eq for FrameBytes<N> {}
+impl Eq for FrameBytes {}
 
 /// A byte writer into a [`FrameBytes`] (the counterpart of [`Reader`]).
 ///

@@ -5,13 +5,15 @@
 //! the receiver, exactly as an Ethernet NIC discards a bad 802.3 frame —
 //! which is the error model of Appendix D.6.
 //!
-//! Inside the link simulation the station's REPLY and the node-to-node
-//! frames (DQP, EXPIRE, RETRACT, …) cross their channels as these
-//! bytes. A GEN does not: its channel decides its fate from
-//! [`GEN_FRAME_LEN`](crate::mhp::GEN_FRAME_LEN) alone and an intact GEN
-//! reaches the station as the [`GenMsg`] it is. That rests on two facts
-//! this module's tests hold for every variant: `decode(encode(f))` is
-//! `f`, and `encode(f)` with any one bit flipped decodes to an error.
+//! Inside the link simulation the node-to-node frames (DQP, EXPIRE,
+//! RETRACT, …) cross their channels as these bytes. The MHP's frames do
+//! not: a channel decides a GEN's or a REPLY's fate from
+//! [`GEN_FRAME_LEN`](crate::mhp::GEN_FRAME_LEN) or
+//! [`REPLY_FRAME_LEN`](crate::mhp::REPLY_FRAME_LEN) alone, and an intact
+//! one reaches the station or the node as the [`GenMsg`] or [`ReplyMsg`]
+//! it is. That rests on two facts this module's tests hold for every
+//! variant: `decode(encode(f))` is `f`, and `encode(f)` with any one bit
+//! flipped decodes to an error.
 
 use crate::codec::{FrameBytes, Reader, Writer};
 use crate::crc::crc32;
@@ -320,31 +322,8 @@ mod tests {
         assert_eq!(longest, FRAME_MAX, "FRAME_MAX is the longest frame");
     }
 
-    #[test]
-    fn mhp_frames_fit_the_narrow_buffer_and_survive_narrowing() {
-        use crate::mhp::MHP_FRAME_MAX;
-        let mut longest = 0;
-        for f in max_field_frames() {
-            if matches!(f, Frame::Gen(_) | Frame::Reply(_)) {
-                let bytes = f.encode();
-                longest = longest.max(bytes.len());
-                let narrow = bytes.narrow::<MHP_FRAME_MAX>();
-                assert_eq!(*narrow, *bytes);
-                assert_eq!(Frame::decode(&narrow).unwrap(), f);
-            }
-        }
-        assert_eq!(longest, MHP_FRAME_MAX);
-    }
-
-    #[test]
-    #[should_panic]
-    fn narrowing_below_the_frame_length_panics() {
-        let dqp = max_field_frames().remove(0).encode();
-        dqp.narrow::<{ crate::mhp::MHP_FRAME_MAX }>();
-    }
-
     /// The two facts a frame carried by value rests on (the simulator hands
-    /// an intact GEN to the station without serialising it): a frame no
+    /// an intact GEN or REPLY over without serialising it): a frame no
     /// channel touched decodes to the value that was encoded, and a frame
     /// with any one bit flipped decodes to nothing. Exhaustive over both
     /// frame lists, ≈ 15 k flips.
@@ -373,6 +352,39 @@ mod tests {
                 assert_eq!(f.encode().len(), GEN_FRAME_LEN);
             }
         }
+    }
+
+    /// Every REPLY the station can send — peer present or not, each
+    /// outcome it puts on the wire — is one length, the one a channel is
+    /// asked to decide a REPLY's fate from.
+    #[test]
+    fn a_reply_frame_is_reply_frame_len_bytes() {
+        use crate::fields::MhpError;
+        use crate::mhp::REPLY_FRAME_LEN;
+        let outcomes = [
+            ReplyOutcome::Attempt(MidpointOutcome::Fail),
+            ReplyOutcome::Attempt(MidpointOutcome::PsiPlus),
+            ReplyOutcome::Attempt(MidpointOutcome::PsiMinus),
+            ReplyOutcome::Error(MhpError::QueueMismatch),
+            ReplyOutcome::Error(MhpError::TimeMismatch),
+            ReplyOutcome::Error(MhpError::NoMessageOther),
+        ];
+        let mut replies = 0;
+        for f in max_field_frames().into_iter().chain(sample_frames()) {
+            let Frame::Reply(reply) = f else { continue };
+            for outcome in outcomes {
+                for peer_qid in [None, Some(reply.receiver_qid)] {
+                    let f = Frame::Reply(ReplyMsg {
+                        outcome,
+                        peer_qid,
+                        ..reply
+                    });
+                    assert_eq!(f.encode().len(), REPLY_FRAME_LEN, "{f:?}");
+                    replies += 1;
+                }
+            }
+        }
+        assert_eq!(replies, 2 * 2 * outcomes.len());
     }
 
     #[test]

@@ -30,8 +30,11 @@
 //!   ~1.4e-23 there and is ignored, as in the paper);
 //! * every layout is fixed-length and at most [`FRAME_MAX`] = 48 bytes
 //!   (a DQP frame), so [`Frame::encode`] returns an inline
-//!   [`FrameBytes`] and the per-attempt GEN/REPLY traffic never
-//!   touches the heap.
+//!   [`FrameBytes`] and a node-to-node frame never touches the heap;
+//! * the per-attempt GEN and REPLY are never serialised in the link
+//!   simulation: a channel decides their fate from their length
+//!   ([`mhp::GEN_FRAME_LEN`], [`mhp::REPLY_FRAME_LEN`]) and an intact
+//!   one crosses as the value it is (see [`frame`]).
 
 pub mod codec;
 pub mod crc;

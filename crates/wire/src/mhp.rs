@@ -9,14 +9,13 @@
 use crate::codec::{Reader, WireError, Writer};
 use crate::fields::{AbsQueueId, ReplyOutcome};
 
-/// The longest MHP frame, a REPLY (1 discriminator + 18 body + 4 CRC
-/// bytes; a GEN frame is 16): the capacity of the buffer a GEN or
-/// REPLY in flight is held in.
-pub const MHP_FRAME_MAX: usize = 23;
-
 /// The length of a GEN frame (1 discriminator + 11 body + 4 CRC
 /// bytes): what a channel needs to know of a GEN to decide its fate.
 pub const GEN_FRAME_LEN: usize = 16;
+
+/// The length of a REPLY frame (1 discriminator + 18 body + 4 CRC
+/// bytes): what a channel needs to know of a REPLY to decide its fate.
+pub const REPLY_FRAME_LEN: usize = 23;
 
 /// The `GEN` frame a node sends to the midpoint (Fig. 27), augmented —
 /// per §5.1.1 — with the timestamp that links it to a detection window.

@@ -3,11 +3,11 @@
 //! One MHP attempt is four events — `Cycle` (two polls, two photons
 //! and two GENs handed to the station, two attempts pushed on their
 //! MHPs' in-flight deques), `WindowClose` and two REPLYs — and almost
-//! every attempt fails. It costs one encode, two decodes: the GENs
-//! reach the station as values once their channels have let them
-//! through, the one REPLY is bytes each arm gets a copy of, and each
-//! copy is CRC-checked and decoded as it arrives. A failed attempt must
-//! not touch the heap: frames travel inline, detection windows hold
+//! every attempt fails. It runs no frame codec: the GENs reach the
+//! station and the REPLYs their nodes as values once each frame's
+//! channel has decided its fate, and a REPLY its channel damaged
+//! arrives as nothing. A failed attempt must not touch the heap:
+//! REPLYs travel inline in their events, detection windows hold
 //! two-slot arrays, the cycle-keyed tables and the MHPs' in-flight
 //! deques sit at their working size, and the scheduler buffers nothing.
 //! Only the rare outcomes may allocate: a herald (its quantum state), a

@@ -5,7 +5,7 @@
 //! digest of every route and edge price on a mixed-hardware grid.
 
 use qlink::net::sweep::run_one;
-use qlink::net::PathRole;
+use qlink::net::{PathRole, SpanStage, TelemetryConfig};
 use qlink::prelude::*;
 
 fn lab(seed: u64) -> LinkConfig {
@@ -532,4 +532,45 @@ fn routing_is_pinned_bit_for_bit() {
         }
     }
     assert_eq!(digest, DIGEST, "got {digest:#018x}");
+}
+
+/// A link that rejects a CREATE as unsupported does so at the instant
+/// the CREATE reaches it, so the network should see the UNSUPP — and
+/// penalise the edge and fail the attempt — at that instant too. It
+/// sees it only at the link's next wake, usually the next MHP cycle
+/// boundary (up to 10.12 µs later on Lab hardware): the rejection
+/// waits in the link's buffer until a `LinkWake` drains it.
+#[test]
+#[ignore = "FOUND: a rejection inside submit_nl waits for its link's next wake (ROADMAP item 3)"]
+fn an_unsupported_create_is_seen_at_its_instant() {
+    let config = NetConfig {
+        telemetry: TelemetryConfig::all(),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(
+        Topology::chain(2, |_| lab(61)),
+        61,
+        config,
+        ModelCache::new(),
+    );
+    net.request_entanglement(0, 1, 0.95);
+    net.run_for(SimDuration::from_millis(1));
+    let spans = net.telemetry().expect("telemetry on").spans();
+    let mut unsupported = 0;
+    for unsupp in spans {
+        let SpanStage::Unsupp { edge } = unsupp.stage else {
+            continue;
+        };
+        let create = spans
+            .iter()
+            .rfind(|s| {
+                s.at <= unsupp.at
+                    && s.request == unsupp.request
+                    && matches!(s.stage, SpanStage::Create { edge: e, .. } if e == edge)
+            })
+            .expect("an UNSUPP follows its CREATE");
+        assert_eq!(unsupp.at, create.at, "edge {edge}: UNSUPP seen late");
+        unsupported += 1;
+    }
+    assert!(unsupported > 0, "the link never refused the CREATE");
 }
