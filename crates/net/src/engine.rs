@@ -4,8 +4,10 @@
 //! with the complete EGP/MHP/physics stack — is embedded into **one**
 //! global discrete-event queue. The engine schedules a wake event at
 //! each link's next internal firing time; when the global clock
-//! reaches it, the link is advanced to exactly that instant and its
-//! deliveries are observed. Control messages, timers, faults and
+//! reaches it, the link is advanced to exactly that instant. After
+//! every call into a link — a wake, a CREATE, a retraction — the
+//! network reads the link's outbox, so it sees each delivery and
+//! rejection at its instant. Control messages, timers, faults and
 //! workload arrivals travel the same queue: a single total order over
 //! every event — one `SimTime` stream — and, because ties break by
 //! insertion order and all randomness is seeded, bit-reproducible runs.
@@ -82,14 +84,10 @@ pub(crate) enum NetEvent {
     Fault { kind: FaultKind },
 }
 
-/// Configures a freshly built link for life on the shared queue: the
-/// network layer drains deliveries (and terminal CREATE rejections, for
-/// re-routing) at every wake, and — since [`Engine::schedule_wake`]
-/// schedules nothing for a link with no next event — lets an idle link
-/// park its cycle clock until the next CREATE.
+/// Configures a freshly built link for life on the shared queue: since
+/// [`Engine::schedule_wake`] schedules nothing for a link with no next
+/// event, an idle link may park its cycle clock until the next CREATE.
 pub(crate) fn embed(mut link: LinkSimulation) -> LinkSimulation {
-    link.capture_deliveries();
-    link.capture_rejections();
     link.park_when_idle();
     link
 }

@@ -45,7 +45,7 @@ use qlink_des::{DetRng, SimDuration, SimTime};
 use qlink_egp::feu::FidelityEstimator;
 use qlink_phys::attempt::ModelCache;
 use qlink_sim::config::{LinkConfig, RequestKind};
-use qlink_sim::link::{Delivery, LinkSimulation, Rejection};
+use qlink_sim::link::{Delivery, LinkOutput, LinkSimulation, Rejection};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -593,7 +593,9 @@ impl Network {
         if self.terms.policy != Policy::EndToEndPurify {
             let seed = self.seed(src, dst, fmin, owner);
             let route = self.route_for_issue(&seed);
-            return self.issue_fresh(route.as_ref().map(|r| &r.nodes[..]), seed);
+            let id = self.ledger.new_id();
+            self.issue_fresh(id, route.as_ref().map(|r| &r.nodes[..]), seed);
+            return id;
         }
         let group = self.ledger.new_id();
         // The group id gets its own issue span: its Deliver (and thus
@@ -602,9 +604,11 @@ impl Network {
         let now = self.engine.now();
         self.emit(now, group, 0, SpanStage::Issue { src, dst, fmin });
         let template = self.seed(src, dst, fmin, Owner::Group(group));
-        let members = self.issue_streams(&template, 2);
+        // The group opens first: a stream refused on the spot sinks it.
+        let members = [self.ledger.new_id(), self.ledger.new_id()];
         self.ledger
-            .open_group(group, [members[0], members[1]], template, owner);
+            .open_group(group, members, template.clone(), owner);
+        self.issue_streams(&members, &template);
         group
     }
 
@@ -643,21 +647,25 @@ impl Network {
         }
         let (src, dst) = (path[0], path[path.len() - 1]);
         let seed = self.seed(src, dst, fmin, Owner::Caller);
-        self.issue_fresh(Some(path), seed)
+        let id = self.ledger.new_id();
+        self.issue_fresh(id, Some(path), seed);
+        id
     }
 
-    /// Allocates a new request id, opens its span, and issues its first
+    /// Opens the span of the new request `id` and issues its first
     /// attempt on `path`. With no path, or one crossing a downed edge
     /// (faults have cut it), the request is parked instead: its
     /// re-issue one control delay later re-plans or abandons it
-    /// ([`Network::on_reissue`]). It is never abandoned here, before
-    /// the caller has its id.
+    /// ([`Network::on_reissue`]). A stream of a group that a refused
+    /// partner has already sunk is not issued at all.
     ///
     /// # Panics
     /// Panics if no path connects the pair even with every edge up, or
     /// consecutive nodes of `path` are not connected.
-    fn issue_fresh(&mut self, path: Option<&[usize]>, seed: AttemptSeed) -> u64 {
-        let id = self.ledger.new_id();
+    fn issue_fresh(&mut self, id: u64, path: Option<&[usize]>, seed: AttemptSeed) {
+        if matches!(seed.owner, Owner::Group(group) if self.ledger.owner(group).is_none()) {
+            return;
+        }
         let (now, src, dst, fmin) = (self.engine.now(), seed.src, seed.dst, seed.fmin);
         self.emit(now, id, 0, SpanStage::Issue { src, dst, fmin });
         let topo = &self.topo;
@@ -669,10 +677,9 @@ impl Network {
             let delay = self.engine.min_control_delay;
             self.engine
                 .schedule_in(delay, NetEvent::Reissue { request: id });
-            return id;
+            return;
         };
         self.issue_attempt(id, path, seed);
-        id
     }
 
     /// Reserves `path` and issues its CREATEs for an existing request
@@ -727,16 +734,18 @@ impl Network {
         streams: usize,
     ) -> Vec<u64> {
         let seed = self.seed(src, dst, fmin, Owner::Caller);
-        self.issue_streams(&seed, streams)
+        let ids: Vec<u64> = (0..streams).map(|_| self.ledger.new_id()).collect();
+        self.issue_streams(&ids, &seed);
+        ids
     }
 
-    /// [`Network::request_entanglement_multipath`]: `streams` requests,
+    /// [`Network::request_entanglement_multipath`]: the requests `ids`,
     /// each issued under `seed`.
-    fn issue_streams(&mut self, seed: &AttemptSeed, streams: usize) -> Vec<u64> {
-        assert!(streams >= 1, "no streams requested");
+    fn issue_streams(&mut self, ids: &[u64], seed: &AttemptSeed) {
+        assert!(!ids.is_empty(), "no streams requested");
         let ask = PlanContext {
             fmin: seed.fmin,
-            k: streams,
+            k: ids.len(),
             metric: self.terms.metric,
             policy: self.terms.policy,
             ..PlanContext::new(seed.src, seed.dst)
@@ -746,9 +755,9 @@ impl Network {
             .planner
             .disjoint_routes(&self.topo, &self.ledger, now, ask);
         let mut paths = selected.iter().map(|r| &r.nodes[..]).cycle();
-        (0..streams)
-            .map(|_| self.issue_fresh(paths.next(), seed.clone()))
-            .collect()
+        for &id in ids {
+            self.issue_fresh(id, paths.next(), seed.clone());
+        }
     }
 
     /// Runs the network for `duration` of global simulated time.
@@ -876,16 +885,10 @@ impl Network {
     fn handle(&mut self, t: SimTime, ev: NetEvent) {
         match ev {
             NetEvent::LinkWake { link, gen } => {
-                if !self.engine.wake(link, gen, t) {
-                    return;
+                if self.engine.wake(link, gen, t) {
+                    self.on_link_outputs(link, t);
+                    self.engine.schedule_wake(link);
                 }
-                for d in self.engine.links[link].drain_deliveries() {
-                    self.on_delivery(link, d, t);
-                }
-                for r in self.engine.links[link].drain_rejections() {
-                    self.on_rejection(link, r, t);
-                }
-                self.engine.schedule_wake(link);
             }
             NetEvent::Control { at, msg } => match msg {
                 ControlMsg::Reserve { request } => self.on_reserve(request, at),
@@ -921,6 +924,7 @@ impl Network {
             NetEvent::Expire(key) => {
                 self.engine.expire(key, t);
                 self.emit(t, NET_TRACK, 0, SpanStage::Expire { edge: key.0 });
+                self.on_link_outputs(key.0, t);
             }
             NetEvent::Arrival { index } => self.on_arrival(index, t),
             NetEvent::AdmitQueued => self.on_admit_queued(t),
@@ -934,7 +938,8 @@ impl Network {
     /// class and pair (counting it offered), schedule the next arrival
     /// one gap ahead, and run admission control.
     fn on_arrival(&mut self, index: u64, t: SimTime) {
-        let Some(mut wl) = self.workload.take() else {
+        // Left in place: a request refused on the spot settles its slot.
+        let Some(wl) = self.workload.as_deref_mut() else {
             return;
         };
         let (class, pair) = wl.resolve_arrival(index, &mut self.load_rng);
@@ -945,24 +950,23 @@ impl Network {
         if wl.admit(class, pair, t) {
             let arrived_at = t;
             let owner = Owner::Workload { class, arrived_at };
-            self.issue_request(pair.0, pair.1, wl.class(class).fmin, owner);
+            let fmin = wl.class(class).fmin;
+            self.issue_request(pair.0, pair.1, fmin, owner);
         }
-        self.workload = Some(wl);
     }
 
     /// Drains the workload's waiting queues: admit arrivals —
     /// highest-priority class first, FIFO within a class — until no
     /// waiting arrival has a free slot.
     fn on_admit_queued(&mut self, t: SimTime) {
-        let Some(mut wl) = self.workload.take() else {
-            return;
-        };
-        while let Some(q) = wl.pop_admittable(t) {
-            let (class, arrived_at) = (q.class, q.arrived_at);
+        while let Some(wl) = self.workload.as_deref_mut() {
+            let Some(q) = wl.pop_admittable(t) else {
+                return;
+            };
+            let (class, arrived_at, fmin) = (q.class, q.arrived_at, wl.class(q.class).fmin);
             let owner = Owner::Workload { class, arrived_at };
-            self.issue_request(q.pair.0, q.pair.1, wl.class(class).fmin, owner);
+            self.issue_request(q.pair.0, q.pair.1, fmin, owner);
         }
-        self.workload = Some(wl);
     }
 
     /// An [`Owner::Workload`] request settled — `settle` counts it
@@ -1019,6 +1023,7 @@ impl Network {
             create_id,
         };
         self.emit(now, request, attempt, stage);
+        self.on_link_outputs(edge, now);
     }
 
     fn on_reserve(&mut self, request: u64, at: usize) {
@@ -1028,12 +1033,26 @@ impl Network {
         }
     }
 
+    /// Hands on what `link` reported since the last call into it. It
+    /// runs after every one, so each report is handled at `t`, its
+    /// instant: a refused CREATE's attempt fails before the caller that
+    /// submitted it goes on (which then finds the request off the books).
+    fn on_link_outputs(&mut self, link: usize, t: SimTime) {
+        for output in self.engine.links[link].take_outputs() {
+            match output {
+                LinkOutput::Delivery(d) => self.on_delivery(link, d, t),
+                LinkOutput::Rejection(r) => self.on_rejection(link, r, t),
+            }
+        }
+    }
+
     /// A link terminally rejected one of this network's CREATEs
     /// (UNSUPP and friends): the attempt fails *now* — releasing its
     /// reservations and either trying another path or, with no retry
     /// budget left, abandoning the request — instead of idling until
     /// some timeout notices.
     fn on_rejection(&mut self, edge: usize, r: Rejection, t: SimTime) {
+        debug_assert_eq!(r.at, t, "a rejection seen late");
         let key = (edge, r.origin, r.create_id);
         let Some((request, _)) = self.ledger.claim_create(key) else {
             return;
@@ -1121,6 +1140,7 @@ impl Network {
     }
 
     fn on_delivery(&mut self, edge_idx: usize, d: Delivery, t: SimTime) {
+        debug_assert_eq!(d.at, t, "a delivery seen late");
         if d.kind != RequestKind::Nl {
             return;
         }
@@ -1301,8 +1321,11 @@ impl Network {
             None => {}
             Some(GroupVerdict::Deliver(outcome, owner)) => self.deliver(outcome, 0, owner),
             Some(GroupVerdict::Regenerate { routes, template }) => {
-                let members = routes.map(|route| self.issue_fresh(Some(&route), template.clone()));
+                let members = [self.ledger.new_id(), self.ledger.new_id()];
                 self.ledger.set_group_members(group, members);
+                for (id, route) in members.into_iter().zip(routes) {
+                    self.issue_fresh(id, Some(&route), template.clone());
+                }
             }
         }
     }

@@ -105,7 +105,7 @@ pub mod prelude {
     pub use crate::quantum::purify::{distill_werner, DistillOutcome};
     pub use crate::quantum::{Basis, QuantumState};
     pub use crate::sim::config::{LinkConfig, RequestKind, SchedulerChoice, UsagePattern};
-    pub use crate::sim::link::{Delivery, LinkSimulation};
+    pub use crate::sim::link::{Delivery, LinkOutput, LinkSimulation};
     pub use crate::sim::metrics::LinkMetrics;
     pub use crate::sim::workload::{GeneratedRequest, KindLoad, OriginPolicy, WorkloadSpec};
 }

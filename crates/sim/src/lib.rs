@@ -12,7 +12,7 @@
 //!   `f·psucc/(E·k)` per MHP cycle (§6), kinds NL/CK/MD, origins
 //!   A/B/random;
 //! * [`link`] — the event-driven simulation of one link, with a
-//!   steppable embedding API (`advance_to` / `drain_deliveries`) so a
+//!   steppable embedding API (`advance_to` / `take_outputs`) so a
 //!   network layer can interleave many links on one shared clock;
 //! * [`metrics`] — throughput, request/pair/scaled latency, fidelity,
 //!   QBER, queue lengths, error counts, fairness splits and the time
@@ -24,6 +24,6 @@ pub mod metrics;
 pub mod workload;
 
 pub use config::{LinkConfig, RequestKind, SchedulerChoice, UsagePattern};
-pub use link::{Delivery, LinkSimulation};
+pub use link::{Delivery, LinkOutput, LinkSimulation};
 pub use metrics::LinkMetrics;
 pub use workload::WorkloadSpec;

@@ -81,9 +81,8 @@ struct RequestTracking {
     pairs_seen: u16,
 }
 
-/// One pair delivered by the link layer, surfaced to an embedding
-/// (network) layer via [`LinkSimulation::drain_deliveries`] once
-/// recording is enabled with [`LinkSimulation::capture_deliveries`].
+/// One pair delivered by the link layer: the OK an embedding (network)
+/// layer reads from the link's outbox ([`LinkSimulation::take_outputs`]).
 ///
 /// The link records the same information into its own
 /// [`LinkMetrics`]; this record exists so a higher layer driving many
@@ -107,11 +106,10 @@ pub struct Delivery {
 
 /// One CREATE the link layer terminally rejected (UNSUPP, deadline
 /// too tight, queue denial, memory exhaustion…): no pair will ever be
-/// delivered for it. Surfaced to an embedding (network) layer via
-/// [`LinkSimulation::drain_rejections`] once recording is enabled
-/// with [`LinkSimulation::capture_rejections`] — the observation a
-/// re-routing network layer needs to try another path instead of
-/// waiting out a timeout.
+/// delivered for it: the ERR an embedding (network) layer reads from
+/// the link's outbox ([`LinkSimulation::take_outputs`]) — the
+/// observation a re-routing network layer needs to try another path
+/// instead of waiting out a timeout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rejection {
     /// Node whose EGP rejected the CREATE (0 = A, 1 = B) — the same
@@ -123,6 +121,16 @@ pub struct Rejection {
     pub code: EgpErrorCode,
     /// Simulated rejection instant.
     pub at: SimTime,
+}
+
+/// What a link reports to the layer above, in event order: the OKs and
+/// terminal ERRs of the CREATEs submitted to it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LinkOutput {
+    /// A pair was delivered.
+    Delivery(Delivery),
+    /// A CREATE was terminally rejected.
+    Rejection(Rejection),
 }
 
 impl Rejection {
@@ -174,8 +182,9 @@ pub struct LinkSimulation {
     /// From the start of an attempt's cycle to the close of its detection
     /// window: emission preparation, the longer arm's flight, 100 ns.
     window_close_after: SimDuration,
-    deliveries: Option<Vec<Delivery>>,
-    rejections: Option<Vec<Rejection>>,
+    /// What the link reported since the last
+    /// [`LinkSimulation::take_outputs`], in event order.
+    outputs: Vec<LinkOutput>,
     /// Metrics collected so far.
     pub metrics: LinkMetrics,
     /// Opt-in ([`LinkSimulation::park_when_idle`]): stop the MHP cycle
@@ -274,8 +283,7 @@ impl LinkSimulation {
             tracking: Default::default(),
             reply_deadline_cycles: round_trip + 12,
             window_close_after: scenario.emission_prep + longer_arm + SimDuration::from_nanos(100),
-            deliveries: None,
-            rejections: None,
+            outputs: Vec::new(),
             metrics: LinkMetrics::new(),
             park_when_idle: false,
             parked: None,
@@ -402,8 +410,8 @@ impl LinkSimulation {
     //
     // A network layer driving N links on one shared clock needs finer
     // control than `run_for`: it must know when each link's next event
-    // fires, advance a link exactly to a global instant, and observe
-    // the pairs delivered along the way. These three methods are that
+    // fires, advance a link exactly to a global instant, and read what
+    // the link reported along the way. These three methods are that
     // contract; `run_for` is a thin wrapper over `advance_to`.
 
     /// Firing time of this link's next pending event. `None` means
@@ -451,8 +459,8 @@ impl LinkSimulation {
     /// never-parking run; only [`LinkSimulation::events_fired`] drops, by
     /// [`LinkSimulation::cycles_elided`].
     ///
-    /// Off by default, like [`LinkSimulation::capture_deliveries`]: a
-    /// standalone stepper may rely on the cycle clock never stopping.
+    /// Off by default: a standalone stepper may rely on the cycle clock
+    /// never stopping.
     /// An embedding layer that already handles a `None`
     /// `next_event_time` switches it on.
     ///
@@ -461,46 +469,20 @@ impl LinkSimulation {
         self.park_when_idle = true;
     }
 
-    /// Starts recording per-pair [`Delivery`] records for
-    /// [`LinkSimulation::drain_deliveries`]. Off by default so
-    /// standalone links (benches, examples, long workload runs) don't
-    /// accumulate an unbounded buffer nobody reads; an embedding layer
-    /// switches it on and drains at every wake.
-    pub fn capture_deliveries(&mut self) {
-        if self.deliveries.is_none() {
-            self.deliveries = Some(Vec::new());
-        }
+    /// Takes everything the link reported since the last call — every
+    /// [`Delivery`] and [`Rejection`] — in event order. The outbox is
+    /// always on: a caller that reads it after each call into the link
+    /// (`submit`, `expire_request`, `advance_to`) sees each report at
+    /// the simulated instant it was made. A link nobody reads keeps one
+    /// record per delivered pair, as [`LinkMetrics::ok_series`] does.
+    pub fn take_outputs(&mut self) -> Vec<LinkOutput> {
+        std::mem::take(&mut self.outputs)
     }
 
-    /// Takes every pair delivered since the last drain, in delivery
-    /// order (empty unless [`LinkSimulation::capture_deliveries`] was
-    /// called).
-    pub fn drain_deliveries(&mut self) -> Vec<Delivery> {
-        self.deliveries
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
-    /// Starts recording per-CREATE [`Rejection`] records for
-    /// [`LinkSimulation::drain_rejections`]. Off by default for the
-    /// same reason as [`LinkSimulation::capture_deliveries`]: nobody
-    /// reads the buffer on a standalone link.
-    pub fn capture_rejections(&mut self) {
-        if self.rejections.is_none() {
-            self.rejections = Some(Vec::new());
-        }
-    }
-
-    /// Takes every terminal rejection since the last drain, in event
-    /// order (empty unless [`LinkSimulation::capture_rejections`] was
-    /// called).
-    pub fn drain_rejections(&mut self) -> Vec<Rejection> {
-        self.rejections
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
+    #[doc(hidden)] #[rustfmt::skip]
+    pub fn capture_deliveries(&mut self) {} // benchmark-compat: ROADMAP item 1 deletes this
+    #[doc(hidden)] #[rustfmt::skip]
+    pub fn drain_deliveries(&mut self) -> Vec<Delivery> { self.take_outputs().into_iter().filter_map(|o| match o { LinkOutput::Delivery(d) => Some(d), LinkOutput::Rejection(_) => None }).collect() } // benchmark-compat: ROADMAP item 1 deletes this
 
     fn current_cycle(&self) -> u64 {
         self.cycle_of(self.queue.now())
@@ -825,14 +807,12 @@ impl LinkSimulation {
                             | EgpErrorCode::Expire
                     ) {
                         self.tracking[from].remove(&err.create_id);
-                        if let Some(rejections) = &mut self.rejections {
-                            rejections.push(Rejection {
-                                origin: from,
-                                create_id: err.create_id,
-                                code: err.code,
-                                at: self.queue.now(),
-                            });
-                        }
+                        self.outputs.push(LinkOutput::Rejection(Rejection {
+                            origin: from,
+                            create_id: err.create_id,
+                            code: err.code,
+                            at: self.queue.now(),
+                        }));
                     }
                 }
                 EgpEvent::Hw(directive) => self.apply_hw(from, directive),
@@ -905,16 +885,14 @@ impl LinkSimulation {
         let pairs = t.pairs;
         self.metrics
             .record_pair(kind, origin, fidelity, latency, now);
-        if let Some(deliveries) = &mut self.deliveries {
-            deliveries.push(Delivery {
-                kind,
-                origin,
-                create_id,
-                fidelity,
-                at: now,
-                request_complete: complete,
-            });
-        }
+        self.outputs.push(LinkOutput::Delivery(Delivery {
+            kind,
+            origin,
+            create_id,
+            fidelity,
+            at: now,
+            request_complete: complete,
+        }));
         if complete {
             self.metrics
                 .record_request_complete(kind, origin, pairs, latency, now);
@@ -1155,7 +1133,6 @@ mod tests {
     #[test]
     fn an_err_touches_only_the_create_of_its_origin() {
         let mut sim = manual_lab(3);
-        sim.capture_rejections();
         let create_id = sim.submit(0, md_request(3));
         sim.tracking[0].get_mut(&create_id).unwrap().pairs_seen = 2;
         let expire = |origin_node_id, range_only| {
@@ -1172,21 +1149,18 @@ mod tests {
 
         sim.route(0, &mut vec![expire(NODE_B, true), expire(NODE_B, false)]);
         assert_eq!(seen(&sim), Some(2), "B's CREATE {create_id} is not A's");
-        assert!(sim.drain_rejections().is_empty());
+        assert!(sim.take_outputs().is_empty());
 
         sim.route(0, &mut vec![expire(NODE_A, true)]);
         assert_eq!(seen(&sim), Some(1), "A's own revoked pair");
 
         sim.route(0, &mut vec![expire(NODE_A, false)]);
         assert_eq!(seen(&sim), None, "abandoned by its EGP");
-        let rejections = sim.drain_rejections();
-        assert_eq!(rejections.len(), 1);
+        let [LinkOutput::Rejection(r)] = sim.take_outputs()[..] else {
+            panic!("one rejection expected");
+        };
         assert_eq!(
-            (
-                rejections[0].origin,
-                rejections[0].create_id,
-                rejections[0].code
-            ),
+            (r.origin, r.create_id, r.code),
             (0, create_id, EgpErrorCode::Expire)
         );
     }
@@ -1247,7 +1221,6 @@ mod tests {
                 .with_classical_corruption(0.05);
             let mut sim = LinkSimulation::new(cfg);
             sim.park_when_idle();
-            sim.capture_deliveries();
             for _ in 0..4 {
                 sim.submit(0, md_request(5));
                 sim.submit(
@@ -1265,7 +1238,8 @@ mod tests {
                     sim.advance_to(t);
                 }
             }
-            assert!(!sim.drain_deliveries().is_empty());
+            let outputs = sim.take_outputs();
+            assert!(outputs.iter().any(|o| matches!(o, LinkOutput::Delivery(_))));
             assert_eq!(sim.ledger.len(), 0, "pairs left in the ledger");
             assert_eq!(sim.mhps.each_ref().map(NodeMhp::in_flight), [0, 0]);
         }

@@ -352,6 +352,42 @@ fn trace_workloads_replay_verbatim_through_the_network() {
     assert_eq!(stats, run(), "trace replay is deterministic");
 }
 
+/// A link refuses a CREATE the moment it reaches it, so an arrival at
+/// an fmin no link can serve, with no retry budget, is abandoned while
+/// its admission is still being handled: the slot it took is settled
+/// on the spot, for a plain request and for a distillation group alike.
+#[test]
+fn an_arrival_refused_on_the_spot_settles_its_slot() {
+    let trace: Vec<_> = (0..3)
+        .map(|i| TraceArrival {
+            after: SimDuration::from_micros(20 * i),
+            class: 0,
+            pair: (0, 2),
+        })
+        .collect();
+    let admission = AdmissionControl::QueueBeyond {
+        max_in_flight: 1,
+        queue_cap: 4,
+    };
+    let class = UserClass::new("unservable", RequestKind::Ck, vec![(0, 2)])
+        .with_fmin(0.99)
+        .with_admission(admission);
+    for policy in [Policy::SwapAsap, Policy::EndToEndPurify] {
+        let config = NetConfig {
+            policy,
+            workload: Some(Workload::trace(trace.clone(), vec![class.clone()])),
+            ..NetConfig::default()
+        };
+        let topo = Topology::chain(3, |i| lab(80 + i as u64));
+        let mut net = Network::with_config(topo, 13, config, ModelCache::new());
+        net.run_for(SimDuration::from_millis(1));
+        let c = &net.workload_stats().expect("armed").classes[0];
+        let counts = [c.offered, c.admitted, c.queued, c.abandoned, c.in_flight];
+        assert_eq!(counts, [3, 3, 0, 3, 0], "{policy:?}");
+        assert_eq!(net.timeouts(), 3, "{policy:?}");
+    }
+}
+
 // ---- sweep integration ----------------------------------------------
 
 /// `ScenarioSpec::with_workload` drives the run open-loop through the

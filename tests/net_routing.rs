@@ -535,13 +535,10 @@ fn routing_is_pinned_bit_for_bit() {
 }
 
 /// A link that rejects a CREATE as unsupported does so at the instant
-/// the CREATE reaches it, so the network should see the UNSUPP — and
-/// penalise the edge and fail the attempt — at that instant too. It
-/// sees it only at the link's next wake, usually the next MHP cycle
-/// boundary (up to 10.12 µs later on Lab hardware): the rejection
-/// waits in the link's buffer until a `LinkWake` drains it.
+/// the CREATE reaches it, and the network sees the UNSUPP — penalises
+/// the edge and fails the attempt, re-routing or abandoning it — at
+/// that instant too, not at the link's next wake.
 #[test]
-#[ignore = "FOUND: a rejection inside submit_nl waits for its link's next wake (ROADMAP item 3)"]
 fn an_unsupported_create_is_seen_at_its_instant() {
     let config = NetConfig {
         telemetry: TelemetryConfig::all(),
@@ -570,7 +567,53 @@ fn an_unsupported_create_is_seen_at_its_instant() {
             })
             .expect("an UNSUPP follows its CREATE");
         assert_eq!(unsupp.at, create.at, "edge {edge}: UNSUPP seen late");
+        let failed = spans
+            .iter()
+            .find(|s| {
+                s.request == unsupp.request
+                    && s.attempt == unsupp.attempt
+                    && matches!(
+                        s.stage,
+                        SpanStage::Reroute { .. } | SpanStage::Abandon { .. }
+                    )
+            })
+            .expect("an UNSUPP fails its attempt");
+        assert_eq!(failed.at, create.at, "edge {edge}: attempt failed late");
         unsupported += 1;
     }
     assert!(unsupported > 0, "the link never refused the CREATE");
+}
+
+/// An edge that distills needs two CREATEs, issued back to back. When
+/// the link refuses the first, the attempt fails at once: the second is
+/// never submitted, the reservation forwarded down the path finds the
+/// request gone and submits nothing, and no edge carries a reservation
+/// afterwards.
+#[test]
+fn a_refused_first_create_stops_its_edge_demand() {
+    let config = NetConfig {
+        policy: Policy::LinkPurify,
+        telemetry: TelemetryConfig::all(),
+        ..NetConfig::default()
+    };
+    let mut net = Network::with_config(
+        Topology::chain(3, |_| lab(62)),
+        62,
+        config,
+        ModelCache::new(),
+    );
+    let request = net.request_on_path(&[0, 1, 2], 0.99);
+    assert_eq!(net.edge_load(0), 0, "the refusal released the edge");
+    net.run_for(SimDuration::from_millis(1));
+    let spans = net.telemetry().expect("telemetry on").spans();
+    let stages = |pick: fn(&SpanStage) -> bool| {
+        spans
+            .iter()
+            .filter(|s| s.request == request && pick(&s.stage))
+            .count()
+    };
+    assert_eq!(stages(|s| matches!(s, SpanStage::Create { .. })), 1);
+    assert_eq!(stages(|s| matches!(s, SpanStage::Unsupp { .. })), 1);
+    assert_eq!(stages(|s| matches!(s, SpanStage::Abandon { .. })), 1);
+    assert_eq!([net.edge_load(0), net.edge_load(1)], [0, 0]);
 }

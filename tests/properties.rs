@@ -322,39 +322,44 @@ fn measurement_outcomes_unbiased_on_bell_pairs() {
 // ---- idle-link parking ------------------------------------------------
 
 use qlink::des::SimTime;
-use qlink::sim::link::{LinkSimulation, Rejection};
+use qlink::sim::link::{LinkOutput, LinkSimulation, Rejection};
 use qlink::sim::workload::{GeneratedRequest, WorkloadSpec};
 use qlink::sim::{LinkConfig, LinkMetrics, RequestKind};
 
-/// What a link surfaced over a stretch of time: its deliveries (f64s
-/// by bit pattern) and its rejections, in order.
-type Surfaced = (
-    Vec<(RequestKind, usize, u16, u64, SimTime, bool)>,
-    Vec<Rejection>,
-);
+/// One output a link surfaced, a delivery's fidelity by bit pattern.
+#[derive(Debug, PartialEq)]
+enum Surfaced {
+    Delivery(RequestKind, usize, u16, u64, SimTime, bool),
+    Rejection(Rejection),
+}
+
+impl Surfaced {
+    fn is_delivery(&self) -> bool {
+        matches!(self, Surfaced::Delivery(..))
+    }
+}
 
 /// Steps a link to `t` the way an embedding layer does — wake by wake
-/// through `next_event_time` / `advance_to`, draining at each — and
-/// returns what it surfaced on the way.
-fn step_to(link: &mut LinkSimulation, t: SimTime) -> Surfaced {
-    let (mut deliveries, mut rejections) = (Vec::new(), Vec::new());
+/// through `next_event_time` / `advance_to`, reading the outbox at
+/// each — and returns what it surfaced on the way, in event order.
+fn step_to(link: &mut LinkSimulation, t: SimTime) -> Vec<Surfaced> {
+    let mut surfaced = Vec::new();
     loop {
         let wake = link.next_event_time().filter(|&w| w <= t);
         link.advance_to(wake.unwrap_or(t));
-        deliveries.extend(link.drain_deliveries().into_iter().map(|d| {
-            let fidelity = d.fidelity.to_bits();
-            (
+        surfaced.extend(link.take_outputs().into_iter().map(|o| match o {
+            LinkOutput::Delivery(d) => Surfaced::Delivery(
                 d.kind,
                 d.origin,
                 d.create_id,
-                fidelity,
+                d.fidelity.to_bits(),
                 d.at,
                 d.request_complete,
-            )
+            ),
+            LinkOutput::Rejection(r) => Surfaced::Rejection(r),
         }));
-        rejections.extend(link.drain_rejections());
         if wake.is_none() {
-            return (deliveries, rejections);
+            return surfaced;
         }
     }
 }
@@ -436,8 +441,6 @@ fn parked_link_is_indistinguishable_from_a_ticking_one() {
         let cycle = cfg.scenario.mhp_cycle;
         let embedded = |park: bool| {
             let mut link = LinkSimulation::new(cfg.clone());
-            link.capture_deliveries();
-            link.capture_rejections();
             if park {
                 link.park_when_idle();
             }
@@ -468,7 +471,7 @@ fn parked_link_is_indistinguishable_from_a_ticking_one() {
                 ticking.events_fired(),
                 "case {case} step {step}: event ledger"
             );
-            delivered += want.0.len();
+            delivered += want.iter().filter(|o| o.is_delivery()).count();
 
             let was_parked = parked.next_event_time().is_none();
             let links = [&mut ticking, &mut parked];
@@ -506,7 +509,7 @@ fn parked_link_is_indistinguishable_from_a_ticking_one() {
         t += SimDuration::from_secs(3);
         let want = step_to(&mut ticking, t);
         assert_eq!(step_to(&mut parked, t), want, "case {case}: drain");
-        delivered += want.0.len();
+        delivered += want.iter().filter(|o| o.is_delivery()).count();
 
         let fp = metrics_fingerprint(&ticking.metrics);
         assert_eq!(
@@ -563,8 +566,6 @@ fn link_on_a_warmed_estimator_is_indistinguishable_from_a_cold_one() {
             cfg
         };
         let drive = |link: &mut LinkSimulation| {
-            link.capture_deliveries();
-            link.capture_rejections();
             let ck = |fmin| GeneratedRequest {
                 kind: RequestKind::Ck,
                 pairs: 1,
@@ -578,8 +579,7 @@ fn link_on_a_warmed_estimator_is_indistinguishable_from_a_cold_one() {
             let id = link.submit(1, ck(0.5));
             link.expire_request(1, id);
             let more = step_to(link, SimTime::ZERO + SimDuration::from_millis(2_000));
-            surfaced.0.extend(more.0);
-            surfaced.1.extend(more.1);
+            surfaced.extend(more);
             (
                 surfaced,
                 metrics_fingerprint(&link.metrics),
@@ -596,7 +596,7 @@ fn link_on_a_warmed_estimator_is_indistinguishable_from_a_cold_one() {
         let warm = drive(&mut LinkSimulation::with_estimator(cfg(31), feu.clone()));
 
         assert!(
-            !cold.0 .0.is_empty() && !cold.0 .1.is_empty(),
+            cold.0.iter().any(Surfaced::is_delivery) && !cold.0.iter().all(Surfaced::is_delivery),
             "case {case}: the schedule must deliver and reject something"
         );
         assert_eq!(warm, cold, "case {case}");

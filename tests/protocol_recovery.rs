@@ -125,7 +125,6 @@ fn mix(digest: &mut u64, word: u64) {
 fn lossy_run(cfg: LinkConfig, round_len: SimDuration) -> (u64, usize) {
     const KINDS: [RequestKind; 3] = [RequestKind::Md, RequestKind::Nl, RequestKind::Ck];
     let mut sim = LinkSimulation::new(cfg);
-    sim.capture_deliveries();
     let mut digest = 0xcbf2_9ce4_8422_2325;
     let mut delivered = 0;
     for round in 0..6usize {
@@ -141,7 +140,10 @@ fn lossy_run(cfg: LinkConfig, round_len: SimDuration) -> (u64, usize) {
             sim.submit(origin, req);
         }
         sim.run_for(round_len);
-        for d in sim.drain_deliveries() {
+        for output in sim.take_outputs() {
+            let LinkOutput::Delivery(d) = output else {
+                continue;
+            };
             delivered += 1;
             mix(&mut digest, d.fidelity.to_bits());
             mix(&mut digest, d.at.as_ps());

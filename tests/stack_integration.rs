@@ -81,13 +81,16 @@ fn requests_from_both_origins_complete() {
 #[test]
 fn three_hundred_creates_from_one_side_are_queued_or_refused() {
     let mut sim = LinkSimulation::new(LinkConfig::lab(WorkloadSpec::none(), 4));
-    sim.capture_rejections();
     for _ in 0..300 {
         sim.submit(0, md(1, 0));
     }
     // The MD queue holds 256 items; the rest are refused, not lost.
     assert_eq!(sim.egp(0).queue_len(), 256);
-    assert_eq!(sim.drain_rejections().len(), 44);
+    let outputs = sim.take_outputs();
+    assert_eq!(outputs.len(), 44);
+    assert!(outputs
+        .iter()
+        .all(|o| matches!(o, LinkOutput::Rejection(_))));
 }
 
 #[test]
