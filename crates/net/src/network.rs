@@ -999,7 +999,9 @@ impl Network {
         for _ in 0..need {
             self.submit_nl(request, pos);
         }
-        if let Some(next) = next {
+        // A CREATE the link refused on the spot has torn the request
+        // down: there is nothing left to reserve further down the path.
+        if let Some(next) = next.filter(|_| self.ledger.in_flight(request).is_some()) {
             let delay = self.topo.edge(edge).control_delay;
             self.send(delay, next, ControlMsg::Reserve { request });
         }

@@ -586,9 +586,8 @@ fn an_unsupported_create_is_seen_at_its_instant() {
 
 /// An edge that distills needs two CREATEs, issued back to back. When
 /// the link refuses the first, the attempt fails at once: the second is
-/// never submitted, the reservation forwarded down the path finds the
-/// request gone and submits nothing, and no edge carries a reservation
-/// afterwards.
+/// never submitted, no reservation is forwarded down the path, and no
+/// edge carries a reservation afterwards.
 #[test]
 fn a_refused_first_create_stops_its_edge_demand() {
     let config = NetConfig {
@@ -616,4 +615,8 @@ fn a_refused_first_create_stops_its_edge_demand() {
     assert_eq!(stages(|s| matches!(s, SpanStage::Unsupp { .. })), 1);
     assert_eq!(stages(|s| matches!(s, SpanStage::Abandon { .. })), 1);
     assert_eq!([net.edge_load(0), net.edge_load(1)], [0, 0]);
+    // Every shared-queue event of the run: a Reserve forwarded after the
+    // teardown would be a fourth.
+    let profile = net.telemetry().expect("telemetry on").profile();
+    assert_eq!(profile.events_handled, 3);
 }
