@@ -18,18 +18,16 @@
 //!   delivery, `|Ψ−⟩→|Ψ+⟩` correction, move-to-memory timing, carbon
 //!   re-initialization blackouts;
 //! * recover from lost control messages via EXPIRE (§E.3.2) and
-//!   queue-mismatch reconciliation;
-//! * intersperse test rounds (Appendix B) and feed the QBER estimator.
+//!   queue-mismatch reconciliation.
 
 use crate::dqueue::{DistributedQueue, DqpEvent, RejectReason, Role};
-use crate::feu::{FidelityEstimator, QberEstimator};
+use crate::feu::FidelityEstimator;
 use crate::qmm::{QuantumMemoryManager, QubitId};
 use crate::request::{Request, RequestState, Service};
 use crate::scheduler::SchedulerPolicy;
 use crate::shared_random::SharedRandomness;
 use qlink_phys::mhp::{AttemptKind, AttemptSpec, MhpResult};
 use qlink_phys::params::ScenarioParams;
-use qlink_quantum::bell::BellState;
 use qlink_quantum::Basis;
 use qlink_wire::dqp::QueueItem;
 use qlink_wire::egp::{
@@ -61,7 +59,7 @@ pub enum HwDirective {
         qubit: QubitId,
     },
     /// Discard the local half of the pair heralded in `cycle`
-    /// (sequence-check failure, expiry, or a consumed test round).
+    /// (sequence-check failure or expiry).
     Discard {
         /// Detection window of the pair.
         cycle: u64,
@@ -133,13 +131,12 @@ pub struct EgpConfig {
     pub scheduler: SchedulerPolicy,
     /// Number of carbon storage qubits.
     pub storage_qubits: usize,
-    /// Pre-shared randomness for test rounds and bases.
+    /// Pre-shared randomness for the M-type attempts' bases.
     pub shared_random: SharedRandomness,
 }
 
 impl EgpConfig {
-    /// A node of a link on `scenario` with one storage qubit and no
-    /// test rounds.
+    /// A node of a link on `scenario` with one storage qubit.
     pub fn for_scenario(
         node_id: u32,
         peer_id: u32,
@@ -154,13 +151,11 @@ impl EgpConfig {
             scenario,
             scheduler,
             storage_qubits: 1,
-            shared_random: SharedRandomness::new(0x51_1b_2a_7e, 0.0),
+            shared_random: SharedRandomness::new(0x51_1b_2a_7e),
         }
     }
 }
 
-/// Window size of the QBER estimator (Appendix B's `N`).
-const QBER_WINDOW: usize = 1000;
 /// Consecutive NO_MESSAGE_OTHER results on one request before
 /// concluding the peer has diverged and sending a resync EXPIRE
 /// (§E.3.2's "inconsistency detected later" case) — at least; see
@@ -241,7 +236,6 @@ pub struct Egp {
     dq: DistributedQueue,
     qmm: QuantumMemoryManager,
     feu: FidelityEstimator,
-    qber: QberEstimator,
     next_create_id: u16,
     seq_expected: u16,
     /// Move awaiting completion; the hardware is busy until it is done.
@@ -319,7 +313,6 @@ impl Egp {
             dq,
             qmm: QuantumMemoryManager::new(cfg.storage_qubits),
             feu,
-            qber: QberEstimator::new(QBER_WINDOW),
             next_create_id: 0,
             seq_expected: 0,
             pending_move: None,
@@ -349,17 +342,6 @@ impl Egp {
     /// EXPIREs sent so far (robustness metric of §6.1).
     pub fn expires_sent(&self) -> u64 {
         self.expires_sent
-    }
-
-    /// The runtime QBER estimator (fed by test rounds).
-    pub fn qber_estimator(&self) -> &QberEstimator {
-        &self.qber
-    }
-
-    /// Records a test-round outcome into the FEU's estimator (the
-    /// harness routes the midpoint's bits here).
-    pub fn record_test_round(&mut self, heralded: BellState, basis: Basis, bit_a: u8, bit_b: u8) {
-        self.qber.record(heralded, basis, bit_a, bit_b);
     }
 
     /// Takes one input at `cycle` and appends what it emits to `out`,
@@ -635,29 +617,26 @@ impl Egp {
             return None;
         }
 
-        // Test-round / basis strings are indexed by the shared cycle
-        // number so both nodes agree without communication.
-        let is_test =
-            rtype == RequestType::Keep && self.cfg.shared_random.is_test_round(aid, cycle);
-        let kind = if rtype == RequestType::Measure || is_test {
-            AttemptKind::Measure {
+        // The basis string is indexed by the shared cycle number so
+        // both nodes agree without communication.
+        let kind = match rtype {
+            RequestType::Keep => AttemptKind::Keep,
+            RequestType::Measure => AttemptKind::Measure {
                 basis: self.cfg.shared_random.basis(aid, cycle),
-            }
-        } else {
-            AttemptKind::Keep
+            },
         };
         req.service.state = RequestState::InService;
         let spec = AttemptSpec {
             queue_id: aid,
             alpha: req.service.alpha,
             kind,
-            test_round: is_test,
+            test_round: false,
         };
         if paced {
-            // The attempt (a test round too) occupies the slot for one
-            // cadence period. The next slot is aligned to a global grid
-            // (multiples of the cadence) so that after any local hiccup —
-            // a reply timeout, a lost frame — both nodes re-lock onto it.
+            // The attempt occupies the slot for one cadence period. The
+            // next slot is aligned to a global grid (multiples of the
+            // cadence) so that after any local hiccup — a reply timeout,
+            // a lost frame — both nodes re-lock onto it.
             self.next_keep_cycle = self.grid_align(cycle + 1);
         }
         if matches!(kind, AttemptKind::Keep) {
@@ -869,14 +848,6 @@ impl Egp {
             return;
         } else {
             // Stale (already expired) — ignore.
-            self.drop_pair(result, events);
-            return;
-        }
-
-        // Test round (Appendix B): consumed for estimation, not counted.
-        // Its attempt measured (no K attempt), so no qubit is freed.
-        if result.spec.test_round {
-            req.service.round += 1;
             self.drop_pair(result, events);
             return;
         }
@@ -1151,6 +1122,7 @@ mod tests {
     use qlink_phys::attempt::AttemptModel;
     use qlink_phys::mhp::{Midpoint, NodeMhp};
     use qlink_phys::params::ScenarioParams;
+    use qlink_quantum::bell::BellState;
     use qlink_wire::fields::RequestFlags;
 
     const A: u32 = 1;
@@ -1782,30 +1754,6 @@ mod tests {
             first_k < first_m,
             "NL (K, strict priority) must complete first: {order:?}"
         );
-    }
-
-    #[test]
-    fn test_rounds_feed_qber_estimator() {
-        let mut h = Harness::new(SchedulerPolicy::fcfs());
-        // Rebuild A and B with test rounds enabled.
-        let scenario = ScenarioParams::lab();
-        let mut cfg_a = EgpConfig::for_scenario(
-            A,
-            B,
-            Role::Master,
-            scenario.clone(),
-            SchedulerPolicy::fcfs(),
-        );
-        cfg_a.shared_random = SharedRandomness::new(5, 0.3);
-        let mut cfg_b =
-            EgpConfig::for_scenario(B, A, Role::Slave, scenario, SchedulerPolicy::fcfs());
-        cfg_b.shared_random = SharedRandomness::new(5, 0.3);
-        h.egp_a = Egp::new(cfg_a);
-        h.egp_b = Egp::new(cfg_b);
-        let (_, evs) = submit(&mut h.egp_a, create_msg(5, true, 1), 0);
-        h.dispatch(evs, vec![], 0);
-        h.run(4000);
-        assert_eq!(h.count_oks(true), 5, "request completes around test rounds");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The Fidelity Estimation Unit (§5.2.3) and the test-round QBER
-//! estimator of Appendix B.
+//! The Fidelity Estimation Unit (§5.2.3) and the QBER estimator of
+//! Appendix B.
 //!
 //! The FEU answers two questions for the EGP:
 //!
@@ -13,9 +13,11 @@
 //!    fidelity/rate trade-off of §4.4), and how long will the request
 //!    take? If no α does, the request is rejected UNSUPP.
 //!
-//! The base estimate comes from known hardware capabilities (the
-//! attempt model); interspersed test rounds refine it at runtime via
-//! the QBER↔fidelity relation of eq. (16).
+//! The estimate comes from known hardware capabilities (the attempt
+//! model) alone: a link is characterised once, and no run takes the
+//! test rounds of Appendix B. [`QberEstimator`] is the eq. (16)
+//! QBER↔fidelity estimator those rounds would feed; the Fig. 8
+//! validation bench runs it on sampled outcomes.
 
 use qlink_des::{IntMap, SimTime};
 use qlink_math::solve::{bisect, BisectResult};
@@ -279,8 +281,7 @@ fn readout_flip_prob(params: &ScenarioParams) -> f64 {
     ((1.0 - params.nv.readout_f0) + (1.0 - params.nv.readout_f1)) / 2.0
 }
 
-/// Sliding-window QBER estimation from interspersed test rounds
-/// (Appendix B).
+/// Sliding-window QBER estimation from test rounds (Appendix B).
 ///
 /// Nodes record, for each test round, whether the two measurement
 /// outcomes were *in error* relative to the heralded state's expected

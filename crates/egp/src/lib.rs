@@ -15,13 +15,12 @@
 //!   node's communication and storage qubits.
 //! * [`feu`] — the Fidelity Estimation Unit (§5.2.3): translates a
 //!   requested `Fmin` into a bright-state population α (inverting the
-//!   attempt model) and minimum completion times; includes the
-//!   test-round QBER estimator of Appendix B.
+//!   attempt model) and minimum completion times.
 //! * [`scheduler`] — §5.2.4: deterministic schedulers (FCFS and
 //!   strict-priority + weighted-fair-queueing as evaluated in §6.3).
 //! * [`shared_random`] — the pre-shared randomness both nodes use to
-//!   agree on test rounds and measurement bases without communication
-//!   (the strings `t` and `r` of Appendix B).
+//!   agree on M-type measurement bases without communication (the
+//!   string `r` of Appendix B).
 //! * [`request`] — the one record of a committed request: the
 //!   synchronised queue item plus this node's progress on it, held in
 //!   the distributed queue's table and nowhere else.

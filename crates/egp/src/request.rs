@@ -41,10 +41,6 @@ pub struct Service {
     pub accepted_cycle: u64,
     /// Pairs already delivered (OKs issued locally).
     pub pairs_done: u16,
-    /// Round counter: total attempts-with-identity made, used to index
-    /// the pre-shared test/basis strings. Incremented per *herald*,
-    /// not per attempt, so it stays small and synchronized.
-    pub round: u32,
     /// Current lifecycle state.
     pub state: RequestState,
     /// Cycle at which the request completed (kept for a linger period
@@ -68,7 +64,6 @@ impl Service {
             goodness,
             accepted_cycle,
             pairs_done: 0,
-            round: 0,
             state: RequestState::Queued,
             completed_cycle: None,
             issued_seqs: VecDeque::new(),
@@ -130,7 +125,6 @@ impl Request {
     /// (§4.1.1 item 5), which the last pair makes it do.
     pub fn deliver(&mut self, seq: u16, ok: EgpEvent, cycle: u64, events: &mut Vec<EgpEvent>) {
         self.service.pairs_done += 1;
-        self.service.round += 1;
         self.service.issued_seqs.push_back(seq);
         if self.service.issued_seqs.len() > ISSUED_SEQS_KEPT {
             self.service.issued_seqs.pop_front();

@@ -1,81 +1,46 @@
-//! Pre-shared randomness for test rounds and measurement bases.
+//! Pre-shared randomness for measurement bases.
 //!
-//! Appendix B has the two nodes agree on a random bit string `t`
-//! (which rounds are test rounds) and a basis string `r` *in advance*,
-//! so no communication is needed at generation time. We realise the
-//! pre-shared strings as a keyed pseudorandom function both EGPs
-//! evaluate identically: `f(key, queue_id, pair_index) → (is_test,
-//! basis)`. Agreement is then structural rather than probabilistic.
+//! Appendix B has the two nodes agree on a random basis string `r` *in
+//! advance*, so no communication is needed at generation time: each
+//! M-type attempt measures in the basis `r` names. We realise the
+//! pre-shared string as a keyed pseudorandom function both EGPs
+//! evaluate identically: `f(key, queue_id, cycle) → basis`. Agreement
+//! is then structural rather than probabilistic.
 
+use qlink_des::rng::splitmix64;
 use qlink_quantum::Basis;
 use qlink_wire::fields::AbsQueueId;
 
-/// The two nodes' pre-shared random strings, realised as a keyed PRF.
+/// The two nodes' pre-shared basis string, realised as a keyed PRF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedRandomness {
     key: u64,
-    /// Probability (in 1/256 units) that a K-type round is replaced by
-    /// a test round — the parameter `q` of Appendix B.
-    test_numerator: u8,
 }
 
 impl SharedRandomness {
-    /// Creates the shared strings for a link. `test_round_probability`
-    /// is quantised to 1/256 steps.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ p ≤ 1`.
-    pub fn new(key: u64, test_round_probability: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&test_round_probability),
-            "test round probability {test_round_probability}"
-        );
-        SharedRandomness {
-            key,
-            test_numerator: (test_round_probability * 256.0).round().min(255.0) as u8,
-        }
+    /// Creates the shared string for a link.
+    pub fn new(key: u64) -> Self {
+        SharedRandomness { key }
     }
 
-    /// The effective test-round probability after quantisation.
-    pub fn test_round_probability(&self) -> f64 {
-        self.test_numerator as f64 / 256.0
-    }
-
-    fn prf(&self, queue_id: AbsQueueId, round: u64, salt: u64) -> u64 {
-        let x = self.key
-            ^ ((queue_id.qid as u64) << 56)
-            ^ ((queue_id.qseq as u64) << 40)
-            ^ round.rotate_left(8)
-            ^ salt;
-        splitmix64(x)
-    }
-
-    /// Is round `round` of request `queue_id` a test round (string `t`)?
+    /// The measurement basis for round `round` of request `queue_id`
+    /// (string `r`), uniform over X, Y, Z.
     ///
     /// `round` must be a value both nodes share without communication —
     /// the EGP uses the MHP *cycle number*, which the physical layer
     /// keeps synchronized (§4.5 "Trigger generation").
-    pub fn is_test_round(&self, queue_id: AbsQueueId, round: u64) -> bool {
-        (self.prf(queue_id, round, 0x7e57) & 0xFF) < self.test_numerator as u64
-    }
-
-    /// The measurement basis for round `round` (string `r`), uniform
-    /// over X, Y, Z. Same synchronisation requirement as
-    /// [`SharedRandomness::is_test_round`].
     pub fn basis(&self, queue_id: AbsQueueId, round: u64) -> Basis {
-        match self.prf(queue_id, round, 0xba515) % 3 {
+        let x = self.key
+            ^ ((queue_id.qid as u64) << 56)
+            ^ ((queue_id.qseq as u64) << 40)
+            ^ round.rotate_left(8)
+            ^ 0xba515;
+        match splitmix64(x) % 3 {
             0 => Basis::X,
             1 => Basis::Y,
             _ => Basis::Z,
         }
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -90,43 +55,26 @@ mod tests {
     fn both_nodes_agree() {
         // The whole point: two instances with the same key agree on
         // every round.
-        let a = SharedRandomness::new(42, 0.1);
-        let b = SharedRandomness::new(42, 0.1);
+        let a = SharedRandomness::new(42);
+        let b = SharedRandomness::new(42);
         for round in 0..1000 {
-            assert_eq!(
-                a.is_test_round(qid(3), round),
-                b.is_test_round(qid(3), round)
-            );
             assert_eq!(a.basis(qid(3), round), b.basis(qid(3), round));
         }
     }
 
     #[test]
     fn different_keys_disagree_somewhere() {
-        let a = SharedRandomness::new(1, 0.5);
-        let b = SharedRandomness::new(2, 0.5);
+        let a = SharedRandomness::new(1);
+        let b = SharedRandomness::new(2);
         let diffs = (0..256)
-            .filter(|&r| a.is_test_round(qid(0), r) != b.is_test_round(qid(0), r))
+            .filter(|&r| a.basis(qid(0), r) != b.basis(qid(0), r))
             .count();
         assert!(diffs > 20, "only {diffs} differences");
     }
 
     #[test]
-    fn test_round_frequency_close_to_q() {
-        let s = SharedRandomness::new(7, 0.125);
-        let hits = (0..10_000).filter(|&r| s.is_test_round(qid(9), r)).count();
-        assert!((1_000..=1_500).contains(&hits), "hits = {hits}");
-    }
-
-    #[test]
-    fn zero_probability_never_tests() {
-        let s = SharedRandomness::new(7, 0.0);
-        assert!((0..1000).all(|r| !s.is_test_round(qid(0), r)));
-    }
-
-    #[test]
     fn bases_roughly_uniform() {
-        let s = SharedRandomness::new(3, 0.1);
+        let s = SharedRandomness::new(3);
         let mut counts = [0usize; 3];
         for r in 0..9_000 {
             match s.basis(qid(0), r) {
@@ -138,14 +86,5 @@ mod tests {
         for c in counts {
             assert!((2_700..=3_300).contains(&c), "{counts:?}");
         }
-    }
-
-    #[test]
-    fn rounds_are_independent_per_request() {
-        let s = SharedRandomness::new(3, 0.5);
-        let same = (0..256)
-            .filter(|&r| s.is_test_round(qid(1), r) == s.is_test_round(qid(2), r))
-            .count();
-        assert!((64..=192).contains(&same), "same = {same}");
     }
 }

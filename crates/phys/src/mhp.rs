@@ -32,8 +32,8 @@ pub enum AttemptKind {
     /// M-type: measure the electron immediately in `basis`, before the
     /// reply arrives (§5.1.2).
     Measure {
-        /// Measurement basis for this attempt (test-round string of
-        /// Appendix B or the application's choice).
+        /// Measurement basis for this attempt (the pre-shared basis
+        /// string `r` of Appendix B).
         basis: Basis,
     },
 }
@@ -49,11 +49,9 @@ pub struct AttemptSpec {
     pub alpha: f64,
     /// K or M handling.
     pub kind: AttemptKind,
-    /// `true` when this attempt is an interspersed *test round*
-    /// (Appendix B): measured for QBER estimation, not counted toward
-    /// the request. Both nodes derive the flag from pre-shared
-    /// randomness, so they always agree.
-    pub test_round: bool,
+    /// Always `false`: no run takes an Appendix B test round, and
+    /// nothing reads the flag.
+    pub test_round: bool, // benchmark-compat: ROADMAP item 1 deletes this
 }
 
 /// Everything one cycle of a triggering node produces.

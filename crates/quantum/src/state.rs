@@ -40,8 +40,8 @@ use qlink_math::CMatrix;
 use rand::Rng;
 use std::fmt;
 
-/// A measurement basis, as used by the MD use case and the test rounds
-/// of Appendix B (bases are labelled X, Y, Z in the paper's §A.1).
+/// A measurement basis, as used by the MD use case and the QBER
+/// estimate of eq. (16) (bases are labelled X, Y, Z in the paper's §A.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Basis {
     /// The `{|X,0⟩, |X,1⟩}` basis: `(|0⟩ ± |1⟩)/√2`.

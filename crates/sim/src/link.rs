@@ -221,7 +221,7 @@ impl LinkSimulation {
         let root = DetRng::new(cfg.seed);
         let scenario = &cfg.scenario;
 
-        let shared = SharedRandomness::new(cfg.seed ^ 0x7e57_0000, 0.0);
+        let shared = SharedRandomness::new(cfg.seed ^ 0x7e57_0000);
         let mk_egp = |node, peer, role| {
             let mut e =
                 EgpConfig::for_scenario(node, peer, role, scenario.clone(), cfg.scheduler.policy());
@@ -721,17 +721,6 @@ impl LinkSimulation {
                 .map(|(a, b)| if node == 0 { a } else { b }),
             _ => None,
         };
-        // Feed test rounds into the FEU's estimator.
-        if result.spec.test_round && outcome_is_success(result.outcome()) {
-            if let (AttemptKind::Measure { basis }, Some(entry)) =
-                (&result.spec.kind, self.ledger.get(&result.cycle))
-            {
-                if let Some((a, b)) = entry.bits {
-                    let bell = entry.outcome.bell_state();
-                    self.egps[node].record_test_round(bell, *basis, a, b);
-                }
-            }
-        }
         self.step_egp(node, Input::MhpResult { result, local_bit }, cycle);
     }
 
