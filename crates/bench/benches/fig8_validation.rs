@@ -13,6 +13,7 @@ use qlink::phys::attempt::{AttemptModel, AttemptOutcome};
 use qlink::phys::params::{NvParams, ScenarioParams};
 use qlink::prelude::*;
 use qlink::quantum::bell::BellState;
+use qlink::sim::metrics::QberTally;
 use qlink_bench::{header, scaled_secs, Stopwatch};
 
 fn main() {
@@ -47,14 +48,14 @@ fn main() {
         // MC fidelity through eq. (16): sample measured bits in the
         // three bases from the conditional state (includes readout
         // noise, like a real test-round estimate).
-        let mut est = qlink::egp::feu::QberEstimator::new(100_000);
+        let mut qber = QberTally::default();
         for i in 0..6_000u32 {
             let basis = [Basis::X, Basis::Y, Basis::Z][(i % 3) as usize];
             let (a, b) =
                 model.sample_measurement_bits(AttemptOutcome::PsiPlus, basis, basis, &mut rng);
-            est.record(BellState::PsiPlus, basis, a, b);
+            qber.record(BellState::PsiPlus, basis, a, b);
         }
-        let f_qber = est.fidelity_estimate().unwrap_or(0.0);
+        let f_qber = qber.fidelity().unwrap_or(0.0);
         // Exact fidelity of the conditional state (no readout noise) —
         // the quantity Fig. 8(a) plots.
         let f_exact = model.heralded_fidelity(AttemptOutcome::PsiPlus);

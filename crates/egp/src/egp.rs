@@ -31,8 +31,8 @@ use qlink_phys::params::ScenarioParams;
 use qlink_quantum::Basis;
 use qlink_wire::dqp::QueueItem;
 use qlink_wire::egp::{
-    CreateMsg, EgpErrorCode, ErrMsg, ExpireAckMsg, ExpireMsg, MemoryAdvertMsg, OkKeepMsg,
-    OkMeasureMsg, RetractMsg, WireBasis,
+    CreateMsg, EgpErrorCode, ErrMsg, ExpireAckMsg, ExpireMsg, OkKeepMsg, OkMeasureMsg, RetractMsg,
+    WireBasis,
 };
 use qlink_wire::fields::{
     seq_after, AbsQueueId, Fidelity16, MhpError, MidpointOutcome, ReplyOutcome, RequestType,
@@ -242,8 +242,6 @@ pub struct Egp {
     pending_move: Option<PendingMove>,
     /// EXPIREs and RETRACTs awaiting acknowledgment.
     pending_expires: Vec<PendingExpire>,
-    /// Peer's last advertised free storage (None = unknown).
-    peer_free_storage: Option<u8>,
     /// Consecutive QUEUE_MISMATCH counts per (our aid, peer aid) pair.
     /// Mismatches for a couple of windows are normal when the two
     /// nodes' replies arrive staggered (unequal arms) around a request
@@ -317,7 +315,6 @@ impl Egp {
             seq_expected: 0,
             pending_move: None,
             pending_expires: Vec::new(),
-            peer_free_storage: None,
             qm_counts: BTreeMap::new(),
             move_cycles,
             keep_cadence_cycles,
@@ -559,16 +556,6 @@ impl Egp {
                     self.seq_expected = msg.seq_expected;
                 }
             }
-            Frame::MemoryAdvert(msg) => {
-                self.peer_free_storage = Some(msg.storage_qubits);
-                if !msg.is_ack {
-                    out.push(EgpEvent::SendPeer(Frame::MemoryAdvert(MemoryAdvertMsg {
-                        is_ack: true,
-                        comm_qubits: self.qmm.free_comm(),
-                        storage_qubits: self.qmm.free_storage() as u8,
-                    })));
-                }
-            }
             other => debug_assert!(false, "unexpected peer frame {}", other.kind()),
         }
     }
@@ -606,13 +593,14 @@ impl Egp {
         }
         // K service pauses in the carbon re-init blackout (§4.4: 330 µs
         // every 3500 µs) and needs the communication qubit plus storage
-        // here and at the peer (§4.5). A busy qubit at cadence time means a
-        // lost/late reply: skip the slot (the peer sees NO_MESSAGE_OTHER).
+        // here; no node advertises its memory, so the peer's storage is
+        // not checked (§4.5 flow control, DESIGN.md). A busy qubit at
+        // cadence time means a lost/late reply: skip the slot (the peer
+        // sees NO_MESSAGE_OTHER).
         if rtype == RequestType::Keep
             && (self.cfg.in_blackout(cycle)
                 || !self.qmm.comm_free()
-                || self.qmm.free_storage() == 0
-                || self.peer_free_storage == Some(0))
+                || self.qmm.free_storage() == 0)
         {
             return None;
         }
@@ -1794,39 +1782,6 @@ mod tests {
                 assert_eq!(got, want, "{:?} {role:?}", scenario.scenario);
             }
         }
-    }
-
-    #[test]
-    fn memory_advert_flow() {
-        let (mut a, mut b) = lab_pair(SchedulerPolicy::fcfs());
-        let req = Frame::MemoryAdvert(MemoryAdvertMsg {
-            is_ack: false,
-            comm_qubits: 1,
-            storage_qubits: 0, // peer has no room
-        });
-        let evs = input(&mut b, Input::PeerFrame(req), 0);
-        // B answers with its own counts.
-        assert!(matches!(
-            evs[0],
-            EgpEvent::SendPeer(Frame::MemoryAdvert(MemoryAdvertMsg { is_ack: true, .. }))
-        ));
-        // B now refuses to schedule K work (peer storage = 0).
-        let (_, evs2) = submit(&mut b, create_msg(1, true, 1), 0);
-        let mut all = evs2;
-        for ev in all.drain(..) {
-            if let EgpEvent::SendPeer(f) = ev {
-                let back = input(&mut a, Input::PeerFrame(f), 0);
-                for bev in back {
-                    if let EgpEvent::SendPeer(f) = bev {
-                        input(&mut b, Input::PeerFrame(f), 0);
-                    }
-                }
-            }
-        }
-        // Give the queue time; B's poll must yield no attempt.
-        let ready = b.cfg.min_time_cycles + 1;
-        let (spec, _) = tick(&mut b, ready);
-        assert!(spec.is_none(), "flow control must block K attempts");
     }
 
     /// The property idle-link parking rests on, in every state a link

@@ -1,5 +1,4 @@
-//! The Fidelity Estimation Unit (§5.2.3) and the QBER estimator of
-//! Appendix B.
+//! The Fidelity Estimation Unit (§5.2.3).
 //!
 //! The FEU answers two questions for the EGP:
 //!
@@ -15,19 +14,15 @@
 //!
 //! The estimate comes from known hardware capabilities (the attempt
 //! model) alone: a link is characterised once, and no run takes the
-//! test rounds of Appendix B. [`QberEstimator`] is the eq. (16)
-//! QBER↔fidelity estimator those rounds would feed; the Fig. 8
-//! validation bench runs it on sampled outcomes.
+//! test rounds of Appendix B.
 
 use qlink_des::{IntMap, SimTime};
 use qlink_math::solve::{bisect, BisectResult};
 use qlink_phys::attempt::{AttemptModel, AttemptOutcome, ModelCache};
 use qlink_phys::pair::{PairState, Side};
 use qlink_phys::params::ScenarioParams;
-use qlink_quantum::bell::BellState;
-use qlink_quantum::Basis;
+use qlink_quantum::bell::{BellState, Qber};
 use qlink_wire::fields::RequestType;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -159,7 +154,7 @@ impl FidelityEstimator {
                     Some(s) => s,
                     None => return 0.0,
                 };
-                let q = qlink_quantum::bell::Qber::of_state(state, (0, 1), BellState::PsiPlus);
+                let q = Qber::of_state(state, (0, 1), BellState::PsiPlus);
                 let e = readout_flip_prob(params);
                 // Per-side readout flips: a recorded disagreement stays a
                 // disagreement iff zero or both bits flipped, so
@@ -169,10 +164,12 @@ impl FidelityEstimator {
                     let stay = (1.0 - e) * (1.0 - e) + e * e;
                     q * stay + (1.0 - q) * (1.0 - stay)
                 };
-                let qx = flip2(q.x);
-                let qy = flip2(q.y);
-                let qz = flip2(q.z);
-                (1.0 - (qx + qy + qz) / 2.0).clamp(0.0, 1.0)
+                Qber {
+                    x: flip2(q.x),
+                    y: flip2(q.y),
+                    z: flip2(q.z),
+                }
+                .fidelity()
             }
             RequestType::Keep => {
                 // Replay the K delivery path on the conditional state:
@@ -279,73 +276,6 @@ impl FidelityEstimator {
 /// (the mean of `1−f0` and `1−f1` from Table 6).
 fn readout_flip_prob(params: &ScenarioParams) -> f64 {
     ((1.0 - params.nv.readout_f0) + (1.0 - params.nv.readout_f1)) / 2.0
-}
-
-/// Sliding-window QBER estimation from test rounds (Appendix B).
-///
-/// Nodes record, for each test round, whether the two measurement
-/// outcomes were *in error* relative to the heralded state's expected
-/// correlation; eq. (16) then yields a fidelity estimate over the last
-/// `N` rounds.
-#[derive(Debug, Clone)]
-pub struct QberEstimator {
-    window: usize,
-    samples: [VecDeque<bool>; 3], // X, Y, Z error flags
-}
-
-impl QberEstimator {
-    /// Creates an estimator with sampling window `N` per basis.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "zero window");
-        QberEstimator {
-            window,
-            samples: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-        }
-    }
-
-    fn idx(basis: Basis) -> usize {
-        match basis {
-            Basis::X => 0,
-            Basis::Y => 1,
-            Basis::Z => 2,
-        }
-    }
-
-    /// Records a test-round outcome: the heralded state, the basis both
-    /// nodes measured in, and the two (noisy) bits.
-    pub fn record(&mut self, heralded: BellState, basis: Basis, bit_a: u8, bit_b: u8) {
-        let expect_equal = heralded.correlation_sign(basis) > 0.0;
-        let equal = bit_a == bit_b;
-        let error = equal != expect_equal;
-        let q = &mut self.samples[Self::idx(basis)];
-        q.push_back(error);
-        if q.len() > self.window {
-            q.pop_front();
-        }
-    }
-
-    /// Number of samples currently held for `basis`.
-    pub fn count(&self, basis: Basis) -> usize {
-        self.samples[Self::idx(basis)].len()
-    }
-
-    /// Estimated QBER in `basis` over the window (None with no data).
-    pub fn qber(&self, basis: Basis) -> Option<f64> {
-        let q = &self.samples[Self::idx(basis)];
-        if q.is_empty() {
-            None
-        } else {
-            Some(q.iter().filter(|e| **e).count() as f64 / q.len() as f64)
-        }
-    }
-
-    /// Fidelity estimate via eq. (16); requires data in all three bases.
-    pub fn fidelity_estimate(&self) -> Option<f64> {
-        let x = self.qber(Basis::X)?;
-        let y = self.qber(Basis::Y)?;
-        let z = self.qber(Basis::Z)?;
-        Some((1.0 - (x + y + z) / 2.0).clamp(0.0, 1.0))
-    }
 }
 
 #[cfg(test)]
@@ -520,80 +450,6 @@ mod tests {
         let one = feu.estimate_completion_cycles(&choice, 1);
         let three = feu.estimate_completion_cycles(&choice, 3);
         assert_eq!(three, one * 3);
-    }
-
-    #[test]
-    fn qber_estimator_perfect_correlations() {
-        let mut est = QberEstimator::new(100);
-        // |Ψ+⟩: anti-correlated in Z, correlated in X.
-        for _ in 0..50 {
-            est.record(BellState::PsiPlus, Basis::Z, 0, 1);
-            est.record(BellState::PsiPlus, Basis::X, 1, 1);
-            est.record(BellState::PsiPlus, Basis::Y, 0, 0);
-        }
-        assert_eq!(est.qber(Basis::Z), Some(0.0));
-        assert_eq!(est.qber(Basis::X), Some(0.0));
-        assert_eq!(est.qber(Basis::Y), Some(0.0));
-        assert_eq!(est.fidelity_estimate(), Some(1.0));
-    }
-
-    #[test]
-    fn qber_estimator_counts_errors() {
-        let mut est = QberEstimator::new(100);
-        // Half the Z rounds in error.
-        for i in 0..40 {
-            let b = (i % 2) as u8;
-            est.record(BellState::PsiPlus, Basis::Z, b, b); // equal = error
-            est.record(BellState::PsiPlus, Basis::Z, 0, 1); // fine
-        }
-        assert_eq!(est.qber(Basis::Z), Some(0.5));
-        assert!(est.fidelity_estimate().is_none(), "X/Y missing");
-    }
-
-    #[test]
-    fn qber_window_slides() {
-        let mut est = QberEstimator::new(10);
-        for _ in 0..10 {
-            est.record(BellState::PsiMinus, Basis::X, 0, 0); // error for Ψ−
-        }
-        assert_eq!(est.qber(Basis::X), Some(1.0));
-        for _ in 0..10 {
-            est.record(BellState::PsiMinus, Basis::X, 0, 1); // correct
-        }
-        assert_eq!(est.qber(Basis::X), Some(0.0));
-        assert_eq!(est.count(Basis::X), 10);
-    }
-
-    #[test]
-    fn estimator_tracks_model_fidelity() {
-        // Feed the estimator bits sampled from the real attempt model;
-        // its eq. (16) estimate must approach the model's M-type
-        // delivered fidelity.
-        use qlink_des::DetRng;
-        use qlink_phys::attempt::AttemptModel;
-        let params = ScenarioParams::lab();
-        let alpha = 0.2;
-        let model = AttemptModel::build(&params, alpha);
-        let mut feu = FidelityEstimator::new(params);
-        let expected = feu.delivered_fidelity(alpha, RequestType::Measure);
-
-        let mut est = QberEstimator::new(100_000);
-        let mut rng = DetRng::new(17);
-        for i in 0..30_000u32 {
-            let basis = match i % 3 {
-                0 => Basis::X,
-                1 => Basis::Y,
-                _ => Basis::Z,
-            };
-            let (a, b) =
-                model.sample_measurement_bits(AttemptOutcome::PsiPlus, basis, basis, &mut rng);
-            est.record(BellState::PsiPlus, basis, a, b);
-        }
-        let measured = est.fidelity_estimate().unwrap();
-        assert!(
-            (measured - expected).abs() < 0.02,
-            "estimator {measured} vs model {expected}"
-        );
     }
 
     /// What the stack derives from a hardware profile, bit for bit: the

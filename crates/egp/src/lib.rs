@@ -38,6 +38,6 @@ pub mod scheduler;
 pub mod shared_random;
 
 pub use egp::{Egp, EgpConfig, EgpEvent, HwDirective, Input, Step};
-pub use feu::{FidelityEstimator, QberEstimator};
+pub use feu::FidelityEstimator;
 pub use qmm::QuantumMemoryManager;
 pub use request::{Request, RequestState, Service};

@@ -4,8 +4,9 @@
 //! qubit (the NV electron) and a configurable number of storage qubits
 //! (carbons — 1 on the paper's Lab chip, up to 8 demonstrated). The
 //! EGP asks it which qubits to use for generating or storing
-//! entanglement; the REQ(E)/ACK(E) flow-control advertisements report
-//! its free counts to the peer.
+//! entanglement, and how much storage is free before a K-type attempt.
+//! No node advertises these counts to its peer: the REQ(E)/ACK(E) flow
+//! control of §4.5 is not modelled (DESIGN.md).
 
 /// A physical qubit handle: 0 is the communication qubit, 1.. are
 /// storage qubits.
@@ -28,11 +29,6 @@ impl QuantumMemoryManager {
         }
     }
 
-    /// Total number of storage qubits on the device.
-    pub fn storage_capacity(&self) -> usize {
-        self.storage.len()
-    }
-
     /// Free storage qubits right now.
     pub fn free_storage(&self) -> usize {
         self.storage.iter().filter(|b| !**b).count()
@@ -41,12 +37,6 @@ impl QuantumMemoryManager {
     /// `true` if the communication qubit is free.
     pub fn comm_free(&self) -> bool {
         !self.comm_busy
-    }
-
-    /// Free communication qubits (0 or 1 on this hardware) — the `CMS`
-    /// field of the REQ(E) advertisement.
-    pub fn free_comm(&self) -> u8 {
-        u8::from(!self.comm_busy)
     }
 
     /// Reserves the communication qubit for an attempt.
@@ -135,7 +125,6 @@ mod tests {
     fn zero_storage_device() {
         // A measure-only photonic device (§4.1.1 item 2).
         let mut q = QuantumMemoryManager::new(0);
-        assert_eq!(q.storage_capacity(), 0);
         assert_eq!(q.alloc_storage(), None);
         assert!(!q.can_ever_store(1));
         assert!(q.can_ever_store(0));
@@ -146,14 +135,6 @@ mod tests {
         let q = QuantumMemoryManager::new(1);
         assert!(q.can_ever_store(1));
         assert!(!q.can_ever_store(2));
-    }
-
-    #[test]
-    fn advert_counts() {
-        let mut q = QuantumMemoryManager::new(1);
-        assert_eq!(q.free_comm(), 1);
-        q.reserve_comm();
-        assert_eq!(q.free_comm(), 0);
     }
 
     #[test]

@@ -88,11 +88,6 @@ pub struct Request {
 }
 
 impl Request {
-    /// Remaining pairs to produce.
-    pub fn pairs_remaining(&self) -> u16 {
-        self.item.num_pairs.saturating_sub(self.service.pairs_done)
-    }
-
     /// K or M?
     pub fn request_type(&self) -> RequestType {
         self.item.flags.request_type()
@@ -177,11 +172,9 @@ mod tests {
     #[test]
     fn progress_tracking() {
         let mut r = make(3);
-        assert_eq!(r.pairs_remaining(), 3);
         assert!(!r.is_complete());
         r.service.pairs_done = 3;
         assert!(r.is_complete());
-        assert_eq!(r.pairs_remaining(), 0);
     }
 
     #[test]

@@ -58,7 +58,7 @@
 //! | [`math`] | complex matrices, Bessel ratios, statistics |
 //! | [`quantum`] | density matrices, gates, channels, Bell pairs |
 //! | [`des`] | event queue, simulated time, deterministic RNG |
-//! | [`wire`] | Appendix E packet formats with CRC framing |
+//! | [`wire`] | Appendix E packet formats with CRC framing for what a node transmits; the node-local CREATE/OK/ERR values |
 //! | [`classical`] | fiber delay/loss models, 1000BASE-ZX link budget |
 //! | [`phys`] | NV hardware, heralding station, attempt model, MHP |
 //! | [`egp`] | the link layer: distributed queue, QMM, FEU, schedulers |

@@ -856,10 +856,7 @@ impl LinkSimulation {
         };
         let Some((a, b)) = entry.bits else { return };
         let bell = entry.outcome.bell_state();
-        let basis = from_wire_basis(basis);
-        let expect_equal = bell.correlation_sign(basis) > 0.0;
-        let error = (a == b) != expect_equal;
-        self.metrics.qber.record(basis, error);
+        self.metrics.qber.record(bell, from_wire_basis(basis), a, b);
     }
 
     fn record_ok(&mut self, origin: usize, create_id: u16, fidelity: f64) {

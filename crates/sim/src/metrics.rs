@@ -8,6 +8,7 @@ use crate::config::RequestKind;
 use qlink_des::trace::TimeSeries;
 use qlink_des::{SimDuration, SimTime};
 use qlink_math::stats::RunningStats;
+use qlink_quantum::bell::{BellState, Qber};
 use qlink_quantum::Basis;
 use std::collections::BTreeMap;
 
@@ -40,8 +41,12 @@ pub struct QberTally {
 }
 
 impl QberTally {
-    /// Records one measured pair.
-    pub fn record(&mut self, basis: Basis, error: bool) {
+    /// Records one measured pair: the state it was heralded in, the
+    /// basis both nodes measured in, and their two bits. The pair is in
+    /// error when the bits disagree with the state's ideal correlation
+    /// in that basis.
+    pub fn record(&mut self, heralded: BellState, basis: Basis, bit_a: u8, bit_b: u8) {
+        let error = (bit_a == bit_b) != (heralded.correlation_sign(basis) > 0.0);
         let slot = match basis {
             Basis::X => &mut self.x,
             Basis::Y => &mut self.y,
@@ -62,10 +67,12 @@ impl QberTally {
     /// Fidelity from the measured QBERs via eq. (16) (the paper's
     /// "Fidelity MD extracted from QBER measurements").
     pub fn fidelity(&self) -> Option<f64> {
-        let x = Self::rate(self.x)?;
-        let y = Self::rate(self.y)?;
-        let z = Self::rate(self.z)?;
-        Some((1.0 - (x + y + z) / 2.0).clamp(0.0, 1.0))
+        let qber = Qber {
+            x: Self::rate(self.x)?,
+            y: Self::rate(self.y)?,
+            z: Self::rate(self.z)?,
+        };
+        Some(qber.fidelity())
     }
 }
 
@@ -236,10 +243,12 @@ mod tests {
     #[test]
     fn qber_tally_fidelity() {
         let mut q = QberTally::default();
-        // 10% error in each basis → F = 1 − 0.15 = 0.85.
+        // 10% error in each basis → F = 1 − 0.15 = 0.85 (|Φ+⟩ is
+        // correlated in X and Z, anti-correlated in Y).
         for basis in [Basis::X, Basis::Y, Basis::Z] {
+            let flip = u8::from(basis == Basis::Y);
             for i in 0..100 {
-                q.record(basis, i < 10);
+                q.record(BellState::PhiPlus, basis, 0, flip ^ u8::from(i < 10));
             }
         }
         assert!((q.fidelity().unwrap() - 0.85).abs() < 1e-12);
@@ -248,8 +257,66 @@ mod tests {
     #[test]
     fn qber_requires_all_bases() {
         let mut q = QberTally::default();
-        q.record(Basis::X, false);
+        q.record(BellState::PhiPlus, Basis::X, 0, 0);
         assert!(q.fidelity().is_none());
+    }
+
+    #[test]
+    fn qber_tally_perfect_correlations() {
+        let mut q = QberTally::default();
+        // |Ψ+⟩: anti-correlated in Z, correlated in X and Y.
+        for _ in 0..50 {
+            q.record(BellState::PsiPlus, Basis::Z, 0, 1);
+            q.record(BellState::PsiPlus, Basis::X, 1, 1);
+            q.record(BellState::PsiPlus, Basis::Y, 0, 0);
+        }
+        assert_eq!((q.x, q.y, q.z), ((0, 50), (0, 50), (0, 50)));
+        assert_eq!(q.fidelity(), Some(1.0));
+    }
+
+    #[test]
+    fn qber_tally_counts_errors() {
+        let mut q = QberTally::default();
+        // Half the Z rounds in error.
+        for i in 0..40 {
+            let b = (i % 2) as u8;
+            q.record(BellState::PsiPlus, Basis::Z, b, b); // equal = error
+            q.record(BellState::PsiPlus, Basis::Z, 0, 1); // fine
+        }
+        assert_eq!(q.z, (40, 80));
+        assert!(q.fidelity().is_none(), "X/Y missing");
+    }
+
+    /// Bits sampled from the attempt model, tallied and turned into a
+    /// fidelity by eq. (16), approach the FEU's M-type delivered
+    /// fidelity: the FEU's readout-flip correction is what measuring
+    /// real pairs would show.
+    #[test]
+    fn qber_tally_tracks_the_feu_fidelity() {
+        use qlink_des::DetRng;
+        use qlink_egp::feu::FidelityEstimator;
+        use qlink_phys::attempt::{AttemptModel, AttemptOutcome};
+        use qlink_phys::params::ScenarioParams;
+        use qlink_wire::fields::RequestType;
+        let params = ScenarioParams::lab();
+        let alpha = 0.2;
+        let model = AttemptModel::build(&params, alpha);
+        let mut feu = FidelityEstimator::new(params);
+        let expected = feu.delivered_fidelity(alpha, RequestType::Measure);
+
+        let mut q = QberTally::default();
+        let mut rng = DetRng::new(17);
+        for i in 0..30_000u32 {
+            let basis = [Basis::X, Basis::Y, Basis::Z][(i % 3) as usize];
+            let (a, b) =
+                model.sample_measurement_bits(AttemptOutcome::PsiPlus, basis, basis, &mut rng);
+            q.record(BellState::PsiPlus, basis, a, b);
+        }
+        let measured = q.fidelity().unwrap();
+        assert!(
+            (measured - expected).abs() < 0.02,
+            "tally {measured} vs model {expected}"
+        );
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Link-layer EGP messages (paper Figs. 31–34 and 37–39).
+//! Link-layer EGP messages (paper Figs. 31–33 and 37–39, plus RETRACT).
 //!
-//! `CREATE`, `OK` and `ERR` travel between the higher layer and the EGP
-//! on a node; `EXPIRE`, its acknowledgment, and the memory
-//! advertisement `REQ(E)`/`ACK(E)` travel between the two nodes' EGPs.
-//! All are given byte codecs so the inter-node ones can ride the lossy
-//! classical channel, and the node-local ones can be logged/replayed.
+//! `EXPIRE`, its acknowledgment and `RETRACT` travel between the two
+//! nodes' EGPs, so they have byte codecs and cross the lossy classical
+//! channel as frames. `CREATE`, `OK` and `ERR` travel between the higher
+//! layer and the EGP on one node: they are the EGP's in-process
+//! interface and are never serialised. Fig. 34's memory advertisement
+//! `REQ(E)`/`ACK(E)` is not modelled, since no node sends it (DESIGN.md,
+//! §4.5 flow control).
 
 use crate::codec::{Reader, WireError, Writer};
 use crate::fields::{AbsQueueId, Fidelity16, RequestFlags};
@@ -30,47 +32,6 @@ pub struct CreateMsg {
     pub priority: u8,
     /// Type (K/M), atomic, consecutive flags.
     pub flags: RequestFlags,
-}
-
-impl CreateMsg {
-    /// Serialises the body.
-    #[inline]
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.remote_node_id);
-        self.min_fidelity.encode(w);
-        w.put_u64(self.max_time_us);
-        w.put_u16(self.purpose_id);
-        w.put_u16(self.number);
-        w.put_u8(self.priority);
-        self.flags.encode(w);
-    }
-
-    /// Parses the body.
-    #[inline]
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let remote_node_id = r.get_u32()?;
-        let min_fidelity = Fidelity16::decode(r)?;
-        let max_time_us = r.get_u64()?;
-        let purpose_id = r.get_u16()?;
-        let number = r.get_u16()?;
-        if number == 0 {
-            return Err(WireError::BadValue("number of pairs = 0"));
-        }
-        let priority = r.get_u8()?;
-        if priority >= 16 {
-            return Err(WireError::BadValue("priority"));
-        }
-        let flags = RequestFlags::decode(r)?;
-        Ok(CreateMsg {
-            remote_node_id,
-            min_fidelity,
-            max_time_us,
-            purpose_id,
-            number,
-            priority,
-            flags,
-        })
-    }
 }
 
 /// An `EXPIRE` notification (Fig. 32): previously issued OKs covering a
@@ -177,44 +138,6 @@ impl RetractMsg {
     }
 }
 
-/// Memory advertisement `REQ(E)` / `ACK(E)` (Fig. 34): each EGP tells
-/// its peer how many communication and storage qubits are free, used
-/// for flow control (§4.5 "Scheduling and flow control").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoryAdvertMsg {
-    /// `false` = REQ(E) (solicits a reply), `true` = ACK(E).
-    pub is_ack: bool,
-    /// Free communication qubits (`CMS`).
-    pub comm_qubits: u8,
-    /// Free storage qubits (`STRG`).
-    pub storage_qubits: u8,
-}
-
-impl MemoryAdvertMsg {
-    /// Serialises the body.
-    #[inline]
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.is_ack as u8);
-        w.put_u8(self.comm_qubits);
-        w.put_u8(self.storage_qubits);
-    }
-
-    /// Parses the body.
-    #[inline]
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let is_ack = match r.get_u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::BadValue("REQ(E) type")),
-        };
-        Ok(MemoryAdvertMsg {
-            is_ack,
-            comm_qubits: r.get_u8()?,
-            storage_qubits: r.get_u8()?,
-        })
-    }
-}
-
 /// Measurement basis carried in an M-type OK (Fig. 38 `Basis`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireBasis {
@@ -224,25 +147,6 @@ pub enum WireBasis {
     Y,
     /// Pauli-Z (standard) basis.
     Z,
-}
-
-impl WireBasis {
-    fn to_wire(self) -> u8 {
-        match self {
-            WireBasis::X => 0,
-            WireBasis::Y => 1,
-            WireBasis::Z => 2,
-        }
-    }
-
-    fn from_wire(b: u8) -> Result<Self, WireError> {
-        Ok(match b {
-            0 => WireBasis::X,
-            1 => WireBasis::Y,
-            2 => WireBasis::Z,
-            _ => return Err(WireError::BadValue("basis")),
-        })
-    }
 }
 
 /// The `OK` for a create-and-keep request (Fig. 37, §4.1.2).
@@ -271,42 +175,6 @@ pub struct OkKeepMsg {
     pub create_time_ps: u64,
 }
 
-impl OkKeepMsg {
-    /// Serialises the body.
-    #[inline]
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u16(self.create_id);
-        w.put_u8(self.logical_qubit_id);
-        w.put_u8(self.origin_is_local as u8);
-        w.put_u16(self.sequence_number);
-        w.put_u16(self.purpose_id);
-        w.put_u32(self.remote_node_id);
-        self.goodness.encode(w);
-        w.put_u64(self.goodness_time_ps);
-        w.put_u64(self.create_time_ps);
-    }
-
-    /// Parses the body.
-    #[inline]
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(OkKeepMsg {
-            create_id: r.get_u16()?,
-            logical_qubit_id: r.get_u8()?,
-            origin_is_local: match r.get_u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::BadValue("D flag")),
-            },
-            sequence_number: r.get_u16()?,
-            purpose_id: r.get_u16()?,
-            remote_node_id: r.get_u32()?,
-            goodness: Fidelity16::decode(r)?,
-            goodness_time_ps: r.get_u64()?,
-            create_time_ps: r.get_u64()?,
-        })
-    }
-}
-
 /// The `OK` for a measure-directly request (Fig. 38).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OkMeasureMsg {
@@ -331,49 +199,6 @@ pub struct OkMeasureMsg {
     pub create_time_ps: u64,
 }
 
-impl OkMeasureMsg {
-    /// Serialises the body.
-    #[inline]
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u16(self.create_id);
-        w.put_u8(self.outcome);
-        w.put_u8(self.basis.to_wire());
-        w.put_u8(self.origin_is_local as u8);
-        w.put_u16(self.sequence_number);
-        w.put_u16(self.purpose_id);
-        w.put_u32(self.remote_node_id);
-        self.goodness.encode(w);
-        w.put_u64(self.create_time_ps);
-    }
-
-    /// Parses the body.
-    #[inline]
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let create_id = r.get_u16()?;
-        let outcome = r.get_u8()?;
-        if outcome > 1 {
-            return Err(WireError::BadValue("measurement outcome"));
-        }
-        let basis = WireBasis::from_wire(r.get_u8()?)?;
-        let origin_is_local = match r.get_u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::BadValue("D flag")),
-        };
-        Ok(OkMeasureMsg {
-            create_id,
-            outcome,
-            basis,
-            origin_is_local,
-            sequence_number: r.get_u16()?,
-            purpose_id: r.get_u16()?,
-            remote_node_id: r.get_u32()?,
-            goodness: Fidelity16::decode(r)?,
-            create_time_ps: r.get_u64()?,
-        })
-    }
-}
-
 /// Error codes carried by `ERR` messages (Fig. 39, §4.1.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EgpErrorCode {
@@ -396,35 +221,6 @@ pub enum EgpErrorCode {
     Rejected,
 }
 
-impl EgpErrorCode {
-    fn to_wire(self) -> u8 {
-        match self {
-            EgpErrorCode::Timeout => 0,
-            EgpErrorCode::Unsupported => 1,
-            EgpErrorCode::MemExceeded => 2,
-            EgpErrorCode::OutOfMem => 3,
-            EgpErrorCode::Denied => 4,
-            EgpErrorCode::Expire => 5,
-            EgpErrorCode::NoTime => 6,
-            EgpErrorCode::Rejected => 7,
-        }
-    }
-
-    fn from_wire(b: u8) -> Result<Self, WireError> {
-        Ok(match b {
-            0 => EgpErrorCode::Timeout,
-            1 => EgpErrorCode::Unsupported,
-            2 => EgpErrorCode::MemExceeded,
-            3 => EgpErrorCode::OutOfMem,
-            4 => EgpErrorCode::Denied,
-            5 => EgpErrorCode::Expire,
-            6 => EgpErrorCode::NoTime,
-            7 => EgpErrorCode::Rejected,
-            _ => return Err(WireError::BadValue("EGP error code")),
-        })
-    }
-}
-
 /// An `ERR` message from the EGP to the higher layer (Fig. 39).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ErrMsg {
@@ -444,83 +240,9 @@ pub struct ErrMsg {
     pub seq_high: u16,
 }
 
-impl ErrMsg {
-    /// Serialises the body.
-    #[inline]
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.code.to_wire());
-        w.put_u16(self.create_id);
-        w.put_u32(self.origin_node_id);
-        w.put_u8(self.range_only as u8);
-        w.put_u16(self.seq_low);
-        w.put_u16(self.seq_high);
-    }
-
-    /// Parses the body.
-    #[inline]
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ErrMsg {
-            code: EgpErrorCode::from_wire(r.get_u8()?)?,
-            create_id: r.get_u16()?,
-            origin_node_id: r.get_u32()?,
-            range_only: match r.get_u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::BadValue("S flag")),
-            },
-            seq_low: r.get_u16()?,
-            seq_high: r.get_u16()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn create_round_trip() {
-        let msg = CreateMsg {
-            remote_node_id: 2,
-            min_fidelity: Fidelity16::from_f64(0.64),
-            max_time_us: 5_000_000,
-            purpose_id: 17,
-            number: 3,
-            priority: 1,
-            flags: RequestFlags {
-                store: true,
-                consecutive: true,
-                ..Default::default()
-            },
-        };
-        let mut w = Writer::new();
-        msg.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(CreateMsg::decode(&mut r).unwrap(), msg);
-        r.finish().unwrap();
-    }
-
-    #[test]
-    fn create_rejects_zero_pairs() {
-        let msg = CreateMsg {
-            remote_node_id: 0,
-            min_fidelity: Fidelity16::from_f64(0.5),
-            max_time_us: 0,
-            purpose_id: 0,
-            number: 1,
-            priority: 0,
-            flags: RequestFlags::default(),
-        };
-        let mut w = Writer::new();
-        msg.encode(&mut w);
-        let mut bytes = w.into_bytes();
-        // `number` field offset: 4 + 2 + 8 + 2 = 16.
-        bytes[16] = 0;
-        bytes[17] = 0;
-        let mut r = Reader::new(&bytes);
-        assert!(CreateMsg::decode(&mut r).is_err());
-    }
 
     #[test]
     fn expire_round_trip() {
@@ -549,119 +271,5 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(ExpireAckMsg::decode(&mut r).unwrap(), msg);
-    }
-
-    #[test]
-    fn memory_advert_round_trip() {
-        for is_ack in [false, true] {
-            let msg = MemoryAdvertMsg {
-                is_ack,
-                comm_qubits: 1,
-                storage_qubits: 1,
-            };
-            let mut w = Writer::new();
-            msg.encode(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            assert_eq!(MemoryAdvertMsg::decode(&mut r).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn ok_keep_round_trip() {
-        let msg = OkKeepMsg {
-            create_id: 3,
-            logical_qubit_id: 1,
-            origin_is_local: true,
-            sequence_number: 88,
-            purpose_id: 5,
-            remote_node_id: 2,
-            goodness: Fidelity16::from_f64(0.71),
-            goodness_time_ps: 123_456,
-            create_time_ps: 123_000,
-        };
-        let mut w = Writer::new();
-        msg.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(OkKeepMsg::decode(&mut r).unwrap(), msg);
-    }
-
-    #[test]
-    fn ok_measure_round_trip() {
-        for basis in [WireBasis::X, WireBasis::Y, WireBasis::Z] {
-            let msg = OkMeasureMsg {
-                create_id: 3,
-                outcome: 1,
-                basis,
-                origin_is_local: false,
-                sequence_number: 7,
-                purpose_id: 0,
-                remote_node_id: 1,
-                goodness: Fidelity16::from_f64(0.03),
-                create_time_ps: 55,
-            };
-            let mut w = Writer::new();
-            msg.encode(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            assert_eq!(OkMeasureMsg::decode(&mut r).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn ok_measure_rejects_bad_outcome() {
-        let msg = OkMeasureMsg {
-            create_id: 0,
-            outcome: 0,
-            basis: WireBasis::Z,
-            origin_is_local: false,
-            sequence_number: 0,
-            purpose_id: 0,
-            remote_node_id: 0,
-            goodness: Fidelity16::from_f64(0.0),
-            create_time_ps: 0,
-        };
-        let mut w = Writer::new();
-        msg.encode(&mut w);
-        let mut bytes = w.into_bytes();
-        bytes[2] = 2; // outcome field
-        let mut r = Reader::new(&bytes);
-        assert!(OkMeasureMsg::decode(&mut r).is_err());
-    }
-
-    #[test]
-    fn err_round_trip_all_codes() {
-        for code in [
-            EgpErrorCode::Timeout,
-            EgpErrorCode::Unsupported,
-            EgpErrorCode::MemExceeded,
-            EgpErrorCode::OutOfMem,
-            EgpErrorCode::Denied,
-            EgpErrorCode::Expire,
-            EgpErrorCode::NoTime,
-            EgpErrorCode::Rejected,
-        ] {
-            let msg = ErrMsg {
-                code,
-                create_id: 2,
-                origin_node_id: 1,
-                range_only: true,
-                seq_low: 5,
-                seq_high: 9,
-            };
-            let mut w = Writer::new();
-            msg.encode(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            assert_eq!(ErrMsg::decode(&mut r).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn err_rejects_bad_code() {
-        let bytes = [99u8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
-        let mut r = Reader::new(&bytes);
-        assert!(ErrMsg::decode(&mut r).is_err());
     }
 }

@@ -5,8 +5,10 @@
 //! the receiver, exactly as an Ethernet NIC discards a bad 802.3 frame —
 //! which is the error model of Appendix D.6.
 //!
-//! Inside the link simulation the node-to-node frames (DQP, EXPIRE,
-//! RETRACT, …) cross their channels as these bytes. The MHP's frames do
+//! A frame is what a node or the midpoint station transmits; the
+//! node-local CREATE, OK and ERR are values, never frames. Inside the
+//! link simulation the node-to-node frames (DQP, EXPIRE, EXPIRE-ACK and
+//! RETRACT) cross their channels as these bytes. The MHP's frames do
 //! not: a channel decides a GEN's or a REPLY's fate from
 //! [`GEN_FRAME_LEN`](crate::mhp::GEN_FRAME_LEN) or
 //! [`REPLY_FRAME_LEN`](crate::mhp::REPLY_FRAME_LEN) alone, and an intact
@@ -18,15 +20,12 @@
 use crate::codec::{FrameBytes, Reader, Writer};
 use crate::crc::crc32;
 use crate::dqp::DqpMessage;
-use crate::egp::{
-    CreateMsg, ErrMsg, ExpireAckMsg, ExpireMsg, MemoryAdvertMsg, OkKeepMsg, OkMeasureMsg,
-    RetractMsg,
-};
+use crate::egp::{ExpireAckMsg, ExpireMsg, RetractMsg};
 use crate::mhp::{GenMsg, ReplyMsg};
 
 pub use crate::codec::WireError;
 
-/// Any control frame in the stack.
+/// A control message one node transmits over a classical channel.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// DQP ADD / ACK / REJ (node ↔ node).
@@ -39,16 +38,6 @@ pub enum Frame {
     Expire(ExpireMsg),
     /// EGP EXPIRE acknowledgement (node ↔ node).
     ExpireAck(ExpireAckMsg),
-    /// EGP memory advertisement REQ(E)/ACK(E) (node ↔ node).
-    MemoryAdvert(MemoryAdvertMsg),
-    /// Higher layer → EGP CREATE (node-local; encoded for logging).
-    Create(CreateMsg),
-    /// EGP → higher layer OK for K-type requests.
-    OkKeep(OkKeepMsg),
-    /// EGP → higher layer OK for M-type requests.
-    OkMeasure(OkMeasureMsg),
-    /// EGP → higher layer error.
-    Err(ErrMsg),
     /// EGP full-request retraction (node ↔ node).
     Retract(RetractMsg),
 }
@@ -61,11 +50,6 @@ impl Frame {
             Frame::Reply(_) => 0x03,
             Frame::Expire(_) => 0x04,
             Frame::ExpireAck(_) => 0x05,
-            Frame::MemoryAdvert(_) => 0x06,
-            Frame::Create(_) => 0x07,
-            Frame::OkKeep(_) => 0x08,
-            Frame::OkMeasure(_) => 0x09,
-            Frame::Err(_) => 0x0A,
             Frame::Retract(_) => 0x0B,
         }
     }
@@ -78,11 +62,6 @@ impl Frame {
             Frame::Reply(_) => "REPLY",
             Frame::Expire(_) => "EXPIRE",
             Frame::ExpireAck(_) => "EXPIRE-ACK",
-            Frame::MemoryAdvert(_) => "REQ(E)",
-            Frame::Create(_) => "CREATE",
-            Frame::OkKeep(_) => "OK(K)",
-            Frame::OkMeasure(_) => "OK(M)",
-            Frame::Err(_) => "ERR",
             Frame::Retract(_) => "RETRACT",
         }
     }
@@ -97,11 +76,6 @@ impl Frame {
             Frame::Reply(m) => m.encode(&mut w),
             Frame::Expire(m) => m.encode(&mut w),
             Frame::ExpireAck(m) => m.encode(&mut w),
-            Frame::MemoryAdvert(m) => m.encode(&mut w),
-            Frame::Create(m) => m.encode(&mut w),
-            Frame::OkKeep(m) => m.encode(&mut w),
-            Frame::OkMeasure(m) => m.encode(&mut w),
-            Frame::Err(m) => m.encode(&mut w),
             Frame::Retract(m) => m.encode(&mut w),
         }
         let crc = crc32(w.as_bytes());
@@ -132,11 +106,6 @@ impl Frame {
             0x03 => Frame::Reply(ReplyMsg::decode(&mut r)?),
             0x04 => Frame::Expire(ExpireMsg::decode(&mut r)?),
             0x05 => Frame::ExpireAck(ExpireAckMsg::decode(&mut r)?),
-            0x06 => Frame::MemoryAdvert(MemoryAdvertMsg::decode(&mut r)?),
-            0x07 => Frame::Create(CreateMsg::decode(&mut r)?),
-            0x08 => Frame::OkKeep(OkKeepMsg::decode(&mut r)?),
-            0x09 => Frame::OkMeasure(OkMeasureMsg::decode(&mut r)?),
-            0x0A => Frame::Err(ErrMsg::decode(&mut r)?),
             0x0B => Frame::Retract(RetractMsg::decode(&mut r)?),
             _ => return Err(WireError::BadValue("frame discriminator")),
         };
@@ -175,24 +144,6 @@ mod tests {
                 queue_id: AbsQueueId::new(0, 0),
                 seq_expected: 2,
             }),
-            Frame::MemoryAdvert(MemoryAdvertMsg {
-                is_ack: false,
-                comm_qubits: 1,
-                storage_qubits: 1,
-            }),
-            Frame::Create(CreateMsg {
-                remote_node_id: 2,
-                min_fidelity: Fidelity16::from_f64(0.64),
-                max_time_us: 1000,
-                purpose_id: 1,
-                number: 2,
-                priority: 3,
-                flags: RequestFlags {
-                    measure_directly: true,
-                    consecutive: true,
-                    ..Default::default()
-                },
-            }),
             Frame::Retract(RetractMsg {
                 queue_id: AbsQueueId::new(0, 5),
                 origin_id: 1,
@@ -204,7 +155,6 @@ mod tests {
     /// Every variant, every field at its largest encodable value.
     fn max_field_frames() -> Vec<Frame> {
         use crate::dqp::{DqpFrameType, QueueItem};
-        use crate::egp::{EgpErrorCode, WireBasis};
         let aid = AbsQueueId::new(AbsQueueId::MAX_QUEUES - 1, u16::MAX);
         let flags = RequestFlags {
             store: false,
@@ -253,50 +203,6 @@ mod tests {
                 queue_id: aid,
                 seq_expected: u16::MAX,
             }),
-            Frame::MemoryAdvert(MemoryAdvertMsg {
-                is_ack: true,
-                comm_qubits: u8::MAX,
-                storage_qubits: u8::MAX,
-            }),
-            Frame::Create(CreateMsg {
-                remote_node_id: u32::MAX,
-                min_fidelity: Fidelity16::from_f64(1.0),
-                max_time_us: u64::MAX,
-                purpose_id: u16::MAX,
-                number: u16::MAX,
-                priority: 15,
-                flags,
-            }),
-            Frame::OkKeep(OkKeepMsg {
-                create_id: u16::MAX,
-                logical_qubit_id: u8::MAX,
-                origin_is_local: true,
-                sequence_number: u16::MAX,
-                purpose_id: u16::MAX,
-                remote_node_id: u32::MAX,
-                goodness: Fidelity16::from_f64(1.0),
-                goodness_time_ps: u64::MAX,
-                create_time_ps: u64::MAX,
-            }),
-            Frame::OkMeasure(OkMeasureMsg {
-                create_id: u16::MAX,
-                outcome: 1,
-                basis: WireBasis::Z,
-                origin_is_local: true,
-                sequence_number: u16::MAX,
-                purpose_id: u16::MAX,
-                remote_node_id: u32::MAX,
-                goodness: Fidelity16::from_f64(1.0),
-                create_time_ps: u64::MAX,
-            }),
-            Frame::Err(ErrMsg {
-                code: EgpErrorCode::Rejected,
-                create_id: u16::MAX,
-                origin_node_id: u32::MAX,
-                range_only: true,
-                seq_low: u16::MAX,
-                seq_high: u16::MAX,
-            }),
             Frame::Retract(RetractMsg {
                 queue_id: aid,
                 origin_id: u32::MAX,
@@ -311,7 +217,7 @@ mod tests {
         // One of each: a new variant must be added to the list above.
         let mut discriminators: Vec<u8> = frames.iter().map(Frame::discriminator).collect();
         discriminators.dedup();
-        assert_eq!(discriminators, (0x01..=0x0B).collect::<Vec<u8>>());
+        assert_eq!(discriminators, [0x01, 0x02, 0x03, 0x04, 0x05, 0x0B]);
         let mut longest = 0;
         for f in frames {
             // `encode` would have panicked past FRAME_MAX.

@@ -2,10 +2,12 @@
 //!
 //! The paper's Appendix E specifies packet diagrams for every control
 //! message in the stack (Figures 24, 27, 28, 31–39). This crate encodes
-//! and decodes all of them to real byte strings, so the channel models
-//! can drop and corrupt *actual frames* and the protocol recovery paths
-//! (EXPIRE, retransmission) are exercised against genuine parse
-//! failures, in the style of a production TCP/IP stack.
+//! and decodes the ones a node or the midpoint transmits — DQP, GEN,
+//! REPLY, EXPIRE, EXPIRE-ACK and RETRACT — to real byte strings, so the
+//! channel models can drop and corrupt *actual frames* and the protocol
+//! recovery paths (EXPIRE, retransmission) are exercised against genuine
+//! parse failures, in the style of a production TCP/IP stack. The
+//! node-local CREATE, OK and ERR are plain values (see [`egp`]).
 //!
 //! # Layout conventions
 //!

@@ -16,10 +16,11 @@ fn long_memory_lab(seed: u64) -> LinkConfig {
     cfg
 }
 
-/// A purification-grade link: long memory plus clean optics and
-/// gates, pushing the FEU ceiling high enough that a 3-hop chain
-/// composes above the F > 1/2 distillation threshold — the regime
-/// where *end-to-end* purification can pay off.
+/// A purification-grade link: a 100 s carbon `T2*`, ideal optics (unit
+/// visibility, no two-photon emission, no phase noise) and a noiseless
+/// EC-√X gate and carbon initialisation, pushing the FEU ceiling high
+/// enough that a 3-hop chain composes above the F > 1/2 distillation
+/// threshold — the regime where *end-to-end* purification can pay off.
 fn clean_lab(seed: u64) -> LinkConfig {
     let mut cfg = LinkConfig::lab(WorkloadSpec::none(), seed);
     cfg.scenario.nv.carbon_t2 = 100.0;
@@ -27,8 +28,6 @@ fn clean_lab(seed: u64) -> LinkConfig {
     cfg.scenario.optics.two_photon_prob = 0.0;
     cfg.scenario.optics.phase_sigma_rad = 0.0;
     cfg.scenario.nv.ec_sqrt_x.fidelity = 1.0;
-    cfg.scenario.nv.electron_gate.fidelity = 1.0;
-    cfg.scenario.nv.electron_init.fidelity = 1.0;
     cfg.scenario.nv.carbon_init.fidelity = 1.0;
     cfg
 }

@@ -12,7 +12,7 @@ use qlink::math::CMatrix;
 use qlink::quantum::bell::{bell_fidelity, werner_state, BellState, Qber};
 use qlink::quantum::{channels, gates, Basis, QuantumState};
 use qlink::wire::dqp::{DqpFrameType, DqpMessage, QueueItem};
-use qlink::wire::egp::{CreateMsg, ExpireMsg};
+use qlink::wire::egp::ExpireMsg;
 use qlink::wire::fields::{AbsQueueId, Fidelity16, RequestFlags};
 use qlink::wire::mhp::GenMsg;
 use qlink::wire::Frame;
@@ -86,27 +86,6 @@ fn frame_round_trip_dqp() {
                         consecutive: rng.bernoulli(0.5),
                     }
                 },
-            },
-        });
-        let bytes = frame.encode();
-        assert_eq!(Frame::decode(&bytes).unwrap(), frame);
-    });
-}
-
-#[test]
-fn frame_round_trip_create() {
-    check("create", |rng| {
-        let frame = Frame::Create(CreateMsg {
-            remote_node_id: 2,
-            min_fidelity: Fidelity16::from_f64(rng.uniform()),
-            max_time_us: u64_any(rng),
-            purpose_id: u16_any(rng),
-            number: 1 + rng.below(999) as u16,
-            priority: rng.below(16) as u8,
-            flags: RequestFlags {
-                store: true,
-                consecutive: true,
-                ..Default::default()
             },
         });
         let bytes = frame.encode();
