@@ -88,6 +88,46 @@ profile_fields() {
     ' crates/sim/src/link.rs crates/egp/src/egp.rs crates/phys/src/mhp.rs
 }
 
+# Every public fn has a caller outside the tests. The census lists each
+# `pub` / `pub(crate)` fn of crates/ (without crates/bench) and examples/
+# whose name occurs nowhere else in their non-test code: each `#[cfg(test)]`
+# item is skipped (not the rest of its file), and so are comments, since a
+# doc line naming a fn does not call it. Such a fn must be listed, with its
+# caller, in dead_pub_fns.allow, and every listed name must be such a fn.
+# The census matches names, so a dead fn that shares its name with another
+# use stays hidden.
+dead_pub_fns() {
+    export LC_ALL=C
+    census=$(find crates examples -name '*.rs' ! -path 'crates/bench/*' | sort | xargs -r awk '
+      FNR == 1 { skip = 0 }
+      skip == 1 {
+        if ($0 ~ /^[ \t]*(#|\/\/)/) next
+        line = $0; sub(/\/\/.*/, "", line)
+        opens = gsub(/\{/, "{", line); closes = gsub(/\}/, "}", line)
+        skip = (opens == closes && (opens > 0 || line ~ /;[ \t]*$/)) ? 0 : 2
+        next
+      }
+      skip == 2 { if (index($0, ind "}") == 1) skip = 0; next }
+      /^[ \t]*#\[cfg\(test\)\][ \t]*$/ { match($0, /^[ \t]*/); ind = substr($0, 1, RLENGTH); skip = 1; next }
+      {
+        line = $0; sub(/\/\/.*/, "", line)
+        if (match(line, /^[ \t]*pub(\([a-z]+\))? ((const|unsafe|async) )*fn [A-Za-z_][A-Za-z0-9_]*/)) {
+          name = substr(line, RSTART, RLENGTH); sub(/.* fn /, "", name)
+          if (!(name in at)) at[name] = FILENAME ":" FNR
+        }
+        n = split(line, word, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= n; i++) if (word[i] != "") seen[word[i]]++
+      }
+      END { for (name in at) if (seen[name] == 1) print name "\t" at[name] }
+    ' | sort)
+    listed=$(sed '/^#/d; /^$/d; s/\t.*//' .github/dead_pub_fns.allow | sort)
+    unlisted=$(join -t $'\t' -v 1 <(printf '%s\n' "$census" | sed '/^$/d') <(printf '%s\n' "$listed" | sed '/^$/d'))
+    stale=$(comm -13 <(printf '%s\n' "$census" | cut -f1 | sed '/^$/d') <(printf '%s\n' "$listed" | sed '/^$/d'))
+    [[ -z $unlisted ]] || printf 'uncalled outside the tests, not in dead_pub_fns.allow:\n%s\n' "$unlisted"
+    [[ -z $stale ]] || printf 'in dead_pub_fns.allow, but not an uncalled pub fn:\n%s\n' "$stale"
+    [[ -z $unlisted && -z $stale ]]
+}
+
 # run CHECK [ROOT]: the check's output; its status is the check's.
 run() {
     (cd "${2:-.}" && bash --noprofile --norc -eo pipefail -c "$(declare -f "$1"); $1" 2>&1)
@@ -127,5 +167,29 @@ pub struct Egp {
 }'
 prove profile_fields 'crates/sim/src/link.rs crates/egp/src/egp.rs crates/phys/src/mhp.rs' \
     crates/egp/src/egp.rs "$egp" "${egp/cycle: u64,/config: EgpConfig,}"
+
+pub_fns='#[cfg(test)]
+mod plain;
+pub fn called() {}
+impl Plain {
+    #[cfg(test)]
+    pub fn fixture() {}
+    pub(crate) const fn also_called() {}
+}
+fn caller() {
+    called();
+    Plain::also_called();
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}'
+prove dead_pub_fns 'crates/qlink/src examples .github/dead_pub_fns.allow' crates/qlink/src/lib.rs \
+    "$pub_fns" "$pub_fns"$'\npub fn planted_uncalled() {}' \
+    "${pub_fns/fn t() \{\}/fn t() { super::tested_only(); \}}"$'\npub fn tested_only() {}' \
+    "${pub_fns/called();/called(); \/\/ commented_only()}"$'\npub(crate) fn commented_only() {}'
+prove dead_pub_fns 'crates/qlink/src/lib.rs examples .github/dead_pub_fns.allow' \
+    .github/dead_pub_fns.allow - $'gone\tno longer defined'
 
 exit $failed

@@ -125,16 +125,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Checked integer division of one span by another: how many whole
-    /// `step`s fit into `self`.
-    ///
-    /// # Panics
-    /// Panics if `step` is zero.
-    pub fn div_duration(self, step: SimDuration) -> u64 {
-        assert!(!step.is_zero(), "division by zero duration");
-        self.0 / step.0
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -249,14 +239,6 @@ mod tests {
     fn since_backwards_panics() {
         let t = SimTime::ZERO + SimDuration::from_secs(1);
         let _ = SimTime::ZERO.since(t);
-    }
-
-    #[test]
-    fn duration_division() {
-        let total = SimDuration::from_secs(1);
-        let cycle = SimDuration::from_micros_f64(10.12);
-        assert_eq!(total.div_duration(cycle), 98_814);
-        assert_eq!((cycle * 3).div_duration(cycle), 3);
     }
 
     #[test]

@@ -561,7 +561,7 @@ mod tests {
     }
 
     fn service() -> Service {
-        Service::new(0.1, 0.7, 0)
+        Service::new(0.1)
     }
 
     /// Delivers every `Send` event to the other side, collecting

@@ -30,12 +30,9 @@ use qlink_phys::mhp::{AttemptKind, AttemptSpec, MhpResult};
 use qlink_phys::params::ScenarioParams;
 use qlink_quantum::Basis;
 use qlink_wire::dqp::QueueItem;
-use qlink_wire::egp::{
-    CreateMsg, EgpErrorCode, ErrMsg, ExpireAckMsg, ExpireMsg, OkKeepMsg, OkMeasureMsg, RetractMsg,
-    WireBasis,
-};
+use qlink_wire::egp::{CreateMsg, ExpireAckMsg, ExpireMsg, RetractMsg};
 use qlink_wire::fields::{
-    seq_after, AbsQueueId, Fidelity16, MhpError, MidpointOutcome, ReplyOutcome, RequestType,
+    seq_after, AbsQueueId, MhpError, MidpointOutcome, ReplyOutcome, RequestType,
 };
 use qlink_wire::Frame;
 use std::collections::BTreeMap;
@@ -79,6 +76,90 @@ pub enum EgpEvent {
     Error(ErrMsg),
     /// A quantum-hardware directive.
     Hw(HwDirective),
+}
+
+/// The `OK` for a create-and-keep pair (Fig. 37, §4.1.2).
+#[derive(Debug, Clone, PartialEq)]
+pub struct OkKeepMsg {
+    /// Echo of the request's create ID.
+    pub create_id: u16,
+    /// Logical qubit ID where the local half of the pair is stored.
+    pub logical_qubit_id: u8,
+    /// Directionality flag `D`: `true` when this node originated the
+    /// request.
+    pub origin_is_local: bool,
+    /// Midpoint sequence number — with the two node IDs this forms the
+    /// network-unique entanglement identifier (§4.1.2 item 1).
+    pub sequence_number: u16,
+    /// Purpose ID echo.
+    pub purpose_id: u16,
+    /// The peer node ID.
+    pub remote_node_id: u32,
+    /// The MHP cycle whose detection window heralded the pair: its
+    /// creation time (§4.1.2 item 5).
+    pub herald_cycle: u64,
+}
+
+/// The `OK` for a measure-directly pair (Fig. 38).
+#[derive(Debug, Clone, PartialEq)]
+pub struct OkMeasureMsg {
+    /// Echo of the request's create ID.
+    pub create_id: u16,
+    /// Measurement outcome `M` (0/1).
+    pub outcome: u8,
+    /// The basis measured in.
+    pub basis: Basis,
+    /// Directionality flag `D`.
+    pub origin_is_local: bool,
+    /// Midpoint sequence number (entanglement identifier part).
+    pub sequence_number: u16,
+    /// Purpose ID echo.
+    pub purpose_id: u16,
+    /// The peer node ID.
+    pub remote_node_id: u32,
+    /// The MHP cycle whose detection window heralded the pair.
+    pub herald_cycle: u64,
+}
+
+/// Error codes carried by `ERR` messages (Fig. 39, §4.1.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EgpErrorCode {
+    /// The request could not be completed within its time frame.
+    Timeout,
+    /// The requested fidelity is unachievable within `tmax` — rejected
+    /// immediately.
+    Unsupported,
+    /// Quantum storage permanently too small for an atomic request.
+    MemExceeded,
+    /// Quantum storage temporarily exhausted.
+    OutOfMem,
+    /// The remote node refused to participate.
+    Denied,
+    /// Previously issued OK(s) are revoked (inconsistency recovery).
+    Expire,
+    /// The distributed queue add timed out (Protocol 2 `ERR_NOTIME`).
+    NoTime,
+    /// The distributed queue add was rejected (`ERR_REJECTED`).
+    Rejected,
+}
+
+/// An `ERR` message from the EGP to the higher layer (Fig. 39).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ErrMsg {
+    /// What went wrong.
+    pub code: EgpErrorCode,
+    /// Create ID of the affected request.
+    pub create_id: u16,
+    /// Origin node of the affected request.
+    pub origin_node_id: u32,
+    /// `S` flag: when `true`, only sequence numbers in
+    /// `[seq_low, seq_high)` are affected; when `false`, the whole
+    /// request is.
+    pub range_only: bool,
+    /// Start of the affected sequence range (valid when `range_only`).
+    pub seq_low: u16,
+    /// End (exclusive) of the affected sequence range.
+    pub seq_high: u16,
 }
 
 /// One input to [`Egp::step`].
@@ -206,8 +287,6 @@ struct Settings {
     shared_random: SharedRandomness,
     /// [`ScenarioParams::measure_multiplexing`], read on every tick.
     measure_multiplexing: bool,
-    /// The MHP cycle in picoseconds, for the OKs' timestamps.
-    mhp_cycle_ps: u64,
     /// Carbon re-init blackout bookkeeping (cycles, derived from NV).
     reinit_period_cycles: u64,
     reinit_duration_cycles: u64,
@@ -302,7 +381,6 @@ impl Egp {
                 min_time_cycles: rtt_ab.div_ceil(cycle_ps) + 3,
                 reply_timeout_cycles,
                 measure_multiplexing: scenario.measure_multiplexing,
-                mhp_cycle_ps: cycle_ps,
                 shared_random: cfg.shared_random,
                 scheduler: cfg.scheduler,
                 reinit_period_cycles,
@@ -464,7 +542,7 @@ impl Egp {
             est_cycles_per_pair: choice.est_cycles_per_pair.min(u32::MAX as u64) as u32,
             flags: msg.flags,
         };
-        Ok((item, Service::new(choice.alpha, choice.goodness, cycle)))
+        Ok((item, Service::new(choice.alpha)))
     }
 
     /// [`Input::Expire`]: neither node spends further attempt cycles on
@@ -535,8 +613,8 @@ impl Egp {
     fn on_frame(&mut self, frame: Frame, cycle: u64, out: &mut Vec<EgpEvent>) {
         match frame {
             Frame::Dqp(msg) => {
-                let (feu, min_time, item) = (&mut self.feu, self.cfg.min_time_cycles, msg.item);
-                let service = || peer_service(feu, min_time, &item);
+                let (feu, item) = (&mut self.feu, msg.item);
+                let service = || peer_service(feu, &item);
                 let dq_events = self.dq.on_frame(msg, service, cycle);
                 self.process_dq_events(dq_events, cycle, out);
             }
@@ -853,16 +931,15 @@ impl Egp {
                 let ok = OkMeasureMsg {
                     create_id: req.item.create_id,
                     outcome: local_bit.unwrap_or(0),
-                    basis: to_wire_basis(basis),
+                    basis,
                     origin_is_local: req.origin == self.cfg.node_id,
                     sequence_number: seq,
                     purpose_id: req.item.purpose_id,
                     remote_node_id: self.cfg.peer_id,
-                    goodness: Fidelity16::from_f64(req.service.goodness),
                     // The pair was created in the attempt's detection
                     // window, not when the reply was processed (§4.1.2
                     // item 5).
-                    create_time_ps: result.cycle.saturating_mul(self.cfg.mhp_cycle_ps),
+                    herald_cycle: result.cycle,
                 };
                 req.deliver(seq, EgpEvent::OkMeasure(ok), cycle, events);
             }
@@ -914,7 +991,6 @@ impl Egp {
             }));
             return;
         };
-        let cycle_ps = self.cfg.mhp_cycle_ps;
         let ok = OkKeepMsg {
             create_id: req.item.create_id,
             logical_qubit_id: pm.qubit,
@@ -922,9 +998,7 @@ impl Egp {
             sequence_number: pm.seq,
             purpose_id: req.item.purpose_id,
             remote_node_id: self.cfg.peer_id,
-            goodness: Fidelity16::from_f64(req.service.goodness),
-            goodness_time_ps: req.service.accepted_cycle.saturating_mul(cycle_ps),
-            create_time_ps: pm.herald_cycle.saturating_mul(cycle_ps),
+            herald_cycle: pm.herald_cycle,
         };
         req.deliver(pm.seq, EgpEvent::OkKeep(ok), cycle, events);
         // The workloads of §6 consume pairs on delivery; the storage
@@ -1080,22 +1154,13 @@ fn request_err(req: &Request, code: EgpErrorCode, range: Option<(u16, u16)>) -> 
 /// The service state `item`, arriving in the peer's ADD, is committed
 /// with: α must match the peer's choice — both FEUs run the same
 /// deterministic inversion on the same Fmin, so they agree.
-fn peer_service(feu: &mut FidelityEstimator, min_time_cycles: u64, item: &QueueItem) -> Service {
+fn peer_service(feu: &mut FidelityEstimator, item: &QueueItem) -> Service {
     let fmin = item.min_fidelity.to_f64();
-    let (alpha, goodness) = match feu.choose_alpha(fmin, item.flags.request_type()) {
-        Some(c) => (c.alpha, c.goodness),
-        None => (feu.alpha_min(), fmin),
+    let alpha = match feu.choose_alpha(fmin, item.flags.request_type()) {
+        Some(c) => c.alpha,
+        None => feu.alpha_min(),
     };
-    let accepted_cycle = item.schedule_cycle.saturating_sub(min_time_cycles);
-    Service::new(alpha, goodness, accepted_cycle)
-}
-
-fn to_wire_basis(b: Basis) -> WireBasis {
-    match b {
-        Basis::X => WireBasis::X,
-        Basis::Y => WireBasis::Y,
-        Basis::Z => WireBasis::Z,
-    }
+    Service::new(alpha)
 }
 
 /// Wrap-aware membership test for half-open `[lo, hi)` over `u16`.
@@ -1111,7 +1176,7 @@ mod tests {
     use qlink_phys::mhp::{Midpoint, NodeMhp};
     use qlink_phys::params::ScenarioParams;
     use qlink_quantum::bell::BellState;
-    use qlink_wire::fields::RequestFlags;
+    use qlink_wire::fields::{Fidelity16, RequestFlags};
 
     const A: u32 = 1;
     const B: u32 = 2;
@@ -1581,12 +1646,11 @@ mod tests {
         let mut probe = Harness::new(SchedulerPolicy::fcfs());
         start(&mut probe);
         probe.run(400);
-        let cycle_ps = ScenarioParams::lab().mhp_cycle.as_ps();
         probe
             .oks_a
             .iter()
             .filter_map(|e| match e {
-                EgpEvent::OkMeasure(m) => Some(m.create_time_ps / cycle_ps),
+                EgpEvent::OkMeasure(m) => Some(m.herald_cycle),
                 _ => None,
             })
             .collect()

@@ -35,10 +35,6 @@ const ISSUED_SEQS_KEPT: usize = 64;
 pub struct Service {
     /// Bright-state population α chosen by the FEU.
     pub alpha: f64,
-    /// FEU's fidelity estimate (the OK's Goodness).
-    pub goodness: f64,
-    /// MHP cycle at which the CREATE was accepted (for latency metrics).
-    pub accepted_cycle: u64,
     /// Pairs already delivered (OKs issued locally).
     pub pairs_done: u16,
     /// Current lifecycle state.
@@ -58,11 +54,9 @@ pub struct Service {
 
 impl Service {
     /// The state of a request nothing has been done for yet.
-    pub fn new(alpha: f64, goodness: f64, accepted_cycle: u64) -> Self {
+    pub fn new(alpha: f64) -> Self {
         Service {
             alpha,
-            goodness,
-            accepted_cycle,
             pairs_done: 0,
             state: RequestState::Queued,
             completed_cycle: None,
@@ -165,7 +159,7 @@ mod tests {
                 },
             },
             origin: 1,
-            service: Service::new(0.1, 0.65, 0),
+            service: Service::new(0.1),
         }
     }
 

@@ -131,17 +131,6 @@ impl CMatrix {
         out
     }
 
-    /// Transpose (without conjugation).
-    pub fn transpose(&self) -> CMatrix {
-        let mut out = CMatrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
-    }
-
     /// Trace `Tr A`.
     ///
     /// # Panics
@@ -187,11 +176,6 @@ impl CMatrix {
         out
     }
 
-    /// Frobenius norm `sqrt(Σ|a_ij|²)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-    }
-
     /// `true` if every entry of `self - other` has modulus ≤ `tol`.
     pub fn approx_eq(&self, other: &CMatrix, tol: f64) -> bool {
         self.rows == other.rows
@@ -232,17 +216,6 @@ impl CMatrix {
                 v.data[i].conj() * av
             })
             .sum()
-    }
-
-    /// Sets every entry with modulus below `eps` to exactly zero.
-    ///
-    /// Useful to keep density matrices tidy after long channel chains.
-    pub fn chop(&mut self, eps: f64) {
-        for z in &mut self.data {
-            if z.abs() < eps {
-                *z = ZERO;
-            }
-        }
     }
 }
 
@@ -465,23 +438,10 @@ mod tests {
     }
 
     #[test]
-    fn frobenius_norm_identity() {
-        assert!((CMatrix::identity(4).frobenius_norm() - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
     #[should_panic(expected = "matrix multiply shape")]
     fn mul_shape_mismatch_panics() {
         let a = CMatrix::zeros(2, 3);
         let b = CMatrix::zeros(2, 3);
         let _ = &a * &b;
-    }
-
-    #[test]
-    fn chop_zeroes_tiny_entries() {
-        let mut m = CMatrix::from_real(1, 2, &[1e-20, 0.5]);
-        m.chop(1e-15);
-        assert_eq!(m[(0, 0)], ZERO);
-        assert_eq!(m[(0, 1)], Complex::real(0.5));
     }
 }

@@ -129,13 +129,6 @@ impl BeamSplitter {
     pub fn kraus(&self, pattern: ClickPattern) -> &CMatrix {
         &self.kraus[pattern.index()]
     }
-
-    /// Probability that two incident photons leave through *different*
-    /// output arms (the Hong-Ou-Mandel visibility check, eq. (67)):
-    /// `χ = (1 − |µ|²)/2`.
-    pub fn chi(&self) -> f64 {
-        (1.0 - self.mu * self.mu) / 2.0
-    }
 }
 
 /// Classical detector imperfections (D.4.8): each ideal click is seen
@@ -472,14 +465,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn chi_relation() {
-        let bs = BeamSplitter::new(0.9);
-        assert!((bs.chi() - 0.05).abs() < 1e-12);
-        assert!((BeamSplitter::new(1.0).chi()).abs() < 1e-12);
-        assert!((BeamSplitter::new(0.0).chi() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -58,10 +58,10 @@
 //! | [`math`] | complex matrices, Bessel ratios, statistics |
 //! | [`quantum`] | density matrices, gates, channels, Bell pairs |
 //! | [`des`] | event queue, simulated time, deterministic RNG |
-//! | [`wire`] | Appendix E packet formats with CRC framing for what a node transmits; the node-local CREATE/OK/ERR values |
+//! | [`wire`] | Appendix E packet formats with CRC framing for what a node transmits; the node-local CREATE value |
 //! | [`classical`] | fiber delay/loss models, 1000BASE-ZX link budget |
 //! | [`phys`] | NV hardware, heralding station, attempt model, MHP |
-//! | [`egp`] | the link layer: distributed queue, QMM, FEU, schedulers |
+//! | [`egp`] | the link layer: distributed queue, QMM, FEU, schedulers; its OK and ERR values |
 //! | [`sim`] | single-link scenario assembly, workloads, metrics |
 //! | [`net`] | the network layer: topologies, one shared event queue over all links, SWAP-ASAP repeater control, parallel scenario sweeps |
 

@@ -59,17 +59,6 @@ impl BellState {
         }
     }
 
-    /// The single-qubit correction (applied to the *first* qubit) that
-    /// maps this Bell state onto `|Φ+⟩`, per paper eq. (13).
-    pub fn correction_to_phi_plus(self) -> CMatrix {
-        match self {
-            BellState::PhiPlus => CMatrix::identity(2),
-            BellState::PhiMinus => gates::z(),
-            BellState::PsiPlus => gates::x(),
-            BellState::PsiMinus => &gates::z() * &gates::x(),
-        }
-    }
-
     /// All four Bell states.
     pub const ALL: [BellState; 4] = [
         BellState::PhiPlus,
@@ -205,18 +194,6 @@ mod tests {
         for b in BellState::ALL {
             let s = b.state();
             assert!((bell_fidelity(&s, (0, 1), b) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn corrections_map_to_phi_plus() {
-        for b in BellState::ALL {
-            let mut s = b.state();
-            s.apply_unitary(&b.correction_to_phi_plus(), &[0]);
-            assert!(
-                (bell_fidelity(&s, (0, 1), BellState::PhiPlus) - 1.0).abs() < 1e-12,
-                "{b:?} not corrected"
-            );
         }
     }
 

@@ -19,7 +19,7 @@ use crate::workload::{GeneratedRequest, WorkloadGenerator};
 use qlink_classical::channel::{ChannelModel, Fate, Transmission};
 use qlink_des::{DetRng, EventQueue, IntMap, SimDuration, SimTime};
 use qlink_egp::dqueue::Role;
-use qlink_egp::egp::{Egp, EgpConfig, EgpEvent, HwDirective, Input, Step};
+use qlink_egp::egp::{Egp, EgpConfig, EgpErrorCode, EgpEvent, HwDirective, Input, Step};
 use qlink_egp::feu::FidelityEstimator;
 use qlink_egp::shared_random::SharedRandomness;
 use qlink_phys::attempt::{AttemptModel, AttemptOutcome};
@@ -27,7 +27,7 @@ use qlink_phys::mhp::{AttemptKind, MhpResult, Midpoint, NodeMhp};
 use qlink_phys::pair::{PairState, Side};
 use qlink_quantum::bell::BellState;
 use qlink_quantum::Basis;
-use qlink_wire::egp::{CreateMsg, EgpErrorCode, WireBasis};
+use qlink_wire::egp::CreateMsg;
 use qlink_wire::fields::{AbsQueueId, Fidelity16, RequestFlags, RequestType};
 use qlink_wire::fields::{MhpError, ReplyOutcome};
 use qlink_wire::mhp::{ReplyMsg, GEN_FRAME_LEN, REPLY_FRAME_LEN};
@@ -749,25 +749,23 @@ impl LinkSimulation {
                     }
                 }
                 EgpEvent::OkKeep(ok) => {
-                    let herald_cycle = ok.create_time_ps / self.mhp_cycle_ps;
                     if ok.origin_is_local {
-                        let fidelity = self.keep_pair_fidelity(herald_cycle);
+                        let fidelity = self.keep_pair_fidelity(ok.herald_cycle);
                         self.record_ok(from, ok.create_id, fidelity);
                     }
-                    self.release_ledger(herald_cycle, from);
+                    self.release_ledger(ok.herald_cycle, from);
                 }
                 EgpEvent::OkMeasure(ok) => {
-                    let herald_cycle = ok.create_time_ps / self.mhp_cycle_ps;
                     if ok.origin_is_local {
                         let fidelity = self
                             .ledger
-                            .get(&herald_cycle)
+                            .get(&ok.herald_cycle)
                             .expect("an OK finds its herald")
                             .heralded_fidelity;
-                        self.tally_qber(herald_cycle, ok.basis);
+                        self.tally_qber(ok.herald_cycle, ok.basis);
                         self.record_ok(from, ok.create_id, fidelity);
                     }
-                    self.release_ledger(herald_cycle, from);
+                    self.release_ledger(ok.herald_cycle, from);
                 }
                 EgpEvent::Error(err) => {
                     self.metrics.record_error(error_label(err.code));
@@ -850,13 +848,13 @@ impl LinkSimulation {
         pair.fidelity(BellState::PsiPlus)
     }
 
-    fn tally_qber(&mut self, herald_cycle: u64, basis: WireBasis) {
+    fn tally_qber(&mut self, herald_cycle: u64, basis: Basis) {
         let Some(entry) = self.ledger.get(&herald_cycle) else {
             return;
         };
         let Some((a, b)) = entry.bits else { return };
         let bell = entry.outcome.bell_state();
-        self.metrics.qber.record(bell, from_wire_basis(basis), a, b);
+        self.metrics.qber.record(bell, basis, a, b);
     }
 
     fn record_ok(&mut self, origin: usize, create_id: u16, fidelity: f64) {
@@ -903,14 +901,6 @@ fn outcome_is_success(outcome: qlink_wire::fields::ReplyOutcome) -> bool {
     )
 }
 
-fn from_wire_basis(b: WireBasis) -> Basis {
-    match b {
-        WireBasis::X => Basis::X,
-        WireBasis::Y => Basis::Y,
-        WireBasis::Z => Basis::Z,
-    }
-}
-
 fn error_label(code: EgpErrorCode) -> &'static str {
     match code {
         EgpErrorCode::Timeout => "TIMEOUT",
@@ -929,7 +919,7 @@ mod tests {
     use super::*;
     use crate::config::{LinkConfig, SchedulerChoice};
     use crate::workload::{GeneratedRequest, OriginPolicy, WorkloadSpec};
-    use qlink_wire::egp::ErrMsg;
+    use qlink_egp::egp::ErrMsg;
 
     fn manual_lab(seed: u64) -> LinkSimulation {
         LinkSimulation::new(LinkConfig::lab(WorkloadSpec::none(), seed))

@@ -1,12 +1,12 @@
-//! Link-layer EGP messages (paper Figs. 31–33 and 37–39, plus RETRACT).
+//! Link-layer EGP messages (paper Figs. 31–33, plus RETRACT).
 //!
 //! `EXPIRE`, its acknowledgment and `RETRACT` travel between the two
 //! nodes' EGPs, so they have byte codecs and cross the lossy classical
-//! channel as frames. `CREATE`, `OK` and `ERR` travel between the higher
-//! layer and the EGP on one node: they are the EGP's in-process
-//! interface and are never serialised. Fig. 34's memory advertisement
-//! `REQ(E)`/`ACK(E)` is not modelled, since no node sends it (DESIGN.md,
-//! §4.5 flow control).
+//! channel as frames. `CREATE` travels from the higher layer to the EGP
+//! on one node and is never serialised. The EGP's answers, `OK` and
+//! `ERR` (Figs. 37–39), are values of its own crate (`qlink_egp::egp`).
+//! Fig. 34's memory advertisement `REQ(E)`/`ACK(E)` is not modelled,
+//! since no node sends it (DESIGN.md, §4.5 flow control).
 
 use crate::codec::{Reader, WireError, Writer};
 use crate::fields::{AbsQueueId, Fidelity16, RequestFlags};
@@ -136,108 +136,6 @@ impl RetractMsg {
             create_id: r.get_u16()?,
         })
     }
-}
-
-/// Measurement basis carried in an M-type OK (Fig. 38 `Basis`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireBasis {
-    /// Pauli-X basis.
-    X,
-    /// Pauli-Y basis.
-    Y,
-    /// Pauli-Z (standard) basis.
-    Z,
-}
-
-/// The `OK` for a create-and-keep request (Fig. 37, §4.1.2).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OkKeepMsg {
-    /// Echo of the request's create ID.
-    pub create_id: u16,
-    /// Logical qubit ID where the local half of the pair is stored.
-    pub logical_qubit_id: u8,
-    /// Directionality flag `D`: `true` when this node originated the
-    /// request.
-    pub origin_is_local: bool,
-    /// Midpoint sequence number — with the two node IDs this forms the
-    /// network-unique entanglement identifier (§4.1.2 item 1).
-    pub sequence_number: u16,
-    /// Purpose ID echo.
-    pub purpose_id: u16,
-    /// The peer node ID.
-    pub remote_node_id: u32,
-    /// Goodness: fidelity estimate from the FEU (§4.1.2 item 3).
-    pub goodness: Fidelity16,
-    /// When the goodness estimate was made, in simulated picoseconds
-    /// (Fig. 37's `Goodness Time`, widened for simulator precision).
-    pub goodness_time_ps: u64,
-    /// When the pair was created, in simulated picoseconds.
-    pub create_time_ps: u64,
-}
-
-/// The `OK` for a measure-directly request (Fig. 38).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OkMeasureMsg {
-    /// Echo of the request's create ID.
-    pub create_id: u16,
-    /// Measurement outcome `M` (0/1).
-    pub outcome: u8,
-    /// The basis measured in.
-    pub basis: WireBasis,
-    /// Directionality flag `D`.
-    pub origin_is_local: bool,
-    /// Midpoint sequence number (entanglement identifier part).
-    pub sequence_number: u16,
-    /// Purpose ID echo.
-    pub purpose_id: u16,
-    /// The peer node ID.
-    pub remote_node_id: u32,
-    /// Goodness: QBER estimate for M-type requests (§4.1.2 item 3),
-    /// encoded like a fidelity.
-    pub goodness: Fidelity16,
-    /// When the pair was created, in simulated picoseconds.
-    pub create_time_ps: u64,
-}
-
-/// Error codes carried by `ERR` messages (Fig. 39, §4.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EgpErrorCode {
-    /// The request could not be completed within its time frame.
-    Timeout,
-    /// The requested fidelity is unachievable within `tmax` — rejected
-    /// immediately.
-    Unsupported,
-    /// Quantum storage permanently too small for an atomic request.
-    MemExceeded,
-    /// Quantum storage temporarily exhausted.
-    OutOfMem,
-    /// The remote node refused to participate.
-    Denied,
-    /// Previously issued OK(s) are revoked (inconsistency recovery).
-    Expire,
-    /// The distributed queue add timed out (Protocol 2 `ERR_NOTIME`).
-    NoTime,
-    /// The distributed queue add was rejected (`ERR_REJECTED`).
-    Rejected,
-}
-
-/// An `ERR` message from the EGP to the higher layer (Fig. 39).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ErrMsg {
-    /// What went wrong.
-    pub code: EgpErrorCode,
-    /// Create ID of the affected request.
-    pub create_id: u16,
-    /// Origin node of the affected request.
-    pub origin_node_id: u32,
-    /// `S` flag: when `true`, only sequence numbers in
-    /// `[seq_low, seq_high)` are affected; when `false`, the whole
-    /// request is.
-    pub range_only: bool,
-    /// Start of the affected sequence range (valid when `range_only`).
-    pub seq_low: u16,
-    /// End (exclusive) of the affected sequence range.
-    pub seq_high: u16,
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! channel models can drop and corrupt *actual frames* and the protocol
 //! recovery paths (EXPIRE, retransmission) are exercised against genuine
 //! parse failures, in the style of a production TCP/IP stack. The
-//! node-local CREATE, OK and ERR are plain values (see [`egp`]).
+//! node-local CREATE is a plain value (see [`egp`]), and the EGP's OK
+//! and ERR are values of the `qlink_egp` crate, beside the protocol.
 //!
 //! # Layout conventions
 //!

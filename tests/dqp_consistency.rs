@@ -44,7 +44,7 @@ fn pair() -> (DistributedQueue, DistributedQueue) {
 
 /// The DQP carries service state without reading it: any will do.
 fn service() -> Service {
-    Service::new(0.1, 0.7, 0)
+    Service::new(0.1)
 }
 
 /// Drives both queues with interleaved adds and a lossy in-order
