@@ -9,7 +9,7 @@
 //! price what a network pays before it runs: its topology, the
 //! planner's edge profiles, a corner-to-corner search, the first
 //! requests' `Fmin → α` inversions, and a CREATE the FEU has answered
-//! before.
+//! before. The EGP's per-cycle tick is priced at four queue depths.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use qlink::classical::{ChannelModel, Fate};
@@ -304,6 +304,25 @@ fn bench_derived_physics(c: &mut Criterion) {
             egp
         })
     });
+    // One MHP cycle's poll over `depth` committed, ready MD requests:
+    // the queue scan and scheduler pick every tick makes (a
+    // `link_ql2020` phase queues 12 requests, `link_lab` 9).
+    for depth in [8, 11, 12, 64] {
+        let mut egp = Egp::with_estimator(cfg.clone(), feu.clone());
+        let mut out = Vec::new();
+        for _ in 0..depth {
+            egp.step(Input::Create(md.clone()), 0, &mut out);
+        }
+        // Past `min_time`, before the first ADD retransmission is due.
+        let cycle = 100;
+        assert!(egp.step(Input::Tick, cycle, &mut out).attempt.is_some());
+        c.bench_function(&format!("egp_tick/depth{depth}"), |b| {
+            b.iter(|| {
+                out.clear();
+                black_box(egp.step(Input::Tick, black_box(cycle), &mut out))
+            })
+        });
+    }
 }
 
 /// What one derivation from a hardware profile costs, cold: the

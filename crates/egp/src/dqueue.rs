@@ -130,8 +130,9 @@ pub struct DistributedQueue {
     /// Master: the WFQ weight of each queue, from the scheduling
     /// policy (see [`SchedulerPolicy::weight`]).
     weights: [u32; NUM_QUEUES as usize],
-    /// Every committed request, in queue order `(QID, QSEQ)`.
-    table: BTreeMap<AbsQueueId, Request>,
+    /// Every committed request, a `Vec` kept sorted by `(QID, QSEQ)`:
+    /// queue order is slice order, and an ID is found by binary search.
+    table: Vec<Request>,
     next_qseq: [u16; NUM_QUEUES as usize],
     next_cseq: u8,
     /// ADDs awaiting their ACK/REJ, by `CSEQ`. Ordered, so the
@@ -162,7 +163,7 @@ impl DistributedQueue {
             master_node,
             slave_node,
             weights: std::array::from_fn(|q| scheduler.weight(q as u8)),
-            table: BTreeMap::new(),
+            table: Vec::new(),
             next_qseq: [0; NUM_QUEUES as usize],
             next_cseq: 0,
             pending: BTreeMap::new(),
@@ -197,24 +198,24 @@ impl DistributedQueue {
 
     /// Looks up a committed request.
     pub fn get(&self, aid: AbsQueueId) -> Option<&Request> {
-        self.table.get(&aid)
+        self.slot(aid).ok().map(|i| &self.table[i])
     }
 
     /// Looks up a committed request to record progress on it.
     pub fn get_mut(&mut self, aid: AbsQueueId) -> Option<&mut Request> {
-        self.table.get_mut(&aid)
+        self.slot(aid).ok().map(|i| &mut self.table[i])
     }
 
     /// Forgets a committed request, service state and all. The one way
     /// a request leaves the link layer, whatever the reason: completed
     /// and lingered, timed out, retracted, abandoned or rolled back.
     pub fn remove(&mut self, aid: AbsQueueId) -> Option<Request> {
-        self.table.remove(&aid)
+        self.slot(aid).ok().map(|i| self.table.remove(i))
     }
 
     /// Iterates all committed requests in `(QID, QSEQ)` order.
     pub fn iter(&self) -> impl Iterator<Item = &Request> {
-        self.table.values()
+        self.table.iter()
     }
 
     /// Starts a local add (Protocol 2 step 1) of `item`, to be
@@ -324,12 +325,16 @@ impl DistributedQueue {
         events
     }
 
+    /// Where `aid` sits in the table: `Ok` if committed, else `Err` at
+    /// the index that keeps the table sorted.
+    fn slot(&self, aid: AbsQueueId) -> Result<usize, usize> {
+        self.table.binary_search_by_key(&aid, |r| r.item.queue_id)
+    }
+
     fn queue_full(&self, qid: u8) -> bool {
-        let queue = AbsQueueId { qid, qseq: 0 }..=AbsQueueId {
-            qid,
-            qseq: u16::MAX,
-        };
-        self.table.range(queue).count() >= MAX_ITEMS_PER_QUEUE
+        let start = self.table.partition_point(|r| r.item.queue_id.qid < qid);
+        let end = self.table.partition_point(|r| r.item.queue_id.qid <= qid);
+        end - start >= MAX_ITEMS_PER_QUEUE
     }
 
     /// Enters `item` in the local queue under the ID it carries.
@@ -344,7 +349,10 @@ impl DistributedQueue {
             origin,
             service,
         };
-        self.table.insert(item.queue_id, request);
+        match self.slot(item.queue_id) {
+            Ok(i) => self.table[i] = request,
+            Err(i) => self.table.insert(i, request),
+        }
     }
 
     /// Registers an ADD for (re)transmission until the peer answers.
@@ -978,6 +986,102 @@ mod tests {
             (vf_light / vf_heavy - 10.0).abs() < 1e-9,
             "weight-10 queue finishes 10× sooner: {vf_heavy} vs {vf_light}"
         );
+    }
+
+    /// An item committed under `aid` as `create_id`.
+    fn entry(aid: AbsQueueId, create_id: u16) -> QueueItem {
+        QueueItem {
+            queue_id: aid,
+            ..payload(create_id, aid.qid)
+        }
+    }
+
+    /// The table answers as a map keyed by queue ID does: it iterates in
+    /// `(QID, QSEQ)` order whatever the commit order, QSEQs near
+    /// `u16::MAX` and wrapped to 0 included; a second commit of an ID
+    /// replaces the first; and `get`, `get_mut` and `remove` find what
+    /// the map finds, before and after removals from the middle.
+    #[test]
+    fn table_orders_and_finds_as_a_map_keyed_by_queue_id() {
+        let aid = |(qid, qseq): (u8, u16)| AbsQueueId::new(qid, qseq);
+        let top = u16::MAX;
+        let commits = [
+            (1, 7),
+            (0, top),
+            (2, 0),
+            (0, 0),
+            (1, top - 1),
+            (2, top),
+            (0, 3),
+            (1, 0),
+            (1, top),
+            (0, top - 1),
+            (2, 5),
+            (1, 7), // again: replaces the first
+        ];
+        let removals = [(1, top - 1), (0, 3), (2, 9), (1, 7), (0, 0)];
+        let probes: Vec<AbsQueueId> = (0..NUM_QUEUES)
+            .flat_map(|qid| [0, 1, 3, 5, 7, 9, top - 1, top].map(|qseq| aid((qid, qseq))))
+            .collect();
+        let mut q = master();
+        let mut oracle = BTreeMap::new();
+        let agree = |q: &mut DistributedQueue, oracle: &BTreeMap<_, u16>| {
+            let got: Vec<_> = q
+                .iter()
+                .map(|r| (r.item.queue_id, r.item.create_id))
+                .collect();
+            let want: Vec<_> = oracle.iter().map(|(&a, &c)| (a, c)).collect();
+            assert_eq!(got, want, "iteration order");
+            assert_eq!(q.len(), oracle.len());
+            for &a in &probes {
+                let want = oracle.get(&a).copied();
+                assert_eq!(q.get(a).map(|r| r.item.create_id), want, "get {a:?}");
+                assert_eq!(
+                    q.get_mut(a).map(|r| r.item.create_id),
+                    want,
+                    "get_mut {a:?}"
+                );
+            }
+        };
+        for (create_id, &id) in (100..).zip(&commits) {
+            q.commit(entry(aid(id), create_id), service());
+            oracle.insert(aid(id), create_id);
+            agree(&mut q, &oracle);
+        }
+        assert_eq!(q.len(), commits.len() - 1, "one ID was committed twice");
+        for &id in &removals {
+            let removed = q.remove(aid(id)).map(|r| r.item.create_id);
+            assert_eq!(removed, oracle.remove(&aid(id)), "remove {id:?}");
+            agree(&mut q, &oracle);
+        }
+    }
+
+    /// A queue is full at exactly `MAX_ITEMS_PER_QUEUE` items of its own
+    /// QID, whatever the other queues hold, its QSEQs wrapped or not.
+    #[test]
+    fn queue_full_counts_its_own_queue_only() {
+        let mut q = master();
+        let max = MAX_ITEMS_PER_QUEUE as u16;
+        // Queue 0 full and queue 2 one short, committed interleaved.
+        for i in 0..max {
+            q.commit(entry(AbsQueueId::new(0, i), i), service());
+            if i + 1 < max {
+                q.commit(entry(AbsQueueId::new(2, 3 * i), i), service());
+            }
+        }
+        // Queue 1's QSEQs run past u16::MAX and wrap to 0.
+        let wrapped = |i: u16| AbsQueueId::new(1, (u16::MAX - max / 2).wrapping_add(i));
+        for i in 0..max {
+            assert!(!q.queue_full(1), "{i} items of queue 1");
+            assert!(q.queue_full(0) && !q.queue_full(2));
+            q.commit(entry(wrapped(i), i), service());
+        }
+        assert!(q.queue_full(1));
+        assert!(q.remove(wrapped(max / 2)).is_some());
+        assert!(!q.queue_full(1), "one taken from the middle");
+        q.commit(entry(AbsQueueId::new(2, u16::MAX), 0), service());
+        assert!(q.queue_full(2));
+        assert_eq!(q.len(), 3 * MAX_ITEMS_PER_QUEUE - 1);
     }
 
     #[test]

@@ -317,45 +317,6 @@ impl Topology {
         crate::route::dijkstra(self, src, dst, &|_| 1.0, None).map(|r| r.nodes)
     }
 
-    /// Up to `k` loopless fewest-hop paths from `src` to `dst`, in
-    /// non-decreasing hop count (Yen's algorithm over unit costs).
-    /// Fewer than `k` paths are returned when the graph has fewer
-    /// simple paths. The metric-aware search is
-    /// [`crate::route::RoutePlanner::routes`].
-    ///
-    /// # Panics
-    /// Panics on out-of-range nodes, `src == dst`, or `k == 0`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use qlink_net::topology::Topology;
-    /// use qlink_sim::config::LinkConfig;
-    /// use qlink_sim::workload::WorkloadSpec;
-    ///
-    /// // A diamond: 0-1-3 and the 0-2-3 alternative.
-    /// let mut topo = Topology::new();
-    /// for _ in 0..4 {
-    ///     topo.add_node();
-    /// }
-    /// let lab = |seed| LinkConfig::lab(WorkloadSpec::none(), seed);
-    /// topo.connect(0, 1, lab(1));
-    /// topo.connect(1, 3, lab(2));
-    /// topo.connect(0, 2, lab(3));
-    /// topo.connect(2, 3, lab(4));
-    ///
-    /// let paths = topo.k_shortest_paths(0, 3, 3);
-    /// assert_eq!(paths.len(), 2);
-    /// assert_eq!(paths[0], vec![0, 1, 3]);
-    /// assert_eq!(paths[1], vec![0, 2, 3]);
-    /// ```
-    pub fn k_shortest_paths(&self, src: usize, dst: usize, k: usize) -> Vec<Vec<usize>> {
-        crate::route::yen(self, src, dst, k, &|_| 1.0)
-            .into_iter()
-            .map(|r| r.nodes)
-            .collect()
-    }
-
     /// The edge indices along a node path.
     ///
     /// # Panics
@@ -431,9 +392,9 @@ mod tests {
         }
         assert_eq!(t.edge_between(0, 4), None, "no diagonals");
         // Two edge-disjoint corner-to-corner routes exist.
-        let paths = t.k_shortest_paths(0, 8, 6);
+        let paths = crate::route::yen(&t, 0, 8, 6, &|_| 1.0);
         assert!(paths.len() >= 2);
-        assert_eq!(paths[0].len(), 5, "corner to corner is 4 hops");
+        assert_eq!(paths[0].nodes.len(), 5, "corner to corner is 4 hops");
     }
 
     #[test]
@@ -458,16 +419,20 @@ mod tests {
     }
 
     #[test]
-    fn k_shortest_paths_enumerates_alternatives() {
+    fn unit_cost_yen_enumerates_ring_alternatives() {
         // Chain 0-1-2-3 closed into a ring by a direct 0-3 edge.
         let mut t = Topology::chain(4, |i| lab(i as u64));
         t.connect(0, 3, lab(9));
-        let paths = t.k_shortest_paths(0, 3, 5);
+        let hops = |k| -> Vec<Vec<usize>> {
+            let paths = crate::route::yen(&t, 0, 3, k, &|_| 1.0);
+            paths.into_iter().map(|r| r.nodes).collect()
+        };
+        let paths = hops(5);
         assert_eq!(paths.len(), 2, "a ring has two simple paths");
         assert_eq!(paths[0], vec![0, 3]);
         assert_eq!(paths[1], vec![0, 1, 2, 3]);
         // k = 1 returns just the shortest.
-        assert_eq!(t.k_shortest_paths(0, 3, 1), vec![vec![0, 3]]);
+        assert_eq!(hops(1), vec![vec![0, 3]]);
     }
 
     #[test]
