@@ -88,6 +88,40 @@ profile_fields() {
     ' crates/sim/src/link.rs crates/egp/src/egp.rs crates/phys/src/mhp.rs
 }
 
+# DESIGN.md holds the paper deviations that code and docs cite by name, so
+# it may not go missing while anything cites it.
+design_doc() {
+    cited=$(grep -rlI --exclude-dir=target 'DESIGN\.md' crates tests examples benchmark README.md ARCHITECTURE.md) ||
+        (($? == 1))
+    [[ -z $cited || -f DESIGN.md ]] || { printf 'DESIGN.md is missing but cited by:\n%s\n' "$cited"; false; }
+}
+
+# ARCHITECTURE.md points into the code by `module::symbol` or
+# `crate::module::symbol`, where the module is a file crates/*/src/*.rs: the
+# symbol must still be a fn, type, const, static or mod its module defines (a
+# module name two crates share resolves in either).
+architecture_symbols() {
+    local f mods= crates= cite path module bad=0 files
+    for f in crates/*/src/*.rs; do
+        f=${f##*/}
+        [[ $f == lib.rs ]] || mods+="|${f%.rs}"
+    done
+    for f in crates/*/; do
+        f=${f%/}
+        crates+="|${f##*/}"
+    done
+    for cite in $(grep -oE "\`((${crates#|})::)?(${mods#|})::[A-Za-z_0-9]+\`" ARCHITECTURE.md | tr -d '`' | sort -u); do
+        path=${cite%::*}
+        module=${path##*::}
+        if [[ $path == *::* ]]; then files=("crates/${path%%::*}/src/$module.rs"); else files=(crates/*/src/"$module".rs); fi
+        grep -qsE "(fn|struct|enum|trait|type|const|static|mod) ${cite##*::}\b" "${files[@]}" || {
+            echo "ARCHITECTURE.md cites $cite, which ${files[*]} does not define"
+            bad=1
+        }
+    done
+    ((bad == 0))
+}
+
 # Every public fn has a caller outside the tests. The census lists each
 # `pub` / `pub(crate)` fn of crates/ (without crates/bench) and examples/
 # whose name occurs nowhere else in their non-test code: each `#[cfg(test)]`
@@ -167,6 +201,11 @@ pub struct Egp {
 }'
 prove profile_fields 'crates/sim/src/link.rs crates/egp/src/egp.rs crates/phys/src/mhp.rs' \
     crates/egp/src/egp.rs "$egp" "${egp/cycle: u64,/config: EgpConfig,}"
+
+prove design_doc 'crates tests examples benchmark README.md ARCHITECTURE.md' README.md \
+    '# qlink' '# qlink: departures from the paper are in DESIGN.md'
+prove architecture_symbols 'ARCHITECTURE.md crates/net/src/engine.rs' ARCHITECTURE.md \
+    'One loop (`Network::run`) drains the queue.' 'See `net::engine::Nope`.' 'See `engine::Nope`.'
 
 pub_fns='#[cfg(test)]
 mod plain;

@@ -1,6 +1,6 @@
-//! Network-layer scaling benches (ROADMAP item).
+//! Network-layer scaling benches.
 //!
-//! Two families:
+//! Six families; `cargo bench --bench net_scaling -- <family>/` runs one:
 //!
 //! * `chain/*` — end-to-end generation over growing SWAP-ASAP chains:
 //!   how simulated hops scale the *wall-clock* cost of one delivered
@@ -18,14 +18,6 @@
 //!   latency routing (with and without timeout re-routing).
 //! * `sweep/*` — sweep-driver throughput (ROADMAP item): runs/second
 //!   of a fixed scenario × seed matrix vs worker-thread count.
-//! * `par/*` — wall-clock of one giant-grid run (the family keeps the
-//!   name it had when it also timed the deleted intra-run parallel
-//!   engine; see ARCHITECTURE.md, "Intra-run parallelism: a negative
-//!   result"). Also writes the measurements to `BENCH_par.json`
-//!   (override the path with `QLINK_BENCH_PAR_JSON`) as the
-//!   perf-trajectory record. Run just this family with
-//!   `cargo bench --bench net_scaling -- par/`, and shrink the simulated horizon for smoke
-//!   runs with `QLINK_BENCH_SCALE` (e.g. `=0.1`).
 //! * `load/*` — the open-loop workload engine (`qlink::net::load`):
 //!   wall-clock of one sustained-arrival grid run at a moderate rate
 //!   (the full admit → serve → account path dominates) and at 100×
@@ -174,152 +166,6 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     }
 }
 
-fn bench_par_engine(c: &mut Criterion) {
-    // `matches_prefix` so a sub-family filter (`par/grid_8x8`, as the
-    // CI smoke job passes) still enters the group; each full name is
-    // then matched individually below.
-    if !c.matches_prefix("par/") {
-        return;
-    }
-    let sim = qlink_bench::scaled_secs(2.0);
-    let mut json_entries = Vec::new();
-    let mut measured: Vec<(String, f64)> = Vec::new();
-    for n in [8usize, 16] {
-        // One corner-to-corner request plus cross traffic, with a
-        // timeout and retry budget.
-        let last = n * n - 1;
-        let spec = ScenarioSpec::lab_grid(format!("par-grid-{n}"), n, n)
-            .with_pairs(vec![
-                (0, last),
-                (n - 1, last + 1 - n),
-                (n / 2, last - n / 2),
-            ])
-            .with_metric(RouteMetric::LoadLatency)
-            .with_max_time(sim);
-        let name = format!("par/grid_{n}x{n}_seq");
-        if !c.matches(&name) {
-            continue;
-        }
-        // Minimum of two runs: single-shot wall timing is noisy
-        // (±10% run-to-run on a busy host), and the minimum is the
-        // standard low-noise estimator for a regression gate. The
-        // runs are bit-identical, so only the clock differs.
-        let watch = qlink_bench::Stopwatch::new();
-        let r = run_one(&spec, 1);
-        let first = watch.secs();
-        let watch = qlink_bench::Stopwatch::new();
-        let r2 = run_one(&spec, 1);
-        let secs = watch.secs().min(first);
-        assert_eq!(r.events, r2.events, "{name}: runs must be bit-identical");
-        // Reported, not gated: cost per handled event compares
-        // grid sizes, but the event count is not invariant across
-        // commits (idle-link parking removed most of it), so it can
-        // rise while the run gets faster. The gate reads `secs`.
-        let per_event_ns = if r.events == 0 {
-            0.0
-        } else {
-            secs * 1e9 / r.events as f64
-        };
-        println!(
-            "{name:<24} {per_event_ns:>7.1} ns/event  {secs:>8.3} s  ({} events, {} ok)",
-            r.events, r.successes,
-        );
-        json_entries.push(format!(
-            "    {{\"name\": \"{name}\", \"per_event_ns\": {per_event_ns:.1}, \
-             \"wall_seconds\": {secs:.4}, \"events\": {}}}",
-            r.events
-        ));
-        measured.push((name, secs));
-    }
-    if json_entries.is_empty() {
-        return;
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"net_scaling/par\",\n  \"sim_seconds\": {:.3},\n  \
-         \"entries\": [\n{}\n  ]\n}}\n",
-        sim.as_secs_f64(),
-        json_entries.join(",\n"),
-    );
-    // Default into the workspace root: the committed perf-trajectory
-    // record, refreshed by any plain `cargo bench -- par/`.
-    let path = std::env::var("QLINK_BENCH_PAR_JSON")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_par.json").into());
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    check_against_baseline(&measured, sim.as_secs_f64());
-}
-
-/// The CI regression gate: with `QLINK_BENCH_BASELINE` pointing at a
-/// committed `BENCH_par.json`, compare this run's sequential wall
-/// seconds against the recorded ones per benchmark and panic when they
-/// regress beyond `QLINK_BENCH_MAX_REGRESS` (a fraction; default
-/// 0.25 = +25%). The run is a fixed (seed, horizon) simulation, so wall
-/// seconds measure the same work on every commit — which ns/event does
-/// not, once a change removes events. A baseline recorded at another
-/// simulated horizon (`QLINK_BENCH_SCALE`) is refused rather than
-/// compared.
-/// Baseline entries without a `wall_seconds` field are skipped.
-fn check_against_baseline(measured: &[(String, f64)], sim_seconds: f64) {
-    let Ok(path) = std::env::var("QLINK_BENCH_BASELINE") else {
-        return;
-    };
-    let max_regress = std::env::var("QLINK_BENCH_MAX_REGRESS")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.25);
-    let base = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("QLINK_BENCH_BASELINE {path}: {e}"));
-    let recorded_at = json_number(&base, "sim_seconds");
-    assert!(
-        recorded_at.is_some_and(|s| (s - sim_seconds).abs() < 5e-4),
-        "baseline {path} was recorded over {recorded_at:?} simulated seconds, \
-         this run over {sim_seconds:.3}: wall seconds do not compare"
-    );
-    let mut failed = false;
-    for (name, got) in measured {
-        let Some(want) = baseline_wall_seconds(&base, name) else {
-            continue;
-        };
-        let limit = want * (1.0 + max_regress);
-        if *got > limit {
-            eprintln!(
-                "REGRESSION {name}: {got:.3} s > {limit:.3} s \
-                 (baseline {want:.3} s + {:.0}%)",
-                max_regress * 100.0
-            );
-            failed = true;
-        } else {
-            println!("baseline ok {name}: {got:.3} s <= {limit:.3} s (baseline {want:.3} s)");
-        }
-    }
-    assert!(
-        !failed,
-        "wall seconds regressed past the committed baseline"
-    );
-}
-
-/// Pulls `wall_seconds` for the named entry out of a `BENCH_par.json`
-/// (the format this bench writes; a full JSON parser would be a
-/// dependency for two fields).
-fn baseline_wall_seconds(json: &str, name: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\": \"{name}\""))?;
-    let obj = &json[at..at + json[at..].find('}')?];
-    json_number(obj, "wall_seconds")
-}
-
-/// The number following the first `"key": ` in `json`.
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let key = format!("\"{key}\": ");
-    let tail = &json[json.find(&key)? + key.len()..];
-    let digits: String = tail
-        .chars()
-        .take_while(|ch| ch.is_ascii_digit() || *ch == '.')
-        .collect();
-    digits.parse().ok()
-}
-
 fn bench_routing_overhead(c: &mut Criterion) {
     if !c.matches("route/") {
         return;
@@ -402,6 +248,6 @@ fn bench_open_loop_load(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_chain_scaling, bench_routing_overhead, bench_purify_policies, bench_congested_mesh, bench_sweep_throughput, bench_par_engine, bench_open_loop_load
+    targets = bench_chain_scaling, bench_routing_overhead, bench_purify_policies, bench_congested_mesh, bench_sweep_throughput, bench_open_loop_load
 }
 criterion_main!(benches);

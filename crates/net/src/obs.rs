@@ -40,7 +40,7 @@
 //!   [`Network::workload_stats`](crate::network::Network::workload_stats).
 //! * **Profile** — wall-clock engine introspection: run time, events
 //!   drained, queue-depth high water, and cycles elided,
-//!   exportable as a `BENCH_par.json`-style artifact via
+//!   exportable as a small JSON object via
 //!   [`EngineProfile::to_json`]. Wall time is the *one* nondeterministic
 //!   quantity here: spans and metrics never read it, so they stay
 //!   byte-reproducible.
@@ -370,8 +370,9 @@ pub struct EngineProfile {
 }
 
 impl EngineProfile {
-    /// Serialises the profile as a small JSON object, the same artifact
-    /// style as the scaling benchmark's `BENCH_par.json`.
+    /// Serialises the profile as a small JSON object: wall nanoseconds,
+    /// events handled, ns per event, queue-depth high water and cycles
+    /// elided.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"wall_ns\": {},\n  \"events_handled\": {},\n  \"ns_per_event\": {:.1},\n  \"queue_depth_high_water\": {},\n  \"cycles_elided\": {}\n}}\n",

@@ -642,6 +642,10 @@ mod tests {
         assert_eq!(paths[1].nodes, vec![0, 1, 2, 3]);
         assert!(paths[0].cost <= paths[1].cost);
         assert!(paths[0].edge_disjoint(&paths[1]));
+        // k = 1 returns just the shortest.
+        let best = yen(&t, 0, 3, 1, &|_| 1.0);
+        assert_eq!(best.len(), 1);
+        assert_eq!(best[0].nodes, vec![0, 3]);
     }
 
     #[test]

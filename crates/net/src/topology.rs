@@ -419,23 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_cost_yen_enumerates_ring_alternatives() {
-        // Chain 0-1-2-3 closed into a ring by a direct 0-3 edge.
-        let mut t = Topology::chain(4, |i| lab(i as u64));
-        t.connect(0, 3, lab(9));
-        let hops = |k| -> Vec<Vec<usize>> {
-            let paths = crate::route::yen(&t, 0, 3, k, &|_| 1.0);
-            paths.into_iter().map(|r| r.nodes).collect()
-        };
-        let paths = hops(5);
-        assert_eq!(paths.len(), 2, "a ring has two simple paths");
-        assert_eq!(paths[0], vec![0, 3]);
-        assert_eq!(paths[1], vec![0, 1, 2, 3]);
-        // k = 1 returns just the shortest.
-        assert_eq!(hops(1), vec![vec![0, 3]]);
-    }
-
-    #[test]
     fn disconnected_nodes_have_no_path() {
         let mut t = Topology::new();
         let a = t.add_node();
