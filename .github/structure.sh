@@ -122,14 +122,18 @@ architecture_symbols() {
     ((bad == 0))
 }
 
-# Every public fn has a caller outside the tests. The census lists each
-# `pub` / `pub(crate)` fn of crates/ (without crates/bench) and examples/
-# whose name occurs nowhere else in their non-test code: each `#[cfg(test)]`
-# item is skipped (not the rest of its file), and so are comments, since a
-# doc line naming a fn does not call it. Such a fn must be listed, with its
-# caller, in dead_pub_fns.allow, and every listed name must be such a fn.
-# The census matches names, so a dead fn that shares its name with another
-# use stays hidden.
+# Every public fn has a caller and every public field a reader outside the
+# tests. The census lists each `pub` / `pub(crate)` fn of crates/ (without
+# crates/bench) and examples/ whose name occurs nowhere else in their
+# non-test code, and each `pub` / `pub(crate)` field `name:` that no member
+# read `.name` reaches there (a call `.name(` or `.name::<` is not a read):
+# each `#[cfg(test)]` item is skipped (not the rest of its file), and so are
+# comments, since a doc line naming a fn does not call it. Such a fn or field
+# must be listed, with its caller or reader, in dead_pub_fns.allow, and every
+# listed name must be such a fn or field.
+# The census matches names, not types: a dead fn that shares its name with
+# another use, or an unread field that shares its name with a field that is
+# read (the OKs' `purpose_id` beside `QueueItem::purpose_id`), stays hidden.
 dead_pub_fns() {
     export LC_ALL=C
     census=$(find crates examples -name '*.rs' ! -path 'crates/bench/*' | sort | xargs -r awk '
@@ -148,17 +152,27 @@ dead_pub_fns() {
         if (match(line, /^[ \t]*pub(\([a-z]+\))? ((const|unsafe|async) )*fn [A-Za-z_][A-Za-z0-9_]*/)) {
           name = substr(line, RSTART, RLENGTH); sub(/.* fn /, "", name)
           if (!(name in at)) at[name] = FILENAME ":" FNR
+        } else if (match(line, /^[ \t]*pub(\([a-z]+\))? [a-z_][a-z0-9_]*:([^:]|$)/)) {
+          name = substr(line, RSTART, RLENGTH); sub(/^[ \t]*pub(\([a-z]+\))? /, "", name); sub(/:.*/, "", name)
+          field[name] = field[name] " " FILENAME ":" FNR
         }
         n = split(line, word, /[^A-Za-z0-9_]+/)
         for (i = 1; i <= n; i++) if (word[i] != "") seen[word[i]]++
+        while (match(line, /\.[A-Za-z_][A-Za-z0-9_]*/)) {
+          name = substr(line, RSTART + 1, RLENGTH - 1); line = substr(line, RSTART + RLENGTH)
+          if (line !~ /^[ \t]*(\(|::)/) read[name] = 1
+        }
       }
-      END { for (name in at) if (seen[name] == 1) print name "\t" at[name] }
+      END {
+        for (name in at) if (seen[name] == 1) print name "\t" at[name] ": fn"
+        for (name in field) if (!(name in read)) print name "\t" substr(field[name], 2) ": field"
+      }
     ' | sort)
     listed=$(sed '/^#/d; /^$/d; s/\t.*//' .github/dead_pub_fns.allow | sort)
     unlisted=$(join -t $'\t' -v 1 <(printf '%s\n' "$census" | sed '/^$/d') <(printf '%s\n' "$listed" | sed '/^$/d'))
-    stale=$(comm -13 <(printf '%s\n' "$census" | cut -f1 | sed '/^$/d') <(printf '%s\n' "$listed" | sed '/^$/d'))
-    [[ -z $unlisted ]] || printf 'uncalled outside the tests, not in dead_pub_fns.allow:\n%s\n' "$unlisted"
-    [[ -z $stale ]] || printf 'in dead_pub_fns.allow, but not an uncalled pub fn:\n%s\n' "$stale"
+    stale=$(comm -13 <(printf '%s\n' "$census" | cut -f1 | sed '/^$/d' | uniq) <(printf '%s\n' "$listed" | sed '/^$/d'))
+    [[ -z $unlisted ]] || printf 'uncalled or unread outside the tests, not in dead_pub_fns.allow:\n%s\n' "$unlisted"
+    [[ -z $stale ]] || printf 'in dead_pub_fns.allow, but not an uncalled pub fn or unread pub field:\n%s\n' "$stale"
     [[ -z $unlisted && -z $stale ]]
 }
 
@@ -209,25 +223,37 @@ prove architecture_symbols 'ARCHITECTURE.md crates/net/src/engine.rs' ARCHITECTU
 
 pub_fns='#[cfg(test)]
 mod plain;
+pub struct Plain {
+    pub read: u32,
+    pub(crate) also_read: u32,
+}
 pub fn called() {}
 impl Plain {
     #[cfg(test)]
     pub fn fixture() {}
     pub(crate) const fn also_called() {}
 }
-fn caller() {
+fn caller(p: &Plain) -> u32 {
     called();
     Plain::also_called();
+    p.read + p.also_read
 }
 #[cfg(test)]
 mod tests {
     #[test]
     fn t() {}
 }'
+# The plants: a fn uncalled, called only by a test, named only in a comment;
+# a field unread, read only by a test, read only in a comment, only called.
+field=$'\npub struct Planted {\n    pub planted: u32,\n}'
 prove dead_pub_fns 'crates/qlink/src examples .github/dead_pub_fns.allow' crates/qlink/src/lib.rs \
     "$pub_fns" "$pub_fns"$'\npub fn planted_uncalled() {}' \
     "${pub_fns/fn t() \{\}/fn t() { super::tested_only(); \}}"$'\npub fn tested_only() {}' \
-    "${pub_fns/called();/called(); \/\/ commented_only()}"$'\npub(crate) fn commented_only() {}'
+    "${pub_fns/called();/called(); \/\/ commented_only()}"$'\npub(crate) fn commented_only() {}' \
+    "$pub_fns$field" \
+    "${pub_fns/fn t() \{\}/fn t(p: super::Planted) { p.planted; \}}$field" \
+    "${pub_fns/p.also_read/p.also_read \/\/ + p.planted}$field" \
+    "${pub_fns/p.also_read/p.also_read + p.planted()}$field"
 prove dead_pub_fns 'crates/qlink/src/lib.rs examples .github/dead_pub_fns.allow' \
     .github/dead_pub_fns.allow - $'gone\tno longer defined'
 

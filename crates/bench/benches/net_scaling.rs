@@ -1,6 +1,8 @@
 //! Network-layer scaling benches.
 //!
-//! Six families; `cargo bench --bench net_scaling -- <family>/` runs one:
+//! Six families; `cargo bench --bench net_scaling -- <family>/` runs one,
+//! and a cell's name as the filter (`-- route/hopcount_dijkstra_6x6`) runs
+//! that cell alone:
 //!
 //! * `chain/*` — end-to-end generation over growing SWAP-ASAP chains:
 //!   how simulated hops scale the *wall-clock* cost of one delivered
@@ -39,7 +41,7 @@ fn grid(n: usize) -> Topology {
 }
 
 fn bench_chain_scaling(c: &mut Criterion) {
-    if !c.matches("chain/") {
+    if !c.matches_family("chain/") {
         return;
     }
     // Print the hops → latency/fidelity curve once so the bench log
@@ -71,7 +73,7 @@ fn bench_chain_scaling(c: &mut Criterion) {
 }
 
 fn bench_purify_policies(c: &mut Criterion) {
-    if !c.matches("purify/") {
+    if !c.matches_family("purify/") {
         return;
     }
     for policy in [Policy::SwapAsap, Policy::LinkPurify] {
@@ -101,7 +103,7 @@ fn bench_purify_policies(c: &mut Criterion) {
 }
 
 fn bench_congested_mesh(c: &mut Criterion) {
-    if !c.matches("congestion/") {
+    if !c.matches_family("congestion/") {
         return;
     }
     let pairs = vec![(0, 15), (3, 12), (1, 11), (2, 8), (7, 13), (4, 14)];
@@ -136,7 +138,7 @@ fn bench_congested_mesh(c: &mut Criterion) {
 }
 
 fn bench_sweep_throughput(c: &mut Criterion) {
-    if !c.matches("sweep/") {
+    if !c.matches_family("sweep/") {
         return;
     }
     // A fixed 2-scenario × 4-seed matrix of short chain runs; the
@@ -167,7 +169,7 @@ fn bench_sweep_throughput(c: &mut Criterion) {
 }
 
 fn bench_routing_overhead(c: &mut Criterion) {
-    if !c.matches("route/") {
+    if !c.matches_family("route/") {
         return;
     }
     let topo = grid(6);
@@ -212,7 +214,7 @@ fn bench_routing_overhead(c: &mut Criterion) {
 }
 
 fn bench_open_loop_load(c: &mut Criterion) {
-    if !c.matches("load/") {
+    if !c.matches_family("load/") {
         return;
     }
     let classes = || {

@@ -4,19 +4,30 @@
 //! `DESIGN.md`) uses these helpers to run scaled-down versions of the
 //! paper's scenarios and print rows in the same shape the paper
 //! reports. Scale the simulated duration with the environment variable
-//! `QLINK_BENCH_SCALE` (default 1.0; e.g. `QLINK_BENCH_SCALE=5` for
-//! longer, lower-variance runs).
+//! `QLINK_BENCH_SCALE` (default 1.0, at least 0.05; e.g.
+//! `QLINK_BENCH_SCALE=5` for longer, lower-variance runs). A value that
+//! is not a number stops the bench.
 
 use qlink::prelude::*;
 
 /// Simulated seconds for a nominal run, honouring `QLINK_BENCH_SCALE`.
 pub fn scaled_secs(nominal: f64) -> SimDuration {
-    let scale = std::env::var("QLINK_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(1.0)
-        .max(0.05);
+    let scale = bench_scale(std::env::var("QLINK_BENCH_SCALE").ok().as_deref());
     SimDuration::from_secs_f64(nominal * scale)
+}
+
+/// The scale a `QLINK_BENCH_SCALE` value asks for: 1.0 when it is unset,
+/// never below 0.05.
+///
+/// # Panics
+///
+/// If the value is not a number (`0,25`), rather than run at 1.0.
+fn bench_scale(value: Option<&str>) -> f64 {
+    let scale = value.map_or(1.0, |s| {
+        s.parse::<f64>()
+            .unwrap_or_else(|_| panic!("QLINK_BENCH_SCALE={s:?} is not a number"))
+    });
+    scale.max(0.05)
 }
 
 /// Runs a link for `secs` simulated seconds and returns it.
@@ -62,5 +73,24 @@ impl Stopwatch {
     /// Seconds elapsed.
     pub fn secs(&self) -> f64 {
         self.0.elapsed().as_secs_f64()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::bench_scale;
+
+    #[test]
+    fn bench_scale_reads_a_number() {
+        assert_eq!(bench_scale(None), 1.0);
+        assert_eq!(bench_scale(Some("0.25")), 0.25);
+        assert_eq!(bench_scale(Some("5")), 5.0);
+        assert_eq!(bench_scale(Some("0.001")), 0.05, "clamped");
+    }
+
+    #[test]
+    #[should_panic(expected = "QLINK_BENCH_SCALE=\"0,25\" is not a number")]
+    fn bench_scale_refuses_a_value_that_is_not_a_number() {
+        bench_scale(Some("0,25"));
     }
 }

@@ -38,9 +38,6 @@ pub struct LinkBudget {
     pub splice_loss_db: f64,
     /// Number of splices on the span.
     pub num_splices: u32,
-    /// Design safety margin, dB (3 dB), *excluded* from the error-rate
-    /// margin: it is headroom the installer reserves, not loss.
-    pub safety_margin_db: f64,
 }
 
 impl Default for LinkBudget {
@@ -61,7 +58,6 @@ impl LinkBudget {
             num_connectors: 2,
             splice_loss_db: 0.1,
             num_splices: 0,
-            safety_margin_db: 3.0,
         }
     }
 

@@ -78,23 +78,17 @@ pub enum EgpEvent {
     Hw(HwDirective),
 }
 
-/// The `OK` for a create-and-keep pair (Fig. 37, §4.1.2).
+/// The `OK` for a create-and-keep pair (Fig. 37, §4.1.2). The paper's
+/// OK also names the logical qubit, the midpoint sequence number, the
+/// purpose ID and the peer; neither OK carries them, since `sim::link`
+/// and `net`, the layers above the EGP, read none of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OkKeepMsg {
     /// Echo of the request's create ID.
     pub create_id: u16,
-    /// Logical qubit ID where the local half of the pair is stored.
-    pub logical_qubit_id: u8,
     /// Directionality flag `D`: `true` when this node originated the
     /// request.
     pub origin_is_local: bool,
-    /// Midpoint sequence number — with the two node IDs this forms the
-    /// network-unique entanglement identifier (§4.1.2 item 1).
-    pub sequence_number: u16,
-    /// Purpose ID echo.
-    pub purpose_id: u16,
-    /// The peer node ID.
-    pub remote_node_id: u32,
     /// The MHP cycle whose detection window heralded the pair: its
     /// creation time (§4.1.2 item 5).
     pub herald_cycle: u64,
@@ -111,12 +105,6 @@ pub struct OkMeasureMsg {
     pub basis: Basis,
     /// Directionality flag `D`.
     pub origin_is_local: bool,
-    /// Midpoint sequence number (entanglement identifier part).
-    pub sequence_number: u16,
-    /// Purpose ID echo.
-    pub purpose_id: u16,
-    /// The peer node ID.
-    pub remote_node_id: u32,
     /// The MHP cycle whose detection window heralded the pair.
     pub herald_cycle: u64,
 }
@@ -210,14 +198,12 @@ pub struct EgpConfig {
     pub scenario: ScenarioParams,
     /// Scheduling policy, WFQ weights included (must match the peer's).
     pub scheduler: SchedulerPolicy,
-    /// Number of carbon storage qubits.
-    pub storage_qubits: usize,
     /// Pre-shared randomness for the M-type attempts' bases.
     pub shared_random: SharedRandomness,
 }
 
 impl EgpConfig {
-    /// A node of a link on `scenario` with one storage qubit.
+    /// A node of a link on `scenario`.
     pub fn for_scenario(
         node_id: u32,
         peer_id: u32,
@@ -231,12 +217,14 @@ impl EgpConfig {
             role,
             scenario,
             scheduler,
-            storage_qubits: 1,
             shared_random: SharedRandomness::new(0x51_1b_2a_7e),
         }
     }
 }
 
+/// Carbon storage qubits per node: a K-type pair moves to one and is
+/// consumed on delivery (§6's workloads).
+const STORAGE_QUBITS: usize = 1;
 /// Consecutive NO_MESSAGE_OTHER results on one request before
 /// concluding the peer has diverged and sending a resync EXPIRE
 /// (§E.3.2's "inconsistency detected later" case) — at least; see
@@ -270,12 +258,12 @@ struct PendingExpire {
 
 /// The part of an [`EgpConfig`] an [`Egp`] reads after construction,
 /// and the timers derived from it. The hardware profile itself lives
-/// behind the FEU handle ([`FidelityEstimator::params`]); the node IDs
-/// and the WFQ weights are also handed to the [`DistributedQueue`].
+/// behind the FEU handle ([`FidelityEstimator::params`]); both node IDs
+/// and the WFQ weights are also handed to the [`DistributedQueue`], the
+/// one keeper of the peer's ID.
 #[derive(Debug)]
 struct Settings {
     node_id: u32,
-    peer_id: u32,
     /// `min_time` offset: cycles between queue-add and earliest service.
     /// It must exceed the ADD/ACK round trip (§E.1.2): the node-to-node
     /// round trip in whole cycles, plus three.
@@ -377,7 +365,6 @@ impl Egp {
         Egp {
             cfg: Settings {
                 node_id: cfg.node_id,
-                peer_id: cfg.peer_id,
                 min_time_cycles: rtt_ab.div_ceil(cycle_ps) + 3,
                 reply_timeout_cycles,
                 measure_multiplexing: scenario.measure_multiplexing,
@@ -387,7 +374,7 @@ impl Egp {
                 reinit_duration_cycles,
             },
             dq,
-            qmm: QuantumMemoryManager::new(cfg.storage_qubits),
+            qmm: QuantumMemoryManager::new(STORAGE_QUBITS),
             feu,
             next_create_id: 0,
             seq_expected: 0,
@@ -933,9 +920,6 @@ impl Egp {
                     outcome: local_bit.unwrap_or(0),
                     basis,
                     origin_is_local: req.origin == self.cfg.node_id,
-                    sequence_number: seq,
-                    purpose_id: req.item.purpose_id,
-                    remote_node_id: self.cfg.peer_id,
                     // The pair was created in the attempt's detection
                     // window, not when the reply was processed (§4.1.2
                     // item 5).
@@ -993,11 +977,7 @@ impl Egp {
         };
         let ok = OkKeepMsg {
             create_id: req.item.create_id,
-            logical_qubit_id: pm.qubit,
             origin_is_local: req.origin == self.cfg.node_id,
-            sequence_number: pm.seq,
-            purpose_id: req.item.purpose_id,
-            remote_node_id: self.cfg.peer_id,
             herald_cycle: pm.herald_cycle,
         };
         req.deliver(pm.seq, EgpEvent::OkKeep(ok), cycle, events);
@@ -1446,16 +1426,6 @@ mod tests {
         h.run(400);
         assert_eq!(h.count_oks(true), 3, "A should deliver 3 OKs");
         assert_eq!(h.count_oks(false), 3, "B should deliver 3 OKs too");
-        // OKs carry midpoint sequence numbers 0,1,2.
-        let seqs: Vec<u16> = h
-            .oks_a
-            .iter()
-            .filter_map(|e| match e {
-                EgpEvent::OkMeasure(m) => Some(m.sequence_number),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
     }
 
     #[test]

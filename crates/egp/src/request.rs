@@ -34,22 +34,22 @@ const ISSUED_SEQS_KEPT: usize = 64;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Service {
     /// Bright-state population α chosen by the FEU.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Pairs already delivered (OKs issued locally).
-    pub pairs_done: u16,
+    pub(crate) pairs_done: u16,
     /// Current lifecycle state.
-    pub state: RequestState,
+    pub(crate) state: RequestState,
     /// Cycle at which the request completed (kept for a linger period
     /// so EXPIRE-based resynchronisation can still reopen it).
-    pub completed_cycle: Option<u64>,
+    pub(crate) completed_cycle: Option<u64>,
     /// Recently issued OK sequence numbers (for EXPIRE).
-    pub issued_seqs: VecDeque<u16>,
+    pub(crate) issued_seqs: VecDeque<u16>,
     /// OKs held back until completion (non-consecutive requests).
-    pub buffered_oks: Vec<EgpEvent>,
+    pub(crate) buffered_oks: Vec<EgpEvent>,
     /// Consecutive NO_MESSAGE_OTHER results (divergence detection).
-    pub nmo_count: u32,
+    pub(crate) nmo_count: u32,
     /// Resync EXPIREs already sent for that divergence.
-    pub resyncs: u32,
+    pub(crate) resyncs: u32,
 }
 
 impl Service {
@@ -78,7 +78,7 @@ pub struct Request {
     /// names on this link).
     pub origin: u32,
     /// This node's progress on the request.
-    pub service: Service,
+    pub(crate) service: Service,
 }
 
 impl Request {

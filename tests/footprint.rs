@@ -78,16 +78,16 @@ fn a_link_and_its_egps_store_no_config_struct() {
     let egp = std::mem::size_of::<Egp>();
     let dq = std::mem::size_of::<DistributedQueue>();
     assert!(
-        link <= 1_800,
-        "LinkSimulation is {link} B (3,784 B while it stored its LinkConfig and workload generator, 2,184 B while its EGPs kept write-only state, 2,112 B while it kept a reply-deadline FIFO beside its MHPs, 2,080 B while it kept two opt-in output buffers, 2,056 B while its EGPs kept a test-round QBER window, 1,816 B while its EGPs kept the OKs' picosecond clock)"
+        link <= 1_784,
+        "LinkSimulation is {link} B (3,784 B while it stored its LinkConfig and workload generator, 2,184 B while its EGPs kept write-only state, 2,112 B while it kept a reply-deadline FIFO beside its MHPs, 2,080 B while it kept two opt-in output buffers, 2,056 B while its EGPs kept a test-round QBER window, 1,816 B while its EGPs kept the OKs' picosecond clock, 1,800 B while its EGPs kept the OKs' peer ID)"
     );
     // The outbox is always on: a link nobody reads keeps one of these
     // per delivered pair, beside `LinkMetrics::ok_series`'s point.
     let output = std::mem::size_of::<LinkOutput>();
     assert!(output <= 40, "LinkOutput is {output} B");
     assert!(
-        egp <= 424,
-        "Egp is {egp} B (1,056 B while it stored its EgpConfig, 656 B while its queue did, 584 B while it kept write-only state, 552 B while it kept a test-round QBER window, 432 B while it kept the OKs' picosecond clock)"
+        egp <= 416,
+        "Egp is {egp} B (1,056 B while it stored its EgpConfig, 656 B while its queue did, 584 B while it kept write-only state, 552 B while it kept a test-round QBER window, 432 B while it kept the OKs' picosecond clock, 424 B while it kept the OKs' peer ID)"
     );
     assert!(
         dq <= 160,
