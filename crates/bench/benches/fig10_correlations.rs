@@ -48,8 +48,8 @@ fn main() {
             let mut disagree = 0u32;
             for _ in 0..mc_pairs {
                 let mut s = rotated.clone();
-                let a = s.measure_qubit(0, basis, rng.raw());
-                let b = s.measure_qubit(1, basis, rng.raw());
+                let a = s.measure_qubit(0, basis, &mut rng);
+                let b = s.measure_qubit(1, basis, &mut rng);
                 if a != b {
                     disagree += 1;
                 }

@@ -197,8 +197,8 @@ fn bench_channels(c: &mut Criterion) {
         let mut rng = DetRng::new(2);
         b.iter(|| {
             let mut s = BellState::PhiPlus.state();
-            let m0 = s.measure_qubit(0, qlink::quantum::Basis::Z, rng.raw());
-            let m1 = s.measure_qubit(1, qlink::quantum::Basis::Z, rng.raw());
+            let m0 = s.measure_qubit(0, qlink::quantum::Basis::Z, &mut rng);
+            let m1 = s.measure_qubit(1, qlink::quantum::Basis::Z, &mut rng);
             black_box((m0, m1))
         })
     });

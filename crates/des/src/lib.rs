@@ -12,9 +12,10 @@
 //!   insertion sequence)` order, so a run is a pure function of its
 //!   seed. The paper's robustness claims are statistical; ours are
 //!   reproducible run-by-run.
-//! * [`rng`] — seedable randomness with deterministic per-component
-//!   substreams, so adding a component never perturbs another
-//!   component's random draws.
+//! * [`rng`] — the workspace's one random generator, [`DetRng`]:
+//!   xoshiro256** seeded from a `u64` by splitmix64, with deterministic
+//!   per-component substreams, so adding a component never perturbs
+//!   another component's random draws.
 //! * [`hash`] — a fixed-seed integer hasher ([`IntMap`]) for the
 //!   cycle-keyed tables on the per-attempt hot path.
 //! * [`trace`] — lightweight time-series and fixed-bucket histogram

@@ -797,7 +797,7 @@ impl Ledger {
         // Register [far1, node, node, far2]: BSM on the middle two,
         // Pauli correction folded onto far2.
         let mut joint = s1.state.tensor(&s2.state);
-        let outcome = entanglement_swap(&mut joint, 1, 2, 3, self.swap_rng.raw());
+        let outcome = entanglement_swap(&mut joint, 1, 2, 3, &mut self.swap_rng);
         att.segments.push(Segment {
             a: s1.a,
             b: s2.b,

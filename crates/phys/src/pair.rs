@@ -202,7 +202,7 @@ impl PairState {
     /// Measures one half in `basis` (ideal projective measurement; add
     /// readout noise at the caller if modelling M-type readout).
     pub fn measure(&mut self, side: Side, basis: Basis, rng: &mut DetRng) -> u8 {
-        self.state.measure_qubit(side.index(), basis, rng.raw())
+        self.state.measure_qubit(side.index(), basis, rng)
     }
 }
 

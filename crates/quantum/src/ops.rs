@@ -10,7 +10,7 @@
 use crate::bell::BellState;
 use crate::gates;
 use crate::state::{Basis, QuantumState};
-use rand::Rng;
+use qlink_des::DetRng;
 
 /// Outcome of a Bell-state measurement: two classical bits.
 ///
@@ -43,11 +43,11 @@ impl BsmOutcome {
 /// Implemented as the standard CNOT(q0→q1) + H(q0) circuit followed by
 /// computational-basis measurements; the measured qubits collapse and
 /// remain in the register.
-pub fn bell_measure<R: Rng + ?Sized>(
+pub fn bell_measure(
     state: &mut QuantumState,
     q0: usize,
     q1: usize,
-    rng: &mut R,
+    rng: &mut DetRng,
 ) -> BsmOutcome {
     state.apply_unitary(&gates::cnot(), &[q0, q1]);
     state.apply_unitary(&gates::h(), &[q0]);
@@ -64,12 +64,12 @@ pub fn bell_measure<R: Rng + ?Sized>(
 /// from the sender to the receiver; the Pauli correction they encode is
 /// applied to `ent_b` before returning. After the call, `ent_b` carries
 /// the input state (exactly, if the resource was a perfect `|Φ+⟩`).
-pub fn teleport<R: Rng + ?Sized>(
+pub fn teleport(
     state: &mut QuantumState,
     data: usize,
     ent_a: usize,
     ent_b: usize,
-    rng: &mut R,
+    rng: &mut DetRng,
 ) -> BsmOutcome {
     let outcome = bell_measure(state, data, ent_a, rng);
     // Standard corrections: X if the Ψ-type outcome, Z if the "−" branch.
@@ -86,12 +86,12 @@ pub fn teleport<R: Rng + ?Sized>(
 /// `(a, b1)` and pair `(b2, c)` both (close to) `|Φ+⟩`, performs a BSM
 /// on `(b1, b2)` at the middle node and applies the Pauli correction to
 /// `c`. Afterwards `(a, c)` share (close to) `|Φ+⟩`.
-pub fn entanglement_swap<R: Rng + ?Sized>(
+pub fn entanglement_swap(
     state: &mut QuantumState,
     b1: usize,
     b2: usize,
     c: usize,
-    rng: &mut R,
+    rng: &mut DetRng,
 ) -> BsmOutcome {
     let outcome = bell_measure(state, b1, b2, rng);
     if outcome.x_bit == 1 {
@@ -109,16 +109,10 @@ mod tests {
     use crate::bell::bell_fidelity;
     use qlink_math::complex::Complex;
     use qlink_math::CMatrix;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng(seed: u64) -> StdRng {
-        StdRng::seed_from_u64(seed)
-    }
-
-    fn random_ket(rng: &mut StdRng) -> CMatrix {
-        let a: f64 = rng.gen_range(0.0..1.0);
-        let phi: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+    fn random_ket(rng: &mut DetRng) -> CMatrix {
+        let a = rng.uniform();
+        let phi = rng.uniform() * std::f64::consts::TAU;
         let amp0 = a.sqrt();
         let amp1 = (1.0 - a).sqrt();
         CMatrix::col_vector(&[Complex::real(amp0), Complex::phase(phi) * amp1])
@@ -126,7 +120,7 @@ mod tests {
 
     #[test]
     fn teleport_preserves_random_states() {
-        let mut r = rng(7);
+        let mut r = DetRng::new(7);
         for trial in 0..20 {
             let ket = random_ket(&mut r);
             let data = QuantumState::from_ket(&ket);
@@ -141,7 +135,7 @@ mod tests {
 
     #[test]
     fn teleport_consumes_entanglement() {
-        let mut r = rng(3);
+        let mut r = DetRng::new(3);
         let data = QuantumState::ground(1);
         let mut joint = data.tensor(&BellState::PhiPlus.state());
         teleport(&mut joint, 0, 1, 2, &mut r);
@@ -154,7 +148,7 @@ mod tests {
 
     #[test]
     fn all_four_bsm_outcomes_occur() {
-        let mut r = rng(11);
+        let mut r = DetRng::new(11);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..200 {
             let data = QuantumState::ground(1);
@@ -167,7 +161,7 @@ mod tests {
 
     #[test]
     fn swap_produces_long_distance_pair() {
-        let mut r = rng(5);
+        let mut r = DetRng::new(5);
         for trial in 0..10 {
             // Register: [a, b1, b2, c] with (a,b1) = Φ+ and (b2,c) = Φ+.
             let mut joint = BellState::PhiPlus
@@ -182,7 +176,7 @@ mod tests {
     #[test]
     fn swap_of_noisy_pairs_multiplies_error() {
         use crate::bell::werner_state;
-        let mut r = rng(9);
+        let mut r = DetRng::new(9);
         // Two Werner pairs with p = 0.9 (F = 0.925): the swapped pair has
         // lower fidelity than either input.
         let mut joint =
@@ -214,7 +208,7 @@ mod tests {
 
     #[test]
     fn bell_measure_identifies_prepared_bell_states() {
-        let mut r = rng(13);
+        let mut r = DetRng::new(13);
         for b in BellState::ALL {
             let mut s = b.state();
             let o = bell_measure(&mut s, 0, 1, &mut r);

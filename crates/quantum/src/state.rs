@@ -35,9 +35,9 @@
 //! The dense path stays in the test build as the oracle the kernels are
 //! compared against.
 
+use qlink_des::DetRng;
 use qlink_math::complex::{Complex, ONE, ZERO};
 use qlink_math::CMatrix;
-use rand::Rng;
 use std::fmt;
 
 /// A measurement basis, as used by the MD use case and the QBER
@@ -514,18 +514,18 @@ impl QuantumState {
     ///
     /// # Panics
     /// Panics if the outcome probabilities do not sum to ≈ 1.
-    pub fn measure_kraus<R: Rng + ?Sized>(
+    pub fn measure_kraus(
         &mut self,
         kraus: &[CMatrix],
         targets: &[usize],
-        rng: &mut R,
+        rng: &mut DetRng,
     ) -> usize {
-        self.measure_kraus_given(kraus, targets, rng.gen::<f64>())
+        self.measure_kraus_given(kraus, targets, rng.uniform())
     }
 
     /// [`QuantumState::measure_kraus`] with the uniform draw `u` in
     /// `[0, 1)` supplied by the caller — lets hot paths batch their
-    /// randomness (e.g. `DetRng::uniform_batch` in `qlink-des`) without
+    /// randomness (e.g. [`DetRng::uniform_batch`]) without
     /// changing which outcome any given draw selects.
     pub fn measure_kraus_given(&mut self, kraus: &[CMatrix], targets: &[usize], u: f64) -> usize {
         let blocks = Blocks::new(self.n, targets);
@@ -553,12 +553,7 @@ impl QuantumState {
     }
 
     /// Projectively measures one qubit in the given basis; returns 0 or 1.
-    pub fn measure_qubit<R: Rng + ?Sized>(
-        &mut self,
-        qubit: usize,
-        basis: Basis,
-        rng: &mut R,
-    ) -> u8 {
+    pub fn measure_qubit(&mut self, qubit: usize, basis: Basis, rng: &mut DetRng) -> u8 {
         let (p0, p1) = basis.projectors();
         self.measure_kraus(&[p0, p1], &[qubit], rng) as u8
     }
@@ -786,11 +781,9 @@ impl fmt::Debug for QuantumState {
 mod tests {
     use super::*;
     use crate::gates;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
+    fn rng() -> DetRng {
+        DetRng::new(42)
     }
 
     #[test]
@@ -1008,16 +1001,16 @@ mod tests {
 
         /// A random operator with about a third of its entries exactly
         /// zero, half of those `−0`.
-        fn random_op(rng: &mut StdRng, dim: usize) -> CMatrix {
+        fn random_op(rng: &mut DetRng, dim: usize) -> CMatrix {
             let data: Vec<Complex> = (0..dim * dim)
                 .map(|_| {
-                    let pick = rng.gen::<f64>();
+                    let pick = rng.uniform();
                     if pick < 1.0 / 6.0 {
                         ZERO
                     } else if pick < 1.0 / 3.0 {
                         Complex::new(-0.0, -0.0)
                     } else {
-                        Complex::new(rng.gen::<f64>() * 2.0 - 1.0, rng.gen::<f64>() * 2.0 - 1.0)
+                        Complex::new(rng.uniform() * 2.0 - 1.0, rng.uniform() * 2.0 - 1.0)
                     }
                 })
                 .collect();
@@ -1027,7 +1020,7 @@ mod tests {
         /// A random operator with adversarial zeros: row 0 all `−0` and
         /// the last column alternating `+0` and `−0`, so a whole row and a
         /// whole column contribute no term.
-        fn zero_lined_op(rng: &mut StdRng, dim: usize) -> CMatrix {
+        fn zero_lined_op(rng: &mut DetRng, dim: usize) -> CMatrix {
             let mut op = random_op(rng, dim);
             for c in 0..dim {
                 op[(0, c)] = Complex::new(-0.0, -0.0);
@@ -1058,7 +1051,7 @@ mod tests {
 
         /// `AA†/Tr` for a random `A` with zero entries; with `zero_row`,
         /// row and column 0 of the state are all zero.
-        fn random_state(rng: &mut StdRng, n: usize, zero_row: bool) -> QuantumState {
+        fn random_state(rng: &mut DetRng, n: usize, zero_row: bool) -> QuantumState {
             loop {
                 let mut a = random_op(rng, 1 << n);
                 if zero_row {
@@ -1135,7 +1128,7 @@ mod tests {
         }
 
         /// Single operators by target count, and complete Kraus sets.
-        fn operators(rng: &mut StdRng) -> (Vec<Vec<CMatrix>>, Vec<Vec<CMatrix>>) {
+        fn operators(rng: &mut DetRng) -> (Vec<Vec<CMatrix>>, Vec<Vec<CMatrix>>) {
             let sets: Vec<Vec<CMatrix>> = vec![
                 channels::dephasing(0.0),
                 channels::dephasing(0.3),
@@ -1239,7 +1232,7 @@ mod tests {
 
         #[test]
         fn block_kernels_match_the_dense_oracle_bit_for_bit() {
-            let mut rng = StdRng::seed_from_u64(0x5eed);
+            let mut rng = DetRng::new(0x5eed);
             let (by_size, sets) = operators(&mut rng);
             for n in 1..=4 {
                 let mut states = vec![QuantumState::ground(n), arm_shaped(n)];

@@ -62,7 +62,7 @@ fn main() {
         ]);
         let data = QuantumState::from_ket(&ket);
         let mut joint = data.tensor(&resource);
-        teleport(&mut joint, 0, 1, 2, rng.raw());
+        teleport(&mut joint, 0, 1, 2, &mut rng);
         let out = joint.partial_trace(&[2]);
         total += out.fidelity_pure(&ket);
     }

@@ -292,7 +292,7 @@ fn measurement_outcomes_unbiased_on_bell_pairs() {
     let n = 2000;
     for _ in 0..n {
         let mut s = BellState::PhiPlus.state();
-        ones += s.measure_qubit(0, Basis::Z, rng.raw()) as u32;
+        ones += s.measure_qubit(0, Basis::Z, &mut rng) as u32;
     }
     // Fair coin: the per-mille rate should sit near 500.
     assert!((400..600).contains(&(ones * 1000 / n)), "bias: {ones}/{n}");
